@@ -8,8 +8,6 @@ paper's text:
   with and without the intra-supernode reordering;
 * **amalgamation** (Scotch ``frat`` = 0.08): block count / time with and
   without column aggregation;
-* **LUAR-like accumulation** (§5, BLR-MUMPS comparison): number of
-  extend-add recompressions and time with grouped updates;
 * **threaded scheduler** ([23]): speedup of the dependency-driven engine
   over the sequential loop.
 """
@@ -60,24 +58,6 @@ def ablate_amalgamation(scale: str) -> dict:
         rec["ncblk"] = solver.symbolic.ncblk
         rec["off_blocks"] = solver.symbolic.total_off_blocks()
         out[f"frat={frat}"] = rec
-    return out
-
-
-def ablate_accumulation(scale: str) -> dict:
-    grid = SCALE_PARAMS[scale]["lap"]
-    a = laplacian_3d(grid)
-    out = {}
-    for flag in (False, True):
-        cfg = bench_config(scale, strategy="minimal-memory", tolerance=1e-4,
-                           accumulate_updates=flag)
-        solver = Solver(a, cfg)
-        stats = solver.factorize()
-        out["luar" if flag else "per-update"] = {
-            "facto_time": stats.total_time,
-            "lr_addition_calls": stats.kernels.call_count("lr_addition"),
-            "lr_addition_time": stats.kernels.time("lr_addition"),
-            "memory_ratio": stats.memory_ratio,
-        }
     return out
 
 
@@ -180,7 +160,6 @@ def run_experiment(scale: str) -> dict:
         "scale": scale,
         "reordering": ablate_reordering(scale),
         "amalgamation": ablate_amalgamation(scale),
-        "accumulation": ablate_accumulation(scale),
         "left_looking": ablate_left_looking(scale),
         "kernels": ablate_kernels(scale),
         "ordering": ablate_ordering(scale),
@@ -199,12 +178,6 @@ def print_report(res: dict) -> None:
     print("amalgamation   : " + ", ".join(
         f"{k}: {v['ncblk']} cblks / {v['off_blocks']} blocks / "
         f"{v['facto_time']:.2f}s" for k, v in res["amalgamation"].items()))
-    a = res["accumulation"]
-    print(f"LUAR grouping  : recompressions "
-          f"{a['per-update']['lr_addition_calls']} -> "
-          f"{a['luar']['lr_addition_calls']}, lr-add time "
-          f"{a['per-update']['lr_addition_time']:.2f}s -> "
-          f"{a['luar']['lr_addition_time']:.2f}s")
     ll = res["left_looking"]
     print(f"left-looking   : JIT peak "
           f"{ll['right-looking']['peak_nbytes'] / 1e6:.1f}MB -> "
@@ -233,9 +206,6 @@ def check_shape(res: dict) -> None:
     am = res["amalgamation"]
     assert am["frat=0.08"]["ncblk"] <= am["frat=0.0"]["ncblk"]
     assert am["frat=0.3"]["ncblk"] <= am["frat=0.08"]["ncblk"]
-    acc = res["accumulation"]
-    assert acc["luar"]["lr_addition_calls"] <= \
-        acc["per-update"]["lr_addition_calls"]
     ll = res["left_looking"]
     assert ll["left-looking"]["peak_nbytes"] <= \
         ll["right-looking"]["peak_nbytes"]

@@ -266,7 +266,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                   f"{stats.kernels.flop(cat) / 1e9:8.3f} Gflop")
     print(f"factor size: {stats.factor_nbytes / 1e6:.2f} MB "
           f"({stats.memory_ratio:.2f}x dense), "
-          f"peak {stats.peak_nbytes / 1e6:.2f} MB")
+          f"peak {stats.peak_nbytes / 1e6:.2f} MB"
+          + (f" + {stats.accumulator_peak_nbytes / 1e6:.2f} MB extend-add "
+             f"accumulator" if stats.accumulator_peak_nbytes else ""))
     if solver.last_recovery is not None:
         counts = solver.last_recovery.get("counts") or {}
         acted = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -89,8 +89,6 @@ class SolverConfig:
     #: maximum admissible rank as a fraction of min(m, n); blocks whose
     #: revealed rank exceeds it are stored dense (paper §3.4 uses 1/4).
     rank_ratio: float = 0.25
-    #: group several low-rank updates and recompress once (LUAR-like ablation)
-    accumulate_updates: bool = False
     #: left-looking elimination (paper §4.3's proposal): allocate and update
     #: each column block's dense panels only when it is reached, so the
     #: Just-In-Time memory peak shrinks toward Minimal Memory's.

@@ -201,7 +201,6 @@ class NumericFactor:
         # a lock for the threaded engines
         self._pull_lock: Any = threading.Lock()
         self._pulled: Dict[int, Set[int]] = {}
-        self._pull_targets: Dict[int, int] = {}
 
     # -- variant dispatch --------------------------------------------------
     def variant_for(self, k: int) -> Optional[BlrVariant]:
@@ -220,17 +219,9 @@ class NumericFactor:
             return self.variant.with_order(d.order)
         return self.variant
 
-    def _n_targets_locked(self, k: int) -> int:
-        n = self._pull_targets.get(k)
-        if n is None:
-            n = len({b.facing for b in self.symb.cblks[k].off_blocks()})
-            self._pull_targets[k] = n
-        return n
-
     def n_targets(self, k: int) -> int:
         """Distinct facing column blocks of ``k`` (who pulls its updates)."""
-        with self._pull_lock:
-            return self._n_targets_locked(k)
+        return len(self.symb.facing_ranges(k))
 
     def note_updates_pulled(self, c: int, k: int) -> bool:
         """Record that target ``k`` consumed source ``c``'s updates.
@@ -247,7 +238,7 @@ class NumericFactor:
             if k in pulled:
                 return False
             pulled.add(k)
-            return len(pulled) == self._n_targets_locked(c)
+            return len(pulled) == self.n_targets(c)
 
     def attach_sanitizer(self, san: "RaceSanitizer") -> None:
         """Arm the runtime race sanitizer on this factor's shared state.
@@ -306,6 +297,15 @@ class NumericFactor:
         if n:
             with self._counter_lock:
                 self.nperturbed += n
+
+    def note_accumulator_peak(self, nbytes: int) -> None:
+        """Fold one task's extend-add accumulator high-water mark into
+        ``stats.accumulator_peak_nbytes`` (a max, so independent of the
+        order tasks report in)."""
+        if nbytes > self.stats.accumulator_peak_nbytes:
+            with self._counter_lock:
+                self.stats.accumulator_peak_nbytes = max(
+                    self.stats.accumulator_peak_nbytes, nbytes)
 
     def add_pivot_stats(self, stats: Dict[str, Any]) -> None:
         """Accumulate per-block threshold-pivoting statistics.

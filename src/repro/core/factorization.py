@@ -9,7 +9,9 @@ Per column block ``k`` the elimination performs the paper's three steps:
    on the ``v`` factors;
 3. apply the update ``A(i),(j) -= L(i),k · U k,(j)`` for every pair of
    off-diagonal blocks — dense GEMM, ``LR2GE`` or ``LR2LR`` depending on
-   strategy and block storage.
+   strategy and block storage.  Updates are *pulled* per target column
+   block; those aimed at a low-rank block are gathered over all
+   contributors and recompressed once (:data:`UpdateAccumulator`).
 
 The Dense strategy keeps column blocks in panel mode, which lets step 3 run
 one batched GEMM per facing block ``(j)`` covering all ``(i)`` at once
@@ -20,7 +22,7 @@ through :mod:`repro.lowrank.kernels`.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.runtime.trace import TaskTracer
@@ -41,9 +43,9 @@ from repro.core.factor import Block, NumericColumnBlock, NumericFactor
 from repro.runtime.recovery import NumericalBreakdown
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import (
+    block_nbytes,
     compress_block,
     lr2ge_update,
-    lr2lr_update,
     lr2lr_update_multi,
     lr_product,
     rank_cap,
@@ -341,7 +343,7 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     prof = fac.profiler
     _sid = None
     if prof is not None:
-        targets = {b.facing for b in fac.cblks[k].sym.off_blocks()}
+        targets = fac.symb.facing_ranges(k)
         parent = prof.task_span_of(max(targets)) if targets else None
         if parent is not None:
             _sid = prof.start("finalize", parent=parent,
@@ -564,49 +566,51 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
 # step 3: right-looking updates
 # ----------------------------------------------------------------------
 
-def apply_updates_from(fac: NumericFactor, k: int,
-                       target: Optional[int] = None,
-                       lock: Optional[Callable[[int], Any]] = None) -> None:
-    """Apply all updates of source column block ``k`` (optionally only those
-    aimed at column block ``target``).  ``lock`` guards the target mutation
-    sections when given (the pull-mode threaded engines don't need one —
-    each target is mutated by a single task; the parameter remains for
-    push-style callers).
+#: Task-local gather of the contributions aimed at the low-rank blocks of
+#: one target column block (the Minimal-Memory extend-add): target block
+#: ``(side, i)`` → its ``(piece, row_off, col_off)`` contributions.  Dense
+#: pieces are subtracted into one lazily allocated block-sized scratch kept
+#: at the head of the list (so it carries *minus* their sum); low-rank
+#: pieces are kept as they come, to be stacked by :func:`flush_accumulated`.
+#: One accumulator lives inside one fan-in task and never outlives it.
+UpdateAccumulator = Dict[Tuple[str, int], List[Tuple[Block, int, int]]]
 
-    One ``"update"`` trace event is recorded per call (``target=-1`` for a
-    full right-looking push); fault-injector update hooks fire first.
+
+def apply_updates_from(fac: NumericFactor, k: int, target: int,
+                       acc: UpdateAccumulator) -> None:
+    """Apply the updates of source column block ``k`` aimed at column block
+    ``target``.  Contributions to dense storage land immediately; those
+    aimed at a low-rank block of ``target`` are gathered in ``acc`` (the
+    calling task's accumulator) for :func:`flush_accumulated`.
+
+    One ``"update"`` trace event is recorded per call; fault-injector
+    update hooks fire first.
     """
     if fac.faults is not None:
         fac.faults.on_update(fac, k, target)
     nc = fac.cblks[k]
-    sym = nc.sym
-    if sym.noff == 0:
-        return
     tracer = fac.tracer
     _trace_t0 = tracer.clock() if tracer is not None else 0.0
     prof = fac.profiler
-    _sid = (prof.start("update", cblk=k,
-                       target=-1 if target is None else target,
+    _sid = (prof.start("update", cblk=k, target=target,
                        mode="panel" if nc.panel_mode else "blocks")
             if prof is not None else None)
     try:
         if nc.panel_mode:
-            _updates_from_panel(fac, nc, target, lock)
+            _updates_from_panel(fac, nc, target, acc)
         else:
-            _updates_from_blocks(fac, nc, target, lock)
+            _updates_from_blocks(fac, nc, target, acc)
     finally:
         if prof is not None:
             prof.end(_sid)
     if tracer is not None:
-        tracer.record("update", k, _trace_t0,
-                      target=-1 if target is None else target,
+        tracer.record("update", k, _trace_t0, target=target,
                       tag="panel" if nc.panel_mode else "blocks")
 
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
-                        target: Optional[int],
-                        lock: Optional[Callable[[int], Any]]) -> None:
-    """Batched dense updates: one GEMM per facing block ``(j)``.
+                        t: int, acc: UpdateAccumulator) -> None:
+    """Batched dense updates: one GEMM per block ``(j)`` facing ``t``.
 
     Hermitian factorizations (complex Cholesky/LDLᴴ) conjugate the
     transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``.
@@ -621,10 +625,10 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     # A(i,j) -= L(i) L(j)ᴴ, so the transposed operand is conjugated
     # (.conj() is a no-copy pass-through for real panels)
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
-    for j, bj in enumerate(sym.off_blocks()):
-        t = bj.facing
-        if target is not None and t != target:
-            continue
+    be = fac.backend
+    first, end = fac.symb.facing_ranges(sym.id)[t]
+    for j in range(first, end):
+        bj = sym.blocks[1 + j]
         jlo, jhi = offs[j], offs[j + 1]
         tail = slice(jlo, nc.offrows)
         t0 = time.perf_counter()
@@ -640,7 +644,6 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
             ub_j = nc.lpanel[jlo:jhi]
         if hermitian:
             ub_j = ub_j.conj()
-        be = fac.backend
         # all (i) >= (j) at once
         w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
         fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
@@ -651,34 +654,23 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
         stats.add("dense_update", seconds=time.perf_counter() - t0,
                   flops=fl * flop_scale(fac.dtype))
 
-        if lock is not None:
-            lock(t).acquire()
-        try:
-            for i in range(j, sym.noff):
-                bi = sym.blocks[1 + i]
-                ilo = offs[i] - jlo
-                ihi = offs[i + 1] - jlo
-                contrib = w_l[ilo:ihi]
+        for i in range(j, sym.noff):
+            bi = sym.blocks[1 + i]
+            ilo = offs[i] - jlo
+            ihi = offs[i + 1] - jlo
+            _scatter(fac, t, bi.first_row, bi.end_row,
+                     bj.first_row, bj.end_row, w_l[ilo:ihi], "l", acc)
+            if is_lu and i > j:
                 _scatter(fac, t, bi.first_row, bi.end_row,
-                         bj.first_row, bj.end_row, contrib, side="l")
-                if is_lu and i > j:
-                    _scatter(fac, t, bi.first_row, bi.end_row,
-                             bj.first_row, bj.end_row, w_u[ilo:ihi], side="u")
-        finally:
-            if lock is not None:
-                lock(t).release()
+                         bj.first_row, bj.end_row, w_u[ilo:ihi], "u", acc)
 
 
 def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
-                         target: Optional[int],
-                         lock: Optional[Callable[[int], Any]]) -> None:
+                         t: int, acc: UpdateAccumulator) -> None:
     """Per-pair updates through the low-rank kernels (JIT / MM sources).
 
-    With ``config.accumulate_updates`` (the LUAR-like ablation, §5), all
-    contributions of this source aimed at the same low-rank target block
-    are gathered and recompressed once per target instead of once per
-    contribution.  Hermitian factorizations conjugate the transposed
-    operand (``A(i,j) -= L(i) L(j)ᴴ``), as in the panel path.
+    Hermitian factorizations conjugate the transposed operand
+    (``A(i,j) -= L(i) L(j)ᴴ``), as in the panel path.
     """
     cfg = fac.config
     stats = fac.stats.kernels
@@ -693,96 +685,85 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     promote = fac.dtype if fac.storage_dtype is not None else None
     recompress = fac.variant.recompress if fac.variant is not None else True
 
-    by_target = {}
-    for j, bj in enumerate(sym.off_blocks()):
-        by_target.setdefault(bj.facing, []).append((j, bj))
-
-    for t in sorted(by_target):
-        if target is not None and t != target:
-            continue
-        acc = {} if cfg.accumulate_updates else None
-        if lock is not None:
-            lock(t).acquire()
-        try:
-            for j, bj in by_target[t]:
-                if is_lu:
-                    ub_j = nc.ublocks[j]
-                elif d_scale is not None:
-                    ub_j = _scale_columns(nc.lblocks[j], d_scale,
-                                          nc.pivd21, hermitian)
-                else:
-                    ub_j = nc.lblocks[j]
-                if hermitian:
-                    ub_j = ub_j.conj()
-                lb_j = nc.lblocks[j]
+    first, end = fac.symb.facing_ranges(sym.id)[t]
+    for j in range(first, end):
+        bj = sym.blocks[1 + j]
+        if is_lu:
+            ub_j = nc.ublocks[j]
+        elif d_scale is not None:
+            ub_j = _scale_columns(nc.lblocks[j], d_scale,
+                                  nc.pivd21, hermitian)
+        else:
+            ub_j = nc.lblocks[j]
+        if hermitian:
+            ub_j = ub_j.conj()
+        lb_j = nc.lblocks[j]
+        if promote is not None:
+            ub_j = _promote(ub_j, promote)
+            lb_j = _promote(lb_j, promote)
+        for i in range(j, sym.noff):
+            bi = sym.blocks[1 + i]
+            src_l = nc.lblocks[i]
+            if promote is not None:
+                src_l = _promote(src_l, promote)
+            contrib = lr_product(src_l, ub_j,
+                                 fac.comp_tol, cfg.kernel, stats,
+                                 backend=fac.backend,
+                                 recompress=recompress,
+                                 norm_ref=fac.comp_norm_ref)
+            if contrib is not None:
+                _scatter(fac, t, bi.first_row, bi.end_row,
+                         bj.first_row, bj.end_row, contrib, "l", acc)
+            if is_lu and i > j:
+                src_u = nc.ublocks[i]
                 if promote is not None:
-                    ub_j = _promote(ub_j, promote)
-                    lb_j = _promote(lb_j, promote)
-                for i in range(j, sym.noff):
-                    bi = sym.blocks[1 + i]
-                    src_l = nc.lblocks[i]
-                    if promote is not None:
-                        src_l = _promote(src_l, promote)
-                    contrib = lr_product(src_l, ub_j,
-                                         fac.comp_tol, cfg.kernel, stats,
-                                         backend=fac.backend,
-                                         recompress=recompress,
-                                         norm_ref=fac.comp_norm_ref)
-                    if contrib is not None:
-                        _scatter(fac, t, bi.first_row, bi.end_row,
-                                 bj.first_row, bj.end_row, contrib,
-                                 side="l", acc=acc)
-                    if is_lu and i > j:
-                        src_u = nc.ublocks[i]
-                        if promote is not None:
-                            src_u = _promote(src_u, promote)
-                        contrib_u = lr_product(src_u, lb_j,
-                                               fac.comp_tol, cfg.kernel,
-                                               stats, backend=fac.backend,
-                                               recompress=recompress,
-                                               norm_ref=fac.comp_norm_ref)
-                        if contrib_u is not None:
-                            _scatter(fac, t, bi.first_row, bi.end_row,
-                                     bj.first_row, bj.end_row, contrib_u,
-                                     side="u", acc=acc)
-            if acc:
-                _flush_accumulated(fac, t, acc)
-        finally:
-            if lock is not None:
-                lock(t).release()
+                    src_u = _promote(src_u, promote)
+                contrib_u = lr_product(src_u, lb_j,
+                                       fac.comp_tol, cfg.kernel,
+                                       stats, backend=fac.backend,
+                                       recompress=recompress,
+                                       norm_ref=fac.comp_norm_ref)
+                if contrib_u is not None:
+                    _scatter(fac, t, bi.first_row, bi.end_row,
+                             bj.first_row, bj.end_row, contrib_u, "u", acc)
 
 
-def _flush_accumulated(fac: NumericFactor, t: int, acc: dict) -> None:
-    """Apply the grouped extend-adds gathered under accumulate_updates."""
+def flush_accumulated(fac: NumericFactor, k: int,
+                      acc: UpdateAccumulator) -> None:
+    """Land the contributions gathered for ``k``'s low-rank blocks: one
+    compression of the dense scratch (under the target's rank cap) and one
+    recompression per target block, falling back to dense storage when the
+    cap is exceeded.  Empties ``acc``, so the scratch is released before
+    ``k`` is factored."""
     cfg = fac.config
     stats = fac.stats.kernels
-    tnc = fac.cblks[t]
-    tsym = tnc.sym
+    tnc = fac.cblks[k]
+    # nothing is released while gathering: the high-water mark is now
+    fac.note_accumulator_peak(sum(
+        block_nbytes(piece) for contribs in acc.values()
+        for piece, _, _ in contribs))
     for (side, i), contribs in acc.items():
-        blocks = tnc.lblocks if side == "l" else tnc.ublocks
-        tgt = blocks[i]
-        if not isinstance(tgt, LowRankBlock):  # densified meanwhile
-            for piece, ro, co in contribs:
-                lr2ge_update(tgt, piece, ro, co, stats,
-                             backend=fac.backend)
-            continue
-        block = tsym.blocks[1 + i]
-        cap = rank_cap(block.nrows, tsym.ncols, cfg.rank_ratio)
+        scratch = contribs[0][0]
+        if isinstance(scratch, np.ndarray):
+            # gathered through lr2ge_update, it holds minus the sum
+            np.negative(scratch, out=scratch)
+        tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
+        cap = rank_cap(tgt.m, tgt.n, cfg.rank_ratio)
         if fac.storage_dtype is not None:
             tgt = tgt.astype(fac.dtype)
-        new = lr2lr_update_multi(tgt, contribs, fac.comp_tol, cfg.kernel,
-                                 max_rank=cap, stats=stats,
-                                 norm_ref=fac.comp_norm_ref)
+        new: Optional[Block] = lr2lr_update_multi(
+            tgt, contribs, fac.comp_tol, cfg.kernel, max_rank=cap,
+            stats=stats, norm_ref=fac.comp_norm_ref)
         if new is None:
-            dense = np.asarray(tgt.to_dense(), dtype=fac.dtype)
+            # rank exceeded the cap: fall back to dense storage (updated
+            # at full precision, stored at storage_dtype)
+            new = np.asarray(tgt.to_dense(), dtype=fac.dtype)
             for piece, ro, co in contribs:
-                lr2ge_update(dense, piece, ro, co, stats,
-                             backend=fac.backend)
-            new = (dense if fac.storage_dtype is None
-                   else dense.astype(fac.storage_dtype))
-        elif fac.storage_dtype is not None:
+                lr2ge_update(new, piece, ro, co, stats, backend=fac.backend)
+        if fac.storage_dtype is not None:
             new = new.astype(fac.storage_dtype)
         fac.set_block(tnc, side, i, new)
+    acc.clear()
 
 
 def _promote(block: Optional[Block], dtype: np.dtype) -> Optional[Block]:
@@ -845,14 +826,15 @@ def _transpose(contrib: Block) -> Block:
 
 def _scatter(fac: NumericFactor, t: int, rlo: int, rhi: int,
              clo: int, chi: int, contrib: Block, side: str,
-             acc: Optional[dict] = None) -> None:
+             acc: UpdateAccumulator) -> None:
     """Subtract ``contrib`` (rows ``[rlo, rhi)``, cols ``[clo, chi)`` in
     global indices) from column block ``t``.
 
     ``side == 'l'`` updates the L storage (or the diagonal block when the
     rows fall inside ``t``'s columns); ``side == 'u'`` updates the Uᵗ
     storage (transposed into the diagonal block's upper triangle when the
-    rows fall inside ``t``).
+    rows fall inside ``t``).  Pieces aimed at a low-rank block are
+    gathered in ``acc`` instead.
     """
     tnc = fac.cblks[t]
     tsym = tnc.sym
@@ -870,7 +852,6 @@ def _scatter(fac: NumericFactor, t: int, rlo: int, rhi: int,
                          backend=fac.backend)
         return
 
-    cfg = fac.config
     for bidx, olo, ohi in fac.symb.find_blocks(t, rlo, rhi):
         if bidx == 0:  # pragma: no cover - diag handled above
             raise AssertionError("off-diagonal rows resolved to diagonal")
@@ -885,31 +866,19 @@ def _scatter(fac: NumericFactor, t: int, rlo: int, rhi: int,
             lr2ge_update(panel[plo:plo + m], piece, 0, coff, stats,
                          backend=fac.backend)
         else:
-            blocks = tnc.lblocks if side == "l" else tnc.ublocks
-            tgt = blocks[i]
+            tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
             if isinstance(tgt, LowRankBlock):
-                if acc is not None:
-                    acc.setdefault((side, i), []).append(
-                        (piece, row_off_in_block, coff))
+                if isinstance(piece, LowRankBlock):
+                    if piece.rank:
+                        acc.setdefault((side, i), []).append(
+                            (piece, row_off_in_block, coff))
                     continue
-                cap = rank_cap(block.nrows, tsym.ncols, cfg.rank_ratio)
-                if fac.storage_dtype is not None:
-                    tgt = tgt.astype(fac.dtype)
-                new = lr2lr_update(tgt, piece, row_off_in_block, coff,
-                                   fac.comp_tol, cfg.kernel,
-                                   max_rank=cap, stats=stats,
-                                   norm_ref=fac.comp_norm_ref)
-                if new is None:
-                    # rank exceeded the cap: fall back to dense storage
-                    # (updated at full precision, stored at storage_dtype)
-                    dense = np.asarray(tgt.to_dense(), dtype=fac.dtype)
-                    lr2ge_update(dense, piece, row_off_in_block, coff,
-                                 stats, backend=fac.backend)
-                    new = (dense if fac.storage_dtype is None
-                           else dense.astype(fac.storage_dtype))
-                elif fac.storage_dtype is not None:
-                    new = new.astype(fac.storage_dtype)
-                fac.set_block(tnc, side, i, new)
+                pend = acc.setdefault((side, i), [])
+                if not (pend and isinstance(pend[0][0], np.ndarray)):
+                    pend.insert(0, (np.zeros((block.nrows, tsym.ncols),
+                                             dtype=fac.dtype), 0, 0))
+                lr2ge_update(pend[0][0], piece, row_off_in_block, coff,
+                             stats, backend=fac.backend)
             else:
                 lr2ge_update(tgt, piece, row_off_in_block, coff, stats,
                              backend=fac.backend)

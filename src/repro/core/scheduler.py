@@ -1,7 +1,7 @@
 """Execution engines for the factorization.
 
-* :func:`run_sequential` — the textbook right-looking loop of Algorithms 1
-  and 2 (used by Table 2, which reports sequential timings).
+* :func:`run_sequential` — the fan-in tasks below, one after the other in
+  index order (used by Table 2, which reports sequential timings).
 * :func:`run_threaded` — a multi-threaded engine in the spirit of the PaStiX
   static scheduler [23]: one task per column block, dependency counting on
   the block elimination DAG.  numpy's BLAS releases the GIL inside the
@@ -10,7 +10,7 @@
 * :func:`run_threaded_static` — PaStiX's proportional subtree mapping: each
   thread owns a fixed, index-ordered list of column blocks.
 
-**Deterministic pull-mode reduction.**  Both threaded engines execute each
+**Deterministic pull-mode reduction.**  Every engine executes each
 column block ``k`` as one *fan-in* task: pull the updates of every factored
 contributor ``c`` (in ascending ``c``, the same per-target order the
 sequential right-looking sweep produces), then factor ``k``.  A column
@@ -19,9 +19,7 @@ single thread applies all updates into ``k``, in canonical order, the
 floating-point reduction order is fixed — threaded factors are
 **bit-identical** to the sequential run — and no per-target locks are
 needed: a contributor's storage is immutable once factored, and only task
-``k`` ever mutates ``k``'s storage.  (The previous push-mode engines
-serialized scatters with per-target locks, which left the reduction order
-to the thread schedule; see docs/observability.md.)
+``k`` ever mutates ``k``'s storage.
 
 **Hardening.**  Workers shut down through queue sentinels (no polling
 loops); every worker exception is collected under a lock and all of them
@@ -55,9 +53,11 @@ from repro.core.factor import (
     snapshot_column_block,
 )
 from repro.core.factorization import (
+    UpdateAccumulator,
     apply_updates_from,
     factor_column_block,
     finalize_updates_from,
+    flush_accumulated,
 )
 from repro.runtime.recovery import NumericalBreakdown
 
@@ -88,51 +88,28 @@ class DeadlockError(SchedulerError):
 
 def run_sequential(fac: NumericFactor,
                    checkpoint: Optional["CheckpointWriter"] = None) -> None:
-    """Right-looking elimination, one column block at a time.
+    """Sequential elimination: one fan-in task per column block, in index
+    order — pull every contributor's updates (ascending), then factor.
 
-    With a recovery state, a checkpoint writer, or a span profiler armed
-    the engine switches to the pull-mode fan-in loop
-    (:func:`run_sequential_pull`): pull-mode tasks only mutate their own
-    column block, which is what makes pre-task snapshots, local retries,
-    and resumable checkpoints sound — and what gives profiled sequential
-    runs the same causal task structure as the threaded engines, so their
-    span trees compare equal.  The two orders are bit-identical (PR 1's
-    determinism guarantee)."""
+    The same task the threaded engines run, so the factors are
+    bit-identical across engines and a task only ever mutates its own
+    column block — which is what makes pre-task snapshots, local retries
+    and resumable checkpoints sound.  Already-factored column blocks are
+    skipped, which is how a checkpoint resume continues a partial
+    factorization: a restored block's updates are *pulled by its
+    dependents* when they run.  On any failure (including
+    ``KeyboardInterrupt``) the checkpoint writer's fault hook fires before
+    the exception propagates."""
     if fac.deferred is not None:
         if checkpoint is not None:
             raise ValueError("checkpointing does not support the "
                              "left-looking engine")
         run_left_looking(fac)
         return
-    if fac.recovery is not None or checkpoint is not None \
-            or fac.profiler is not None:
-        run_sequential_pull(fac, checkpoint)
-        return
     tr = fac.tracer
     if tr is not None:
         tr.meta.update(engine="sequential", threads=1)
-    for k in range(fac.symb.ncblk):
-        factor_column_block(fac, k)
-        apply_updates_from(fac, k)
-        # FUC compression point: k's outgoing updates are all pushed
-        finalize_updates_from(fac, k)
-
-
-def run_sequential_pull(fac: NumericFactor,
-                        checkpoint: Optional["CheckpointWriter"] = None
-                        ) -> None:
-    """Pull-mode sequential sweep: per column block, apply contributors'
-    updates (ascending) then factor — bit-identical to the push sweep.
-
-    Skips already-factored column blocks, which is how a checkpoint resume
-    continues a partial factorization: a restored block's updates are
-    *pulled by its dependents* when they run, never re-pushed.  On any
-    failure (including ``KeyboardInterrupt``) the checkpoint writer's
-    fault hook fires before the exception propagates."""
-    tr = fac.tracer
-    if tr is not None:
-        tr.meta.update(engine="sequential-pull", threads=1)
-    _begin_profile(fac, engine="sequential-pull", threads=1)
+    _begin_profile(fac, engine="sequential", threads=1)
     try:
         for k in range(fac.symb.ncblk):
             if fac.cblks[k].factored:
@@ -166,19 +143,12 @@ def run_left_looking(fac: NumericFactor) -> None:
         tr.meta.update(engine="left-looking", threads=1)
     prof = fac.profiler
     _begin_profile(fac, engine="left-looking", threads=1)
-    fuc = fac.variant is not None and fac.variant.compress_after_updates
     for k in range(symb.ncblk):
         sid = (prof.task_start(k, symb.contributors(k), order=_order_of(fac, k))
                if prof is not None else None)
         try:
             fac.fill_column_block(k)
-            for c in symb.contributors(k):
-                apply_updates_from(fac, c, target=k)
-                if fuc and fac.note_updates_pulled(c, k):
-                    finalize_updates_from(fac, c)
-            factor_column_block(fac, k)
-            if fuc and fac.n_targets(k) == 0:
-                finalize_updates_from(fac, k)
+            _pull_and_factor(fac, k)
         finally:
             if prof is not None:
                 prof.end(sid)
@@ -187,11 +157,6 @@ def run_left_looking(fac: NumericFactor) -> None:
 # ----------------------------------------------------------------------
 # shared machinery of the threaded engines
 # ----------------------------------------------------------------------
-
-def _targets_of(fac: NumericFactor, k: int) -> List[int]:
-    """Distinct facing column blocks of ``k``'s off-diagonal blocks."""
-    return sorted({b.facing for b in fac.cblks[k].sym.off_blocks()})
-
 
 def _order_of(fac: NumericFactor, k: int) -> str:
     """Loop-order label of ``k``'s task span (``"dense"`` when untreated)."""
@@ -217,7 +182,11 @@ def _begin_profile(fac: NumericFactor, engine: str, threads: int) -> None:
 def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     """One fan-in task: apply all contributors' updates into ``k`` (in
     ascending contributor order — the sequential reduction order), then
-    factor ``k``.
+    factor ``k``.  Contributions to ``k``'s low-rank blocks are gathered
+    in a task-local accumulator and recompressed once per block right
+    before the factorization (Minimal Memory's extend-add); the
+    accumulator never outlives the task, so retries and resumes start
+    from a clean one.
 
     Under the ``fuc`` loop order a contributor is compressed as soon as
     its *last* facing target has pulled its updates
@@ -227,10 +196,11 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     after its own factorization."""
     fuc = fac.variant is not None and fac.variant.compress_after_updates
     san = fac.sanitizer
+    acc: UpdateAccumulator = {}
     for c in fac.symb.contributors(k):
         if san is not None:
             san.note(f"cblk[{c}]", "read", site="scheduler.py:_pull_and_factor")
-        apply_updates_from(fac, c, target=k)
+        apply_updates_from(fac, c, k, acc)
         if fuc and fac.note_updates_pulled(c, k):
             if san is not None:
                 # dependency-ordered ownership transfer: the last pulling
@@ -241,6 +211,8 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
             finalize_updates_from(fac, c)
     if san is not None:
         san.note(f"cblk[{k}]", "write", site="scheduler.py:_pull_and_factor")
+    if acc:
+        flush_accumulated(fac, k, acc)
     factor_column_block(fac, k)
     if fuc and fac.n_targets(k) == 0:
         finalize_updates_from(fac, k)
@@ -451,7 +423,7 @@ def run_threaded(fac: NumericFactor, nthreads: int,
                                  site="scheduler.py:worker(dynamic)")
                     processed[0] += 1
                     ticks[0] += 1
-                    for t in _targets_of(fac, k):
+                    for t in symb.facing_ranges(k):
                         pending[t] -= 1
                         if pending[t] == 0:
                             newly_ready.append(t)
@@ -639,7 +611,7 @@ def run_threaded_static(fac: NumericFactor, nthreads: int,
                                  site="scheduler.py:worker(static)")
                     processed[0] += 1
                     ticks[0] += 1
-                    for t in _targets_of(fac, k):
+                    for t in symb.facing_ranges(k):
                         pending[t] -= 1
                     cond.notify_all()
         except BaseException as exc:

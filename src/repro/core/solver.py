@@ -42,7 +42,6 @@ from repro.core.refinement import (
 )
 from repro.core.scheduler import (
     run_sequential,
-    run_sequential_pull,
     run_threaded,
     run_threaded_static,
 )
@@ -402,7 +401,7 @@ class Solver:
         if state is not None:
             state.record("resume", site="serialize", completed=restored,
                          path=str(path))
-        run_sequential_pull(fac)
+        run_sequential(fac)
         self._finalize_stats(fac, t0)
         self.factor = fac
         if state is not None and policy is not None:

@@ -10,14 +10,16 @@ dispatch follows the paper:
   min(rA, rB)``);
 * ``lr2ge_update`` — subtract a (possibly low-rank) contribution from a
   dense target: the Just-In-Time update, Θ(mA mB rAB);
-* ``lr2lr_update`` — extend-add into a low-rank target with zero padding
-  (Figure 4) and SVD/RRQR recompression: the Minimal Memory update.
+* ``lr2lr_update_multi`` — extend-add of a batch of contributions into a
+  low-rank target with zero padding (Figure 4) and one SVD/RRQR
+  recompression: the Minimal Memory update (``lr2lr_update`` is its
+  one-contribution form).
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -234,117 +236,94 @@ def lr2lr_update(target: LowRankBlock, contrib: Block,
                  stats: Optional[KernelStats] = None,
                  norm_ref: Optional[float] = None
                  ) -> Optional[LowRankBlock]:
-    """Extend-add ``target -= contrib`` with both sides low-rank (§3.3.2).
-
-    The contribution (shape ``(m, n)``, dense or low-rank) lands at offset
-    ``(row_off, col_off)`` inside the ``(mC, nC)`` target; its factors are
-    zero-padded to the target frame (Figure 4) before recompression.
-
-    Returns the new target block, or ``None`` when the recompressed rank
-    exceeds ``max_rank`` — the caller must then fall back to dense storage.
-    """
-    t0 = time.perf_counter()
-    if isinstance(contrib, np.ndarray):
-        # dense contributions from uncompressed source blocks: compress
-        # first so the extend-add stays in low-rank arithmetic
-        lr = compress_block(contrib, tol, kernel,
-                            max_rank=min(contrib.shape), stats=stats,
-                            norm_ref=norm_ref)
-        if lr is None:  # incompressible small block: full-rank QR split
-            lr = qr_split(contrib)
-        contrib = lr
-        t0 = time.perf_counter()  # compression charged separately
-    if contrib.rank == 0:
-        return target
-
-    m_c, n_c = target.m, target.n
-    dt = np.result_type(target.dtype, contrib.dtype)
-    u_pad = np.zeros((m_c, contrib.rank), dtype=dt)
-    u_pad[row_off:row_off + contrib.m] = contrib.u
-    v_pad = np.zeros((n_c, contrib.rank), dtype=dt)
-    v_pad[col_off:col_off + contrib.n] = contrib.v
-
-    if kernel == "svd":
-        out = recompress_svd(target.u, target.v, u_pad, v_pad, tol, max_rank,
-                             norm_ref=norm_ref)
-        r_tot = target.rank + contrib.rank
-        fl = (2.0 * (m_c + n_c) * r_tot * r_tot     # eq. (7) QRs
-              + 22.0 * r_tot ** 3                   # small SVD
-              + 2.0 * (m_c + n_c) * r_tot *
-              (out.rank if out is not None else r_tot))  # eq. (8)
-    else:
-        out = recompress_rrqr(target.u, target.v, u_pad, v_pad, tol, max_rank,
+    """Extend-add ``target -= contrib`` of a single contribution landing
+    at ``(row_off, col_off)`` (§3.3.2): :func:`lr2lr_update_multi` with one
+    piece."""
+    return lr2lr_update_multi(target, [(contrib, row_off, col_off)], tol,
+                              kernel, max_rank=max_rank, stats=stats,
                               norm_ref=norm_ref)
-        r_new = out.rank if out is not None else (max_rank or target.rank)
-        fl = (2.0 * m_c * target.rank * contrib.rank      # eq. (9)
-              + 2.0 * m_c * contrib.rank * contrib.rank   # QR of E
-              + 2.0 * n_c * contrib.rank * target.rank    # eq. (11) core
-              + 4.0 * (target.rank + contrib.rank) * n_c * max(r_new, 1)
-              + 2.0 * m_c * (target.rank + contrib.rank) * max(r_new, 1))
-    if stats is not None:
-        stats.add("lr_addition", seconds=time.perf_counter() - t0, flops=fl)
-        if stats.telemetry is not None:
-            stats.telemetry.record_recompress(
-                m_c, n_c, target.rank,
-                out.rank if out is not None else -1)
-    return out
 
 
 def lr2lr_update_multi(target: LowRankBlock,
-                       contribs: Sequence[LowRankBlock],
+                       contribs: Sequence[Tuple[Block, int, int]],
                        tol: float, kernel: str,
                        max_rank: Optional[int] = None,
                        stats: Optional[KernelStats] = None,
                        norm_ref: Optional[float] = None
                        ) -> Optional[LowRankBlock]:
-    """Grouped extend-add (the LUAR-like accumulation of BLR-MUMPS, §5).
+    """Batched extend-add ``target -= Σ contribs`` with one recompression
+    (§3.3.2; the accumulate-then-recompress of BLR-MUMPS's LUAR, §5).
 
-    ``contribs`` is a list of ``(block, row_off, col_off)`` landing in the
-    same target.  All contributions are padded to the target frame,
-    concatenated, and recompressed *once* — fewer recompressions at the
-    price of a larger stacked rank, exactly the trade-off the paper
-    attributes to LUAR ("would imply larger ranks in the extend-add
-    operations").  Enabled by ``SolverConfig.accumulate_updates``.
+    ``contribs`` holds ``(block, row_off, col_off)`` pieces landing in the
+    same ``(mC, nC)`` target frame.  Dense pieces are summed into one
+    frame-sized scratch that is compressed once, under the *target's*
+    ``max_rank``; low-rank pieces are zero-padded to the frame (Figure 4)
+    and stacked behind it as ``[u_1 … u_p]``; the stack is then
+    recompressed against the target once — fewer recompressions at the
+    price of a larger stacked rank, the trade-off the paper attributes to
+    LUAR.
+
+    Returns the new target block (``target`` itself when nothing lands),
+    or ``None`` when the dense sum or the recompressed result exceeds
+    ``max_rank`` — the caller must then fall back to dense storage.
     """
     m_c, n_c = target.m, target.n
-    u_parts, v_parts = [], []
-    for contrib, row_off, col_off in contribs:
-        if isinstance(contrib, np.ndarray):
-            lr = compress_block(contrib, tol, kernel,
-                                max_rank=min(contrib.shape), stats=stats,
-                                norm_ref=norm_ref)
-            if lr is None:
-                lr = qr_split(contrib)
-            contrib = lr
-        if contrib.rank == 0:
-            continue
-        dt = np.result_type(target.dtype, contrib.dtype)
-        u_pad = np.zeros((m_c, contrib.rank), dtype=dt)
-        u_pad[row_off:row_off + contrib.m] = contrib.u
-        v_pad = np.zeros((n_c, contrib.rank), dtype=dt)
-        v_pad[col_off:col_off + contrib.n] = contrib.v
-        u_parts.append(u_pad)
-        v_parts.append(v_pad)
-    if not u_parts:
+    dense = [c for c in contribs if isinstance(c[0], np.ndarray)]
+    pieces = [c for c in contribs
+              if isinstance(c[0], LowRankBlock) and c[0].rank]
+    if dense:
+        if len(dense) == 1 and dense[0][0].shape == (m_c, n_c):
+            scratch = dense[0][0]
+        else:
+            scratch = np.zeros((m_c, n_c), dtype=np.result_type(
+                target.dtype, *(d.dtype for d, _, _ in dense)))
+            for d, row_off, col_off in dense:
+                scratch[row_off:row_off + d.shape[0],
+                        col_off:col_off + d.shape[1]] += d
+        lr = compress_block(scratch, tol, kernel, max_rank=max_rank,
+                            stats=stats, norm_ref=norm_ref)
+        if lr is None:
+            return None
+        if lr.rank:
+            pieces.insert(0, (lr, 0, 0))
+    if not pieces:
         return target
 
     t0 = time.perf_counter()
-    u_cat = np.hstack(u_parts)
-    v_cat = np.hstack(v_parts)
+    r_c = target.rank
+    r_ab = sum(p.rank for p, _, _ in pieces)
+    dt = np.result_type(target.dtype, *(p.dtype for p, _, _ in pieces))
+    u_cat = np.zeros((m_c, r_ab), dtype=dt)
+    v_cat = np.zeros((n_c, r_ab), dtype=dt)
+    col = 0
+    for p, row_off, col_off in pieces:
+        u_cat[row_off:row_off + p.m, col:col + p.rank] = p.u
+        v_cat[col_off:col_off + p.n, col:col + p.rank] = p.v
+        col += p.rank
+    # a stack wider than the frame spans at most the frame: the QRs below
+    # return min(dimension, columns) directions, and the models follow
     if kernel == "svd":
         out = recompress_svd(target.u, target.v, u_cat, v_cat, tol, max_rank,
                              norm_ref=norm_ref)
+        r_tot = r_c + r_ab
+        k_u, k_v = min(m_c, r_tot), min(n_c, r_tot)
+        r_new = out.rank if out is not None else min(k_u, k_v)
+        fl = (2.0 * (m_c * k_u + n_c * k_v) * r_tot    # eq. (7) QRs
+              + 22.0 * min(k_u, k_v) ** 3              # small SVD
+              + 2.0 * (m_c * k_u + n_c * k_v) * r_new)  # eq. (8)
     else:
         out = recompress_rrqr(target.u, target.v, u_cat, v_cat, tol,
                               max_rank, norm_ref=norm_ref)
-    r_tot = target.rank + u_cat.shape[1]
-    r_new = out.rank if out is not None else (max_rank or target.rank)
-    fl = (2.0 * (m_c + n_c) * r_tot * r_tot
-          + 2.0 * (m_c + n_c) * r_tot * max(r_new, 1))
+        k_ab = min(m_c, r_ab)
+        r_new = max(out.rank if out is not None else (max_rank or r_c), 1)
+        fl = (2.0 * m_c * r_c * r_ab                   # eq. (9)
+              + 2.0 * m_c * r_ab * k_ab                # QR of E
+              + 2.0 * n_c * r_ab * r_c                 # eq. (11) core
+              + 4.0 * (r_c + k_ab) * n_c * r_new       # truncated RRQR
+              + 2.0 * m_c * (r_c + k_ab) * r_new)      # eq. (12)
     if stats is not None:
         stats.add("lr_addition", seconds=time.perf_counter() - t0, flops=fl)
         if stats.telemetry is not None:
             stats.telemetry.record_recompress(
-                m_c, n_c, target.rank,
-                out.rank if out is not None else -1)
+                m_c, n_c, r_c, out.rank if out is not None else -1)
     return out

@@ -124,6 +124,14 @@ class FactorizationStats:
     peak_nbytes:
         Peak tracked working set during factorization (Figure 7's "total
         consumption" series uses this plus structure overhead).
+    accumulator_peak_nbytes:
+        Largest transient storage any one fan-in task held while gathering
+        the contributions to its low-rank blocks (the Minimal-Memory
+        extend-add) — *not* part of ``peak_nbytes``, which tracks factor
+        storage only.  The dense scratches never exceed the dense size of
+        the column block being assembled; the low-rank pieces held beside
+        them are as large as the contributions themselves.  One
+        accumulator per worker thread.
     total_time:
         Wall-clock of the whole factorization (not the sum of categories,
         which double-counts nothing in sequential mode but is CPU time in
@@ -140,6 +148,7 @@ class FactorizationStats:
     factor_nbytes: int = 0
     dense_factor_nbytes: int = 0
     peak_nbytes: int = 0
+    accumulator_peak_nbytes: int = 0
     total_time: float = 0.0
     solve_time: float = 0.0
     nblocks_compressed: int = 0
@@ -170,5 +179,6 @@ class FactorizationStats:
         out["factor_nbytes"] = float(self.factor_nbytes)
         out["dense_factor_nbytes"] = float(self.dense_factor_nbytes)
         out["peak_nbytes"] = float(self.peak_nbytes)
+        out["accumulator_peak_nbytes"] = float(self.accumulator_peak_nbytes)
         out["memory_ratio"] = self.memory_ratio
         return out

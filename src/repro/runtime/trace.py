@@ -10,8 +10,7 @@ factorization drivers report one event per task:
 * ``kind="factor"`` — :func:`~repro.core.factorization.factor_column_block`
   on column block ``cblk`` (exactly one per column block per run);
 * ``kind="update"`` — :func:`~repro.core.factorization.apply_updates_from`
-  with source ``cblk`` and target ``target`` (``-1`` when a right-looking
-  sweep pushes to every target at once).
+  with source ``cblk`` and target ``target``.
 
 Design constraints, in order:
 
@@ -145,14 +144,14 @@ class TaskTracer:
 
         Edges follow the block elimination DAG as the engines execute it:
         an update ``c → k`` runs after ``factor(c)``, and ``factor(k)``
-        runs after every update targeting ``k``.  Right-looking sequential
-        traces (``target == -1``) execute as a single chain, so the
-        critical path is simply the total busy time.
+        runs after every update targeting ``k``.  A one-worker run
+        executes as a single chain, so its critical path is simply the
+        total busy time.
         """
         evs = self.events()
         if not evs:
             return 0.0
-        if any(ev.kind == "update" and ev.target < 0 for ev in evs):
+        if self.meta.get("threads") == 1:
             return sum(ev.duration for ev in evs)
         factor_dur: Dict[int, float] = {}
         updates_into: Dict[int, List[TraceEvent]] = {}

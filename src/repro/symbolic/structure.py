@@ -12,7 +12,7 @@ describes both L and (transposed) U storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +89,10 @@ class SymbolicFactor:
     * ``find_blocks(t, lo, hi)`` — blocks of column block ``t`` overlapping
       the global row interval ``[lo, hi)`` (with overlap bounds);
     * ``contributors(t)`` — column blocks with a block facing ``t`` (the
-      dependency set of the paper's right-looking algorithm).
+      dependency set of the paper's right-looking algorithm);
+    * ``facing_ranges(k)`` — ``facing cblk → (first, end)`` index range of
+      ``k``'s off-diagonal blocks facing it (blocks are row-sorted, so
+      those facing one column block are contiguous).
     """
 
     def __init__(self, n: int, cblks: List[SymbolicColumnBlock]) -> None:
@@ -102,7 +105,8 @@ class SymbolicFactor:
             np.array([b.first_row for b in c.blocks], dtype=np.int64)
             for c in cblks
         ]
-        self._contributors: Optional[List[List[int]]] = None
+        self._facing: Optional[Tuple[List[List[int]],
+                                     List[Dict[int, Tuple[int, int]]]]] = None
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -158,16 +162,29 @@ class SymbolicFactor:
 
     def contributors(self, t: int) -> List[int]:
         """Ids of column blocks with at least one block facing ``t``."""
-        if self._contributors is None:
+        return self._facing_index()[0][t]
+
+    def facing_ranges(self, k: int) -> Dict[int, Tuple[int, int]]:
+        """``facing → (first, end)`` ranges over ``k``'s off-diagonal
+        blocks, in ascending facing order."""
+        return self._facing_index()[1][k]
+
+    def _facing_index(self) -> Tuple[List[List[int]],
+                                     List[Dict[int, Tuple[int, int]]]]:
+        """Contributor lists and facing ranges, built once in one sweep."""
+        if self._facing is None:
             contr: List[List[int]] = [[] for _ in self.cblks]
+            facing: List[Dict[int, Tuple[int, int]]] = []
             for c in self.cblks:
-                seen = set()
-                for b in c.off_blocks():
-                    if b.facing not in seen:
-                        seen.add(b.facing)
-                        contr[b.facing].append(c.id)
-            self._contributors = contr
-        return self._contributors[t]
+                ranges: Dict[int, Tuple[int, int]] = {}
+                for j, b in enumerate(c.off_blocks()):
+                    first = ranges[b.facing][0] if b.facing in ranges else j
+                    ranges[b.facing] = (first, j + 1)
+                facing.append(ranges)
+                for t in ranges:
+                    contr[t].append(c.id)
+            self._facing = (contr, facing)
+        return self._facing
 
     def block_etree(self) -> np.ndarray:
         """Parent of each column block: the facing column block of its first

@@ -107,8 +107,9 @@ class TestStrategySpecificBehaviour:
 
     def test_mm_lr_addition_flops_dominate(self):
         """Table 2: LR addition is the dominant cost of Minimal Memory and
-        absent from Just-In-Time."""
-        a = laplacian_3d(6)
+        absent from Just-In-Time.  (8³: on 6³ every extend-add overflows
+        the rank cap at its scratch compression, before any LR addition.)"""
+        a = laplacian_3d(8)
         cfg_mm = tiny_blr_config(strategy="minimal-memory", tolerance=1e-8)
         _, st_mm = solve_and_check(a, cfg_mm, 1e-4)
         cfg_jit = tiny_blr_config(strategy="just-in-time", tolerance=1e-8)

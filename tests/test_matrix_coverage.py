@@ -75,7 +75,7 @@ def test_accumulation_with_every_kernel(strategy, spd_problem):
     a, b = spd_problem
     for kernel in KERNELS:
         cfg = tiny_blr_config(strategy=strategy, kernel=kernel,
-                              tolerance=TOL, accumulate_updates=True)
+                              tolerance=TOL)
         s = Solver(a, cfg)
         s.factorize()
         assert s.backward_error(s.solve(b), b) <= TOL * 100

@@ -228,7 +228,7 @@ class TestEngineEquivalence:
             s, prof = profiled_solver(
                 a, strategy="just-in-time", variant=order, **overrides)
             assert prof.check_invariants() == [], (engine, order)
-            assert prof.meta["engine"] in ("sequential-pull",
+            assert prof.meta["engine"] in ("sequential",
                                            "threaded-dynamic",
                                            "threaded-static")
             trees[engine] = canonical_tree(prof.events())
