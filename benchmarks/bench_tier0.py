@@ -87,6 +87,7 @@ def run_variant(a: Any, label: str, overrides: Dict[str, Any]) -> dict:
         "storage_dtype": (str(solver.factor.storage_dtype)
                           if solver.factor.storage_dtype is not None
                           else None),
+        "analyze_time": solver.analyze_time,
         "facto_time_s": facto_time,
         "solve_time_s": solve_time,
         "factor_nbytes": int(stats.factor_nbytes),

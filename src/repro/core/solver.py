@@ -146,7 +146,8 @@ class Solver:
                     if prof is not None else None)
             try:
                 self.symbolic, self.perm = symbolic_factorization(
-                    self._a_sym, opts, coords=self.coords, profiler=prof)
+                    self._a_sym, opts, coords=self.coords, profiler=prof,
+                    symmetric=True)
             finally:
                 if prof is not None:
                     prof.end(_sid)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 SplitResult = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
-Splitter = Callable[["Graph", "np.ndarray"], SplitResult]
+Splitter = Callable[["Graph", "np.ndarray", "Graph"], SplitResult]
 
 import numpy as np
 
@@ -49,10 +49,12 @@ def grid_coords(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
 
 
 def make_plane_splitter(coords: np.ndarray) -> Splitter:
-    """Build a ``splitter(g, vertices)`` closure over node coordinates."""
+    """Build a ``splitter(g, vertices, sub=None)`` closure over node
+    coordinates (``sub``: the induced subgraph, when already extracted)."""
     coords = np.asarray(coords, dtype=np.float64)
 
-    def splitter(g: Graph, vertices: np.ndarray) -> SplitResult:
+    def splitter(g: Graph, vertices: np.ndarray,
+                 sub: Optional[Graph] = None) -> SplitResult:
         vertices = np.asarray(vertices, dtype=np.int64)
         pts = coords[vertices]
         extents = pts.max(axis=0) - pts.min(axis=0)
@@ -71,19 +73,13 @@ def make_plane_splitter(coords: np.ndarray) -> Splitter:
                 half = vertices.size // 2
                 below = np.zeros(vertices.size, dtype=bool)
                 below[order[:half]] = True
-        side_a = vertices[below]
-        side_b = vertices[~below]
-
-        # separator: vertices of side_b adjacent to side_a (one grid plane)
-        a_mask = np.zeros(g.n, dtype=bool)
-        a_mask[side_a] = True
-        sep_mask = np.zeros(g.n, dtype=bool)
-        for v in side_b:
-            if np.any(a_mask[g.neighbors(int(v))]):
-                sep_mask[v] = True
-        sep = side_b[sep_mask[side_b]]
-        part_b = side_b[~sep_mask[side_b]]
-        return side_a, part_b, sep
+        # separator: vertices of side b adjacent to side a (one grid plane)
+        if sub is None:
+            sub, _ = g.subgraph(vertices)
+        side_b = np.flatnonzero(~below)
+        in_sep = sub.touches(side_b, below)
+        return (vertices[below], vertices[side_b[~in_sep]],
+                vertices[side_b[in_sep]])
 
     return splitter
 

@@ -85,32 +85,25 @@ class NDResult:
 
 
 def _order_within(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    """BFS ordering of a vertex set on its induced subgraph (deterministic)."""
-    vertices = np.asarray(vertices, dtype=np.int64)
+    """BFS ordering of a vertex set on its induced subgraph (deterministic):
+    component by component in order of smallest vertex, each from its
+    smallest vertex, by (level, index)."""
+    vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size <= 2:
-        return np.sort(vertices)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[vertices] = True
-    remaining = set(int(v) for v in vertices)
-    out: List[int] = []
-    while remaining:
-        start = min(remaining)
-        levels = g.bfs_levels(start, mask)
-        comp = np.flatnonzero(levels >= 0)
-        # sort by (level, index): BFS order, ties broken deterministically
-        comp = comp[np.lexsort((comp, levels[comp]))]
-        for v in comp:
-            out.append(int(v))
-            remaining.discard(int(v))
-            mask[v] = False
-    return np.asarray(out, dtype=np.int64)
+        return vertices
+    sub, _ = g.subgraph(vertices)
+    if not sub.adjind.size:
+        return vertices  # no edge inside the set: nothing to follow
+    comps, level = sub.bfs_forest()
+    return vertices[np.concatenate(
+        [comp[np.argsort(level[comp], kind="stable")] for comp in comps])]
 
 
 def nested_dissection(
         g: Graph, cmin: int = 15,
         max_levels: Optional[int] = None,
         splitter: Optional[Callable[
-            [Graph, "np.ndarray"],
+            [Graph, "np.ndarray", Graph],
             Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]] = None,
 ) -> NDResult:
     """Compute a nested-dissection permutation and supernodal partition.
@@ -125,10 +118,14 @@ def nested_dissection(
     max_levels:
         Optional cap on the recursion depth (mainly for tests).
     splitter:
-        ``splitter(g, vertices) -> (part_a, part_b, sep)`` strategy; the
+        ``splitter(g, vertices, sub) -> (part_a, part_b, sep)`` strategy,
+        ``sub`` being the subgraph of ``g`` induced by ``vertices``; the
         default is the algebraic level-set separator.  The geometric
         dissection of :mod:`repro.ordering.geometric` passes a
         coordinate-plane splitter here.
+
+    Every region is handled on its own induced subgraph, extracted once, so
+    the cost of a region depends on its size and not on the size of ``g``.
     """
     if cmin < 1:
         raise ValueError("cmin must be >= 1")
@@ -151,39 +148,33 @@ def nested_dissection(
             nv = verts.size
             if nv == 0:
                 continue
-            if nv <= cmin or (max_levels is not None and lvl >= max_levels):
-                ordered = _order_within(g, verts)
-                perm[base:base + nv] = ordered
-                partitions.append(NDPartition(base, nv, False, lvl, par))
-                continue
+            if nv > cmin and (max_levels is None or lvl < max_levels):
+                sub, _ = g.subgraph(verts)
+                # regions may be disconnected (after separator removal)
+                comps = sub.connected_components()
+                if len(comps) > 1:
+                    off = base
+                    for comp in comps:
+                        stack.append((verts[comp], off, lvl, par))
+                        off += comp.size
+                    continue
 
-            # regions may be disconnected (after separator removal)
-            mask = np.zeros(g.n, dtype=bool)
-            mask[verts] = True
-            comps = _components(g, verts, mask)
-            if len(comps) > 1:
-                off = base
-                for comp in comps:
-                    stack.append((comp, off, lvl, par))
-                    off += comp.size
-                continue
-
-            part_a, part_b, sep = splitter(g, verts)
-            if sep.size == 0 or part_a.size == 0 or part_b.size == 0:
+                part_a, part_b, sep = splitter(g, verts, sub)
+                if sep.size and part_a.size and part_b.size:
+                    sep_start = base + part_a.size + part_b.size
+                    perm[sep_start:sep_start + sep.size] = \
+                        _order_within(g, sep)
+                    partitions.append(
+                        NDPartition(sep_start, sep.size, True, lvl, par))
+                    sep_part_index = len(partitions) - 1
+                    stack.append((part_a, base, lvl + 1, sep_part_index))
+                    stack.append((part_b, base + part_a.size, lvl + 1,
+                                  sep_part_index))
+                    continue
                 # dissection failed (dense-ish or tiny graph): make a leaf
-                ordered = _order_within(g, verts)
-                perm[base:base + nv] = ordered
-                partitions.append(NDPartition(base, nv, False, lvl, par))
-                continue
 
-            sep_start = base + part_a.size + part_b.size
-            sep_ordered = _order_within(g, sep)
-            perm[sep_start:sep_start + sep.size] = sep_ordered
-            partitions.append(
-                NDPartition(sep_start, sep.size, True, lvl, par))
-            sep_part_index = len(partitions) - 1
-            stack.append((part_a, base, lvl + 1, sep_part_index))
-            stack.append((part_b, base + part_a.size, lvl + 1, sep_part_index))
+            perm[base:base + nv] = _order_within(g, verts)
+            partitions.append(NDPartition(base, nv, False, lvl, par))
 
     place(np.arange(n, dtype=np.int64), 0, 0, -1)
     partitions.sort(key=lambda p: p.start)
@@ -191,19 +182,6 @@ def nested_dissection(
     _fix_parents(result)
     _validate(result, n)
     return result
-
-
-def _components(g: Graph, verts: np.ndarray, mask: np.ndarray) -> List[np.ndarray]:
-    seen = np.zeros(g.n, dtype=bool)
-    comps: List[np.ndarray] = []
-    for s in verts:
-        if seen[s]:
-            continue
-        levels = g.bfs_levels(int(s), mask & ~seen)
-        comp = np.flatnonzero(levels >= 0)
-        seen[comp] = True
-        comps.append(comp)
-    return comps
 
 
 def _fix_parents(result: NDResult) -> None:

@@ -18,7 +18,7 @@ approximation).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,71 +40,75 @@ def reorder_supernodes(snodes: Sequence[Supernode]) -> np.ndarray:
     """
     n = snodes[-1].end if snodes else 0
     newpos = np.arange(n, dtype=np.int64)
+    if not snodes:
+        return newpos
 
-    # vertex labels: which contributors reach each vertex of each supernode
-    labels: List[List[int]] = [[] for _ in range(n)]
+    # every (contributor, row) pair, sorted by the supernode owning the row
+    # (and, inside one, by contributor)
+    rows = np.concatenate([s.rows for s in snodes])
+    contrib = np.repeat(np.arange(len(snodes)),
+                        np.array([s.rows.size for s in snodes]))
     starts = np.array([s.first_col for s in snodes], dtype=np.int64)
-    for ci, c in enumerate(snodes):
-        rows = c.rows
-        if rows.size == 0:
-            continue
-        # split rows by owning supernode and label them with the contributor
-        owners = np.searchsorted(starts, rows, side="right") - 1
-        for r in rows[owners >= 0]:
-            labels[int(r)].append(ci)
+    target = np.searchsorted(starts, rows, side="right") - 1
+    order = np.argsort(target, kind="stable")
+    rows, contrib, target = rows[order], contrib[order], target[order]
+    bounds = np.searchsorted(target, np.arange(len(snodes) + 1))
 
-    for s in snodes:
-        if s.ncols <= 2:
+    for s, lo, hi in zip(snodes, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if s.ncols <= 2 or lo == hi:
             continue
-        verts = range(s.first_col, s.end)
-        key_of: Dict[FrozenSet[int], List[int]] = {}
-        for v in verts:
-            key = frozenset(labels[v])
-            key_of.setdefault(key, []).append(v)
-        if len(key_of) <= 1:
+        # label matrix: vertex x contributor, True where the contributor
+        # reaches the vertex; vertices with equal rows form a group, groups
+        # numbered by their first vertex
+        reaching, local = np.unique(contrib[lo:hi], return_inverse=True)
+        member = np.zeros((s.ncols, reaching.size), dtype=bool)
+        member[rows[lo:hi] - s.first_col, local] = True
+        packed = np.packbits(member, axis=1)
+        _, first, group = np.unique(
+            packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        if first.size <= 1:
             continue
-        groups = list(key_of.items())
-        if s.ncols > TSP_WIDTH_CAP or len(groups) > 512:
-            order = _lexicographic_order(groups)
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(first.size)
+        labels = member[first[by_first]]
+        if s.ncols > TSP_WIDTH_CAP or first.size > 512:
+            tour = _lexicographic_order(labels)
         else:
-            order = _greedy_tour(groups)
-        pos = s.first_col
-        for gi in order:
-            for v in groups[gi][1]:
-                newpos[v] = pos
-                pos += 1
+            tour = _greedy_tour(labels)
+        slot = np.empty(first.size, dtype=np.int64)
+        slot[tour] = np.arange(first.size)
+        # groups in tour order, vertices of a group in index order
+        moved = np.argsort(slot[rank[group]], kind="stable")
+        newpos[s.first_col + moved] = np.arange(s.first_col, s.end)
     return newpos
 
 
-def _greedy_tour(groups: List[Tuple[FrozenSet[int], List[int]]]) -> List[int]:
-    """Nearest-neighbour tour over group labels (Hamming distance)."""
-    ngroups = len(groups)
-    unvisited = set(range(ngroups))
+def _greedy_tour(labels: np.ndarray) -> List[int]:
+    """Nearest-neighbour tour over group labels (rows of the boolean
+    ``labels``) by Hamming distance; ties go to the lowest group."""
+    bits = labels.astype(np.float32)
+    size = bits.sum(axis=1)
+    # |a xor b| = |a| + |b| - 2 |a and b|; counts of contributors, far
+    # below 2**24, so exact in float32
+    dist = size[:, None] + size[None, :] - 2.0 * (bits @ bits.T)
     # start from the group with the smallest label (few contributors = the
     # "top" rows of the supernode in typical elimination structures)
-    cur = min(unvisited, key=lambda g: (len(groups[g][0]), g))
-    order = [cur]
-    unvisited.discard(cur)
-    while unvisited:
-        cur_key = groups[cur][0]
-        best, best_d = -1, None
-        for g in unvisited:
-            d = len(cur_key.symmetric_difference(groups[g][0]))
-            if best_d is None or d < best_d or (d == best_d and g < best):
-                best, best_d = g, d
-        order.append(best)
-        unvisited.discard(best)
-        cur = best
-    return order
+    cur = int(np.argmin(size))
+    tour = [cur]
+    for _ in range(len(size) - 1):
+        dist[:, cur] = np.inf  # visited
+        cur = int(np.argmin(dist[cur]))
+        tour.append(cur)
+    return tour
 
 
-def _lexicographic_order(groups: List[Tuple[FrozenSet[int], List[int]]]
-                         ) -> List[int]:
+def _lexicographic_order(labels: np.ndarray) -> List[int]:
     """Fallback for very wide supernodes: sort groups lexicographically by
-    their sorted label tuples, which still clusters similar patterns."""
-    keyed = sorted(range(len(groups)),
-                   key=lambda g: tuple(sorted(groups[g][0])))
-    return keyed
+    their sorted contributor tuples, which still clusters similar patterns."""
+    return sorted(range(len(labels)),
+                  key=lambda g: tuple(np.flatnonzero(labels[g])))
 
 
 def apply_reordering(snodes: Sequence[Supernode], newpos: np.ndarray) -> None:

@@ -20,7 +20,7 @@ mesh-like graphs of the paper's evaluation it produces separators within the
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.ordering.graph import Graph
 
 
 def find_vertex_separator(g: Graph, vertices: np.ndarray,
+                          sub: Optional[Graph] = None,
                           balance_weight: float = 1.0,
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the connected vertex set ``vertices`` of ``g``.
@@ -38,6 +39,10 @@ def find_vertex_separator(g: Graph, vertices: np.ndarray,
         The *global* graph.
     vertices:
         Global indices of a connected subset to split.
+    sub:
+        ``g.subgraph(vertices)[0]`` when the caller has extracted it already
+        (nested dissection has); all the work happens on it, in local
+        indices and arrays of the subset's size.
     balance_weight:
         Weight of the imbalance penalty in the level score.
 
@@ -50,20 +55,21 @@ def find_vertex_separator(g: Graph, vertices: np.ndarray,
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     nv = vertices.size
+    empty = np.empty(0, dtype=np.int64)
     if nv <= 1:
-        return vertices, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return vertices, empty, empty
+    if sub is None:
+        sub, _ = g.subgraph(vertices)
 
-    mask = np.zeros(g.n, dtype=bool)
-    mask[vertices] = True
-
-    _, levels = g.pseudo_peripheral(int(vertices[0]), mask)
-    depth = int(levels[vertices].max())
+    # the pseudo-peripheral tie-break uses the degrees in the whole graph
+    degrees = g.adjptr[vertices + 1] - g.adjptr[vertices]
+    _, lvl = sub.pseudo_peripheral(0, degrees=degrees)
+    depth = int(lvl.max())
     if depth < 1:
-        # complete-graph-like: no useful level structure; split arbitrarily
-        half = nv // 2
-        return (vertices[:half], np.empty(0, dtype=np.int64), vertices[half:])
+        # vertices[0] has no neighbour in the set, so the set is not
+        # connected as required and has no level structure to cut: no split
+        return vertices, empty, empty
 
-    lvl = levels[vertices]
     counts = np.bincount(lvl, minlength=depth + 1)
     below = np.cumsum(counts) - counts  # vertices strictly below each level
 
@@ -93,50 +99,38 @@ def find_vertex_separator(g: Graph, vertices: np.ndarray,
     if best_level < 0:
         best_level = fallback_level
 
-    sep_cand = vertices[lvl == best_level]
-    in_a = lvl < best_level
-    in_b = lvl > best_level
-
-    # keep in the separator only the level vertices adjacent to the B side
-    sep_mask = np.zeros(g.n, dtype=bool)
-    sep_mask[sep_cand] = True
-    b_mask = np.zeros(g.n, dtype=bool)
-    b_mask[vertices[in_b]] = True
-
-    keep = []
-    for v in sep_cand:
-        if np.any(b_mask[g.neighbors(int(v))]):
-            keep.append(int(v))
-        else:
-            sep_mask[v] = False
-    sep = np.asarray(keep, dtype=np.int64)
-
-    a_mask = np.zeros(g.n, dtype=bool)
-    a_mask[vertices[in_a]] = True
-    # level-best vertices not kept in the separator belong to the A side
-    demoted = sep_cand[~sep_mask[sep_cand]]
-    a_mask[demoted] = True
+    # local side masks; of the chosen level only the vertices adjacent to
+    # the B side stay in the separator, the others belong to the A side
+    a_mask = lvl < best_level
+    b_mask = lvl > best_level
+    cand = np.flatnonzero(lvl == best_level)
+    keep = sub.touches(cand, b_mask)
+    a_mask[cand[~keep]] = True
 
     # minimalization: a separator vertex with no neighbour in A moves to B
-    sep = _minimalize(g, sep, a_mask, b_mask)
-
-    part_a = vertices[a_mask[vertices]]
-    part_b = vertices[b_mask[vertices]]
-    return part_a, part_b, sep
+    sep = _minimalize(sub, cand[keep], a_mask, b_mask)
+    return vertices[a_mask], vertices[b_mask], np.sort(vertices[sep])
 
 
 def _minimalize(g: Graph, sep: np.ndarray, a_mask: np.ndarray,
                 b_mask: np.ndarray) -> np.ndarray:
     """Drop separator vertices touching only one side (moving them into that
-    side), repeating until stable."""
+    side), repeating until stable.
+
+    One vertex moves at a time and each move changes what the next vertex
+    touches, so on arbitrary masks the outcome depends on the visiting order
+    (the iteration order of the set): this stays a sequential loop.  Every
+    vertex :func:`find_vertex_separator` passes in already touches B, so
+    there nothing ever moves to A and the outcome is order-free.
+    """
     changed = True
     sep_set = set(int(v) for v in sep)
     while changed:
         changed = False
         for v in list(sep_set):
             nbrs = g.neighbors(v)
-            touches_a = bool(np.any(a_mask[nbrs]))
-            touches_b = bool(np.any(b_mask[nbrs]))
+            touches_a = bool(a_mask[nbrs].any())
+            touches_b = bool(b_mask[nbrs].any())
             if touches_a and touches_b:
                 continue
             sep_set.discard(v)
@@ -153,7 +147,4 @@ def check_separator(g: Graph, part_a: np.ndarray, part_b: np.ndarray,
     """Validation helper (used by tests): no edge between the two parts."""
     a_mask = np.zeros(g.n, dtype=bool)
     a_mask[np.asarray(part_a, dtype=np.int64)] = True
-    for v in np.asarray(part_b, dtype=np.int64):
-        if np.any(a_mask[g.neighbors(int(v))]):
-            return False
-    return True
+    return not g.touches(part_b, a_mask).any()

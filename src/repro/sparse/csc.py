@@ -72,11 +72,16 @@ class CSCMatrix:
             raise ValueError("rowind and values must have equal length")
         if len(self.rowind) and (self.rowind.min() < 0 or self.rowind.max() >= self.n):
             raise ValueError("row index out of range")
-        # strictly increasing row indices per column => sorted and no dups
-        for j in range(self.n):
-            lo, hi = self.colptr[j], self.colptr[j + 1]
-            col = self.rowind[lo:hi]
-            if col.size > 1 and np.any(np.diff(col) <= 0):
+        # strictly increasing row indices per column => sorted and no dups:
+        # every adjacent pair of rowind must increase, except a pair that
+        # straddles the start of a column
+        if len(self.rowind) > 1:
+            bad = np.diff(self.rowind) <= 0
+            starts = self.colptr[1:-1]
+            bad[starts[(starts > 0) & (starts < len(self.rowind))] - 1] = False
+            if bad.any():
+                j = int(np.searchsorted(self.colptr, np.argmax(bad),
+                                        side="right")) - 1
                 raise ValueError(f"column {j} has unsorted or duplicate rows")
 
     # -- constructors ---------------------------------------------------
@@ -146,56 +151,52 @@ class CSCMatrix:
         lo, hi = self.colptr[j], self.colptr[j + 1]
         return self.rowind[lo:hi], self.values[lo:hi]
 
+    def col_indices(self) -> np.ndarray:
+        """Column index of every stored entry (aligned with ``rowind``)."""
+        return np.repeat(np.arange(self.n, dtype=np.int64),
+                         np.diff(self.colptr))
+
     @property
     def dtype(self) -> np.dtype:
         return self.values.dtype
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=self.values.dtype)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            k = np.searchsorted(rows, j)
-            if k < len(rows) and rows[k] == j:
-                d[j] = vals[k]
+        on_diag = self.rowind == self.col_indices()
+        d[self.rowind[on_diag]] = self.values[on_diag]
         return d
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=self.values.dtype)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            a[rows, j] = vals
+        a[self.rowind, self.col_indices()] = self.values
         return a
 
     # -- operations -------------------------------------------------------
     def transpose(self) -> "CSCMatrix":
         """Return Aᵗ (CSC of the transpose = CSR of A reinterpreted)."""
-        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.colptr))
-        return CSCMatrix.from_coo(self.n, cols, self.rowind, self.values,
-                                  sum_duplicates=False)
+        return CSCMatrix.from_coo(self.n, self.col_indices(), self.rowind,
+                                  self.values, sum_duplicates=False)
+
+    def _scatter_products(self, x: np.ndarray, into: np.ndarray,
+                          take: np.ndarray) -> np.ndarray:
+        """``y[into[e]] += values[e] * x[take[e]]`` over the stored entries
+        ``e`` in CSC order, so every ``y[i]`` adds its terms in the order a
+        column-by-column sweep would: the sums round identically."""
+        x = np.asarray(x, dtype=np.result_type(self.values, np.asarray(x)))
+        xb = x[:, None] if x.ndim == 1 else x
+        y = np.zeros_like(xb)
+        # one scatter per right-hand side: temporaries stay at nnz entries
+        for c in range(xb.shape[1]):
+            np.add.at(y[:, c], into, self.values * xb[take, c])
+        return y[:, 0] if x.ndim == 1 else y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A @ x`` (supports a single vector or a (n, k) block)."""
-        x = np.asarray(x, dtype=np.result_type(self.values, np.asarray(x)))
-        single = x.ndim == 1
-        xb = x[:, None] if single else x
-        y = np.zeros_like(xb)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            if rows.size:
-                y[rows] += vals[:, None] * xb[j]
-        return y[:, 0] if single else y
+        return self._scatter_products(x, self.rowind, self.col_indices())
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``Aᵗ @ x``."""
-        x = np.asarray(x, dtype=np.result_type(self.values, np.asarray(x)))
-        single = x.ndim == 1
-        xb = x[:, None] if single else x
-        y = np.zeros_like(xb)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            if rows.size:
-                y[j] = vals @ xb[rows]
-        return y[:, 0] if single else y
+        return self._scatter_products(x, self.col_indices(), self.rowind)
 
     def symmetrize_pattern(self) -> "CSCMatrix":
         """Return A with the pattern of ``A + Aᵗ`` (zeros added as explicit
@@ -203,10 +204,8 @@ class CSCMatrix:
         (paper §1: "problems leading to sparse systems with a symmetric
         pattern")."""
         at = self.transpose()
-        cols_a = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.colptr))
-        cols_t = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(at.colptr))
         rows = np.concatenate([self.rowind, at.rowind])
-        cols = np.concatenate([cols_a, cols_t])
+        cols = np.concatenate([self.col_indices(), at.col_indices()])
         vals = np.concatenate(
             [self.values, np.zeros(at.nnz, dtype=self.values.dtype)])
         return CSCMatrix.from_coo(self.n, rows, cols, vals)
@@ -228,23 +227,18 @@ class CSCMatrix:
 
     def lower_pattern(self) -> "CSCMatrix":
         """Strictly-lower + diagonal part (used by Cholesky paths)."""
-        keep = np.zeros(self.nnz, dtype=bool)
-        for j in range(self.n):
-            lo, hi = self.colptr[j], self.colptr[j + 1]
-            keep[lo:hi] = self.rowind[lo:hi] >= j
-        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.colptr))
+        cols = self.col_indices()
+        keep = self.rowind >= cols
         return CSCMatrix.from_coo(self.n, self.rowind[keep], cols[keep],
                                   self.values[keep], sum_duplicates=False)
 
     def norm1(self) -> float:
         """Max column sum of absolute values."""
-        best = 0.0
-        for j in range(self.n):
-            _, vals = self.column(j)
-            s = float(np.abs(vals).sum())
-            if s > best:
-                best = s
-        return best
+        if not self.nnz:
+            return 0.0
+        # one sum per non-empty column (reduceat cannot express an empty one)
+        starts = self.colptr[:-1][np.diff(self.colptr) > 0]
+        return float(np.add.reduceat(np.abs(self.values), starts).max())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSCMatrix(n={self.n}, nnz={self.nnz})"

@@ -292,9 +292,7 @@ def _make_diagonally_dominant(a: CSCMatrix, margin: float = 0.0) -> CSCMatrix:
     need = colsum * (1.0 + margin) - d
     need = np.maximum(need, margin)
     rows = np.concatenate([a.rowind, np.arange(a.n)])
-    cols = np.concatenate(
-        [np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.colptr)),
-         np.arange(a.n)])
+    cols = np.concatenate([a.col_indices(), np.arange(a.n)])
     vals = np.concatenate([a.values, need])
     return CSCMatrix.from_coo(a.n, rows, cols, vals)
 
@@ -366,9 +364,7 @@ def helmholtz_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
     if damping:
         shift = shift * complex(1.0, -float(damping))
     rows = np.concatenate([base.rowind, np.arange(base.n)])
-    cols = np.concatenate(
-        [np.repeat(np.arange(base.n, dtype=np.int64), np.diff(base.colptr)),
-         np.arange(base.n)])
+    cols = np.concatenate([base.col_indices(), np.arange(base.n)])
     diag = np.full(base.n, -shift)
     vals = np.concatenate([base.values.astype(diag.dtype), diag])
     return CSCMatrix.from_coo(base.n, rows, cols, vals)
@@ -413,7 +409,7 @@ def saddle_point_kkt(nx: int, m: Optional[int] = None, penalty: float = 0.0,
 
     # A block (top-left, unchanged indices)
     rows_l = [a.rowind]
-    cols_l = [np.repeat(np.arange(n, dtype=np.int64), np.diff(a.colptr))]
+    cols_l = [a.col_indices()]
     vals_l = [np.asarray(a.values, dtype=np.float64)]
 
     # B block: constraint j couples unknowns (2j, 2j+1)
@@ -497,7 +493,7 @@ def perturb(base: CSCMatrix, seed: int, magnitude: float = 1e-6) -> CSCMatrix:
     g = rng.uniform(-0.5, 0.5, size=base.n)
     h = rng.uniform(-0.5, 0.5, size=base.n)
     rows = base.rowind
-    cols = np.repeat(np.arange(base.n, dtype=np.int64), np.diff(base.colptr))
+    cols = base.col_indices()
     eps = g[rows] * h[cols] + g[cols] * h[rows]
     vals = base.values * (1.0 + float(magnitude) * eps)
     return CSCMatrix.from_coo(base.n, rows.copy(), cols, vals)

@@ -86,7 +86,7 @@ def write_matrix_market(a: CSCMatrix, path: Union[str, Path],
     field = "complex" if is_complex else "real"
     with _open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate {field} {sym}\n")
-        cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.colptr))
+        cols = a.col_indices()
         if symmetric:
             keep = a.rowind >= cols
             rows, cs, vals = a.rowind[keep], cols[keep], a.values[keep]

@@ -42,7 +42,7 @@ def permute_symmetric(a: CSCMatrix, perm: np.ndarray) -> CSCMatrix:
     if not is_permutation(perm, a.n):
         raise ValueError("perm is not a valid permutation")
     iperm = invert_permutation(perm)
-    cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.colptr))
+    cols = a.col_indices()
     new_rows = iperm[a.rowind]
     new_cols = iperm[cols]
     return CSCMatrix.from_coo(a.n, new_rows, new_cols, a.values,

@@ -73,7 +73,7 @@ def equilibrate(a: CSCMatrix, symmetric: bool = True,
     scaled independently.
     """
     values = a.values.copy()
-    cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.colptr))
+    cols = a.col_indices()
     real_dt = _real_dtype(values.dtype)
     d_row = np.ones(a.n, dtype=real_dt)
     d_col = np.ones(a.n, dtype=real_dt)

@@ -72,6 +72,7 @@ def symbolic_factorization(a: CSCMatrix,
                            options: Optional[SymbolicOptions] = None,
                            coords: Optional[np.ndarray] = None,
                            profiler: Optional["SpanProfiler"] = None,
+                           symmetric: bool = False,
                            ) -> Tuple[SymbolicFactor, np.ndarray]:
     """Run the full analysis pipeline on (the pattern of) ``a``.
 
@@ -80,10 +81,14 @@ def symbolic_factorization(a: CSCMatrix,
     ``P A Pᵗ``.  ``coords`` (one row per unknown) is required by the
     ``geometric`` ordering and ignored otherwise.  ``profiler``
     (optional) records "ordering" and "symbolic" spans covering the
-    paper's step 1 and step 2 respectively.
+    paper's step 1 and step 2 respectively.  ``symmetric=True`` promises
+    the pattern of ``a`` is symmetric already (the solver symmetrises it on
+    construction); it is otherwise checked, and symmetrised, here — once,
+    for every step below.
     """
     options = options or SymbolicOptions()
-    pattern = a if a.is_pattern_symmetric() else a.symmetrize_pattern()
+    pattern = (a if symmetric or a.is_pattern_symmetric()
+               else a.symmetrize_pattern())
 
     _sid = (profiler.start("ordering", method=options.ordering)
             if profiler is not None else None)
@@ -112,7 +117,7 @@ def _run_ordering(a: CSCMatrix, pattern: CSCMatrix,
                              Optional[List[Tuple[int, int]]]]:
     """Step 1: global ordering + supernodal partition."""
     if options.ordering == "nested-dissection":
-        g = Graph.from_matrix(pattern)
+        g = Graph.from_matrix(pattern, symmetric=True)
         nd = nested_dissection(g, cmin=options.cmin)
         perm = nd.perm
         intervals = [(p.start, p.size) for p in nd.partitions]
@@ -123,12 +128,12 @@ def _run_ordering(a: CSCMatrix, pattern: CSCMatrix,
                 "(pass coords= to the Solver or this function)")
         from repro.ordering.geometric import geometric_nested_dissection
 
-        g = Graph.from_matrix(pattern)
+        g = Graph.from_matrix(pattern, symmetric=True)
         nd = geometric_nested_dissection(g, coords, cmin=options.cmin)
         perm = nd.perm
         intervals = [(p.start, p.size) for p in nd.partitions]
     elif options.ordering == "amd":
-        g = Graph.from_matrix(pattern)
+        g = Graph.from_matrix(pattern, symmetric=True)
         perm = minimum_degree(g)
         intervals = None
     elif options.ordering == "natural":
@@ -180,10 +185,26 @@ def build_block_structure(n: int, snodes: List[Supernode],
     maximal contiguous runs, each split at facing column-block boundaries.
     """
     tile_starts = np.array([t[0] for t in tiles], dtype=np.int64)
-    tile_ends = np.array([t[0] + t[1] for t in tiles], dtype=np.int64)
+    min_height = options.compress_min_height
 
-    def cblk_of(row: int) -> int:
-        return int(np.searchsorted(tile_starts, row, side="right")) - 1
+    # off-diagonal rows of every supernode at once: a block starts where a
+    # supernode's rows start, where they skip an index, and where the
+    # facing tile changes
+    sizes = np.array([s.rows.size for s in snodes], dtype=np.int64)
+    rows = (np.concatenate([s.rows for s in snodes]) if snodes
+            else np.empty(0, dtype=np.int64))
+    facing = np.searchsorted(tile_starts, rows, side="right") - 1
+    rows_start = np.cumsum(sizes) - sizes
+    new_block = np.zeros(rows.size, dtype=bool)
+    new_block[1:] = (np.diff(rows) != 1) | (np.diff(facing) != 0)
+    new_block[rows_start[sizes > 0]] = True
+    first = np.flatnonzero(new_block)
+    nrows = np.diff(np.append(first, rows.size))
+    # blocks of supernode si: block_bounds[si]:block_bounds[si + 1]
+    block_bounds = np.searchsorted(first, rows_start).tolist()
+    block_bounds.append(first.size)
+    off_blocks = list(zip(rows[first].tolist(), nrows.tolist(),
+                          facing[first].tolist()))
 
     # group tiles by supernode for intra-supernode blocks
     tiles_of_snode: List[List[int]] = [[] for _ in snodes]
@@ -199,35 +220,15 @@ def build_block_structure(n: int, snodes: List[Supernode],
         # intra-supernode sub-diagonal blocks (dense diagonal treatment of
         # the supernode => full blocks toward every later tile)
         for tj in tiles_of_snode[si]:
-            if tj <= ti:
-                continue
-            fc2, nc2, _ = tiles[tj]
-            cand = (width_ok and nc2 >= options.compress_min_height)
-            cb.blocks.append(SymbolicBlock(fc2, nc2, facing=tj,
-                                           lr_candidate=cand))
-        # off-diagonal rows of the supernode, chopped into runs then at
-        # facing-tile boundaries
-        rows = snodes[si].rows
-        for lo, hi in _contiguous_runs(rows):
-            pos = lo
-            while pos < hi:
-                f = cblk_of(pos)
-                cut = min(hi, int(tile_ends[f]))
-                nrows = cut - pos
-                cand = (width_ok and nrows >= options.compress_min_height)
-                cb.blocks.append(SymbolicBlock(pos, nrows, facing=f,
-                                               lr_candidate=cand))
-                pos = cut
+            if tj > ti:
+                fc2, nc2, _ = tiles[tj]
+                cb.blocks.append(SymbolicBlock(
+                    fc2, nc2, facing=tj,
+                    lr_candidate=width_ok and nc2 >= min_height))
+        cb.blocks.extend(
+            SymbolicBlock(row, height, facing=f,
+                          lr_candidate=width_ok and height >= min_height)
+            for row, height, f in
+            off_blocks[block_bounds[si]:block_bounds[si + 1]])
         cblks.append(cb)
     return SymbolicFactor(n, cblks)
-
-
-def _contiguous_runs(sorted_idx: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal runs ``[lo, hi)`` of consecutive integers in a sorted array."""
-    if sorted_idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(sorted_idx) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [sorted_idx.size - 1]])
-    return [(int(sorted_idx[s]), int(sorted_idx[e]) + 1)
-            for s, e in zip(starts, ends)]

@@ -15,6 +15,7 @@ O(#supernodes · average row-set size) — no per-entry fill enumeration.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -64,42 +65,53 @@ def supernode_row_sets(a: CSCMatrix,
     """
     n = a.n
     snodes = [Supernode(fc, nc) for fc, nc in intervals]
-    starts = np.array([s.first_col for s in snodes], dtype=np.int64)
     _check_partition(n, snodes)
+    ends = np.array([s.end for s in snodes], dtype=np.int64)
+    owner = _owner_of_columns(snodes)
 
-    owner = np.empty(n, dtype=np.int64)
+    # initial structure from A: per supernode, the distinct rows at or
+    # beyond its end among its columns' entries — one sorted pass over the
+    # (supernode, row) pairs
+    sn = owner[a.col_indices()]
+    below = a.rowind >= ends[sn]
+    pairs = np.unique(sn[below] * n + a.rowind[below])
+    bounds = np.searchsorted(pairs, np.arange(len(snodes) + 1) * n)
+    rows = pairs % max(n, 1)
     for i, s in enumerate(snodes):
-        owner[s.first_col:s.end] = i
-
-    # initial structure from A: union of below-diagonal rows per supernode
-    for i, s in enumerate(snodes):
-        cols = range(s.first_col, s.end)
-        pieces = []
-        for j in cols:
-            rows, _ = a.column(j)
-            k = int(np.searchsorted(rows, s.end))
-            if k < len(rows):
-                pieces.append(rows[k:])
-        s.rows = (np.unique(np.concatenate(pieces)) if pieces
-                  else np.empty(0, dtype=np.int64))
+        s.rows = rows[bounds[i]:bounds[i + 1]]
 
     # eliminate in order, pushing each supernode's rows to its parent
-    for i, s in enumerate(snodes):
+    for s in snodes:
         if s.rows.size == 0:
             s.parent = -1
             continue
-        p = int(owner[s.rows[0]])
-        s.parent = p
-        parent = snodes[p]
+        s.parent = int(owner[s.rows[0]])
+        parent = snodes[s.parent]
         # rows beyond the parent's columns must appear in the parent too
-        k = int(np.searchsorted(s.rows, parent.end))
-        if k < s.rows.size:
-            push = s.rows[k:]
-            if parent.rows.size:
-                parent.rows = np.union1d(parent.rows, push)
-            else:
-                parent.rows = push.copy()
+        parent.rows = _union(parent.rows, _beyond(s.rows, parent.end))
     return snodes
+
+
+def _owner_of_columns(snodes: Sequence[Supernode]) -> np.ndarray:
+    """Index of the supernode owning each column."""
+    return np.repeat(np.arange(len(snodes)),
+                     np.array([s.ncols for s in snodes], dtype=np.int64))
+
+
+def _beyond(rows: np.ndarray, end: int) -> np.ndarray:
+    """The part of the sorted ``rows`` at or after ``end``."""
+    return rows[rows.searchsorted(end):]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union of two sorted duplicate-free index arrays."""
+    if not b.size:
+        return a
+    merged = np.concatenate((a, b))
+    merged.sort()
+    keep = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def _check_partition(n: int, snodes: Sequence[Supernode]) -> None:
@@ -126,57 +138,56 @@ def amalgamate(snodes: List[Supernode], frat: float = 0.08,
     ``max_width`` optionally forbids growing supernodes beyond a bound
     (useful to keep tiles compressible rather than enormous).
 
-    Runs sweeps until no merge applies; parents and row sets are maintained
-    incrementally, so the result is again a valid output of
+    Merges are tried in sweeps over the supernodes in column order, until a
+    sweep merges nothing; a sweep only revisits the supernodes a merge has
+    touched since they were last tried (the merged parent, its children and
+    the children it inherited), since every other pair would be refused
+    again.  Row sets are maintained incrementally and parents re-derived at
+    the end, so the result is again a valid output of
     :func:`supernode_row_sets`.
     """
     if frat <= 0.0:
         return snodes
-    snodes = list(snodes)
-    changed = True
-    while changed:
-        changed = False
-        merged = _one_amalgamation_sweep(snodes, frat, max_width)
-        if merged is not None:
-            snodes = merged
-            changed = True
-    return snodes
-
-
-def _one_amalgamation_sweep(snodes: List[Supernode], frat: float,
-                            max_width: Optional[int]) -> Optional[List[Supernode]]:
-    """Perform at most one pass of merges; None when nothing merged."""
-    n_merged = 0
     alive = [True] * len(snodes)
-    # map from position to current (possibly merged) supernode index
-    for i, s in enumerate(snodes):
-        if not alive[i]:
+    parent = [s.parent for s in snodes]
+    children: List[List[int]] = [[] for _ in snodes]
+    for i, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(i)
+    # (sweep, index) of the pending tries, in the order the sweeps run them
+    todo = [(0, i) for i in range(len(snodes))]
+    queued = set(todo)
+    while todo:
+        item = heapq.heappop(todo)
+        queued.discard(item)
+        sweep, i = item
+        s, p = snodes[i], parent[i]
+        if not alive[i] or p < 0:
             continue
-        p = s.parent
-        if p < 0 or not alive[p]:
+        into = snodes[p]
+        w = s.ncols + into.ncols
+        # only adjacent (rightmost-child) merges keep intervals
+        if s.end != into.first_col or (max_width is not None
+                                       and w > max_width):
             continue
-        parent = snodes[p]
-        if s.end != parent.first_col:
-            continue  # only adjacent (rightmost-child) merges keep intervals
-        w = s.ncols + parent.ncols
-        if max_width is not None and w > max_width:
+        before = s.nnz() + into.nnz()
+        merged_rows = _union(into.rows, _beyond(s.rows, into.end))
+        if w * w + merged_rows.size * w - before > frat * before:
             continue
-        before = s.nnz() + parent.nnz()
-        k = int(np.searchsorted(s.rows, parent.end))
-        rows_beyond = s.rows[k:]
-        merged_rows = (np.union1d(parent.rows, rows_beyond)
-                       if rows_beyond.size else parent.rows)
-        after = w * w + merged_rows.size * w
-        if after - before > frat * before:
-            continue
-        # merge: parent absorbs child's columns
-        parent.first_col = s.first_col
-        parent.ncols = w
-        parent.rows = merged_rows
+        # merge: parent absorbs child's columns (and its children)
+        into.first_col, into.ncols, into.rows = s.first_col, w, merged_rows
         alive[i] = False
-        n_merged += 1
-    if n_merged == 0:
-        return None
+        for c in children[i]:
+            parent[c] = p
+        children[p].remove(i)
+        children[p] += children[i]
+        # the parent comes up later in this sweep, and so do its children
+        # after i; those before i wait for the next sweep
+        for c in children[p] + [p]:
+            item = (sweep if c > i else sweep + 1, c)
+            if item not in queued:
+                queued.add(item)
+                heapq.heappush(todo, item)
     kept = [s for i, s in enumerate(snodes) if alive[i]]
     _reindex_parents(kept)
     return kept
@@ -184,10 +195,7 @@ def _one_amalgamation_sweep(snodes: List[Supernode], frat: float,
 
 def _reindex_parents(snodes: List[Supernode]) -> None:
     """Recompute parents from row sets after a structural change."""
-    n = snodes[-1].end if snodes else 0
-    owner = np.empty(n, dtype=np.int64)
-    for i, s in enumerate(snodes):
-        owner[s.first_col:s.end] = i
+    owner = _owner_of_columns(snodes)
     for s in snodes:
         s.parent = int(owner[s.rows[0]]) if s.rows.size else -1
 

@@ -1,13 +1,24 @@
 """Tests for the intra-supernode (TSP) reordering of [21]."""
 
 import numpy as np
+import pytest
 
+from repro.ordering import reordering
 from repro.ordering.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.reordering import apply_reordering, reorder_supernodes
-from repro.sparse.generators import laplacian_2d, laplacian_3d
+from repro.sparse.generators import (
+    elasticity_3d,
+    laplacian_2d,
+    laplacian_3d,
+    random_spd,
+)
 from repro.sparse.permute import permute_symmetric
-from repro.symbolic.supernodes import Supernode, supernode_row_sets
+from repro.symbolic.supernodes import (
+    Supernode,
+    amalgamate,
+    supernode_row_sets,
+)
 
 
 def build_snodes(a, cmin=8):
@@ -108,3 +119,59 @@ class TestDegenerate:
     def test_empty_input(self):
         newpos = reorder_supernodes([])
         assert newpos.size == 0
+
+
+# -- the label-matrix tour against the frozenset tour it replaced ------------
+
+
+def frozenset_reorder(snodes, width_cap, group_cap=512):
+    """One Python set per vertex, groups keyed by frozenset, the tour by
+    ``symmetric_difference`` sizes with the ``(distance, group)``
+    tie-break."""
+    n = snodes[-1].end
+    newpos = np.arange(n, dtype=np.int64)
+    labels = [[] for _ in range(n)]
+    for ci, c in enumerate(snodes):
+        for r in c.rows.tolist():
+            labels[r].append(ci)
+    for s in snodes:
+        if s.ncols <= 2:
+            continue
+        key_of = {}
+        for v in range(s.first_col, s.end):
+            key_of.setdefault(frozenset(labels[v]), []).append(v)
+        if len(key_of) <= 1:
+            continue
+        groups = list(key_of.items())
+        if s.ncols > width_cap or len(groups) > group_cap:
+            order = sorted(range(len(groups)),
+                           key=lambda g: tuple(sorted(groups[g][0])))
+        else:
+            unvisited = set(range(len(groups)))
+            cur = min(unvisited, key=lambda g: (len(groups[g][0]), g))
+            order = [cur]
+            unvisited.discard(cur)
+            while unvisited:
+                cur = min(unvisited, key=lambda g: (
+                    len(groups[cur][0].symmetric_difference(groups[g][0])),
+                    g))
+                order.append(cur)
+                unvisited.discard(cur)
+        pos = s.first_col
+        for gi in order:
+            for v in groups[gi][1]:
+                newpos[v] = pos
+                pos += 1
+    return newpos
+
+
+@pytest.mark.parametrize("build", [
+    lambda: laplacian_2d(12), lambda: laplacian_3d(7),
+    lambda: elasticity_3d(3), lambda: random_spd(90, density=0.05, seed=2)])
+@pytest.mark.parametrize("width_cap", [reordering.TSP_WIDTH_CAP, 5])
+def test_matches_frozenset_tour(build, width_cap, monkeypatch):
+    # width_cap=5 sends every wider supernode down the lexicographic path
+    monkeypatch.setattr(reordering, "TSP_WIDTH_CAP", width_cap)
+    snodes = amalgamate(build_snodes(build(), cmin=6), frat=0.08)
+    np.testing.assert_array_equal(reorder_supernodes(snodes),
+                                  frozenset_reorder(snodes, width_cap))

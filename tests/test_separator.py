@@ -88,3 +88,25 @@ class TestCheckSeparator:
         g2 = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert check_separator(g2, np.array([0]), np.array([2]),
                                np.array([1]))
+
+
+class TestRegionLocal:
+    def test_first_vertex_isolated_means_no_split(self):
+        # the set is not connected as required; nested dissection never
+        # hands one over (it splits components first) and treats "no
+        # separator" as a leaf
+        g = Graph.from_edges(4, [(1, 2), (2, 3)])
+        verts = np.arange(4)
+        pa, pb, sep = find_vertex_separator(g, verts)
+        np.testing.assert_array_equal(pa, verts)
+        assert pb.size == 0 and sep.size == 0
+
+    def test_same_split_with_the_subgraph_handed_in(self):
+        g = Graph.from_matrix(laplacian_3d(5))
+        verts = np.flatnonzero(np.arange(g.n) % 7 != 3)
+        verts = g.connected_components(np.isin(np.arange(g.n), verts))[0]
+        sub, _ = g.subgraph(verts)
+        for got, want in zip(find_vertex_separator(g, verts, sub),
+                             find_vertex_separator(g, verts)):
+            np.testing.assert_array_equal(got, want)
+        assert_valid_split(g, verts, *find_vertex_separator(g, verts, sub))

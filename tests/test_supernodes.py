@@ -1,11 +1,19 @@
 """Tests for supernode machinery (quotient symbolic, amalgamation, split)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.ordering.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
-from repro.sparse.generators import laplacian_1d, laplacian_2d, laplacian_3d
+from repro.sparse.generators import (
+    elasticity_3d,
+    laplacian_1d,
+    laplacian_2d,
+    laplacian_3d,
+    random_spd,
+)
 from repro.sparse.permute import permute_symmetric
 from repro.symbolic.supernodes import (
     Supernode,
@@ -188,3 +196,90 @@ class TestFundamentalSupernodes:
         a = CSCMatrix.from_coo(4, range(4), range(4), [1.0] * 4)
         intervals = detect_fundamental_supernodes(a)
         assert intervals == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
+# -- the array pipeline against the loops it replaced ------------------------
+
+
+def loop_row_sets(a, intervals):
+    """Column-by-column initial structure, then in-order elimination."""
+    snodes = [Supernode(fc, nc) for fc, nc in intervals]
+    owner = np.empty(a.n, dtype=np.int64)
+    for i, s in enumerate(snodes):
+        owner[s.first_col:s.end] = i
+    for s in snodes:
+        pieces = [a.column(j)[0] for j in range(s.first_col, s.end)]
+        rows = np.unique(np.concatenate(pieces))
+        s.rows = rows[rows >= s.end]
+    for s in snodes:
+        if s.rows.size == 0:
+            s.parent = -1
+            continue
+        s.parent = int(owner[s.rows[0]])
+        parent = snodes[s.parent]
+        parent.rows = np.union1d(parent.rows, s.rows[s.rows >= parent.end])
+    return snodes
+
+
+def sweep_amalgamate(snodes, frat, max_width=None):
+    """Full sweeps over every supernode, parents recomputed after each,
+    until a sweep merges nothing (what ``amalgamate`` used to run)."""
+    snodes = list(snodes)
+    while True:
+        alive = [True] * len(snodes)
+        for i, s in enumerate(snodes):
+            p = s.parent
+            if p < 0 or not alive[p]:
+                continue
+            parent = snodes[p]
+            w = s.ncols + parent.ncols
+            if s.end != parent.first_col or \
+                    (max_width is not None and w > max_width):
+                continue
+            before = s.nnz() + parent.nnz()
+            merged = np.union1d(parent.rows, s.rows[s.rows >= parent.end])
+            if w * w + merged.size * w - before > frat * before:
+                continue
+            parent.first_col, parent.ncols, parent.rows = s.first_col, w, merged
+            alive[i] = False
+        if all(alive):
+            return snodes
+        snodes = [s for i, s in enumerate(snodes) if alive[i]]
+        owner = np.empty(snodes[-1].end, dtype=np.int64)
+        for i, s in enumerate(snodes):
+            owner[s.first_col:s.end] = i
+        for s in snodes:
+            s.parent = int(owner[s.rows[0]]) if s.rows.size else -1
+
+
+def as_tuples(snodes):
+    return [(s.first_col, s.ncols, s.rows.tolist(), s.parent) for s in snodes]
+
+
+PIPELINE_MATRICES = {
+    "lap2d_9": lambda: laplacian_2d(9),
+    "lap3d_6": lambda: laplacian_3d(6),
+    "lap1d_40": lambda: laplacian_1d(40),
+    "elas_3": lambda: elasticity_3d(3),
+    "random_spd_80": lambda: random_spd(80, density=0.06, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_MATRICES))
+@pytest.mark.parametrize("cmin", [3, 8])
+class TestMatchesLoops:
+    def test_row_sets(self, name, cmin):
+        a = PIPELINE_MATRICES[name]()
+        nd = nested_dissection(Graph.from_matrix(a), cmin=cmin)
+        ap = permute_symmetric(a, nd.perm)
+        intervals = [(p.start, p.size) for p in nd.partitions]
+        assert as_tuples(supernode_row_sets(ap, intervals)) == \
+            as_tuples(loop_row_sets(ap, intervals))
+
+    @pytest.mark.parametrize("frat,max_width", [
+        (0.02, None), (0.08, None), (0.3, None), (1.0, 12), (100.0, None)])
+    def test_amalgamate(self, name, cmin, frat, max_width):
+        _, snodes = nd_snodes(PIPELINE_MATRICES[name](), cmin=cmin)
+        want = sweep_amalgamate(copy.deepcopy(snodes), frat, max_width)
+        got = amalgamate(copy.deepcopy(snodes), frat, max_width)
+        assert as_tuples(got) == as_tuples(want)
