@@ -61,7 +61,8 @@ class NumericColumnBlock:
     __slots__ = ("sym", "diag", "lpanel", "upanel", "lblocks", "ublocks",
                  "row_offsets", "offrows", "factored", "pivperm", "pivd21")
 
-    def __init__(self, sym: SymbolicColumnBlock) -> None:
+    def __init__(self, sym: SymbolicColumnBlock,
+                 row_offsets: np.ndarray) -> None:
         self.sym = sym
         self.diag: Optional[np.ndarray] = None
         self.lpanel: Optional[np.ndarray] = None
@@ -76,11 +77,10 @@ class NumericColumnBlock:
         #: 2×2 pivot starts at column ``j``, zero elsewhere.  ``None``
         #: when the block was factored with 1×1 pivots only.
         self.pivd21: Optional[np.ndarray] = None
-        offs = np.zeros(sym.noff + 1, dtype=np.int64)
-        for i, b in enumerate(sym.off_blocks()):
-            offs[i + 1] = offs[i] + b.nrows
-        self.row_offsets = offs
-        self.offrows = int(offs[-1])
+        #: where each off-diagonal block starts in the stacked panel frame
+        #: (``SymbolicFactor.row_offsets``, shared and read-only)
+        self.row_offsets = row_offsets
+        self.offrows = int(row_offsets[-1])
         self.factored = False
 
     # ------------------------------------------------------------------
@@ -134,7 +134,8 @@ class NumericFactor:
         #: deserialized via :mod:`repro.core.serialize` get one too.
         self.backend = get_backend(config.backend)
         self.cblks: List[NumericColumnBlock] = [
-            NumericColumnBlock(c) for c in symb.cblks]
+            NumericColumnBlock(c, symb.row_offsets[c.id])
+            for c in symb.cblks]
         # the telemetry bus (config.telemetry, None = disabled) rides on
         # the memory tracker (high-water timeline) and the kernel stats
         # (compression / recompression metrics) so no kernel signature
@@ -268,11 +269,11 @@ class NumericFactor:
         self.tracker.alloc(array_nbytes(nc.diag))
         nc.lpanel = np.zeros((nc.offrows, w), dtype=self.dtype)
         self.tracker.alloc(array_nbytes(nc.lpanel))
-        _scatter_panel(a_perm, sym, nc.diag, nc.lpanel, nc.row_offsets)
+        _scatter_panel(a_perm, self.symb, sym, nc.diag, nc.lpanel)
         if at_perm is not None:
             nc.upanel = np.zeros((nc.offrows, w), dtype=self.dtype)
             self.tracker.alloc(array_nbytes(nc.upanel))
-            _scatter_panel(at_perm, sym, None, nc.upanel, nc.row_offsets)
+            _scatter_panel(at_perm, self.symb, sym, None, nc.upanel)
 
     # -- sizing ----------------------------------------------------------
     def dense_factor_nbytes(self) -> int:
@@ -416,7 +417,7 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
         nc.diag = np.zeros((w, w), dtype=fac.dtype)
         fac.tracker.alloc(array_nbytes(nc.diag))
         ldense = np.zeros((nc.offrows, w), dtype=fac.dtype)
-        _scatter_panel(a_perm, sym, nc.diag, ldense, nc.row_offsets)
+        _scatter_panel(a_perm, symb, sym, nc.diag, ldense)
         if adaptive:
             assert policy is not None and fac.decisions is not None
             lvl_hist = (history.get(levels[sym.id])
@@ -439,7 +440,7 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
             nc.lblocks = _compress_assembled(fac, nc, ldense)
             if need_u:
                 udense = np.zeros((nc.offrows, w), dtype=fac.dtype)
-                _scatter_panel(at_perm, sym, None, udense, nc.row_offsets)
+                _scatter_panel(at_perm, symb, sym, None, udense)
                 nc.ublocks = _compress_assembled(fac, nc, udense)
             else:
                 nc.ublocks = None
@@ -449,7 +450,7 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
             if need_u:
                 nc.upanel = np.zeros((nc.offrows, w), dtype=fac.dtype)
                 fac.tracker.alloc(array_nbytes(nc.upanel))
-                _scatter_panel(at_perm, sym, None, nc.upanel, nc.row_offsets)
+                _scatter_panel(at_perm, symb, sym, None, nc.upanel)
     return fac
 
 
@@ -481,30 +482,22 @@ def _probe_ratio(fac: NumericFactor, nc: NumericColumnBlock,
     return float(sum(ratios) / len(ratios))
 
 
-def _scatter_panel(a: CSCMatrix, sym: SymbolicColumnBlock,
-                   diag: Optional[np.ndarray], panel: np.ndarray,
-                   row_offsets: np.ndarray) -> None:
-    """Scatter matrix entries of ``sym``'s columns into diag + off panel."""
+def _scatter_panel(a: CSCMatrix, symb: SymbolicFactor,
+                   sym: SymbolicColumnBlock, diag: Optional[np.ndarray],
+                   panel: np.ndarray) -> None:
+    """Scatter matrix entries of ``sym``'s columns into diag + off panel
+    (one indexed store each; an entry below the diagonal block that the
+    symbolic structure does not cover raises)."""
     fc, w = sym.first_col, sym.ncols
-    diag_end = fc + w
-    starts = np.array([b.first_row for b in sym.off_blocks()], dtype=np.int64)
-    ends = np.array([b.end_row for b in sym.off_blocks()], dtype=np.int64)
-    for jj in range(w):
-        rows, vals = a.column(fc + jj)
-        lo = int(np.searchsorted(rows, fc))
-        hi = int(np.searchsorted(rows, diag_end))
-        if diag is not None and hi > lo:
-            diag[rows[lo:hi] - fc, jj] = vals[lo:hi]
-        if hi < len(rows):
-            rr = rows[hi:]
-            vv = vals[hi:]
-            bidx = np.searchsorted(starts, rr, side="right") - 1
-            # symbolic coverage guarantees rr < ends[bidx]
-            offsets = row_offsets[bidx] + (rr - starts[bidx])
-            bad = rr >= ends[bidx]
-            if np.any(bad):  # pragma: no cover - symbolic coverage violated
-                raise AssertionError("matrix entry outside symbolic structure")
-            panel[offsets, jj] = vv
+    lo, hi = a.colptr[fc], a.colptr[fc + w]
+    rows, vals = a.rowind[lo:hi], a.values[lo:hi]
+    cols = np.repeat(np.arange(w), np.diff(a.colptr[fc:fc + w + 1]))
+    below = rows >= fc + w
+    if diag is not None:
+        inside = (rows >= fc) & ~below
+        diag[rows[inside] - fc, cols[inside]] = vals[inside]
+    panel[symb.panel_positions(sym.id, rows[below]), cols[below]] = \
+        vals[below]
 
 
 def snapshot_column_block(nc: NumericColumnBlock) -> Dict[str, Any]:

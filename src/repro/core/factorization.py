@@ -627,6 +627,9 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     be = fac.backend
     first, end = fac.symb.facing_ranges(sym.id)[t]
+    tnc = fac.cblks[t]
+    drow, pos = fac.symb.landing_map(sym.id, t)
+    base, dend = offs[first], offs[end]
     for j in range(first, end):
         bj = sym.blocks[1 + j]
         jlo, jhi = offs[j], offs[j + 1]
@@ -654,15 +657,34 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
         stats.add("dense_update", seconds=time.perf_counter() - t0,
                   flops=fl * flop_scale(fac.dtype))
 
-        for i in range(j, sym.noff):
-            bi = sym.blocks[1 + i]
-            ilo = offs[i] - jlo
-            ihi = offs[i + 1] - jlo
-            _scatter(fac, t, bi.first_row, bi.end_row,
-                     bj.first_row, bj.end_row, w_l[ilo:ihi], "l", acc)
-            if is_lu and i > j:
-                _scatter(fac, t, bi.first_row, bi.end_row,
-                         bj.first_row, bj.end_row, w_u[ilo:ihi], "u", acc)
+        # landing: rows facing t go to its diagonal block (the Uᵗ side,
+        # strictly below (j), transposed into the upper triangle), the rows
+        # below to its off-diagonal storage — one indexed subtract each,
+        # charged once with the flops of the per-pair subtracts it replaces
+        t0 = time.perf_counter()
+        coff = bj.first_row - tnc.sym.first_col
+        cols = slice(coff, coff + bj.nrows)
+        nd = dend - jlo
+        tnc.diag[drow[jlo - base:], cols] -= w_l[:nd]
+        landed = nd
+        if is_lu:
+            tnc.diag[cols, drow[jhi - base:]] -= w_u[jhi - jlo:nd].T
+            landed += dend - jhi
+        if tnc.panel_mode:
+            tnc.lpanel[pos, cols] -= w_l[nd:]
+            if is_lu:
+                tnc.upanel[pos, cols] -= w_u[nd:]
+            landed += fac.sides * len(pos)
+        stats.add("dense_update", seconds=time.perf_counter() - t0,
+                  flops=float(landed * bj.nrows))
+        if not tnc.panel_mode:
+            for i in range(end, sym.noff):
+                rows = slice(offs[i] - jlo, offs[i + 1] - jlo)
+                row = pos[offs[i] - dend]
+                _land_block(fac, tnc, False, row, coff, w_l[rows], "l", acc)
+                if is_lu:
+                    _land_block(fac, tnc, False, row, coff, w_u[rows], "u",
+                                acc)
 
 
 def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
@@ -686,8 +708,12 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     recompress = fac.variant.recompress if fac.variant is not None else True
 
     first, end = fac.symb.facing_ranges(sym.id)[t]
+    tnc = fac.cblks[t]
+    offs = nc.row_offsets
+    drow, pos = fac.symb.landing_map(sym.id, t)
+    base, dend = offs[first], offs[end]
     for j in range(first, end):
-        bj = sym.blocks[1 + j]
+        coff = sym.blocks[1 + j].first_row - tnc.sym.first_col
         if is_lu:
             ub_j = nc.ublocks[j]
         elif d_scale is not None:
@@ -702,7 +728,8 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
             ub_j = _promote(ub_j, promote)
             lb_j = _promote(lb_j, promote)
         for i in range(j, sym.noff):
-            bi = sym.blocks[1 + i]
+            in_diag = i < end
+            row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
             src_l = nc.lblocks[i]
             if promote is not None:
                 src_l = _promote(src_l, promote)
@@ -712,8 +739,7 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
                                  recompress=recompress,
                                  norm_ref=fac.comp_norm_ref)
             if contrib is not None:
-                _scatter(fac, t, bi.first_row, bi.end_row,
-                         bj.first_row, bj.end_row, contrib, "l", acc)
+                _land_block(fac, tnc, in_diag, row, coff, contrib, "l", acc)
             if is_lu and i > j:
                 src_u = nc.ublocks[i]
                 if promote is not None:
@@ -724,8 +750,8 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
                                        recompress=recompress,
                                        norm_ref=fac.comp_norm_ref)
                 if contrib_u is not None:
-                    _scatter(fac, t, bi.first_row, bi.end_row,
-                             bj.first_row, bj.end_row, contrib_u, "u", acc)
+                    _land_block(fac, tnc, in_diag, row, coff, contrib_u,
+                                "u", acc)
 
 
 def flush_accumulated(fac: NumericFactor, k: int,
@@ -807,16 +833,8 @@ def _scale_columns(block: Block, d: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# scatter of one contribution into the target column block
+# landing of one source block's contribution in the target column block
 # ----------------------------------------------------------------------
-
-def _slice_rows(contrib: Block, lo: int, hi: int) -> Block:
-    if isinstance(contrib, LowRankBlock):
-        if lo == 0 and hi == contrib.m:
-            return contrib
-        return LowRankBlock(contrib.u[lo:hi], contrib.v)
-    return contrib[lo:hi]
-
 
 def _transpose(contrib: Block) -> Block:
     if isinstance(contrib, LowRankBlock):
@@ -824,61 +842,57 @@ def _transpose(contrib: Block) -> Block:
     return contrib.T
 
 
-def _scatter(fac: NumericFactor, t: int, rlo: int, rhi: int,
-             clo: int, chi: int, contrib: Block, side: str,
-             acc: UpdateAccumulator) -> None:
-    """Subtract ``contrib`` (rows ``[rlo, rhi)``, cols ``[clo, chi)`` in
-    global indices) from column block ``t``.
+def _land_block(fac: NumericFactor, tnc: NumericColumnBlock, in_diag: bool,
+                row: int, coff: int, contrib: Block, side: str,
+                acc: UpdateAccumulator) -> None:
+    """Subtract ``contrib`` — one source block's rows, one facing block's
+    columns — from column block ``tnc`` at local column ``coff`` and the
+    landing ``row`` of :meth:`SymbolicFactor.landing_map`: a local row of
+    the diagonal block when ``in_diag``, else a position in the stacked
+    off-diagonal frame.
 
-    ``side == 'l'`` updates the L storage (or the diagonal block when the
-    rows fall inside ``t``'s columns); ``side == 'u'`` updates the Uᵗ
-    storage (transposed into the diagonal block's upper triangle when the
-    rows fall inside ``t``).  Pieces aimed at a low-rank block are
-    gathered in ``acc`` instead.
+    ``side == 'l'`` updates the L storage, ``side == 'u'`` the Uᵗ storage
+    (transposed into the diagonal block's upper triangle when ``in_diag``).
+    Pieces aimed at a low-rank block are gathered in ``acc`` instead.  One
+    rule on every branch: a rank-0 low-rank contribution lands nothing,
+    gathers nothing and charges nothing.
     """
-    tnc = fac.cblks[t]
-    tsym = tnc.sym
-    stats = fac.stats.kernels
-    coff = clo - tsym.first_col
-
-    if rlo < tsym.end_col:
-        # region inside the diagonal block of t (always dense)
-        rloc = rlo - tsym.first_col
-        if side == "l":
-            lr2ge_update(tnc.diag, contrib, rloc, coff, stats,
-                         backend=fac.backend)
-        else:
-            lr2ge_update(tnc.diag, _transpose(contrib), coff, rloc, stats,
-                         backend=fac.backend)
+    if isinstance(contrib, LowRankBlock) and contrib.rank == 0:
         return
-
-    for bidx, olo, ohi in fac.symb.find_blocks(t, rlo, rhi):
-        if bidx == 0:  # pragma: no cover - diag handled above
-            raise AssertionError("off-diagonal rows resolved to diagonal")
-        i = bidx - 1
-        piece = _slice_rows(contrib, olo - rlo, ohi - rlo)
-        block = tsym.blocks[bidx]
-        row_off_in_block = olo - block.first_row
-        if tnc.panel_mode:
-            panel = tnc.lpanel if side == "l" else tnc.upanel
-            plo = tnc.row_offsets[i] + row_off_in_block
-            m = ohi - olo
-            lr2ge_update(panel[plo:plo + m], piece, 0, coff, stats,
-                         backend=fac.backend)
+    stats, be = fac.stats.kernels, fac.backend
+    if in_diag:  # always dense
+        if side == "l":
+            lr2ge_update(tnc.diag, contrib, row, coff, stats, backend=be)
         else:
-            tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
-            if isinstance(tgt, LowRankBlock):
-                if isinstance(piece, LowRankBlock):
-                    if piece.rank:
-                        acc.setdefault((side, i), []).append(
-                            (piece, row_off_in_block, coff))
-                    continue
-                pend = acc.setdefault((side, i), [])
-                if not (pend and isinstance(pend[0][0], np.ndarray)):
-                    pend.insert(0, (np.zeros((block.nrows, tsym.ncols),
-                                             dtype=fac.dtype), 0, 0))
-                lr2ge_update(pend[0][0], piece, row_off_in_block, coff,
-                             stats, backend=fac.backend)
-            else:
-                lr2ge_update(tgt, piece, row_off_in_block, coff, stats,
-                             backend=fac.backend)
+            lr2ge_update(tnc.diag, _transpose(contrib), coff, row, stats,
+                         backend=be)
+        return
+    if tnc.panel_mode:
+        lr2ge_update(tnc.lpanel if side == "l" else tnc.upanel, contrib,
+                     row, coff, stats, backend=be)
+        return
+    # blocks-mode target: cut where the rows cross into the next block
+    offs = tnc.row_offsets
+    blocks = tnc.lblocks if side == "l" else tnc.ublocks
+    i = offs.searchsorted(row, side="right") - 1
+    stop = row + contrib.shape[0]
+    lo = row
+    while lo < stop:
+        hi = min(stop, offs[i + 1])
+        piece = contrib
+        if hi - lo < stop - row:
+            piece = (LowRankBlock(contrib.u[lo - row:hi - row], contrib.v)
+                     if isinstance(contrib, LowRankBlock)
+                     else contrib[lo - row:hi - row])
+        tgt = blocks[i]
+        if not isinstance(tgt, LowRankBlock):
+            lr2ge_update(tgt, piece, lo - offs[i], coff, stats, backend=be)
+        elif isinstance(piece, LowRankBlock):
+            acc.setdefault((side, i), []).append((piece, lo - offs[i], coff))
+        else:
+            pend = acc.setdefault((side, i), [])
+            if not (pend and isinstance(pend[0][0], np.ndarray)):
+                pend.insert(0, (np.zeros(tgt.shape, dtype=fac.dtype), 0, 0))
+            lr2ge_update(pend[0][0], piece, lo - offs[i], coff, stats,
+                         backend=be)
+        lo, i = hi, i + 1

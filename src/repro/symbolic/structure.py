@@ -12,7 +12,7 @@ describes both L and (transposed) U storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +86,10 @@ class SymbolicFactor:
     Provides the lookups the numerical factorization needs:
 
     * ``cblk_of_col(j)`` — column block owning global column ``j``;
-    * ``find_blocks(t, lo, hi)`` — blocks of column block ``t`` overlapping
-      the global row interval ``[lo, hi)`` (with overlap bounds);
+    * ``panel_positions(t, rows)`` — position of global rows inside ``t``'s
+      stacked off-diagonal frame (assembly and the landing map use it);
+    * ``landing_map(k, t)`` — where the rows of source ``k`` land in target
+      ``t``, computed once per visited pair (the relative-index extend-add);
     * ``contributors(t)`` — column blocks with a block facing ``t`` (the
       dependency set of the paper's right-looking algorithm);
     * ``facing_ranges(k)`` — ``facing cblk → (first, end)`` index range of
@@ -100,11 +102,22 @@ class SymbolicFactor:
         self.cblks = cblks
         self._col_starts = np.array([c.first_col for c in cblks], dtype=np.int64)
         self._validate()
-        # per-cblk sorted block starts for fast row-interval lookup
-        self._block_starts: List[np.ndarray] = [
-            np.array([b.first_row for b in c.blocks], dtype=np.int64)
-            for c in cblks
-        ]
+        # per-cblk stacked off-diagonal frame (blocks in order, rows
+        # stacked): ``row_offsets[k][i]`` is the frame position block i
+        # starts at, ``off_rows[k]`` (a view of one global array) the global
+        # row at every position; built here so that the threaded engines
+        # only ever read them
+        off = [b for c in cblks for b in c.off_blocks()]
+        starts = np.zeros(len(off) + 1, dtype=np.int64)
+        np.cumsum([b.nrows for b in off], out=starts[1:])
+        rows = np.repeat(np.array([b.first_row for b in off], dtype=np.int64)
+                         - starts[:-1], np.diff(starts)) + np.arange(starts[-1])
+        ends = np.cumsum([c.noff for c in cblks])
+        self.row_offsets: List[np.ndarray] = [
+            starts[e - c.noff:e + 1] - starts[e - c.noff]
+            for c, e in zip(cblks, ends)]
+        self.off_rows: List[np.ndarray] = [
+            rows[starts[e - c.noff]:starts[e]] for c, e in zip(cblks, ends)]
         self._facing: Optional[Tuple[List[List[int]],
                                      List[Dict[int, Tuple[int, int]]]]] = None
 
@@ -141,24 +154,34 @@ class SymbolicFactor:
         k = int(np.searchsorted(self._col_starts, j, side="right")) - 1
         return k
 
-    def find_blocks(self, t: int, lo: int, hi: int
-                    ) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(block_index, olo, ohi)`` for blocks of column block ``t``
-        overlapping rows ``[lo, hi)``; ``[olo, ohi)`` is the overlap."""
-        starts = self._block_starts[t]
-        blocks = self.cblks[t].blocks
-        i = int(np.searchsorted(starts, lo, side="right")) - 1
-        if i < 0:
-            i = 0
-        while i < len(blocks):
-            b = blocks[i]
-            if b.first_row >= hi:
-                break
-            olo = max(lo, b.first_row)
-            ohi = min(hi, b.end_row)
-            if olo < ohi:
-                yield i, olo, ohi
-            i += 1
+    def panel_positions(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Position inside column block ``t``'s stacked off-diagonal frame
+        (blocks in order, rows stacked) of each global row of ``rows``,
+        every one of which must belong to one of ``t``'s blocks."""
+        frame = self.off_rows[t]
+        pos = np.searchsorted(frame, rows)
+        if rows.size and (not frame.size or (
+                frame.take(pos, mode="clip") != rows).any()):
+            raise AssertionError(
+                f"row outside the symbolic structure of column block {t}")
+        return pos
+
+    def landing_map(self, k: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Where source column block ``k``'s rows land in the target ``t``
+        it faces: ``(drow, pos)``.
+
+        ``drow`` holds the local row inside ``t``'s diagonal block of each
+        row of ``k``'s blocks facing ``t``; ``pos`` the position inside
+        ``t``'s stacked off-diagonal frame of every row of ``k`` below
+        them.  Both are in ``k``'s frame order, so the update of block pair
+        ``(i, j)`` lands at the entries of block ``i``'s rows.  Rows that
+        are contiguous globally are contiguous in the frame: one source
+        block lands in one slice of a panel-mode target.
+        """
+        first, end = self.facing_ranges(k)[t]
+        offs, rows = self.row_offsets[k], self.off_rows[k]
+        return (rows[offs[first]:offs[end]] - self.cblks[t].first_col,
+                self.panel_positions(t, rows[offs[end]:]))
 
     def contributors(self, t: int) -> List[int]:
         """Ids of column blocks with at least one block facing ``t``."""

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core import factorization as F
 from repro.core.solver import Solver
+from repro.lowrank.block import LowRankBlock
+from repro.lowrank.kernels import lr2ge_update, lr_product
+from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     convection_diffusion_3d,
     elasticity_3d,
+    helmholtz_3d,
     heterogeneous_poisson_3d,
     laplacian_2d,
     laplacian_3d,
     random_spd,
 )
 from tests.conftest import tiny_blr_config
+from tests.test_recovery import factor_digest
+from tests.test_symbolic import find_blocks
 
 STRATEGIES = ["dense", "just-in-time", "minimal-memory"]
 KERNELS = ["rrqr", "svd"]
@@ -191,3 +198,285 @@ class TestMultipleRHS:
         assert x.shape == (a.n, 4)
         res = np.linalg.norm(a.matvec(x) - b) / np.linalg.norm(b)
         assert res <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# batched landing ≡ the per-pair scatter it replaced
+# ----------------------------------------------------------------------
+#
+# The reference below is the update loop as it stood before the landing
+# map: the same products from the same operands, landed by one ``_scatter``
+# call per (source block, facing block, side) that locates the target
+# blocks through ``find_blocks``.  It is installed over the engine's two
+# update functions and must leave every factor array bit-identical and
+# charge the same flops.
+
+def _slice_rows(contrib, lo, hi):
+    if isinstance(contrib, LowRankBlock):
+        if lo == 0 and hi == contrib.m:
+            return contrib
+        return LowRankBlock(contrib.u[lo:hi], contrib.v)
+    return contrib[lo:hi]
+
+
+def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
+    tnc = fac.cblks[t]
+    tsym = tnc.sym
+    stats = fac.stats.kernels
+    coff = clo - tsym.first_col
+    if rlo < tsym.end_col:
+        rloc = rlo - tsym.first_col
+        if side == "l":
+            lr2ge_update(tnc.diag, contrib, rloc, coff, stats,
+                         backend=fac.backend)
+        else:
+            lr2ge_update(tnc.diag, F._transpose(contrib), coff, rloc, stats,
+                         backend=fac.backend)
+        return
+    for bidx, olo, ohi in find_blocks(fac.symb, t, rlo, rhi):
+        assert bidx > 0
+        i = bidx - 1
+        piece = _slice_rows(contrib, olo - rlo, ohi - rlo)
+        block = tsym.blocks[bidx]
+        row_off_in_block = olo - block.first_row
+        if tnc.panel_mode:
+            panel = tnc.lpanel if side == "l" else tnc.upanel
+            plo = tnc.row_offsets[i] + row_off_in_block
+            lr2ge_update(panel[plo:plo + ohi - olo], piece, 0, coff, stats,
+                         backend=fac.backend)
+            continue
+        tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
+        if not isinstance(tgt, LowRankBlock):
+            lr2ge_update(tgt, piece, row_off_in_block, coff, stats,
+                         backend=fac.backend)
+        elif isinstance(piece, LowRankBlock):
+            if piece.rank:
+                acc.setdefault((side, i), []).append(
+                    (piece, row_off_in_block, coff))
+        else:
+            pend = acc.setdefault((side, i), [])
+            if not (pend and isinstance(pend[0][0], np.ndarray)):
+                pend.insert(0, (np.zeros((block.nrows, tsym.ncols),
+                                         dtype=fac.dtype), 0, 0))
+            lr2ge_update(pend[0][0], piece, row_off_in_block, coff, stats,
+                         backend=fac.backend)
+
+
+def reference_updates_from_panel(fac, nc, t, acc):
+    stats = fac.stats.kernels
+    sym = nc.sym
+    offs = nc.row_offsets
+    is_lu = nc.upanel is not None
+    d_scale = np.diag(nc.diag) if fac.config.factotype == "ldlt" else None
+    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
+    be = fac.backend
+    first, end = fac.symb.facing_ranges(sym.id)[t]
+    for j in range(first, end):
+        bj = sym.blocks[1 + j]
+        jlo, jhi = offs[j], offs[j + 1]
+        tail = slice(jlo, nc.offrows)
+        if is_lu:
+            ub_j = nc.upanel[jlo:jhi]
+        elif d_scale is not None:
+            ub_j = F.ldlt_d_mul_cols(nc.lpanel[jlo:jhi], d_scale,
+                                     nc.pivd21, hermitian)
+        else:
+            ub_j = nc.lpanel[jlo:jhi]
+        if hermitian:
+            ub_j = ub_j.conj()
+        w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
+        fl = F.gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
+        w_u = None
+        if is_lu:
+            w_u = be.gemm(nc.upanel[tail], nc.lpanel[jlo:jhi], trans_b="T")
+            fl *= 2
+        stats.add("dense_update", flops=fl * F.flop_scale(fac.dtype))
+        for i in range(j, sym.noff):
+            bi = sym.blocks[1 + i]
+            ilo, ihi = offs[i] - jlo, offs[i + 1] - jlo
+            _scatter(fac, t, bi.first_row, bi.end_row,
+                     bj.first_row, bj.end_row, w_l[ilo:ihi], "l", acc)
+            if is_lu and i > j:
+                _scatter(fac, t, bi.first_row, bi.end_row,
+                         bj.first_row, bj.end_row, w_u[ilo:ihi], "u", acc)
+
+
+def reference_updates_from_blocks(fac, nc, t, acc):
+    cfg = fac.config
+    stats = fac.stats.kernels
+    sym = nc.sym
+    is_lu = nc.ublocks is not None
+    d_scale = np.diag(nc.diag) if cfg.factotype == "ldlt" else None
+    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
+    promote = fac.dtype if fac.storage_dtype is not None else None
+    recompress = fac.variant.recompress if fac.variant is not None else True
+
+    def product(a, b):
+        if promote is not None:
+            a, b = F._promote(a, promote), F._promote(b, promote)
+        return lr_product(a, b, fac.comp_tol, cfg.kernel, stats,
+                          backend=fac.backend, recompress=recompress,
+                          norm_ref=fac.comp_norm_ref)
+
+    first, end = fac.symb.facing_ranges(sym.id)[t]
+    for j in range(first, end):
+        bj = sym.blocks[1 + j]
+        if is_lu:
+            ub_j = nc.ublocks[j]
+        elif d_scale is not None:
+            ub_j = F._scale_columns(nc.lblocks[j], d_scale, nc.pivd21,
+                                    hermitian)
+        else:
+            ub_j = nc.lblocks[j]
+        if hermitian:
+            ub_j = ub_j.conj()
+        for i in range(j, sym.noff):
+            bi = sym.blocks[1 + i]
+            contrib = product(nc.lblocks[i], ub_j)
+            if contrib is not None:
+                _scatter(fac, t, bi.first_row, bi.end_row,
+                         bj.first_row, bj.end_row, contrib, "l", acc)
+            if is_lu and i > j:
+                contrib_u = product(nc.ublocks[i], nc.lblocks[j])
+                if contrib_u is not None:
+                    _scatter(fac, t, bi.first_row, bi.end_row,
+                             bj.first_row, bj.end_row, contrib_u, "u", acc)
+
+
+def factor_arrays(fac):
+    """Every numerical array of the factor, in a fixed order."""
+    out = []
+    for nc in fac.cblks:
+        out += [nc.diag, nc.lpanel, nc.upanel]
+        for blocks in (nc.lblocks, nc.ublocks):
+            for b in blocks or ():
+                out += [b.u, b.v] if isinstance(b, LowRankBlock) else [b]
+    return out
+
+
+def assert_same_factor(fac, ref):
+    got, want = factor_arrays(fac), factor_arrays(ref)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def hermitian_lap3d(n=6, seed=2):
+    """``D A Dᴴ`` with a unitary diagonal ``D``: sparse, Hermitian positive
+    definite and genuinely complex."""
+    base = laplacian_3d(n)
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, base.n))
+    r = base.rowind
+    c = np.repeat(np.arange(base.n, dtype=np.int64), np.diff(base.colptr))
+    diag, up = r == c, r < c
+    vu = d[r[up]] * base.values[up] * np.conj(d[c[up]])
+    return CSCMatrix.from_coo(
+        base.n,
+        np.concatenate([r[diag], r[up], c[up]]),
+        np.concatenate([c[diag], c[up], r[up]]),
+        np.concatenate([base.values[diag].astype(np.complex128), vu,
+                        np.conj(vu)]))
+
+
+LANDING_CASES = {
+    "lu": (lambda: convection_diffusion_3d(6), dict(factotype="lu")),
+    "lu-float32": (lambda: laplacian_3d(6),
+                   dict(factotype="lu", dtype="float32")),
+    "cholesky": (lambda: laplacian_3d(6), dict(factotype="cholesky")),
+    "ldlt-threshold": (lambda: helmholtz_3d(9, wavenumber=3.0),
+                       dict(factotype="ldlt", pivoting="threshold")),
+    "cholesky-hermitian": (hermitian_lap3d, dict(factotype="cholesky")),
+    "ldlh-hermitian": (hermitian_lap3d,
+                       dict(factotype="ldlt", pivoting="threshold")),
+}
+
+
+class TestBatchedLandingMatchesPerPairScatter:
+    def both(self, monkeypatch, a, **cfg):
+        s = Solver(a, tiny_blr_config(**cfg))
+        s.factorize()
+        with monkeypatch.context() as m:
+            m.setattr(F, "_updates_from_panel", reference_updates_from_panel)
+            m.setattr(F, "_updates_from_blocks", reference_updates_from_blocks)
+            ref = Solver(a, tiny_blr_config(**cfg))
+            ref.factorize()
+        assert_same_factor(s.factor, ref.factor)
+        k, kr = s.factor.stats.kernels, ref.factor.stats.kernels
+        assert k.flops == kr.flops
+        assert k.call_count("lr_product") == kr.call_count("lr_product")
+        return s, ref
+
+    @pytest.mark.parametrize("case", sorted(LANDING_CASES))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bit_identical_factors_and_flops(self, monkeypatch, case,
+                                             strategy):
+        build, cfg = LANDING_CASES[case]
+        s, ref = self.both(monkeypatch, build(), strategy=strategy,
+                           tolerance=1e-6, **cfg)
+        if cfg.get("pivoting") == "threshold" and "hermitian" not in case:
+            assert s.factor.pivots_2x2 > 0
+        if strategy == "dense":
+            # one GEMM charge + one landing charge per facing block where
+            # the reference charged every (i, j, side) scatter
+            k, kr = s.factor.stats.kernels, ref.factor.stats.kernels
+            assert (k.call_count("dense_update")
+                    < kr.call_count("dense_update"))
+
+    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    def test_mixed_precision_storage(self, monkeypatch, strategy, factotype):
+        s, _ = self.both(monkeypatch, laplacian_3d(6), strategy=strategy,
+                         factotype=factotype, tolerance=1e-4,
+                         storage_dtype="float32")
+        assert s.factor.storage_dtype == np.float32
+
+    def test_hermitian_2x2_pivots(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        d = m + m.conj().T
+        d[np.diag_indices(40)] = 0.0  # forces 2x2 hermitian pivots
+        s, _ = self.both(monkeypatch, CSCMatrix.from_dense(d),
+                         strategy="dense", factotype="ldlt",
+                         pivoting="threshold", split_size=8, split_min=4)
+        assert s.factor.pivots_2x2 > 0 and s.symbolic.ncblk > 1
+
+    def test_panel_source_meets_blocks_target(self, monkeypatch):
+        s, _ = self.both(monkeypatch, laplacian_3d(8), strategy="adaptive",
+                         tolerance=1e-4, factotype="lu")
+        orders = {d.order for d in s.factor.decisions}
+        assert "cuf" in orders and orders & {"dense", "ucf"}
+        symb = s.symbolic
+        assert any(s.factor.decisions[t].order == "cuf"
+                   and s.factor.decisions[k].order != "cuf"
+                   for k in range(symb.ncblk)
+                   for t in symb.facing_ranges(k))
+
+
+class TestEnginesLandIdentically:
+    CONFIGS = {"dense": dict(strategy="dense"),
+               "jit": dict(strategy="just-in-time"),
+               "mm": dict(strategy="minimal-memory"),
+               "fuc": dict(strategy="just-in-time", variant="fuc"),
+               "adaptive": dict(strategy="adaptive")}
+
+    def factor(self, name, **engine):
+        s = Solver(laplacian_3d(8), tiny_blr_config(
+            tolerance=1e-4, **self.CONFIGS[name], **engine))
+        s.factorize()
+        return s.factor
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_threaded_matches_sequential(self, name):
+        want = factor_digest(self.factor(name))
+        for scheduler in ("dynamic", "static"):
+            fac = self.factor(name, threads=4, scheduler=scheduler)
+            assert factor_digest(fac) == want, scheduler
+
+    @pytest.mark.parametrize("name", ["dense", "jit", "fuc"])
+    def test_left_looking_matches_sequential(self, name):
+        # the left-looking engine allocates each target on first touch,
+        # right before the landings into it
+        assert (factor_digest(self.factor(name, left_looking=True))
+                == factor_digest(self.factor(name)))

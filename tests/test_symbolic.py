@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.sparse.generators import (
     convection_diffusion_3d,
@@ -15,6 +17,8 @@ from repro.symbolic.structure import (
     SymbolicColumnBlock,
     SymbolicFactor,
 )
+
+from tests.test_structure_golden import MATRICES, SETTINGS
 
 OPTS = SymbolicOptions(cmin=8, split_size=32, split_min=16,
                        compress_min_width=12, compress_min_height=4)
@@ -161,21 +165,22 @@ class TestLookups:
             assert symb.cblk_of_col(cb.first_col) == cb.id
             assert symb.cblk_of_col(cb.end_col - 1) == cb.id
 
-    def test_find_blocks_returns_exact_overlaps(self, symb):
+    def test_panel_positions_locate_every_block_row(self, symb):
         for cb in symb.cblks:
-            for b in cb.blocks:
-                found = list(symb.find_blocks(cb.id, b.first_row,
-                                              b.end_row))
-                assert any(cb.blocks[i] is b for i, _, _ in found)
-                for i, olo, ohi in found:
-                    blk = cb.blocks[i]
-                    assert blk.first_row <= olo < ohi <= blk.end_row
+            start = 0
+            for b in cb.off_blocks():
+                pos = symb.panel_positions(cb.id, b.rows())
+                assert np.array_equal(pos, start + np.arange(b.nrows))
+                start += b.nrows
 
-    def test_find_blocks_empty_range(self, symb):
+    def test_panel_positions_reject_rows_outside_structure(self, symb):
         cb = symb.cblks[0]
-        gap_row = cb.end_col  # row right after diag; may or may not be held
-        hits = list(symb.find_blocks(0, gap_row, gap_row))
-        assert hits == []
+        held = np.concatenate([b.rows() for b in cb.off_blocks()])
+        missing = np.setdiff1d(np.arange(cb.end_col, symb.n), held)
+        assert symb.panel_positions(0, held[:0]).size == 0
+        for row in (missing[0], missing[-1], symb.n):
+            with pytest.raises(AssertionError, match="outside the symbolic"):
+                symb.panel_positions(0, np.array([held[0], row]))
 
     def test_contributors_consistent_with_facing(self, symb):
         for cb in symb.cblks:
@@ -192,3 +197,152 @@ class TestLookups:
         for key in ("n", "ncblk", "nnz_blocks", "off_blocks",
                     "lr_candidates", "max_width", "mean_width"):
             assert key in s
+
+
+# ----------------------------------------------------------------------
+# landing map ≡ the per-block lookup it replaced
+# ----------------------------------------------------------------------
+
+def find_blocks(symb, t, lo, hi):
+    """``SymbolicFactor.find_blocks`` as it stood before the landing map
+    replaced it (kept as the reference oracle): yield ``(block_index, olo,
+    ohi)`` for the blocks of column block ``t`` overlapping global rows
+    ``[lo, hi)``, with the overlap ``[olo, ohi)``."""
+    blocks = symb.cblks[t].blocks
+    starts = np.array([b.first_row for b in blocks], dtype=np.int64)
+    i = int(np.searchsorted(starts, lo, side="right")) - 1
+    if i < 0:
+        i = 0
+    while i < len(blocks):
+        b = blocks[i]
+        if b.first_row >= hi:
+            break
+        olo = max(lo, b.first_row)
+        ohi = min(hi, b.end_row)
+        if olo < ohi:
+            yield i, olo, ohi
+        i += 1
+
+
+def reference_landing(symb, k, t):
+    """Where the old per-pair scatter put each row of source ``k`` at or
+    below its blocks facing ``t``: the local row of ``t``'s diagonal block,
+    or the row of ``t``'s stacked panel found through ``find_blocks``."""
+    tc = symb.cblks[t]
+    offs = np.concatenate(([0], np.cumsum([b.nrows for b in tc.off_blocks()])))
+    first, _ = symb.facing_ranges(k)[t]
+    drow, pos = [], []
+    for b in symb.cblks[k].off_blocks()[first:]:
+        if b.first_row < tc.end_col:
+            drow.extend(range(b.first_row - tc.first_col,
+                              b.end_row - tc.first_col))
+            continue
+        for bidx, olo, ohi in find_blocks(symb, t, b.first_row, b.end_row):
+            assert bidx > 0
+            start = offs[bidx - 1] + olo - tc.blocks[bidx].first_row
+            pos.extend(range(start, start + ohi - olo))
+    return drow, pos
+
+
+def assert_landing_matches_reference(symb):
+    npairs = 0
+    for k in range(symb.ncblk):
+        for t in symb.facing_ranges(k):
+            drow, pos = symb.landing_map(k, t)
+            ref_drow, ref_pos = reference_landing(symb, k, t)
+            assert drow.tolist() == ref_drow, (k, t)
+            assert pos.tolist() == ref_pos, (k, t)
+            npairs += 1
+    return npairs
+
+
+ZOO_CASES = [(name, ordering, setting)
+             for name in MATRICES if name.startswith("zoo-")
+             for ordering in ("nested-dissection", "geometric", "amd")
+             for setting in ("tiny-noreorder", "tiny-reorder")]
+
+
+@st.composite
+def source_target_structures(draw):
+    """A hand-built three-column-block structure: source 0, target 1 and a
+    rest 2 owning every row below.  The target holds a random row set cut
+    into blocks at random places (so blocks may touch or leave gaps), the
+    source a random subset of it cut independently (so one source block
+    may span two target blocks)."""
+    w0, w1 = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    tail = draw(st.integers(1, 24))
+    base, n = w0 + w1, w0 + w1 + tail
+
+    def chop(rows, facing):
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            return []
+        cuts = draw(st.lists(st.booleans(), min_size=rows.size,
+                             max_size=rows.size))
+        edge = np.flatnonzero((np.diff(rows) > 1) | np.array(cuts[1:], dtype=bool)) + 1
+        return [SymbolicBlock(int(r[0]), int(r.size), facing)
+                for r in np.split(rows, edge)]
+
+    in_t = np.array(draw(st.lists(st.booleans(), min_size=tail,
+                                  max_size=tail)))
+    in_s = in_t & np.array(draw(st.lists(st.booleans(), min_size=tail,
+                                         max_size=tail)))
+    facing_t = np.array(draw(st.lists(st.booleans(), min_size=w1,
+                                      max_size=w1)))
+    assume(facing_t.any())
+    src = SymbolicColumnBlock(0, 0, w0, 0, [
+        SymbolicBlock(0, w0, 0),
+        *chop(w0 + np.flatnonzero(facing_t), 1),
+        *chop(base + np.flatnonzero(in_s), 2)])
+    tgt = SymbolicColumnBlock(1, w0, w1, 1, [
+        SymbolicBlock(w0, w1, 1), *chop(base + np.flatnonzero(in_t), 2)])
+    rest = SymbolicColumnBlock(2, base, tail, 2,
+                               [SymbolicBlock(base, tail, 2)])
+    return SymbolicFactor(n, [src, tgt, rest])
+
+
+class TestLandingMap:
+    @settings(max_examples=len(ZOO_CASES), deadline=None)
+    @given(st.sampled_from(ZOO_CASES))
+    def test_matches_find_blocks_over_the_zoo(self, case):
+        name, ordering, setting = case
+        a, coords = MATRICES[name]()
+        assume(ordering != "geometric" or coords is not None)
+        opts = SymbolicOptions(**{**SETTINGS[setting].__dict__,
+                                  "ordering": ordering})
+        symb, _ = symbolic_factorization(a, opts, coords=coords)
+        assert assert_landing_matches_reference(symb) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(source_target_structures())
+    def test_matches_find_blocks_on_built_structures(self, symb):
+        assert assert_landing_matches_reference(symb) >= 1
+
+    def test_source_block_spanning_two_target_blocks_and_a_row_gap(self):
+        # target rows 6-8 | 9-10 (touching blocks), gap at 11, then 12-14;
+        # source block 8-10 spans the first two, source block 13-14 lands
+        # past the gap
+        src = SymbolicColumnBlock(0, 0, 2, 0, [
+            SymbolicBlock(0, 2, 0), SymbolicBlock(3, 1, 1),
+            SymbolicBlock(5, 1, 1), SymbolicBlock(8, 3, 2),
+            SymbolicBlock(13, 2, 2)])
+        tgt = SymbolicColumnBlock(1, 2, 4, 1, [
+            SymbolicBlock(2, 4, 1), SymbolicBlock(6, 3, 2),
+            SymbolicBlock(9, 2, 2), SymbolicBlock(12, 3, 2)])
+        rest = SymbolicColumnBlock(2, 6, 9, 2, [SymbolicBlock(6, 9, 2)])
+        symb = SymbolicFactor(15, [src, tgt, rest])
+        drow, pos = symb.landing_map(0, 1)
+        assert drow.tolist() == [1, 3]
+        assert pos.tolist() == [2, 3, 4, 6, 7]
+        assert assert_landing_matches_reference(symb) == 3
+
+    def test_source_row_missing_from_the_target_raises(self):
+        src = SymbolicColumnBlock(0, 0, 1, 0, [
+            SymbolicBlock(0, 1, 0), SymbolicBlock(1, 1, 1),
+            SymbolicBlock(3, 2, 2)])
+        tgt = SymbolicColumnBlock(1, 1, 1, 1, [
+            SymbolicBlock(1, 1, 1), SymbolicBlock(3, 1, 2)])
+        rest = SymbolicColumnBlock(2, 2, 3, 2, [SymbolicBlock(2, 3, 2)])
+        symb = SymbolicFactor(5, [src, tgt, rest])
+        with pytest.raises(AssertionError, match="outside the symbolic"):
+            symb.landing_map(0, 1)
