@@ -86,8 +86,9 @@ def compression_report(fac: NumericFactor) -> Dict[str, float]:
         if nc.diag is not None:
             diag_bytes += nc.diag.nbytes
         if nc.lpanel is not None:
+            # a panel holds one dense block per side and off-diagonal block
             dense_bytes += nc.lpanel.nbytes
-            n_dense += nc.sym.noff
+            n_dense += nc.sym.noff * fac.sides
             if nc.upanel is not None:
                 dense_bytes += nc.upanel.nbytes
             continue

@@ -378,23 +378,31 @@ def _ldlt_pivot(a: np.ndarray, u: float = 0.1,
 # column-stable panel kernels (numpy reference)
 # ----------------------------------------------------------------------
 
-def _stable_gemm(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` with a per-column-deterministic reduction.
+def _stable_gemm(a: np.ndarray, x: np.ndarray,
+                 trans: str = "N") -> np.ndarray:
+    """``op(a) @ x`` with a per-column-deterministic reduction.
 
-    Each output column is an independent BLAS gemv against the same
-    C-contiguous ``a`` and a contiguous copy of the input column, so its
-    bits cannot depend on the panel width.  A single BLAS gemm (or even
-    ``np.einsum``) does *not* have this property: their blocking / SIMD
-    inner-loop selection changes with the output shape, which changes
-    the summation tree per column.
+    Each output column is an independent BLAS gemv against the same ``a``
+    and a contiguous copy of the input column, so its bits cannot depend
+    on the panel width.  A single BLAS gemm (or even ``np.einsum``) does
+    *not* have this property: their blocking / SIMD inner-loop selection
+    changes with the output shape, which changes the summation tree per
+    column.
+
+    ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint ``aᴴ``
+    through the transposed gemv, which reads a C-contiguous ``a`` in place
+    (``aᴴ x`` as ``conj(aᵗ conj(x))``; ``.conj()`` passes real arrays
+    through).
     """
-    a = np.ascontiguousarray(a)
     xt = np.ascontiguousarray(x.T)  # one copy; each row is a contiguous col
-    out = np.empty((a.shape[0], x.shape[1]), dtype=np.result_type(a, x))
+    if trans == "C":
+        xt = xt.conj()
+    op = np.ascontiguousarray(a) if trans == "N" else a.T
+    out = np.empty((op.shape[0], x.shape[1]), dtype=np.result_type(a, x))
     for j in range(xt.shape[0]):
         # solverlint: ignore[python-hot-loop] -- one BLAS gemv per column: the per-column independence is the stability contract, and each iteration is a full vectorized matvec, not scalar work
-        out[:, j] = a @ xt[j]
-    return out
+        out[:, j] = op @ xt[j]
+    return out.conj() if trans == "C" else out
 
 
 def _sweep_lower(m: np.ndarray, x: np.ndarray, unit: bool) -> None:
@@ -502,8 +510,11 @@ class KernelBackend:
         raise NotImplementedError
 
     # -- column-stable panel kernels (the multi-RHS solve path) --------
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``a @ x`` on an ``(m, w) x (w, k)`` panel, column-stable."""
+    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
+                   trans: str = "N") -> np.ndarray:
+        """``op(a) @ x`` on a panel of ``k`` columns, column-stable;
+        ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint
+        ``aᴴ``, without the caller materialising the transpose."""
         raise NotImplementedError
 
     def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
@@ -613,9 +624,10 @@ class NumpyBackend(KernelBackend):
         return _ldlt_pivot(a, u, growth_limit, fallback, pivot_threshold)
 
     # -- column-stable panel kernels -----------------------------------
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
+                   trans: str = "N") -> np.ndarray:
         self._tick("panel_gemm")
-        return _stable_gemm(a, x)
+        return _stable_gemm(a, x, trans)
 
     def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
                    lower: bool = True, trans: str = "N",
@@ -648,14 +660,11 @@ class NumpyBackend(KernelBackend):
             dt = np.result_type(u, v, x)
             return np.zeros((rows, x.shape[1]), dtype=dt)
         if mode == "n":       # u (vᵗ x)
-            t = _stable_gemm(np.ascontiguousarray(v.T), x)
-            return _stable_gemm(u, t)
+            return _stable_gemm(u, _stable_gemm(v, x, "T"))
         if mode == "t":       # v (uᵗ x)
-            t = _stable_gemm(np.ascontiguousarray(u.T), x)
-            return _stable_gemm(v, t)
+            return _stable_gemm(v, _stable_gemm(u, x, "T"))
         # mode == "h": conj(v) (uᴴ x)
-        t = _stable_gemm(np.ascontiguousarray(u.conj().T), x)
-        return _stable_gemm(np.ascontiguousarray(v.conj()), t)
+        return _stable_gemm(v.conj(), _stable_gemm(u, x, "C"))
 
 
 class NumbaBackend(NumpyBackend):
@@ -721,10 +730,15 @@ class NumbaBackend(NumpyBackend):
             self._jit = (pgemm, sweep_lower, sweep_upper)
         return self._jit
 
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
+                   trans: str = "N") -> np.ndarray:
+        """JIT panel product; ``trans='C'`` applies the Hermitian adjoint
+        ``aᴴ``."""
         self._tick("panel_gemm")
         pgemm = self._kernels()[0]
         dt = np.result_type(a, x)
+        if trans != "N":
+            a = a.T if trans == "T" else a.conj().T
         a = np.ascontiguousarray(a, dtype=dt)
         x = np.ascontiguousarray(x, dtype=dt)
         out = np.empty((a.shape[0], x.shape[1]), dtype=dt)
@@ -768,14 +782,10 @@ class NumbaBackend(NumpyBackend):
             return np.zeros((rows, x.shape[1]),
                             dtype=np.result_type(u, v, x))
         if mode == "n":
-            return self.panel_gemm(u, self.panel_gemm(
-                np.ascontiguousarray(v.T), x))
+            return self.panel_gemm(u, self.panel_gemm(v, x, "T"))
         if mode == "t":
-            return self.panel_gemm(v, self.panel_gemm(
-                np.ascontiguousarray(u.T), x))
-        return self.panel_gemm(
-            np.ascontiguousarray(v.conj()),
-            self.panel_gemm(np.ascontiguousarray(u.conj().T), x))
+            return self.panel_gemm(v, self.panel_gemm(u, x, "T"))
+        return self.panel_gemm(v.conj(), self.panel_gemm(u, x, "C"))
 
 
 # ----------------------------------------------------------------------

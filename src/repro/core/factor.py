@@ -6,14 +6,18 @@ out:
 
 * **panel mode** — the column block's off-diagonal part is one contiguous
   dense array (``lpanel``, rows stacked in block order).  Used by the Dense
-  strategy throughout and by Just-In-Time until the column block is
-  compressed; contiguity is what lets the update loop issue one BLAS3 GEMM
-  per facing block instead of one per block pair.
+  strategy throughout and by every column block of a BLR run in which
+  nothing compressed; contiguity is what lets the update loop issue one
+  BLAS3 GEMM per facing block instead of one per block pair, the panel
+  solve one TRSM per side and the triangular solves one product per sweep.
 * **blocks mode** — a list with one entry per off-diagonal block, each a
-  dense array or a :class:`~repro.lowrank.block.LowRankBlock`.  Used by
-  Minimal Memory from assembly onward (the dense panel is *never
-  allocated* — the whole point of the strategy) and by Just-In-Time panels
-  after compression.
+  dense array or a :class:`~repro.lowrank.block.LowRankBlock`.  One rule, at
+  every compression site (:func:`compress_column_block`): **blocks mode =
+  holds at least one low-rank block**.  Minimal Memory still never charges
+  a dense panel it does not keep — a block is compressed from a transient
+  scratch and only what is stored is tracked — and a column block of its
+  whose candidates were all rejected keeps that scratch as its panels, at
+  the bytes its dense blocks would have cost.
 
 The diagonal block is always a separate dense ``(w, w)`` array (paper §2.2:
 "all diagonal blocks are considered dense").  For LU, a second structure
@@ -28,7 +32,16 @@ memory measurements are produced.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -331,32 +344,6 @@ class NumericFactor:
         self.tracker.resize(block_nbytes(old), block_nbytes(new))
         blocks[i] = new
 
-    def convert_to_blocks(self, nc: NumericColumnBlock) -> None:
-        """Switch a panel-mode column block to blocks mode (JIT compression
-        point): each off block becomes an owned array; panels are freed."""
-        if not nc.panel_mode:
-            return
-        lblocks: List[Block] = []
-        ublocks: Optional[List[Block]] = [] if nc.upanel is not None else None
-        new_bytes = 0
-        for i in range(nc.sym.noff):
-            lo, hi = nc.row_offsets[i], nc.row_offsets[i + 1]
-            lb = np.ascontiguousarray(nc.lpanel[lo:hi])
-            lblocks.append(lb)
-            new_bytes += array_nbytes(lb)
-            if ublocks is not None:
-                ub = np.ascontiguousarray(nc.upanel[lo:hi])
-                ublocks.append(ub)
-                new_bytes += array_nbytes(ub)
-        old_bytes = array_nbytes(nc.lpanel)
-        if nc.upanel is not None:
-            old_bytes += array_nbytes(nc.upanel)
-        self.tracker.resize(old_bytes, new_bytes)
-        nc.lpanel = None
-        nc.upanel = None
-        nc.lblocks = lblocks
-        nc.ublocks = ublocks
-
 
 def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
              config: SolverConfig,
@@ -371,8 +358,9 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
     * Compress-at-assembly (``cuf``, the Minimal Memory alias): Algorithm 1
       lines 1–4 — each low-rank candidate is compressed *directly from its
       sparse entries* (a transient dense scratch is built, compressed, and
-      freed; only the compressed form is charged to the tracker), so the
-      dense factor structure never exists.
+      freed; only what is stored is charged to the tracker), so the dense
+      factor structure never exists beside the compressed one.  A column
+      block in which nothing compressed keeps its scratch as its panels.
     * Adaptive: each supernode is probe-compressed and classified
       ``cuf``/``ucf``/``dense`` per the configured
       :class:`~repro.core.variants.AdaptivePolicy`; ``history`` (per-level
@@ -435,22 +423,17 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
             compress_now = decision.compress_early
         else:
             compress_now = variant is not None and variant.compress_at_assembly
+        udense = None
+        if need_u:
+            udense = np.zeros((nc.offrows, w), dtype=fac.dtype)
+            _scatter_panel(at_perm, symb, sym, None, udense)
         if compress_now:
-            # per-block storage, candidates compressed from their entries
-            nc.lblocks = _compress_assembled(fac, nc, ldense)
-            if need_u:
-                udense = np.zeros((nc.offrows, w), dtype=fac.dtype)
-                _scatter_panel(at_perm, symb, sym, None, udense)
-                nc.ublocks = _compress_assembled(fac, nc, udense)
-            else:
-                nc.ublocks = None
+            # candidates compressed from their entries; the dense scratch
+            # was never charged, only what is stored is
+            fac.tracker.alloc(compress_column_block(fac, nc, ldense, udense))
         else:
-            nc.lpanel = ldense
-            fac.tracker.alloc(array_nbytes(nc.lpanel))
-            if need_u:
-                nc.upanel = np.zeros((nc.offrows, w), dtype=fac.dtype)
-                fac.tracker.alloc(array_nbytes(nc.upanel))
-                _scatter_panel(at_perm, symb, sym, None, nc.upanel)
+            nc.lpanel, nc.upanel = ldense, udense
+            fac.tracker.alloc(array_nbytes(ldense) * fac.sides)
     return fac
 
 
@@ -559,15 +542,26 @@ def restore_column_block(fac: NumericFactor, k: int,
     fac.tracker.resize(before, nc.nbytes(fac.sides))
 
 
-def _compress_assembled(fac: NumericFactor, nc: NumericColumnBlock,
-                        dense: np.ndarray) -> List[Block]:
-    """Compress candidate blocks of a freshly assembled dense scratch.
+def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
+                          lpanel: np.ndarray,
+                          upanel: Optional[np.ndarray]) -> int:
+    """The compression point of one column block: try every low-rank
+    candidate of its dense ``lpanel`` / ``upanel``, store the outcome on
+    ``nc`` (narrowed to ``storage_dtype``) and return the bytes it holds.
+
+    One rule at every site: **blocks mode = holds at least one low-rank
+    block**.  When a candidate is accepted the column block gets per-block
+    storage (the other blocks as dense arrays); when none is, the panels
+    themselves are kept, so a column block that stayed dense costs what it
+    costs in the dense solver — same bytes, same batched kernels.
 
     When a fault injector arms the compression site (or a kernel genuinely
-    dies) and the recovery policy allows it, the whole scratch is kept
-    dense — the per-block dense fallback, cheapest rung of the escalation
+    dies) and the recovery policy allows it, nothing is tried and the
+    panels are kept — the dense fallback, cheapest rung of the escalation
     ladder."""
     cfg = fac.config
+    offs = nc.row_offsets
+    panels = [lpanel] if upanel is None else [lpanel, upanel]
     compress_ok = True
     if fac.faults is not None:
         try:
@@ -579,24 +573,32 @@ def _compress_assembled(fac: NumericFactor, nc: NumericColumnBlock,
             rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
                        error=type(exc).__name__)
             compress_ok = False
-    out: List[Block] = []
+    accepted: Dict[Tuple[int, int], LowRankBlock] = {}
     for i, b in enumerate(nc.sym.off_blocks()):
-        lo, hi = nc.row_offsets[i], nc.row_offsets[i + 1]
-        chunk = dense[lo:hi]
-        if b.lr_candidate and compress_ok:
-            cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
-            lr = compress_block(chunk, fac.comp_tol, cfg.kernel,
-                                max_rank=cap, stats=fac.stats.kernels,
+        if not (b.lr_candidate and compress_ok):
+            continue
+        cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
+        for side, panel in enumerate(panels):
+            lr = compress_block(panel[offs[i]:offs[i + 1]], fac.comp_tol,
+                                cfg.kernel, max_rank=cap,
+                                stats=fac.stats.kernels,
                                 norm_ref=fac.comp_norm_ref)
             if lr is not None:
-                if fac.storage_dtype is not None:
-                    lr = lr.astype(fac.storage_dtype)
-                fac.tracker.alloc(lr.nbytes)
-                out.append(lr)
-                continue
-        owned = np.ascontiguousarray(chunk)
+                accepted[side, i] = lr
+    # per side: the kept panel, or the list of its blocks once one compressed
+    stored: List[Any] = [None, None]
+    for side, panel in enumerate(panels):
+        kept: List[Block] = [panel] if not accepted else [
+            accepted.get((side, i),
+                         np.ascontiguousarray(panel[offs[i]:offs[i + 1]]))
+            for i in range(nc.sym.noff)]
         if fac.storage_dtype is not None:
-            owned = owned.astype(fac.storage_dtype)
-        fac.tracker.alloc(array_nbytes(owned))
-        out.append(owned)
-    return out
+            kept = [b.astype(fac.storage_dtype) for b in kept]
+        stored[side] = kept if accepted else kept[0]
+    if accepted:
+        nc.lpanel = nc.upanel = None
+        nc.lblocks, nc.ublocks = stored
+    else:
+        nc.lpanel, nc.upanel = stored
+        nc.lblocks = nc.ublocks = None
+    return nc.nbytes(fac.sides) - array_nbytes(nc.diag)

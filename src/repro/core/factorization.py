@@ -5,18 +5,20 @@ Per column block ``k`` the elimination performs the paper's three steps:
 1. factorize the dense diagonal block (``getrf`` without pivoting /
    ``potrf``);
 2. solve the off-diagonal panels against it — in Just-In-Time mode the
-   panels are compressed *first* (Algorithm 2 lines 3–4), so the solves run
-   on the ``v`` factors;
+   panels meet their compression point *first* (Algorithm 2 lines 3–4), so
+   the solves of the blocks that compressed run on the ``v`` factors;
 3. apply the update ``A(i),(j) -= L(i),k · U k,(j)`` for every pair of
    off-diagonal blocks — dense GEMM, ``LR2GE`` or ``LR2LR`` depending on
    strategy and block storage.  Updates are *pulled* per target column
    block; those aimed at a low-rank block are gathered over all
    contributors and recompressed once (:data:`UpdateAccumulator`).
 
-The Dense strategy keeps column blocks in panel mode, which lets step 3 run
-one batched GEMM per facing block ``(j)`` covering all ``(i)`` at once
-(PaStiX's stacked-panel trick); the BLR strategies dispatch per block pair
-through :mod:`repro.lowrank.kernels`.
+A column block stays in panel mode until a block in it actually compresses
+(*blocks mode = holds at least one low-rank block*, whatever the strategy),
+which lets step 2 run one TRSM per side and step 3 one batched GEMM per
+facing block ``(j)`` covering all ``(i)`` at once (PaStiX's stacked-panel
+trick); only a column block that holds a low-rank block dispatches per
+block pair through :mod:`repro.lowrank.kernels`.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ from repro.core.dense_kernels import (
     trsm_flops,
 )
 from repro.core.backend import PivotError
-from repro.core.factor import Block, NumericColumnBlock, NumericFactor
+from repro.core.factor import (
+    Block,
+    NumericColumnBlock,
+    NumericFactor,
+    compress_column_block,
+)
 from repro.runtime.recovery import NumericalBreakdown
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import (
     block_nbytes,
-    compress_block,
     lr2ge_update,
     lr2lr_update_multi,
     lr_product,
@@ -360,75 +366,23 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
 
 
 def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
-    """Compress fully-updated dense panels into per-block storage
-    (Algorithm 2 lines 3-4 for ``ucf``; also the ``ufc``/``fuc``
-    compression point, where the panels are additionally solved).
-
-    A compression-site fault (or policy-forbidden kernel failure) keeps the
-    whole panel dense via :meth:`NumericFactor.convert_to_blocks` when the
-    recovery policy allows the per-block dense fallback."""
+    """Compression point of fully-updated dense panels (Algorithm 2 lines
+    3-4 for ``ucf``; also the ``ufc``/``fuc`` compression point, where the
+    panels are additionally solved).  The column block leaves panel mode
+    only if a block is accepted
+    (:func:`~repro.core.factor.compress_column_block`)."""
     if not nc.panel_mode:
         return
-    if fac.faults is not None:
-        try:
-            fac.faults.on_compress(fac, nc.sym.id)
-        except Exception as exc:
-            rec = fac.recovery
-            if rec is None or not rec.policy.dense_fallback:
-                raise
-            rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
-                       error=type(exc).__name__)
-            fac.convert_to_blocks(nc)
-            return
     prof = fac.profiler
     _sid = (prof.start("compress", cblk=nc.sym.id, kernel=fac.config.kernel)
             if prof is not None else None)
     try:
-        _compress_panels_body(fac, nc)
+        old_bytes = array_nbytes(nc.lpanel) * fac.sides
+        fac.tracker.resize(old_bytes, compress_column_block(
+            fac, nc, nc.lpanel, nc.upanel))
     finally:
         if prof is not None:
             prof.end(_sid)
-
-
-def _compress_panels_body(fac: NumericFactor,
-                          nc: NumericColumnBlock) -> None:
-    cfg = fac.config
-    stats = fac.stats.kernels
-    lblocks: list = []
-    ublocks: Optional[list] = [] if nc.upanel is not None else None
-    new_bytes = 0
-    for i, b in enumerate(nc.sym.off_blocks()):
-        lo, hi = nc.row_offsets[i], nc.row_offsets[i + 1]
-        cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
-        for side, panel, out in (("l", nc.lpanel, lblocks),
-                                 ("u", nc.upanel, ublocks)):
-            if out is None:
-                continue
-            chunk = panel[lo:hi]
-            lr = None
-            if b.lr_candidate:
-                lr = compress_block(chunk, fac.comp_tol, cfg.kernel,
-                                    max_rank=cap, stats=stats,
-                                    norm_ref=fac.comp_norm_ref)
-            if lr is not None:
-                if fac.storage_dtype is not None:
-                    lr = lr.astype(fac.storage_dtype)
-                out.append(lr)
-                new_bytes += lr.nbytes
-            else:
-                owned = np.ascontiguousarray(chunk)
-                if fac.storage_dtype is not None:
-                    owned = owned.astype(fac.storage_dtype)
-                out.append(owned)
-                new_bytes += array_nbytes(owned)
-    old_bytes = array_nbytes(nc.lpanel)
-    if nc.upanel is not None:
-        old_bytes += array_nbytes(nc.upanel)
-    fac.tracker.resize(old_bytes, new_bytes)
-    nc.lpanel = None
-    nc.upanel = None
-    nc.lblocks = lblocks
-    nc.ublocks = ublocks
 
 
 def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
@@ -610,7 +564,10 @@ def apply_updates_from(fac: NumericFactor, k: int, target: int,
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
                         t: int, acc: UpdateAccumulator) -> None:
-    """Batched dense updates: one GEMM per block ``(j)`` facing ``t``.
+    """Batched dense updates: one GEMM per side and block ``(j)`` facing
+    ``t`` — all ``(i) >= (j)`` of L at once, all ``(i) > (j)`` of Uᵗ (its
+    ``(j, j)`` product is the L side's transposed), so the flops are those
+    of the per-pair products.
 
     Hermitian factorizations (complex Cholesky/LDLᴴ) conjugate the
     transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``.
@@ -618,7 +575,12 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     stats = fac.stats.kernels
     sym = nc.sym
     offs = nc.row_offsets
-    is_lu = nc.upanel is not None
+    lpanel, upanel = nc.lpanel, nc.upanel
+    if fac.storage_dtype is not None:
+        # narrow-storage operands multiply in the compute dtype: promoted
+        # once per panel where the per-pair path promotes per block
+        lpanel, upanel = (_promote(p, fac.dtype) for p in (lpanel, upanel))
+    is_lu = upanel is not None
     d_scale = (np.diag(nc.diag)
                if fac.config.factotype == "ldlt" else None)
     # Hermitian facto (complex cholesky/ldlt): the trailing update is
@@ -633,63 +595,63 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     for j in range(first, end):
         bj = sym.blocks[1 + j]
         jlo, jhi = offs[j], offs[j + 1]
-        tail = slice(jlo, nc.offrows)
         t0 = time.perf_counter()
         if is_lu:
-            ub_j = nc.upanel[jlo:jhi]
+            ub_j = upanel[jlo:jhi]
         elif d_scale is not None:
             # L(j) D for LDLᵗ updates; the within-block pivot permutation
             # contracts away here (both operands live in the permuted
             # basis), only the block-diagonal D structure matters
-            ub_j = ldlt_d_mul_cols(nc.lpanel[jlo:jhi], d_scale,
+            ub_j = ldlt_d_mul_cols(lpanel[jlo:jhi], d_scale,
                                    nc.pivd21, hermitian)
         else:
-            ub_j = nc.lpanel[jlo:jhi]
+            ub_j = lpanel[jlo:jhi]
         if hermitian:
             ub_j = ub_j.conj()
-        # all (i) >= (j) at once
-        w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
+        w_l = be.gemm(lpanel[jlo:], ub_j, trans_b="T")
         fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
         w_u = None
         if is_lu:
-            w_u = be.gemm(nc.upanel[tail], nc.lpanel[jlo:jhi], trans_b="T")
-            fl += gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
+            w_u = be.gemm(upanel[jhi:], lpanel[jlo:jhi], trans_b="T")
+            fl += gemm_flops(nc.offrows - jhi, bj.nrows, nc.width)
         stats.add("dense_update", seconds=time.perf_counter() - t0,
                   flops=fl * flop_scale(fac.dtype))
 
-        # landing: rows facing t go to its diagonal block (the Uᵗ side,
-        # strictly below (j), transposed into the upper triangle), the rows
-        # below to its off-diagonal storage — one indexed subtract each,
-        # charged once with the flops of the per-pair subtracts it replaces
+        # landing: rows facing t go to its diagonal block (the Uᵗ side
+        # transposed into the upper triangle), the rows below to its
+        # off-diagonal storage — one indexed subtract each, charged once
+        # with the flops of the per-pair subtracts it replaces
         t0 = time.perf_counter()
         coff = bj.first_row - tnc.sym.first_col
         cols = slice(coff, coff + bj.nrows)
-        nd = dend - jlo
+        nd, nd_u = dend - jlo, dend - jhi
         tnc.diag[drow[jlo - base:], cols] -= w_l[:nd]
         landed = nd
         if is_lu:
-            tnc.diag[cols, drow[jhi - base:]] -= w_u[jhi - jlo:nd].T
-            landed += dend - jhi
+            tnc.diag[cols, drow[jhi - base:]] -= w_u[:nd_u].T
+            landed += nd_u
         if tnc.panel_mode:
             tnc.lpanel[pos, cols] -= w_l[nd:]
             if is_lu:
-                tnc.upanel[pos, cols] -= w_u[nd:]
+                tnc.upanel[pos, cols] -= w_u[nd_u:]
             landed += fac.sides * len(pos)
         stats.add("dense_update", seconds=time.perf_counter() - t0,
                   flops=float(landed * bj.nrows))
         if not tnc.panel_mode:
             for i in range(end, sym.noff):
-                rows = slice(offs[i] - jlo, offs[i + 1] - jlo)
                 row = pos[offs[i] - dend]
-                _land_block(fac, tnc, False, row, coff, w_l[rows], "l", acc)
+                _land_block(fac, tnc, False, row, coff,
+                            w_l[offs[i] - jlo:offs[i + 1] - jlo], "l", acc)
                 if is_lu:
-                    _land_block(fac, tnc, False, row, coff, w_u[rows], "u",
+                    _land_block(fac, tnc, False, row, coff,
+                                w_u[offs[i] - jhi:offs[i + 1] - jhi], "u",
                                 acc)
 
 
 def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
                          t: int, acc: UpdateAccumulator) -> None:
-    """Per-pair updates through the low-rank kernels (JIT / MM sources).
+    """Per-pair updates through the low-rank kernels — the sources that
+    left panel mode because a block of theirs compressed.
 
     Hermitian factorizations conjugate the transposed operand
     (``A(i,j) -= L(i) L(j)ᴴ``), as in the panel path.

@@ -1,9 +1,11 @@
 """Triangular solves on the block factorization (paper step 4).
 
-Works on the mixed dense/low-rank storage produced by any strategy.  Low-rank
-blocks apply as ``u (vᵗ x)`` — the solve step is what the paper's Table 2
-"Solve time" row measures, and it is *faster* than the dense solve because
-the work is proportional to the stored ranks.
+Works on the mixed dense/low-rank storage produced by any strategy.  A
+column block that is still one stacked panel (nothing in it compressed)
+applies as one product per sweep and side; in blocks mode low-rank blocks
+apply as ``u (vᵗ x)`` — the solve step is what the paper's Table 2 "Solve
+time" row measures, and it is *faster* than the dense solve because the work
+is proportional to the stored ranks.
 
 Conventions (matching :mod:`repro.core.factorization`):
 
@@ -26,38 +28,57 @@ only the requested triangle, so no ``np.triu`` copies are taken.
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 import numpy as np
 
-from repro.core.backend import KernelBackend
-from repro.core.factor import Block, NumericFactor
+from repro.core.factor import Block, NumericColumnBlock, NumericFactor
 from repro.core.factorization import ldlt_d_solve_rows
 from repro.lowrank.block import LowRankBlock
 
 
-def _apply_block(be: KernelBackend, block: Block,
-                 x_cols: np.ndarray) -> np.ndarray:
-    """``block @ x_cols`` for dense or low-rank block (column-stable)."""
-    if isinstance(block, LowRankBlock):
-        return be.lr_apply(block.u, block.v, x_cols, mode="n")
-    return be.panel_gemm(block, x_cols)
+def _apply_below(fac: NumericFactor, nc: NumericColumnBlock,
+                 panel: Optional[np.ndarray],
+                 blocks: Optional[List[Block]], x: np.ndarray) -> None:
+    """``x[rows below] -= A(1:bk),k · x[k's columns]`` — the forward step
+    of one column block.  A panel is one stacked column-stable product
+    scattered through the column block's row frame; in blocks mode every
+    dense block applies as a panel of its own and every low-rank block as
+    ``u (vᵗ x)``."""
+    be = fac.backend
+    x_cols = x[nc.sym.first_col:nc.sym.end_col]
+    if panel is not None:
+        x[fac.symb.off_rows[nc.sym.id]] -= be.panel_gemm(panel, x_cols)
+        return
+    for b, block in zip(nc.sym.off_blocks(), blocks):
+        if isinstance(block, LowRankBlock):
+            x[b.first_row:b.end_row] -= be.lr_apply(block.u, block.v, x_cols)
+        else:
+            x[b.first_row:b.end_row] -= be.panel_gemm(block, x_cols)
 
 
-def _apply_block_t(be: KernelBackend, block: Block,
-                   x_rows: np.ndarray) -> np.ndarray:
-    """``block.T @ x_rows`` (pure transpose — the LU paths)."""
-    if isinstance(block, LowRankBlock):
-        return be.lr_apply(block.u, block.v, x_rows, mode="t")
-    return be.panel_gemm(np.ascontiguousarray(block.T), x_rows)
-
-
-def _apply_block_h(be: KernelBackend, block: Block,
-                   x_rows: np.ndarray) -> np.ndarray:
-    """``blockᴴ @ x_rows`` (adjoint — the symmetric backward passes; for
-    real blocks ``conj`` is a no-copy pass-through, so this coincides
-    bit-for-bit with :func:`_apply_block_t`)."""
-    if isinstance(block, LowRankBlock):
-        return be.lr_apply(block.u, block.v, x_rows, mode="h")
-    return be.panel_gemm(np.ascontiguousarray(block.conj().T), x_rows)
+def _apply_below_t(fac: NumericFactor, nc: NumericColumnBlock,
+                   panel: Optional[np.ndarray],
+                   blocks: Optional[List[Block]], x: np.ndarray,
+                   trans: str = "T") -> np.ndarray:
+    """``x[k's columns] -= op(A(1:bk),k) · x[rows below]`` with ``op`` the
+    transpose (``trans='T'``, the LU paths) or the adjoint (``'C'``, the
+    symmetric backward passes; the same bits for real factors) — the
+    backward step of one column block, returning the updated view.  The
+    transposed product reads the stored panel / block in place."""
+    be = fac.backend
+    acc = x[nc.sym.first_col:nc.sym.end_col]
+    if panel is not None:
+        acc -= be.panel_gemm(panel, x[fac.symb.off_rows[nc.sym.id]], trans)
+        return acc
+    mode = "t" if trans == "T" else "h"
+    for b, block in zip(nc.sym.off_blocks(), blocks):
+        x_rows = x[b.first_row:b.end_row]
+        if isinstance(block, LowRankBlock):
+            acc -= be.lr_apply(block.u, block.v, x_rows, mode=mode)
+        else:
+            acc -= be.panel_gemm(block, x_rows, trans)
+    return acc
 
 
 def solve_factored(fac: NumericFactor, b: np.ndarray,
@@ -116,37 +137,27 @@ def _forward_lu(fac: NumericFactor, x: np.ndarray) -> None:
     """``L y = b`` (unit-lower), overwriting ``x``."""
     be = fac.backend
     for nc in fac.cblks:
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
+        lo, hi = nc.sym.first_col, nc.sym.end_col
         x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=True,
                                  unit_diagonal=True)
-        for i, b in enumerate(sym.off_blocks()):
-            x[b.first_row:b.end_row] -= _apply_block(be, nc.lblock(i),
-                                                     x[lo:hi])
+        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
 
 
 def _backward_lu(fac: NumericFactor, x: np.ndarray) -> None:
-    """``U x = y``; off-diagonal U applied via the stored Uᵗ blocks."""
+    """``U x = y``; off-diagonal U applied via the stored Uᵗ blocks
+    (``U[k, (i)] = (Uᵗ(i),k)ᵗ``)."""
     be = fac.backend
     for nc in reversed(fac.cblks):
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
-        acc = x[lo:hi]
-        for i, b in enumerate(sym.off_blocks()):
-            # U[k, (i)] = (Uᵗ(i),k)ᵗ
-            acc -= _apply_block_t(be, nc.ublock(i), x[b.first_row:b.end_row])
-        x[lo:hi] = be.panel_trsm(nc.diag, acc, lower=False)
+        acc = _apply_below_t(fac, nc, nc.upanel, nc.ublocks, x)
+        acc[...] = be.panel_trsm(nc.diag, acc, lower=False)
 
 
 def _forward_cholesky(fac: NumericFactor, x: np.ndarray) -> None:
     be = fac.backend
     for nc in fac.cblks:
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
+        lo, hi = nc.sym.first_col, nc.sym.end_col
         x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=True)
-        for i, b in enumerate(sym.off_blocks()):
-            x[b.first_row:b.end_row] -= _apply_block(be, nc.lblock(i),
-                                                     x[lo:hi])
+        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
 
 
 def _backward_cholesky(fac: NumericFactor, x: np.ndarray) -> None:
@@ -155,12 +166,8 @@ def _backward_cholesky(fac: NumericFactor, x: np.ndarray) -> None:
     be = fac.backend
     trans = "C" if fac.dtype.kind == "c" else "T"
     for nc in reversed(fac.cblks):
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
-        acc = x[lo:hi]
-        for i, b in enumerate(sym.off_blocks()):
-            acc -= _apply_block_h(be, nc.lblock(i), x[b.first_row:b.end_row])
-        x[lo:hi] = be.panel_trsm(nc.diag, acc, lower=True, trans=trans)
+        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x, trans)
+        acc[...] = be.panel_trsm(nc.diag, acc, lower=True, trans=trans)
 
 
 def _forward_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
@@ -172,14 +179,11 @@ def _forward_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
     side rows, then run the usual unit-lower solve."""
     be = fac.backend
     for nc in fac.cblks:
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
+        lo, hi = nc.sym.first_col, nc.sym.end_col
         rhs = x[lo:hi] if nc.pivperm is None else x[lo:hi][nc.pivperm]
         x[lo:hi] = be.panel_trsm(nc.diag, rhs, lower=True,
                                  unit_diagonal=True)
-        for i, b in enumerate(sym.off_blocks()):
-            x[b.first_row:b.end_row] -= _apply_block(be, nc.lblock(i),
-                                                     x[lo:hi])
+        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
@@ -209,17 +213,13 @@ def _backward_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
     be = fac.backend
     trans = "C" if fac.dtype.kind == "c" else "T"
     for nc in reversed(fac.cblks):
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
-        acc = x[lo:hi]
-        for i, b in enumerate(sym.off_blocks()):
-            acc -= _apply_block_h(be, nc.lblock(i), x[b.first_row:b.end_row])
+        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x, trans)
         sol = be.panel_trsm(nc.diag, acc, lower=True, trans=trans,
                             unit_diagonal=True)
         if nc.pivperm is None:
-            x[lo:hi] = sol
+            acc[...] = sol
         else:
-            x[lo:hi][nc.pivperm] = sol
+            acc[nc.pivperm] = sol
 
 
 def _forward_ut(fac: NumericFactor, x: np.ndarray) -> None:
@@ -227,22 +227,15 @@ def _forward_ut(fac: NumericFactor, x: np.ndarray) -> None:
     are exactly the stored ``Uᵗ(i),k`` blocks, applied untransposed."""
     be = fac.backend
     for nc in fac.cblks:
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
+        lo, hi = nc.sym.first_col, nc.sym.end_col
         x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=False, trans="T")
-        for i, b in enumerate(sym.off_blocks()):
-            x[b.first_row:b.end_row] -= _apply_block(be, nc.ublock(i),
-                                                     x[lo:hi])
+        _apply_below(fac, nc, nc.upanel, nc.ublocks, x)
 
 
 def _backward_lt(fac: NumericFactor, x: np.ndarray) -> None:
     """``Lᵗ x = z`` with the unit-lower L blocks applied transposed."""
     be = fac.backend
     for nc in reversed(fac.cblks):
-        sym = nc.sym
-        lo, hi = sym.first_col, sym.end_col
-        acc = x[lo:hi]
-        for i, b in enumerate(sym.off_blocks()):
-            acc -= _apply_block_t(be, nc.lblock(i), x[b.first_row:b.end_row])
-        x[lo:hi] = be.panel_trsm(nc.diag, acc, lower=True, trans="T",
+        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x)
+        acc[...] = be.panel_trsm(nc.diag, acc, lower=True, trans="T",
                                  unit_diagonal=True)

@@ -194,7 +194,8 @@ class TestSolverAccumulation:
         # fail the task of a column block whose low-rank blocks have just
         # been flushed: the retry must regather from the restored snapshot
         k = max(nc.sym.id for nc in base.factor.cblks
-                if any(isinstance(b, LowRankBlock) for b in nc.lblocks))
+                if any(isinstance(b, LowRankBlock)
+                       for b in nc.lblocks or ()))
         s = self.mm_solver(recovery=RecoveryPolicy())
         inj = FaultInjector()
         inj.fail_factor(k, transient=True)

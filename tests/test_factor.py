@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.factor import assemble
+from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from repro.sparse.permute import permute_symmetric
@@ -84,13 +85,28 @@ class TestMinimalMemoryAssembly:
         assert ncomp > 0
 
     def test_never_allocates_dense_panels(self):
-        cfg = tiny_blr_config(strategy="minimal-memory")
-        a = laplacian_3d(5)
+        """What Minimal Memory promises at assembly: only what is stored is
+        charged (the dense scratch a block is compressed from never is), a
+        column block holding a low-rank block holds no panel, and one that
+        kept its panel — nothing in it compressed — holds nothing else."""
+        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
+        a = laplacian_3d(8)
         symb, ap = setup(a, cfg)
         fac = assemble(ap, symb, cfg)
+        assert fac.tracker.current == fac.factor_nbytes()
+        assert fac.tracker.peak == fac.tracker.current
+        modes = set()
         for nc in fac.cblks:
-            assert nc.lpanel is None
-            assert nc.lblocks is not None
+            assert (nc.lpanel is None) != (nc.lblocks is None)
+            assert (nc.upanel is None) == (nc.lpanel is None)
+            if nc.lblocks is not None:
+                assert any(isinstance(b, LowRankBlock)
+                           for b in nc.lblocks + nc.ublocks)
+            modes.add(nc.panel_mode)
+        assert modes == {True, False}
+        # the run's peak is this PR's parent's, to the byte: a kept panel is
+        # charged what its per-block copies were
+        assert Solver(a, cfg).factorize().peak_nbytes == 223200
 
     def test_initial_compression_cheaper_than_dense(self):
         """MM assembly peak must not exceed the dense factor size."""
@@ -102,27 +118,13 @@ class TestMinimalMemoryAssembly:
 
 
 class TestBlockAccessors:
-    def test_convert_to_blocks_preserves_values(self):
-        cfg = tiny_blr_config(strategy="dense")
-        a = laplacian_2d(5)
-        symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
-        nc = max(fac.cblks, key=lambda c: c.sym.noff)
-        before = [np.array(nc.lblock(i)) for i in range(nc.sym.noff)]
-        bytes_before = fac.tracker.current
-        fac.convert_to_blocks(nc)
-        assert not nc.panel_mode
-        for i in range(nc.sym.noff):
-            np.testing.assert_array_equal(nc.lblock(i), before[i])
-        # same dense payload, same accounting
-        assert fac.tracker.current == bytes_before
-
     def test_set_block_updates_tracking(self):
-        cfg = tiny_blr_config(strategy="minimal-memory")
-        a = laplacian_2d(6)
+        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
+        a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
         fac = assemble(ap, symb, cfg)
-        nc = next(c for c in fac.cblks if c.sym.noff)
+        # blocks mode = the column block holds a low-rank block
+        nc = next(c for c in fac.cblks if c.lblocks)
         old_total = fac.tracker.current
         big = np.zeros((nc.sym.blocks[1].nrows, nc.width))
         fac.set_block(nc, "l", 0, big)

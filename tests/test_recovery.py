@@ -378,6 +378,37 @@ class TestCheckpointRestart:
         b = np.ones(a.n)
         assert resumed.backward_error(resumed.solve(b), b) <= 1e-6
 
+    def test_kept_panels_and_split_column_blocks_round_trip(self, tmp_path):
+        """A JIT run holds both storage modes — most column blocks keep
+        their panel, the ones with a low-rank block are split.  A
+        snapshot/restore task retry and a checkpoint resume, interrupted at
+        a split column block, both end in the clean run's factors."""
+        a = laplacian_3d(8)
+        cfg = self._cfg(tolerance=1e-4)
+        clean = Solver(a, cfg)
+        clean.factorize()
+        want = factor_digest(clean.factor)
+        split = [nc.sym.id for nc in clean.factor.cblks if not nc.panel_mode]
+        assert 0 < len(split) < clean.symbolic.ncblk / 2
+        k = split[len(split) // 2]
+
+        s = Solver(a, self._cfg(tolerance=1e-4, recovery=RecoveryPolicy()))
+        inj = FaultInjector()
+        inj.fail_factor(k, transient=True)
+        s.factorize(faults=inj)
+        assert s.last_recovery["counts"] == {"task_retry": 1}
+        assert factor_digest(s.factor) == want
+
+        ckpt = tmp_path / "mixed.ckpt"
+        s = Solver(a, cfg)
+        inj = FaultInjector()
+        inj.fail_factor(k)
+        with pytest.raises(FaultError):
+            s.factorize(faults=inj, checkpoint=ckpt)
+        resumed = Solver(a, cfg)
+        resumed.resume_from(ckpt)
+        assert factor_digest(resumed.factor) == want
+
     def test_resume_rejects_different_matrix(self, tmp_path):
         a = laplacian_3d(5)
         ckpt = tmp_path / "m.ckpt"

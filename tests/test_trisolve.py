@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.serialize import load_factor, save_factor
 from repro.core.solver import Solver
-from repro.core.trisolve import solve_factored
+from repro.core.trisolve import _diag_scale_ldlt, solve_factored
+from repro.lowrank.block import LowRankBlock
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from repro.sparse.permute import permute_symmetric
 from tests.conftest import tiny_blr_config
+from tests.test_factorization import LANDING_CASES
 
 
 def factored(a, **cfg_overrides):
@@ -120,3 +123,120 @@ class TestMultiRhsBitwise:
         wide = solve_factored(s.factor, b)
         narrow = solve_factored(s.factor, np.ascontiguousarray(b[:, :2]))
         np.testing.assert_array_equal(wide[:, :2], narrow)
+
+
+# ----------------------------------------------------------------------
+# stacked sweeps ≡ the per-block sweeps they replaced
+# ----------------------------------------------------------------------
+#
+# The reference below is the solve as it ran before a column block kept its
+# panel: every off-diagonal block applies on its own, a dense block's
+# transpose through a contiguous copy.  The engine applies a kept panel as
+# one stacked product per sweep and side and reads transposed operands in
+# place — the same sums in another order, so equal to rounding — and must
+# keep every column of a panel solve bit-identical to its single solve.
+
+def _reference_apply(be, block, x, mode):
+    if isinstance(block, LowRankBlock):
+        return be.lr_apply(block.u, block.v, x, mode=mode)
+    op = {"n": block, "t": block.T, "h": block.conj().T}[mode]
+    return be.panel_gemm(np.ascontiguousarray(op), x)
+
+
+def reference_solve(fac, b, trans=False):
+    be = fac.backend
+    factotype = fac.config.factotype
+    adjoint = "C" if fac.dtype.kind == "c" else "T"
+    if factotype == "lu" and trans:
+        forward = "ublock", dict(lower=False, trans="T")
+        backward = "lblock", "t", dict(lower=True, trans="T",
+                                       unit_diagonal=True)
+    elif factotype == "lu":
+        forward = "lblock", dict(lower=True, unit_diagonal=True)
+        backward = "ublock", "t", dict(lower=False)
+    else:
+        unit = factotype == "ldlt"
+        forward = "lblock", dict(lower=True, unit_diagonal=unit)
+        backward = "lblock", "h", dict(lower=True, trans=adjoint,
+                                       unit_diagonal=unit)
+    x = np.array(b, dtype=np.result_type(fac.dtype, b.dtype), order="C")
+    for nc in fac.cblks:
+        lo, hi = nc.sym.first_col, nc.sym.end_col
+        rhs = x[lo:hi] if nc.pivperm is None else x[lo:hi][nc.pivperm]
+        x[lo:hi] = be.panel_trsm(nc.diag, rhs, **forward[1])
+        for i, blk in enumerate(nc.sym.off_blocks()):
+            x[blk.first_row:blk.end_row] -= _reference_apply(
+                be, getattr(nc, forward[0])(i), x[lo:hi], "n")
+    if factotype == "ldlt":
+        _diag_scale_ldlt(fac, x)
+    for nc in reversed(fac.cblks):
+        lo, hi = nc.sym.first_col, nc.sym.end_col
+        acc = x[lo:hi]
+        for i, blk in enumerate(nc.sym.off_blocks()):
+            acc -= _reference_apply(be, getattr(nc, backward[0])(i),
+                                    x[blk.first_row:blk.end_row],
+                                    backward[1])
+        sol = be.panel_trsm(nc.diag, acc, **backward[2])
+        if nc.pivperm is None:
+            x[lo:hi] = sol
+        else:
+            x[lo:hi][nc.pivperm] = sol
+    return x
+
+
+SWEEP_CASES = {
+    "lu": ("lu", False),
+    "lu-transposed": ("lu", True),
+    "cholesky": ("cholesky", False),
+    "ldlt-threshold": ("ldlt-threshold", False),
+    "cholesky-hermitian": ("cholesky-hermitian", False),
+    "ldlh-hermitian": ("ldlh-hermitian", False),
+}
+
+
+class TestStackedSweepsMatchPerBlockSweeps:
+    def check(self, fac, rng):
+        n = fac.symb.n
+        for trans in {False, fac.config.factotype == "lu"}:
+            assert solve_factored(fac, np.zeros((n, 0)),
+                                  trans=trans).shape == (n, 0)
+        b = rng.standard_normal((n, 16))
+        if fac.dtype.kind == "c":
+            b = b + 1j * rng.standard_normal((n, 16))
+        return b
+
+    @pytest.mark.parametrize("strategy", ["dense", "just-in-time",
+                                          "minimal-memory"])
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_sweeps(self, rng, case, strategy):
+        landing, trans = SWEEP_CASES[case]
+        build, cfg = LANDING_CASES[landing]
+        s = factored(build(), strategy=strategy, tolerance=1e-4, **cfg)
+        fac = s.factor
+        if strategy == "minimal-memory":  # both storage modes are walked
+            assert {nc.panel_mode for nc in fac.cblks} == {True, False}
+        b = self.check(fac, rng)
+        x = solve_factored(fac, b, trans=trans)
+        ref = reference_solve(fac, b, trans=trans)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        for j in (0, 7, 15):
+            col = solve_factored(fac, np.ascontiguousarray(b[:, j]),
+                                 trans=trans)
+            assert np.array_equal(x[:, j], col)
+
+    @pytest.mark.parametrize("storage_dtype", [None, "float32"])
+    def test_reloaded_factor(self, rng, tmp_path, storage_dtype):
+        s = factored(laplacian_3d(8), strategy="just-in-time",
+                     tolerance=1e-4, storage_dtype=storage_dtype)
+        fac, _ = load_factor(save_factor(s.factor, s.perm,
+                                         tmp_path / "f.npz"))
+        assert ([nc.panel_mode for nc in fac.cblks]
+                == [nc.panel_mode for nc in s.factor.cblks])
+        assert {nc.panel_mode for nc in fac.cblks} == {True, False}
+        b = self.check(fac, rng)
+        x = solve_factored(fac, b)
+        assert np.array_equal(x, solve_factored(s.factor, b))
+        ref = reference_solve(fac, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(
+            x[:, 3], solve_factored(fac, np.ascontiguousarray(b[:, 3])))

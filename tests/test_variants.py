@@ -170,7 +170,9 @@ class TestConfigValidation:
 class TestAliasBitIdentity:
     """``minimal-memory`` ≡ ``cuf`` and ``just-in-time`` ≡ ``ucf``:
     pinned sha256-identical float64 factors (same pins as the backend
-    conformance suite)."""
+    conformance suite; the Just-In-Time pin is the dense one, because
+    nothing compresses on this matrix and such a run *is* the dense
+    factorization — see the class below)."""
 
     def _digest(self, **overrides):
         s = Solver(laplacian_3d(6),
@@ -192,6 +194,57 @@ class TestAliasBitIdentity:
                             threshold_mode="local",
                             recompress_updates=True) == \
             SEED_DIGESTS[("just-in-time", "lu")]
+
+
+class TestNothingCompressedIsTheDenseFactorization:
+    """A column block is a panel until a block in it compresses, so a BLR
+    run that ends without a low-rank block took the dense solver's path
+    through every kernel: its factors are the dense run's, bit for bit."""
+
+    #: the orders whose compression point comes after assembly
+    LATE_ORDERS = ("ucf", "ufc", "fuc")
+
+    def _factor(self, faults=None, **overrides):
+        s = Solver(laplacian_3d(6), tiny_blr_config(
+            tolerance=1e-8, backend="numpy", **overrides))
+        s.factorize(faults=faults)
+        return s.factor
+
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    @pytest.mark.parametrize("order", LATE_ORDERS)
+    def test_every_candidate_over_its_rank_cap(self, order, factotype):
+        fac = self._factor(variant=order, factotype=factotype)
+        assert fac.stats.nblocks_compressed == 0
+        assert all(nc.panel_mode for nc in fac.cblks)
+        assert factor_digest(fac) == factor_digest(
+            self._factor(strategy="dense", factotype=factotype))
+
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    @pytest.mark.parametrize("order", LATE_ORDERS)
+    def test_every_compression_site_declines(self, order, factotype):
+        """Every compression site failed into the recovery ladder's dense
+        fallback, which leaves the column block in panel mode."""
+        from repro.runtime.faults import FaultInjector
+
+        inj = FaultInjector()
+        for k in range(65):
+            inj.fail_compress(k)
+        fac = self._factor(faults=inj, variant=order, factotype=factotype,
+                           recovery=RecoveryPolicy())
+        assert len(inj.fired) == len(fac.cblks) == 65
+        assert factor_digest(fac) == factor_digest(
+            self._factor(strategy="dense", factotype=factotype))
+
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    def test_compress_at_assembly_without_candidates(self, factotype):
+        """``cuf`` always accepts something at assembly when it has
+        candidates (a block that is all fill-in has rank 0), so it is run
+        with none: every assembled scratch is kept as the panels."""
+        none = dict(compress_min_width=10 ** 6, factotype=factotype)
+        fac = self._factor(variant="cuf", **none)
+        assert all(nc.panel_mode for nc in fac.cblks)
+        assert factor_digest(fac) == factor_digest(
+            self._factor(strategy="dense", **none))
 
 
 # ----------------------------------------------------------------------

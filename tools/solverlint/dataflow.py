@@ -578,7 +578,7 @@ class LocksetAnalysis:
         fresh literal) or dynamically, when its root is one of the caller's
         own owned params — that is how ownership flows through call chains
         (``factor_column_block`` → ``_compress_panels`` →
-        ``convert_to_blocks``)."""
+        ``compress_column_block``)."""
         def arg_owned(root: Optional[str], static: bool) -> bool:
             return static or (root is not None
                               and root in caller_state.owned_params)
