@@ -2,10 +2,10 @@
 
 One program, four gates:
 
-1. **Tree invariants** — a traced 4-thread factorization (both
-   schedulers) and a traced sequential run must each produce a healthy
-   span tree (single root, no orphans, containment/ordering respected).
-2. **Engine invariance** — the three causal trees must be *identical*
+1. **Tree invariants** — a traced 4-thread factorization and a traced
+   sequential run must each produce a healthy span tree (single root, no
+   orphans, containment/ordering respected).
+2. **Engine invariance** — the two causal trees must be *identical*
    (edges + attributes; timestamps and thread ids aside).
 3. **Bit identity** — the profiled float64 factors must hash
    sha256-identical to an unprofiled run.
@@ -42,8 +42,7 @@ from repro.sparse.generators import laplacian_3d
 
 ENGINES: Tuple[Tuple[str, dict], ...] = (
     ("sequential", dict(threads=1)),
-    ("threaded-dynamic", dict(threads=4, scheduler="dynamic")),
-    ("threaded-static", dict(threads=4, scheduler="static")),
+    ("threaded-dynamic", dict(threads=4)),
 )
 
 

@@ -28,7 +28,7 @@ Public API highlights:
   (``SolverConfig(recovery=RecoveryPolicy())``): breakdown detection,
   escalation ladders and checkpoint/restart (``docs/robustness.md``).
 * :mod:`repro.core.backend` — pluggable kernel backends
-  (``SolverConfig(backend="numba")`` / ``$REPRO_BACKEND``) behind a
+  (``SolverConfig(backend=...)`` / ``$REPRO_BACKEND``) behind a
   column-stable multi-RHS solve path (``docs/performance.md``).
 * :class:`~repro.core.variants.BlrVariant` /
   :class:`~repro.core.variants.AdaptivePolicy` — the composable variant

@@ -9,8 +9,8 @@ not just their numbers — without any plotting dependency.
 
 Only the features those figures need are implemented: grouped bars,
 optional per-bar labels, linear/log y axes, legends, reference lines —
-plus :func:`gantt_chart`, which renders a
-:class:`~repro.runtime.trace.TaskTracer` task trace as per-thread lanes
+plus :func:`gantt_chart`, which renders the kernel spans of a
+:class:`~repro.runtime.spans.SpanProfiler` document as per-thread lanes
 (the runtime-observability view of ``docs/observability.md``).
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: categorical palette (colour-blind friendly)
 PALETTE = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
@@ -264,33 +264,32 @@ def line_chart(path: Union[str, Path], x_values: Sequence[float],
     return cv.save(path)
 
 
-#: stable colour assignment for the trace event kinds: the classic
-#: factor/update pair plus the PR-7 variant kinds — "compress" (the ufc
-#: post-panel compression pass) and "finalize" (the fuc
-#: compress-after-updates pass) — so the variant lab's Gantt lanes are
-#: legible instead of falling through to the hashed generic bucket
+#: the span names a Gantt lane shows, with a stable colour each: the
+#: classic factor/update pair plus the variant kinds — "compress" (a
+#: compression pass over a column block's panels, drawn over the factor
+#: span it nests in) and "finalize" (the fuc compress-after-updates pass)
 _GANTT_KIND_COLORS = {"factor": PALETTE[0], "update": PALETTE[1],
                       "compress": PALETTE[2], "finalize": PALETTE[5]}
 
 
-def gantt_chart(path: Union[str, Path], events: Sequence[Any],
-                title: str = "",
+def gantt_chart(path: Union[str, Path],
+                spans: Sequence[Mapping[str, Any]], title: str = "",
                 width: int = 1000, lane_height: int = 26) -> Path:
-    """Render a task trace as a per-thread Gantt chart.
+    """Render the kernel spans of a span document as a per-thread Gantt
+    chart.
 
-    ``events`` is a sequence of :class:`~repro.runtime.trace.TraceEvent`
-    (or equivalent dicts, e.g. straight out of ``TaskTracer.to_json()``):
-    one lane per thread, one rectangle per task, coloured by task kind
-    (factor vs update).  Rectangles wide enough to be readable are labelled
-    with their column block id.
+    ``spans`` is a sequence of span dicts (``SpanProfiler.to_json()["spans"]``
+    or the same list read back from a file): one lane per thread, one
+    rectangle per ``factor`` / ``update`` / ``compress`` / ``finalize``
+    span, coloured by name; every other span (phases, the enclosing
+    ``task``) is skipped.  Rectangles wide enough to be readable are
+    labelled with their column block id.
     """
-    evs = []
-    for ev in events:
-        if isinstance(ev, dict):
-            evs.append((ev["thread"], ev["kind"], ev["cblk"],
-                        ev["t0"], ev["t1"]))
-        else:
-            evs.append((ev.thread, ev.kind, ev.cblk, ev.t0, ev.t1))
+    # document order is start order, so a compress span lands on top of
+    # the factor span it nests in
+    evs = [(int(s["thread"]), str(s["name"]), s["attrs"]["cblk"],
+            float(s["t0"]), float(s["t1"]))
+           for s in spans if s["name"] in _GANTT_KIND_COLORS]
     threads = sorted({thread for thread, *_ in evs})
     margin_l, margin_r, margin_t, margin_b = 70, 20, 50, 46
     plot_w = width - margin_l - margin_r
@@ -315,19 +314,18 @@ def gantt_chart(path: Union[str, Path], events: Sequence[Any],
 
     kinds_seen = []
     for thread, kind, cblk, t0, t1 in evs:
-        color = _GANTT_KIND_COLORS.get(
-            kind, PALETTE[(2 + hash(kind)) % len(PALETTE)])
         if kind not in kinds_seen:
             kinds_seen.append(kind)
         y = margin_t + lane_of[thread] * lane_height + 3
         x0, x1 = xpix(t0), xpix(t1)
         w = max(x1 - x0, 0.6)
-        cv.rect(x0, y, w, lane_height - 6, color, opacity=0.85)
+        cv.rect(x0, y, w, lane_height - 6, _GANTT_KIND_COLORS[kind],
+                opacity=0.85)
         if w > 26:
             cv.text(x0 + w / 2, y + (lane_height - 6) * 0.72, str(cblk),
                     size=9, color="white")
 
-    # time axis (seconds from trace origin)
+    # time axis (seconds from the profiler origin)
     for t in _nice_ticks(t_lo, t_hi):
         x = xpix(t)
         if x > margin_l + plot_w + 1:
@@ -340,9 +338,7 @@ def gantt_chart(path: Union[str, Path], events: Sequence[Any],
         cv.text(width / 2, 24, title, size=15)
     lx = margin_l + 8
     for kind in kinds_seen:
-        color = _GANTT_KIND_COLORS.get(
-            kind, PALETTE[(2 + hash(kind)) % len(PALETTE)])
-        cv.rect(lx, margin_t - 18, 12, 12, color)
+        cv.rect(lx, margin_t - 18, 12, 12, _GANTT_KIND_COLORS[kind])
         cv.text(lx + 16, margin_t - 8, kind, size=11, anchor="start")
         lx += 30 + 7 * len(kind)
     return cv.save(path)

@@ -5,6 +5,9 @@ Consumes the version-1 span documents written by
 
 * :func:`phase_rollup` — the per-phase / per-level / per-order time
   attribution folded into ``RunReport`` (the "profile" section);
+* :func:`task_summary` — per-thread busy time, utilisation, critical path
+  and parallelism of the fan-in tasks (the "Task trace" section; the same
+  span dicts feed :func:`repro.analysis.charts.gantt_chart`);
 * :func:`export_chrome_trace` — Chrome ``trace_event`` JSON
   (load via ``chrome://tracing`` or https://ui.perfetto.dev);
 * :func:`export_speedscope` — a speedscope-format flamegraph
@@ -143,6 +146,66 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
         "kernels": kernels,
         "by_level": by_level,
         "by_order": by_order,
+    }
+
+
+def task_summary(source: _SpanSource) -> Dict[str, Any]:
+    """Who ran which fan-in task when: the scheduling view of a span
+    document, as a plain-JSON dict::
+
+        {"n_tasks", "n_threads", "span",
+         "thread_busy": {"<thread>": s}, "utilization": {"<thread>": frac},
+         "mean_utilization", "critical_path", "parallelism"}
+
+    ``span`` is the wall clock from the first task's start to the last
+    task's end and a thread's busy time the sum of its ``task`` spans
+    (updates, factorization and compression all run inside one).  The
+    critical path follows the elimination DAG as the spans recorded it:
+    ``cp[k] = max cp[c] over the sources c of k's update spans + duration
+    of task k`` — contributors precede their targets, so one ascending
+    pass suffices.  A run whose tasks all sit on one thread executed as a
+    single chain: its critical path is its busy time.
+    """
+    spans = _spans_of(source)
+    busy: Dict[int, float] = {}
+    task_dur: Dict[int, float] = {}
+    sources: Dict[int, List[int]] = {}
+    t_lo, t_hi = math.inf, -math.inf
+    n_tasks = 0
+    for s in spans:
+        attrs = s["attrs"]
+        if s["name"] == "task":
+            dur = _duration(s)
+            thread = int(s.get("thread", 0))
+            busy[thread] = busy.get(thread, 0.0) + dur
+            k = int(attrs["cblk"])
+            task_dur[k] = task_dur.get(k, 0.0) + dur
+            t_lo, t_hi = min(t_lo, float(s["t0"])), max(t_hi, float(s["t1"]))
+            n_tasks += 1
+        elif s["name"] == "update":
+            sources.setdefault(int(attrs["target"]), []).append(
+                int(attrs["cblk"]))
+    total_busy = sum(busy.values())
+    if len(busy) <= 1:
+        critical = total_busy
+    else:
+        cp: Dict[int, float] = {}
+        for k in sorted(task_dur):
+            cp[k] = task_dur[k] + max(
+                (cp.get(c, 0.0) for c in sources.get(k, ())), default=0.0)
+        critical = max(cp.values(), default=0.0)
+    wall = (t_hi - t_lo) if n_tasks else 0.0
+    return {
+        "n_tasks": n_tasks,
+        "n_threads": len(busy),
+        "span": wall,
+        "thread_busy": {str(t): b for t, b in sorted(busy.items())},
+        "utilization": {str(t): (b / wall if wall > 0 else 0.0)
+                        for t, b in sorted(busy.items())},
+        "mean_utilization": (total_busy / (len(busy) * wall)
+                             if wall > 0 else 0.0),
+        "critical_path": critical,
+        "parallelism": (total_busy / critical) if critical > 0 else 0.0,
     }
 
 

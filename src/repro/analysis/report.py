@@ -4,9 +4,10 @@ A ``RunReport`` is one JSON document that captures *everything measured*
 during a solve campaign: the configuration, the Table 2 kernel breakdown,
 the compression/rank dissection of §4.1, the telemetry snapshot (memory
 high-water timeline, rank-evolution samples, per-iteration refinement
-residuals) and the task-trace summary.  It is the single artifact the
-``repro report`` CLI renders to markdown, the benchmarks attach to their
-history records, and ``tools/benchdiff`` compares across runs.
+residuals) and the span-profile rollup with its task summary.  It is the
+single artifact the ``repro report`` CLI renders to markdown, the
+benchmarks attach to their history records, and ``tools/benchdiff``
+compares across runs.
 
 The document is plain JSON — no pickle, no custom types — so reports are
 diffable, archivable and safe to load from CI artifacts.
@@ -126,16 +127,15 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     tele = solver.config.telemetry
     report["telemetry"] = None if tele is None else tele.snapshot()
 
-    tracer = solver.tracer
-    report["trace"] = None if tracer is None else tracer.summary()
-
     prof = solver.config.profiler
     if prof is None:
         report["profile"] = None
     else:
-        from repro.analysis.profile import phase_rollup
+        from repro.analysis.profile import phase_rollup, task_summary
 
-        report["profile"] = phase_rollup(prof.to_json())
+        doc = prof.to_json()
+        report["profile"] = {**phase_rollup(doc),
+                             "tasks": task_summary(doc)}
     return report
 
 
@@ -392,14 +392,16 @@ def render_markdown(report: Dict[str, Any],
             lines += _table(["level", "task time (s)", "tasks"], rows)
             lines.append("")
 
-    trace = report.get("trace")
-    if trace:
+    # reports written before the span profile carried the task summary
+    # hold it (or null) under a top-level "trace" key
+    tasks = (profile or {}).get("tasks") or report.get("trace")
+    if tasks:
         lines.append("## Task trace")
         lines.append("")
         lines += _table(
             ["metric", "value"],
-            [[k, trace[k]] for k in sorted(trace)
-             if isinstance(trace[k], (int, float, str, bool))])
+            [[k, tasks[k]] for k in sorted(tasks)
+             if isinstance(tasks[k], (int, float, str, bool))])
         lines.append("")
 
     if figures:

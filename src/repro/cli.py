@@ -148,9 +148,7 @@ def _config(args: argparse.Namespace) -> SolverConfig:
            if getattr(args, "pivot_u", None) is not None else {}),
         ordering=args.ordering,
         threads=args.threads,
-        scheduler=args.scheduler,
         watchdog_timeout=getattr(args, "watchdog", None),
-        trace=bool(getattr(args, "trace", None)),
         dtype=args.dtype,
         storage_dtype=args.storage_dtype,
         backend=getattr(args, "backend", None),
@@ -190,10 +188,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ordering", default="nested-dissection",
                    choices=ORDERINGS)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--scheduler", default="dynamic",
-                   choices=("dynamic", "static"),
-                   help="threaded engine: shared ready queue or "
-                        "PaStiX-style static mapping")
     p.add_argument("--dtype", default=None, choices=DTYPES,
                    help="arithmetic precision (default: the matrix dtype; "
                         "float64 for real inputs)")
@@ -203,9 +197,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "dtype (mixed precision), e.g. float32 under a "
                         "float64 factorization")
     p.add_argument("--backend", default=None,
-                   help="kernel backend (numpy, numba when installed, or a "
-                        "registered custom one; default: $REPRO_BACKEND or "
-                        "numpy) -- list with 'repro backends'")
+                   help="kernel backend (numpy or a registered custom "
+                        "one; default: $REPRO_BACKEND or numpy) -- list "
+                        "with 'repro backends'")
     p.add_argument("--recovery", action="store_true",
                    help="arm the self-healing layer (breakdown detection + "
                         "escalation ladder) with default RecoveryPolicy "
@@ -274,20 +268,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         acted = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"recovery: {acted or 'no actions needed'}")
 
-    if args.trace and solver.tracer is not None:
-        solver.tracer.to_json(args.trace)
-        summ = solver.tracer.summary()
-        print(f"trace: {summ['n_events']} events on "
-              f"{summ['n_threads']} thread(s), "
-              f"critical path {summ['critical_path']:.3f}s, "
-              f"mean utilization {summ['mean_utilization']:.0%} "
-              f"-> {args.trace}")
-        if args.gantt:
-            from repro.analysis.charts import gantt_chart
-            gantt_chart(args.gantt, solver.tracer.events(),
-                        title=f"factorization tasks ({args.strategy})")
-            print(f"gantt chart -> {args.gantt}")
-
     rng = np.random.default_rng(args.seed)
     b = np.ones(a.n) if args.rhs == "ones" else rng.standard_normal(a.n)
     x = solver.solve(b)
@@ -308,6 +288,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         doc = profiler.to_json(args.profile)
         print(f"profile: {len(doc['spans'])} spans -> {args.profile} "
               f"(render with 'repro flame {args.profile}')")
+        from repro.analysis.profile import task_summary
+
+        summ = task_summary(doc)
+        print(f"tasks: {summ['n_tasks']} on {summ['n_threads']} thread(s), "
+              f"critical path {summ['critical_path']:.3f}s, "
+              f"mean utilization {summ['mean_utilization']:.0%}")
+        if args.gantt:
+            from repro.analysis.charts import gantt_chart
+
+            gantt_chart(args.gantt, doc["spans"],
+                        title=f"factorization tasks ({args.strategy})")
+            print(f"gantt chart -> {args.gantt}")
 
     if getattr(args, "report", None):
         from repro.analysis.report import save_run_report
@@ -685,7 +677,6 @@ def cmd_backends(args: argparse.Namespace) -> int:
         BACKEND_ENV,
         available_backends,
         get_backend,
-        numba_available,
     )
 
     default = os.environ.get(BACKEND_ENV) or "numpy"
@@ -693,8 +684,6 @@ def cmd_backends(args: argparse.Namespace) -> int:
         be = get_backend(name)
         marker = " (default)" if name == default else ""
         print(f"{name}{marker}: {type(be).__name__}")
-    if not numba_available():
-        print("numba: not installed (JIT backend unavailable)")
     return 0
 
 
@@ -742,10 +731,9 @@ def main(argv: Optional[list] = None) -> int:
                          help="run preconditioned GMRES/CG afterwards")
     p_solve.add_argument("--rhs", choices=("ones", "random"), default="ones")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--trace", metavar="FILE",
-                         help="record a task trace and write it as JSON")
     p_solve.add_argument("--gantt", metavar="FILE",
-                         help="with --trace: also render a Gantt SVG")
+                         help="with --profile: also render a Gantt SVG "
+                              "of the kernel spans, one lane per thread")
     p_solve.add_argument("--watchdog", type=float, metavar="SECONDS",
                          help="raise DeadlockError (with a pending-counter "
                               "dump) if a threaded run stalls this long")

@@ -112,8 +112,7 @@ class SolverConfig:
     #: kernel backend every numeric hot path (gemm/trsm/getrf/potrf/panel
     #: solves) runs through — a name registered with
     #: :func:`repro.core.backend.register_backend`.  ``"numpy"`` is always
-    #: available; ``"numba"`` is registered when the package is installed.
-    #: ``None`` defers to ``$REPRO_BACKEND``, then ``"numpy"``.
+    #: available.  ``None`` defers to ``$REPRO_BACKEND``, then ``"numpy"``.
     backend: Optional[str] = None
     #: static-pivoting threshold: diagonal entries smaller than
     #: ``pivot_threshold * max|diag|`` are perturbed (PaStiX-style)
@@ -158,10 +157,9 @@ class SolverConfig:
     storage_dtype: Optional[str] = None
 
     # --- parallelism ---------------------------------------------------
+    #: worker threads of the factorization (1 = the inline sequential loop;
+    #: more = one worker pool on a shared ready queue, bit-identical factors)
     threads: int = 1
-    #: multi-threaded engine: "dynamic" (shared ready queue) or "static"
-    #: (PaStiX-style proportional subtree mapping [23])
-    scheduler: str = "dynamic"
     #: raise :class:`~repro.core.scheduler.DeadlockError` (with a
     #: pending-counter dump) when a threaded run makes no progress for this
     #: many seconds; ``None`` disables the watchdog
@@ -179,13 +177,9 @@ class SolverConfig:
     recovery: Optional["RecoveryPolicy"] = None
 
     # --- observability -------------------------------------------------
-    #: record a :class:`~repro.runtime.trace.TaskTracer` during
-    #: factorization (exposed as ``Solver.tracer``); off by default — the
-    #: disabled hooks cost one attribute load per task
-    trace: bool = False
     #: attach a :class:`~repro.runtime.telemetry.Telemetry` bus: every
     #: layer (compression kernels, LR2LR recompression, memory tracker,
-    #: threaded schedulers, refinement) then publishes metrics, series and
+    #: worker pool, refinement) then publishes metrics, series and
     #: events through it, and ``Solver.run_report()`` aggregates the lot
     #: into one RunReport artifact.  ``None`` (the default) disables all
     #: instrumentation at the cost of one ``is not None`` test per site.
@@ -197,13 +191,14 @@ class SolverConfig:
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
     #: trisolve → refinement) then records hierarchical, causally-linked
     #: spans with phase/cblk/level/variant-order attributes, exportable as
-    #: Chrome traces and speedscope flamegraphs
-    #: (:mod:`repro.analysis.profile`).  ``None`` (the default) disables
-    #: profiling at the cost of one ``is not None`` test per site.  Like
-    #: ``telemetry``, excluded from equality/repr and serialized as null.
+    #: Chrome traces, speedscope flamegraphs, a per-thread task summary and
+    #: a Gantt chart (:mod:`repro.analysis.profile`).  ``None`` (the
+    #: default) disables profiling at the cost of one ``is not None`` test
+    #: per site.  Like ``telemetry``, excluded from equality/repr and
+    #: serialized as null.
     profiler: Optional["SpanProfiler"] = field(
         default=None, repr=False, compare=False)
-    #: run the threaded schedulers under the Eraser-style lockset tracker
+    #: run the worker pool under the Eraser-style lockset tracker
     #: (:mod:`repro.runtime.sanitizer`): shared scheduler/factor structures
     #: record (thread, access, lockset) events and candidate races raise a
     #: structured :class:`~repro.runtime.sanitizer.RaceReport` after the
@@ -291,10 +286,6 @@ class SolverConfig:
                     "panels; pick a ucf/ufc/fuc order")
         if self.left_looking and self.threads > 1:
             raise ValueError("left_looking is implemented sequentially")
-        if self.scheduler not in ("dynamic", "static"):
-            raise ValueError(
-                f"scheduler must be 'dynamic' or 'static', got "
-                f"{self.scheduler!r}")
         if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:
             raise ValueError("watchdog_timeout must be positive (or None)")
         if self.pivoting not in PIVOTINGS:

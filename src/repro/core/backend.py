@@ -8,8 +8,7 @@ kernels the triangular solve phase applies to ``(n, k)`` right-hand-side
 blocks (``panel_gemm`` / ``panel_trsm`` / ``lr_apply``).  Backends are
 registered in a process-wide registry and selected by name through
 ``SolverConfig.backend`` or the ``REPRO_BACKEND`` environment variable;
-the ``numpy`` backend is always present, and a ``numba`` JIT backend is
-auto-registered when the package is importable.
+the ``numpy`` backend is always present.
 
 Two distinct numerical contracts coexist here, and the split is the whole
 design:
@@ -28,9 +27,9 @@ design:
   solve phase would give different bits for ``solve(B)`` versus
   ``solve(B[:, j])``.  The numpy backend gets stability from per-column
   BLAS gemv calls (each column reduced independently, whatever the
-  width) plus row-sweep triangular substitution; the numba backend from
-  naive JIT loops.  This is what makes blocked multi-RHS solves equal
-  column-by-column solves bit-for-bit for float64.
+  width) plus row-sweep triangular substitution.  This is what makes
+  blocked multi-RHS solves equal column-by-column solves bit-for-bit for
+  float64.
 
 Registering a custom backend::
 
@@ -49,9 +48,8 @@ See ``docs/performance.md`` for the full protocol contract.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,7 +57,6 @@ import scipy.linalg as sla
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "PivotError",
     "available_backends",
     "get_backend",
@@ -667,127 +664,6 @@ class NumpyBackend(KernelBackend):
         return _stable_gemm(v.conj(), _stable_gemm(u, x, "C"))
 
 
-class NumbaBackend(NumpyBackend):
-    """JIT backend: the panel kernels run as compiled naive loops.
-
-    Registered only when ``numba`` is importable.  The factorization
-    kernels are inherited from :class:`NumpyBackend` unchanged (they are
-    already BLAS-bound; re-JITting them buys nothing and would break the
-    bit-compatibility contract), so only the Python-orchestrated solve
-    path changes engine.  The naive loops are column-stable by
-    construction — each output column is produced by an independent loop
-    nest — which keeps the protocol's multi-RHS contract.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._jit: Optional[Tuple[Callable[..., Any], ...]] = None
-
-    def _kernels(self) -> Tuple[Callable[..., Any], ...]:
-        """Compile (once) and return the JIT panel kernels."""
-        if self._jit is None:
-            import numba  # noqa: PLC0415  (gated: see register below)
-
-            @numba.njit(cache=True)  # type: ignore[misc]
-            def pgemm(a: Any, x: Any, out: Any) -> None:
-                m, w = a.shape
-                k = x.shape[1]
-                for kk in range(k):
-                    for i in range(m):
-                        acc = out.dtype.type(0)
-                        for j in range(w):
-                            acc += a[i, j] * x[j, kk]
-                        out[i, kk] = acc
-
-            @numba.njit(cache=True)  # type: ignore[misc]
-            def sweep_lower(m: Any, x: Any, unit: Any) -> None:
-                n = m.shape[0]
-                k = x.shape[1]
-                for kk in range(k):
-                    for j in range(n):
-                        if not unit:
-                            # solverlint: ignore[python-hot-loop] -- njit body: numba compiles this scalar nest to machine code; the per-column loop IS the column-stability contract
-                            x[j, kk] = x[j, kk] / m[j, j]
-                        for i in range(j + 1, n):
-                            # solverlint: ignore[python-hot-loop] -- njit body (see above)
-                            x[i, kk] -= m[i, j] * x[j, kk]
-
-            @numba.njit(cache=True)  # type: ignore[misc]
-            def sweep_upper(m: Any, x: Any, unit: Any) -> None:
-                n = m.shape[0]
-                k = x.shape[1]
-                for kk in range(k):
-                    for j in range(n - 1, -1, -1):
-                        if not unit:
-                            # solverlint: ignore[python-hot-loop] -- njit body (see sweep_lower)
-                            x[j, kk] = x[j, kk] / m[j, j]
-                        for i in range(j):
-                            # solverlint: ignore[python-hot-loop] -- njit body (see sweep_lower)
-                            x[i, kk] -= m[i, j] * x[j, kk]
-
-            self._jit = (pgemm, sweep_lower, sweep_upper)
-        return self._jit
-
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
-                   trans: str = "N") -> np.ndarray:
-        """JIT panel product; ``trans='C'`` applies the Hermitian adjoint
-        ``aᴴ``."""
-        self._tick("panel_gemm")
-        pgemm = self._kernels()[0]
-        dt = np.result_type(a, x)
-        if trans != "N":
-            a = a.T if trans == "T" else a.conj().T
-        a = np.ascontiguousarray(a, dtype=dt)
-        x = np.ascontiguousarray(x, dtype=dt)
-        out = np.empty((a.shape[0], x.shape[1]), dtype=dt)
-        if out.size:
-            pgemm(a, x, out)
-        else:
-            out[...] = 0
-        return out
-
-    def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
-                   lower: bool = True, trans: str = "N",
-                   unit_diagonal: bool = False) -> np.ndarray:
-        """JIT panel solve; ``trans='C'`` sweeps against the Hermitian
-        adjoint ``aᴴ``."""
-        self._tick("panel_trsm")
-        _, sweep_lo, sweep_up = self._kernels()
-        dt = np.result_type(a, b)
-        if trans == "T":
-            m, eff_lower = a.T, not lower
-        elif trans == "C":
-            m, eff_lower = a.conj().T, not lower
-        else:
-            m, eff_lower = a, lower
-        m = np.ascontiguousarray(m, dtype=dt)
-        x = np.array(b, dtype=dt, copy=True, order="C")
-        if x.shape[1]:
-            if eff_lower:
-                sweep_lo(m, x, unit_diagonal)
-            else:
-                sweep_up(m, x, unit_diagonal)
-        return x
-
-    def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,
-                 mode: str = "n") -> np.ndarray:
-        """JIT low-rank apply; ``mode='h'`` applies the Hermitian adjoint
-        ``conj(v) uᴴ``."""
-        self._tick("lr_apply")
-        rank = u.shape[1]
-        if rank == 0:
-            rows = u.shape[0] if mode == "n" else v.shape[0]
-            return np.zeros((rows, x.shape[1]),
-                            dtype=np.result_type(u, v, x))
-        if mode == "n":
-            return self.panel_gemm(u, self.panel_gemm(v, x, "T"))
-        if mode == "t":
-            return self.panel_gemm(v, self.panel_gemm(u, x, "T"))
-        return self.panel_gemm(v.conj(), self.panel_gemm(u, x, "C"))
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -815,30 +691,19 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def numba_available() -> bool:
-    """Whether the optional numba JIT backend could be registered."""
-    return importlib.util.find_spec("numba") is not None
-
-
 def get_backend(name: Optional[str] = None) -> KernelBackend:
     """Resolve a backend: explicit ``name`` > ``$REPRO_BACKEND`` > numpy.
 
     Raises ``ValueError`` (listing the registered names) for an unknown
-    backend — including ``'numba'`` on interpreters where numba is not
-    installed, since the backend is only registered when importable.
+    backend.
     """
     resolved = name or os.environ.get(BACKEND_ENV) or "numpy"
     try:
         return _REGISTRY[resolved]
     except KeyError:
-        hint = ""
-        if resolved == "numba" and not numba_available():
-            hint = " (numba is not installed in this environment)"
         raise ValueError(
-            f"unknown kernel backend {resolved!r}{hint}; registered "
+            f"unknown kernel backend {resolved!r}; registered "
             f"backends: {', '.join(available_backends())}") from None
 
 
 register_backend(NumpyBackend())
-if numba_available():  # pragma: no cover - depends on the environment
-    register_backend(NumbaBackend())

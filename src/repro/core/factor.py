@@ -176,9 +176,6 @@ class NumericFactor:
         self.sides = 1 if config.is_symmetric_facto else 2
         #: (a_perm, at_perm) when allocation is deferred (left-looking mode)
         self.deferred = None
-        #: optional :class:`~repro.runtime.trace.TaskTracer` — the drivers
-        #: record one event per factor/update task when set
-        self.tracer = None
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
         #: from ``config.profiler`` so the engines and kernels pay a single
         #: attribute load; the schedulers open one causal span per task and

@@ -24,10 +24,7 @@ block pair through :mod:`repro.lowrank.kernels`.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    from repro.runtime.trace import TaskTracer
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +64,8 @@ from repro.runtime.spans import LINK_FOLLOWS
 def factor_column_block(fac: NumericFactor, k: int) -> None:
     """Factor the diagonal block of column block ``k`` and solve its panels.
 
-    When the factor carries a tracer (``fac.tracer``) one ``"factor"``
-    event is recorded per call; when it carries a fault injector
+    When the factor carries a span profiler (``fac.profiler``) one
+    ``"factor"`` span is recorded per call; when it carries a fault injector
     (``fac.faults``) the injector's factor-site hooks fire first (and may
     raise, stall, or poison the panels — that is their job).
     """
@@ -76,21 +73,17 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         fac.faults.on_factor(fac, k)
     if fac.recovery is not None:
         _breakdown_check_input(fac, k)
-    tracer = fac.tracer
-    _trace_t0 = tracer.clock() if tracer is not None else 0.0
     prof = fac.profiler
     _sid = (prof.start("factor", cblk=k, factotype=fac.config.factotype)
             if prof is not None else None)
     try:
-        _factor_column_block_body(fac, k, tracer, _trace_t0)
+        _factor_column_block_body(fac, k)
     finally:
         if prof is not None:
             prof.end(_sid)
 
 
-def _factor_column_block_body(fac: NumericFactor, k: int,
-                              tracer: Optional["TaskTracer"],
-                              _trace_t0: float) -> None:
+def _factor_column_block_body(fac: NumericFactor, k: int) -> None:
     cfg = fac.config
     nc = fac.cblks[k]
     stats = fac.stats.kernels
@@ -157,20 +150,8 @@ def _factor_column_block_body(fac: NumericFactor, k: int,
     # --- step 2: panel solves --------------------------------------------
     _panel_solve(fac, nc)
     if v is not None and v.compress_after_solve:
-        if tracer is not None:
-            # close the factor event before the ufc post-panel compression:
-            # events on one thread must not overlap, so the compression is
-            # traced as its own "compress" event (own Gantt color/legend)
-            tracer.record("factor", k, _trace_t0, tag=cfg.factotype)
-            _trace_t0 = tracer.clock()
         _compress_panels(fac, nc)
-        nc.factored = True
-        if tracer is not None:
-            tracer.record("compress", k, _trace_t0, tag="ufc")
-    else:
-        nc.factored = True
-        if tracer is not None:
-            tracer.record("factor", k, _trace_t0, tag=cfg.factotype)
+    nc.factored = True
 
 
 def _first_nonfinite(nc: NumericColumnBlock) -> Optional[str]:
@@ -335,8 +316,8 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     No-op for every other loop order — the engines call this
     unconditionally and the variant decides.
 
-    One ``"finalize"`` trace event is recorded when it fires.  The span
-    profiler parents the finalize span on the task of the **greatest
+    One ``"finalize"`` span is recorded when it fires, parented on the
+    task of the **greatest
     facing target** — the last puller in the canonical ascending fan-in
     order, i.e. the task that physically runs it in the sequential sweep —
     so threaded runs (where the *temporal* last puller is whichever thread
@@ -344,8 +325,6 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     v = fac.variant_for(k)
     if v is None or not v.compress_after_updates:
         return
-    tracer = fac.tracer
-    _trace_t0 = tracer.clock() if tracer is not None else 0.0
     prof = fac.profiler
     _sid = None
     if prof is not None:
@@ -361,8 +340,6 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     finally:
         if prof is not None:
             prof.end(_sid)
-        if tracer is not None:
-            tracer.record("finalize", k, _trace_t0, tag="fuc")
 
 
 def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
@@ -537,14 +514,12 @@ def apply_updates_from(fac: NumericFactor, k: int, target: int,
     aimed at a low-rank block of ``target`` are gathered in ``acc`` (the
     calling task's accumulator) for :func:`flush_accumulated`.
 
-    One ``"update"`` trace event is recorded per call; fault-injector
-    update hooks fire first.
+    One ``"update"`` span is recorded per call; fault-injector update hooks
+    fire first.
     """
     if fac.faults is not None:
         fac.faults.on_update(fac, k, target)
     nc = fac.cblks[k]
-    tracer = fac.tracer
-    _trace_t0 = tracer.clock() if tracer is not None else 0.0
     prof = fac.profiler
     _sid = (prof.start("update", cblk=k, target=target,
                        mode="panel" if nc.panel_mode else "blocks")
@@ -557,9 +532,6 @@ def apply_updates_from(fac: NumericFactor, k: int, target: int,
     finally:
         if prof is not None:
             prof.end(_sid)
-    if tracer is not None:
-        tracer.record("update", k, _trace_t0, target=target,
-                      tag="panel" if nc.panel_mode else "blocks")
 
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,

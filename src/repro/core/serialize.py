@@ -27,7 +27,7 @@ import hashlib
 import io
 import json
 import zipfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
@@ -46,8 +46,27 @@ from repro.symbolic.structure import (
 #: format version written into every factor archive
 FORMAT_VERSION = 1
 
+#: ``SolverConfig`` fields that no longer exist but that archives written
+#: while they did still carry; none of them changed the stored factors
+RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler")
+
 #: format version written into every checkpoint archive
 CHECKPOINT_VERSION = 1
+
+
+def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
+    """The :class:`SolverConfig` stored in an archive header.
+
+    Exactly the :data:`RETIRED_CONFIG_FIELDS` are dropped, so archives
+    outlive the options they were written under; any other unknown key is
+    rejected by name — a header is outside input.
+    """
+    known = {f.name for f in fields(SolverConfig)}
+    unknown = sorted(set(stored) - known - set(RETIRED_CONFIG_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"archive config carries unknown field(s) {unknown}")
+    return SolverConfig(**{k: v for k, v in stored.items() if k in known})
 
 
 def matrix_fingerprint(a: CSCMatrix) -> str:
@@ -179,7 +198,7 @@ def load_factor(path: Union[str, Path]) -> tuple:
             f"unsupported factor archive version "
             f"{header.get('format_version')!r}")
 
-    config = SolverConfig(**header["config"])
+    config = config_from_header(header["config"])
     symb = _symbolic_from_json(header["symbolic"])
     fac = NumericFactor(symb, config)
     fac.nperturbed = int(header["nperturbed"])
@@ -291,7 +310,7 @@ def checkpoint_config(path: Union[str, Path]) -> SolverConfig:
         header = json.loads(zf.read("checkpoint.json"))
     if header.get("kind") != "checkpoint":
         raise ValueError("not a checkpoint archive")
-    return SolverConfig(**header["config"])
+    return config_from_header(header["config"])
 
 
 def restore_checkpoint(fac: NumericFactor, header: dict,

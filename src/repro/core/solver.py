@@ -40,11 +40,7 @@ from repro.core.refinement import (
     gmres,
     iterative_refinement,
 )
-from repro.core.scheduler import (
-    run_sequential,
-    run_threaded,
-    run_threaded_static,
-)
+from repro.core.scheduler import run_sequential, run_threaded
 from repro.core.trisolve import solve_factored
 from repro.runtime.recovery import (
     RecoveryPolicy,
@@ -106,8 +102,6 @@ class Solver:
         self.perm: Optional[np.ndarray] = None
         self.factor: Optional[NumericFactor] = None
         self.analyze_time: float = 0.0
-        #: task trace of the last :meth:`factorize` (``config.trace=True``)
-        self.tracer = None
         #: race sanitizer of the last threaded factorization
         #: (``config.sanitize`` / ``$REPRO_TSAN``), or ``None``
         self.sanitizer: Optional[Any] = None
@@ -214,12 +208,6 @@ class Solver:
             if prof is not None:
                 prof.end(_sid)
         kernel_calls_before = fac.backend.counts_snapshot()
-        if cfg.trace:
-            from repro.runtime.trace import TaskTracer
-
-            self.tracer = fac.tracer = TaskTracer()
-        else:
-            self.tracer = None
         fac.faults = faults
         fac.recovery = state
         if cfg.threads > 1 and cfg.sanitize_enabled():
@@ -247,10 +235,7 @@ class Solver:
                                       every=every, write_on_fault=on_fault)
         if cfg.threads > 1:
             try:
-                if cfg.scheduler == "static":
-                    run_threaded_static(fac, cfg.threads)
-                else:
-                    run_threaded(fac, cfg.threads)
+                run_threaded(fac, cfg.threads)
             finally:
                 if fac.sanitizer is not None:
                     import os
@@ -290,8 +275,8 @@ class Solver:
         """Assemble and factor under the configured strategy; returns the
         per-kernel statistics (the rows of Table 2).
 
-        With ``config.trace=True`` a task trace is recorded and left on
-        :attr:`tracer` (see ``docs/observability.md``).  ``faults`` attaches
+        With ``config.profiler`` set, every task and kernel is recorded as
+        a span (see ``docs/observability.md``).  ``faults`` attaches
         a :class:`~repro.runtime.faults.FaultInjector` for the run — a
         testing hook, never set in production paths.  ``checkpoint`` names
         a file partial-factorization snapshots are written to (sequential
@@ -314,8 +299,8 @@ class Solver:
                     "checkpointing requires threads=1 (deterministic "
                     "sequential engine)")
             if self.config.left_looking:
-                raise ValueError("checkpointing does not support the "
-                                 "left-looking engine")
+                raise ValueError("checkpointing does not support "
+                                 "left-looking (deferred) allocation")
         if policy is None:
             return self._factorize_once(self.config, faults, checkpoint,
                                         None)
@@ -362,6 +347,7 @@ class Solver:
         (re-run :meth:`factorize` for a fresh escalated attempt).
         """
         from repro.core.serialize import (
+            config_from_header,
             load_checkpoint,
             matrix_fingerprint,
             restore_checkpoint,
@@ -371,7 +357,7 @@ class Solver:
             raise ValueError("resume requires threads=1 (deterministic "
                              "sequential engine)")
         header, arrays = load_checkpoint(path)
-        stored = SolverConfig(**header["config"])
+        stored = config_from_header(header["config"])
         if stored != replace(self.config, telemetry=None, profiler=None):
             raise ValueError(
                 "checkpoint was written under a different configuration; "
@@ -394,7 +380,6 @@ class Solver:
         a_perm = permute_symmetric(self._a_sym, self.perm)
         t0 = time.perf_counter()
         fac = assemble(a_perm, self.symbolic, self.config)
-        self.tracer = None
         fac.faults = faults
         fac.recovery = state
         restored = restore_checkpoint(fac, header, arrays)
@@ -712,7 +697,8 @@ class Solver:
         Aggregates the factorization statistics, compression/rank
         breakdown, telemetry snapshot (metrics, memory high-water
         timeline, rank-evolution series — when ``config.telemetry`` is
-        attached), refinement residual history and tracer summary.  Render
+        attached), refinement residual history and, with
+        ``config.profiler``, the span rollup and task summary.  Render
         it with ``repro report`` or
         :func:`repro.analysis.report.render_markdown`.
         """

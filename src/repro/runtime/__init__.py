@@ -10,9 +10,9 @@ a factorization can be compared between the Dense, Just-In-Time and Minimal
 Memory strategies.
 
 Two further layers make the runtime *observable* and *testable* (see
-``docs/observability.md``): :mod:`repro.runtime.trace` records which thread
-ran which task when (per-thread utilization, critical path, Gantt export),
-and :mod:`repro.runtime.faults` injects deterministic failures into the
+``docs/observability.md``): :mod:`repro.runtime.spans` records which thread
+ran which task when (per-thread utilization, critical path and the Gantt
+chart are derived from its span document), and :mod:`repro.runtime.faults` injects deterministic failures into the
 factorization drivers so scheduler error paths can be exercised.
 
 :mod:`repro.runtime.recovery` closes the loop: the faults the injector
@@ -26,10 +26,8 @@ from repro.runtime.recovery import (
     RecoveryPolicy,
     RecoveryState,
 )
-from repro.runtime.timers import Timer, CategoryTimers
 from repro.runtime.stats import KernelStats, FactorizationStats, KERNEL_CATEGORIES
 from repro.runtime.memory import MemoryTracker, nbytes_dense, nbytes_lowrank
-from repro.runtime.trace import TaskTracer, TraceEvent
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.telemetry import (
     Counter,
@@ -45,16 +43,12 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
-    "Timer",
-    "CategoryTimers",
     "KernelStats",
     "FactorizationStats",
     "KERNEL_CATEGORIES",
     "MemoryTracker",
     "nbytes_dense",
     "nbytes_lowrank",
-    "TaskTracer",
-    "TraceEvent",
     "FaultError",
     "FaultInjector",
     "NumericalBreakdown",

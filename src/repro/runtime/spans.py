@@ -1,6 +1,7 @@
-"""Hierarchical causal span profiler (`SolverConfig(profiler=...)`).
+"""Hierarchical causal span profiler (`SolverConfig(profiler=...)`) — the
+solver's one recorder of which thread ran what when.
 
-Design goals, mirroring :mod:`repro.runtime.trace`:
+Design goals:
 
 * **Zero cost when absent.**  `SolverConfig.profiler` defaults to `None`
   and every instrumentation site pays one attribute load plus one
@@ -13,14 +14,12 @@ Design goals, mirroring :mod:`repro.runtime.trace`:
   `link="follows"` edges whose parent is the *dependency* that released
   the task — the greatest contributor in the pull-mode fan-in order —
   so a 4-thread factorization records exactly the same causal tree as
-  the sequential sweep (timestamps and thread ids aside).  The enqueuing
-  span's id still travels with the work item (`ready.put((k, span_id))`
-  in the dynamic scheduler) and is kept as a fallback parent, but the
-  canonical edge is the deterministic one.
+  the sequential sweep (timestamps and thread ids aside).
 * **Self-contained artifacts.**  `to_json()` round-trips through
-  :meth:`SpanProfiler.from_json`; the exporters in
-  :mod:`repro.analysis.profile` turn the same document into Chrome
-  ``trace_event`` JSON and speedscope flamegraphs.
+  :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` turns the
+  same document into Chrome ``trace_event`` JSON, speedscope flamegraphs
+  and the per-thread task summary (busy time, utilisation, critical
+  path) behind the Gantt chart.
 
 Layering on the telemetry bus: construct with
 ``SpanProfiler(telemetry=tele)`` and every *phase* span (direct child of
@@ -227,25 +226,23 @@ class SpanProfiler:
             self._task_levels = list(levels) if levels is not None else None
 
     def task_start(self, cblk: int, contributors: Sequence[int],
-                   enqueuer: Optional[int] = None, **attrs: Any) -> int:
+                   **attrs: Any) -> int:
         """Open the causal span for the fan-in task on ``cblk``.
 
         The parent is the span of the **canonical releaser** — the
         greatest contributor, i.e. the dependency whose updates are
         pulled last in the ascending fan-in order — which makes the
         recorded tree independent of scheduling: threaded and sequential
-        runs agree edge for edge.  ``enqueuer`` is the span id that
-        physically travelled with the work item (dynamic scheduler); it
-        is only used as a fallback when the canonical span is unknown.
+        runs agree edge for edge.  A task only runs once all its
+        contributors have, so that span is always registered; a resumed
+        run, whose restored contributors ran no task, falls back to the
+        enclosing phase span.
         """
         parent: Optional[int] = None
         link = LINK_CHILD
         with self._lock:
             if contributors:
                 parent = self._task_spans.get(max(contributors))
-                link = LINK_FOLLOWS
-            if parent is None and enqueuer is not None:
-                parent = enqueuer
                 link = LINK_FOLLOWS
             if parent is None:
                 parent = self._task_root

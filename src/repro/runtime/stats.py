@@ -23,8 +23,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.runtime.timers import CategoryTimers
-
 if TYPE_CHECKING:
     from repro.runtime.telemetry import Telemetry
 
@@ -43,13 +41,15 @@ class KernelStats:
     """Accumulates time / flops / call counts per kernel category.
 
     Thread-safety: ``add`` takes a lock only when the instance was created
-    with ``locked=True``; the factorization drivers create one unlocked
-    instance per worker thread and merge them, so the hot path is lock-free.
+    with ``locked=True``.  A :class:`~repro.core.factor.NumericFactor`
+    creates one locked instance that every worker thread charges, so in a
+    threaded run the seconds are CPU-ish time summed over workers — the
+    same per-category tally the sequential Table 2 reports.
     """
 
     def __init__(self, locked: bool = False,
                  telemetry: Optional["Telemetry"] = None) -> None:
-        self.timers = CategoryTimers()
+        self.seconds: Dict[str, float] = {}
         self.flops: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self._lock = threading.Lock() if locked else None
@@ -70,12 +70,12 @@ class KernelStats:
             self._add(category, seconds, flops, calls)
 
     def _add(self, category: str, seconds: float, flops: float, calls: int) -> None:
-        self.timers.timer(category).elapsed += seconds
+        self.seconds[category] = self.seconds.get(category, 0.0) + seconds
         self.flops[category] = self.flops.get(category, 0.0) + flops
         self.calls[category] = self.calls.get(category, 0) + calls
 
     def time(self, category: str) -> float:
-        return self.timers.elapsed(category)
+        return self.seconds.get(category, 0.0)
 
     def flop(self, category: str) -> float:
         return self.flops.get(category, 0.0)
@@ -84,23 +84,16 @@ class KernelStats:
         return self.calls.get(category, 0)
 
     def total_time(self) -> float:
-        return self.timers.total()
+        return sum(self.seconds.values())
 
     def total_flops(self) -> float:
         return sum(self.flops.values())
 
-    def merge(self, other: "KernelStats") -> None:
-        self.timers.merge(other.timers)
-        for k, v in other.flops.items():
-            self.flops[k] = self.flops.get(k, 0.0) + v
-        for k, v in other.calls.items():
-            self.calls[k] = self.calls.get(k, 0) + v
-
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        cats = set(self.timers.categories()) | set(self.flops) | set(self.calls)
+        cats = set(self.seconds) | set(self.flops) | set(self.calls)
         return {
             c: {
-                "time": self.timers.elapsed(c),
+                "time": self.seconds.get(c, 0.0),
                 "flops": self.flops.get(c, 0.0),
                 "calls": self.calls.get(c, 0),
             }

@@ -179,14 +179,13 @@ class TestSolverAccumulation:
 
     def test_factors_identical_across_engines_and_task_retry(self, tmp_path):
         """The accumulator lives and dies inside one fan-in task, so the
-        MM factors are bit-identical sequentially, under both threaded
-        schedulers, with a span profiler attached, after a
+        MM factors are bit-identical sequentially, under the worker
+        pool, with a span profiler attached, after a
         snapshot/restore task retry and after a checkpoint resume."""
         base = self.mm_solver()
         base.factorize()
         want = factor_digest(base.factor)
-        for overrides in (dict(threads=4, scheduler="dynamic"),
-                          dict(threads=4, scheduler="static"),
+        for overrides in (dict(threads=4),
                           dict(profiler=SpanProfiler())):
             s = self.mm_solver(**overrides)
             s.factorize()

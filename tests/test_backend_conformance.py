@@ -11,15 +11,9 @@ relies on:
 * **seed bit-compatibility** of the numpy backend: a float64
   factorization produces sha256-identical factors to the pre-backend
   solver (the four pinned digests below were captured from the seed).
-
-A ``numba`` leg is parametrized explicitly so environments with numba
-installed exercise the JIT backend and environments without it report a
-skip (with reason) rather than silently shrinking coverage.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -66,21 +60,9 @@ SEED_DIGESTS = {
         "e106c34182ceca29bb04262bf5601c1b0bc838a10dac908914312a5c600854cb",
 }
 
-#: every backend that should be exercised somewhere: registered ones run,
-#: the optional numba leg skips with a reason when not importable
-BACKENDS = sorted(set(available_backends()) | {"numba"})
-
-
-def _backend_param(name):
-    if name == "numba" and importlib.util.find_spec("numba") is None:
-        return pytest.param(
-            name, marks=pytest.mark.skip(
-                reason="numba is not installed; JIT backend unregistered"))
-    return pytest.param(name)
-
-
-backend_names = pytest.mark.parametrize(
-    "backend_name", [_backend_param(n) for n in BACKENDS])
+#: every registered backend runs the suite
+backend_names = pytest.mark.parametrize("backend_name",
+                                        available_backends())
 
 dtypes = pytest.mark.parametrize("dtype", DTYPES,
                                  ids=lambda d: np.dtype(d).name)
@@ -321,6 +303,11 @@ class TestEndToEnd:
         assert calls.get("getrf", 0) > 0
         s.solve(np.ones(a.n))
         assert calls.get("panel_trsm", 0) > 0
+
+
+def test_unregistered_backend_fails_at_config_time():
+    with pytest.raises(ValueError, match="backend must be one of"):
+        tiny_blr_config(backend="numba")
 
 
 class TestSeedBitCompatibility:

@@ -102,10 +102,19 @@ class TestProfileCommands:
     def _profiled_run(self, tmp_path, capsys, name="spans.json"):
         spans = tmp_path / name
         rc = main(["solve", "--generate", "lap2d:10",
-                   "--profile", str(spans)])
-        capsys.readouterr()
+                   "--profile", str(spans),
+                   "--gantt", str(tmp_path / "gantt.svg")])
+        out = capsys.readouterr().out
         assert rc == 0
+        assert "tasks: " in out and "critical path" in out
+        assert (tmp_path / "gantt.svg").read_text().startswith("<svg")
         return spans
+
+    @pytest.mark.parametrize("flag", ["--trace", "--scheduler"])
+    def test_retired_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--generate", "lap2d:6", flag, "x"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_solve_profile_writes_span_document(self, tmp_path, capsys):
         import json

@@ -53,6 +53,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="rank_ratio"):
             SolverConfig(rank_ratio=ratio)
 
+    @pytest.mark.parametrize("retired", [dict(scheduler="dynamic"),
+                                         dict(scheduler="static"),
+                                         dict(trace=True)],
+                             ids=lambda d: "-".join(map(str, *d.items())))
+    def test_retired_knobs_are_gone(self, retired):
+        """One worker pool and one recorder: nothing left to select."""
+        import dataclasses
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            SolverConfig(**retired)
+        assert len(dataclasses.fields(SolverConfig)) == 33
+
 
 class TestPresets:
     def test_paper_scale_matches_section4(self):

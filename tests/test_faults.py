@@ -18,8 +18,6 @@ from repro.runtime.faults import FaultError, FaultInjector
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
 
-SCHEDULERS = ("dynamic", "static")
-
 
 def factorize_with_timeout(solver, faults=None, timeout=60.0):
     """Run ``solver.factorize(faults=...)`` on a helper thread and fail the
@@ -41,7 +39,7 @@ def factorize_with_timeout(solver, faults=None, timeout=60.0):
 
 def no_scheduler_threads_left():
     return not [th for th in threading.enumerate()
-                if th.name.startswith(("repro-dyn", "repro-static"))
+                if th.name.startswith("repro-dyn")
                 and th.is_alive()]
 
 
@@ -168,12 +166,10 @@ class TestNewFaultSites:
 class TestErrorPropagation:
     """Satellite: injected errors surface, threads join, nothing hangs."""
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("nthreads", [2, 4])
-    def test_factor_fault_surfaces(self, scheduler, nthreads):
+    def test_factor_fault_surfaces(self, nthreads):
         a = laplacian_3d(6)
-        s = Solver(a, tiny_blr_config(threads=nthreads,
-                                      scheduler=scheduler))
+        s = Solver(a, tiny_blr_config(threads=nthreads))
         s.analyze()
         inj = FaultInjector(seed=nthreads)  # fixed seed: reproducible k
         k = inj.pick_block(s.symbolic.ncblk)
@@ -186,10 +182,9 @@ class TestErrorPropagation:
         assert ("factor", k, None, "raise") in inj.fired
         assert no_scheduler_threads_left()
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_update_fault_surfaces(self, scheduler):
+    def test_update_fault_surfaces(self):
         a = laplacian_3d(6)
-        s = Solver(a, tiny_blr_config(threads=4, scheduler=scheduler))
+        s = Solver(a, tiny_blr_config(threads=4))
         s.analyze()
         # pick a block that actually contributes to someone
         symb = s.symbolic
@@ -202,9 +197,8 @@ class TestErrorPropagation:
         assert isinstance(exc, (FaultError, SchedulerError))
         assert no_scheduler_threads_left()
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_sequential_engines_also_fault(self, scheduler):
-        s = Solver(laplacian_2d(6), tiny_blr_config(scheduler=scheduler))
+    def test_sequential_engines_also_fault(self):
+        s = Solver(laplacian_2d(6), tiny_blr_config())
         s.analyze()
         inj = FaultInjector()
         inj.fail_factor(0)
@@ -258,7 +252,7 @@ class TestNanInjection:
 class TestLatencyInjection:
     def test_latency_stretches_the_trace(self):
         a = laplacian_2d(5)
-        s = Solver(a, tiny_blr_config(trace=True))
+        s = Solver(a, tiny_blr_config())
         s.analyze()
         ncblk_estimate = 4  # at least a handful of column blocks
         inj = FaultInjector()

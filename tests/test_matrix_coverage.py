@@ -58,12 +58,9 @@ def test_combination_solves_general(strategy, kernel, general_problem):
 
 
 @pytest.mark.parametrize("strategy", ["dense", "just-in-time"])
-@pytest.mark.parametrize("scheduler", ["dynamic", "static"])
-def test_threaded_schedulers_all_strategies(strategy, scheduler,
-                                            spd_problem):
+def test_threaded_schedulers_all_strategies(strategy, spd_problem):
     a, b = spd_problem
-    cfg = tiny_blr_config(strategy=strategy, tolerance=TOL, threads=3,
-                          scheduler=scheduler)
+    cfg = tiny_blr_config(strategy=strategy, tolerance=TOL, threads=3)
     s = Solver(a, cfg)
     s.factorize()
     err = s.backward_error(s.solve(b), b)

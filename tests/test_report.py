@@ -365,6 +365,9 @@ class TestProfileSection:
                 "refinement"} <= set(profile["phases"])
         assert profile["total_time"] > 0
         assert profile["kernels"]["task"]["count"] > 0
+        assert profile["tasks"]["n_tasks"] == \
+            profile["kernels"]["task"]["count"]
+        assert "trace" not in report
         json.dumps(report)
 
     def test_report_without_profiler_has_null_profile(self):
@@ -376,6 +379,8 @@ class TestProfileSection:
         md = render_markdown(report)
         assert "## Profile" in md
         assert "| factorize |" in md
+        assert "## Task trace" in md
+        assert "| critical_path |" in md
 
     def test_committed_tier0_reports_diff(self, capsys):
         """`repro diff-report` over the two committed tier-0 RunReports

@@ -1,6 +1,4 @@
-"""Tests for timers, kernel stats, and memory tracking."""
-
-import time
+"""Tests for kernel stats and memory tracking."""
 
 import numpy as np
 import pytest
@@ -12,54 +10,6 @@ from repro.runtime.memory import (
     nbytes_lowrank,
 )
 from repro.runtime.stats import FactorizationStats, KernelStats, KERNEL_CATEGORIES
-from repro.runtime.timers import CategoryTimers, Timer
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.002)
-        first = t.elapsed
-        with t:
-            time.sleep(0.002)
-        assert t.elapsed > first
-
-    def test_double_start_rejected(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
-
-class TestCategoryTimers:
-    def test_independent_categories(self):
-        ct = CategoryTimers()
-        with ct.time("a"):
-            time.sleep(0.001)
-        assert ct.elapsed("a") > 0
-        assert ct.elapsed("b") == 0.0
-
-    def test_merge_sums(self):
-        a, b = CategoryTimers(), CategoryTimers()
-        a.timer("x").elapsed = 1.0
-        b.timer("x").elapsed = 2.0
-        b.timer("y").elapsed = 3.0
-        a.merge(b)
-        assert a.elapsed("x") == 3.0
-        assert a.elapsed("y") == 3.0
-        assert a.total() == 6.0
 
 
 class TestKernelStats:
@@ -75,15 +25,6 @@ class TestKernelStats:
         ks = KernelStats(locked=True)
         ks.add("x", flops=1.0)
         assert ks.flop("x") == 1.0
-
-    def test_merge(self):
-        a, b = KernelStats(), KernelStats()
-        a.add("x", flops=1.0)
-        b.add("x", flops=2.0)
-        b.add("y", seconds=1.0)
-        a.merge(b)
-        assert a.flop("x") == 3.0
-        assert a.time("y") == 1.0
 
     def test_as_dict(self):
         ks = KernelStats()

@@ -202,13 +202,11 @@ def _digest(**overrides):
 
 
 class TestInstrumentedFactorization:
-    @pytest.mark.parametrize("scheduler", ("dynamic", "static"))
     @pytest.mark.parametrize("order", ("cuf", "ucf", "ufc", "fuc"))
-    def test_clean_threaded_run_is_silent_and_bit_identical(
-            self, scheduler, order):
+    def test_clean_threaded_run_is_silent_and_bit_identical(self, order):
         ref, _ = _digest(strategy="just-in-time", variant=order, threads=1)
         got, s = _digest(strategy="just-in-time", variant=order, threads=4,
-                         scheduler=scheduler, sanitize=True)
+                         sanitize=True)
         assert s.sanitizer is not None, "sanitizer should be armed"
         assert s.sanitizer.races() == []
         assert s.sanitizer.total_events > 0, "instrumentation never fired"

@@ -83,78 +83,17 @@ class TestThreadedMatchesSequential:
         assert abs(err1 - err4) < 1e-10
 
 
-class TestStaticScheduler:
-    @pytest.mark.parametrize("strategy", ["dense", "just-in-time",
-                                          "minimal-memory"])
-    def test_correct_across_strategies(self, strategy):
-        a = laplacian_3d(7)
-        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-8, threads=4,
-                              scheduler="static")
-        s = Solver(a, cfg)
-        s.factorize()
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(a.n)
-        assert s.backward_error(s.solve(b), b) <= 1e-4
-
-    def test_dense_factors_match_sequential(self):
-        from repro.core.scheduler import run_threaded_static
-        a = laplacian_2d(7)
-        cfg = tiny_blr_config(strategy="dense")
-        opts = SymbolicOptions.from_config(cfg)
-        symb, perm = symbolic_factorization(a, opts)
-        ap = permute_symmetric(a, perm)
-        fac_seq = assemble(ap, symb, cfg)
-        run_sequential(fac_seq)
-        fac_st = assemble(ap, symb, cfg)
-        run_threaded_static(fac_st, 3)
-        for nc_s, nc_t in zip(fac_seq.cblks, fac_st.cblks):
-            np.testing.assert_allclose(nc_s.diag, nc_t.diag, atol=1e-9)
-
+class TestOneWorker:
     def test_single_thread_falls_back(self):
-        from repro.core.scheduler import run_threaded_static
         a = laplacian_2d(5)
         cfg = tiny_blr_config(strategy="dense")
         opts = SymbolicOptions.from_config(cfg)
         symb, perm = symbolic_factorization(a, opts)
         fac = assemble(permute_symmetric(a, perm), symb, cfg)
-        run_threaded_static(fac, 1)  # must not hang
+        run_threaded(fac, 1)  # must not hang
         assert all(nc.factored for nc in fac.cblks)
 
-    def test_config_validates_scheduler_name(self):
-        from repro.config import SolverConfig
-        with pytest.raises(ValueError, match="scheduler"):
-            SolverConfig(scheduler="work-stealing")
-
-
-class TestProportionalMapping:
-    def _mapping(self, nthreads):
-        from repro.core.scheduler import proportional_mapping
-        a = laplacian_3d(6)
-        cfg = tiny_blr_config()
-        opts = SymbolicOptions.from_config(cfg)
-        symb, _ = symbolic_factorization(a, opts)
-        return symb, proportional_mapping(symb, nthreads)
-
-    def test_every_block_owned(self):
-        symb, owner = self._mapping(4)
-        assert len(owner) == symb.ncblk
-        assert all(0 <= t < 4 for t in owner)
-
-    def test_all_threads_used(self):
-        _, owner = self._mapping(4)
-        assert len(set(owner)) == 4
-
-    def test_balance_reasonable(self):
-        """Proportional mapping must not starve a thread: every thread's
-        share of the work proxy stays within a loose band."""
-        symb, owner = self._mapping(2)
-        loads = [0.0, 0.0]
-        for k, t in enumerate(owner):
-            c = symb.cblks[k]
-            loads[t] += float(c.ncols) ** 3 / 3.0 + c.nnz() * c.ncols
-        ratio = max(loads) / max(min(loads), 1.0)
-        assert ratio < 10.0
-
-    def test_single_thread_mapping_trivial(self):
-        _, owner = self._mapping(1)
-        assert set(owner) == {0}
+    def test_exactly_two_drivers(self):
+        import repro.core.scheduler as sched
+        assert sorted(n for n in vars(sched) if n.startswith("run_")) == \
+            ["run_sequential", "run_threaded"]

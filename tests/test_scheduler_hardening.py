@@ -1,4 +1,4 @@
-"""Concurrency tests for the hardened threaded schedulers.
+"""Concurrency tests for the hardened worker pool.
 
 Covers the PR's tentpole guarantees:
 
@@ -28,10 +28,8 @@ from repro.core.factor import assemble
 from repro.core.scheduler import (
     DeadlockError,
     SchedulerError,
-    proportional_mapping,
     run_sequential,
     run_threaded,
-    run_threaded_static,
 )
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.faults import FaultError, FaultInjector
@@ -41,7 +39,7 @@ from repro.sparse.permute import permute_symmetric
 from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
 from tests.conftest import tiny_blr_config
 
-STRESS_REPS = int(os.environ.get("REPRO_STRESS_REPS", "5"))
+STRESS_REPS = int(os.environ.get("REPRO_STRESS_REPS", "10"))
 STRESS_THREADS = tuple(
     int(t) for t in os.environ.get("REPRO_STRESS_THREADS", "2,4").split(","))
 
@@ -92,14 +90,11 @@ class TestDeterminismStress:
         runs = 0
         for rep in range(STRESS_REPS):
             for nthreads in STRESS_THREADS:
-                for engine, label in ((run_threaded, "dynamic"),
-                                      (run_threaded_static, "static")):
-                    fac = assemble(ap, symb, cfg)
-                    engine(fac, nthreads)
-                    _assert_bit_identical(
-                        ref, fac,
-                        f"({label}, {nthreads} threads, rep {rep})")
-                    runs += 1
+                fac = assemble(ap, symb, cfg)
+                run_threaded(fac, nthreads)
+                _assert_bit_identical(
+                    ref, fac, f"({nthreads} threads, rep {rep})")
+                runs += 1
         assert runs >= 20
 
     def test_minimal_memory_also_deterministic(self):
@@ -108,10 +103,9 @@ class TestDeterminismStress:
                                   tolerance=1e-8)
         ref = assemble(ap, symb, cfg)
         run_sequential(ref)
-        for engine in (run_threaded, run_threaded_static):
-            fac = assemble(ap, symb, cfg)
-            engine(fac, 4)
-            _assert_bit_identical(ref, fac, f"({engine.__name__})")
+        fac = assemble(ap, symb, cfg)
+        run_threaded(fac, 4)
+        _assert_bit_identical(ref, fac)
 
     def test_repeated_solves_identical(self):
         """End-to-end: repeated threaded factorize+solve yields the exact
@@ -119,16 +113,14 @@ class TestDeterminismStress:
         a = laplacian_3d(5)
         b = np.arange(a.n, dtype=np.float64)
         ref = None
-        for scheduler in ("dynamic", "static"):
-            for _ in range(2):
-                s = Solver(a, tiny_blr_config(threads=4,
-                                              scheduler=scheduler))
-                s.factorize()
-                x = s.solve(b)
-                if ref is None:
-                    ref = x
-                else:
-                    assert np.array_equal(ref, x)
+        for _ in range(4):
+            s = Solver(a, tiny_blr_config(threads=4))
+            s.factorize()
+            x = s.solve(b)
+            if ref is None:
+                ref = x
+            else:
+                assert np.array_equal(ref, x)
 
 
 class TestErrorAggregation:
@@ -155,23 +147,6 @@ class TestErrorAggregation:
         assert "2 scheduler workers failed" in str(exc)
         assert exc.__cause__ is exc.errors[0]
 
-    def test_static_engine_aggregates_too(self):
-        a = laplacian_3d(6)
-        cfg, symb, ap = _prepared(a)
-        owner = proportional_mapping(symb, 2)
-        first_of = {}
-        for k in range(symb.ncblk):
-            first_of.setdefault(owner[k], k)
-        assert len(first_of) == 2
-        inj = FaultInjector()
-        for k in first_of.values():
-            inj.fail_factor(k, delay=0.3)
-        fac = assemble(ap, symb, cfg)
-        fac.faults = inj
-        with pytest.raises(SchedulerError) as info:
-            run_threaded_static(fac, 2)
-        assert len(info.value.errors) == 2
-
     def test_single_failure_raises_itself(self):
         """One failure must re-raise as the original exception type, not
         wrapped — callers keep matching on semantic exception classes."""
@@ -187,33 +162,29 @@ class TestErrorAggregation:
 class TestSentinelShutdown:
     def test_no_scheduler_threads_survive_success(self):
         a = laplacian_3d(5)
-        for scheduler in ("dynamic", "static"):
-            s = Solver(a, tiny_blr_config(threads=4, scheduler=scheduler))
-            s.factorize()
-            leftovers = [th for th in threading.enumerate()
-                         if th.name.startswith(("repro-dyn",
-                                                "repro-static"))]
-            assert not leftovers
+        s = Solver(a, tiny_blr_config(threads=4))
+        s.factorize()
+        leftovers = [th for th in threading.enumerate()
+                     if th.name.startswith("repro-dyn")]
+        assert not leftovers
 
     def test_no_scheduler_threads_survive_failure(self):
         a = laplacian_3d(5)
-        for scheduler in ("dynamic", "static"):
-            s = Solver(a, tiny_blr_config(threads=4, scheduler=scheduler))
-            s.analyze()
-            inj = FaultInjector()
-            inj.fail_factor(0)
-            with pytest.raises((FaultError, SchedulerError)):
-                s.factorize(faults=inj)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                leftovers = [th for th in threading.enumerate()
-                             if th.name.startswith(("repro-dyn",
-                                                    "repro-static"))
-                             and th.is_alive()]
-                if not leftovers:
-                    break
-                time.sleep(0.01)
-            assert not leftovers
+        s = Solver(a, tiny_blr_config(threads=4))
+        s.analyze()
+        inj = FaultInjector()
+        inj.fail_factor(0)
+        with pytest.raises((FaultError, SchedulerError)):
+            s.factorize(faults=inj)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            leftovers = [th for th in threading.enumerate()
+                         if th.name.startswith("repro-dyn")
+                         and th.is_alive()]
+            if not leftovers:
+                break
+            time.sleep(0.01)
+        assert not leftovers
 
     def test_completion_is_prompt_without_watchdog(self):
         """Sentinel shutdown replaced the 50ms polling loop: a tiny run
@@ -231,11 +202,9 @@ class TestDeadlockWatchdog:
     """Satellite/tentpole: a synthetic stall trips the watchdog, which
     raises with a pending-counter dump instead of hanging."""
 
-    @pytest.mark.parametrize("scheduler", ["dynamic", "static"])
-    def test_watchdog_fires_with_pending_dump(self, scheduler):
+    def test_watchdog_fires_with_pending_dump(self):
         a = laplacian_3d(5)
-        s = Solver(a, tiny_blr_config(threads=2, scheduler=scheduler,
-                                      watchdog_timeout=0.4))
+        s = Solver(a, tiny_blr_config(threads=2, watchdog_timeout=0.4))
         s.analyze()
         inj = FaultInjector()
         release = inj.stall_factor(s.symbolic.ncblk - 1)  # hang on the root
@@ -273,12 +242,10 @@ class TestDeadlockWatchdog:
 
     def test_healthy_run_does_not_trip_watchdog(self):
         a = laplacian_3d(6)
-        for scheduler in ("dynamic", "static"):
-            s = Solver(a, tiny_blr_config(threads=4, scheduler=scheduler,
-                                          watchdog_timeout=30.0))
-            s.factorize()  # must not raise
-            b = np.ones(a.n)
-            assert s.backward_error(s.solve(b), b) <= 1e-6
+        s = Solver(a, tiny_blr_config(threads=4, watchdog_timeout=30.0))
+        s.factorize()  # must not raise
+        b = np.ones(a.n)
+        assert s.backward_error(s.solve(b), b) <= 1e-6
 
     def test_watchdog_config_validation(self):
         from repro.config import SolverConfig

@@ -1,15 +1,36 @@
 """Tests for factorization save/load."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
-from repro.core.serialize import load_factor, save_factor
+from repro.core.serialize import (
+    RETIRED_CONFIG_FIELDS,
+    checkpoint_config,
+    load_factor,
+    save_factor,
+)
 from repro.core.solver import Solver
+from repro.runtime.faults import FaultError, FaultInjector
 from repro.sparse.generators import (
     convection_diffusion_3d,
     laplacian_3d,
 )
 from tests.conftest import tiny_blr_config
+from tests.test_recovery import factor_digest
+
+
+def edit_header(path, member, edit):
+    """Rewrite the JSON header of an archive in place."""
+    with zipfile.ZipFile(path) as zf:
+        header = json.loads(zf.read(member))
+        arrays = zf.read("arrays.npz")
+    edit(header)
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(member, json.dumps(header))
+        zf.writestr("arrays.npz", arrays)
 
 
 def roundtrip(a, cfg, tmp_path, rng):
@@ -101,21 +122,58 @@ class TestArchiveProperties:
             Solver.load_factor(laplacian_3d(4), path)
 
     def test_bad_version_rejected(self, tmp_path, rng):
-        import json
-        import zipfile
-
         a = laplacian_3d(4)
         s = Solver(a, tiny_blr_config(strategy="dense"))
         s.factorize()
         path = tmp_path / "f.rpz"
         s.save_factor(path)
-        # tamper with the version
-        with zipfile.ZipFile(path) as zf:
-            header = json.loads(zf.read("header.json"))
-            arrays = zf.read("arrays.npz")
-        header["format_version"] = 999
-        with zipfile.ZipFile(path, "w") as zf:
-            zf.writestr("header.json", json.dumps(header))
-            zf.writestr("arrays.npz", arrays)
+        edit_header(path, "header.json",
+                    lambda h: h.update(format_version=999))
         with pytest.raises(ValueError, match="version"):
+            load_factor(path)
+
+
+class TestArchivesOutliveConfigFields:
+    """A stored config may carry fields that have since been retired;
+    anything else unknown is still rejected, by name."""
+
+    RETIRED = dict(accumulate_updates=True, trace=False,
+                   scheduler="static")
+
+    def cfg(self):
+        return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
+
+    def test_factor_archive_with_retired_fields_loads(self, tmp_path, rng):
+        assert set(self.RETIRED) == set(RETIRED_CONFIG_FIELDS)
+        a = laplacian_3d(6)
+        s, _, x1, _, path = roundtrip(a, self.cfg(), tmp_path, rng)
+        edit_header(path, "header.json",
+                    lambda h: h["config"].update(self.RETIRED))
+        s2 = Solver.load_factor(a, path)
+        assert s2.config == s.config
+        assert factor_digest(s2.factor) == factor_digest(s.factor)
+
+    def test_checkpoint_with_retired_fields_resumes(self, tmp_path):
+        a = laplacian_3d(6)
+        clean = Solver(a, self.cfg())
+        clean.factorize()
+        s = Solver(a, self.cfg())
+        inj = FaultInjector()
+        inj.fail_factor(s.analyze().ncblk // 2)
+        ckpt = tmp_path / "partial.ckpt"
+        with pytest.raises(FaultError):
+            s.factorize(faults=inj, checkpoint=ckpt)
+        edit_header(ckpt, "checkpoint.json",
+                    lambda h: h["config"].update(self.RETIRED))
+        assert checkpoint_config(ckpt) == self.cfg()
+        resumed = Solver(a, self.cfg())
+        resumed.resume_from(ckpt)
+        assert factor_digest(resumed.factor) == factor_digest(clean.factor)
+
+    def test_unknown_field_rejected_by_name(self, tmp_path, rng):
+        a = laplacian_3d(4)
+        *_, path = roundtrip(a, self.cfg(), tmp_path, rng)
+        edit_header(path, "header.json",
+                    lambda h: h["config"].update(bogus_knob=1))
+        with pytest.raises(ValueError, match="bogus_knob"):
             load_factor(path)

@@ -37,8 +37,7 @@ from tests.conftest import tiny_blr_config
 #: engine name -> config overrides producing that engine through Solver
 ENGINES = {
     "sequential": dict(threads=1),
-    "threaded-dynamic": dict(threads=4, scheduler="dynamic"),
-    "threaded-static": dict(threads=4, scheduler="static"),
+    "threaded-dynamic": dict(threads=4),
 }
 
 
@@ -228,13 +227,10 @@ class TestEngineEquivalence:
             s, prof = profiled_solver(
                 a, strategy="just-in-time", variant=order, **overrides)
             assert prof.check_invariants() == [], (engine, order)
-            assert prof.meta["engine"] in ("sequential",
-                                           "threaded-dynamic",
-                                           "threaded-static")
+            assert prof.meta["engine"] == engine
             trees[engine] = canonical_tree(prof.events())
             digests[engine] = factor_digest(s)
         assert trees["sequential"] == trees["threaded-dynamic"]
-        assert trees["sequential"] == trees["threaded-static"]
         assert len(set(digests.values())) == 1
 
     def test_profiling_does_not_change_float64_factor_bits(self):

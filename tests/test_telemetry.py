@@ -252,19 +252,9 @@ class TestSolverIntegration:
         assert tasks == s.symbolic.ncblk
         assert snap["gauges"]["scheduler_threads"][0]["value"] == 4
         assert len(snap["series"]["scheduler_queue_depth"]) > 0
-
-    def test_static_scheduler_counters_exact(self):
-        tele = Telemetry()
-        s = Solver(laplacian_3d(8), tiny_blr_config(
-            strategy="just-in-time", threads=4, scheduler="static",
-            telemetry=tele))
-        s.factorize()
-        snap = tele.snapshot()
-        tasks = sum(c["value"] for c in snap["counters"]["scheduler_tasks"])
-        assert tasks == s.symbolic.ncblk
         labels = {c["labels"]["engine"]
                   for c in snap["counters"]["scheduler_tasks"]}
-        assert labels == {"static"}
+        assert labels == {"dynamic"}
 
     def test_refinement_history_on_bus(self):
         tele = Telemetry()

@@ -1,19 +1,19 @@
-"""Tests for the runtime task tracer (repro.runtime.trace).
+"""Tests for the task view of a span profile (repro.analysis.profile).
 
-Covers the recorder itself, the JSON round-trip, the trace invariants that
-must hold for every execution engine, the utilization/critical-path
-summaries, the Gantt renderer, and the disabled-tracing overhead bound.
+Who ran which fan-in task when is read off the span document: the
+invariants every engine's task and kernel spans must satisfy, the
+utilization/critical-path summary, and the Gantt renderer — from a live
+profiler and from its JSON round trip.
 """
 
 import json
-import threading
-import time
 
 import pytest
 
 from repro.analysis.charts import gantt_chart
+from repro.analysis.profile import task_summary
 from repro.core.solver import Solver
-from repro.runtime.trace import TaskTracer
+from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
 
@@ -22,247 +22,183 @@ ENGINES = {
     "sequential": dict(threads=1),
     "left-looking": dict(threads=1, left_looking=True,
                          strategy="just-in-time"),
-    "threaded-dynamic": dict(threads=4, scheduler="dynamic"),
-    "threaded-static": dict(threads=4, scheduler="static"),
+    "threaded-dynamic": dict(threads=4),
 }
 
 
 def traced_solver(a, **overrides):
-    s = Solver(a, tiny_blr_config(trace=True, **overrides))
+    """A factorized solver and the span document of its run."""
+    prof = SpanProfiler()
+    s = Solver(a, tiny_blr_config(profiler=prof, **overrides))
     s.factorize()
-    return s
+    return s, prof.to_json()
+
+
+def named(doc, name):
+    return [sp for sp in doc["spans"] if sp["name"] == name]
+
+
+def duration(sp):
+    return sp["t1"] - sp["t0"]
 
 
 class TestTracerUnit:
-    def test_record_and_events_sorted(self):
-        tr = TaskTracer()
-        t0 = tr.clock()
-        tr.record("factor", 1, t0)
-        tr.record("update", 1, tr.clock(), target=2, tag="panel")
-        evs = tr.events()
-        assert [ev.kind for ev in evs] == ["factor", "update"]
-        assert evs[0].t0 <= evs[1].t0
-        assert evs[1].target == 2 and evs[1].tag == "panel"
-        assert all(ev.t1 >= ev.t0 for ev in evs)
-
-    def test_dense_thread_indices(self):
-        tr = TaskTracer()
-
-        def work():
-            tr.record("factor", 0, tr.clock())
-
-        threads = [threading.Thread(target=work) for _ in range(3)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert sorted({ev.thread for ev in tr.events()}) == [0, 1, 2]
-        assert tr.nthreads() == 3
-
     def test_empty_tracer_summaries(self):
-        tr = TaskTracer()
-        assert tr.events() == []
-        assert tr.span() == 0.0
-        assert tr.critical_path() == 0.0
-        assert tr.summary()["n_events"] == 0
-        assert tr.check_invariants() == []
-
-    def test_meta_is_free_form(self):
-        tr = TaskTracer()
-        tr.meta["engine"] = "unit-test"
-        assert tr.summary()["meta"]["engine"] == "unit-test"
+        summ = task_summary([])
+        assert summ["n_tasks"] == 0 and summ["n_threads"] == 0
+        assert summ["span"] == 0.0
+        assert summ["critical_path"] == 0.0
+        assert summ["mean_utilization"] == 0.0
+        assert summ["parallelism"] == 0.0
 
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, tmp_path):
-        s = traced_solver(laplacian_3d(5), threads=2)
-        path = tmp_path / "trace.json"
-        doc = s.tracer.to_json(path)
-        assert path.exists()
-        assert doc == json.loads(path.read_text())
-        back = TaskTracer.from_json(path)
-        assert back.events() == s.tracer.events()
-        assert back.meta == s.tracer.meta
-        assert back.task_counts() == s.tracer.task_counts()
+        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        path = tmp_path / "spans.json"
+        path.write_text(json.dumps(doc))
+        assert task_summary(path) == task_summary(doc)
+        assert task_summary(json.loads(path.read_text())) == \
+            task_summary(doc)
 
     def test_from_json_accepts_dict(self):
-        s = traced_solver(laplacian_2d(6))
-        back = TaskTracer.from_json(s.tracer.to_json())
-        assert back.events() == s.tracer.events()
+        _, doc = traced_solver(laplacian_2d(6))
+        assert task_summary(doc) == task_summary(doc["spans"])
 
     def test_schema_fields(self):
-        s = traced_solver(laplacian_2d(6))
-        doc = s.tracer.to_json()
+        """What the summary and the Gantt chart read off a span."""
+        _, doc = traced_solver(laplacian_2d(6))
         assert doc["version"] == 1
-        for raw in doc["events"]:
-            assert set(raw) == {"kind", "cblk", "target", "tag",
-                                "thread", "t0", "t1"}
+        for sp in doc["spans"]:
+            assert {"name", "thread", "t0", "t1", "attrs"} <= set(sp)
+        for sp in named(doc, "task") + named(doc, "factor"):
+            assert "cblk" in sp["attrs"]
+        for sp in named(doc, "update"):
+            assert {"cblk", "target"} <= set(sp["attrs"])
 
 
 class TestTraceInvariants:
-    """The properties every engine's trace must satisfy."""
+    """The properties every engine's spans must satisfy."""
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_factor_tasks_cover_every_block_once(self, engine):
-        s = traced_solver(laplacian_3d(6), **ENGINES[engine])
-        ncblk = s.symbolic.ncblk
-        factors = [ev for ev in s.tracer.events() if ev.kind == "factor"]
-        assert len(factors) == ncblk
-        assert sorted(ev.cblk for ev in factors) == list(range(ncblk))
-        assert s.tracer.meta["engine"] == engine
+        s, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+        every_block = list(range(s.symbolic.ncblk))
+        for name in ("task", "factor"):
+            assert sorted(sp["attrs"]["cblk"]
+                          for sp in named(doc, name)) == every_block
+        assert doc["meta"]["engine"] == engine
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_begin_before_end_and_no_thread_overlap(self, engine):
-        s = traced_solver(laplacian_3d(6), **ENGINES[engine])
-        evs = s.tracer.events()
-        assert all(ev.t1 >= ev.t0 for ev in evs)
-        by_thread = {}
-        for ev in evs:
-            by_thread.setdefault(ev.thread, []).append(ev)
-        for tevs in by_thread.values():
-            tevs.sort(key=lambda ev: ev.t0)
-            for a, b in zip(tevs, tevs[1:]):
-                assert b.t0 >= a.t1 - 1e-9
-        assert s.tracer.check_invariants(s.symbolic.ncblk) == []
+        _, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+        assert all(sp["t1"] >= sp["t0"] for sp in doc["spans"])
+        # tasks on one thread follow one another, and so do the kernel
+        # spans of one nesting depth (updates and factors inside tasks)
+        for names in (("task",), ("update", "factor", "finalize")):
+            by_thread = {}
+            for sp in doc["spans"]:
+                if sp["name"] in names:
+                    by_thread.setdefault(sp["thread"], []).append(sp)
+            for spans in by_thread.values():
+                spans.sort(key=lambda sp: sp["t0"])
+                for a, b in zip(spans, spans[1:]):
+                    assert b["t0"] >= a["t1"] - 1e-9
 
-    @pytest.mark.parametrize("engine", ["threaded-dynamic",
-                                        "threaded-static"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_pull_mode_updates_have_explicit_targets(self, engine):
-        s = traced_solver(laplacian_3d(6), **ENGINES[engine])
-        updates = [ev for ev in s.tracer.events() if ev.kind == "update"]
-        assert updates, "threaded runs must trace update tasks"
-        assert all(ev.target >= 0 for ev in updates)
+        s, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+        updates = named(doc, "update")
+        assert updates, "every engine must record update spans"
         # one pulled update per (contributor, target) edge
-        edges = {(ev.cblk, ev.target) for ev in updates}
+        edges = {(sp["attrs"]["cblk"], sp["attrs"]["target"])
+                 for sp in updates}
         want = {(c, t) for t in range(s.symbolic.ncblk)
                 for c in s.symbolic.contributors(t)}
         assert edges == want
 
-    def test_invariant_checker_flags_corruption(self):
-        tr = TaskTracer()
-        t = tr.clock()
-        tr.record("factor", 0, t)
-        tr.record("factor", 0, tr.clock())  # duplicate factor
-        problems = tr.check_invariants(ncblk=2)
-        assert any("factored 2 times" in p for p in problems)
-        assert any("1/2" in p or "factored 1/2" in p for p in problems)
-
 
 class TestSummaries:
     def test_thread_counts_reproduced(self):
-        s = traced_solver(laplacian_3d(6), threads=2)
-        summ = s.tracer.summary()
-        assert summ["meta"]["threads"] == 2
+        _, doc = traced_solver(laplacian_3d(6), threads=2)
+        summ = task_summary(doc)
+        assert doc["meta"]["threads"] == 2
         assert summ["n_threads"] == 2  # both workers genuinely ran tasks
         assert set(summ["utilization"]) == set(summ["thread_busy"])
         assert all(0.0 <= u <= 1.0 + 1e-9
                    for u in summ["utilization"].values())
 
     def test_sequential_critical_path_is_busy_time(self):
-        s = traced_solver(laplacian_2d(7))
-        busy = sum(ev.duration for ev in s.tracer.events())
-        assert s.tracer.critical_path() == pytest.approx(busy)
+        _, doc = traced_solver(laplacian_2d(7))
+        busy = sum(duration(sp) for sp in named(doc, "task"))
+        assert task_summary(doc)["critical_path"] == pytest.approx(busy)
 
     def test_threaded_critical_path_bounds(self):
-        s = traced_solver(laplacian_3d(6), threads=4)
-        tr = s.tracer
-        cp = tr.critical_path()
-        busy = sum(ev.duration for ev in tr.events())
+        _, doc = traced_solver(laplacian_3d(6), threads=4)
+        summ = task_summary(doc)
+        tasks = [duration(sp) for sp in named(doc, "task")]
         # the chain is at most all work, at least the heaviest single task
-        assert max(ev.duration for ev in tr.events()) <= cp + 1e-12
-        assert cp <= busy + 1e-9
-        assert tr.summary()["parallelism"] >= 1.0 - 1e-9
+        assert max(tasks) <= summ["critical_path"] + 1e-12
+        assert summ["critical_path"] <= sum(tasks) + 1e-9
+        assert summ["parallelism"] >= 1.0 - 1e-9
 
     def test_span_covers_events(self):
-        s = traced_solver(laplacian_3d(5), threads=2)
-        evs = s.tracer.events()
-        assert s.tracer.span() == pytest.approx(
-            max(ev.t1 for ev in evs) - min(ev.t0 for ev in evs))
+        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        tasks = named(doc, "task")
+        assert task_summary(doc)["span"] == pytest.approx(
+            max(sp["t1"] for sp in tasks) - min(sp["t0"] for sp in tasks))
 
 
 class TestGantt:
     def test_renders_lanes_and_legend(self, tmp_path):
-        s = traced_solver(laplacian_3d(5), threads=2)
-        path = tmp_path / "gantt.svg"
-        out = gantt_chart(path, s.tracer.events(), title="tasks")
+        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        out = gantt_chart(tmp_path / "gantt.svg", doc["spans"],
+                          title="tasks")
         svg = out.read_text()
         assert svg.startswith("<svg")
-        for tid in sorted({ev.thread for ev in s.tracer.events()}):
+        drawn = named(doc, "factor") + named(doc, "update")
+        for tid in sorted({sp["thread"] for sp in drawn}):
             assert f"thread {tid}" in svg
         assert "factor" in svg and "update" in svg
-        # one rect per event (plus background + legend swatches)
-        assert svg.count("<rect") >= len(s.tracer.events())
+        # one rect per kernel span (plus background + legend swatches)
+        assert svg.count("<rect") >= len(drawn)
 
     def test_accepts_json_dicts(self, tmp_path):
-        s = traced_solver(laplacian_2d(6))
-        doc = s.tracer.to_json()
-        out = gantt_chart(tmp_path / "g.svg", doc["events"])
-        assert out.exists()
-
-
-class TestDisabledOverhead:
-    def test_tracing_is_off_by_default(self):
-        s = Solver(laplacian_2d(6), tiny_blr_config())
-        s.factorize()
-        assert s.tracer is None
-        assert s.factor.tracer is None
-
-    def test_disabled_overhead_under_5_percent(self):
-        """Benchmark-style bound: enabling the trace hooks must not slow a
-        laplacian_3d(8) JIT/RRQR factorization by more than 5% (plus a
-        small absolute epsilon for scheduler noise).  With tracing
-        *disabled* the hooks are a single attribute load + None test per
-        task, so the enabled run bounds the disabled overhead from above.
-        """
-        from repro.config import SolverConfig
-
-        a = laplacian_3d(8)
-
-        def best_of(trace, reps=3):
-            times = []
-            for _ in range(reps):
-                cfg = SolverConfig.laptop_scale(
-                    strategy="just-in-time", kernel="rrqr", trace=trace)
-                s = Solver(a, cfg)
-                s.analyze()
-                t0 = time.perf_counter()
-                s.factorize()
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        best_of(False, reps=1)  # warm the caches
-        t_off = best_of(False)
-        t_on = best_of(True)
-        assert t_on <= 1.05 * t_off + 0.02, (
-            f"tracing overhead too high: off={t_off:.4f}s on={t_on:.4f}s")
+        _, doc = traced_solver(laplacian_2d(6))
+        spans = json.loads(json.dumps(doc))["spans"]
+        out = gantt_chart(tmp_path / "g.svg", spans)
+        assert out.read_text() == gantt_chart(
+            tmp_path / "h.svg", doc["spans"]).read_text()
 
 
 class TestGanttKindColors:
     def test_compress_and_finalize_get_stable_legend_colors(self, tmp_path):
-        """The ufc "compress" pass and the fuc "finalize" pass render
-        with their own palette entries (not the hashed fallback), and
-        both appear in the legend."""
+        """The "compress" pass and the fuc "finalize" pass render with
+        their own palette entries, and both appear in the legend; spans
+        of any other name are not drawn."""
         from repro.analysis.charts import _GANTT_KIND_COLORS, PALETTE
 
         assert _GANTT_KIND_COLORS["compress"] == PALETTE[2]
         assert _GANTT_KIND_COLORS["finalize"] == PALETTE[5]
         assert len(set(_GANTT_KIND_COLORS.values())) == 4
 
-        tr = TaskTracer()
-        t0 = tr.clock()
-        tr.record("factor", 0, t0)
-        tr.record("update", 1, t0, target=2)
-        tr.record("compress", 1, t0, tag="ufc")
-        tr.record("finalize", 2, t0, tag="fuc")
-        out = gantt_chart(tmp_path / "g.svg", tr.events())
-        svg = out.read_text()
+        prof = SpanProfiler()
+        with prof.span("task", cblk=0):
+            for kind in _GANTT_KIND_COLORS:
+                with prof.span(kind, cblk=0):
+                    pass
+        svg = gantt_chart(tmp_path / "g.svg",
+                          prof.to_json()["spans"]).read_text()
         for kind, color in _GANTT_KIND_COLORS.items():
             assert kind in svg
             assert color in svg
+        # background + one rect and one legend swatch per kind: neither
+        # the enclosing task nor the root span is drawn
+        assert svg.count("<rect") == 1 + 2 * len(_GANTT_KIND_COLORS)
 
     def test_variant_runs_trace_their_extra_kinds(self):
         a = laplacian_2d(10)
-        ufc = traced_solver(a, strategy="just-in-time", variant="ufc")
-        assert ufc.tracer.task_counts().get("compress", 0) > 0
-        fuc = traced_solver(a, strategy="just-in-time", variant="fuc")
-        assert fuc.tracer.task_counts().get("finalize", 0) > 0
+        _, ufc = traced_solver(a, strategy="just-in-time", variant="ufc")
+        assert named(ufc, "compress")
+        _, fuc = traced_solver(a, strategy="just-in-time", variant="fuc")
+        assert named(fuc, "finalize")

@@ -285,14 +285,13 @@ class TestVariantMatrix:
 
     def test_threaded_matches_sequential_bitwise(self, order):
         """Every loop order keeps the bit-reproducibility contract under
-        both threaded engines (the FUC finalize fires only after the last
-        pull of immutable dense panels)."""
+        the worker pool (the FUC finalize fires only after the last pull
+        of immutable dense panels)."""
         a = laplacian_3d(6)
         digests = set()
-        for threads, sched in ((1, "dynamic"), (4, "dynamic"),
-                               (4, "static")):
+        for threads in (1, 4):
             s = Solver(a, tiny_blr_config(variant=order, tolerance=1e-8,
-                                          threads=threads, scheduler=sched))
+                                          threads=threads))
             s.factorize()
             digests.add(factor_digest(s.factor))
         assert len(digests) == 1
