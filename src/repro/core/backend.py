@@ -48,11 +48,13 @@ See ``docs/performance.md`` for the full protocol contract.
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "KernelBackend",
@@ -66,6 +68,50 @@ __all__ = [
 #: environment variable naming the default backend (overridden by an
 #: explicit ``SolverConfig.backend``)
 BACKEND_ENV = "REPRO_BACKEND"
+
+
+# ----------------------------------------------------------------------
+# triangular solve on the LAPACK routine, bound once per dtype pair
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _trtrs(a_dtype: np.dtype, b_dtype: np.dtype) -> Callable[..., Any]:
+    """LAPACK ``?trtrs`` for operands of these dtypes — the routine
+    ``scipy.linalg.solve_triangular`` looks up again on every call."""
+    return get_lapack_funcs(
+        ("trtrs",),
+        (np.empty(0, dtype=a_dtype), np.empty(0, dtype=b_dtype)))[0]
+
+
+def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
+                      lower: bool = False,
+                      unit_diagonal: bool = False) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, ..., check_finite=False)``
+    without its per-call batching, validation and routine lookup: the same
+    shape checks, the same ``trtrs`` call (so the same bits), the same
+    empty right-hand side and the same errors."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    trtrs = _trtrs(a.dtype, b.dtype)
+    if b.size == 0:
+        return np.empty_like(b, dtype=trtrs.dtype)
+    t = "NTC".index(trans)
+    if a.flags.f_contiguous or t == 2:
+        x, info = trtrs(a, b, lower=lower, trans=t, unitdiag=unit_diagonal)
+    else:
+        # trtrs expects Fortran ordering: solve the transposed system
+        x, info = trtrs(a.T, b, lower=not lower, trans=not t,
+                        unitdiag=unit_diagonal)
+    if info > 0:
+        raise LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -108,12 +154,10 @@ def _lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
         if k1 < n:
             diag = lu[k0:k1, k0:k1]
             # panel solves against the factored sub-block
-            lu[k0:k1, k1:] = sla.solve_triangular(
-                diag, lu[k0:k1, k1:], lower=True, unit_diagonal=True,
-                check_finite=False)
-            lu[k1:, k0:k1] = sla.solve_triangular(
-                diag, lu[k1:, k0:k1].T, trans="T", lower=False,
-                check_finite=False).T
+            lu[k0:k1, k1:] = _solve_triangular(
+                diag, lu[k0:k1, k1:], lower=True, unit_diagonal=True)
+            lu[k1:, k0:k1] = _solve_triangular(
+                diag, lu[k1:, k0:k1].T, trans="T", lower=False).T
             # trailing update (the BLAS3 payload)
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return lu, nperturbed
@@ -568,34 +612,21 @@ class NumpyBackend(KernelBackend):
             if trans == "C":
                 # op(a) = aᴴ: solve the conjugated system and conjugate
                 # back (a no-copy pass-through for real operands)
-                return sla.solve_triangular(
-                    a, b.conj(), trans="T", lower=lower,
-                    unit_diagonal=unit_diagonal,
-                    check_finite=False).conj()
-            return sla.solve_triangular(
-                a, b, trans=trans, lower=lower,
-                unit_diagonal=unit_diagonal, check_finite=False)
+                return _solve_triangular(
+                    a, b.conj(), "T", lower, unit_diagonal).conj()
+            return _solve_triangular(a, b, trans, lower, unit_diagonal)
         if side != "right":
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         # X op(a) = b  <=>  op(a)ᵗ Xᵗ = bᵗ — exactly the transpose tricks
         # the pre-backend right-solve helpers used, kept call-for-call so
         # float64 factorizations stay bit-identical to the seed
         if trans == "N":
-            flip = "T"
-            out = sla.solve_triangular(
-                a, b.T, trans=flip, lower=lower,
-                unit_diagonal=unit_diagonal, check_finite=False)
-            return out.T
+            return _solve_triangular(a, b.T, "T", lower, unit_diagonal).T
         if trans == "T":
-            out = sla.solve_triangular(
-                a, b.T, lower=lower, unit_diagonal=unit_diagonal,
-                check_finite=False)
-            return out.T
+            return _solve_triangular(a, b.T, "N", lower, unit_diagonal).T
         # trans == "C": X aᴴ = b  <=>  a (Xᴴ)ᵗ... — conjugate/solve/conjugate
-        out = sla.solve_triangular(
-            a, b.conj().T, lower=lower, unit_diagonal=unit_diagonal,
-            check_finite=False)
-        return out.conj().T
+        return _solve_triangular(
+            a, b.conj().T, "N", lower, unit_diagonal).conj().T
 
     def getrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:

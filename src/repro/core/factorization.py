@@ -16,9 +16,9 @@ Per column block ``k`` the elimination performs the paper's three steps:
 A column block stays in panel mode until a block in it actually compresses
 (*blocks mode = holds at least one low-rank block*, whatever the strategy),
 which lets step 2 run one TRSM per side and step 3 one batched GEMM per
-facing block ``(j)`` covering all ``(i)`` at once (PaStiX's stacked-panel
-trick); only a column block that holds a low-rank block dispatches per
-block pair through :mod:`repro.lowrank.kernels`.
+side for each target it faces (PaStiX's stacked-panel trick); only a
+column block that holds a low-rank block dispatches per block pair through
+:mod:`repro.lowrank.kernels`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.dense_kernels import (
     block_all_finite,
     flop_scale,
-    gemm_flops,
     getrf_flops,
     ldlt_flops,
     potrf_flops,
@@ -536,88 +535,112 @@ def apply_updates_from(fac: NumericFactor, k: int, target: int,
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
                         t: int, acc: UpdateAccumulator) -> None:
-    """Batched dense updates: one GEMM per side and block ``(j)`` facing
-    ``t`` — all ``(i) >= (j)`` of L at once, all ``(i) > (j)`` of Uᵗ (its
-    ``(j, j)`` product is the L side's transposed), so the flops are those
-    of the per-pair products.
+    """Batched dense update of ``t`` by a panel-mode source: one product
+    per side and one landing per destination for the whole visit.
+
+    With ``F`` the rows of the blocks facing ``t``, ``W = L[F ∪ below] ·
+    U[F]ᵗ`` holds the facing square (its lower block triangle is the L
+    side's, its strict upper one the Uᵗ side's transposed) on top of the L
+    rows below; ``W_u = U[below] · L[F]ᵗ`` is the Uᵗ side's.  Symmetric
+    factorizations keep the lower block triangle only — one product per
+    facing block for the square when several face ``t`` — so the flops are
+    those of the per-pair products either way
+    (:meth:`SymbolicFactor.update_entries`).
 
     Hermitian factorizations (complex Cholesky/LDLᴴ) conjugate the
-    transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``.
+    transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``
+    (``.conj()`` is a no-copy pass-through for real panels).
     """
     stats = fac.stats.kernels
     sym = nc.sym
     offs = nc.row_offsets
-    lpanel, upanel = nc.lpanel, nc.upanel
-    if fac.storage_dtype is not None:
-        # narrow-storage operands multiply in the compute dtype: promoted
-        # once per panel where the per-pair path promotes per block
-        lpanel, upanel = (_promote(p, fac.dtype) for p in (lpanel, upanel))
-    is_lu = upanel is not None
-    d_scale = (np.diag(nc.diag)
-               if fac.config.factotype == "ldlt" else None)
-    # Hermitian facto (complex cholesky/ldlt): the trailing update is
-    # A(i,j) -= L(i) L(j)ᴴ, so the transposed operand is conjugated
-    # (.conj() is a no-copy pass-through for real panels)
+    is_lu = nc.upanel is not None
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     be = fac.backend
     first, end = fac.symb.facing_ranges(sym.id)[t]
     tnc = fac.cblks[t]
     drow, pos = fac.symb.landing_map(sym.id, t)
     base, dend = offs[first], offs[end]
-    for j in range(first, end):
-        bj = sym.blocks[1 + j]
-        jlo, jhi = offs[j], offs[j + 1]
-        t0 = time.perf_counter()
+    nf, nbelow = dend - base, len(pos)
+    t0 = time.perf_counter()
+    # the rows this visit multiplies; narrow-storage operands multiply in
+    # the compute dtype, so exactly those rows are promoted
+    l_rows = nc.lpanel[base:]
+    u_rows = nc.upanel[base:] if is_lu else None
+    if fac.storage_dtype is not None:
+        l_rows = _promote(l_rows, fac.dtype)
+        u_rows = _promote(u_rows, fac.dtype)
+    if is_lu:
+        facing = u_rows[:nf]
+    elif fac.config.factotype == "ldlt":
+        # L(F) D for LDLᵗ updates; the within-block pivot permutation
+        # contracts away here (both operands live in the permuted
+        # basis), only the block-diagonal D structure matters
+        facing = ldlt_d_mul_cols(l_rows[:nf], np.diag(nc.diag), nc.pivd21,
+                                 hermitian)
+    else:
+        facing = l_rows[:nf]
+    if hermitian:
+        facing = facing.conj()
+    # rows facing t go to its diagonal block, the rows below to its
+    # off-diagonal storage: through a slice where the landing is contiguous
+    cols = _span(drow)
+    below = below_u = None
+    if is_lu or end - first == 1:
+        w = be.gemm(l_rows, facing, trans_b="T")
+        _subtract_at(tnc.diag, cols, cols, w[:nf])
+        below = w[nf:]
+    else:
+        for j in range(first, end):
+            lo, hi = offs[j] - base, offs[j + 1] - base
+            tnc.diag[drow[lo:], drow[lo]:drow[lo] + hi - lo] -= be.gemm(
+                l_rows[lo:nf], facing[lo:hi], trans_b="T")
+        if nbelow:
+            below = be.gemm(l_rows[nf:], facing, trans_b="T")
+    if is_lu and nbelow:
+        below_u = be.gemm(u_rows[nf:], l_rows[:nf], trans_b="T")
+    # one charge per visit, from the structure: every entry computed costs
+    # 2·width flops, every entry landed here one more (a blocks-mode target
+    # charges its own landings below)
+    landed, below_entries = fac.symb.update_entries(sym.id, t, is_lu)
+    computed = landed + fac.sides * below_entries
+    if tnc.panel_mode and nbelow:
+        rows = _span(pos)
+        _subtract_at(tnc.lpanel, rows, cols, below)
         if is_lu:
-            ub_j = upanel[jlo:jhi]
-        elif d_scale is not None:
-            # L(j) D for LDLᵗ updates; the within-block pivot permutation
-            # contracts away here (both operands live in the permuted
-            # basis), only the block-diagonal D structure matters
-            ub_j = ldlt_d_mul_cols(lpanel[jlo:jhi], d_scale,
-                                   nc.pivd21, hermitian)
-        else:
-            ub_j = lpanel[jlo:jhi]
-        if hermitian:
-            ub_j = ub_j.conj()
-        w_l = be.gemm(lpanel[jlo:], ub_j, trans_b="T")
-        fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
-        w_u = None
-        if is_lu:
-            w_u = be.gemm(upanel[jhi:], lpanel[jlo:jhi], trans_b="T")
-            fl += gemm_flops(nc.offrows - jhi, bj.nrows, nc.width)
-        stats.add("dense_update", seconds=time.perf_counter() - t0,
-                  flops=fl * flop_scale(fac.dtype))
-
-        # landing: rows facing t go to its diagonal block (the Uᵗ side
-        # transposed into the upper triangle), the rows below to its
-        # off-diagonal storage — one indexed subtract each, charged once
-        # with the flops of the per-pair subtracts it replaces
-        t0 = time.perf_counter()
-        coff = bj.first_row - tnc.sym.first_col
-        cols = slice(coff, coff + bj.nrows)
-        nd, nd_u = dend - jlo, dend - jhi
-        tnc.diag[drow[jlo - base:], cols] -= w_l[:nd]
-        landed = nd
-        if is_lu:
-            tnc.diag[cols, drow[jhi - base:]] -= w_u[:nd_u].T
-            landed += nd_u
-        if tnc.panel_mode:
-            tnc.lpanel[pos, cols] -= w_l[nd:]
-            if is_lu:
-                tnc.upanel[pos, cols] -= w_u[nd_u:]
-            landed += fac.sides * len(pos)
-        stats.add("dense_update", seconds=time.perf_counter() - t0,
-                  flops=float(landed * bj.nrows))
-        if not tnc.panel_mode:
-            for i in range(end, sym.noff):
-                row = pos[offs[i] - dend]
-                _land_block(fac, tnc, False, row, coff,
-                            w_l[offs[i] - jlo:offs[i + 1] - jlo], "l", acc)
+            _subtract_at(tnc.upanel, rows, cols, below_u)
+        landed = computed
+    stats.add("dense_update", seconds=time.perf_counter() - t0,
+              flops=2.0 * nc.width * computed * flop_scale(fac.dtype) + landed)
+    if not tnc.panel_mode:
+        # blocks-mode target: W cut by block pair (i, j)
+        for i in range(end, sym.noff):
+            lo, hi = offs[i] - dend, offs[i + 1] - dend
+            for j in range(first, end):
+                clo, chi = offs[j] - base, offs[j + 1] - base
+                _land_block(fac, tnc, False, pos[lo], drow[clo],
+                            below[lo:hi, clo:chi], "l", acc)
                 if is_lu:
-                    _land_block(fac, tnc, False, row, coff,
-                                w_u[offs[i] - jhi:offs[i + 1] - jhi], "u",
-                                acc)
+                    _land_block(fac, tnc, False, pos[lo], drow[clo],
+                                below_u[lo:hi, clo:chi], "u", acc)
+
+
+def _span(idx: np.ndarray) -> "slice | np.ndarray":
+    """The sorted, duplicate-free index array ``idx`` as a slice when its
+    entries are consecutive (first/last test), else itself."""
+    n = len(idx)
+    if n and idx[-1] - idx[0] == n - 1:
+        return slice(idx[0], idx[0] + n)
+    return idx
+
+
+def _subtract_at(dst: np.ndarray, rows: "slice | np.ndarray",
+                 cols: "slice | np.ndarray", w: np.ndarray) -> None:
+    """``dst[rows × cols] -= w`` for rows and columns each given as a slice
+    or an index array (of :func:`_span`)."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        rows = rows[:, None]
+    dst[rows, cols] -= w
 
 
 def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,

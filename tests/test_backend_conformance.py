@@ -8,15 +8,17 @@ relies on:
 * **column stability** of the panel kernels: column ``j`` of a blocked
   result is bit-identical to the single-column result, whatever the
   panel width;
-* **seed bit-compatibility** of the numpy backend: a float64
-  factorization produces sha256-identical factors to the pre-backend
-  solver (the four pinned digests below were captured from the seed).
+* **pinned bits** of the numpy backend: a float64 factorization
+  reproduces four sha256 digests of its factors (each re-captured only
+  with a change that says why it moved — see ``SEED_DIGESTS``), and its
+  ``trsm`` the bits of ``scipy.linalg.solve_triangular``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from repro.core.backend import available_backends, get_backend
 from repro.core.solver import Solver
@@ -36,16 +38,29 @@ RTOL = {
 
 #: sha256 of the float64 factors on laplacian_3d(6) (tiny_blr_config,
 #: tolerance 1e-8) — the numpy backend must reproduce these bits exactly.
-#: ``("dense", "lu")`` is the seed's.  A column block now stays one stacked
-#: panel unless a block in it compressed (ISSUE 15), and on this matrix at
-#: this tolerance Just-In-Time accepts no block at all: a run in which
-#: nothing compresses *is* the dense factorization, so its LU pin is the
-#: dense one and its Cholesky pin the dense Cholesky run's
+#: A column block stays one stacked panel unless a block in it compressed
+#: (ISSUE 15), and on this matrix at this tolerance Just-In-Time accepts no
+#: block at all: a run in which nothing compresses *is* the dense
+#: factorization, so its LU pin is the dense one and its Cholesky pin the
+#: dense Cholesky run's
 #: (tests/test_variants.py::TestNothingCompressedIsTheDenseFactorization
 #: checks that identity against a dense run instead of a constant).
+#:
+#: ``("dense", "lu")`` was the seed's (560f1a0d…) until ISSUE 22: a visit
+#: of a target by a panel-mode source is now one product per side over all
+#: its facing blocks where it was one per facing block.  Visits with one
+#: facing block issue the same GEMMs; the 46 of 207 with several give a
+#: GEMM another column count (and take the upper block triangle from the
+#: L·Uᵗ square instead of from Uᵗ·Lᵗ transposed), which moved exactly one
+#: entry of the last diagonal block by one ulp (−0.04397881818151087 →
+#: …088) and nothing else in the factor.  The Minimal-Memory and Cholesky
+#: pins did not move: under Minimal Memory the visits in question start
+#: from column blocks that hold a low-rank block (per-pair path,
+#: untouched), and a symmetric factorization keeps one product per facing
+#: block for the facing square.
 SEED_DIGESTS = {
     ("just-in-time", "lu"):
-        "560f1a0d8bbf91cbcc47e97efecd295a66ad86b267b44f5a447992b2c3959e1f",
+        "6a0724934c0ed9fa9b87287b45d7e85693c9e29bac6c086e0156d870f5656ba4",
     # Minimal Memory does accept blocks at assembly here (five column
     # blocks leave panel mode; all fall back to dense at their flush).
     # Re-captured with ISSUE 15 — the 60 column blocks that kept their
@@ -55,7 +70,7 @@ SEED_DIGESTS = {
     ("minimal-memory", "lu"):
         "ae9b39ddf9767914c928ff9699e8e7b6b8640ff192e136548fea2951fd0bb4a6",
     ("dense", "lu"):
-        "560f1a0d8bbf91cbcc47e97efecd295a66ad86b267b44f5a447992b2c3959e1f",
+        "6a0724934c0ed9fa9b87287b45d7e85693c9e29bac6c086e0156d870f5656ba4",
     ("just-in-time", "cholesky"):
         "e106c34182ceca29bb04262bf5601c1b0bc838a10dac908914312a5c600854cb",
 }
@@ -89,6 +104,102 @@ def _tri(rng, n, dtype, lower, unit):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20170529)  # IPDPS'17
+
+
+# ----------------------------------------------------------------------
+# numpy backend: trsm on the bound LAPACK routine ≡ solve_triangular
+# ----------------------------------------------------------------------
+
+def reference_trsm(a, b, side="left", lower=True, trans="N",
+                   unit_diagonal=False):
+    """``NumpyBackend.trsm`` as it stood on ``scipy.linalg.solve_triangular``
+    (kept as the reference): the same transpose tricks, one wrapper pass
+    per call."""
+    kw = dict(lower=lower, unit_diagonal=unit_diagonal, check_finite=False)
+    if side == "left":
+        if trans == "C":
+            return sla.solve_triangular(a, b.conj(), trans="T", **kw).conj()
+        return sla.solve_triangular(a, b, trans=trans, **kw)
+    if trans == "N":
+        return sla.solve_triangular(a, b.T, trans="T", **kw).T
+    if trans == "T":
+        return sla.solve_triangular(a, b.T, **kw).T
+    return sla.solve_triangular(a, b.conj().T, **kw).conj().T
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+@pytest.mark.parametrize("trans", ("N", "T", "C"))
+@pytest.mark.parametrize("lower", (True, False))
+@pytest.mark.parametrize("unit", (True, False))
+class TestBoundTrtrsMatchesSolveTriangular:
+    def operands(self, rng, a_dtype, b_dtype, side, lower, unit, k=5, n=9):
+        a = _tri(rng, n, a_dtype, lower, unit)
+        # the other triangle holds the other factor in a packed diagonal
+        # block: it must not be read
+        a = a + (np.triu(a.T + 3, 1) if lower else np.tril(a.T + 3, -1))
+        return a, _rand(rng, (n, k) if side == "left" else (k, n), b_dtype)
+
+    @dtypes
+    @pytest.mark.parametrize("a_order", ("C", "F"))
+    @pytest.mark.parametrize("b_order", ("C", "F"))
+    def test_bit_identical(self, rng, dtype, side, trans, lower, unit,
+                           a_order, b_order):
+        a, b = self.operands(rng, dtype, dtype, side, lower, unit)
+        a, b = np.array(a, order=a_order), np.array(b, order=b_order)
+        kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
+        got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+            a, b, **kw)
+        assert got.dtype == want.dtype == dtype and got.shape == b.shape
+        assert np.array_equal(got, want)
+
+    def test_mixed_dtypes_promote(self, rng, side, trans, lower, unit):
+        # float32 storage against a float64 diagonal block, and a real
+        # triangle against complex right-hand sides
+        for a_dtype, b_dtype in ((np.float64, np.float32),
+                                 (np.float32, np.float64),
+                                 (np.float64, np.complex64)):
+            a, b = self.operands(rng, a_dtype, b_dtype, side, lower, unit)
+            kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
+            got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+                a, b, **kw)
+            assert got.dtype == want.dtype == np.result_type(
+                a_dtype, b_dtype, np.float64)
+            assert np.array_equal(got, want)
+
+    def test_empty_right_hand_side(self, rng, side, trans, lower, unit):
+        for a_dtype, b_dtype in ((np.float32, np.float32),
+                                 (np.float64, np.float32),
+                                 (np.complex128, np.float64)):
+            a, b = self.operands(rng, a_dtype, b_dtype, side, lower, unit,
+                                 k=0)
+            kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
+            got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+                a, b, **kw)
+            assert got.shape == want.shape == b.shape
+            assert got.dtype == want.dtype
+
+    def test_zero_on_the_diagonal_names_its_index(self, rng, side, trans,
+                                                  lower, unit):
+        a, b = self.operands(rng, np.float64, np.float64, side, lower, False)
+        a[4, 4] = 0.0
+        kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
+        if unit:  # the diagonal is not referenced
+            assert np.array_equal(get_backend("numpy").trsm(a, b, **kw),
+                                  reference_trsm(a, b, **kw))
+            return
+        for solve in (get_backend("numpy").trsm, reference_trsm):
+            with pytest.raises(np.linalg.LinAlgError, match="diagonal 4"):
+                solve(a, b, **kw)
+
+
+def test_bound_trsm_keeps_the_shape_checks():
+    be = get_backend("numpy")
+    with pytest.raises(ValueError, match="expected square matrix"):
+        be.trsm(np.ones((3, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="incompatible"):
+        be.trsm(np.eye(3), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="side must be"):
+        be.trsm(np.eye(3), np.ones((3, 2)), side="up")
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +422,8 @@ def test_unregistered_backend_fails_at_config_time():
 
 
 class TestSeedBitCompatibility:
-    """The numpy backend reproduces the pre-backend float64 factors
-    bit-for-bit (sha256 over every factor array)."""
+    """The numpy backend reproduces the pinned float64 factors bit-for-bit
+    (sha256 over every factor array)."""
 
     @pytest.mark.parametrize("strategy,factotype", sorted(SEED_DIGESTS))
     def test_factor_digest_pinned(self, strategy, factotype):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import factor as factor_module
 from repro.core import factorization as F
+from repro.core.dense_kernels import flop_scale, gemm_flops
 from repro.core.factor import compress_column_block
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
@@ -291,12 +292,12 @@ def reference_updates_from_panel(fac, nc, t, acc):
         if hermitian:
             ub_j = ub_j.conj()
         w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
-        fl = F.gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
+        fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
         w_u = None
         if is_lu:  # (i) > (j) only: the (j, j) product is the L side's
             w_u = be.gemm(nc.upanel[jhi:], nc.lpanel[jlo:jhi], trans_b="T")
-            fl += F.gemm_flops(nc.offrows - jhi, bj.nrows, nc.width)
-        stats.add("dense_update", flops=fl * F.flop_scale(fac.dtype))
+            fl += gemm_flops(nc.offrows - jhi, bj.nrows, nc.width)
+        stats.add("dense_update", flops=fl * flop_scale(fac.dtype))
         for i in range(j, sym.noff):
             bi = sym.blocks[1 + i]
             _scatter(fac, t, bi.first_row, bi.end_row, bj.first_row,
@@ -422,6 +423,10 @@ LANDING_CASES = {
     "lu": (lambda: convection_diffusion_3d(6), dict(factotype="lu")),
     "lu-float32": (lambda: laplacian_3d(6),
                    dict(factotype="lu", dtype="float32")),
+    # kept panels are narrowed at their compression point (BLR strategies)
+    # and the visit promotes the row slices it multiplies
+    "lu-float32-storage": (lambda: laplacian_3d(6),
+                           dict(factotype="lu", storage_dtype="float32")),
     "cholesky": (lambda: laplacian_3d(6), dict(factotype="cholesky")),
     "ldlt-threshold": (lambda: helmholtz_3d(9, wavenumber=3.0),
                        dict(factotype="ldlt", pivoting="threshold")),
@@ -431,8 +436,32 @@ LANDING_CASES = {
 }
 
 
+def landing_shapes(symb):
+    """What the visits of a structure exercise: how many have several
+    facing blocks, a non-contiguous ``drow`` (indexed landing in the
+    diagonal block), and a contiguous / non-contiguous ``pos`` (slice /
+    indexed landing below it)."""
+    shapes = dict(multi=0, drow_gap=0, pos_run=0, pos_gap=0)
+    for k in range(symb.ncblk):
+        for t, (first, end) in symb.facing_ranges(k).items():
+            drow, pos = symb.landing_map(k, t)
+            shapes["multi"] += end - first > 1
+            shapes["drow_gap"] += drow[-1] - drow[0] != len(drow) - 1
+            if len(pos):
+                gap = pos[-1] - pos[0] != len(pos) - 1
+                shapes["pos_gap" if gap else "pos_run"] += 1
+    return shapes
+
+
 class TestBatchedLandingMatchesPerPairScatter:
     def both(self, monkeypatch, a, **cfg):
+        """Flops equal to the per-pair reference *exactly*, always.  Factors
+        bit-identical for Dense when every visited pair has one facing
+        block (the engine then issues the reference's very GEMMs); with
+        several, one product spans them all — another column count, and
+        swapped operand roles for the upper triangle — so Dense agrees to
+        rounding there, as BLR (whose dense products the reference makes
+        pair by pair) always did."""
         s = Solver(a, tiny_blr_config(**cfg))
         s.factorize()
         with monkeypatch.context() as m:
@@ -442,8 +471,10 @@ class TestBatchedLandingMatchesPerPairScatter:
             m.setattr(factor_module, "compress_column_block", always_split)
             ref = Solver(a, tiny_blr_config(**cfg))
             ref.factorize()
-        assert_same_factor(s.factor, ref.factor,
-                           exact=cfg["strategy"] == "dense")
+        assert_same_factor(
+            s.factor, ref.factor,
+            exact=(cfg["strategy"] == "dense"
+                   and not landing_shapes(s.symbolic)["multi"]))
         k, kr = s.factor.stats.kernels, ref.factor.stats.kernels
         flops, want = update_flops(k), update_flops(kr)
         if s.factor.dtype.kind == "c" and cfg["strategy"] != "dense":
@@ -458,17 +489,23 @@ class TestBatchedLandingMatchesPerPairScatter:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_bit_identical_factors_and_flops(self, monkeypatch, case,
                                              strategy):
-        """Bit-identical for Dense; block for block to rounding for BLR,
-        whose dense products the reference makes pair by pair."""
+        """Flops bit-identical; factors to rounding (see :meth:`both`),
+        because every case visits pairs with several facing blocks — which
+        leave a gap, so the diagonal block is landed through an index array
+        — and lands below it both through a slice and an index array."""
         build, cfg = LANDING_CASES[case]
         s, ref = self.both(monkeypatch, build(), strategy=strategy,
                            tolerance=1e-6, **cfg)
+        assert all(landing_shapes(s.symbolic).values())
         if cfg.get("pivoting") == "threshold" and "hermitian" not in case:
             assert s.factor.pivots_2x2 > 0
         k, kr = s.factor.stats.kernels, ref.factor.stats.kernels
         if strategy == "dense":
-            # one GEMM charge + one landing charge per facing block where
-            # the reference charged every (i, j, side) scatter
+            # one charge per visit where the reference charged every
+            # (i, j, side) scatter
+            assert k.call_count("dense_update") == sum(
+                len(s.symbolic.facing_ranges(c))
+                for c in range(s.symbolic.ncblk))
             assert (k.call_count("dense_update")
                     < kr.call_count("dense_update"))
         else:
@@ -476,6 +513,35 @@ class TestBatchedLandingMatchesPerPairScatter:
             # pair; the reference does so everywhere
             assert any(nc.panel_mode for nc in s.factor.cblks)
             assert k.call_count("lr_product") < kr.call_count("lr_product")
+
+    @pytest.mark.parametrize("cfg", [
+        dict(factotype="lu"), dict(factotype="cholesky"),
+        dict(factotype="ldlt"), dict(factotype="lu", dtype="float32")],
+        ids=lambda c: "-".join(map(str, c.values())))
+    def test_one_facing_block_per_pair_is_bit_identical(self, monkeypatch,
+                                                        cfg):
+        """A 2-D grid's separators are paths: no pair of column blocks has
+        more than one facing block, and the rows below still land through
+        both the slice and the index array."""
+        s, _ = self.both(monkeypatch, laplacian_2d(8), strategy="dense",
+                         **cfg)
+        shapes = landing_shapes(s.symbolic)
+        assert not shapes["multi"] and not shapes["drow_gap"]
+        assert shapes["pos_run"] and shapes["pos_gap"]
+
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky", "ldlt"])
+    def test_solution_matches_splu(self, factotype):
+        """The independent oracle for the visits no reference shares bits
+        with: a structure full of multi-facing-block visits, solved."""
+        import scipy.sparse.linalg as spla
+
+        a = laplacian_3d(7)
+        s = Solver(a, tiny_blr_config(strategy="dense", factotype=factotype))
+        s.factorize()
+        assert landing_shapes(s.symbolic)["multi"]
+        b = np.random.default_rng(3).standard_normal(a.n)
+        x, want = s.solve(b), spla.splu(a.to_scipy().tocsc()).solve(b)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])

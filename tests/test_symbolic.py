@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dense_kernels import gemm_flops
 from repro.sparse.generators import (
     convection_diffusion_3d,
     laplacian_2d,
@@ -256,6 +257,32 @@ def assert_landing_matches_reference(symb):
     return npairs
 
 
+def assert_update_entries_match_per_block_loop(symb):
+    """The closed-form visit charge against the loop it replaced: one GEMM
+    of all rows at or below facing block ``j`` (strictly below for the Uᵗ
+    side) per facing block and side, every product entry landed once."""
+    npairs = 0
+    for k in range(symb.ncblk):
+        offs, w = symb.row_offsets[k], symb.cblks[k].ncols
+        for t, (first, end) in symb.facing_ranges(k).items():
+            for lu in (True, False):
+                flops, landed = 0.0, 0
+                for j in range(first, end):
+                    nj = offs[j + 1] - offs[j]
+                    for top in (offs[j], offs[j + 1])[:1 + lu]:
+                        flops += gemm_flops(offs[-1] - top, nj, w)
+                        landed += (offs[-1] - top) * nj
+                facing, below = symb.update_entries(k, t, lu)
+                computed = facing + (1 + lu) * below
+                assert isinstance(computed, int)
+                assert (2.0 * w * computed, computed) == (flops, landed), \
+                    (k, t, lu)
+                assert below == (offs[-1] - offs[end]) * (offs[end]
+                                                          - offs[first])
+            npairs += 1
+    return npairs
+
+
 ZOO_CASES = [(name, ordering, setting)
              for name in MATRICES if name.startswith("zoo-")
              for ordering in ("nested-dissection", "geometric", "amd")
@@ -317,6 +344,23 @@ class TestLandingMap:
     @given(source_target_structures())
     def test_matches_find_blocks_on_built_structures(self, symb):
         assert assert_landing_matches_reference(symb) >= 1
+
+    @settings(max_examples=len(ZOO_CASES), deadline=None)
+    @given(st.sampled_from(ZOO_CASES))
+    def test_update_entries_match_per_block_loop_over_the_zoo(self, case):
+        name, ordering, setting = case
+        a, coords = MATRICES[name]()
+        assume(ordering != "geometric" or coords is not None)
+        opts = SymbolicOptions(**{**SETTINGS[setting].__dict__,
+                                  "ordering": ordering})
+        symb, _ = symbolic_factorization(a, opts, coords=coords)
+        assert assert_update_entries_match_per_block_loop(symb) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(source_target_structures())
+    def test_update_entries_match_per_block_loop_on_built_structures(
+            self, symb):
+        assert assert_update_entries_match_per_block_loop(symb) >= 1
 
     def test_source_block_spanning_two_target_blocks_and_a_row_gap(self):
         # target rows 6-8 | 9-10 (touching blocks), gap at 11, then 12-14;
