@@ -80,11 +80,11 @@ def ablate_left_looking(scale: str) -> dict:
 
 
 def ablate_kernels(scale: str) -> dict:
-    """All four compression kernel families on the same MM factorization."""
+    """Both compression kernel families on the same MM factorization."""
     grid = SCALE_PARAMS[scale]["lap"]
     a = laplacian_3d(grid)
     out = {}
-    for kernel in ("rrqr", "svd", "rsvd", "aca"):
+    for kernel in ("rrqr", "svd"):
         cfg = bench_config(scale, strategy="minimal-memory", kernel=kernel,
                            tolerance=1e-4)
         rec = run_solver(a, cfg)

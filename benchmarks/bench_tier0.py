@@ -45,7 +45,7 @@ TOLERANCE = 1e-6
 HISTORY_LIMIT = 200
 
 #: (label, config overrides) — the tracked precision variants plus the
-#: BLR variant-engine ablation (every explicit loop order + adaptive)
+#: BLR variant-engine ablation (every explicit loop order)
 VARIANTS = (
     ("float64", dict()),
     ("float32", dict(dtype="float32")),
@@ -54,7 +54,6 @@ VARIANTS = (
     ("float64-variant-ucf", dict(variant="ucf")),
     ("float64-variant-ufc", dict(variant="ufc")),
     ("float64-variant-fuc", dict(variant="fuc")),
-    ("float64-adaptive", dict(strategy="adaptive")),
     ("float64-ldlt-pivot", dict(factotype="ldlt", pivoting="threshold")),
 )
 

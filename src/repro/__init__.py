@@ -30,11 +30,10 @@ Public API highlights:
 * :mod:`repro.core.backend` — pluggable kernel backends
   (``SolverConfig(backend=...)`` / ``$REPRO_BACKEND``) behind a
   column-stable multi-RHS solve path (``docs/performance.md``).
-* :class:`~repro.core.variants.BlrVariant` /
-  :class:`~repro.core.variants.AdaptivePolicy` — the composable variant
-  engine: explicit loop orders (``cuf``/``ucf``/``ufc``/``fuc``), scaled
-  compression thresholds, and per-supernode adaptive strategy selection
-  (``SolverConfig(strategy="adaptive")``; ``docs/variants.md``).
+* :class:`~repro.core.variants.BlrVariant` — the composable variant
+  engine: explicit loop orders (``cuf``/``ucf``/``ufc``/``fuc``) and scaled
+  compression thresholds (``SolverConfig(variant=..., threshold_mode=...)``;
+  ``docs/variants.md``).
 """
 
 from repro.config import SolverConfig
@@ -45,7 +44,7 @@ from repro.core.backend import (
     register_backend,
 )
 from repro.core.solver import Solver
-from repro.core.variants import AdaptivePolicy, BlrVariant
+from repro.core.variants import BlrVariant
 from repro.runtime.recovery import NumericalBreakdown, RecoveryPolicy
 from repro.runtime.spans import SpanProfiler
 from repro.runtime.telemetry import Telemetry
@@ -65,7 +64,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Solver",
     "SolverConfig",
-    "AdaptivePolicy",
     "BlrVariant",
     "SpanProfiler",
     "Telemetry",

@@ -97,15 +97,8 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     }
 
     # resolved BLR variant of the factorization (loop order, threshold
-    # mode, effective compression threshold) plus the adaptive policy's
-    # per-supernode decisions when strategy="adaptive"
+    # mode, effective compression threshold)
     v = fac.variant
-    decisions = fac.decisions
-    decision_counts: Optional[Dict[str, int]] = None
-    if decisions is not None:
-        decision_counts = {}
-        for d in decisions:
-            decision_counts[d.order] = decision_counts.get(d.order, 0) + 1
     report["variants"] = {
         "strategy": solver.config.strategy,
         "order": None if v is None else v.order,
@@ -114,10 +107,6 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
         "comp_tol": fac.comp_tol,
         "comp_norm_ref": fac.comp_norm_ref,
         "global_norm": fac.global_norm,
-        "adaptive": decisions is not None,
-        "decision_counts": decision_counts,
-        "decisions": (None if decisions is None
-                      else [d.as_dict() for d in decisions]),
     }
 
     # self-healing digest of the last recovery-enabled run (already plain
@@ -307,13 +296,6 @@ def render_markdown(report: Dict[str, Any],
              ["effective τ", var.get("comp_tol")],
              ["norm reference", var.get("comp_norm_ref")],
              ["‖A‖_F", var.get("global_norm")]])
-        counts = var.get("decision_counts") or {}
-        if counts:
-            lines.append("")
-            lines.append("Adaptive per-supernode decisions:")
-            lines.append("")
-            lines += _table(["order", "supernodes"],
-                            [[k, v] for k, v in sorted(counts.items())])
         lines.append("")
 
     rec = report.get("recovery")

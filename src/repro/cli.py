@@ -11,12 +11,11 @@ Commands
     Run only the value-free analysis and print (or render to SVG) the
     symbolic block structure — the Figure 1 view.
 ``bench``
-    Quick strategy comparison on one matrix (dense vs JIT vs MM vs
-    adaptive).
+    Quick strategy comparison on one matrix (dense vs MM vs JIT).
 ``bench-variants``
     Ablation over the BLR variant space: every loop order (cuf/ucf/ufc/
-    fuc) crossed with the requested threshold modes, plus the adaptive
-    strategy and the dense reference.
+    fuc) crossed with the requested threshold modes, plus the dense
+    reference.
 ``report``
     Render a ``RunReport`` JSON artifact (written by ``solve --report``)
     to markdown, optionally regenerating its SVG figures.
@@ -446,7 +445,7 @@ def cmd_bench_variants(args: argparse.Namespace) -> int:
     """Ablation table over the BLR variant space on one matrix.
 
     One row per (loop order × threshold mode) combination plus the
-    adaptive strategy and the dense reference — factorization time,
+    dense reference — factorization time,
     factor size, memory ratio and backward error, optionally dumped as
     JSON for archival/benchdiff-style consumption.  Every run carries a
     span profiler, so the JSON records include a per-phase/per-kernel
@@ -471,7 +470,6 @@ def cmd_bench_variants(args: argparse.Namespace) -> int:
              dict(strategy="just-in-time", variant=order,
                   threshold_mode=mode))
             for order in ORDERS for mode in modes]
-    runs.append(("adaptive", dict(strategy="adaptive", variant=None)))
     runs.append(("dense", dict(strategy="dense", variant=None,
                                threshold_mode="local")))
 
@@ -773,7 +771,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p_bv = sub.add_parser("bench-variants",
                           help="ablate the BLR variant space (loop orders "
-                               "x threshold modes + adaptive + dense)")
+                               "x threshold modes + dense)")
     _add_common(p_bv)
     p_bv.add_argument("--seed", type=int, default=0)
     p_bv.add_argument("--modes", default="local",

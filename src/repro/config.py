@@ -28,20 +28,17 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 if TYPE_CHECKING:  # numpy is imported lazily at runtime (keep import light)
     import numpy as np
 
-    from repro.core.variants import AdaptivePolicy, BlrVariant
+    from repro.core.variants import BlrVariant
     from repro.runtime.recovery import RecoveryPolicy
     from repro.runtime.spans import SpanProfiler
     from repro.runtime.telemetry import Telemetry
 
 #: valid factorization strategies.  ``minimal-memory`` and
 #: ``just-in-time`` are aliases into the variant space of
-#: :mod:`repro.core.variants` (``cuf`` / ``ucf``); ``adaptive`` picks a
-#: loop order per supernode via :class:`~repro.core.variants.AdaptivePolicy`
-STRATEGIES = ("dense", "minimal-memory", "just-in-time", "adaptive")
-#: valid compression kernel families.  ``rsvd`` (randomized sampling) is
-#: the extension foreshadowed by the paper's conclusion; ``aca`` (adaptive
-#: cross approximation) is the kernel of the dense BEM BLR solvers of §5.
-KERNELS = ("rrqr", "svd", "rsvd", "aca")
+#: :mod:`repro.core.variants` (``cuf`` / ``ucf``)
+STRATEGIES = ("dense", "minimal-memory", "just-in-time")
+#: valid compression kernel families (the paper's two)
+KERNELS = ("rrqr", "svd")
 #: valid numerical factorizations
 FACTOTYPES = ("lu", "cholesky", "ldlt")
 #: valid ordering algorithms (``geometric`` needs node coordinates passed
@@ -70,7 +67,7 @@ class SolverConfig:
     #: see :mod:`repro.core.variants`); ``None`` derives the order from
     #: :attr:`strategy` (minimal-memory → cuf, just-in-time → ucf).  An
     #: explicit order is meaningless under the ``dense`` strategy (no
-    #: compression) and under ``adaptive`` (the order is per supernode).
+    #: compression).
     variant: Optional[str] = None
     #: truncation-threshold mode (the ``betatype`` axis): ``"local"``
     #: (the paper's per-block rule, default), ``"local-scaled"`` (τ/p),
@@ -81,11 +78,6 @@ class SolverConfig:
     #: ``False`` the product keeps rank ``min(rA, rB)`` — intermediate
     #: recompression off, structural LR2LR recompression still on
     recompress_updates: bool = True
-    #: per-supernode strategy policy
-    #: (:class:`~repro.core.variants.AdaptivePolicy` or a dict of its
-    #: fields); only meaningful with ``strategy="adaptive"`` — ``None``
-    #: there uses the default policy
-    adaptive: Optional["AdaptivePolicy"] = None
     #: maximum admissible rank as a fraction of min(m, n); blocks whose
     #: revealed rank exceeds it are stored dense (paper §3.4 uses 1/4).
     rank_ratio: float = 0.25
@@ -242,41 +234,15 @@ class SolverConfig:
                 raise ValueError(
                     "variant selects a BLR loop order, but the 'dense' "
                     "strategy never compresses; unset one of them")
-            if self.strategy == "adaptive":
-                raise ValueError(
-                    "the 'adaptive' strategy chooses the loop order per "
-                    "supernode; an explicit variant contradicts it")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got "
                 f"{self.threshold_mode!r}")
-        if self.adaptive is not None:
-            from repro.core.variants import AdaptivePolicy
-
-            if isinstance(self.adaptive, dict):
-                # round-trip support: serialized configs store the policy
-                # as a plain field dict (dataclasses.asdict recurses)
-                object.__setattr__(self, "adaptive",
-                                   AdaptivePolicy(**self.adaptive))
-            elif not isinstance(self.adaptive, AdaptivePolicy):
-                raise TypeError(
-                    "adaptive must be an AdaptivePolicy, a dict of its "
-                    f"fields, or None; got {type(self.adaptive).__name__}")
-            if self.strategy != "adaptive":
-                raise ValueError(
-                    "an adaptive policy requires strategy='adaptive'; got "
-                    f"strategy={self.strategy!r}")
         if self.left_looking:
             # the incompatible axis is the loop order, not the strategy
             # name: any order that compresses before the trailing update
             # (cuf — compress at assembly) never allocates the dense
             # panels left-looking exists to defer
-            if self.strategy == "adaptive":
-                raise ValueError(
-                    "left_looking delays dense panel allocation; the "
-                    "'adaptive' strategy may pick the 'cuf' loop order "
-                    "(compress before the trailing update) per supernode, "
-                    "which never allocates dense panels")
             v = resolve_variant(self)
             if v is not None and v.compress_at_assembly:
                 raise ValueError(

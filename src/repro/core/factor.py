@@ -52,12 +52,7 @@ if TYPE_CHECKING:
 
 from repro.config import SolverConfig
 from repro.core.backend import get_backend
-from repro.core.variants import (
-    AdaptivePolicy,
-    BlrVariant,
-    VariantDecision,
-    resolve_variant,
-)
+from repro.core.variants import BlrVariant, resolve_variant
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import block_nbytes, compress_block, rank_cap
 from repro.runtime.memory import MemoryTracker, array_nbytes
@@ -195,9 +190,6 @@ class NumericFactor:
         self.recovery: Optional["RecoveryState"] = None
         #: resolved BLR variant of this run (None for the dense strategy)
         self.variant: Optional[BlrVariant] = resolve_variant(config)
-        #: per-supernode adaptive decisions, indexed by cblk id (filled by
-        #: :func:`assemble` when ``config.strategy == "adaptive"``)
-        self.decisions: Optional[List[VariantDecision]] = None
         #: Frobenius norm of the permuted input matrix (reference of the
         #: global threshold modes; set by :func:`assemble`)
         self.global_norm = 0.0
@@ -212,23 +204,6 @@ class NumericFactor:
         # a lock for the threaded engines
         self._pull_lock: Any = threading.Lock()
         self._pulled: Dict[int, Set[int]] = {}
-
-    # -- variant dispatch --------------------------------------------------
-    def variant_for(self, k: int) -> Optional[BlrVariant]:
-        """The loop-order policy of column block ``k``.
-
-        The run-wide variant unless an adaptive decision overrides it;
-        ``None`` means "treat this column block dense" (either the dense
-        strategy, or an adaptive ``dense`` decision).
-        """
-        if self.variant is None:
-            return None
-        if self.decisions is not None:
-            d = self.decisions[k]
-            if d.order == "dense":
-                return None
-            return self.variant.with_order(d.order)
-        return self.variant
 
     def n_targets(self, k: int) -> int:
         """Distinct facing column blocks of ``k`` (who pulls its updates)."""
@@ -343,9 +318,7 @@ class NumericFactor:
 
 
 def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
-             config: SolverConfig,
-             history: Optional[Dict[int, Dict[str, float]]] = None
-             ) -> NumericFactor:
+             config: SolverConfig) -> NumericFactor:
     """Scatter the permuted matrix into the block structure.
 
     * Dense / compress-late orders (``ucf``/``ufc``/``fuc``): every column
@@ -358,11 +331,6 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
       freed; only what is stored is charged to the tracker), so the dense
       factor structure never exists beside the compressed one.  A column
       block in which nothing compressed keeps its scratch as its panels.
-    * Adaptive: each supernode is probe-compressed and classified
-      ``cuf``/``ucf``/``dense`` per the configured
-      :class:`~repro.core.variants.AdaptivePolicy`; ``history`` (per-level
-      stats from :func:`~repro.core.variants.history_from_factor` of a
-      previous run over the same structure) replaces the probes when given.
     """
     if not a_perm.is_pattern_symmetric():
         raise ValueError("assemble expects a pattern-symmetric matrix")
@@ -384,18 +352,7 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
         fac.deferred = (a_perm, at_perm)
         return fac
 
-    adaptive = config.strategy == "adaptive"
-    policy: Optional[AdaptivePolicy] = None
-    levels: Optional[List[int]] = None
-    if adaptive:
-        from repro.analysis.metrics import cblk_levels
-
-        policy = config.adaptive if config.adaptive is not None \
-            else AdaptivePolicy()
-        fac.decisions = []
-        if history is not None and policy.use_history:
-            levels = cblk_levels(fac)
-
+    compress_now = variant is not None and variant.compress_at_assembly
     for nc in fac.cblks:
         sym = nc.sym
         w = sym.ncols
@@ -403,23 +360,6 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
         fac.tracker.alloc(array_nbytes(nc.diag))
         ldense = np.zeros((nc.offrows, w), dtype=fac.dtype)
         _scatter_panel(a_perm, symb, sym, nc.diag, ldense)
-        if adaptive:
-            assert policy is not None and fac.decisions is not None
-            lvl_hist = (history.get(levels[sym.id])
-                        if history is not None and levels is not None
-                        else None)
-            ratio = (None if lvl_hist is not None
-                     else _probe_ratio(fac, nc, ldense, policy))
-            decision = policy.decide(sym.id, ratio, lvl_hist)
-            fac.decisions.append(decision)
-            tele = config.telemetry
-            if tele is not None:
-                tele.record_variant_decision(
-                    decision.cblk, decision.order, decision.reason,
-                    decision.ratio)
-            compress_now = decision.compress_early
-        else:
-            compress_now = variant is not None and variant.compress_at_assembly
         udense = None
         if need_u:
             udense = np.zeros((nc.offrows, w), dtype=fac.dtype)
@@ -432,34 +372,6 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
             nc.lpanel, nc.upanel = ldense, udense
             fac.tracker.alloc(array_nbytes(ldense) * fac.sides)
     return fac
-
-
-def _probe_ratio(fac: NumericFactor, nc: NumericColumnBlock,
-                 dense: np.ndarray,
-                 policy: AdaptivePolicy) -> Optional[float]:
-    """Mean achieved storage ratio of probe-compressing the largest
-    candidate blocks of a freshly assembled supernode (``None`` when it
-    has no low-rank candidates)."""
-    cfg = fac.config
-    candidates = [(i, b) for i, b in enumerate(nc.sym.off_blocks())
-                  if b.lr_candidate]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda ib: ib[1].nrows, reverse=True)
-    ratios = []
-    for i, b in candidates[:policy.probe_blocks]:
-        lo, hi = nc.row_offsets[i], nc.row_offsets[i + 1]
-        chunk = dense[lo:hi]
-        m, n = chunk.shape
-        cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
-        lr = compress_block(chunk, fac.comp_tol, cfg.kernel, max_rank=cap,
-                            stats=fac.stats.kernels, category="probe",
-                            norm_ref=fac.comp_norm_ref)
-        if lr is None or not (m and n):
-            ratios.append(1.0)
-        else:
-            ratios.append((m + n) * max(lr.rank, 1) / (m * n))
-    return float(sum(ratios) / len(ratios))
 
 
 def _scatter_panel(a: CSCMatrix, symb: SymbolicFactor,

@@ -142,7 +142,7 @@ def _factor_column_block_body(fac: NumericFactor, k: int) -> None:
     # compresses the solved panels, so outgoing updates still run low-rank
     # but the triangular solves keep full accuracy.  ``cuf`` compressed at
     # assembly and ``fuc`` defers to finalize_updates_from.
-    v = fac.variant_for(k)
+    v = fac.variant
     if v is not None and v.compress_before_solve:
         _compress_panels(fac, nc)
 
@@ -321,7 +321,7 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     order, i.e. the task that physically runs it in the sequential sweep —
     so threaded runs (where the *temporal* last puller is whichever thread
     got there last) record the same causal edge."""
-    v = fac.variant_for(k)
+    v = fac.variant
     if v is None or not v.compress_after_updates:
         return
     prof = fac.profiler

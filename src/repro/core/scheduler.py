@@ -130,12 +130,6 @@ def run_sequential(fac: NumericFactor,
 # the task
 # ----------------------------------------------------------------------
 
-def _order_of(fac: NumericFactor, k: int) -> str:
-    """Loop-order label of ``k``'s task span (``"dense"`` when untreated)."""
-    v = fac.variant_for(k)
-    return v.order if v is not None else "dense"
-
-
 def _begin_profile(fac: NumericFactor, engine: str, threads: int) -> None:
     """Arm the span profiler's task registry for one engine run.
 
@@ -205,8 +199,9 @@ def _run_task(fac: NumericFactor, k: int) -> None:
     if prof is None:
         _attempt_task(fac, k)
         return
+    v = fac.variant
     sid = prof.task_start(k, fac.symb.contributors(k),
-                          order=_order_of(fac, k))
+                          order=v.order if v is not None else "dense")
     try:
         _attempt_task(fac, k)
     finally:

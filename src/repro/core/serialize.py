@@ -48,7 +48,10 @@ FORMAT_VERSION = 1
 
 #: ``SolverConfig`` fields that no longer exist but that archives written
 #: while they did still carry; none of them changed the stored factors
-RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler")
+#: (``adaptive`` was only ever non-null beside ``strategy="adaptive"``,
+#: which ``SolverConfig`` itself now rejects)
+RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
+                         "adaptive")
 
 #: format version written into every checkpoint archive
 CHECKPOINT_VERSION = 1

@@ -55,6 +55,13 @@ from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
 from repro.symbolic.structure import SymbolicFactor
 
 
+def _resolved_order(cfg: SolverConfig) -> Optional[str]:
+    """The loop order ``cfg`` runs under (``None`` for dense) — what a
+    ladder rung is logged by: two rungs can share a strategy name."""
+    v = cfg.resolved_variant()
+    return v.order if v is not None else None
+
+
 class Solver:
     """Sparse direct solver with optional Block Low-Rank compression.
 
@@ -114,11 +121,6 @@ class Solver:
         #: the escalated config the current factor was actually built
         #: under, when it differs from :attr:`config` (``None`` otherwise)
         self._effective_config: Optional[SolverConfig] = None
-        #: per-level compression history of the last adaptive
-        #: factorization (feeds the AdaptivePolicy history path on a
-        #: refactorization of the same structure, e.g. after
-        #: :meth:`update_values`)
-        self._adaptive_history: Optional[Dict[int, Dict[str, float]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -198,12 +200,10 @@ class Solver:
         """Body of one factorization attempt (under the "factorize" span)."""
         a_perm = permute_symmetric(self._a_sym, self.perm)
         t0 = time.perf_counter()
-        history = (self._adaptive_history
-                   if cfg.strategy == "adaptive" else None)
         prof = cfg.profiler
         _sid = prof.start("assemble") if prof is not None else None
         try:
-            fac = assemble(a_perm, self.symbolic, cfg, history=history)
+            fac = assemble(a_perm, self.symbolic, cfg)
         finally:
             if prof is not None:
                 prof.end(_sid)
@@ -252,10 +252,6 @@ class Solver:
         if cfg.telemetry is not None:
             cfg.telemetry.record_backend_kernels(fac.backend.name, delta,
                                                  phase="factorize")
-        if cfg.strategy == "adaptive":
-            from repro.core.variants import history_from_factor
-
-            self._adaptive_history = history_from_factor(fac)
         self.factor = fac
         return fac.stats
 
@@ -267,6 +263,7 @@ class Solver:
                 "final_tolerance": cfg.tolerance,
                 "final_strategy": cfg.strategy,
                 "final_variant": cfg.variant,
+                "final_order": _resolved_order(cfg),
                 **state.summary()}
 
     def factorize(self, faults: Optional["FaultInjector"] = None,
@@ -286,7 +283,8 @@ class Solver:
         With ``config.recovery`` set, a structured
         :class:`~repro.runtime.recovery.NumericalBreakdown` triggers the
         escalation ladder: the whole factorization is retried at a
-        tightened tolerance (then a downgraded strategy), at most
+        tightened tolerance (then a later-compressing loop order, last
+        dense), at most
         ``recovery.max_retries`` times; every action lands in
         :attr:`last_recovery` and on the telemetry bus.
         """
@@ -324,6 +322,7 @@ class Solver:
                 state.record("refactorize", site="solver",
                              cause=breakdown.cause, cblk=breakdown.cblk,
                              tolerance=nxt.tolerance, strategy=nxt.strategy,
+                             order=_resolved_order(nxt),
                              pivot_u=nxt.pivot_u,
                              pivot_fallback=nxt.pivot_fallback,
                              rung=rung)
@@ -531,8 +530,9 @@ class Solver:
         With ``config.recovery`` set, a run that stagnates (no
         ``refine_drop``× residual reduction over ``refine_window``
         iterations) or diverges triggers the escalation ladder: the matrix
-        is re-factored at a tightened tolerance (then a downgraded
-        strategy) and refinement re-runs from the best iterate, at most
+        is re-factored at a tightened tolerance (then a later-compressing
+        loop order, last dense) and refinement re-runs from the best
+        iterate, at most
         ``recovery.max_retries`` times.
         """
         if self.factor is None:
@@ -566,6 +566,7 @@ class Solver:
             state.record("refine_escalation", site="refinement",
                          cause="diverged" if diverged else "stagnated",
                          tolerance=nxt.tolerance, strategy=nxt.strategy,
+                         order=_resolved_order(nxt),
                          backward_error=res.backward_error)
             self._factorize_once(nxt, None, None, state)
             cfg = nxt

@@ -61,30 +61,21 @@ mapping as MM≈UCF / JIT≈UFC; operationally Minimal Memory compresses
 *before* any update reaches the block and Just-In-Time compresses *after
 the updates, before the solve*, which by the letter ordering is CUF and
 UCF — the mapping implemented and documented in ``docs/variants.md``.)
-
-:class:`AdaptivePolicy` picks compress-early (``cuf``) vs compress-late
-(``ucf``) vs ``dense`` *per supernode*, from a probe compression of the
-assembled candidate blocks and, when available, per-level rank history
-of a previous factorization of the same structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.config import SolverConfig
-    from repro.core.factor import NumericFactor
 
 __all__ = [
     "ORDERS",
     "ORDER_LADDER",
     "THRESHOLD_MODES",
-    "AdaptivePolicy",
     "BlrVariant",
-    "VariantDecision",
-    "history_from_factor",
     "resolve_variant",
 ]
 
@@ -94,12 +85,10 @@ ORDERS = ("cuf", "ucf", "ufc", "fuc")
 #: the four truncation-threshold modes (the ``betatype`` axis)
 THRESHOLD_MODES = ("local", "local-scaled", "global", "global-scaled")
 
-#: legacy strategy aliases → loop order (``adaptive`` compresses late by
-#: default; its per-supernode decisions override the order)
+#: legacy strategy aliases → loop order
 ALIAS_ORDERS: Dict[str, str] = {
     "minimal-memory": "cuf",
     "just-in-time": "ucf",
-    "adaptive": "ucf",
 }
 
 #: escalation ladder through the variant space: each rung compresses
@@ -151,10 +140,6 @@ class BlrVariant:
         """``fuc``: compress once every outgoing update has been applied."""
         return self.order == "fuc"
 
-    def with_order(self, order: str) -> "BlrVariant":
-        """The same thresholds/recompression with a different loop order."""
-        return replace(self, order=order)
-
     # -- threshold computation -------------------------------------------
     def compress_scale(self, tolerance: float, ncblk: int,
                        global_norm: float
@@ -180,8 +165,7 @@ def resolve_variant(config: "SolverConfig") -> Optional[BlrVariant]:
 
     ``None`` for the ``dense`` strategy (no compression axis at all).
     An explicit ``config.variant`` wins over the alias order of
-    ``config.strategy``; ``adaptive`` resolves to its compress-late base
-    order (per-supernode decisions then override it block by block).
+    ``config.strategy``.
     """
     if config.strategy == "dense":
         return None
@@ -190,131 +174,3 @@ def resolve_variant(config: "SolverConfig") -> Optional[BlrVariant]:
                       threshold_mode=config.threshold_mode,
                       recompress=config.recompress_updates)
 
-
-# ----------------------------------------------------------------------
-# adaptive per-supernode strategy
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariantDecision:
-    """One per-supernode adaptive decision (surfaced in the RunReport)."""
-
-    cblk: int
-    order: str  # "cuf" | "ucf" | "dense"
-    reason: str
-    ratio: Optional[float] = None
-
-    @property
-    def compress_early(self) -> bool:
-        """Compress this supernode at assembly (compress-early orders)."""
-        return self.order == "cuf"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"cblk": self.cblk, "order": self.order,
-                "reason": self.reason, "ratio": self.ratio}
-
-
-@dataclass(frozen=True)
-class AdaptivePolicy:
-    """Per-supernode strategy selection (``strategy="adaptive"``).
-
-    At assembly each supernode's largest candidate blocks are *probe
-    compressed*; the mean achieved storage ratio ``(m + n) r / (m n)``
-    decides the supernode's loop order:
-
-    * ratio ≤ :attr:`compress_early_ratio` — compress-early (``cuf``):
-      the block is so compressible that low-rank extend-adds stay cheap
-      and the dense panel never needs to exist;
-    * ratio ≤ :attr:`dense_ratio` — compress-late (``ucf``), the
-      Just-In-Time behaviour;
-    * above — ``dense``: compression does not pay, skip the attempts.
-
-    When :attr:`use_history` is set and the solver has per-level rank
-    statistics from a previous factorization of the same structure
-    (:func:`history_from_factor` — e.g. after ``update_values``), the
-    level's history replaces the probe: a level whose candidate blocks
-    mostly stayed dense goes ``dense``, a level with tiny achieved
-    ratios goes ``cuf``, anything else ``ucf``.
-    """
-
-    #: probe/history storage ratio at or below which the supernode
-    #: compresses at assembly (``cuf``)
-    compress_early_ratio: float = 0.15
-    #: probe/history storage ratio above which the supernode stays dense
-    dense_ratio: float = 0.85
-    #: history dense fraction above which the level's supernodes stay dense
-    dense_fraction: float = 0.5
-    #: number of (largest) candidate blocks probed per supernode
-    probe_blocks: int = 2
-    #: consult per-level history of a previous run when available
-    use_history: bool = True
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.compress_early_ratio <= 1.0):
-            raise ValueError("compress_early_ratio must be in [0, 1]")
-        if not (0.0 < self.dense_ratio <= 1.0):
-            raise ValueError("dense_ratio must be in (0, 1]")
-        if self.compress_early_ratio > self.dense_ratio:
-            raise ValueError(
-                "compress_early_ratio must not exceed dense_ratio")
-        if not (0.0 <= self.dense_fraction <= 1.0):
-            raise ValueError("dense_fraction must be in [0, 1]")
-        if self.probe_blocks < 1:
-            raise ValueError("probe_blocks must be >= 1")
-
-    def decide(self, cblk: int, probe_ratio: Optional[float],
-               history: Optional[Dict[str, float]] = None
-               ) -> VariantDecision:
-        """Classify one supernode from its probe ratio / level history."""
-        if self.use_history and history is not None:
-            if history.get("dense_fraction", 0.0) > self.dense_fraction:
-                return VariantDecision(cblk, "dense", "history-dense",
-                                       history.get("ratio"))
-            ratio = history.get("ratio")
-            if ratio is not None and ratio <= self.compress_early_ratio:
-                return VariantDecision(cblk, "cuf", "history-early", ratio)
-            return VariantDecision(cblk, "ucf", "history-late", ratio)
-        if probe_ratio is None:
-            return VariantDecision(cblk, "dense", "no-candidates")
-        if probe_ratio <= self.compress_early_ratio:
-            return VariantDecision(cblk, "cuf", "probe-early", probe_ratio)
-        if probe_ratio <= self.dense_ratio:
-            return VariantDecision(cblk, "ucf", "probe-late", probe_ratio)
-        return VariantDecision(cblk, "dense", "probe-dense", probe_ratio)
-
-
-def history_from_factor(fac: "NumericFactor") -> Dict[int, Dict[str, float]]:
-    """Per-level compression statistics of a completed factorization.
-
-    Returns ``{level: {"ratio": mean storage ratio of the level's
-    low-rank candidate blocks, "dense_fraction": fraction of candidates
-    that ended up dense}}`` — the history :class:`AdaptivePolicy`
-    consults on a refactorization of the same structure.
-    """
-    from repro.analysis.metrics import cblk_levels
-    from repro.lowrank.block import LowRankBlock
-
-    levels = cblk_levels(fac)
-    ratios: Dict[int, List[float]] = {}
-    dense: Dict[int, List[int]] = {}
-    for k, nc in enumerate(fac.cblks):
-        lvl = int(levels[k])
-        for i, b in enumerate(nc.sym.off_blocks()):
-            if not b.lr_candidate:
-                continue
-            m, n = b.nrows, nc.width
-            blk = None if nc.lblocks is None else nc.lblocks[i]
-            if isinstance(blk, LowRankBlock):
-                ratio = ((m + n) * max(blk.rank, 1) / (m * n)
-                         if m and n else 1.0)
-                ratios.setdefault(lvl, []).append(ratio)
-                dense.setdefault(lvl, []).append(0)
-            else:  # dense block, or a column still in panel mode
-                ratios.setdefault(lvl, []).append(1.0)
-                dense.setdefault(lvl, []).append(1)
-    out: Dict[int, Dict[str, float]] = {}
-    for lvl, rr in ratios.items():
-        dd = dense[lvl]
-        out[lvl] = {"ratio": float(sum(rr) / len(rr)),
-                    "dense_fraction": float(sum(dd) / len(dd))}
-    return out

@@ -11,9 +11,7 @@ and the low-rank-to-low-rank extend-add ``LR2LR`` with padding (Figure 4)
 followed by SVD (eqs. 7–8) or RRQR (eqs. 9–12) recompression.
 """
 
-from repro.lowrank.aca import aca_compress
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.randomized import rsvd_compress
 from repro.lowrank.svd import svd_compress, svd_truncate
 from repro.lowrank.rrqr import rrqr, rrqr_compress
 from repro.lowrank.recompress import recompress_svd, recompress_rrqr
@@ -27,8 +25,6 @@ from repro.lowrank.kernels import (
 
 __all__ = [
     "LowRankBlock",
-    "aca_compress",
-    "rsvd_compress",
     "svd_compress",
     "svd_truncate",
     "rrqr",

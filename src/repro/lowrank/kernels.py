@@ -26,9 +26,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.core.backend import KernelBackend
 
-from repro.lowrank.aca import aca_compress, aca_flops
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.randomized import rsvd_compress, rsvd_flops
 from repro.lowrank.recompress import recompress_rrqr, recompress_svd
 from repro.lowrank.rrqr import qr_split, rrqr_compress, rrqr_flops
 from repro.lowrank.svd import svd_compress, svd_flops
@@ -63,15 +61,13 @@ def block_nbytes(b: Block) -> int:
 def compress_block(a: np.ndarray, tol: float, kernel: str,
                    max_rank: Optional[int] = None,
                    stats: Optional[KernelStats] = None,
-                   category: str = "compress",
                    norm_ref: Optional[float] = None) -> Optional[LowRankBlock]:
     """Compress a dense block; ``None`` when the rank cap is exceeded.
 
     ``kernel`` selects ``"svd"`` or ``"rrqr"`` (§3.1); flops are charged to
-    ``category`` (``compress`` by default).  ``norm_ref`` raises the
-    truncation reference from the block's own Frobenius norm to
-    ``max(||a||_F, norm_ref)`` — how the global threshold modes of
-    :mod:`repro.core.variants` reach every kernel.
+    ``compress``.  ``norm_ref`` raises the truncation reference from the
+    block's own Frobenius norm to ``max(||a||_F, norm_ref)`` — how the
+    global threshold modes of :mod:`repro.core.variants` reach every kernel.
     """
     m, n = a.shape
     t0 = time.perf_counter()
@@ -83,14 +79,6 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
             out = rrqr_compress(a, tol, max_rank, norm_ref=norm_ref)
             r = out.rank if out is not None else (max_rank or min(m, n))
             fl = rrqr_flops(m, n, max(r, 1))
-        elif kernel == "rsvd":
-            out = rsvd_compress(a, tol, max_rank, norm_ref=norm_ref)
-            r = out.rank if out is not None else (max_rank or min(m, n))
-            fl = rsvd_flops(m, n, max(r, 1))
-        elif kernel == "aca":
-            out = aca_compress(a, tol, max_rank, norm_ref=norm_ref)
-            r = out.rank if out is not None else (max_rank or min(m, n))
-            fl = aca_flops(m, n, max(r, 1))
         else:
             # unknown kernel is a config error, not a numerical failure —
             # it must not fall through to the keep-dense verdict below
@@ -105,11 +93,10 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
                 "compress_failure", site=kernel,
                 error=type(exc).__name__, m=m, n=n)
     if stats is not None:
-        stats.add(category, seconds=time.perf_counter() - t0, flops=fl)
+        stats.add("compress", seconds=time.perf_counter() - t0, flops=fl)
         if stats.telemetry is not None:
             stats.telemetry.record_compress(
-                m, n, out.rank if out is not None else -1, kernel,
-                category=category)
+                m, n, out.rank if out is not None else -1, kernel)
     return out
 
 
@@ -160,8 +147,6 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
                 stats.add("lr_product",
                           seconds=time.perf_counter() - t0, flops=fl)
             return out
-        # the T core is tiny (rA x rB): randomized sampling brings nothing
-        # there, so 'rsvd' shares the RRQR path
         t_hat = (svd_compress(t_mat, tol, norm_ref=norm_ref)
                  if kernel == "svd"
                  else rrqr_compress(t_mat, tol, norm_ref=norm_ref))

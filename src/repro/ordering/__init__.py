@@ -14,7 +14,6 @@ from repro.ordering.separator import find_vertex_separator
 from repro.ordering.nested_dissection import nested_dissection, NDResult, NDPartition
 from repro.ordering.amd import minimum_degree
 from repro.ordering.geometric import geometric_nested_dissection, grid_coords
-from repro.ordering.rcm import reverse_cuthill_mckee
 from repro.ordering.elimination_tree import (
     elimination_tree,
     postorder,
@@ -30,7 +29,6 @@ __all__ = [
     "minimum_degree",
     "geometric_nested_dissection",
     "grid_coords",
-    "reverse_cuthill_mckee",
     "elimination_tree",
     "postorder",
     "tree_depths",

@@ -22,8 +22,9 @@ Three kinds of breakdown are detected when a
 
 The escalation ladder (:func:`escalate_config`) retries the whole solve at
 a tightened tolerance (``τ × tau_shrink`` per rung, floored at
-``tau_floor``) and then downgrades the strategy
-(minimal-memory → just-in-time → dense) — at most
+``tau_floor``) and then moves to the next compress-later loop order of
+:data:`repro.core.variants.ORDER_LADDER` (cuf → ucf → ufc → fuc → dense)
+— at most
 :attr:`RecoveryPolicy.max_retries` rungs, every action recorded through
 :meth:`RecoveryState.record` (``recovery_*`` telemetry counters + one
 ``recovery`` event each).  Transient task failures are retried locally
@@ -53,18 +54,6 @@ __all__ = [
     "escalate_config",
     "find_breakdown",
 ]
-
-#: legacy strategy-alias downgrade ladder used when tolerance tightening
-#: is exhausted.  Alias-named configs walk this (preserving the historic
-#: MM → JIT → dense behaviour); configs that pin an explicit BLR loop
-#: order instead walk :data:`repro.core.variants.ORDER_LADDER` through
-#: the variant space (compress-later each rung) and only then drop to
-#: dense — see :func:`escalate_config`.
-STRATEGY_LADDER: Dict[str, str] = {
-    "minimal-memory": "just-in-time",
-    "just-in-time": "dense",
-    "adaptive": "just-in-time",
-}
 
 #: breakdown causes raised by the detection layer
 BREAKDOWN_CAUSES = (
@@ -270,15 +259,14 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
 
     The legacy ladder: tolerance tightening first (``τ × tau_shrink``
     while the result stays at or above ``tau_floor``), then a downgrade
-    through the variant space.  A config with an explicit ``variant``
-    moves to the next compress-later loop order
+    through the variant space: from the config's *resolved* loop order —
+    whether it was written as an alias or an explicit ``variant`` — to
+    the next compress-later one
     (:data:`repro.core.variants.ORDER_LADDER` — denser intermediates,
-    better stability) and drops to ``dense`` after ``fuc``; alias-named
-    strategies keep the historic :data:`STRATEGY_LADDER`
-    (MM → JIT → dense, adaptive → JIT).  The ``dense`` strategy has no τ
-    rungs left — its accuracy does not depend on τ — but pivoting rungs
-    still apply to it (a dense-strategy LDLᵀ can still hit a pivot
-    failure).
+    better stability), and to ``dense`` after ``fuc``.  The ``dense``
+    strategy has no τ rungs left — its accuracy does not depend on τ —
+    but pivoting rungs still apply to it (a dense-strategy LDLᵀ can
+    still hit a pivot failure).
 
     Escalation reuses the cached symbolic analysis: neither the strategy,
     the variant, the tolerance, nor the pivoting knobs participate in
@@ -295,22 +283,18 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
             return config.with_options(pivot_u=relaxed)
         if not config.pivot_fallback:
             return config.with_options(pivot_fallback=True)
-    if config.strategy == "dense":
+    if not config.is_blr:
         return None
     new_tol = config.tolerance * policy.tau_shrink
     if new_tol >= policy.tau_floor:
         return config.with_options(tolerance=new_tol)
     if policy.strategy_downgrade:
-        if config.variant is not None:
-            from repro.core.variants import ORDER_LADDER
+        from repro.core.variants import ORDER_LADDER
 
-            nxt = ORDER_LADDER[config.variant]
-            if nxt is not None:
-                return config.with_options(variant=nxt)
-            return config.with_options(strategy="dense", variant=None)
-        downgraded = STRATEGY_LADDER.get(config.strategy)
-        if downgraded is not None:
-            return config.with_options(strategy=downgraded)
+        nxt = ORDER_LADDER[config.resolved_variant().order]
+        if nxt is not None:
+            return config.with_options(variant=nxt)
+        return config.with_options(strategy="dense", variant=None)
     return None
 
 

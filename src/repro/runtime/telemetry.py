@@ -553,12 +553,12 @@ class Telemetry:
                 sink.close()
 
     # -- domain helpers (one guarded call per instrumentation site) -----
-    def record_compress(self, m: int, n: int, rank: int, kernel: str,
-                        category: str = "compress") -> None:
+    def record_compress(self, m: int, n: int, rank: int,
+                        kernel: str) -> None:
         """One compression attempt: ``rank < 0`` means 'stored dense'."""
         outcome = "lowrank" if rank >= 0 else "dense"
         self.counter("compress_blocks", kernel=kernel,
-                     outcome=outcome, category=category).inc()
+                     outcome=outcome).inc()
         if rank >= 0:
             ratio = ((m + n) * rank / (m * n)) if m and n else 1.0
             self.histogram("compress_ratio").observe(ratio)
@@ -567,10 +567,10 @@ class Telemetry:
                 self.clock(), site="compress", m=m, n=n,
                 rank_before=-1, rank_after=rank)
             self.emit("compress", m=m, n=n, rank=rank, kernel=kernel,
-                      ratio=ratio, category=category)
+                      ratio=ratio)
         else:
             self.emit("compress", m=m, n=n, rank=-1, kernel=kernel,
-                      ratio=1.0, category=category)
+                      ratio=1.0)
 
     def record_recompress(self, m: int, n: int, rank_before: int,
                           rank_after: int) -> None:
@@ -588,18 +588,6 @@ class Telemetry:
             rank_before=rank_before, rank_after=rank_after)
         self.emit("recompress", m=m, n=n, rank_before=rank_before,
                   rank_after=rank_after)
-
-    def record_variant_decision(self, cblk: int, order: str, reason: str,
-                                ratio: Optional[float] = None) -> None:
-        """One adaptive per-supernode loop-order decision.
-
-        Publishes a labelled ``variant_decisions`` counter (order +
-        reason) plus a structured ``variant_decision`` event carrying the
-        probe/history ratio the decision was based on."""
-        self.counter("variant_decisions", order=order, reason=reason).inc()
-        self.emit("variant_decision", cblk=cblk, order=order,
-                  reason=reason,
-                  ratio=None if ratio is None else float(ratio))
 
     def record_memory(self, current: int, peak: int) -> None:
         """A new tracked-memory high water mark."""

@@ -169,7 +169,7 @@ class TestProfileCommands:
         assert rc == 0
         payload = json.loads(out_json.read_text())
         runs = {r["variant"]: r for r in payload["runs"]}
-        assert "ucf/local" in runs and "adaptive" in runs
+        assert "ucf/local" in runs and "dense" in runs
         for rec in payload["runs"]:
             assert rec["phases"].get("factorize", 0) > 0
             assert "analyze" in rec["phases"]

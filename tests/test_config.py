@@ -63,7 +63,7 @@ class TestValidation:
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 33
+        assert len(dataclasses.fields(SolverConfig)) == 32
 
 
 class TestPresets:

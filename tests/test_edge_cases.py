@@ -85,17 +85,6 @@ class TestRrqrNormRef:
         assert res.q.shape[1] > 0
 
 
-class TestAcaFullRankBreak:
-    def test_full_rank_block_with_no_cap(self, rng):
-        """ACA on a numerically full-rank block without a cap terminates
-        with an exact (full-rank) cross basis."""
-        from repro.lowrank.aca import aca_compress
-        a = rng.standard_normal((8, 8))
-        lr = aca_compress(a, 1e-14)
-        assert lr is not None
-        np.testing.assert_allclose(lr.to_dense(), a, atol=1e-10)
-
-
 class TestSymbolicBlockHelpers:
     def test_rows_helper(self):
         from repro.symbolic.structure import SymbolicBlock

@@ -566,17 +566,6 @@ class TestBatchedLandingMatchesPerPairScatter:
                          pivoting="threshold", split_size=8, split_min=4)
         assert s.factor.pivots_2x2 > 0 and s.symbolic.ncblk > 1
 
-    def test_panel_source_meets_blocks_target(self, monkeypatch):
-        s, _ = self.both(monkeypatch, laplacian_3d(8), strategy="adaptive",
-                         tolerance=1e-4, factotype="lu")
-        orders = {d.order for d in s.factor.decisions}
-        assert "cuf" in orders and orders & {"dense", "ucf"}
-        symb = s.symbolic
-        assert any(s.factor.decisions[t].order == "cuf"
-                   and s.factor.decisions[k].order != "cuf"
-                   for k in range(symb.ncblk)
-                   for t in symb.facing_ranges(k))
-
     def test_kept_panels_and_split_column_blocks_face_each_other(
             self, monkeypatch):
         """Minimal Memory fixes every storage mode at assembly: a column
@@ -595,8 +584,7 @@ class TestEnginesLandIdentically:
     CONFIGS = {"dense": dict(strategy="dense"),
                "jit": dict(strategy="just-in-time"),
                "mm": dict(strategy="minimal-memory"),
-               "fuc": dict(strategy="just-in-time", variant="fuc"),
-               "adaptive": dict(strategy="adaptive")}
+               "fuc": dict(strategy="just-in-time", variant="fuc")}
 
     def factor(self, name, **engine):
         s = Solver(laplacian_3d(8), tiny_blr_config(

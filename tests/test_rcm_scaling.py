@@ -1,47 +1,12 @@
-"""Tests for the RCM ordering and matrix equilibration."""
+"""Tests for matrix equilibration."""
 
 import numpy as np
 
-from repro.ordering.graph import Graph
-from repro.ordering.rcm import bandwidth, reverse_cuthill_mckee
 from repro.sparse.generators import (
     heterogeneous_poisson_3d,
-    laplacian_1d,
     laplacian_2d,
 )
-from repro.sparse.permute import is_permutation
 from repro.sparse.scaling import equilibrate, scaled_extremes
-
-
-class TestRcm:
-    def test_valid_permutation(self):
-        g = Graph.from_matrix(laplacian_2d(6))
-        perm = reverse_cuthill_mckee(g)
-        assert is_permutation(perm, g.n)
-
-    def test_path_bandwidth_one(self):
-        g = Graph.from_matrix(laplacian_1d(20))
-        perm = reverse_cuthill_mckee(g)
-        assert bandwidth(g, perm) == 1
-
-    def test_reduces_bandwidth_on_shuffled_grid(self, rng):
-        from repro.sparse.permute import permute_symmetric
-        a = laplacian_2d(8)
-        shuffled = permute_symmetric(a, rng.permutation(a.n))
-        g = Graph.from_matrix(shuffled)
-        natural_bw = bandwidth(g, np.arange(g.n))
-        rcm_bw = bandwidth(g, reverse_cuthill_mckee(g))
-        assert rcm_bw < natural_bw
-
-    def test_disconnected_graph(self):
-        g = Graph.from_edges(6, [(0, 1), (3, 4), (4, 5)])
-        perm = reverse_cuthill_mckee(g)
-        assert is_permutation(perm, 6)
-
-    def test_deterministic(self):
-        g = Graph.from_matrix(laplacian_2d(5))
-        np.testing.assert_array_equal(reverse_cuthill_mckee(g),
-                                      reverse_cuthill_mckee(g))
 
 
 class TestEquilibration:

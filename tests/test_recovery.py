@@ -25,7 +25,6 @@ from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.recovery import (
-    STRATEGY_LADDER,
     NumericalBreakdown,
     RecoveryPolicy,
     RecoveryState,
@@ -155,19 +154,6 @@ class TestBreakdownPlumbing:
         bd = NumericalBreakdown("nan-factor", cblk=5)
         agg = SchedulerError("3 workers died", errors=[ValueError("x"), bd])
         assert find_breakdown(agg) is bd
-
-    def test_escalation_ladder_tightens_then_downgrades(self):
-        policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1e-10)
-        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-8)
-        rung1 = escalate_config(cfg, policy)
-        assert rung1.tolerance == pytest.approx(1e-9)
-        assert rung1.strategy == "minimal-memory"
-        rung2 = escalate_config(rung1, policy)
-        assert rung2.tolerance == pytest.approx(1e-10)
-        rung3 = escalate_config(rung2, policy)  # below floor: downgrade
-        assert rung3.strategy == STRATEGY_LADDER["minimal-memory"]
-        assert escalate_config(
-            tiny_blr_config(strategy="dense"), policy) is None
 
     def test_escalation_respects_downgrade_switch(self):
         policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1.0,

@@ -138,7 +138,7 @@ class TestArchivesOutliveConfigFields:
     anything else unknown is still rejected, by name."""
 
     RETIRED = dict(accumulate_updates=True, trace=False,
-                   scheduler="static")
+                   scheduler="static", adaptive=None)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -177,3 +177,15 @@ class TestArchivesOutliveConfigFields:
                     lambda h: h["config"].update(bogus_knob=1))
         with pytest.raises(ValueError, match="bogus_knob"):
             load_factor(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("strategy", "adaptive"), ("kernel", "rsvd"), ("kernel", "aca")])
+    def test_retired_value_rejected_with_the_choices(self, tmp_path, rng,
+                                                     field, value):
+        a = laplacian_3d(4)
+        *_, path = roundtrip(a, self.cfg(), tmp_path, rng)
+        edit_header(path, "header.json",
+                    lambda h: h["config"].update({field: value}))
+        with pytest.raises(ValueError, match=value) as exc:
+            load_factor(path)
+        assert getattr(self.cfg(), field) in str(exc.value)

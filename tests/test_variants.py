@@ -1,14 +1,13 @@
 """Tests for the composable BLR variant engine (``repro.core.variants``).
 
 Covers the three orthogonal axes (loop order, threshold mode,
-recompression toggle), the alias bit-identity pins, the adaptive
-per-supernode policy (probe and history paths), and the variant-space
-escalation ladder.
+recompression toggle), the alias bit-identity pins, the one escalation
+ladder, and the names this solver no longer answers to.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -20,20 +19,14 @@ from repro.core.variants import (
     ORDER_LADDER,
     ORDERS,
     THRESHOLD_MODES,
-    AdaptivePolicy,
     BlrVariant,
-    history_from_factor,
     resolve_variant,
 )
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import lr_product
 from repro.lowrank.rrqr import rrqr_compress
 from repro.lowrank.svd import svd_compress
-from repro.runtime.recovery import (
-    STRATEGY_LADDER,
-    RecoveryPolicy,
-    escalate_config,
-)
+from repro.runtime.recovery import RecoveryPolicy, escalate_config
 from repro.sparse.generators import convection_diffusion_3d, laplacian_3d
 from tests.conftest import tiny_blr_config
 from tests.test_backend_conformance import SEED_DIGESTS
@@ -69,13 +62,6 @@ class TestBlrVariant:
             BlrVariant(order="fcu")
         with pytest.raises(ValueError, match="threshold_mode"):
             BlrVariant(threshold_mode="relative")
-
-    def test_with_order_keeps_other_axes(self):
-        v = BlrVariant(order="cuf", threshold_mode="global",
-                       recompress=False)
-        w = v.with_order("fuc")
-        assert (w.order, w.threshold_mode, w.recompress) == \
-            ("fuc", "global", False)
 
     def test_compress_scale_hand_computed(self):
         tau, p, norm = 1e-8, 25, 300.0
@@ -119,39 +105,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dense"):
             tiny_blr_config(strategy="dense", variant="ucf")
 
-    def test_variant_conflicts_with_adaptive(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            tiny_blr_config(strategy="adaptive", variant="ucf")
-
     def test_unknown_axes_rejected(self):
         with pytest.raises(ValueError):
             tiny_blr_config(variant="xyz")
         with pytest.raises(ValueError):
             tiny_blr_config(threshold_mode="xyz")
 
-    def test_adaptive_policy_requires_adaptive_strategy(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            tiny_blr_config(strategy="just-in-time",
-                            adaptive=AdaptivePolicy())
-
-    def test_adaptive_policy_dict_coerced(self):
-        cfg = tiny_blr_config(strategy="adaptive",
-                              adaptive={"probe_blocks": 3})
-        assert isinstance(cfg.adaptive, AdaptivePolicy)
-        assert cfg.adaptive.probe_blocks == 3
-
     def test_config_roundtrips_through_asdict(self):
-        cfg = tiny_blr_config(strategy="adaptive",
-                              adaptive=AdaptivePolicy(probe_blocks=3))
+        cfg = tiny_blr_config(strategy="minimal-memory", variant="ufc",
+                              threshold_mode="global-scaled")
         clone = SolverConfig(**asdict(replace(cfg, telemetry=None)))
-        assert clone.adaptive == cfg.adaptive
-        assert clone.variant == cfg.variant
-        assert clone.threshold_mode == cfg.threshold_mode
+        assert clone == cfg
 
     @pytest.mark.parametrize("overrides", [
         dict(strategy="minimal-memory"),
         dict(strategy="just-in-time", variant="cuf"),
-        dict(strategy="adaptive"),
     ])
     def test_left_looking_rejects_assembly_compression(self, overrides):
         with pytest.raises(ValueError, match="left_looking"):
@@ -387,166 +355,44 @@ class TestRecompressToggle:
 
 
 # ----------------------------------------------------------------------
-# adaptive per-supernode strategy
-# ----------------------------------------------------------------------
-
-class TestAdaptivePolicyUnit:
-    def test_probe_classification(self):
-        pol = AdaptivePolicy(compress_early_ratio=0.15, dense_ratio=0.85)
-        assert pol.decide(0, None).order == "dense"
-        assert pol.decide(0, None).reason == "no-candidates"
-        assert pol.decide(1, 0.1).order == "cuf"
-        assert pol.decide(2, 0.5).order == "ucf"
-        assert pol.decide(3, 0.9).order == "dense"
-
-    def test_history_classification(self):
-        pol = AdaptivePolicy()
-        hist_dense = {"ratio": 0.9, "dense_fraction": 0.8}
-        hist_early = {"ratio": 0.05, "dense_fraction": 0.0}
-        hist_late = {"ratio": 0.4, "dense_fraction": 0.1}
-        assert pol.decide(0, None, hist_dense).reason == "history-dense"
-        assert pol.decide(0, None, hist_early).order == "cuf"
-        assert pol.decide(0, None, hist_late).order == "ucf"
-        # probe ratio is ignored when history is present
-        assert pol.decide(0, 0.01, hist_dense).order == "dense"
-
-    def test_history_disabled_falls_back_to_probe(self):
-        pol = AdaptivePolicy(use_history=False)
-        hist = {"ratio": 0.9, "dense_fraction": 1.0}
-        assert pol.decide(0, 0.05, hist).order == "cuf"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptivePolicy(compress_early_ratio=1.5)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(dense_ratio=0.0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(compress_early_ratio=0.9, dense_ratio=0.5)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(probe_blocks=0)
-
-
-class TestAdaptiveEndToEnd:
-    def test_decisions_cover_every_supernode(self):
-        a = laplacian_3d(8)
-        s, err = solve_err(a, tiny_blr_config(strategy="adaptive",
-                                              tolerance=1e-4))
-        fac = s.factor
-        assert err <= 1e-2
-        assert fac.decisions is not None
-        assert len(fac.decisions) == fac.symb.ncblk
-        assert {d.order for d in fac.decisions} <= {"cuf", "ucf", "dense"}
-
-    def test_factor_size_no_worse_than_best_static(self):
-        """The acceptance criterion: on a matrix with mixed-rank
-        supernodes the adaptive strategy matches the best static variant
-        byte-for-byte (it picks the same compression point wherever
-        compression pays and skips the attempts where it does not)."""
-        a = laplacian_3d(8)
-        static = {}
-        for order in ORDERS:
-            s, err = solve_err(a, tiny_blr_config(variant=order,
-                                                  tolerance=1e-4))
-            static[order] = s.stats.factor_nbytes
-            assert err <= 1e-2
-        pol = AdaptivePolicy(dense_ratio=1.0)
-        s, err = solve_err(a, tiny_blr_config(strategy="adaptive",
-                                              adaptive=pol,
-                                              tolerance=1e-4))
-        assert err <= 1e-2
-        assert s.stats.factor_nbytes <= min(static.values())
-
-    def test_decisions_surface_in_run_report(self):
-        from repro.analysis.report import render_markdown
-
-        a = laplacian_3d(8)
-        s, err = solve_err(a, tiny_blr_config(strategy="adaptive",
-                                              tolerance=1e-4))
-        rep = s.run_report(workload="lap3d:8", backward_error=err)
-        var = rep["variants"]
-        assert var["strategy"] == "adaptive"
-        assert var["adaptive"] is True
-        assert sum(var["decision_counts"].values()) == s.factor.symb.ncblk
-        assert len(var["decisions"]) == s.factor.symb.ncblk
-        assert {"cblk", "order", "reason", "ratio"} <= \
-            set(var["decisions"][0])
-        md = render_markdown(rep)
-        assert "Adaptive per-supernode decisions" in md
-
-    def test_decisions_recorded_on_telemetry(self):
-        from repro.runtime.telemetry import Telemetry
-
-        a = laplacian_3d(8)
-        cfg = tiny_blr_config(strategy="adaptive", tolerance=1e-4,
-                              telemetry=Telemetry())
-        s = Solver(a, cfg)
-        s.factorize()
-        snap = cfg.telemetry.snapshot()
-        total = sum(c["value"] for c in
-                    snap["counters"].get("variant_decisions", []))
-        assert total == s.factor.symb.ncblk
-
-    def test_refactorization_uses_history(self):
-        a = laplacian_3d(8)
-        s = Solver(a, tiny_blr_config(strategy="adaptive", tolerance=1e-4))
-        s.factorize()
-        hist = history_from_factor(s.factor)
-        assert hist  # compression happened somewhere at tau=1e-4
-        s.update_values(a)
-        s.factorize()
-        reasons = {d.reason for d in s.factor.decisions}
-        assert reasons & {"history-dense", "history-early", "history-late"}
-        b = np.ones(a.n)
-        assert s.backward_error(s.solve(b), b) <= 1e-2
-
-    def test_non_adaptive_runs_make_no_decisions(self):
-        a = laplacian_3d(6)
-        s, _ = solve_err(a, tiny_blr_config(strategy="just-in-time"))
-        assert s.factor.decisions is None
-        rep = s.run_report()
-        assert rep["variants"]["adaptive"] is False
-        assert rep["variants"]["decision_counts"] is None
-
-
-# ----------------------------------------------------------------------
 # escalation ladder in variant terms
 # ----------------------------------------------------------------------
 
 class TestEscalation:
-    #: tolerance already below the floor: the tau-tightening path is
-    #: exhausted and escalate_config goes straight to the downgrade rung
-    POLICY = RecoveryPolicy(tau_floor=1e-10)
+    @staticmethod
+    def walk(cfg, policy):
+        """Every rung below ``cfg`` as (tolerance, resolved order)."""
+        rungs = []
+        while (cfg := escalate_config(cfg, policy)) is not None:
+            v = cfg.resolved_variant()
+            rungs.append((cfg.tolerance, v.order if v else None))
+        return rungs
 
-    def test_explicit_variant_walks_the_order_ladder(self):
-        cfg = tiny_blr_config(variant="cuf", tolerance=1e-12)
-        seen = []
-        while cfg is not None and cfg.strategy != "dense":
-            cfg = escalate_config(cfg, self.POLICY)
-            seen.append((cfg.strategy, cfg.variant))
-        assert seen == [("just-in-time", "ucf"), ("just-in-time", "ufc"),
-                        ("just-in-time", "fuc"), ("dense", None)]
-        assert escalate_config(cfg, self.POLICY) is None
+    def test_one_ladder_from_the_resolved_order(self):
+        """Written as an alias or as an explicit variant, a config tightens
+        τ down to the floor first and then compresses later rung by rung —
+        the same resolved orders either way — ending at dense."""
+        policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1e-10)
+        tail = [(pytest.approx(1e-10), o) for o in ("ufc", "fuc", None)]
+        jit = [(pytest.approx(1e-9), "ucf"), (pytest.approx(1e-10), "ucf")]
+        for overrides in (dict(strategy="just-in-time"),
+                          dict(variant="ucf"),
+                          dict(strategy="minimal-memory", variant="ucf")):
+            cfg = tiny_blr_config(tolerance=1e-8, **overrides)
+            assert self.walk(cfg, policy) == jit + tail
+        mm = [(pytest.approx(1e-9), "cuf"), (pytest.approx(1e-10), "cuf"),
+              (pytest.approx(1e-10), "ucf")]
+        for overrides in (dict(strategy="minimal-memory"),
+                          dict(variant="cuf")):
+            cfg = tiny_blr_config(tolerance=1e-8, **overrides)
+            assert self.walk(cfg, policy) == mm + tail
+        assert self.walk(tiny_blr_config(strategy="dense"), policy) == []
 
     def test_order_ladder_is_compress_later(self):
         order = ["cuf"]
         while ORDER_LADDER[order[-1]] is not None:
             order.append(ORDER_LADDER[order[-1]])
         assert order == list(ORDERS)
-
-    def test_alias_ladder_regression(self):
-        """The historic MM -> JIT -> dense ladder is untouched for
-        alias-named configs."""
-        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-12)
-        rung1 = escalate_config(cfg, self.POLICY)
-        assert rung1.strategy == STRATEGY_LADDER["minimal-memory"]
-        assert rung1.variant is None
-        rung2 = escalate_config(rung1, self.POLICY)
-        assert rung2.strategy == "dense"
-        assert escalate_config(rung2, self.POLICY) is None
-
-    def test_adaptive_downgrades_to_jit(self):
-        cfg = tiny_blr_config(strategy="adaptive", tolerance=1e-12)
-        assert escalate_config(cfg, self.POLICY).strategy == "just-in-time"
 
     def test_tau_tightening_preserves_variant(self):
         cfg = tiny_blr_config(variant="fuc", tolerance=1e-6)
@@ -568,6 +414,66 @@ class TestEscalation:
         s.factorize(faults=inj)
         b = np.ones(a.n)
         assert s.backward_error(s.solve(b), b) <= 1e-6
+
+    def test_every_rung_is_logged_by_its_resolved_order(self):
+        """Rungs that change only the loop order share a strategy name; the
+        action log tells them apart by ``order``."""
+        from repro.runtime.faults import FaultInjector
+        from repro.runtime.recovery import NumericalBreakdown
+
+        # τ is already under the floor, so every rung is an order rung
+        policy = RecoveryPolicy(tau_floor=1.0, max_retries=4)
+        s = Solver(laplacian_3d(5), tiny_blr_config(
+            strategy="minimal-memory", recovery=policy))
+        inj = FaultInjector()
+        inj.nan_in_panel(0)  # persistent: no rung heals it
+        with pytest.raises(NumericalBreakdown):
+            s.factorize(faults=inj)
+        rungs = [a for a in s.last_recovery["actions"]
+                 if a["action"] == "refactorize"]
+        assert [a["order"] for a in rungs] == ["ucf", "ufc", "fuc", None]
+        assert [a["strategy"] for a in rungs] == \
+            ["minimal-memory"] * 3 + ["dense"]
+        assert s.last_recovery["final_strategy"] == "dense"
+        assert s.last_recovery["final_order"] is None
+
+
+# ----------------------------------------------------------------------
+# the names that were retired (each measured and dominated; CHANGELOG)
+# ----------------------------------------------------------------------
+
+def _import_from(module, name):
+    exec(f"from {module} import {name}", {})
+
+
+def _cli_solve_adaptive():
+    from repro.cli import main
+
+    main(["solve", "--generate", "lap3d:4", "--strategy", "adaptive"])
+
+
+@pytest.mark.parametrize("probe,error", [
+    pytest.param(lambda: tiny_blr_config(strategy="adaptive"), ValueError,
+                 id="strategy-adaptive"),
+    pytest.param(lambda: tiny_blr_config(kernel="rsvd"), ValueError,
+                 id="kernel-rsvd"),
+    pytest.param(lambda: tiny_blr_config(kernel="aca"), ValueError,
+                 id="kernel-aca"),
+    pytest.param(lambda: tiny_blr_config(adaptive=None), TypeError,
+                 id="field-adaptive"),
+    pytest.param(lambda: _import_from("repro", "AdaptivePolicy"),
+                 ImportError, id="import-AdaptivePolicy"),
+    pytest.param(lambda: _import_from("repro.ordering",
+                                      "reverse_cuthill_mckee"),
+                 ImportError, id="import-rcm"),
+    pytest.param(_cli_solve_adaptive, SystemExit, id="cli-strategy-adaptive"),
+])
+def test_retired_names_are_gone(probe, error):
+    with pytest.raises(error) as exc:
+        probe()
+    if error is SystemExit:
+        assert exc.value.code == 2
+    assert len(fields(SolverConfig)) == 32
 
 
 # ----------------------------------------------------------------------
@@ -594,8 +500,7 @@ class TestCli:
 
         payload = json.loads(out.read_text())
         labels = {r["variant"] for r in payload["runs"]}
-        assert {f"{o}/local" for o in ORDERS} <= labels
-        assert {"adaptive", "dense"} <= labels
+        assert labels == {f"{o}/local" for o in ORDERS} | {"dense"}
         for r in payload["runs"]:
             assert r["backward_error"] <= 1e-6
 

@@ -12,9 +12,8 @@ numeric surface:
 
 * ``backend.py`` and ``dense_kernels.py`` (the protocol and its reference
   implementation) and the decomposition kernels that *are* the
-  compression backend (``rrqr.py``, ``svd.py``, ``aca.py``,
-  ``randomized.py``, ``recompress.py``) — these wrap LAPACK directly by
-  design;
+  compression backend (``rrqr.py``, ``svd.py``, ``recompress.py``) —
+  these wrap LAPACK directly by design;
 * ``refinement.py`` — iterative refinement operates on full-length
   vectors, not blocks, outside the blocked-kernel protocol;
 * **declared cold paths**: any enclosing function whose docstring
@@ -94,8 +93,8 @@ class BackendBypassRule(Rule):
         "and backend swaps see all the flops")
     scope_dirs = ("core", "lowrank")
     scope_exclude = (
-        "backend.py", "dense_kernels.py", "rrqr.py", "svd.py", "aca.py",
-        "randomized.py", "recompress.py", "refinement.py",
+        "backend.py", "dense_kernels.py", "rrqr.py", "svd.py",
+        "recompress.py", "refinement.py",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:

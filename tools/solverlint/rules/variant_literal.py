@@ -11,7 +11,7 @@ loop order, a new alias) — exactly the "silent fallback" erosion the
 JOREK study documents.
 
 The rule flags *comparisons* only (``==``/``!=``/``in``/``not in``
-against the known literals).  Dict constructions (``STRATEGY_LADDER``),
+against the known literals).  Dict constructions (``ALIAS_ORDERS``),
 argparse ``choices=...`` lists and docstrings are not comparisons and do
 not fire.
 """
