@@ -18,15 +18,17 @@ coordinates to the solver (``Solver(a, cfg, coords=...)``), or call
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
-
-SplitResult = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
-Splitter = Callable[["Graph", "np.ndarray", "Graph"], SplitResult]
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.ordering.graph import Graph
-from repro.ordering.nested_dissection import NDResult, nested_dissection
+from repro.ordering.nested_dissection import (
+    NDResult,
+    Splitter,
+    nested_dissection,
+)
+from repro.ordering.separator import SplitResult
 
 
 def grid_coords(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
@@ -49,12 +51,12 @@ def grid_coords(nx: int, ny: Optional[int] = None, nz: Optional[int] = None,
 
 
 def make_plane_splitter(coords: np.ndarray) -> Splitter:
-    """Build a ``splitter(g, vertices, sub=None)`` closure over node
-    coordinates (``sub``: the induced subgraph, when already extracted)."""
+    """Build a ``splitter(g, regions)`` closure over node coordinates: one
+    plane split per region."""
     coords = np.asarray(coords, dtype=np.float64)
 
-    def splitter(g: Graph, vertices: np.ndarray,
-                 sub: Optional[Graph] = None) -> SplitResult:
+    def split(g: Graph, vertices: np.ndarray,
+              member: np.ndarray) -> SplitResult:
         vertices = np.asarray(vertices, dtype=np.int64)
         pts = coords[vertices]
         extents = pts.max(axis=0) - pts.min(axis=0)
@@ -73,13 +75,17 @@ def make_plane_splitter(coords: np.ndarray) -> Splitter:
                 half = vertices.size // 2
                 below = np.zeros(vertices.size, dtype=bool)
                 below[order[:half]] = True
-        # separator: vertices of side b adjacent to side a (one grid plane)
-        if sub is None:
-            sub, _ = g.subgraph(vertices)
-        side_b = np.flatnonzero(~below)
-        in_sep = sub.touches(side_b, below)
-        return (vertices[below], vertices[side_b[~in_sep]],
-                vertices[side_b[in_sep]])
+        # separator: vertices of side b adjacent to side a (one grid plane);
+        # side a lies inside the region, so "touches" needs no subgraph
+        side_a, side_b = vertices[below], vertices[~below]
+        member[side_a] = True
+        in_sep = g.touches(side_b, member)
+        member[side_a] = False
+        return side_a, side_b[~in_sep], side_b[in_sep]
+
+    def splitter(g: Graph, regions: Sequence[np.ndarray]) -> List[SplitResult]:
+        member = np.zeros(g.n, dtype=bool)
+        return [split(g, verts, member) for verts in regions]
 
     return splitter
 

@@ -7,11 +7,23 @@ symmetric nonzero pattern, self-loops (diagonal entries) are dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+
+
+def side_by_side(regions: Sequence[np.ndarray],
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint vertex sets laid end to end: their vertices, the boundaries
+    ``ptr`` (region ``r`` is ``ptr[r]:ptr[r + 1]``) and every entry's
+    region."""
+    sizes = np.array([r.size for r in regions], dtype=np.int64)
+    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    verts = np.concatenate(regions) if regions else np.empty(0, np.int64)
+    return verts, ptr, np.arange(sizes.size).repeat(sizes)
 
 
 class Graph:
@@ -100,111 +112,74 @@ class Graph:
         owner = np.arange(counts.size).repeat(counts)
         return np.bincount(owner[member[nbrs]], minlength=counts.size) > 0
 
-    def _bfs(self, start: int, level: np.ndarray) -> np.ndarray:
-        """Breadth-first search from ``start`` through the vertices whose
-        ``level`` is still ``-1``, one whole frontier per step; writes their
-        depth into ``level`` and returns them."""
-        level[start] = 0
-        reached = [np.array([start], dtype=np.int64)]
-        while True:
-            nbrs, _ = self._gather(reached[-1])
-            nbrs = nbrs[level[nbrs] == -1]
-            if not nbrs.size:
-                return np.concatenate(reached)
-            # a vertex found from several frontier vertices is kept once:
-            # by the last writer of its slot
-            slot = np.arange(nbrs.size)
-            level[nbrs] = slot
-            frontier = nbrs[level[nbrs] == slot]
-            level[frontier] = len(reached)
-            reached.append(frontier)
+    def within(self, vertices: np.ndarray, region: np.ndarray) -> "Graph":
+        """The regions' induced subgraphs side by side, as one graph.
 
-    def _open_levels(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        """Level array for a traversal restricted to ``mask``: ``-1`` where
-        the search may go, ``-2`` where it may not."""
-        if mask is None:
-            return np.full(self.n, -1, dtype=np.int64)
-        return np.where(mask, np.int64(-1), np.int64(-2))
-
-    def bfs_levels(self, start: int,
-                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Breadth-first levels from ``start``; ``-1`` for unreachable (or
-        masked-out) vertices.  ``mask`` restricts the traversal to vertices
-        where it is True.  The levels depend on the graph alone, not on the
-        order vertices are visited in."""
-        level = self._open_levels(mask)
-        if level[start] == -1:
-            self._bfs(start, level)
-        return np.maximum(level, -1, out=level)
-
-    def pseudo_peripheral(self, start: int,
-                          mask: Optional[np.ndarray] = None,
-                          max_iters: int = 10,
-                          degrees: Optional[np.ndarray] = None,
-                          ) -> Tuple[int, np.ndarray]:
-        """George–Liu pseudo-peripheral vertex heuristic.
-
-        Repeatedly BFS and restart from a minimum-degree vertex of the last
-        level until the eccentricity stops growing.  Returns the final root
-        and its level structure.  ``degrees`` replaces this graph's own
-        degrees in the tie-break (an induced subgraph passes the degrees its
-        vertices have in the graph it was cut from).
-        """
-        if degrees is None:
-            degrees = self.degrees()
-        root = start
-        levels = self.bfs_levels(root, mask)
-        ecc = int(levels.max())
-        for _ in range(max_iters):
-            last = np.flatnonzero(levels == ecc)
-            if last.size == 0:
-                break
-            # minimum-degree vertex of the deepest level
-            cand = last[np.argmin(degrees[last])]
-            new_levels = self.bfs_levels(int(cand), mask)
-            new_ecc = int(new_levels.max())
-            if new_ecc <= ecc:
-                break
-            root, levels, ecc = int(cand), new_levels, new_ecc
-        return root, levels
-
-    def bfs_forest(self, mask: Optional[np.ndarray] = None,
-                   ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Connected components (restricted to ``mask``), each a sorted
-        vertex array, in order of their smallest vertex; and the level of
-        every vertex in the BFS from the smallest vertex of its component
-        (``-1`` outside ``mask``)."""
-        level = self._open_levels(mask)
-        comps: List[np.ndarray] = []
-        for s in np.flatnonzero(level == -1).tolist():
-            if level[s] == -1:
-                comps.append(np.sort(self._bfs(s, level)))
-        return comps, np.maximum(level, -1, out=level)
-
-    def connected_components(self,
-                             mask: Optional[np.ndarray] = None) -> List[np.ndarray]:
-        """Vertex sets of connected components (restricted to ``mask``)."""
-        return self.bfs_forest(mask)[0]
-
-    def subgraph(self, vertices: np.ndarray) -> Tuple["Graph", np.ndarray]:
-        """Induced subgraph.
-
-        Returns ``(g, vertices)`` where local vertex ``i`` of ``g`` is global
-        vertex ``vertices[i]`` (the echo makes call sites self-documenting).
-        All work arrays have the size of the subgraph, not of this graph.
+        Local vertex ``i`` is ``vertices[i]``; it keeps the edges to the
+        vertices of its own region (``region[i]``) and no other.  A region
+        whose vertices are contiguous and sorted in ``vertices`` is then
+        numbered in global order, so every "smallest vertex" tie-break can
+        be taken on local indices.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         nbrs, counts = self._gather(vertices)
         owner = np.arange(vertices.size).repeat(counts)
-        order = np.argsort(vertices, kind="stable")
-        ranked = vertices[order]
-        pos = ranked.searchsorted(nbrs)
-        np.minimum(pos, vertices.size - 1, out=pos)
-        keep = ranked[pos] == nbrs
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[vertices] = np.arange(vertices.size)
+        nbrs = local[nbrs]
+        keep = nbrs >= 0
+        keep[keep] = region[nbrs[keep]] == region[owner[keep]]
         adjptr = np.zeros(vertices.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner[keep], minlength=vertices.size),
                   out=adjptr[1:])
-        return Graph(vertices.size, adjptr, order[pos[keep]]), vertices
+        return Graph(vertices.size, adjptr, nbrs[keep])
+
+    def bfs(self, starts: np.ndarray, level: np.ndarray,
+            root: Optional[np.ndarray] = None) -> None:
+        """Breadth-first search from all of ``starts`` at once, one whole
+        frontier per step, through the vertices whose ``level`` is still
+        ``-1``: writes their depth into ``level`` and, given ``root``, copies
+        the root entry of the vertex they were reached from.  Depths are
+        distances, so they do not depend on the order a frontier is visited
+        in; searches from starts in different components never meet."""
+        level[starts] = 0
+        frontier, depth = starts, 0
+        while True:
+            nbrs, counts = self._gather(frontier)
+            new = level[nbrs] == -1
+            if not new.any():
+                return
+            nbrs = nbrs[new]
+            # a vertex found from several frontier vertices is kept once:
+            # by the last writer of its slot
+            slot = np.arange(nbrs.size)
+            level[nbrs] = slot
+            won = level[nbrs] == slot
+            if root is not None:
+                root[nbrs[won]] = root[frontier.repeat(counts)[new][won]]
+            frontier, depth = nbrs[won], depth + 1
+            level[frontier] = depth
+
+    def forest(self, ptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Connected components and their BFS levels, region by region.
+
+        The vertices come in regions ``ptr[r]:ptr[r + 1]`` with no edge
+        between regions (a :meth:`within` graph).  Returns, per vertex, the
+        smallest vertex of its component (its root) and the distance from
+        it.  Each round searches once from every region's smallest vertex
+        not reached yet — the root of its component, as earlier rounds took
+        whole components; a vertex with no neighbour is its own component.
+        """
+        level = np.where(self._degrees == 0, 0, -1)
+        root = np.arange(self.n)
+        region = np.arange(ptr.size - 1).repeat(np.diff(ptr))
+        while True:
+            open_ = np.flatnonzero(level < 0)
+            if not open_.size:
+                return root, level
+            first = np.ones(open_.size, dtype=bool)
+            first[1:] = region[open_[1:]] != region[open_[:-1]]
+            self.bfs(open_[first], level, root)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, nedges={self.nedges})"

@@ -4,10 +4,15 @@ Implements the George [18] / Scotch-style recursion the paper's analysis step
 relies on:
 
 * recursively split each connected region with a vertex separator
-  (:func:`repro.ordering.separator.find_vertex_separator`);
+  (:func:`repro.ordering.separator.vertex_separators`);
 * stop when a region has at most ``cmin`` vertices (paper: ``cmin = 15``);
 * number each region's sub-parts first and its separator *last*, so every
   separator dominates its subtree in the elimination order.
+
+The recursion runs one dissection depth at a time: every region of a depth
+is split into components, and every connected one cut, by one batched call
+each, so the number of array operations grows with the depth of the
+dissection and not with its number of regions.
 
 The result carries, besides the permutation, the partition into *supernodes*:
 "each set of vertices corresponding to a separator constructed during the
@@ -25,12 +30,20 @@ off-diagonal block counts and block ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ordering.graph import Graph
-from repro.ordering.separator import find_vertex_separator
+from repro.ordering.graph import Graph, side_by_side
+from repro.ordering.separator import SplitResult, vertex_separators
+
+#: ``splitter(g, regions) -> [(part_a, part_b, sep), ...]``, one split per
+#: region (a sorted, connected vertex array of ``g``)
+Splitter = Callable[[Graph, Sequence[np.ndarray]], List[SplitResult]]
+
+#: a region waiting to be placed: (sorted vertices, first position, level,
+#: index in ``parts`` of the separator it came from or -1)
+Region = Tuple[np.ndarray, int, int, int]
 
 
 @dataclass
@@ -84,28 +97,30 @@ class NDResult:
         return out
 
 
-def _order_within(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    """BFS ordering of a vertex set on its induced subgraph (deterministic):
-    component by component in order of smallest vertex, each from its
-    smallest vertex, by (level, index)."""
-    vertices = np.sort(np.asarray(vertices, dtype=np.int64))
-    if vertices.size <= 2:
-        return vertices
-    sub, _ = g.subgraph(vertices)
-    if not sub.adjind.size:
-        return vertices  # no edge inside the set: nothing to follow
-    comps, level = sub.bfs_forest()
-    return vertices[np.concatenate(
-        [comp[np.argsort(level[comp], kind="stable")] for comp in comps])]
+def _forest(g: Graph, regions: Sequence[np.ndarray],
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The regions side by side (``verts``, ``ptr``) and, per entry, the
+    local index of its component's smallest vertex and its BFS level from
+    it, on the subgraph each region induces."""
+    verts, ptr, region = side_by_side(regions)
+    return (verts, ptr) + g.within(verts, region).forest(ptr)
 
 
-def nested_dissection(
-        g: Graph, cmin: int = 15,
-        max_levels: Optional[int] = None,
-        splitter: Optional[Callable[
-            [Graph, "np.ndarray", Graph],
-            Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]] = None,
-) -> NDResult:
+def _components(g: Graph, regions: List[np.ndarray]) -> List[List[np.ndarray]]:
+    """The connected components of every region, each sorted, in order of
+    their smallest vertex."""
+    verts, ptr, root, _ = _forest(g, regions)
+    # roots are local indices, so this groups regions, then components
+    roots, sizes = np.unique(root, return_counts=True)
+    comps = np.split(verts[np.argsort(root, kind="stable")],
+                     np.cumsum(sizes)[:-1])
+    bounds = np.searchsorted(roots, ptr)
+    return [comps[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def nested_dissection(g: Graph, cmin: int = 15,
+                      max_levels: Optional[int] = None,
+                      splitter: Optional[Splitter] = None) -> NDResult:
     """Compute a nested-dissection permutation and supernodal partition.
 
     Parameters
@@ -118,95 +133,67 @@ def nested_dissection(
     max_levels:
         Optional cap on the recursion depth (mainly for tests).
     splitter:
-        ``splitter(g, vertices, sub) -> (part_a, part_b, sep)`` strategy,
-        ``sub`` being the subgraph of ``g`` induced by ``vertices``; the
-        default is the algebraic level-set separator.  The geometric
-        dissection of :mod:`repro.ordering.geometric` passes a
-        coordinate-plane splitter here.
-
-    Every region is handled on its own induced subgraph, extracted once, so
-    the cost of a region depends on its size and not on the size of ``g``.
+        ``splitter(g, regions) -> [(part_a, part_b, sep), ...]``, called
+        once per dissection depth with all its regions to cut; the default
+        is the algebraic level-set separator.  The geometric dissection of
+        :mod:`repro.ordering.geometric` passes a coordinate-plane splitter
+        here.  A split with an empty part makes the region a leaf.
     """
     if cmin < 1:
         raise ValueError("cmin must be >= 1")
     if splitter is None:
-        splitter = find_vertex_separator
+        splitter = vertex_separators
+
+    parts: List[Tuple[int, np.ndarray, bool, int, int]] = []
+
+    def cut(regions: List[Region]) -> List[Region]:
+        """Place the regions that stay leaves; return the others."""
+        out = []
+        for verts, base, lvl, par in regions:
+            if verts.size > cmin and (max_levels is None or lvl < max_levels):
+                out.append((verts, base, lvl, par))
+            else:
+                parts.append((base, verts, False, lvl, par))
+        return out
 
     n = g.n
-    perm = np.empty(n, dtype=np.int64)
-    partitions: List[NDPartition] = []
-
-    # Work items: (vertices, level, parent_partition_index).  We process a
-    # region by splitting it, pushing children, and *reserving* the tail of
-    # its index range for the separator, so positions are assigned
-    # deterministically without recursion.
-    def place(vertices: np.ndarray, start: int, level: int, parent: int) -> None:
-        """Assign positions [start, start+len) to this region recursively."""
-        stack = [(vertices, start, level, parent)]
-        while stack:
-            verts, base, lvl, par = stack.pop()
-            nv = verts.size
-            if nv == 0:
-                continue
-            if nv > cmin and (max_levels is None or lvl < max_levels):
-                sub, _ = g.subgraph(verts)
-                # regions may be disconnected (after separator removal)
-                comps = sub.connected_components()
-                if len(comps) > 1:
-                    off = base
-                    for comp in comps:
-                        stack.append((verts[comp], off, lvl, par))
-                        off += comp.size
-                    continue
-
-                part_a, part_b, sep = splitter(g, verts, sub)
-                if sep.size and part_a.size and part_b.size:
-                    sep_start = base + part_a.size + part_b.size
-                    perm[sep_start:sep_start + sep.size] = \
-                        _order_within(g, sep)
-                    partitions.append(
-                        NDPartition(sep_start, sep.size, True, lvl, par))
-                    sep_part_index = len(partitions) - 1
-                    stack.append((part_a, base, lvl + 1, sep_part_index))
-                    stack.append((part_b, base + part_a.size, lvl + 1,
-                                  sep_part_index))
-                    continue
+    everything: Region = (np.arange(n, dtype=np.int64), 0, 0, -1)
+    # regions of one depth whose connectivity is not known yet
+    fresh = [everything] if n else []
+    while fresh:
+        fresh = cut(fresh)
+        # a region's components are placed at offsets from its base
+        connected: List[Region] = []
+        for (_, base, lvl, par), comps in zip(
+                fresh, _components(g, [r[0] for r in fresh])):
+            offsets = np.cumsum([base] + [c.size for c in comps])
+            connected += [(c, int(off), lvl, par)
+                          for c, off in zip(comps, offsets)]
+        connected = cut(connected)
+        fresh = []
+        for (verts, base, lvl, par), (part_a, part_b, sep) in zip(
+                connected, splitter(g, [r[0] for r in connected])):
+            if not (sep.size and part_a.size and part_b.size):
                 # dissection failed (dense-ish or tiny graph): make a leaf
+                parts.append((base, verts, False, lvl, par))
+                continue
+            fresh += [(part_a, base, lvl + 1, len(parts)),
+                      (part_b, base + part_a.size, lvl + 1, len(parts))]
+            parts.append((base + part_a.size + part_b.size, sep, True, lvl,
+                          par))
 
-            perm[base:base + nv] = _order_within(g, verts)
-            partitions.append(NDPartition(base, nv, False, lvl, par))
-
-    place(np.arange(n, dtype=np.int64), 0, 0, -1)
-    partitions.sort(key=lambda p: p.start)
-    result = NDResult(perm=perm, partitions=partitions)
-    _fix_parents(result)
+    # inside each part, the BFS order of its induced subgraph: component by
+    # component in order of smallest vertex, each from its smallest vertex,
+    # by (level, vertex) — roots are local indices, ordered by part first
+    order = sorted(range(len(parts)), key=lambda i: parts[i][0])
+    rank = {i: r for r, i in enumerate(order)}
+    parts = [parts[i] for i in order]
+    verts, _, root, level = _forest(g, [p[1] for p in parts])
+    result = NDResult(perm=verts[np.lexsort((level, root))], partitions=[
+        NDPartition(start, v.size, is_sep, lvl, rank.get(par, -1))
+        for start, v, is_sep, lvl, par in parts])
     _validate(result, n)
     return result
-
-
-def _fix_parents(result: NDResult) -> None:
-    """Translate parent pointers (recorded pre-sort) into post-sort indices.
-
-    Parent pointers were stored as indices into the append-order list; after
-    sorting by ``start`` they must be remapped.  We re-derive them
-    geometrically instead: the parent of a partition is the *innermost*
-    separator whose dissection produced it — equivalently the separator with
-    the smallest enclosing span that starts at or after the partition's end.
-    Because every separator sits at the *end* of the index range of its
-    region, partition ``p``'s parent is the nearest separator ``s`` with
-    ``s.start >= p.end`` and ``s.level == p.level - 1`` scanning outward.
-    """
-    parts = result.partitions
-    index_of = {id(p): i for i, p in enumerate(parts)}
-    latest_sep_at_level: dict = {}
-    for p in reversed(parts):
-        if p.level > 0:
-            parent = latest_sep_at_level.get(p.level - 1)
-            p.parent = parent if parent is not None else -1
-        else:
-            p.parent = -1
-        if p.is_separator:
-            latest_sep_at_level[p.level] = index_of[id(p)]
 
 
 def _validate(result: NDResult, n: int) -> None:

@@ -11,7 +11,13 @@ Scotch):
    separator candidate at level ``l`` is the set of level-``l`` vertices
    adjacent to level ``l+1``;
 3. minimalize the winner: a separator vertex with no neighbour in ``A`` is
-   moved into ``B`` and vice-versa.
+   moved into ``B``.
+
+Every step runs for many regions at once (:func:`vertex_separators`, the
+splitter nested dissection calls once per dissection depth): the regions sit
+side by side in one :meth:`Graph.within` graph, each search is one
+multi-source BFS, and each per-region choice is a first-minimum or
+first-maximum taken with one stable sort.
 
 This is a from-scratch replacement for Scotch's separator engine; on the
 mesh-like graphs of the paper's evaluation it produces separators within the
@@ -20,126 +26,151 @@ mesh-like graphs of the paper's evaluation it produces separators within the
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ordering.graph import Graph
+from repro.ordering.graph import Graph, side_by_side
+
+SplitResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
-def find_vertex_separator(g: Graph, vertices: np.ndarray,
-                          sub: Optional[Graph] = None,
-                          balance_weight: float = 1.0,
-                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def find_vertex_separator(g: Graph, vertices: np.ndarray) -> SplitResult:
     """Split the connected vertex set ``vertices`` of ``g``.
 
-    Parameters
-    ----------
-    g:
-        The *global* graph.
-    vertices:
-        Global indices of a connected subset to split.
-    sub:
-        ``g.subgraph(vertices)[0]`` when the caller has extracted it already
-        (nested dissection has); all the work happens on it, in local
-        indices and arrays of the subset's size.
-    balance_weight:
-        Weight of the imbalance penalty in the level score.
-
-    Returns
-    -------
-    (part_a, part_b, sep):
-        Disjoint global vertex arrays covering ``vertices``; no edge joins
-        ``part_a`` and ``part_b``.  ``sep`` may be empty when the set is
-        small or degenerate (callers must handle that).
+    Returns ``(part_a, part_b, sep)``: disjoint global vertex arrays covering
+    ``vertices``, with no edge joining ``part_a`` and ``part_b``.  A set of
+    at most one vertex, or one that is not connected, comes back unsplit as
+    ``(vertices, [], [])``; ``sep`` may also be empty when the set is
+    degenerate (callers must handle that).
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    nv = vertices.size
-    empty = np.empty(0, dtype=np.int64)
-    if nv <= 1:
-        return vertices, empty, empty
-    if sub is None:
-        sub, _ = g.subgraph(vertices)
+    return vertex_separators(g, [vertices])[0]
 
-    # the pseudo-peripheral tie-break uses the degrees in the whole graph
-    degrees = g.adjptr[vertices + 1] - g.adjptr[vertices]
-    _, lvl = sub.pseudo_peripheral(0, degrees=degrees)
-    depth = int(lvl.max())
-    if depth < 1:
-        # vertices[0] has no neighbour in the set, so the set is not
-        # connected as required and has no level structure to cut: no split
-        return vertices, empty, empty
 
-    counts = np.bincount(lvl, minlength=depth + 1)
-    below = np.cumsum(counts) - counts  # vertices strictly below each level
+def vertex_separators(g: Graph,
+                      regions: Sequence[np.ndarray]) -> List[SplitResult]:
+    """:func:`find_vertex_separator` for many disjoint sorted vertex sets
+    at once: one ``(part_a, part_b, sep)`` per region, each part sorted."""
+    regions = [np.asarray(r, dtype=np.int64) for r in regions]
+    out = [(r, _EMPTY, _EMPTY) for r in regions]
+    todo = [i for i, r in enumerate(regions) if r.size > 1]
+    if not todo:
+        return out
+    verts, ptr, region = side_by_side([regions[i] for i in todo])
+    h = g.within(verts, region)
 
-    # Candidate level l separates A = levels < l from B = levels > l.
-    # Among *balanced* candidates (smaller side holds at least a quarter of
-    # the non-separator vertices) pick the thinnest level; if no level is
-    # balanced (elongated or degenerate graphs) fall back to the level
-    # maximizing the smaller side.
-    best_score = np.inf
-    best_level = -1
-    fallback_level, fallback_minside = depth // 2, -1
-    for lvl_cand in range(depth + 1):
-        na = int(below[lvl_cand])
-        nb = nv - na - int(counts[lvl_cand])
-        if na == 0 or nb == 0:
-            continue
-        minside = min(na, nb)
-        if minside > fallback_minside:
-            fallback_minside = minside
-            fallback_level = lvl_cand
-        if minside < 0.25 * (na + nb):
-            continue
-        score = counts[lvl_cand] * (1.0 + balance_weight * abs(na - nb) / nv)
-        if score < best_score:
-            best_score = score
-            best_level = lvl_cand
-    if best_level < 0:
-        best_level = fallback_level
+    level, ecc, connected = _pseudo_peripheral(h, ptr, region,
+                                               g.degrees()[verts])
+    best = _best_levels(level, ecc, region, np.diff(ptr))
+    side = _sides(h, level, best[region])
 
-    # local side masks; of the chosen level only the vertices adjacent to
-    # the B side stay in the separator, the others belong to the A side
-    a_mask = lvl < best_level
-    b_mask = lvl > best_level
-    cand = np.flatnonzero(lvl == best_level)
-    keep = sub.touches(cand, b_mask)
+    # one stable sort lays out every region's A, B and separator in turn,
+    # each in vertex order
+    order = np.lexsort((side, region))
+    bounds = np.bincount(3 * region + side, minlength=3 * len(todo))
+    pieces = np.split(verts[order], np.cumsum(bounds)[:-1])
+    for j, i in enumerate(todo):
+        if connected[j]:
+            out[i] = tuple(pieces[3 * j:3 * j + 3])
+    return out
+
+
+def _first_per_region(entries: np.ndarray, region: np.ndarray) -> np.ndarray:
+    """The first of ``entries`` (sorted by region) in each region present."""
+    first = np.ones(entries.size, dtype=bool)
+    first[1:] = region[entries[1:]] != region[entries[:-1]]
+    return entries[first]
+
+
+def _pseudo_peripheral(h: Graph, ptr: np.ndarray, region: np.ndarray,
+                       degrees: np.ndarray,
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """George–Liu pseudo-peripheral level structures of every region of
+    ``h``: BFS from the region's smallest vertex, then restart from the
+    minimum-``degrees`` vertex of the deepest level (ties: the smallest)
+    while the eccentricity grows, at most 10 times.
+
+    Returns the levels, the eccentricity of each region and whether the
+    region is connected; a region that is not gets level 0 throughout (no
+    level structure to cut) and takes no restarts.
+    """
+    starts = ptr[:-1]
+    level = np.full(h.n, -1, dtype=np.int64)
+    h.bfs(starts, level)
+    connected = np.minimum.reduceat(level, starts) >= 0
+    level[~connected[region]] = 0
+    ecc = np.maximum.reduceat(level, starts)
+    growing = connected
+    for _ in range(10):
+        last = np.flatnonzero(growing[region] & (level == ecc[region]))
+        if not last.size:
+            break
+        # entries are in (region, vertex) order, and the sort is stable
+        last = last[np.lexsort((degrees[last], region[last]))]
+        new = np.full(h.n, -1, dtype=np.int64)
+        h.bfs(_first_per_region(last, region), new)
+        new_ecc = np.maximum.reduceat(new, starts)
+        growing = new_ecc > ecc
+        moved = growing[region]
+        level[moved] = new[moved]
+        ecc[growing] = new_ecc[growing]
+    return level, ecc, connected
+
+
+def _best_levels(level: np.ndarray, ecc: np.ndarray, region: np.ndarray,
+                 sizes: np.ndarray) -> np.ndarray:
+    """The level each region is cut at.
+
+    Candidate level l separates A = levels < l from B = levels > l.  Among
+    *balanced* candidates (smaller side holds at least a quarter of the
+    non-separator vertices) pick the thinnest level; if no level is
+    balanced (elongated or degenerate graphs) fall back to the level
+    maximizing the smaller side, and to the middle level if no level has
+    vertices on both sides.  Ties go to the lowest level.
+    """
+    lptr = np.zeros(ecc.size + 1, dtype=np.int64)
+    np.cumsum(ecc + 1, out=lptr[1:])
+    counts = np.bincount(lptr[region] + level, minlength=lptr[-1])
+    slot_region = np.arange(ecc.size).repeat(ecc + 1)
+    slot_level = np.arange(lptr[-1]) - lptr[slot_region]
+    upto = np.zeros(lptr[-1] + 1, dtype=np.int64)
+    np.cumsum(counts, out=upto[1:])
+    na = upto[:-1] - upto[lptr[slot_region]]  # vertices below each level
+    nv = sizes[slot_region]
+    nb = nv - na - counts
+    minside = np.minimum(na, nb)
+    valid = np.flatnonzero((na > 0) & (nb > 0))
+    balanced = valid[minside[valid] >= 0.25 * (na + nb)[valid]]
+    score = counts[balanced] * (1.0 + np.abs(na - nb)[balanced] / nv[balanced])
+
+    best = ecc // 2
+    for slots, key in ((valid, -minside[valid]), (balanced, score)):
+        first = _first_per_region(
+            slots[np.lexsort((key, slot_region[slots]))], slot_region)
+        best[slot_region[first]] = slot_level[first]
+    return best
+
+
+def _sides(h: Graph, level: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Side of every vertex, cutting at level ``cut``: 0 = A, 1 = B,
+    2 = separator.
+
+    Of the cut level only the vertices adjacent to B stay in the separator,
+    the others belong to A.  Minimalization is then one pass: every kept
+    vertex touches B and nothing ever leaves B, so none can move to A, A is
+    final, and a kept vertex without an A-neighbour moves to B whatever
+    order the vertices are visited in.
+    """
+    a_mask = level < cut
+    b_mask = level > cut
+    cand = np.flatnonzero(level == cut)
+    keep = h.touches(cand, b_mask)
     a_mask[cand[~keep]] = True
-
-    # minimalization: a separator vertex with no neighbour in A moves to B
-    sep = _minimalize(sub, cand[keep], a_mask, b_mask)
-    return vertices[a_mask], vertices[b_mask], np.sort(vertices[sep])
-
-
-def _minimalize(g: Graph, sep: np.ndarray, a_mask: np.ndarray,
-                b_mask: np.ndarray) -> np.ndarray:
-    """Drop separator vertices touching only one side (moving them into that
-    side), repeating until stable.
-
-    One vertex moves at a time and each move changes what the next vertex
-    touches, so on arbitrary masks the outcome depends on the visiting order
-    (the iteration order of the set): this stays a sequential loop.  Every
-    vertex :func:`find_vertex_separator` passes in already touches B, so
-    there nothing ever moves to A and the outcome is order-free.
-    """
-    changed = True
-    sep_set = set(int(v) for v in sep)
-    while changed:
-        changed = False
-        for v in list(sep_set):
-            nbrs = g.neighbors(v)
-            touches_a = bool(a_mask[nbrs].any())
-            touches_b = bool(b_mask[nbrs].any())
-            if touches_a and touches_b:
-                continue
-            sep_set.discard(v)
-            changed = True
-            if touches_a:
-                a_mask[v] = True
-            else:  # touches only B, or is isolated
-                b_mask[v] = True
-    return np.asarray(sorted(sep_set), dtype=np.int64)
+    sep = cand[keep]
+    b_mask[sep[~h.touches(sep, a_mask)]] = True
+    return np.where(a_mask, 0, np.where(b_mask, 1, 2))
 
 
 def check_separator(g: Graph, part_a: np.ndarray, part_b: np.ndarray,

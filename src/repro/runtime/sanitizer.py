@@ -46,13 +46,12 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Union
+from typing import Any, Deque, Dict, FrozenSet, List, Union
 
 __all__ = [
     "RaceReport",
     "RaceSanitizer",
     "TrackedLock",
-    "TrackedCondition",
 ]
 
 #: Eraser variable states
@@ -110,51 +109,6 @@ class TrackedLock:
         return bool(self._lock.locked())
 
 
-class TrackedCondition:
-    """A ``threading.Condition`` proxy that maintains the holder's lockset.
-
-    ``wait`` drops the lock while blocked (as the real condition does), so
-    accesses made by *other* threads during the wait see a truthful
-    lockset.
-    """
-
-    def __init__(self, cond: Any, name: str, san: "RaceSanitizer") -> None:
-        self._cond = cond
-        self._name = name
-        self._san = san
-
-    def acquire(self, *args: Any) -> bool:
-        got = self._cond.acquire(*args)
-        if got:
-            self._san._held().add(self._name)
-        return bool(got)
-
-    def release(self) -> None:
-        self._san._held().discard(self._name)
-        self._cond.release()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        held = self._san._held()
-        held.discard(self._name)
-        try:
-            return bool(self._cond.wait(timeout))
-        finally:
-            held.add(self._name)
-
-    def notify(self, n: int = 1) -> None:
-        self._cond.notify(n)
-
-    def notify_all(self) -> None:
-        self._cond.notify_all()
-
-    def __enter__(self) -> "TrackedCondition":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
-
-
 class RaceSanitizer:
     """Per-run Eraser lockset monitor for the solver's shared structures."""
 
@@ -179,9 +133,6 @@ class RaceSanitizer:
     def wrap_lock(self, lock: Any, name: str) -> TrackedLock:
         """Wrap a lock so the tracker sees it in holders' locksets."""
         return TrackedLock(lock, name, self)
-
-    def wrap_condition(self, cond: Any, name: str) -> TrackedCondition:
-        return TrackedCondition(cond, name, self)
 
     # -- the state machine ---------------------------------------------
     def note(self, var: str, kind: str, site: str = "") -> None:

@@ -42,7 +42,7 @@ class TestPlaneSplitter:
         a = laplacian_2d(8)
         g = Graph.from_matrix(a)
         splitter = make_plane_splitter(grid_coords(8, 8))
-        pa, pb, sep = splitter(g, np.arange(g.n))
+        pa, pb, sep = splitter(g, [np.arange(g.n)])[0]
         assert check_separator(g, pa, pb, sep)
         assert sep.size == 8  # exactly one grid line
 
@@ -50,7 +50,7 @@ class TestPlaneSplitter:
         a = laplacian_3d(6)
         g = Graph.from_matrix(a)
         splitter = make_plane_splitter(grid_coords(6, 6, 6))
-        pa, pb, sep = splitter(g, np.arange(g.n))
+        pa, pb, sep = splitter(g, [np.arange(g.n)])[0]
         assert check_separator(g, pa, pb, sep)
         assert sep.size == 36  # exactly one 6x6 plane
 
@@ -58,14 +58,14 @@ class TestPlaneSplitter:
         a = laplacian_3d(12, 3, 3)
         g = Graph.from_matrix(a)
         splitter = make_plane_splitter(grid_coords(12, 3, 3))
-        pa, pb, sep = splitter(g, np.arange(g.n))
+        pa, pb, sep = splitter(g, [np.arange(g.n)])[0]
         # cutting the long x axis gives a 3x3 plane separator
         assert sep.size == 9
 
     def test_colocated_points_fail_gracefully(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         splitter = make_plane_splitter(np.zeros((4, 3)))
-        pa, pb, sep = splitter(g, np.arange(4))
+        pa, pb, sep = splitter(g, [np.arange(4)])[0]
         assert sep.size == 0  # signals "no geometric split"
 
 

@@ -204,7 +204,7 @@ class TestGeometricProperties:
         # also exercise proper sub-regions, not just the full grid
         verts = np.sort(rng.choice(g.n, size=max(4, g.n * 3 // 4),
                                    replace=False))
-        pa, pb, sep = splitter(g, verts)
+        pa, pb, sep = splitter(g, [verts])[0]
         combined = np.sort(np.concatenate([pa, pb, sep]))
         np.testing.assert_array_equal(combined, verts)
         assert check_separator(g, pa, pb, sep)

@@ -3,7 +3,11 @@
 import numpy as np
 
 from repro.ordering.graph import Graph
-from repro.ordering.separator import check_separator, find_vertex_separator
+from repro.ordering.separator import (
+    check_separator,
+    find_vertex_separator,
+    vertex_separators,
+)
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 
 
@@ -101,12 +105,23 @@ class TestRegionLocal:
         np.testing.assert_array_equal(pa, verts)
         assert pb.size == 0 and sep.size == 0
 
-    def test_same_split_with_the_subgraph_handed_in(self):
+    def test_disconnected_set_is_not_split(self):
+        # the first vertex has neighbours in the set, but 10 and 11 cannot
+        # be reached from it
+        g = Graph.from_edges(50, [(i, i + 1) for i in range(49)])
+        verts = np.array([1, 2, 3, 10, 11])
+        pa, pb, sep = find_vertex_separator(g, verts)
+        np.testing.assert_array_equal(pa, verts)
+        assert pb.size == 0 and sep.size == 0
+
+    def test_same_split_alone_and_batched(self):
         g = Graph.from_matrix(laplacian_3d(5))
         verts = np.flatnonzero(np.arange(g.n) % 7 != 3)
-        verts = g.connected_components(np.isin(np.arange(g.n), verts))[0]
-        sub, _ = g.subgraph(verts)
-        for got, want in zip(find_vertex_separator(g, verts, sub),
-                             find_vertex_separator(g, verts)):
+        alone = find_vertex_separator(g, verts)
+        assert_valid_split(g, verts, *alone)
+        # beside other regions, including an unsplittable one
+        others = [np.array([3]), np.flatnonzero(np.arange(g.n) % 7 == 3)]
+        batched = vertex_separators(g, [others[0], verts, others[1]])
+        for got, want in zip(batched[1], alone):
             np.testing.assert_array_equal(got, want)
-        assert_valid_split(g, verts, *find_vertex_separator(g, verts, sub))
+        np.testing.assert_array_equal(batched[0][0], others[0])

@@ -22,7 +22,6 @@ import pytest
 from repro.ordering.geometric import geometric_nested_dissection, grid_coords
 from repro.ordering.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
-from repro.ordering.separator import _minimalize
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import elasticity_3d, laplacian_2d, laplacian_3d, zoo
 from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
@@ -162,22 +161,26 @@ def test_golden_covers_every_case():
     assert len(golden) >= 100
 
 
-def test_minimalize_outcome_follows_set_order():
-    """``_minimalize`` moves one separator vertex at a time and each move
-    changes what the next vertex touches, so its result depends on the
-    order it visits the separator in: the iteration order of the Python
-    ``set`` built from ``sep``.  Here ``{1, 8}`` iterates as ``8, 1``:
-    vertex 8 (touching only A) joins A, then vertex 1 (now touching A
-    through 8) follows.  Visiting ``1`` first would instead park it in B
-    and leave 8 in the separator."""
-    g = Graph.from_edges(10, [(0, 8), (8, 1)])
-    a_mask = np.zeros(10, dtype=bool)
-    b_mask = np.zeros(10, dtype=bool)
-    a_mask[0] = True
-    sep = _minimalize(g, np.array([1, 8]), a_mask, b_mask)
-    assert sep.tolist() == []
-    assert np.flatnonzero(a_mask).tolist() == [0, 1, 8]
-    assert not b_mask.any()
+#: sha256 of ``nested_dissection(laplacian_3d(24))``'s perm and partition
+#: list (the benchmark's structure), recorded before nested dissection ran
+#: one dissection depth at a time
+LAP24_ND_DIGEST = (
+    "d896e604725688582799e89f6564d021854f72c5f85cf86a7530b48346209cae")
+
+
+def nd_digest(nd) -> str:
+    """sha256 of an ``NDResult``'s permutation and partition list."""
+    doc = {"perm": np.asarray(nd.perm).tolist(),
+           "partitions": [[p.start, p.size, bool(p.is_separator), p.level,
+                           p.parent] for p in nd.partitions]}
+    blob = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_lap24_nested_dissection_digest():
+    nd = nested_dissection(Graph.from_matrix(laplacian_3d(24)))
+    assert len(nd.partitions) == 2743
+    assert nd_digest(nd) == LAP24_ND_DIGEST
 
 
 if __name__ == "__main__":  # regenerate the golden file
