@@ -16,7 +16,7 @@ Public API highlights:
   and proxies for the paper's SuiteSparse suite).
 * :mod:`repro.lowrank` — the compression and extend-add kernels of §3,
   usable standalone on dense blocks.
-* :class:`~repro.runtime.telemetry.Telemetry` — opt-in metric/event bus
+* :class:`~repro.runtime.telemetry.Telemetry` — opt-in metric/event store
   (``SolverConfig(telemetry=Telemetry())``) feeding the per-run
   ``RunReport`` of :mod:`repro.analysis.report`.
 * :class:`~repro.runtime.spans.SpanProfiler` — opt-in causal span
@@ -27,8 +27,8 @@ Public API highlights:
 * :class:`~repro.runtime.recovery.RecoveryPolicy` — opt-in self-healing
   (``SolverConfig(recovery=RecoveryPolicy())``): breakdown detection,
   escalation ladders and checkpoint/restart (``docs/robustness.md``).
-* :mod:`repro.core.backend` — pluggable kernel backends
-  (``SolverConfig(backend=...)`` / ``$REPRO_BACKEND``) behind a
+* :mod:`repro.core.backend` — the kernel module: every BLAS/LAPACK call
+  of the solver, with per-op call counts (:func:`get_backend`) and a
   column-stable multi-RHS solve path (``docs/performance.md``).
 * :class:`~repro.core.variants.BlrVariant` — the composable variant
   engine: explicit loop orders (``cuf``/``ucf``/``ufc``/``fuc``) and scaled
@@ -37,12 +37,7 @@ Public API highlights:
 """
 
 from repro.config import SolverConfig
-from repro.core.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.core.backend import get_backend
 from repro.core.solver import Solver
 from repro.core.variants import BlrVariant
 from repro.runtime.recovery import NumericalBreakdown, RecoveryPolicy
@@ -70,10 +65,7 @@ __all__ = [
     "NumericalBreakdown",
     "RecoveryPolicy",
     "CSCMatrix",
-    "KernelBackend",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "gmres",
     "conjugate_gradient",
     "iterative_refinement",

@@ -37,9 +37,6 @@ Commands
     backward error and pivot statistics per scenario; ``--json`` writes
     the results, ``--baseline`` gates pass/fail flips against the
     committed ``SCENARIOS.json``.
-``backends``
-    List the registered kernel backends (``--backend`` /
-    ``$REPRO_BACKEND`` select one for any command above).
 ``lint``
     Run the bundled solverlint static-analysis suite (solver-specific
     invariants, contract rules, and the shared-state lockset engine) over
@@ -59,7 +56,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import TYPE_CHECKING, Optional
@@ -150,7 +146,6 @@ def _config(args: argparse.Namespace) -> SolverConfig:
         watchdog_timeout=getattr(args, "watchdog", None),
         dtype=args.dtype,
         storage_dtype=args.storage_dtype,
-        backend=getattr(args, "backend", None),
         recovery=recovery,
     )
 
@@ -195,10 +190,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="store compressed low-rank factors in this narrower "
                         "dtype (mixed precision), e.g. float32 under a "
                         "float64 factorization")
-    p.add_argument("--backend", default=None,
-                   help="kernel backend (numpy or a registered custom "
-                        "one; default: $REPRO_BACKEND or numpy) -- list "
-                        "with 'repro backends'")
     p.add_argument("--recovery", action="store_true",
                    help="arm the self-healing layer (breakdown detection + "
                         "escalation ladder) with default RecoveryPolicy "
@@ -670,21 +661,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backends(args: argparse.Namespace) -> int:
-    from repro.core.backend import (
-        BACKEND_ENV,
-        available_backends,
-        get_backend,
-    )
-
-    default = os.environ.get(BACKEND_ENV) or "numpy"
-    for name in available_backends():
-        be = get_backend(name)
-        marker = " (default)" if name == default else ""
-        print(f"{name}{marker}: {type(be).__name__}")
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Delegate to the bundled solverlint suite (``tools/solverlint``).
 
@@ -847,10 +823,6 @@ def main(argv: Optional[list] = None) -> int:
                            "pass/fail flips exit 1, backward-error "
                            "drift >10x warns")
     p_sc.set_defaults(func=cmd_scenarios)
-
-    p_be = sub.add_parser("backends",
-                          help="list the registered kernel backends")
-    p_be.set_defaults(func=cmd_backends)
 
     p_lint = sub.add_parser("lint",
                             help="run the solverlint static-analysis suite")

@@ -101,11 +101,6 @@ class SolverConfig:
 
     # --- numerics ------------------------------------------------------
     factotype: str = "lu"
-    #: kernel backend every numeric hot path (gemm/trsm/getrf/potrf/panel
-    #: solves) runs through — a name registered with
-    #: :func:`repro.core.backend.register_backend`.  ``"numpy"`` is always
-    #: available.  ``None`` defers to ``$REPRO_BACKEND``, then ``"numpy"``.
-    backend: Optional[str] = None
     #: static-pivoting threshold: diagonal entries smaller than
     #: ``pivot_threshold * max|diag|`` are perturbed (PaStiX-style)
     pivot_threshold: float = 1e-14
@@ -273,14 +268,6 @@ class SolverConfig:
                 raise TypeError(
                     "recovery must be a RecoveryPolicy, a dict of its "
                     f"fields, or None; got {type(self.recovery).__name__}")
-        if self.backend is not None:
-            # resolve eagerly so a typo fails at config time, not mid-solve
-            from repro.core.backend import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"backend must be one of {available_backends()} (or "
-                    f"None), got {self.backend!r}")
         if self.dtype is not None and self.dtype not in DTYPES:
             raise ValueError(
                 f"dtype must be one of {DTYPES} (or None), got {self.dtype!r}")

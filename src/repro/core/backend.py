@@ -1,14 +1,16 @@
-"""Pluggable kernel backends (gemm / trsm / factorizations / panel solves).
+"""The kernel module: every dense BLAS/LAPACK call of the solver.
 
-Every numeric hot path of the solver funnels through a
-:class:`KernelBackend`: the diagonal-block factorizations (``getrf`` /
-``potrf`` / ``ldlt`` with static pivoting), the BLAS-3 panel solves
+Every numeric hot path of the solver funnels through the one
+:class:`Kernels` instance, :data:`KERNELS` (also returned by
+:func:`get_backend` and held by every factor as ``fac.backend``): the
+diagonal-block factorizations (``getrf`` / ``potrf`` / ``ldlt`` with static
+pivoting, ``ldlt_pivot`` with threshold pivoting), the BLAS-3 panel solves
 (``trsm``), the update products (``gemm`` / ``syrk``), and the *panel*
 kernels the triangular solve phase applies to ``(n, k)`` right-hand-side
-blocks (``panel_gemm`` / ``panel_trsm`` / ``lr_apply``).  Backends are
-registered in a process-wide registry and selected by name through
-``SolverConfig.backend`` or the ``REPRO_BACKEND`` environment variable;
-the ``numpy`` backend is always present.
+blocks (``panel_gemm`` / ``panel_trsm`` / ``lr_apply``).  Each call ticks a
+per-op counter (:meth:`Kernels.counts_snapshot` /
+:meth:`Kernels.counts_delta`), which the solver reports as
+``FactorizationStats.backend_kernel_calls``.
 
 Two distinct numerical contracts coexist here, and the split is the whole
 design:
@@ -16,8 +18,8 @@ design:
 * **Factorization kernels** (``gemm``/``trsm``/``getrf``/``potrf``/
   ``ldlt``/``syrk``) wrap BLAS/LAPACK exactly the way the seed code did —
   same call patterns, same transpose tricks — so a float64 factorization
-  through the ``numpy`` backend is *bit-identical* to the pre-backend
-  solver (the conformance suite pins sha256 digests on this).
+  is *bit-identical* to the seed solver (the conformance suite pins
+  sha256 digests on this).
 
 * **Panel kernels** (``panel_gemm``/``panel_trsm``/``lr_apply``) are
   **column-stable**: column ``j`` of the result depends only on column
@@ -25,49 +27,24 @@ design:
   ride in the panel.  BLAS gemm/trsm do *not* have this property (their
   blocking changes the summation pattern with the panel width), so the
   solve phase would give different bits for ``solve(B)`` versus
-  ``solve(B[:, j])``.  The numpy backend gets stability from per-column
-  BLAS gemv calls (each column reduced independently, whatever the
-  width) plus row-sweep triangular substitution.  This is what makes
-  blocked multi-RHS solves equal column-by-column solves bit-for-bit for
-  float64.
+  ``solve(B[:, j])``.  Stability comes from per-column BLAS gemv calls
+  (each column reduced independently, whatever the width) plus row-sweep
+  triangular substitution.  This is what makes blocked multi-RHS solves
+  equal column-by-column solves bit-for-bit for float64.
 
-Registering a custom backend::
-
-    from repro.core.backend import NumpyBackend, register_backend
-
-    class MyBackend(NumpyBackend):
-        name = "mine"
-        def gemm(self, a, b, trans_a="N", trans_b="N"):
-            ...
-
-    register_backend(MyBackend())
-    solver = Solver(a, SolverConfig(backend="mine"))
-
-See ``docs/performance.md`` for the full protocol contract.
+See ``docs/performance.md`` for both contracts in full.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 
-__all__ = [
-    "KernelBackend",
-    "NumpyBackend",
-    "PivotError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]
-
-#: environment variable naming the default backend (overridden by an
-#: explicit ``SolverConfig.backend``)
-BACKEND_ENV = "REPRO_BACKEND"
+__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend"]
 
 
 # ----------------------------------------------------------------------
@@ -115,9 +92,7 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
 
 
 # ----------------------------------------------------------------------
-# reference implementations of the diagonal-block factorizations
-# (static pivoting; previously lived in repro.core.dense_kernels, which
-# now delegates here through the protocol)
+# the diagonal-block factorizations (static pivoting)
 # ----------------------------------------------------------------------
 
 def _lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
@@ -476,20 +451,17 @@ def _sweep_upper(m: np.ndarray, x: np.ndarray, unit: bool) -> None:
 
 
 # ----------------------------------------------------------------------
-# the protocol
+# the kernels
 # ----------------------------------------------------------------------
 
-class KernelBackend:
-    """Abstract kernel backend; subclass and :func:`register_backend`.
+class Kernels:
+    """BLAS/LAPACK (via numpy/scipy) for the factorization kernels,
+    per-column gemv + row sweeps for the column-stable panel kernels.
 
-    Subclasses implement the nine protocol methods.  Call counts are
-    tallied per operation in :attr:`counts` (best-effort under threads:
-    increments are not locked) and surface as per-backend telemetry
+    Call counts are tallied per operation in :attr:`counts` (best-effort
+    under threads: increments are not locked) and surface as telemetry
     counters and ``FactorizationStats.backend_kernel_calls``.
     """
-
-    #: registry key; subclasses must override
-    name = "abstract"
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
@@ -507,84 +479,6 @@ class KernelBackend:
         return {op: n - before.get(op, 0)
                 for op, n in self.counts.items()
                 if n - before.get(op, 0)}
-
-    # -- factorization kernels (BLAS-compatible, bit-stable vs seed) ---
-    def gemm(self, a: np.ndarray, b: np.ndarray,
-             trans_a: str = "N", trans_b: str = "N") -> np.ndarray:
-        """``op(a) @ op(b)`` with ``op`` ∈ {identity, ᵗ, ᴴ} per flag."""
-        raise NotImplementedError
-
-    def syrk(self, a: np.ndarray, herk: bool = False) -> np.ndarray:
-        """``a @ aᵗ`` (``a @ aᴴ`` with ``herk=True``)."""
-        raise NotImplementedError
-
-    def trsm(self, a: np.ndarray, b: np.ndarray, *, side: str = "left",
-             lower: bool = True, trans: str = "N",
-             unit_diagonal: bool = False) -> np.ndarray:
-        """Triangular solve ``op(a) X = b`` (``side='left'``) or
-        ``X op(a) = b`` (``side='right'``); returns ``X``."""
-        raise NotImplementedError
-
-    def getrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
-              ) -> Tuple[np.ndarray, int]:
-        """Statically-pivoted LU of a diagonal block; ``(lu, nperturbed)``."""
-        raise NotImplementedError
-
-    def potrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
-              ) -> Tuple[np.ndarray, int]:
-        """Regularized lower Cholesky; ``(l, nperturbed)``."""
-        raise NotImplementedError
-
-    def ldlt(self, a: np.ndarray, pivot_threshold: float = 1e-14
-             ) -> Tuple[np.ndarray, int]:
-        """Statically-pivoted LDLᵗ/LDLᴴ; ``(packed, nperturbed)``."""
-        raise NotImplementedError
-
-    def ldlt_pivot(self, a: np.ndarray, u: float = 0.1,
-                   growth_limit: float = 1e8, fallback: bool = False,
-                   pivot_threshold: float = 1e-14
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              Dict[str, Any]]:
-        """Threshold-pivoted LDLᵗ/LDLᴴ with 1×1/2×2 pivots;
-        ``(packed, perm, d21, stats)`` — see :func:`_ldlt_pivot` for the
-        layout and :class:`PivotError` semantics."""
-        raise NotImplementedError
-
-    # -- column-stable panel kernels (the multi-RHS solve path) --------
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
-                   trans: str = "N") -> np.ndarray:
-        """``op(a) @ x`` on a panel of ``k`` columns, column-stable;
-        ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint
-        ``aᴴ``, without the caller materialising the transpose."""
-        raise NotImplementedError
-
-    def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
-                   lower: bool = True, trans: str = "N",
-                   unit_diagonal: bool = False) -> np.ndarray:
-        """Column-stable triangular panel solve ``op(a) X = b``.
-
-        Only the requested triangle of ``a`` is read, so LAPACK-packed
-        diagonal blocks (L and U sharing storage) can be passed directly.
-        Returns a fresh array; ``b`` is never modified.
-        """
-        raise NotImplementedError
-
-    def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,
-                 mode: str = "n") -> np.ndarray:
-        """Apply a low-rank block ``Â = u vᵗ`` to an ``(·, k)`` panel.
-
-        ``mode='n'``: ``Â x``; ``'t'``: ``Âᵗ x``; ``'h'``: ``Âᴴ x``.
-        Column-stable, rank-0 safe.
-        """
-        raise NotImplementedError
-
-
-class NumpyBackend(KernelBackend):
-    """Default backend: BLAS/LAPACK (via numpy/scipy) for factorization
-    kernels, per-column gemv + row sweeps for the column-stable panel
-    kernels."""
-
-    name = "numpy"
 
     # -- factorization kernels -----------------------------------------
     def gemm(self, a: np.ndarray, b: np.ndarray,
@@ -630,16 +524,19 @@ class NumpyBackend(KernelBackend):
 
     def getrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:
+        """Statically-pivoted LU of a diagonal block; ``(lu, nperturbed)``."""
         self._tick("getrf")
         return _lu_nopivot(a, pivot_threshold)
 
     def potrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:
+        """Regularized lower Cholesky; ``(l, nperturbed)``."""
         self._tick("potrf")
         return _cholesky_nopivot(a, pivot_threshold)
 
     def ldlt(self, a: np.ndarray, pivot_threshold: float = 1e-14
              ) -> Tuple[np.ndarray, int]:
+        """Statically-pivoted LDLᵗ/LDLᴴ; ``(packed, nperturbed)``."""
         self._tick("ldlt")
         return _ldlt_nopivot(a, pivot_threshold)
 
@@ -648,20 +545,31 @@ class NumpyBackend(KernelBackend):
                    pivot_threshold: float = 1e-14
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                               Dict[str, Any]]:
+        """Threshold-pivoted LDLᵗ/LDLᴴ with 1×1/2×2 pivots;
+        ``(packed, perm, d21, stats)`` — see :func:`_ldlt_pivot` for the
+        layout and :class:`PivotError` semantics."""
         self._tick("ldlt_pivot")
         return _ldlt_pivot(a, u, growth_limit, fallback, pivot_threshold)
 
     # -- column-stable panel kernels -----------------------------------
     def panel_gemm(self, a: np.ndarray, x: np.ndarray,
                    trans: str = "N") -> np.ndarray:
+        """``op(a) @ x`` on a panel of ``k`` columns, column-stable;
+        ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint
+        ``aᴴ``, without the caller materialising the transpose."""
         self._tick("panel_gemm")
         return _stable_gemm(a, x, trans)
 
     def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
                    lower: bool = True, trans: str = "N",
                    unit_diagonal: bool = False) -> np.ndarray:
-        """Column-stable panel solve; ``trans='C'`` sweeps against the
-        Hermitian adjoint ``aᴴ``."""
+        """Column-stable triangular panel solve ``op(a) X = b``;
+        ``trans='C'`` sweeps against the Hermitian adjoint ``aᴴ``.
+
+        Only the requested triangle of ``a`` is read, so LAPACK-packed
+        diagonal blocks (L and U sharing storage) can be passed directly.
+        Returns a fresh array; ``b`` is never modified.
+        """
         self._tick("panel_trsm")
         if trans == "T":
             m, eff_lower = a.T, not lower
@@ -679,8 +587,11 @@ class NumpyBackend(KernelBackend):
 
     def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,
                  mode: str = "n") -> np.ndarray:
-        """Apply ``u vᵗ`` to a panel; ``mode='h'`` applies the Hermitian
-        adjoint ``conj(v) uᴴ``."""
+        """Apply a low-rank block ``Â = u vᵗ`` to an ``(·, k)`` panel.
+
+        ``mode='n'``: ``Â x``; ``'t'``: ``Âᵗ x``; ``'h'``: the Hermitian
+        adjoint ``Âᴴ x = conj(v) uᴴ x``.  Column-stable, rank-0 safe.
+        """
         self._tick("lr_apply")
         rank = u.shape[1]
         if rank == 0:
@@ -695,46 +606,10 @@ class NumpyBackend(KernelBackend):
         return _stable_gemm(v.conj(), _stable_gemm(u, x, "C"))
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, KernelBackend] = {}
+#: the one kernel instance (its call counters accumulate across solves)
+KERNELS = Kernels()
 
 
-def register_backend(backend: KernelBackend, replace: bool = False) -> None:
-    """Register a backend instance under ``backend.name``.
-
-    Backends are process-wide singletons (their call counters accumulate
-    across solves); re-registering an existing name requires
-    ``replace=True``.
-    """
-    if not isinstance(backend, KernelBackend):
-        raise TypeError("backend must be a KernelBackend instance")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered "
-                         "(pass replace=True to override)")
-    _REGISTRY[backend.name] = backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends (sorted)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend: explicit ``name`` > ``$REPRO_BACKEND`` > numpy.
-
-    Raises ``ValueError`` (listing the registered names) for an unknown
-    backend.
-    """
-    resolved = name or os.environ.get(BACKEND_ENV) or "numpy"
-    try:
-        return _REGISTRY[resolved]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {resolved!r}; registered "
-            f"backends: {', '.join(available_backends())}") from None
-
-
-register_backend(NumpyBackend())
+def get_backend() -> Kernels:
+    """The one kernel instance, :data:`KERNELS`."""
+    return KERNELS

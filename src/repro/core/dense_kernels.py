@@ -1,31 +1,22 @@
-"""Dense block kernels with static pivoting and flop accounting.
+"""Flop models of the dense block kernels, and the finiteness sentinel.
 
-These wrap LAPACK (via scipy) exactly the way PaStiX wraps MKL: the diagonal
-block factorization (`getrf` without pivoting / `potrf`), the triangular
-panel solves, and GEMM — each returning its flop count so Table 2's
+The kernels themselves — the diagonal block factorizations (`getrf`
+without pivoting / `potrf` / `ldlt`), the triangular panel solves and GEMM,
+wrapping LAPACK (via scipy) the way PaStiX wraps MKL — live in
+:mod:`repro.core.backend`.  This module counts their flops so Table 2's
 machine-independent cost columns can be reproduced.
 
 Pivoting: PaStiX performs *static* pivoting — the elimination order is fixed
 by the analysis step, and a too-small pivot is replaced by a perturbation of
 magnitude ``threshold * max |diag|`` (the factorization then acts on a
 slightly perturbed matrix; iterative refinement absorbs the perturbation).
-
-Since the backend protocol landed (:mod:`repro.core.backend`), this module
-is the *stable public face* of those kernels: the implementations live in
-the registered :class:`~repro.core.backend.KernelBackend` (selected via
-``SolverConfig.backend`` / ``$REPRO_BACKEND``), and the functions here
-delegate to it.  Call them when you have no resolved backend at hand
-(tests, scripts); code inside the factorization keeps a resolved backend
-on the :class:`~repro.core.factor.NumericFactor` and calls it directly.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from repro.core.backend import get_backend
 
 
 def block_all_finite(a: Optional[np.ndarray]) -> bool:
@@ -62,71 +53,3 @@ def trsm_flops(m: int, n: int) -> float:
 
 def ldlt_flops(n: int) -> float:
     return (1.0 / 3.0) * n ** 3
-
-
-def lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
-               ) -> Tuple[np.ndarray, int]:
-    """In-place-style LU without row pivoting (static pivoting).
-
-    Returns ``(lu, nperturbed)`` where ``lu`` packs the unit-lower L below
-    the diagonal and U on/above it (LAPACK layout), and ``nperturbed``
-    counts pivots replaced by ``±pivot_threshold * max|diag(A)|``.
-    """
-    return get_backend().getrf(a, pivot_threshold)
-
-
-def cholesky_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
-                     ) -> Tuple[np.ndarray, int]:
-    """Lower Cholesky with static regularization of non-positive pivots.
-
-    Complex blocks are factored as Hermitian ``L Lᴴ`` (real diagonal), so
-    the rank-1 trailing update conjugates the eliminated column.
-    """
-    return get_backend().potrf(a, pivot_threshold)
-
-
-def ldlt_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
-                 ) -> Tuple[np.ndarray, int]:
-    """LDLᵗ factorization without pivoting (symmetric indefinite blocks).
-
-    Complex blocks factor as Hermitian ``L D Lᴴ`` (real D): the rank-1
-    trailing update conjugates the eliminated column.
-
-    Returns ``(packed, nperturbed)``: ``packed`` holds the unit-lower L
-    strictly below the diagonal and D on the diagonal.  Pivots smaller in
-    magnitude than ``pivot_threshold * max|diag(A)|`` are boosted (static
-    pivoting), keeping their sign.
-    """
-    return get_backend().ldlt(a, pivot_threshold)
-
-
-def solve_upper_right(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X U = B``  →  ``X = B U⁻¹`` for upper-triangular ``U``."""
-    return get_backend().trsm(u, b, side="right", lower=False, trans="N")
-
-
-def solve_unit_lower_right(l_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X Lᵗ = B``  →  ``X = B L⁻ᵗ`` for unit-lower ``L``.
-
-    Transposing: ``L Xᵗ = Bᵗ``, a plain forward substitution.
-    """
-    return get_backend().trsm(l_mat, b, side="right", lower=True,
-                              trans="T", unit_diagonal=True)
-
-
-def solve_lower_right(l_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X Lᵗ = B``  →  ``X = B L⁻ᵗ`` for (non-unit) lower ``L``."""
-    return get_backend().trsm(l_mat, b, side="right", lower=True, trans="T")
-
-
-def solve_lower_ct_right(l_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X Lᴴ = B`` for (non-unit) lower ``L`` — the Hermitian-Cholesky
-    panel solve.  Coincides bit-for-bit with :func:`solve_lower_right` for
-    real blocks (``conj`` is a no-copy pass-through)."""
-    return get_backend().trsm(l_mat, b, side="right", lower=True, trans="C")
-
-
-def solve_unit_lower_ct_right(l_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X Lᴴ = B`` for unit-lower ``L`` (Hermitian LDLᴴ panel solve)."""
-    return get_backend().trsm(l_mat, b, side="right", lower=True,
-                              trans="C", unit_diagonal=True)

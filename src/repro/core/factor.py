@@ -51,7 +51,7 @@ if TYPE_CHECKING:
     from repro.runtime.spans import SpanProfiler
 
 from repro.config import SolverConfig
-from repro.core.backend import get_backend
+from repro.core.backend import KERNELS
 from repro.core.variants import BlrVariant, resolve_variant
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import block_nbytes, compress_block, rank_cap
@@ -136,11 +136,10 @@ class NumericFactor:
     def __init__(self, symb: SymbolicFactor, config: SolverConfig) -> None:
         self.symb = symb
         self.config = config
-        #: resolved kernel backend (``config.backend`` > ``$REPRO_BACKEND``
-        #: > numpy) — every numeric hot path of the factorization and the
-        #: triangular solves calls through it.  Resolved here so factors
-        #: deserialized via :mod:`repro.core.serialize` get one too.
-        self.backend = get_backend(config.backend)
+        #: the kernel instance (:data:`repro.core.backend.KERNELS`) —
+        #: every numeric hot path of the factorization and the triangular
+        #: solves calls through it.
+        self.backend = KERNELS
         self.cblks: List[NumericColumnBlock] = [
             NumericColumnBlock(c, symb.row_offsets[c.id])
             for c in symb.cblks]
@@ -340,7 +339,7 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
     need_u = not config.is_symmetric_facto
     at_perm = a_perm.transpose() if need_u else None
     variant = fac.variant
-    fac.global_norm = float(np.linalg.norm(a_perm.values))  # solverlint: ignore[backend-bypass] -- one norm of the raw CSC value array at assembly; the backend protocol is blocked-matrix only
+    fac.global_norm = float(np.linalg.norm(a_perm.values))  # solverlint: ignore[backend-bypass] -- one norm of the raw CSC value array at assembly; the kernel module in core/backend.py works on dense blocks only
     if variant is not None:
         fac.comp_tol, fac.comp_norm_ref = variant.compress_scale(
             config.tolerance, symb.ncblk, fac.global_norm)

@@ -692,7 +692,6 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
                 src_l = _promote(src_l, promote)
             contrib = lr_product(src_l, ub_j,
                                  fac.comp_tol, cfg.kernel, stats,
-                                 backend=fac.backend,
                                  recompress=recompress,
                                  norm_ref=fac.comp_norm_ref)
             if contrib is not None:
@@ -703,8 +702,7 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
                     src_u = _promote(src_u, promote)
                 contrib_u = lr_product(src_u, lb_j,
                                        fac.comp_tol, cfg.kernel,
-                                       stats, backend=fac.backend,
-                                       recompress=recompress,
+                                       stats, recompress=recompress,
                                        norm_ref=fac.comp_norm_ref)
                 if contrib_u is not None:
                     _land_block(fac, tnc, in_diag, row, coff, contrib_u,
@@ -742,7 +740,7 @@ def flush_accumulated(fac: NumericFactor, k: int,
             # at full precision, stored at storage_dtype)
             new = np.asarray(tgt.to_dense(), dtype=fac.dtype)
             for piece, ro, co in contribs:
-                lr2ge_update(new, piece, ro, co, stats, backend=fac.backend)
+                lr2ge_update(new, piece, ro, co, stats)
         if fac.storage_dtype is not None:
             new = new.astype(fac.storage_dtype)
         fac.set_block(tnc, side, i, new)
@@ -816,17 +814,16 @@ def _land_block(fac: NumericFactor, tnc: NumericColumnBlock, in_diag: bool,
     """
     if isinstance(contrib, LowRankBlock) and contrib.rank == 0:
         return
-    stats, be = fac.stats.kernels, fac.backend
+    stats = fac.stats.kernels
     if in_diag:  # always dense
         if side == "l":
-            lr2ge_update(tnc.diag, contrib, row, coff, stats, backend=be)
+            lr2ge_update(tnc.diag, contrib, row, coff, stats)
         else:
-            lr2ge_update(tnc.diag, _transpose(contrib), coff, row, stats,
-                         backend=be)
+            lr2ge_update(tnc.diag, _transpose(contrib), coff, row, stats)
         return
     if tnc.panel_mode:
         lr2ge_update(tnc.lpanel if side == "l" else tnc.upanel, contrib,
-                     row, coff, stats, backend=be)
+                     row, coff, stats)
         return
     # blocks-mode target: cut where the rows cross into the next block
     offs = tnc.row_offsets
@@ -843,13 +840,12 @@ def _land_block(fac: NumericFactor, tnc: NumericColumnBlock, in_diag: bool,
                      else contrib[lo - row:hi - row])
         tgt = blocks[i]
         if not isinstance(tgt, LowRankBlock):
-            lr2ge_update(tgt, piece, lo - offs[i], coff, stats, backend=be)
+            lr2ge_update(tgt, piece, lo - offs[i], coff, stats)
         elif isinstance(piece, LowRankBlock):
             acc.setdefault((side, i), []).append((piece, lo - offs[i], coff))
         else:
             pend = acc.setdefault((side, i), [])
             if not (pend and isinstance(pend[0][0], np.ndarray)):
                 pend.insert(0, (np.zeros(tgt.shape, dtype=fac.dtype), 0, 0))
-            lr2ge_update(pend[0][0], piece, lo - offs[i], coff, stats,
-                         backend=be)
+            lr2ge_update(pend[0][0], piece, lo - offs[i], coff, stats)
         lo, i = hi, i + 1

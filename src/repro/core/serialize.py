@@ -49,9 +49,11 @@ FORMAT_VERSION = 1
 #: ``SolverConfig`` fields that no longer exist but that archives written
 #: while they did still carry; none of them changed the stored factors
 #: (``adaptive`` was only ever non-null beside ``strategy="adaptive"``,
-#: which ``SolverConfig`` itself now rejects)
+#: which ``SolverConfig`` itself now rejects; ``backend`` named the kernel
+#: implementation, and ``"numpy"`` — today's one kernel module — was the
+#: only one left when it retired)
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
-                         "adaptive")
+                         "adaptive", "backend")
 
 #: format version written into every checkpoint archive
 CHECKPOINT_VERSION = 1
@@ -176,7 +178,7 @@ def save_factor(fac: NumericFactor, perm: np.ndarray,
         "dtype": np.dtype(fac.dtype).name,
         "storage_dtype": (np.dtype(fac.storage_dtype).name
                           if fac.storage_dtype is not None else None),
-        # the telemetry bus is a runtime channel (locks, open sinks) —
+        # the telemetry store is a runtime object (locks, live metrics) —
         # archives store it as null and a reloaded config starts detached
         "config": asdict(replace(fac.config, telemetry=None,
                                  profiler=None)),

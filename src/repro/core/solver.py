@@ -247,11 +247,9 @@ class Solver:
             run_sequential(fac, checkpoint=writer)
         self._finalize_stats(fac, t0)
         delta = fac.backend.counts_delta(kernel_calls_before)
-        fac.stats.backend = fac.backend.name
         fac.stats.add_backend_calls(delta)
         if cfg.telemetry is not None:
-            cfg.telemetry.record_backend_kernels(fac.backend.name, delta,
-                                                 phase="factorize")
+            cfg.telemetry.record_backend_kernels(delta, phase="factorize")
         self.factor = fac
         return fac.stats
 
@@ -402,7 +400,7 @@ class Solver:
 
         ``b`` may be a vector ``(n,)`` or a panel ``(n, k)`` of right-hand
         sides; the result has the same shape.  Panels solve blocked
-        through the column-stable kernels of the configured backend, so a
+        through the column-stable panel kernels, so a
         float64 panel solve equals its ``k`` single-RHS solves
         bit-for-bit.  ``trans=True`` solves ``Aᵗ x = b`` instead (same
         factors, mirrored triangular sweeps — symmetric factorizations
@@ -453,7 +451,7 @@ class Solver:
         self.factor.stats.add_backend_calls(delta)
         tele = self.config.telemetry
         if tele is not None:
-            tele.record_backend_kernels(be.name, delta, phase="solve")
+            tele.record_backend_kernels(delta, phase="solve")
         if refine:
             res = self.refine(b, x0=x, tol=refine_tol, maxiter=refine_maxiter)
             return res.x
@@ -685,7 +683,7 @@ class Solver:
     def backward_error(self, x: np.ndarray, b: np.ndarray) -> float:
         """``||A x - b||₂ / ||b||₂`` — the metric printed above every bar of
         Figures 5 and 6.  Diagnostic cold path: two full-length vector
-        norms per call, outside the blocked-kernel protocol."""
+        norms per call, outside the blocked kernel module."""
         return float(np.linalg.norm(self.a.matvec(x) - b)
                      / np.linalg.norm(b))
 

@@ -16,7 +16,7 @@ Conventions (matching :mod:`repro.core.factorization`):
 
 Right-hand sides may be a vector ``(n,)`` or a panel ``(n, k)`` — including
 ``k = 0``.  The whole solve runs on the *column-stable* panel kernels of the
-factor's :class:`~repro.core.backend.KernelBackend` (``panel_trsm`` /
+kernel module :mod:`repro.core.backend` (``panel_trsm`` /
 ``panel_gemm`` / ``lr_apply``): column ``j`` of the result depends only on
 column ``j`` of ``b``, bit-for-bit, so a blocked ``(n, k)`` solve equals
 ``k`` single-RHS solves exactly (for identical dtypes).  BLAS gemm/trsm do

@@ -19,13 +19,11 @@ dispatch follows the paper:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.core.backend import KernelBackend
-
+from repro.core.backend import KERNELS
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.recompress import recompress_rrqr, recompress_svd
 from repro.lowrank.rrqr import qr_split, rrqr_compress, rrqr_flops
@@ -102,7 +100,6 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
 
 def lr_product(a: Block, b: Block, tol: float, kernel: str,
                stats: Optional[KernelStats] = None,
-               backend: Optional["KernelBackend"] = None,
                recompress: bool = True,
                norm_ref: Optional[float] = None
                ) -> Optional[Block]:
@@ -111,18 +108,13 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
     Returns a :class:`LowRankBlock` when at least one operand is low-rank,
     a dense array when both are dense, and ``None`` when the product is
     numerically zero at the working tolerance.  The GEMMs run through
-    ``backend`` when given (:mod:`repro.core.backend`), else through the
-    process default.
+    :data:`repro.core.backend.KERNELS`.
 
     ``recompress=False`` disables the intermediate T-core truncation (the
     BLR variant toggle): the exact core is folded into whichever orbit has
     the smaller rank, so the product keeps rank ``min(rA, rB)`` instead of
     the revealed rank of ``T``.
     """
-    if backend is None:
-        from repro.core.backend import get_backend
-
-        backend = get_backend()
     t0 = time.perf_counter()
     fl = 0.0
     out: Optional[Block]
@@ -130,17 +122,17 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
         if a.rank == 0 or b.rank == 0:
             return None
         # eqs. (1)-(4): T = vAᵗ vB, compress T, fold into the orbits
-        t_mat = backend.gemm(a.v, b.v, trans_a="T")  # (rA, rB)
+        t_mat = KERNELS.gemm(a.v, b.v, trans_a="T")  # (rA, rB)
         fl += 2.0 * a.v.shape[0] * a.rank * b.rank   # (1): Θ(nA rA rB)
         if not recompress:
             # exact product at rank min(rA, rB): fold T into the smaller
             # orbit without revealing its numerical rank
             if a.rank <= b.rank:
-                v_new = backend.gemm(b.u, t_mat, trans_b="T")  # (mB, rA)
+                v_new = KERNELS.gemm(b.u, t_mat, trans_b="T")  # (mB, rA)
                 fl += 2.0 * b.m * b.rank * a.rank
                 out = LowRankBlock(a.u, v_new)
             else:
-                u_new = backend.gemm(a.u, t_mat)               # (mA, rB)
+                u_new = KERNELS.gemm(a.u, t_mat)               # (mA, rB)
                 fl += 2.0 * a.m * a.rank * b.rank
                 out = LowRankBlock(u_new, b.u)
             if stats is not None:
@@ -158,8 +150,8 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
         if t_hat.rank == 0:
             out = None
         else:
-            u_ab = backend.gemm(a.u, t_hat.u)        # (3): Θ(mA rA rAB)
-            v_ab = backend.gemm(b.u, t_hat.v)        # (4): Θ(mB rB rAB)
+            u_ab = KERNELS.gemm(a.u, t_hat.u)        # (3): Θ(mA rA rAB)
+            v_ab = KERNELS.gemm(b.u, t_hat.v)        # (4): Θ(mB rB rAB)
             fl += 2.0 * a.m * a.rank * t_hat.rank
             fl += 2.0 * b.m * b.rank * t_hat.rank
             out = LowRankBlock(u_ab, v_ab)
@@ -167,18 +159,18 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
         if a.rank == 0:
             return None
         b_arr = b  # dense (m_b, n) — contribution is (a.m, m_b)
-        v_new = backend.gemm(b_arr, a.v)             # (m_b, rA)
+        v_new = KERNELS.gemm(b_arr, a.v)             # (m_b, rA)
         fl += 2.0 * b_arr.shape[0] * b_arr.shape[1] * a.rank
         out = LowRankBlock(a.u, v_new)
     elif isinstance(b, LowRankBlock):
         if b.rank == 0:
             return None
         a_arr = a
-        u_new = backend.gemm(a_arr, b.v)             # (m_a, rB)
+        u_new = KERNELS.gemm(a_arr, b.v)             # (m_a, rB)
         fl += 2.0 * a_arr.shape[0] * a_arr.shape[1] * b.rank
         out = LowRankBlock(u_new, b.u)
     else:
-        out = backend.gemm(a, b, trans_b="T")
+        out = KERNELS.gemm(a, b, trans_b="T")
         fl += 2.0 * a.shape[0] * b.shape[0] * a.shape[1]
     if stats is not None:
         stats.add("lr_product", seconds=time.perf_counter() - t0, flops=fl)
@@ -187,8 +179,7 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
 
 def lr2ge_update(target: np.ndarray, contrib: Block,
                  row_off: int, col_off: int,
-                 stats: Optional[KernelStats] = None,
-                 backend: Optional["KernelBackend"] = None) -> None:
+                 stats: Optional[KernelStats] = None) -> None:
     """Subtract ``contrib`` from ``target[row_off:.., col_off:..]`` in place.
 
     The Just-In-Time update kernel: when the contribution is low-rank the
@@ -198,13 +189,9 @@ def lr2ge_update(target: np.ndarray, contrib: Block,
     if isinstance(contrib, LowRankBlock):
         if contrib.rank == 0:
             return
-        if backend is None:
-            from repro.core.backend import get_backend
-
-            backend = get_backend()
         m, n = contrib.m, contrib.n
         target[row_off:row_off + m, col_off:col_off + n] -= \
-            backend.gemm(contrib.u, contrib.v, trans_b="T")
+            KERNELS.gemm(contrib.u, contrib.v, trans_b="T")
         fl = 2.0 * m * n * contrib.rank + m * n
     else:
         m, n = contrib.shape

@@ -33,13 +33,8 @@ from repro.runtime.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    JSONLSink,
-    RingBufferSink,
     SeriesBuffer,
-    Sink,
-    SummarySink,
     Telemetry,
-    parse_prometheus_text,
 )
 
 __all__ = [
@@ -57,11 +52,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JSONLSink",
-    "RingBufferSink",
     "SeriesBuffer",
-    "Sink",
-    "SummarySink",
     "Telemetry",
-    "parse_prometheus_text",
 ]

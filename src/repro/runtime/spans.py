@@ -21,10 +21,10 @@ Design goals:
   and the per-thread task summary (busy time, utilisation, critical
   path) behind the Gantt chart.
 
-Layering on the telemetry bus: construct with
+Layering on the telemetry store: construct with
 ``SpanProfiler(telemetry=tele)`` and every *phase* span (direct child of
-the root) is also emitted as a structured ``span`` event on the bus, so
-existing sinks (ring buffer, JSONL, summary) see phase boundaries.
+the root) is also emitted as a structured ``span`` event into its event
+log, so ``tele.events()`` shows the phase boundaries.
 """
 
 from __future__ import annotations

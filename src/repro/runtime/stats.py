@@ -131,10 +131,10 @@ class FactorizationStats:
         threaded mode).
     nblocks_compressed / nblocks_dense:
         How many off-diagonal blocks ended compressed vs dense.
-    backend / backend_kernel_calls:
-        Name of the kernel backend the run executed on and its per-op call
-        counts (gemm/trsm/getrf/…, accumulated over factorization and
-        solves) — the :mod:`repro.core.backend` accounting.
+    backend_kernel_calls:
+        Per-op kernel call counts (gemm/trsm/getrf/…, accumulated over
+        factorization and solves) — the :mod:`repro.core.backend`
+        accounting.
     """
 
     kernels: KernelStats = field(default_factory=KernelStats)
@@ -146,7 +146,6 @@ class FactorizationStats:
     solve_time: float = 0.0
     nblocks_compressed: int = 0
     nblocks_dense: int = 0
-    backend: str = "numpy"
     backend_kernel_calls: Dict[str, int] = field(default_factory=dict)
 
     def add_backend_calls(self, delta: Dict[str, int]) -> None:

@@ -1,4 +1,4 @@
-"""Unified telemetry bus: labelled metrics, structured events, sinks.
+"""Unified telemetry store: labelled metrics, series and an event log.
 
 The paper's whole argument is quantitative — memory peaks (Figures 6/7),
 kernel-time breakdowns (Table 2), rank behaviour under LR2LR recompression
@@ -8,12 +8,11 @@ memory/time/rank telemetry.  This module is the single funnel for all of
 it:
 
 * a **metric registry** — labelled :class:`Counter`, :class:`Gauge` and
-  :class:`Histogram` families, exposable as Prometheus text
-  (:meth:`Telemetry.prometheus_text`) and as a JSON snapshot
+  :class:`Histogram` families, exported as a JSON snapshot
   (:meth:`Telemetry.snapshot`);
-* a **structured event bus** — :meth:`Telemetry.emit` fans each event out
-  to pluggable sinks (:class:`RingBufferSink`, :class:`JSONLSink`,
-  :class:`SummarySink`);
+* one bounded **event log** — :meth:`Telemetry.emit` appends each
+  structured event to it, keeping the last :data:`EVENT_LOG_CAPACITY`
+  (:meth:`Telemetry.events`);
 * bounded **time series** (:meth:`Telemetry.series`) for the
   rank-evolution samples, the memory high-water timeline and the
   refinement residual history that the per-run ``RunReport``
@@ -26,12 +25,11 @@ Design constraints, in order:
    solver guards with a single ``is not None`` test, so a disabled run
    pays one attribute load per site and allocates nothing.
 2. **Thread-safe when enabled.**  Metric children carry their own small
-   locks (the threaded schedulers increment shared counters); series and
-   sinks serialize through the bus lock.  The registry lock is taken only
+   locks (the threaded schedulers increment shared counters); events
+   serialize through the event lock.  The registry lock is taken only
    on family/child *creation*, not on updates.
-3. **Self-contained artifacts.**  Snapshots are plain JSON-able dicts;
-   JSONL sinks round-trip through :meth:`JSONLSink.read`; the Prometheus
-   exposition round-trips through :func:`parse_prometheus_text`.
+3. **Self-contained artifacts.**  Snapshots and events are plain
+   JSON-able dicts.
 
 Instrumented layers (each funnels through one ``record_*`` helper so call
 sites stay one guarded line):
@@ -53,18 +51,13 @@ refinement                :meth:`Telemetry.record_refinement` —
 
 from __future__ import annotations
 
-import json
-import re
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import (
-    IO,
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -77,13 +70,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JSONLSink",
-    "RingBufferSink",
     "SeriesBuffer",
-    "Sink",
-    "SummarySink",
     "Telemetry",
-    "parse_prometheus_text",
 ]
 
 #: label set key: sorted ``(name, value)`` pairs
@@ -95,33 +83,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
     100.0, 250.0, 1000.0)
 
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+#: how many of the most recent events :meth:`Telemetry.events` keeps
+EVENT_LOG_CAPACITY = 4096
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _prom_name(name: str) -> str:
-    """Sanitize a metric name for Prometheus exposition."""
-    out = _NAME_RE.sub("_", name)
-    if out and out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def _escape_label_value(value: str) -> str:
-    """Prometheus label-value escaping: ``\\``, ``"`` and newline."""
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_labels(key: LabelKey) -> str:
-    if not key:
-        return ""
-    inner = ",".join(f'{_prom_name(k)}="{_escape_label_value(v)}"'
-                     for k, v in key)
-    return "{" + inner + "}"
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +135,8 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics: ``le`` bounds)."""
+    """Bucketed histogram: a value lands in the first bucket whose upper
+    bound it does not exceed (the last bucket is unbounded)."""
 
     __slots__ = ("_lock", "buckets", "counts", "total", "count")
 
@@ -212,154 +180,6 @@ class _Family:
         self.help = help_text
         self.buckets = tuple(buckets) if buckets is not None else None
         self.children: Dict[LabelKey, Metric] = {}
-
-
-# ----------------------------------------------------------------------
-# event sinks
-# ----------------------------------------------------------------------
-
-class Sink:
-    """Event-sink interface: receives every event emitted on the bus."""
-
-    def handle(self, event: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush/release resources; the bus never calls this implicitly."""
-
-
-class RingBufferSink(Sink):
-    """Keeps the last ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self.dropped: int = 0
-
-    def handle(self, event: Dict[str, Any]) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def events(self) -> List[Dict[str, Any]]:
-        return list(self._events)
-
-
-class JSONLSink(Sink):
-    """Streams one JSON object per line to a file (or file-like object).
-
-    ``max_bytes`` bounds the file with *keep-last* semantics (like the
-    race sanitizer's bounded event log): when appending the next line
-    would exceed the budget, the file is rewritten in place with only
-    the most recent lines — trimmed to half the budget, so rotations
-    amortize — and ``rotations`` / ``dropped`` count what happened.
-    The default (``None``) is unlimited, preserving the historical
-    behavior; a non-seekable target silently disables the bound.
-    """
-
-    def __init__(self, target: Union[str, Path, IO[str]],
-                 max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes < 1024:
-            raise ValueError("max_bytes must be >= 1024 (or None)")
-        if isinstance(target, (str, Path)):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns = True
-        else:
-            self._fh = target
-            self._owns = False
-        self.max_bytes = max_bytes
-        self.written: int = 0
-        #: completed in-place rewrites / lines discarded by them
-        self.rotations: int = 0
-        self.dropped: int = 0
-        self._nbytes = 0
-        self._nlines = 0
-        self._tail: Deque[str] = deque()
-        self._tail_bytes = 0
-
-    def handle(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True) + "\n"
-        self.written += 1
-        if self.max_bytes is not None:
-            self._tail.append(line)
-            self._tail_bytes += len(line)
-            budget = self.max_bytes // 2
-            while self._tail_bytes > budget and len(self._tail) > 1:
-                self._tail_bytes -= len(self._tail.popleft())
-            if self._nbytes + len(line) > self.max_bytes and self._nlines:
-                if self._rotate():
-                    return
-        self._fh.write(line)
-        self._nbytes += len(line)
-        self._nlines += 1
-
-    def _rotate(self) -> bool:
-        """Rewrite the file with only the tail buffer (keep-last)."""
-        try:
-            seekable = self._fh.seekable()
-        except (AttributeError, ValueError):  # pragma: no cover
-            seekable = False
-        if not seekable:
-            # a pipe/socket target cannot truncate: drop the bound and
-            # keep streaming rather than lose events
-            self.max_bytes = None
-            self._tail.clear()
-            self._tail_bytes = 0
-            return False
-        self._fh.seek(0)
-        self._fh.truncate()
-        for line in self._tail:
-            self._fh.write(line)
-        # +1: the event that triggered the rotation is already in _tail
-        self.dropped += self._nlines + 1 - len(self._tail)
-        self._nbytes = self._tail_bytes
-        self._nlines = len(self._tail)
-        self.rotations += 1
-        return True
-
-    def close(self) -> None:
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-    @staticmethod
-    def read(path: Union[str, Path]) -> List[Dict[str, Any]]:
-        """Parse a JSONL event stream back into a list of event dicts."""
-        out: List[Dict[str, Any]] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-        return out
-
-
-class SummarySink(Sink):
-    """Aggregates event counts (and time extent) per event kind."""
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-        self.first_t: Optional[float] = None
-        self.last_t: Optional[float] = None
-
-    def handle(self, event: Dict[str, Any]) -> None:
-        kind = str(event.get("kind", "?"))
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        t = event.get("t")
-        if isinstance(t, (int, float)):
-            if self.first_t is None or t < self.first_t:
-                self.first_t = float(t)
-            if self.last_t is None or t > self.last_t:
-                self.last_t = float(t)
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "counts": dict(self.counts),
-            "total": sum(self.counts.values()),
-            "first_t": self.first_t,
-            "last_t": self.last_t,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -415,11 +235,11 @@ class SeriesBuffer:
 
 
 # ----------------------------------------------------------------------
-# the bus
+# the store
 # ----------------------------------------------------------------------
 
 class Telemetry:
-    """Metric registry + structured event bus + bounded series.
+    """Metric registry + bounded series + bounded event log.
 
     One instance accompanies one solver run (attach it via
     ``SolverConfig(telemetry=...)``).  All methods are thread-safe.
@@ -432,29 +252,24 @@ class Telemetry:
     1.0
     """
 
-    def __init__(self, sinks: Iterable[Sink] = (),
-                 ring_capacity: Optional[int] = 4096) -> None:
+    def __init__(self) -> None:
         self._origin = time.perf_counter()
         self._lock: Any = threading.Lock()       # registry + series creation
         self._bus_lock: Any = threading.Lock()   # event emission
         self._sanitizer: Any = None
         self._families: Dict[str, _Family] = {}
         self._series: Dict[str, SeriesBuffer] = {}
-        self._sinks: List[Sink] = list(sinks)
+        self._events: Deque[Dict[str, Any]] = deque(
+            maxlen=EVENT_LOG_CAPACITY)
         self.events_emitted: int = 0
-        #: always-on ring buffer so a bare ``Telemetry()`` keeps evidence
-        self.ring: Optional[RingBufferSink] = None
-        if ring_capacity is not None:
-            self.ring = RingBufferSink(ring_capacity)
-            self._sinks.append(self.ring)
 
     # -- clock ---------------------------------------------------------
     def clock(self) -> float:
-        """Seconds since this bus was created (monotonic)."""
+        """Seconds since this store was created (monotonic)."""
         return time.perf_counter() - self._origin
 
     def attach_sanitizer(self, san: Any) -> None:
-        """Track the registry/bus locks and family-map mutations in the
+        """Track the registry/event locks and family-map mutations in the
         race sanitizer (wired by the solver under ``sanitize_enabled``)."""
         self._sanitizer = san
         self._lock = san.wrap_lock(self._lock, "telemetry._lock")
@@ -524,18 +339,9 @@ class Telemetry:
                     self._series[name] = s
         return s
 
-    # -- event bus -----------------------------------------------------
-    def add_sink(self, sink: Sink) -> Sink:
-        with self._bus_lock:
-            self._sinks.append(sink)
-        return sink
-
-    def remove_sink(self, sink: Sink) -> None:
-        with self._bus_lock:
-            self._sinks = [s for s in self._sinks if s is not sink]
-
+    # -- event log -----------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
-        """Publish one structured event to every sink."""
+        """Append one structured event to the event log."""
         event: Dict[str, Any] = {"kind": kind, "t": self.clock()}
         event.update(fields)
         with self._bus_lock:
@@ -543,14 +349,13 @@ class Telemetry:
                 self._sanitizer.note("telemetry.events", "write",
                                      site="telemetry.py:emit")
             self.events_emitted += 1
-            for sink in self._sinks:
-                sink.handle(event)
+            self._events.append(event)
 
-    def close(self) -> None:
-        """Close every sink (flushes JSONL streams)."""
+    def events(self) -> List[Dict[str, Any]]:
+        """The last :data:`EVENT_LOG_CAPACITY` events, oldest first
+        (``events_emitted`` counts every event, kept or not)."""
         with self._bus_lock:
-            for sink in self._sinks:
-                sink.close()
+            return list(self._events)
 
     # -- domain helpers (one guarded call per instrumentation site) -----
     def record_compress(self, m: int, n: int, rank: int,
@@ -610,22 +415,21 @@ class Telemetry:
                   iterations=max(len(history) - 1, 0),
                   residual_history=[float(r) for r in history])
 
-    def record_backend_kernels(self, backend: str,
-                               calls: Mapping[str, int],
+    def record_backend_kernels(self, calls: Mapping[str, int],
                                phase: str = "factorize") -> None:
-        """Per-backend kernel call counts of one phase (factorize/solve).
+        """Kernel call counts of one phase (factorize/solve).
 
         Publishes one labelled ``backend_kernel_calls`` counter per op
-        (labels: backend name, op, phase) plus a structured
-        ``backend_kernels`` event carrying the whole delta.
+        (labels: op, phase) plus a structured ``backend_kernels`` event
+        carrying the whole delta.
         """
         total = 0
         for op, n in calls.items():
             if n:
-                self.counter("backend_kernel_calls", backend=backend,
-                             op=op, phase=phase).inc(float(n))
+                self.counter("backend_kernel_calls", op=op,
+                             phase=phase).inc(float(n))
                 total += int(n)
-        self.emit("backend_kernels", backend=backend, phase=phase,
+        self.emit("backend_kernels", phase=phase,
                   total=total, calls={op: int(n) for op, n in calls.items()})
 
     def record_recovery(self, action: str, site: str = "",
@@ -706,104 +510,3 @@ class Telemetry:
             "series": {name: s.points() for name, s in series.items()},
             "events_emitted": self.events_emitted,
         }
-
-    def prometheus_text(self) -> str:
-        """Prometheus text exposition (version 0.0.4) of the registry."""
-        lines: List[str] = []
-        with self._lock:
-            families = sorted(self._families.values(),
-                              key=lambda f: f.name)
-        for fam in families:
-            pname = _prom_name(fam.name)
-            if fam.kind == "counter":
-                pname += "_total"
-            lines.append(f"# TYPE {pname} {fam.kind}")
-            for key, child in sorted(fam.children.items()):
-                lab = _prom_labels(key)
-                if isinstance(child, Counter):
-                    lines.append(f"{pname}{lab} {child.value!r}")
-                elif isinstance(child, Gauge):
-                    lines.append(f"{pname}{lab} {child.value!r}")
-                elif isinstance(child, Histogram):
-                    cum = 0
-                    for bound, cnt in zip(child.buckets, child.counts):
-                        cum += cnt
-                        blab = _merge_label(key, "le", _fmt_bound(bound))
-                        lines.append(f"{pname}_bucket{blab} {cum}")
-                    cum += child.counts[-1]
-                    blab = _merge_label(key, "le", "+Inf")
-                    lines.append(f"{pname}_bucket{blab} {cum}")
-                    lines.append(f"{pname}_sum{lab} {child.total!r}")
-                    lines.append(f"{pname}_count{lab} {child.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt_bound(bound: float) -> str:
-    return repr(bound) if bound != int(bound) else str(int(bound))
-
-
-def _merge_label(key: LabelKey, name: str, value: str) -> str:
-    return _prom_labels(tuple(sorted(key + ((name, value),))))
-
-
-# ----------------------------------------------------------------------
-# Prometheus text parsing (round-trip verification / scrape testing)
-# ----------------------------------------------------------------------
-
-# quoted label values may contain escaped quotes/backslashes (and even a
-# literal "}"), so both regexes are escape-sequence aware rather than
-# stopping at the first '"' or '}'
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r'(?:\{(?P<labels>(?:[^"}]|"(?:[^"\\]|\\.)*")*)\})?'
-    r"\s+(?P<value>\S+)$")
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
-
-
-def _unescape_label_value(value: str) -> str:
-    """Invert :func:`_escape_label_value` (``\\\\``, ``\\"``, ``\\n``)."""
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        c = value[i]
-        if c == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append(_UNESCAPES.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def parse_prometheus_text(text: str) -> Dict[str, Any]:
-    """Parse Prometheus text exposition into ``{"types": ..., "samples":
-    ...}``; samples map ``(name, label_key)`` to float values.
-
-    Only the subset :meth:`Telemetry.prometheus_text` produces is
-    supported — enough for round-trip tests and scrape verification.
-    Escaped label values round-trip (backslash, quote, newline), and
-    ``NaN`` / ``+Inf`` / ``-Inf`` sample values parse to the matching
-    floats.
-    """
-    types: Dict[str, str] = {}
-    samples: Dict[Tuple[str, LabelKey], float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"unparseable exposition line: {line!r}")
-        labels = tuple(sorted(
-            (name, _unescape_label_value(value))
-            for name, value in _LABEL_RE.findall(m.group("labels") or "")))
-        samples[(m.group("name"), labels)] = float(m.group("value"))
-    return {"types": types, "samples": samples}

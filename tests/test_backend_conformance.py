@@ -1,14 +1,14 @@
-"""Backend conformance suite.
+"""Kernel conformance suite.
 
-Every registered :class:`repro.core.backend.KernelBackend` must pass the
-same kernel-level golden checks — gemm / trsm / panel solves on dense and
+The kernel module (:data:`repro.core.backend.KERNELS`) must pass the
+kernel-level golden checks — gemm / trsm / panel solves on dense and
 low-rank blocks, across all four dtypes — plus the contracts the solver
 relies on:
 
 * **column stability** of the panel kernels: column ``j`` of a blocked
   result is bit-identical to the single-column result, whatever the
   panel width;
-* **pinned bits** of the numpy backend: a float64 factorization
+* **pinned bits**: a float64 factorization
   reproduces four sha256 digests of its factors (each re-captured only
   with a change that says why it moved — see ``SEED_DIGESTS``), and its
   ``trsm`` the bits of ``scipy.linalg.solve_triangular``.
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import KERNELS
 from repro.core.solver import Solver
 from repro.sparse.generators import laplacian_3d
 from tests.conftest import tiny_blr_config
@@ -37,7 +37,7 @@ RTOL = {
 }
 
 #: sha256 of the float64 factors on laplacian_3d(6) (tiny_blr_config,
-#: tolerance 1e-8) — the numpy backend must reproduce these bits exactly.
+#: tolerance 1e-8) — the kernels must reproduce these bits exactly.
 #: A column block stays one stacked panel unless a block in it compressed
 #: (ISSUE 15), and on this matrix at this tolerance Just-In-Time accepts no
 #: block at all: a run in which nothing compresses *is* the dense
@@ -75,9 +75,8 @@ SEED_DIGESTS = {
         "e106c34182ceca29bb04262bf5601c1b0bc838a10dac908914312a5c600854cb",
 }
 
-#: every registered backend runs the suite
-backend_names = pytest.mark.parametrize("backend_name",
-                                        available_backends())
+#: the one kernel instance (the id keeps the test names of the suite)
+kernels = pytest.mark.parametrize("be", [KERNELS], ids=["numpy"])
 
 dtypes = pytest.mark.parametrize("dtype", DTYPES,
                                  ids=lambda d: np.dtype(d).name)
@@ -107,12 +106,12 @@ def rng():
 
 
 # ----------------------------------------------------------------------
-# numpy backend: trsm on the bound LAPACK routine ≡ solve_triangular
+# trsm on the bound LAPACK routine ≡ solve_triangular
 # ----------------------------------------------------------------------
 
 def reference_trsm(a, b, side="left", lower=True, trans="N",
                    unit_diagonal=False):
-    """``NumpyBackend.trsm`` as it stood on ``scipy.linalg.solve_triangular``
+    """``Kernels.trsm`` as it stood on ``scipy.linalg.solve_triangular``
     (kept as the reference): the same transpose tricks, one wrapper pass
     per call."""
     kw = dict(lower=lower, unit_diagonal=unit_diagonal, check_finite=False)
@@ -147,7 +146,7 @@ class TestBoundTrtrsMatchesSolveTriangular:
         a, b = self.operands(rng, dtype, dtype, side, lower, unit)
         a, b = np.array(a, order=a_order), np.array(b, order=b_order)
         kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
-        got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+        got, want = KERNELS.trsm(a, b, **kw), reference_trsm(
             a, b, **kw)
         assert got.dtype == want.dtype == dtype and got.shape == b.shape
         assert np.array_equal(got, want)
@@ -160,7 +159,7 @@ class TestBoundTrtrsMatchesSolveTriangular:
                                  (np.float64, np.complex64)):
             a, b = self.operands(rng, a_dtype, b_dtype, side, lower, unit)
             kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
-            got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+            got, want = KERNELS.trsm(a, b, **kw), reference_trsm(
                 a, b, **kw)
             assert got.dtype == want.dtype == np.result_type(
                 a_dtype, b_dtype, np.float64)
@@ -173,7 +172,7 @@ class TestBoundTrtrsMatchesSolveTriangular:
             a, b = self.operands(rng, a_dtype, b_dtype, side, lower, unit,
                                  k=0)
             kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
-            got, want = get_backend("numpy").trsm(a, b, **kw), reference_trsm(
+            got, want = KERNELS.trsm(a, b, **kw), reference_trsm(
                 a, b, **kw)
             assert got.shape == want.shape == b.shape
             assert got.dtype == want.dtype
@@ -184,16 +183,16 @@ class TestBoundTrtrsMatchesSolveTriangular:
         a[4, 4] = 0.0
         kw = dict(side=side, lower=lower, trans=trans, unit_diagonal=unit)
         if unit:  # the diagonal is not referenced
-            assert np.array_equal(get_backend("numpy").trsm(a, b, **kw),
+            assert np.array_equal(KERNELS.trsm(a, b, **kw),
                                   reference_trsm(a, b, **kw))
             return
-        for solve in (get_backend("numpy").trsm, reference_trsm):
+        for solve in (KERNELS.trsm, reference_trsm):
             with pytest.raises(np.linalg.LinAlgError, match="diagonal 4"):
                 solve(a, b, **kw)
 
 
 def test_bound_trsm_keeps_the_shape_checks():
-    be = get_backend("numpy")
+    be = KERNELS
     with pytest.raises(ValueError, match="expected square matrix"):
         be.trsm(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError, match="incompatible"):
@@ -203,14 +202,13 @@ def test_bound_trsm_keeps_the_shape_checks():
 
 
 # ----------------------------------------------------------------------
-# kernel-level goldens, every backend x every dtype
+# kernel-level goldens, every dtype
 # ----------------------------------------------------------------------
 
-@backend_names
+@kernels
 @dtypes
 class TestKernelGoldens:
-    def test_gemm(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_gemm(self, be, dtype, rng):
         a = _rand(rng, (7, 5), dtype)
         b = _rand(rng, (5, 4), dtype)
         rtol = RTOL[dtype]
@@ -222,8 +220,7 @@ class TestKernelGoldens:
         np.testing.assert_allclose(be.gemm(a.conj().T, b, trans_a="C"),
                                    a @ b, rtol=rtol)
 
-    def test_syrk(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_syrk(self, be, dtype, rng):
         a = _rand(rng, (6, 3), dtype)
         rtol = RTOL[dtype]
         np.testing.assert_allclose(be.syrk(a), a @ a.T, rtol=rtol)
@@ -234,8 +231,7 @@ class TestKernelGoldens:
     @pytest.mark.parametrize("lower", (True, False))
     @pytest.mark.parametrize("trans", ("N", "T", "C"))
     @pytest.mark.parametrize("unit", (True, False))
-    def test_trsm(self, backend_name, dtype, rng, side, lower, trans, unit):
-        be = get_backend(backend_name)
+    def test_trsm(self, be, dtype, rng, side, lower, trans, unit):
         n, k = 6, 3
         a = _tri(rng, n, dtype, lower, unit)
         op = {"N": a, "T": a.T, "C": a.conj().T}[trans]
@@ -254,8 +250,7 @@ class TestKernelGoldens:
     @pytest.mark.parametrize("lower", (True, False))
     @pytest.mark.parametrize("trans", ("N", "T", "C"))
     @pytest.mark.parametrize("unit", (True, False))
-    def test_panel_trsm(self, backend_name, dtype, rng, lower, trans, unit):
-        be = get_backend(backend_name)
+    def test_panel_trsm(self, be, dtype, rng, lower, trans, unit):
         n, k = 6, 4
         a = _tri(rng, n, dtype, lower, unit)
         b = _rand(rng, (n, k), dtype)
@@ -265,11 +260,10 @@ class TestKernelGoldens:
         rtol = 200 * RTOL[dtype]
         np.testing.assert_allclose(op @ x, b, rtol=rtol, atol=rtol)
 
-    def test_panel_trsm_reads_only_requested_triangle(self, backend_name,
-                                                      dtype, rng):
+    def test_panel_trsm_reads_only_requested_triangle(self, be, dtype,
+                                                      rng):
         """LAPACK-packed diagonal blocks carry L and U in one array; the
         panel solve must ignore the opposite triangle."""
-        be = get_backend(backend_name)
         a = _tri(rng, 5, dtype, lower=True, unit=False)
         packed = a + np.triu(_rand(rng, (5, 5), dtype), 1)  # garbage above
         b = _rand(rng, (5, 2), dtype)
@@ -277,11 +271,10 @@ class TestKernelGoldens:
         x_packed = be.panel_trsm(packed, b, lower=True)
         np.testing.assert_array_equal(x_clean, x_packed)
 
-    def test_panel_gemm(self, backend_name, dtype, rng):
+    def test_panel_gemm(self, be, dtype, rng):
         """``op(a) @ x`` for the plain, transposed and adjoint forms — the
         last two on a row slice of a larger panel, read in place — and on
         panels without rows or without columns."""
-        be = get_backend(backend_name)
         panel = _rand(rng, (9, 4), dtype)
         for trans, a in (("N", panel[:6]), ("T", panel[2:8]),
                          ("C", panel[2:8])):
@@ -299,8 +292,7 @@ class TestKernelGoldens:
                 np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("mode", ("n", "t", "h"))
-    def test_lr_apply(self, backend_name, dtype, rng, mode):
-        be = get_backend(backend_name)
+    def test_lr_apply(self, be, dtype, rng, mode):
         u = _rand(rng, (6, 2), dtype)
         v = _rand(rng, (5, 2), dtype)
         x = _rand(rng, (5 if mode == "n" else 6, 3), dtype)
@@ -310,8 +302,7 @@ class TestKernelGoldens:
                                    rtol=10 * RTOL[dtype],
                                    atol=10 * RTOL[dtype])
 
-    def test_ldlt_pivot(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_ldlt_pivot(self, be, dtype, rng):
         n = 8
         m = _rand(rng, (n, n), dtype)
         hermitian = np.dtype(dtype).kind == "c"
@@ -333,8 +324,7 @@ class TestKernelGoldens:
         np.testing.assert_allclose(rec, ap, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("mode", ("n", "t", "h"))
-    def test_lr_apply_rank_zero(self, backend_name, dtype, rng, mode):
-        be = get_backend(backend_name)
+    def test_lr_apply_rank_zero(self, be, dtype, rng, mode):
         u = np.zeros((6, 0), dtype=dtype)
         v = np.zeros((5, 0), dtype=dtype)
         x = _rand(rng, (5 if mode == "n" else 6, 3), dtype)
@@ -345,17 +335,16 @@ class TestKernelGoldens:
 
 
 # ----------------------------------------------------------------------
-# the column-stability contract (bitwise, every backend x every dtype)
+# the column-stability contract (bitwise, every dtype)
 # ----------------------------------------------------------------------
 
-@backend_names
+@kernels
 @dtypes
 class TestColumnStability:
     """Panel kernels: column j of a blocked result == the single-column
     result, bit for bit, at every panel width."""
 
-    def test_panel_trsm_width_invariant(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_panel_trsm_width_invariant(self, be, dtype, rng):
         n, k = 12, 7
         a = _tri(rng, n, dtype, lower=True, unit=False)
         b = _rand(rng, (n, k), dtype)
@@ -364,8 +353,7 @@ class TestColumnStability:
             single = be.panel_trsm(a, b[:, j:j + 1], lower=True)
             np.testing.assert_array_equal(full[:, j:j + 1], single)
 
-    def test_panel_gemm_width_invariant(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_panel_gemm_width_invariant(self, be, dtype, rng):
         a = _rand(rng, (9, 6), dtype)
         for trans in "NTC":
             x = _rand(rng, (6 if trans == "N" else 9, 5), dtype)
@@ -374,8 +362,7 @@ class TestColumnStability:
                 single = be.panel_gemm(a, x[:, j:j + 1], trans)
                 np.testing.assert_array_equal(full[:, j:j + 1], single)
 
-    def test_lr_apply_width_invariant(self, backend_name, dtype, rng):
-        be = get_backend(backend_name)
+    def test_lr_apply_width_invariant(self, be, dtype, rng):
         u = _rand(rng, (8, 3), dtype)
         v = _rand(rng, (6, 3), dtype)
         x = _rand(rng, (6, 4), dtype)
@@ -386,18 +373,17 @@ class TestColumnStability:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: blocked solves per backend, and the seed digest pins
+# end-to-end: blocked solves, and the seed digest pins
 # ----------------------------------------------------------------------
 
-@backend_names
+@kernels
 class TestEndToEnd:
     @pytest.mark.parametrize("strategy",
                              ("dense", "just-in-time", "minimal-memory"))
-    def test_blocked_solve_matches_columns(self, backend_name, strategy):
+    def test_blocked_solve_matches_columns(self, be, strategy):
         rng = np.random.default_rng(7)
         a = laplacian_3d(5)
-        s = Solver(a, tiny_blr_config(strategy=strategy, tolerance=1e-8,
-                                      backend=backend_name))
+        s = Solver(a, tiny_blr_config(strategy=strategy, tolerance=1e-8))
         s.factorize()
         b = rng.standard_normal((a.n, 5))
         x = s.solve(b)
@@ -405,30 +391,25 @@ class TestEndToEnd:
             np.testing.assert_array_equal(
                 x[:, j], s.solve(np.ascontiguousarray(b[:, j])))
 
-    def test_backend_recorded_in_stats(self, backend_name):
+    def test_backend_recorded_in_stats(self, be):
         a = laplacian_3d(4)
-        s = Solver(a, tiny_blr_config(backend=backend_name))
+        s = Solver(a, tiny_blr_config())
         s.factorize()
-        assert s.stats.backend == backend_name
+        assert s.factor.backend is be
         calls = s.stats.backend_kernel_calls
         assert calls.get("getrf", 0) > 0
         s.solve(np.ones(a.n))
         assert calls.get("panel_trsm", 0) > 0
 
 
-def test_unregistered_backend_fails_at_config_time():
-    with pytest.raises(ValueError, match="backend must be one of"):
-        tiny_blr_config(backend="numba")
-
-
 class TestSeedBitCompatibility:
-    """The numpy backend reproduces the pinned float64 factors bit-for-bit
+    """The kernels reproduce the pinned float64 factors bit-for-bit
     (sha256 over every factor array)."""
 
     @pytest.mark.parametrize("strategy,factotype", sorted(SEED_DIGESTS))
     def test_factor_digest_pinned(self, strategy, factotype):
         a = laplacian_3d(6)
         s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
-                                      tolerance=1e-8, backend="numpy"))
+                                      tolerance=1e-8))
         s.factorize()
         assert factor_digest(s.factor) == SEED_DIGESTS[(strategy, factotype)]

@@ -55,15 +55,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("retired", [dict(scheduler="dynamic"),
                                          dict(scheduler="static"),
-                                         dict(trace=True)],
+                                         dict(trace=True),
+                                         dict(backend="numpy")],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
-        """One worker pool and one recorder: nothing left to select."""
+        """One worker pool, one recorder and one kernel module: nothing
+        left to select."""
         import dataclasses
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 32
+        assert len(dataclasses.fields(SolverConfig)) == 31
 
 
 class TestPresets:

@@ -234,11 +234,9 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
     if rlo < tsym.end_col:
         rloc = rlo - tsym.first_col
         if side == "l":
-            lr2ge_update(tnc.diag, contrib, rloc, coff, stats,
-                         backend=fac.backend)
+            lr2ge_update(tnc.diag, contrib, rloc, coff, stats)
         else:
-            lr2ge_update(tnc.diag, F._transpose(contrib), coff, rloc, stats,
-                         backend=fac.backend)
+            lr2ge_update(tnc.diag, F._transpose(contrib), coff, rloc, stats)
         return
     for bidx, olo, ohi in find_blocks(fac.symb, t, rlo, rhi):
         assert bidx > 0
@@ -249,13 +247,11 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
         if tnc.panel_mode:
             panel = tnc.lpanel if side == "l" else tnc.upanel
             plo = tnc.row_offsets[i] + row_off_in_block
-            lr2ge_update(panel[plo:plo + ohi - olo], piece, 0, coff, stats,
-                         backend=fac.backend)
+            lr2ge_update(panel[plo:plo + ohi - olo], piece, 0, coff, stats)
             continue
         tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
         if not isinstance(tgt, LowRankBlock):
-            lr2ge_update(tgt, piece, row_off_in_block, coff, stats,
-                         backend=fac.backend)
+            lr2ge_update(tgt, piece, row_off_in_block, coff, stats)
         elif isinstance(piece, LowRankBlock):
             if piece.rank:
                 acc.setdefault((side, i), []).append(
@@ -265,8 +261,7 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
             if not (pend and isinstance(pend[0][0], np.ndarray)):
                 pend.insert(0, (np.zeros((block.nrows, tsym.ncols),
                                          dtype=fac.dtype), 0, 0))
-            lr2ge_update(pend[0][0], piece, row_off_in_block, coff, stats,
-                         backend=fac.backend)
+            lr2ge_update(pend[0][0], piece, row_off_in_block, coff, stats)
 
 
 def reference_updates_from_panel(fac, nc, t, acc):
@@ -323,7 +318,7 @@ def reference_updates_from_blocks(fac, nc, t, acc):
         if promote is not None:
             a, b = F._promote(a, promote), F._promote(b, promote)
         return lr_product(a, b, fac.comp_tol, cfg.kernel, stats,
-                          backend=fac.backend, recompress=recompress,
+                          recompress=recompress,
                           norm_ref=fac.comp_norm_ref)
 
     first, end = fac.symb.facing_ranges(sym.id)[t]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dense_kernels import ldlt_nopivot
+from repro.core.backend import KERNELS
 from repro.core.solver import Solver
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import laplacian_3d, random_spd
@@ -25,7 +25,7 @@ class TestLdltKernel:
     def test_reconstruction(self, rng):
         b = rng.standard_normal((12, 12))
         a = (b + b.T) / 2 + 12 * np.eye(12)
-        packed, nperturbed = ldlt_nopivot(a)
+        packed, nperturbed = KERNELS.ldlt(a)
         assert nperturbed == 0
         l_mat = np.tril(packed, -1) + np.eye(12)
         d = np.diag(np.diag(packed))
@@ -35,14 +35,14 @@ class TestLdltKernel:
         b = rng.standard_normal((10, 10))
         a = (b + b.T) / 2 + np.diag(np.linspace(-5, 5, 10))
         a += 10 * np.eye(10) * np.sign(np.diag(a))  # dominant, mixed signs
-        packed, _ = ldlt_nopivot(a)
+        packed, _ = KERNELS.ldlt(a)
         l_mat = np.tril(packed, -1) + np.eye(10)
         d = np.diag(np.diag(packed))
         np.testing.assert_allclose(l_mat @ d @ l_mat.T, a, atol=1e-9)
 
     def test_negative_pivots_preserved(self):
         a = np.diag([-2.0, 3.0, -4.0])
-        packed, nperturbed = ldlt_nopivot(a)
+        packed, nperturbed = KERNELS.ldlt(a)
         assert nperturbed == 0
         np.testing.assert_allclose(np.diag(packed), [-2, 3, -4])
 
@@ -50,14 +50,14 @@ class TestLdltKernel:
         # second pivot is tiny *relative to the diagonal scale* -> boosted,
         # and the boost keeps its negative sign
         a = np.diag([1.0, -1e-30])
-        packed, nperturbed = ldlt_nopivot(a, pivot_threshold=1e-8)
+        packed, nperturbed = KERNELS.ldlt(a, pivot_threshold=1e-8)
         assert nperturbed == 1
         assert packed[1, 1] == pytest.approx(-1e-8)
         assert np.isfinite(packed).all()
 
     def test_rejects_rectangular(self, rng):
         with pytest.raises(ValueError, match="square"):
-            ldlt_nopivot(rng.standard_normal((3, 4)))
+            KERNELS.ldlt(rng.standard_normal((3, 4)))
 
 
 class TestLdltSolver:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.diagnostics import factor_inertia, factor_slogdet
 from repro.config import SolverConfig
-from repro.core.backend import PivotError, get_backend
+from repro.core.backend import KERNELS, PivotError
 from repro.core.solver import Solver
 from repro.runtime.recovery import (
     NumericalBreakdown,
@@ -52,7 +52,7 @@ def _reconstruct(packed, perm, d21, hermitian):
 
 class TestPivotKernel:
     def test_dominant_matrix_needs_no_interchanges(self, rng):
-        be = get_backend("numpy")
+        be = KERNELS
         m = rng.standard_normal((7, 7))
         a = m + m.T + 20.0 * np.eye(7)
         packed, perm, d21, stats = be.ldlt_pivot(a)
@@ -65,7 +65,7 @@ class TestPivotKernel:
                                    rtol=1e-13)
 
     def test_reconstruction_with_zero_diagonal(self, rng):
-        be = get_backend("numpy")
+        be = KERNELS
         m = rng.standard_normal((8, 8))
         a = m + m.T
         a[0, 0] = 0.0
@@ -78,7 +78,7 @@ class TestPivotKernel:
         assert stats["swaps"] + stats["n2x2"] > 0
 
     def test_forced_2x2_pivot(self):
-        be = get_backend("numpy")
+        be = KERNELS
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         packed, perm, d21, stats = be.ldlt_pivot(a)
         assert stats["n2x2"] == 1
@@ -87,7 +87,7 @@ class TestPivotKernel:
         np.testing.assert_allclose(rec, a[np.ix_(perm, perm)], atol=1e-14)
 
     def test_hermitian_reconstruction(self, rng):
-        be = get_backend("numpy")
+        be = KERNELS
         m = (rng.standard_normal((6, 6))
              + 1j * rng.standard_normal((6, 6)))
         a = m + m.conj().T
@@ -106,27 +106,27 @@ class TestPivotKernel:
         a[0, 0] = 0.0
         poisoned = np.array(a)
         poisoned[np.triu_indices(6, 1)] = 777.0
-        be = get_backend("numpy")
+        be = KERNELS
         ref = be.ldlt_pivot(a)
         got = be.ldlt_pivot(poisoned)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
 
     def test_zero_matrix_raises_pivot_failure(self):
-        be = get_backend("numpy")
+        be = KERNELS
         with pytest.raises(PivotError) as ei:
             be.ldlt_pivot(np.zeros((3, 3)))
         assert ei.value.kind == "pivot-failure"
 
     def test_fallback_perturbs_instead(self):
-        be = get_backend("numpy")
+        be = KERNELS
         packed, perm, d21, stats = be.ldlt_pivot(np.zeros((3, 3)),
                                                  fallback=True)
         assert stats["perturbed"] == 3
         assert np.all(np.diag(packed) != 0.0)
 
     def test_growth_limit_enforced(self):
-        be = get_backend("numpy")
+        be = KERNELS
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(PivotError) as ei:
             be.ldlt_pivot(a, growth_limit=1.0)
@@ -136,7 +136,7 @@ class TestPivotKernel:
         assert stats["growth"] > 1.0
 
     def test_per_op_counter(self):
-        be = get_backend("numpy")
+        be = KERNELS
         before = be.counts_snapshot()
         be.ldlt_pivot(np.eye(3))
         assert be.counts_delta(before)["ldlt_pivot"] == 1
@@ -451,7 +451,7 @@ class TestPivotTelemetryAndReport:
         assert total("pivots_2x2") == s.factor.pivots_2x2
         growth = snap["gauges"]["pivot_growth"]
         assert max(g["max"] for g in growth) >= 1.0
-        events = [e for e in tele.ring.events()
+        events = [e for e in tele.events()
                   if e.get("kind") == "pivoting"]
         assert events  # at least one pivoted supernode reported
 

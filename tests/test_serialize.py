@@ -138,7 +138,7 @@ class TestArchivesOutliveConfigFields:
     anything else unknown is still rejected, by name."""
 
     RETIRED = dict(accumulate_updates=True, trace=False,
-                   scheduler="static", adaptive=None)
+                   scheduler="static", adaptive=None, backend=None)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -169,6 +169,28 @@ class TestArchivesOutliveConfigFields:
         resumed = Solver(a, self.cfg())
         resumed.resume_from(ckpt)
         assert factor_digest(resumed.factor) == factor_digest(clean.factor)
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_stored_backend_loads_and_resumes(self, tmp_path, rng, backend):
+        """Archives written while ``backend`` was a knob store it as null
+        or as the name of the one kernel implementation left."""
+        a = laplacian_3d(6)
+        s, *_, path = roundtrip(a, self.cfg(), tmp_path, rng)
+        edit_header(path, "header.json",
+                    lambda h: h["config"].update(backend=backend))
+        assert factor_digest(Solver.load_factor(a, path).factor) == \
+            factor_digest(s.factor)
+        partial = Solver(a, self.cfg())
+        inj = FaultInjector()
+        inj.fail_factor(partial.analyze().ncblk // 2)
+        ckpt = tmp_path / "partial.ckpt"
+        with pytest.raises(FaultError):
+            partial.factorize(faults=inj, checkpoint=ckpt)
+        edit_header(ckpt, "checkpoint.json",
+                    lambda h: h["config"].update(backend=backend))
+        resumed = Solver(a, self.cfg())
+        resumed.resume_from(ckpt)
+        assert factor_digest(resumed.factor) == factor_digest(s.factor)
 
     def test_unknown_field_rejected_by_name(self, tmp_path, rng):
         a = laplacian_3d(4)

@@ -188,7 +188,7 @@ class TestProfilerUnit:
         with prof.span("factorize", strategy="just-in-time"):
             with prof.span("factor", cblk=0):  # nested: no event
                 pass
-        names = [e["name"] for e in tele.ring.events()
+        names = [e["name"] for e in tele.events()
                  if e["kind"] == "span"]
         assert names == ["factorize"]
 

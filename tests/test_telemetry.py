@@ -1,15 +1,12 @@
-"""Tests for the unified telemetry bus (repro.runtime.telemetry).
+"""Tests for the unified telemetry store (repro.runtime.telemetry).
 
-Covers the metric primitives (counters, gauges, histograms and their
-Prometheus exposition round-trip), the event sinks (ring buffer, JSONL
-round-trip, summary), the bounded series decimation, thread-safety of
+Covers the metric primitives (counters, gauges, histograms), the bounded
+event log, the bounded series decimation, thread-safety of
 shared counters under real threaded factorizations, and the two
 disabled-path guarantees: zero telemetry calls and a bounded overhead
 when ``SolverConfig.telemetry`` is ``None``.
 """
 
-import io
-import json
 import threading
 import time
 
@@ -22,12 +19,8 @@ from repro.runtime.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    JSONLSink,
-    RingBufferSink,
     SeriesBuffer,
-    SummarySink,
     Telemetry,
-    parse_prometheus_text,
 )
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
@@ -65,7 +58,7 @@ class TestMetrics:
         assert h.mean() == pytest.approx(55.5 / 3)
 
     def test_registry_labels_and_kind_mismatch(self):
-        tele = Telemetry(ring_capacity=None)
+        tele = Telemetry()
         a = tele.counter("blocks", kernel="rrqr")
         b = tele.counter("blocks", kernel="svd")
         assert a is not b
@@ -75,7 +68,7 @@ class TestMetrics:
 
     def test_counter_thread_safety(self):
         """N threads x M increments must land exactly N*M (no lost updates)."""
-        tele = Telemetry(ring_capacity=None)
+        tele = Telemetry()
         c = tele.counter("shared")
         nthreads, reps = 8, 5000
 
@@ -93,62 +86,20 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# sinks
+# event log
 # ----------------------------------------------------------------------
 
-class TestSinks:
-    def test_ring_buffer_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(0)
-
-    def test_ring_buffer_keeps_last_and_counts_drops(self):
-        tele = Telemetry(ring_capacity=4)
+class TestEventLog:
+    def test_keeps_last_and_counts_every_event(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.telemetry.EVENT_LOG_CAPACITY", 4)
+        tele = Telemetry()
         for i in range(10):
             tele.emit("tick", i=i)
-        events = tele.ring.events()
+        events = tele.events()
         assert [e["i"] for e in events] == [6, 7, 8, 9]
-        assert tele.ring.dropped == 6
+        assert all(e["kind"] == "tick" and isinstance(e["t"], float)
+                   for e in events)
         assert tele.events_emitted == 10
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        tele = Telemetry(ring_capacity=None)
-        sink = tele.add_sink(JSONLSink(path))
-        tele.emit("compress", rank=5, kernel="rrqr")
-        tele.emit("recompress", rank_before=5, rank_after=7)
-        tele.close()
-        events = JSONLSink.read(path)
-        assert sink.written == 2
-        assert [e["kind"] for e in events] == ["compress", "recompress"]
-        assert events[0]["rank"] == 5
-        assert events[1]["rank_after"] == 7
-        assert all(isinstance(e["t"], float) for e in events)
-
-    def test_jsonl_accepts_file_object(self):
-        buf = io.StringIO()
-        tele = Telemetry(sinks=[JSONLSink(buf)], ring_capacity=None)
-        tele.emit("x", a=1)
-        tele.close()
-        assert json.loads(buf.getvalue())["a"] == 1
-
-    def test_summary_sink_aggregates(self):
-        tele = Telemetry(ring_capacity=None)
-        summ = tele.add_sink(SummarySink())
-        tele.emit("a")
-        tele.emit("a")
-        tele.emit("b")
-        s = summ.summary()
-        assert s["counts"] == {"a": 2, "b": 1}
-        assert s["total"] == 3
-        assert s["first_t"] <= s["last_t"]
-
-    def test_remove_sink_stops_delivery(self):
-        tele = Telemetry(ring_capacity=None)
-        summ = tele.add_sink(SummarySink())
-        tele.emit("a")
-        tele.remove_sink(summ)
-        tele.emit("a")
-        assert summ.summary()["total"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -173,40 +124,6 @@ class TestSeriesBuffer:
         for i in range(10):
             s.append(float(i), rank=i)
         assert [p["rank"] for p in s.points()] == list(range(10))
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition
-# ----------------------------------------------------------------------
-
-class TestPrometheus:
-    def test_counter_gauge_round_trip(self):
-        tele = Telemetry(ring_capacity=None)
-        tele.counter("compress_blocks", kernel="rrqr").inc(3)
-        tele.counter("compress_blocks", kernel="svd").inc()
-        tele.gauge("queue_depth").set_value(7)
-        parsed = parse_prometheus_text(tele.prometheus_text())
-        assert parsed["types"]["compress_blocks_total"] == "counter"
-        assert parsed["types"]["queue_depth"] == "gauge"
-        samples = parsed["samples"]
-        assert samples[("compress_blocks_total",
-                        (("kernel", "rrqr"),))] == 3.0
-        assert samples[("compress_blocks_total",
-                        (("kernel", "svd"),))] == 1.0
-        assert samples[("queue_depth", ())] == 7.0
-
-    def test_histogram_cumulative_buckets(self):
-        tele = Telemetry(ring_capacity=None)
-        h = tele.histogram("ratio", buckets=(0.5, 1.0))
-        for v in (0.1, 0.7, 2.0):
-            h.observe(v)
-        parsed = parse_prometheus_text(tele.prometheus_text())
-        samples = parsed["samples"]
-        assert samples[("ratio_bucket", (("le", "0.5"),))] == 1.0
-        assert samples[("ratio_bucket", (("le", "1"),))] == 2.0
-        assert samples[("ratio_bucket", (("le", "+Inf"),))] == 3.0
-        assert samples[("ratio_count", ())] == 3.0
-        assert samples[("ratio_sum", ())] == pytest.approx(2.8)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +181,7 @@ class TestSolverIntegration:
         assert res.residual_history == res.history
         pts = tele.snapshot()["series"]["refinement_residual"]
         assert [p["residual"] for p in pts] == res.residual_history
-        events = [e for e in tele.ring.events()
+        events = [e for e in tele.events()
                   if e["kind"] == "refinement"]
         assert len(events) == 1
         assert events[0]["residual_history"] == res.residual_history
@@ -344,98 +261,3 @@ class TestDisabledPath:
         assert s2.config.telemetry is None
         b = np.ones(a.n)
         np.testing.assert_allclose(s2.solve(b), s.solve(b), rtol=1e-10)
-
-
-# ----------------------------------------------------------------------
-# JSONL rotation (bounded sinks for long-running services)
-# ----------------------------------------------------------------------
-
-class TestJSONLRotation:
-    def test_max_bytes_validated(self):
-        with pytest.raises(ValueError):
-            JSONLSink(io.StringIO(), max_bytes=100)
-
-    def test_unbounded_by_default(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JSONLSink(path)
-        assert sink.max_bytes is None
-        for i in range(500):
-            sink.handle({"kind": "tick", "i": i})
-        sink.close()
-        assert len(JSONLSink.read(path)) == 500
-        assert sink.rotations == 0 and sink.dropped == 0
-
-    def test_rotation_keeps_last_events(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JSONLSink(path, max_bytes=2048)
-        for i in range(1000):
-            sink.handle({"kind": "tick", "i": i})
-        sink.close()
-        assert path.stat().st_size <= 2048
-        events = JSONLSink.read(path)
-        # keep-last semantics: the retained suffix is contiguous and
-        # ends with the final event
-        kept = [e["i"] for e in events]
-        assert kept == list(range(1000 - len(kept), 1000))
-        assert sink.rotations >= 1
-        assert sink.dropped == 1000 - len(kept)
-
-    def test_rotated_file_is_valid_jsonl(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        tele = Telemetry(ring_capacity=None)
-        tele.add_sink(JSONLSink(path, max_bytes=1024))
-        for i in range(300):
-            tele.emit("tick", i=i, payload="x" * 20)
-        tele.close()
-        for line in path.read_text().splitlines():
-            json.loads(line)
-
-    def test_non_seekable_target_disables_bound(self):
-        class Pipe(io.StringIO):
-            def seekable(self):
-                return False
-
-        sink = JSONLSink(Pipe(), max_bytes=1024)
-        for i in range(200):
-            sink.handle({"kind": "tick", "i": i, "pad": "y" * 30})
-        assert sink.max_bytes is None
-        assert sink.rotations == 0 and sink.dropped == 0
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition edge cases
-# ----------------------------------------------------------------------
-
-class TestPrometheusEdgeCases:
-    def test_escaped_label_values_round_trip(self):
-        tele = Telemetry(ring_capacity=None)
-        tricky = 'back\\slash "quoted"\nnewline'
-        tele.counter("events", source=tricky).inc(2)
-        text = tele.prometheus_text()
-        assert '\\\\' in text and '\\"' in text and '\\n' in text
-        samples = parse_prometheus_text(text)["samples"]
-        assert samples[("events_total", (("source", tricky),))] == 2.0
-
-    def test_label_value_with_braces_and_commas(self):
-        tele = Telemetry(ring_capacity=None)
-        tele.counter("events", expr='{a="1",b="2"}').inc()
-        samples = parse_prometheus_text(tele.prometheus_text())["samples"]
-        assert samples[("events_total",
-                        (("expr", '{a="1",b="2"}'),))] == 1.0
-
-    def test_nan_and_infinities_parse(self):
-        tele = Telemetry(ring_capacity=None)
-        tele.gauge("nan_gauge").set_value(float("nan"))
-        tele.gauge("pos_inf").set_value(float("inf"))
-        tele.gauge("neg_inf").set_value(float("-inf"))
-        samples = parse_prometheus_text(tele.prometheus_text())["samples"]
-        assert np.isnan(samples[("nan_gauge", ())])
-        assert samples[("pos_inf", ())] == float("inf")
-        assert samples[("neg_inf", ())] == float("-inf")
-
-    def test_empty_label_family(self):
-        tele = Telemetry(ring_capacity=None)
-        tele.counter("plain").inc(4)
-        parsed = parse_prometheus_text(tele.prometheus_text())
-        assert parsed["samples"][("plain_total", ())] == 4.0
-        assert parsed["types"]["plain_total"] == "counter"

@@ -144,8 +144,7 @@ class TestAliasBitIdentity:
 
     def _digest(self, **overrides):
         s = Solver(laplacian_3d(6),
-                   tiny_blr_config(tolerance=1e-8, backend="numpy",
-                                   **overrides))
+                   tiny_blr_config(tolerance=1e-8, **overrides))
         s.factorize()
         return factor_digest(s.factor)
 
@@ -174,7 +173,7 @@ class TestNothingCompressedIsTheDenseFactorization:
 
     def _factor(self, faults=None, **overrides):
         s = Solver(laplacian_3d(6), tiny_blr_config(
-            tolerance=1e-8, backend="numpy", **overrides))
+            tolerance=1e-8, **overrides))
         s.factorize(faults=faults)
         return s.factor
 
@@ -446,10 +445,16 @@ def _import_from(module, name):
     exec(f"from {module} import {name}", {})
 
 
-def _cli_solve_adaptive():
+def _cli(*argv):
     from repro.cli import main
 
-    main(["solve", "--generate", "lap3d:4", "--strategy", "adaptive"])
+    main(list(argv))
+
+
+def _telemetry_with_sinks():
+    from repro.runtime.telemetry import Telemetry
+
+    Telemetry(sinks=())
 
 
 @pytest.mark.parametrize("probe,error", [
@@ -466,14 +471,31 @@ def _cli_solve_adaptive():
     pytest.param(lambda: _import_from("repro.ordering",
                                       "reverse_cuthill_mckee"),
                  ImportError, id="import-rcm"),
-    pytest.param(_cli_solve_adaptive, SystemExit, id="cli-strategy-adaptive"),
+    pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
+                              "--strategy", "adaptive"),
+                 SystemExit, id="cli-strategy-adaptive"),
+    pytest.param(lambda: SolverConfig(backend="numpy"), TypeError,
+                 id="field-backend"),
+    *[pytest.param(lambda name=name: _import_from("repro", name),
+                   ImportError, id=f"import-{name}")
+      for name in ("KernelBackend", "register_backend",
+                   "available_backends")],
+    pytest.param(lambda: _cli("backends"), SystemExit, id="cli-backends"),
+    pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
+                              "--backend", "numpy"),
+                 SystemExit, id="cli-solve-backend"),
+    *[pytest.param(lambda name=name: _import_from("repro.runtime", name),
+                   ImportError, id=f"import-{name}")
+      for name in ("JSONLSink", "RingBufferSink", "SummarySink",
+                   "parse_prometheus_text")],
+    pytest.param(_telemetry_with_sinks, TypeError, id="telemetry-sinks"),
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 32
+    assert len(fields(SolverConfig)) == 31
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,19 @@
-"""``backend-bypass`` — all hot-path numerics go through the KernelBackend.
+"""``backend-bypass`` — all hot-path numerics go through the kernel module.
 
-PR 6 routed every GEMM/TRSM/GETRF of the factorization through the
-:class:`repro.core.backend.KernelBackend` protocol so backends can be
-swapped, counted and conformance-tested; a direct ``np.linalg`` /
-``np.dot`` / ``scipy`` call inside ``core/`` or ``lowrank/`` silently
-bypasses that accounting and pins the code to one implementation (the
-JOREK MUMPS/PaStiX study shows how unnoticed dense fallbacks erode BLR's
-wins at scale).  This rule flags direct numeric *calls* — references such
-as ``except np.linalg.LinAlgError`` are fine — outside the sanctioned
-numeric surface:
+Every GEMM/TRSM/GETRF of the factorization runs through the kernel module
+in ``core/backend.py`` (:data:`repro.core.backend.KERNELS`), so it is
+counted and conformance-tested; a direct ``np.linalg`` / ``np.dot`` /
+``scipy`` call inside ``core/`` or ``lowrank/`` silently bypasses that
+accounting (the JOREK MUMPS/PaStiX study shows how unnoticed dense
+fallbacks erode BLR's wins at scale).  This rule flags direct numeric
+*calls* — references such as ``except np.linalg.LinAlgError`` are fine —
+outside the sanctioned numeric surface:
 
-* ``backend.py`` and ``dense_kernels.py`` (the protocol and its reference
-  implementation) and the decomposition kernels that *are* the
-  compression backend (``rrqr.py``, ``svd.py``, ``recompress.py``) —
-  these wrap LAPACK directly by design;
+* ``backend.py`` (the kernel module) and the decomposition kernels that
+  *are* the compression backend (``rrqr.py``, ``svd.py``,
+  ``recompress.py``) — these wrap LAPACK directly by design;
 * ``refinement.py`` — iterative refinement operates on full-length
-  vectors, not blocks, outside the blocked-kernel protocol;
+  vectors, not blocks, outside the blocked kernel module;
 * **declared cold paths**: any enclosing function whose docstring
   mentions ``cold path`` or ``diagnostic`` (case-insensitive), mirroring
   the conjugation rule's declared-adjoint surface — one-shot diagnostics
@@ -80,7 +78,7 @@ def _cold_path_declared(fn_stack: List[FunctionNode]) -> bool:
 
 @register
 class BackendBypassRule(Rule):
-    """Direct numeric calls must route through the KernelBackend."""
+    """Direct numeric calls must route through the kernel module."""
 
     name = "backend-bypass"
     description = (
@@ -89,12 +87,12 @@ class BackendBypassRule(Rule):
         "mentions 'cold path' or 'diagnostic')")
     invariant = (
         "every hot-path GEMM/TRSM/factorization kernel routes through the "
-        "KernelBackend protocol, so backend accounting, conformance tests "
-        "and backend swaps see all the flops")
+        "kernel module in core/backend.py, so its call accounting and "
+        "conformance tests see all the flops")
     scope_dirs = ("core", "lowrank")
     scope_exclude = (
-        "backend.py", "dense_kernels.py", "rrqr.py", "svd.py",
-        "recompress.py", "refinement.py",
+        "backend.py", "rrqr.py", "svd.py", "recompress.py",
+        "refinement.py",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
@@ -112,9 +110,9 @@ class BackendBypassRule(Rule):
                     if dotted is not None and not _cold_path_declared(stack):
                         yield (child.lineno, child.col_offset,
                                f"direct numeric call {dotted}() bypasses "
-                               f"the KernelBackend protocol; route it "
-                               f"through fac.backend / get_backend() or "
-                               f"declare the function a cold path")
+                               f"the kernel module in core/backend.py; "
+                               f"route it through fac.backend or declare "
+                               f"the function a cold path")
                 yield from visit(child)
 
         yield from visit(ctx.tree)
