@@ -27,10 +27,11 @@ design:
   ride in the panel.  BLAS gemm/trsm do *not* have this property (their
   blocking changes the summation pattern with the panel width), so the
   solve phase would give different bits for ``solve(B)`` versus
-  ``solve(B[:, j])``.  Stability comes from per-column BLAS gemv calls
-  (each column reduced independently, whatever the width) plus row-sweep
-  triangular substitution.  This is what makes blocked multi-RHS solves
-  equal column-by-column solves bit-for-bit for float64.
+  ``solve(B[:, j])``.  Stability comes from one call per column: a BLAS
+  gemv per column for the products, a LAPACK ``trtrs`` per column for the
+  triangular solves (the routine ``trsm`` is bound to), so no column's
+  bits can depend on its neighbours.  This is what makes blocked multi-RHS
+  solves equal column-by-column solves bit-for-bit for float64.
 
 See ``docs/performance.md`` for both contracts in full.
 """
@@ -391,7 +392,7 @@ def _ldlt_pivot(a: np.ndarray, u: float = 0.1,
 
 
 # ----------------------------------------------------------------------
-# column-stable panel kernels (numpy reference)
+# column-stable panel products
 # ----------------------------------------------------------------------
 
 def _stable_gemm(a: np.ndarray, x: np.ndarray,
@@ -421,42 +422,14 @@ def _stable_gemm(a: np.ndarray, x: np.ndarray,
     return out.conj() if trans == "C" else out
 
 
-def _sweep_lower(m: np.ndarray, x: np.ndarray, unit: bool) -> None:
-    """Forward substitution ``m x = b`` (lower triangle of ``m``), in
-    place on the ``(n, k)`` panel ``x``.
-
-    Row ``j`` is finished, then broadcast-eliminated from the remaining
-    rows: every operation is an element-wise broadcast over the ``k``
-    columns, so column ``j`` of the result is bit-identical whether it is
-    solved alone or inside a wider panel.
-    """
-    n = m.shape[0]
-    for j in range(n):
-        if not unit:
-            # solverlint: ignore[python-hot-loop] -- row-sweep substitution: each step is a vectorized broadcast over all k RHS columns; the row order is a data dependence, and the sweep (unlike BLAS trsm) keeps columns bit-independent of the panel width
-            x[j] = x[j] / m[j, j]
-        if j + 1 < n:
-            x[j + 1:] -= m[j + 1:, j][:, None] * x[j][None, :]
-
-
-def _sweep_upper(m: np.ndarray, x: np.ndarray, unit: bool) -> None:
-    """Backward substitution ``m x = b`` (upper triangle of ``m``)."""
-    n = m.shape[0]
-    for j in range(n - 1, -1, -1):
-        if not unit:
-            # solverlint: ignore[python-hot-loop] -- row-sweep substitution (see _sweep_lower): vectorized over RHS columns, sequential over rows by data dependence
-            x[j] = x[j] / m[j, j]
-        if j:
-            x[:j] -= m[:j, j][:, None] * x[j][None, :]
-
-
 # ----------------------------------------------------------------------
 # the kernels
 # ----------------------------------------------------------------------
 
 class Kernels:
     """BLAS/LAPACK (via numpy/scipy) for the factorization kernels,
-    per-column gemv + row sweeps for the column-stable panel kernels.
+    one gemv / ``trtrs`` per right-hand-side column for the column-stable
+    panel kernels.
 
     Call counts are tallied per operation in :attr:`counts` (best-effort
     under threads: increments are not locked) and surface as telemetry
@@ -564,25 +537,27 @@ class Kernels:
                    lower: bool = True, trans: str = "N",
                    unit_diagonal: bool = False) -> np.ndarray:
         """Column-stable triangular panel solve ``op(a) X = b``;
-        ``trans='C'`` sweeps against the Hermitian adjoint ``aᴴ``.
+        ``trans='C'`` solves against the Hermitian adjoint ``aᴴ``.
 
-        Only the requested triangle of ``a`` is read, so LAPACK-packed
-        diagonal blocks (L and U sharing storage) can be passed directly.
-        Returns a fresh array; ``b`` is never modified.
+        Every right-hand-side column is its own LAPACK ``trtrs`` call, so
+        column ``j`` of the result is ``_solve_triangular(a, b[:, j:j+1],
+        …)`` bit for bit, whatever the panel width.  ``a`` is converted to
+        the routine's dtype and laid out as ``trtrs`` reads it once per
+        call, not once per column.  Only the requested triangle of ``a`` is
+        read, so LAPACK-packed diagonal blocks (L and U sharing storage) can
+        be passed directly.  Returns a fresh array; ``b`` is never modified.
         """
         self._tick("panel_trsm")
-        if trans == "T":
-            m, eff_lower = a.T, not lower
-        elif trans == "C":
-            m, eff_lower = a.conj().T, not lower
-        else:
-            m, eff_lower = a, lower
-        x = np.array(b, dtype=np.result_type(a, b), copy=True, order="C")
-        if x.shape[1]:
-            if eff_lower:
-                _sweep_lower(m, x, unit_diagonal)
-            else:
-                _sweep_upper(m, x, unit_diagonal)
+        dtype = _trtrs(a.dtype, b.dtype).dtype
+        a = a.astype(dtype, copy=False)
+        if trans == "C":  # read as is only from Fortran order
+            a = np.asfortranarray(a)
+        elif not (a.flags.c_contiguous or a.flags.f_contiguous):
+            a = np.ascontiguousarray(a)
+        x = np.empty(b.shape, dtype=dtype)
+        for j in range(b.shape[1]):
+            x[:, j:j + 1] = _solve_triangular(a, b[:, j:j + 1], trans, lower,
+                                              unit_diagonal)
         return x
 
     def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,

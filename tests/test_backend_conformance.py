@@ -16,11 +16,13 @@ relies on:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.core.backend import KERNELS
+from repro.core.backend import KERNELS, _solve_triangular
 from repro.core.solver import Solver
 from repro.sparse.generators import laplacian_3d
 from tests.conftest import tiny_blr_config
@@ -345,13 +347,43 @@ class TestColumnStability:
     result, bit for bit, at every panel width."""
 
     def test_panel_trsm_width_invariant(self, be, dtype, rng):
-        n, k = 12, 7
-        a = _tri(rng, n, dtype, lower=True, unit=False)
-        b = _rand(rng, (n, k), dtype)
-        full = be.panel_trsm(a, b, lower=True)
-        for j in range(k):
-            single = be.panel_trsm(a, b[:, j:j + 1], lower=True)
-            np.testing.assert_array_equal(full[:, j:j + 1], single)
+        """Column j of a panel solve is the single-column ``trtrs`` solve,
+        bit for bit: every triangle, transpose, diagonal and memory order
+        of a packed ``a`` (the other triangle holds garbage), and k = 0."""
+        n = 12
+        for lower, trans, unit, order in itertools.product(
+                (True, False), "NTC", (True, False), "CF"):
+            a = _tri(rng, n, dtype, lower, unit)
+            a = a + (np.triu(a.T + 3, 1) if lower else np.tril(a.T + 3, -1))
+            a = np.array(a, order=order)
+            kw = dict(lower=lower, trans=trans, unit_diagonal=unit)
+            b = _rand(rng, (n, 7), dtype)
+            full = be.panel_trsm(a, b, **kw)
+            assert full.dtype == dtype and full.shape == b.shape
+            for j in range(7):
+                col = _solve_triangular(a, b[:, j:j + 1], trans, lower, unit)
+                np.testing.assert_array_equal(full[:, j:j + 1], col)
+                np.testing.assert_array_equal(
+                    be.panel_trsm(a, b[:, j:j + 1], **kw), col)
+            empty = be.panel_trsm(a, b[:, :0], **kw)
+            assert empty.shape == (n, 0) and empty.dtype == dtype
+
+    def test_panel_trsm_mixed_dtypes(self, be, dtype, rng):
+        """Float32 storage against a float64 panel and the reverse: ``a``
+        is converted once per call, to the same bits ``trtrs`` would
+        convert it to per column."""
+        other = {"f": np.float64, "c": np.complex128}[np.dtype(dtype).kind]
+        if np.dtype(dtype).itemsize == np.dtype(other).itemsize:
+            other = {"f": np.float32, "c": np.complex64}[np.dtype(dtype).kind]
+        for trans, order in itertools.product("NTC", "CF"):
+            a = np.array(_tri(rng, 9, other, True, False), order=order)
+            b = _rand(rng, (9, 4), dtype)
+            full = be.panel_trsm(a, b, lower=True, trans=trans)
+            assert full.dtype == np.result_type(a, b)
+            for j in range(4):
+                np.testing.assert_array_equal(
+                    full[:, j:j + 1],
+                    _solve_triangular(a, b[:, j:j + 1], trans, True))
 
     def test_panel_gemm_width_invariant(self, be, dtype, rng):
         a = _rand(rng, (9, 6), dtype)

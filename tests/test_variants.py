@@ -489,6 +489,9 @@ def _telemetry_with_sinks():
       for name in ("JSONLSink", "RingBufferSink", "SummarySink",
                    "parse_prometheus_text")],
     pytest.param(_telemetry_with_sinks, TypeError, id="telemetry-sinks"),
+    *[pytest.param(lambda name=name: _import_from("repro.core.backend", name),
+                   ImportError, id=f"import-{name}")
+      for name in ("_sweep_lower", "_sweep_upper")],
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
