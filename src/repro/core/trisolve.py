@@ -13,39 +13,46 @@ Conventions (matching :mod:`repro.core.factorization`):
   LAPACK-style; off-diagonal U is stored transposed (Uᵗ blocks shaped like
   L blocks).
 * Cholesky: ``P A Pᵗ = L Lᵗ`` with the lower factor in the diagonal blocks.
+* LDLᵗ: unit-lower L with D on the diagonal of the diagonal blocks.
+
+Every factorization solves with one forward and one backward block sweep
+(:func:`_forward`, :func:`_backward`); the table ``_SWEEPS``, keyed by
+factotype and transpose, says which factor side each sweep applies and
+how it solves the diagonal blocks, and an LDLᵗ solve scales by ``D⁻¹``
+between the two.
 
 Right-hand sides may be a vector ``(n,)`` or a panel ``(n, k)`` — including
 ``k = 0``.  The whole solve runs on the *column-stable* panel kernels of the
 kernel module :mod:`repro.core.backend` (``panel_trsm`` /
-``panel_gemm`` / ``lr_apply``): column ``j`` of the result depends only on
-column ``j`` of ``b``, bit-for-bit, so a blocked ``(n, k)`` solve equals
-``k`` single-RHS solves exactly (for identical dtypes).  BLAS gemm/trsm do
-not have that property — their internal blocking changes the summation
-order with the panel width — which is why the solve phase deliberately
-avoids them.  The diagonal blocks are passed packed: the panel kernels read
-only the requested triangle, so no ``np.triu`` copies are taken.
+``panel_gemm`` / ``lr_apply``): each right-hand-side column is its own gemv
+or ``trtrs`` call, so column ``j`` of the result depends only on column
+``j`` of ``b``, bit-for-bit, and a blocked ``(n, k)`` solve equals ``k``
+single-RHS solves exactly (for identical dtypes).  BLAS-3 gemm/trsm over the
+whole panel do not have that property — their internal blocking changes the
+summation order with the panel width.  The diagonal blocks are passed
+packed: the panel kernels read only the requested triangle, so no
+``np.triu`` copies are taken.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from repro.core.factor import Block, NumericColumnBlock, NumericFactor
+from repro.core.factor import NumericColumnBlock, NumericFactor
 from repro.core.factorization import ldlt_d_solve_rows
 from repro.lowrank.block import LowRankBlock
 
 
-def _apply_below(fac: NumericFactor, nc: NumericColumnBlock,
-                 panel: Optional[np.ndarray],
-                 blocks: Optional[List[Block]], x: np.ndarray) -> None:
-    """``x[rows below] -= A(1:bk),k · x[k's columns]`` — the forward step
-    of one column block.  A panel is one stacked column-stable product
-    scattered through the column block's row frame; in blocks mode every
-    dense block applies as a panel of its own and every low-rank block as
-    ``u (vᵗ x)``."""
+def _apply_below(fac: NumericFactor, nc: NumericColumnBlock, side: str,
+                 x: np.ndarray) -> None:
+    """``x[rows below] -= A(1:bk),k · x[k's columns]`` with the off-diagonal
+    blocks of ``side`` (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks)
+    — the forward step of one column block.  A panel is one stacked
+    column-stable product scattered through the column block's row frame;
+    in blocks mode every dense block applies as a panel of its own and
+    every low-rank block as ``u (vᵗ x)``."""
     be = fac.backend
+    panel, blocks = getattr(nc, side + "panel"), getattr(nc, side + "blocks")
     x_cols = x[nc.sym.first_col:nc.sym.end_col]
     if panel is not None:
         x[fac.symb.off_rows[nc.sym.id]] -= be.panel_gemm(panel, x_cols)
@@ -57,16 +64,15 @@ def _apply_below(fac: NumericFactor, nc: NumericColumnBlock,
             x[b.first_row:b.end_row] -= be.panel_gemm(block, x_cols)
 
 
-def _apply_below_t(fac: NumericFactor, nc: NumericColumnBlock,
-                   panel: Optional[np.ndarray],
-                   blocks: Optional[List[Block]], x: np.ndarray,
-                   trans: str = "T") -> np.ndarray:
+def _apply_below_t(fac: NumericFactor, nc: NumericColumnBlock, side: str,
+                   x: np.ndarray, trans: str) -> np.ndarray:
     """``x[k's columns] -= op(A(1:bk),k) · x[rows below]`` with ``op`` the
-    transpose (``trans='T'``, the LU paths) or the adjoint (``'C'``, the
-    symmetric backward passes; the same bits for real factors) — the
-    backward step of one column block, returning the updated view.  The
-    transposed product reads the stored panel / block in place."""
+    transpose (``trans='T'``) or the adjoint (``'C'``) of the blocks of
+    ``side`` — the backward step of one column block, returning the
+    updated view.  The transposed product reads the stored panel / block
+    in place."""
     be = fac.backend
+    panel, blocks = getattr(nc, side + "panel"), getattr(nc, side + "blocks")
     acc = x[nc.sym.first_col:nc.sym.end_col]
     if panel is not None:
         acc -= be.panel_gemm(panel, x[fac.symb.off_rows[nc.sym.id]], trans)
@@ -79,6 +85,24 @@ def _apply_below_t(fac: NumericFactor, nc: NumericColumnBlock,
         else:
             acc -= be.panel_gemm(block, x_rows, trans)
     return acc
+
+
+#: ``(factotype, transposed)`` → the arguments of the forward sweep
+#: (``side``, and the diagonal solve's ``lower`` / ``trans`` /
+#: ``unit_diagonal``) and of the backward sweep (``side``, the transpose
+#: its blocks apply with, and the diagonal solve's three).  ``"C"`` is the
+#: adjoint of a Hermitian factor and the transpose of a real one.
+_SWEEPS = {
+    # L y = b ; U x = y, off-diagonal U through the stored Uᵗ blocks
+    ("lu", False): (("l", True, "N", True), ("u", "T", False, "N", False)),
+    # Uᵗ z = b, the Uᵗ blocks applied untransposed ; Lᵗ x = z
+    ("lu", True): (("u", False, "T", False), ("l", "T", True, "T", True)),
+    # L y = b ; Lᴴ x = y
+    ("cholesky", False): (("l", True, "N", False),
+                          ("l", "C", True, "C", False)),
+    # L z = b ; y = D⁻¹ z between the sweeps ; Lᴴ x = y, L unit-lower
+    ("ldlt", False): (("l", True, "N", True), ("l", "C", True, "C", True)),
+}
 
 
 def solve_factored(fac: NumericFactor, b: np.ndarray,
@@ -108,82 +132,39 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
     single = x.ndim == 1
     if single:
         x = x[:, None]
+    factotype = fac.config.factotype
+    forward, backward = _SWEEPS[factotype, bool(trans) and factotype == "lu"]
     prof = fac.profiler
-    _sid = (prof.start("trisolve", factotype=fac.config.factotype,
+    _sid = (prof.start("trisolve", factotype=factotype,
                        nrhs=x.shape[1], trans=trans)
             if prof is not None else None)
     try:
-        if fac.config.factotype == "lu":
-            if trans:
-                _forward_ut(fac, x)
-                _backward_lt(fac, x)
-            else:
-                _forward_lu(fac, x)
-                _backward_lu(fac, x)
-        elif fac.config.factotype == "cholesky":
-            _forward_cholesky(fac, x)
-            _backward_cholesky(fac, x)
-        else:  # ldlt: L z = b ; y = D⁻¹ z ; Lᵗ x = y
-            _forward_ldlt(fac, x)
+        _forward(fac, x, *forward)
+        if factotype == "ldlt":
             _diag_scale_ldlt(fac, x)
-            _backward_ldlt(fac, x)
+        _backward(fac, x, *backward)
     finally:
         if prof is not None:
             prof.end(_sid)
     return x[:, 0] if single else x
 
 
-def _forward_lu(fac: NumericFactor, x: np.ndarray) -> None:
-    """``L y = b`` (unit-lower), overwriting ``x``."""
-    be = fac.backend
-    for nc in fac.cblks:
-        lo, hi = nc.sym.first_col, nc.sym.end_col
-        x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=True,
-                                 unit_diagonal=True)
-        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
-
-
-def _backward_lu(fac: NumericFactor, x: np.ndarray) -> None:
-    """``U x = y``; off-diagonal U applied via the stored Uᵗ blocks
-    (``U[k, (i)] = (Uᵗ(i),k)ᵗ``)."""
-    be = fac.backend
-    for nc in reversed(fac.cblks):
-        acc = _apply_below_t(fac, nc, nc.upanel, nc.ublocks, x)
-        acc[...] = be.panel_trsm(nc.diag, acc, lower=False)
-
-
-def _forward_cholesky(fac: NumericFactor, x: np.ndarray) -> None:
-    be = fac.backend
-    for nc in fac.cblks:
-        lo, hi = nc.sym.first_col, nc.sym.end_col
-        x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=True)
-        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
-
-
-def _backward_cholesky(fac: NumericFactor, x: np.ndarray) -> None:
-    """``Lᴴ x = y`` using the same L blocks adjoint-applied (``Lᵗ`` for
-    real factors)."""
-    be = fac.backend
-    trans = "C" if fac.dtype.kind == "c" else "T"
-    for nc in reversed(fac.cblks):
-        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x, trans)
-        acc[...] = be.panel_trsm(nc.diag, acc, lower=True, trans=trans)
-
-
-def _forward_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
-    """``L z = b`` with unit-lower L (D shares the diag storage).
+def _forward(fac: NumericFactor, x: np.ndarray, side: str, lower: bool,
+             trans: str, unit: bool) -> None:
+    """The forward block sweep, overwriting ``x``: per column block in
+    order, the diagonal solve, then the blocks of ``side`` applied below.
 
     Threshold-pivoted supernodes store the within-block permutation P on
     ``nc.pivperm``: their global diagonal L block is ``Pᵀ L00``, so the
-    forward step solves ``L00 z = P b`` — permute the local right-hand
-    side rows, then run the usual unit-lower solve."""
+    diagonal step solves ``L00 z = P b`` — the local right-hand-side rows
+    are permuted first."""
     be = fac.backend
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         rhs = x[lo:hi] if nc.pivperm is None else x[lo:hi][nc.pivperm]
-        x[lo:hi] = be.panel_trsm(nc.diag, rhs, lower=True,
-                                 unit_diagonal=True)
-        _apply_below(fac, nc, nc.lpanel, nc.lblocks, x)
+        x[lo:hi] = be.panel_trsm(nc.diag, rhs, lower=lower, trans=trans,
+                                 unit_diagonal=unit)
+        _apply_below(fac, nc, side, x)
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
@@ -204,38 +185,24 @@ def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
             x[lo:hi] = ldlt_d_solve_rows(x[lo:hi], d, nc.pivd21, hermitian)
 
 
-def _backward_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
-    """``Lᴴ x = y`` with the same unit-lower L blocks adjoint-applied.
+def _backward(fac: NumericFactor, x: np.ndarray, side: str,
+              apply_trans: str, lower: bool, trans: str,
+              unit: bool) -> None:
+    """The backward block sweep, overwriting ``x``: per column block in
+    reverse, the blocks of ``side`` applied transposed, then the diagonal
+    solve.
 
     Pivoted supernodes solve ``(Pᵀ L00)ᴴ x = y`` as ``L00ᴴ w = y`` with
-    ``w = P x`` — run the adjoint solve, then scatter the rows back
-    through the permutation (``x[p] = w``)."""
+    ``w = P x`` — the solution rows are scattered back through the
+    permutation (``x[p] = w``)."""
     be = fac.backend
-    trans = "C" if fac.dtype.kind == "c" else "T"
+    if trans == "C" and fac.dtype.kind != "c":
+        apply_trans = trans = "T"
     for nc in reversed(fac.cblks):
-        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x, trans)
-        sol = be.panel_trsm(nc.diag, acc, lower=True, trans=trans,
-                            unit_diagonal=True)
+        acc = _apply_below_t(fac, nc, side, x, apply_trans)
+        sol = be.panel_trsm(nc.diag, acc, lower=lower, trans=trans,
+                            unit_diagonal=unit)
         if nc.pivperm is None:
             acc[...] = sol
         else:
             acc[nc.pivperm] = sol
-
-
-def _forward_ut(fac: NumericFactor, x: np.ndarray) -> None:
-    """``Uᵗ z = b`` — Uᵗ is lower triangular and its off-diagonal blocks
-    are exactly the stored ``Uᵗ(i),k`` blocks, applied untransposed."""
-    be = fac.backend
-    for nc in fac.cblks:
-        lo, hi = nc.sym.first_col, nc.sym.end_col
-        x[lo:hi] = be.panel_trsm(nc.diag, x[lo:hi], lower=False, trans="T")
-        _apply_below(fac, nc, nc.upanel, nc.ublocks, x)
-
-
-def _backward_lt(fac: NumericFactor, x: np.ndarray) -> None:
-    """``Lᵗ x = z`` with the unit-lower L blocks applied transposed."""
-    be = fac.backend
-    for nc in reversed(fac.cblks):
-        acc = _apply_below_t(fac, nc, nc.lpanel, nc.lblocks, x)
-        acc[...] = be.panel_trsm(nc.diag, acc, lower=True, trans="T",
-                                 unit_diagonal=True)
