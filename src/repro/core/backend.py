@@ -24,14 +24,10 @@ design:
 * **Panel kernels** (``panel_gemm``/``panel_trsm``/``lr_apply``) are
   **column-stable**: column ``j`` of the result depends only on column
   ``j`` of the input, bit-for-bit, regardless of how many other columns
-  ride in the panel.  BLAS gemm/trsm do *not* have this property (their
-  blocking changes the summation pattern with the panel width), so the
-  solve phase would give different bits for ``solve(B)`` versus
-  ``solve(B[:, j])``.  Stability comes from one call per column: a BLAS
-  gemv per column for the products, a LAPACK ``trtrs`` per column for the
-  triangular solves (the routine ``trsm`` is bound to), so no column's
-  bits can depend on its neighbours.  This is what makes blocked multi-RHS
-  solves equal column-by-column solves bit-for-bit for float64.
+  ride in the panel: each column is its own BLAS gemv or LAPACK ``trtrs``
+  call.  One gemm/trsm over the panel would change its blocking, and so
+  its summation order, with the panel width; the column-wise calls are
+  what make blocked multi-RHS solves equal column-by-column solves.
 
 See ``docs/performance.md`` for both contracts in full.
 """
@@ -61,6 +57,41 @@ def _trtrs(a_dtype: np.dtype, b_dtype: np.dtype) -> Callable[..., Any]:
         (np.empty(0, dtype=a_dtype), np.empty(0, dtype=b_dtype)))[0]
 
 
+def _bind_trtrs(a: np.ndarray, b: np.ndarray, trans: str, lower: bool,
+                unit_diagonal: bool
+                ) -> Tuple[np.dtype, Callable[[np.ndarray, bool], np.ndarray]]:
+    """``(dtype, solve)``: ``trtrs`` for ``op(a) x = rhs`` bound once for
+    right-hand sides like ``b`` — shapes checked, routine looked up, ``a``
+    converted to its ``dtype`` and Fortran order here, not on every call.
+    ``solve(rhs, True)`` solves a contiguous ``rhs`` of ``dtype`` in place."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    trtrs = _trtrs(a.dtype, b.dtype)
+    a = np.asarray(a, dtype=trtrs.dtype)
+    t = "NTC".index(trans)
+    if t == 2:
+        a = np.asfortranarray(a)
+    elif not a.flags.f_contiguous:
+        # trtrs expects Fortran ordering: solve the transposed system
+        a, lower, t = a.T, not lower, int(not t)
+
+    def solve(rhs: np.ndarray, overwrite_b: bool) -> np.ndarray:
+        # positional: keywords cost the wrapper more than a small solve
+        x, info = trtrs(a, rhs, lower, t, unit_diagonal, a.shape[0],
+                        overwrite_b)
+        if info > 0:
+            raise LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
+        if info < 0:
+            raise ValueError(
+                f"illegal value in {-info}-th argument of internal trtrs")
+        return x
+    return trtrs.dtype, solve
+
+
 def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
                       lower: bool = False,
                       unit_diagonal: bool = False) -> np.ndarray:
@@ -68,28 +99,10 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
     without its per-call batching, validation and routine lookup: the same
     shape checks, the same ``trtrs`` call (so the same bits), the same
     empty right-hand side and the same errors."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected square matrix")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"shapes of a {a.shape} and b {b.shape} are incompatible")
-    trtrs = _trtrs(a.dtype, b.dtype)
+    dtype, solve = _bind_trtrs(a, b, trans, lower, unit_diagonal)
     if b.size == 0:
-        return np.empty_like(b, dtype=trtrs.dtype)
-    t = "NTC".index(trans)
-    if a.flags.f_contiguous or t == 2:
-        x, info = trtrs(a, b, lower=lower, trans=t, unitdiag=unit_diagonal)
-    else:
-        # trtrs expects Fortran ordering: solve the transposed system
-        x, info = trtrs(a.T, b, lower=not lower, trans=not t,
-                        unitdiag=unit_diagonal)
-    if info > 0:
-        raise LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(
-            f"illegal value in {-info}-th argument of internal trtrs")
-    return x
+        return np.empty_like(b, dtype=dtype)
+    return solve(b, False)
 
 
 # ----------------------------------------------------------------------
@@ -539,25 +552,19 @@ class Kernels:
         """Column-stable triangular panel solve ``op(a) X = b``;
         ``trans='C'`` solves against the Hermitian adjoint ``aᴴ``.
 
-        Every right-hand-side column is its own LAPACK ``trtrs`` call, so
+        Every right-hand-side column is its own LAPACK ``trtrs`` call,
+        bound once per panel as :func:`_solve_triangular` binds it, so
         column ``j`` of the result is ``_solve_triangular(a, b[:, j:j+1],
-        …)`` bit for bit, whatever the panel width.  ``a`` is converted to
-        the routine's dtype and laid out as ``trtrs`` reads it once per
-        call, not once per column.  Only the requested triangle of ``a`` is
-        read, so LAPACK-packed diagonal blocks (L and U sharing storage) can
-        be passed directly.  Returns a fresh array; ``b`` is never modified.
+        …)`` bit for bit, whatever the panel width.  Only the requested
+        triangle of ``a`` is read, so LAPACK-packed diagonal blocks (L and
+        U sharing storage) can be passed directly.  Returns a fresh array;
+        ``b`` is never modified.
         """
         self._tick("panel_trsm")
-        dtype = _trtrs(a.dtype, b.dtype).dtype
-        a = a.astype(dtype, copy=False)
-        if trans == "C":  # read as is only from Fortran order
-            a = np.asfortranarray(a)
-        elif not (a.flags.c_contiguous or a.flags.f_contiguous):
-            a = np.ascontiguousarray(a)
-        x = np.empty(b.shape, dtype=dtype)
-        for j in range(b.shape[1]):
-            x[:, j:j + 1] = _solve_triangular(a, b[:, j:j + 1], trans, lower,
-                                              unit_diagonal)
+        dtype, solve = _bind_trtrs(a, b, trans, lower, unit_diagonal)
+        x = np.array(b, dtype=dtype, order="F")  # contiguous columns
+        for j in range(x.shape[1]):
+            solve(x[:, j], True)  # in place
         return x
 
     def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,

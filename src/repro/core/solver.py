@@ -400,16 +400,16 @@ class Solver:
 
         ``b`` may be a vector ``(n,)`` or a panel ``(n, k)`` of right-hand
         sides; the result has the same shape.  Panels solve blocked
-        through the column-stable panel kernels, so a
-        float64 panel solve equals its ``k`` single-RHS solves
-        bit-for-bit.  ``trans=True`` solves ``Aᵗ x = b`` instead (same
-        factors, mirrored triangular sweeps — symmetric factorizations
-        are unaffected).  With ``refine=True`` one runs the paper's
-        default post-processing: preconditioned GMRES (CG for Cholesky
-        factorizations) until ``refine_tol`` or ``refine_maxiter`` —
-        panels refine with per-column convergence tracking.  Refinement
-        of the transposed system is not supported (``trans=True`` with
-        ``refine=True`` raises ``ValueError``).
+        through the column-stable panel kernels, so a float64 panel solve
+        equals its ``k`` single-RHS solves bit-for-bit.  ``trans=True``
+        solves ``Aᵗ x = b`` instead (same factors, mirrored triangular
+        sweeps — symmetric factorizations are unaffected).  With
+        ``refine=True`` one runs the paper's default post-processing:
+        preconditioned GMRES (CG for Cholesky factorizations) until
+        ``refine_tol`` or ``refine_maxiter`` — panels refine with
+        per-column convergence tracking.  Refinement of the transposed
+        system is not supported (``trans=True`` with ``refine=True``
+        raises ``ValueError``).
         """
         if self.factor is None:
             self.factorize()
@@ -439,10 +439,7 @@ class Solver:
                            trans=trans)
                 if prof is not None else None)
         try:
-            pb = b[self.perm]
-            y = self._solve_factored_retry(pb, trans=trans)
-            x = np.empty_like(y)
-            x[self.perm] = y
+            x = self._precond(b, trans=trans)
         finally:
             if prof is not None:
                 prof.end(_sid)
@@ -457,29 +454,26 @@ class Solver:
             return res.x
         return x
 
-    def _solve_factored_retry(self, pb: np.ndarray,
-                              trans: bool = False) -> np.ndarray:
-        """Triangular solve with one recovery-policy retry.
+    def _precond(self, r: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Permute, triangular solves, permute back: the solve step, and
+        one application of the factorization as refinement's preconditioner.
 
         The solve is read-only on the factors, so a transient failure
-        (injected or environmental) is safe to simply re-run; the retry is
-        recorded on the telemetry bus."""
-        policy = self.config.recovery
+        (injected or environmental) is safe to simply re-run: it is retried
+        once under a recovery policy, and the retry is recorded on the
+        telemetry bus."""
+        pr = r[self.perm]
         try:
-            return solve_factored(self.factor, pb, trans=trans)
+            y = solve_factored(self.factor, pr, trans=trans)
         except Exception as exc:
+            policy = self.config.recovery
             if policy is None or policy.task_retries <= 0:
                 raise
             tele = self.config.telemetry
             if tele is not None:
                 tele.record_recovery("task_retry", site="trisolve",
                                      error=type(exc).__name__)
-            return solve_factored(self.factor, pb, trans=trans)
-
-    def _precond(self, r: np.ndarray) -> np.ndarray:
-        """One application of the factorization as a preconditioner."""
-        pr = r[self.perm]
-        y = self._solve_factored_retry(pr)
+            y = solve_factored(self.factor, pr, trans=trans)
         z = np.empty_like(y)
         z[self.perm] = y
         return z

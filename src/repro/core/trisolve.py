@@ -15,23 +15,17 @@ Conventions (matching :mod:`repro.core.factorization`):
 * Cholesky: ``P A Pᵗ = L Lᵗ`` with the lower factor in the diagonal blocks.
 * LDLᵗ: unit-lower L with D on the diagonal of the diagonal blocks.
 
-Every factorization solves with one forward and one backward block sweep
-(:func:`_forward`, :func:`_backward`); the table ``_SWEEPS``, keyed by
-factotype and transpose, says which factor side each sweep applies and
-how it solves the diagonal blocks, and an LDLᵗ solve scales by ``D⁻¹``
-between the two.
+Every factorization solves with one forward and one backward block sweep,
+which ``_SWEEPS`` parametrizes by factotype and transpose.
 
 Right-hand sides may be a vector ``(n,)`` or a panel ``(n, k)`` — including
-``k = 0``.  The whole solve runs on the *column-stable* panel kernels of the
-kernel module :mod:`repro.core.backend` (``panel_trsm`` /
-``panel_gemm`` / ``lr_apply``): each right-hand-side column is its own gemv
-or ``trtrs`` call, so column ``j`` of the result depends only on column
-``j`` of ``b``, bit-for-bit, and a blocked ``(n, k)`` solve equals ``k``
-single-RHS solves exactly (for identical dtypes).  BLAS-3 gemm/trsm over the
-whole panel do not have that property — their internal blocking changes the
-summation order with the panel width.  The diagonal blocks are passed
-packed: the panel kernels read only the requested triangle, so no
-``np.triu`` copies are taken.
+``k = 0``.  The whole solve runs on the *column-stable* panel kernels of
+:mod:`repro.core.backend` (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``):
+each right-hand-side column is its own gemv or ``trtrs`` call, so a blocked
+``(n, k)`` solve equals ``k`` single-RHS solves bit for bit (for identical
+dtypes), which one BLAS-3 gemm/trsm over the panel would not.  The diagonal
+blocks are passed packed: the panel kernels read only the requested
+triangle, so no ``np.triu`` copies are taken.
 """
 
 from __future__ import annotations
@@ -189,8 +183,7 @@ def _backward(fac: NumericFactor, x: np.ndarray, side: str,
               apply_trans: str, lower: bool, trans: str,
               unit: bool) -> None:
     """The backward block sweep, overwriting ``x``: per column block in
-    reverse, the blocks of ``side`` applied transposed, then the diagonal
-    solve.
+    reverse, the blocks of ``side`` applied transposed, then the diagonal.
 
     Pivoted supernodes solve ``(Pᵀ L00)ᴴ x = y`` as ``L00ᴴ w = y`` with
     ``w = P x`` — the solution rows are scattered back through the

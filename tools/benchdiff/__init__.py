@@ -67,15 +67,18 @@ class Thresholds:
     ``bytes_fail=0.10`` fails when a byte metric grows by more than 10 %;
     ``error_fail=10.0`` fails when the backward error degrades by more
     than a factor of 10 (errors are compared multiplicatively — they live
-    on a log scale); ``speedup_floor=3.0`` fails when a speedup metric
-    falls below 3x (an absolute gate, not a baseline ratio — a slow
-    baseline must not grandfather in a slow current run).
+    on a log scale); ``speedup_floor=2.0`` fails when a speedup metric
+    falls below 2x (an absolute gate, not a baseline ratio — a slow
+    baseline must not grandfather in a slow current run).  The floor was
+    3x until single-RHS solves stopped running interpreted row sweeps:
+    that made the sequential side of ``multirhs_speedup`` ~2.1x faster
+    while the blocked solve held its time.
     """
 
     time_warn: float = 0.25
     bytes_fail: float = 0.10
     error_fail: float = 10.0
-    speedup_floor: float = 3.0
+    speedup_floor: float = 2.0
 
 
 @dataclass(frozen=True)

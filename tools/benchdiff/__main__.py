@@ -4,7 +4,7 @@ Usage::
 
     python -m tools.benchdiff BASELINE CURRENT \
         [--time-warn 0.25] [--bytes-fail 0.10] [--error-fail 10] \
-        [--speedup-floor 3.0] [--fail-on-warn]
+        [--speedup-floor 2.0] [--fail-on-warn]
 
 Exit codes: 0 no findings (or warnings only), 1 failures (or warnings
 under ``--fail-on-warn``), 2 usage errors (unreadable/mismatched files).
@@ -37,11 +37,11 @@ def run(argv: Optional[List[str]] = None) -> int:
                         metavar="FACTOR",
                         help="fail when the backward error degrades by "
                              "more than this factor (default 10)")
-    parser.add_argument("--speedup-floor", type=float, default=3.0,
+    parser.add_argument("--speedup-floor", type=float, default=2.0,
                         metavar="FACTOR",
                         help="fail when a speedup metric (e.g. the blocked "
                              "multi-RHS solve) drops below this absolute "
-                             "factor (default 3.0)")
+                             "factor (default 2.0)")
     parser.add_argument("--fail-on-warn", action="store_true",
                         help="treat warnings as failures (exit 1)")
     try:
