@@ -53,7 +53,7 @@ from repro.lowrank.kernels import (
     rank_cap,
 )
 from repro.runtime.memory import array_nbytes
-from repro.runtime.spans import LINK_FOLLOWS
+from repro.runtime.spans import span, span_after_task
 
 
 # ----------------------------------------------------------------------
@@ -72,85 +72,76 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         fac.faults.on_factor(fac, k)
     if fac.recovery is not None:
         _breakdown_check_input(fac, k)
-    prof = fac.profiler
-    _sid = (prof.start("factor", cblk=k, factotype=fac.config.factotype)
-            if prof is not None else None)
-    try:
-        _factor_column_block_body(fac, k)
-    finally:
-        if prof is not None:
-            prof.end(_sid)
-
-
-def _factor_column_block_body(fac: NumericFactor, k: int) -> None:
     cfg = fac.config
     nc = fac.cblks[k]
     stats = fac.stats.kernels
-    w = nc.width
-
-    # --- step 1: diagonal block factorization ---------------------------
     be = fac.backend
-    t0 = time.perf_counter()
-    if cfg.factotype == "lu":
-        lu, nperturbed = be.getrf(nc.diag, cfg.pivot_threshold)
-        nc.diag[...] = lu
-        fl = getrf_flops(w)
-    elif cfg.factotype == "cholesky":
-        l_mat, nperturbed = be.potrf(nc.diag, cfg.pivot_threshold)
-        nc.diag[...] = 0.0
-        nc.diag[np.tril_indices(w)] = l_mat[np.tril_indices(w)]
-        fl = potrf_flops(w)
-    elif cfg.factotype == "ldlt":
-        if cfg.pivoting == "threshold":
-            nperturbed = _ldlt_pivot_diag(fac, nc, k)
-        else:
-            packed, nperturbed = be.ldlt(nc.diag, cfg.pivot_threshold)
-            # unit-lower L below, D on diagonal
-            nc.diag[...] = np.tril(packed)
-        fl = ldlt_flops(w)
-    else:  # pragma: no cover - guarded by SolverConfig validation
-        raise NotImplementedError(
-            f"factotype {cfg.factotype!r} is not implemented yet")
-    fac.add_perturbed(nperturbed)
-    stats.add("block_facto", seconds=time.perf_counter() - t0,
-              flops=fl * flop_scale(fac.dtype))
-    rec = fac.recovery
-    if rec is not None:
-        if not block_all_finite(nc.diag):
-            rec.record("breakdown", site="factor", cblk=k,
-                       cause="nan-factor")
-            raise NumericalBreakdown(
-                "nan-factor", cblk=k, site="factor",
-                detail="diagonal factorization produced non-finite entries")
-        budget = rec.policy.pivot_budget
-        # the budget polices *unsanctioned* perturbations; once the
-        # escalation ladder (or the user) explicitly enables the
-        # delayed-pivot fallback, its perturbations are the last resort
-        # and charging them would make that rung unreachable
-        sanctioned = cfg.pivoting == "threshold" and cfg.pivot_fallback
-        if budget is not None and not sanctioned and nperturbed > budget * w:
-            rec.record("breakdown", site="factor", cblk=k,
-                       cause="pivot-budget", nperturbed=nperturbed)
-            raise NumericalBreakdown(
-                "pivot-budget", cblk=k, site="factor",
-                detail=f"{nperturbed}/{w} pivots perturbed exceeds "
-                       f"budget {budget}")
+    w = nc.width
+    with span(fac.profiler, "factor", cblk=k, factotype=cfg.factotype):
+        # --- step 1: diagonal block factorization -----------------------
+        t0 = time.perf_counter()
+        if cfg.factotype == "lu":
+            lu, nperturbed = be.getrf(nc.diag, cfg.pivot_threshold)
+            nc.diag[...] = lu
+            fl = getrf_flops(w)
+        elif cfg.factotype == "cholesky":
+            l_mat, nperturbed = be.potrf(nc.diag, cfg.pivot_threshold)
+            nc.diag[...] = 0.0
+            nc.diag[np.tril_indices(w)] = l_mat[np.tril_indices(w)]
+            fl = potrf_flops(w)
+        elif cfg.factotype == "ldlt":
+            if cfg.pivoting == "threshold":
+                nperturbed = _ldlt_pivot_diag(fac, nc, k)
+            else:
+                packed, nperturbed = be.ldlt(nc.diag, cfg.pivot_threshold)
+                # unit-lower L below, D on diagonal
+                nc.diag[...] = np.tril(packed)
+            fl = ldlt_flops(w)
+        else:  # pragma: no cover - guarded by SolverConfig validation
+            raise NotImplementedError(
+                f"factotype {cfg.factotype!r} is not implemented yet")
+        fac.add_perturbed(nperturbed)
+        stats.add("block_facto", seconds=time.perf_counter() - t0,
+                  flops=fl * flop_scale(fac.dtype))
+        rec = fac.recovery
+        if rec is not None:
+            if not block_all_finite(nc.diag):
+                rec.record("breakdown", site="factor", cblk=k,
+                           cause="nan-factor")
+                raise NumericalBreakdown(
+                    "nan-factor", cblk=k, site="factor",
+                    detail="diagonal factorization produced non-finite "
+                           "entries")
+            budget = rec.policy.pivot_budget
+            # the budget polices *unsanctioned* perturbations; once the
+            # escalation ladder (or the user) explicitly enables the
+            # delayed-pivot fallback, its perturbations are the last
+            # resort and charging them would make that rung unreachable
+            sanctioned = cfg.pivoting == "threshold" and cfg.pivot_fallback
+            if budget is not None and not sanctioned and nperturbed > budget * w:
+                rec.record("breakdown", site="factor", cblk=k,
+                           cause="pivot-budget", nperturbed=nperturbed)
+                raise NumericalBreakdown(
+                    "pivot-budget", cblk=k, site="factor",
+                    detail=f"{nperturbed}/{w} pivots perturbed exceeds "
+                           f"budget {budget}")
 
-    # --- variant dispatch: compression points around the panel solve -----
-    # ``ucf`` (the Just-In-Time alias) compresses the fully-updated panels
-    # before the solve (Algorithm 2 lines 3-4); ``ufc`` solves dense and
-    # compresses the solved panels, so outgoing updates still run low-rank
-    # but the triangular solves keep full accuracy.  ``cuf`` compressed at
-    # assembly and ``fuc`` defers to finalize_updates_from.
-    v = fac.variant
-    if v is not None and v.compress_before_solve:
-        _compress_panels(fac, nc)
+        # --- variant dispatch: compression points around the panel solve -
+        # ``ucf`` (the Just-In-Time alias) compresses the fully-updated
+        # panels before the solve (Algorithm 2 lines 3-4); ``ufc`` solves
+        # dense and compresses the solved panels, so outgoing updates still
+        # run low-rank but the triangular solves keep full accuracy.
+        # ``cuf`` compressed at assembly and ``fuc`` defers to
+        # finalize_updates_from.
+        v = fac.variant
+        if v is not None and v.compress_before_solve:
+            _compress_panels(fac, nc)
 
-    # --- step 2: panel solves --------------------------------------------
-    _panel_solve(fac, nc)
-    if v is not None and v.compress_after_solve:
-        _compress_panels(fac, nc)
-    nc.factored = True
+        # --- step 2: panel solves ----------------------------------------
+        _panel_solve(fac, nc)
+        if v is not None and v.compress_after_solve:
+            _compress_panels(fac, nc)
+        nc.factored = True
 
 
 def _first_nonfinite(nc: NumericColumnBlock) -> Optional[str]:
@@ -324,21 +315,9 @@ def finalize_updates_from(fac: NumericFactor, k: int) -> None:
     v = fac.variant
     if v is None or not v.compress_after_updates:
         return
-    prof = fac.profiler
-    _sid = None
-    if prof is not None:
-        targets = fac.symb.facing_ranges(k)
-        parent = prof.task_span_of(max(targets)) if targets else None
-        if parent is not None:
-            _sid = prof.start("finalize", parent=parent,
-                              link=LINK_FOLLOWS, cblk=k)
-        else:
-            _sid = prof.start("finalize", cblk=k)
-    try:
+    with span_after_task(fac.profiler, "finalize",
+                         fac.symb.facing_ranges(k), cblk=k):
         _compress_panels(fac, fac.cblks[k])
-    finally:
-        if prof is not None:
-            prof.end(_sid)
 
 
 def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
@@ -349,16 +328,11 @@ def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
     (:func:`~repro.core.factor.compress_column_block`)."""
     if not nc.panel_mode:
         return
-    prof = fac.profiler
-    _sid = (prof.start("compress", cblk=nc.sym.id, kernel=fac.config.kernel)
-            if prof is not None else None)
-    try:
+    with span(fac.profiler, "compress", cblk=nc.sym.id,
+              kernel=fac.config.kernel):
         old_bytes = array_nbytes(nc.lpanel) * fac.sides
         fac.tracker.resize(old_bytes, compress_column_block(
             fac, nc, nc.lpanel, nc.upanel))
-    finally:
-        if prof is not None:
-            prof.end(_sid)
 
 
 def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
@@ -519,18 +493,12 @@ def apply_updates_from(fac: NumericFactor, k: int, target: int,
     if fac.faults is not None:
         fac.faults.on_update(fac, k, target)
     nc = fac.cblks[k]
-    prof = fac.profiler
-    _sid = (prof.start("update", cblk=k, target=target,
-                       mode="panel" if nc.panel_mode else "blocks")
-            if prof is not None else None)
-    try:
+    with span(fac.profiler, "update", cblk=k, target=target,
+              mode="panel" if nc.panel_mode else "blocks"):
         if nc.panel_mode:
             _updates_from_panel(fac, nc, target, acc)
         else:
             _updates_from_blocks(fac, nc, target, acc)
-    finally:
-        if prof is not None:
-            prof.end(_sid)
 
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,

@@ -126,30 +126,11 @@ def _merge_histories(col_history: List[List[float]]) -> List[float]:
     return merged
 
 
-def _merged_result(a: CSCMatrix, b: np.ndarray,
-                   cols: List[RefinementResult]) -> RefinementResult:
-    """Stack per-column results into one panel :class:`RefinementResult`."""
-    n, k = b.shape
-    if cols:
-        x = np.stack([c.x for c in cols], axis=1)
-    else:
-        x = np.zeros((n, 0), dtype=_work_dtype(a, b))
-    res = RefinementResult(
-        x=x,
-        history=_merge_histories([c.history for c in cols]),
-        converged=all(c.converged for c in cols),
-        iterations=max((c.iterations for c in cols), default=0),
-        stagnated=any(c.stagnated for c in cols),
-        diverged=any(c.diverged for c in cols),
-        col_history=[list(c.history) for c in cols],
-    )
-    return res
-
-
 def _columnwise(single: Callable[..., RefinementResult], a: CSCMatrix,
                 b: np.ndarray, x0: Optional[np.ndarray],
                 **kwargs: object) -> RefinementResult:
-    """Run a single-RHS scheme per panel column and merge the results.
+    """Run a single-RHS scheme per panel column and stack the results
+    into one panel :class:`RefinementResult`.
 
     Each column is passed as a fresh contiguous vector, so the per-column
     runs are bit-identical to solving that column alone.
@@ -159,31 +140,50 @@ def _columnwise(single: Callable[..., RefinementResult], a: CSCMatrix,
         xj = None if x0 is None else np.ascontiguousarray(x0[:, j])
         cols.append(single(a, np.ascontiguousarray(b[:, j]), x0=xj,
                            **kwargs))
-    return _merged_result(a, b, cols)
+    x = (np.stack([c.x for c in cols], axis=1) if cols
+         else np.zeros((b.shape[0], 0), dtype=_work_dtype(a, b)))
+    return RefinementResult(
+        x=x,
+        history=_merge_histories([c.history for c in cols]),
+        converged=all(c.converged for c in cols),
+        iterations=max((c.iterations for c in cols), default=0),
+        stagnated=any(c.stagnated for c in cols),
+        diverged=any(c.diverged for c in cols),
+        col_history=[list(c.history) for c in cols],
+    )
 
 
-def _refine_panel(a: CSCMatrix, b: np.ndarray,
-                  precond: Callable[[np.ndarray], np.ndarray],
-                  tol: float, maxiter: int,
-                  x0: Optional[np.ndarray]) -> RefinementResult:
-    """Blocked iterative refinement on an ``(n, k)`` panel.
+def iterative_refinement(a: CSCMatrix, b: np.ndarray,
+                         precond: Callable[[np.ndarray], np.ndarray],
+                         tol: float = 1e-12, maxiter: int = 20,
+                         x0: Optional[np.ndarray] = None) -> RefinementResult:
+    """Classical residual correction: ``x += M⁻¹ (b - A x)``, iterating in
+    ``_work_dtype(a, b)``.
 
-    The residual and correction solves run on the whole panel (one
+    ``b`` may be an ``(n, k)`` panel or a vector, which refines as the
+    one-column panel (``precond`` then sees ``(n, 1)`` panels).  The
+    residual and correction solves run on the whole panel (one
     BLAS-3-shaped pass per iteration — the multi-RHS payoff), restricted
-    to the still-active columns; converged columns are frozen exactly
-    where the single-RHS loop would have stopped.  Because the matvec and
-    the preconditioner are column-stable, every column's iterates — and
-    its residual history — are bit-identical to a single-RHS run on that
-    column (for identical dtypes).
+    to the still-active columns; a column freezes once it converges.
+    Because the matvec and the preconditioner are column-stable, every
+    column's iterates — and its residual history — are bit-identical to a
+    run on that column alone (for identical dtypes).
     """
+    b = np.asarray(b)
+    if b.ndim == 1:
+        res = iterative_refinement(
+            a, b[:, None], precond, tol, maxiter,
+            None if x0 is None else np.asarray(x0)[:, None])
+        res.x, res.col_history = res.x[:, 0], None
+        return res
     n, k = b.shape
     dt = _work_dtype(a, b)
     col_hist: List[List[float]] = [[] for _ in range(k)]
     if k == 0:
         return RefinementResult(x=np.zeros((n, 0), dtype=dt),
                                 converged=True, col_history=col_hist)
-    # per-column norms of contiguous copies: the same reduction the
-    # single-RHS path performs on its own 1-D right-hand side
+    # per-column norms of contiguous copies: the same reduction a 1-D
+    # right-hand side gets
     norm_b = np.array([
         float(np.linalg.norm(np.ascontiguousarray(b[:, j])))
         for j in range(k)])
@@ -223,40 +223,6 @@ def _refine_panel(a: CSCMatrix, b: np.ndarray,
                  if h and h[-1] > tol]
         res.stagnated = any(s for s, _ in flags)
         res.diverged = any(d for _, d in flags)
-    return res
-
-
-def iterative_refinement(a: CSCMatrix, b: np.ndarray,
-                         precond: Callable[[np.ndarray], np.ndarray],
-                         tol: float = 1e-12, maxiter: int = 20,
-                         x0: Optional[np.ndarray] = None) -> RefinementResult:
-    """Classical residual correction: ``x += M⁻¹ (b - A x)``.
-
-    ``b`` may be a vector or an ``(n, k)`` panel; panels refine blocked
-    (one residual pass + one preconditioner application per iteration for
-    all still-active columns) with per-column convergence tracking.
-    """
-    if np.asarray(b).ndim == 2:
-        return _refine_panel(a, b, precond, tol, maxiter, x0)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return RefinementResult(x=np.zeros_like(b), converged=True)
-    x = (precond(b) if x0 is None
-         else np.array(x0, dtype=_work_dtype(a, b)))
-    res = RefinementResult(x=x)
-    res.history.append(_backward_error(a, x, b, norm_b))
-    for it in range(maxiter):
-        if res.history[-1] <= tol:
-            res.converged = True
-            break
-        r = b - a.matvec(x)
-        x += precond(r)
-        res.history.append(_backward_error(a, x, b, norm_b))
-        res.iterations = it + 1
-    res.x = x
-    res.converged = res.history[-1] <= tol
-    if not res.converged:
-        res.stagnated, res.diverged = classify_history(res.history)
     return res
 
 

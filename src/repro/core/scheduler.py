@@ -61,6 +61,7 @@ from repro.core.factorization import (
     flush_accumulated,
 )
 from repro.runtime.recovery import NumericalBreakdown
+from repro.runtime.spans import task_span
 
 #: how often (seconds) the joining main thread samples the progress counter
 _WATCHDOG_POLL = 0.05
@@ -195,17 +196,10 @@ def _run_task(fac: NumericFactor, k: int) -> None:
     parent is the span of ``k``'s greatest contributor — a deterministic
     edge, so threaded and sequential trees agree (see
     :meth:`~repro.runtime.spans.SpanProfiler.task_start`)."""
-    prof = fac.profiler
-    if prof is None:
-        _attempt_task(fac, k)
-        return
     v = fac.variant
-    sid = prof.task_start(k, fac.symb.contributors(k),
-                          order=v.order if v is not None else "dense")
-    try:
+    with task_span(fac.profiler, k, fac.symb.contributors(k),
+                   order=v.order if v is not None else "dense"):
         _attempt_task(fac, k)
-    finally:
-        prof.end(sid)
 
 
 def _attempt_task(fac: NumericFactor, k: int) -> None:

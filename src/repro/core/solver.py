@@ -22,9 +22,10 @@ True
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
 if TYPE_CHECKING:
     from repro.runtime.faults import FaultInjector
@@ -48,6 +49,7 @@ from repro.runtime.recovery import (
     escalate_config,
     find_breakdown,
 )
+from repro.runtime.spans import span
 from repro.runtime.stats import FactorizationStats
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.permute import permute_symmetric
@@ -60,6 +62,20 @@ def _resolved_order(cfg: SolverConfig) -> Optional[str]:
     ladder rung is logged by: two rungs can share a strategy name."""
     v = cfg.resolved_variant()
     return v.order if v is not None else None
+
+
+@contextmanager
+def _kernel_calls(fac: NumericFactor, phase: str) -> Iterator[None]:
+    """Charge the backend kernel calls made inside the block to
+    ``fac.stats`` and, with a telemetry store, to ``phase``; a block that
+    raises charges nothing."""
+    before = fac.backend.counts_snapshot()
+    yield
+    delta = fac.backend.counts_delta(before)
+    fac.stats.add_backend_calls(delta)
+    tele = fac.config.telemetry
+    if tele is not None:
+        tele.record_backend_kernels(delta, phase=phase)
 
 
 class Solver:
@@ -84,25 +100,8 @@ class Solver:
                             "(use CSCMatrix.from_scipy for scipy input)")
         if a.nnz and not np.isfinite(a.values).all():
             raise ValueError("matrix contains NaN or Inf entries")
-        self.a = a
         self.config = config or SolverConfig()
-        #: arithmetic dtype of the factorization (config.dtype wins; a
-        #: complex matrix with a real config.dtype raises here)
-        self.dtype = self.config.resolve_dtype(a.values.dtype)
-        if self.config.is_symmetric_facto:
-            hermitian = a.values.dtype.kind == "c"
-            if not a.is_symmetric(tol=0.0, hermitian=hermitian):
-                raise ValueError(
-                    "cholesky/ldlt factorization requires a "
-                    + ("Hermitian" if hermitian else "symmetric")
-                    + " matrix")
-        self._a_sym = a if a.is_pattern_symmetric() else a.symmetrize_pattern()
-        if self._a_sym.values.dtype != self.dtype:
-            # cast only the working copy; self.a keeps the caller's values
-            # so residuals and refinement stay honest
-            self._a_sym = CSCMatrix(
-                self._a_sym.n, self._a_sym.colptr, self._a_sym.rowind,
-                self._a_sym.values.astype(self.dtype), check=False)
+        self._take_values(a)
         #: node coordinates (required by ordering='geometric')
         self.coords = coords
         self.symbolic: Optional[SymbolicFactor] = None
@@ -122,6 +121,29 @@ class Solver:
         #: under, when it differs from :attr:`config` (``None`` otherwise)
         self._effective_config: Optional[SolverConfig] = None
 
+    def _take_values(self, a: CSCMatrix) -> None:
+        """Adopt ``a`` as the system matrix.
+
+        Sets :attr:`dtype`, the arithmetic dtype of the factorization
+        (config.dtype wins; a complex matrix with a real config.dtype
+        raises here), checks the symmetry cholesky/ldlt require, and builds
+        the pattern-symmetric working copy in that dtype.  ``self.a`` keeps
+        the caller's values so residuals and refinement stay honest.
+        """
+        dtype = self.config.resolve_dtype(a.values.dtype)
+        if self.config.is_symmetric_facto:
+            hermitian = a.values.dtype.kind == "c"
+            if not a.is_symmetric(tol=0.0, hermitian=hermitian):
+                raise ValueError(
+                    "cholesky/ldlt factorization requires a "
+                    + ("Hermitian" if hermitian else "symmetric")
+                    + " matrix")
+        a_sym = a if a.is_pattern_symmetric() else a.symmetrize_pattern()
+        if a_sym.values.dtype != dtype:
+            a_sym = CSCMatrix(a_sym.n, a_sym.colptr, a_sym.rowind,
+                              a_sym.values.astype(dtype), check=False)
+        self.a, self.dtype, self._a_sym = a, dtype, a_sym
+
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -138,15 +160,10 @@ class Solver:
             t0 = time.perf_counter()
             opts = SymbolicOptions.from_config(self.config)
             prof = self.config.profiler
-            _sid = (prof.start("analyze", n=self.n)
-                    if prof is not None else None)
-            try:
+            with span(prof, "analyze", n=self.n):
                 self.symbolic, self.perm = symbolic_factorization(
                     self._a_sym, opts, coords=self.coords, profiler=prof,
                     symmetric=True)
-            finally:
-                if prof is not None:
-                    prof.end(_sid)
             self.analyze_time = time.perf_counter() - t0
         return self.symbolic
 
@@ -182,76 +199,53 @@ class Solver:
         # engine facts (threads, scheduler) live in profiler.meta — span
         # attrs hold only config-derived facts so threaded and sequential
         # runs produce identical causal trees
-        prof = cfg.profiler
-        _sid = (prof.start("factorize", strategy=cfg.strategy,
-                           variant=cfg.variant)
-                if prof is not None else None)
-        try:
-            return self._factorize_body(cfg, faults, checkpoint, state)
-        finally:
-            if prof is not None:
-                prof.end(_sid)
+        with span(cfg.profiler, "factorize", strategy=cfg.strategy,
+                  variant=cfg.variant):
+            a_perm = permute_symmetric(self._a_sym, self.perm)
+            t0 = time.perf_counter()
+            with span(cfg.profiler, "assemble"):
+                fac = assemble(a_perm, self.symbolic, cfg)
+            fac.faults = faults
+            fac.recovery = state
+            if cfg.threads > 1 and cfg.sanitize_enabled():
+                from repro.runtime.sanitizer import RaceSanitizer
 
-    def _factorize_body(self, cfg: SolverConfig,
-                        faults: Optional["FaultInjector"],
-                        checkpoint: Optional[Union[str, Path]],
-                        state: Optional[RecoveryState]
-                        ) -> FactorizationStats:
-        """Body of one factorization attempt (under the "factorize" span)."""
-        a_perm = permute_symmetric(self._a_sym, self.perm)
-        t0 = time.perf_counter()
-        prof = cfg.profiler
-        _sid = prof.start("assemble") if prof is not None else None
-        try:
-            fac = assemble(a_perm, self.symbolic, cfg)
-        finally:
-            if prof is not None:
-                prof.end(_sid)
-        kernel_calls_before = fac.backend.counts_snapshot()
-        fac.faults = faults
-        fac.recovery = state
-        if cfg.threads > 1 and cfg.sanitize_enabled():
-            from repro.runtime.sanitizer import RaceSanitizer
+                san = RaceSanitizer()
+                fac.attach_sanitizer(san)
+                if state is not None:
+                    state.attach_sanitizer(san)
+                if cfg.telemetry is not None:
+                    cfg.telemetry.attach_sanitizer(san)
+                self.sanitizer = san
+            writer = None
+            if checkpoint is not None:
+                from repro.core.serialize import (
+                    CheckpointWriter,
+                    matrix_fingerprint,
+                )
 
-            san = RaceSanitizer()
-            fac.attach_sanitizer(san)
-            if state is not None:
-                state.attach_sanitizer(san)
-            if cfg.telemetry is not None:
-                cfg.telemetry.attach_sanitizer(san)
-            self.sanitizer = san
-        writer = None
-        if checkpoint is not None:
-            from repro.core.serialize import (
-                CheckpointWriter,
-                matrix_fingerprint,
-            )
+                policy = (state.policy if state is not None
+                          else RecoveryPolicy())
+                writer = CheckpointWriter(
+                    checkpoint, self.perm, matrix_fingerprint(self._a_sym),
+                    every=policy.checkpoint_every,
+                    write_on_fault=policy.checkpoint_on_fault)
+            with _kernel_calls(fac, "factorize"):
+                if cfg.threads > 1:
+                    try:
+                        run_threaded(fac, cfg.threads)
+                    finally:
+                        if fac.sanitizer is not None:
+                            import os
 
-            every = state.policy.checkpoint_every if state is not None else 0
-            on_fault = (state.policy.checkpoint_on_fault
-                        if state is not None else True)
-            writer = CheckpointWriter(checkpoint, self.perm,
-                                      matrix_fingerprint(self._a_sym),
-                                      every=every, write_on_fault=on_fault)
-        if cfg.threads > 1:
-            try:
-                run_threaded(fac, cfg.threads)
-            finally:
-                if fac.sanitizer is not None:
-                    import os
-
-                    log = os.environ.get("REPRO_TSAN_LOG", "")
-                    if log:
-                        fac.sanitizer.dump(log)
-        else:
-            run_sequential(fac, checkpoint=writer)
-        self._finalize_stats(fac, t0)
-        delta = fac.backend.counts_delta(kernel_calls_before)
-        fac.stats.add_backend_calls(delta)
-        if cfg.telemetry is not None:
-            cfg.telemetry.record_backend_kernels(delta, phase="factorize")
-        self.factor = fac
-        return fac.stats
+                            log = os.environ.get("REPRO_TSAN_LOG", "")
+                            if log:
+                                fac.sanitizer.dump(log)
+                else:
+                    run_sequential(fac, checkpoint=writer)
+            self._finalize_stats(fac, t0)
+            self.factor = fac
+            return fac.stats
 
     @staticmethod
     def _recovery_summary(state: RecoveryState, policy: RecoveryPolicy,
@@ -344,6 +338,7 @@ class Solver:
         (re-run :meth:`factorize` for a fresh escalated attempt).
         """
         from repro.core.serialize import (
+            _symbolic_from_json,
             config_from_header,
             load_checkpoint,
             matrix_fingerprint,
@@ -367,8 +362,6 @@ class Solver:
             raise ValueError(
                 "checkpoint matrix fingerprint does not match this matrix "
                 "(different values, pattern, or dtype)")
-        from repro.core.serialize import _symbolic_from_json
-
         self.symbolic = _symbolic_from_json(header["symbolic"])
         self.perm = np.asarray(arrays["perm"], dtype=np.int64)
         policy = self.config.recovery
@@ -384,7 +377,8 @@ class Solver:
         if state is not None:
             state.record("resume", site="serialize", completed=restored,
                          path=str(path))
-        run_sequential(fac)
+        with _kernel_calls(fac, "factorize"):
+            run_sequential(fac)
         self._finalize_stats(fac, t0)
         self.factor = fac
         if state is not None and policy is not None:
@@ -432,23 +426,11 @@ class Solver:
         if b.size and not np.isfinite(b).all():
             raise ValueError("right-hand side contains NaN or Inf entries")
         t0 = time.perf_counter()
-        be = self.factor.backend
-        kernel_calls_before = be.counts_snapshot()
-        prof = self.config.profiler
-        _sid = (prof.start("solve", nrhs=(1 if b.ndim == 1 else b.shape[1]),
-                           trans=trans)
-                if prof is not None else None)
-        try:
+        with _kernel_calls(self.factor, "solve"), \
+                span(self.config.profiler, "solve",
+                     nrhs=(1 if b.ndim == 1 else b.shape[1]), trans=trans):
             x = self._precond(b, trans=trans)
-        finally:
-            if prof is not None:
-                prof.end(_sid)
         self.factor.stats.solve_time += time.perf_counter() - t0
-        delta = be.counts_delta(kernel_calls_before)
-        self.factor.stats.add_backend_calls(delta)
-        tele = self.config.telemetry
-        if tele is not None:
-            tele.record_backend_kernels(delta, phase="solve")
         if refine:
             res = self.refine(b, x0=x, tol=refine_tol, maxiter=refine_maxiter)
             return res.x
@@ -482,10 +464,7 @@ class Solver:
                         x0: Optional[np.ndarray], tol: float,
                         maxiter: int) -> RefinementResult:
         """Dispatch one refinement run and publish it on the bus."""
-        prof = self.config.profiler
-        _sid = (prof.start("refinement", method=method)
-                if prof is not None else None)
-        try:
+        with span(self.config.profiler, "refinement", method=method) as late:
             if method == "gmres":
                 res = gmres(self.a, b, precond=self._precond, tol=tol,
                             maxiter=maxiter, x0=x0)
@@ -497,13 +476,8 @@ class Solver:
                                            tol=tol, maxiter=maxiter, x0=x0)
             else:
                 raise ValueError(f"unknown refinement method {method!r}")
-        except BaseException:
-            if prof is not None:
-                prof.end(_sid)
-            raise
-        if prof is not None:
-            prof.end(_sid, converged=res.converged,
-                     iterations=len(res.residual_history))
+            late["converged"] = res.converged
+            late["iterations"] = len(res.residual_history)
         self.last_refinement = res
         tele = self.config.telemetry
         if tele is not None:
@@ -594,20 +568,7 @@ class Solver:
         if not (np.array_equal(a.colptr, self.a.colptr)
                 and np.array_equal(a.rowind, self.a.rowind)):
             raise ValueError("new matrix must share the sparsity pattern")
-        if self.config.is_symmetric_facto:
-            hermitian = a.values.dtype.kind == "c"
-            if not a.is_symmetric(tol=0.0, hermitian=hermitian):
-                raise ValueError(
-                    "cholesky/ldlt factorization requires a "
-                    + ("Hermitian" if hermitian else "symmetric")
-                    + " matrix")
-        self.dtype = self.config.resolve_dtype(a.values.dtype)
-        self.a = a
-        self._a_sym = a if a.is_pattern_symmetric() else a.symmetrize_pattern()
-        if self._a_sym.values.dtype != self.dtype:
-            self._a_sym = CSCMatrix(
-                self._a_sym.n, self._a_sym.colptr, self._a_sym.rowind,
-                self._a_sym.values.astype(self.dtype), check=False)
+        self._take_values(a)
         self.factor = None  # numerical state is stale; analysis is kept
 
     # -- persistence -----------------------------------------------------

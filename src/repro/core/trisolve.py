@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.factor import NumericColumnBlock, NumericFactor
 from repro.core.factorization import ldlt_d_solve_rows
 from repro.lowrank.block import LowRankBlock
+from repro.runtime.spans import span
 
 
 def _apply_below(fac: NumericFactor, nc: NumericColumnBlock, side: str,
@@ -128,18 +129,12 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
         x = x[:, None]
     factotype = fac.config.factotype
     forward, backward = _SWEEPS[factotype, bool(trans) and factotype == "lu"]
-    prof = fac.profiler
-    _sid = (prof.start("trisolve", factotype=factotype,
-                       nrhs=x.shape[1], trans=trans)
-            if prof is not None else None)
-    try:
+    with span(fac.profiler, "trisolve", factotype=factotype,
+              nrhs=x.shape[1], trans=trans):
         _forward(fac, x, *forward)
         if factotype == "ldlt":
             _diag_scale_ldlt(fac, x)
         _backward(fac, x, *backward)
-    finally:
-        if prof is not None:
-            prof.end(_sid)
     return x[:, 0] if single else x
 
 

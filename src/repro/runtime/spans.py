@@ -3,11 +3,11 @@ solver's one recorder of which thread ran what when.
 
 Design goals:
 
-* **Zero cost when absent.**  `SolverConfig.profiler` defaults to `None`
-  and every instrumentation site pays one attribute load plus one
-  `is not None` test — the same contract the telemetry-guard lint rule
-  enforces for the telemetry bus (and, since PR 9, for `*.profiler.*`
-  call sites too).
+* **One seam, near-zero cost when absent.**  Every profiled region is
+  ``with span(prof, name, ...) as late:`` (:func:`task_span` /
+  :func:`span_after_task` resolve a causal parent first); with the
+  default ``SolverConfig.profiler=None`` that is one shared null context.
+  The telemetry-guard lint rule keeps ``.start(`` / ``.end(`` in here.
 * **Causal, not merely temporal.**  Spans carry trace-id / span-id /
   parent-id.  Synchronous children (`link="child"`) nest through a
   per-thread context stack; scheduler hand-offs produce
@@ -33,14 +33,15 @@ import json
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Collection,
+    ContextManager,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -186,23 +187,20 @@ class SpanProfiler:
             if span is None:  # pragma: no cover - defensive
                 return
             span.t1 = t1
-            if attrs:
-                span.attrs.update(attrs)
-            is_phase = span.parent_id == self._root_id
-            payload = (dict(span.attrs) if is_phase else None)
+            span.attrs.update(attrs)
+            # phase spans (children of the root) mirror into telemetry
+            payload = (dict(span.attrs) if span.parent_id == self._root_id
+                       else None)
             name, dur = span.name, span.duration
         tele = self._telemetry
-        if tele is not None and is_phase and payload is not None:
+        if tele is not None and payload is not None:
             tele.emit("span", name=name, duration_s=dur, **payload)
 
-    @contextmanager
     def span(self, name: str, parent: Optional[int] = None,
-             link: str = LINK_CHILD, **attrs: Any) -> Iterator[int]:
-        sid = self.start(name, parent=parent, link=link, **attrs)
-        try:
-            yield sid
-        finally:
-            self.end(sid)
+             link: str = LINK_CHILD, **attrs: Any
+             ) -> ContextManager[Dict[str, Any]]:
+        """:func:`span` on this profiler."""
+        return span(self, name, parent, link, **attrs)
 
     def current(self) -> Optional[int]:
         """This thread's innermost open span id (``None`` outside any)."""
@@ -373,6 +371,69 @@ class SpanProfiler:
             if root_id is not None:
                 prof._root_id = root_id
         return prof
+
+
+class _Discard(Dict[str, Any]):
+    """The late attributes of every unprofiled region: writes vanish."""
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+
+#: what every region opens when no profiler is attached
+_DISABLED: ContextManager[Dict[str, Any]] = nullcontext(_Discard())
+
+
+class _OpenSpan:
+    """An open span: ``with`` yields its late attributes, and the exit,
+    exceptions included, closes the span with them."""
+
+    __slots__ = ("_prof", "_sid", "_late")
+
+    def __init__(self, prof: SpanProfiler, sid: int) -> None:
+        self._prof, self._sid = prof, sid
+        self._late: Dict[str, Any] = {}
+
+    def __enter__(self) -> Dict[str, Any]:
+        return self._late
+
+    def __exit__(self, *exc: Any) -> None:
+        self._prof.end(self._sid, **self._late)
+
+
+def span(prof: Optional[SpanProfiler], name: str,
+         parent: Optional[int] = None, link: str = LINK_CHILD,
+         **attrs: Any) -> ContextManager[Dict[str, Any]]:
+    """``with span(prof, name, **attrs) as late:`` — the one way a
+    profiled region opens (:meth:`SpanProfiler.start` has the parent
+    rule).  ``late[key] = value`` adds an attribute at close; set them
+    last, so a region that raises closes without them."""
+    if prof is None:
+        return _DISABLED
+    return _OpenSpan(prof, prof.start(name, parent, link, **attrs))
+
+
+def task_span(prof: Optional[SpanProfiler], cblk: int,
+              contributors: Sequence[int],
+              **attrs: Any) -> ContextManager[Dict[str, Any]]:
+    """:func:`span` of the fan-in task on ``cblk``
+    (:meth:`SpanProfiler.task_start` picks its parent)."""
+    if prof is None:
+        return _DISABLED
+    return _OpenSpan(prof, prof.task_start(cblk, contributors, **attrs))
+
+
+def span_after_task(prof: Optional[SpanProfiler], name: str,
+                    releasers: Collection[int],
+                    **attrs: Any) -> ContextManager[Dict[str, Any]]:
+    """:func:`span` following the task span of the greatest of
+    ``releasers`` (the last in the canonical ascending fan-in order), or
+    a plain child of the current span when that task ran none."""
+    if prof is None:
+        return _DISABLED
+    parent = prof.task_span_of(max(releasers)) if releasers else None
+    link = LINK_CHILD if parent is None else LINK_FOLLOWS
+    return _OpenSpan(prof, prof.start(name, parent, link, **attrs))
 
 
 def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]

@@ -13,14 +13,12 @@ factorizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.spans import SpanProfiler
-
 from repro.config import SolverConfig
+from repro.runtime.spans import SpanProfiler, span
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.permute import permute_symmetric
 from repro.ordering.graph import Graph
@@ -71,7 +69,7 @@ class SymbolicOptions:
 def symbolic_factorization(a: CSCMatrix,
                            options: Optional[SymbolicOptions] = None,
                            coords: Optional[np.ndarray] = None,
-                           profiler: Optional["SpanProfiler"] = None,
+                           profiler: Optional[SpanProfiler] = None,
                            symmetric: bool = False,
                            ) -> Tuple[SymbolicFactor, np.ndarray]:
     """Run the full analysis pipeline on (the pattern of) ``a``.
@@ -90,23 +88,11 @@ def symbolic_factorization(a: CSCMatrix,
     pattern = (a if symmetric or a.is_pattern_symmetric()
                else a.symmetrize_pattern())
 
-    _sid = (profiler.start("ordering", method=options.ordering)
-            if profiler is not None else None)
-    try:
+    with span(profiler, "ordering", method=options.ordering):
         perm, intervals = _run_ordering(a, pattern, options, coords)
-    finally:
-        if profiler is not None:
-            profiler.end(_sid)
-
-    _sid = (profiler.start("symbolic") if profiler is not None else None)
-    try:
+    with span(profiler, "symbolic") as late:
         symb, perm = _run_symbolic(a, pattern, perm, intervals, options)
-    except BaseException:
-        if profiler is not None:
-            profiler.end(_sid)
-        raise
-    if profiler is not None:
-        profiler.end(_sid, ncblk=len(symb.cblks))
+        late["ncblk"] = len(symb.cblks)
     return symb, perm
 
 

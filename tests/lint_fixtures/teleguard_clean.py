@@ -35,9 +35,14 @@ def closure_retests(fac):
 
 def guarded_profiler(cfg, k):
     if cfg.profiler is not None:
-        cfg.profiler.start("factor", cblk=k)
+        cfg.profiler.begin_tasks(levels=[k])
 
 
 def profiler_ternary(fac):
     prof = fac.profiler
-    return prof.start("solve") if prof is not None else None
+    return prof.current() if prof is not None else None
+
+
+def span_seam(fac, k):
+    with span(fac.profiler, "factor", cblk=k):  # the one way a span opens
+        pass

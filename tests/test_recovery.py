@@ -386,6 +386,22 @@ class TestCheckpointRestart:
         b = np.ones(a.n)
         assert resumed.backward_error(resumed.solve(b), b) <= 1e-6
 
+    def test_resume_counts_the_kernels_it_ran(self, tmp_path):
+        a = laplacian_3d(6)
+        ckpt = tmp_path / "partial.ckpt"
+        s = Solver(a, self._cfg())
+        ncblk = s.analyze().ncblk
+        inj = FaultInjector()
+        inj.fail_factor(ncblk // 2)
+        with pytest.raises(FaultError):
+            s.factorize(faults=inj, checkpoint=ckpt)
+        header, _ = load_checkpoint(ckpt)
+        resumed = Solver(a, self._cfg())
+        resumed.resume_from(ckpt)
+        calls = resumed.stats.backend_kernel_calls
+        assert calls["getrf"] == ncblk - sum(header["completed"])
+        assert calls["trsm"] > 0 and calls["gemm"] > 0
+
     def test_kept_panels_and_split_column_blocks_round_trip(self, tmp_path):
         """A JIT run holds both storage modes — most column blocks keep
         their panel, the ones with a low-rank block are split.  A

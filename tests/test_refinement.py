@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.refinement import (
+    _work_dtype,
     conjugate_gradient,
     gmres,
     iterative_refinement,
@@ -113,6 +114,37 @@ class TestIterativeRefinement:
         a = laplacian_2d(3)
         res = iterative_refinement(a, np.zeros(a.n), lambda r: r)
         assert res.converged
+
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_iterates_in_work_dtype(self, rng, with_x0):
+        """A float32 right-hand side against a float64 matrix iterates in
+        float64 whether or not a starting guess is passed, even under a
+        float32 preconditioner (which keeps a float32 input float32)."""
+        a = laplacian_2d(5)
+        inv32 = np.linalg.inv(a.to_dense()).astype(np.float32)
+
+        def precond(r):
+            return inv32 @ r
+
+        b = rng.standard_normal(a.n).astype(np.float32)
+        x0 = precond(b).astype(np.float32) if with_x0 else None
+        res = iterative_refinement(a, b, precond, x0=x0)
+        assert res.x.dtype == _work_dtype(a, b) == np.float64
+        assert res.x.shape == (a.n,) and res.col_history is None
+
+    def test_vector_is_the_one_column_panel(self, rng):
+        a = laplacian_3d(5)
+        s = Solver(a, tiny_blr_config(strategy="minimal-memory",
+                                      tolerance=1e-4))
+        s.factorize()
+        b = rng.standard_normal(a.n)
+        vec = iterative_refinement(a, b, s._precond, tol=1e-14, maxiter=6)
+        col = iterative_refinement(a, b[:, None], s._precond, tol=1e-14,
+                                   maxiter=6)
+        np.testing.assert_array_equal(vec.x, col.x[:, 0])
+        assert vec.history == col.history
+        assert vec.iterations == col.iterations
+        assert vec.converged == col.converged
 
 
 class TestSolverRefineIntegration:

@@ -27,7 +27,7 @@ GOLDEN = {
     "missing-annotations": ("annotations_trigger.py", "annotations_clean.py", 4),
     "backend-bypass": ("backend_trigger.py", "backend_clean.py", 4),
     "variant-literal": ("variant_trigger.py", "variant_clean.py", 4),
-    "telemetry-guard": ("teleguard_trigger.py", "teleguard_clean.py", 6),
+    "telemetry-guard": ("teleguard_trigger.py", "teleguard_clean.py", 7),
     "shared-mutation-lockset": ("lockset_trigger.py", "lockset_clean.py", 3),
 }
 

@@ -22,6 +22,12 @@ Recognised guard forms: ``if x is not None: ...``, the early exit
 (``stats is not None and stats.telemetry is not None``), ternaries
 (``... if x is None else x.m()``), ``while`` tests and ``assert``.
 Guards never cross a function boundary (a closure must re-test).
+
+The span protocol has one seam: a profiler ``.start(`` / ``.end(`` /
+``.task_start(`` call outside ``runtime/spans.py`` is a finding, guarded
+or not — profiled regions open through ``with spans.span(prof, ...)``.
+A profiler is ``X.profiler``, an alias of one, or a name ``prof`` /
+``profiler``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,25 @@ from tools.solverlint.rules.common import dump_no_ctx
 #: to None on SolverConfig, with the same one-guarded-test contract)
 _GUARDED_ATTRS = ("telemetry", "profiler")
 
+#: the span-protocol methods only ``runtime/spans.py`` may call
+_SPAN_PROTOCOL = ("start", "end", "task_start")
 
-def _key_of(expr: ast.expr, aliases: Dict[str, bool]) -> Optional[str]:
+#: conventional names of a span-profiler parameter or local
+_PROFILER_NAMES = ("prof", "profiler")
+
+
+def _is_profiler(expr: ast.expr, aliases: Dict[str, str]) -> bool:
+    """Does ``expr`` hold a span profiler (``X.profiler``, an alias of
+    one, or a ``prof`` / ``profiler`` name)?"""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "profiler"
+    if isinstance(expr, ast.Name):
+        return (aliases.get(expr.id) == "profiler"
+                or expr.id in _PROFILER_NAMES)
+    return False
+
+
+def _key_of(expr: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     """Guard-fact key of an expression that may hold a telemetry bus
     or span profiler."""
     if isinstance(expr, ast.Name):
@@ -49,7 +72,7 @@ def _key_of(expr: ast.expr, aliases: Dict[str, bool]) -> Optional[str]:
     return None
 
 
-def _split_facts(test: ast.expr, aliases: Dict[str, bool]
+def _split_facts(test: ast.expr, aliases: Dict[str, str]
                  ) -> Tuple[Set[str], Set[str]]:
     """(facts when test is true, facts when test is false)."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
@@ -93,20 +116,22 @@ class TelemetryGuardRule(Rule):
         "every fac.telemetry.* / config.telemetry.* / x.profiler.* call "
         "(and calls through a 'tele = x.telemetry' or 'prof = x.profiler' "
         "alias) must be dominated by an 'is not None' check — telemetry "
-        "and the span profiler default to None")
+        "and the span profiler default to None; profiler start/end calls "
+        "belong to runtime/spans.py alone (open spans through spans.span)")
     invariant = (
         "a run without a telemetry bus or span profiler never crashes on "
-        "an instrumentation site: disabled observability costs one "
-        "attribute load and a None test, nothing else")
+        "an instrumentation site: disabled telemetry costs one attribute "
+        "load and a None test, a disabled span one shared null context")
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
         self._out: List[Tuple[int, int, str]] = []
+        self._seam = ctx.parts[-2:] == ("runtime", "spans.py")
         self._suite(ctx.tree.body, set(), {})
         yield from self._out
 
     # -- statement walk -------------------------------------------------
     def _suite(self, stmts: List[ast.stmt], facts: Set[str],
-               aliases: Dict[str, bool]) -> None:
+               aliases: Dict[str, str]) -> None:
         facts = set(facts)
         aliases = dict(aliases)
         for stmt in stmts:
@@ -123,10 +148,10 @@ class TelemetryGuardRule(Rule):
                 name = stmt.targets[0].id
                 if (isinstance(stmt.value, ast.Attribute)
                         and stmt.value.attr in _GUARDED_ATTRS):
-                    aliases[name] = True
+                    aliases[name] = stmt.value.attr
                 elif (isinstance(stmt.value, ast.Name)
                         and stmt.value.id in aliases):
-                    aliases[name] = True
+                    aliases[name] = aliases[stmt.value.id]
                     if f"name:{stmt.value.id}" in facts:
                         facts.add(f"name:{name}")
                 else:
@@ -171,7 +196,7 @@ class TelemetryGuardRule(Rule):
 
     # -- expression walk ------------------------------------------------
     def _scan(self, expr: ast.expr, facts: Set[str],
-              aliases: Dict[str, bool]) -> None:
+              aliases: Dict[str, str]) -> None:
         if isinstance(expr, ast.IfExp):
             self._scan(expr.test, facts, aliases)
             t, f = _split_facts(expr.test, aliases)
@@ -194,11 +219,18 @@ class TelemetryGuardRule(Rule):
                 self._scan(child.value, facts, aliases)
 
     def _check_call(self, call: ast.Call, facts: Set[str],
-                    aliases: Dict[str, bool]) -> None:
+                    aliases: Dict[str, str]) -> None:
         fn = call.func
         if not isinstance(fn, ast.Attribute):
             return
         base = fn.value
+        if (fn.attr in _SPAN_PROTOCOL and not self._seam
+                and _is_profiler(base, aliases)):
+            self._out.append(
+                (call.lineno, call.col_offset,
+                 f"profiler call .{fn.attr}(...) outside runtime/spans.py; "
+                 f"open spans through `spans.span`"))
+            return
         key: Optional[str] = None
         shown = ""
         if isinstance(base, ast.Attribute) and base.attr in _GUARDED_ATTRS:
