@@ -16,9 +16,10 @@ Public API highlights:
   and proxies for the paper's SuiteSparse suite).
 * :mod:`repro.lowrank` — the compression and extend-add kernels of §3,
   usable standalone on dense blocks.
-* :class:`~repro.runtime.telemetry.Telemetry` — opt-in metric/event store
-  (``SolverConfig(telemetry=Telemetry())``) feeding the per-run
-  ``RunReport`` of :mod:`repro.analysis.report`.
+* :class:`~repro.runtime.telemetry.Telemetry` — opt-in series/event store
+  (``SolverConfig(telemetry=Telemetry())``): the run's timeline, beside
+  the counts the per-run ``RunReport`` of :mod:`repro.analysis.report`
+  reads from the run's own state.
 * :class:`~repro.runtime.spans.SpanProfiler` — opt-in causal span
   profiler (``SolverConfig(profiler=SpanProfiler())``): one trace tree
   per run, identical across sequential and threaded engines, exportable

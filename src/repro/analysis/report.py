@@ -1,10 +1,12 @@
 """Per-run ``RunReport`` artifacts: build, save, render.
 
 A ``RunReport`` is one JSON document that captures *everything measured*
-during a solve campaign: the configuration, the Table 2 kernel breakdown,
-the compression/rank dissection of §4.1, the telemetry snapshot (memory
-high-water timeline, rank-evolution samples, per-iteration refinement
-residuals) and the span-profile rollup with its task summary.  It is the
+during a solve campaign: the configuration, the Table 2 kernel breakdown
+and backend kernel calls, the compression/rank dissection of §4.1, the
+per-iteration refinement residuals, the recovery actions, the telemetry
+timeline (memory high-water and rank-evolution series) and the
+span-profile rollup with its task summary.  Every count comes from the
+run's own state; telemetry adds only when things happened.  It is the
 single artifact the ``repro report`` CLI renders to markdown, the
 benchmarks attach to their history records, and ``tools/benchdiff``
 compares across runs.
@@ -34,10 +36,11 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
 
     ``workload`` is a free-form label (e.g. ``"lap3d:16"``);
     ``backward_error`` lets the caller attach the residual of a solve it
-    already performed.  The refinement section is filled from
-    ``solver.last_refinement`` whether or not a telemetry bus was
-    attached; the ``telemetry`` section requires
-    ``config.telemetry`` to have been set *before* ``factorize()``.
+    already performed.  The refinement and recovery sections come from
+    ``solver.last_refinement`` / ``solver.last_recovery`` whether or not a
+    telemetry store was attached; the ``telemetry`` section (series and
+    event count) requires ``config.telemetry`` to have been set *before*
+    ``factorize()``.
     """
     from dataclasses import asdict, replace
 
@@ -68,6 +71,9 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
         },
         "stats": stats.summary(),
         "kernels": stats.kernels.as_dict(),
+        "backend_kernel_calls": {
+            phase: dict(calls)
+            for phase, calls in stats.backend_calls_by_phase.items()},
         "nperturbed": fac.nperturbed,
         "pivoting": {
             "mode": solver.config.pivoting,
@@ -236,6 +242,17 @@ def render_markdown(report: Dict[str, Any],
         lines += _table(["kernel", "time (s)", "flops", "calls"], rows)
         lines.append("")
 
+    calls = report.get("backend_kernel_calls") or {}
+    if calls:
+        lines.append("## Backend kernel calls")
+        lines.append("")
+        phases = sorted(calls)
+        ops = sorted({op for per in calls.values() for op in per})
+        lines += _table(["op", *phases],
+                        [[op, *(calls[p].get(op, 0) for p in phases)]
+                         for op in ops])
+        lines.append("")
+
     comp = report.get("compression")
     if comp:
         lines.append("## Compression")
@@ -318,15 +335,6 @@ def render_markdown(report: Dict[str, Any],
     if tele:
         lines.append("## Telemetry")
         lines.append("")
-        rows = []
-        for name, children in sorted(tele.get("counters", {}).items()):
-            for child in children:
-                labels = ",".join(f"{k}={v}" for k, v
-                                  in sorted(child["labels"].items()))
-                rows.append([name, labels or "—", child["value"]])
-        if rows:
-            lines += _table(["counter", "labels", "value"], rows)
-            lines.append("")
         series = tele.get("series", {})
         if series:
             rows = [[name, len(pts)] for name, pts in sorted(series.items())]

@@ -151,7 +151,6 @@ class SolverConfig:
     #: pending-counter dump) when a threaded run makes no progress for this
     #: many seconds; ``None`` disables the watchdog
     watchdog_timeout: Optional[float] = None
-    seed: Optional[int] = 0
 
     # --- robustness -----------------------------------------------------
     #: self-healing policy (:class:`~repro.runtime.recovery.RecoveryPolicy`
@@ -164,12 +163,13 @@ class SolverConfig:
     recovery: Optional["RecoveryPolicy"] = None
 
     # --- observability -------------------------------------------------
-    #: attach a :class:`~repro.runtime.telemetry.Telemetry` bus: every
-    #: layer (compression kernels, LR2LR recompression, memory tracker,
-    #: worker pool, refinement) then publishes metrics, series and
-    #: events through it, and ``Solver.run_report()`` aggregates the lot
-    #: into one RunReport artifact.  ``None`` (the default) disables all
-    #: instrumentation at the cost of one ``is not None`` test per site.
+    #: attach a :class:`~repro.runtime.telemetry.Telemetry` store: the
+    #: compression kernels, LR2LR recompression, memory tracker, worker
+    #: pool and threshold pivoting then add time-stamped series points and
+    #: events to it — the run's timeline, beside the counts its own state
+    #: keeps — and ``Solver.run_report()`` carries its snapshot.  ``None``
+    #: (the default) disables it at the cost of one ``is not None`` test
+    #: per site.
     #: Excluded from equality/repr — it is a runtime channel, not a
     #: numerical tunable (serialized factor archives store it as null).
     telemetry: Optional["Telemetry"] = field(

@@ -133,7 +133,8 @@ class NumericFactor:
     :mod:`repro.core.trisolve`.
     """
 
-    def __init__(self, symb: SymbolicFactor, config: SolverConfig) -> None:
+    def __init__(self, symb: SymbolicFactor, config: SolverConfig,
+                 recovery: Optional["RecoveryState"] = None) -> None:
         self.symb = symb
         self.config = config
         #: the kernel instance (:data:`repro.core.backend.KERNELS`) —
@@ -143,13 +144,14 @@ class NumericFactor:
         self.cblks: List[NumericColumnBlock] = [
             NumericColumnBlock(c, symb.row_offsets[c.id])
             for c in symb.cblks]
-        # the telemetry bus (config.telemetry, None = disabled) rides on
-        # the memory tracker (high-water timeline) and the kernel stats
-        # (compression / recompression metrics) so no kernel signature
-        # changes; the schedulers read it from config directly
+        # the telemetry bus (config.telemetry, None = disabled) and the
+        # run's recovery record ride on the memory tracker (high-water
+        # timeline) and the kernel stats (compression / recompression
+        # samples, a failed compression's keep-dense verdict) so no kernel
+        # signature changes; the schedulers read telemetry from config
         self.tracker = MemoryTracker(telemetry=config.telemetry)
-        self.stats = FactorizationStats(
-            kernels=KernelStats(locked=True, telemetry=config.telemetry))
+        self.stats = FactorizationStats(kernels=KernelStats(
+            locked=True, telemetry=config.telemetry, recovery=recovery))
         self.nperturbed = 0
         #: run-wide threshold-pivoting aggregates (see
         #: :meth:`add_pivot_stats`); stay zero under static pivoting
@@ -183,10 +185,13 @@ class NumericFactor:
         #: ``config.sanitize_enabled()``; the threaded schedulers and the
         #: pull-set bookkeeping report their shared accesses through it
         self.sanitizer: Optional["RaceSanitizer"] = None
-        #: optional :class:`~repro.runtime.recovery.RecoveryState` — armed by
-        #: the solver when ``config.recovery`` is set; every breakdown
-        #: sentinel and fallback in the factorization path is gated on it
-        self.recovery: Optional["RecoveryState"] = None
+        #: the run's :class:`~repro.runtime.recovery.RecoveryState` when it
+        #: carries a policy (``config.recovery``), else ``None``; every
+        #: breakdown sentinel and fallback in the factorization path is
+        #: gated on it
+        self.recovery: Optional["RecoveryState"] = (
+            recovery if recovery is not None and recovery.policy is not None
+            else None)
         #: resolved BLR variant of this run (None for the dense strategy)
         self.variant: Optional[BlrVariant] = resolve_variant(config)
         #: Frobenius norm of the permuted input matrix (reference of the
@@ -317,7 +322,8 @@ class NumericFactor:
 
 
 def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
-             config: SolverConfig) -> NumericFactor:
+             config: SolverConfig,
+             recovery: Optional["RecoveryState"] = None) -> NumericFactor:
     """Scatter the permuted matrix into the block structure.
 
     * Dense / compress-late orders (``ucf``/``ufc``/``fuc``): every column
@@ -330,10 +336,13 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
       freed; only what is stored is charged to the tracker), so the dense
       factor structure never exists beside the compressed one.  A column
       block in which nothing compressed keeps its scratch as its panels.
+
+    ``recovery`` is the run's record (see :class:`NumericFactor`), attached
+    before the first compression.
     """
     if not a_perm.is_pattern_symmetric():
         raise ValueError("assemble expects a pattern-symmetric matrix")
-    fac = NumericFactor(symb, config)
+    fac = NumericFactor(symb, config, recovery)
     fac.dtype = config.resolve_dtype(a_perm.values.dtype)
     fac.storage_dtype = config.resolve_storage_dtype(fac.dtype)
     need_u = not config.is_symmetric_facto
@@ -476,7 +485,8 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
             fac.faults.on_compress(fac, nc.sym.id)
         except Exception as exc:
             rec = fac.recovery
-            if rec is None or not rec.policy.dense_fallback:
+            if (rec is None or rec.policy is None
+                    or not rec.policy.dense_fallback):
                 raise
             rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
                        error=type(exc).__name__)

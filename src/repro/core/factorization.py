@@ -112,7 +112,8 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
                     "nan-factor", cblk=k, site="factor",
                     detail="diagonal factorization produced non-finite "
                            "entries")
-            budget = rec.policy.pivot_budget
+            budget = (rec.policy.pivot_budget if rec.policy is not None
+                      else None)
             # the budget polices *unsanctioned* perturbations; once the
             # escalation ladder (or the user) explicitly enables the
             # delayed-pivot fallback, its perturbations are the last
@@ -212,13 +213,15 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
                   else perm)
     nc.pivd21 = d21 if int(pstats["n2x2"]) else None
     fac.add_pivot_stats(pstats)
+    swaps, n2x2 = int(pstats["swaps"]), int(pstats["n2x2"])
+    perturbed = int(pstats["perturbed"])
     tele = cfg.telemetry
-    if tele is not None:
-        tele.record_pivoting(k, swaps=int(pstats["swaps"]),
-                             two_by_two=int(pstats["n2x2"]),
-                             perturbations=int(pstats["perturbed"]),
-                             growth=float(pstats["growth"]))
-    return int(pstats["perturbed"])
+    if tele is not None and (swaps or n2x2 or perturbed):
+        # one event per block that actually pivoted (the run-wide totals
+        # live on the factor: fac.pivot_swaps / pivots_2x2 / pivot_growth)
+        tele.emit("pivoting", cblk=k, swaps=swaps, two_by_two=n2x2,
+                  perturbations=perturbed, growth=float(pstats["growth"]))
+    return perturbed
 
 
 def ldlt_d_solve_cols(x: np.ndarray, d: np.ndarray,

@@ -213,7 +213,7 @@ def _attempt_task(fac: NumericFactor, k: int) -> None:
     :class:`NumericalBreakdown` never retries locally — its causes are
     deterministic, so it goes straight to the solver-level ladder."""
     rec = fac.recovery
-    if rec is None or rec.policy.task_retries <= 0:
+    if rec is None or rec.policy is None or rec.policy.task_retries <= 0:
         _pull_and_factor(fac, k)
         return
     retries = rec.policy.task_retries
@@ -319,8 +319,6 @@ def run_threaded(fac: NumericFactor, nthreads: int,
     if watchdog_s is None:
         watchdog_s = fac.config.watchdog_timeout
     tele = fac.config.telemetry
-    if tele is not None:
-        tele.gauge("scheduler_threads", engine="dynamic").set_value(nthreads)
     san = fac.sanitizer
     _begin_profile(fac, "threaded-dynamic", nthreads)
 
@@ -360,17 +358,13 @@ def run_threaded(fac: NumericFactor, nthreads: int,
                 t_task = time.perf_counter()
                 _run_task(fac, k)
                 if tele is not None:
-                    # queue depth sampled at completion: the instantaneous
+                    # one point per finished task: the instantaneous
                     # backlog this worker left behind (qsize is advisory
                     # but race-tolerant — it feeds a trend series, not a
-                    # correctness decision)
-                    tele.counter("scheduler_tasks",
-                                 engine="dynamic").inc()
-                    tele.counter("scheduler_busy_seconds", engine="dynamic",
-                                 worker=str(wid)).inc(
-                        time.perf_counter() - t_task)
+                    # correctness decision) and the task's busy seconds
                     tele.series("scheduler_queue_depth").append(
-                        tele.clock(), depth=ready.qsize(), worker=wid)
+                        tele.clock(), depth=ready.qsize(), worker=wid,
+                        busy_s=time.perf_counter() - t_task)
                 newly_ready: List[int] = []
                 with state:
                     if san is not None:

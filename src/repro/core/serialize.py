@@ -51,9 +51,9 @@ FORMAT_VERSION = 1
 #: (``adaptive`` was only ever non-null beside ``strategy="adaptive"``,
 #: which ``SolverConfig`` itself now rejects; ``backend`` named the kernel
 #: implementation, and ``"numpy"`` — today's one kernel module — was the
-#: only one left when it retired)
+#: only one left when it retired; ``seed`` was never read)
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
-                         "adaptive", "backend")
+                         "adaptive", "backend", "seed")
 
 #: format version written into every checkpoint archive
 CHECKPOINT_VERSION = 1

@@ -67,15 +67,10 @@ def _resolved_order(cfg: SolverConfig) -> Optional[str]:
 @contextmanager
 def _kernel_calls(fac: NumericFactor, phase: str) -> Iterator[None]:
     """Charge the backend kernel calls made inside the block to
-    ``fac.stats`` and, with a telemetry store, to ``phase``; a block that
-    raises charges nothing."""
+    ``fac.stats`` under ``phase``; a block that raises charges nothing."""
     before = fac.backend.counts_snapshot()
     yield
-    delta = fac.backend.counts_delta(before)
-    fac.stats.add_backend_calls(delta)
-    tele = fac.config.telemetry
-    if tele is not None:
-        tele.record_backend_kernels(delta, phase=phase)
+    fac.stats.add_backend_calls(fac.backend.counts_delta(before), phase)
 
 
 class Solver:
@@ -111,15 +106,16 @@ class Solver:
         #: race sanitizer of the last threaded factorization
         #: (``config.sanitize`` / ``$REPRO_TSAN``), or ``None``
         self.sanitizer: Optional[Any] = None
-        #: result of the last :meth:`refine` call (residual history feeds
-        #: :meth:`run_report` even when no telemetry bus is attached)
+        #: result of the last :meth:`refine` call: the run's record of the
+        #: residual history (feeds :meth:`run_report`)
         self.last_refinement: Optional[RefinementResult] = None
-        #: JSON-able digest of the last recovery-enabled run (escalation
-        #: actions + counts), or ``None`` (feeds :meth:`run_report`)
-        self.last_recovery: Optional[Dict[str, Any]] = None
-        #: the escalated config the current factor was actually built
-        #: under, when it differs from :attr:`config` (``None`` otherwise)
-        self._effective_config: Optional[SolverConfig] = None
+        #: the current run's one record of recovery actions: replaced by
+        #: each :meth:`factorize` / :meth:`resume_from`, recorded into by
+        #: its solves, refinement and escalation rungs
+        self._recovery = RecoveryState(self.config.recovery)
+        #: the config of the latest factorization attempt (an escalation
+        #: rung's, once the ladder moved)
+        self._run_config = self.config
 
     def _take_values(self, a: CSCMatrix) -> None:
         """Adopt ``a`` as the system matrix.
@@ -152,6 +148,28 @@ class Solver:
     @property
     def stats(self) -> Optional[FactorizationStats]:
         return None if self.factor is None else self.factor.stats
+
+    @property
+    def last_recovery(self) -> Optional[Dict[str, Any]]:
+        """JSON-able digest of the current run's recovery record (policy,
+        attempts, final rung, actions + counts), or ``None`` when no
+        recovery policy is armed and nothing was recorded (feeds
+        :meth:`run_report`)."""
+        state = self._recovery
+        summary = state.summary()
+        if state.policy is None and not summary["actions"]:
+            return None
+        counts = summary["counts"]
+        cfg = self._run_config
+        return {"policy": (None if state.policy is None
+                           else asdict(state.policy)),
+                "attempts": (1 + counts.get("refactorize", 0)
+                             + counts.get("refine_escalation", 0)),
+                "final_tolerance": cfg.tolerance,
+                "final_strategy": cfg.strategy,
+                "final_variant": cfg.variant,
+                "final_order": _resolved_order(cfg),
+                **summary}
 
     # -- step 1+2: analysis ------------------------------------------------
     def analyze(self) -> SymbolicFactor:
@@ -191,11 +209,12 @@ class Solver:
 
     def _factorize_once(self, cfg: SolverConfig,
                         faults: Optional["FaultInjector"],
-                        checkpoint: Optional[Union[str, Path]],
-                        state: Optional[RecoveryState]
+                        checkpoint: Optional[Union[str, Path]]
                         ) -> FactorizationStats:
         """One assemble-and-factor attempt under ``cfg`` (one ladder rung)."""
         self.analyze()
+        self._run_config = cfg
+        state = self._recovery
         # engine facts (threads, scheduler) live in profiler.meta — span
         # attrs hold only config-derived facts so threaded and sequential
         # runs produce identical causal trees
@@ -204,16 +223,14 @@ class Solver:
             a_perm = permute_symmetric(self._a_sym, self.perm)
             t0 = time.perf_counter()
             with span(cfg.profiler, "assemble"):
-                fac = assemble(a_perm, self.symbolic, cfg)
+                fac = assemble(a_perm, self.symbolic, cfg, state)
             fac.faults = faults
-            fac.recovery = state
             if cfg.threads > 1 and cfg.sanitize_enabled():
                 from repro.runtime.sanitizer import RaceSanitizer
 
                 san = RaceSanitizer()
                 fac.attach_sanitizer(san)
-                if state is not None:
-                    state.attach_sanitizer(san)
+                state.attach_sanitizer(san)
                 if cfg.telemetry is not None:
                     cfg.telemetry.attach_sanitizer(san)
                 self.sanitizer = san
@@ -224,8 +241,7 @@ class Solver:
                     matrix_fingerprint,
                 )
 
-                policy = (state.policy if state is not None
-                          else RecoveryPolicy())
+                policy = state.policy or RecoveryPolicy()
                 writer = CheckpointWriter(
                     checkpoint, self.perm, matrix_fingerprint(self._a_sym),
                     every=policy.checkpoint_every,
@@ -247,17 +263,6 @@ class Solver:
             self.factor = fac
             return fac.stats
 
-    @staticmethod
-    def _recovery_summary(state: RecoveryState, policy: RecoveryPolicy,
-                          cfg: SolverConfig, attempts: int
-                          ) -> Dict[str, Any]:
-        return {"policy": asdict(policy), "attempts": attempts,
-                "final_tolerance": cfg.tolerance,
-                "final_strategy": cfg.strategy,
-                "final_variant": cfg.variant,
-                "final_order": _resolved_order(cfg),
-                **state.summary()}
-
     def factorize(self, faults: Optional["FaultInjector"] = None,
                   checkpoint: Optional[Union[str, Path]] = None
                   ) -> FactorizationStats:
@@ -278,11 +283,10 @@ class Solver:
         tightened tolerance (then a later-compressing loop order, last
         dense), at most
         ``recovery.max_retries`` times; every action lands in
-        :attr:`last_recovery` and on the telemetry bus.
+        :attr:`last_recovery`.  A new factorization starts a new run record.
         """
         policy = self.config.recovery
-        self.last_recovery = None
-        self._effective_config = None
+        self._recovery = state = RecoveryState(policy)
         if checkpoint is not None:
             if self.config.threads > 1:
                 raise ValueError(
@@ -292,23 +296,18 @@ class Solver:
                 raise ValueError("checkpointing does not support "
                                  "left-looking (deferred) allocation")
         if policy is None:
-            return self._factorize_once(self.config, faults, checkpoint,
-                                        None)
-        state = RecoveryState(policy, telemetry=self.config.telemetry)
+            return self._factorize_once(self.config, faults, checkpoint)
         cfg = self.config
         rung = 0
         while True:
             try:
-                stats = self._factorize_once(cfg, faults, checkpoint, state)
-                break
+                return self._factorize_once(cfg, faults, checkpoint)
             except Exception as exc:
                 breakdown = find_breakdown(exc)
                 nxt = (escalate_config(cfg, policy, cause=breakdown.cause)
                        if breakdown is not None and rung < policy.max_retries
                        else None)
                 if nxt is None:
-                    self.last_recovery = self._recovery_summary(
-                        state, policy, cfg, rung + 1)
                     raise
                 rung += 1
                 state.record("refactorize", site="solver",
@@ -319,10 +318,6 @@ class Solver:
                              pivot_fallback=nxt.pivot_fallback,
                              rung=rung)
                 cfg = nxt
-        self._effective_config = cfg if cfg is not self.config else None
-        self.last_recovery = self._recovery_summary(state, policy, cfg,
-                                                    rung + 1)
-        return stats
 
     def resume_from(self, path: Union[str, Path],
                     faults: Optional["FaultInjector"] = None
@@ -364,26 +359,21 @@ class Solver:
                 "(different values, pattern, or dtype)")
         self.symbolic = _symbolic_from_json(header["symbolic"])
         self.perm = np.asarray(arrays["perm"], dtype=np.int64)
-        policy = self.config.recovery
-        state = (RecoveryState(policy, telemetry=self.config.telemetry)
-                 if policy is not None else None)
+        self._recovery = RecoveryState(self.config.recovery)
+        self._run_config = self.config
         a_perm = permute_symmetric(self._a_sym, self.perm)
         t0 = time.perf_counter()
-        fac = assemble(a_perm, self.symbolic, self.config)
+        fac = assemble(a_perm, self.symbolic, self.config, self._recovery)
         fac.faults = faults
-        fac.recovery = state
         restored = restore_checkpoint(fac, header, arrays)
         fac.nperturbed = int(header["nperturbed"])
-        if state is not None:
-            state.record("resume", site="serialize", completed=restored,
-                         path=str(path))
+        if fac.recovery is not None:
+            fac.recovery.record("resume", site="serialize",
+                                completed=restored, path=str(path))
         with _kernel_calls(fac, "factorize"):
             run_sequential(fac)
         self._finalize_stats(fac, t0)
         self.factor = fac
-        if state is not None and policy is not None:
-            self.last_recovery = self._recovery_summary(
-                state, policy, self.config, 1)
         return fac.stats
 
     # -- step 4: solves -----------------------------------------------------
@@ -443,18 +433,16 @@ class Solver:
         The solve is read-only on the factors, so a transient failure
         (injected or environmental) is safe to simply re-run: it is retried
         once under a recovery policy, and the retry is recorded on the
-        telemetry bus."""
+        run."""
         pr = r[self.perm]
         try:
             y = solve_factored(self.factor, pr, trans=trans)
         except Exception as exc:
-            policy = self.config.recovery
+            policy = self._recovery.policy
             if policy is None or policy.task_retries <= 0:
                 raise
-            tele = self.config.telemetry
-            if tele is not None:
-                tele.record_recovery("task_retry", site="trisolve",
-                                     error=type(exc).__name__)
+            self._recovery.record("task_retry", site="trisolve",
+                                  error=type(exc).__name__)
             y = solve_factored(self.factor, pr, trans=trans)
         z = np.empty_like(y)
         z[self.perm] = y
@@ -463,7 +451,8 @@ class Solver:
     def _run_refinement(self, method: str, b: np.ndarray,
                         x0: Optional[np.ndarray], tol: float,
                         maxiter: int) -> RefinementResult:
-        """Dispatch one refinement run and publish it on the bus."""
+        """Dispatch one refinement run; its result is the run's record of
+        the residual history (:attr:`last_refinement`)."""
         with span(self.config.profiler, "refinement", method=method) as late:
             if method == "gmres":
                 res = gmres(self.a, b, precond=self._precond, tol=tol,
@@ -479,10 +468,6 @@ class Solver:
             late["converged"] = res.converged
             late["iterations"] = len(res.residual_history)
         self.last_refinement = res
-        tele = self.config.telemetry
-        if tele is not None:
-            tele.record_refinement(method, res.residual_history,
-                                   res.converged)
         return res
 
     def refine(self, b: np.ndarray, x0: Optional[np.ndarray] = None,
@@ -521,20 +506,18 @@ class Solver:
             drop=policy.refine_drop)
         if not (stagnated or diverged):
             return res
-        state = RecoveryState(policy, telemetry=self.config.telemetry)
-        cfg = self._effective_config or self.config
-        rungs = 0
+        cfg = self._run_config
         for _ in range(policy.max_retries):
             nxt = escalate_config(cfg, policy)
             if nxt is None:
                 break
-            rungs += 1
-            state.record("refine_escalation", site="refinement",
-                         cause="diverged" if diverged else "stagnated",
-                         tolerance=nxt.tolerance, strategy=nxt.strategy,
-                         order=_resolved_order(nxt),
-                         backward_error=res.backward_error)
-            self._factorize_once(nxt, None, None, state)
+            self._recovery.record(
+                "refine_escalation", site="refinement",
+                cause="diverged" if diverged else "stagnated",
+                tolerance=nxt.tolerance, strategy=nxt.strategy,
+                order=_resolved_order(nxt),
+                backward_error=res.backward_error)
+            self._factorize_once(nxt, None, None)
             cfg = nxt
             # a diverged iterate is a poor starting guess: restart clean
             x0 = None if diverged else res.x
@@ -546,9 +529,6 @@ class Solver:
                 drop=policy.refine_drop)
             if not (stagnated or diverged):
                 break
-        self._effective_config = cfg if cfg is not self.config else None
-        self.last_recovery = self._recovery_summary(state, policy, cfg,
-                                                    rungs + 1)
         return res
 
     # -- same-pattern refactorization ----------------------------------------
@@ -648,10 +628,11 @@ class Solver:
                    ) -> Dict[str, Any]:
         """One JSON-able ``RunReport`` artifact for the current run.
 
-        Aggregates the factorization statistics, compression/rank
-        breakdown, telemetry snapshot (metrics, memory high-water
-        timeline, rank-evolution series — when ``config.telemetry`` is
-        attached), refinement residual history and, with
+        Aggregates the factorization statistics and backend kernel calls,
+        compression/rank breakdown, refinement residual history, recovery
+        actions, the telemetry timeline (memory high-water and
+        rank-evolution series — when ``config.telemetry`` is attached)
+        and, with
         ``config.profiler``, the span rollup and task summary.  Render
         it with ``repro report`` or
         :func:`repro.analysis.report.render_markdown`.

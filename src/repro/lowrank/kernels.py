@@ -66,6 +66,9 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
     ``compress``.  ``norm_ref`` raises the truncation reference from the
     block's own Frobenius norm to ``max(||a||_F, norm_ref)`` — how the
     global threshold modes of :mod:`repro.core.variants` reach every kernel.
+    A kernel that fails (``LinAlgError``) keeps the block dense — always,
+    whatever the recovery policy — and the verdict is recorded on the run
+    (``stats.recovery``).
     """
     m, n = a.shape
     t0 = time.perf_counter()
@@ -83,13 +86,12 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
             raise ValueError(f"unknown kernel {kernel!r}")
     except np.linalg.LinAlgError as exc:
         # kernel non-convergence: keep the block dense (always-on verdict,
-        # independent of the recovery policy) and record the failure
+        # independent of the recovery policy) and record it on the run
         out = None
         fl = 0.0
-        if stats is not None and stats.telemetry is not None:
-            stats.telemetry.record_recovery(
-                "compress_failure", site=kernel,
-                error=type(exc).__name__, m=m, n=n)
+        if stats is not None and stats.recovery is not None:
+            stats.recovery.record("compress_failure", site=kernel,
+                                  error=type(exc).__name__, m=m, n=n)
     if stats is not None:
         stats.add("compress", seconds=time.perf_counter() - t0, flops=fl)
         if stats.telemetry is not None:

@@ -29,13 +29,7 @@ from repro.runtime.recovery import (
 from repro.runtime.stats import KernelStats, FactorizationStats, KERNEL_CATEGORIES
 from repro.runtime.memory import MemoryTracker, nbytes_dense, nbytes_lowrank
 from repro.runtime.faults import FaultError, FaultInjector
-from repro.runtime.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    SeriesBuffer,
-    Telemetry,
-)
+from repro.runtime.telemetry import SeriesBuffer, Telemetry
 
 __all__ = [
     "KernelStats",
@@ -49,9 +43,6 @@ __all__ = [
     "NumericalBreakdown",
     "RecoveryPolicy",
     "RecoveryState",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "SeriesBuffer",
     "Telemetry",
 ]

@@ -5,7 +5,7 @@ The BLR solver is explicitly a *backward-stable-enough* preconditioner
 recover full accuracy, and PaStiX's static pivoting can silently degrade
 the factors.  This module supplies the layer between "instrumented" and
 "production": structured *breakdown* signals raised at the point of
-failure, and a bounded, telemetry-logged *escalation ladder* that turns
+failure, and a bounded, logged *escalation ladder* that turns
 those signals into a completed solve instead of an aborted run.
 
 Three kinds of breakdown are detected when a
@@ -25,9 +25,9 @@ a tightened tolerance (``τ × tau_shrink`` per rung, floored at
 ``tau_floor``) and then moves to the next compress-later loop order of
 :data:`repro.core.variants.ORDER_LADDER` (cuf → ucf → ufc → fuc → dense)
 — at most
-:attr:`RecoveryPolicy.max_retries` rungs, every action recorded through
-:meth:`RecoveryState.record` (``recovery_*`` telemetry counters + one
-``recovery`` event each).  Transient task failures are retried locally
+:attr:`RecoveryPolicy.max_retries` rungs, every action recorded once, in
+the run's :class:`RecoveryState` (``Solver.last_recovery``).  Transient
+task failures are retried locally
 against a pre-task snapshot (:attr:`RecoveryPolicy.task_retries`, seeded
 backoff) before anything escalates.
 
@@ -45,7 +45,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.config import SolverConfig
-    from repro.runtime.telemetry import Telemetry
 
 __all__ = [
     "NumericalBreakdown",
@@ -172,22 +171,26 @@ class RecoveryPolicy:
 
 
 class RecoveryState:
-    """Per-run mutable recovery context (attached as ``fac.recovery``).
+    """One solver run's record of recovery actions, and its healing context.
 
-    Collects every recovery action taken (thread-safe), mirrors each one
-    onto the telemetry bus when present (``recovery_<action>`` counters +
-    a structured ``recovery`` event), and owns the seeded backoff
-    generator so retry timing is reproducible.
+    A :class:`~repro.core.solver.Solver` run (factorize, then its solves,
+    then refinement and any escalation rungs) records into one state:
+    :attr:`actions` is the one record of what was healed, read back by
+    ``Solver.last_recovery`` and the RunReport.  With a policy the state is
+    armed on the factor as ``fac.recovery`` and owns the seeded backoff
+    generator, so retry timing is reproducible.  Without one
+    (``policy=None``) it heals nothing and records only the always-on
+    verdicts — a compression kernel that failed and kept its block dense.
+    Thread-safe.
     """
 
-    def __init__(self, policy: RecoveryPolicy,
-                 telemetry: Optional["Telemetry"] = None) -> None:
+    def __init__(self, policy: Optional[RecoveryPolicy] = None) -> None:
         self.policy = policy
-        self.telemetry = telemetry
         self.actions: List[Dict[str, Any]] = []
         self._lock: Any = threading.Lock()
         self._sanitizer: Any = None
-        self._rng = np.random.default_rng(policy.seed)
+        self._rng = np.random.default_rng(
+            policy.seed if policy is not None else 0)
 
     def attach_sanitizer(self, san: Any) -> None:
         """Track this state's lock and action log in the race sanitizer."""
@@ -196,7 +199,7 @@ class RecoveryState:
 
     def record(self, action: str, site: str = "",
                cblk: Optional[int] = None, **detail: Any) -> None:
-        """Log one recovery action (list + telemetry, never silent)."""
+        """Log one recovery action (never silent)."""
         entry: Dict[str, Any] = {"action": action, "site": site}
         if cblk is not None:
             entry["cblk"] = int(cblk)
@@ -206,13 +209,10 @@ class RecoveryState:
                 self._sanitizer.note("recovery.actions", "write",
                                      site="recovery.py:record")
             self.actions.append(entry)
-        if self.telemetry is not None:
-            self.telemetry.record_recovery(action, site=site, cblk=cblk,
-                                           **detail)
 
     def backoff(self, attempt: int) -> float:
         """Seeded exponential backoff (seconds) before retry ``attempt``."""
-        base = self.policy.retry_backoff
+        base = self.policy.retry_backoff if self.policy is not None else 0.0
         if base <= 0.0:
             return 0.0
         with self._lock:
@@ -221,13 +221,8 @@ class RecoveryState:
 
     def counts(self) -> Dict[str, int]:
         """Action-name → occurrence count of everything recorded so far."""
-        with self._lock:
-            actions = list(self.actions)
-        out: Dict[str, int] = {}
-        for a in actions:
-            name = str(a["action"])
-            out[name] = out.get(name, 0) + 1
-        return out
+        counts: Dict[str, int] = self.summary()["counts"]
+        return counts
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able digest (feeds ``Solver.last_recovery`` / RunReport)."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:
+    from repro.runtime.recovery import RecoveryState
     from repro.runtime.telemetry import Telemetry
 
 #: Kernel categories reported by Table 2 of the paper (in paper row order).
@@ -48,7 +49,8 @@ class KernelStats:
     """
 
     def __init__(self, locked: bool = False,
-                 telemetry: Optional["Telemetry"] = None) -> None:
+                 telemetry: Optional["Telemetry"] = None,
+                 recovery: Optional["RecoveryState"] = None) -> None:
         self.seconds: Dict[str, float] = {}
         self.flops: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
@@ -59,6 +61,10 @@ class KernelStats:
         #: does not change any kernel signature.  ``None`` (default) keeps
         #: the kernels' telemetry branch at a single attribute test.
         self.telemetry = telemetry
+        #: the run's :class:`~repro.runtime.recovery.RecoveryState`, carried
+        #: the same way: a compression kernel that fails keeps its block
+        #: dense and records that verdict there, recovery policy or not
+        self.recovery = recovery
 
     def add(self, category: str, seconds: float = 0.0, flops: float = 0.0,
             calls: int = 1) -> None:
@@ -135,6 +141,8 @@ class FactorizationStats:
         Per-op kernel call counts (gemm/trsm/getrf/…, accumulated over
         factorization and solves) — the :mod:`repro.core.backend`
         accounting.
+    backend_calls_by_phase:
+        The same counts split by phase (``factorize`` / ``solve``).
     """
 
     kernels: KernelStats = field(default_factory=KernelStats)
@@ -147,12 +155,16 @@ class FactorizationStats:
     nblocks_compressed: int = 0
     nblocks_dense: int = 0
     backend_kernel_calls: Dict[str, int] = field(default_factory=dict)
+    backend_calls_by_phase: Dict[str, Dict[str, int]] = field(
+        default_factory=dict)
 
-    def add_backend_calls(self, delta: Dict[str, int]) -> None:
-        """Accumulate a per-op call-count delta into the running totals."""
+    def add_backend_calls(self, delta: Dict[str, int], phase: str) -> None:
+        """Accumulate a per-op call-count delta of ``phase`` into the
+        running totals."""
+        by_phase = self.backend_calls_by_phase.setdefault(phase, {})
         for op, n in delta.items():
-            self.backend_kernel_calls[op] = (
-                self.backend_kernel_calls.get(op, 0) + n)
+            for totals in (self.backend_kernel_calls, by_phase):
+                totals[op] = totals.get(op, 0) + n
 
     @property
     def memory_ratio(self) -> float:

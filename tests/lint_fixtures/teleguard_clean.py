@@ -3,7 +3,7 @@
 
 def guarded_direct(fac, k):
     if fac.telemetry is not None:
-        fac.telemetry.counter("tasks").inc()
+        fac.telemetry.emit("tasks")
 
 
 def guarded_alias(config):
@@ -29,7 +29,7 @@ def ternary(fac):
 def closure_retests(fac):
     def task():
         if fac.telemetry is not None:
-            fac.telemetry.counter("deferred").inc()
+            fac.telemetry.emit("deferred")
     return task
 
 

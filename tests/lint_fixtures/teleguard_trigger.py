@@ -2,7 +2,7 @@
 
 
 def unguarded_direct(fac, k):
-    fac.telemetry.counter("tasks").inc()  # finding: no None guard
+    fac.telemetry.emit("tasks")  # finding: no None guard
 
 
 def unguarded_alias(config):
@@ -20,7 +20,7 @@ def closure_does_not_inherit(fac):
         def task():
             # finding: facts do not flow into closures (the closure may run
             # after telemetry is detached) — it must re-test
-            fac.telemetry.counter("deferred").inc()
+            fac.telemetry.emit("deferred")
         return task
     return None
 

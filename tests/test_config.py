@@ -56,7 +56,8 @@ class TestValidation:
     @pytest.mark.parametrize("retired", [dict(scheduler="dynamic"),
                                          dict(scheduler="static"),
                                          dict(trace=True),
-                                         dict(backend="numpy")],
+                                         dict(backend="numpy"),
+                                         dict(seed=0)],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
         """One worker pool, one recorder and one kernel module: nothing
@@ -65,7 +66,7 @@ class TestValidation:
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 31
+        assert len(dataclasses.fields(SolverConfig)) == 30
 
 
 class TestPresets:

@@ -1,10 +1,11 @@
 """Tests for RunReport artifacts, rank-by-level metrics, the ``repro
 report`` CLI, the tier-0 bench history format, and tools/benchdiff.
 
-The two ``test_run_report_*`` cases are the PR's acceptance criteria: a
+The two ``test_run_report_*`` cases are the acceptance criteria: a
 telemetry-enabled JIT run and a Minimal Memory run must each produce a
-RunReport containing kernel counters, a memory high-water timeline,
-rank-evolution samples and a refinement residual history.
+RunReport containing kernel tallies and backend kernel calls, a memory
+high-water timeline, rank-evolution samples and a refinement residual
+history.
 """
 
 import json
@@ -47,10 +48,12 @@ def _reported_solver(strategy: str, **overrides) -> Solver:
 
 def _check_full_report(report: dict) -> None:
     assert report["schema"] == REPORT_SCHEMA
-    # kernel counters (both the Table-2 tallies and the telemetry bus)
+    # kernel counts: the Table-2 tallies and the backend calls per phase
     assert report["kernels"]["compress"]["calls"] > 0
-    counters = report["telemetry"]["counters"]
-    assert "compress_blocks" in counters
+    calls = report["backend_kernel_calls"]
+    assert calls["factorize"]["getrf"] > 0
+    assert calls["solve"]["panel_trsm"] > 0
+    assert set(report["telemetry"]) == {"series", "events_emitted"}
     # memory high-water timeline
     mem = report["telemetry"]["series"]["memory_highwater"]
     assert len(mem) > 1
@@ -116,8 +119,8 @@ class TestRunReport:
         s = _reported_solver("minimal-memory")
         md = render_markdown(s.run_report(workload="md-test"))
         for heading in ("# Run report — md-test", "## Problem and timings",
-                        "## Kernel breakdown", "## Compression",
-                        "## Refinement", "## Telemetry"):
+                        "## Kernel breakdown", "## Backend kernel calls",
+                        "## Compression", "## Refinement", "## Telemetry"):
             assert heading in md
 
     def test_render_figures(self, tmp_path):

@@ -138,7 +138,7 @@ class TestArchivesOutliveConfigFields:
     anything else unknown is still rejected, by name."""
 
     RETIRED = dict(accumulate_updates=True, trace=False,
-                   scheduler="static", adaptive=None, backend=None)
+                   scheduler="static", adaptive=None, backend=None, seed=0)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)

@@ -100,22 +100,23 @@ class TestCompression:
     def test_compress_block_keeps_dense_on_kernel_failure(self, rng,
                                                           monkeypatch):
         """compress_block turns a LinAlgError into a keep-dense verdict
-        (and records it on the telemetry bus when one is attached)."""
+        and records it on the run's recovery record."""
         import repro.lowrank.svd as svdmod
         from repro.lowrank.kernels import compress_block
+        from repro.runtime.recovery import RecoveryState
         from repro.runtime.stats import KernelStats
-        from repro.runtime.telemetry import Telemetry
 
         def broken(a, **kw):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(svdmod.sla, "svd", broken)
-        tele = Telemetry()
-        stats = KernelStats(telemetry=tele)
+        state = RecoveryState()
+        stats = KernelStats(recovery=state)
         out = compress_block(rng.standard_normal((12, 10)), 1e-8,
                              kernel="svd", stats=stats)
         assert out is None
-        assert "recovery_compress_failure" in tele.snapshot()["counters"]
+        assert state.counts() == {"compress_failure": 1}
+        assert state.actions[0]["site"] == "svd"
 
     def test_compress_block_unknown_kernel_still_raises(self, rng):
         from repro.lowrank.kernels import compress_block

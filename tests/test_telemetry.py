@@ -1,88 +1,21 @@
-"""Tests for the unified telemetry store (repro.runtime.telemetry).
+"""Tests for the telemetry store (repro.runtime.telemetry).
 
-Covers the metric primitives (counters, gauges, histograms), the bounded
-event log, the bounded series decimation, thread-safety of
-shared counters under real threaded factorizations, and the two
-disabled-path guarantees: zero telemetry calls and a bounded overhead
-when ``SolverConfig.telemetry`` is ``None``.
+Covers the bounded event log, the bounded series decimation, the
+timeline a real (threaded) factorization leaves in the store while every
+count stays in the run's own state, and the two disabled-path
+guarantees: zero telemetry calls and a bounded overhead when
+``SolverConfig.telemetry`` is ``None``.
 """
 
-import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.config import SolverConfig
 from repro.core.solver import Solver
-from repro.runtime.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    SeriesBuffer,
-    Telemetry,
-)
+from repro.runtime.telemetry import SeriesBuffer, Telemetry
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
-
-
-# ----------------------------------------------------------------------
-# metric primitives
-# ----------------------------------------------------------------------
-
-class TestMetrics:
-    def test_counter_increments(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1.0)
-
-    def test_gauge_tracks_max(self):
-        g = Gauge()
-        g.set_value(5.0)
-        g.set_value(2.0)
-        g.inc(1.0)
-        assert g.value == 3.0
-        assert g.max_value == 5.0
-
-    def test_histogram_buckets_and_mean(self):
-        h = Histogram(buckets=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]  # <=1, <=10, +Inf
-        assert h.count == 3
-        assert h.mean() == pytest.approx(55.5 / 3)
-
-    def test_registry_labels_and_kind_mismatch(self):
-        tele = Telemetry()
-        a = tele.counter("blocks", kernel="rrqr")
-        b = tele.counter("blocks", kernel="svd")
-        assert a is not b
-        assert tele.counter("blocks", kernel="rrqr") is a
-        with pytest.raises(TypeError):
-            tele.gauge("blocks")
-
-    def test_counter_thread_safety(self):
-        """N threads x M increments must land exactly N*M (no lost updates)."""
-        tele = Telemetry()
-        c = tele.counter("shared")
-        nthreads, reps = 8, 5000
-
-        def hammer():
-            for _ in range(reps):
-                c.inc()
-
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(nthreads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == nthreads * reps
 
 
 # ----------------------------------------------------------------------
@@ -137,17 +70,17 @@ class TestSolverIntegration:
             strategy="just-in-time", telemetry=tele))
         s.factorize()
         snap = tele.snapshot()
+        assert set(snap) == {"series", "events_emitted"}
         assert s.stats.nblocks_compressed > 0
-        total = sum(c["value"]
-                    for c in snap["counters"]["compress_blocks"])
-        lowrank = sum(
-            c["value"] for c in snap["counters"]["compress_blocks"]
-            if c["labels"]["outcome"] == "lowrank")
+        # one compress event per attempt: exactly the run's own tally
+        events = [e for e in tele.events() if e["kind"] == "compress"]
+        assert len(events) == s.stats.kernels.call_count("compress")
+        lowrank = [e for e in events if e["rank"] >= 0]
         # stats counts L blocks only; LU compresses U panels too
-        assert lowrank >= s.stats.nblocks_compressed
-        assert total >= lowrank
-        assert len(snap["series"]["rank_evolution"]) > 0
-        assert len(snap["series"]["memory_highwater"]) > 0
+        assert len(lowrank) >= s.stats.nblocks_compressed
+        assert len(snap["series"]["rank_evolution"]) == len(lowrank)
+        mem = snap["series"]["memory_highwater"]
+        assert mem and mem[-1]["peak"] <= s.stats.peak_nbytes
 
     def test_recompression_metrics_minimal_memory(self):
         tele = Telemetry()
@@ -155,36 +88,34 @@ class TestSolverIntegration:
             strategy="minimal-memory", telemetry=tele))
         s.factorize()
         snap = tele.snapshot()
-        assert "recompress_blocks" in snap["counters"]
+        assert any(e["kind"] == "recompress" for e in tele.events())
         sites = {p["site"] for p in snap["series"]["rank_evolution"]}
         assert "recompress" in sites
 
     def test_threaded_scheduler_counters_exact(self):
+        """One queue-depth point per finished task, from every worker."""
         tele = Telemetry()
         s = Solver(laplacian_3d(8), tiny_blr_config(
             strategy="just-in-time", threads=4, telemetry=tele))
         s.factorize()
-        snap = tele.snapshot()
-        tasks = sum(c["value"] for c in snap["counters"]["scheduler_tasks"])
-        assert tasks == s.symbolic.ncblk
-        assert snap["gauges"]["scheduler_threads"][0]["value"] == 4
-        assert len(snap["series"]["scheduler_queue_depth"]) > 0
-        labels = {c["labels"]["engine"]
-                  for c in snap["counters"]["scheduler_tasks"]}
-        assert labels == {"dynamic"}
+        pts = tele.snapshot()["series"]["scheduler_queue_depth"]
+        assert len(pts) == s.symbolic.ncblk
+        assert {p["worker"] for p in pts} <= set(range(4))
+        assert all(p["depth"] >= 0 and p["busy_s"] >= 0.0 for p in pts)
 
-    def test_refinement_history_on_bus(self):
+    def test_refinement_history_on_the_run(self):
+        """The residual history is the run's record (``last_refinement``
+        and the RunReport), not a telemetry series."""
         tele = Telemetry()
         a = laplacian_2d(16)
         s = Solver(a, tiny_blr_config(telemetry=tele))
         res = s.refine(np.ones(a.n))
         assert res.residual_history == res.history
-        pts = tele.snapshot()["series"]["refinement_residual"]
-        assert [p["residual"] for p in pts] == res.residual_history
-        events = [e for e in tele.events()
-                  if e["kind"] == "refinement"]
-        assert len(events) == 1
-        assert events[0]["residual_history"] == res.residual_history
+        assert s.last_refinement is res
+        report = s.run_report()
+        assert report["refinement"]["residual_history"] == \
+            res.residual_history
+        assert "refinement_residual" not in tele.snapshot()["series"]
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +132,7 @@ class TestDisabledPath:
             raise AssertionError("telemetry touched on the disabled path")
 
         for name in ("emit", "record_compress", "record_recompress",
-                     "record_memory", "record_refinement", "counter",
-                     "gauge", "histogram", "series"):
+                     "record_memory", "series"):
             monkeypatch.setattr(Telemetry, name, boom)
         monkeypatch.setattr(SeriesBuffer, "append", boom)
 

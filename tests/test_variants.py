@@ -498,7 +498,7 @@ def test_retired_names_are_gone(probe, error):
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 31
+    assert len(fields(SolverConfig)) == 30
 
 
 # ----------------------------------------------------------------------
