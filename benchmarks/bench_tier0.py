@@ -3,8 +3,8 @@
 Unlike the paper-artifact benches (Tables 1/2, Figures 5-8), this harness
 exists to track the *trajectory* of the solver's performance across PRs: a
 single fixed workload — the 16³ 3D Laplacian under the Just-In-Time
-strategy at τ=1e-6 — factored and solved in float64, float32, and float64
-with mixed-precision float32 storage.
+strategy at τ=1e-6 — factored and solved in float64 and float32, and at
+τ=1e-4, where compression discards enough for float32 storage.
 
 Each run *appends* a timestamped record to the ``history`` array of
 ``BENCH_tier0.json`` at the repository root, so the file accumulates the
@@ -58,7 +58,8 @@ HISTORY_LIMIT = 200
 VARIANTS = (
     ("float64", dict()),
     ("float32", dict(dtype="float32")),
-    ("float64+float32-storage", dict(storage_dtype="float32")),
+    # at τ = 1e-4 compression discards enough for float32 storage
+    ("float64+float32-storage", dict(tolerance=1e-4)),
     ("float64-variant-cuf", dict(variant="cuf")),
     ("float64-variant-ucf", dict(variant="ucf")),
     ("float64-variant-ufc", dict(variant="ufc")),
@@ -79,6 +80,14 @@ def _config(**overrides: Any) -> SolverConfig:
 MULTIRHS_K = 16
 
 
+def _narrowed(fac: Any) -> Optional[str]:
+    """The narrow dtype some column block of ``fac`` is stored in, or
+    ``None`` when every block kept the compute dtype."""
+    narrow = {b.dtype for nc in fac.cblks for b in nc.lblocks or ()}
+    narrow.discard(fac.dtype)
+    return str(narrow.pop()) if narrow else None
+
+
 def run_variant(a: Any, label: str, overrides: Dict[str, Any]) -> dict:
     solver = Solver(a, _config(**overrides))
     solver.analyze()
@@ -92,9 +101,7 @@ def run_variant(a: Any, label: str, overrides: Dict[str, Any]) -> dict:
     return {
         "label": label,
         "dtype": str(solver.factor.dtype),
-        "storage_dtype": (str(solver.factor.storage_dtype)
-                          if solver.factor.storage_dtype is not None
-                          else None),
+        "storage_dtype": _narrowed(solver.factor),
         "analyze_time": solver.analyze_time,
         "facto_time_s": facto_time,
         "solve_time_s": solve_time,

@@ -145,7 +145,6 @@ def _config(args: argparse.Namespace) -> SolverConfig:
         threads=args.threads,
         watchdog_timeout=getattr(args, "watchdog", None),
         dtype=args.dtype,
-        storage_dtype=args.storage_dtype,
         recovery=recovery,
     )
 
@@ -185,11 +184,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dtype", default=None, choices=DTYPES,
                    help="arithmetic precision (default: the matrix dtype; "
                         "float64 for real inputs)")
-    p.add_argument("--storage-dtype", default=None, choices=DTYPES,
-                   dest="storage_dtype",
-                   help="store compressed low-rank factors in this narrower "
-                        "dtype (mixed precision), e.g. float32 under a "
-                        "float64 factorization")
     p.add_argument("--recovery", action="store_true",
                    help="arm the self-healing layer (breakdown detection + "
                         "escalation ladder) with default RecoveryPolicy "

@@ -130,18 +130,6 @@ class SolverConfig:
     #: s/d/c/z); ``None`` inherits the matrix's dtype (real non-float
     #: inputs default to float64)
     dtype: Optional[str] = None
-    #: storage precision of the off-diagonal factor blocks
-    #: (mixed-precision BLR): a *narrower* dtype of the same kind as
-    #: :attr:`dtype` — ``float32`` under float64, ``complex64`` under
-    #: complex128.  Compressed low-rank ``u``/``v`` pairs *and* dense
-    #: off-diagonal blocks are stored narrow; diagonal blocks (the
-    #: stability-critical pivots) stay at full precision, and every
-    #: update/solve promotes narrow operands back to :attr:`dtype` before
-    #: computing.  Sound whenever τ is at or above the narrow dtype's
-    #: epsilon (e.g. τ ≥ 1e-6 for float32 storage).  Only BLR strategies
-    #: compress storage this way; the ``dense`` strategy ignores it.
-    #: ``None`` stores everything at :attr:`dtype`.
-    storage_dtype: Optional[str] = None
 
     # --- parallelism ---------------------------------------------------
     #: worker threads of the factorization (1 = the inline sequential loop;
@@ -271,22 +259,6 @@ class SolverConfig:
         if self.dtype is not None and self.dtype not in DTYPES:
             raise ValueError(
                 f"dtype must be one of {DTYPES} (or None), got {self.dtype!r}")
-        if self.storage_dtype is not None:
-            if self.storage_dtype not in DTYPES:
-                raise ValueError(
-                    f"storage_dtype must be one of {DTYPES} (or None), got "
-                    f"{self.storage_dtype!r}")
-            if self.dtype is not None:
-                import numpy as _np
-
-                full = _np.dtype(self.dtype)
-                narrow = _np.dtype(self.storage_dtype)
-                if (full.kind != narrow.kind
-                        or narrow.itemsize > full.itemsize):
-                    raise ValueError(
-                        "storage_dtype must be a same-kind dtype no wider "
-                        f"than dtype ({self.dtype!r}); got "
-                        f"{self.storage_dtype!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -369,21 +341,15 @@ class SolverConfig:
 
     def resolve_storage_dtype(self, compute_dtype: Union[str, np.dtype]
                               ) -> Optional[np.dtype]:
-        """The numpy dtype compressed ``u``/``v`` panels are stored in.
-
-        Returns ``None`` when storage precision equals compute precision
-        (the common case — callers can skip the downcast entirely).
-        """
+        """The narrow dtype a BLR factor may store a column block in:
+        float32 under float64, complex64 under complex128, ``None`` for
+        single-precision arithmetic and for the dense strategy.  Which
+        column blocks are narrowed is decided by their compression
+        (:func:`repro.core.factor.compress_column_block`)."""
         import numpy as np
 
-        if self.storage_dtype is None:
+        if not self.is_blr:
             return None
-        compute = np.dtype(compute_dtype)
-        narrow = np.dtype(self.storage_dtype)
-        if narrow.kind != compute.kind or narrow.itemsize > compute.itemsize:
-            raise ValueError(
-                f"storage_dtype={self.storage_dtype!r} is not a same-kind "
-                f"dtype no wider than the compute dtype {compute.name!r}")
-        if narrow == compute:
-            return None
-        return narrow
+        return {"float64": np.dtype(np.float32),
+                "complex128": np.dtype(np.complex64)}.get(
+                    np.dtype(compute_dtype).name)

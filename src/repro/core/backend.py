@@ -427,8 +427,13 @@ def _stable_gemm(a: np.ndarray, x: np.ndarray,
     xt = np.ascontiguousarray(x.T)  # one copy; each row is a contiguous col
     if trans == "C":
         xt = xt.conj()
-    op = np.ascontiguousarray(a) if trans == "N" else a.T
-    out = np.empty((op.shape[0], x.shape[1]), dtype=np.result_type(a, x))
+    dtype = np.result_type(a, x)
+    op = a if trans == "N" else a.T
+    if trans == "N" or a.dtype != dtype:
+        # a narrow ``a`` is cast once here, into the C-ordered operand the
+        # gemvs below would each have cast it to
+        op = np.ascontiguousarray(op, dtype=dtype)
+    out = np.empty((op.shape[0], x.shape[1]), dtype=dtype)
     for j in range(xt.shape[0]):
         # solverlint: ignore[python-hot-loop] -- one BLAS gemv per column: the per-column independence is the stability contract, and each iteration is a full vectorized matvec, not scalar work
         out[:, j] = op @ xt[j]

@@ -55,6 +55,7 @@ from repro.core.backend import KERNELS
 from repro.core.variants import BlrVariant, resolve_variant
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import block_nbytes, compress_block, rank_cap
+from repro.lowrank.recompress import sqnorm
 from repro.runtime.memory import MemoryTracker, array_nbytes
 from repro.runtime.stats import FactorizationStats, KernelStats
 from repro.sparse.csc import CSCMatrix
@@ -165,8 +166,9 @@ class NumericFactor:
         #: arithmetic dtype of the factorization (resolved by
         #: :func:`assemble` from the matrix and ``config.dtype``)
         self.dtype = np.dtype(np.float64)
-        #: narrower dtype compressed u/v factors are *stored* in
-        #: (mixed-precision BLR), or ``None`` for full-precision storage
+        #: narrow dtype a column block is stored in once its compression
+        #: discarded enough (:func:`narrow_if_discarded`); ``None`` when nothing
+        #: may narrow (dense strategy, single-precision arithmetic)
         self.storage_dtype = None
         #: 2 when both L and Uᵗ off-diagonal panels are stored (LU), else 1
         self.sides = 1 if config.is_symmetric_facto else 2
@@ -407,19 +409,13 @@ def snapshot_column_block(nc: NumericColumnBlock) -> Dict[str, Any]:
     so a snapshot taken before the task plus :func:`restore_column_block`
     on failure gives exact local retry semantics.
     """
-
-    def _copy_block(b: Block) -> Block:
-        if isinstance(b, LowRankBlock):
-            return LowRankBlock(b.u.copy(), b.v.copy())
-        return b.copy()
-
     return {
         "diag": nc.diag.copy() if nc.diag is not None else None,
         "lpanel": nc.lpanel.copy() if nc.lpanel is not None else None,
         "upanel": nc.upanel.copy() if nc.upanel is not None else None,
-        "lblocks": ([_copy_block(b) for b in nc.lblocks]
+        "lblocks": ([b.copy() for b in nc.lblocks]
                     if nc.lblocks is not None else None),
-        "ublocks": ([_copy_block(b) for b in nc.ublocks]
+        "ublocks": ([b.copy() for b in nc.ublocks]
                     if nc.ublocks is not None else None),
         "factored": nc.factored,
         "pivperm": nc.pivperm.copy() if nc.pivperm is not None else None,
@@ -435,20 +431,14 @@ def restore_column_block(fac: NumericFactor, k: int,
     several retry attempts; the memory tracker is resized to the restored
     footprint.
     """
-
-    def _copy_block(b: Block) -> Block:
-        if isinstance(b, LowRankBlock):
-            return LowRankBlock(b.u.copy(), b.v.copy())
-        return b.copy()
-
     nc = fac.cblks[k]
     before = nc.nbytes(fac.sides)
     nc.diag = snap["diag"].copy() if snap["diag"] is not None else None
     nc.lpanel = snap["lpanel"].copy() if snap["lpanel"] is not None else None
     nc.upanel = snap["upanel"].copy() if snap["upanel"] is not None else None
-    nc.lblocks = ([_copy_block(b) for b in snap["lblocks"]]
+    nc.lblocks = ([b.copy() for b in snap["lblocks"]]
                   if snap["lblocks"] is not None else None)
-    nc.ublocks = ([_copy_block(b) for b in snap["ublocks"]]
+    nc.ublocks = ([b.copy() for b in snap["ublocks"]]
                   if snap["ublocks"] is not None else None)
     nc.factored = bool(snap["factored"])
     # .get(): snapshots predating the pivoting fields restore to identity
@@ -459,18 +449,50 @@ def restore_column_block(fac: NumericFactor, k: int,
     fac.tracker.resize(before, nc.nbytes(fac.sides))
 
 
+#: a column block is stored narrow once its truncations discarded at least
+#: this many unit roundoffs of the narrow dtype, relative to its norm: the
+#: storage rounding then adds at most 1 % of an error it already carries
+NARROW_BUDGET = 100.0
+
+
+def narrow_if_discarded(fac: NumericFactor, nc: NumericColumnBlock,
+                        dropped2: float) -> None:
+    """Store the blocks of ``nc`` in ``fac.storage_dtype`` once its
+    truncations dropped ``dropped2`` (a squared Frobenius norm) of at least
+    :data:`NARROW_BUDGET` unit roundoffs of that dtype relative to its
+    norm (a low-rank block's is ``‖v‖``: its ``u`` is orthonormal).  The
+    caller accounts the bytes."""
+    narrow = fac.storage_dtype
+    if narrow is None or dropped2 <= 0:
+        return
+    sides = [bl for bl in (nc.lblocks, nc.ublocks) if bl is not None]
+    norm2 = sum(sqnorm(b.v if isinstance(b, LowRankBlock) else b)
+                for blocks in sides for b in blocks)
+    if dropped2 >= (NARROW_BUDGET * np.finfo(narrow).eps / 2) ** 2 * norm2:
+        for blocks in sides:
+            blocks[:] = [b if b.dtype == narrow else b.astype(narrow)
+                         for b in blocks]
+
+
 def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
                           lpanel: np.ndarray,
                           upanel: Optional[np.ndarray]) -> int:
     """The compression point of one column block: try every low-rank
     candidate of its dense ``lpanel`` / ``upanel``, store the outcome on
-    ``nc`` (narrowed to ``storage_dtype``) and return the bytes it holds.
+    ``nc`` and return the bytes it holds.
 
     One rule at every site: **blocks mode = holds at least one low-rank
     block**.  When a candidate is accepted the column block gets per-block
     storage (the other blocks as dense arrays); when none is, the panels
     themselves are kept, so a column block that stayed dense costs what it
     costs in the dense solver — same bytes, same batched kernels.
+
+    Precision follows the error already discarded: the blocks of a column
+    block are stored in ``fac.storage_dtype`` when what its accepted
+    compressions dropped is large enough to absorb the rounding
+    (:func:`narrow_if_discarded`).  Read from the kernels' own output, never
+    reconstructed: for an orthonormal ``u`` a block discarded
+    ``‖B‖² − ‖v‖²``.  A column block that kept its panels stays wide.
 
     When a fault injector arms the compression site (or a kernel genuinely
     dies) and the recovery policy allows it, nothing is tried and the
@@ -503,20 +525,19 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
                                 norm_ref=fac.comp_norm_ref)
             if lr is not None:
                 accepted[side, i] = lr
-    # per side: the kept panel, or the list of its blocks once one compressed
-    stored: List[Any] = [None, None]
-    for side, panel in enumerate(panels):
-        kept: List[Block] = [panel] if not accepted else [
-            accepted.get((side, i),
-                         np.ascontiguousarray(panel[offs[i]:offs[i + 1]]))
-            for i in range(nc.sym.noff)]
-        if fac.storage_dtype is not None:
-            kept = [b.astype(fac.storage_dtype) for b in kept]
-        stored[side] = kept if accepted else kept[0]
     if accepted:
+        # per side, the list of its blocks once one compressed
+        blocks = [[accepted.get((side, i), np.ascontiguousarray(
+            panel[offs[i]:offs[i + 1]])) for i in range(nc.sym.noff)]
+            for side, panel in enumerate(panels)]
         nc.lpanel = nc.upanel = None
-        nc.lblocks, nc.ublocks = stored
+        nc.lblocks = blocks[0]
+        nc.ublocks = blocks[1] if upanel is not None else None
+        # what the accepted blocks discarded: ‖B‖² − ‖v‖² (orthonormal u)
+        narrow_if_discarded(fac, nc, sum(
+            sqnorm(panels[side][offs[i]:offs[i + 1]]) - sqnorm(lr.v)
+            for (side, i), lr in accepted.items()))
     else:
-        nc.lpanel, nc.upanel = stored
+        nc.lpanel, nc.upanel = lpanel, upanel
         nc.lblocks = nc.ublocks = None
     return nc.nbytes(fac.sides) - array_nbytes(nc.diag)

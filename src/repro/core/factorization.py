@@ -42,6 +42,7 @@ from repro.core.factor import (
     NumericColumnBlock,
     NumericFactor,
     compress_column_block,
+    narrow_if_discarded,
 )
 from repro.runtime.recovery import NumericalBreakdown
 from repro.lowrank.block import LowRankBlock
@@ -351,13 +352,9 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
     w = nc.width
     t0 = time.perf_counter()
     fl = 0.0
-    if fac.storage_dtype is not None:
-        def store(arr: np.ndarray) -> np.ndarray:
-            # solve results promote to the compute dtype; narrow them back
-            return arr.astype(fac.storage_dtype)
-    else:
-        def store(arr: np.ndarray) -> np.ndarray:
-            return arr
+
+    def store(arr: np.ndarray, was: np.ndarray) -> np.ndarray:
+        return arr.astype(was.dtype, copy=False)  # narrow stays narrow
     if cfg.factotype == "lu":
         u00 = np.triu(nc.diag)
         l00 = nc.diag  # unit-lower part read in place by the solvers
@@ -379,7 +376,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                     fl += trsm_flops(w, lb.rank)
                 else:
                     nc.lblocks[i] = store(be.trsm(u00, lb, side="right",
-                                                  lower=False))
+                                                  lower=False), lb)
                     fl += trsm_flops(w, lb.shape[0])
                 ub = nc.ublocks[i]
                 if isinstance(ub, LowRankBlock):
@@ -391,7 +388,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                 else:
                     nc.ublocks[i] = store(be.trsm(l00, ub, side="right",
                                                   lower=True, trans="T",
-                                                  unit_diagonal=True))
+                                                  unit_diagonal=True), ub)
                     fl += trsm_flops(w, ub.shape[0])
     elif cfg.factotype == "cholesky":
         l00 = nc.diag
@@ -419,7 +416,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                 else:
                     nc.lblocks[i] = store(be.trsm(l00, lb, side="right",
                                                   lower=True,
-                                                  trans=trans_right))
+                                                  trans=trans_right), lb)
                     fl += trsm_flops(w, lb.shape[0])
     else:  # ldlt: L(i) = A(i) Pᵀ L00⁻ᴴ D⁻¹ (⁻ᵗ for real factors; P = I
         # without threshold pivoting, so the legacy path is untouched)
@@ -463,7 +460,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                     nc.lblocks[i] = store(ldlt_d_solve_cols(
                         be.trsm(l00, blk, side="right", lower=True,
                                 trans=trans_right, unit_diagonal=True),
-                        d, d21, hermitian))
+                        d, d21, hermitian), lb)
                     fl += trsm_flops(w, lb.shape[0])
     stats.add("panel_solve", seconds=time.perf_counter() - t0,
               flops=fl * flop_scale(fac.dtype))
@@ -534,13 +531,10 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     base, dend = offs[first], offs[end]
     nf, nbelow = dend - base, len(pos)
     t0 = time.perf_counter()
-    # the rows this visit multiplies; narrow-storage operands multiply in
-    # the compute dtype, so exactly those rows are promoted
-    l_rows = nc.lpanel[base:]
-    u_rows = nc.upanel[base:] if is_lu else None
-    if fac.storage_dtype is not None:
-        l_rows = _promote(l_rows, fac.dtype)
-        u_rows = _promote(u_rows, fac.dtype)
+    # the rows this visit multiplies, in the compute dtype (a panel stored
+    # narrow by an older archive is promoted: exactly those rows)
+    l_rows = _as_dtype(nc.lpanel[base:], fac.dtype)
+    u_rows = _as_dtype(nc.upanel[base:], fac.dtype) if is_lu else None
     if is_lu:
         facing = u_rows[:nf]
     elif fac.config.factotype == "ldlt":
@@ -571,29 +565,28 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     if is_lu and nbelow:
         below_u = be.gemm(u_rows[nf:], l_rows[:nf], trans_b="T")
     # one charge per visit, from the structure: every entry computed costs
-    # 2·width flops, every entry landed here one more (a blocks-mode target
-    # charges its own landings below)
+    # 2·width flops, every entry landed one more
     landed, below_entries = fac.symb.update_entries(sym.id, t, is_lu)
     computed = landed + fac.sides * below_entries
+    slabs = [("l", below), ("u", below_u)] if is_lu else [("l", below)]
     if tnc.panel_mode and nbelow:
         rows = _span(pos)
-        _subtract_at(tnc.lpanel, rows, cols, below)
-        if is_lu:
-            _subtract_at(tnc.upanel, rows, cols, below_u)
-        landed = computed
+        for side, slab in slabs:
+            _subtract_at(tnc.lpanel if side == "l" else tnc.upanel,
+                         rows, cols, slab)
+    elif nbelow:
+        # blocks-mode target: W cut once, at the target's block boundaries
+        toffs = tnc.row_offsets
+        cut = pos.searchsorted(toffs)
+        for i in np.flatnonzero(cut[1:] > cut[:-1]):
+            lo, hi = cut[i], cut[i + 1]
+            rows = _span(pos[lo:hi] - toffs[i])
+            for side, slab in slabs:
+                _subtract_at(_landing(fac, tnc, side, i, acc), rows, cols,
+                             slab[lo:hi])
     stats.add("dense_update", seconds=time.perf_counter() - t0,
-              flops=2.0 * nc.width * computed * flop_scale(fac.dtype) + landed)
-    if not tnc.panel_mode:
-        # blocks-mode target: W cut by block pair (i, j)
-        for i in range(end, sym.noff):
-            lo, hi = offs[i] - dend, offs[i + 1] - dend
-            for j in range(first, end):
-                clo, chi = offs[j] - base, offs[j + 1] - base
-                _land_block(fac, tnc, False, pos[lo], drow[clo],
-                            below[lo:hi, clo:chi], "l", acc)
-                if is_lu:
-                    _land_block(fac, tnc, False, pos[lo], drow[clo],
-                                below_u[lo:hi, clo:chi], "u", acc)
+              flops=2.0 * nc.width * computed * flop_scale(fac.dtype)
+              + computed)
 
 
 def _span(idx: np.ndarray) -> "slice | np.ndarray":
@@ -631,8 +624,6 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     # Hermitian facto: the transposed operand of every update is L(j)ᴴ,
     # not L(j)ᵀ (no-op for real blocks)
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
-    #: compute dtype to promote narrow-storage operands to (None = no-op)
-    promote = fac.dtype if fac.storage_dtype is not None else None
     recompress = fac.variant.recompress if fac.variant is not None else True
 
     first, end = fac.symb.facing_ranges(sym.id)[t]
@@ -640,38 +631,33 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     offs = nc.row_offsets
     drow, pos = fac.symb.landing_map(sym.id, t)
     base, dend = offs[first], offs[end]
+    # the operands of this visit in the compute dtype, promoted once each
+    # (a product of two narrow operands would otherwise run narrow)
+    lsrc = [_as_dtype(b, fac.dtype) for b in nc.lblocks[first:]]
+    usrc = ([_as_dtype(b, fac.dtype) for b in nc.ublocks[first:]]
+            if is_lu else None)
     for j in range(first, end):
         coff = sym.blocks[1 + j].first_row - tnc.sym.first_col
+        lb_j = lsrc[j - first]
         if is_lu:
-            ub_j = nc.ublocks[j]
+            ub_j = usrc[j - first]
         elif d_scale is not None:
-            ub_j = _scale_columns(nc.lblocks[j], d_scale,
-                                  nc.pivd21, hermitian)
+            ub_j = _scale_columns(lb_j, d_scale, nc.pivd21, hermitian)
         else:
-            ub_j = nc.lblocks[j]
+            ub_j = lb_j
         if hermitian:
             ub_j = ub_j.conj()
-        lb_j = nc.lblocks[j]
-        if promote is not None:
-            ub_j = _promote(ub_j, promote)
-            lb_j = _promote(lb_j, promote)
         for i in range(j, sym.noff):
             in_diag = i < end
             row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
-            src_l = nc.lblocks[i]
-            if promote is not None:
-                src_l = _promote(src_l, promote)
-            contrib = lr_product(src_l, ub_j,
+            contrib = lr_product(lsrc[i - first], ub_j,
                                  fac.comp_tol, cfg.kernel, stats,
                                  recompress=recompress,
                                  norm_ref=fac.comp_norm_ref)
             if contrib is not None:
                 _land_block(fac, tnc, in_diag, row, coff, contrib, "l", acc)
             if is_lu and i > j:
-                src_u = nc.ublocks[i]
-                if promote is not None:
-                    src_u = _promote(src_u, promote)
-                contrib_u = lr_product(src_u, lb_j,
+                contrib_u = lr_product(usrc[i - first], lb_j,
                                        fac.comp_tol, cfg.kernel,
                                        stats, recompress=recompress,
                                        norm_ref=fac.comp_norm_ref)
@@ -694,6 +680,7 @@ def flush_accumulated(fac: NumericFactor, k: int,
     fac.note_accumulator_peak(sum(
         block_nbytes(piece) for contribs in acc.values()
         for piece, _, _ in contribs))
+    dropped = 0.0
     for (side, i), contribs in acc.items():
         scratch = contribs[0][0]
         if isinstance(scratch, np.ndarray):
@@ -701,31 +688,35 @@ def flush_accumulated(fac: NumericFactor, k: int,
             np.negative(scratch, out=scratch)
         tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
         cap = rank_cap(tgt.m, tgt.n, cfg.rank_ratio)
-        if fac.storage_dtype is not None:
-            tgt = tgt.astype(fac.dtype)
+        stored = tgt.dtype
+        tgt = tgt.astype(fac.dtype)
+        tail: List[float] = []
         new: Optional[Block] = lr2lr_update_multi(
             tgt, contribs, fac.comp_tol, cfg.kernel, max_rank=cap,
-            stats=stats, norm_ref=fac.comp_norm_ref)
+            stats=stats, norm_ref=fac.comp_norm_ref, tail=tail)
         if new is None:
             # rank exceeded the cap: fall back to dense storage (updated
-            # at full precision, stored at storage_dtype)
+            # at full precision and exactly, stored as the target was)
             new = np.asarray(tgt.to_dense(), dtype=fac.dtype)
             for piece, ro, co in contribs:
                 lr2ge_update(new, piece, ro, co, stats)
-        if fac.storage_dtype is not None:
-            new = new.astype(fac.storage_dtype)
-        fac.set_block(tnc, side, i, new)
+        else:
+            # the scratch's compression, then the recompression
+            dropped += sum(tail)
+        fac.set_block(tnc, side, i,
+                      new if new.dtype == stored else new.astype(stored))
     acc.clear()
+    if dropped > 0:
+        # precision follows the error discarded, as at a compression point
+        before = tnc.nbytes(fac.sides)
+        narrow_if_discarded(fac, tnc, dropped)
+        fac.tracker.resize(before, tnc.nbytes(fac.sides))
 
 
-def _promote(block: Optional[Block], dtype: np.dtype) -> Optional[Block]:
-    """Promote a (possibly narrow-storage) operand to the compute dtype.
-
-    The one place numpy's automatic promotion cannot be relied on is a
-    product of *two* narrow operands (e.g. ``a.v.T @ b.v`` with both in
-    float32): the whole chain would then run in storage precision.  Update
-    arithmetic therefore promotes both operands before multiplying.
-    """
+def _as_dtype(block: Optional[Block], dtype: np.dtype) -> Optional[Block]:
+    """``block`` cast to ``dtype`` — itself when it already is.  Updates
+    promote every narrow operand so: a product of *two* narrow operands
+    would otherwise run in storage precision."""
     if isinstance(block, LowRankBlock):
         return block.astype(dtype)
     if isinstance(block, np.ndarray) and block.dtype != dtype:
@@ -809,14 +800,25 @@ def _land_block(fac: NumericFactor, tnc: NumericColumnBlock, in_diag: bool,
             piece = (LowRankBlock(contrib.u[lo - row:hi - row], contrib.v)
                      if isinstance(contrib, LowRankBlock)
                      else contrib[lo - row:hi - row])
-        tgt = blocks[i]
-        if not isinstance(tgt, LowRankBlock):
-            lr2ge_update(tgt, piece, lo - offs[i], coff, stats)
-        elif isinstance(piece, LowRankBlock):
+        if (isinstance(blocks[i], LowRankBlock)
+                and isinstance(piece, LowRankBlock)):
             acc.setdefault((side, i), []).append((piece, lo - offs[i], coff))
         else:
-            pend = acc.setdefault((side, i), [])
-            if not (pend and isinstance(pend[0][0], np.ndarray)):
-                pend.insert(0, (np.zeros(tgt.shape, dtype=fac.dtype), 0, 0))
-            lr2ge_update(pend[0][0], piece, lo - offs[i], coff, stats)
+            lr2ge_update(_landing(fac, tnc, side, i, acc), piece,
+                         lo - offs[i], coff, stats)
         lo, i = hi, i + 1
+
+
+def _landing(fac: NumericFactor, tnc: NumericColumnBlock, side: str,
+             i: int, acc: UpdateAccumulator) -> np.ndarray:
+    """Where dense entries aimed at block ``i`` of ``tnc``'s ``side``
+    land: the block itself when it is dense, else the scratch at the head
+    of its accumulator list, allocated on first use (it carries minus the
+    sum of what lands)."""
+    tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
+    if not isinstance(tgt, LowRankBlock):
+        return tgt
+    pend = acc.setdefault((side, i), [])
+    if not (pend and isinstance(pend[0][0], np.ndarray)):
+        pend.insert(0, (np.zeros(tgt.shape, dtype=fac.dtype), 0, 0))
+    return pend[0][0]

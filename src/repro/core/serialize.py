@@ -29,7 +29,7 @@ import json
 import zipfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -47,13 +47,17 @@ from repro.symbolic.structure import (
 FORMAT_VERSION = 1
 
 #: ``SolverConfig`` fields that no longer exist but that archives written
-#: while they did still carry; none of them changed the stored factors
-#: (``adaptive`` was only ever non-null beside ``strategy="adaptive"``,
-#: which ``SolverConfig`` itself now rejects; ``backend`` named the kernel
-#: implementation, and ``"numpy"`` — today's one kernel module — was the
-#: only one left when it retired; ``seed`` was never read)
+#: while they did still carry.  ``adaptive`` was only ever non-null beside
+#: ``strategy="adaptive"``, which ``SolverConfig`` itself now rejects;
+#: ``backend`` named the kernel implementation, and ``"numpy"`` — today's
+#: one kernel module — was the only one left when it retired; ``seed`` was
+#: never read.  ``storage_dtype`` did change the stored factors: it
+#: narrowed every off-diagonal block.  Those blocks load in the dtype they
+#: were saved in, so such an archive solves as it did; a checkpoint resume
+#: keeps the restored column blocks as stored and factors the rest under
+#: the discarded-error rule of :func:`repro.core.factor.compress_column_block`.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
-                         "adaptive", "backend", "seed")
+                         "adaptive", "backend", "seed", "storage_dtype")
 
 #: format version written into every checkpoint archive
 CHECKPOINT_VERSION = 1
@@ -151,6 +155,22 @@ def _pack_cblk(nc: NumericColumnBlock, k: int, arrays: Dict[str, np.ndarray],
                 kinds.append([k, side, i, "dense"])
 
 
+def _header(fac: NumericFactor, kinds: List[List[Any]]) -> dict:
+    """The header fields factor archives and checkpoints share."""
+    return {
+        "dtype": np.dtype(fac.dtype).name,
+        "storage_dtype": (np.dtype(fac.storage_dtype).name
+                          if fac.storage_dtype is not None else None),
+        # the telemetry store is a runtime object (locks, live metrics) —
+        # archives store it as null and a reloaded config starts detached
+        "config": asdict(replace(fac.config, telemetry=None,
+                                 profiler=None)),
+        "symbolic": _symbolic_to_json(fac.symb),
+        "kinds": kinds,
+        "nperturbed": fac.nperturbed,
+    }
+
+
 def _write_archive(path: Path, member: str, header: dict,
                    arrays: Dict[str, np.ndarray]) -> None:
     buf = io.BytesIO()
@@ -173,19 +193,7 @@ def save_factor(fac: NumericFactor, perm: np.ndarray,
         if nc.diag is None or not nc.factored:
             raise ValueError("cannot save an unfactored NumericFactor")
         _pack_cblk(nc, k, arrays, kinds)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "dtype": np.dtype(fac.dtype).name,
-        "storage_dtype": (np.dtype(fac.storage_dtype).name
-                          if fac.storage_dtype is not None else None),
-        # the telemetry store is a runtime object (locks, live metrics) —
-        # archives store it as null and a reloaded config starts detached
-        "config": asdict(replace(fac.config, telemetry=None,
-                                 profiler=None)),
-        "symbolic": _symbolic_to_json(fac.symb),
-        "kinds": kinds,
-        "nperturbed": fac.nperturbed,
-    }
+    header = {"format_version": FORMAT_VERSION, **_header(fac, kinds)}
     _write_archive(path, "header.json", header, arrays)
     return path
 
@@ -212,36 +220,7 @@ def load_factor(path: Union[str, Path]) -> tuple:
     storage = header.get("storage_dtype")
     fac.storage_dtype = np.dtype(storage) if storage else None
 
-    panel_sides = {(k, side) for k, side, i, kind in header["kinds"]
-                   if kind == "panel"}
-    for k, nc in enumerate(fac.cblks):
-        nc.diag = arrays[f"d{k}"]
-        nc.pivperm = arrays.get(f"pp{k}")
-        nc.pivd21 = arrays.get(f"pd{k}")
-        if (k, "l") in panel_sides:
-            nc.lpanel = arrays[f"lp{k}"]
-            if (k, "u") in panel_sides:
-                nc.upanel = arrays[f"up{k}"]
-        else:
-            nc.lblocks = [None] * nc.sym.noff
-            if not config.is_symmetric_facto:
-                nc.ublocks = [None] * nc.sym.noff
-        nc.factored = True
-    for k, side, i, kind in header["kinds"]:
-        if kind == "panel":
-            continue
-        nc = fac.cblks[k]
-        blocks = nc.lblocks if side == "l" else nc.ublocks
-        if kind == "lr":
-            blocks[i] = LowRankBlock(arrays[f"{side}{k}_{i}u"],
-                                     arrays[f"{side}{k}_{i}v"])
-        else:
-            blocks[i] = arrays[f"{side}{k}_{i}d"]
-    # sanity: every expected block present
-    for nc in fac.cblks:
-        for blocks in (nc.lblocks, nc.ublocks):
-            if blocks is not None and any(b is None for b in blocks):
-                raise ValueError("corrupt factor archive: missing blocks")
+    _unpack(fac, header, arrays, range(len(fac.cblks)), "factor archive")
     perm = arrays["perm"]
     return fac, perm
 
@@ -272,20 +251,9 @@ def save_checkpoint(fac: NumericFactor, perm: np.ndarray,
         completed.append(done)
         if done:
             _pack_cblk(nc, k, arrays, kinds)
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "checkpoint",
-        "dtype": np.dtype(fac.dtype).name,
-        "storage_dtype": (np.dtype(fac.storage_dtype).name
-                          if fac.storage_dtype is not None else None),
-        "config": asdict(replace(fac.config, telemetry=None,
-                                 profiler=None)),
-        "symbolic": _symbolic_to_json(fac.symb),
-        "completed": completed,
-        "kinds": kinds,
-        "nperturbed": fac.nperturbed,
-        "matrix_fingerprint": fingerprint,
-    }
+    header = {"format_version": CHECKPOINT_VERSION, "kind": "checkpoint",
+              **_header(fac, kinds), "completed": completed,
+              "matrix_fingerprint": fingerprint}
     _write_archive(path, "checkpoint.json", header, arrays)
     return path
 
@@ -326,21 +294,27 @@ def restore_checkpoint(fac: NumericFactor, header: dict,
     structure; returns the number of restored column blocks.  Restored
     blocks are marked ``factored`` so the pull-mode sweep skips them.
     """
-    completed = header["completed"]
+    done = [k for k, ok in enumerate(header["completed"]) if ok]
+    befores = {k: fac.cblks[k].nbytes(fac.sides) for k in done}
+    _unpack(fac, header, arrays, done, "checkpoint")
+    for k, before in befores.items():
+        fac.tracker.resize(before, fac.cblks[k].nbytes(fac.sides))
+    return len(done)
+
+
+def _unpack(fac: NumericFactor, header: dict, arrays: Dict[str, np.ndarray],
+            ks: Iterable[int], what: str) -> None:
+    """Install column blocks ``ks`` from an archive's ``arrays``, marked
+    factored, in the storage mode and dtypes they were saved in."""
+    ks = list(ks)
     panel_sides = {(k, side) for k, side, i, kind in header["kinds"]
                    if kind == "panel"}
-    restored = 0
-    befores = {k: fac.cblks[k].nbytes(fac.sides)
-               for k, done in enumerate(completed) if done}
-    for k, done in enumerate(completed):
-        if not done:
-            continue
+    for k in ks:
         nc = fac.cblks[k]
         nc.diag = arrays[f"d{k}"]
         nc.pivperm = arrays.get(f"pp{k}")
         nc.pivd21 = arrays.get(f"pd{k}")
-        nc.lpanel = nc.upanel = None
-        nc.lblocks = nc.ublocks = None
+        nc.lpanel = nc.upanel = nc.lblocks = nc.ublocks = None
         if (k, "l") in panel_sides:
             nc.lpanel = arrays[f"lp{k}"]
             if (k, "u") in panel_sides:
@@ -350,25 +324,19 @@ def restore_checkpoint(fac: NumericFactor, header: dict,
             if not fac.config.is_symmetric_facto:
                 nc.ublocks = [None] * nc.sym.noff
         nc.factored = True
-        restored += 1
     for k, side, i, kind in header["kinds"]:
-        if kind == "panel":
-            continue
-        nc = fac.cblks[k]
-        blocks = nc.lblocks if side == "l" else nc.ublocks
-        if kind == "lr":
-            blocks[i] = LowRankBlock(arrays[f"{side}{k}_{i}u"],
-                                     arrays[f"{side}{k}_{i}v"])
-        else:
-            blocks[i] = arrays[f"{side}{k}_{i}d"]
-    for k, before in befores.items():
+        if kind != "panel":
+            nc = fac.cblks[k]
+            (nc.lblocks if side == "l" else nc.ublocks)[i] = (
+                LowRankBlock(arrays[f"{side}{k}_{i}u"],
+                             arrays[f"{side}{k}_{i}v"])
+                if kind == "lr" else arrays[f"{side}{k}_{i}d"])
+    for k in ks:
         nc = fac.cblks[k]
         for blocks in (nc.lblocks, nc.ublocks):
             if blocks is not None and any(b is None for b in blocks):
-                raise ValueError("corrupt checkpoint: missing blocks "
-                                 f"in column block {k}")
-        fac.tracker.resize(before, nc.nbytes(fac.sides))
-    return restored
+                raise ValueError(f"corrupt {what}: missing blocks in "
+                                 f"column block {k}")
 
 
 class CheckpointWriter:

@@ -17,8 +17,9 @@ conjugation-free.
 
 Blocks are dtype-generic: ``u``/``v`` keep whatever inexact dtype they are
 built with (float32/float64/complex64/complex128), and byte accounting uses
-the actual itemsize.  Mixed-precision storage (``SolverConfig.storage_dtype``)
-stores ``u``/``v`` in a narrower dtype; consumers promote on read.
+the actual itemsize.  A column block whose compression discarded enough is
+stored with ``u``/``v`` in a narrower dtype
+(:func:`repro.core.factor.narrow_if_discarded`); consumers promote on read.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ dispatch follows the paper:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.backend import KERNELS
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.recompress import recompress_rrqr, recompress_svd
+from repro.lowrank.recompress import recompress_rrqr, recompress_svd, sqnorm
 from repro.lowrank.rrqr import qr_split, rrqr_compress, rrqr_flops
 from repro.lowrank.svd import svd_compress, svd_flops
 from repro.runtime.stats import KernelStats
@@ -223,7 +223,8 @@ def lr2lr_update_multi(target: LowRankBlock,
                        tol: float, kernel: str,
                        max_rank: Optional[int] = None,
                        stats: Optional[KernelStats] = None,
-                       norm_ref: Optional[float] = None
+                       norm_ref: Optional[float] = None,
+                       tail: Optional[List[float]] = None
                        ) -> Optional[LowRankBlock]:
     """Batched extend-add ``target -= Σ contribs`` with one recompression
     (§3.3.2; the accumulate-then-recompress of BLR-MUMPS's LUAR, §5).
@@ -239,7 +240,9 @@ def lr2lr_update_multi(target: LowRankBlock,
 
     Returns the new target block (``target`` itself when nothing lands),
     or ``None`` when the dense sum or the recompressed result exceeds
-    ``max_rank`` — the caller must then fall back to dense storage.
+    ``max_rank`` — the caller must then fall back to dense storage.  A
+    ``tail`` list receives the squared Frobenius norm each truncation
+    dropped: the dense scratch's compression, then the recompression.
     """
     m_c, n_c = target.m, target.n
     dense = [c for c in contribs if isinstance(c[0], np.ndarray)]
@@ -258,6 +261,8 @@ def lr2lr_update_multi(target: LowRankBlock,
                             stats=stats, norm_ref=norm_ref)
         if lr is None:
             return None
+        if tail is not None:
+            tail.append(sqnorm(scratch) - sqnorm(lr.v))
         if lr.rank:
             pieces.insert(0, (lr, 0, 0))
     if not pieces:
@@ -278,7 +283,7 @@ def lr2lr_update_multi(target: LowRankBlock,
     # return min(dimension, columns) directions, and the models follow
     if kernel == "svd":
         out = recompress_svd(target.u, target.v, u_cat, v_cat, tol, max_rank,
-                             norm_ref=norm_ref)
+                             norm_ref=norm_ref, tail=tail)
         r_tot = r_c + r_ab
         k_u, k_v = min(m_c, r_tot), min(n_c, r_tot)
         r_new = out.rank if out is not None else min(k_u, k_v)
@@ -287,7 +292,7 @@ def lr2lr_update_multi(target: LowRankBlock,
               + 2.0 * (m_c * k_u + n_c * k_v) * r_new)  # eq. (8)
     else:
         out = recompress_rrqr(target.u, target.v, u_cat, v_cat, tol,
-                              max_rank, norm_ref=norm_ref)
+                              max_rank, norm_ref=norm_ref, tail=tail)
         k_ab = min(m_c, r_ab)
         r_new = max(out.rank if out is not None else (max_rank or r_c), 1)
         fl = (2.0 * m_c * r_c * r_ab                   # eq. (9)

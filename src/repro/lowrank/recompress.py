@@ -17,7 +17,7 @@ Both return ``None`` instead of a block when the revealed rank exceeds
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -42,13 +42,15 @@ def recompress_svd(u_c: np.ndarray, v_c: np.ndarray,
                    u_ab: np.ndarray, v_ab: np.ndarray,
                    tol: float,
                    max_rank: Optional[int] = None,
-                   norm_ref: Optional[float] = None) -> Optional[LowRankBlock]:
+                   norm_ref: Optional[float] = None,
+                   tail: Optional[List[float]] = None) -> Optional[LowRankBlock]:
     """SVD extend-add: ``C' = uC vCᵗ − uAB vABᵗ`` recompressed at ``tol``.
 
     ``uAB`` / ``vAB`` must already be padded to C's row/column frame
     (Figure 4).  Complexity Θ((mC + nC)(rC + rAB)² + (rC + rAB)³).
     ``norm_ref`` folds an external reference (e.g. ``||A||_F`` for the
-    global threshold modes) into the truncation scale.
+    global threshold modes) into the truncation scale.  A ``tail`` list
+    receives the squared Frobenius norm the truncation dropped.
     """
     u_cat = np.hstack([u_c, u_ab])
     v_cat = np.hstack([v_c, -v_ab])
@@ -66,6 +68,8 @@ def recompress_svd(u_c: np.ndarray, v_c: np.ndarray,
     rank = svd_truncate(sigma, tol, norm_a=scale)
     if max_rank is not None and rank > max_rank:
         return None
+    if tail is not None:
+        tail.append(float((sigma[rank:] ** 2).sum()))
     if rank == 0:
         return LowRankBlock.zero(u_c.shape[0], v_c.shape[0], dtype=dt)
     u_new = q1 @ uu[:, :rank]          # eq. (8)
@@ -77,13 +81,16 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
                     u_ab: np.ndarray, v_ab: np.ndarray,
                     tol: float,
                     max_rank: Optional[int] = None,
-                    norm_ref: Optional[float] = None) -> Optional[LowRankBlock]:
+                    norm_ref: Optional[float] = None,
+                    tail: Optional[List[float]] = None) -> Optional[LowRankBlock]:
     """RRQR extend-add (eqs. 9–12).
 
     Requires ``uC`` orthonormal (the solver invariant).  ``uAB``/``vAB``
     must be padded to C's frame.  The returned ``u`` is orthonormal; the
     CGS2 projection against ``uC`` applies ``uCᴴ`` — a Hermitian adjoint,
-    a no-copy pass-through for real factors.
+    a no-copy pass-through for real factors.  A ``tail`` list receives
+    the squared Frobenius norm the truncation dropped, ``‖core‖² −
+    ‖R_r‖²`` (the core is the sum in an orthonormal basis).
 
     Complexity Θ(mC rC rAB + nC (rC + rAB) rC') — it depends on the target
     size ``mC, nC`` rather than on the contribution size, the very property
@@ -104,6 +111,8 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
         res = rrqr(core, tol, max_rank, norm_ref=scale)
         if not res.converged:
             return None
+        if tail is not None:
+            tail.append(sqnorm(core) - sqnorm(res.r))
         rank = res.q.shape[1]
         if rank == 0:
             return LowRankBlock.zero(m, n, dtype=dt)
@@ -129,6 +138,8 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
     res = rrqr(core, tol, max_rank, norm_ref=scale)
     if not res.converged:
         return None
+    if tail is not None:
+        tail.append(sqnorm(core) - sqnorm(res.r))
     rank = res.q.shape[1]
     if rank == 0:
         return LowRankBlock.zero(m, n, dtype=dt)
@@ -139,3 +150,8 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
     vt = np.empty((rank, n), dtype=res.r.dtype)
     vt[:, res.jpvt] = res.r
     return LowRankBlock(u_new, vt.T.copy())
+
+
+def sqnorm(a: np.ndarray) -> float:
+    """Squared Frobenius norm of ``a``."""
+    return float(np.linalg.norm(a)) ** 2

@@ -57,16 +57,18 @@ class TestValidation:
                                          dict(scheduler="static"),
                                          dict(trace=True),
                                          dict(backend="numpy"),
-                                         dict(seed=0)],
+                                         dict(seed=0),
+                                         dict(storage_dtype="float32")],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
-        """One worker pool, one recorder and one kernel module: nothing
-        left to select."""
+        """One worker pool, one recorder, one kernel module, and storage
+        precision that follows the discarded error: nothing left to
+        select."""
         import dataclasses
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 30
+        assert len(dataclasses.fields(SolverConfig)) == 29
 
 
 class TestPresets:

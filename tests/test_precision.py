@@ -1,17 +1,21 @@
 """Precision-generic solver tests: float32/complex end-to-end, Hermitian
 low-rank algebra, dtype-honest byte accounting, and mixed-precision BLR
-storage."""
+storage that follows the error compression discarded."""
 
 import numpy as np
 import pytest
 
 from tests.conftest import tiny_blr_config
+from tests.test_recovery import factor_digest
 
 from repro.config import SolverConfig
+from repro.core import factor as factor_module
+from repro.core import factorization as F
+from repro.core import scheduler as scheduler_module
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.generators import helmholtz_3d, laplacian_3d
+from repro.sparse.generators import helmholtz_3d, laplacian_3d, zoo
 
 STRATEGIES = ("dense", "just-in-time", "minimal-memory")
 
@@ -239,68 +243,259 @@ class TestByteAccounting:
         assert blk.nbytes == (10 + 8) * 2 * 4
 
 
+NARROW = {np.dtype(np.float64): np.dtype(np.float32),
+          np.dtype(np.complex128): np.dtype(np.complex64)}
+
+
+def _offdiag_dtypes(nc):
+    """The dtypes of one column block's stored off-diagonal blocks."""
+    if nc.panel_mode:
+        return {p.dtype for p in (nc.lpanel, nc.upanel) if p is not None}
+    return {b.dtype for b in nc.lblocks + (nc.ublocks or [])}
+
+
+def _narrow_cblks(fac):
+    """Ids of the column blocks stored narrow."""
+    return {nc.sym.id for nc in fac.cblks
+            if _offdiag_dtypes(nc) != {fac.dtype}}
+
+
+def _wide_reference(monkeypatch, a, cfg):
+    """The same factorization with every block kept at the compute dtype
+    (the narrowing budget monkeypatched to infinity)."""
+    with monkeypatch.context() as m:
+        m.setattr(factor_module, "NARROW_BUDGET", np.inf)
+        ref = Solver(a, cfg)
+        ref.factorize()
+    assert not _narrow_cblks(ref.factor)
+    return ref
+
+
+def _dense(b, dtype):
+    if isinstance(b, LowRankBlock):
+        return LowRankBlock(b.u.astype(dtype), b.v.astype(dtype)).to_dense()
+    return b.astype(dtype)
+
+
+def _sq(x):
+    return float(np.linalg.norm(x)) ** 2
+
+
+class DiscardedOracle:
+    """What each column block's truncations discarded, measured apart from
+    the rule's own bookkeeping: every low-rank block is reconstructed and
+    compared with the dense block it was cut from.  ``ratio[k]`` is
+    ``Σ‖B − uvᵀ‖² / ‖column block‖²`` of column block ``k``'s compression
+    point; ``flush[k]`` the same for a Minimal-Memory update flush (the
+    exact sum against what was stored)."""
+
+    def __init__(self, monkeypatch):
+        self.ratio, self.flush = {}, {}
+        compress = factor_module.compress_column_block
+        flush = F.flush_accumulated
+
+        def spy_compress(fac, nc, lpanel, upanel):
+            panels = [p.copy() for p in (lpanel, upanel) if p is not None]
+            out = compress(fac, nc, lpanel, upanel)
+            if not nc.panel_mode:
+                offs = nc.row_offsets
+                dropped = sum(
+                    _sq(p[offs[i]:offs[i + 1]] - _dense(b, fac.dtype))
+                    for p, blocks in zip(panels, (nc.lblocks, nc.ublocks))
+                    for i, b in enumerate(blocks)
+                    if isinstance(b, LowRankBlock))
+                self.ratio[nc.sym.id] = dropped / max(
+                    sum(map(_sq, panels)), np.finfo(float).tiny)
+            return out
+
+        def spy_flush(fac, k, acc):
+            tnc = fac.cblks[k]
+            exact = {}
+            for (side, i), contribs in acc.items():
+                blocks = tnc.lblocks if side == "l" else tnc.ublocks
+                e = _dense(blocks[i], fac.dtype)
+                for piece, ro, co in contribs:
+                    d = _dense(piece, fac.dtype)
+                    # the dense scratch holds minus the sum of its pieces
+                    sign = 1 if isinstance(piece, np.ndarray) else -1
+                    e[ro:ro + d.shape[0], co:co + d.shape[1]] += sign * d
+                exact[side, i] = e
+            flush(fac, k, acc)
+            if exact:
+                sides = {"l": tnc.lblocks, "u": tnc.ublocks}
+                dropped = sum(_sq(e - _dense(sides[side][i], fac.dtype))
+                              for (side, i), e in exact.items())
+                total = sum(_sq(_dense(b, fac.dtype))
+                            for blocks in sides.values() for b in blocks or ())
+                self.flush[k] = dropped / total
+
+        monkeypatch.setattr(factor_module, "compress_column_block",
+                            spy_compress)
+        monkeypatch.setattr(F, "compress_column_block", spy_compress)
+        monkeypatch.setattr(F, "flush_accumulated", spy_flush)
+        monkeypatch.setattr(scheduler_module, "flush_accumulated", spy_flush)
+
+
+def _budget(dtype):
+    """``(100 · u)²`` of the narrow dtype under compute ``dtype``."""
+    return (factor_module.NARROW_BUDGET
+            * np.finfo(NARROW[np.dtype(dtype)]).eps / 2) ** 2
+
+
+def _decision(ratio, budget, slack):
+    """Narrow (True), wide (False), or too close to the budget to call
+    (None) — ``slack`` covers how the oracle's measure may differ from the
+    rule's: none at a compression point (``‖B‖² − ‖v‖²`` is exact for an
+    orthonormal u), a factor 2 at a flush (the scratch's and the
+    recompression's errors add as vectors, the rule sums their squares)."""
+    if ratio >= budget * slack:
+        return True
+    if ratio < budget / slack:
+        return False
+    return None
+
+
+ZOO = {c.name: c for c in zoo()}
+PROPERTY_CASES = [
+    (name, strategy, factotype, dtype)
+    for name in sorted(ZOO)
+    for strategy in ("just-in-time", "minimal-memory")
+    for factotype in ("lu", "cholesky")
+    for dtype in ("float64", "complex128")
+    if factotype == "lu" or ZOO[name].definiteness == "positive"]
+
+
 class TestMixedPrecision:
+    """A column block is stored in the narrow dtype exactly when its
+    compression discarded at least ``NARROW_BUDGET`` unit roundoffs of the
+    narrow dtype, relative to its norm."""
+
     def test_storage_dtype_validation(self):
-        with pytest.raises(ValueError, match="same-kind"):
-            SolverConfig(dtype="complex128", storage_dtype="float32")
-        with pytest.raises(ValueError, match="wider"):
-            SolverConfig(dtype="float32", storage_dtype="float64")
-        with pytest.raises(ValueError, match="storage_dtype"):
-            SolverConfig(storage_dtype="int32")
+        """There is no knob: the narrow dtype follows the compute dtype,
+        and the dense strategy never narrows."""
+        with pytest.raises(TypeError, match="storage_dtype"):
+            SolverConfig(storage_dtype="float32")
+        jit = SolverConfig()
+        assert jit.resolve_storage_dtype("float64") == np.float32
+        assert jit.resolve_storage_dtype("complex128") == np.complex64
+        assert jit.resolve_storage_dtype("float32") is None
+        assert jit.resolve_storage_dtype("complex64") is None
+        dense = SolverConfig(strategy="dense")
+        assert dense.resolve_storage_dtype("float64") is None
 
     def test_blocks_stored_narrow(self):
         a = laplacian_3d(8)
-        cfg = tiny_blr_config(strategy="just-in-time", factotype="lu",
-                              tolerance=1e-6, storage_dtype="float32")
-        s = Solver(a, cfg)
+        s = Solver(a, tiny_blr_config(strategy="just-in-time",
+                                      factotype="lu", tolerance=1e-2))
         s.factorize()
         assert s.factor.storage_dtype == np.float32
-        saw_offdiag = False
+        narrow = _narrow_cblks(s.factor)
+        assert narrow
         for nc in s.factor.cblks:
             assert nc.diag.dtype == np.float64  # pivots stay full precision
-            for blocks in (nc.lblocks, nc.ublocks):
-                if not blocks:
-                    continue
-                for blk in blocks:
-                    dt = blk.dtype if isinstance(blk, LowRankBlock) \
-                        else blk.dtype
-                    assert dt == np.float32
-                    saw_offdiag = True
-        assert saw_offdiag
+            dts = _offdiag_dtypes(nc)
+            assert len(dts) <= 1  # one dtype per column block
+            if nc.panel_mode:  # a kept panel discarded nothing
+                assert nc.sym.id not in narrow
+            elif nc.sym.id in narrow:
+                assert dts == {np.dtype(np.float32)}
 
     def test_mixed_precision_serialize_roundtrip(self, tmp_path):
-        a = laplacian_3d(6)
+        """An archive of a factor that mixes narrow and wide column blocks
+        reloads them in their dtypes and solves bit-identically."""
+        a = laplacian_3d(8)
         cfg = tiny_blr_config(strategy="just-in-time", factotype="lu",
-                              tolerance=1e-6, storage_dtype="float32")
+                              tolerance=1e-3)
         s = Solver(a, cfg)
         s.factorize()
+        narrow = _narrow_cblks(s.factor)
+        assert narrow and any(not nc.panel_mode and nc.sym.id not in narrow
+                              for nc in s.factor.cblks)
         b = np.ones(a.n)
         x = s.solve(b)
         path = s.save_factor(tmp_path / "mixed.blrz")
         s2 = Solver.load_factor(a, path)
         assert s2.factor.storage_dtype == np.float32
+        assert _narrow_cblks(s2.factor) == narrow
         np.testing.assert_allclose(s2.solve(b), x, rtol=0, atol=0)
 
     @pytest.mark.slow
-    def test_acceptance_reduction_on_laptop_laplacian(self):
-        """The headline: float32 storage under a float64 factorization at
-        τ=1e-6 shrinks the factor ≥ 1.8x at backward error ≤ 1e-5."""
+    def test_acceptance_reduction_on_laptop_laplacian(self, monkeypatch):
+        """The headline on a laptop Laplacian at τ = 1e-4: fewer factor
+        bytes than float64 storage, backward error within 1 % of it."""
         a = laplacian_3d(20)
         b = np.ones(a.n)
-
-        def cfg(**o):
-            return SolverConfig.laptop_scale(
-                strategy="just-in-time", factotype="lu",
-                tolerance=1e-6, rank_ratio=1.0, **o)
-
-        full = Solver(a, cfg())
-        st_full = full.factorize()
-        mixed = Solver(a, cfg(storage_dtype="float32"))
+        cfg = SolverConfig.laptop_scale(strategy="just-in-time",
+                                        factotype="lu", tolerance=1e-4,
+                                        rank_ratio=1.0)
+        full = _wide_reference(monkeypatch, a, cfg)
+        mixed = Solver(a, cfg)
         st_mixed = mixed.factorize()
-        x = mixed.solve(b)
-        reduction = st_full.factor_nbytes / st_mixed.factor_nbytes
-        assert reduction >= 1.8
-        assert mixed.backward_error(x, b) <= 1e-5
+        assert st_mixed.factor_nbytes < 0.9 * full.factor.factor_nbytes()
+        err, ref = mixed.backward_error(mixed.solve(b), b), \
+            full.backward_error(full.solve(b), b)
+        assert abs(err - ref) <= 0.01 * ref
+
+    def test_exact_compression_narrows_nothing(self, monkeypatch):
+        """Threshold-pivoted LDLᵀ of an indefinite Helmholtz operator at
+        τ = 1e-4: the blocks that compress do so exactly, so nothing is
+        narrowed — the factor is the float64-storage one, bit for bit.
+        (Narrowing every compressed column block would not be.)"""
+        a = helmholtz_3d(9, wavenumber=2.2)
+        cfg = tiny_blr_config(strategy="just-in-time", factotype="ldlt",
+                              pivoting="threshold", tolerance=1e-4)
+        s = Solver(a, cfg)
+        s.factorize()
+        assert any(isinstance(blk, LowRankBlock) for nc in s.factor.cblks
+                   for blk in nc.lblocks or ())
+        assert s.factor.pivot_swaps + s.factor.pivots_2x2 > 0
+        assert not _narrow_cblks(s.factor)
+        ref = _wide_reference(monkeypatch, a, cfg)
+        assert factor_digest(s.factor) == factor_digest(ref.factor)
+
+    @pytest.mark.parametrize("name,strategy,factotype,dtype",
+                             PROPERTY_CASES)
+    def test_narrow_iff_discarded_over_budget(self, monkeypatch, name,
+                                              strategy, factotype, dtype):
+        """Over the zoo: a column block is narrow exactly when an
+        independent reconstruction of its truncations says it discarded
+        at least the budget, and narrowing moves the backward error by
+        less than 1 %."""
+        a = ZOO[name].build()
+        cfg = tiny_blr_config(strategy=strategy, factotype=factotype,
+                              tolerance=1e-3, dtype=dtype)
+        ref = _wide_reference(monkeypatch, a, cfg)
+        with monkeypatch.context() as m:
+            oracle = DiscardedOracle(m)
+            s = Solver(a, cfg)
+            s.factorize()
+        budget = _budget(dtype)
+        narrow = _narrow_cblks(s.factor)
+        for nc in s.factor.cblks:
+            k = nc.sym.id
+            assert len(_offdiag_dtypes(nc)) <= 1
+            calls = [_decision(oracle.ratio.get(k, 0.0), budget, 1.01),
+                     _decision(oracle.flush.get(k, 0.0), budget, 2.0)]
+            if True in calls:
+                assert k in narrow
+            elif calls == [False, False]:
+                assert k not in narrow
+        b = _rhs(a, dtype)
+        err = s.backward_error(s.solve(b), b)
+        want = ref.backward_error(ref.solve(b), b)
+        assert abs(err - want) <= 0.01 * want
+
+    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
+    def test_threaded_matches_sequential(self, strategy):
+        a = laplacian_3d(8)
+        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-3)
+        facs = []
+        for threads in (1, 4):
+            s = Solver(a, cfg.with_options(threads=threads))
+            s.factorize()
+            facs.append(s.factor)
+        assert _narrow_cblks(facs[0])
+        assert factor_digest(facs[0]) == factor_digest(facs[1])
 
 
 class TestComplexAcceptance:

@@ -138,7 +138,8 @@ class TestArchivesOutliveConfigFields:
     anything else unknown is still rejected, by name."""
 
     RETIRED = dict(accumulate_updates=True, trace=False,
-                   scheduler="static", adaptive=None, backend=None, seed=0)
+                   scheduler="static", adaptive=None, backend=None, seed=0,
+                   storage_dtype="float32")
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -152,8 +153,40 @@ class TestArchivesOutliveConfigFields:
         s2 = Solver.load_factor(a, path)
         assert s2.config == s.config
         assert factor_digest(s2.factor) == factor_digest(s.factor)
+        b = rng.standard_normal(a.n)
+        assert np.array_equal(s2.solve(b), s.solve(b))
+
+    def test_narrowed_archive_loads_and_solves(self, tmp_path, rng):
+        """What ``storage_dtype="float32"`` wrote: every off-diagonal block
+        and kept panel in float32.  It loads in the dtypes it was saved in
+        and solves bit-identically to the factor that was saved."""
+        a = laplacian_3d(6)
+        s = Solver(a, self.cfg())
+        s.factorize()
+        fac = s.factor
+        for nc in fac.cblks:
+            if nc.panel_mode:
+                nc.lpanel = nc.lpanel.astype(np.float32)
+                if nc.upanel is not None:
+                    nc.upanel = nc.upanel.astype(np.float32)
+            else:
+                nc.lblocks = [blk.astype(np.float32) for blk in nc.lblocks]
+                nc.ublocks = [blk.astype(np.float32) for blk in nc.ublocks]
+        path = s.save_factor(tmp_path / "narrowed.rpz")
+        edit_header(path, "header.json",
+                    lambda h: h["config"].update(storage_dtype="float32"))
+        s2 = Solver.load_factor(a, path)
+        assert s2.config == s.config
+        assert factor_digest(s2.factor) == factor_digest(fac)
+        assert s2.factor.cblks[0].lpanel.dtype == np.float32
+        b = rng.standard_normal(a.n)
+        assert np.array_equal(s2.solve(b), s.solve(b))
 
     def test_checkpoint_with_retired_fields_resumes(self, tmp_path):
+        """A resume drops the retired fields from the stored config; the
+        restored column blocks keep the dtypes they were stored in (a
+        ``storage_dtype`` checkpoint's are float32) and the rest are
+        factored, and narrowed or not, under today's rule."""
         a = laplacian_3d(6)
         clean = Solver(a, self.cfg())
         clean.factorize()

@@ -226,13 +226,19 @@ class TestStackedSweepsMatchPerBlockSweeps:
 
     @pytest.mark.parametrize("storage_dtype", [None, "float32"])
     def test_reloaded_factor(self, rng, tmp_path, storage_dtype):
+        """``storage_dtype`` is the narrow dtype the factor stores some
+        column blocks in: none at τ = 1e-6, float32 at τ = 1e-2."""
         s = factored(laplacian_3d(8), strategy="just-in-time",
-                     tolerance=1e-4, storage_dtype=storage_dtype)
+                     tolerance=1e-6 if storage_dtype is None else 1e-2)
         fac, _ = load_factor(save_factor(s.factor, s.perm,
                                          tmp_path / "f.npz"))
         assert ([nc.panel_mode for nc in fac.cblks]
                 == [nc.panel_mode for nc in s.factor.cblks])
         assert {nc.panel_mode for nc in fac.cblks} == {True, False}
+        narrow = {nc.lblocks[0].dtype for nc in fac.cblks
+                  if not nc.panel_mode} - {np.dtype(np.float64)}
+        assert narrow == ({np.dtype(storage_dtype)} if storage_dtype
+                          else set())
         b = self.check(fac, rng)
         x = solve_factored(fac, b)
         assert np.array_equal(x, solve_factored(s.factor, b))

@@ -492,13 +492,16 @@ def _telemetry_with_sinks():
     *[pytest.param(lambda name=name: _import_from("repro.core.backend", name),
                    ImportError, id=f"import-{name}")
       for name in ("_sweep_lower", "_sweep_upper")],
+    pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
+                              "--storage-dtype", "float32"),
+                 SystemExit, id="cli-solve-storage-dtype"),
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 30
+    assert len(fields(SolverConfig)) == 29
 
 
 # ----------------------------------------------------------------------
