@@ -27,7 +27,7 @@ Public API highlights:
   :mod:`repro.analysis.profile` (``docs/observability.md``).
 * :class:`~repro.runtime.recovery.RecoveryPolicy` — opt-in self-healing
   (``SolverConfig(recovery=RecoveryPolicy())``): breakdown detection,
-  escalation ladders and checkpoint/restart (``docs/robustness.md``).
+  local task retries and escalation ladders (``docs/robustness.md``).
 * :mod:`repro.core.backend` — the kernel module: every BLAS/LAPACK call
   of the solver, with per-op call counts (:func:`get_backend`) and a
   column-stable multi-RHS solve path (``docs/performance.md``).

@@ -27,10 +27,6 @@ Commands
     Align two ``RunReport`` artifacts and print a ranked per-phase
     attribution table: which phases got slower or faster, factor byte
     deltas, rank-histogram drift and recovery-action deltas.
-``resume``
-    Finish a factorization from a checkpoint archive written by
-    ``solve --checkpoint`` (same matrix required — the archive stores a
-    fingerprint), then solve and optionally refine.
 ``scenarios``
     Replay the committed matrix-zoo scenarios (zoo case x factotype/
     pivoting x BLR strategy x bare/armed recovery), printing status,
@@ -234,7 +230,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         faults = _arm_chaos(solver, args.chaos)
         print(f"chaos: 3 transient faults armed (seed {args.chaos})")
     t0 = time.perf_counter()
-    stats = solver.factorize(faults=faults, checkpoint=args.checkpoint)
+    stats = solver.factorize(faults=faults)
     print(f"factorization: {time.perf_counter() - t0:.2f}s "
           f"(analysis {solver.analyze_time:.2f}s)")
     for cat in KERNEL_CATEGORIES:
@@ -292,31 +288,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report = solver.run_report(workload=workload, backward_error=err)
         path = save_run_report(report, args.report)
         print(f"run report -> {path}")
-    return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.core.serialize import checkpoint_config
-
-    a = _load_matrix(args)
-    cfg = checkpoint_config(args.checkpoint_file)
-    solver = Solver(a, cfg)
-    print(f"n = {a.n}, nnz = {a.nnz}; resuming from {args.checkpoint_file} "
-          f"(strategy {cfg.strategy}/{cfg.kernel}, tau {cfg.tolerance:.0e})")
-    t0 = time.perf_counter()
-    stats = solver.resume_from(args.checkpoint_file)
-    print(f"resumed factorization: {time.perf_counter() - t0:.2f}s")
-    print(f"factor size: {stats.factor_nbytes / 1e6:.2f} MB "
-          f"({stats.memory_ratio:.2f}x dense)")
-
-    rng = np.random.default_rng(args.seed)
-    b = np.ones(a.n) if args.rhs == "ones" else rng.standard_normal(a.n)
-    x = solver.solve(b)
-    print(f"backward error: {solver.backward_error(x, b):.2e}")
-    if args.refine:
-        res = solver.refine(b, tol=1e-12, maxiter=20)
-        print(f"refined ({res.iterations} iterations): "
-              f"{res.backward_error:.2e}")
     return 0
 
 
@@ -713,11 +684,6 @@ def main(argv: Optional[list] = None) -> int:
                          help="attach the causal span profiler and write "
                               "the span document as JSON (render it with "
                               "'repro flame FILE')")
-    p_solve.add_argument("--checkpoint", metavar="FILE",
-                         help="snapshot the partial factorization here "
-                              "(on faults, and every N supernodes when the "
-                              "recovery policy sets a cadence); resume with "
-                              "'repro resume FILE'")
     p_solve.add_argument("--chaos", type=int, nargs="?", const=0,
                          default=None, metavar="SEED",
                          help="inject one transient fault at each recovery "
@@ -750,22 +716,6 @@ def main(argv: Optional[list] = None) -> int:
     p_bv.add_argument("--json", metavar="FILE",
                       help="also write the ablation table as JSON")
     p_bv.set_defaults(func=cmd_bench_variants)
-
-    p_res = sub.add_parser("resume",
-                           help="finish a checkpointed factorization")
-    p_res.add_argument("checkpoint_file",
-                       help="checkpoint archive written by "
-                            "'repro solve --checkpoint'")
-    p_res.add_argument("matrix", nargs="?",
-                       help="MatrixMarket file (.mtx[.gz]); must be the "
-                            "matrix the checkpoint was taken from")
-    p_res.add_argument("--generate", metavar="NAME:SIZE",
-                       help=f"built-in workload: {sorted(GENERATORS)}")
-    p_res.add_argument("--rhs", choices=("ones", "random"), default="ones")
-    p_res.add_argument("--seed", type=int, default=0)
-    p_res.add_argument("--refine", action="store_true",
-                       help="run preconditioned GMRES/CG afterwards")
-    p_res.set_defaults(func=cmd_resume)
 
     p_rep = sub.add_parser("report",
                            help="render a RunReport JSON to markdown")

@@ -43,10 +43,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
-
-if TYPE_CHECKING:
-    from repro.core.serialize import CheckpointWriter
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.factor import (
     NumericFactor,
@@ -88,43 +85,23 @@ class DeadlockError(SchedulerError):
     """
 
 
-def run_sequential(fac: NumericFactor,
-                   checkpoint: Optional["CheckpointWriter"] = None) -> None:
+def run_sequential(fac: NumericFactor) -> None:
     """Sequential elimination: one fan-in task per column block, in index
     order — pull every contributor's updates (ascending), then factor.
 
     The same task the worker pool runs, so the factors are bit-identical
     across drivers and a task only ever mutates its own column block —
-    which is what makes pre-task snapshots, local retries and resumable
-    checkpoints sound.  Already-factored column blocks are skipped, which
-    is how a checkpoint resume continues a partial factorization: a
-    restored block's updates are *pulled by its dependents* when they run.
-    On any failure (including ``KeyboardInterrupt``) the checkpoint
-    writer's fault hook fires before the exception propagates.
+    which is what makes pre-task snapshots and local retries sound.
 
     A left-looking run (``fac.deferred`` set) is this loop too: the task
     allocates its column block on first touch, so at any instant the
     working set holds the compressed factored prefix plus a single dense
     column block — the gap Figure 7 attributes to the scheduling strategy.
     """
-    left_looking = fac.deferred is not None
-    if left_looking and checkpoint is not None:
-        raise ValueError("checkpointing does not support left-looking "
-                         "(deferred) allocation")
-    _begin_profile(fac, "left-looking" if left_looking else "sequential", 1)
-    try:
-        for k in range(fac.symb.ncblk):
-            if fac.cblks[k].factored:
-                continue
-            _run_task(fac, k)
-            if checkpoint is not None:
-                checkpoint.task_done(fac, k)
-    except BaseException:
-        # deliberately BaseException: a Ctrl-C mid-factorization should
-        # still leave a resumable checkpoint behind
-        if checkpoint is not None:
-            checkpoint.on_fault(fac)
-        raise
+    _begin_profile(fac, "left-looking" if fac.deferred is not None
+                   else "sequential", 1)
+    for k in range(fac.symb.ncblk):
+        _run_task(fac, k)
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +129,8 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     factor ``k``.  Contributions to ``k``'s low-rank blocks are gathered
     in a task-local accumulator and recompressed once per block right
     before the factorization (Minimal Memory's extend-add); the
-    accumulator never outlives the task, so retries and resumes start
-    from a clean one.
+    accumulator never outlives the task, so a retry starts from a clean
+    one.
 
     Under the ``fuc`` loop order a contributor is compressed as soon as
     its *last* facing target has pulled its updates

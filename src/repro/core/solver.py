@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
@@ -43,6 +43,7 @@ from repro.core.refinement import (
 )
 from repro.core.scheduler import run_sequential, run_threaded
 from repro.core.trisolve import solve_factored
+from repro.lowrank.block import LowRankBlock
 from repro.runtime.recovery import (
     RecoveryPolicy,
     RecoveryState,
@@ -110,8 +111,8 @@ class Solver:
         #: residual history (feeds :meth:`run_report`)
         self.last_refinement: Optional[RefinementResult] = None
         #: the current run's one record of recovery actions: replaced by
-        #: each :meth:`factorize` / :meth:`resume_from`, recorded into by
-        #: its solves, refinement and escalation rungs
+        #: each :meth:`factorize`, recorded into by its solves, refinement
+        #: and escalation rungs
         self._recovery = RecoveryState(self.config.recovery)
         #: the config of the latest factorization attempt (an escalation
         #: rung's, once the ladder moved)
@@ -186,30 +187,8 @@ class Solver:
         return self.symbolic
 
     # -- step 3: numerical factorization ------------------------------------
-    def _finalize_stats(self, fac: NumericFactor, t0: float) -> None:
-        """Fill the run-level statistics of a completed factorization."""
-        fac.stats.total_time = time.perf_counter() - t0
-        fac.stats.factor_nbytes = fac.factor_nbytes()
-        fac.stats.dense_factor_nbytes = fac.dense_factor_nbytes()
-        fac.stats.peak_nbytes = fac.tracker.peak
-        ncomp = ndense = 0
-        from repro.lowrank.block import LowRankBlock
-
-        for nc in fac.cblks:
-            if nc.lblocks is None:
-                ndense += nc.sym.noff
-                continue
-            for blk in nc.lblocks:
-                if isinstance(blk, LowRankBlock):
-                    ncomp += 1
-                else:
-                    ndense += 1
-        fac.stats.nblocks_compressed = ncomp
-        fac.stats.nblocks_dense = ndense
-
     def _factorize_once(self, cfg: SolverConfig,
-                        faults: Optional["FaultInjector"],
-                        checkpoint: Optional[Union[str, Path]]
+                        faults: Optional["FaultInjector"]
                         ) -> FactorizationStats:
         """One assemble-and-factor attempt under ``cfg`` (one ladder rung)."""
         self.analyze()
@@ -234,18 +213,6 @@ class Solver:
                 if cfg.telemetry is not None:
                     cfg.telemetry.attach_sanitizer(san)
                 self.sanitizer = san
-            writer = None
-            if checkpoint is not None:
-                from repro.core.serialize import (
-                    CheckpointWriter,
-                    matrix_fingerprint,
-                )
-
-                policy = state.policy or RecoveryPolicy()
-                writer = CheckpointWriter(
-                    checkpoint, self.perm, matrix_fingerprint(self._a_sym),
-                    every=policy.checkpoint_every,
-                    write_on_fault=policy.checkpoint_on_fault)
             with _kernel_calls(fac, "factorize"):
                 if cfg.threads > 1:
                     try:
@@ -258,13 +225,28 @@ class Solver:
                             if log:
                                 fac.sanitizer.dump(log)
                 else:
-                    run_sequential(fac, checkpoint=writer)
-            self._finalize_stats(fac, t0)
+                    run_sequential(fac)
+            stats = fac.stats
+            stats.total_time = time.perf_counter() - t0
+            stats.factor_nbytes = fac.factor_nbytes()
+            stats.dense_factor_nbytes = fac.dense_factor_nbytes()
+            stats.peak_nbytes = fac.tracker.peak
+            ncomp = ndense = 0
+            for nc in fac.cblks:
+                if nc.lblocks is None:
+                    ndense += nc.sym.noff
+                    continue
+                for blk in nc.lblocks:
+                    if isinstance(blk, LowRankBlock):
+                        ncomp += 1
+                    else:
+                        ndense += 1
+            stats.nblocks_compressed = ncomp
+            stats.nblocks_dense = ndense
             self.factor = fac
-            return fac.stats
+            return stats
 
-    def factorize(self, faults: Optional["FaultInjector"] = None,
-                  checkpoint: Optional[Union[str, Path]] = None
+    def factorize(self, faults: Optional["FaultInjector"] = None
                   ) -> FactorizationStats:
         """Assemble and factor under the configured strategy; returns the
         per-kernel statistics (the rows of Table 2).
@@ -272,10 +254,7 @@ class Solver:
         With ``config.profiler`` set, every task and kernel is recorded as
         a span (see ``docs/observability.md``).  ``faults`` attaches
         a :class:`~repro.runtime.faults.FaultInjector` for the run — a
-        testing hook, never set in production paths.  ``checkpoint`` names
-        a file partial-factorization snapshots are written to (sequential
-        engine only; see docs/robustness.md), resumable via
-        :meth:`resume_from`.
+        testing hook, never set in production paths.
 
         With ``config.recovery`` set, a structured
         :class:`~repro.runtime.recovery.NumericalBreakdown` triggers the
@@ -287,21 +266,13 @@ class Solver:
         """
         policy = self.config.recovery
         self._recovery = state = RecoveryState(policy)
-        if checkpoint is not None:
-            if self.config.threads > 1:
-                raise ValueError(
-                    "checkpointing requires threads=1 (deterministic "
-                    "sequential engine)")
-            if self.config.left_looking:
-                raise ValueError("checkpointing does not support "
-                                 "left-looking (deferred) allocation")
         if policy is None:
-            return self._factorize_once(self.config, faults, checkpoint)
+            return self._factorize_once(self.config, faults)
         cfg = self.config
         rung = 0
         while True:
             try:
-                return self._factorize_once(cfg, faults, checkpoint)
+                return self._factorize_once(cfg, faults)
             except Exception as exc:
                 breakdown = find_breakdown(exc)
                 nxt = (escalate_config(cfg, policy, cause=breakdown.cause)
@@ -318,63 +289,6 @@ class Solver:
                              pivot_fallback=nxt.pivot_fallback,
                              rung=rung)
                 cfg = nxt
-
-    def resume_from(self, path: Union[str, Path],
-                    faults: Optional["FaultInjector"] = None
-                    ) -> FactorizationStats:
-        """Resume a checkpointed factorization written by
-        :meth:`factorize(checkpoint=...)`.
-
-        The checkpoint's config and matrix fingerprint must match this
-        solver's; completed column blocks are restored as-is and the
-        remaining ones run through the pull-mode sequential sweep, so a
-        resumed float64 run is bit-identical to an uninterrupted one.
-        No escalation ladder runs on a resume — a breakdown propagates
-        (re-run :meth:`factorize` for a fresh escalated attempt).
-        """
-        from repro.core.serialize import (
-            _symbolic_from_json,
-            config_from_header,
-            load_checkpoint,
-            matrix_fingerprint,
-            restore_checkpoint,
-        )
-
-        if self.config.threads > 1:
-            raise ValueError("resume requires threads=1 (deterministic "
-                             "sequential engine)")
-        header, arrays = load_checkpoint(path)
-        stored = config_from_header(header["config"])
-        if stored != replace(self.config, telemetry=None, profiler=None):
-            raise ValueError(
-                "checkpoint was written under a different configuration; "
-                "resume with the same SolverConfig it was created with")
-        if np.dtype(header["dtype"]) != self.dtype:
-            raise ValueError(
-                f"checkpoint dtype {header['dtype']} does not match this "
-                f"solver's dtype {self.dtype.name}")
-        if header["matrix_fingerprint"] != matrix_fingerprint(self._a_sym):
-            raise ValueError(
-                "checkpoint matrix fingerprint does not match this matrix "
-                "(different values, pattern, or dtype)")
-        self.symbolic = _symbolic_from_json(header["symbolic"])
-        self.perm = np.asarray(arrays["perm"], dtype=np.int64)
-        self._recovery = RecoveryState(self.config.recovery)
-        self._run_config = self.config
-        a_perm = permute_symmetric(self._a_sym, self.perm)
-        t0 = time.perf_counter()
-        fac = assemble(a_perm, self.symbolic, self.config, self._recovery)
-        fac.faults = faults
-        restored = restore_checkpoint(fac, header, arrays)
-        fac.nperturbed = int(header["nperturbed"])
-        if fac.recovery is not None:
-            fac.recovery.record("resume", site="serialize",
-                                completed=restored, path=str(path))
-        with _kernel_calls(fac, "factorize"):
-            run_sequential(fac)
-        self._finalize_stats(fac, t0)
-        self.factor = fac
-        return fac.stats
 
     # -- step 4: solves -----------------------------------------------------
     def solve(self, b: np.ndarray, refine: bool = False,
@@ -517,7 +431,7 @@ class Solver:
                 tolerance=nxt.tolerance, strategy=nxt.strategy,
                 order=_resolved_order(nxt),
                 backward_error=res.backward_error)
-            self._factorize_once(nxt, None, None)
+            self._factorize_once(nxt, None)
             cfg = nxt
             # a diverged iterate is a poor starting guess: restart clean
             x0 = None if diverged else res.x
@@ -576,9 +490,13 @@ class Solver:
         from repro.core.serialize import load_factor as _load
 
         fac, perm = _load(path)
-        solver = cls(a, fac.config)
         if a.n != fac.symb.n:
             raise ValueError("matrix dimension does not match the archive")
+        solver = cls(a, fac.config)
+        if solver.dtype != fac.dtype:
+            raise ValueError(
+                f"archive dtype {fac.dtype.name} does not match this "
+                f"solver's dtype {solver.dtype.name}")
         solver.symbolic = fac.symb
         solver.perm = perm
         solver.factor = fac

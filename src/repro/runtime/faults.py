@@ -8,7 +8,7 @@ testable: the drivers call :meth:`FaultInjector.on_factor` /
 :meth:`FaultInjector.on_update` at the top of every task — and, since the
 recovery layer landed, :meth:`on_compress` at every compression point,
 :meth:`on_trisolve` at the top of every triangular solve, and
-:meth:`on_serialize` before every factor/checkpoint archive write — and the
+:meth:`on_serialize` before every factor archive write — and the
 injector fires whatever faults were registered for that site.
 
 All choices are deterministic: faults are registered for explicit column
@@ -158,8 +158,8 @@ class FaultInjector:
 
     def fail_serialize(self, exc: Optional[BaseException] = None,
                        transient: bool = False) -> None:
-        """Raise when a factor/checkpoint archive is about to be written
-        (exercises checkpoint-write failure handling)."""
+        """Raise when a factor archive is about to be written (exercises
+        how a failed :func:`~repro.core.serialize.save_factor` surfaces)."""
         self._serialize.append(
             {"action": "raise", "exc": exc, "delay": 0.0,
              "transient": transient, "spent": False})
@@ -263,7 +263,7 @@ class FaultInjector:
                    FaultError("injected failure in the triangular solve"))
 
     def on_serialize(self, path: str) -> None:
-        """Fired just before a factor/checkpoint archive is written."""
+        """Fired just before a factor archive is written."""
         for fault in self._serialize:
             if not self._take(fault):
                 continue

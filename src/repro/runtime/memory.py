@@ -105,10 +105,6 @@ class MemoryTracker:
             self.peak = 0
             self._last_recorded = -1
 
-    def checkpoint(self) -> int:
-        """Return the current tracked footprint (bytes)."""
-        return self.current
-
 
 def array_nbytes(a: "np.ndarray") -> int:
     """Actual byte size of a numpy array (contiguous assumption)."""

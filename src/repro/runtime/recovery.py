@@ -101,8 +101,7 @@ class RecoveryPolicy:
     The defaults give a production-flavoured posture: sentinels on, dense
     fallback on compression failure, two local task retries, three
     whole-solve escalation rungs, no pivot budget (perturbations are
-    counted but tolerated — set :attr:`pivot_budget` to enforce one), and
-    checkpoints written only on fault when a checkpoint path is given.
+    counted but tolerated — set :attr:`pivot_budget` to enforce one).
     """
 
     #: whole-solve escalation rungs (tightened τ / downgraded strategy)
@@ -137,11 +136,6 @@ class RecoveryPolicy:
     #: iterations" rule)
     refine_window: int = 4
     refine_drop: float = 10.0
-    #: write a checkpoint every N completed column blocks when a
-    #: checkpoint path is given (0 = only on fault)
-    checkpoint_every: int = 0
-    #: also write a checkpoint when the factorization dies mid-run
-    checkpoint_on_fault: bool = True
     #: seed of the retry-backoff jitter generator
     seed: int = 0
 
@@ -166,8 +160,6 @@ class RecoveryPolicy:
             raise ValueError("refine_window must be >= 1")
         if self.refine_drop <= 1.0:
             raise ValueError("refine_drop must be > 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
 
 
 class RecoveryState:

@@ -232,9 +232,9 @@ class SpanProfiler:
         pulled last in the ascending fan-in order — which makes the
         recorded tree independent of scheduling: threaded and sequential
         runs agree edge for edge.  A task only runs once all its
-        contributors have, so that span is always registered; a resumed
-        run, whose restored contributors ran no task, falls back to the
-        enclosing phase span.
+        contributors have, so that span is always registered; a task with
+        no registered contributor span attaches to the enclosing phase
+        span.
         """
         parent: Optional[int] = None
         link = LINK_CHILD

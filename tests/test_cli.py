@@ -42,6 +42,18 @@ class TestSolveCommand:
         with pytest.raises(SystemExit):
             main(["solve", "--generate", "hss:10"])
 
+    @pytest.mark.parametrize("argv", [
+        ["resume", "run.ckpt", "--generate", "lap3d:5"],
+        ["solve", "--generate", "lap3d:5", "--checkpoint", "run.ckpt"]],
+        ids=["resume", "solve-checkpoint"])
+    def test_retired_restart_verbs_are_usage_errors(self, argv, capsys):
+        """Mid-factorization restart is gone: its verb and flag are
+        argparse usage errors (exit status 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_stats_printed(self, capsys):

@@ -70,6 +70,20 @@ class TestValidation:
             SolverConfig(**retired)
         assert len(dataclasses.fields(SolverConfig)) == 29
 
+    @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
+                                         dict(checkpoint_on_fault=False)],
+                             ids=lambda d: "-".join(map(str, *d.items())))
+    def test_retired_policy_knobs_are_gone(self, retired):
+        """A factorization runs once, start to finish: no mid-run restart
+        archive to pace or to write on a fault."""
+        import dataclasses
+
+        from repro.runtime.recovery import RecoveryPolicy
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            RecoveryPolicy(**retired)
+        assert len(dataclasses.fields(RecoveryPolicy)) == 13
+
 
 class TestPresets:
     def test_paper_scale_matches_section4(self):

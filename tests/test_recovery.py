@@ -3,9 +3,8 @@
 Covers the three tentpole layers end to end: breakdown detection (NaN
 sentinels, pivot budgets, compression failures), the escalation policy
 engine (local task retries, per-block dense fallback, whole-solve
-refactorization, refinement-driven escalation), and checkpoint/restart
-(bit-identical resume, fingerprint/config/dtype rejection).  The chaos
-acceptance test at the bottom is what the CI chaos job runs with
+refactorization, refinement-driven escalation), and the chaos acceptance
+test at the bottom, which the CI chaos job runs with
 ``REPRO_CHAOS_THREADS=4``.
 """
 
@@ -20,7 +19,6 @@ import pytest
 from repro.config import SolverConfig
 from repro.core.refinement import classify_history
 from repro.core.scheduler import SchedulerError
-from repro.core.serialize import CheckpointWriter, load_checkpoint
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.faults import FaultError, FaultInjector
@@ -91,7 +89,7 @@ class TestPolicyAndState:
         dict(pivot_budget=-0.1),
         dict(refine_window=0),
         dict(refine_drop=1.0),
-        dict(checkpoint_every=-1),
+        dict(pivot_relax=1.0),
     ])
     def test_policy_rejects_bad_knobs(self, bad):
         with pytest.raises(ValueError):
@@ -230,6 +228,24 @@ class TestEscalationEndToEnd:
         assert s.last_recovery["counts"] == {"task_retry": 1}
         # snapshot/restore retry is exact: same factors as the clean run
         assert factor_digest(s.factor) == factor_digest(baseline.factor)
+
+    def test_kept_panels_and_split_column_blocks_round_trip(self):
+        """A JIT run holds both storage modes — most column blocks keep
+        their panel, the ones with a low-rank block are split.  A
+        snapshot/restore task retry at a split column block ends in the
+        clean run's factors."""
+        a = laplacian_3d(8)
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4)
+        clean = Solver(a, cfg)
+        clean.factorize()
+        split = [nc.sym.id for nc in clean.factor.cblks if not nc.panel_mode]
+        assert 0 < len(split) < clean.symbolic.ncblk / 2
+        s = Solver(a, cfg.with_options(recovery=RecoveryPolicy()))
+        inj = FaultInjector()
+        inj.fail_factor(split[len(split) // 2], transient=True)
+        s.factorize(faults=inj)
+        assert s.last_recovery["counts"] == {"task_retry": 1}
+        assert factor_digest(s.factor) == factor_digest(clean.factor)
 
     def test_left_looking_retries_locally(self):
         """Left-looking is the same task with lazy allocation: a transient
@@ -414,172 +430,6 @@ class TestRefinementEscalation:
         res = s.refine(b, tol=1e-14, maxiter=8, method="ir")
         assert not res.converged  # 0.4x/iter cannot reach 1e-14 in 8 iters
         assert (res.stagnated, res.diverged) == classify_history(res.history)
-
-
-class TestCheckpointRestart:
-    def _cfg(self, **kw):
-        base = dict(strategy="just-in-time", tolerance=1e-8)
-        base.update(kw)
-        return tiny_blr_config(**base)
-
-    def test_interrupt_and_resume_bit_identical(self, tmp_path):
-        a = laplacian_3d(6)
-        clean = Solver(a, self._cfg())
-        clean.factorize()
-        want = factor_digest(clean.factor)
-
-        ckpt = tmp_path / "partial.ckpt"
-        s = Solver(a, self._cfg())
-        s.analyze()
-        inj = FaultInjector()
-        inj.fail_factor(s.symbolic.ncblk // 2)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        assert ckpt.exists()
-        header, _ = load_checkpoint(ckpt)
-        assert 0 < sum(header["completed"]) < s.symbolic.ncblk
-
-        resumed = Solver(a, self._cfg())
-        resumed.resume_from(ckpt)
-        assert factor_digest(resumed.factor) == want
-        b = np.ones(a.n)
-        assert resumed.backward_error(resumed.solve(b), b) <= 1e-6
-
-    def test_resume_counts_the_kernels_it_ran(self, tmp_path):
-        a = laplacian_3d(6)
-        ckpt = tmp_path / "partial.ckpt"
-        s = Solver(a, self._cfg())
-        ncblk = s.analyze().ncblk
-        inj = FaultInjector()
-        inj.fail_factor(ncblk // 2)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        header, _ = load_checkpoint(ckpt)
-        resumed = Solver(a, self._cfg())
-        resumed.resume_from(ckpt)
-        calls = resumed.stats.backend_kernel_calls
-        assert calls["getrf"] == ncblk - sum(header["completed"])
-        assert calls["trsm"] > 0 and calls["gemm"] > 0
-
-    def test_kept_panels_and_split_column_blocks_round_trip(self, tmp_path):
-        """A JIT run holds both storage modes — most column blocks keep
-        their panel, the ones with a low-rank block are split.  A
-        snapshot/restore task retry and a checkpoint resume, interrupted at
-        a split column block, both end in the clean run's factors."""
-        a = laplacian_3d(8)
-        cfg = self._cfg(tolerance=1e-4)
-        clean = Solver(a, cfg)
-        clean.factorize()
-        want = factor_digest(clean.factor)
-        split = [nc.sym.id for nc in clean.factor.cblks if not nc.panel_mode]
-        assert 0 < len(split) < clean.symbolic.ncblk / 2
-        k = split[len(split) // 2]
-
-        s = Solver(a, self._cfg(tolerance=1e-4, recovery=RecoveryPolicy()))
-        inj = FaultInjector()
-        inj.fail_factor(k, transient=True)
-        s.factorize(faults=inj)
-        assert s.last_recovery["counts"] == {"task_retry": 1}
-        assert factor_digest(s.factor) == want
-
-        ckpt = tmp_path / "mixed.ckpt"
-        s = Solver(a, cfg)
-        inj = FaultInjector()
-        inj.fail_factor(k)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        resumed = Solver(a, cfg)
-        resumed.resume_from(ckpt)
-        assert factor_digest(resumed.factor) == want
-
-    def test_resume_rejects_different_matrix(self, tmp_path):
-        a = laplacian_3d(5)
-        ckpt = tmp_path / "m.ckpt"
-        s = Solver(a, self._cfg())
-        s.analyze()
-        inj = FaultInjector()
-        inj.fail_factor(s.symbolic.ncblk // 2)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        scaled = CSCMatrix(a.n, a.colptr, a.rowind, 2.0 * a.values)
-        other = Solver(scaled, self._cfg())
-        with pytest.raises(ValueError, match="fingerprint"):
-            other.resume_from(ckpt)
-
-    def test_resume_rejects_different_config(self, tmp_path):
-        a = laplacian_3d(5)
-        ckpt = tmp_path / "c.ckpt"
-        s = Solver(a, self._cfg())
-        s.analyze()
-        inj = FaultInjector()
-        inj.fail_factor(s.symbolic.ncblk // 2)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        other = Solver(a, self._cfg(tolerance=1e-4))
-        with pytest.raises(ValueError, match="configuration"):
-            other.resume_from(ckpt)
-
-    def test_resume_rejects_different_dtype(self, tmp_path):
-        a = laplacian_3d(5)
-        ckpt = tmp_path / "d.ckpt"
-        s = Solver(a, self._cfg())
-        s.analyze()
-        inj = FaultInjector()
-        inj.fail_factor(s.symbolic.ncblk // 2)
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        complex_a = CSCMatrix(a.n, a.colptr, a.rowind,
-                              a.values.astype(np.complex128))
-        other = Solver(complex_a, self._cfg())
-        with pytest.raises(ValueError, match="dtype"):
-            other.resume_from(ckpt)
-
-    def test_checkpoint_cadence(self, tmp_path):
-        a = laplacian_2d(6)
-        ckpt = tmp_path / "cad.ckpt"
-        policy = RecoveryPolicy(checkpoint_every=1)
-        s = Solver(a, self._cfg(recovery=policy))
-        s.factorize(checkpoint=ckpt)
-        counts = s.last_recovery["counts"]
-        assert counts["checkpoint"] == s.symbolic.ncblk
-        # the final checkpoint is complete: resume restores everything
-        resumed = Solver(a, self._cfg(recovery=policy))
-        resumed.resume_from(ckpt)
-        assert factor_digest(resumed.factor) == factor_digest(s.factor)
-
-    def test_checkpoint_write_failure_is_recorded_not_fatal(self, tmp_path):
-        a = laplacian_2d(6)
-        ckpt = tmp_path / "wf.ckpt"
-        policy = RecoveryPolicy(checkpoint_every=1)
-        s = Solver(a, self._cfg(recovery=policy))
-        s.analyze()
-        inj = FaultInjector()
-        inj.fail_serialize(transient=True)
-        s.factorize(faults=inj, checkpoint=ckpt)
-        counts = s.last_recovery["counts"]
-        assert counts["checkpoint_failed"] == 1
-        assert counts["checkpoint"] == s.symbolic.ncblk - 1
-
-    def test_checkpoint_requires_sequential(self):
-        a = laplacian_2d(5)
-        s = Solver(a, self._cfg(threads=2))
-        with pytest.raises(ValueError, match="threads=1"):
-            s.factorize(checkpoint="nope.ckpt")
-
-    def test_writer_on_fault_respects_policy_switch(self, tmp_path):
-        a = laplacian_2d(5)
-        ckpt = tmp_path / "off.ckpt"
-        policy = RecoveryPolicy(checkpoint_on_fault=False)
-        s = Solver(a, self._cfg(recovery=policy,
-                                # a permanent fault must surface unhealed
-                                ))
-        s.analyze()
-        writer = CheckpointWriter(ckpt, np.arange(a.n), "fp",
-                                  every=0, write_on_fault=False)
-        s2 = Solver(a, self._cfg())
-        s2.factorize()
-        writer.on_fault(s2.factor)
-        assert not ckpt.exists() and writer.writes == 0
 
 
 class TestChaosAcceptance:

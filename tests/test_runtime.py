@@ -85,11 +85,6 @@ class TestMemoryTracker:
         mt.reset()
         assert mt.current == 0 and mt.peak == 0
 
-    def test_checkpoint(self):
-        mt = MemoryTracker()
-        mt.alloc(7)
-        assert mt.checkpoint() == 7
-
 
 class TestByteHelpers:
     def test_nbytes_dense(self):

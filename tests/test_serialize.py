@@ -8,12 +8,13 @@ import pytest
 
 from repro.core.serialize import (
     RETIRED_CONFIG_FIELDS,
-    checkpoint_config,
+    RETIRED_POLICY_FIELDS,
     load_factor,
     save_factor,
 )
 from repro.core.solver import Solver
-from repro.runtime.faults import FaultError, FaultInjector
+from repro.runtime.recovery import RecoveryPolicy
+from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     convection_diffusion_3d,
     laplacian_3d,
@@ -121,6 +122,22 @@ class TestArchiveProperties:
         with pytest.raises(ValueError, match="dimension"):
             Solver.load_factor(laplacian_3d(4), path)
 
+    def test_dtype_mismatch_rejected(self, tmp_path):
+        """An archive only loads against a matrix the solver would factor
+        in the archive's dtype: a complex128 factor applied to a real
+        matrix solves a different system."""
+        a = laplacian_3d(5)
+        a_c = CSCMatrix(a.n, a.colptr, a.rowind,
+                        a.values.astype(np.complex128))
+        cfg = tiny_blr_config(strategy="dense")
+        for saved, loaded in ((a_c, a), (a, a_c)):
+            s = Solver(saved, cfg)
+            s.factorize()
+            path = s.save_factor(tmp_path / "f.rpz")
+            with pytest.raises(ValueError, match="float64.*complex128|"
+                               "complex128.*float64"):
+                Solver.load_factor(loaded, path)
+
     def test_bad_version_rejected(self, tmp_path, rng):
         a = laplacian_3d(4)
         s = Solver(a, tiny_blr_config(strategy="dense"))
@@ -140,6 +157,7 @@ class TestArchivesOutliveConfigFields:
     RETIRED = dict(accumulate_updates=True, trace=False,
                    scheduler="static", adaptive=None, backend=None, seed=0,
                    storage_dtype="float32")
+    RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -182,29 +200,25 @@ class TestArchivesOutliveConfigFields:
         b = rng.standard_normal(a.n)
         assert np.array_equal(s2.solve(b), s.solve(b))
 
-    def test_checkpoint_with_retired_fields_resumes(self, tmp_path):
-        """A resume drops the retired fields from the stored config; the
-        restored column blocks keep the dtypes they were stored in (a
-        ``storage_dtype`` checkpoint's are float32) and the rest are
-        factored, and narrowed or not, under today's rule."""
+    def test_factor_archive_with_retired_policy_fields_loads(self, tmp_path,
+                                                              rng):
+        """A stored recovery policy may carry the knobs of the retired
+        mid-factorization restart; they are dropped on load."""
+        assert set(self.RETIRED_POLICY) == set(RETIRED_POLICY_FIELDS)
         a = laplacian_3d(6)
-        clean = Solver(a, self.cfg())
-        clean.factorize()
-        s = Solver(a, self.cfg())
-        inj = FaultInjector()
-        inj.fail_factor(s.analyze().ncblk // 2)
-        ckpt = tmp_path / "partial.ckpt"
-        with pytest.raises(FaultError):
-            s.factorize(faults=inj, checkpoint=ckpt)
-        edit_header(ckpt, "checkpoint.json",
-                    lambda h: h["config"].update(self.RETIRED))
-        assert checkpoint_config(ckpt) == self.cfg()
-        resumed = Solver(a, self.cfg())
-        resumed.resume_from(ckpt)
-        assert factor_digest(resumed.factor) == factor_digest(clean.factor)
+        cfg = self.cfg().with_options(recovery=RecoveryPolicy())
+        s, _, _, _, path = roundtrip(a, cfg, tmp_path, rng)
+        edit_header(path, "header.json",
+                    lambda h: h["config"]["recovery"].update(
+                        self.RETIRED_POLICY))
+        s2 = Solver.load_factor(a, path)
+        assert s2.config == s.config
+        assert factor_digest(s2.factor) == factor_digest(s.factor)
+        b = rng.standard_normal(a.n)
+        assert np.array_equal(s2.solve(b), s.solve(b))
 
     @pytest.mark.parametrize("backend", [None, "numpy"])
-    def test_stored_backend_loads_and_resumes(self, tmp_path, rng, backend):
+    def test_stored_backend_loads(self, tmp_path, rng, backend):
         """Archives written while ``backend`` was a knob store it as null
         or as the name of the one kernel implementation left."""
         a = laplacian_3d(6)
@@ -213,17 +227,6 @@ class TestArchivesOutliveConfigFields:
                     lambda h: h["config"].update(backend=backend))
         assert factor_digest(Solver.load_factor(a, path).factor) == \
             factor_digest(s.factor)
-        partial = Solver(a, self.cfg())
-        inj = FaultInjector()
-        inj.fail_factor(partial.analyze().ncblk // 2)
-        ckpt = tmp_path / "partial.ckpt"
-        with pytest.raises(FaultError):
-            partial.factorize(faults=inj, checkpoint=ckpt)
-        edit_header(ckpt, "checkpoint.json",
-                    lambda h: h["config"].update(backend=backend))
-        resumed = Solver(a, self.cfg())
-        resumed.resume_from(ckpt)
-        assert factor_digest(resumed.factor) == factor_digest(s.factor)
 
     def test_unknown_field_rejected_by_name(self, tmp_path, rng):
         a = laplacian_3d(4)
