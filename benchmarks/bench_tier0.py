@@ -180,8 +180,8 @@ def load_history(path: Path) -> Dict[str, Any]:
 
 def write_run_report(a: Any, path: Path) -> Path:
     """Re-run the float64 variant with telemetry + span profiler on;
-    write a RunReport (its ``profile`` section feeds ``repro
-    diff-report`` and the benchdiff guilty-phase attribution)."""
+    write a RunReport (its ``profile`` section feeds ``repro report
+    --against``)."""
     from repro.analysis.report import save_run_report
     from repro.runtime.spans import SpanProfiler
     from repro.runtime.telemetry import Telemetry

@@ -12,8 +12,8 @@ One program, four gates:
 4. **Overhead** — profiling must not slow the factorization by more
    than 5% (plus a small absolute epsilon for runner noise).
 
-On success the traced run is exported as Chrome ``about:tracing`` and
-speedscope documents for the CI artifact.
+On success the traced worker-pool run's span document is written out
+for the CI artifact.
 
 Run directly::
 
@@ -32,11 +32,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro import Solver, SolverConfig
-from repro.analysis.profile import (
-    export_chrome_trace,
-    export_speedscope,
-    phase_rollup,
-)
+from repro.analysis.profile import phase_rollup
 from repro.runtime.spans import SpanProfiler, canonical_tree
 from repro.sparse.generators import laplacian_3d
 
@@ -97,7 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--grid", type=int, default=10,
                         help="laplacian_3d grid size (default 10)")
     parser.add_argument("--outdir", default=".",
-                        help="directory for the exported trace artifacts")
+                        help="directory for the span document artifact")
     args = parser.parse_args(argv)
 
     a = laplacian_3d(args.grid)
@@ -151,15 +147,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = exported.to_json(outdir / "profile_spans.json")
-    export_chrome_trace(doc, outdir / "profile_chrome.json")
-    export_speedscope(doc, outdir / "profile.speedscope.json")
     roll = phase_rollup(doc)
     print(f"  phases: " + ", ".join(
         f"{name}={slot['time']:.3f}s"
         for name, slot in sorted(roll["phases"].items(),
                                  key=lambda kv: -kv[1]["time"])))
-    print(f"  artifacts -> {outdir}/profile_spans.json, "
-          f"profile_chrome.json, profile.speedscope.json")
+    print(f"  artifact -> {outdir}/profile_spans.json")
     return 0
 
 

@@ -22,9 +22,9 @@ Public API highlights:
   reads from the run's own state.
 * :class:`~repro.runtime.spans.SpanProfiler` — opt-in causal span
   profiler (``SolverConfig(profiler=SpanProfiler())``): one trace tree
-  per run, identical across sequential and threaded engines, exportable
-  to Chrome ``about:tracing`` and speedscope via
-  :mod:`repro.analysis.profile` (``docs/observability.md``).
+  per run, identical across sequential and threaded engines, rolled up
+  by :mod:`repro.analysis.profile` into the RunReport
+  (``docs/observability.md``).
 * :class:`~repro.runtime.recovery.RecoveryPolicy` — opt-in self-healing
   (``SolverConfig(recovery=RecoveryPolicy())``): breakdown detection,
   local task retries and escalation ladders (``docs/robustness.md``).

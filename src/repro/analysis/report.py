@@ -7,8 +7,9 @@ per-iteration refinement residuals, the recovery actions, the telemetry
 timeline (memory high-water and rank-evolution series) and the
 span-profile rollup with its task summary.  Every count comes from the
 run's own state; telemetry adds only when things happened.  It is the
-single artifact the ``repro report`` CLI renders to markdown, the
-benchmarks attach to their history records, and ``tools/benchdiff``
+single artifact the ``repro report`` CLI renders to markdown — alone, or
+against an older report (:func:`report_attribution`) — that the
+benchmarks attach to their history records, and that ``tools/benchdiff``
 compares across runs.
 
 The document is plain JSON — no pickle, no custom types — so reports are
@@ -18,8 +19,9 @@ diffable, archivable and safe to load from CI artifacts.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 if TYPE_CHECKING:
     from repro.core.solver import Solver
@@ -155,6 +157,119 @@ def load_run_report(path: Union[str, Path]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# attribution: this run against an older one (repro report --against)
+# ----------------------------------------------------------------------
+
+def _num(v: Any) -> Optional[float]:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    f = float(v)
+    return f if math.isfinite(f) else None
+
+
+def _delta(va: Optional[float], vb: Optional[float]) -> Optional[float]:
+    return (vb - va) if (va is not None and vb is not None) else None
+
+
+def _phase_times(report: Mapping[str, Any]) -> Dict[str, float]:
+    """Per-phase seconds of a RunReport — profile section preferred,
+    top-level timings as the fallback for pre-profile reports."""
+    phases = (report.get("profile") or {}).get("phases") or {}
+    out = {str(name): t for name, slot in phases.items()
+           if (t := _num(slot.get("time"))) is not None}
+    if out:
+        return out
+    timings = report.get("timings") or {}
+    for key, name in (("analyze_time", "analyze"),
+                      ("factor_time", "factorize"),
+                      ("solve_time", "solve")):
+        t = _num(timings.get(key))
+        if t is not None:
+            out[name] = t
+    return out
+
+
+def _rank_drift(a: Mapping[str, Any],
+                b: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    ha = {int(r): int(c) for r, c in (a.get("rank_histogram") or {}).items()}
+    hb = {int(r): int(c) for r, c in (b.get("rank_histogram") or {}).items()}
+    na, nb = sum(ha.values()), sum(hb.values())
+    if na == 0 or nb == 0:
+        return None
+    mean_a = sum(r * c for r, c in ha.items()) / na
+    mean_b = sum(r * c for r, c in hb.items()) / nb
+    l1 = sum(abs(ha.get(r, 0) / na - hb.get(r, 0) / nb)
+             for r in set(ha) | set(hb))
+    return {"mean_rank_a": mean_a, "mean_rank_b": mean_b,
+            "mean_rank_delta": mean_b - mean_a, "l1_distance": l1}
+
+
+def _recovery_counts(report: Mapping[str, Any]) -> Dict[str, int]:
+    rec = report.get("recovery") or {}
+    counts = {str(k): int(v) for k, v in (rec.get("counts") or {}).items()}
+    attempts = rec.get("attempts")
+    if attempts is not None:
+        counts["attempts"] = int(attempts)
+    return counts
+
+
+def report_attribution(a: Mapping[str, Any],
+                       b: Mapping[str, Any]) -> Dict[str, Any]:
+    """Align two RunReports and attribute their differences.
+
+    ``a`` is the old run, ``b`` the new one.  Returns a plain-JSON dict
+    with phase rows ranked by absolute time delta, the per-level task-time
+    drift, byte/rank/recovery deltas, and ``top_regression`` — the phase
+    that lost the most time.
+    """
+    from repro.analysis.profile import PHASES
+
+    ta, tb = _phase_times(a), _phase_times(b)
+    order = {name: i for i, name in enumerate(PHASES)}
+    rows: List[Dict[str, Any]] = []
+    for name in sorted(set(ta) | set(tb),
+                       key=lambda n: order.get(n, len(PHASES))):
+        va, vb = ta.get(name), tb.get(name)
+        ratio = vb / va if (va and vb is not None) else None
+        rows.append({"phase": name, "a": va, "b": vb,
+                     "delta": _delta(va, vb), "ratio": ratio})
+    rows.sort(key=lambda r: -(abs(r["delta"]) if r["delta"] is not None
+                              else -1.0))
+    regressions = [r for r in rows
+                   if r["delta"] is not None and r["delta"] > 0.0]
+
+    nb_a = _num((a.get("compression") or {}).get("total_nbytes"))
+    nb_b = _num((b.get("compression") or {}).get("total_nbytes"))
+    bytes_row = None
+    if nb_a is not None and nb_b is not None:
+        bytes_row = {"a": nb_a, "b": nb_b, "delta": nb_b - nb_a}
+
+    rec_a, rec_b = _recovery_counts(a), _recovery_counts(b)
+    recovery = [{"action": k, "a": rec_a.get(k, 0), "b": rec_b.get(k, 0),
+                 "delta": rec_b.get(k, 0) - rec_a.get(k, 0)}
+                for k in sorted(set(rec_a) | set(rec_b))]
+
+    la = (a.get("profile") or {}).get("by_level") or {}
+    lb = (b.get("profile") or {}).get("by_level") or {}
+    levels = []
+    for lvl in sorted(set(la) | set(lb), key=int):
+        va = _num((la.get(lvl) or {}).get("time"))
+        vb = _num((lb.get(lvl) or {}).get("time"))
+        levels.append({"level": int(lvl), "a": va, "b": vb,
+                       "delta": _delta(va, vb)})
+
+    return {
+        "workload_a": a.get("workload"),
+        "phases": rows,
+        "by_level": levels,
+        "factor_bytes": bytes_row,
+        "rank_drift": _rank_drift(a, b),
+        "recovery": recovery,
+        "top_regression": regressions[0]["phase"] if regressions else None,
+    }
+
+
+# ----------------------------------------------------------------------
 # markdown rendering
 # ----------------------------------------------------------------------
 
@@ -188,12 +303,61 @@ def _table(headers: List[str], rows: List[List[Any]]) -> List[str]:
     return out
 
 
+def _signed(v: Optional[float]) -> str:
+    return "—" if v is None else f"{v:+.4g}"
+
+
+def _attribution_section(att: Mapping[str, Any]) -> List[str]:
+    """The ``--against`` section: :func:`report_attribution` as tables."""
+    lines = [f"## Against {att.get('workload_a') or 'the old run'}", ""]
+    top = att.get("top_regression")
+    lines.append(f"Largest regression: **{top}**." if top is not None
+                 else "No phase regressed.")
+    lines.append("")
+    lines += _table(
+        ["phase", "old (s)", "new (s)", "Δ (s)", "Δ%"],
+        [[r["phase"], r["a"], r["b"], _signed(r["delta"]),
+          "—" if r["ratio"] is None
+          else f"{(r['ratio'] - 1.0) * 100.0:+.1f}%"]
+         for r in att["phases"]])
+    lines.append("")
+    levels = [r for r in att["by_level"] if r["delta"] is not None]
+    if levels:
+        lines += _table(
+            ["level", "old task time (s)", "new task time (s)", "Δ (s)"],
+            [[r["level"], r["a"], r["b"], _signed(r["delta"])]
+             for r in sorted(levels, key=lambda r: -abs(r["delta"]))])
+        lines.append("")
+    nbytes = att.get("factor_bytes")
+    if nbytes is not None:
+        lines.append(f"Factor bytes: {nbytes['a']:.0f} → {nbytes['b']:.0f} "
+                     f"({nbytes['delta']:+.0f} B)")
+    drift = att.get("rank_drift")
+    if drift is not None:
+        lines.append(
+            f"Rank drift: mean {drift['mean_rank_a']:.2f} → "
+            f"{drift['mean_rank_b']:.2f} ({drift['mean_rank_delta']:+.2f}), "
+            f"histogram L1 distance {drift['l1_distance']:.3f}")
+    moved = [r for r in att["recovery"] if r["delta"]]
+    if moved:
+        lines.append("")
+        lines += _table(["recovery action", "old", "new", "Δ"],
+                        [[r["action"], r["a"], r["b"], f"{r['delta']:+d}"]
+                         for r in moved])
+    lines.append("")
+    return lines
+
+
 def render_markdown(report: Dict[str, Any],
-                    figures: Optional[List[Path]] = None) -> str:
+                    figures: Optional[List[Path]] = None,
+                    against: Optional[Dict[str, Any]] = None) -> str:
     """Render a ``RunReport`` dict to a human-readable markdown document.
 
     ``figures`` (paths from :func:`render_figures`) are embedded as image
-    links relative to wherever the markdown is written.
+    links exactly as given, so pass them relative to the directory the
+    markdown is written to.  ``against`` is an older RunReport: a last
+    section then ranks what moved between it and ``report``
+    (:func:`report_attribution`).
     """
     cfg = report.get("config", {})
     matrix = report.get("matrix", {})
@@ -400,6 +564,9 @@ def render_markdown(report: Dict[str, Any],
         for fig in figures:
             lines.append(f"![{Path(fig).stem}]({fig})")
         lines.append("")
+
+    if against is not None:
+        lines += _attribution_section(report_attribution(against, report))
 
     return "\n".join(lines).rstrip() + "\n"
 

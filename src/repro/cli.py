@@ -10,23 +10,12 @@ Commands
 ``analyze``
     Run only the value-free analysis and print (or render to SVG) the
     symbolic block structure — the Figure 1 view.
-``bench``
-    Quick strategy comparison on one matrix (dense vs MM vs JIT).
-``bench-variants``
-    Ablation over the BLR variant space: every loop order (cuf/ucf/ufc/
-    fuc) crossed with the requested threshold modes, plus the dense
-    reference.
 ``report``
     Render a ``RunReport`` JSON artifact (written by ``solve --report``)
-    to markdown, optionally regenerating its SVG figures.
-``flame``
-    Render a span profile (written by ``solve --profile``) to a
-    speedscope flamegraph and, optionally, a Chrome ``trace_event``
-    JSON, printing the per-phase rollup.
-``diff-report``
-    Align two ``RunReport`` artifacts and print a ranked per-phase
-    attribution table: which phases got slower or faster, factor byte
-    deltas, rank-histogram drift and recovery-action deltas.
+    to markdown, optionally regenerating its SVG figures.  With
+    ``--against OLD.json`` a last section ranks what moved since the old
+    run: per-phase and per-level time deltas, factor bytes, rank drift
+    and recovery actions.
 ``scenarios``
     Replay the committed matrix-zoo scenarios (zoo case x factotype/
     pivoting x BLR strategy x bare/armed recovery), printing status,
@@ -45,6 +34,7 @@ Examples::
         --tolerance 1e-8 --refine
     python -m repro solve --generate lap3d:12 --refine --report run.json
     python -m repro report run.json -o run.md --figures figs/
+    python -m repro report run.json --against old.json
     python -m repro analyze --generate lap3d:10 --svg structure.svg
     python -m repro solve matrix.mtx --factotype cholesky
 """
@@ -52,8 +42,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -108,13 +100,17 @@ GENERATORS = {
 
 def _load_matrix(args: argparse.Namespace) -> CSCMatrix:
     if args.generate:
-        try:
-            name, _, size = args.generate.partition(":")
-            return GENERATORS[name](int(size or 10))
-        except KeyError:
+        name, _, size = args.generate.partition(":")
+        if name not in GENERATORS:
             raise SystemExit(
                 f"unknown generator {name!r}; choose from "
                 f"{sorted(GENERATORS)} (e.g. lap3d:12)")
+        try:
+            k = int(size or 10)
+        except ValueError:
+            raise SystemExit(f"--generate size must be an integer, got "
+                             f"{size!r} (e.g. lap3d:12)")
+        return GENERATORS[name](k)
     if not args.matrix:
         raise SystemExit("provide a MatrixMarket file or --generate NAME:SIZE")
     return read_matrix_market(args.matrix)
@@ -207,18 +203,19 @@ def _arm_chaos(solver: Solver, seed: int) -> "FaultInjector":
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.gantt and not args.report:
+        raise SystemExit("--gantt requires --report (the chart is drawn "
+                         "from the spans the report records)")
     a = _load_matrix(args)
     cfg = _config(args)
-    if getattr(args, "report", None):
+    profiler = None
+    if args.report:
+        from repro.runtime.spans import SpanProfiler
         from repro.runtime.telemetry import Telemetry
 
-        cfg = cfg.with_options(telemetry=Telemetry())
-    profiler = None
-    if getattr(args, "profile", None):
-        from repro.runtime.spans import SpanProfiler
-
-        profiler = SpanProfiler(telemetry=cfg.telemetry)
-        cfg = cfg.with_options(profiler=profiler)
+        tele = Telemetry()
+        profiler = SpanProfiler(telemetry=tele)
+        cfg = cfg.with_options(telemetry=tele, profiler=profiler)
     solver = Solver(a, cfg)
     print(f"n = {a.n}, nnz = {a.nnz}, strategy = {args.strategy}/"
           f"{args.kernel}, tau = {args.tolerance:.0e}")
@@ -260,32 +257,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
         err = res.backward_error
 
     if profiler is not None:
-        profiler.finish()
-        problems = profiler.check_invariants()
-        if problems:  # pragma: no cover - diagnostic path
-            for p in problems:
-                print(f"profile invariant violation: {p}", file=sys.stderr)
-        doc = profiler.to_json(args.profile)
-        print(f"profile: {len(doc['spans'])} spans -> {args.profile} "
-              f"(render with 'repro flame {args.profile}')")
-        from repro.analysis.profile import task_summary
+        from repro.analysis.report import save_run_report
 
-        summ = task_summary(doc)
+        profiler.finish()
+        for p in profiler.check_invariants():  # pragma: no cover
+            print(f"profile invariant violation: {p}", file=sys.stderr)
+        workload = args.generate or args.matrix
+        report = solver.run_report(workload=workload, backward_error=err)
+        summ = report["profile"]["tasks"]
         print(f"tasks: {summ['n_tasks']} on {summ['n_threads']} thread(s), "
               f"critical path {summ['critical_path']:.3f}s, "
               f"mean utilization {summ['mean_utilization']:.0%}")
         if args.gantt:
             from repro.analysis.charts import gantt_chart
 
-            gantt_chart(args.gantt, doc["spans"],
+            gantt_chart(args.gantt, profiler.to_json()["spans"],
                         title=f"factorization tasks ({args.strategy})")
             print(f"gantt chart -> {args.gantt}")
-
-    if getattr(args, "report", None):
-        from repro.analysis.report import save_run_report
-
-        workload = args.generate or args.matrix
-        report = solver.run_report(workload=workload, backward_error=err)
         path = save_run_report(report, args.report)
         print(f"run report -> {path}")
     return 0
@@ -299,64 +287,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     report = load_run_report(args.report_file)
-    figures = render_figures(report, args.figures) if args.figures else None
-    md = render_markdown(report, figures=figures)
+    against = load_run_report(args.against) if args.against else None
+    figures = None
+    if args.figures:
+        # image links resolve from the markdown's own directory
+        base = os.path.dirname(args.output or "") or "."
+        figures = [Path(os.path.relpath(fig, base))
+                   for fig in render_figures(report, args.figures)]
+    md = render_markdown(report, figures=figures, against=against)
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(md, encoding="utf-8")
         print(f"markdown -> {args.output}")
         if figures:
             print(f"{len(figures)} figure(s) -> {args.figures}")
     else:
         print(md, end="")
-    return 0
-
-
-def cmd_flame(args: argparse.Namespace) -> int:
-    """Render a saved span profile (``solve --profile``) to flamegraphs."""
-    from pathlib import Path
-
-    from repro.analysis.profile import (
-        export_chrome_trace,
-        export_speedscope,
-        phase_rollup,
-    )
-
-    src = args.span_file
-    out = args.output or str(Path(src).with_suffix("")) + ".speedscope.json"
-    path = export_speedscope(src, out, name=Path(src).name)
-    print(f"speedscope flamegraph -> {path}")
-    if args.chrome:
-        print(f"chrome trace -> {export_chrome_trace(src, args.chrome)}")
-    rollup = phase_rollup(src)
-    phases = sorted(rollup["phases"].items(),
-                    key=lambda kv: -kv[1]["time"])
-    for name, slot in phases:
-        print(f"  {name:<12} {slot['time']:8.4f}s  "
-              f"({int(slot['count'])} span(s))")
-    return 0
-
-
-def cmd_diff_report(args: argparse.Namespace) -> int:
-    """Align two RunReports and print the ranked attribution table."""
-    import json
-    from pathlib import Path
-
-    from repro.analysis.profile import (
-        render_attribution,
-        report_attribution,
-    )
-    from repro.analysis.report import load_run_report
-
-    attribution = report_attribution(load_run_report(args.report_a),
-                                     load_run_report(args.report_b))
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(attribution, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"attribution -> {args.json}")
-    print(render_attribution(attribution), end="")
     return 0
 
 
@@ -377,94 +322,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.ascii:
         print()
         print(structure_to_ascii(symb, width=args.ascii))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    a = _load_matrix(args)
-    rng = np.random.default_rng(args.seed)
-    b = rng.standard_normal(a.n)
-    print(f"{'strategy':>16} {'time(s)':>8} {'mem':>6} {'backward':>10}")
-    for strategy in STRATEGIES:
-        cfg = _config(args).with_options(strategy=strategy)
-        solver = Solver(a, cfg)
-        t0 = time.perf_counter()
-        stats = solver.factorize()
-        dt = time.perf_counter() - t0
-        err = solver.backward_error(solver.solve(b), b)
-        print(f"{strategy:>16} {dt:8.2f} {stats.memory_ratio:6.3f} "
-              f"{err:10.1e}")
-    return 0
-
-
-def cmd_bench_variants(args: argparse.Namespace) -> int:
-    """Ablation table over the BLR variant space on one matrix.
-
-    One row per (loop order × threshold mode) combination plus the
-    dense reference — factorization time,
-    factor size, memory ratio and backward error, optionally dumped as
-    JSON for archival/benchdiff-style consumption.  Every run carries a
-    span profiler, so the JSON records include a per-phase/per-kernel
-    attribution showing *where* the loop orders differ, not just their
-    totals.
-    """
-    import json
-
-    from repro.analysis.profile import phase_rollup
-    from repro.runtime.spans import SpanProfiler
-
-    a = _load_matrix(args)
-    rng = np.random.default_rng(args.seed)
-    b = rng.standard_normal(a.n)
-    modes = [m for m in args.modes.split(",") if m]
-    for m in modes:
-        if m not in THRESHOLD_MODES:
-            raise SystemExit(f"unknown threshold mode {m!r}; choose from "
-                             f"{list(THRESHOLD_MODES)}")
-
-    runs = [(f"{order}/{mode}",
-             dict(strategy="just-in-time", variant=order,
-                  threshold_mode=mode))
-            for order in ORDERS for mode in modes]
-    runs.append(("dense", dict(strategy="dense", variant=None,
-                               threshold_mode="local")))
-
-    print(f"{'variant':>22} {'time(s)':>8} {'MB':>9} {'mem':>6} "
-          f"{'backward':>10}")
-    records = []
-    for label, overrides in runs:
-        prof = SpanProfiler()
-        cfg = _config(args).with_options(profiler=prof, **overrides)
-        solver = Solver(a, cfg)
-        t0 = time.perf_counter()
-        stats = solver.factorize()
-        dt = time.perf_counter() - t0
-        err = solver.backward_error(solver.solve(b), b)
-        prof.finish()
-        rollup = phase_rollup(prof.to_json())
-        print(f"{label:>22} {dt:8.2f} {stats.factor_nbytes / 1e6:9.2f} "
-              f"{stats.memory_ratio:6.3f} {err:10.1e}")
-        records.append({"variant": label, "factor_time": dt,
-                        "factor_nbytes": int(stats.factor_nbytes),
-                        "memory_ratio": float(stats.memory_ratio),
-                        "backward_error": float(err),
-                        "phases": {name: slot["time"] for name, slot
-                                   in rollup["phases"].items()},
-                        "kernels": {name: slot["time"] for name, slot
-                                    in rollup["kernels"].items()},
-                        "by_order": {name: slot["time"] for name, slot
-                                     in rollup["by_order"].items()}})
-
-    if args.json:
-        from pathlib import Path
-
-        payload = {"workload": args.generate or args.matrix,
-                   "tolerance": args.tolerance, "kernel": args.kernel,
-                   "runs": records}
-        Path(args.json).write_text(json.dumps(payload, indent=2,
-                                              sort_keys=True) + "\n",
-                                   encoding="utf-8")
-        print(f"variant ablation -> {args.json}")
     return 0
 
 
@@ -583,7 +440,6 @@ def compare_scenarios(current: list, baseline: dict) -> tuple:
 def cmd_scenarios(args: argparse.Namespace) -> int:
     """Replay the matrix-zoo scenario suite and gate against a baseline."""
     import json
-    from pathlib import Path
 
     cases = [c for c in (args.cases or "").split(",") if c] or None
     results = run_scenarios(seed=args.seed, cases=cases)
@@ -633,8 +489,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     source tree, so it only makes sense from a checkout.  Locate the repo
     root relative to this file and fail with a clear message otherwise.
     """
-    from pathlib import Path
-
     root = Path(__file__).resolve().parents[2]
     if not (root / "tools" / "solverlint").is_dir():
         raise SystemExit(
@@ -671,19 +525,15 @@ def main(argv: Optional[list] = None) -> int:
     p_solve.add_argument("--rhs", choices=("ones", "random"), default="ones")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--gantt", metavar="FILE",
-                         help="with --profile: also render a Gantt SVG "
+                         help="with --report: also render a Gantt SVG "
                               "of the kernel spans, one lane per thread")
     p_solve.add_argument("--watchdog", type=float, metavar="SECONDS",
                          help="raise DeadlockError (with a pending-counter "
                               "dump) if a threaded run stalls this long")
     p_solve.add_argument("--report", metavar="FILE",
-                         help="enable telemetry for the run and write a "
-                              "RunReport JSON artifact (render it with "
-                              "'repro report FILE')")
-    p_solve.add_argument("--profile", metavar="FILE",
-                         help="attach the causal span profiler and write "
-                              "the span document as JSON (render it with "
-                              "'repro flame FILE')")
+                         help="attach telemetry and the span profiler "
+                              "and write a RunReport JSON artifact (render "
+                              "it with 'repro report FILE')")
     p_solve.add_argument("--chaos", type=int, nargs="?", const=0,
                          default=None, metavar="SEED",
                          help="inject one transient fault at each recovery "
@@ -700,23 +550,6 @@ def main(argv: Optional[list] = None) -> int:
                       help="print an ASCII rendering of the structure")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_bench = sub.add_parser("bench", help="compare the three strategies")
-    _add_common(p_bench)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_bv = sub.add_parser("bench-variants",
-                          help="ablate the BLR variant space (loop orders "
-                               "x threshold modes + dense)")
-    _add_common(p_bv)
-    p_bv.add_argument("--seed", type=int, default=0)
-    p_bv.add_argument("--modes", default="local",
-                      help="comma-separated threshold modes to sweep "
-                           f"(from {list(THRESHOLD_MODES)}; default: local)")
-    p_bv.add_argument("--json", metavar="FILE",
-                      help="also write the ablation table as JSON")
-    p_bv.set_defaults(func=cmd_bench_variants)
-
     p_rep = sub.add_parser("report",
                            help="render a RunReport JSON to markdown")
     p_rep.add_argument("report_file", help="RunReport JSON "
@@ -726,29 +559,11 @@ def main(argv: Optional[list] = None) -> int:
     p_rep.add_argument("--figures", metavar="DIR",
                        help="also render the telemetry series to SVG "
                             "charts in this directory")
+    p_rep.add_argument("--against", metavar="OLD",
+                       help="an older RunReport JSON: append the ranked "
+                            "per-phase deltas, factor-byte delta, rank "
+                            "drift and recovery deltas since it")
     p_rep.set_defaults(func=cmd_report)
-
-    p_fl = sub.add_parser("flame",
-                          help="render a saved span profile to a "
-                               "speedscope flamegraph")
-    p_fl.add_argument("span_file", help="span JSON written by "
-                      "'repro solve --profile'")
-    p_fl.add_argument("-o", "--output", metavar="FILE",
-                      help="speedscope output path (default: "
-                           "<input>.speedscope.json)")
-    p_fl.add_argument("--chrome", metavar="FILE",
-                      help="also write a Chrome trace_event JSON "
-                           "(chrome://tracing / Perfetto)")
-    p_fl.set_defaults(func=cmd_flame)
-
-    p_dr = sub.add_parser("diff-report",
-                          help="attribute the regression between two "
-                               "RunReport artifacts by phase")
-    p_dr.add_argument("report_a", help="baseline RunReport JSON")
-    p_dr.add_argument("report_b", help="candidate RunReport JSON")
-    p_dr.add_argument("--json", metavar="FILE",
-                      help="also write the attribution dict as JSON")
-    p_dr.set_defaults(func=cmd_diff_report)
 
     p_sc = sub.add_parser("scenarios",
                           help="replay the matrix-zoo robustness scenarios "

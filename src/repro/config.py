@@ -165,9 +165,9 @@ class SolverConfig:
     #: attach a :class:`~repro.runtime.spans.SpanProfiler`: the whole
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
     #: trisolve → refinement) then records hierarchical, causally-linked
-    #: spans with phase/cblk/level/variant-order attributes, exportable as
-    #: Chrome traces, speedscope flamegraphs, a per-thread task summary and
-    #: a Gantt chart (:mod:`repro.analysis.profile`).  ``None`` (the
+    #: spans with phase/cblk/level/variant-order attributes, rolled up per
+    #: phase and into a per-thread task summary and a Gantt chart
+    #: (:mod:`repro.analysis.profile`).  ``None`` (the
     #: default) disables profiling at the cost of one ``is not None`` test
     #: per site.  Like ``telemetry``, excluded from equality/repr and
     #: serialized as null.

@@ -16,10 +16,9 @@ Design goals:
   so a 4-thread factorization records exactly the same causal tree as
   the sequential sweep (timestamps and thread ids aside).
 * **Self-contained artifacts.**  `to_json()` round-trips through
-  :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` turns the
-  same document into Chrome ``trace_event`` JSON, speedscope flamegraphs
-  and the per-thread task summary (busy time, utilisation, critical
-  path) behind the Gantt chart.
+  :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` rolls the
+  same document up per phase and into the per-thread task summary (busy
+  time, utilisation, critical path) behind the Gantt chart.
 
 Layering on the telemetry store: construct with
 ``SpanProfiler(telemetry=tele)`` and every *phase* span (direct child of

@@ -42,12 +42,27 @@ class TestSolveCommand:
         with pytest.raises(SystemExit):
             main(["solve", "--generate", "hss:10"])
 
+    def test_non_integer_generator_size_errors(self):
+        with pytest.raises(SystemExit, match="integer"):
+            main(["solve", "--generate", "lap3d:x"])
+
+    def test_gantt_requires_report(self, tmp_path):
+        with pytest.raises(SystemExit, match="--report"):
+            main(["solve", "--generate", "lap3d:5",
+                  "--gantt", str(tmp_path / "g.svg")])
+
     @pytest.mark.parametrize("argv", [
         ["resume", "run.ckpt", "--generate", "lap3d:5"],
-        ["solve", "--generate", "lap3d:5", "--checkpoint", "run.ckpt"]],
-        ids=["resume", "solve-checkpoint"])
+        ["solve", "--generate", "lap3d:5", "--checkpoint", "run.ckpt"],
+        ["flame", "spans.json"],
+        ["diff-report", "a.json", "b.json"],
+        ["bench", "--generate", "lap3d:5"],
+        ["bench-variants", "--generate", "lap3d:5"]],
+        ids=["resume", "solve-checkpoint", "flame", "diff-report", "bench",
+             "bench-variants"])
     def test_retired_restart_verbs_are_usage_errors(self, argv, capsys):
-        """Mid-factorization restart is gone: its verb and flag are
+        """Retired verbs and flags — mid-factorization restart, the span
+        exporters, the two-report diff and the bench harnesses — are
         argparse usage errors (exit status 2)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -76,15 +91,6 @@ class TestAnalyzeCommand:
         assert "#" in out
 
 
-class TestBenchCommand:
-    def test_three_strategies_reported(self, capsys):
-        rc = main(["bench", "--generate", "lap3d:5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for strategy in ("dense", "just-in-time", "minimal-memory"):
-            assert strategy in out
-
-
 class TestLintCommand:
     def test_src_tree_is_clean_by_default(self, capsys):
         rc = main(["lint"])
@@ -111,78 +117,25 @@ class TestLintCommand:
 
 
 class TestProfileCommands:
-    def _profiled_run(self, tmp_path, capsys, name="spans.json"):
-        spans = tmp_path / name
-        rc = main(["solve", "--generate", "lap2d:10",
-                   "--profile", str(spans),
-                   "--gantt", str(tmp_path / "gantt.svg")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "tasks: " in out and "critical path" in out
-        assert (tmp_path / "gantt.svg").read_text().startswith("<svg")
-        return spans
-
-    @pytest.mark.parametrize("flag", ["--trace", "--scheduler"])
+    @pytest.mark.parametrize("flag", ["--trace", "--scheduler", "--profile"])
     def test_retired_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--generate", "lap2d:6", flag, "x"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_solve_profile_writes_span_document(self, tmp_path, capsys):
+    def test_solve_report_carries_span_profile(self, tmp_path, capsys):
+        """`solve --report` attaches the span profiler: the report's
+        profile section is filled and --gantt draws its task spans."""
         import json
 
-        spans = self._profiled_run(tmp_path, capsys)
-        doc = json.loads(spans.read_text())
-        assert doc["version"] == 1
-        names = {s["name"] for s in doc["spans"]}
-        assert {"run", "analyze", "factorize", "solve"} <= names
-
-    def test_flame_exports_speedscope_and_chrome(self, tmp_path, capsys):
-        import json
-
-        spans = self._profiled_run(tmp_path, capsys)
-        chrome = tmp_path / "chrome.json"
-        rc = main(["flame", str(spans), "--chrome", str(chrome)])
+        run = tmp_path / "run.json"
+        rc = main(["solve", "--generate", "lap2d:10", "--report", str(run),
+                   "--gantt", str(tmp_path / "gantt.svg")])
         out = capsys.readouterr().out
         assert rc == 0
-        ss = tmp_path / "spans.speedscope.json"
-        assert ss.exists(), "default speedscope path derives from input"
-        assert json.loads(ss.read_text())["profiles"]
-        assert json.loads(chrome.read_text())["traceEvents"]
-        assert "factorize" in out
-
-    def test_diff_report_json_output(self, tmp_path, capsys):
-        import json
-        from pathlib import Path
-
-        reports = (Path(__file__).resolve().parent.parent
-                   / "benchmarks" / "reports")
-        att_path = tmp_path / "attribution.json"
-        rc = main(["diff-report",
-                   str(reports / "RUN_tier0_baseline.json"),
-                   str(reports / "RUN_tier0_current.json"),
-                   "--json", str(att_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Regression attribution" in out
-        att = json.loads(att_path.read_text())
-        assert att["phases"]
-        deltas = [abs(r["delta"]) for r in att["phases"]
-                  if r["delta"] is not None]
-        assert deltas == sorted(deltas, reverse=True)
-
-    def test_bench_variants_phase_attribution(self, tmp_path, capsys):
-        import json
-
-        out_json = tmp_path / "variants.json"
-        rc = main(["bench-variants", "--generate", "lap2d:10",
-                   "--json", str(out_json)])
-        capsys.readouterr()
-        assert rc == 0
-        payload = json.loads(out_json.read_text())
-        runs = {r["variant"]: r for r in payload["runs"]}
-        assert "ucf/local" in runs and "dense" in runs
-        for rec in payload["runs"]:
-            assert rec["phases"].get("factorize", 0) > 0
-            assert "analyze" in rec["phases"]
-            assert rec["kernels"].get("task", 0) > 0
+        assert "tasks: " in out and "critical path" in out
+        assert (tmp_path / "gantt.svg").read_text().startswith("<svg")
+        profile = json.loads(run.read_text())["profile"]
+        assert {"analyze", "factorize", "solve"} <= set(profile["phases"])
+        assert profile["meta"]["engine"] == "sequential"
+        assert profile["tasks"]["n_tasks"] > 0

@@ -21,6 +21,7 @@ from repro.analysis.report import (
     load_run_report,
     render_figures,
     render_markdown,
+    report_attribution,
     save_run_report,
 )
 from repro.cli import main
@@ -185,6 +186,28 @@ class TestReportCLI:
         rc = main(["report", str(run)])
         assert rc == 0
         assert "## Problem and timings" in capsys.readouterr().out
+
+    def test_figure_links_resolve_from_the_markdown(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """Figure links resolve from the markdown's directory under -o,
+        from the current directory on stdout."""
+        def links(md):
+            return [line[line.index("](") + 2:-1] for line in md.splitlines()
+                    if line.startswith("![")]
+
+        monkeypatch.chdir(tmp_path)
+        main(["solve", "--generate", "lap3d:6", "--refine",
+              "--report", "run.json"])
+        for out, base in (("out/run.md", tmp_path / "out"),
+                          ("run.md", tmp_path)):
+            assert main(["report", "run.json", "-o", out,
+                         "--figures", "out/figs"]) == 0
+            found = links((tmp_path / out).read_text())
+            assert found and all((base / f).is_file() for f in found)
+        capsys.readouterr()
+        main(["report", "run.json", "--figures", "out/figs"])
+        found = links(capsys.readouterr().out)
+        assert found and all((tmp_path / f).is_file() for f in found)
 
 
 # ----------------------------------------------------------------------
@@ -386,40 +409,84 @@ class TestProfileSection:
         assert "| critical_path |" in md
 
     def test_committed_tier0_reports_diff(self, capsys):
-        """`repro diff-report` over the two committed tier-0 RunReports
-        prints the ranked per-phase attribution table."""
+        """`repro report --against` over the two committed tier-0
+        RunReports appends the ranked per-phase attribution section."""
         base = REPO_ROOT / "benchmarks" / "reports" / \
             "RUN_tier0_baseline.json"
         cur = REPO_ROOT / "benchmarks" / "reports" / \
             "RUN_tier0_current.json"
         assert base.exists() and cur.exists(), "committed artifacts missing"
-        rc = main(["diff-report", str(base), str(cur)])
+        rc = main(["report", str(cur), "--against", str(base)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Regression attribution" in out
-        assert "| factorize |" in out
-        assert "Factor bytes:" in out
+        section = out[out.index("## Against"):]
+        assert "| factorize |" in section
+        assert "Factor bytes:" in section
+        assert "Rank drift:" in section
+        phases = [line.split("|")[1].strip() for line in section.splitlines()
+                  if line.startswith("| ") and line.count("|") == 6][2:]
+        want = report_attribution(load_run_report(base),
+                                  load_run_report(cur))["phases"]
+        assert phases == [r["phase"] for r in want]
 
-    def test_benchdiff_names_guilty_phase(self, tmp_path):
-        """A benchdiff gate failure on two profiled RunReports appends
-        the guilty-phase attribution note."""
-        from tools.benchdiff import attribution_notes, load_artifact
 
-        base = load_artifact(REPO_ROOT / "benchmarks" / "reports" /
-                             "RUN_tier0_baseline.json")
-        cur = load_artifact(REPO_ROOT / "benchmarks" / "reports" /
-                            "RUN_tier0_current.json")
-        notes = attribution_notes(base, cur)
-        assert len(notes) == 1
-        assert notes[0].startswith("slowest-moving phase:")
-        # compare() itself appends the note once a finding fires
-        findings, notes2 = compare(base, cur,
-                                   Thresholds(time_warn=-0.99))
-        assert findings
-        assert any(n.startswith("slowest-moving phase:") for n in notes2)
+class TestAttribution:
+    def _report(self, factor=1.0):
+        phases = {"analyze": 0.2, "factorize": 1.0 * factor, "solve": 0.1}
+        return {
+            "schema": REPORT_SCHEMA,
+            "workload": "lap",
+            "profile": {
+                "total_time": sum(phases.values()),
+                "meta": {"engine": "sequential", "threads": 1},
+                "phases": {k: {"time": v, "self_time": v, "count": 1}
+                           for k, v in phases.items()},
+                "kernels": {},
+                "by_level": {"0": {"time": 0.5 * factor, "count": 3}},
+                "by_order": {},
+            },
+            "compression": {"total_nbytes": int(1000 * factor)},
+        }
 
-    def test_attribution_skipped_for_bench_files(self):
-        from tools.benchdiff import attribution_notes
+    def test_ranked_by_absolute_delta(self):
+        att = report_attribution(self._report(), self._report(factor=2.0))
+        assert att["phases"][0]["phase"] == "factorize"
+        assert att["top_regression"] == "factorize"
+        deltas = [abs(r["delta"]) for r in att["phases"]
+                  if r["delta"] is not None]
+        assert deltas == sorted(deltas, reverse=True)
 
-        payload = _bench_payload()
-        assert attribution_notes(payload, payload) == []
+    def test_byte_delta_and_levels(self):
+        att = report_attribution(self._report(), self._report(factor=2.0))
+        assert att["factor_bytes"]["delta"] == 1000
+        assert att["by_level"][0]["delta"] == pytest.approx(0.5)
+
+    def test_falls_back_to_timings_without_profile(self):
+        a = {"schema": REPORT_SCHEMA, "workload": "x",
+             "timings": {"factor_time": 1.0, "solve_time": 0.1}}
+        b = {"schema": REPORT_SCHEMA, "workload": "x",
+             "timings": {"factor_time": 2.0, "solve_time": 0.1}}
+        att = report_attribution(a, b)
+        assert att["top_regression"] == "factorize"
+
+    def test_render_against_section(self):
+        md = render_markdown(self._report(factor=2.0),
+                             against=self._report())
+        section = md[md.index("## Against lap"):]
+        assert "Largest regression: **factorize**." in section
+        assert "| factorize | 1 | 2 | +1 | +100.0% |" in section
+        assert "Factor bytes: 1000 → 2000 (+1000 B)" in section
+        assert "## Against" not in render_markdown(self._report())
+
+    def test_identical_reports_have_no_regression(self):
+        att = report_attribution(self._report(), self._report())
+        assert att["top_regression"] is None
+        md = render_markdown(self._report(), against=self._report())
+        assert "No phase regressed." in md
+
+    def test_recovery_deltas_rendered(self):
+        a, b = self._report(), self._report()
+        b["recovery"] = {"attempts": 2, "counts": {"refactorize": 1}}
+        md = render_markdown(b, against=a)
+        assert "| refactorize | 0 | 1 | +1 |" in md
+        assert "| attempts | 0 | 2 | +2 |" in md

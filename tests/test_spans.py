@@ -16,14 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.profile import (
-    export_chrome_trace,
-    export_speedscope,
-    phase_rollup,
-    render_attribution,
-    report_attribution,
-    summarize_attribution,
-)
+from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
 from repro.runtime.spans import (
     LINK_CHILD,
@@ -283,87 +276,6 @@ class TestRollupAndExporters:
         assert roll["kernels"]["task"]["count"] > 0
         assert roll["kernels"]["factor"]["count"] > 0
         assert roll["by_level"], "task spans must carry level attributes"
-
-    def test_chrome_trace_export(self, doc, tmp_path):
-        out = export_chrome_trace(doc, tmp_path / "trace.json")
-        data = json.loads(out.read_text())
-        events = data["traceEvents"]
-        assert all(ev["ph"] == "X" for ev in events)
-        assert len(events) == sum(1 for s in doc["spans"]
-                                  if s["t1"] >= s["t0"])
-        names = {ev["name"] for ev in events}
-        assert "factorize" in names and "factor" in names
-
-    def test_speedscope_export_nests_per_thread(self, doc, tmp_path):
-        out = export_speedscope(doc, tmp_path / "prof.speedscope.json")
-        data = json.loads(out.read_text())
-        assert data["$schema"].endswith("file-format-schema.json")
-        assert data["profiles"], "at least one per-thread profile"
-        for profile in data["profiles"]:
-            depth = 0
-            for ev in profile["events"]:
-                depth += 1 if ev["type"] == "O" else -1
-                assert depth >= 0
-            assert depth == 0, "unbalanced open/close events"
-
-    def test_rollup_accepts_file_path(self, doc, tmp_path):
-        path = tmp_path / "spans.json"
-        path.write_text(json.dumps(doc))
-        assert phase_rollup(path)["total_time"] == \
-            phase_rollup(doc)["total_time"]
-
-
-class TestAttribution:
-    def _report(self, factor=1.0):
-        phases = {"analyze": 0.2, "factorize": 1.0 * factor, "solve": 0.1}
-        return {
-            "schema": "repro.run_report/v1",
-            "workload": "lap",
-            "profile": {
-                "total_time": sum(phases.values()),
-                "meta": {"engine": "sequential-pull", "threads": 1},
-                "phases": {k: {"time": v, "self_time": v, "count": 1}
-                           for k, v in phases.items()},
-                "kernels": {},
-                "by_level": {"0": {"time": 0.5 * factor, "count": 3}},
-                "by_order": {},
-            },
-            "compression": {"total_nbytes": int(1000 * factor)},
-        }
-
-    def test_ranked_by_absolute_delta(self):
-        att = report_attribution(self._report(), self._report(factor=2.0))
-        assert att["phases"][0]["phase"] == "factorize"
-        assert att["top_regression"] == "factorize"
-        deltas = [abs(r["delta"]) for r in att["phases"]
-                  if r["delta"] is not None]
-        assert deltas == sorted(deltas, reverse=True)
-
-    def test_byte_delta_and_levels(self):
-        att = report_attribution(self._report(), self._report(factor=2.0))
-        assert att["factor_bytes"]["delta"] == 1000
-        assert att["by_level"][0]["delta"] == pytest.approx(0.5)
-
-    def test_falls_back_to_timings_without_profile(self):
-        a = {"schema": "repro.run_report/v1", "workload": "x",
-             "timings": {"factor_time": 1.0, "solve_time": 0.1}}
-        b = {"schema": "repro.run_report/v1", "workload": "x",
-             "timings": {"factor_time": 2.0, "solve_time": 0.1}}
-        att = report_attribution(a, b)
-        assert att["top_regression"] == "factorize"
-
-    def test_render_and_summary(self):
-        att = report_attribution(self._report(), self._report(factor=2.0))
-        text = render_attribution(att)
-        assert "Largest regression: **factorize**" in text
-        assert "| factorize |" in text
-        note = summarize_attribution(att)
-        assert note.startswith("slowest-moving phase: factorize")
-
-    def test_identical_reports_have_no_regression(self):
-        att = report_attribution(self._report(), self._report())
-        assert att["top_regression"] is None
-        assert summarize_attribution(att) is None
 
 
 class TestDisabledAndEnabledOverhead:

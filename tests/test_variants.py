@@ -516,25 +516,3 @@ class TestCli:
                    "--threshold-mode", "global", "--no-recompress"])
         assert rc == 0
         assert "backward error" in capsys.readouterr().out
-
-    def test_bench_variants_writes_json(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "variants.json"
-        rc = main(["bench-variants", "--generate", "lap3d:5",
-                   "--json", str(out)])
-        assert rc == 0
-        import json
-
-        payload = json.loads(out.read_text())
-        labels = {r["variant"] for r in payload["runs"]}
-        assert labels == {f"{o}/local" for o in ORDERS} | {"dense"}
-        for r in payload["runs"]:
-            assert r["backward_error"] <= 1e-6
-
-    def test_bench_variants_rejects_unknown_mode(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["bench-variants", "--generate", "lap3d:5",
-                  "--modes", "bogus"])

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 __all__ = [
     "Finding",
     "Thresholds",
-    "attribution_notes",
     "compare",
     "extract_metrics",
     "load_artifact",
@@ -167,54 +166,6 @@ def _floor_findings(label: str, metrics: Dict[str, float],
     ]
 
 
-def _load_attribution_module() -> Any:
-    """Load ``repro/analysis/profile.py`` standalone.
-
-    The attribution engine behind ``repro diff-report`` is deliberately
-    stdlib-only and self-contained, so benchdiff can execute it straight
-    from the source tree without importing (or even having installed)
-    the numpy-backed ``repro`` package.  Returns ``None`` when the
-    module is unavailable — attribution is then silently skipped.
-    """
-    import importlib.util
-
-    path = (Path(__file__).resolve().parents[2] / "src" / "repro"
-            / "analysis" / "profile.py")
-    if not path.is_file():
-        return None
-    spec = importlib.util.spec_from_file_location("_benchdiff_profile",
-                                                  path)
-    if spec is None or spec.loader is None:  # pragma: no cover
-        return None
-    mod = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(mod)
-    except Exception:  # pragma: no cover - corrupt checkout
-        return None
-    return mod
-
-
-def attribution_notes(baseline: Dict[str, Any],
-                      current: Dict[str, Any]) -> List[str]:
-    """Guilty-phase note for two RunReport artifacts (else empty).
-
-    Runs the ``repro diff-report`` attribution engine over the two
-    reports and names the phase that lost the most time — so a gate
-    failure points at ordering/assemble/factorize/solve/… instead of
-    only the top-level metric.
-    """
-    if not (str(baseline.get("schema", "")).startswith("repro.run_report")
-            and str(current.get("schema", ""))
-            .startswith("repro.run_report")):
-        return []
-    mod = _load_attribution_module()
-    if mod is None:
-        return []
-    note = mod.summarize_attribution(
-        mod.report_attribution(baseline, current))
-    return [note] if note else []
-
-
 def compare(baseline: Dict[str, Any], current: Dict[str, Any],
             thresholds: Optional[Thresholds] = None
             ) -> Tuple[List[Finding], List[str]]:
@@ -226,9 +177,6 @@ def compare(baseline: Dict[str, Any], current: Dict[str, Any],
     the *current* value even when the label or metric has no baseline —
     a brand-new speedup entry below the floor is already a failure (the
     finding's ``baseline`` field then reports the floor itself).
-    When both artifacts are RunReports and a finding fired, a
-    guilty-phase attribution note (:func:`attribution_notes`) is
-    appended.
     """
     th = thresholds or Thresholds()
     base = extract_metrics(baseline)
@@ -269,8 +217,6 @@ def compare(baseline: Dict[str, Any], current: Dict[str, Any],
             else:  # error
                 if bv > 0 and cv > bv * th.error_fail:
                     findings.append(Finding("fail", label, metric, bv, cv))
-    if findings:
-        notes.extend(attribution_notes(baseline, current))
     return findings, notes
 
 
