@@ -54,16 +54,14 @@ TOLERANCE = 1e-6
 HISTORY_LIMIT = 200
 
 #: (label, config overrides) — the tracked precision variants plus the
-#: BLR variant-engine ablation (every explicit loop order)
+#: two BLR strategies, labelled by their loop orders
 VARIANTS = (
     ("float64", dict()),
     ("float32", dict(dtype="float32")),
     # at τ = 1e-4 compression discards enough for float32 storage
     ("float64+float32-storage", dict(tolerance=1e-4)),
-    ("float64-variant-cuf", dict(variant="cuf")),
-    ("float64-variant-ucf", dict(variant="ucf")),
-    ("float64-variant-ufc", dict(variant="ufc")),
-    ("float64-variant-fuc", dict(variant="fuc")),
+    ("float64-variant-cuf", dict(strategy="minimal-memory")),
+    ("float64-variant-ucf", dict(strategy="just-in-time")),
     ("float64-ldlt-pivot", dict(factotype="ldlt", pivoting="threshold")),
 )
 

@@ -31,9 +31,9 @@ Public API highlights:
 * :mod:`repro.core.backend` — the kernel module: every BLAS/LAPACK call
   of the solver, with per-op call counts (:func:`get_backend`) and a
   column-stable multi-RHS solve path (``docs/performance.md``).
-* :class:`~repro.core.variants.BlrVariant` — the composable variant
-  engine: explicit loop orders (``cuf``/``ucf``/``ufc``/``fuc``) and scaled
-  compression thresholds (``SolverConfig(variant=..., threshold_mode=...)``;
+* :class:`~repro.core.variants.BlrVariant` — a BLR run's loop order
+  (``cuf`` for minimal-memory, ``ucf`` for just-in-time) and threshold
+  mode (``SolverConfig(strategy=..., threshold_mode=...)``;
   ``docs/variants.md``).
 """
 

@@ -265,11 +265,10 @@ def line_chart(path: Union[str, Path], x_values: Sequence[float],
 
 
 #: the span names a Gantt lane shows, with a stable colour each: the
-#: classic factor/update pair plus the variant kinds — "compress" (a
-#: compression pass over a column block's panels, drawn over the factor
-#: span it nests in) and "finalize" (the fuc compress-after-updates pass)
+#: classic factor/update pair plus "compress" (a compression pass over a
+#: column block's panels, drawn over the factor span it nests in)
 _GANTT_KIND_COLORS = {"factor": PALETTE[0], "update": PALETTE[1],
-                      "compress": PALETTE[2], "finalize": PALETTE[5]}
+                      "compress": PALETTE[2]}
 
 
 def gantt_chart(path: Union[str, Path],
@@ -280,8 +279,8 @@ def gantt_chart(path: Union[str, Path],
 
     ``spans`` is a sequence of span dicts (``SpanProfiler.to_json()["spans"]``
     or the same list read back from a file): one lane per thread, one
-    rectangle per ``factor`` / ``update`` / ``compress`` / ``finalize``
-    span, coloured by name; every other span (phases, the enclosing
+    rectangle per ``factor`` / ``update`` / ``compress`` span, coloured
+    by name; every other span (phases, the enclosing
     ``task``) is skipped.  Rectangles wide enough to be readable are
     labelled with their column block id.
     """

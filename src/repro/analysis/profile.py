@@ -20,7 +20,7 @@ PHASES = ("analyze", "ordering", "symbolic", "assemble", "factorize",
           "solve", "trisolve", "refinement")
 
 #: per-cblk kernel span names recorded inside the factorize phase
-KERNELS = ("task", "factor", "compress", "update", "finalize")
+KERNELS = ("task", "factor", "compress", "update")
 
 _SpanSource = Union[Mapping[str, Any], Sequence[Mapping[str, Any]]]
 

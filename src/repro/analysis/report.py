@@ -111,7 +111,6 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
         "strategy": solver.config.strategy,
         "order": None if v is None else v.order,
         "threshold_mode": None if v is None else v.threshold_mode,
-        "recompress_updates": None if v is None else v.recompress,
         "comp_tol": fac.comp_tol,
         "comp_norm_ref": fac.comp_norm_ref,
         "global_norm": fac.global_norm,
@@ -473,7 +472,6 @@ def render_markdown(report: Dict[str, Any],
             ["metric", "value"],
             [["loop order", var.get("order") or "dense"],
              ["threshold mode", var.get("threshold_mode")],
-             ["recompress updates", var.get("recompress_updates")],
              ["effective τ", var.get("comp_tol")],
              ["norm reference", var.get("comp_norm_ref")],
              ["‖A‖_F", var.get("global_norm")]])

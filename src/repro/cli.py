@@ -63,7 +63,7 @@ from repro.config import (
     SolverConfig,
 )
 from repro.core.solver import Solver
-from repro.core.variants import ORDERS, THRESHOLD_MODES
+from repro.core.variants import THRESHOLD_MODES
 from repro.runtime.stats import KERNEL_CATEGORIES
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
@@ -122,23 +122,24 @@ def _config(args: argparse.Namespace) -> SolverConfig:
         from repro.runtime.recovery import RecoveryPolicy
 
         recovery = RecoveryPolicy()
-    return SolverConfig.laptop_scale(
-        strategy=args.strategy,
-        variant=getattr(args, "variant", None),
-        threshold_mode=getattr(args, "threshold_mode", "local"),
-        recompress_updates=getattr(args, "recompress_updates", True),
-        kernel=args.kernel,
-        tolerance=args.tolerance,
-        factotype=args.factotype,
-        pivoting=getattr(args, "pivoting", "static"),
-        **({"pivot_u": args.pivot_u}
-           if getattr(args, "pivot_u", None) is not None else {}),
-        ordering=args.ordering,
-        threads=args.threads,
-        watchdog_timeout=getattr(args, "watchdog", None),
-        dtype=args.dtype,
-        recovery=recovery,
-    )
+    try:
+        return SolverConfig.laptop_scale(
+            strategy=args.strategy,
+            threshold_mode=getattr(args, "threshold_mode", "local"),
+            kernel=args.kernel,
+            tolerance=args.tolerance,
+            factotype=args.factotype,
+            pivoting=getattr(args, "pivoting", "static"),
+            **({"pivot_u": args.pivot_u}
+               if getattr(args, "pivot_u", None) is not None else {}),
+            ordering=args.ordering,
+            threads=args.threads,
+            watchdog_timeout=getattr(args, "watchdog", None),
+            dtype=args.dtype,
+            recovery=recovery,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -146,19 +147,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generate", metavar="NAME:SIZE",
                    help=f"built-in workload: {sorted(GENERATORS)}")
     p.add_argument("--strategy", default="just-in-time", choices=STRATEGIES)
-    p.add_argument("--variant", default=None, choices=ORDERS,
-                   help="pin an explicit BLR loop order (cuf/ucf/ufc/fuc) "
-                        "instead of the strategy alias; requires a BLR "
-                        "strategy -- see docs/variants.md")
     p.add_argument("--threshold-mode", default="local",
                    dest="threshold_mode", choices=THRESHOLD_MODES,
                    help="compression threshold scaling (BLR-stability "
                         "betatype): local block norms, 1/p-scaled, or "
                         "global ||A||_F referenced")
-    p.add_argument("--no-recompress", action="store_false",
-                   dest="recompress_updates",
-                   help="skip recompression of low-rank update products "
-                        "(faster updates, larger intermediate ranks)")
     p.add_argument("--kernel", default="rrqr", choices=KERNELS)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--factotype", default="lu", choices=FACTOTYPES)

@@ -34,8 +34,8 @@ if TYPE_CHECKING:  # numpy is imported lazily at runtime (keep import light)
     from repro.runtime.telemetry import Telemetry
 
 #: valid factorization strategies.  ``minimal-memory`` and
-#: ``just-in-time`` are aliases into the variant space of
-#: :mod:`repro.core.variants` (``cuf`` / ``ucf``)
+#: ``just-in-time`` name the loop orders ``cuf`` / ``ucf`` of
+#: :mod:`repro.core.variants`
 STRATEGIES = ("dense", "minimal-memory", "just-in-time")
 #: valid compression kernel families (the paper's two)
 KERNELS = ("rrqr", "svd")
@@ -63,21 +63,11 @@ class SolverConfig:
     strategy: str = "just-in-time"
     kernel: str = "rrqr"
     tolerance: float = 1e-8
-    #: explicit BLR loop order (``"cuf"``/``"ucf"``/``"ufc"``/``"fuc"``,
-    #: see :mod:`repro.core.variants`); ``None`` derives the order from
-    #: :attr:`strategy` (minimal-memory → cuf, just-in-time → ucf).  An
-    #: explicit order is meaningless under the ``dense`` strategy (no
-    #: compression).
-    variant: Optional[str] = None
     #: truncation-threshold mode (the ``betatype`` axis): ``"local"``
     #: (the paper's per-block rule, default), ``"local-scaled"`` (τ/p),
     #: ``"global"`` (tail measured against ``||A||_F``), or
     #: ``"global-scaled"`` (both)
     threshold_mode: str = "local"
-    #: recompress the T core of every LR·LR product (eqs. 1–4); with
-    #: ``False`` the product keeps rank ``min(rA, rB)`` — intermediate
-    #: recompression off, structural LR2LR recompression still on
-    recompress_updates: bool = True
     #: maximum admissible rank as a fraction of min(m, n); blocks whose
     #: revealed rank exceeds it are stored dense (paper §3.4 uses 1/4).
     rank_ratio: float = 0.25
@@ -165,7 +155,7 @@ class SolverConfig:
     #: attach a :class:`~repro.runtime.spans.SpanProfiler`: the whole
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
     #: trisolve → refinement) then records hierarchical, causally-linked
-    #: spans with phase/cblk/level/variant-order attributes, rolled up per
+    #: spans with phase/cblk/level/loop-order attributes, rolled up per
     #: phase and into a per-thread task summary and a Gantt chart
     #: (:mod:`repro.analysis.profile`).  ``None`` (the
     #: default) disables profiling at the cost of one ``is not None`` test
@@ -196,43 +186,25 @@ class SolverConfig:
             raise ValueError("cmin must be >= 1")
         if self.frat < 0.0:
             raise ValueError("frat must be >= 0")
+        if self.split_size < 1:
+            raise ValueError("split_size must be >= 1")
         if self.split_min > self.split_size:
             raise ValueError("split_min must be <= split_size")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (0.0 < self.rank_ratio <= 1.0):
             raise ValueError("rank_ratio must be in (0, 1]")
-        from repro.core.variants import (
-            ORDERS,
-            THRESHOLD_MODES,
-            resolve_variant,
-        )
+        from repro.core.variants import THRESHOLD_MODES
 
-        if self.variant is not None:
-            if self.variant not in ORDERS:
-                raise ValueError(
-                    f"variant must be one of {ORDERS} (or None), got "
-                    f"{self.variant!r}")
-            if self.strategy == "dense":
-                raise ValueError(
-                    "variant selects a BLR loop order, but the 'dense' "
-                    "strategy never compresses; unset one of them")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got "
                 f"{self.threshold_mode!r}")
-        if self.left_looking:
-            # the incompatible axis is the loop order, not the strategy
-            # name: any order that compresses before the trailing update
-            # (cuf — compress at assembly) never allocates the dense
-            # panels left-looking exists to defer
-            v = resolve_variant(self)
-            if v is not None and v.compress_at_assembly:
-                raise ValueError(
-                    "left_looking delays dense panel allocation, but loop "
-                    f"order 'cuf' (strategy {self.strategy!r}) compresses "
-                    "before the trailing update and never allocates dense "
-                    "panels; pick a ucf/ufc/fuc order")
+        if self.left_looking and self.strategy == "minimal-memory":
+            raise ValueError(
+                "left_looking delays dense panel allocation, but the "
+                "minimal-memory strategy compresses at assembly and never "
+                "allocates dense panels")
         if self.left_looking and self.threads > 1:
             raise ValueError("left_looking is implemented sequentially")
         if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:

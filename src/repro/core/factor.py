@@ -38,7 +38,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -177,15 +176,15 @@ class NumericFactor:
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
         #: from ``config.profiler`` so the engines and kernels pay a single
         #: attribute load; the schedulers open one causal span per task and
-        #: the kernels nest factor/compress/update/finalize children in it
+        #: the kernels nest factor/compress/update children in it
         self.profiler: Optional["SpanProfiler"] = config.profiler
         #: optional :class:`~repro.runtime.faults.FaultInjector` — fired at
         #: the top of every factor/update task when set
         self.faults = None
         #: optional :class:`~repro.runtime.sanitizer.RaceSanitizer` — armed
         #: by the solver via :meth:`attach_sanitizer` when
-        #: ``config.sanitize_enabled()``; the threaded schedulers and the
-        #: pull-set bookkeeping report their shared accesses through it
+        #: ``config.sanitize_enabled()``; the threaded schedulers report
+        #: their shared accesses through it
         self.sanitizer: Optional["RaceSanitizer"] = None
         #: the run's :class:`~repro.runtime.recovery.RecoveryState` when it
         #: carries a policy (``config.recovery``), else ``None``; every
@@ -205,42 +204,14 @@ class NumericFactor:
         #: raw config tolerance
         self.comp_tol = config.tolerance
         self.comp_norm_ref: Optional[float] = None
-        # FUC bookkeeping: per-source set of targets that have consumed
-        # the source's updates (idempotent under task retries), guarded by
-        # a lock for the threaded engines
-        self._pull_lock: Any = threading.Lock()
-        self._pulled: Dict[int, Set[int]] = {}
-
-    def n_targets(self, k: int) -> int:
-        """Distinct facing column blocks of ``k`` (who pulls its updates)."""
-        return len(self.symb.facing_ranges(k))
-
-    def note_updates_pulled(self, c: int, k: int) -> bool:
-        """Record that target ``k`` consumed source ``c``'s updates.
-
-        Returns ``True`` exactly once: when the last facing target has
-        consumed them — the FUC compression point for ``c``.  Idempotent
-        per ``(c, k)`` pair, so task retries never double-count.
-        """
-        with self._pull_lock:
-            if self.sanitizer is not None:
-                self.sanitizer.note("factor.pulled", "write",
-                                    site="factor.py:note_updates_pulled")
-            pulled = self._pulled.setdefault(c, set())
-            if k in pulled:
-                return False
-            pulled.add(k)
-            return len(pulled) == self.n_targets(c)
 
     def attach_sanitizer(self, san: "RaceSanitizer") -> None:
         """Arm the runtime race sanitizer on this factor's shared state.
 
-        Wraps the pull-set and counter locks so worker locksets are
-        tracked, and exposes the sanitizer to the schedulers
-        (``fac.sanitizer``).  Called by the solver before spawning
-        workers when ``config.sanitize_enabled()``."""
+        Wraps the counter lock so worker locksets are tracked, and exposes
+        the sanitizer to the schedulers (``fac.sanitizer``).  Called by the
+        solver before spawning workers when ``config.sanitize_enabled()``."""
         self.sanitizer = san
-        self._pull_lock = san.wrap_lock(self._pull_lock, "factor._pull_lock")
         self._counter_lock = san.wrap_lock(self._counter_lock,
                                            "factor._counter_lock")
 
@@ -328,11 +299,11 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
              recovery: Optional["RecoveryState"] = None) -> NumericFactor:
     """Scatter the permuted matrix into the block structure.
 
-    * Dense / compress-late orders (``ucf``/``ufc``/``fuc``): every column
-      block gets dense panels (``A`` entries scattered, structural zeros
-      explicit) — the Just-In-Time memory peak therefore matches the dense
-      solver, as §4.3 observes.
-    * Compress-at-assembly (``cuf``, the Minimal Memory alias): Algorithm 1
+    * Dense / Just-In-Time (``ucf``): every column block gets dense
+      panels (``A`` entries scattered, structural zeros explicit) — the
+      Just-In-Time memory peak therefore matches the dense solver, as §4.3
+      observes.
+    * Compress-at-assembly (``cuf``, Minimal Memory): Algorithm 1
       lines 1–4 — each low-rank candidate is compressed *directly from its
       sparse entries* (a transient dense scratch is built, compressed, and
       freed; only what is stored is charged to the tracker), so the dense

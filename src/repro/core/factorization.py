@@ -54,7 +54,7 @@ from repro.lowrank.kernels import (
     rank_cap,
 )
 from repro.runtime.memory import array_nbytes
-from repro.runtime.spans import span, span_after_task
+from repro.runtime.spans import span
 
 
 # ----------------------------------------------------------------------
@@ -128,21 +128,15 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
                     detail=f"{nperturbed}/{w} pivots perturbed exceeds "
                            f"budget {budget}")
 
-        # --- variant dispatch: compression points around the panel solve -
-        # ``ucf`` (the Just-In-Time alias) compresses the fully-updated
-        # panels before the solve (Algorithm 2 lines 3-4); ``ufc`` solves
-        # dense and compresses the solved panels, so outgoing updates still
-        # run low-rank but the triangular solves keep full accuracy.
-        # ``cuf`` compressed at assembly and ``fuc`` defers to
-        # finalize_updates_from.
+        # --- Just-In-Time compression point -------------------------------
+        # ``ucf`` compresses the fully-updated panels before the solve
+        # (Algorithm 2 lines 3-4); ``cuf`` compressed at assembly.
         v = fac.variant
         if v is not None and v.compress_before_solve:
             _compress_panels(fac, nc)
 
         # --- step 2: panel solves ----------------------------------------
         _panel_solve(fac, nc)
-        if v is not None and v.compress_after_solve:
-            _compress_panels(fac, nc)
         nc.factored = True
 
 
@@ -302,36 +296,10 @@ def ldlt_d_mul_cols(x: np.ndarray, d: np.ndarray,
     return out
 
 
-def finalize_updates_from(fac: NumericFactor, k: int) -> None:
-    """FUC compression point: compress column block ``k`` once every one
-    of its outgoing updates has been consumed (pushed by the sequential
-    sweep or pulled by the last facing target).
-
-    No-op for every other loop order — the engines call this
-    unconditionally and the variant decides.
-
-    One ``"finalize"`` span is recorded when it fires, parented on the
-    task of the **greatest
-    facing target** — the last puller in the canonical ascending fan-in
-    order, i.e. the task that physically runs it in the sequential sweep —
-    so threaded runs (where the *temporal* last puller is whichever thread
-    got there last) record the same causal edge."""
-    v = fac.variant
-    if v is None or not v.compress_after_updates:
-        return
-    with span_after_task(fac.profiler, "finalize",
-                         fac.symb.facing_ranges(k), cblk=k):
-        _compress_panels(fac, fac.cblks[k])
-
-
 def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
     """Compression point of fully-updated dense panels (Algorithm 2 lines
-    3-4 for ``ucf``; also the ``ufc``/``fuc`` compression point, where the
-    panels are additionally solved).  The column block leaves panel mode
-    only if a block is accepted
+    3-4).  The column block leaves panel mode only if a block is accepted
     (:func:`~repro.core.factor.compress_column_block`)."""
-    if not nc.panel_mode:
-        return
     with span(fac.profiler, "compress", cblk=nc.sym.id,
               kernel=fac.config.kernel):
         old_bytes = array_nbytes(nc.lpanel) * fac.sides
@@ -624,7 +592,6 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     # Hermitian facto: the transposed operand of every update is L(j)ᴴ,
     # not L(j)ᵀ (no-op for real blocks)
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
-    recompress = fac.variant.recompress if fac.variant is not None else True
 
     first, end = fac.symb.facing_ranges(sym.id)[t]
     tnc = fac.cblks[t]
@@ -652,15 +619,13 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
             row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
             contrib = lr_product(lsrc[i - first], ub_j,
                                  fac.comp_tol, cfg.kernel, stats,
-                                 recompress=recompress,
                                  norm_ref=fac.comp_norm_ref)
             if contrib is not None:
                 _land_block(fac, tnc, in_diag, row, coff, contrib, "l", acc)
             if is_lu and i > j:
                 contrib_u = lr_product(usrc[i - first], lb_j,
                                        fac.comp_tol, cfg.kernel,
-                                       stats, recompress=recompress,
-                                       norm_ref=fac.comp_norm_ref)
+                                       stats, norm_ref=fac.comp_norm_ref)
                 if contrib_u is not None:
                     _land_block(fac, tnc, in_diag, row, coff, contrib_u,
                                 "u", acc)

@@ -54,7 +54,6 @@ from repro.core.factorization import (
     UpdateAccumulator,
     apply_updates_from,
     factor_column_block,
-    finalize_updates_from,
     flush_accumulated,
 )
 from repro.runtime.recovery import NumericalBreakdown
@@ -132,40 +131,22 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     accumulator never outlives the task, so a retry starts from a clean
     one.
 
-    Under the ``fuc`` loop order a contributor is compressed as soon as
-    its *last* facing target has pulled its updates
-    (:meth:`NumericFactor.note_updates_pulled` — all pulls read the
-    still-dense panels, so threaded runs stay bit-identical to the
-    sequential sweep); a column block with no targets compresses right
-    after its own factorization.
-
     Left-looking (``fac.deferred``): the column block's dense storage is
     allocated and scattered here, on first touch — a retry whose snapshot
     restored the unallocated state fills it again."""
     if fac.deferred is not None:
         fac.fill_column_block(k)
-    fuc = fac.variant is not None and fac.variant.compress_after_updates
     san = fac.sanitizer
     acc: UpdateAccumulator = {}
     for c in fac.symb.contributors(k):
         if san is not None:
             san.note(f"cblk[{c}]", "read", site="scheduler.py:_pull_and_factor")
         apply_updates_from(fac, c, k, acc)
-        if fuc and fac.note_updates_pulled(c, k):
-            if san is not None:
-                # dependency-ordered ownership transfer: the last pulling
-                # task compresses the drained source block
-                san.handoff(f"cblk[{c}]")
-                san.note(f"cblk[{c}]", "write",
-                         site="scheduler.py:_pull_and_factor(finalize)")
-            finalize_updates_from(fac, c)
     if san is not None:
         san.note(f"cblk[{k}]", "write", site="scheduler.py:_pull_and_factor")
     if acc:
         flush_accumulated(fac, k, acc)
     factor_column_block(fac, k)
-    if fuc and fac.n_targets(k) == 0:
-        finalize_updates_from(fac, k)
 
 
 def _run_task(fac: NumericFactor, k: int) -> None:

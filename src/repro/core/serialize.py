@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.factor import NumericFactor
+from repro.core.variants import ORDER_STRATEGIES
 from repro.lowrank.block import LowRankBlock
 from repro.symbolic.structure import (
     SymbolicBlock,
@@ -44,8 +45,12 @@ FORMAT_VERSION = 1
 #: never read.  ``storage_dtype`` did change the stored factors: it
 #: narrowed every off-diagonal block.  Those blocks load in the dtype they
 #: were saved in, so such an archive solves as it did.
+#: ``variant`` pinned a loop order; an explicit one names the strategy it
+#: ran under (:func:`config_from_header`).  ``recompress_updates=False``
+#: only changed how the stored factors were computed.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
-                         "adaptive", "backend", "seed", "storage_dtype")
+                         "adaptive", "backend", "seed", "storage_dtype",
+                         "variant", "recompress_updates")
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of
@@ -59,7 +64,9 @@ def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
     Exactly the :data:`RETIRED_CONFIG_FIELDS` (and, inside a stored
     recovery policy, the :data:`RETIRED_POLICY_FIELDS`) are dropped, so
     archives outlive the options they were written under; any other
-    unknown key is rejected by name — a header is outside input.
+    unknown key is rejected by name — a header is outside input.  A
+    stored explicit ``variant`` first re-derives the strategy: ``cuf`` is
+    minimal-memory, every later loop order just-in-time.
     """
     known = {f.name for f in fields(SolverConfig)}
     unknown = sorted(set(stored) - known - set(RETIRED_CONFIG_FIELDS))
@@ -67,6 +74,9 @@ def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
         raise ValueError(
             f"archive config carries unknown field(s) {unknown}")
     cfg = {k: v for k, v in stored.items() if k in known}
+    if stored.get("variant") is not None:
+        cfg["strategy"] = ORDER_STRATEGIES.get(stored["variant"],
+                                               "just-in-time")
     if isinstance(cfg.get("recovery"), dict):
         cfg["recovery"] = {k: v for k, v in cfg["recovery"].items()
                            if k not in RETIRED_POLICY_FIELDS}

@@ -59,8 +59,8 @@ from repro.symbolic.structure import SymbolicFactor
 
 
 def _resolved_order(cfg: SolverConfig) -> Optional[str]:
-    """The loop order ``cfg`` runs under (``None`` for dense) — what a
-    ladder rung is logged by: two rungs can share a strategy name."""
+    """The loop order ``cfg`` runs under (``None`` for dense), which a
+    ladder rung is logged by beside its strategy."""
     v = cfg.resolved_variant()
     return v.order if v is not None else None
 
@@ -168,7 +168,6 @@ class Solver:
                              + counts.get("refine_escalation", 0)),
                 "final_tolerance": cfg.tolerance,
                 "final_strategy": cfg.strategy,
-                "final_variant": cfg.variant,
                 "final_order": _resolved_order(cfg),
                 **summary}
 
@@ -197,8 +196,7 @@ class Solver:
         # engine facts (threads, scheduler) live in profiler.meta — span
         # attrs hold only config-derived facts so threaded and sequential
         # runs produce identical causal trees
-        with span(cfg.profiler, "factorize", strategy=cfg.strategy,
-                  variant=cfg.variant):
+        with span(cfg.profiler, "factorize", strategy=cfg.strategy):
             a_perm = permute_symmetric(self._a_sym, self.perm)
             t0 = time.perf_counter()
             with span(cfg.profiler, "assemble"):

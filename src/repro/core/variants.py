@@ -1,32 +1,21 @@
-"""Composable BLR variant policies (the Higham–Mary variant space).
+"""The paper's two BLR strategies and the truncation-threshold axis.
 
-The paper exposes two compression strategies — Minimal Memory and
-Just-In-Time — but they are only two points in the larger space the BLR
-stability literature enumerates: a *loop order* (when each block is
-compressed relative to the update / factor steps), a *threshold mode*
-(what norm the truncation tolerance is measured against, the
-``betatype`` axis), and an *intermediate recompression* toggle.  This
-module makes the three axes explicit and orthogonal:
+A BLR run has two orthogonal settings, resolved once into a
+:class:`BlrVariant`:
 
-**Loop orders** (right-looking, per column block ``k``):
+**Loop order** (right-looking, per column block ``k``) — named by the
+strategy, the one way to select it:
 
-``cuf``  Compress-Update-Factor: candidates are compressed directly from
-         their assembled sparse entries, before any update touches them;
-         trailing updates run in low-rank arithmetic (LR2LR).  This is
-         exactly the paper's *Minimal Memory* strategy — the dense factor
-         structure never exists.
-``ucf``  Update-Compress-Factor: panels accumulate every incoming update
-         dense, are compressed once fully updated, and the panel solve
-         then runs on the compressed ``v`` factors.  This is the paper's
-         *Just-In-Time* strategy (Algorithm 2: the diagonal factorization
-         and the compression commute — both read disjoint storage).
-``ufc``  Update-Factor-Compress: the panel solve runs dense and the
-         *solved* panels are compressed, so outgoing updates still run in
-         low-rank form but the triangular solves keep full accuracy.
-``fuc``  Factor-Update-Compress: compression is deferred until every
-         outgoing update of the column block has been applied (dense,
-         full-accuracy GEMM updates); compression is entirely off the
-         critical path and only reduces the *stored* factor.
+``cuf``  Compress-Update-Factor (``strategy="minimal-memory"``):
+         candidates are compressed directly from their assembled sparse
+         entries, before any update touches them; trailing updates run
+         in low-rank arithmetic (LR2LR).  The dense factor structure
+         never exists.
+``ucf``  Update-Compress-Factor (``strategy="just-in-time"``): panels
+         accumulate every incoming update dense, are compressed once
+         fully updated, and the panel solve then runs on the compressed
+         ``v`` factors (Algorithm 2: the diagonal factorization and the
+         compression commute — both read disjoint storage).
 
 **Threshold modes** (``betatype``): the truncation rule of every kernel
 is ``||A - Â||_F <= tol_eff * max(||A||_F, norm_ref)``.  The four modes
@@ -48,19 +37,9 @@ accumulate, per the BLR error analysis; the global modes measure the
 tail against the whole matrix instead of the block, which lets blocks
 that are small relative to ``||A||`` truncate harder.
 
-**Recompression toggle**: with ``recompress=False`` the T core of a
-LR·LR product (eqs. 1–4) is not recompressed — the product keeps rank
-``min(rA, rB)``.  Structural extend-add recompression (LR2LR) is always
-on; the toggle only affects the intermediate product.
-
-The legacy strategy names remain first-class aliases —
-``minimal-memory`` ≡ ``cuf``, ``just-in-time`` ≡ ``ucf`` — and resolve
-through :func:`resolve_variant`; their float64 factorizations are pinned
-bit-identical to the pre-variant engine.  (The issue text glosses the
-mapping as MM≈UCF / JIT≈UFC; operationally Minimal Memory compresses
-*before* any update reaches the block and Just-In-Time compresses *after
-the updates, before the solve*, which by the letter ordering is CUF and
-UCF — the mapping implemented and documented in ``docs/variants.md``.)
+The T core of every LR·LR product (eqs. 1–4) is always recompressed.
+The other loop orders of the BLR literature are not implemented
+(``docs/variants.md`` records why).
 """
 
 from __future__ import annotations
@@ -79,36 +58,36 @@ __all__ = [
     "resolve_variant",
 ]
 
-#: the four update/factor/compress loop orders
-ORDERS = ("cuf", "ucf", "ufc", "fuc")
+#: the two loop orders: Minimal Memory's and Just-In-Time's
+ORDERS = ("cuf", "ucf")
 
 #: the four truncation-threshold modes (the ``betatype`` axis)
 THRESHOLD_MODES = ("local", "local-scaled", "global", "global-scaled")
 
-#: legacy strategy aliases → loop order
+#: strategy → loop order
 ALIAS_ORDERS: Dict[str, str] = {
     "minimal-memory": "cuf",
     "just-in-time": "ucf",
 }
 
-#: escalation ladder through the variant space: each rung compresses
-#: *later* (hence denser intermediates, better stability) than the one
-#: before; after ``fuc`` the only rung left is the dense strategy
+#: loop order → strategy
+ORDER_STRATEGIES: Dict[str, str] = {o: s for s, o in ALIAS_ORDERS.items()}
+
+#: escalation ladder: each rung compresses *later* (hence denser
+#: intermediates, better stability) than the one before; after ``ucf``
+#: the only rung left is the dense strategy
 ORDER_LADDER: Dict[str, Optional[str]] = {
     "cuf": "ucf",
-    "ucf": "ufc",
-    "ufc": "fuc",
-    "fuc": None,
+    "ucf": None,
 }
 
 
 @dataclass(frozen=True)
 class BlrVariant:
-    """One point of the variant space: the three orthogonal axes."""
+    """One BLR run's loop order and threshold mode."""
 
     order: str = "ucf"
     threshold_mode: str = "local"
-    recompress: bool = True
 
     def __post_init__(self) -> None:
         if self.order not in ORDERS:
@@ -129,16 +108,6 @@ class BlrVariant:
     def compress_before_solve(self) -> bool:
         """``ucf``: compress the updated panels before the panel solve."""
         return self.order == "ucf"
-
-    @property
-    def compress_after_solve(self) -> bool:
-        """``ufc``: compress the solved panels before outgoing updates."""
-        return self.order == "ufc"
-
-    @property
-    def compress_after_updates(self) -> bool:
-        """``fuc``: compress once every outgoing update has been applied."""
-        return self.order == "fuc"
 
     # -- threshold computation -------------------------------------------
     def compress_scale(self, tolerance: float, ncblk: int,
@@ -164,13 +133,9 @@ def resolve_variant(config: "SolverConfig") -> Optional[BlrVariant]:
     """The :class:`BlrVariant` a configuration runs under.
 
     ``None`` for the ``dense`` strategy (no compression axis at all).
-    An explicit ``config.variant`` wins over the alias order of
-    ``config.strategy``.
     """
     if config.strategy == "dense":
         return None
-    order = config.variant or ALIAS_ORDERS[config.strategy]
-    return BlrVariant(order=order,
-                      threshold_mode=config.threshold_mode,
-                      recompress=config.recompress_updates)
+    return BlrVariant(order=ALIAS_ORDERS[config.strategy],
+                      threshold_mode=config.threshold_mode)
 

@@ -102,7 +102,6 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
 
 def lr_product(a: Block, b: Block, tol: float, kernel: str,
                stats: Optional[KernelStats] = None,
-               recompress: bool = True,
                norm_ref: Optional[float] = None
                ) -> Optional[Block]:
     """Contribution ``a @ b.T`` in the cheapest exact-at-τ representation.
@@ -111,11 +110,6 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
     a dense array when both are dense, and ``None`` when the product is
     numerically zero at the working tolerance.  The GEMMs run through
     :data:`repro.core.backend.KERNELS`.
-
-    ``recompress=False`` disables the intermediate T-core truncation (the
-    BLR variant toggle): the exact core is folded into whichever orbit has
-    the smaller rank, so the product keeps rank ``min(rA, rB)`` instead of
-    the revealed rank of ``T``.
     """
     t0 = time.perf_counter()
     fl = 0.0
@@ -126,21 +120,6 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
         # eqs. (1)-(4): T = vAᵗ vB, compress T, fold into the orbits
         t_mat = KERNELS.gemm(a.v, b.v, trans_a="T")  # (rA, rB)
         fl += 2.0 * a.v.shape[0] * a.rank * b.rank   # (1): Θ(nA rA rB)
-        if not recompress:
-            # exact product at rank min(rA, rB): fold T into the smaller
-            # orbit without revealing its numerical rank
-            if a.rank <= b.rank:
-                v_new = KERNELS.gemm(b.u, t_mat, trans_b="T")  # (mB, rA)
-                fl += 2.0 * b.m * b.rank * a.rank
-                out = LowRankBlock(a.u, v_new)
-            else:
-                u_new = KERNELS.gemm(a.u, t_mat)               # (mA, rB)
-                fl += 2.0 * a.m * a.rank * b.rank
-                out = LowRankBlock(u_new, b.u)
-            if stats is not None:
-                stats.add("lr_product",
-                          seconds=time.perf_counter() - t0, flops=fl)
-            return out
         t_hat = (svd_compress(t_mat, tol, norm_ref=norm_ref)
                  if kernel == "svd"
                  else rrqr_compress(t_mat, tol, norm_ref=norm_ref))

@@ -23,8 +23,7 @@ Three kinds of breakdown are detected when a
 The escalation ladder (:func:`escalate_config`) retries the whole solve at
 a tightened tolerance (``τ × tau_shrink`` per rung, floored at
 ``tau_floor``) and then moves to the next compress-later loop order of
-:data:`repro.core.variants.ORDER_LADDER` (cuf → ucf → ufc → fuc → dense)
-— at most
+:data:`repro.core.variants.ORDER_LADDER` (cuf → ucf → dense) — at most
 :attr:`RecoveryPolicy.max_retries` rungs, every action recorded once, in
 the run's :class:`RecoveryState` (``Solver.last_recovery``).  Transient
 task failures are retried locally
@@ -246,17 +245,16 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
 
     The legacy ladder: tolerance tightening first (``τ × tau_shrink``
     while the result stays at or above ``tau_floor``), then a downgrade
-    through the variant space: from the config's *resolved* loop order —
-    whether it was written as an alias or an explicit ``variant`` — to
-    the next compress-later one
+    from the config's loop order to the next compress-later one
     (:data:`repro.core.variants.ORDER_LADDER` — denser intermediates,
-    better stability), and to ``dense`` after ``fuc``.  The ``dense``
+    better stability): minimal-memory to just-in-time, and just-in-time
+    to ``dense``.  The ``dense``
     strategy has no τ rungs left — its accuracy does not depend on τ —
     but pivoting rungs still apply to it (a dense-strategy LDLᵀ can
     still hit a pivot failure).
 
     Escalation reuses the cached symbolic analysis: neither the strategy,
-    the variant, the tolerance, nor the pivoting knobs participate in
+    the tolerance, nor the pivoting knobs participate in
     ``SymbolicOptions.from_config``.
     """
     if cause == "pivot-budget" and config.pivoting == "static":
@@ -276,12 +274,11 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
     if new_tol >= policy.tau_floor:
         return config.with_options(tolerance=new_tol)
     if policy.strategy_downgrade:
-        from repro.core.variants import ORDER_LADDER
+        from repro.core.variants import ORDER_LADDER, ORDER_STRATEGIES
 
         nxt = ORDER_LADDER[config.resolved_variant().order]
-        if nxt is not None:
-            return config.with_options(variant=nxt)
-        return config.with_options(strategy="dense", variant=None)
+        return config.with_options(
+            strategy="dense" if nxt is None else ORDER_STRATEGIES[nxt])
     return None
 
 

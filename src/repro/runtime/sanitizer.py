@@ -4,9 +4,8 @@ The static lockset engine (``tools/solverlint/dataflow.py``) proves what it
 can see in the source; this module watches what actually happens.  A
 :class:`RaceSanitizer` applies the classic Eraser lockset algorithm
 [Savage et al., SOSP '97] to the solver's *named shared structures* — the
-scheduler's pending/processed counters, the FUC pull-sets, per-column-block
-factor storage, :class:`~repro.runtime.recovery.RecoveryState` and the
-telemetry registry:
+scheduler's pending/processed counters, per-column-block factor storage,
+:class:`~repro.runtime.recovery.RecoveryState` and the telemetry registry:
 
 * every instrumented access reports ``(thread, variable, kind, lockset)``
   where the lockset is the set of :meth:`wrap_lock`-tracked locks the
@@ -25,15 +24,10 @@ a few set operations per event, ≤ ``max_events`` retained).  Measured on the
 threaded suites this costs single-digit percent wall clock — ~6% on a
 4-thread BLR factorization (see docs/static-analysis.md for the numbers).
 
-Two deliberate blind spots, shared with Eraser:
-
-* initialization and join transfer — handled with :meth:`epoch`, called by
-  the schedulers at spawn and after join, so the main thread's setup and
-  teardown accesses never poison worker-phase state;
-* dependency-ordered ownership transfer (the FUC compression point: the
-  *last pulling task* compresses the source column block it just drained)
-  — handled with the explicit :meth:`handoff` annotation at
-  ``note_updates_pulled``'s True return.
+One deliberate blind spot, shared with Eraser: initialization and join
+transfer — handled with :meth:`epoch`, called by the schedulers at spawn
+and after join, so the main thread's setup and teardown accesses never
+poison worker-phase state.
 
 Enable via ``SolverConfig(sanitize=True)`` or ``$REPRO_TSAN=1``; dump the
 bounded event log with :meth:`dump` (the CI tsan job uploads it as an
@@ -173,13 +167,6 @@ class RaceSanitizer:
                     "lockset": sorted(st["lockset"]),
                 })
             st["prior_site"], st["prior_thread"] = site, tid
-
-    def handoff(self, var: str) -> None:
-        """Dependency-ordered ownership transfer: the next accessor becomes
-        the exclusive owner (the FUC compression point — the last pulling
-        task takes over the drained source block)."""
-        with self._mu:
-            self._vars.pop(var, None)
 
     def epoch(self) -> None:
         """Synchronization point (thread spawn / join): every variable

@@ -4,8 +4,8 @@ solver's one recorder of which thread ran what when.
 Design goals:
 
 * **One seam, near-zero cost when absent.**  Every profiled region is
-  ``with span(prof, name, ...) as late:`` (:func:`task_span` /
-  :func:`span_after_task` resolve a causal parent first); with the
+  ``with span(prof, name, ...) as late:`` (:func:`task_span` resolves a
+  causal parent first); with the
   default ``SolverConfig.profiler=None`` that is one shared null context.
   The telemetry-guard lint rule keeps ``.start(`` / ``.end(`` in here.
 * **Causal, not merely temporal.**  Spans carry trace-id / span-id /
@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Collection,
     ContextManager,
     Dict,
     List,
@@ -253,11 +252,6 @@ class SpanProfiler:
             self._task_spans[cblk] = sid
         return sid
 
-    def task_span_of(self, cblk: int) -> Optional[int]:
-        """Span id of ``cblk``'s task in the current engine run."""
-        with self._lock:
-            return self._task_spans.get(cblk)
-
     # -- export and inspection -----------------------------------------
 
     def finish(self) -> None:
@@ -420,19 +414,6 @@ def task_span(prof: Optional[SpanProfiler], cblk: int,
     if prof is None:
         return _DISABLED
     return _OpenSpan(prof, prof.task_start(cblk, contributors, **attrs))
-
-
-def span_after_task(prof: Optional[SpanProfiler], name: str,
-                    releasers: Collection[int],
-                    **attrs: Any) -> ContextManager[Dict[str, Any]]:
-    """:func:`span` following the task span of the greatest of
-    ``releasers`` (the last in the canonical ascending fan-in order), or
-    a plain child of the current span when that task ran none."""
-    if prof is None:
-        return _DISABLED
-    parent = prof.task_span_of(max(releasers)) if releasers else None
-    link = LINK_CHILD if parent is None else LINK_FOLLOWS
-    return _OpenSpan(prof, prof.start(name, parent, link, **attrs))
 
 
 def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]

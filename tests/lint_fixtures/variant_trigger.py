@@ -15,7 +15,7 @@ def compress_point(order):
 
 
 def is_compress_last(order):
-    return order in ("ufc", "fuc")  # finding: loop-order literals
+    return order in ("cuf", "ucf")  # finding: loop-order literals
 
 
 def wants_jit(cfg):

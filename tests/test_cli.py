@@ -46,6 +46,14 @@ class TestSolveCommand:
         with pytest.raises(SystemExit, match="integer"):
             main(["solve", "--generate", "lap3d:x"])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--threads", "0", "threads must be >= 1"),
+        ("--tolerance", "2", "tolerance must be in"),
+        ("--pivot-u", "0.9", "pivot_u must be in")])
+    def test_invalid_config_value_errors(self, flag, value, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["solve", "--generate", "lap3d:6", flag, value])
+
     def test_gantt_requires_report(self, tmp_path):
         with pytest.raises(SystemExit, match="--report"):
             main(["solve", "--generate", "lap3d:5",

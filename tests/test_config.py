@@ -44,6 +44,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="split_min"):
             SolverConfig(split_min=300, split_size=256)
 
+    @pytest.mark.parametrize("size,min_", [(0, 0), (-4, -8)])
+    def test_split_size_below_one_rejected(self, size, min_):
+        """A non-positive tile width would divide by zero in analysis."""
+        with pytest.raises(ValueError, match="split_size must be >= 1"):
+            SolverConfig(split_size=size, split_min=min_)
+
     def test_bad_threads_rejected(self):
         with pytest.raises(ValueError, match="threads"):
             SolverConfig(threads=0)
@@ -58,17 +64,19 @@ class TestValidation:
                                          dict(trace=True),
                                          dict(backend="numpy"),
                                          dict(seed=0),
-                                         dict(storage_dtype="float32")],
+                                         dict(storage_dtype="float32"),
+                                         dict(variant="ucf"),
+                                         dict(recompress_updates=False)],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
-        """One worker pool, one recorder, one kernel module, and storage
-        precision that follows the discarded error: nothing left to
-        select."""
+        """One worker pool, one recorder, one kernel module, storage
+        precision that follows the discarded error, and one name for a
+        BLR strategy: nothing left to select."""
         import dataclasses
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 29
+        assert len(dataclasses.fields(SolverConfig)) == 27
 
     @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
                                          dict(checkpoint_on_fault=False)],

@@ -312,13 +312,11 @@ def reference_updates_from_blocks(fac, nc, t, acc):
     d_scale = np.diag(nc.diag) if cfg.factotype == "ldlt" else None
     hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     promote = fac.dtype if fac.storage_dtype is not None else None
-    recompress = fac.variant.recompress if fac.variant is not None else True
 
     def product(a, b):
         if promote is not None:
             a, b = F._as_dtype(a, promote), F._as_dtype(b, promote)
         return lr_product(a, b, fac.comp_tol, cfg.kernel, stats,
-                          recompress=recompress,
                           norm_ref=fac.comp_norm_ref)
 
     first, end = fac.symb.facing_ranges(sym.id)[t]
@@ -583,8 +581,7 @@ class TestBatchedLandingMatchesPerPairScatter:
 class TestEnginesLandIdentically:
     CONFIGS = {"dense": dict(strategy="dense"),
                "jit": dict(strategy="just-in-time"),
-               "mm": dict(strategy="minimal-memory"),
-               "fuc": dict(strategy="just-in-time", variant="fuc")}
+               "mm": dict(strategy="minimal-memory")}
 
     def factor(self, name, **engine):
         s = Solver(laplacian_3d(8), tiny_blr_config(
@@ -597,7 +594,7 @@ class TestEnginesLandIdentically:
         assert (factor_digest(self.factor(name, threads=4))
                 == factor_digest(self.factor(name)))
 
-    @pytest.mark.parametrize("name", ["dense", "jit", "fuc"])
+    @pytest.mark.parametrize("name", ["dense", "jit"])
     def test_left_looking_matches_sequential(self, name):
         # a left-looking task allocates its target on first touch, right
         # before the landings into it

@@ -2,10 +2,10 @@
 
 Two layers: unit tests drive :class:`RaceSanitizer`'s lockset state
 machine directly from real threads (virgin → exclusive → shared,
-intersection, epoch/handoff, tracked lock proxies), and integration tests
-run the full threaded factorization under ``sanitize=True`` — clean runs
-must stay silent AND bit-identical to the sequential factors across both
-schedulers and all four loop orders, while the injector's seeded race must
+intersection, epoch, tracked lock proxies), and integration tests run the
+full threaded factorization under ``sanitize=True`` — clean runs must stay
+silent AND bit-identical to the sequential factors under both BLR
+strategies, while the injector's seeded race must
 be caught loudly with both access sites named.
 """
 
@@ -115,15 +115,6 @@ class TestLocksetStateMachine:
         in_thread(lambda: san.note("w", "write", site="c"), "t3")
         assert len(san.races()) == 1
 
-    def test_handoff_transfers_ownership(self):
-        # dependency-ordered transfer (the FUC finalize pattern): without
-        # handoff this is a race; with it, the new owner is exclusive
-        san = RaceSanitizer()
-        in_thread(lambda: san.note("cblk", "write", site="producer"), "t1")
-        san.handoff("cblk")
-        in_thread(lambda: san.note("cblk", "write", site="consumer"), "t2")
-        assert san.races() == []
-
     def test_check_raises_race_report_with_sites(self):
         san = RaceSanitizer()
         in_thread(lambda: san.note("v", "write", site="scheduler.py:1"), "t1")
@@ -175,11 +166,10 @@ def _digest(**overrides):
 
 
 class TestInstrumentedFactorization:
-    @pytest.mark.parametrize("order", ("cuf", "ucf", "ufc", "fuc"))
-    def test_clean_threaded_run_is_silent_and_bit_identical(self, order):
-        ref, _ = _digest(strategy="just-in-time", variant=order, threads=1)
-        got, s = _digest(strategy="just-in-time", variant=order, threads=4,
-                         sanitize=True)
+    @pytest.mark.parametrize("strategy", ("minimal-memory", "just-in-time"))
+    def test_clean_threaded_run_is_silent_and_bit_identical(self, strategy):
+        ref, _ = _digest(strategy=strategy, threads=1)
+        got, s = _digest(strategy=strategy, threads=4, sanitize=True)
         assert s.sanitizer is not None, "sanitizer should be armed"
         assert s.sanitizer.races() == []
         assert s.sanitizer.total_events > 0, "instrumentation never fired"

@@ -156,7 +156,8 @@ class TestArchivesOutliveConfigFields:
 
     RETIRED = dict(accumulate_updates=True, trace=False,
                    scheduler="static", adaptive=None, backend=None, seed=0,
-                   storage_dtype="float32")
+                   storage_dtype="float32", variant="ucf",
+                   recompress_updates=False)
     RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True)
 
     def cfg(self):
@@ -211,6 +212,38 @@ class TestArchivesOutliveConfigFields:
         edit_header(path, "header.json",
                     lambda h: h["config"]["recovery"].update(
                         self.RETIRED_POLICY))
+        s2 = Solver.load_factor(a, path)
+        assert s2.config == s.config
+        assert factor_digest(s2.factor) == factor_digest(s.factor)
+        b = rng.standard_normal(a.n)
+        assert np.array_equal(s2.solve(b), s.solve(b))
+
+    #: what an archive stored while ``variant`` pinned a loop order, and
+    #: the options it loads under: ``cuf`` names minimal-memory, every
+    #: later order just-in-time, whatever strategy was stored beside it
+    STORED_ORDERS = [
+        pytest.param(dict(strategy="just-in-time", variant="cuf"),
+                     dict(strategy="minimal-memory"), id="cuf"),
+        *[pytest.param(dict(strategy="minimal-memory", variant=order),
+                       dict(strategy="just-in-time"), id=order)
+          for order in ("ucf", "ufc", "fuc")],
+        pytest.param(dict(strategy="minimal-memory", variant="ucf",
+                          left_looking=True),
+                     dict(strategy="just-in-time", left_looking=True),
+                     id="ucf-left-looking"),
+        pytest.param(dict(strategy="minimal-memory",
+                          recompress_updates=False),
+                     dict(strategy="minimal-memory"), id="no-recompress"),
+    ]
+
+    @pytest.mark.parametrize("stored,loads_as", STORED_ORDERS)
+    def test_archive_with_a_loop_order_loads_under_its_strategy(
+            self, tmp_path, rng, stored, loads_as):
+        a = laplacian_3d(6)
+        s, *_, path = roundtrip(a, self.cfg().with_options(**loads_as),
+                                tmp_path, rng)
+        edit_header(path, "header.json", lambda h: h["config"].update(
+            {"variant": None, "recompress_updates": True, **stored}))
         s2 = Solver.load_factor(a, path)
         assert s2.config == s.config
         assert factor_digest(s2.factor) == factor_digest(s.factor)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
+from repro.core.variants import ORDER_STRATEGIES
 from repro.runtime.spans import (
     LINK_CHILD,
     LINK_FOLLOWS,
@@ -171,7 +172,6 @@ class TestProfilerUnit:
         assert spans[t1].parent_id == t2
         assert spans[t1].link == LINK_FOLLOWS
         assert spans[t1].attrs["level"] == 1
-        assert prof.task_span_of(2) == t2
 
     def test_phase_span_emits_telemetry_event(self):
         from repro.runtime.telemetry import Telemetry
@@ -212,13 +212,13 @@ class TestCanonicalTree:
 class TestEngineEquivalence:
     """Threaded and sequential traced runs: same tree, same bits."""
 
-    @pytest.mark.parametrize("order", ["ucf", "fuc"])
+    @pytest.mark.parametrize("order", ["ucf"])
     def test_span_trees_equal_across_engines(self, order):
         a = laplacian_2d(12)
         trees, digests = {}, {}
         for engine, overrides in ENGINES.items():
             s, prof = profiled_solver(
-                a, strategy="just-in-time", variant=order, **overrides)
+                a, strategy=ORDER_STRATEGIES[order], **overrides)
             assert prof.check_invariants() == [], (engine, order)
             assert prof.meta["engine"] == engine
             trees[engine] = canonical_tree(prof.events())

@@ -94,7 +94,7 @@ class TestTraceInvariants:
         assert all(sp["t1"] >= sp["t0"] for sp in doc["spans"])
         # tasks on one thread follow one another, and so do the kernel
         # spans of one nesting depth (updates and factors inside tasks)
-        for names in (("task",), ("update", "factor", "finalize")):
+        for names in (("task",), ("update", "factor")):
             by_thread = {}
             for sp in doc["spans"]:
                 if sp["name"] in names:
@@ -171,15 +171,13 @@ class TestGantt:
 
 
 class TestGanttKindColors:
-    def test_compress_and_finalize_get_stable_legend_colors(self, tmp_path):
-        """The "compress" pass and the fuc "finalize" pass render with
-        their own palette entries, and both appear in the legend; spans
-        of any other name are not drawn."""
+    def test_compress_gets_a_stable_legend_color(self, tmp_path):
+        """The "compress" pass renders with its own palette entry and
+        appears in the legend; spans of any other name are not drawn."""
         from repro.analysis.charts import _GANTT_KIND_COLORS, PALETTE
 
         assert _GANTT_KIND_COLORS["compress"] == PALETTE[2]
-        assert _GANTT_KIND_COLORS["finalize"] == PALETTE[5]
-        assert len(set(_GANTT_KIND_COLORS.values())) == 4
+        assert len(set(_GANTT_KIND_COLORS.values())) == 3
 
         prof = SpanProfiler()
         with prof.span("task", cblk=0):
@@ -197,7 +195,5 @@ class TestGanttKindColors:
 
     def test_variant_runs_trace_their_extra_kinds(self):
         a = laplacian_2d(10)
-        _, ufc = traced_solver(a, strategy="just-in-time", variant="ufc")
-        assert named(ufc, "compress")
-        _, fuc = traced_solver(a, strategy="just-in-time", variant="fuc")
-        assert named(fuc, "finalize")
+        _, jit = traced_solver(a, strategy="just-in-time")
+        assert named(jit, "compress")

@@ -1,8 +1,8 @@
-"""Tests for the composable BLR variant engine (``repro.core.variants``).
+"""Tests for the BLR variant engine (``repro.core.variants``).
 
-Covers the three orthogonal axes (loop order, threshold mode,
-recompression toggle), the alias bit-identity pins, the one escalation
-ladder, and the names this solver no longer answers to.
+Covers the two axes (loop order, named by the strategy, and threshold
+mode), the strategy bit-identity pins, the one escalation ladder, and the
+names this solver no longer answers to.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from repro.core.solver import Solver
 from repro.core.variants import (
     ALIAS_ORDERS,
     ORDER_LADDER,
+    ORDER_STRATEGIES,
     ORDERS,
     THRESHOLD_MODES,
     BlrVariant,
     resolve_variant,
 )
-from repro.lowrank.block import LowRankBlock
-from repro.lowrank.kernels import lr_product
 from repro.lowrank.rrqr import rrqr_compress
 from repro.lowrank.svd import svd_compress
 from repro.runtime.recovery import RecoveryPolicy, escalate_config
@@ -47,15 +46,12 @@ def solve_err(a, cfg):
 class TestBlrVariant:
     def test_defaults_are_jit_shaped(self):
         v = BlrVariant()
-        assert (v.order, v.threshold_mode, v.recompress) == \
-            ("ucf", "local", True)
+        assert (v.order, v.threshold_mode) == ("ucf", "local")
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_exactly_one_compression_point(self, order):
         v = BlrVariant(order=order)
-        points = [v.compress_at_assembly, v.compress_before_solve,
-                  v.compress_after_solve, v.compress_after_updates]
-        assert sum(points) == 1
+        assert v.compress_at_assembly + v.compress_before_solve == 1
 
     def test_invalid_axes_raise(self):
         with pytest.raises(ValueError, match="loop order"):
@@ -88,55 +84,43 @@ class TestResolveVariant:
         v = resolve_variant(tiny_blr_config(strategy=strategy))
         assert v is not None and v.order == order
 
-    def test_explicit_variant_wins_over_alias(self):
-        cfg = tiny_blr_config(strategy="minimal-memory", variant="fuc")
-        assert resolve_variant(cfg).order == "fuc"
-
     def test_threshold_axes_forwarded(self):
-        cfg = tiny_blr_config(threshold_mode="global-scaled",
-                              recompress_updates=False)
-        v = resolve_variant(cfg)
-        assert v.threshold_mode == "global-scaled"
-        assert v.recompress is False
+        cfg = tiny_blr_config(threshold_mode="global-scaled")
+        assert resolve_variant(cfg).threshold_mode == "global-scaled"
 
 
 class TestConfigValidation:
-    def test_variant_requires_blr_strategy(self):
-        with pytest.raises(ValueError, match="dense"):
-            tiny_blr_config(strategy="dense", variant="ucf")
-
     def test_unknown_axes_rejected(self):
         with pytest.raises(ValueError):
-            tiny_blr_config(variant="xyz")
+            tiny_blr_config(strategy="xyz")
         with pytest.raises(ValueError):
             tiny_blr_config(threshold_mode="xyz")
 
     def test_config_roundtrips_through_asdict(self):
-        cfg = tiny_blr_config(strategy="minimal-memory", variant="ufc",
+        cfg = tiny_blr_config(strategy="minimal-memory",
                               threshold_mode="global-scaled")
         clone = SolverConfig(**asdict(replace(cfg, telemetry=None)))
         assert clone == cfg
 
-    @pytest.mark.parametrize("overrides", [
-        dict(strategy="minimal-memory"),
-        dict(strategy="just-in-time", variant="cuf"),
-    ])
+    @pytest.mark.parametrize("overrides", [dict(strategy="minimal-memory")])
     def test_left_looking_rejects_assembly_compression(self, overrides):
         with pytest.raises(ValueError, match="left_looking"):
             tiny_blr_config(left_looking=True, **overrides)
 
-    @pytest.mark.parametrize("order", ("ucf", "ufc", "fuc"))
+    @pytest.mark.parametrize("order", [
+        o for o in ORDERS if not BlrVariant(order=o).compress_at_assembly])
     def test_left_looking_accepts_late_orders(self, order):
-        cfg = tiny_blr_config(left_looking=True, variant=order)
+        cfg = tiny_blr_config(left_looking=True,
+                              strategy=ORDER_STRATEGIES[order])
         assert cfg.resolved_variant().order == order
 
 
 # ----------------------------------------------------------------------
-# bit-identity: explicit loop orders reproduce the strategy-alias seeds
+# bit-identity: each strategy reproduces its seed pin
 # ----------------------------------------------------------------------
 
 class TestAliasBitIdentity:
-    """``minimal-memory`` ≡ ``cuf`` and ``just-in-time`` ≡ ``ucf``:
+    """``minimal-memory`` (``cuf``) and ``just-in-time`` (``ucf``):
     pinned sha256-identical float64 factors (same pins as the backend
     conformance suite; the Just-In-Time pin is the dense one, because
     nothing compresses on this matrix and such a run *is* the dense
@@ -149,17 +133,16 @@ class TestAliasBitIdentity:
         return factor_digest(s.factor)
 
     def test_explicit_cuf_matches_minimal_memory_pin(self):
-        assert self._digest(strategy="just-in-time", variant="cuf") == \
+        assert self._digest(strategy="minimal-memory") == \
             SEED_DIGESTS[("minimal-memory", "lu")]
 
     def test_explicit_ucf_matches_just_in_time_pin(self):
-        assert self._digest(strategy="just-in-time", variant="ucf") == \
+        assert self._digest(strategy="just-in-time") == \
             SEED_DIGESTS[("just-in-time", "lu")]
 
     def test_local_mode_and_recompress_are_the_pinned_defaults(self):
-        assert self._digest(strategy="just-in-time", variant="ucf",
-                            threshold_mode="local",
-                            recompress_updates=True) == \
+        assert self._digest(strategy="just-in-time",
+                            threshold_mode="local") == \
             SEED_DIGESTS[("just-in-time", "lu")]
 
 
@@ -169,7 +152,7 @@ class TestNothingCompressedIsTheDenseFactorization:
     through every kernel: its factors are the dense run's, bit for bit."""
 
     #: the orders whose compression point comes after assembly
-    LATE_ORDERS = ("ucf", "ufc", "fuc")
+    LATE_ORDERS = ("ucf",)
 
     def _factor(self, faults=None, **overrides):
         s = Solver(laplacian_3d(6), tiny_blr_config(
@@ -180,7 +163,8 @@ class TestNothingCompressedIsTheDenseFactorization:
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
     @pytest.mark.parametrize("order", LATE_ORDERS)
     def test_every_candidate_over_its_rank_cap(self, order, factotype):
-        fac = self._factor(variant=order, factotype=factotype)
+        fac = self._factor(strategy=ORDER_STRATEGIES[order],
+                           factotype=factotype)
         assert fac.stats.nblocks_compressed == 0
         assert all(nc.panel_mode for nc in fac.cblks)
         assert factor_digest(fac) == factor_digest(
@@ -196,8 +180,8 @@ class TestNothingCompressedIsTheDenseFactorization:
         inj = FaultInjector()
         for k in range(65):
             inj.fail_compress(k)
-        fac = self._factor(faults=inj, variant=order, factotype=factotype,
-                           recovery=RecoveryPolicy())
+        fac = self._factor(faults=inj, strategy=ORDER_STRATEGIES[order],
+                           factotype=factotype, recovery=RecoveryPolicy())
         assert len(inj.fired) == len(fac.cblks) == 65
         assert factor_digest(fac) == factor_digest(
             self._factor(strategy="dense", factotype=factotype))
@@ -208,7 +192,7 @@ class TestNothingCompressedIsTheDenseFactorization:
         candidates (a block that is all fill-in has rank 0), so it is run
         with none: every assembled scratch is kept as the panels."""
         none = dict(compress_min_width=10 ** 6, factotype=factotype)
-        fac = self._factor(variant="cuf", **none)
+        fac = self._factor(strategy="minimal-memory", **none)
         assert all(nc.panel_mode for nc in fac.cblks)
         assert factor_digest(fac) == factor_digest(
             self._factor(strategy="dense", **none))
@@ -223,8 +207,8 @@ class TestVariantMatrix:
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
     def test_order_x_threshold_mode(self, order, mode):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(variant=order, threshold_mode=mode,
-                              tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
+                              threshold_mode=mode, tolerance=1e-8)
         _, err = solve_err(a, cfg)
         # scaled modes only tighten; 100x headroom as in the strategy suite
         assert err <= 1e-6
@@ -233,32 +217,33 @@ class TestVariantMatrix:
                                              ("float32", 5e-3)])
     def test_order_x_dtype(self, order, dtype, bound):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(variant=order, tolerance=1e-8, dtype=dtype)
+        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
+                              tolerance=1e-8, dtype=dtype)
         _, err = solve_err(a, cfg)
         assert err <= bound
 
     def test_order_cholesky(self, order):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(variant=order, factotype="cholesky",
-                              tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
+                              factotype="cholesky", tolerance=1e-8)
         _, err = solve_err(a, cfg)
         assert err <= 1e-6
 
     def test_order_nonsymmetric(self, order):
         a = convection_diffusion_3d(5, peclet=0.6)
-        cfg = tiny_blr_config(variant=order, tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
+                              tolerance=1e-8)
         _, err = solve_err(a, cfg)
         assert err <= 1e-5
 
     def test_threaded_matches_sequential_bitwise(self, order):
-        """Every loop order keeps the bit-reproducibility contract under
-        the worker pool (the FUC finalize fires only after the last pull
-        of immutable dense panels)."""
+        """Both loop orders keep the bit-reproducibility contract under
+        the worker pool."""
         a = laplacian_3d(6)
         digests = set()
         for threads in (1, 4):
-            s = Solver(a, tiny_blr_config(variant=order, tolerance=1e-8,
-                                          threads=threads))
+            s = Solver(a, tiny_blr_config(strategy=ORDER_STRATEGIES[order],
+                                          tolerance=1e-8, threads=threads))
             s.factorize()
             digests.add(factor_digest(s.factor))
         assert len(digests) == 1
@@ -292,7 +277,7 @@ class TestThresholdModes:
         a = laplacian_3d(8)
         sizes = {}
         for mode in ("local", "global"):
-            s, err = solve_err(a, tiny_blr_config(variant="ucf",
+            s, err = solve_err(a, tiny_blr_config(strategy="just-in-time",
                                                   threshold_mode=mode,
                                                   tolerance=1e-5))
             sizes[mode] = s.stats.factor_nbytes
@@ -305,7 +290,7 @@ class TestThresholdModes:
         a = laplacian_3d(8)
         sizes = {}
         for mode in ("local", "local-scaled"):
-            s, err = solve_err(a, tiny_blr_config(variant="ucf",
+            s, err = solve_err(a, tiny_blr_config(strategy="just-in-time",
                                                   threshold_mode=mode,
                                                   tolerance=1e-4))
             sizes[mode] = s.stats.factor_nbytes
@@ -315,7 +300,7 @@ class TestThresholdModes:
 
     def test_effective_threshold_recorded_on_factor(self):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(variant="ucf", threshold_mode="global-scaled",
+        cfg = tiny_blr_config(strategy="just-in-time", threshold_mode="global-scaled",
                               tolerance=1e-8)
         s = Solver(a, cfg)
         s.factorize()
@@ -324,33 +309,6 @@ class TestThresholdModes:
         assert fac.comp_tol == pytest.approx(1e-8 / p)
         assert fac.comp_norm_ref == pytest.approx(fac.global_norm)
         assert fac.global_norm > 0.0
-
-
-# ----------------------------------------------------------------------
-# the recompression toggle
-# ----------------------------------------------------------------------
-
-class TestRecompressToggle:
-    def test_lr_product_without_recompression_is_exact(self):
-        rng = np.random.default_rng(0)
-        a = LowRankBlock(rng.standard_normal((12, 3)),
-                         rng.standard_normal((10, 3)))
-        b = LowRankBlock(rng.standard_normal((9, 5)),
-                         rng.standard_normal((10, 5)))
-        ref = a.to_dense() @ b.to_dense().T
-        out = lr_product(a, b, 1e-12, "svd", recompress=False)
-        # the exact T core is folded into the smaller-rank side
-        assert out.rank == min(a.rank, b.rank)
-        assert np.linalg.norm(out.to_dense() - ref) <= 1e-12 * \
-            np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("strategy", ("minimal-memory", "just-in-time"))
-    def test_end_to_end_without_recompression(self, strategy):
-        a = laplacian_3d(6)
-        cfg = tiny_blr_config(strategy=strategy, recompress_updates=False,
-                              tolerance=1e-8)
-        _, err = solve_err(a, cfg)
-        assert err <= 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -368,23 +326,17 @@ class TestEscalation:
         return rungs
 
     def test_one_ladder_from_the_resolved_order(self):
-        """Written as an alias or as an explicit variant, a config tightens
-        τ down to the floor first and then compresses later rung by rung —
-        the same resolved orders either way — ending at dense."""
+        """A config tightens τ down to the floor first and then compresses
+        later rung by rung, ending at dense."""
         policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1e-10)
-        tail = [(pytest.approx(1e-10), o) for o in ("ufc", "fuc", None)]
+        tail = [(pytest.approx(1e-10), None)]
         jit = [(pytest.approx(1e-9), "ucf"), (pytest.approx(1e-10), "ucf")]
-        for overrides in (dict(strategy="just-in-time"),
-                          dict(variant="ucf"),
-                          dict(strategy="minimal-memory", variant="ucf")):
-            cfg = tiny_blr_config(tolerance=1e-8, **overrides)
-            assert self.walk(cfg, policy) == jit + tail
+        cfg = tiny_blr_config(tolerance=1e-8, strategy="just-in-time")
+        assert self.walk(cfg, policy) == jit + tail
         mm = [(pytest.approx(1e-9), "cuf"), (pytest.approx(1e-10), "cuf"),
               (pytest.approx(1e-10), "ucf")]
-        for overrides in (dict(strategy="minimal-memory"),
-                          dict(variant="cuf")):
-            cfg = tiny_blr_config(tolerance=1e-8, **overrides)
-            assert self.walk(cfg, policy) == mm + tail
+        cfg = tiny_blr_config(tolerance=1e-8, strategy="minimal-memory")
+        assert self.walk(cfg, policy) == mm + tail
         assert self.walk(tiny_blr_config(strategy="dense"), policy) == []
 
     def test_order_ladder_is_compress_later(self):
@@ -394,18 +346,18 @@ class TestEscalation:
         assert order == list(ORDERS)
 
     def test_tau_tightening_preserves_variant(self):
-        cfg = tiny_blr_config(variant="fuc", tolerance=1e-6)
+        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-6)
         rung = escalate_config(cfg, RecoveryPolicy())
-        assert rung.variant == "fuc"
+        assert rung.strategy == "minimal-memory"
         assert rung.tolerance == pytest.approx(1e-7)
 
     def test_recovery_completes_under_variant(self):
-        """A poisoned run under an explicit loop order self-heals through
-        the variant ladder."""
+        """A poisoned run under a BLR strategy self-heals through the
+        ladder."""
         from repro.runtime.faults import FaultInjector
 
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(variant="fuc", tolerance=1e-8,
+        cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-8,
                               recovery=RecoveryPolicy())
         s = Solver(a, cfg)
         inj = FaultInjector(seed=0)
@@ -415,8 +367,7 @@ class TestEscalation:
         assert s.backward_error(s.solve(b), b) <= 1e-6
 
     def test_every_rung_is_logged_by_its_resolved_order(self):
-        """Rungs that change only the loop order share a strategy name; the
-        action log tells them apart by ``order``."""
+        """Every rung is logged by its strategy and its loop order."""
         from repro.runtime.faults import FaultInjector
         from repro.runtime.recovery import NumericalBreakdown
 
@@ -430,9 +381,8 @@ class TestEscalation:
             s.factorize(faults=inj)
         rungs = [a for a in s.last_recovery["actions"]
                  if a["action"] == "refactorize"]
-        assert [a["order"] for a in rungs] == ["ucf", "ufc", "fuc", None]
-        assert [a["strategy"] for a in rungs] == \
-            ["minimal-memory"] * 3 + ["dense"]
+        assert [a["order"] for a in rungs] == ["ucf", None]
+        assert [a["strategy"] for a in rungs] == ["just-in-time", "dense"]
         assert s.last_recovery["final_strategy"] == "dense"
         assert s.last_recovery["final_order"] is None
 
@@ -495,13 +445,21 @@ def _telemetry_with_sinks():
     pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
                               "--storage-dtype", "float32"),
                  SystemExit, id="cli-solve-storage-dtype"),
+    pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
+                              "--variant", "ucf"),
+                 SystemExit, id="cli-solve-variant"),
+    pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
+                              "--no-recompress"),
+                 SystemExit, id="cli-solve-no-recompress"),
+    pytest.param(lambda: BlrVariant(order="fuc"), ValueError,
+                 id="order-fuc"),
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 29
+    assert len(fields(SolverConfig)) == 27
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +470,8 @@ class TestCli:
     def test_solve_with_variant_flags(self, capsys):
         from repro.cli import main
 
-        rc = main(["solve", "--generate", "lap3d:5", "--variant", "ufc",
-                   "--threshold-mode", "global", "--no-recompress"])
+        rc = main(["solve", "--generate", "lap3d:5",
+                   "--strategy", "minimal-memory",
+                   "--threshold-mode", "global"])
         assert rc == 0
         assert "backward error" in capsys.readouterr().out

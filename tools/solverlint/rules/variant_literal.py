@@ -1,14 +1,12 @@
 """``variant-literal`` — strategy decisions go through the variant engine.
 
-PR 7 made the BLR variant space explicit: loop orders (``cuf``/``ucf``/
-``ufc``/``fuc``) and the legacy strategy aliases (``minimal-memory``,
-``just-in-time``) resolve once, in ``core/variants.py`` /
+The BLR strategies (``minimal-memory``, ``just-in-time``) and the loop
+orders they name (``cuf``/``ucf``) resolve once, in ``core/variants.py`` /
 ``config.py``, into a :class:`~repro.core.variants.BlrVariant` whose
 predicates (``compress_at_assembly`` …) drive the engines.  A string
 comparison against one of those literals anywhere else re-implements the
-dispatch ad hoc and silently diverges when the variant space grows (a new
-loop order, a new alias) — exactly the "silent fallback" erosion the
-JOREK study documents.
+dispatch ad hoc and silently diverges when the variant space changes —
+exactly the "silent fallback" erosion the JOREK study documents.
 
 The rule flags *comparisons* only (``==``/``!=``/``in``/``not in``
 against the known literals).  Dict constructions (``ALIAS_ORDERS``),
@@ -25,7 +23,7 @@ from tools.solverlint.core import FileContext, Rule, register
 
 #: strategy aliases and loop orders owned by the variant engine
 VARIANT_LITERALS = frozenset({
-    "minimal-memory", "just-in-time", "cuf", "ucf", "ufc", "fuc",
+    "minimal-memory", "just-in-time", "cuf", "ucf",
 })
 
 _COMPARE_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
