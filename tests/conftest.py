@@ -38,6 +38,24 @@ def tiny_blr_config(**overrides) -> SolverConfig:
     return SolverConfig(**base)
 
 
+def hermitian_congruence(base: CSCMatrix, seed: int = 2) -> CSCMatrix:
+    """``D A Dᴴ`` for a real symmetric ``base`` and a seeded unitary
+    diagonal ``D``: same pattern and spectrum, Hermitian and genuinely
+    complex (every off-diagonal entry carries a phase)."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, base.n))
+    r = base.rowind
+    c = np.repeat(np.arange(base.n, dtype=np.int64), np.diff(base.colptr))
+    v = base.values
+    diag, up = r == c, r < c
+    vu = d[r[up]] * v[up] * np.conj(d[c[up]])
+    return CSCMatrix.from_coo(
+        base.n,
+        np.concatenate([r[diag], r[up], c[up]]),
+        np.concatenate([c[diag], c[up], r[up]]),
+        np.concatenate([v[diag].astype(np.complex128), vu, np.conj(vu)]))
+
+
 @pytest.fixture
 def blr_config():
     return tiny_blr_config

@@ -22,10 +22,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.core.backend import KERNELS, _solve_triangular
+import hashlib
+
+from repro.core.backend import KERNELS, _ldlt_pivot, _solve_triangular
 from repro.core.solver import Solver
-from repro.sparse.generators import laplacian_3d
-from tests.conftest import tiny_blr_config
+from repro.lowrank.block import LowRankBlock
+from repro.sparse.generators import helmholtz_3d, laplacian_3d
+from tests.conftest import hermitian_congruence, tiny_blr_config
 from tests.test_recovery import factor_digest
 
 DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
@@ -445,3 +448,164 @@ class TestSeedBitCompatibility:
                                       tolerance=1e-8))
         s.factorize()
         assert factor_digest(s.factor) == SEED_DIGESTS[(strategy, factotype)]
+
+
+#: sha256 of the factors and of ``solve(b)`` per factotype × strategy ×
+#: dtype on ``laplacian_3d(8)`` (``helmholtz_3d(8, 2.2)`` for threshold
+#: pivoting; its ``hermitian_congruence`` for complex128), tiny_blr_config
+#: at τ = 1e-4 — every case holds rank > 0 low-rank blocks at solve time,
+#: so the low-rank panel solves and updates of each factotype are pinned.
+#: No case reaches a 2×2 pivot (``D_OPERATOR_DIGESTS`` pins those).
+FACTOTYPE_DIGESTS = {
+    ("lu", "just-in-time", "float64"): (
+        "9d6e6924238a4db501b160a91ee7bb8888e4c1b4bad0ecec424bfdce204f115f",
+        "237d141c8f840188f80566d91d31cc6716cdbc5ac1cf908bd8b9f15ab75592d2"),
+    ("lu", "just-in-time", "float32"): (
+        "a99d6d7b09334c66ba05e15db71a9f1de09b1cc13be91ee28f62916dd5616ff1",
+        "02f57473092d99c85a29d8dae068f6eb67b66982fa01ac663b17a343f573e2c7"),
+    ("lu", "just-in-time", "complex128"): (
+        "eb7423c67986f002076620335026888953ddcd2c0e6d1f09c45eb072dababfca",
+        "ed342fe9799e732faf40e4ed8b197573eafd6f74e2b8ad34e1dc6b10758a6847"),
+    ("lu", "minimal-memory", "float64"): (
+        "202629d7837db2a84ddfc29618baa09d425a8368f4de29e2b33c6c459fdb8d26",
+        "6cc4a9f4f8e0d278c3d535b46ebba7d51dad83a4b1d8ea11fd2336edcb59ffef"),
+    ("lu", "minimal-memory", "float32"): (
+        "b9db27dbe38904808e426283a38fc399edee89a2b7245318224ad6abead80ca3",
+        "b6a507060a197d8c4983c4d8053ee83adfebe9e1b54afc22d71a6344bd2aa873"),
+    ("lu", "minimal-memory", "complex128"): (
+        "0040fd3fa20ff2de266e864e5fc054093aa87bcf69a7980f2bbc2a27ac4a1666",
+        "39e946226da99e9bb2d563299148fe7a828e7ba65ed897c965dd5ddb88f4ce13"),
+    ("cholesky", "just-in-time", "float64"): (
+        "1d8512f49c2ca2e74b167e528bee594818d5b8409157c128565358346d555ea5",
+        "22982c1e6382b6d7a499b9f649b77e89bf03339d2648225ce46633ba21d65590"),
+    ("cholesky", "just-in-time", "float32"): (
+        "d242ae1f544bb8e066a54051b1cafd837d52ee2ffb5351756784f0e94387b6a0",
+        "dcd599931854610f3d86436b423b0370087a7511d02506658f664c7d781e7bbe"),
+    ("cholesky", "just-in-time", "complex128"): (
+        "afc199517f96489ba9373573c6a5637c6d92dabdde08c1be2ad6633d96521942",
+        "fad0d20a89fa40d55eed8a5ad6ab99ffa2f7a7dea72a3d8bb6ef5294cea1f183"),
+    ("cholesky", "minimal-memory", "float64"): (
+        "d57c63511490422eb6ef76054a5c98e2695239d8bf008843f4c783f66a6c88c6",
+        "cd205edc97d85762153647c6b166f82773192de555ff49ae38860d1691bcb8b0"),
+    ("cholesky", "minimal-memory", "float32"): (
+        "4f91c0e824adae027621dc7a1e7fc22278c6c9d2cbd91e14aa564bf647fcdf77",
+        "6eb19c0673c3aa68f306c7a55282fa80b841ee78d5194bca00c08d77d826a205"),
+    ("cholesky", "minimal-memory", "complex128"): (
+        "4ef012fb8833fc96192666d1d69905d8b0566a50ede06e9180c7967897148e80",
+        "7dd085aefc5a2b8ab31c72267921580821956bd8596b443641d1bd90e16ade8d"),
+    ("ldlt-static", "just-in-time", "float64"): (
+        "e37d89b01aca29dc27dbe09f0c98f4bde9ed43dee15958069e8a022c0565365d",
+        "83e02c26687dc3ebade9a2068b298e96cb1a7afff7b9711b3015dd2cd305e363"),
+    ("ldlt-static", "just-in-time", "float32"): (
+        "fda1bfe30f1f8479ff69b1d24fca68ae33435883432711b63c22e4d577d3bd16",
+        "66cf13b49e6bf8a311e4d91f37a5f6c1b862cf199fb5444f5d1fdfa304610f6c"),
+    ("ldlt-static", "just-in-time", "complex128"): (
+        "52e9f87f2eee9c4191c6b4aaa12646e74b41bf8f5a3f721c6f677a86005755a4",
+        "dde73d29da86751299c185d7a45c285d2c2b4dc84caa35676a0393d71dcc589f"),
+    ("ldlt-static", "minimal-memory", "float64"): (
+        "fd2f340e5ad4969b2a9897bb330ef58da289021e115652a3c36ad12f34503588",
+        "247bc3eb16a7bec921708ebaeb2d5cee89cfe1b4d85563738b15f452b4b430b8"),
+    ("ldlt-static", "minimal-memory", "float32"): (
+        "b186e4839357ba03ce2d5e0e183857fda4922a68a01e835c7b08683358c0bd3f",
+        "c2127e8c215a9b4a12764d2c18779de509b23befa4b074d1dedf8d0a114a2074"),
+    ("ldlt-static", "minimal-memory", "complex128"): (
+        "0e9172d0e5e7c464957282632830f109f17c0e2a8630eee320064464c4a79959",
+        "92f92ae81e1e47fe6568a92251bc800f754c3575b1b806de49184c84e84a4968"),
+    ("ldlt-threshold", "just-in-time", "float64"): (
+        "378e1bc9d85bd7b8fe229049ad194f91e1a9ea0f77e1d41e3c42c2b5d8932db6",
+        "77d8d792002ec3e3b9c8211e59fcb368b37e5a100e5d9ea4a53df38963e41339"),
+    ("ldlt-threshold", "just-in-time", "float32"): (
+        "54399dee6ff20982e1f196f4e7d2f1523bd6c684e1925bd988e95e89f6c898d1",
+        "f50fdf9174610c9ce49fbbc68163a191437ffa9160269331d5539c75f6008762"),
+    ("ldlt-threshold", "just-in-time", "complex128"): (
+        "631fe43b3d195517f3ee2a01c8015185ba7655683c95eafb583ef79cd1b740cc",
+        "17b192602dda5153e44b737e64ba93bf010162b4be62f634a16b04629ec4933c"),
+    ("ldlt-threshold", "minimal-memory", "float64"): (
+        "97f2d8c9a04a3c51c9dbefadd44f553874c7f51eceebf1af511db132183bc4b8",
+        "51d640ad575e9225bb34f029aee453af965b2c7aec8c804e8386caff1aa90baf"),
+    ("ldlt-threshold", "minimal-memory", "float32"): (
+        "2c316b3b1b08bdb36bb6c78ddfa877a2d12f26b8a476a92601eec91070707975",
+        "3761e49a00bdeafd357af049b559756937ef07ec202f30f9fd1b6079ddf50c90"),
+    ("ldlt-threshold", "minimal-memory", "complex128"): (
+        "15147913e96edb4b07b789b266f69df7621e6adfb140b4362354199ec8edbe61",
+        "a8557a397056415dbe8c56ddb90d6d6b65956cb3fbb7ed96ae746b56d3502917"),
+}
+
+#: sha256 of what the LDLᵗ D operator returns at each of its call sites
+#: (panel solve of a dense block and of a ``v`` factor, trisolve's D⁻¹,
+#: the ``L D`` update operand of a dense and of a low-rank block) for the
+#: D of a threshold-pivoted block with 2×2 pivots: no factorization above
+#: reaches a 2×2 pivot in a column block that holds a low-rank block
+D_OPERATOR_DIGESTS = {
+    "float64":
+        "41165dbfabe0993921e32c98642e655f00856a7845bf972b2b1f1f54c0f8367d",
+    "complex128":
+        "bc1d22e9dce3efe2c6c21f950d02834c1bdd21997f4abc2fc75ae98132b0b354",
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestFactotypeDigests:
+    """One pin per factotype, strategy and dtype over the paths the per-
+    factotype code takes: dense and low-rank panel solves, the update
+    operands, the solve sweeps."""
+
+    @pytest.mark.parametrize(
+        "factotype,strategy,dtype", sorted(FACTOTYPE_DIGESTS),
+        ids=lambda v: v)
+    def test_factor_and_solve_pinned(self, factotype, strategy, dtype):
+        factotype, _, pivoting = factotype.partition("-")
+        base = (helmholtz_3d(8, wavenumber=2.2) if pivoting == "threshold"
+                else laplacian_3d(8))
+        a = hermitian_congruence(base) if dtype == "complex128" else base
+        s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
+                                      tolerance=1e-4, dtype=dtype,
+                                      pivoting=pivoting or "static"))
+        s.factorize()
+        assert any(isinstance(b, LowRankBlock) and b.rank
+                   for nc in s.factor.cblks
+                   for blocks in (nc.lblocks, nc.ublocks) if blocks
+                   for b in blocks)
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal(a.n)
+        if dtype == "complex128":
+            b = b + 1j * rng.standard_normal(a.n)
+        key = (factotype + (pivoting and "-" + pivoting), strategy, dtype)
+        assert (factor_digest(s.factor), _digest(s.solve(b))) \
+            == FACTOTYPE_DIGESTS[key]
+
+    @pytest.mark.parametrize("dtype", sorted(D_OPERATOR_DIGESTS))
+    def test_d_operator_with_2x2_pivots_pinned(self, dtype):
+        from repro.core.factorization import (
+            _scale_columns,
+            ldlt_d_mul_cols,
+            ldlt_d_solve_cols,
+            ldlt_d_solve_rows,
+        )
+
+        rng = np.random.default_rng(11)
+        hermitian = dtype == "complex128"
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if hermitian else x
+        m = draw(10, 10)
+        m = m + (m.conj().T if hermitian else m.T)
+        m[np.diag_indices(10)] = 0.0  # forces 2×2 pivots
+        packed, _, d21, stats = _ldlt_pivot(m)
+        assert stats["n2x2"] > 0
+        d = np.diag(packed)  # complex in the updates, read .real in solves
+        dr = d.real if hermitian else d
+        x, u, v = draw(7, 10), draw(6, 3), draw(10, 3)
+        outs = (ldlt_d_solve_cols(x, dr, d21, hermitian),
+                ldlt_d_solve_rows(v, dr, d21, hermitian),
+                ldlt_d_solve_rows(x.T.copy(), dr, d21, hermitian),
+                ldlt_d_mul_cols(x, d, d21, hermitian),
+                _scale_columns(LowRankBlock(u, v), d, d21, hermitian).v)
+        assert _digest(*outs) == D_OPERATOR_DIGESTS[dtype]
