@@ -134,7 +134,8 @@ class NumericFactor:
     """
 
     def __init__(self, symb: SymbolicFactor, config: SolverConfig,
-                 recovery: Optional["RecoveryState"] = None) -> None:
+                 recovery: Optional["RecoveryState"] = None,
+                 dtype: "np.dtype | str" = "float64") -> None:
         self.symb = symb
         self.config = config
         #: the kernel instance (:data:`repro.core.backend.KERNELS`) —
@@ -164,7 +165,10 @@ class NumericFactor:
         self._counter_lock: Any = threading.Lock()
         #: arithmetic dtype of the factorization (resolved by
         #: :func:`assemble` from the matrix and ``config.dtype``)
-        self.dtype = np.dtype(np.float64)
+        self.dtype = np.dtype(dtype)
+        #: complex Cholesky / LDLᴴ: the factor is ``L Lᴴ`` / ``L D Lᴴ``, so
+        #: every transposed operand is an adjoint (LU stays a transpose)
+        self.hermitian = config.is_symmetric_facto and self.dtype.kind == "c"
         #: narrow dtype a column block is stored in once its compression
         #: discarded enough (:func:`narrow_if_discarded`); ``None`` when nothing
         #: may narrow (dense strategy, single-precision arithmetic)
@@ -315,8 +319,8 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
     """
     if not a_perm.is_pattern_symmetric():
         raise ValueError("assemble expects a pattern-symmetric matrix")
-    fac = NumericFactor(symb, config, recovery)
-    fac.dtype = config.resolve_dtype(a_perm.values.dtype)
+    fac = NumericFactor(symb, config, recovery,
+                        config.resolve_dtype(a_perm.values.dtype))
     fac.storage_dtype = config.resolve_storage_dtype(fac.dtype)
     need_u = not config.is_symmetric_facto
     at_perm = a_perm.transpose() if need_u else None

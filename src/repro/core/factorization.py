@@ -219,81 +219,49 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
     return perturbed
 
 
-def ldlt_d_solve_cols(x: np.ndarray, d: np.ndarray,
-                      d21: Optional[np.ndarray],
-                      hermitian: bool = False) -> np.ndarray:
-    """``x @ D⁻¹`` for the block-diagonal D of a pivoted LDLᵀ.
+def apply_d(x: np.ndarray, d: np.ndarray, d21: Optional[np.ndarray],
+            hermitian: bool, inverse: bool = False,
+            cols: bool = False) -> np.ndarray:
+    """``D x`` — ``D⁻¹ x`` with ``inverse`` — for the block-diagonal D of
+    an LDLᵗ factor, on the rows of ``x``; with ``cols``, ``x D`` / ``x D⁻¹``.
 
-    ``d`` holds the diagonal of D, ``d21`` the subdiagonal entries of the
-    2×2 pivot blocks (``d21[j] = D[j+1, j]``, zero elsewhere, ``None``
-    when every pivot is 1×1 — then this is exactly the legacy ``x / d``).
-    Each 2×2 block is inverted explicitly via its determinant; Hermitian
-    factorizations use ``D[j, j+1] = conj(D[j+1, j])``.
+    ``d`` holds the diagonal of D, ``d21`` the subdiagonals of its 2×2
+    pivot blocks (``d21[j] = D[j+1, j]``, zero elsewhere; ``None`` when
+    every pivot is 1×1, and then this is one broadcast product or
+    quotient).  A Hermitian factor has ``D[j, j+1] = conj(D[j+1, j])``.
+    Each 2×2 block is inverted through its determinant.  Columns go
+    through the rows of the transpose, ``x D = (Dᵗ xᵗ)ᵗ``, where ``Dᵗ`` is
+    the D of ``conj(d21)``.  Complex products are not bitwise commutative
+    (FMA), so a 2×2 product keeps its operands in the order it reads:
+    ``x`` first in ``x D`` and in every solve, ``D`` first in ``D x``.
     """
+    if cols:
+        x, d21 = x.T, None if d21 is None else d21.conj()
     if d21 is None:
-        return x / d
+        out = x / d[:, None] if inverse else x * d[:, None]
+        return out.T if cols else out
     idx = np.flatnonzero(d21)
-    de = d.copy()
-    de[idx] = 1.0
-    de[idx + 1] = 1.0
-    out = x / de
+    if inverse:
+        de = d.copy()
+        de[idx] = de[idx + 1] = 1.0
+        out = x / de[:, None]
+    else:
+        out = x * d[:, None]
     for j in idx:
         dl = d21[j]
         du = np.conj(dl) if hermitian else dl
-        d1, d2 = d[j], d[j + 1]
-        det = d1 * d2 - du * dl
-        x1 = x[:, j]
-        x2 = x[:, j + 1]
-        out[:, j] = (x1 * d2 - x2 * dl) / det
-        out[:, j + 1] = (x2 * d1 - x1 * du) / det
-    return out
-
-
-def ldlt_d_solve_rows(x: np.ndarray, d: np.ndarray,
-                      d21: Optional[np.ndarray],
-                      hermitian: bool = False) -> np.ndarray:
-    """``D⁻¹ @ x`` for the block-diagonal D of a pivoted LDLᵀ.
-
-    Row-wise sibling of :func:`ldlt_d_solve_cols` (used on low-rank ``v``
-    factors and the trisolve diagonal stage, where D applies to rows).
-    Hermitian factorizations conjugate the 2×2 superdiagonal
-    (``D[j, j+1] = conj(D[j+1, j])`` — D is its own adjoint).
-    """
-    if d21 is None:
-        return x / d[:, None]
-    idx = np.flatnonzero(d21)
-    de = d.copy()
-    de[idx] = 1.0
-    de[idx + 1] = 1.0
-    out = x / de[:, None]
-    for j in idx:
-        dl = d21[j]
-        du = np.conj(dl) if hermitian else dl
-        d1, d2 = d[j], d[j + 1]
-        det = d1 * d2 - du * dl
-        x1 = x[j]
-        x2 = x[j + 1]
-        out[j] = (x1 * d2 - x2 * du) / det
-        out[j + 1] = (x2 * d1 - x1 * dl) / det
-    return out
-
-
-def ldlt_d_mul_cols(x: np.ndarray, d: np.ndarray,
-                    d21: Optional[np.ndarray],
-                    hermitian: bool = False) -> np.ndarray:
-    """``x @ D`` for the block-diagonal D of a pivoted LDLᵀ (the ``L D``
-    operand of the trailing updates).  ``d21 is None`` reduces to the
-    legacy ``x * d`` column scaling; Hermitian factorizations conjugate
-    the 2×2 superdiagonal (``D[j, j+1] = conj(D[j+1, j])``)."""
-    if d21 is None:
-        return x * d
-    out = x * d
-    for j in np.flatnonzero(d21):
-        dl = d21[j]
-        du = np.conj(dl) if hermitian else dl
-        out[:, j] = out[:, j] + x[:, j + 1] * dl
-        out[:, j + 1] = out[:, j + 1] + x[:, j] * du
-    return out
+        x1, x2 = x[j], x[j + 1]
+        if inverse:
+            det = d[j] * d[j + 1] - du * dl
+            out[j] = (x1 * d[j + 1] - x2 * du) / det
+            out[j + 1] = (x2 * d[j] - x1 * dl) / det
+        elif cols:
+            out[j] = out[j] + x2 * du
+            out[j + 1] = out[j + 1] + x1 * dl
+        else:
+            out[j] = d[j] * x1 + du * x2
+            out[j + 1] = dl * x1 + d[j + 1] * x2
+    return out.T if cols else out
 
 
 def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
@@ -307,129 +275,71 @@ def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
             fac, nc, nc.lpanel, nc.upanel))
 
 
-def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
-    """Solve every off-diagonal block against the factored diagonal.
+#: factotype → per stored side ``(side, lower, trans, unit, pivoted)``:
+#: its off-diagonal blocks solve ``X op(T) = A`` against the ``lower`` (else
+#: upper) triangle ``T`` of the factored diagonal block, unit or not, then
+#: — when ``pivoted`` — take the within-block permutation first and
+#: ``D⁻¹`` last.  ``"C"`` is the adjoint of a Hermitian factor and the
+#: transpose of a real one.
+_PANEL_SOLVES = {
+    # L(i) U00 = A(i) ; Uᵗ(i) L00ᵗ = Aᵗ(i)
+    "lu": (("l", False, "N", False, False), ("u", True, "T", True, False)),
+    # L(i) L00ᴴ = A(i)
+    "cholesky": (("l", True, "C", False, False),),
+    # L(i) D L00ᴴ = A(i) Pᵗ
+    "ldlt": (("l", True, "C", True, True),),
+}
 
-    Complex Cholesky/LDLᴴ diagonals are Hermitian: the low-rank ``v``
-    factors solve against ``conj(L00)``, done as conjugate / solve /
-    conjugate back (a no-copy pass-through for real factors).
+
+def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
+    """Solve every off-diagonal block against the factored diagonal, as
+    :data:`_PANEL_SOLVES` says; a panel is one tall dense block.
+
+    A low-rank block ``u vᵗ`` solves its ``v`` from the left with the
+    flipped transpose (``u vᵗ op(T)⁻¹ = u (op(T)⁻ᵗ v)ᵗ``): ``N`` ↔ ``T``,
+    and the adjoint of a Hermitian factor as conjugate / ``N`` solve (and
+    ``D⁻¹``) / conjugate back.
     """
-    cfg = fac.config
     be = fac.backend
     stats = fac.stats.kernels
     w = nc.width
     t0 = time.perf_counter()
     fl = 0.0
-
-    def store(arr: np.ndarray, was: np.ndarray) -> np.ndarray:
-        return arr.astype(was.dtype, copy=False)  # narrow stays narrow
-    if cfg.factotype == "lu":
-        u00 = np.triu(nc.diag)
-        l00 = nc.diag  # unit-lower part read in place by the solvers
-        if nc.panel_mode:
-            if nc.offrows:
-                nc.lpanel[...] = be.trsm(u00, nc.lpanel, side="right",
-                                         lower=False)
-                nc.upanel[...] = be.trsm(l00, nc.upanel, side="right",
-                                         lower=True, trans="T",
-                                         unit_diagonal=True)
-                fl += 2 * trsm_flops(w, nc.offrows)
-        else:
-            for i in range(nc.sym.noff):
-                lb = nc.lblocks[i]
-                if isinstance(lb, LowRankBlock):
-                    if lb.rank:
-                        lb.v[...] = be.trsm(u00, lb.v, lower=False,
-                                            trans="T")
-                    fl += trsm_flops(w, lb.rank)
-                else:
-                    nc.lblocks[i] = store(be.trsm(u00, lb, side="right",
-                                                  lower=False), lb)
-                    fl += trsm_flops(w, lb.shape[0])
-                ub = nc.ublocks[i]
-                if isinstance(ub, LowRankBlock):
-                    if ub.rank:
-                        # Uᵗ(i),k = u (L00⁻¹ v)ᵗ: forward substitution on v
-                        ub.v[...] = be.trsm(l00, ub.v, lower=True,
-                                            unit_diagonal=True)
-                    fl += trsm_flops(w, ub.rank)
-                else:
-                    nc.ublocks[i] = store(be.trsm(l00, ub, side="right",
-                                                  lower=True, trans="T",
-                                                  unit_diagonal=True), ub)
-                    fl += trsm_flops(w, ub.shape[0])
-    elif cfg.factotype == "cholesky":
-        l00 = nc.diag
-        hermitian = np.asarray(nc.diag).dtype.kind == "c"
-        trans_right = "C" if hermitian else "T"
-        if nc.panel_mode:
-            if nc.offrows:
-                nc.lpanel[...] = be.trsm(l00, nc.lpanel, side="right",
-                                         lower=True, trans=trans_right)
-                fl += trsm_flops(w, nc.offrows)
-        else:
-            for i in range(nc.sym.noff):
-                lb = nc.lblocks[i]
-                if isinstance(lb, LowRankBlock):
-                    if lb.rank:
-                        # L(i) Lᴴ00 = Â: with Â = u vᵀ the v factor solves
-                        # conj(L00) vᵀ... — equivalently v ← (L00⁻ᴴ vᴴ)ᴴ,
-                        # which for real factors is the plain "T" solve
-                        if hermitian:
-                            lb.v[...] = be.trsm(l00, lb.v.conj(),
-                                                lower=True).conj()
-                        else:
-                            lb.v[...] = be.trsm(l00, lb.v, lower=True)
-                    fl += trsm_flops(w, lb.rank)
-                else:
-                    nc.lblocks[i] = store(be.trsm(l00, lb, side="right",
-                                                  lower=True,
-                                                  trans=trans_right), lb)
-                    fl += trsm_flops(w, lb.shape[0])
-    else:  # ldlt: L(i) = A(i) Pᵀ L00⁻ᴴ D⁻¹ (⁻ᵗ for real factors; P = I
-        # without threshold pivoting, so the legacy path is untouched)
-        l00 = nc.diag
-        hermitian = np.asarray(nc.diag).dtype.kind == "c"
-        d = np.diag(nc.diag)
-        if hermitian:
-            d = d.real  # D is real for Hermitian LDLᴴ
-        trans_right = "C" if hermitian else "T"
-        perm = nc.pivperm
-        d21 = nc.pivd21
-        if nc.panel_mode:
-            if nc.offrows:
-                panel = nc.lpanel if perm is None else nc.lpanel[:, perm]
-                nc.lpanel[...] = ldlt_d_solve_cols(
-                    be.trsm(l00, panel, side="right", lower=True,
-                            trans=trans_right, unit_diagonal=True),
-                    d, d21, hermitian)
-                fl += trsm_flops(w, nc.offrows)
-        else:
-            for i in range(nc.sym.noff):
-                lb = nc.lblocks[i]
-                if isinstance(lb, LowRankBlock):
-                    if lb.rank:
-                        # A(i) Pᵀ = u (P v)ᵀ: the permutation lands on the
-                        # rows of the v factor before the solve
-                        vv = lb.v if perm is None else lb.v[perm]
-                        if hermitian:
-                            lb.v[...] = ldlt_d_solve_rows(
-                                be.trsm(l00, vv.conj(), lower=True,
-                                        unit_diagonal=True),
-                                d, d21, hermitian).conj()
-                        else:
-                            lb.v[...] = ldlt_d_solve_rows(
-                                be.trsm(l00, vv, lower=True,
-                                        unit_diagonal=True),
-                                d, d21, hermitian)
-                    fl += trsm_flops(w, lb.rank)
-                else:
-                    blk = lb if perm is None else lb[:, perm]
-                    nc.lblocks[i] = store(ldlt_d_solve_cols(
-                        be.trsm(l00, blk, side="right", lower=True,
-                                trans=trans_right, unit_diagonal=True),
-                        d, d21, hermitian), lb)
-                    fl += trsm_flops(w, lb.shape[0])
+    d = np.diag(nc.diag)
+    if fac.hermitian:
+        d = d.real  # D is real for Hermitian LDLᴴ
+    for side, lower, trans, unit, pivoted in _PANEL_SOLVES[
+            fac.config.factotype]:
+        if trans == "C" and not fac.hermitian:
+            trans = "T"
+        adjoint = trans == "C"
+        perm = nc.pivperm if pivoted else None
+        panel = getattr(nc, side + "panel")
+        blocks = [panel] if panel is not None else getattr(nc, side + "blocks")
+        for i, blk in enumerate(blocks):
+            if isinstance(blk, LowRankBlock):
+                if blk.rank:
+                    v = blk.v if perm is None else blk.v[perm]
+                    v = be.trsm(nc.diag, v.conj() if adjoint else v,
+                                lower=lower, trans="T" if trans == "N" else "N",
+                                unit_diagonal=unit)
+                    if pivoted:
+                        v = apply_d(v, d, nc.pivd21, fac.hermitian,
+                                    inverse=True)
+                    blk.v[...] = v.conj() if adjoint else v
+                fl += trsm_flops(w, blk.rank)
+            elif blk.shape[0]:
+                x = be.trsm(nc.diag, blk if perm is None else blk[:, perm],
+                            side="right", lower=lower, trans=trans,
+                            unit_diagonal=unit)
+                if pivoted:
+                    x = apply_d(x, d, nc.pivd21, fac.hermitian,
+                                inverse=True, cols=True)
+                if panel is not None:
+                    panel[...] = x
+                else:  # a narrow block stays narrow
+                    blocks[i] = x.astype(blk.dtype, copy=False)
+                fl += trsm_flops(w, blk.shape[0])
     stats.add("panel_solve", seconds=time.perf_counter() - t0,
               flops=fl * flop_scale(fac.dtype))
 
@@ -491,7 +401,6 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     sym = nc.sym
     offs = nc.row_offsets
     is_lu = nc.upanel is not None
-    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     be = fac.backend
     first, end = fac.symb.facing_ranges(sym.id)[t]
     tnc = fac.cblks[t]
@@ -503,18 +412,8 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     # narrow by an older archive is promoted: exactly those rows)
     l_rows = _as_dtype(nc.lpanel[base:], fac.dtype)
     u_rows = _as_dtype(nc.upanel[base:], fac.dtype) if is_lu else None
-    if is_lu:
-        facing = u_rows[:nf]
-    elif fac.config.factotype == "ldlt":
-        # L(F) D for LDLᵗ updates; the within-block pivot permutation
-        # contracts away here (both operands live in the permuted
-        # basis), only the block-diagonal D structure matters
-        facing = ldlt_d_mul_cols(l_rows[:nf], np.diag(nc.diag), nc.pivd21,
-                                 hermitian)
-    else:
-        facing = l_rows[:nf]
-    if hermitian:
-        facing = facing.conj()
+    facing = _update_operand(fac, nc, l_rows[:nf],
+                             u_rows[:nf] if is_lu else None)
     # rows facing t go to its diagonal block, the rows below to its
     # off-diagonal storage: through a slice where the landing is contiguous
     cols = _span(drow)
@@ -587,12 +486,6 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     stats = fac.stats.kernels
     sym = nc.sym
     is_lu = nc.ublocks is not None
-    d_scale = (np.diag(nc.diag)
-               if fac.config.factotype == "ldlt" else None)
-    # Hermitian facto: the transposed operand of every update is L(j)ᴴ,
-    # not L(j)ᵀ (no-op for real blocks)
-    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
-
     first, end = fac.symb.facing_ranges(sym.id)[t]
     tnc = fac.cblks[t]
     offs = nc.row_offsets
@@ -606,14 +499,8 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     for j in range(first, end):
         coff = sym.blocks[1 + j].first_row - tnc.sym.first_col
         lb_j = lsrc[j - first]
-        if is_lu:
-            ub_j = usrc[j - first]
-        elif d_scale is not None:
-            ub_j = _scale_columns(lb_j, d_scale, nc.pivd21, hermitian)
-        else:
-            ub_j = lb_j
-        if hermitian:
-            ub_j = ub_j.conj()
+        ub_j = _update_operand(fac, nc, lb_j,
+                               usrc[j - first] if is_lu else None)
         for i in range(j, sym.noff):
             in_diag = i < end
             row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
@@ -689,29 +576,25 @@ def _as_dtype(block: Optional[Block], dtype: np.dtype) -> Optional[Block]:
     return block
 
 
-def _scale_columns(block: Block, d: np.ndarray,
-                   d21: Optional[np.ndarray] = None,
-                   hermitian: bool = False) -> Block:
-    """Return ``block @ D`` (the ``L D`` operand of LDLᵗ updates).
-
-    ``D`` is diagonal (``d``) plus optional 2×2 pivot blocks whose
-    subdiagonal lives in ``d21``; for a low-rank block ``u vᵀ`` the
-    product lands on the rows of ``v`` (``new_v = Dᵀ v``).  Hermitian
-    factorizations conjugate the 2×2 superdiagonal of D
-    (``D[j, j+1] = conj(D[j+1, j])``).
-    """
-    if isinstance(block, LowRankBlock):
-        if block.rank == 0:
-            return block
-        v = block.v * d[:, None]
-        if d21 is not None:
-            for j in np.flatnonzero(d21):
-                dl = d21[j]
-                du = np.conj(dl) if hermitian else dl
-                v[j] = d[j] * block.v[j] + dl * block.v[j + 1]
-                v[j + 1] = du * block.v[j] + d[j + 1] * block.v[j + 1]
-        return LowRankBlock(block.u, v)
-    return ldlt_d_mul_cols(block, d, d21, hermitian)
+def _update_operand(fac: NumericFactor, nc: NumericColumnBlock,
+                    lb: Block, ub: Optional[Block]) -> Block:
+    """The transposed operand of the updates ``A(i),(j) -= L(i) op(·)``
+    from facing block ``j``: ``U(j)`` (LU, stored as ``ub``), ``L(j) D``
+    (LDLᵗ) or ``L(j)`` (Cholesky) — conjugated for a Hermitian factor,
+    whose update is ``L(i) (L(j) D)ᴴ``.  The within-block pivot
+    permutation contracts away (both operands live in the permuted
+    basis); a low-rank ``L(j) = u vᵗ`` takes D on ``vᵗ``."""
+    if ub is not None:
+        return ub
+    if fac.config.factotype == "ldlt":
+        # D stays complex here, where the solves read it .real
+        d, d21 = np.diag(nc.diag), nc.pivd21
+        if isinstance(lb, LowRankBlock):  # (u vᵗ) D = u (Dᵗ v)ᵗ
+            dt21 = None if d21 is None else d21.conj()
+            lb = LowRankBlock(lb.u, apply_d(lb.v, d, dt21, fac.hermitian))
+        else:
+            lb = apply_d(lb, d, d21, fac.hermitian, cols=True)
+    return lb.conj() if fac.hermitian else lb
 
 
 # ----------------------------------------------------------------------

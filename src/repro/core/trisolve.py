@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.factor import NumericColumnBlock, NumericFactor
-from repro.core.factorization import ldlt_d_solve_rows
+from repro.core.factorization import apply_d
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.spans import span
 
@@ -157,21 +157,13 @@ def _forward(fac: NumericFactor, x: np.ndarray, side: str, lower: bool,
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
-    """``y = D⁻¹ z`` using the (block-)diagonal of every diagonal block.
-
-    With threshold pivoting D may carry 2×2 pivot blocks whose
-    subdiagonal lives on ``nc.pivd21``; those are solved via the explicit
-    2×2 inverse (:func:`~repro.core.factorization.ldlt_d_solve_rows`)."""
+    """``y = D⁻¹ z`` with the (block-)diagonal D of every diagonal block,
+    2×2 pivot blocks included (:func:`~repro.core.factorization.apply_d`)."""
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         d = np.diag(nc.diag)
-        hermitian = d.dtype.kind == "c"
-        if hermitian:
-            d = d.real  # Hermitian LDLᴴ: D is real by construction
-        if nc.pivd21 is None:
-            x[lo:hi] /= d[:, None]
-        else:
-            x[lo:hi] = ldlt_d_solve_rows(x[lo:hi], d, nc.pivd21, hermitian)
+        x[lo:hi] = apply_d(x[lo:hi], d.real if fac.hermitian else d,
+                           nc.pivd21, fac.hermitian, inverse=True)
 
 
 def _backward(fac: NumericFactor, x: np.ndarray, side: str,
@@ -184,7 +176,7 @@ def _backward(fac: NumericFactor, x: np.ndarray, side: str,
     ``w = P x`` — the solution rows are scattered back through the
     permutation (``x[p] = w``)."""
     be = fac.backend
-    if trans == "C" and fac.dtype.kind != "c":
+    if trans == "C" and not fac.hermitian:
         apply_trans = trans = "T"
     for nc in reversed(fac.cblks):
         acc = _apply_below_t(fac, nc, side, x, apply_trans)

@@ -582,12 +582,7 @@ class TestFactotypeDigests:
 
     @pytest.mark.parametrize("dtype", sorted(D_OPERATOR_DIGESTS))
     def test_d_operator_with_2x2_pivots_pinned(self, dtype):
-        from repro.core.factorization import (
-            _scale_columns,
-            ldlt_d_mul_cols,
-            ldlt_d_solve_cols,
-            ldlt_d_solve_rows,
-        )
+        from repro.core.factorization import apply_d
 
         rng = np.random.default_rng(11)
         hermitian = dtype == "complex128"
@@ -602,10 +597,10 @@ class TestFactotypeDigests:
         assert stats["n2x2"] > 0
         d = np.diag(packed)  # complex in the updates, read .real in solves
         dr = d.real if hermitian else d
-        x, u, v = draw(7, 10), draw(6, 3), draw(10, 3)
-        outs = (ldlt_d_solve_cols(x, dr, d21, hermitian),
-                ldlt_d_solve_rows(v, dr, d21, hermitian),
-                ldlt_d_solve_rows(x.T.copy(), dr, d21, hermitian),
-                ldlt_d_mul_cols(x, d, d21, hermitian),
-                _scale_columns(LowRankBlock(u, v), d, d21, hermitian).v)
+        x, _, v = draw(7, 10), draw(6, 3), draw(10, 3)
+        outs = (apply_d(x, dr, d21, hermitian, inverse=True, cols=True),
+                apply_d(v, dr, d21, hermitian, inverse=True),
+                apply_d(x.T.copy(), dr, d21, hermitian, inverse=True),
+                apply_d(x, d, d21, hermitian, cols=True),
+                apply_d(v, d, d21.conj(), hermitian))
         assert _digest(*outs) == D_OPERATOR_DIGESTS[dtype]

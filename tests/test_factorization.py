@@ -269,23 +269,14 @@ def reference_updates_from_panel(fac, nc, t, acc):
     sym = nc.sym
     offs = nc.row_offsets
     is_lu = nc.upanel is not None
-    d_scale = np.diag(nc.diag) if fac.config.factotype == "ldlt" else None
-    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     be = fac.backend
     first, end = fac.symb.facing_ranges(sym.id)[t]
     for j in range(first, end):
         bj = sym.blocks[1 + j]
         jlo, jhi = offs[j], offs[j + 1]
         tail = slice(jlo, nc.offrows)
-        if is_lu:
-            ub_j = nc.upanel[jlo:jhi]
-        elif d_scale is not None:
-            ub_j = F.ldlt_d_mul_cols(nc.lpanel[jlo:jhi], d_scale,
-                                     nc.pivd21, hermitian)
-        else:
-            ub_j = nc.lpanel[jlo:jhi]
-        if hermitian:
-            ub_j = ub_j.conj()
+        ub_j = F._update_operand(fac, nc, nc.lpanel[jlo:jhi],
+                                 nc.upanel[jlo:jhi] if is_lu else None)
         w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
         fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
         w_u = None
@@ -309,8 +300,6 @@ def reference_updates_from_blocks(fac, nc, t, acc):
     stats = fac.stats.kernels
     sym = nc.sym
     is_lu = nc.ublocks is not None
-    d_scale = np.diag(nc.diag) if cfg.factotype == "ldlt" else None
-    hermitian = (not is_lu) and np.asarray(nc.diag).dtype.kind == "c"
     promote = fac.dtype if fac.storage_dtype is not None else None
 
     def product(a, b):
@@ -322,15 +311,8 @@ def reference_updates_from_blocks(fac, nc, t, acc):
     first, end = fac.symb.facing_ranges(sym.id)[t]
     for j in range(first, end):
         bj = sym.blocks[1 + j]
-        if is_lu:
-            ub_j = nc.ublocks[j]
-        elif d_scale is not None:
-            ub_j = F._scale_columns(nc.lblocks[j], d_scale, nc.pivd21,
-                                    hermitian)
-        else:
-            ub_j = nc.lblocks[j]
-        if hermitian:
-            ub_j = ub_j.conj()
+        ub_j = F._update_operand(fac, nc, nc.lblocks[j],
+                                 nc.ublocks[j] if is_lu else None)
         for i in range(j, sym.noff):
             bi = sym.blocks[1 + i]
             contrib = product(nc.lblocks[i], ub_j)

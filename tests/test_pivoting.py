@@ -232,18 +232,16 @@ class TestBitIdentityWithPivotingOff:
     spot-checks."""
 
     def test_static_ldlt_unchanged_by_helpers(self, rng):
-        from repro.core.factorization import (
-            ldlt_d_mul_cols,
-            ldlt_d_solve_cols,
-            ldlt_d_solve_rows,
-        )
+        from repro.core.factorization import apply_d
 
         x = rng.standard_normal((5, 4))
         d = rng.standard_normal(4) + 3.0
-        np.testing.assert_array_equal(ldlt_d_solve_cols(x, d, None), x / d)
         np.testing.assert_array_equal(
-            ldlt_d_solve_rows(x.T, d, None), x.T / d[:, None])
-        np.testing.assert_array_equal(ldlt_d_mul_cols(x, d, None), x * d)
+            apply_d(x, d, None, False, inverse=True, cols=True), x / d)
+        np.testing.assert_array_equal(
+            apply_d(x.T, d, None, False, inverse=True), x.T / d[:, None])
+        np.testing.assert_array_equal(
+            apply_d(x, d, None, False, cols=True), x * d)
 
     def test_threshold_without_pivots_matches_static(self, rng):
         # SPD matrix: threshold pivoting accepts every pivot in place, so
