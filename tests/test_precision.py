@@ -5,7 +5,7 @@ storage that follows the error compression discarded."""
 import numpy as np
 import pytest
 
-from tests.conftest import tiny_blr_config
+from tests.conftest import hermitian_congruence, tiny_blr_config
 from tests.test_recovery import factor_digest
 
 from repro.config import SolverConfig
@@ -146,22 +146,9 @@ class TestHermitianSymmetry:
     @pytest.mark.parametrize("factotype", ("cholesky", "ldlt"))
     def test_hermitian_facto_blr_paths(self, factotype, strategy):
         # D A D^H with unitary diagonal D: sparse, Hermitian PD, and
-        # genuinely complex — exercises the low-rank Hermitian panel
-        # solves and conjugated trailing updates
-        base = laplacian_3d(6)
-        rng = np.random.default_rng(2)
-        d = np.exp(1j * rng.uniform(0, 2 * np.pi, base.n))
-        r = base.rowind
-        c = np.repeat(np.arange(base.n, dtype=np.int64),
-                      np.diff(base.colptr))
-        v = base.values
-        diag, up = r == c, r < c
-        vu = d[r[up]] * v[up] * np.conj(d[c[up]])
-        a = CSCMatrix.from_coo(
-            base.n,
-            np.concatenate([r[diag], r[up], c[up]]),
-            np.concatenate([c[diag], c[up], r[up]]),
-            np.concatenate([v[diag].astype(np.complex128), vu, np.conj(vu)]))
+        # genuinely complex — conjugated trailing updates (nothing
+        # compresses here: the low-rank paths are the lap8 case below)
+        a = hermitian_congruence(laplacian_3d(6))
         assert a.is_symmetric(tol=0.0, hermitian=True)
         s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
                                       tolerance=1e-8))
@@ -169,6 +156,23 @@ class TestHermitianSymmetry:
         b = _rhs(a, "complex128")
         x = s.solve(b)
         assert s.backward_error(x, b) <= 1e-7
+
+    @pytest.mark.parametrize("strategy", ("just-in-time", "minimal-memory"))
+    @pytest.mark.parametrize("factotype", ("cholesky", "ldlt"))
+    def test_hermitian_facto_lowrank_paths(self, factotype, strategy):
+        # lap8 at τ = 1e-4 holds rank > 0 low-rank blocks: the Hermitian
+        # panel solves of their v factors and the conjugated low-rank
+        # update operands run; bound 10·τ, as the layerbench gate
+        tau = 1e-4
+        a = hermitian_congruence(laplacian_3d(8))
+        s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
+                                      tolerance=tau))
+        s.factorize()
+        assert any(isinstance(b, LowRankBlock) and b.rank
+                   for nc in s.factor.cblks for b in nc.lblocks or ())
+        b = _rhs(a, "complex128")
+        x = s.solve(b)
+        assert s.backward_error(x, b) <= 10 * tau
 
     def test_complex_symmetric_rejected_by_cholesky(self):
         # damped Helmholtz is complex symmetric but NOT Hermitian
