@@ -184,7 +184,7 @@ class SolverConfig:
             raise ValueError("tolerance must be in (0, 1)")
         if self.cmin < 1:
             raise ValueError("cmin must be >= 1")
-        if self.frat < 0.0:
+        if not (self.frat >= 0.0):
             raise ValueError("frat must be >= 0")
         if self.split_size < 1:
             raise ValueError("split_size must be >= 1")
@@ -207,15 +207,17 @@ class SolverConfig:
                 "allocates dense panels")
         if self.left_looking and self.threads > 1:
             raise ValueError("left_looking is implemented sequentially")
-        if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:
+        if self.watchdog_timeout is not None and not self.watchdog_timeout > 0:
             raise ValueError("watchdog_timeout must be positive (or None)")
         if self.pivoting not in PIVOTINGS:
             raise ValueError(
                 f"pivoting must be one of {PIVOTINGS}, got {self.pivoting!r}")
         if not (0.0 < self.pivot_u <= 0.5):
             raise ValueError("pivot_u must be in (0, 0.5]")
-        if self.pivot_growth_limit <= 1.0:
+        if not (self.pivot_growth_limit > 1.0):
             raise ValueError("pivot_growth_limit must be > 1")
+        if not (self.pivot_threshold >= 0.0):
+            raise ValueError("pivot_threshold must be >= 0")
         if self.recovery is not None:
             from repro.runtime.recovery import RecoveryPolicy
 

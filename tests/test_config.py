@@ -27,7 +27,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="ordering"):
             SolverConfig(ordering="random")
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-8, 2.0])
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-8, 2.0, float("nan")])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(tolerance=tol)
@@ -39,6 +39,21 @@ class TestValidation:
     def test_negative_frat_rejected(self):
         with pytest.raises(ValueError, match="frat"):
             SolverConfig(frat=-0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("frat", float("nan")),
+        ("pivot_threshold", float("nan")),
+        ("pivot_threshold", -1.0),
+        ("pivot_growth_limit", float("nan")),
+        ("pivot_growth_limit", 1.0),
+        ("watchdog_timeout", float("nan")),
+        ("watchdog_timeout", -1.0),
+    ])
+    def test_nan_or_negative_safeguard_rejected(self, field, value):
+        """Each of these would silently switch a safeguard off: every
+        comparison against NaN is false."""
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
     def test_split_min_above_split_size_rejected(self):
         with pytest.raises(ValueError, match="split_min"):
@@ -54,7 +69,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="threads"):
             SolverConfig(threads=0)
 
-    @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.25])
+    @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.25, float("nan")])
     def test_bad_rank_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="rank_ratio"):
             SolverConfig(rank_ratio=ratio)
