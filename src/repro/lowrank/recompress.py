@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.rrqr import rrqr_lapack as rrqr
+from repro.lowrank.rrqr import rrqr_lapack
 from repro.lowrank.svd import svd_truncate
 
 
@@ -108,7 +108,7 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
         # no existing directions: plain truncated QR of the contribution
         q2, r2 = np.linalg.qr(u_ab)
         core = r2 @ (-v_ab.T)
-        res = rrqr(core, tol, max_rank, norm_ref=scale)
+        res = rrqr_lapack(core, tol, max_rank, norm_ref=scale)
         if not res.converged:
             return None
         if tail is not None:
@@ -135,7 +135,7 @@ def recompress_rrqr(u_c: np.ndarray, v_c: np.ndarray,
     bot = -(r2 @ v_ab.T)                   # (rAB, n)
     core = np.vstack([top, bot])
 
-    res = rrqr(core, tol, max_rank, norm_ref=scale)
+    res = rrqr_lapack(core, tol, max_rank, norm_ref=scale)
     if not res.converged:
         return None
     if tail is not None:

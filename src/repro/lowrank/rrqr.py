@@ -9,6 +9,12 @@ as soon as the trailing submatrix norm drops below the tolerance*, giving
 Pivoting uses the classical partial-column-norm downdating with the LAPACK
 safeguard (recompute a column norm exactly when cancellation has destroyed
 the downdated estimate).
+
+The solver itself runs :func:`rrqr_lapack` (``dgeqp3`` then truncation):
+the compression of :func:`rrqr_compress` and the recompressions of
+:mod:`repro.lowrank.recompress` both call it.  The early-exit loop
+:func:`rrqr` is kept for ``benchmarks/bench_table1_complexity.py``, which
+measures its Θ(m·n·r) work, and for its own tests.
 """
 
 from __future__ import annotations
@@ -210,22 +216,18 @@ def rrqr_lapack(a: np.ndarray, tol: float,
 
 def rrqr_compress(a: np.ndarray, tol: float,
                   max_rank: Optional[int] = None,
-                  impl: str = "lapack",
                   norm_ref: Optional[float] = None) -> Optional[LowRankBlock]:
-    """Compress ``a`` into ``u vᵗ`` via truncated RRQR.
+    """Compress ``a`` into ``u vᵗ`` via truncated RRQR (:func:`rrqr_lapack`).
 
     ``u = Q_r`` (orthonormal), ``vᵗ = R_r Pᵗ`` (the column permutation
     undone), so ``||a - u vᵗ||_F <= tol ||a||_F``.  Returns ``None`` when
-    the rank cap is exceeded.  ``impl`` selects the LAPACK-backed kernel
-    (default) or the pure-Python early-exit Householder loop
-    (``"householder"``).  ``norm_ref`` raises the truncation reference to
-    ``max(||a||_F, norm_ref)`` for the global threshold modes.
+    the rank cap is exceeded.  ``norm_ref`` raises the truncation reference
+    to ``max(||a||_F, norm_ref)`` for the global threshold modes.
     """
     m, n = a.shape
     if min(m, n) == 0:
         return LowRankBlock.zero(m, n, dtype=a.dtype)
-    res = (rrqr_lapack if impl == "lapack" else rrqr)(a, tol, max_rank,
-                                                     norm_ref=norm_ref)
+    res = rrqr_lapack(a, tol, max_rank, norm_ref=norm_ref)
     if not res.converged:
         return None
     rank = res.q.shape[1]
