@@ -450,8 +450,8 @@ class Kernels:
     panel kernels.
 
     Call counts are tallied per operation in :attr:`counts` (best-effort
-    under threads: increments are not locked) and surface as telemetry
-    counters and ``FactorizationStats.backend_kernel_calls``.
+    under threads: increments are not locked) and surface as
+    ``FactorizationStats.backend_kernel_calls``.
     """
 
     def __init__(self) -> None:
