@@ -587,7 +587,8 @@ def _update_operand(fac: NumericFactor, nc: NumericColumnBlock,
     if ub is not None:
         return ub
     if fac.config.factotype == "ldlt":
-        # D stays complex here, where the solves read it .real
+        # D stays complex here while the solves read it .real: the two
+        # round signed zeros apart, and the pinned digests see it
         d, d21 = np.diag(nc.diag), nc.pivd21
         if isinstance(lb, LowRankBlock):  # (u vᵗ) D = u (Dᵗ v)ᵗ
             dt21 = None if d21 is None else d21.conj()
