@@ -207,7 +207,7 @@ class SolverConfig:
                 "allocates dense panels")
         if self.left_looking and self.threads > 1:
             raise ValueError("left_looking is implemented sequentially")
-        if self.watchdog_timeout is not None and not self.watchdog_timeout > 0:
+        if self.watchdog_timeout is not None and not (self.watchdog_timeout > 0):
             raise ValueError("watchdog_timeout must be positive (or None)")
         if self.pivoting not in PIVOTINGS:
             raise ValueError(

@@ -316,7 +316,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
         perm = nc.pivperm if pivoted else None
         panel = getattr(nc, side + "panel")
         blocks = [panel] if panel is not None else getattr(nc, side + "blocks")
-        for i, blk in enumerate(blocks):
+        for blk in blocks:
             if isinstance(blk, LowRankBlock):
                 if blk.rank:
                     v = blk.v if perm is None else blk.v[perm]
@@ -335,10 +335,7 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                 if pivoted:
                     x = apply_d(x, d, nc.pivd21, fac.hermitian,
                                 inverse=True, cols=True)
-                if panel is not None:
-                    panel[...] = x
-                else:  # a narrow block stays narrow
-                    blocks[i] = x.astype(blk.dtype, copy=False)
+                blk[...] = x  # in place: a narrow block stays narrow
                 fl += trsm_flops(w, blk.shape[0])
     stats.add("panel_solve", seconds=time.perf_counter() - t0,
               flops=fl * flop_scale(fac.dtype))
