@@ -134,8 +134,7 @@ class NumericFactor:
     """
 
     def __init__(self, symb: SymbolicFactor, config: SolverConfig,
-                 recovery: Optional["RecoveryState"] = None,
-                 dtype: "np.dtype | str" = "float64") -> None:
+                 recovery: Optional["RecoveryState"] = None) -> None:
         self.symb = symb
         self.config = config
         #: the kernel instance (:data:`repro.core.backend.KERNELS`) —
@@ -165,10 +164,7 @@ class NumericFactor:
         self._counter_lock: Any = threading.Lock()
         #: arithmetic dtype of the factorization (resolved by
         #: :func:`assemble` from the matrix and ``config.dtype``)
-        self.dtype = np.dtype(dtype)
-        #: complex Cholesky / LDLᴴ: the factor is ``L Lᴴ`` / ``L D Lᴴ``, so
-        #: every transposed operand is an adjoint (LU stays a transpose)
-        self.hermitian = config.is_symmetric_facto and self.dtype.kind == "c"
+        self.dtype = np.dtype(np.float64)
         #: narrow dtype a column block is stored in once its compression
         #: discarded enough (:func:`narrow_if_discarded`); ``None`` when nothing
         #: may narrow (dense strategy, single-precision arithmetic)
@@ -208,6 +204,12 @@ class NumericFactor:
         #: raw config tolerance
         self.comp_tol = config.tolerance
         self.comp_norm_ref: Optional[float] = None
+
+    @property
+    def hermitian(self) -> bool:
+        """Complex Cholesky / LDLᴴ: the factor is ``L Lᴴ`` / ``L D Lᴴ``, so
+        every transposed operand is an adjoint (LU stays a transpose)."""
+        return self.config.is_symmetric_facto and self.dtype.kind == "c"
 
     def attach_sanitizer(self, san: "RaceSanitizer") -> None:
         """Arm the runtime race sanitizer on this factor's shared state.
@@ -319,8 +321,8 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
     """
     if not a_perm.is_pattern_symmetric():
         raise ValueError("assemble expects a pattern-symmetric matrix")
-    fac = NumericFactor(symb, config, recovery,
-                        config.resolve_dtype(a_perm.values.dtype))
+    fac = NumericFactor(symb, config, recovery)
+    fac.dtype = config.resolve_dtype(a_perm.values.dtype)
     fac.storage_dtype = config.resolve_storage_dtype(fac.dtype)
     need_u = not config.is_symmetric_facto
     at_perm = a_perm.transpose() if need_u else None

@@ -305,18 +305,19 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
     w = nc.width
     t0 = time.perf_counter()
     fl = 0.0
-    d = np.diag(nc.diag)
-    if fac.hermitian:
-        d = d.real  # D is real for Hermitian LDLᴴ
     for side, lower, trans, unit, pivoted in _PANEL_SOLVES[
             fac.config.factotype]:
         if trans == "C" and not fac.hermitian:
             trans = "T"
         adjoint = trans == "C"
         perm = nc.pivperm if pivoted else None
+        if pivoted:
+            d = np.diag(nc.diag)
+            if fac.hermitian:
+                d = d.real  # D is real for Hermitian LDLᴴ
         panel = getattr(nc, side + "panel")
         blocks = [panel] if panel is not None else getattr(nc, side + "blocks")
-        for blk in blocks:
+        for i, blk in enumerate(blocks):
             if isinstance(blk, LowRankBlock):
                 if blk.rank:
                     v = blk.v if perm is None else blk.v[perm]
@@ -335,7 +336,10 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
                 if pivoted:
                     x = apply_d(x, d, nc.pivd21, fac.hermitian,
                                 inverse=True, cols=True)
-                blk[...] = x  # in place: a narrow block stays narrow
+                if panel is not None:
+                    panel[...] = x
+                else:  # rebound, so no block keeps the dense panel alive
+                    blocks[i] = x.astype(blk.dtype, copy=False)
                 fl += trsm_flops(w, blk.shape[0])
     stats.add("panel_solve", seconds=time.perf_counter() - t0,
               flops=fl * flop_scale(fac.dtype))

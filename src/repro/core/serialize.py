@@ -188,9 +188,10 @@ def load_factor(path: Union[str, Path]) -> tuple:
 
     config = config_from_header(header["config"])
     symb = _symbolic_from_json(header["symbolic"])
-    # archives predating the dtype field are float64 full-precision
-    fac = NumericFactor(symb, config, dtype=header.get("dtype", "float64"))
+    fac = NumericFactor(symb, config)
     fac.nperturbed = int(header["nperturbed"])
+    # archives predating the dtype field are float64 full-precision
+    fac.dtype = np.dtype(header.get("dtype", "float64"))
     storage = header.get("storage_dtype")
     fac.storage_dtype = np.dtype(storage) if storage else None
 
