@@ -71,12 +71,6 @@ class SolverConfig:
     #: maximum admissible rank as a fraction of min(m, n); blocks whose
     #: revealed rank exceeds it are stored dense (paper §3.4 uses 1/4).
     rank_ratio: float = 0.25
-    #: left-looking elimination (paper §4.3's proposal): allocate and update
-    #: each column block's dense panels only when it is reached, so the
-    #: Just-In-Time memory peak shrinks toward Minimal Memory's.
-    #: Sequential only; incompatible with minimal-memory (which has no dense
-    #: panels to delay).
-    left_looking: bool = False
 
     # --- ordering / symbolic ------------------------------------------
     ordering: str = "nested-dissection"
@@ -200,13 +194,6 @@ class SolverConfig:
             raise ValueError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got "
                 f"{self.threshold_mode!r}")
-        if self.left_looking and self.strategy == "minimal-memory":
-            raise ValueError(
-                "left_looking delays dense panel allocation, but the "
-                "minimal-memory strategy compresses at assembly and never "
-                "allocates dense panels")
-        if self.left_looking and self.threads > 1:
-            raise ValueError("left_looking is implemented sequentially")
         if self.watchdog_timeout is not None and not (self.watchdog_timeout > 0):
             raise ValueError("watchdog_timeout must be positive (or None)")
         if self.pivoting not in PIVOTINGS:

@@ -19,6 +19,15 @@ out:
   whose candidates were all rejected keeps that scratch as its panels, at
   the bytes its dense blocks would have cost.
 
+Nothing is allocated before the factorization: :func:`assemble` only
+resolves dtypes and norms, and each column block is allocated and scattered
+by :meth:`NumericFactor.fill_column_block` when its own task starts (the
+paper's §4.3 proposal to "delay the allocation and the compression of the
+original blocks").  The tracked peak is therefore the factored prefix plus
+the column blocks in flight under every strategy — the dense factor for
+Dense, the compressed factor plus one dense column block for Just-In-Time,
+the compressed factor for Minimal Memory.
+
 The diagonal block is always a separate dense ``(w, w)`` array (paper §2.2:
 "all diagonal blocks are considered dense").  For LU, a second structure
 (``upanel`` / ``ublocks``) stores Uᵗ with the same shape as L — the paper's
@@ -56,6 +65,7 @@ from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import block_nbytes, compress_block, rank_cap
 from repro.lowrank.recompress import sqnorm
 from repro.runtime.memory import MemoryTracker, array_nbytes
+from repro.runtime.spans import span
 from repro.runtime.stats import FactorizationStats, KernelStats
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.structure import SymbolicColumnBlock, SymbolicFactor
@@ -128,7 +138,8 @@ class NumericColumnBlock:
 class NumericFactor:
     """The factorized matrix: block storage + bookkeeping.
 
-    Created by :func:`assemble`; filled in by
+    Created by :func:`assemble`; each column block allocated by
+    :meth:`fill_column_block` when its task starts, then factored by
     :mod:`repro.core.factorization`; consumed by
     :mod:`repro.core.trisolve`.
     """
@@ -171,8 +182,11 @@ class NumericFactor:
         self.storage_dtype = None
         #: 2 when both L and Uᵗ off-diagonal panels are stored (LU), else 1
         self.sides = 1 if config.is_symmetric_facto else 2
-        #: (a_perm, at_perm) when allocation is deferred (left-looking mode)
-        self.deferred = None
+        #: what :meth:`fill_column_block` scatters: the matrix entries and
+        #: where they land (:func:`_entry_landings`); set by
+        #: :func:`assemble`, released by the engine once every task has
+        #: run, so a finished factor holds only its factor
+        self.entries: Optional[Tuple[np.ndarray, ...]] = None
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
         #: from ``config.profiler`` so the engines and kernels pay a single
         #: attribute load; the schedulers open one causal span per task and
@@ -222,26 +236,50 @@ class NumericFactor:
                                            "factor._counter_lock")
 
     def fill_column_block(self, k: int) -> None:
-        """Left-looking mode: allocate column block ``k``'s dense storage
-        and scatter the matrix entries into it, on first touch."""
-        if self.deferred is None:
-            raise RuntimeError("fill_column_block requires left-looking "
-                               "deferred assembly")
-        a_perm, at_perm = self.deferred
+        """The first step of column block ``k``'s task: allocate its
+        storage and scatter the matrix entries into it (structural zeros
+        explicit).  A column block already filled is left as it is, so a
+        caller may fill every column block before the engine runs.
+
+        * Dense / Just-In-Time: the dense panels are kept and charged; JIT
+          compresses them once they are fully updated.
+        * Minimal Memory (compress-at-assembly, Algorithm 1 lines 1–4):
+          each low-rank candidate is compressed from the dense scratch at
+          once; the scratch is never charged, only what is stored is.  In
+          the pull engine nothing has landed in ``k`` before its own task,
+          so this is the input an up-front assembly would compress."""
         nc = self.cblks[k]
         if nc.diag is not None:
             return
-        sym = nc.sym
-        w = sym.ncols
+        w = nc.width
         nc.diag = np.zeros((w, w), dtype=self.dtype)
         self.tracker.alloc(array_nbytes(nc.diag))
-        nc.lpanel = np.zeros((nc.offrows, w), dtype=self.dtype)
-        self.tracker.alloc(array_nbytes(nc.lpanel))
-        _scatter_panel(a_perm, self.symb, sym, nc.diag, nc.lpanel)
-        if at_perm is not None:
-            nc.upanel = np.zeros((nc.offrows, w), dtype=self.dtype)
-            self.tracker.alloc(array_nbytes(nc.upanel))
-            _scatter_panel(at_perm, self.symb, sym, None, nc.upanel)
+        lpanel = np.zeros((nc.offrows, w), dtype=self.dtype)
+        upanel = None if self.sides == 1 else np.zeros_like(lpanel)
+        dest, bounds, lvals, uvals = self.entries
+        d0, p0, p1 = bounds[2 * k:2 * k + 3]
+        nc.diag.reshape(-1)[dest[d0:p0]] = lvals[d0:p0]
+        lpanel.reshape(-1)[dest[p0:p1]] = lvals[p0:p1]
+        if upanel is not None:
+            upanel.reshape(-1)[dest[p0:p1]] = uvals[p0:p1]
+        if self.variant is not None and self.variant.compress_at_assembly:
+            with span(self.profiler, "compress", cblk=k,
+                      kernel=self.config.kernel):
+                self.tracker.alloc(
+                    compress_column_block(self, nc, lpanel, upanel))
+        else:
+            nc.lpanel, nc.upanel = lpanel, upanel
+            self.tracker.alloc(array_nbytes(lpanel) * self.sides)
+
+    def clear_column_block(self, k: int) -> None:
+        """Free column block ``k``'s storage, returning it to the state
+        before its task — where a failed attempt restarts from, since only
+        task ``k`` ever mutates ``k``."""
+        nc = self.cblks[k]
+        self.tracker.free(nc.nbytes(self.sides))
+        nc.diag = nc.lpanel = nc.upanel = nc.lblocks = nc.ublocks = None
+        nc.pivperm = nc.pivd21 = None
+        nc.factored = False
 
     # -- sizing ----------------------------------------------------------
     def dense_factor_nbytes(self) -> int:
@@ -303,127 +341,78 @@ class NumericFactor:
 def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
              config: SolverConfig,
              recovery: Optional["RecoveryState"] = None) -> NumericFactor:
-    """Scatter the permuted matrix into the block structure.
+    """The factor of ``a_perm``, before any of its storage exists.
 
-    * Dense / Just-In-Time (``ucf``): every column block gets dense
-      panels (``A`` entries scattered, structural zeros explicit) — the
-      Just-In-Time memory peak therefore matches the dense solver, as §4.3
-      observes.
-    * Compress-at-assembly (``cuf``, Minimal Memory): Algorithm 1
-      lines 1–4 — each low-rank candidate is compressed *directly from its
-      sparse entries* (a transient dense scratch is built, compressed, and
-      freed; only what is stored is charged to the tracker), so the dense
-      factor structure never exists beside the compressed one.  A column
-      block in which nothing compressed keeps its scratch as its panels.
+    Resolves the arithmetic and storage dtypes and the compression norms —
+    from the CSC values, so the thresholds are the whole matrix's — and
+    keeps the entries for :meth:`NumericFactor.fill_column_block`, which
+    each task calls for its own column block.  Nothing is allocated here,
+    so no strategy's peak holds the dense structure beside what it has
+    stored (the Just-In-Time peak is its factor plus the column blocks in
+    flight, not the dense solver's).
 
     ``recovery`` is the run's record (see :class:`NumericFactor`), attached
     before the first compression.
     """
-    if not a_perm.is_pattern_symmetric():
+    # one transpose checks the pattern and gives Uᵗ its values: L and Uᵗ
+    # then land through one index computation
+    at_perm = a_perm.transpose()
+    if not (np.array_equal(a_perm.colptr, at_perm.colptr)
+            and np.array_equal(a_perm.rowind, at_perm.rowind)):
         raise ValueError("assemble expects a pattern-symmetric matrix")
     fac = NumericFactor(symb, config, recovery)
     fac.dtype = config.resolve_dtype(a_perm.values.dtype)
     fac.storage_dtype = config.resolve_storage_dtype(fac.dtype)
-    need_u = not config.is_symmetric_facto
-    at_perm = a_perm.transpose() if need_u else None
-    variant = fac.variant
     fac.global_norm = float(np.linalg.norm(a_perm.values))  # solverlint: ignore[backend-bypass] -- one norm of the raw CSC value array at assembly; the kernel module in core/backend.py works on dense blocks only
-    if variant is not None:
-        fac.comp_tol, fac.comp_norm_ref = variant.compress_scale(
+    if fac.variant is not None:
+        fac.comp_tol, fac.comp_norm_ref = fac.variant.compress_scale(
             config.tolerance, symb.ncblk, fac.global_norm)
-
-    if config.left_looking:
-        # §4.3's left-looking proposal: defer every allocation to the
-        # moment the column block is reached (see fill_column_block).
-        # Config validation forbids compress-at-assembly orders here.
-        fac.deferred = (a_perm, at_perm)
-        return fac
-
-    compress_now = variant is not None and variant.compress_at_assembly
-    for nc in fac.cblks:
-        sym = nc.sym
-        w = sym.ncols
-        nc.diag = np.zeros((w, w), dtype=fac.dtype)
-        fac.tracker.alloc(array_nbytes(nc.diag))
-        ldense = np.zeros((nc.offrows, w), dtype=fac.dtype)
-        _scatter_panel(a_perm, symb, sym, nc.diag, ldense)
-        udense = None
-        if need_u:
-            udense = np.zeros((nc.offrows, w), dtype=fac.dtype)
-            _scatter_panel(at_perm, symb, sym, None, udense)
-        if compress_now:
-            # candidates compressed from their entries; the dense scratch
-            # was never charged, only what is stored is
-            fac.tracker.alloc(compress_column_block(fac, nc, ldense, udense))
-        else:
-            nc.lpanel, nc.upanel = ldense, udense
-            fac.tracker.alloc(array_nbytes(ldense) * fac.sides)
+    fac.entries = _entry_landings(
+        a_perm, None if fac.sides == 1 else at_perm.values, symb)
     return fac
 
 
-def _scatter_panel(a: CSCMatrix, symb: SymbolicFactor,
-                   sym: SymbolicColumnBlock, diag: Optional[np.ndarray],
-                   panel: np.ndarray) -> None:
-    """Scatter matrix entries of ``sym``'s columns into diag + off panel
-    (one indexed store each; an entry below the diagonal block that the
-    symbolic structure does not cover raises)."""
-    fc, w = sym.first_col, sym.ncols
-    lo, hi = a.colptr[fc], a.colptr[fc + w]
-    rows, vals = a.rowind[lo:hi], a.values[lo:hi]
-    cols = np.repeat(np.arange(w), np.diff(a.colptr[fc:fc + w + 1]))
+def _entry_landings(a: CSCMatrix, uvals: Optional[np.ndarray],
+                    symb: SymbolicFactor) -> Tuple[np.ndarray, ...]:
+    """Where every entry of ``a`` on or below its column block's diagonal
+    block lands, for all column blocks at once: ``(dest, bounds, lvals,
+    uvals)``.  The entries are grouped by column block, those of its
+    diagonal block first; ``bounds[2k:2k+3]`` delimits column block ``k``'s
+    two groups, ``dest`` is each entry's flat index into the diagonal
+    block or the stacked off-diagonal frame, and ``lvals`` / ``uvals``
+    are its values in ``a`` and in the transpose.  An entry below the
+    diagonal block that the symbolic structure does not cover raises."""
+    first = np.array([c.first_col for c in symb.cblks] + [symb.n])
+    widths = np.diff(first)
+    cols = a.col_indices()
+    k = np.repeat(np.arange(symb.ncblk), widths)[cols]
+    rows, fc, w = a.rowind, first[k], widths[k]
     below = rows >= fc + w
-    if diag is not None:
-        inside = (rows >= fc) & ~below
-        diag[rows[inside] - fc, cols[inside]] = vals[inside]
-    panel[symb.panel_positions(sym.id, rows[below]), cols[below]] = \
-        vals[below]
-
-
-def snapshot_column_block(nc: NumericColumnBlock) -> Dict[str, Any]:
-    """Deep copy of ``nc``'s numerical state (pre-task retry snapshot).
-
-    Only the task factoring ``nc`` mutates its storage (pull-mode fan-in),
-    so a snapshot taken before the task plus :func:`restore_column_block`
-    on failure gives exact local retry semantics.
-    """
-    return {
-        "diag": nc.diag.copy() if nc.diag is not None else None,
-        "lpanel": nc.lpanel.copy() if nc.lpanel is not None else None,
-        "upanel": nc.upanel.copy() if nc.upanel is not None else None,
-        "lblocks": ([b.copy() for b in nc.lblocks]
-                    if nc.lblocks is not None else None),
-        "ublocks": ([b.copy() for b in nc.ublocks]
-                    if nc.ublocks is not None else None),
-        "factored": nc.factored,
-        "pivperm": nc.pivperm.copy() if nc.pivperm is not None else None,
-        "pivd21": nc.pivd21.copy() if nc.pivd21 is not None else None,
-    }
-
-
-def restore_column_block(fac: NumericFactor, k: int,
-                         snap: Dict[str, Any]) -> None:
-    """Reinstate a :func:`snapshot_column_block` snapshot on column ``k``.
-
-    Fresh copies are installed so the snapshot stays reusable across
-    several retry attempts; the memory tracker is resized to the restored
-    footprint.
-    """
-    nc = fac.cblks[k]
-    before = nc.nbytes(fac.sides)
-    nc.diag = snap["diag"].copy() if snap["diag"] is not None else None
-    nc.lpanel = snap["lpanel"].copy() if snap["lpanel"] is not None else None
-    nc.upanel = snap["upanel"].copy() if snap["upanel"] is not None else None
-    nc.lblocks = ([b.copy() for b in snap["lblocks"]]
-                  if snap["lblocks"] is not None else None)
-    nc.ublocks = ([b.copy() for b in snap["ublocks"]]
-                  if snap["ublocks"] is not None else None)
-    nc.factored = bool(snap["factored"])
-    # .get(): snapshots predating the pivoting fields restore to identity
-    pivperm = snap.get("pivperm")
-    nc.pivperm = pivperm.copy() if pivperm is not None else None
-    pivd21 = snap.get("pivd21")
-    nc.pivd21 = pivd21.copy() if pivd21 is not None else None
-    fac.tracker.resize(before, nc.nbytes(fac.sides))
+    keep = np.flatnonzero(rows >= fc)
+    k, rows, fc, w, below = k[keep], rows[keep], fc[keep], w[keep], below[keep]
+    local = cols[keep] - fc
+    dest = (rows - fc) * w + local
+    # frame positions from one search over every column block's frame,
+    # keyed (column block, global row): each frame is sorted, and so are
+    # the column blocks
+    nrows = [len(r) for r in symb.off_rows]
+    frame_k = np.repeat(np.arange(symb.ncblk), nrows)
+    key = frame_k * symb.n + np.concatenate(symb.off_rows)
+    want = k[below] * symb.n + rows[below]
+    pos = np.searchsorted(key, want)
+    if want.size and (not key.size
+                      or (key.take(pos, mode="clip") != want).any()):
+        raise AssertionError(
+            "matrix entry outside the symbolic structure")
+    frame_start = np.concatenate(([0], np.cumsum(nrows)))
+    dest[below] = (pos - frame_start[k[below]]) * w[below] + local[below]
+    group = 2 * k + below
+    order = np.argsort(group, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(
+        np.bincount(group, minlength=2 * symb.ncblk))))
+    take = keep[order]
+    return (dest[order], bounds, a.values[take],
+            None if uvals is None else uvals[take])
 
 
 #: a column block is stored narrow once its truncations discarded at least

@@ -130,7 +130,8 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
 
         # --- Just-In-Time compression point -------------------------------
         # ``ucf`` compresses the fully-updated panels before the solve
-        # (Algorithm 2 lines 3-4); ``cuf`` compressed at assembly.
+        # (Algorithm 2 lines 3-4); ``cuf`` compressed when the task
+        # filled the column block (NumericFactor.fill_column_block).
         v = fac.variant
         if v is not None and v.compress_before_solve:
             _compress_panels(fac, nc)

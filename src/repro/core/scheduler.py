@@ -18,11 +18,15 @@ floating-point reduction order is fixed — threaded factors are
 needed: a contributor's storage is immutable once factored, and only task
 ``k`` ever mutates ``k``'s storage.
 
-**Left-looking is an allocation policy of the task, not a driver.**  With
-``config.left_looking`` the factor arrives with its allocation deferred and
-the task fills its column block on first touch (the paper's §4.3: the same
-tasks in another allocation order), so a left-looking run is a
-:func:`run_sequential` run — retries, snapshots and spans included.
+**Allocation belongs to the task.**  The factor arrives with nothing
+allocated; each task first allocates and scatters its own column block
+(:meth:`~repro.core.factor.NumericFactor.fill_column_block`, which under
+Minimal Memory also compresses it), right before the updates land in it —
+the paper's §4.3 proposal to delay the allocation and the compression of
+the original blocks.  At any instant the working set is the factored
+prefix plus the column blocks in flight (one per worker), and a failed
+attempt restarts from the empty column block.  Once every task has run,
+the engine releases the matrix entries the tasks scattered from.
 
 **Hardening.**  Workers shut down through queue sentinels (no polling
 loops); every worker exception is collected under a lock and all of them
@@ -45,11 +49,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.core.factor import (
-    NumericFactor,
-    restore_column_block,
-    snapshot_column_block,
-)
+from repro.core.factor import NumericFactor
 from repro.core.factorization import (
     UpdateAccumulator,
     apply_updates_from,
@@ -90,17 +90,14 @@ def run_sequential(fac: NumericFactor) -> None:
 
     The same task the worker pool runs, so the factors are bit-identical
     across drivers and a task only ever mutates its own column block —
-    which is what makes pre-task snapshots and local retries sound.
-
-    A left-looking run (``fac.deferred`` set) is this loop too: the task
-    allocates its column block on first touch, so at any instant the
-    working set holds the compressed factored prefix plus a single dense
-    column block — the gap Figure 7 attributes to the scheduling strategy.
+    which is what makes local retries sound.  A task allocates its column
+    block when it starts, so at any instant the working set holds the
+    factored prefix plus a single column block in flight.
     """
-    _begin_profile(fac, "left-looking" if fac.deferred is not None
-                   else "sequential", 1)
+    _begin_profile(fac, "sequential", 1)
     for k in range(fac.symb.ncblk):
         _run_task(fac, k)
+    fac.entries = None
 
 
 # ----------------------------------------------------------------------
@@ -123,19 +120,14 @@ def _begin_profile(fac: NumericFactor, engine: str, threads: int) -> None:
 
 
 def _pull_and_factor(fac: NumericFactor, k: int) -> None:
-    """One fan-in task: apply all contributors' updates into ``k`` (in
-    ascending contributor order — the sequential reduction order), then
-    factor ``k``.  Contributions to ``k``'s low-rank blocks are gathered
-    in a task-local accumulator and recompressed once per block right
-    before the factorization (Minimal Memory's extend-add); the
-    accumulator never outlives the task, so a retry starts from a clean
-    one.
-
-    Left-looking (``fac.deferred``): the column block's dense storage is
-    allocated and scattered here, on first touch — a retry whose snapshot
-    restored the unallocated state fills it again."""
-    if fac.deferred is not None:
-        fac.fill_column_block(k)
+    """One fan-in task: allocate and scatter ``k``, apply all contributors'
+    updates into it (in ascending contributor order — the sequential
+    reduction order), then factor ``k``.  Contributions to ``k``'s low-rank
+    blocks are gathered in a task-local accumulator and recompressed once
+    per block right before the factorization (Minimal Memory's
+    extend-add); the accumulator never outlives the task, so a retry
+    starts from a clean one."""
+    fac.fill_column_block(k)
     san = fac.sanitizer
     acc: UpdateAccumulator = {}
     for c in fac.symb.contributors(k):
@@ -163,11 +155,11 @@ def _run_task(fac: NumericFactor, k: int) -> None:
 def _attempt_task(fac: NumericFactor, k: int) -> None:
     """Run ``k``'s fan-in task, with bounded local retries.
 
-    With a recovery state armed (``policy.task_retries > 0``) the task's
-    column block is snapshotted first; a transient failure restores the
-    snapshot, sleeps the seeded backoff, and retries.  Contributors are
-    immutable once factored and only task ``k`` mutates ``k``'s storage
-    (pull-mode invariant), so the snapshot/restore is exact.
+    With a recovery state armed (``policy.task_retries > 0``) a transient
+    failure frees the column block, sleeps the seeded backoff, and retries
+    from the matrix entries.  Contributors are immutable once factored and
+    only task ``k`` mutates ``k``'s storage (pull-mode invariant), so the
+    retry starts from exactly the state the first attempt did.
     :class:`NumericalBreakdown` never retries locally — its causes are
     deterministic, so it goes straight to the solver-level ladder."""
     rec = fac.recovery
@@ -175,7 +167,6 @@ def _attempt_task(fac: NumericFactor, k: int) -> None:
         _pull_and_factor(fac, k)
         return
     retries = rec.policy.task_retries
-    snap = snapshot_column_block(fac.cblks[k])
     for attempt in range(retries + 1):
         try:
             _pull_and_factor(fac, k)
@@ -187,7 +178,7 @@ def _attempt_task(fac: NumericFactor, k: int) -> None:
                 raise
             rec.record("task_retry", site="scheduler", cblk=k,
                        attempt=attempt + 1, error=type(exc).__name__)
-            restore_column_block(fac, k, snap)
+            fac.clear_column_block(k)
             delay = rec.backoff(attempt)
             if delay > 0.0:
                 time.sleep(delay)
@@ -259,10 +250,10 @@ def run_threaded(fac: NumericFactor, nthreads: int,
     """Dependency-driven parallel elimination (shared ready queue).
 
     A column block becomes *ready* once every contributor is factored.
-    Workers pop ready blocks, pull their contributors' updates (ascending,
-    so the reduction order — hence the factors — matches the sequential
-    run bit-for-bit), factor them, and decrement the dependency counters
-    of the blocks they face.
+    Workers pop ready blocks, allocate them, pull their contributors'
+    updates (ascending, so the reduction order — hence the factors —
+    matches the sequential run bit-for-bit), factor them, and decrement
+    the dependency counters of the blocks they face.
 
     ``watchdog_s`` (defaulting to ``fac.config.watchdog_timeout``) arms a
     stall detector: if no task completes for that many seconds while
@@ -370,3 +361,4 @@ def run_threaded(fac: NumericFactor, nthreads: int,
         raise DeadlockError(
             "dynamic scheduler exited early:\n"
             + _pending_dump(fac, pending, processed[0]))
+    fac.entries = None

@@ -47,10 +47,12 @@ FORMAT_VERSION = 1
 #: were saved in, so such an archive solves as it did.
 #: ``variant`` pinned a loop order; an explicit one names the strategy it
 #: ran under (:func:`config_from_header`).  ``recompress_updates=False``
-#: only changed how the stored factors were computed.
+#: only changed how the stored factors were computed, and
+#: ``left_looking=True`` only when their storage was allocated — every
+#: column block now is, in its own task.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
                          "adaptive", "backend", "seed", "storage_dtype",
-                         "variant", "recompress_updates")
+                         "variant", "recompress_updates", "left_looking")
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of

@@ -141,8 +141,9 @@ class FaultInjector:
     def fail_compress(self, k: int, exc: Optional[BaseException] = None,
                       transient: bool = False) -> None:
         """Raise when column block ``k``'s blocks are about to be
-        compressed (the JIT compression point, or minimal-memory assembly
-        compression — whichever the strategy reaches)."""
+        compressed (the JIT compression point, or the minimal-memory one
+        as the task fills the column block — whichever the strategy
+        reaches)."""
         self._compress.setdefault(k, []).append(
             {"action": "raise", "exc": exc, "delay": 0.0,
              "transient": transient, "spent": False})

@@ -2,9 +2,12 @@
 
 The Minimal Memory strategy's whole point (paper §2.2.1, Figures 6 and 7) is
 that the dense factor structure is *never allocated*: blocks live compressed
-from the start, so the peak working set of the factorization equals roughly
-the final compressed factor size.  The Just-In-Time strategy allocates each
-supernode dense before compressing it, so its peak matches the dense solver.
+from the start, so the peak working set of the factorization equals the
+final compressed factor size.  The Just-In-Time strategy holds each
+supernode dense until it is compressed; every column block is allocated
+when its own task starts (the paper's §4.3 proposal), so its peak is the
+compressed factor plus the dense column blocks in flight, not the dense
+solver's.
 
 Python cannot observe allocator high-water marks portably and cheaply, so the
 solver reports every block allocation/free to a :class:`MemoryTracker` —

@@ -22,6 +22,18 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def assemble_filled(a_perm: CSCMatrix, symb, config: SolverConfig):
+    """:func:`~repro.core.factor.assemble`, then every column block filled
+    as its task would start it — the whole assembled factor at once, for
+    inspection (an engine run on it keeps the filled column blocks)."""
+    from repro.core.factor import assemble
+
+    fac = assemble(a_perm, symb, config)
+    for k in range(symb.ncblk):
+        fac.fill_column_block(k)
+    return fac
+
+
 #: a solver configuration with thresholds small enough that compression
 #: genuinely happens on the tiny matrices used in tests
 def tiny_blr_config(**overrides) -> SolverConfig:

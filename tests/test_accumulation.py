@@ -15,7 +15,7 @@ from repro.runtime.faults import FaultInjector
 from repro.runtime.recovery import RecoveryPolicy
 from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_3d
-from tests.conftest import random_lowrank, tiny_blr_config
+from tests.conftest import assemble_filled, random_lowrank, tiny_blr_config
 from tests.test_recovery import factor_digest
 
 
@@ -161,12 +161,11 @@ class TestSolverAccumulation:
     def test_at_most_one_recompression_per_compressed_block(self):
         """Every low-rank target is recompressed at most once, however
         many updates land on it (the per-update LR2LR paid one each)."""
-        from repro.core.factor import assemble
         from repro.sparse.permute import permute_symmetric
 
         s = self.mm_solver()
-        fac = assemble(permute_symmetric(s._a_sym, s.perm), s.symbolic,
-                       s.config)
+        fac = assemble_filled(permute_symmetric(s._a_sym, s.perm),
+                              s.symbolic, s.config)
         compressed = sum(isinstance(b, LowRankBlock) for nc in fac.cblks
                          for blocks in (nc.lblocks, nc.ublocks)
                          for b in blocks or ())
@@ -180,8 +179,7 @@ class TestSolverAccumulation:
     def test_factors_identical_across_engines_and_task_retry(self):
         """The accumulator lives and dies inside one fan-in task, so the
         MM factors are bit-identical sequentially, under the worker
-        pool, with a span profiler attached and after a
-        snapshot/restore task retry."""
+        pool, with a span profiler attached and after a task retry."""
         base = self.mm_solver()
         base.factorize()
         want = factor_digest(base.factor)
@@ -191,7 +189,7 @@ class TestSolverAccumulation:
             s.factorize()
             assert factor_digest(s.factor) == want, overrides
         # fail the task of a column block whose low-rank blocks have just
-        # been flushed: the retry must regather from the restored snapshot
+        # been flushed: the retry must refill and regather from scratch
         k = max(nc.sym.id for nc in base.factor.cblks
                 if any(isinstance(b, LowRankBlock)
                        for b in nc.lblocks or ()))

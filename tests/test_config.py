@@ -81,17 +81,19 @@ class TestValidation:
                                          dict(seed=0),
                                          dict(storage_dtype="float32"),
                                          dict(variant="ucf"),
-                                         dict(recompress_updates=False)],
+                                         dict(recompress_updates=False),
+                                         dict(left_looking=True)],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
         """One worker pool, one recorder, one kernel module, storage
-        precision that follows the discarded error, and one name for a
-        BLR strategy: nothing left to select."""
+        precision that follows the discarded error, one name for a BLR
+        strategy, and one allocation (in the task): nothing left to
+        select."""
         import dataclasses
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 27
+        assert len(dataclasses.fields(SolverConfig)) == 26
 
     @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
                                          dict(checkpoint_on_fault=False)],

@@ -106,12 +106,23 @@ class TestMemoryInvariants:
         assert s.factor.tracker.current == s.factor.factor_nbytes()
 
     def test_left_looking_tracker_consistent(self):
+        """Every task allocates its own column block (§4.3's left-looking
+        allocation); a retried task frees it and allocates it again.  On
+        the worker pool, with one retry, the tracked bytes still end at
+        the factor storage."""
+        from repro.runtime.faults import FaultInjector
+        from repro.runtime.recovery import RecoveryPolicy
+
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-6,
-                              left_looking=True)
-        s = Solver(a, cfg)
-        s.factorize()
-        assert s.factor.tracker.current == s.factor.factor_nbytes()
+        for strategy in ("just-in-time", "minimal-memory"):
+            s = Solver(a, tiny_blr_config(
+                strategy=strategy, tolerance=1e-6, threads=2,
+                recovery=RecoveryPolicy(task_retries=1)))
+            inj = FaultInjector()
+            inj.fail_factor(s.analyze().ncblk - 1, transient=True)
+            s.factorize(faults=inj)
+            assert s.last_recovery["counts"] == {"task_retry": 1}
+            assert s.factor.tracker.current == s.factor.factor_nbytes()
 
 
 class TestCliRandomRhs:

@@ -9,7 +9,7 @@ from repro.lowrank.block import LowRankBlock
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from repro.sparse.permute import permute_symmetric
 from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
-from tests.conftest import tiny_blr_config
+from tests.conftest import assemble_filled, tiny_blr_config
 
 
 def setup(a, config):
@@ -43,7 +43,7 @@ class TestDenseAssembly:
         cfg = tiny_blr_config(strategy=strategy)
         a = laplacian_2d(6)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         d = ap.to_dense()
         np.testing.assert_allclose(reconstruct(fac, a.n, "l"),
                                    np.tril(d) + np.triu(d, 1) * 0
@@ -54,11 +54,23 @@ class TestDenseAssembly:
         np.testing.assert_allclose(np.triu(reconstruct(fac, a.n, "u"), 1),
                                    np.triu(d, 1))
 
+    @pytest.mark.parametrize("strategy", ["dense", "just-in-time",
+                                          "minimal-memory"])
+    def test_assemble_allocates_nothing(self, strategy):
+        """Every column block is allocated by its own task: before the
+        engine runs, nothing is stored and nothing is charged."""
+        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-4)
+        symb, ap = setup(laplacian_3d(6), cfg)
+        fac = assemble(ap, symb, cfg)
+        assert fac.tracker.peak == 0
+        assert all(nc.diag is None and nc.lpanel is None
+                   and nc.lblocks is None for nc in fac.cblks)
+
     def test_memory_tracker_counts_allocations(self):
         cfg = tiny_blr_config(strategy="dense")
         a = laplacian_2d(5)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         assert fac.tracker.current > 0
         assert fac.tracker.peak == fac.tracker.current
         assert fac.factor_nbytes() == fac.tracker.current
@@ -69,7 +81,7 @@ class TestMinimalMemoryAssembly:
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-10)
         a = laplacian_3d(5)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         d = ap.to_dense()
         low = reconstruct(fac, a.n, "l")
         err = np.linalg.norm(np.tril(low) - np.tril(d))
@@ -79,7 +91,7 @@ class TestMinimalMemoryAssembly:
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
         a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         ncomp = sum(isinstance(b, LowRankBlock)
                     for nc in fac.cblks for b in (nc.lblocks or []))
         assert ncomp > 0
@@ -92,7 +104,7 @@ class TestMinimalMemoryAssembly:
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
         a = laplacian_3d(8)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         assert fac.tracker.current == fac.factor_nbytes()
         assert fac.tracker.peak == fac.tracker.current
         modes = set()
@@ -115,7 +127,7 @@ class TestMinimalMemoryAssembly:
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
         a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         assert fac.tracker.peak <= fac.dense_factor_nbytes()
 
 
@@ -124,7 +136,7 @@ class TestBlockAccessors:
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
         a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         # blocks mode = the column block holds a low-rank block
         nc = next(c for c in fac.cblks if c.lblocks)
         old_total = fac.tracker.current
@@ -142,12 +154,97 @@ class TestBlockAccessors:
         with pytest.raises(ValueError, match="symmetric"):
             assemble(bad, symb, cfg)
 
+    def test_lu_sides_land_their_own_values(self):
+        """A matrix whose values are not symmetric: L's panels hold A's
+        lower part and Uᵗ's hold its upper part, from one landing index."""
+        from repro.sparse.generators import convection_diffusion_3d
+
+        cfg = tiny_blr_config(strategy="dense", factotype="lu")
+        a = convection_diffusion_3d(4, peclet=0.6)
+        symb, ap = setup(a, cfg)
+        fac = assemble_filled(ap, symb, cfg)
+        d = ap.to_dense()
+        assert not np.array_equal(d, d.T)
+        np.testing.assert_array_equal(np.tril(reconstruct(fac, a.n, "l")),
+                                      np.tril(d))
+        np.testing.assert_array_equal(
+            np.triu(reconstruct(fac, a.n, "u"), 1), np.triu(d, 1))
+
+    def test_assemble_rejects_entries_outside_the_structure(self):
+        from repro.sparse.csc import CSCMatrix
+        cfg = tiny_blr_config()
+        a = laplacian_2d(6)
+        symb, ap = setup(a, cfg)
+        # a (row, column) pair below a column block that none of its
+        # blocks covers, added symmetrically so the pattern stays symmetric
+        k, r = next((c.id, r) for c in symb.cblks
+                    for r in range(c.end_col, a.n)
+                    if r not in set(symb.off_rows[c.id].tolist()))
+        c = symb.cblks[k].first_col
+        dense = ap.to_dense()
+        dense[r, c] = dense[c, r] = 1.0
+        with pytest.raises(AssertionError, match="outside the symbolic"):
+            assemble(CSCMatrix.from_dense(dense), symb, cfg)
+
     def test_dense_factor_nbytes_counts_both_sides_for_lu(self):
         cfg = tiny_blr_config(strategy="dense", factotype="lu")
         a = laplacian_2d(5)
         symb, ap = setup(a, cfg)
-        fac = assemble(ap, symb, cfg)
+        fac = assemble_filled(ap, symb, cfg)
         total_off = sum(b.nrows * c.ncols
                         for c in symb.cblks for b in c.off_blocks())
         total_diag = sum(c.ncols ** 2 for c in symb.cblks)
         assert fac.dense_factor_nbytes() == (total_diag + 2 * total_off) * 8
+
+
+def _root(arr):
+    """The array whose buffer ``arr`` views (``arr`` itself if it owns it)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+class TestFinishedFactorHoldsOnlyItsFactor:
+    """Once the engine has run, the factor pins nothing but its blocks: no
+    view keeps a larger parent buffer alive, and the permuted matrix the
+    tasks scattered from is released."""
+
+    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
+    def test_held_base_bytes_equal_factor_bytes(self, strategy):
+        s = Solver(laplacian_3d(8),
+                   tiny_blr_config(strategy=strategy, tolerance=1e-4))
+        s.factorize()
+        fac = s.factor
+        arrays = []
+        for nc in fac.cblks:
+            arrays += [p for p in (nc.diag, nc.lpanel, nc.upanel)
+                       if p is not None]
+            for blocks in (nc.lblocks, nc.ublocks):
+                for b in blocks or ():
+                    arrays += ([b.u, b.v] if isinstance(b, LowRankBlock)
+                               else [b])
+        assert any(isinstance(b, LowRankBlock)
+                   for nc in fac.cblks for b in nc.lblocks or ())
+        roots = {id(r): r for r in map(_root, arrays)}
+        assert sum(r.nbytes for r in roots.values()) == fac.factor_nbytes()
+
+    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
+    def test_no_csc_reachable(self, strategy):
+        import gc
+        import types
+
+        from repro.sparse.csc import CSCMatrix
+
+        s = Solver(laplacian_3d(8),
+                   tiny_blr_config(strategy=strategy, tolerance=1e-4))
+        s.factorize()
+        assert s.factor.entries is None
+        seen, stack = set(), [s.factor]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                    obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, CSCMatrix)
+            stack.extend(gc.get_referents(obj))

@@ -7,6 +7,7 @@ from repro.core import factor as factor_module
 from repro.core import factorization as F
 from repro.core.dense_kernels import flop_scale, gemm_flops
 from repro.core.factor import compress_column_block
+from repro.core.scheduler import run_sequential
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import lr2ge_update, lr_product
@@ -20,7 +21,8 @@ from repro.sparse.generators import (
     laplacian_3d,
     random_spd,
 )
-from tests.conftest import tiny_blr_config
+from repro.sparse.permute import permute_symmetric
+from tests.conftest import assemble_filled, tiny_blr_config
 from tests.test_recovery import factor_digest
 from tests.test_symbolic import find_blocks
 
@@ -92,20 +94,37 @@ class TestBlrStrategies:
         solve_and_check(a, cfg, 1e-5)
 
 
+def max_column_block_nbytes(fac):
+    """Bytes of the largest column block stored dense (diagonal block plus
+    every side's off-diagonal rows)."""
+    return max((c.ncols ** 2 + fac.sides * c.ncols
+                * sum(b.nrows for b in c.off_blocks())) * fac.dtype.itemsize
+               for c in fac.symb.cblks)
+
+
 class TestStrategySpecificBehaviour:
-    def test_mm_peak_below_jit_peak(self):
-        """Figure 7's claim: the MM strategy never allocates the dense
-        structure, so its tracked peak is below JIT's."""
-        a = laplacian_3d(8)
-        peaks = {}
-        for strategy in ("just-in-time", "minimal-memory"):
-            cfg = tiny_blr_config(strategy=strategy, tolerance=1e-4)
-            _, stats = solve_and_check(a, cfg, 1e-2)
-            peaks[strategy] = stats.peak_nbytes
-        assert peaks["minimal-memory"] < peaks["just-in-time"]
+    def test_jit_peak_is_its_factor_plus_one_column_block(self):
+        """§4.3's proposal, which every task now follows: a column block is
+        allocated dense only when its task starts, so JIT's tracked peak
+        is its compressed factor plus one dense column block in flight —
+        not the dense structure, which exceeds that bound here (539 840 B
+        against 505 704 + 24 416)."""
+        s, stats = solve_and_check(laplacian_3d(10), tiny_blr_config(
+            strategy="just-in-time", tolerance=1e-4), 1e-2)
+        assert stats.factor_nbytes < stats.dense_factor_nbytes
+        assert stats.peak_nbytes <= (stats.factor_nbytes
+                                     + max_column_block_nbytes(s.factor))
+
+    def test_mm_peak_is_its_factor(self):
+        """Figure 7's claim: Minimal Memory never charges a dense block it
+        does not keep, so its tracked peak is its factor bytes."""
+        _, stats = solve_and_check(laplacian_3d(8), tiny_blr_config(
+            strategy="minimal-memory", tolerance=1e-4), 1e-2)
+        assert stats.peak_nbytes == stats.factor_nbytes
 
     def test_jit_peak_equals_dense_peak(self):
-        """§4.3: JIT memory peak corresponds to the full dense structure."""
+        """Where nothing compresses (5³ at τ = 1e-8) JIT stores the dense
+        factor, so its peak is the dense solver's."""
         a = laplacian_3d(5)
         peaks = {}
         for strategy in ("dense", "just-in-time"):
@@ -576,9 +595,28 @@ class TestEnginesLandIdentically:
         assert (factor_digest(self.factor(name, threads=4))
                 == factor_digest(self.factor(name)))
 
-    @pytest.mark.parametrize("name", ["dense", "jit"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_left_looking_matches_sequential(self, name):
-        # a left-looking task allocates its target on first touch, right
-        # before the landings into it
-        assert (factor_digest(self.factor(name, left_looking=True))
-                == factor_digest(self.factor(name)))
+        """A task allocates (and, under MM, compresses) its target when it
+        starts, right before the landings into it.  Every column block
+        filled up front instead — an eager assembly — gives the same
+        bits: nothing lands in a column block before its own task."""
+        s = Solver(laplacian_3d(8), tiny_blr_config(
+            tolerance=1e-4, **self.CONFIGS[name]))
+        symb = s.analyze()
+        eager = assemble_filled(permute_symmetric(s._a_sym, s.perm), symb,
+                                s.config)
+        run_sequential(eager)
+        assert factor_digest(eager) == factor_digest(self.factor(name))
+
+    @pytest.mark.parametrize("name", ["jit", "mm"])
+    def test_threaded_peak_bound(self, name):
+        """On the worker pool each worker holds at most one column block in
+        flight, so the tracked peak is at most the factor plus ``threads``
+        largest dense column blocks.  Which blocks are in flight together
+        depends on the schedule, so the peak itself may vary from run to
+        run; the bound does not."""
+        threads = 4
+        fac = self.factor(name, threads=threads)
+        assert fac.tracker.peak <= (fac.factor_nbytes()
+                                    + threads * max_column_block_nbytes(fac))

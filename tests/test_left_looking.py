@@ -1,25 +1,39 @@
-"""Tests for the left-looking scheduler (paper §4.3's JIT-memory proposal)."""
+"""Lazy allocation against eager allocation (paper §4.3's JIT-memory
+proposal).
+
+Every task allocates its own column block when it starts — the paper's
+left-looking allocation, "delay the allocation and the compression of the
+original blocks".  These tests hold it against a factor whose column blocks
+were all filled before the engine ran (the eager, right-looking allocation):
+the same factors and answers, and a peak that is the factor plus one column
+block in flight instead of the dense structure.
+"""
 
 import numpy as np
 import pytest
 
-from repro.config import SolverConfig
+from repro.core.scheduler import run_sequential
 from repro.core.solver import Solver
 from repro.sparse.generators import (
     convection_diffusion_3d,
     laplacian_3d,
 )
-from tests.conftest import tiny_blr_config
+from repro.sparse.permute import permute_symmetric
+from tests.conftest import assemble_filled, tiny_blr_config
 
 
-class TestConfigGuards:
-    def test_incompatible_with_minimal_memory(self):
-        with pytest.raises(ValueError, match="left_looking"):
-            SolverConfig(strategy="minimal-memory", left_looking=True)
-
-    def test_incompatible_with_threads(self):
-        with pytest.raises(ValueError, match="sequential"):
-            SolverConfig(left_looking=True, threads=4)
+def factorized(a, cfg, eager=False):
+    """A solver holding ``cfg``'s factor of ``a``; ``eager`` fills every
+    column block before the engine runs."""
+    s = Solver(a, cfg)
+    if not eager:
+        s.factorize()
+        return s
+    symb = s.analyze()
+    fac = assemble_filled(permute_symmetric(s._a_sym, s.perm), symb, cfg)
+    run_sequential(fac)
+    s.factor = fac
+    return s
 
 
 class TestCorrectness:
@@ -27,76 +41,60 @@ class TestCorrectness:
     def test_matches_right_looking_accuracy(self, strategy, rng):
         a = laplacian_3d(7)
         b = rng.standard_normal(a.n)
+        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-8)
         errs = {}
-        for ll in (False, True):
-            cfg = tiny_blr_config(strategy=strategy, tolerance=1e-8,
-                                  left_looking=ll)
-            s = Solver(a, cfg)
-            s.factorize()
-            errs[ll] = s.backward_error(s.solve(b), b)
-        assert errs[True] <= max(errs[False] * 10, 1e-9)
+        for eager in (True, False):
+            s = factorized(a, cfg, eager)
+            errs[eager] = s.backward_error(s.solve(b), b)
+        assert errs[False] == errs[True]
 
     def test_dense_factors_identical(self, rng):
-        """Same arithmetic, different traversal: identical factors."""
+        """Same arithmetic, different allocation order: identical factors."""
         a = laplacian_3d(5)
-        facs = {}
-        for ll in (False, True):
-            cfg = tiny_blr_config(strategy="dense", left_looking=ll)
-            s = Solver(a, cfg)
-            s.factorize()
-            facs[ll] = s.factor
-        for nc_r, nc_l in zip(facs[False].cblks, facs[True].cblks):
-            np.testing.assert_allclose(nc_r.diag, nc_l.diag, atol=1e-10)
+        cfg = tiny_blr_config(strategy="dense")
+        eager, lazy = (factorized(a, cfg, e).factor for e in (True, False))
+        for nc_r, nc_l in zip(eager.cblks, lazy.cblks):
+            np.testing.assert_array_equal(nc_r.diag, nc_l.diag)
             for i in range(nc_r.sym.noff):
-                np.testing.assert_allclose(np.asarray(nc_r.lblock(i)),
-                                           np.asarray(nc_l.lblock(i)),
-                                           atol=1e-10)
+                np.testing.assert_array_equal(np.asarray(nc_r.lblock(i)),
+                                              np.asarray(nc_l.lblock(i)))
 
     def test_nonsymmetric(self, rng):
         a = convection_diffusion_3d(5)
-        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8,
-                              left_looking=True)
-        s = Solver(a, cfg)
-        s.factorize()
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8)
         b = rng.standard_normal(a.n)
-        assert s.backward_error(s.solve(b), b) <= 1e-5
+        xs = [factorized(a, cfg, eager).solve(b) for eager in (True, False)]
+        assert np.array_equal(xs[0], xs[1])
+        s = factorized(a, cfg)
+        assert s.backward_error(xs[1], b) <= 1e-5
 
     def test_cholesky(self, rng):
         a = laplacian_3d(5)
         cfg = tiny_blr_config(strategy="just-in-time",
-                              factotype="cholesky", tolerance=1e-8,
-                              left_looking=True)
-        s = Solver(a, cfg)
-        s.factorize()
+                              factotype="cholesky", tolerance=1e-8)
         b = rng.standard_normal(a.n)
-        assert s.backward_error(s.solve(b), b) <= 1e-5
+        xs = [factorized(a, cfg, eager).solve(b) for eager in (True, False)]
+        assert np.array_equal(xs[0], xs[1])
+        s = factorized(a, cfg)
+        assert s.backward_error(xs[1], b) <= 1e-5
 
 
 class TestMemoryBehaviour:
     def test_peak_below_right_looking_jit(self):
-        """The whole point: the JIT peak drops when panels are allocated
-        lazily (§4.3: 'delay the allocation and the compression')."""
+        """The whole point: the JIT peak drops when column blocks are
+        allocated in their tasks (§4.3: 'delay the allocation and the
+        compression')."""
         a = laplacian_3d(8)
-        peaks = {}
-        for ll in (False, True):
-            cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4,
-                                  left_looking=ll)
-            stats = Solver(a, cfg).factorize()
-            peaks[ll] = stats.peak_nbytes
-        assert peaks[True] < peaks[False]
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4)
+        peaks = {eager: factorized(a, cfg, eager).factor.tracker.peak
+                 for eager in (True, False)}
+        assert peaks[True] == factorized(
+            a, cfg.with_options(strategy="dense")).stats.peak_nbytes
+        assert peaks[False] < peaks[True]
 
     def test_peak_close_to_compressed_factor_size(self):
-        """Left-looking JIT peak ≈ compressed factors + one dense panel."""
+        """Lazy JIT peak ≈ compressed factors + one dense column block."""
         a = laplacian_3d(8)
-        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4,
-                              left_looking=True)
-        stats = Solver(a, cfg).factorize()
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4)
+        stats = factorized(a, cfg).stats
         assert stats.peak_nbytes <= stats.factor_nbytes * 1.25
-
-    def test_fill_column_block_requires_deferred_mode(self):
-        a = laplacian_3d(4)
-        cfg = tiny_blr_config(strategy="dense")
-        s = Solver(a, cfg)
-        s.factorize()
-        with pytest.raises(RuntimeError, match="left-looking"):
-            s.factor.fill_column_block(0)

@@ -248,13 +248,13 @@ class TestEscalationEndToEnd:
         assert factor_digest(s.factor) == factor_digest(clean.factor)
 
     def test_left_looking_retries_locally(self):
-        """Left-looking is the same task with lazy allocation: a transient
-        update-site fault, hit after earlier updates already landed in the
-        freshly filled column block, restores the unallocated snapshot,
-        fills again and ends in the uninterrupted run's factors."""
+        """Every task allocates its own column block (§4.3's left-looking
+        allocation): a transient update-site fault, hit after earlier
+        updates already landed in the freshly filled column block, frees
+        it, fills it again and ends in the uninterrupted run's factors and
+        peak."""
         a = laplacian_3d(6)
         cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8,
-                              left_looking=True,
                               recovery=RecoveryPolicy(task_retries=2))
         clean = Solver(a, cfg)
         clean.factorize()

@@ -157,7 +157,7 @@ class TestArchivesOutliveConfigFields:
     RETIRED = dict(accumulate_updates=True, trace=False,
                    scheduler="static", adaptive=None, backend=None, seed=0,
                    storage_dtype="float32", variant="ucf",
-                   recompress_updates=False)
+                   recompress_updates=False, left_looking=True)
     RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True)
 
     def cfg(self):
@@ -229,8 +229,7 @@ class TestArchivesOutliveConfigFields:
           for order in ("ucf", "ufc", "fuc")],
         pytest.param(dict(strategy="minimal-memory", variant="ucf",
                           left_looking=True),
-                     dict(strategy="just-in-time", left_looking=True),
-                     id="ucf-left-looking"),
+                     dict(strategy="just-in-time"), id="ucf-left-looking"),
         pytest.param(dict(strategy="minimal-memory",
                           recompress_updates=False),
                      dict(strategy="minimal-memory"), id="no-recompress"),

@@ -20,8 +20,6 @@ from tests.conftest import tiny_blr_config
 #: engine name -> config overrides producing that engine through Solver
 ENGINES = {
     "sequential": dict(threads=1),
-    "left-looking": dict(threads=1, left_looking=True,
-                         strategy="just-in-time"),
     "threaded-dynamic": dict(threads=4),
 }
 

@@ -102,18 +102,6 @@ class TestConfigValidation:
         clone = SolverConfig(**asdict(replace(cfg, telemetry=None)))
         assert clone == cfg
 
-    @pytest.mark.parametrize("overrides", [dict(strategy="minimal-memory")])
-    def test_left_looking_rejects_assembly_compression(self, overrides):
-        with pytest.raises(ValueError, match="left_looking"):
-            tiny_blr_config(left_looking=True, **overrides)
-
-    @pytest.mark.parametrize("order", [
-        o for o in ORDERS if not BlrVariant(order=o).compress_at_assembly])
-    def test_left_looking_accepts_late_orders(self, order):
-        cfg = tiny_blr_config(left_looking=True,
-                              strategy=ORDER_STRATEGIES[order])
-        assert cfg.resolved_variant().order == order
-
 
 # ----------------------------------------------------------------------
 # bit-identity: each strategy reproduces its seed pin
@@ -171,10 +159,12 @@ class TestNothingCompressedIsTheDenseFactorization:
             self._factor(strategy="dense", factotype=factotype))
 
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
-    @pytest.mark.parametrize("order", LATE_ORDERS)
+    @pytest.mark.parametrize("order", ORDERS)
     def test_every_compression_site_declines(self, order, factotype):
         """Every compression site failed into the recovery ladder's dense
-        fallback, which leaves the column block in panel mode."""
+        fallback, which leaves the column block in panel mode — Minimal
+        Memory's too, which its task reaches as it fills the column
+        block."""
         from repro.runtime.faults import FaultInjector
 
         inj = FaultInjector()
@@ -459,7 +449,7 @@ def test_retired_names_are_gone(probe, error):
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 27
+    assert len(fields(SolverConfig)) == 26
 
 
 # ----------------------------------------------------------------------
