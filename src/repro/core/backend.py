@@ -5,11 +5,13 @@ Every numeric hot path of the solver funnels through the one
 :func:`get_backend` and held by every factor as ``fac.backend``): the
 diagonal-block factorizations (``getrf`` / ``potrf`` / ``ldlt`` with static
 pivoting, ``ldlt_pivot`` with threshold pivoting), the BLAS-3 panel solves
-(``trsm``), the update products (``gemm`` / ``syrk``), and the *panel*
-kernels the triangular solve phase applies to ``(n, k)`` right-hand-side
-blocks (``panel_gemm`` / ``panel_trsm`` / ``lr_apply``).  Each call ticks a
-per-op counter (:meth:`Kernels.counts_snapshot` /
-:meth:`Kernels.counts_delta`), which the solver reports as
+(``trsm``), the update products (``gemm`` / ``syrk``), and the
+*column-stable* products the triangular solves apply to a stack of ``k``
+right-hand sides (:func:`trtrs_rows`, :func:`stable_gemv`,
+:func:`lr_gemv`).  Each kernel call ticks a per-op counter, and a
+triangular solve charges its sweep's ``panel_trsm`` / ``panel_gemm`` /
+``lr_apply`` calls in bulk (:meth:`Kernels.counts_snapshot` /
+:meth:`Kernels.counts_delta`); the solver reports them as
 ``FactorizationStats.backend_kernel_calls``.
 
 Two distinct numerical contracts coexist here, and the split is the whole
@@ -21,13 +23,14 @@ design:
   is *bit-identical* to the seed solver (the conformance suite pins
   sha256 digests on this).
 
-* **Panel kernels** (``panel_gemm``/``panel_trsm``/``lr_apply``) are
-  **column-stable**: column ``j`` of the result depends only on column
-  ``j`` of the input, bit-for-bit, regardless of how many other columns
-  ride in the panel: each column is its own BLAS gemv or LAPACK ``trtrs``
-  call.  One gemm/trsm over the panel would change its blocking, and so
-  its summation order, with the panel width; the column-wise calls are
-  what make blocked multi-RHS solves equal column-by-column solves.
+* **Solve products** (``trtrs_rows`` / ``stable_gemv`` / ``lr_gemv``) are
+  **column-stable**: right-hand side ``j`` of the result depends only on
+  right-hand side ``j`` of the input, bit-for-bit, however many others
+  ride along: each is its own LAPACK ``trtrs`` call, or its own BLAS gemv
+  inside one batched ``np.matmul``.  One gemm/trsm over the panel would
+  change its blocking, and so its summation order, with the panel width;
+  the per-item calls are what make blocked multi-RHS solves equal
+  column-by-column solves.
 
 See ``docs/performance.md`` for both contracts in full.
 """
@@ -41,7 +44,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 
-__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend"]
+__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend", "lr_gemv",
+           "stable_gemv", "trtrs_routine", "trtrs_rows"]
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +53,7 @@ __all__ = ["KERNELS", "Kernels", "PivotError", "get_backend"]
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _trtrs(a_dtype: np.dtype, b_dtype: np.dtype) -> Callable[..., Any]:
+def trtrs_routine(a_dtype: np.dtype, b_dtype: np.dtype) -> Callable[..., Any]:
     """LAPACK ``?trtrs`` for operands of these dtypes — the routine
     ``scipy.linalg.solve_triangular`` looks up again on every call."""
     return get_lapack_funcs(
@@ -57,39 +61,26 @@ def _trtrs(a_dtype: np.dtype, b_dtype: np.dtype) -> Callable[..., Any]:
         (np.empty(0, dtype=a_dtype), np.empty(0, dtype=b_dtype)))[0]
 
 
-def _bind_trtrs(a: np.ndarray, b: np.ndarray, trans: str, lower: bool,
-                unit_diagonal: bool
-                ) -> Tuple[np.dtype, Callable[[np.ndarray, bool], np.ndarray]]:
-    """``(dtype, solve)``: ``trtrs`` for ``op(a) x = rhs`` bound once for
-    right-hand sides like ``b`` — shapes checked, routine looked up, ``a``
-    converted to its ``dtype`` and Fortran order here, not on every call.
-    ``solve(rhs, True)`` solves a contiguous ``rhs`` of ``dtype`` in place."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected square matrix")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"shapes of a {a.shape} and b {b.shape} are incompatible")
-    trtrs = _trtrs(a.dtype, b.dtype)
-    a = np.asarray(a, dtype=trtrs.dtype)
-    t = "NTC".index(trans)
-    if t == 2:
-        a = np.asfortranarray(a)
-    elif not a.flags.f_contiguous:
-        # trtrs expects Fortran ordering: solve the transposed system
-        a, lower, t = a.T, not lower, int(not t)
+def _trtrs_operand(trtrs: Callable[..., Any], a: np.ndarray, trans: str,
+                   lower: bool) -> Tuple[np.ndarray, bool, int]:
+    """``(a, lower, t)``: ``op(a)`` as ``trtrs`` reads it — ``a`` in the
+    routine's dtype and Fortran order (a C-ordered ``a`` is read as the
+    transposed system), ``t`` LAPACK's transpose flag (0 N, 1 T, 2 C)."""
+    if a.dtype != trtrs.dtype:
+        a = a.astype(trtrs.dtype)
+    if trans == "C":
+        return np.asfortranarray(a), lower, 2
+    if a.flags.f_contiguous:
+        return a, lower, int(trans == "T")
+    return a.T, not lower, int(trans == "N")
 
-    def solve(rhs: np.ndarray, overwrite_b: bool) -> np.ndarray:
-        # positional: keywords cost the wrapper more than a small solve
-        x, info = trtrs(a, rhs, lower, t, unit_diagonal, a.shape[0],
-                        overwrite_b)
-        if info > 0:
-            raise LinAlgError(
-                f"singular matrix: resolution failed at diagonal {info - 1}")
-        if info < 0:
-            raise ValueError(
-                f"illegal value in {-info}-th argument of internal trtrs")
-        return x
-    return trtrs.dtype, solve
+
+def _trtrs_failed(info: int) -> Exception:
+    if info > 0:
+        return LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return ValueError(
+        f"illegal value in {-info}-th argument of internal trtrs")
 
 
 def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
@@ -99,10 +90,20 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
     without its per-call batching, validation and routine lookup: the same
     shape checks, the same ``trtrs`` call (so the same bits), the same
     empty right-hand side and the same errors."""
-    dtype, solve = _bind_trtrs(a, b, trans, lower, unit_diagonal)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    trtrs = trtrs_routine(a.dtype, b.dtype)
     if b.size == 0:
-        return np.empty_like(b, dtype=dtype)
-    return solve(b, False)
+        return np.empty_like(b, dtype=trtrs.dtype)
+    a, lower, t = _trtrs_operand(trtrs, a, trans, lower)
+    # positional: keywords cost the wrapper more than a small solve
+    x, info = trtrs(a, b, lower, t, unit_diagonal, a.shape[0], False)
+    if info:
+        raise _trtrs_failed(info)
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -405,39 +406,70 @@ def _ldlt_pivot(a: np.ndarray, u: float = 0.1,
 
 
 # ----------------------------------------------------------------------
-# column-stable panel products
+# column-stable products on stacked right-hand sides
 # ----------------------------------------------------------------------
 
-def _stable_gemm(a: np.ndarray, x: np.ndarray,
-                 trans: str = "N") -> np.ndarray:
-    """``op(a) @ x`` with a per-column-deterministic reduction.
+def trtrs_rows(trtrs: Callable[..., Any], a: np.ndarray, xt: np.ndarray,
+               lower: bool, trans: str = "N",
+               unit_diagonal: bool = False) -> None:
+    """Solve ``op(a) y = xt[j]`` in place for every row ``j`` of the
+    ``(k, n)`` stack ``xt`` with ``trtrs`` (:func:`trtrs_routine`).
 
-    Each output column is an independent BLAS gemv against the same ``a``
-    and a contiguous copy of the input column, so its bits cannot depend
-    on the panel width.  A single BLAS gemm (or even ``np.einsum``) does
-    *not* have this property: their blocking / SIMD inner-loop selection
-    changes with the output shape, which changes the summation tree per
-    column.
+    Every row is its own LAPACK ``trtrs`` call, so row ``j`` is
+    ``_solve_triangular(a, xt[j][:, None], …)`` bit for bit whatever ``k``;
+    one ``trsm`` over the stack would block, and so round, by ``k``.  A
+    contiguous row of the routine's dtype (every row of a column range of
+    a C-ordered stack is one) is solved where it lies, any other through
+    the wrapper's copy.  Only the requested triangle of ``a`` is read, so
+    LAPACK-packed diagonal blocks can be passed directly."""
+    a, lower, t = _trtrs_operand(trtrs, a, trans, lower)
+    n = len(a)
+    for j in range(len(xt)):
+        row = xt[j]
+        sol, info = trtrs(a, row, lower, t, unit_diagonal, n, True)
+        if info:
+            raise _trtrs_failed(info)
+        if sol is not row:
+            row[...] = sol
 
-    ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint ``aᴴ``
-    through the transposed gemv, which reads a C-contiguous ``a`` in place
-    (``aᴴ x`` as ``conj(aᵗ conj(x))``; ``.conj()`` passes real arrays
-    through).
-    """
-    xt = np.ascontiguousarray(x.T)  # one copy; each row is a contiguous col
-    if trans == "C":
-        xt = xt.conj()
-    dtype = np.result_type(a, x)
+
+def stable_gemv(a: np.ndarray, xt: np.ndarray, trans: str = "N"
+                ) -> np.ndarray:
+    """``op(a) @ xt[j]`` for every row ``j`` of the ``(k, n)`` stack ``xt``
+    (of the product's dtype), as one ``(k, m)`` array.
+
+    One batched ``np.matmul``, which numpy issues as one BLAS gemv per
+    item — the call a lone ``op(a) @ xt[j]`` makes — so row ``j`` has that
+    product's bits whatever ``k``; one gemm over the stack would not (its
+    blocking, and so its summation tree, changes with the output shape).
+    The stack is made contiguous first: a strided item reaches gemv with
+    another increment, and other bits.  ``trans='T'`` / ``'C'`` apply
+    ``aᵗ`` / the adjoint ``aᴴ`` through the transposed gemv, which reads a
+    C-contiguous ``a`` in place (``aᴴ x`` as ``conj(aᵗ conj(x))``)."""
     op = a if trans == "N" else a.T
-    if trans == "N" or a.dtype != dtype:
+    if a.dtype != xt.dtype or (trans == "N" and not op.flags.c_contiguous):
         # a narrow ``a`` is cast once here, into the C-ordered operand the
         # gemvs below would each have cast it to
-        op = np.ascontiguousarray(op, dtype=dtype)
-    out = np.empty((op.shape[0], x.shape[1]), dtype=dtype)
-    for j in range(xt.shape[0]):
-        # solverlint: ignore[python-hot-loop] -- one BLAS gemv per column: the per-column independence is the stability contract, and each iteration is a full vectorized matvec, not scalar work
-        out[:, j] = op @ xt[j]
+        op = np.ascontiguousarray(op, dtype=xt.dtype)
+    xt = np.ascontiguousarray(xt)
+    if trans == "C":
+        xt = xt.conj()
+    out = np.matmul(op, xt[..., None])[..., 0]
     return out.conj() if trans == "C" else out
+
+
+def lr_gemv(u: np.ndarray, v: np.ndarray, xt: np.ndarray,
+            trans: str = "N") -> np.ndarray:
+    """:func:`stable_gemv` for a low-rank block ``Â = u vᵗ``: ``Â x = u (vᵗ
+    x)``, ``Âᵗ x = v (uᵗ x)`` and the adjoint ``Âᴴ x = conj(v) (uᴴ x)``.
+    Rank-0 safe."""
+    if u.shape[1] == 0:
+        rows = u.shape[0] if trans == "N" else v.shape[0]
+        return np.zeros((xt.shape[0], rows), dtype=xt.dtype)
+    if trans == "N":
+        return stable_gemv(u, stable_gemv(v, xt, "T"))
+    return stable_gemv(v.conj() if trans == "C" else v,
+                       stable_gemv(u, xt, trans))
 
 
 # ----------------------------------------------------------------------
@@ -445,20 +477,21 @@ def _stable_gemm(a: np.ndarray, x: np.ndarray,
 # ----------------------------------------------------------------------
 
 class Kernels:
-    """BLAS/LAPACK (via numpy/scipy) for the factorization kernels,
-    one gemv / ``trtrs`` per right-hand-side column for the column-stable
-    panel kernels.
+    """BLAS/LAPACK (via numpy/scipy) for the factorization kernels.
 
     Call counts are tallied per operation in :attr:`counts` (best-effort
     under threads: increments are not locked) and surface as
-    ``FactorizationStats.backend_kernel_calls``.
+    ``FactorizationStats.backend_kernel_calls``; the triangular solves
+    charge theirs (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``) through
+    :meth:`tick`.
     """
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
 
     # -- call accounting ----------------------------------------------
-    def _tick(self, op: str, n: int = 1) -> None:
+    def tick(self, op: str, n: int = 1) -> None:
+        """Charge ``n`` calls of ``op`` (a batched caller charges in bulk)."""
         self.counts[op] = self.counts.get(op, 0) + n
 
     def counts_snapshot(self) -> Dict[str, int]:
@@ -475,7 +508,7 @@ class Kernels:
     def gemm(self, a: np.ndarray, b: np.ndarray,
              trans_a: str = "N", trans_b: str = "N") -> np.ndarray:
         """``op(a) @ op(b)``; flag ``'C'`` takes the Hermitian adjoint."""
-        self._tick("gemm")
+        self.tick("gemm")
         lhs = a if trans_a == "N" else (a.T if trans_a == "T"
                                         else a.conj().T)
         rhs = b if trans_b == "N" else (b.T if trans_b == "T"
@@ -484,7 +517,7 @@ class Kernels:
 
     def syrk(self, a: np.ndarray, herk: bool = False) -> np.ndarray:
         """``a @ aᵗ``, or the Hermitian ``a @ aᴴ`` when ``herk=True``."""
-        self._tick("herk" if herk else "syrk")
+        self.tick("herk" if herk else "syrk")
         return a @ (a.conj().T if herk else a.T)
 
     def trsm(self, a: np.ndarray, b: np.ndarray, *, side: str = "left",
@@ -492,7 +525,7 @@ class Kernels:
              unit_diagonal: bool = False) -> np.ndarray:
         """Triangular solve; ``trans='C'`` solves against the Hermitian
         adjoint ``aᴴ`` via conjugate / transpose-solve / conjugate."""
-        self._tick("trsm")
+        self.tick("trsm")
         if side == "left":
             if trans == "C":
                 # op(a) = aᴴ: solve the conjugated system and conjugate
@@ -516,19 +549,19 @@ class Kernels:
     def getrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:
         """Statically-pivoted LU of a diagonal block; ``(lu, nperturbed)``."""
-        self._tick("getrf")
+        self.tick("getrf")
         return _lu_nopivot(a, pivot_threshold)
 
     def potrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:
         """Regularized lower Cholesky; ``(l, nperturbed)``."""
-        self._tick("potrf")
+        self.tick("potrf")
         return _cholesky_nopivot(a, pivot_threshold)
 
     def ldlt(self, a: np.ndarray, pivot_threshold: float = 1e-14
              ) -> Tuple[np.ndarray, int]:
         """Statically-pivoted LDLᵗ/LDLᴴ; ``(packed, nperturbed)``."""
-        self._tick("ldlt")
+        self.tick("ldlt")
         return _ldlt_nopivot(a, pivot_threshold)
 
     def ldlt_pivot(self, a: np.ndarray, u: float = 0.1,
@@ -539,58 +572,8 @@ class Kernels:
         """Threshold-pivoted LDLᵗ/LDLᴴ with 1×1/2×2 pivots;
         ``(packed, perm, d21, stats)`` — see :func:`_ldlt_pivot` for the
         layout and :class:`PivotError` semantics."""
-        self._tick("ldlt_pivot")
+        self.tick("ldlt_pivot")
         return _ldlt_pivot(a, u, growth_limit, fallback, pivot_threshold)
-
-    # -- column-stable panel kernels -----------------------------------
-    def panel_gemm(self, a: np.ndarray, x: np.ndarray,
-                   trans: str = "N") -> np.ndarray:
-        """``op(a) @ x`` on a panel of ``k`` columns, column-stable;
-        ``trans='T'`` applies ``aᵗ`` and ``'C'`` the Hermitian adjoint
-        ``aᴴ``, without the caller materialising the transpose."""
-        self._tick("panel_gemm")
-        return _stable_gemm(a, x, trans)
-
-    def panel_trsm(self, a: np.ndarray, b: np.ndarray, *,
-                   lower: bool = True, trans: str = "N",
-                   unit_diagonal: bool = False) -> np.ndarray:
-        """Column-stable triangular panel solve ``op(a) X = b``;
-        ``trans='C'`` solves against the Hermitian adjoint ``aᴴ``.
-
-        Every right-hand-side column is its own LAPACK ``trtrs`` call,
-        bound once per panel as :func:`_solve_triangular` binds it, so
-        column ``j`` of the result is ``_solve_triangular(a, b[:, j:j+1],
-        …)`` bit for bit, whatever the panel width.  Only the requested
-        triangle of ``a`` is read, so LAPACK-packed diagonal blocks (L and
-        U sharing storage) can be passed directly.  Returns a fresh array;
-        ``b`` is never modified.
-        """
-        self._tick("panel_trsm")
-        dtype, solve = _bind_trtrs(a, b, trans, lower, unit_diagonal)
-        x = np.array(b, dtype=dtype, order="F")  # contiguous columns
-        for j in range(x.shape[1]):
-            solve(x[:, j], True)  # in place
-        return x
-
-    def lr_apply(self, u: np.ndarray, v: np.ndarray, x: np.ndarray,
-                 mode: str = "n") -> np.ndarray:
-        """Apply a low-rank block ``Â = u vᵗ`` to an ``(·, k)`` panel.
-
-        ``mode='n'``: ``Â x``; ``'t'``: ``Âᵗ x``; ``'h'``: the Hermitian
-        adjoint ``Âᴴ x = conj(v) uᴴ x``.  Column-stable, rank-0 safe.
-        """
-        self._tick("lr_apply")
-        rank = u.shape[1]
-        if rank == 0:
-            rows = u.shape[0] if mode == "n" else v.shape[0]
-            dt = np.result_type(u, v, x)
-            return np.zeros((rows, x.shape[1]), dtype=dt)
-        if mode == "n":       # u (vᵗ x)
-            return _stable_gemm(u, _stable_gemm(v, x, "T"))
-        if mode == "t":       # v (uᵗ x)
-            return _stable_gemm(v, _stable_gemm(u, x, "T"))
-        # mode == "h": conj(v) (uᴴ x)
-        return _stable_gemm(v.conj(), _stable_gemm(u, x, "C"))
 
 
 #: the one kernel instance (its call counters accumulate across solves)

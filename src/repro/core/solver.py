@@ -364,8 +364,11 @@ class Solver:
                         x0: Optional[np.ndarray], tol: float,
                         maxiter: int) -> RefinementResult:
         """Dispatch one refinement run; its result is the run's record of
-        the residual history (:attr:`last_refinement`)."""
-        with span(self.config.profiler, "refinement", method=method) as late:
+        the residual history (:attr:`last_refinement`).  Its
+        preconditioner applications are charged to the ``refine`` phase."""
+        with _kernel_calls(self.factor, "refine"), \
+                span(self.config.profiler, "refinement",
+                     method=method) as late:
             if method == "gmres":
                 res = gmres(self.a, b, precond=self._precond, tol=tol,
                             maxiter=maxiter, x0=x0)

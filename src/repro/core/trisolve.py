@@ -3,9 +3,9 @@
 Works on the mixed dense/low-rank storage produced by any strategy.  A
 column block that is still one stacked panel (nothing in it compressed)
 applies as one product per sweep and side; in blocks mode low-rank blocks
-apply as ``u (vᵗ x)`` — the solve step is what the paper's Table 2 "Solve
-time" row measures, and it is *faster* than the dense solve because the work
-is proportional to the stored ranks.
+apply as ``u (vᵗ x)``.  The solve step is what the paper's Table 2 "Solve
+time" row measures; as refinement's preconditioner it runs once more per
+iteration.
 
 Conventions (matching :mod:`repro.core.factorization`):
 
@@ -19,67 +19,28 @@ Every factorization solves with one forward and one backward block sweep,
 which ``_SWEEPS`` parametrizes by factotype and transpose.
 
 Right-hand sides may be a vector ``(n,)`` or a panel ``(n, k)`` — including
-``k = 0``.  The whole solve runs on the *column-stable* panel kernels of
-:mod:`repro.core.backend` (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``):
-each right-hand-side column is its own gemv or ``trtrs`` call, so a blocked
+``k = 0`` — and are swept as the rows of one C-contiguous ``(k, n)``
+stack, ``k = 1`` the same code.  Each column-block step serves all ``k``
+rows with the *column-stable* products of :mod:`repro.core.backend`: one
+in-place ``trtrs`` per row and one batched gemv per operator.  No
+right-hand side shares a BLAS or LAPACK call with another, so a blocked
 ``(n, k)`` solve equals ``k`` single-RHS solves bit for bit (for identical
-dtypes), which one BLAS-3 gemm/trsm over the panel would not.  The diagonal
-blocks are passed packed: the panel kernels read only the requested
-triangle, so no ``np.triu`` copies are taken.
+dtypes), which one BLAS-3 gemm/trsm over the panel would not.  Diagonal
+blocks are passed packed (only the requested triangle is read).  A sweep
+binds nothing per call and charges its kernel calls in bulk.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import numpy as np
 
-from repro.core.factor import NumericColumnBlock, NumericFactor
+from repro.core.backend import lr_gemv, stable_gemv, trtrs_routine, trtrs_rows
+from repro.core.factor import NumericFactor
 from repro.core.factorization import apply_d
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.spans import span
-
-
-def _apply_below(fac: NumericFactor, nc: NumericColumnBlock, side: str,
-                 x: np.ndarray) -> None:
-    """``x[rows below] -= A(1:bk),k · x[k's columns]`` with the off-diagonal
-    blocks of ``side`` (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks)
-    — the forward step of one column block.  A panel is one stacked
-    column-stable product scattered through the column block's row frame;
-    in blocks mode every dense block applies as a panel of its own and
-    every low-rank block as ``u (vᵗ x)``."""
-    be = fac.backend
-    panel, blocks = getattr(nc, side + "panel"), getattr(nc, side + "blocks")
-    x_cols = x[nc.sym.first_col:nc.sym.end_col]
-    if panel is not None:
-        x[fac.symb.off_rows[nc.sym.id]] -= be.panel_gemm(panel, x_cols)
-        return
-    for b, block in zip(nc.sym.off_blocks(), blocks):
-        if isinstance(block, LowRankBlock):
-            x[b.first_row:b.end_row] -= be.lr_apply(block.u, block.v, x_cols)
-        else:
-            x[b.first_row:b.end_row] -= be.panel_gemm(block, x_cols)
-
-
-def _apply_below_t(fac: NumericFactor, nc: NumericColumnBlock, side: str,
-                   x: np.ndarray, trans: str) -> np.ndarray:
-    """``x[k's columns] -= op(A(1:bk),k) · x[rows below]`` with ``op`` the
-    transpose (``trans='T'``) or the adjoint (``'C'``) of the blocks of
-    ``side`` — the backward step of one column block, returning the
-    updated view.  The transposed product reads the stored panel / block
-    in place."""
-    be = fac.backend
-    panel, blocks = getattr(nc, side + "panel"), getattr(nc, side + "blocks")
-    acc = x[nc.sym.first_col:nc.sym.end_col]
-    if panel is not None:
-        acc -= be.panel_gemm(panel, x[fac.symb.off_rows[nc.sym.id]], trans)
-        return acc
-    mode = "t" if trans == "T" else "h"
-    for b, block in zip(nc.sym.off_blocks(), blocks):
-        x_rows = x[b.first_row:b.end_row]
-        if isinstance(block, LowRankBlock):
-            acc -= be.lr_apply(block.u, block.v, x_rows, mode=mode)
-        else:
-            acc -= be.panel_gemm(block, x_rows, trans)
-    return acc
 
 
 #: ``(factotype, transposed)`` → the arguments of the forward sweep
@@ -106,9 +67,9 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
     using the computed factors.
 
     ``b`` may be ``(n,)`` or an ``(n, k)`` panel; the result has the same
-    shape.  Inputs are normalized to a fresh C-contiguous working copy, so
-    Fortran-ordered or strided right-hand sides give bit-identical results
-    to contiguous ones.
+    shape.  Inputs are normalized to a fresh C-contiguous ``(k, n)`` stack,
+    so Fortran-ordered or strided right-hand sides give bit-identical
+    results to contiguous ones.
 
     The transposed solve of an LU factorization runs ``Uᵗ z = b`` then
     ``Lᵗ x = z``: the stored ``Uᵗ`` blocks apply *forward* and the ``L``
@@ -120,45 +81,78 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
     """
     if fac.faults is not None:
         fac.faults.on_trisolve(fac)
-    x = np.array(b, dtype=np.result_type(fac.dtype, np.asarray(b).dtype),
-                 copy=True, order="C")
-    if x.dtype.kind not in "fc":
-        x = x.astype(np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[:, None]
+    b = np.asarray(b)
+    dtype = np.result_type(fac.dtype, b.dtype)
+    if dtype.kind not in "fc":
+        dtype = np.dtype(np.float64)
+    x = np.array(b.T if b.ndim == 2 else b[None], dtype=dtype, order="C")
     factotype = fac.config.factotype
     forward, backward = _SWEEPS[factotype, bool(trans) and factotype == "lu"]
+    trtrs = trtrs_routine(fac.dtype, dtype)
     with span(fac.profiler, "trisolve", factotype=factotype,
-              nrhs=x.shape[1], trans=trans):
-        _forward(fac, x, *forward)
+              nrhs=x.shape[0], trans=trans):
+        _forward(fac, x, trtrs, *forward)
         if factotype == "ldlt":
-            _diag_scale_ldlt(fac, x)
-        _backward(fac, x, *backward)
-    return x[:, 0] if single else x
+            _diag_scale_ldlt(fac, x.T)
+        _backward(fac, x, trtrs, *backward)
+    return x[0] if b.ndim == 1 else np.ascontiguousarray(x.T)
 
 
-def _forward(fac: NumericFactor, x: np.ndarray, side: str, lower: bool,
-             trans: str, unit: bool) -> None:
-    """The forward block sweep, overwriting ``x``: per column block in
-    order, the diagonal solve, then the blocks of ``side`` applied below.
+def _apply(block: Any, xt: np.ndarray, trans: str) -> np.ndarray:
+    """``op(block)`` on the rows of ``xt``; low-rank as ``u (vᵗ x)``."""
+    if isinstance(block, LowRankBlock):
+        return lr_gemv(block.u, block.v, xt, trans)
+    return stable_gemv(block, xt, trans)
+
+
+def _charge(fac: NumericFactor, nlr: int, nblocks: int) -> None:
+    """Charge one sweep's calls in bulk: a diagonal solve per column block
+    (a skipped unit one included), a product per panel or block."""
+    for op, n in (("panel_trsm", len(fac.cblks)),
+                  ("panel_gemm", nblocks - nlr), ("lr_apply", nlr)):
+        fac.backend.tick(op, n)
+
+
+def _forward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
+             side: str, lower: bool, trans: str, unit: bool) -> None:
+    """The forward block sweep, overwriting the ``(k, n)`` stack ``x``: per
+    column block in order, the diagonal solve, then the blocks of ``side``
+    (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks) applied below — a
+    panel as one product scattered through the column block's row frame.
 
     Threshold-pivoted supernodes store the within-block permutation P on
     ``nc.pivperm``: their global diagonal L block is ``Pᵀ L00``, so the
-    diagonal step solves ``L00 z = P b`` — the local right-hand-side rows
-    are permuted first."""
-    be = fac.backend
+    diagonal step solves ``L00 z = P b`` — the local right-hand-side
+    entries are permuted first.  LAPACK never reads a unit diagonal, so a
+    width-1 unit step is skipped."""
+    nlr = nblocks = 0
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
-        rhs = x[lo:hi] if nc.pivperm is None else x[lo:hi][nc.pivperm]
-        x[lo:hi] = be.panel_trsm(nc.diag, rhs, lower=lower, trans=trans,
-                                 unit_diagonal=unit)
-        _apply_below(fac, nc, side, x)
+        cols = x[:, lo:hi]
+        if nc.pivperm is not None:
+            rhs = cols.take(nc.pivperm, axis=1)
+            trtrs_rows(trtrs, nc.diag, rhs, lower, trans, unit)
+            cols[...] = rhs
+        elif hi - lo > 1 or not unit:
+            trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
+        panel = getattr(nc, side + "panel")
+        if panel is not None:
+            rows = fac.symb.off_rows[nc.sym.id]
+            x[:, rows] = x.take(rows, axis=1) - stable_gemv(panel, cols)
+            nblocks += 1
+            continue
+        for b, block in zip(nc.sym.off_blocks(),
+                            getattr(nc, side + "blocks")):
+            x[:, b.first_row:b.end_row] -= _apply(block, cols, "N")
+            nlr += isinstance(block, LowRankBlock)
+            nblocks += 1
+    _charge(fac, nlr, nblocks)
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
-    """``y = D⁻¹ z`` with the (block-)diagonal D of every diagonal block,
-    2×2 pivot blocks included (:func:`~repro.core.factorization.apply_d`)."""
+    """``y = D⁻¹ z`` on the ``(n, k)`` panel ``x`` with the (block-)
+    diagonal D of every diagonal block, 2×2 pivot blocks included
+    (:func:`~repro.core.factorization.apply_d`)."""
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         d = np.diag(nc.diag)
@@ -166,23 +160,40 @@ def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
                            nc.pivd21, fac.hermitian, inverse=True)
 
 
-def _backward(fac: NumericFactor, x: np.ndarray, side: str,
-              apply_trans: str, lower: bool, trans: str,
+def _backward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
+              side: str, apply_trans: str, lower: bool, trans: str,
               unit: bool) -> None:
-    """The backward block sweep, overwriting ``x``: per column block in
-    reverse, the blocks of ``side`` applied transposed, then the diagonal.
+    """The backward block sweep, overwriting the ``(k, n)`` stack ``x``:
+    per column block in reverse, ``x[k's columns] -= op(A(1:bk),k) ·
+    x[rows below]`` with ``op`` the transpose (``apply_trans='T'``) or the
+    adjoint (``'C'``) of the blocks of ``side``, read in place, then the
+    diagonal solve.
 
     Pivoted supernodes solve ``(Pᵀ L00)ᴴ x = y`` as ``L00ᴴ w = y`` with
-    ``w = P x`` — the solution rows are scattered back through the
+    ``w = P x`` — the solution entries are scattered back through the
     permutation (``x[p] = w``)."""
-    be = fac.backend
     if trans == "C" and not fac.hermitian:
         apply_trans = trans = "T"
+    nlr = nblocks = 0
     for nc in reversed(fac.cblks):
-        acc = _apply_below_t(fac, nc, side, x, apply_trans)
-        sol = be.panel_trsm(nc.diag, acc, lower=lower, trans=trans,
-                            unit_diagonal=unit)
-        if nc.pivperm is None:
-            acc[...] = sol
+        lo, hi = nc.sym.first_col, nc.sym.end_col
+        cols = x[:, lo:hi]
+        panel = getattr(nc, side + "panel")
+        if panel is not None:
+            rows = fac.symb.off_rows[nc.sym.id]
+            cols -= stable_gemv(panel, x.take(rows, axis=1), apply_trans)
+            nblocks += 1
         else:
-            acc[nc.pivperm] = sol
+            for b, block in zip(nc.sym.off_blocks(),
+                                getattr(nc, side + "blocks")):
+                cols -= _apply(block, x[:, b.first_row:b.end_row],
+                               apply_trans)
+                nlr += isinstance(block, LowRankBlock)
+                nblocks += 1
+        if nc.pivperm is not None:
+            sol = cols.copy()
+            trtrs_rows(trtrs, nc.diag, sol, lower, trans, unit)
+            cols[:, nc.pivperm] = sol
+        elif hi - lo > 1 or not unit:
+            trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
+    _charge(fac, nlr, nblocks)

@@ -142,7 +142,8 @@ class FactorizationStats:
         factorization and solves) — the :mod:`repro.core.backend`
         accounting.
     backend_calls_by_phase:
-        The same counts split by phase (``factorize`` / ``solve``).
+        The same counts split by phase (``factorize`` / ``solve`` /
+        ``refine``).
     """
 
     kernels: KernelStats = field(default_factory=KernelStats)

@@ -5,9 +5,10 @@ kernel-level golden checks — gemm / trsm / panel solves on dense and
 low-rank blocks, across all four dtypes — plus the contracts the solver
 relies on:
 
-* **column stability** of the panel kernels: column ``j`` of a blocked
-  result is bit-identical to the single-column result, whatever the
-  panel width;
+* **column stability** of the solve's stacked products (``trtrs_rows``,
+  ``stable_gemv``, ``lr_gemv``, driven below through one ``(n, k)`` panel
+  each): column ``j`` of a blocked result is bit-identical to the
+  single-column result, whatever the panel width;
 * **pinned bits**: a float64 factorization
   reproduces four sha256 digests of its factors (each re-captured only
   with a change that says why it moved — see ``SEED_DIGESTS``), and its
@@ -24,7 +25,15 @@ import scipy.linalg as sla
 
 import hashlib
 
-from repro.core.backend import KERNELS, _ldlt_pivot, _solve_triangular
+from repro.core.backend import (
+    KERNELS,
+    _ldlt_pivot,
+    _solve_triangular,
+    lr_gemv,
+    stable_gemv,
+    trtrs_routine,
+    trtrs_rows,
+)
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.sparse.generators import helmholtz_3d, laplacian_3d
@@ -207,6 +216,31 @@ def test_bound_trsm_keeps_the_shape_checks():
 
 
 # ----------------------------------------------------------------------
+# the solve's stacked products on one (n, k) panel: column j is row j
+# ----------------------------------------------------------------------
+
+def _stack(x, *ops):
+    return np.array(x.T, dtype=np.result_type(x, *ops), order="C")
+
+
+def panel_trsm(a, b, lower=True, trans="N", unit_diagonal=False):
+    """``op(a) X = b`` as the solve runs it: :func:`trtrs_rows` on the
+    columns of ``b`` as rows; a fresh array, ``b`` untouched."""
+    trtrs = trtrs_routine(a.dtype, b.dtype)
+    xt = np.array(b.T, dtype=trtrs.dtype, order="C")
+    trtrs_rows(trtrs, a, xt, lower, trans, unit_diagonal)
+    return xt.T
+
+
+def panel_gemm(a, x, trans="N"):
+    return stable_gemv(a, _stack(x, a), trans).T
+
+
+def lr_apply(u, v, x, mode="n"):
+    return lr_gemv(u, v, _stack(x, u, v), "NTC"["nth".index(mode)]).T
+
+
+# ----------------------------------------------------------------------
 # kernel-level goldens, every dtype
 # ----------------------------------------------------------------------
 
@@ -260,7 +294,7 @@ class TestKernelGoldens:
         a = _tri(rng, n, dtype, lower, unit)
         b = _rand(rng, (n, k), dtype)
         op = {"N": a, "T": a.T, "C": a.conj().T}[trans]
-        x = be.panel_trsm(a, b, lower=lower, trans=trans,
+        x = panel_trsm(a, b, lower=lower, trans=trans,
                           unit_diagonal=unit)
         rtol = 200 * RTOL[dtype]
         np.testing.assert_allclose(op @ x, b, rtol=rtol, atol=rtol)
@@ -272,8 +306,8 @@ class TestKernelGoldens:
         a = _tri(rng, 5, dtype, lower=True, unit=False)
         packed = a + np.triu(_rand(rng, (5, 5), dtype), 1)  # garbage above
         b = _rand(rng, (5, 2), dtype)
-        x_clean = be.panel_trsm(a, b, lower=True)
-        x_packed = be.panel_trsm(packed, b, lower=True)
+        x_clean = panel_trsm(a, b, lower=True)
+        x_packed = panel_trsm(packed, b, lower=True)
         np.testing.assert_array_equal(x_clean, x_packed)
 
     def test_panel_gemm(self, be, dtype, rng):
@@ -286,12 +320,12 @@ class TestKernelGoldens:
             op = {"N": a, "T": a.T, "C": a.conj().T}[trans]
             x = _rand(rng, (op.shape[1], 3), dtype)
             before = panel.copy()
-            np.testing.assert_allclose(be.panel_gemm(a, x, trans), op @ x,
+            np.testing.assert_allclose(panel_gemm(a, x, trans), op @ x,
                                        rtol=RTOL[dtype], atol=RTOL[dtype])
             np.testing.assert_array_equal(panel, before)
             for aa, xx in ((a[:0], x if trans == "N" else x[:0]),
                            (a, x[:, :0])):
-                out = be.panel_gemm(aa, xx, trans)
+                out = panel_gemm(aa, xx, trans)
                 ref = {"N": aa, "T": aa.T, "C": aa.conj().T}[trans] @ xx
                 assert out.shape == ref.shape and out.dtype == ref.dtype
                 np.testing.assert_array_equal(out, ref)
@@ -303,7 +337,7 @@ class TestKernelGoldens:
         x = _rand(rng, (5 if mode == "n" else 6, 3), dtype)
         block = u @ v.T
         ref = {"n": block, "t": block.T, "h": block.conj().T}[mode] @ x
-        np.testing.assert_allclose(be.lr_apply(u, v, x, mode=mode), ref,
+        np.testing.assert_allclose(lr_apply(u, v, x, mode=mode), ref,
                                    rtol=10 * RTOL[dtype],
                                    atol=10 * RTOL[dtype])
 
@@ -333,7 +367,7 @@ class TestKernelGoldens:
         u = np.zeros((6, 0), dtype=dtype)
         v = np.zeros((5, 0), dtype=dtype)
         x = _rand(rng, (5 if mode == "n" else 6, 3), dtype)
-        out = be.lr_apply(u, v, x, mode=mode)
+        out = lr_apply(u, v, x, mode=mode)
         assert out.shape == ((6, 3) if mode == "n" else (5, 3))
         assert out.dtype == np.result_type(u, v, x)
         assert not out.any()
@@ -346,8 +380,8 @@ class TestKernelGoldens:
 @kernels
 @dtypes
 class TestColumnStability:
-    """Panel kernels: column j of a blocked result == the single-column
-    result, bit for bit, at every panel width."""
+    """Panel solves and products: column j of a blocked result == the
+    single-column result, bit for bit, at every panel width."""
 
     def test_panel_trsm_width_invariant(self, be, dtype, rng):
         """Column j of a panel solve is the single-column ``trtrs`` solve,
@@ -361,14 +395,14 @@ class TestColumnStability:
             a = np.array(a, order=order)
             kw = dict(lower=lower, trans=trans, unit_diagonal=unit)
             b = _rand(rng, (n, 7), dtype)
-            full = be.panel_trsm(a, b, **kw)
+            full = panel_trsm(a, b, **kw)
             assert full.dtype == dtype and full.shape == b.shape
             for j in range(7):
                 col = _solve_triangular(a, b[:, j:j + 1], trans, lower, unit)
                 np.testing.assert_array_equal(full[:, j:j + 1], col)
                 np.testing.assert_array_equal(
-                    be.panel_trsm(a, b[:, j:j + 1], **kw), col)
-            empty = be.panel_trsm(a, b[:, :0], **kw)
+                    panel_trsm(a, b[:, j:j + 1], **kw), col)
+            empty = panel_trsm(a, b[:, :0], **kw)
             assert empty.shape == (n, 0) and empty.dtype == dtype
 
     def test_panel_trsm_mixed_dtypes(self, be, dtype, rng):
@@ -381,7 +415,7 @@ class TestColumnStability:
         for trans, order in itertools.product("NTC", "CF"):
             a = np.array(_tri(rng, 9, other, True, False), order=order)
             b = _rand(rng, (9, 4), dtype)
-            full = be.panel_trsm(a, b, lower=True, trans=trans)
+            full = panel_trsm(a, b, lower=True, trans=trans)
             assert full.dtype == np.result_type(a, b)
             for j in range(4):
                 np.testing.assert_array_equal(
@@ -392,19 +426,96 @@ class TestColumnStability:
         a = _rand(rng, (9, 6), dtype)
         for trans in "NTC":
             x = _rand(rng, (6 if trans == "N" else 9, 5), dtype)
-            full = be.panel_gemm(a, x, trans)
+            full = panel_gemm(a, x, trans)
             for j in range(5):
-                single = be.panel_gemm(a, x[:, j:j + 1], trans)
+                single = panel_gemm(a, x[:, j:j + 1], trans)
                 np.testing.assert_array_equal(full[:, j:j + 1], single)
 
     def test_lr_apply_width_invariant(self, be, dtype, rng):
         u = _rand(rng, (8, 3), dtype)
         v = _rand(rng, (6, 3), dtype)
         x = _rand(rng, (6, 4), dtype)
-        full = be.lr_apply(u, v, x)
+        full = lr_apply(u, v, x)
         for j in range(4):
-            single = be.lr_apply(u, v, x[:, j:j + 1])
+            single = lr_apply(u, v, x[:, j:j + 1])
             np.testing.assert_array_equal(full[:, j:j + 1], single)
+
+
+def _one_gemv(a, x, trans):
+    """``op(a) @ x`` for one 1-D ``x`` as a lone gemv: ``'N'`` on the
+    C-ordered ``a``, ``'T'`` reading ``a`` in place through ``a.T``
+    (cast C-ordered when ``a`` is narrower than ``x``), ``'C'`` as
+    ``conj(aᵗ conj(x))``."""
+    if trans == "N":
+        return np.ascontiguousarray(a, dtype=x.dtype) @ x
+    op = a.T if a.dtype == x.dtype else np.ascontiguousarray(a.T,
+                                                             dtype=x.dtype)
+    return op @ x if trans == "T" else (op @ x.conj()).conj()
+
+
+@dtypes
+class TestBatchedGemv:
+    """``stable_gemv`` issues one batched ``np.matmul`` over a stack of
+    right-hand sides on the assumption that numpy runs it as the same gemv
+    per item that a lone 1-D product runs: row ``j`` of the batch must be
+    that 1-D gemv, bit for bit, at every stack height."""
+
+    @pytest.mark.parametrize("k", (0, 1, 2, 3, 16))
+    def test_rows_are_one_d_gemvs(self, dtype, rng, k):
+        wide = {np.float32: np.float64, np.complex64: np.complex128}.get(dtype)
+        panel = _rand(rng, (13, 7), dtype)
+        cases = [
+            ("N", panel, dtype),                         # a C operand
+            ("N", _rand(rng, (7, 13), dtype).T, dtype),  # a transposed view
+            ("T", panel, dtype),                         # aᵗ read in place
+            ("C", panel, dtype),                         # the adjoint
+        ]
+        if wide is not None:  # a narrow operand against a wide stack
+            cases += [(trans, panel, wide) for trans in "NTC"]
+        for trans, a, xdtype in cases:
+            m, n = a.shape if trans == "N" else a.shape[::-1]
+            xt = _rand(rng, (k, n), xdtype)
+            out = stable_gemv(a, xt, trans)
+            assert out.shape == (k, m) and out.dtype == xt.dtype
+            for j in range(k):
+                np.testing.assert_array_equal(out[j],
+                                              _one_gemv(a, xt[j], trans))
+
+    def test_strided_stack_gives_contiguous_bits(self, dtype, rng):
+        """A stack gathered by fancy indexing (not C-ordered) gives the
+        bits of its contiguous copy."""
+        a = _rand(rng, (9, 6), dtype)
+        x = _rand(rng, (5, 20), dtype)
+        idx = np.array([1, 4, 5, 9, 12, 17])
+        gathered = x[:, idx]
+        for trans, operand in (("N", a), ("T", a.T.copy())):
+            np.testing.assert_array_equal(
+                stable_gemv(operand, gathered, trans),
+                stable_gemv(operand, np.ascontiguousarray(gathered), trans))
+
+
+@dtypes
+class TestRowSolves:
+    """``trtrs_rows`` solves every row of a stack in place, each row its
+    own ``trtrs``: the bits of the single-column solve, whether the row
+    lies contiguous in the stack or has to be copied and written back."""
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_in_place_rows_match_single_solves(self, dtype, rng, order):
+        n, k = 8, 3
+        a = _tri(rng, n, dtype, True, False)
+        trtrs = trtrs_routine(a.dtype, a.dtype)
+        for trans in "NTC":
+            stack = np.array(_rand(rng, (k, 20), dtype), order=order)
+            before = stack.copy()
+            trtrs_rows(trtrs, a, stack[:, 5:5 + n], True, trans)
+            for j in range(k):
+                ref = _solve_triangular(a, before[j, 5:5 + n][:, None],
+                                        trans, True)[:, 0]
+                np.testing.assert_array_equal(stack[j, 5:5 + n], ref)
+            np.testing.assert_array_equal(stack[:, :5], before[:, :5])
+            np.testing.assert_array_equal(stack[:, 5 + n:],
+                                          before[:, 5 + n:])
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +546,28 @@ class TestEndToEnd:
         assert calls.get("getrf", 0) > 0
         s.solve(np.ones(a.n))
         assert calls.get("panel_trsm", 0) > 0
+
+    @pytest.mark.parametrize("factotype", ("lu", "cholesky"))
+    def test_refinement_charged_to_its_phase(self, be, factotype):
+        """Every preconditioner application of ``refine`` (GMRES for LU,
+        CG for Cholesky) is one solve's calls, charged to ``refine``."""
+        a = laplacian_3d(6)
+        s = Solver(a, tiny_blr_config(strategy="just-in-time",
+                                      factotype=factotype, tolerance=1e-2))
+        s.factorize()
+        b = np.ones(a.n)
+        s.solve(b)
+        one_solve = dict(s.stats.backend_calls_by_phase["solve"])
+        applications = []
+        precond = s._precond
+        s._precond = lambda r, trans=False: (applications.append(r),
+                                             precond(r, trans))[1]
+        res = s.refine(b, tol=1e-12)
+        assert res.iterations >= 2 and len(applications) >= 2
+        charged = s.stats.backend_calls_by_phase["refine"]
+        assert charged == {op: len(applications) * n
+                           for op, n in one_solve.items()}
+        assert s.stats.backend_calls_by_phase["solve"] == one_solve
 
 
 class TestSeedBitCompatibility:

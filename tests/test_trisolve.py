@@ -1,15 +1,20 @@
 """Tests for the mixed dense/low-rank triangular solves."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.serialize import load_factor, save_factor
 from repro.core.solver import Solver
 from repro.core.trisolve import _diag_scale_ldlt, solve_factored
 from repro.lowrank.block import LowRankBlock
-from repro.sparse.generators import laplacian_2d, laplacian_3d
+from repro.sparse.generators import laplacian_2d, laplacian_3d, zoo
 from repro.sparse.permute import permute_symmetric
 from tests.conftest import tiny_blr_config
+from tests.test_backend_conformance import lr_apply, panel_gemm, panel_trsm
 from tests.test_factorization import LANDING_CASES
 
 
@@ -136,15 +141,14 @@ class TestMultiRhsBitwise:
 # place — the same sums in another order, so equal to rounding — and must
 # keep every column of a panel solve bit-identical to its single solve.
 
-def _reference_apply(be, block, x, mode):
+def _reference_apply(block, x, mode):
     if isinstance(block, LowRankBlock):
-        return be.lr_apply(block.u, block.v, x, mode=mode)
+        return lr_apply(block.u, block.v, x, mode=mode)
     op = {"n": block, "t": block.T, "h": block.conj().T}[mode]
-    return be.panel_gemm(np.ascontiguousarray(op), x)
+    return panel_gemm(np.ascontiguousarray(op), x)
 
 
 def reference_solve(fac, b, trans=False):
-    be = fac.backend
     factotype = fac.config.factotype
     adjoint = "C" if fac.dtype.kind == "c" else "T"
     if factotype == "lu" and trans:
@@ -163,20 +167,20 @@ def reference_solve(fac, b, trans=False):
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         rhs = x[lo:hi] if nc.pivperm is None else x[lo:hi][nc.pivperm]
-        x[lo:hi] = be.panel_trsm(nc.diag, rhs, **forward[1])
+        x[lo:hi] = panel_trsm(nc.diag, rhs, **forward[1])
         for i, blk in enumerate(nc.sym.off_blocks()):
             x[blk.first_row:blk.end_row] -= _reference_apply(
-                be, getattr(nc, forward[0])(i), x[lo:hi], "n")
+                getattr(nc, forward[0])(i), x[lo:hi], "n")
     if factotype == "ldlt":
         _diag_scale_ldlt(fac, x)
     for nc in reversed(fac.cblks):
         lo, hi = nc.sym.first_col, nc.sym.end_col
         acc = x[lo:hi]
         for i, blk in enumerate(nc.sym.off_blocks()):
-            acc -= _reference_apply(be, getattr(nc, backward[0])(i),
+            acc -= _reference_apply(getattr(nc, backward[0])(i),
                                     x[blk.first_row:blk.end_row],
                                     backward[1])
-        sol = be.panel_trsm(nc.diag, acc, **backward[2])
+        sol = panel_trsm(nc.diag, acc, **backward[2])
         if nc.pivperm is None:
             x[lo:hi] = sol
         else:
@@ -246,3 +250,46 @@ class TestStackedSweepsMatchPerBlockSweeps:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(
             x[:, 3], solve_factored(fac, np.ascontiguousarray(b[:, 3])))
+
+
+# ----------------------------------------------------------------------
+# multi-RHS column identity, as a property over the zoo
+# ----------------------------------------------------------------------
+
+ZOO = {c.name: c for c in zoo()}
+COLUMN_IDENTITY_CASES = [
+    (name, factotype, strategy)
+    for name in sorted(ZOO)
+    for factotype in ("lu", "cholesky", "ldlt")
+    for strategy in ("dense", "just-in-time", "minimal-memory")
+    if (factotype != "cholesky" or ZOO[name].definiteness == "positive")
+    # no admissible pivot in kkt's zero block: LDLᵗ breaks down
+    and (factotype != "ldlt" or name != "kkt")]
+
+
+@functools.lru_cache(maxsize=8)
+def zoo_solver(name, factotype, strategy):
+    cfg = dict(pivoting="threshold") if factotype == "ldlt" else {}
+    return factored(ZOO[name].build(), strategy=strategy,
+                    factotype=factotype, tolerance=1e-4, **cfg)
+
+
+class TestMultiRhsColumnIdentity:
+    """``solve(B)[:, j] == solve(B[:, j])`` bit for bit, over the zoo ×
+    factotype (threshold-pivoted LDLᵗ) × strategy × ``trans`` × the memory
+    order of ``B`` (a column of a C-ordered ``B`` is a strided vector)."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(COLUMN_IDENTITY_CASES),
+           trans=st.booleans(), order=st.sampled_from("CF"),
+           k=st.integers(2, 5), seed=st.integers(0, 2**31 - 1))
+    def test_panel_columns_are_single_solves(self, case, trans, order, k,
+                                             seed):
+        s = zoo_solver(*case)
+        b = np.array(np.random.default_rng(seed).standard_normal((s.n, k)),
+                     order=order)
+        x = s.solve(b, trans=trans)
+        assert x.shape == b.shape
+        for j in range(k):
+            assert np.array_equal(x[:, j], s.solve(b[:, j], trans=trans))

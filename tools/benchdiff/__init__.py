@@ -71,7 +71,10 @@ class Thresholds:
     baseline must not grandfather in a slow current run).  The floor was
     3x until single-RHS solves stopped running interpreted row sweeps:
     that made the sequential side of ``multirhs_speedup`` ~2.1x faster
-    while the blocked solve held its time.
+    while the blocked solve held its time (7.5-7.7x -> 3.6-3.8x).  One
+    batched sweep per solve then sped both sides up, the blocked one more
+    (sequential 0.26-0.38 -> 0.15-0.19 s, blocked 0.08-0.11 -> 0.03-0.04
+    s), and the ratio rose to 4.7-5.9x; the floor stays at 2x.
     """
 
     time_warn: float = 0.25
