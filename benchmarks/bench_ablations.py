@@ -10,9 +10,7 @@ paper's text:
   without column aggregation;
 * **JIT peak** (§4.3: "delay the allocation and the compression of the
   original blocks"): JIT's tracked peak against the dense solver's, now
-  that every column block is allocated in its own task;
-* **threaded scheduler** ([23]): speedup of the dependency-driven engine
-  over the sequential loop.
+  that every column block is allocated in its own task.
 """
 
 from __future__ import annotations
@@ -150,20 +148,6 @@ def ablate_wavenumber(scale: str) -> dict:
     return out
 
 
-def ablate_threads(scale: str) -> dict:
-    grid = SCALE_PARAMS[scale]["lap"]
-    a = laplacian_3d(grid)
-    out = {}
-    for nthreads in (1, 2, 4):
-        cfg = bench_config(scale, strategy="dense", threads=nthreads)
-        solver = Solver(a, cfg)
-        solver.analyze()
-        t0 = time.perf_counter()
-        solver.factorize()
-        out[f"threads={nthreads}"] = time.perf_counter() - t0
-    return out
-
-
 def run_experiment(scale: str) -> dict:
     return {
         "scale": scale,
@@ -173,7 +157,6 @@ def run_experiment(scale: str) -> dict:
         "kernels": ablate_kernels(scale),
         "ordering": ablate_ordering(scale),
         "wavenumber": ablate_wavenumber(scale),
-        "threads": ablate_threads(scale),
     }
 
 
@@ -203,10 +186,6 @@ def print_report(res: dict) -> None:
     print("helmholtz k    : " + ", ".join(
         f"{k}: mem {v['memory_ratio']:.3f} ({v['nblocks_compressed']} lr)"
         for k, v in res["wavenumber"].items()))
-    t = res["threads"]
-    base = t["threads=1"]
-    print("scheduler      : " + ", ".join(
-        f"{k}: {v:.2f}s ({base / v:.2f}x)" for k, v in t.items()))
 
 
 def check_shape(res: dict) -> None:

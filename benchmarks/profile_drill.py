@@ -1,19 +1,16 @@
 """CI drill for the causal span profiler (``docs/observability.md``).
 
-One program, four gates:
+One program, three gates:
 
-1. **Tree invariants** — a traced 4-thread factorization and a traced
-   sequential run must each produce a healthy span tree (single root, no
-   orphans, containment/ordering respected).
-2. **Engine invariance** — the two causal trees must be *identical*
-   (edges + attributes; timestamps and thread ids aside).
-3. **Bit identity** — the profiled float64 factors must hash
+1. **Tree invariants** — a traced factorization must produce a healthy
+   span tree (single root, no orphans, containment/ordering respected).
+2. **Bit identity** — the profiled float64 factors must hash
    sha256-identical to an unprofiled run.
-4. **Overhead** — profiling must not slow the factorization by more
+3. **Overhead** — profiling must not slow the factorization by more
    than 5% (plus a small absolute epsilon for runner noise).
 
-On success the traced worker-pool run's span document is written out
-for the CI artifact.
+On success the traced run's span document is written out for the CI
+artifact.
 
 Run directly::
 
@@ -33,13 +30,8 @@ import numpy as np
 
 from repro import Solver, SolverConfig
 from repro.analysis.profile import phase_rollup
-from repro.runtime.spans import SpanProfiler, canonical_tree
+from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_3d
-
-ENGINES: Tuple[Tuple[str, dict], ...] = (
-    ("sequential", dict(threads=1)),
-    ("threaded-dynamic", dict(threads=4)),
-)
 
 
 def _config(**overrides: Any) -> SolverConfig:
@@ -61,9 +53,9 @@ def factor_digest(solver: Solver) -> str:
     return h.hexdigest()
 
 
-def profiled_run(a: Any, **overrides: Any) -> Tuple[Solver, SpanProfiler]:
+def profiled_run(a: Any) -> Tuple[Solver, SpanProfiler]:
     prof = SpanProfiler()
-    solver = Solver(a, _config(profiler=prof, **overrides))
+    solver = Solver(a, _config(profiler=prof))
     solver.factorize()
     solver.solve(np.ones(a.n))
     prof.finish()
@@ -99,41 +91,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     a = laplacian_3d(args.grid)
     print(f"workload: laplacian_3d({args.grid})  n={a.n} nnz={a.nnz}")
 
-    # gates 1-3: invariants, engine invariance, bit identity ------------
+    # gates 1-2: invariants, bit identity -------------------------------
     baseline = Solver(a, _config())
     baseline.factorize()
     want_digest = factor_digest(baseline)
 
-    trees = {}
-    exported: Optional[SpanProfiler] = None
-    for engine, overrides in ENGINES:
-        solver, prof = profiled_run(a, **overrides)
-        problems = prof.check_invariants()
-        if problems:
-            for p in problems:
-                print(f"  INVARIANT [{engine}]: {p}", file=sys.stderr)
-            return 1
-        digest = factor_digest(solver)
-        if digest != want_digest:
-            print(f"  BIT DRIFT [{engine}]: profiled factor digest "
-                  f"{digest[:16]} != unprofiled {want_digest[:16]}",
-                  file=sys.stderr)
-            return 1
-        trees[engine] = canonical_tree(prof.events())
-        nspans = len(prof.events())
-        print(f"  {engine:>16}: {nspans} spans, invariants clean, "
-              f"digest {digest[:16]}")
-        if engine == "threaded-dynamic":
-            exported = prof
+    solver, prof = profiled_run(a)
+    problems = prof.check_invariants()
+    if problems:
+        for p in problems:
+            print(f"  INVARIANT: {p}", file=sys.stderr)
+        return 1
+    digest = factor_digest(solver)
+    if digest != want_digest:
+        print(f"  BIT DRIFT: profiled factor digest {digest[:16]} != "
+              f"unprofiled {want_digest[:16]}", file=sys.stderr)
+        return 1
+    print(f"  {len(prof.events())} spans, invariants clean, "
+          f"digest {digest[:16]}")
 
-    for engine, _ in ENGINES[1:]:
-        if trees[engine] != trees["sequential"]:
-            print(f"  TREE MISMATCH: {engine} causal tree differs from "
-                  f"sequential", file=sys.stderr)
-            return 1
-    print("  causal trees identical across engines")
-
-    # gate 4: overhead ---------------------------------------------------
+    # gate 3: overhead ---------------------------------------------------
     t_off, t_on = overhead_bound(a)
     ratio = t_on / t_off if t_off > 0 else 1.0
     print(f"  overhead: off={t_off:.4f}s on={t_on:.4f}s ({ratio:.3f}x)")
@@ -143,10 +120,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     # artifacts ----------------------------------------------------------
-    assert exported is not None
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = exported.to_json(outdir / "profile_spans.json")
+    doc = prof.to_json(outdir / "profile_spans.json")
     roll = phase_rollup(doc)
     print(f"  phases: " + ", ".join(
         f"{name}={slot['time']:.3f}s"

@@ -22,7 +22,7 @@ Public API highlights:
   reads from the run's own state.
 * :class:`~repro.runtime.spans.SpanProfiler` — opt-in causal span
   profiler (``SolverConfig(profiler=SpanProfiler())``): one trace tree
-  per run, identical across sequential and threaded engines, rolled up
+  per run, rolled up
   by :mod:`repro.analysis.profile` into the RunReport
   (``docs/observability.md``).
 * :class:`~repro.runtime.recovery.RecoveryPolicy` — opt-in self-healing

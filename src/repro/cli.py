@@ -24,7 +24,7 @@ Commands
     committed ``SCENARIOS.json``.
 ``lint``
     Run the bundled solverlint static-analysis suite (solver-specific
-    invariants, contract rules, and the shared-state lockset engine) over
+    invariants and contract rules) over
     ``src/repro`` or explicit paths; ``--json`` for machine-readable
     findings.  Requires a source checkout (``tools/solverlint``).
 
@@ -133,8 +133,6 @@ def _config(args: argparse.Namespace) -> SolverConfig:
             **({"pivot_u": args.pivot_u}
                if getattr(args, "pivot_u", None) is not None else {}),
             ordering=args.ordering,
-            threads=args.threads,
-            watchdog_timeout=getattr(args, "watchdog", None),
             dtype=args.dtype,
             recovery=recovery,
         )
@@ -165,7 +163,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(0, 0.5] (default 0.1)")
     p.add_argument("--ordering", default="nested-dissection",
                    choices=ORDERINGS)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dtype", default=None, choices=DTYPES,
                    help="arithmetic precision (default: the matrix dtype; "
                         "float64 for real inputs)")
@@ -520,9 +517,6 @@ def main(argv: Optional[list] = None) -> int:
     p_solve.add_argument("--gantt", metavar="FILE",
                          help="with --report: also render a Gantt SVG "
                               "of the kernel spans, one lane per thread")
-    p_solve.add_argument("--watchdog", type=float, metavar="SECONDS",
-                         help="raise DeadlockError (with a pending-counter "
-                              "dump) if a threaded run stalls this long")
     p_solve.add_argument("--report", metavar="FILE",
                          help="attach telemetry and the span profiler "
                               "and write a RunReport JSON artifact (render "

@@ -116,13 +116,11 @@ class SolverConfig:
     dtype: Optional[str] = None
 
     # --- parallelism ---------------------------------------------------
-    #: worker threads of the factorization (1 = the inline sequential loop;
-    #: more = one worker pool on a shared ready queue, bit-identical factors)
+    #: worker threads of the factorization; 1 is the only legal value (the
+    #: worker pool is retired: it never ran faster than the sequential
+    #: engine).  The field moves to ``serialize.RETIRED_CONFIG_FIELDS``
+    #: once the benchmark's shared settings stop passing ``threads=1``.
     threads: int = 1
-    #: raise :class:`~repro.core.scheduler.DeadlockError` (with a
-    #: pending-counter dump) when a threaded run makes no progress for this
-    #: many seconds; ``None`` disables the watchdog
-    watchdog_timeout: Optional[float] = None
 
     # --- robustness -----------------------------------------------------
     #: self-healing policy (:class:`~repro.runtime.recovery.RecoveryPolicy`
@@ -136,8 +134,8 @@ class SolverConfig:
 
     # --- observability -------------------------------------------------
     #: attach a :class:`~repro.runtime.telemetry.Telemetry` store: the
-    #: compression kernels, LR2LR recompression, memory tracker, worker
-    #: pool and threshold pivoting then add time-stamped series points and
+    #: compression kernels, LR2LR recompression, memory tracker and
+    #: threshold pivoting then add time-stamped series points and
     #: events to it — the run's timeline, beside the counts its own state
     #: keeps — and ``Solver.run_report()`` carries its snapshot.  ``None``
     #: (the default) disables it at the cost of one ``is not None`` test
@@ -157,13 +155,6 @@ class SolverConfig:
     #: serialized as null.
     profiler: Optional["SpanProfiler"] = field(
         default=None, repr=False, compare=False)
-    #: run the worker pool under the Eraser-style lockset tracker
-    #: (:mod:`repro.runtime.sanitizer`): shared scheduler/factor structures
-    #: record (thread, access, lockset) events and candidate races raise a
-    #: structured :class:`~repro.runtime.sanitizer.RaceReport` after the
-    #: join.  ``$REPRO_TSAN=1`` enables it without touching the config
-    #: (see :meth:`sanitize_enabled`).  Sequential runs ignore it.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -184,8 +175,10 @@ class SolverConfig:
             raise ValueError("split_size must be >= 1")
         if self.split_min > self.split_size:
             raise ValueError("split_min must be <= split_size")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.threads != 1:
+            raise ValueError(
+                f"threads must be 1, got {self.threads!r}: the worker pool "
+                "is retired and the factorization always runs sequentially")
         if not (0.0 < self.rank_ratio <= 1.0):
             raise ValueError("rank_ratio must be in (0, 1]")
         from repro.core.variants import THRESHOLD_MODES
@@ -194,8 +187,6 @@ class SolverConfig:
             raise ValueError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got "
                 f"{self.threshold_mode!r}")
-        if self.watchdog_timeout is not None and not (self.watchdog_timeout > 0):
-            raise ValueError("watchdog_timeout must be positive (or None)")
         if self.pivoting not in PIVOTINGS:
             raise ValueError(
                 f"pivoting must be one of {PIVOTINGS}, got {self.pivoting!r}")
@@ -246,18 +237,6 @@ class SolverConfig:
     def with_options(self, **overrides: Any) -> "SolverConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    def sanitize_enabled(self) -> bool:
-        """Is the runtime race sanitizer on for this run?
-
-        True when :attr:`sanitize` is set or ``$REPRO_TSAN`` is a non-empty
-        value other than ``0`` (the CI tsan job exports ``REPRO_TSAN=1`` to
-        rerun the threaded suites instrumented without editing configs).
-        """
-        import os
-
-        return self.sanitize or os.environ.get(
-            "REPRO_TSAN", "") not in ("", "0")
 
     @property
     def is_blr(self) -> bool:

@@ -15,7 +15,7 @@ block storage and its assembly from the CSC matrix;
 :mod:`~repro.core.factorization` implements the right-looking drivers for the
 Dense / Just-In-Time / Minimal Memory strategies (Algorithms 1 and 2);
 :mod:`~repro.core.trisolve` the mixed dense/low-rank triangular solves;
-:mod:`~repro.core.scheduler` the sequential and threaded execution engines;
+:mod:`~repro.core.scheduler` the execution engine;
 :mod:`~repro.core.refinement` the preconditioned GMRES/CG/iterative
 refinement of §4.4.
 """

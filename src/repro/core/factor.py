@@ -55,7 +55,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.runtime.recovery import RecoveryState
-    from repro.runtime.sanitizer import RaceSanitizer
     from repro.runtime.spans import SpanProfiler
 
 from repro.config import SolverConfig
@@ -159,7 +158,7 @@ class NumericFactor:
         # run's recovery record ride on the memory tracker (high-water
         # timeline) and the kernel stats (compression / recompression
         # samples, a failed compression's keep-dense verdict) so no kernel
-        # signature changes; the schedulers read telemetry from config
+        # signature changes; the engine reads telemetry from config
         self.tracker = MemoryTracker(telemetry=config.telemetry)
         self.stats = FactorizationStats(kernels=KernelStats(
             locked=True, telemetry=config.telemetry, recovery=recovery))
@@ -169,10 +168,9 @@ class NumericFactor:
         self.pivot_swaps = 0
         self.pivots_2x2 = 0
         self.pivot_growth = 0.0
-        #: guards cross-task counters (``nperturbed``, pivot stats) —
-        #: worker threads factor disjoint column blocks but accumulate
-        #: into one factor
-        self._counter_lock: Any = threading.Lock()
+        #: guards the counters every task accumulates into
+        #: (``nperturbed``, pivot stats)
+        self._counter_lock = threading.Lock()
         #: arithmetic dtype of the factorization (resolved by
         #: :func:`assemble` from the matrix and ``config.dtype``)
         self.dtype = np.dtype(np.float64)
@@ -189,17 +187,12 @@ class NumericFactor:
         self.entries: Optional[Tuple[np.ndarray, ...]] = None
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
         #: from ``config.profiler`` so the engines and kernels pay a single
-        #: attribute load; the schedulers open one causal span per task and
+        #: attribute load; the engine opens one causal span per task and
         #: the kernels nest factor/compress/update children in it
         self.profiler: Optional["SpanProfiler"] = config.profiler
         #: optional :class:`~repro.runtime.faults.FaultInjector` — fired at
         #: the top of every factor/update task when set
         self.faults = None
-        #: optional :class:`~repro.runtime.sanitizer.RaceSanitizer` — armed
-        #: by the solver via :meth:`attach_sanitizer` when
-        #: ``config.sanitize_enabled()``; the threaded schedulers report
-        #: their shared accesses through it
-        self.sanitizer: Optional["RaceSanitizer"] = None
         #: the run's :class:`~repro.runtime.recovery.RecoveryState` when it
         #: carries a policy (``config.recovery``), else ``None``; every
         #: breakdown sentinel and fallback in the factorization path is
@@ -224,16 +217,6 @@ class NumericFactor:
         """Complex Cholesky / LDLᴴ: the factor is ``L Lᴴ`` / ``L D Lᴴ``, so
         every transposed operand is an adjoint (LU stays a transpose)."""
         return self.config.is_symmetric_facto and self.dtype.kind == "c"
-
-    def attach_sanitizer(self, san: "RaceSanitizer") -> None:
-        """Arm the runtime race sanitizer on this factor's shared state.
-
-        Wraps the counter lock so worker locksets are tracked, and exposes
-        the sanitizer to the schedulers (``fac.sanitizer``).  Called by the
-        solver before spawning workers when ``config.sanitize_enabled()``."""
-        self.sanitizer = san
-        self._counter_lock = san.wrap_lock(self._counter_lock,
-                                           "factor._counter_lock")
 
     def fill_column_block(self, k: int) -> None:
         """The first step of column block ``k``'s task: allocate its
@@ -298,9 +281,8 @@ class NumericFactor:
     def add_perturbed(self, n: int) -> None:
         """Accumulate perturbed-pivot counts from factor tasks.
 
-        Integer addition under ``_counter_lock``: worker threads factoring
-        different column blocks race on the shared counter otherwise, and
-        the result stays independent of accumulation order."""
+        Integer addition under ``_counter_lock``, so the result stays
+        independent of accumulation order."""
         if n:
             with self._counter_lock:
                 self.nperturbed += n
@@ -319,8 +301,8 @@ class NumericFactor:
 
         ``stats`` is the dict returned by the ``ldlt_pivot`` kernel
         (swaps / n2x2 / perturbed / growth).  Sums and the growth max are
-        taken under ``_counter_lock`` — worker threads factoring different
-        column blocks share these run-wide aggregates."""
+        taken under ``_counter_lock`` — run-wide aggregates shared by
+        every task."""
         with self._counter_lock:
             self.pivot_swaps += int(stats.get("swaps", 0))
             self.pivots_2x2 += int(stats.get("n2x2", 0))

@@ -49,10 +49,12 @@ FORMAT_VERSION = 1
 #: ran under (:func:`config_from_header`).  ``recompress_updates=False``
 #: only changed how the stored factors were computed, and
 #: ``left_looking=True`` only when their storage was allocated — every
-#: column block now is, in its own task.
+#: column block now is, in its own task.  ``watchdog_timeout`` and
+#: ``sanitize`` only guarded the retired worker pool.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
                          "adaptive", "backend", "seed", "storage_dtype",
-                         "variant", "recompress_updates", "left_looking")
+                         "variant", "recompress_updates", "left_looking",
+                         "watchdog_timeout", "sanitize")
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of
@@ -68,7 +70,9 @@ def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
     archives outlive the options they were written under; any other
     unknown key is rejected by name — a header is outside input.  A
     stored explicit ``variant`` first re-derives the strategy: ``cuf`` is
-    minimal-memory, every later loop order just-in-time.
+    minimal-memory, every later loop order just-in-time.  A stored
+    ``threads`` reads as 1: the worker pool is retired, and its factors
+    were bit-identical to the sequential engine's.
     """
     known = {f.name for f in fields(SolverConfig)}
     unknown = sorted(set(stored) - known - set(RETIRED_CONFIG_FIELDS))
@@ -76,6 +80,8 @@ def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
         raise ValueError(
             f"archive config carries unknown field(s) {unknown}")
     cfg = {k: v for k, v in stored.items() if k in known}
+    if "threads" in cfg:
+        cfg["threads"] = 1
     if stored.get("variant") is not None:
         cfg["strategy"] = ORDER_STRATEGIES.get(stored["variant"],
                                                "just-in-time")

@@ -41,7 +41,7 @@ from repro.core.refinement import (
     gmres,
     iterative_refinement,
 )
-from repro.core.scheduler import run_sequential, run_threaded
+from repro.core.scheduler import run_sequential
 from repro.core.trisolve import solve_factored
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.recovery import (
@@ -104,9 +104,6 @@ class Solver:
         self.perm: Optional[np.ndarray] = None
         self.factor: Optional[NumericFactor] = None
         self.analyze_time: float = 0.0
-        #: race sanitizer of the last threaded factorization
-        #: (``config.sanitize`` / ``$REPRO_TSAN``), or ``None``
-        self.sanitizer: Optional[Any] = None
         #: result of the last :meth:`refine` call: the run's record of the
         #: residual history (feeds :meth:`run_report`)
         self.last_refinement: Optional[RefinementResult] = None
@@ -193,37 +190,16 @@ class Solver:
         self.analyze()
         self._run_config = cfg
         state = self._recovery
-        # engine facts (threads, scheduler) live in profiler.meta — span
-        # attrs hold only config-derived facts so threaded and sequential
-        # runs produce identical causal trees
+        # engine facts live in profiler.meta — span attrs hold only
+        # config-derived facts
         with span(cfg.profiler, "factorize", strategy=cfg.strategy):
             a_perm = permute_symmetric(self._a_sym, self.perm)
             t0 = time.perf_counter()
             with span(cfg.profiler, "assemble"):
                 fac = assemble(a_perm, self.symbolic, cfg, state)
             fac.faults = faults
-            if cfg.threads > 1 and cfg.sanitize_enabled():
-                from repro.runtime.sanitizer import RaceSanitizer
-
-                san = RaceSanitizer()
-                fac.attach_sanitizer(san)
-                state.attach_sanitizer(san)
-                if cfg.telemetry is not None:
-                    cfg.telemetry.attach_sanitizer(san)
-                self.sanitizer = san
             with _kernel_calls(fac, "factorize"):
-                if cfg.threads > 1:
-                    try:
-                        run_threaded(fac, cfg.threads)
-                    finally:
-                        if fac.sanitizer is not None:
-                            import os
-
-                            log = os.environ.get("REPRO_TSAN_LOG", "")
-                            if log:
-                                fac.sanitizer.dump(log)
-                else:
-                    run_sequential(fac)
+                run_sequential(fac)
             stats = fac.stats
             stats.total_time = time.perf_counter() - t0
             stats.factor_nbytes = fac.factor_nbytes()

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the factorization runtime.
 
-Scheduler failure paths (worker exceptions, NaN corruption, stalls) are
-impossible to exercise from the public API — the numerical kernels simply do
-not fail on well-posed test matrices.  A :class:`FaultInjector` attached to
+Task failure paths (exceptions, NaN corruption) are impossible to
+exercise from the public API — the numerical kernels simply do not fail on
+well-posed test matrices.  A :class:`FaultInjector` attached to
 a :class:`~repro.core.factor.NumericFactor` (``fac.faults``) makes them
 testable: the drivers call :meth:`FaultInjector.on_factor` /
 :meth:`FaultInjector.on_update` at the top of every task — and, since the
@@ -19,8 +19,6 @@ Fault actions (applied in this order when several are registered):
 
 * ``delay`` — sleep for a fixed duration (artificial kernel latency, for
   schedule perturbation and overhead studies);
-* ``stall`` — block on a :class:`threading.Event` until the test releases
-  it (synthetic deadlock, exercises the scheduler watchdog);
 * ``nan`` — overwrite one entry of the column block's panel (or diagonal
   block) with NaN (silent-corruption drills);
 * ``raise`` — raise :class:`FaultError` (or a caller-supplied exception).
@@ -30,7 +28,7 @@ once and then heal — the deterministic model of a flaky worker, a cosmic
 ray, or a kernel hiccup.  They are what the recovery layer's retry paths
 are tested against: the first attempt dies, the retry finds the site
 healthy.  Spent-marking happens under the injector's lock, so a transient
-fault fires once even when several workers race through the site.
+fault fires once even when a caller shares the injector across threads.
 
 Every fault that fires is appended to :attr:`FaultInjector.fired` so tests
 can assert on what actually happened.
@@ -79,16 +77,6 @@ class FaultInjector:
         self._trisolve: List[dict] = []
         self._serialize: List[dict] = []
         self._latency: Dict[str, float] = {}
-        #: seeded-race mode (sanitizer regression tests): every factor
-        #: task bumps this counter WITHOUT a lock and reports the access
-        #: to ``fac.sanitizer`` — a deliberately unguarded shared mutation
-        #: the Eraser tracker must flag
-        self.race_counter_enabled = False
-        self.racy_count = 0
-
-    def enable_race_counter(self) -> None:
-        """Arm the deliberately-unguarded counter (sanitizer tests)."""
-        self.race_counter_enabled = True
 
     # -- deterministic choices ----------------------------------------
     def pick_block(self, ncblk: int, low: int = 0) -> int:
@@ -99,14 +87,12 @@ class FaultInjector:
 
     # -- registration --------------------------------------------------
     def fail_factor(self, k: int, exc: Optional[BaseException] = None,
-                    delay: float = 0.0, transient: bool = False) -> None:
+                    transient: bool = False) -> None:
         """Raise when column block ``k`` is about to be factored.
 
-        ``delay`` sleeps first — useful to guarantee that several workers
-        are mid-task when the failures fire (multi-error aggregation
-        tests).  ``transient=True`` fires once, then heals."""
+        ``transient=True`` fires once, then heals."""
         self._factor.setdefault(k, []).append(
-            {"action": "raise", "exc": exc, "delay": delay,
+            {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
     def fail_update(self, k: int, target: Optional[int] = None,
@@ -115,7 +101,7 @@ class FaultInjector:
         """Raise when updates from ``k`` (optionally only those aimed at
         ``target``) are about to be applied."""
         self._update.setdefault((k, target), []).append(
-            {"action": "raise", "exc": exc, "delay": 0.0,
+            {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
     def nan_in_panel(self, k: int, transient: bool = False) -> None:
@@ -125,19 +111,6 @@ class FaultInjector:
         self._factor.setdefault(k, []).append(
             {"action": "nan", "transient": transient, "spent": False})
 
-    def stall_factor(self, k: int,
-                     event: Optional[threading.Event] = None
-                     ) -> threading.Event:
-        """Make the worker factoring ``k`` block until ``event`` is set.
-
-        Returns the event so the test can release the stalled worker after
-        asserting that the watchdog fired."""
-        event = event or threading.Event()
-        self._factor.setdefault(k, []).append(
-            {"action": "stall", "event": event,
-             "transient": False, "spent": False})
-        return event
-
     def fail_compress(self, k: int, exc: Optional[BaseException] = None,
                       transient: bool = False) -> None:
         """Raise when column block ``k``'s blocks are about to be
@@ -145,7 +118,7 @@ class FaultInjector:
         as the task fills the column block — whichever the strategy
         reaches)."""
         self._compress.setdefault(k, []).append(
-            {"action": "raise", "exc": exc, "delay": 0.0,
+            {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
     def fail_trisolve(self, exc: Optional[BaseException] = None,
@@ -154,7 +127,7 @@ class FaultInjector:
         (:func:`~repro.core.trisolve.solve_factored`) — once per *solve
         call*, not per block."""
         self._trisolve.append(
-            {"action": "raise", "exc": exc, "delay": 0.0,
+            {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
     def fail_serialize(self, exc: Optional[BaseException] = None,
@@ -162,7 +135,7 @@ class FaultInjector:
         """Raise when a factor archive is about to be written (exercises
         how a failed :func:`~repro.core.serialize.save_factor` surfaces)."""
         self._serialize.append(
-            {"action": "raise", "exc": exc, "delay": 0.0,
+            {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
     def add_latency(self, site: str, seconds: float) -> None:
@@ -180,7 +153,7 @@ class FaultInjector:
     def _take(self, fault: dict) -> bool:
         """Claim a fault for firing; ``False`` when a transient fault has
         already fired (healed).  Spent-marking is atomic under the lock so
-        racing workers cannot both fire the same transient fault."""
+        racing threads cannot both fire the same transient fault."""
         if not fault.get("transient"):
             return True
         with self._lock:
@@ -190,13 +163,6 @@ class FaultInjector:
             return True
 
     def on_factor(self, fac: "NumericFactor", k: int) -> None:
-        if self.race_counter_enabled:
-            san = getattr(fac, "sanitizer", None)
-            if san is not None:
-                san.note("faults.racy_count", "write",
-                         site="faults.py:on_factor")
-            # deliberately unguarded read-modify-write across workers
-            self.racy_count += 1  # solverlint: ignore[shared-mutation-lockset] -- seeded race for the sanitizer regression tests, armed only by enable_race_counter()
         lat = self._latency.get("factor", 0.0)
         if lat:
             self._mark("factor", k, None, "delay")
@@ -205,10 +171,7 @@ class FaultInjector:
             action = fault["action"]
             if not self._take(fault):
                 continue
-            if action == "stall":
-                self._mark("factor", k, None, "stall")
-                fault["event"].wait()
-            elif action == "nan":
+            if action == "nan":
                 self._mark("factor", k, None, "nan")
                 nc = fac.cblks[k]
                 if nc.lpanel is not None and nc.offrows:
@@ -216,8 +179,6 @@ class FaultInjector:
                 else:
                     nc.diag[0, 0] = np.nan
             elif action == "raise":
-                if fault["delay"]:
-                    time.sleep(fault["delay"])
                 self._mark("factor", k, None, "raise")
                 raise (fault["exc"] or
                        FaultError(f"injected failure factoring "
@@ -235,8 +196,6 @@ class FaultInjector:
         for fault in faults:
             if not self._take(fault):
                 continue
-            if fault["delay"]:
-                time.sleep(fault["delay"])
             self._mark("update", k, target, "raise")
             raise (fault["exc"] or
                    FaultError(f"injected failure applying updates from "

@@ -56,9 +56,9 @@ def nbytes_lowrank(m: int, n: int, rank: int, itemsize: int = FLOAT_NBYTES) -> i
 class MemoryTracker:
     """Tracks current and peak tracked bytes.
 
-    The tracker is shared between worker threads during a threaded
-    factorization, hence the lock; the per-call cost is negligible compared to
-    the BLAS work each call accounts for.
+    The lock keeps it consistent for callers that share it across threads;
+    the per-call cost is negligible compared to the BLAS work each call
+    accounts for.
 
     With a :class:`~repro.runtime.telemetry.Telemetry` bus attached, every
     *meaningful* new high-water mark (first peak, then growth beyond 1/64

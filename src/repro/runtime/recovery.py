@@ -178,15 +178,9 @@ class RecoveryState:
     def __init__(self, policy: Optional[RecoveryPolicy] = None) -> None:
         self.policy = policy
         self.actions: List[Dict[str, Any]] = []
-        self._lock: Any = threading.Lock()
-        self._sanitizer: Any = None
+        self._lock = threading.Lock()
         self._rng = np.random.default_rng(
             policy.seed if policy is not None else 0)
-
-    def attach_sanitizer(self, san: Any) -> None:
-        """Track this state's lock and action log in the race sanitizer."""
-        self._sanitizer = san
-        self._lock = san.wrap_lock(self._lock, "recovery._lock")
 
     def record(self, action: str, site: str = "",
                cblk: Optional[int] = None, **detail: Any) -> None:
@@ -196,9 +190,6 @@ class RecoveryState:
             entry["cblk"] = int(cblk)
         entry.update(detail)
         with self._lock:
-            if self._sanitizer is not None:
-                self._sanitizer.note("recovery.actions", "write",
-                                     site="recovery.py:record")
             self.actions.append(entry)
 
     def backoff(self, attempt: int) -> float:
@@ -283,26 +274,15 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
 
 
 def find_breakdown(exc: BaseException) -> Optional[NumericalBreakdown]:
-    """The :class:`NumericalBreakdown` buried in ``exc``, if any.
-
-    Walks the exception itself, aggregated scheduler errors
-    (``SchedulerError.errors``) and ``__cause__`` chains — a breakdown
-    raised inside a worker surfaces wrapped, and the solver-level ladder
-    must still recognise it.
+    """The :class:`NumericalBreakdown` in ``exc``'s ``__cause__`` chain, if
+    any — a breakdown re-raised wrapped must still reach the solver-level
+    ladder.
     """
     seen: Set[int] = set()
-    stack: List[BaseException] = [exc]
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
-            continue
-        seen.add(id(e))
+    e: Optional[BaseException] = exc
+    while e is not None and id(e) not in seen:
         if isinstance(e, NumericalBreakdown):
             return e
-        nested = getattr(e, "errors", None)
-        if nested:
-            stack.extend(err for err in nested
-                         if isinstance(err, BaseException))
-        if e.__cause__ is not None:
-            stack.append(e.__cause__)
+        seen.add(id(e))
+        e = e.__cause__
     return None

@@ -10,11 +10,11 @@ Design goals:
   The telemetry-guard lint rule keeps ``.start(`` / ``.end(`` in here.
 * **Causal, not merely temporal.**  Spans carry trace-id / span-id /
   parent-id.  Synchronous children (`link="child"`) nest through a
-  per-thread context stack; scheduler hand-offs produce
+  per-thread context stack; task hand-offs produce
   `link="follows"` edges whose parent is the *dependency* that released
   the task — the greatest contributor in the pull-mode fan-in order —
-  so a 4-thread factorization records exactly the same causal tree as
-  the sequential sweep (timestamps and thread ids aside).
+  so the tree records the task DAG, not the order the engine happened
+  to run it in.
 * **Self-contained artifacts.**  `to_json()` round-trips through
   :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` rolls the
   same document up per phase and into the per-thread task summary (busy
@@ -205,13 +205,13 @@ class SpanProfiler:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    # -- scheduler hand-off support ------------------------------------
+    # -- task hand-off support ------------------------------------
 
     def begin_tasks(self, levels: Optional[Sequence[int]] = None) -> None:
         """Arm a fresh task registry for one engine run.
 
         Must be called from the thread holding the enclosing phase span
-        (the engines call it before spawning workers): contributor-less
+        (the engine calls it before the first task): contributor-less
         tasks attach to that span as plain children.  ``levels`` is the
         per-cblk elimination-tree depth used for the ``level`` attribute.
         """
@@ -228,8 +228,7 @@ class SpanProfiler:
         The parent is the span of the **canonical releaser** — the
         greatest contributor, i.e. the dependency whose updates are
         pulled last in the ascending fan-in order — which makes the
-        recorded tree independent of scheduling: threaded and sequential
-        runs agree edge for edge.  A task only runs once all its
+        recorded tree independent of the order the tasks ran in.  A task only runs once all its
         contributors have, so that span is always registered; a task with
         no registered contributor span attaches to the enclosing phase
         span.
@@ -423,9 +422,8 @@ def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]
     Each span maps to ``[name, link, sorted-attrs, sorted-children]``;
     children are ordered by their serialized form, so two runs with the
     same causal edges and attributes — no matter the interleaving —
-    canonicalize identically.  This is the equality the acceptance
-    criterion "threaded and sequential traced runs produce equal span
-    trees" is tested against.
+    canonicalize identically — the equality pinned span trees are
+    tested against.
     """
     norm: List[Dict[str, Any]] = []
     for s in spans:

@@ -43,9 +43,9 @@ class KernelStats:
 
     Thread-safety: ``add`` takes a lock only when the instance was created
     with ``locked=True``.  A :class:`~repro.core.factor.NumericFactor`
-    creates one locked instance that every worker thread charges, so in a
-    threaded run the seconds are CPU-ish time summed over workers — the
-    same per-category tally the sequential Table 2 reports.
+    creates one locked instance that every task charges, so a caller
+    sharing it across threads keeps consistent tallies — the per-category
+    tally Table 2 reports.
     """
 
     def __init__(self, locked: bool = False,
@@ -129,12 +129,10 @@ class FactorizationStats:
         extend-add) — *not* part of ``peak_nbytes``, which tracks factor
         storage only.  The dense scratches never exceed the dense size of
         the column block being assembled; the low-rank pieces held beside
-        them are as large as the contributions themselves.  One
-        accumulator per worker thread.
+        them are as large as the contributions themselves.
     total_time:
         Wall-clock of the whole factorization (not the sum of categories,
-        which double-counts nothing in sequential mode but is CPU time in
-        threaded mode).
+        which leaves out the orchestration between kernels).
     nblocks_compressed / nblocks_dense:
         How many off-diagonal blocks ended compressed vs dense.
     backend_kernel_calls:

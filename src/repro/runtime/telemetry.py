@@ -12,8 +12,8 @@ only a store attached to the run can keep is the *timeline* — when each
 of those facts happened:
 
 * bounded **time series** (:meth:`Telemetry.series`): the rank-evolution
-  samples, the memory high-water timeline and the worker pool's
-  queue-depth samples, drawn by ``repro report --figures``;
+  samples and the memory high-water timeline, drawn by
+  ``repro report --figures``;
 * one bounded **event log** — :meth:`Telemetry.emit` appends each
   structured event to it, keeping the last :data:`EVENT_LOG_CAPACITY`
   (:meth:`Telemetry.events`).
@@ -33,7 +33,6 @@ MM extend-add (LR2LR)     :meth:`Telemetry.record_recompress` —
                           ``rank_evolution`` + one ``recompress`` event
 ``MemoryTracker``         :meth:`Telemetry.record_memory` —
                           ``memory_highwater``
-worker pool               ``scheduler_queue_depth`` (one point per task)
 threshold pivoting        one ``pivoting`` event per pivoted block
 ``SpanProfiler``          one ``span`` event per phase span
 ========================  =============================================
@@ -109,7 +108,7 @@ class Telemetry:
     Attach it via ``SolverConfig(telemetry=...)``.
 
     >>> tele = Telemetry()
-    >>> tele.series("queue_depth").append(tele.clock(), depth=3)
+    >>> tele.series("rank_evolution").append(tele.clock(), rank=3)
     >>> tele.emit("compress", rank=5)
     >>> tele.snapshot()["events_emitted"]
     1
@@ -117,9 +116,8 @@ class Telemetry:
 
     def __init__(self) -> None:
         self._origin = time.perf_counter()
-        self._lock: Any = threading.Lock()       # series creation
-        self._bus_lock: Any = threading.Lock()   # event emission
-        self._sanitizer: Any = None
+        self._lock = threading.Lock()       # series creation
+        self._bus_lock = threading.Lock()   # event emission
         self._series: Dict[str, SeriesBuffer] = {}
         self._events: Deque[Dict[str, Any]] = deque(
             maxlen=EVENT_LOG_CAPACITY)
@@ -128,13 +126,6 @@ class Telemetry:
     def clock(self) -> float:
         """Seconds since this store was created (monotonic)."""
         return time.perf_counter() - self._origin
-
-    def attach_sanitizer(self, san: Any) -> None:
-        """Track the series/event locks and the event log in the race
-        sanitizer (wired by the solver under ``sanitize_enabled``)."""
-        self._sanitizer = san
-        self._lock = san.wrap_lock(self._lock, "telemetry._lock")
-        self._bus_lock = san.wrap_lock(self._bus_lock, "telemetry._bus_lock")
 
     def series(self, name: str, maxlen: int = 4096) -> SeriesBuffer:
         """The named bounded series (created on first use)."""
@@ -152,9 +143,6 @@ class Telemetry:
         event: Dict[str, Any] = {"kind": kind, "t": self.clock()}
         event.update(fields)
         with self._bus_lock:
-            if self._sanitizer is not None:
-                self._sanitizer.note("telemetry.events", "write",
-                                     site="telemetry.py:emit")
             self.events_emitted += 1
             self._events.append(event)
 

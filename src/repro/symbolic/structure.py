@@ -107,8 +107,8 @@ class SymbolicFactor:
         # per-cblk stacked off-diagonal frame (blocks in order, rows
         # stacked): ``row_offsets[k][i]`` is the frame position block i
         # starts at, ``off_rows[k]`` (a view of one global array) the global
-        # row at every position; built here so that the threaded engines
-        # only ever read them
+        # row at every position; built here so that the engine only ever
+        # reads them
         off = [b for c in cblks for b in c.off_blocks()]
         starts = np.zeros(len(off) + 1, dtype=np.int64)
         np.cumsum([b.nrows for b in off], out=starts[1:])

@@ -47,7 +47,6 @@ class TestSolveCommand:
             main(["solve", "--generate", "lap3d:x"])
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--threads", "0", "threads must be >= 1"),
         ("--tolerance", "2", "tolerance must be in"),
         ("--pivot-u", "0.9", "pivot_u must be in")])
     def test_invalid_config_value_errors(self, flag, value, message):
@@ -65,12 +64,15 @@ class TestSolveCommand:
         ["flame", "spans.json"],
         ["diff-report", "a.json", "b.json"],
         ["bench", "--generate", "lap3d:5"],
-        ["bench-variants", "--generate", "lap3d:5"]],
+        ["bench-variants", "--generate", "lap3d:5"],
+        ["solve", "--generate", "lap3d:5", "--threads", "2"],
+        ["solve", "--generate", "lap3d:5", "--watchdog", "5"]],
         ids=["resume", "solve-checkpoint", "flame", "diff-report", "bench",
-             "bench-variants"])
+             "bench-variants", "solve-threads", "solve-watchdog"])
     def test_retired_restart_verbs_are_usage_errors(self, argv, capsys):
         """Retired verbs and flags — mid-factorization restart, the span
-        exporters, the two-report diff and the bench harnesses — are
+        exporters, the two-report diff, the bench harnesses and the worker
+        pool's ``--threads`` / ``--watchdog`` — are
         argparse usage errors (exit status 2)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -118,8 +120,8 @@ class TestLintCommand:
     def test_trigger_fixture_fails(self, capsys):
         from pathlib import Path
         trigger = (Path(__file__).resolve().parent
-                   / "lint_fixtures" / "lockset_trigger.py")
-        rc = main(["lint", "--no-scope", "--rules", "shared-mutation-lockset",
+                   / "lint_fixtures" / "dtype_trigger.py")
+        rc = main(["lint", "--no-scope", "--rules", "dtype-literal-promotion",
                    str(trigger)])
         assert rc == 1
 

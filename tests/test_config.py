@@ -46,8 +46,6 @@ class TestValidation:
         ("pivot_threshold", -1.0),
         ("pivot_growth_limit", float("nan")),
         ("pivot_growth_limit", 1.0),
-        ("watchdog_timeout", float("nan")),
-        ("watchdog_timeout", -1.0),
     ])
     def test_nan_or_negative_safeguard_rejected(self, field, value):
         """Each of these would silently switch a safeguard off: every
@@ -69,6 +67,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="threads"):
             SolverConfig(threads=0)
 
+    def test_threads_accepts_only_one(self):
+        """The worker pool is retired: ``threads`` stays a field (shared
+        settings still pass ``threads=1``) with one legal value."""
+        assert SolverConfig(threads=1).threads == 1
+        with pytest.raises(ValueError, match="worker pool is retired"):
+            SolverConfig(threads=2)
+
     @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.25, float("nan")])
     def test_bad_rank_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="rank_ratio"):
@@ -82,10 +87,12 @@ class TestValidation:
                                          dict(storage_dtype="float32"),
                                          dict(variant="ucf"),
                                          dict(recompress_updates=False),
-                                         dict(left_looking=True)],
+                                         dict(left_looking=True),
+                                         dict(watchdog_timeout=5.0),
+                                         dict(sanitize=True)],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_knobs_are_gone(self, retired):
-        """One worker pool, one recorder, one kernel module, storage
+        """One engine, one recorder, one kernel module, storage
         precision that follows the discarded error, one name for a BLR
         strategy, and one allocation (in the task): nothing left to
         select."""
@@ -93,7 +100,7 @@ class TestValidation:
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-        assert len(dataclasses.fields(SolverConfig)) == 26
+        assert len(dataclasses.fields(SolverConfig)) == 24
 
     @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
                                          dict(checkpoint_on_fault=False)],

@@ -107,16 +107,15 @@ class TestMemoryInvariants:
 
     def test_left_looking_tracker_consistent(self):
         """Every task allocates its own column block (§4.3's left-looking
-        allocation); a retried task frees it and allocates it again.  On
-        the worker pool, with one retry, the tracked bytes still end at
-        the factor storage."""
+        allocation); a retried task frees it and allocates it again.  With
+        one retry, the tracked bytes still end at the factor storage."""
         from repro.runtime.faults import FaultInjector
         from repro.runtime.recovery import RecoveryPolicy
 
         a = laplacian_3d(6)
         for strategy in ("just-in-time", "minimal-memory"):
             s = Solver(a, tiny_blr_config(
-                strategy=strategy, tolerance=1e-6, threads=2,
+                strategy=strategy, tolerance=1e-6,
                 recovery=RecoveryPolicy(task_retries=1)))
             inj = FaultInjector()
             inj.fail_factor(s.analyze().ncblk - 1, transient=True)

@@ -584,16 +584,11 @@ class TestEnginesLandIdentically:
                "jit": dict(strategy="just-in-time"),
                "mm": dict(strategy="minimal-memory")}
 
-    def factor(self, name, **engine):
+    def factor(self, name):
         s = Solver(laplacian_3d(8), tiny_blr_config(
-            tolerance=1e-4, **self.CONFIGS[name], **engine))
+            tolerance=1e-4, **self.CONFIGS[name]))
         s.factorize()
         return s.factor
-
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_threaded_matches_sequential(self, name):
-        assert (factor_digest(self.factor(name, threads=4))
-                == factor_digest(self.factor(name)))
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_left_looking_matches_sequential(self, name):
@@ -610,13 +605,10 @@ class TestEnginesLandIdentically:
         assert factor_digest(eager) == factor_digest(self.factor(name))
 
     @pytest.mark.parametrize("name", ["jit", "mm"])
-    def test_threaded_peak_bound(self, name):
-        """On the worker pool each worker holds at most one column block in
-        flight, so the tracked peak is at most the factor plus ``threads``
-        largest dense column blocks.  Which blocks are in flight together
-        depends on the schedule, so the peak itself may vary from run to
-        run; the bound does not."""
-        threads = 4
-        fac = self.factor(name, threads=threads)
+    def test_peak_bound(self, name):
+        """A task allocates its column block when it starts, so at most one
+        column block is in flight beside the factored prefix: the tracked
+        peak is at most the factor plus the largest dense column block."""
+        fac = self.factor(name)
         assert fac.tracker.peak <= (fac.factor_nbytes()
-                                    + threads * max_column_block_nbytes(fac))
+                                    + max_column_block_nbytes(fac))

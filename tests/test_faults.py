@@ -1,9 +1,8 @@
 """Tests for deterministic fault injection (repro.runtime.faults).
 
-The point of the module is making scheduler failure paths testable: these
-tests assert that injected errors surface within a timeout under both
-threaded engines, that all worker threads join, and that NaN / latency
-injection behave as documented.
+The point of the module is making task failure paths testable: these
+tests assert that injected errors surface from a factorization as the
+injected exception, and that NaN / latency injection behave as documented.
 """
 
 import threading
@@ -12,35 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.scheduler import SchedulerError
 from repro.core.solver import Solver
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
-
-
-def factorize_with_timeout(solver, faults=None, timeout=60.0):
-    """Run ``solver.factorize(faults=...)`` on a helper thread and fail the
-    test if it does not return (normally or exceptionally) in time."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["stats"] = solver.factorize(faults=faults)
-        except BaseException as exc:  # noqa: BLE001 - reraised by caller
-            outcome["exc"] = exc
-
-    th = threading.Thread(target=target, daemon=True)
-    th.start()
-    th.join(timeout)
-    assert not th.is_alive(), "factorization hung past the timeout"
-    return outcome
-
-
-def no_scheduler_threads_left():
-    return not [th for th in threading.enumerate()
-                if th.name.startswith("repro-dyn")
-                and th.is_alive()]
 
 
 class TestInjectorUnit:
@@ -89,13 +63,6 @@ class TestInjectorUnit:
         assert ("factor", 0, None, "delay") in inj.fired
         with pytest.raises(ValueError):
             inj.add_latency("panel_solve", 0.1)
-
-    def test_stall_returns_releasable_event(self):
-        inj = FaultInjector()
-        ev = inj.stall_factor(1)
-        ev.set()  # pre-release: on_factor must not block
-        inj.on_factor(None, 1)
-        assert ("factor", 1, None, "stall") in inj.fired
 
 
 class TestNewFaultSites:
@@ -164,27 +131,23 @@ class TestNewFaultSites:
 
 
 class TestErrorPropagation:
-    """Satellite: injected errors surface, threads join, nothing hangs."""
+    """Satellite: injected errors surface as themselves."""
 
-    @pytest.mark.parametrize("nthreads", [2, 4])
-    def test_factor_fault_surfaces(self, nthreads):
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_factor_fault_surfaces(self, seed):
         a = laplacian_3d(6)
-        s = Solver(a, tiny_blr_config(threads=nthreads))
+        s = Solver(a, tiny_blr_config())
         s.analyze()
-        inj = FaultInjector(seed=nthreads)  # fixed seed: reproducible k
+        inj = FaultInjector(seed=seed)  # fixed seed: reproducible k
         k = inj.pick_block(s.symbolic.ncblk)
         inj.fail_factor(k)
-        outcome = factorize_with_timeout(s, faults=inj)
-        exc = outcome.get("exc")
-        assert isinstance(exc, (FaultError, SchedulerError))
-        if isinstance(exc, SchedulerError):
-            assert any(isinstance(e, FaultError) for e in exc.errors)
+        with pytest.raises(FaultError):
+            s.factorize(faults=inj)
         assert ("factor", k, None, "raise") in inj.fired
-        assert no_scheduler_threads_left()
 
     def test_update_fault_surfaces(self):
         a = laplacian_3d(6)
-        s = Solver(a, tiny_blr_config(threads=4))
+        s = Solver(a, tiny_blr_config())
         s.analyze()
         # pick a block that actually contributes to someone
         symb = s.symbolic
@@ -192,10 +155,8 @@ class TestErrorPropagation:
                    for c in symb.contributors(t))
         inj = FaultInjector()
         inj.fail_update(src)
-        outcome = factorize_with_timeout(s, faults=inj)
-        exc = outcome.get("exc")
-        assert isinstance(exc, (FaultError, SchedulerError))
-        assert no_scheduler_threads_left()
+        with pytest.raises(FaultError):
+            s.factorize(faults=inj)
 
     def test_sequential_engines_also_fault(self):
         s = Solver(laplacian_2d(6), tiny_blr_config())
@@ -211,13 +172,14 @@ class TestErrorPropagation:
         a = laplacian_3d(5)
         seen = set()
         for _ in range(3):
-            s = Solver(a, tiny_blr_config(threads=2))
+            s = Solver(a, tiny_blr_config())
             s.analyze()
             inj = FaultInjector(seed=123)
             k = inj.pick_block(s.symbolic.ncblk)
             inj.fail_factor(k)
-            outcome = factorize_with_timeout(s, faults=inj)
-            seen.add((k, type(outcome.get("exc")).__name__))
+            with pytest.raises(Exception) as info:
+                s.factorize(faults=inj)
+            seen.add((k, type(info.value).__name__))
         assert len(seen) == 1
 
 

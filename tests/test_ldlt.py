@@ -106,14 +106,6 @@ class TestLdltSolver:
         res = s.refine(b, tol=1e-12, maxiter=20)
         assert res.backward_error <= 1e-10
 
-    def test_threaded_ldlt(self, rng):
-        a = laplacian_3d(6)
-        s = Solver(a, tiny_blr_config(strategy="dense", factotype="ldlt",
-                                      threads=3))
-        s.factorize()
-        b = rng.standard_normal(a.n)
-        assert s.backward_error(s.solve(b), b) <= 1e-10
-
     def test_rejects_nonsymmetric(self):
         from repro.sparse.generators import convection_diffusion_3d
         a = convection_diffusion_3d(4)

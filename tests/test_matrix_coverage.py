@@ -57,16 +57,6 @@ def test_combination_solves_general(strategy, kernel, general_problem):
     assert err <= budget, (strategy, kernel, err)
 
 
-@pytest.mark.parametrize("strategy", ["dense", "just-in-time"])
-def test_threaded_schedulers_all_strategies(strategy, spd_problem):
-    a, b = spd_problem
-    cfg = tiny_blr_config(strategy=strategy, tolerance=TOL, threads=3)
-    s = Solver(a, cfg)
-    s.factorize()
-    err = s.backward_error(s.solve(b), b)
-    assert err <= (1e-10 if strategy == "dense" else TOL * 100)
-
-
 @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
 def test_accumulation_with_every_kernel(strategy, spd_problem):
     a, b = spd_problem

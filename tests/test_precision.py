@@ -489,18 +489,6 @@ class TestMixedPrecision:
         want = ref.backward_error(ref.solve(b), b)
         assert abs(err - want) <= 0.01 * want
 
-    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
-    def test_threaded_matches_sequential(self, strategy):
-        a = laplacian_3d(8)
-        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-3)
-        facs = []
-        for threads in (1, 4):
-            s = Solver(a, cfg.with_options(threads=threads))
-            s.factorize()
-            facs.append(s.factor)
-        assert _narrow_cblks(facs[0])
-        assert factor_digest(facs[0]) == factor_digest(facs[1])
-
 
 class TestComplexAcceptance:
     """complex128 Helmholtz under all three strategies (ISSUE acceptance)."""

@@ -4,13 +4,11 @@ Covers the three tentpole layers end to end: breakdown detection (NaN
 sentinels, pivot budgets, compression failures), the escalation policy
 engine (local task retries, per-block dense fallback, whole-solve
 refactorization, refinement-driven escalation), and the chaos acceptance
-test at the bottom, which the CI chaos job runs with
-``REPRO_CHAOS_THREADS=4``.
+test at the bottom, which the CI chaos job runs.
 """
 
 import ast
 import hashlib
-import os
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +16,6 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.core.refinement import classify_history
-from repro.core.scheduler import SchedulerError
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.faults import FaultError, FaultInjector
@@ -140,11 +137,6 @@ class TestBreakdownPlumbing:
         except RuntimeError as outer:
             assert find_breakdown(outer) is bd
         assert find_breakdown(ValueError("plain")) is None
-
-    def test_find_breakdown_in_scheduler_aggregation(self):
-        bd = NumericalBreakdown("nan-factor", cblk=5)
-        agg = SchedulerError("3 workers died", errors=[ValueError("x"), bd])
-        assert find_breakdown(agg) is bd
 
     def test_escalation_respects_downgrade_switch(self):
         policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1.0,
@@ -438,11 +430,10 @@ class TestChaosAcceptance:
     and nonzero recovery counters in the RunReport."""
 
     def test_three_site_chaos_completes(self):
-        nthreads = int(os.environ.get("REPRO_CHAOS_THREADS", "2"))
         a = laplacian_3d(6)
         tele = Telemetry()
         cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8,
-                              threads=nthreads, telemetry=tele,
+                              telemetry=tele,
                               recovery=RecoveryPolicy())
         s = Solver(a, cfg)
         s.analyze()

@@ -1,5 +1,6 @@
 """Tests for factorization save/load."""
 
+import hashlib
 import json
 import zipfile
 
@@ -157,7 +158,8 @@ class TestArchivesOutliveConfigFields:
     RETIRED = dict(accumulate_updates=True, trace=False,
                    scheduler="static", adaptive=None, backend=None, seed=0,
                    storage_dtype="float32", variant="ucf",
-                   recompress_updates=False, left_looking=True)
+                   recompress_updates=False, left_looking=True,
+                   watchdog_timeout=5.0, sanitize=True)
     RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True)
 
     def cfg(self):
@@ -174,6 +176,20 @@ class TestArchivesOutliveConfigFields:
         assert factor_digest(s2.factor) == factor_digest(s.factor)
         b = rng.standard_normal(a.n)
         assert np.array_equal(s2.solve(b), s.solve(b))
+
+    def test_threaded_archive_loads_sequential(self, tmp_path, rng):
+        """An archive saved on the retired worker pool stored its thread
+        count and watchdog; the factor bits never depended on them, so
+        it loads at ``threads=1`` and solves bit-identically."""
+        a = laplacian_3d(6)
+        s, _, x1, _, path = roundtrip(a, self.cfg(), tmp_path, rng)
+        edit_header(path, "header.json", lambda h: h["config"].update(
+            threads=4, watchdog_timeout=5.0, sanitize=True))
+        s2 = Solver.load_factor(a, path)
+        assert s2.config == s.config and s2.config.threads == 1
+        b = rng.standard_normal(a.n)
+        assert (hashlib.sha256(s2.solve(b).tobytes()).hexdigest()
+                == hashlib.sha256(s.solve(b).tobytes()).hexdigest())
 
     def test_narrowed_archive_loads_and_solves(self, tmp_path, rng):
         """What ``storage_dtype="float32"`` wrote: every off-diagonal block

@@ -22,13 +22,11 @@ SRC = REPO_ROOT / "src" / "repro"
 GOLDEN = {
     "dtype-literal-promotion": ("dtype_trigger.py", "dtype_clean.py", 5),
     "conjugation-at-adjoint": ("conj_trigger.py", "conj_clean.py", 3),
-    "lock-discipline": ("lock_trigger.py", "lock_clean.py", 3),
     "python-hot-loop": ("hot_loop_trigger.py", "hot_loop_clean.py", 2),
     "missing-annotations": ("annotations_trigger.py", "annotations_clean.py", 4),
     "backend-bypass": ("backend_trigger.py", "backend_clean.py", 4),
     "variant-literal": ("variant_trigger.py", "variant_clean.py", 4),
     "telemetry-guard": ("teleguard_trigger.py", "teleguard_clean.py", 7),
-    "shared-mutation-lockset": ("lockset_trigger.py", "lockset_clean.py", 3),
 }
 
 
@@ -147,7 +145,7 @@ class TestRunner:
     def test_lint_paths_walks_directories(self):
         findings = lint_paths([str(FIXTURES)], enforce_scope=False)
         assert {Path(f.path).name for f in findings} >= {
-            "dtype_trigger.py", "conj_trigger.py", "lock_trigger.py",
+            "dtype_trigger.py", "conj_trigger.py", "variant_trigger.py",
             "hot_loop_trigger.py", "annotations_trigger.py"}
 
     def test_finding_json_roundtrip(self):
@@ -189,46 +187,6 @@ class TestCli:
         out = capsys.readouterr().out
         for name in all_rules():
             assert name in out
-
-
-class TestLocksetEngine:
-    """Acceptance pair for the dataflow layer: the unguarded fixture must
-    fail the CLI gate and its locked twin must pass it."""
-
-    def test_unguarded_fixture_exits_one(self, capsys):
-        rc = run([str(FIXTURES / "lockset_trigger.py"), "--no-scope",
-                  "--rules", "shared-mutation-lockset"])
-        assert rc == 1
-        assert "shared-mutation-lockset" in capsys.readouterr().out
-
-    def test_locked_twin_exits_zero(self, capsys):
-        rc = run([str(FIXTURES / "lockset_clean.py"), "--no-scope",
-                  "--rules", "shared-mutation-lockset"])
-        assert rc == 0
-
-    def test_unguarded_mutations_name_the_attribute(self):
-        findings = run_rule("shared-mutation-lockset",
-                            FIXTURES / "lockset_trigger.py")
-        unguarded = [f for f in findings if "holds no lock" in f.message]
-        assert {a for f in unguarded for a in ("counter", "log")
-                if f"'self.{a}'" in f.message} == {"counter", "log"}
-
-    def test_inconsistent_locksets_reported_at_every_site(self):
-        findings = run_rule("shared-mutation-lockset",
-                            FIXTURES / "lockset_trigger.py")
-        inconsistent = [f for f in findings if "inconsistent" in f.message]
-        assert len(inconsistent) == 2
-        assert all("split" in f.message for f in inconsistent)
-        # the disjoint locks are named so the fix is obvious
-        assert all("._aux" in f.message and "._lock" in f.message
-                   for f in inconsistent)
-
-    def test_alias_and_nested_with_count_as_guarded(self):
-        # lockset_clean.py guards through `lk = self._lock` aliasing and a
-        # nested `with` — the engine must see through both
-        findings = run_rule("shared-mutation-lockset",
-                            FIXTURES / "lockset_clean.py")
-        assert findings == [], [(f.line, f.message) for f in findings]
 
 
 class TestSuppressionsReport:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro import Solver, SolverConfig
-from repro.core.scheduler import SchedulerError
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.recovery import NumericalBreakdown
 from repro.runtime.spans import SpanProfiler, span
 from repro.sparse.generators import laplacian_3d, saddle_point_kkt
 from tests.conftest import tiny_blr_config
 
-FAILURES = (FaultError, SchedulerError, NumericalBreakdown)
+FAILURES = (FaultError, NumericalBreakdown)
 
 
 class TestSpan:
@@ -43,13 +42,13 @@ class TestSpan:
         assert prof.check_invariants() == []
 
 
-def _faulted(threads, arm, strategy="just-in-time"):
+def _faulted(arm, strategy="just-in-time"):
     """Factor (and solve) laplacian_3d(6) under a profiler with the faults
     ``arm`` registers; the run must raise."""
     a = laplacian_3d(6)
     prof = SpanProfiler()
     s = Solver(a, tiny_blr_config(strategy=strategy, tolerance=1e-4,
-                                  threads=threads, profiler=prof))
+                                  profiler=prof))
     inj = FaultInjector()
     arm(inj, s.analyze().ncblk)
     with pytest.raises(FAILURES):
@@ -59,29 +58,27 @@ def _faulted(threads, arm, strategy="just-in-time"):
     return prof
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 class TestSpansOnFailure:
     """A region that raises still closes every span it opened."""
 
-    def test_update_failure(self, threads):
-        prof = _faulted(threads, lambda inj, n: inj.fail_update(n // 2))
+    def test_update_failure(self):
+        prof = _faulted(lambda inj, n: inj.fail_update(n // 2))
         assert prof.check_invariants() == []
 
-    def test_compress_failure(self, threads):
-        prof = _faulted(threads, lambda inj, n: inj.fail_compress(n // 2))
+    def test_compress_failure(self):
+        prof = _faulted(lambda inj, n: inj.fail_compress(n // 2))
         assert prof.check_invariants() == []
 
-    def test_trisolve_failure(self, threads):
-        prof = _faulted(threads, lambda inj, n: inj.fail_trisolve())
+    def test_trisolve_failure(self):
+        prof = _faulted(lambda inj, n: inj.fail_trisolve())
         assert [s.name for s in prof.events()].count("solve") == 1
         assert prof.check_invariants() == []
 
-    def test_pivot_failure_inside_factor(self, threads):
+    def test_pivot_failure_inside_factor(self):
         prof = SpanProfiler()
         s = Solver(saddle_point_kkt(12),
                    SolverConfig(factotype="ldlt", strategy="dense",
-                                pivoting="threshold", threads=threads,
-                                profiler=prof))
+                                pivoting="threshold", profiler=prof))
         with pytest.raises(FAILURES):
             s.factorize()
         assert "factor" in {sp.name for sp in prof.events()}

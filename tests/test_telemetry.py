@@ -92,17 +92,6 @@ class TestSolverIntegration:
         sites = {p["site"] for p in snap["series"]["rank_evolution"]}
         assert "recompress" in sites
 
-    def test_threaded_scheduler_counters_exact(self):
-        """One queue-depth point per finished task, from every worker."""
-        tele = Telemetry()
-        s = Solver(laplacian_3d(8), tiny_blr_config(
-            strategy="just-in-time", threads=4, telemetry=tele))
-        s.factorize()
-        pts = tele.snapshot()["series"]["scheduler_queue_depth"]
-        assert len(pts) == s.symbolic.ncblk
-        assert {p["worker"] for p in pts} <= set(range(4))
-        assert all(p["depth"] >= 0 and p["busy_s"] >= 0.0 for p in pts)
-
     def test_refinement_history_on_the_run(self):
         """The residual history is the run's record (``last_refinement``
         and the RunReport), not a telemetry series."""
@@ -138,8 +127,7 @@ class TestDisabledPath:
 
         a = laplacian_2d(16)
         for overrides in (dict(strategy="just-in-time"),
-                          dict(strategy="minimal-memory"),
-                          dict(strategy="just-in-time", threads=2)):
+                          dict(strategy="minimal-memory")):
             s = Solver(a, tiny_blr_config(**overrides))
             assert s.config.telemetry is None
             s.factorize()

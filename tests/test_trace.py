@@ -1,7 +1,7 @@
 """Tests for the task view of a span profile (repro.analysis.profile).
 
 Who ran which fan-in task when is read off the span document: the
-invariants every engine's task and kernel spans must satisfy, the
+invariants the engine's task and kernel spans must satisfy, the
 utilization/critical-path summary, and the Gantt renderer — from a live
 profiler and from its JSON round trip.
 """
@@ -16,13 +16,6 @@ from repro.core.solver import Solver
 from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
-
-#: engine name -> config overrides producing that engine through Solver
-ENGINES = {
-    "sequential": dict(threads=1),
-    "threaded-dynamic": dict(threads=4),
-}
-
 
 def traced_solver(a, **overrides):
     """A factorized solver and the span document of its run."""
@@ -52,7 +45,7 @@ class TestTracerUnit:
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, tmp_path):
-        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        _, doc = traced_solver(laplacian_3d(5))
         path = tmp_path / "spans.json"
         path.write_text(json.dumps(doc))
         assert task_summary(json.loads(path.read_text())) == \
@@ -75,20 +68,18 @@ class TestJsonRoundTrip:
 
 
 class TestTraceInvariants:
-    """The properties every engine's spans must satisfy."""
+    """The properties the engine's spans must satisfy."""
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_factor_tasks_cover_every_block_once(self, engine):
-        s, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+    def test_factor_tasks_cover_every_block_once(self):
+        s, doc = traced_solver(laplacian_3d(6))
         every_block = list(range(s.symbolic.ncblk))
         for name in ("task", "factor"):
             assert sorted(sp["attrs"]["cblk"]
                           for sp in named(doc, name)) == every_block
-        assert doc["meta"]["engine"] == engine
+        assert doc["meta"]["engine"] == "sequential"
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_begin_before_end_and_no_thread_overlap(self, engine):
-        _, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+    def test_begin_before_end_and_no_thread_overlap(self):
+        _, doc = traced_solver(laplacian_3d(6))
         assert all(sp["t1"] >= sp["t0"] for sp in doc["spans"])
         # tasks on one thread follow one another, and so do the kernel
         # spans of one nesting depth (updates and factors inside tasks)
@@ -102,11 +93,10 @@ class TestTraceInvariants:
                 for a, b in zip(spans, spans[1:]):
                     assert b["t0"] >= a["t1"] - 1e-9
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_pull_mode_updates_have_explicit_targets(self, engine):
-        s, doc = traced_solver(laplacian_3d(6), **ENGINES[engine])
+    def test_pull_mode_updates_have_explicit_targets(self):
+        s, doc = traced_solver(laplacian_3d(6))
         updates = named(doc, "update")
-        assert updates, "every engine must record update spans"
+        assert updates, "the engine must record update spans"
         # one pulled update per (contributor, target) edge
         edges = {(sp["attrs"]["cblk"], sp["attrs"]["target"])
                  for sp in updates}
@@ -117,10 +107,10 @@ class TestTraceInvariants:
 
 class TestSummaries:
     def test_thread_counts_reproduced(self):
-        _, doc = traced_solver(laplacian_3d(6), threads=2)
+        _, doc = traced_solver(laplacian_3d(6))
         summ = task_summary(doc)
-        assert doc["meta"]["threads"] == 2
-        assert summ["n_threads"] == 2  # both workers genuinely ran tasks
+        assert doc["meta"]["threads"] == 1
+        assert summ["n_threads"] == 1
         assert set(summ["utilization"]) == set(summ["thread_busy"])
         assert all(0.0 <= u <= 1.0 + 1e-9
                    for u in summ["utilization"].values())
@@ -130,17 +120,8 @@ class TestSummaries:
         busy = sum(duration(sp) for sp in named(doc, "task"))
         assert task_summary(doc)["critical_path"] == pytest.approx(busy)
 
-    def test_threaded_critical_path_bounds(self):
-        _, doc = traced_solver(laplacian_3d(6), threads=4)
-        summ = task_summary(doc)
-        tasks = [duration(sp) for sp in named(doc, "task")]
-        # the chain is at most all work, at least the heaviest single task
-        assert max(tasks) <= summ["critical_path"] + 1e-12
-        assert summ["critical_path"] <= sum(tasks) + 1e-9
-        assert summ["parallelism"] >= 1.0 - 1e-9
-
     def test_span_covers_events(self):
-        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        _, doc = traced_solver(laplacian_3d(5))
         tasks = named(doc, "task")
         assert task_summary(doc)["span"] == pytest.approx(
             max(sp["t1"] for sp in tasks) - min(sp["t0"] for sp in tasks))
@@ -148,7 +129,7 @@ class TestSummaries:
 
 class TestGantt:
     def test_renders_lanes_and_legend(self, tmp_path):
-        _, doc = traced_solver(laplacian_3d(5), threads=2)
+        _, doc = traced_solver(laplacian_3d(5))
         out = gantt_chart(tmp_path / "gantt.svg", doc["spans"],
                           title="tasks")
         svg = out.read_text()

@@ -226,18 +226,6 @@ class TestVariantMatrix:
         _, err = solve_err(a, cfg)
         assert err <= 1e-5
 
-    def test_threaded_matches_sequential_bitwise(self, order):
-        """Both loop orders keep the bit-reproducibility contract under
-        the worker pool."""
-        a = laplacian_3d(6)
-        digests = set()
-        for threads in (1, 4):
-            s = Solver(a, tiny_blr_config(strategy=ORDER_STRATEGIES[order],
-                                          tolerance=1e-8, threads=threads))
-            s.factorize()
-            digests.add(factor_digest(s.factor))
-        assert len(digests) == 1
-
 
 # ----------------------------------------------------------------------
 # threshold modes: hand-computed kernel-level behaviour
@@ -443,13 +431,19 @@ def _telemetry_with_sinks():
                  SystemExit, id="cli-solve-no-recompress"),
     pytest.param(lambda: BlrVariant(order="fuc"), ValueError,
                  id="order-fuc"),
+    *[pytest.param(lambda name=name: _import_from("repro.core.scheduler",
+                                                  name),
+                   ImportError, id=f"import-{name}")
+      for name in ("run_threaded", "SchedulerError", "DeadlockError")],
+    pytest.param(lambda: _import_from("repro.runtime", "sanitizer"),
+                 ImportError, id="import-sanitizer"),
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 26
+    assert len(fields(SolverConfig)) == 24
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """solverlint — domain-specific static analysis for the repro solver.
 
-The solver maintains three hard invariants that reviewers cannot reliably
-police by eye (see ``docs/static-analysis.md``):
+The solver maintains hard invariants that reviewers cannot reliably police
+by eye (see ``docs/static-analysis.md``), among them:
 
 1. **dtype discipline** — kernels never silently promote a float32/complex64
    factorization to 64-bit through a dtype-less allocation or a hard-coded
    Python scalar type;
 2. **pure-transpose low-rank storage** — conjugation appears only at the
-   declared Hermitian adjoint surface;
-3. **pull-mode concurrency** — scheduler workers mutate shared state only
-   under the designated lock, and never swallow exceptions.
+   declared Hermitian adjoint surface.
 
 ``solverlint`` encodes each invariant as an AST rule (plus a strict-typing
 gate, ``missing-annotations``, that enforces fully annotated definitions so

@@ -1,10 +1,9 @@
 """Rule registry, pragma handling and the file/tree runner.
 
-A :class:`Rule` inspects one parsed module and yields raw findings; a
-:class:`ProjectRule` inspects *every* in-scope module at once (the lockset
-engine follows call chains across files).  The runner matches raw findings
-against ``# solverlint: ignore[rule]`` pragmas, attaches suppression state,
-and (optionally) reports unused or unjustified pragmas.
+A :class:`Rule` inspects one parsed module and yields raw findings.  The
+runner matches raw findings against ``# solverlint: ignore[rule]`` pragmas,
+attaches suppression state, and (optionally) reports unused or unjustified
+pragmas.
 
 The framework is deliberately dependency-free (``ast`` + ``re`` only) so the
 gate runs anywhere the package itself runs.
@@ -111,27 +110,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that analyses every in-scope file at once.
-
-    Subclasses implement :meth:`check_project`, yielding
-    ``(path, line, col, message)`` quadruples over the whole fileset —
-    the lockset engine needs the cross-file call graph (a worker closure in
-    ``scheduler.py`` reaching a mutation in ``factorization.py``).  When run
-    through :func:`lint_file` the "project" is that single file, so fixture
-    tests and editor integrations still work per-file.
-    """
-
-    def check_project(
-        self, ctxs: Sequence[FileContext]
-    ) -> Iterator[Tuple[str, int, int, str]]:
-        raise NotImplementedError
-
-    def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
-        for _path, line, col, message in self.check_project([ctx]):
-            yield line, col, message
-
-
 _REGISTRY: Dict[str, Rule] = {}
 
 
@@ -199,99 +177,6 @@ def _load_context(path: str) -> Tuple[Optional[FileContext], Optional[Finding]]:
     return FileContext(path, source, tree), None
 
 
-def _lint_contexts(
-    ctxs: Sequence[FileContext],
-    rules: Optional[Sequence[Rule]] = None,
-    enforce_scope: bool = True,
-    warn_unused_ignores: bool = False,
-    require_justification: bool = False,
-) -> List[Finding]:
-    """Run rules over pre-parsed contexts and match suppressions.
-
-    Per-file rules run file by file; project rules run once over every
-    in-scope context so they can follow cross-file call chains.  Raw
-    findings are then matched against each file's pragmas.
-    """
-    active = list(rules if rules is not None else all_rules().values())
-    file_rules = [r for r in active if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
-
-    by_path: Dict[str, FileContext] = {ctx.path: ctx for ctx in ctxs}
-    #: path → raw (rule_name, line, col, message) findings
-    raw: Dict[str, List[Tuple[str, int, int, str]]] = {
-        ctx.path: [] for ctx in ctxs
-    }
-    #: path → names of rules that actually ran on that file
-    ran: Dict[str, set] = {ctx.path: set() for ctx in ctxs}
-
-    for ctx in ctxs:
-        for rule in file_rules:
-            if enforce_scope and not rule.applies_to(ctx):
-                continue
-            ran[ctx.path].add(rule.name)
-            for line, col, message in rule.check(ctx):
-                raw[ctx.path].append((rule.name, line, col, message))
-    for rule in project_rules:
-        scoped = [
-            ctx for ctx in ctxs
-            if not enforce_scope or rule.applies_to(ctx)
-        ]
-        for ctx in scoped:
-            ran[ctx.path].add(rule.name)
-        if not scoped:
-            continue
-        for path, line, col, message in rule.check_project(scoped):
-            raw.setdefault(path, []).append((rule.name, line, col, message))
-
-    known = set(all_rules())
-    findings: List[Finding] = []
-    for ctx in ctxs:
-        stmt_openers = _statement_lines(ctx.tree)
-        used_pragmas: set = set()
-        for rule_name, line, col, message in raw[ctx.path]:
-            sup = _matching_suppression(
-                ctx.suppressions, rule_name, line, stmt_openers
-            )
-            if sup is not None:
-                used_pragmas.add(sup.line)
-                findings.append(
-                    Finding(rule_name, ctx.path, line, col, message,
-                            suppressed=True, reason=sup.reason)
-                )
-            else:
-                findings.append(Finding(rule_name, ctx.path, line, col, message))
-        active_names = ran[ctx.path]
-        for sup in ctx.suppressions.values():
-            unknown = [r for r in sup.rules if r not in known]
-            for r in unknown:
-                findings.append(
-                    Finding("unknown-rule", ctx.path, sup.line, 0,
-                            f"pragma references unknown rule {r!r}")
-                )
-            if require_justification and not sup.reason:
-                findings.append(
-                    Finding(
-                        "unjustified-suppression", ctx.path, sup.line, 0,
-                        "suppression pragma lacks a justification "
-                        "(append ' -- <one-line reason>')",
-                    )
-                )
-            # a pragma for a rule excluded from this run (--rules subset) is
-            # not "unused" — only warn when every pragma rule actually ran
-            if (warn_unused_ignores and sup.line not in used_pragmas
-                    and not unknown
-                    and all(r in active_names for r in sup.rules)):
-                findings.append(
-                    Finding(
-                        "unused-suppression", ctx.path, sup.line, 0,
-                        f"pragma suppresses {', '.join(sup.rules)} but no such "
-                        "finding fires on this line",
-                    )
-                )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
 def lint_file(
     path: str,
     rules: Optional[Sequence[Rule]] = None,
@@ -304,13 +189,63 @@ def lint_file(
     if ctx is None:
         assert error is not None
         return [error]
-    return _lint_contexts(
-        [ctx],
-        rules=rules,
-        enforce_scope=enforce_scope,
-        warn_unused_ignores=warn_unused_ignores,
-        require_justification=require_justification,
-    )
+    active = list(rules if rules is not None else all_rules().values())
+    #: raw (rule_name, line, col, message) findings
+    raw: List[Tuple[str, int, int, str]] = []
+    #: names of rules that actually ran on this file
+    ran: set = set()
+    for rule in active:
+        if enforce_scope and not rule.applies_to(ctx):
+            continue
+        ran.add(rule.name)
+        for line, col, message in rule.check(ctx):
+            raw.append((rule.name, line, col, message))
+
+    known = set(all_rules())
+    findings: List[Finding] = []
+    stmt_openers = _statement_lines(ctx.tree)
+    used_pragmas: set = set()
+    for rule_name, line, col, message in raw:
+        sup = _matching_suppression(
+            ctx.suppressions, rule_name, line, stmt_openers
+        )
+        if sup is not None:
+            used_pragmas.add(sup.line)
+            findings.append(
+                Finding(rule_name, ctx.path, line, col, message,
+                        suppressed=True, reason=sup.reason)
+            )
+        else:
+            findings.append(Finding(rule_name, ctx.path, line, col, message))
+    for sup in ctx.suppressions.values():
+        unknown = [r for r in sup.rules if r not in known]
+        for r in unknown:
+            findings.append(
+                Finding("unknown-rule", ctx.path, sup.line, 0,
+                        f"pragma references unknown rule {r!r}")
+            )
+        if require_justification and not sup.reason:
+            findings.append(
+                Finding(
+                    "unjustified-suppression", ctx.path, sup.line, 0,
+                    "suppression pragma lacks a justification "
+                    "(append ' -- <one-line reason>')",
+                )
+            )
+        # a pragma for a rule excluded from this run (--rules subset) is
+        # not "unused" — only warn when every pragma rule actually ran
+        if (warn_unused_ignores and sup.line not in used_pragmas
+                and not unknown
+                and all(r in ran for r in sup.rules)):
+            findings.append(
+                Finding(
+                    "unused-suppression", ctx.path, sup.line, 0,
+                    f"pragma suppresses {', '.join(sup.rules)} but no such "
+                    "finding fires on this line",
+                )
+            )
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
 
 
 def _matching_suppression(
@@ -336,11 +271,7 @@ def lint_paths(
     warn_unused_ignores: bool = False,
     require_justification: bool = False,
 ) -> List[Finding]:
-    """Lint files and directory trees (``*.py``, sorted, recursive).
-
-    All files are parsed up front so project rules see the whole fileset
-    in one pass (the lockset engine's cross-file call graph).
-    """
+    """Lint files and directory trees (``*.py``, sorted, recursive)."""
     files: List[Path] = []
     for p in paths:
         path = Path(p)
@@ -348,23 +279,16 @@ def lint_paths(
             files.extend(sorted(path.rglob("*.py")))
         else:
             files.append(path)
-    ctxs: List[FileContext] = []
     findings: List[Finding] = []
     for f in files:
-        ctx, error = _load_context(str(f))
-        if ctx is None:
-            assert error is not None
-            findings.append(error)
-        else:
-            ctxs.append(ctx)
-    findings.extend(
-        _lint_contexts(
-            ctxs,
-            rules=rules,
-            enforce_scope=enforce_scope,
-            warn_unused_ignores=warn_unused_ignores,
-            require_justification=require_justification,
+        findings.extend(
+            lint_file(
+                str(f),
+                rules=rules,
+                enforce_scope=enforce_scope,
+                warn_unused_ignores=warn_unused_ignores,
+                require_justification=require_justification,
+            )
         )
-    )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

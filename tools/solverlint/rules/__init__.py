@@ -1,13 +1,11 @@
 """Rule modules; importing this package registers every rule."""
 
-from tools.solverlint import dataflow  # noqa: F401  -- registration side effect
 from tools.solverlint.rules import (  # noqa: F401  -- registration side effect
     annotations,
     backend_bypass,
     conjugation,
     dtype_promotion,
     hot_loop,
-    lock_discipline,
     telemetry_guard,
     variant_literal,
 )
@@ -16,10 +14,8 @@ __all__ = [
     "annotations",
     "backend_bypass",
     "conjugation",
-    "dataflow",
     "dtype_promotion",
     "hot_loop",
-    "lock_discipline",
     "telemetry_guard",
     "variant_literal",
 ]
