@@ -31,16 +31,15 @@ Public API highlights:
 * :mod:`repro.core.backend` — the kernel module: every BLAS/LAPACK call
   of the solver, with per-op call counts (:func:`get_backend`) and a
   column-stable multi-RHS solve path (``docs/performance.md``).
-* :class:`~repro.core.variants.BlrVariant` — a BLR run's loop order
-  (``cuf`` for minimal-memory, ``ucf`` for just-in-time) and threshold
-  mode (``SolverConfig(strategy=..., threshold_mode=...)``;
-  ``docs/variants.md``).
+
+A BLR run is named by its strategy (``minimal-memory`` or
+``just-in-time``) and its threshold mode
+(``SolverConfig(strategy=..., threshold_mode=...)``; ``docs/variants.md``).
 """
 
 from repro.config import SolverConfig
 from repro.core.backend import get_backend
 from repro.core.solver import Solver
-from repro.core.variants import BlrVariant
 from repro.runtime.recovery import NumericalBreakdown, RecoveryPolicy
 from repro.runtime.spans import SpanProfiler
 from repro.runtime.telemetry import Telemetry
@@ -60,7 +59,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Solver",
     "SolverConfig",
-    "BlrVariant",
     "SpanProfiler",
     "Telemetry",
     "NumericalBreakdown",

@@ -3,7 +3,7 @@
 Consumes the version-1 span documents written by
 :meth:`repro.runtime.spans.SpanProfiler.to_json` and turns them into
 
-* :func:`phase_rollup` — the per-phase / per-level / per-order time
+* :func:`phase_rollup` — the per-phase / per-level time
   attribution folded into ``RunReport`` (the "profile" section);
 * :func:`task_summary` — per-thread busy time, utilisation, critical path
   and parallelism of the fan-in tasks (the "Task trace" section; the same
@@ -74,14 +74,12 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
          "meta":        {engine, threads, ...},
          "phases":      {name: {"time", "self_time", "count"}},
          "kernels":     {name: {"time", "count"}},
-         "by_level":    {"<level>": {"time", "count"}},   # task spans
-         "by_order":    {"<order>": {"time", "count"}}}   # task spans
+         "by_level":    {"<level>": {"time", "count"}}}   # task spans
 
     ``self_time`` is the phase's duration minus the time of its direct
     children (a phase that only dispatches kernels has near-zero self
-    time).  ``by_level`` / ``by_order`` sum *task* spans — the per-cblk
-    fan-in units — keyed by their elimination-tree depth and resolved
-    loop order.
+    time).  ``by_level`` sums *task* spans — the per-cblk fan-in units —
+    keyed by their elimination-tree depth.
     """
     spans = _spans_of(source)
     by_id = {int(s["span_id"]): s for s in spans}
@@ -98,7 +96,6 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
     phases: Dict[str, Dict[str, float]] = {}
     kernels: Dict[str, Dict[str, float]] = {}
     by_level: Dict[str, Dict[str, float]] = {}
-    by_order: Dict[str, Dict[str, float]] = {}
     for s in spans:
         name = str(s["name"])
         dur = _duration(s)
@@ -117,15 +114,12 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
             attrs = s.get("attrs", {})
             if "level" in attrs:
                 _bucket(by_level, str(attrs["level"]), dur)
-            if "order" in attrs:
-                _bucket(by_order, str(attrs["order"]), dur)
     return {
         "total_time": total,
         "meta": _meta_of(source),
         "phases": phases,
         "kernels": kernels,
         "by_level": by_level,
-        "by_order": by_order,
     }
 
 

@@ -104,13 +104,12 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
                            if res.history else None),
     }
 
-    # resolved BLR variant of the factorization (loop order, threshold
-    # mode, effective compression threshold)
-    v = fac.variant
+    # BLR variant of the factorization (strategy, threshold mode,
+    # effective compression threshold)
+    cfg = solver.config
     report["variants"] = {
-        "strategy": solver.config.strategy,
-        "order": None if v is None else v.order,
-        "threshold_mode": None if v is None else v.threshold_mode,
+        "strategy": cfg.strategy,
+        "threshold_mode": cfg.threshold_mode if cfg.is_blr else None,
         "comp_tol": fac.comp_tol,
         "comp_norm_ref": fac.comp_norm_ref,
         "global_norm": fac.global_norm,
@@ -470,8 +469,7 @@ def render_markdown(report: Dict[str, Any],
         lines.append("")
         lines += _table(
             ["metric", "value"],
-            [["loop order", var.get("order") or "dense"],
-             ["threshold mode", var.get("threshold_mode")],
+            [["threshold mode", var.get("threshold_mode")],
              ["effective τ", var.get("comp_tol")],
              ["norm reference", var.get("comp_norm_ref")],
              ["‖A‖_F", var.get("global_norm")]])

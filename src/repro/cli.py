@@ -60,10 +60,10 @@ from repro.config import (
     ORDERINGS,
     PIVOTINGS,
     STRATEGIES,
+    THRESHOLD_MODES,
     SolverConfig,
 )
 from repro.core.solver import Solver
-from repro.core.variants import THRESHOLD_MODES
 from repro.runtime.stats import KERNEL_CATEGORIES
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (

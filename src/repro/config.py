@@ -23,20 +23,27 @@ small-problem presets for laptop-scale runs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # numpy is imported lazily at runtime (keep import light)
     import numpy as np
 
-    from repro.core.variants import BlrVariant
     from repro.runtime.recovery import RecoveryPolicy
     from repro.runtime.spans import SpanProfiler
     from repro.runtime.telemetry import Telemetry
 
-#: valid factorization strategies.  ``minimal-memory`` and
-#: ``just-in-time`` name the loop orders ``cuf`` / ``ucf`` of
-#: :mod:`repro.core.variants`
+#: valid factorization strategies: the dense solver and the paper's two
+#: BLR strategies (each compresses at one point of a column block's task:
+#: :attr:`SolverConfig.compress_at_fill` /
+#: :attr:`SolverConfig.compress_before_solve`)
 STRATEGIES = ("dense", "minimal-memory", "just-in-time")
+#: valid truncation-threshold modes (the ``betatype`` axis; see
+#: :meth:`SolverConfig.compress_thresholds`)
+THRESHOLD_MODES = ("local", "local-scaled", "global", "global-scaled")
+#: the escalation ladder's strategy downgrades: each step compresses
+#: later (denser intermediates, better stability) than the one before
+STRATEGY_DOWNGRADES: Dict[str, str] = {"minimal-memory": "just-in-time",
+                                       "just-in-time": "dense"}
 #: valid compression kernel families (the paper's two)
 KERNELS = ("rrqr", "svd")
 #: valid numerical factorizations
@@ -147,7 +154,7 @@ class SolverConfig:
     #: attach a :class:`~repro.runtime.spans.SpanProfiler`: the whole
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
     #: trisolve → refinement) then records hierarchical, causally-linked
-    #: spans with phase/cblk/level/loop-order attributes, rolled up per
+    #: spans with phase/cblk/level attributes, rolled up per
     #: phase and into a per-thread task summary and a Gantt chart
     #: (:mod:`repro.analysis.profile`).  ``None`` (the
     #: default) disables profiling at the cost of one ``is not None`` test
@@ -181,8 +188,6 @@ class SolverConfig:
                 "is retired and the factorization always runs sequentially")
         if not (0.0 < self.rank_ratio <= 1.0):
             raise ValueError("rank_ratio must be in (0, 1]")
-        from repro.core.variants import THRESHOLD_MODES
-
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got "
@@ -242,12 +247,49 @@ class SolverConfig:
     def is_blr(self) -> bool:
         return self.strategy != "dense"
 
-    def resolved_variant(self) -> Optional["BlrVariant"]:
-        """The :class:`~repro.core.variants.BlrVariant` this configuration
-        runs under (``None`` for the dense strategy)."""
-        from repro.core.variants import resolve_variant
+    @property
+    def compress_at_fill(self) -> bool:
+        """Minimal Memory (Compress-Update-Factor): a task compresses its
+        column block's candidates from their assembled entries as it fills
+        the column block, before any update lands; updates then run in
+        low-rank arithmetic."""
+        return self.strategy == "minimal-memory"
 
-        return resolve_variant(self)
+    @property
+    def compress_before_solve(self) -> bool:
+        """Just-In-Time (Update-Compress-Factor): the panels take every
+        update dense and are compressed once, right before the panel
+        solve (Algorithm 2 lines 3-4)."""
+        return self.strategy == "just-in-time"
+
+    def compress_thresholds(self, ncblk: int, global_norm: float
+                            ) -> Tuple[float, Optional[float]]:
+        """The ``(tol_eff, norm_ref)`` pair of :attr:`threshold_mode`.
+
+        Every compression kernel truncates at
+        ``tol_eff * max(||block||_F, norm_ref)``:
+
+        =================  ===========  ==========================
+        mode               tol_eff      norm_ref
+        =================  ===========  ==========================
+        ``local``          τ            ``None`` (block norm only)
+        ``local-scaled``   τ / p        ``None``
+        ``global``         τ            ``global_norm``
+        ``global-scaled``  τ / p        ``global_norm``
+        =================  ===========  ==========================
+
+        with ``p = ncblk`` the number of column blocks.  ``local`` is the
+        paper's rule; the scaled modes keep the *global* backward error at
+        τ-level when per-block errors accumulate, and the global modes let
+        blocks small relative to ``||A||_F`` truncate harder.
+        """
+        tol_eff = self.tolerance
+        if self.threshold_mode in ("local-scaled", "global-scaled"):
+            tol_eff = self.tolerance / max(ncblk, 1)
+        norm_ref: Optional[float] = None
+        if self.threshold_mode in ("global", "global-scaled"):
+            norm_ref = float(global_norm)
+        return tol_eff, norm_ref
 
     @property
     def is_symmetric_facto(self) -> bool:

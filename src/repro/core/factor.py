@@ -59,7 +59,6 @@ if TYPE_CHECKING:
 
 from repro.config import SolverConfig
 from repro.core.backend import KERNELS
-from repro.core.variants import BlrVariant, resolve_variant
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import block_nbytes, compress_block, rank_cap
 from repro.lowrank.recompress import sqnorm
@@ -200,15 +199,13 @@ class NumericFactor:
         self.recovery: Optional["RecoveryState"] = (
             recovery if recovery is not None and recovery.policy is not None
             else None)
-        #: resolved BLR variant of this run (None for the dense strategy)
-        self.variant: Optional[BlrVariant] = resolve_variant(config)
         #: Frobenius norm of the permuted input matrix (reference of the
         #: global threshold modes; set by :func:`assemble`)
         self.global_norm = 0.0
         #: effective compression tolerance / norm reference of this run
-        #: (``variant.compress_scale`` of ``config.tolerance``); every
-        #: compression and recompression site reads these instead of the
-        #: raw config tolerance
+        #: (``config.compress_thresholds``); every compression and
+        #: recompression site reads these instead of the raw config
+        #: tolerance
         self.comp_tol = config.tolerance
         self.comp_norm_ref: Optional[float] = None
 
@@ -226,9 +223,10 @@ class NumericFactor:
 
         * Dense / Just-In-Time: the dense panels are kept and charged; JIT
           compresses them once they are fully updated.
-        * Minimal Memory (compress-at-assembly, Algorithm 1 lines 1–4):
-          each low-rank candidate is compressed from the dense scratch at
-          once; the scratch is never charged, only what is stored is.  In
+        * Minimal Memory (``config.compress_at_fill``, Algorithm 1 lines
+          1–4): each low-rank candidate is compressed from the dense
+          scratch at once; the scratch is never charged, only what is
+          stored is.  In
           the pull engine nothing has landed in ``k`` before its own task,
           so this is the input an up-front assembly would compress."""
         nc = self.cblks[k]
@@ -245,7 +243,7 @@ class NumericFactor:
         lpanel.reshape(-1)[dest[p0:p1]] = lvals[p0:p1]
         if upanel is not None:
             upanel.reshape(-1)[dest[p0:p1]] = uvals[p0:p1]
-        if self.variant is not None and self.variant.compress_at_assembly:
+        if self.config.compress_at_fill:
             with span(self.profiler, "compress", cblk=k,
                       kernel=self.config.kernel):
                 self.tracker.alloc(
@@ -346,9 +344,9 @@ def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
     fac.dtype = config.resolve_dtype(a_perm.values.dtype)
     fac.storage_dtype = config.resolve_storage_dtype(fac.dtype)
     fac.global_norm = float(np.linalg.norm(a_perm.values))  # solverlint: ignore[backend-bypass] -- one norm of the raw CSC value array at assembly; the kernel module in core/backend.py works on dense blocks only
-    if fac.variant is not None:
-        fac.comp_tol, fac.comp_norm_ref = fac.variant.compress_scale(
-            config.tolerance, symb.ncblk, fac.global_norm)
+    if config.is_blr:
+        fac.comp_tol, fac.comp_norm_ref = config.compress_thresholds(
+            symb.ncblk, fac.global_norm)
     fac.entries = _entry_landings(
         a_perm, None if fac.sides == 1 else at_perm.values, symb)
     return fac

@@ -129,11 +129,10 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
                            f"budget {budget}")
 
         # --- Just-In-Time compression point -------------------------------
-        # ``ucf`` compresses the fully-updated panels before the solve
-        # (Algorithm 2 lines 3-4); ``cuf`` compressed when the task
+        # the fully-updated panels are compressed before the solve
+        # (Algorithm 2 lines 3-4); Minimal Memory compressed when the task
         # filled the column block (NumericFactor.fill_column_block).
-        v = fac.variant
-        if v is not None and v.compress_before_solve:
+        if cfg.compress_before_solve:
             _compress_panels(fac, nc)
 
         # --- step 2: panel solves ----------------------------------------

@@ -29,8 +29,6 @@ plumb through the task.
 
 from __future__ import annotations
 
-import time
-
 from repro.core.factor import NumericFactor
 from repro.core.factorization import (
     UpdateAccumulator,
@@ -97,9 +95,7 @@ def _run_task(fac: NumericFactor, k: int) -> None:
     parent is the span of ``k``'s greatest contributor — a deterministic
     causal edge (see
     :meth:`~repro.runtime.spans.SpanProfiler.task_start`)."""
-    v = fac.variant
-    with task_span(fac.profiler, k, fac.symb.contributors(k),
-                   order=v.order if v is not None else "dense"):
+    with task_span(fac.profiler, k, fac.symb.contributors(k)):
         _attempt_task(fac, k)
 
 
@@ -107,10 +103,10 @@ def _attempt_task(fac: NumericFactor, k: int) -> None:
     """Run ``k``'s fan-in task, with bounded local retries.
 
     With a recovery state armed (``policy.task_retries > 0``) a transient
-    failure frees the column block, sleeps the seeded backoff, and retries
-    from the matrix entries.  Contributors are immutable once factored and
-    only task ``k`` mutates ``k``'s storage (pull-mode invariant), so the
-    retry starts from exactly the state the first attempt did.
+    failure frees the column block and retries from the matrix entries.
+    Contributors are immutable once factored and only task ``k`` mutates
+    ``k``'s storage (pull-mode invariant), so the retry starts from
+    exactly the state the first attempt did.
     :class:`NumericalBreakdown` never retries locally — its causes are
     deterministic, so it goes straight to the solver-level ladder."""
     rec = fac.recovery
@@ -130,6 +126,3 @@ def _attempt_task(fac: NumericFactor, k: int) -> None:
             rec.record("task_retry", site="scheduler", cblk=k,
                        attempt=attempt + 1, error=type(exc).__name__)
             fac.clear_column_block(k)
-            delay = rec.backoff(attempt)
-            if delay > 0.0:
-                time.sleep(delay)

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.factor import NumericFactor
-from repro.core.variants import ORDER_STRATEGIES
 from repro.lowrank.block import LowRankBlock
 from repro.symbolic.structure import (
     SymbolicBlock,
@@ -58,8 +57,11 @@ RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of
-#: the retired mid-factorization restart archives.
-RETIRED_POLICY_FIELDS = ("checkpoint_every", "checkpoint_on_fault")
+#: the retired mid-factorization restart archives, and the seeded retry
+#: backoff and its seed, which only spaced the retired worker pool's
+#: competing retries.
+RETIRED_POLICY_FIELDS = ("checkpoint_every", "checkpoint_on_fault",
+                         "retry_backoff", "seed")
 
 
 def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
@@ -83,8 +85,8 @@ def config_from_header(stored: Dict[str, Any]) -> SolverConfig:
     if "threads" in cfg:
         cfg["threads"] = 1
     if stored.get("variant") is not None:
-        cfg["strategy"] = ORDER_STRATEGIES.get(stored["variant"],
-                                               "just-in-time")
+        cfg["strategy"] = {"cuf": "minimal-memory"}.get(stored["variant"],
+                                                        "just-in-time")
     if isinstance(cfg.get("recovery"), dict):
         cfg["recovery"] = {k: v for k, v in cfg["recovery"].items()
                            if k not in RETIRED_POLICY_FIELDS}

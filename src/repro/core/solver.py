@@ -58,13 +58,6 @@ from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
 from repro.symbolic.structure import SymbolicFactor
 
 
-def _resolved_order(cfg: SolverConfig) -> Optional[str]:
-    """The loop order ``cfg`` runs under (``None`` for dense), which a
-    ladder rung is logged by beside its strategy."""
-    v = cfg.resolved_variant()
-    return v.order if v is not None else None
-
-
 @contextmanager
 def _kernel_calls(fac: NumericFactor, phase: str) -> Iterator[None]:
     """Charge the backend kernel calls made inside the block to
@@ -165,7 +158,6 @@ class Solver:
                              + counts.get("refine_escalation", 0)),
                 "final_tolerance": cfg.tolerance,
                 "final_strategy": cfg.strategy,
-                "final_order": _resolved_order(cfg),
                 **summary}
 
     # -- step 1+2: analysis ------------------------------------------------
@@ -258,7 +250,6 @@ class Solver:
                 state.record("refactorize", site="solver",
                              cause=breakdown.cause, cblk=breakdown.cblk,
                              tolerance=nxt.tolerance, strategy=nxt.strategy,
-                             order=_resolved_order(nxt),
                              pivot_u=nxt.pivot_u,
                              pivot_fallback=nxt.pivot_fallback,
                              rung=rung)
@@ -406,7 +397,6 @@ class Solver:
                 "refine_escalation", site="refinement",
                 cause="diverged" if diverged else "stagnated",
                 tolerance=nxt.tolerance, strategy=nxt.strategy,
-                order=_resolved_order(nxt),
                 backward_error=res.backward_error)
             self._factorize_once(nxt, None)
             cfg = nxt

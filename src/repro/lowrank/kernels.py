@@ -65,7 +65,8 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
     ``kernel`` selects ``"svd"`` or ``"rrqr"`` (§3.1); flops are charged to
     ``compress``.  ``norm_ref`` raises the truncation reference from the
     block's own Frobenius norm to ``max(||a||_F, norm_ref)`` — how the
-    global threshold modes of :mod:`repro.core.variants` reach every kernel.
+    global threshold modes of ``SolverConfig.compress_thresholds`` reach
+    every kernel.
     A kernel that fails (``LinAlgError``) keeps the block dense — always,
     whatever the recovery policy — and the verdict is recorded on the run
     (``stats.recovery``).

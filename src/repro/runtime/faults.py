@@ -17,8 +17,6 @@ seeded generator so a test can reproduce a failure exactly.
 
 Fault actions (applied in this order when several are registered):
 
-* ``delay`` — sleep for a fixed duration (artificial kernel latency, for
-  schedule perturbation and overhead studies);
 * ``nan`` — overwrite one entry of the column block's panel (or diagonal
   block) with NaN (silent-corruption drills);
 * ``raise`` — raise :class:`FaultError` (or a caller-supplied exception).
@@ -37,7 +35,6 @@ can assert on what actually happened.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -76,7 +73,6 @@ class FaultInjector:
         self._compress: Dict[int, List[dict]] = {}
         self._trisolve: List[dict] = []
         self._serialize: List[dict] = []
-        self._latency: Dict[str, float] = {}
 
     # -- deterministic choices ----------------------------------------
     def pick_block(self, ncblk: int, low: int = 0) -> int:
@@ -138,12 +134,6 @@ class FaultInjector:
             {"action": "raise", "exc": exc,
              "transient": transient, "spent": False})
 
-    def add_latency(self, site: str, seconds: float) -> None:
-        """Sleep ``seconds`` at every task of ``site`` ('factor'/'update')."""
-        if site not in ("factor", "update"):
-            raise ValueError("site must be 'factor' or 'update'")
-        self._latency[site] = self._latency.get(site, 0.0) + float(seconds)
-
     # -- firing (called from the factorization drivers) ----------------
     def _mark(self, site: str, k: int, target: Optional[int],
               action: str) -> None:
@@ -163,10 +153,6 @@ class FaultInjector:
             return True
 
     def on_factor(self, fac: "NumericFactor", k: int) -> None:
-        lat = self._latency.get("factor", 0.0)
-        if lat:
-            self._mark("factor", k, None, "delay")
-            time.sleep(lat)
         for fault in self._factor.get(k, ()):
             action = fault["action"]
             if not self._take(fault):
@@ -186,10 +172,6 @@ class FaultInjector:
 
     def on_update(self, fac: "NumericFactor", k: int,
                   target: Optional[int]) -> None:
-        lat = self._latency.get("update", 0.0)
-        if lat:
-            self._mark("update", k, target, "delay")
-            time.sleep(lat)
         faults = list(self._update.get((k, target), ()))
         if target is not None:
             faults += self._update.get((k, None), ())

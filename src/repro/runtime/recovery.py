@@ -22,13 +22,13 @@ Three kinds of breakdown are detected when a
 
 The escalation ladder (:func:`escalate_config`) retries the whole solve at
 a tightened tolerance (``τ × tau_shrink`` per rung, floored at
-``tau_floor``) and then moves to the next compress-later loop order of
-:data:`repro.core.variants.ORDER_LADDER` (cuf → ucf → dense) — at most
-:attr:`RecoveryPolicy.max_retries` rungs, every action recorded once, in
-the run's :class:`RecoveryState` (``Solver.last_recovery``).  Transient
-task failures are retried locally
-against a pre-task snapshot (:attr:`RecoveryPolicy.task_retries`, seeded
-backoff) before anything escalates.
+``tau_floor``) and then moves to the next compress-later strategy of
+:data:`repro.config.STRATEGY_DOWNGRADES` (minimal-memory → just-in-time →
+dense) — at most :attr:`RecoveryPolicy.max_retries` rungs, every action
+recorded once, in the run's :class:`RecoveryState`
+(``Solver.last_recovery``).  Transient task failures are retried locally
+from the matrix entries (:attr:`RecoveryPolicy.task_retries`) before
+anything escalates.
 
 Everything is off by default: ``SolverConfig.recovery=None`` leaves every
 hot path with a single ``is not None`` test.
@@ -38,12 +38,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
-import numpy as np
-
-if TYPE_CHECKING:
-    from repro.config import SolverConfig
+from repro.config import STRATEGY_DOWNGRADES, SolverConfig
 
 __all__ = [
     "NumericalBreakdown",
@@ -118,8 +115,6 @@ class RecoveryPolicy:
     #: snapshot (transient faults); ``NumericalBreakdown`` never retries
     #: locally — deterministic causes go straight to the solver ladder
     task_retries: int = 2
-    #: base seconds of the seeded exponential backoff between task retries
-    retry_backoff: float = 0.0
     #: maximum tolerated fraction of perturbed pivots per diagonal block
     #: (``nperturbed > pivot_budget * width`` raises a breakdown);
     #: ``None`` disables the budget
@@ -135,8 +130,6 @@ class RecoveryPolicy:
     #: iterations" rule)
     refine_window: int = 4
     refine_drop: float = 10.0
-    #: seed of the retry-backoff jitter generator
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -147,8 +140,6 @@ class RecoveryPolicy:
             raise ValueError("tau_floor must be positive")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.retry_backoff < 0.0:
-            raise ValueError("retry_backoff must be >= 0")
         if self.pivot_budget is not None and self.pivot_budget < 0.0:
             raise ValueError("pivot_budget must be >= 0 (or None)")
         if not (0.0 < self.pivot_relax < 1.0):
@@ -168,8 +159,7 @@ class RecoveryState:
     then refinement and any escalation rungs) records into one state:
     :attr:`actions` is the one record of what was healed, read back by
     ``Solver.last_recovery`` and the RunReport.  With a policy the state is
-    armed on the factor as ``fac.recovery`` and owns the seeded backoff
-    generator, so retry timing is reproducible.  Without one
+    armed on the factor as ``fac.recovery``.  Without one
     (``policy=None``) it heals nothing and records only the always-on
     verdicts — a compression kernel that failed and kept its block dense.
     Thread-safe.
@@ -179,8 +169,6 @@ class RecoveryState:
         self.policy = policy
         self.actions: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
-        self._rng = np.random.default_rng(
-            policy.seed if policy is not None else 0)
 
     def record(self, action: str, site: str = "",
                cblk: Optional[int] = None, **detail: Any) -> None:
@@ -191,15 +179,6 @@ class RecoveryState:
         entry.update(detail)
         with self._lock:
             self.actions.append(entry)
-
-    def backoff(self, attempt: int) -> float:
-        """Seeded exponential backoff (seconds) before retry ``attempt``."""
-        base = self.policy.retry_backoff if self.policy is not None else 0.0
-        if base <= 0.0:
-            return 0.0
-        with self._lock:
-            jitter = float(self._rng.random())
-        return base * (2.0 ** attempt) * (0.5 + jitter)
 
     def counts(self) -> Dict[str, int]:
         """Action-name → occurrence count of everything recorded so far."""
@@ -217,14 +196,16 @@ class RecoveryState:
         return {"actions": actions, "counts": counts}
 
 
-def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
+def escalate_config(config: SolverConfig, policy: RecoveryPolicy,
                     cause: Optional[str] = None
-                    ) -> Optional["SolverConfig"]:
+                    ) -> Optional[SolverConfig]:
     """The next rung of the escalation ladder, or ``None`` when exhausted.
 
-    A static-pivoting run that blows its perturbation budget
+    A static-pivoting LDLᵗ run that blows its perturbation budget
     (``cause == 'pivot-budget'``) escalates straight to threshold
-    pivoting, which interchanges instead of perturbing.  Pivoting
+    pivoting, which interchanges instead of perturbing (LU and Cholesky
+    have no threshold pivoting, so their budget breakdowns take the
+    legacy ladder).  Pivoting
     breakdowns (``cause`` in :data:`PIVOT_CAUSES` on a
     threshold-pivoted config) walk the pivoting rungs first: relax the
     threshold (``pivot_u × pivot_relax`` while the result stays at or
@@ -236,10 +217,9 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
 
     The legacy ladder: tolerance tightening first (``τ × tau_shrink``
     while the result stays at or above ``tau_floor``), then a downgrade
-    from the config's loop order to the next compress-later one
-    (:data:`repro.core.variants.ORDER_LADDER` — denser intermediates,
-    better stability): minimal-memory to just-in-time, and just-in-time
-    to ``dense``.  The ``dense``
+    to the next compress-later strategy (:data:`STRATEGY_DOWNGRADES` —
+    denser intermediates, better stability): minimal-memory to
+    just-in-time, and just-in-time to ``dense``.  The ``dense``
     strategy has no τ rungs left — its accuracy does not depend on τ —
     but pivoting rungs still apply to it (a dense-strategy LDLᵀ can
     still hit a pivot failure).
@@ -248,7 +228,8 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
     the tolerance, nor the pivoting knobs participate in
     ``SymbolicOptions.from_config``.
     """
-    if cause == "pivot-budget" and config.pivoting == "static":
+    if (cause == "pivot-budget" and config.factotype == "ldlt"
+            and config.pivoting == "static"):
         # static perturbation blew its budget: escalate to threshold
         # pivoting, which reorders instead of perturbing (the budget is
         # only charged for perturbed pivots, so the retry starts clean)
@@ -265,11 +246,8 @@ def escalate_config(config: "SolverConfig", policy: RecoveryPolicy,
     if new_tol >= policy.tau_floor:
         return config.with_options(tolerance=new_tol)
     if policy.strategy_downgrade:
-        from repro.core.variants import ORDER_LADDER, ORDER_STRATEGIES
-
-        nxt = ORDER_LADDER[config.resolved_variant().order]
         return config.with_options(
-            strategy="dense" if nxt is None else ORDER_STRATEGIES[nxt])
+            strategy=STRATEGY_DOWNGRADES[config.strategy])
     return None
 
 

@@ -221,8 +221,7 @@ class SpanProfiler:
             self._task_root = current
             self._task_levels = list(levels) if levels is not None else None
 
-    def task_start(self, cblk: int, contributors: Sequence[int],
-                   **attrs: Any) -> int:
+    def task_start(self, cblk: int, contributors: Sequence[int]) -> int:
         """Open the causal span for the fan-in task on ``cblk``.
 
         The parent is the span of the **canonical releaser** — the
@@ -243,9 +242,9 @@ class SpanProfiler:
                 parent = self._task_root
                 link = LINK_CHILD
             levels = self._task_levels
+        attrs: Dict[str, Any] = {"cblk": cblk}
         if levels is not None and 0 <= cblk < len(levels):
-            attrs.setdefault("level", levels[cblk])
-        attrs["cblk"] = cblk
+            attrs["level"] = levels[cblk]
         sid = self.start("task", parent=parent, link=link, **attrs)
         with self._lock:
             self._task_spans[cblk] = sid
@@ -406,13 +405,12 @@ def span(prof: Optional[SpanProfiler], name: str,
 
 
 def task_span(prof: Optional[SpanProfiler], cblk: int,
-              contributors: Sequence[int],
-              **attrs: Any) -> ContextManager[Dict[str, Any]]:
+              contributors: Sequence[int]) -> ContextManager[Dict[str, Any]]:
     """:func:`span` of the fan-in task on ``cblk``
     (:meth:`SpanProfiler.task_start` picks its parent)."""
     if prof is None:
         return _DISABLED
-    return _OpenSpan(prof, prof.task_start(cblk, contributors, **attrs))
+    return _OpenSpan(prof, prof.task_start(cblk, contributors))
 
 
 def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]

@@ -1,5 +1,5 @@
 """Trigger fixture: variant/strategy string literals compared outside
-core/variants.py and config.py."""
+config.py."""
 
 
 def pick_kernel(strategy):

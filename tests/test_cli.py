@@ -111,7 +111,7 @@ class TestLintCommand:
         import json
         from pathlib import Path
         target = (Path(__file__).resolve().parent.parent
-                  / "src" / "repro" / "core" / "variants.py")
+                  / "src" / "repro" / "config.py")
         rc = main(["lint", "--json", str(target)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)

@@ -103,18 +103,21 @@ class TestValidation:
         assert len(dataclasses.fields(SolverConfig)) == 24
 
     @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
-                                         dict(checkpoint_on_fault=False)],
+                                         dict(checkpoint_on_fault=False),
+                                         dict(retry_backoff=0.01),
+                                         dict(seed=9)],
                              ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_policy_knobs_are_gone(self, retired):
         """A factorization runs once, start to finish: no mid-run restart
-        archive to pace or to write on a fault."""
+        archive to pace or to write on a fault, and no competing worker
+        for a retry to back off from."""
         import dataclasses
 
         from repro.runtime.recovery import RecoveryPolicy
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             RecoveryPolicy(**retired)
-        assert len(dataclasses.fields(RecoveryPolicy)) == 13
+        assert len(dataclasses.fields(RecoveryPolicy)) == 11
 
 
 class TestPresets:

@@ -2,11 +2,10 @@
 
 The point of the module is making task failure paths testable: these
 tests assert that injected errors surface from a factorization as the
-injected exception, and that NaN / latency injection behave as documented.
+injected exception, and that NaN injection behaves as documented.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -53,16 +52,6 @@ class TestInjectorUnit:
         inj.fail_factor(0, exc=ZeroDivisionError("boom"))
         with pytest.raises(ZeroDivisionError, match="boom"):
             inj.on_factor(None, 0)
-
-    def test_latency_sleeps(self):
-        inj = FaultInjector()
-        inj.add_latency("factor", 0.05)
-        t0 = time.perf_counter()
-        inj.on_factor(None, 0)
-        assert time.perf_counter() - t0 >= 0.045
-        assert ("factor", 0, None, "delay") in inj.fired
-        with pytest.raises(ValueError):
-            inj.add_latency("panel_solve", 0.1)
 
 
 class TestNewFaultSites:
@@ -209,20 +198,3 @@ class TestNanInjection:
         s.factorize(faults=inj)
         x = s.solve(np.ones(a.n))
         assert not np.all(np.isfinite(x))
-
-
-class TestLatencyInjection:
-    def test_latency_stretches_the_trace(self):
-        a = laplacian_2d(5)
-        s = Solver(a, tiny_blr_config())
-        s.analyze()
-        ncblk_estimate = 4  # at least a handful of column blocks
-        inj = FaultInjector()
-        inj.add_latency("factor", 0.002)
-        t0 = time.perf_counter()
-        s.factorize(faults=inj)
-        elapsed = time.perf_counter() - t0
-        ncblk = s.symbolic.ncblk
-        assert ncblk >= ncblk_estimate
-        assert elapsed >= 0.002 * ncblk
-        assert sum(1 for f in inj.fired if f[3] == "delay") == ncblk

@@ -286,6 +286,27 @@ class TestPivotLadder:
         nxt = escalate_config(cfg, RecoveryPolicy(), cause="pivot-budget")
         assert nxt is not None and nxt.pivoting == "threshold"
 
+    @pytest.mark.parametrize("strategy,rungs", [("dense", 0),
+                                                ("just-in-time", 3)])
+    def test_lu_budget_breakdown_wastes_no_pivoting_rung(self, strategy,
+                                                         rungs):
+        """Threshold pivoting only changes LDLᵗ, so an LU budget breakdown
+        takes the legacy ladder: a BLR run tightens τ, a dense one has no
+        rung left."""
+        a = saddle_point_kkt(6)
+        s = Solver(a, SolverConfig(
+            factotype="lu", strategy=strategy, tolerance=1e-8,
+            recovery=RecoveryPolicy(pivot_budget=0.0, max_retries=3)))
+        with pytest.raises(NumericalBreakdown) as ei:
+            s.factorize()
+        assert ei.value.cause == "pivot-budget"
+        refacs = [act for act in s.last_recovery["actions"]
+                  if act["action"] == "refactorize"]
+        assert len(refacs) == rungs
+        if rungs:
+            assert refacs[0]["tolerance"] == pytest.approx(1e-9)
+            assert refacs[0]["strategy"] == strategy
+
     def test_non_pivot_cause_ignores_pivot_rungs(self):
         cfg = SolverConfig(factotype="ldlt", pivoting="threshold",
                            strategy="dense")

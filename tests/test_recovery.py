@@ -82,7 +82,7 @@ class TestPolicyAndState:
         dict(tau_shrink=1.0),
         dict(tau_floor=0.0),
         dict(task_retries=-1),
-        dict(retry_backoff=-0.5),
+        dict(pivot_relax=0.0),
         dict(pivot_budget=-0.1),
         dict(refine_window=0),
         dict(refine_drop=1.0),
@@ -108,15 +108,6 @@ class TestPolicyAndState:
         summ = state.summary()
         assert summ["counts"]["task_retry"] == 2
         assert summ["actions"][0]["cblk"] == 3
-
-    def test_backoff_is_seeded_and_bounded(self):
-        a = RecoveryState(RecoveryPolicy(retry_backoff=0.01, seed=9))
-        b = RecoveryState(RecoveryPolicy(retry_backoff=0.01, seed=9))
-        seq_a = [a.backoff(i) for i in range(3)]
-        assert seq_a == [b.backoff(i) for i in range(3)]
-        assert all(0.005 * 2 ** i <= s <= 0.015 * 2 ** i
-                   for i, s in enumerate(seq_a))
-        assert RecoveryState(RecoveryPolicy()).backoff(5) == 0.0
 
 
 class TestBreakdownPlumbing:

@@ -443,7 +443,6 @@ class TestAttribution:
                            for k, v in phases.items()},
                 "kernels": {},
                 "by_level": {"0": {"time": 0.5 * factor, "count": 3}},
-                "by_order": {},
             },
             "compression": {"total_nbytes": int(1000 * factor)},
         }

@@ -160,7 +160,8 @@ class TestArchivesOutliveConfigFields:
                    storage_dtype="float32", variant="ucf",
                    recompress_updates=False, left_looking=True,
                    watchdog_timeout=5.0, sanitize=True)
-    RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True)
+    RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True,
+                          retry_backoff=0.01, seed=9)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -220,7 +221,8 @@ class TestArchivesOutliveConfigFields:
     def test_factor_archive_with_retired_policy_fields_loads(self, tmp_path,
                                                               rng):
         """A stored recovery policy may carry the knobs of the retired
-        mid-factorization restart; they are dropped on load."""
+        mid-factorization restart and retry backoff; they are dropped on
+        load."""
         assert set(self.RETIRED_POLICY) == set(RETIRED_POLICY_FIELDS)
         a = laplacian_3d(6)
         cfg = self.cfg().with_options(recovery=RecoveryPolicy())

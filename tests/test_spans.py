@@ -17,7 +17,6 @@ import pytest
 
 from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
-from repro.core.variants import ORDER_STRATEGIES
 from repro.runtime.spans import (
     LINK_CHILD,
     LINK_FOLLOWS,
@@ -204,13 +203,14 @@ class TestCanonicalTree:
 class TestEngineEquivalence:
     """Traced runs: a reproducible tree, the unprofiled run's bits."""
 
-    @pytest.mark.parametrize("order", ["ucf"])
-    def test_span_tree_is_reproducible(self, order):
+    @pytest.mark.parametrize("strategy", [pytest.param("just-in-time",
+                                                       id="ucf")])
+    def test_span_tree_is_reproducible(self, strategy):
         a = laplacian_2d(12)
         trees, digests = [], []
         for _ in range(2):
-            s, prof = profiled_solver(a, strategy=ORDER_STRATEGIES[order])
-            assert prof.check_invariants() == [], order
+            s, prof = profiled_solver(a, strategy=strategy)
+            assert prof.check_invariants() == [], strategy
             assert prof.meta == {"engine": "sequential", "threads": 1}
             trees.append(canonical_tree(prof.events()))
             digests.append(factor_digest(s))

@@ -1,8 +1,10 @@
-"""Tests for the BLR variant engine (``repro.core.variants``).
+"""Tests for the BLR variant decisions of ``repro.config``.
 
-Covers the two axes (loop order, named by the strategy, and threshold
-mode), the strategy bit-identity pins, the one escalation ladder, and the
-names this solver no longer answers to.
+A BLR run is named by its strategy and its threshold mode; ``config.py``
+decides once where each strategy compresses, which thresholds each mode
+truncates at, and which strategy the escalation ladder downgrades to.
+Covers those decisions, the nothing-compressed identity, the one
+escalation ladder, and the names this solver no longer answers to.
 """
 
 from __future__ import annotations
@@ -12,24 +14,20 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from repro.config import SolverConfig
+from repro.config import STRATEGY_DOWNGRADES, THRESHOLD_MODES, SolverConfig
 from repro.core.solver import Solver
-from repro.core.variants import (
-    ALIAS_ORDERS,
-    ORDER_LADDER,
-    ORDER_STRATEGIES,
-    ORDERS,
-    THRESHOLD_MODES,
-    BlrVariant,
-    resolve_variant,
-)
 from repro.lowrank.rrqr import rrqr_compress
 from repro.lowrank.svd import svd_compress
+from repro.runtime.faults import FaultInjector
 from repro.runtime.recovery import RecoveryPolicy, escalate_config
 from repro.sparse.generators import convection_diffusion_3d, laplacian_3d
 from tests.conftest import tiny_blr_config
-from tests.test_backend_conformance import SEED_DIGESTS
 from tests.test_recovery import factor_digest
+
+#: the two BLR strategies; the test ids are the literature's names for
+#: their loop orders (Compress-Update-Factor, Update-Compress-Factor)
+BLR_STRATEGIES = [pytest.param("minimal-memory", id="cuf"),
+                  pytest.param("just-in-time", id="ucf")]
 
 
 def solve_err(a, cfg):
@@ -40,53 +38,71 @@ def solve_err(a, cfg):
 
 
 # ----------------------------------------------------------------------
-# the BlrVariant policy object
+# the decisions config.py makes for a BLR run
 # ----------------------------------------------------------------------
 
 class TestBlrVariant:
     def test_defaults_are_jit_shaped(self):
-        v = BlrVariant()
-        assert (v.order, v.threshold_mode) == ("ucf", "local")
+        cfg = SolverConfig()
+        assert (cfg.strategy, cfg.threshold_mode) == ("just-in-time",
+                                                      "local")
+        assert cfg.compress_before_solve and not cfg.compress_at_fill
 
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_exactly_one_compression_point(self, order):
-        v = BlrVariant(order=order)
-        assert v.compress_at_assembly + v.compress_before_solve == 1
+    @pytest.mark.parametrize("strategy", BLR_STRATEGIES)
+    def test_exactly_one_compression_point(self, strategy):
+        cfg = tiny_blr_config(strategy=strategy)
+        assert cfg.compress_at_fill + cfg.compress_before_solve == 1
 
     def test_invalid_axes_raise(self):
-        with pytest.raises(ValueError, match="loop order"):
-            BlrVariant(order="fcu")
+        with pytest.raises(ValueError, match="strategy"):
+            SolverConfig(strategy="fcu")
         with pytest.raises(ValueError, match="threshold_mode"):
-            BlrVariant(threshold_mode="relative")
+            SolverConfig(threshold_mode="relative")
 
     def test_compress_scale_hand_computed(self):
-        tau, p, norm = 1e-8, 25, 300.0
-        assert BlrVariant(threshold_mode="local").compress_scale(
-            tau, p, norm) == (tau, None)
-        assert BlrVariant(threshold_mode="local-scaled").compress_scale(
-            tau, p, norm) == (tau / 25, None)
-        assert BlrVariant(threshold_mode="global").compress_scale(
-            tau, p, norm) == (tau, 300.0)
-        assert BlrVariant(threshold_mode="global-scaled").compress_scale(
-            tau, p, norm) == (tau / 25, 300.0)
+        """``compress_thresholds`` for all four modes, by hand."""
+        def thresholds(mode, p):
+            return SolverConfig(tolerance=1e-8, threshold_mode=mode
+                                ).compress_thresholds(p, 300.0)
+
+        assert thresholds("local", 25) == (1e-8, None)
+        assert thresholds("local-scaled", 25) == (1e-8 / 25, None)
+        assert thresholds("global", 25) == (1e-8, 300.0)
+        assert thresholds("global-scaled", 25) == (1e-8 / 25, 300.0)
         # degenerate block counts never divide by zero
-        assert BlrVariant(threshold_mode="local-scaled").compress_scale(
-            tau, 0, norm) == (tau, None)
+        assert thresholds("local-scaled", 0) == (1e-8, None)
 
 
 class TestResolveVariant:
-    def test_dense_has_no_variant(self):
-        assert resolve_variant(tiny_blr_config(strategy="dense")) is None
-        assert tiny_blr_config(strategy="dense").resolved_variant() is None
+    """Where each strategy compresses: the one place it is decided."""
 
-    @pytest.mark.parametrize("strategy,order", sorted(ALIAS_ORDERS.items()))
+    def test_dense_has_no_variant(self):
+        cfg = tiny_blr_config(strategy="dense",
+                              threshold_mode="global-scaled")
+        assert not (cfg.is_blr or cfg.compress_at_fill
+                    or cfg.compress_before_solve)
+        s = Solver(laplacian_3d(5), cfg)
+        s.factorize()
+        assert (s.factor.comp_tol, s.factor.comp_norm_ref) == (
+            cfg.tolerance, None)
+
+    @pytest.mark.parametrize("strategy,order", [
+        ("just-in-time", "ucf"), ("minimal-memory", "cuf")])
     def test_alias_orders(self, strategy, order):
-        v = resolve_variant(tiny_blr_config(strategy=strategy))
-        assert v is not None and v.order == order
+        """The strategy compresses where the literature's loop order
+        puts the C: before the updates (``cuf``, as its task fills the
+        column block) or after them (``ucf``, before the panel solve)."""
+        cfg = tiny_blr_config(strategy=strategy)
+        assert (cfg.compress_at_fill, cfg.compress_before_solve) == (
+            order == "cuf", order == "ucf")
 
     def test_threshold_axes_forwarded(self):
         cfg = tiny_blr_config(threshold_mode="global-scaled")
-        assert resolve_variant(cfg).threshold_mode == "global-scaled"
+        s = Solver(laplacian_3d(5), cfg)
+        s.factorize()
+        fac = s.factor
+        assert (fac.comp_tol, fac.comp_norm_ref) == cfg.compress_thresholds(
+            fac.symb.ncblk, fac.global_norm)
 
 
 class TestConfigValidation:
@@ -103,44 +119,13 @@ class TestConfigValidation:
         assert clone == cfg
 
 
-# ----------------------------------------------------------------------
-# bit-identity: each strategy reproduces its seed pin
-# ----------------------------------------------------------------------
-
-class TestAliasBitIdentity:
-    """``minimal-memory`` (``cuf``) and ``just-in-time`` (``ucf``):
-    pinned sha256-identical float64 factors (same pins as the backend
-    conformance suite; the Just-In-Time pin is the dense one, because
-    nothing compresses on this matrix and such a run *is* the dense
-    factorization — see the class below)."""
-
-    def _digest(self, **overrides):
-        s = Solver(laplacian_3d(6),
-                   tiny_blr_config(tolerance=1e-8, **overrides))
-        s.factorize()
-        return factor_digest(s.factor)
-
-    def test_explicit_cuf_matches_minimal_memory_pin(self):
-        assert self._digest(strategy="minimal-memory") == \
-            SEED_DIGESTS[("minimal-memory", "lu")]
-
-    def test_explicit_ucf_matches_just_in_time_pin(self):
-        assert self._digest(strategy="just-in-time") == \
-            SEED_DIGESTS[("just-in-time", "lu")]
-
-    def test_local_mode_and_recompress_are_the_pinned_defaults(self):
-        assert self._digest(strategy="just-in-time",
-                            threshold_mode="local") == \
-            SEED_DIGESTS[("just-in-time", "lu")]
-
-
 class TestNothingCompressedIsTheDenseFactorization:
     """A column block is a panel until a block in it compresses, so a BLR
     run that ends without a low-rank block took the dense solver's path
     through every kernel: its factors are the dense run's, bit for bit."""
 
-    #: the orders whose compression point comes after assembly
-    LATE_ORDERS = ("ucf",)
+    #: the strategies whose compression point comes after the fill
+    LATE_STRATEGIES = [pytest.param("just-in-time", id="ucf")]
 
     def _factor(self, faults=None, **overrides):
         s = Solver(laplacian_3d(6), tiny_blr_config(
@@ -149,28 +134,26 @@ class TestNothingCompressedIsTheDenseFactorization:
         return s.factor
 
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
-    @pytest.mark.parametrize("order", LATE_ORDERS)
-    def test_every_candidate_over_its_rank_cap(self, order, factotype):
-        fac = self._factor(strategy=ORDER_STRATEGIES[order],
-                           factotype=factotype)
+    @pytest.mark.parametrize("strategy", LATE_STRATEGIES)
+    def test_every_candidate_over_its_rank_cap(self, strategy, factotype):
+        fac = self._factor(strategy=strategy, factotype=factotype)
         assert fac.stats.nblocks_compressed == 0
         assert all(nc.panel_mode for nc in fac.cblks)
         assert factor_digest(fac) == factor_digest(
             self._factor(strategy="dense", factotype=factotype))
 
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_every_compression_site_declines(self, order, factotype):
+    @pytest.mark.parametrize("strategy", BLR_STRATEGIES)
+    def test_every_compression_site_declines(self, strategy, factotype):
         """Every compression site failed into the recovery ladder's dense
         fallback, which leaves the column block in panel mode — Minimal
         Memory's too, which its task reaches as it fills the column
         block."""
-        from repro.runtime.faults import FaultInjector
 
         inj = FaultInjector()
         for k in range(65):
             inj.fail_compress(k)
-        fac = self._factor(faults=inj, strategy=ORDER_STRATEGIES[order],
+        fac = self._factor(faults=inj, strategy=strategy,
                            factotype=factotype, recovery=RecoveryPolicy())
         assert len(inj.fired) == len(fac.cblks) == 65
         assert factor_digest(fac) == factor_digest(
@@ -178,9 +161,10 @@ class TestNothingCompressedIsTheDenseFactorization:
 
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
     def test_compress_at_assembly_without_candidates(self, factotype):
-        """``cuf`` always accepts something at assembly when it has
-        candidates (a block that is all fill-in has rank 0), so it is run
-        with none: every assembled scratch is kept as the panels."""
+        """Minimal Memory always accepts something as its task fills a
+        column block with candidates (a block that is all fill-in has
+        rank 0), so it is run with none: every assembled scratch is kept
+        as the panels."""
         none = dict(compress_min_width=10 ** 6, factotype=factotype)
         fac = self._factor(strategy="minimal-memory", **none)
         assert all(nc.panel_mode for nc in fac.cblks)
@@ -189,40 +173,40 @@ class TestNothingCompressedIsTheDenseFactorization:
 
 
 # ----------------------------------------------------------------------
-# correctness matrix: every order x threshold mode (and dtypes/factotypes)
+# correctness matrix: every strategy x threshold mode (and
+# dtypes/factotypes)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("strategy", BLR_STRATEGIES)
 class TestVariantMatrix:
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
-    def test_order_x_threshold_mode(self, order, mode):
+    def test_order_x_threshold_mode(self, strategy, mode):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
-                              threshold_mode=mode, tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=strategy, threshold_mode=mode,
+                              tolerance=1e-8)
         _, err = solve_err(a, cfg)
         # scaled modes only tighten; 100x headroom as in the strategy suite
         assert err <= 1e-6
 
     @pytest.mark.parametrize("dtype,bound", [("float64", 1e-6),
                                              ("float32", 5e-3)])
-    def test_order_x_dtype(self, order, dtype, bound):
+    def test_order_x_dtype(self, strategy, dtype, bound):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
-                              tolerance=1e-8, dtype=dtype)
+        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-8,
+                              dtype=dtype)
         _, err = solve_err(a, cfg)
         assert err <= bound
 
-    def test_order_cholesky(self, order):
+    def test_order_cholesky(self, strategy):
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
-                              factotype="cholesky", tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=strategy, factotype="cholesky",
+                              tolerance=1e-8)
         _, err = solve_err(a, cfg)
         assert err <= 1e-6
 
-    def test_order_nonsymmetric(self, order):
+    def test_order_nonsymmetric(self, strategy):
         a = convection_diffusion_3d(5, peclet=0.6)
-        cfg = tiny_blr_config(strategy=ORDER_STRATEGIES[order],
-                              tolerance=1e-8)
+        cfg = tiny_blr_config(strategy=strategy, tolerance=1e-8)
         _, err = solve_err(a, cfg)
         assert err <= 1e-5
 
@@ -250,8 +234,8 @@ class TestThresholdModes:
 
     def test_global_mode_truncates_at_least_as_hard_as_local(self):
         """norm_ref = ||A||_F >= every block norm, so per-block ranks can
-        only shrink — the compress-once UCF order makes that a deterministic
-        factor-size ordering."""
+        only shrink — Just-In-Time's compress-once point makes that a
+        deterministic factor-size ordering."""
         a = laplacian_3d(8)
         sizes = {}
         for mode in ("local", "global"):
@@ -290,38 +274,45 @@ class TestThresholdModes:
 
 
 # ----------------------------------------------------------------------
-# escalation ladder in variant terms
+# the escalation ladder
 # ----------------------------------------------------------------------
 
 class TestEscalation:
     @staticmethod
     def walk(cfg, policy):
-        """Every rung below ``cfg`` as (tolerance, resolved order)."""
+        """Every rung below ``cfg`` as (tolerance, strategy)."""
         rungs = []
         while (cfg := escalate_config(cfg, policy)) is not None:
-            v = cfg.resolved_variant()
-            rungs.append((cfg.tolerance, v.order if v else None))
+            rungs.append((cfg.tolerance, cfg.strategy))
         return rungs
 
     def test_one_ladder_from_the_resolved_order(self):
         """A config tightens τ down to the floor first and then compresses
         later rung by rung, ending at dense."""
         policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1e-10)
-        tail = [(pytest.approx(1e-10), None)]
-        jit = [(pytest.approx(1e-9), "ucf"), (pytest.approx(1e-10), "ucf")]
+        jit = [(pytest.approx(1e-9), "just-in-time"),
+               (pytest.approx(1e-10), "just-in-time")]
+        tail = [(pytest.approx(1e-10), "dense")]
         cfg = tiny_blr_config(tolerance=1e-8, strategy="just-in-time")
         assert self.walk(cfg, policy) == jit + tail
-        mm = [(pytest.approx(1e-9), "cuf"), (pytest.approx(1e-10), "cuf"),
-              (pytest.approx(1e-10), "ucf")]
+        mm = [(pytest.approx(1e-9), "minimal-memory"),
+              (pytest.approx(1e-10), "minimal-memory"),
+              (pytest.approx(1e-10), "just-in-time")]
         cfg = tiny_blr_config(tolerance=1e-8, strategy="minimal-memory")
         assert self.walk(cfg, policy) == mm + tail
         assert self.walk(tiny_blr_config(strategy="dense"), policy) == []
 
     def test_order_ladder_is_compress_later(self):
-        order = ["cuf"]
-        while ORDER_LADDER[order[-1]] is not None:
-            order.append(ORDER_LADDER[order[-1]])
-        assert order == list(ORDERS)
+        """MM → JIT → dense: each step moves the compression point later
+        (at the fill, before the solve, never)."""
+        ladder = ["minimal-memory"]
+        while ladder[-1] in STRATEGY_DOWNGRADES:
+            ladder.append(STRATEGY_DOWNGRADES[ladder[-1]])
+        assert ladder == ["minimal-memory", "just-in-time", "dense"]
+        cfgs = [SolverConfig(strategy=st) for st in ladder]
+        points = [(c.compress_at_fill, c.compress_before_solve)
+                  for c in cfgs]
+        assert points == [(True, False), (False, True), (False, False)]
 
     def test_tau_tightening_preserves_variant(self):
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-6)
@@ -332,7 +323,6 @@ class TestEscalation:
     def test_recovery_completes_under_variant(self):
         """A poisoned run under a BLR strategy self-heals through the
         ladder."""
-        from repro.runtime.faults import FaultInjector
 
         a = laplacian_3d(6)
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-8,
@@ -345,11 +335,11 @@ class TestEscalation:
         assert s.backward_error(s.solve(b), b) <= 1e-6
 
     def test_every_rung_is_logged_by_its_resolved_order(self):
-        """Every rung is logged by its strategy and its loop order."""
-        from repro.runtime.faults import FaultInjector
+        """Every rung is logged by its strategy, the one name of a BLR
+        run."""
         from repro.runtime.recovery import NumericalBreakdown
 
-        # τ is already under the floor, so every rung is an order rung
+        # τ is already under the floor, so every rung is a strategy rung
         policy = RecoveryPolicy(tau_floor=1.0, max_retries=4)
         s = Solver(laplacian_3d(5), tiny_blr_config(
             strategy="minimal-memory", recovery=policy))
@@ -359,10 +349,10 @@ class TestEscalation:
             s.factorize(faults=inj)
         rungs = [a for a in s.last_recovery["actions"]
                  if a["action"] == "refactorize"]
-        assert [a["order"] for a in rungs] == ["ucf", None]
         assert [a["strategy"] for a in rungs] == ["just-in-time", "dense"]
+        assert not any("order" in a for a in rungs)
         assert s.last_recovery["final_strategy"] == "dense"
-        assert s.last_recovery["final_order"] is None
+        assert "final_order" not in s.last_recovery
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +419,14 @@ def _telemetry_with_sinks():
     pytest.param(lambda: _cli("solve", "--generate", "lap3d:4",
                               "--no-recompress"),
                  SystemExit, id="cli-solve-no-recompress"),
-    pytest.param(lambda: BlrVariant(order="fuc"), ValueError,
+    pytest.param(lambda: SolverConfig(variant="fuc"), TypeError,
                  id="order-fuc"),
+    pytest.param(lambda: _import_from("repro.core", "variants"),
+                 ImportError, id="import-repro.core.variants"),
+    pytest.param(lambda: _import_from("repro", "BlrVariant"),
+                 ImportError, id="import-BlrVariant"),
+    pytest.param(lambda: FaultInjector().add_latency("factor", 0.01),
+                 AttributeError, id="faults-add_latency"),
     *[pytest.param(lambda name=name: _import_from("repro.core.scheduler",
                                                   name),
                    ImportError, id=f"import-{name}")

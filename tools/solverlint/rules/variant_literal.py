@@ -1,15 +1,16 @@
-"""``variant-literal`` — strategy decisions go through the variant engine.
+"""``variant-literal`` — strategy decisions are made once, in ``config.py``.
 
-The BLR strategies (``minimal-memory``, ``just-in-time``) and the loop
-orders they name (``cuf``/``ucf``) resolve once, in ``core/variants.py`` /
-``config.py``, into a :class:`~repro.core.variants.BlrVariant` whose
-predicates (``compress_at_assembly`` …) drive the engines.  A string
-comparison against one of those literals anywhere else re-implements the
-dispatch ad hoc and silently diverges when the variant space changes —
-exactly the "silent fallback" erosion the JOREK study documents.
+The BLR strategies (``minimal-memory``, ``just-in-time``; the literature
+names their loop orders ``cuf``/``ucf``) are decided once, by the
+``SolverConfig`` properties (``compress_at_fill``,
+``compress_before_solve``) and the ``STRATEGY_DOWNGRADES`` ladder that
+drive the engine.  A string comparison against one of those literals
+anywhere else re-implements the dispatch ad hoc and silently diverges
+when the strategy space changes — exactly the "silent fallback" erosion
+the JOREK study documents.
 
 The rule flags *comparisons* only (``==``/``!=``/``in``/``not in``
-against the known literals).  Dict constructions (``ALIAS_ORDERS``),
+against the known literals).  Dict constructions (``STRATEGY_DOWNGRADES``),
 argparse ``choices=...`` lists and docstrings are not comparisons and do
 not fire.
 """
@@ -21,7 +22,7 @@ from typing import Iterator, Tuple
 
 from tools.solverlint.core import FileContext, Rule, register
 
-#: strategy aliases and loop orders owned by the variant engine
+#: the BLR strategies and the literature's names for their loop orders
 VARIANT_LITERALS = frozenset({
     "minimal-memory", "just-in-time", "cuf", "ucf",
 })
@@ -45,13 +46,13 @@ class VariantLiteralRule(Rule):
     name = "variant-literal"
     description = (
         "no \"minimal-memory\"/\"just-in-time\"/loop-order string "
-        "comparisons outside core/variants.py and config.py — use the "
-        "BlrVariant predicates or resolve_variant() instead")
+        "comparisons outside config.py — use the SolverConfig properties "
+        "(compress_at_fill, compress_before_solve) instead")
     invariant = (
-        "strategy and loop-order dispatch happens exactly once, through "
-        "the variant engine; growing the variant space cannot silently "
-        "miss an ad-hoc string comparison elsewhere")
-    scope_exclude = ("variants.py", "config.py")
+        "strategy dispatch happens exactly once, in config.py; growing "
+        "the strategy space cannot silently miss an ad-hoc string "
+        "comparison elsewhere")
+    scope_exclude = ("config.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
         for node in ast.walk(ctx.tree):
@@ -66,6 +67,7 @@ class VariantLiteralRule(Rule):
                 lits = ", ".join(sorted(repr(h) for h in hits))
                 yield (node.lineno, node.col_offset,
                        f"comparison against variant literal(s) {lits} "
-                       f"outside the variant engine; use BlrVariant "
-                       f"predicates / resolve_variant() so new orders "
-                       f"and aliases cannot be missed")
+                       f"outside config.py; use the SolverConfig "
+                       f"properties (compress_at_fill, "
+                       f"compress_before_solve) so a new strategy "
+                       f"cannot be missed")
