@@ -479,11 +479,11 @@ def lr_gemv(u: np.ndarray, v: np.ndarray, xt: np.ndarray,
 class Kernels:
     """BLAS/LAPACK (via numpy/scipy) for the factorization kernels.
 
-    Call counts are tallied per operation in :attr:`counts` (best-effort
-    under threads: increments are not locked) and surface as
-    ``FactorizationStats.backend_kernel_calls``; the triangular solves
-    charge theirs (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``) through
-    :meth:`tick`.
+    Call counts are tallied per operation in :attr:`counts` and surface as
+    ``FactorizationStats.backend_kernel_calls``.  Callers that skip the
+    wrapper charge theirs through :meth:`tick`: the triangular solves
+    (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``) and the fan-in task,
+    whose panel-mode visits multiply through ``@`` (``gemm``).
     """
 
     def __init__(self) -> None:

@@ -160,7 +160,7 @@ class NumericFactor:
         # signature changes; the engine reads telemetry from config
         self.tracker = MemoryTracker(telemetry=config.telemetry)
         self.stats = FactorizationStats(kernels=KernelStats(
-            locked=True, telemetry=config.telemetry, recovery=recovery))
+            telemetry=config.telemetry, recovery=recovery))
         self.nperturbed = 0
         #: run-wide threshold-pivoting aggregates (see
         #: :meth:`add_pivot_stats`); stay zero under static pivoting

@@ -360,30 +360,42 @@ UpdateAccumulator = Dict[Tuple[str, int], List[Tuple[Block, int, int]]]
 
 
 def apply_updates_from(fac: NumericFactor, k: int, target: int,
-                       acc: UpdateAccumulator) -> None:
+                       acc: UpdateAccumulator) -> Optional[Tuple[float, int]]:
     """Apply the updates of source column block ``k`` aimed at column block
     ``target``.  Contributions to dense storage land immediately; those
     aimed at a low-rank block of ``target`` are gathered in ``acc`` (the
     calling task's accumulator) for :func:`flush_accumulated`.
 
-    One ``"update"`` span is recorded per call; fault-injector update hooks
-    fire first.
+    A panel-mode source returns its visit's ``(flops, gemms)`` for the
+    task to charge (:func:`_updates_from_panel`); a blocks-mode one
+    charges its kernels itself and returns ``None``.  Fault-injector
+    update hooks fire first, and one ``"update"`` span is recorded per call
+    when a profiler is armed — around the same visit body.
     """
     if fac.faults is not None:
         fac.faults.on_update(fac, k, target)
     nc = fac.cblks[k]
+    if fac.profiler is None:
+        return _visit(fac, nc, target, acc)
     with span(fac.profiler, "update", cblk=k, target=target,
               mode="panel" if nc.panel_mode else "blocks"):
-        if nc.panel_mode:
-            _updates_from_panel(fac, nc, target, acc)
-        else:
-            _updates_from_blocks(fac, nc, target, acc)
+        return _visit(fac, nc, target, acc)
+
+
+def _visit(fac: NumericFactor, nc: NumericColumnBlock, t: int,
+           acc: UpdateAccumulator) -> Optional[Tuple[float, int]]:
+    if nc.panel_mode:
+        return _updates_from_panel(fac, nc, t, acc)
+    _updates_from_blocks(fac, nc, t, acc)
+    return None
 
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
-                        t: int, acc: UpdateAccumulator) -> None:
+                        t: int, acc: UpdateAccumulator) -> Tuple[float, int]:
     """Batched dense update of ``t`` by a panel-mode source: one product
     per side and one landing per destination for the whole visit.
+    Returns the visit's ``(flops, gemms)``, which the calling task charges
+    in one sum (``dense_update`` and the backend's ``gemm`` count).
 
     With ``F`` the rows of the blocks facing ``t``, ``W = L[F ∪ below] ·
     U[F]ᵗ`` holds the facing square (its lower block triangle is the L
@@ -398,17 +410,14 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``
     (``.conj()`` is a no-copy pass-through for real panels).
     """
-    stats = fac.stats.kernels
-    sym = nc.sym
+    k = nc.sym.id
     offs = nc.row_offsets
     is_lu = nc.upanel is not None
-    be = fac.backend
-    first, end = fac.symb.facing_ranges(sym.id)[t]
+    first, end = fac.symb.facing_ranges(k)[t]
     tnc = fac.cblks[t]
-    drow, pos = fac.symb.landing_map(sym.id, t)
+    drow, pos = fac.symb.landing_map(k, t, first, end)
     base, dend = offs[first], offs[end]
     nf, nbelow = dend - base, len(pos)
-    t0 = time.perf_counter()
     # the rows this visit multiplies, in the compute dtype (a panel stored
     # narrow by an older archive is promoted: exactly those rows)
     l_rows = _as_dtype(nc.lpanel[base:], fac.dtype)
@@ -420,22 +429,22 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     cols = _span(drow)
     below = below_u = None
     if is_lu or end - first == 1:
-        w = be.gemm(l_rows, facing, trans_b="T")
+        w = l_rows @ facing.T
         _subtract_at(tnc.diag, cols, cols, w[:nf])
         below = w[nf:]
+        gemms = 1
     else:
         for j in range(first, end):
             lo, hi = offs[j] - base, offs[j + 1] - base
-            tnc.diag[drow[lo:], drow[lo]:drow[lo] + hi - lo] -= be.gemm(
-                l_rows[lo:nf], facing[lo:hi], trans_b="T")
+            tnc.diag[drow[lo:], drow[lo]:drow[lo] + hi - lo] -= (
+                l_rows[lo:nf] @ facing[lo:hi].T)
+        gemms = end - first
         if nbelow:
-            below = be.gemm(l_rows[nf:], facing, trans_b="T")
+            below = l_rows[nf:] @ facing.T
+            gemms += 1
     if is_lu and nbelow:
-        below_u = be.gemm(u_rows[nf:], l_rows[:nf], trans_b="T")
-    # one charge per visit, from the structure: every entry computed costs
-    # 2·width flops, every entry landed one more
-    landed, below_entries = fac.symb.update_entries(sym.id, t, is_lu)
-    computed = landed + fac.sides * below_entries
+        below_u = u_rows[nf:] @ l_rows[:nf].T
+        gemms += 1
     slabs = [("l", below), ("u", below_u)] if is_lu else [("l", below)]
     if tnc.panel_mode and nbelow:
         rows = _span(pos)
@@ -452,9 +461,12 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
             for side, slab in slabs:
                 _subtract_at(_landing(fac, tnc, side, i, acc), rows, cols,
                              slab[lo:hi])
-    stats.add("dense_update", seconds=time.perf_counter() - t0,
-              flops=2.0 * nc.width * computed * flop_scale(fac.dtype)
-              + computed)
+    # charged from the structure: every entry computed costs 2·width
+    # flops, every entry landed one more
+    landed, below_entries = fac.symb.update_entries(k, first, end, is_lu)
+    computed = landed + fac.sides * below_entries
+    return (2.0 * nc.width * computed * flop_scale(fac.dtype) + computed,
+            gemms)
 
 
 def _span(idx: np.ndarray) -> "slice | np.ndarray":
@@ -490,7 +502,7 @@ def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
     first, end = fac.symb.facing_ranges(sym.id)[t]
     tnc = fac.cblks[t]
     offs = nc.row_offsets
-    drow, pos = fac.symb.landing_map(sym.id, t)
+    drow, pos = fac.symb.landing_map(sym.id, t, first, end)
     base, dend = offs[first], offs[end]
     # the operands of this visit in the compute dtype, promoted once each
     # (a product of two narrow operands would otherwise run narrow)

@@ -29,6 +29,8 @@ plumb through the task.
 
 from __future__ import annotations
 
+import time
+
 from repro.core.factor import NumericFactor
 from repro.core.factorization import (
     UpdateAccumulator,
@@ -80,11 +82,32 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     Contributions to ``k``'s low-rank blocks are gathered in a task-local
     accumulator and recompressed once per block right before the
     factorization (Minimal Memory's extend-add); the accumulator never
-    outlives the task, so a retry starts from a clean one."""
+    outlives the task, so a retry starts from a clean one.
+
+    The visits from panel-mode sources are charged here, once per task:
+    ``dense_update`` gets their summed seconds (each whole visit) and
+    flops, with one call per visit, and the backend their summed ``gemm``
+    count."""
     fac.fill_column_block(k)
     acc: UpdateAccumulator = {}
-    for c in fac.symb.contributors(k):
-        apply_updates_from(fac, c, k, acc)
+    seconds = flops = 0.0
+    visits = gemms = 0
+    try:
+        for c in fac.symb.contributors(k):
+            t0 = time.perf_counter()
+            charge = apply_updates_from(fac, c, k, acc)
+            if charge is not None:
+                seconds += time.perf_counter() - t0
+                flops += charge[0]
+                gemms += charge[1]
+                visits += 1
+    finally:
+        # the panel-mode visits charged once per task, a failed attempt's
+        # included: the blocks-mode ones charged their kernels themselves
+        if visits:
+            fac.stats.kernels.add("dense_update", seconds=seconds,
+                                  flops=flops, calls=visits)
+            fac.backend.tick("gemm", gemms)
     if acc:
         flush_accumulated(fac, k, acc)
     factor_column_block(fac, k)

@@ -19,7 +19,6 @@ Dense update           ``dense_update``
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -41,20 +40,17 @@ KERNEL_CATEGORIES = (
 class KernelStats:
     """Accumulates time / flops / call counts per kernel category.
 
-    Thread-safety: ``add`` takes a lock only when the instance was created
-    with ``locked=True``.  A :class:`~repro.core.factor.NumericFactor`
-    creates one locked instance that every task charges, so a caller
-    sharing it across threads keeps consistent tallies — the per-category
-    tally Table 2 reports.
+    A :class:`~repro.core.factor.NumericFactor` creates one instance that
+    every task charges — the per-category tally Table 2 reports.  A caller
+    that batches may charge many calls at once (``calls``): a fan-in task
+    charges its panel-mode visits so.
     """
 
-    def __init__(self, locked: bool = False,
-                 telemetry: Optional["Telemetry"] = None,
+    def __init__(self, telemetry: Optional["Telemetry"] = None,
                  recovery: Optional["RecoveryState"] = None) -> None:
         self.seconds: Dict[str, float] = {}
         self.flops: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
-        self._lock = threading.Lock() if locked else None
         #: optional :class:`~repro.runtime.telemetry.Telemetry` bus carried
         #: alongside the tallies — the low-rank kernels read it off the
         #: ``stats`` argument they already receive, so enabling telemetry
@@ -68,14 +64,7 @@ class KernelStats:
 
     def add(self, category: str, seconds: float = 0.0, flops: float = 0.0,
             calls: int = 1) -> None:
-        """Charge ``seconds`` and ``flops`` to ``category``."""
-        if self._lock is not None:
-            with self._lock:
-                self._add(category, seconds, flops, calls)
-        else:
-            self._add(category, seconds, flops, calls)
-
-    def _add(self, category: str, seconds: float, flops: float, calls: int) -> None:
+        """Charge ``seconds``, ``flops`` and ``calls`` to ``category``."""
         self.seconds[category] = self.seconds.get(category, 0.0) + seconds
         self.flops[category] = self.flops.get(category, 0.0) + flops
         self.calls[category] = self.calls.get(category, 0) + calls

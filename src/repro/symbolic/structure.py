@@ -86,12 +86,11 @@ class SymbolicFactor:
     Provides the lookups the numerical factorization needs:
 
     * ``cblk_of_col(j)`` — column block owning global column ``j``;
-    * ``panel_positions(t, rows)`` — position of global rows inside ``t``'s
-      stacked off-diagonal frame (assembly and the landing map use it);
-    * ``landing_map(k, t)`` — where the rows of source ``k`` land in target
-      ``t``, computed once per visited pair (the relative-index extend-add);
-    * ``update_entries(k, t, lu)`` — how many entries that visit computes,
-      the closed form its flops are charged from;
+    * ``landing_map(k, t, first, end)`` — where the rows of source ``k``
+      land in target ``t``, computed once per visited pair (the
+      relative-index extend-add);
+    * ``update_entries(k, first, end, lu)`` — how many entries that visit
+      computes, the closed form its flops are charged from;
     * ``contributors(t)`` — column blocks with a block facing ``t`` (the
       dependency set of the paper's right-looking algorithm);
     * ``facing_ranges(k)`` — ``facing cblk → (first, end)`` index range of
@@ -112,8 +111,9 @@ class SymbolicFactor:
         off = [b for c in cblks for b in c.off_blocks()]
         starts = np.zeros(len(off) + 1, dtype=np.int64)
         np.cumsum([b.nrows for b in off], out=starts[1:])
-        rows = np.repeat(np.array([b.first_row for b in off], dtype=np.int64)
-                         - starts[:-1], np.diff(starts)) + np.arange(starts[-1])
+        first = np.array([b.first_row for b in off], dtype=np.int64)
+        rows = (np.repeat(first - starts[:-1], np.diff(starts))
+                + np.arange(starts[-1]))
         ends = np.cumsum([c.noff for c in cblks])
         self.row_offsets: List[np.ndarray] = [
             starts[e - c.noff:e + 1] - starts[e - c.noff]
@@ -122,6 +122,8 @@ class SymbolicFactor:
             rows[starts[e - c.noff]:starts[e]] for c, e in zip(cblks, ends)]
         self._facing: Optional[Tuple[List[List[int]],
                                      List[Dict[int, Tuple[int, int]]]]] = None
+        self._check_landings(first, first + np.diff(starts), np.array(
+            [b.facing for b in off], dtype=np.int64), rows)
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -146,6 +148,44 @@ class SymbolicFactor:
         if pos != self.n:
             raise ValueError("column blocks do not cover all columns")
 
+    def _check_landings(self, first: np.ndarray, end: np.ndarray,
+                        facing: np.ndarray, rows: np.ndarray) -> None:
+        """What every update visit relies on, checked once: the
+        off-diagonal blocks (rows ``first:end``, column block after column
+        block; ``rows`` all their rows) land inside the column blocks they
+        face.
+
+        * A block lies inside the column block it faces — else its landing
+          in that diagonal block would wrap around (``ValueError``).
+        * Every row of a column block below its parent's columns is a row
+          of that parent (:meth:`block_etree`).  By induction along the
+          block elimination tree, the rows of a column block below *any*
+          target it faces are then rows of that target, so
+          :meth:`landing_map` is one slice and one search.
+        """
+        col_ends = self._col_starts + np.array(
+            [c.ncols for c in self.cblks], dtype=np.int64)
+        f = np.clip(facing, 0, self.ncblk - 1)
+        inside = ((facing == f) & (first >= self._col_starts[f])
+                  & (end <= col_ends[f]))
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValueError(
+                f"block at rows {first[i]}..{end[i]} lies outside column "
+                f"block {facing[i]}, which it faces")
+        owner = np.repeat(np.arange(self.ncblk, dtype=np.int64),
+                          [len(r) for r in self.off_rows])
+        parent = self.block_etree()[owner]
+        below = rows >= col_ends[parent]
+        # (column block, row) keys ascend: rows ascend within a column block
+        keys = owner * self.n + rows
+        want = parent[below] * self.n + rows[below]
+        held = keys.take(keys.searchsorted(want), mode="clip") == want
+        if not held.all():
+            raise AssertionError(
+                "row outside the symbolic structure of column block "
+                f"{parent[below][np.argmin(held)]}")
+
     # -- lookups --------------------------------------------------------
     @property
     def ncblk(self) -> int:
@@ -156,48 +196,38 @@ class SymbolicFactor:
         k = int(np.searchsorted(self._col_starts, j, side="right")) - 1
         return k
 
-    def panel_positions(self, t: int, rows: np.ndarray) -> np.ndarray:
-        """Position inside column block ``t``'s stacked off-diagonal frame
-        (blocks in order, rows stacked) of each global row of ``rows``,
-        every one of which must belong to one of ``t``'s blocks."""
-        frame = self.off_rows[t]
-        pos = np.searchsorted(frame, rows)
-        if rows.size and (not frame.size or (
-                frame.take(pos, mode="clip") != rows).any()):
-            raise AssertionError(
-                f"row outside the symbolic structure of column block {t}")
-        return pos
-
-    def landing_map(self, k: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
+    def landing_map(self, k: int, t: int, first: int, end: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Where source column block ``k``'s rows land in the target ``t``
-        it faces: ``(drow, pos)``.
+        it faces through its off-diagonal blocks ``first:end``
+        (:meth:`facing_ranges`): ``(drow, pos)``.
 
         ``drow`` holds the local row inside ``t``'s diagonal block of each
         row of ``k``'s blocks facing ``t``; ``pos`` the position inside
         ``t``'s stacked off-diagonal frame of every row of ``k`` below
-        them.  Both are in ``k``'s frame order, so the update of block pair
-        ``(i, j)`` lands at the entries of block ``i``'s rows.  Rows that
-        are contiguous globally are contiguous in the frame: one source
-        block lands in one slice of a panel-mode target.
+        them (each one of ``t``'s rows, checked at construction).  Both are
+        in ``k``'s frame order, so the update of block pair ``(i, j)``
+        lands at the entries of block ``i``'s rows.  Rows that are
+        contiguous globally are contiguous in the frame: one source block
+        lands in one slice of a panel-mode target.
         """
-        first, end = self.facing_ranges(k)[t]
         offs, rows = self.row_offsets[k], self.off_rows[k]
         return (rows[offs[first]:offs[end]] - self.cblks[t].first_col,
-                self.panel_positions(t, rows[offs[end]:]))
+                self.off_rows[t].searchsorted(rows[offs[end]:]))
 
-    def update_entries(self, k: int, t: int, lu: bool) -> Tuple[int, int]:
-        """Entries of ``t`` the dense update by source ``k`` computes:
-        ``(facing, below)``.
+    def update_entries(self, k: int, first: int, end: int,
+                       lu: bool) -> Tuple[int, int]:
+        """Entries the dense update by source ``k`` through its blocks
+        ``first:end`` facing a target computes: ``(facing, below)``.
 
-        ``facing`` counts those in ``t``'s diagonal block — the whole
-        square over the rows of ``k``'s blocks facing ``t`` for LU (the L
+        ``facing`` counts those in the target's diagonal block — the whole
+        square over the rows of ``k``'s blocks facing it for LU (the L
         side's lower block triangle plus the Uᵗ side's strict upper one),
         the lower block triangle alone for a symmetric factorization —
         and ``below`` those under it, per side.  Each costs ``2·ncols(k)``
         flops to form and one to land: exactly what the products and
         subtracts of the block pairs ``(i, j)`` add up to.
         """
-        first, end = self.facing_ranges(k)[t]
         offs = self.row_offsets[k]
         nf = int(offs[end] - offs[first])
         facing = nf * nf

@@ -284,25 +284,26 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
 
 
 def reference_updates_from_panel(fac, nc, t, acc):
-    stats = fac.stats.kernels
     sym = nc.sym
     offs = nc.row_offsets
     is_lu = nc.upanel is not None
-    be = fac.backend
     first, end = fac.symb.facing_ranges(sym.id)[t]
+    flops, gemms = 0.0, 0
     for j in range(first, end):
         bj = sym.blocks[1 + j]
         jlo, jhi = offs[j], offs[j + 1]
         tail = slice(jlo, nc.offrows)
         ub_j = F._update_operand(fac, nc, nc.lpanel[jlo:jhi],
                                  nc.upanel[jlo:jhi] if is_lu else None)
-        w_l = be.gemm(nc.lpanel[tail], ub_j, trans_b="T")
+        w_l = nc.lpanel[tail] @ ub_j.T
         fl = gemm_flops(nc.offrows - jlo, bj.nrows, nc.width)
+        gemms += 1
         w_u = None
         if is_lu:  # (i) > (j) only: the (j, j) product is the L side's
-            w_u = be.gemm(nc.upanel[jhi:], nc.lpanel[jlo:jhi], trans_b="T")
+            w_u = nc.upanel[jhi:] @ nc.lpanel[jlo:jhi].T
             fl += gemm_flops(nc.offrows - jhi, bj.nrows, nc.width)
-        stats.add("dense_update", flops=fl * flop_scale(fac.dtype))
+            gemms += 1
+        flops += fl * flop_scale(fac.dtype)
         for i in range(j, sym.noff):
             bi = sym.blocks[1 + i]
             _scatter(fac, t, bi.first_row, bi.end_row, bj.first_row,
@@ -312,6 +313,9 @@ def reference_updates_from_panel(fac, nc, t, acc):
                 _scatter(fac, t, bi.first_row, bi.end_row, bj.first_row,
                          bj.end_row, w_u[offs[i] - jhi:offs[i + 1] - jhi],
                          "u", acc)
+    # the engine's contract: the products' flops and GEMM count, for the
+    # task to charge (the scatters charge their subtractions themselves)
+    return flops, gemms
 
 
 def reference_updates_from_blocks(fac, nc, t, acc):
@@ -438,7 +442,7 @@ def landing_shapes(symb):
     shapes = dict(multi=0, drow_gap=0, pos_run=0, pos_gap=0)
     for k in range(symb.ncblk):
         for t, (first, end) in symb.facing_ranges(k).items():
-            drow, pos = symb.landing_map(k, t)
+            drow, pos = symb.landing_map(k, t, first, end)
             shapes["multi"] += end - first > 1
             shapes["drow_gap"] += drow[-1] - drow[0] != len(drow) - 1
             if len(pos):
@@ -612,3 +616,43 @@ class TestEnginesLandIdentically:
         fac = self.factor(name)
         assert fac.tracker.peak <= (fac.factor_nbytes()
                                     + max_column_block_nbytes(fac))
+
+
+class TestChargesPinned:
+    """Per-category calls and flops and the backend's op counts of one
+    factorization, pinned at the values recorded while every visit still
+    charged its own kernels: a fan-in task charging its panel-mode visits
+    in one sum must reproduce them exactly (``laplacian_3d(8)``,
+    tiny_blr_config, τ = 1e-4)."""
+
+    #: strategy → ({category: (calls, flops)}, backend_kernel_calls)
+    PINNED = {
+        "dense": (
+            {"block_facto": (139, 25525.33333333332),
+             "dense_update": (552, 978662.0),
+             "panel_solve": (139, 224578.0)},
+            {"gemm": 966, "getrf": 139, "trsm": 276}),
+        "just-in-time": (
+            {"block_facto": (139, 25525.33333333332),
+             "compress": (120, 320656.0),
+             "dense_update": (646, 836896.0),
+             "lr_product": (110, 93422.0),
+             "panel_solve": (139, 214602.0)},
+            {"gemm": 1118, "getrf": 139, "trsm": 306}),
+        "minimal-memory": (
+            {"block_facto": (139, 25525.33333333332),
+             "compress": (212, 371968.0),
+             "dense_update": (870, 318982.0),
+             "lr_addition": (8, 13272.0),
+             "lr_product": (287, 623060.0),
+             "panel_solve": (139, 214602.0)},
+            {"gemm": 1231, "getrf": 139, "trsm": 364}),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(PINNED))
+    def test_calls_flops_and_backend_counts(self, strategy):
+        stats = Solver(laplacian_3d(8), tiny_blr_config(
+            strategy=strategy, tolerance=1e-4)).factorize()
+        k = stats.kernels
+        charged = {c: (k.call_count(c), k.flop(c)) for c in k.calls}
+        assert (charged, stats.backend_kernel_calls) == self.PINNED[strategy]

@@ -21,10 +21,13 @@ class TestKernelStats:
         assert ks.flop("compress") == 150.0
         assert ks.call_count("compress") == 2
 
-    def test_locked_instance(self):
-        ks = KernelStats(locked=True)
+    def test_batched_charge(self):
+        """A caller that batches (the fan-in task's panel-mode visits)
+        charges many calls at once."""
+        ks = KernelStats()
+        ks.add("x", seconds=0.5, flops=3.0, calls=3)
         ks.add("x", flops=1.0)
-        assert ks.flop("x") == 1.0
+        assert (ks.call_count("x"), ks.flop("x")) == (4, 4.0)
 
     def test_as_dict(self):
         ks = KernelStats()

@@ -1,5 +1,7 @@
 """Tests for the symbolic block factorization."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -154,6 +156,23 @@ class TestStructureValidation:
         with pytest.raises(ValueError, match="ids"):
             SymbolicFactor(2, [cb])
 
+    def test_rejects_a_block_outside_the_column_block_it_faces(self):
+        # rows 1..2 lie in column block 1, not in column block 2 (column
+        # 3): its landing in 2's diagonal block would be row -2
+        cb0 = SymbolicColumnBlock(0, 0, 1, 0, [
+            SymbolicBlock(0, 1, 0), SymbolicBlock(1, 1, 2)])
+        cb1 = SymbolicColumnBlock(1, 1, 2, 1, [SymbolicBlock(1, 2, 1)])
+        cb2 = SymbolicColumnBlock(2, 3, 1, 2, [SymbolicBlock(3, 1, 2)])
+        with pytest.raises(ValueError, match="outside column block 2"):
+            SymbolicFactor(4, [cb0, cb1, cb2])
+
+    def test_rejects_a_block_facing_no_column_block(self):
+        cb0 = SymbolicColumnBlock(0, 0, 1, 0, [
+            SymbolicBlock(0, 1, 0), SymbolicBlock(1, 1, 2)])
+        cb1 = SymbolicColumnBlock(1, 1, 1, 1, [SymbolicBlock(1, 1, 1)])
+        with pytest.raises(ValueError, match="outside column block 2"):
+            SymbolicFactor(2, [cb0, cb1])
+
 
 class TestLookups:
     @pytest.fixture
@@ -166,22 +185,42 @@ class TestLookups:
             assert symb.cblk_of_col(cb.first_col) == cb.id
             assert symb.cblk_of_col(cb.end_col - 1) == cb.id
 
-    def test_panel_positions_locate_every_block_row(self, symb):
+    def test_rows_below_the_parent_are_rows_of_the_parent(self, symb):
+        """What construction checks, recomputed from the blocks; the
+        landing map tests below hold it for every target, not just the
+        parent."""
+        parent = symb.block_etree()
         for cb in symb.cblks:
-            start = 0
-            for b in cb.off_blocks():
-                pos = symb.panel_positions(cb.id, b.rows())
-                assert np.array_equal(pos, start + np.arange(b.nrows))
-                start += b.nrows
+            if parent[cb.id] < 0:
+                continue
+            p = symb.cblks[parent[cb.id]]
+            held = {r for b in p.off_blocks() for r in b.rows().tolist()}
+            below = [r for b in cb.off_blocks() for r in b.rows().tolist()
+                     if r >= p.end_col]
+            assert set(below) <= held
 
-    def test_panel_positions_reject_rows_outside_structure(self, symb):
-        cb = symb.cblks[0]
-        held = np.concatenate([b.rows() for b in cb.off_blocks()])
-        missing = np.setdiff1d(np.arange(cb.end_col, symb.n), held)
-        assert symb.panel_positions(0, held[:0]).size == 0
-        for row in (missing[0], missing[-1], symb.n):
-            with pytest.raises(AssertionError, match="outside the symbolic"):
-                symb.panel_positions(0, np.array([held[0], row]))
+    def test_rejects_a_row_the_parent_lacks(self, symb):
+        """Drop from a parent one row that a child holds below the
+        parent's columns: construction raises, naming the parent."""
+        parent = symb.block_etree()
+        k = next(k for k, cb in enumerate(symb.cblks) if parent[k] >= 0
+                 and cb.blocks[-1].first_row >= symb.cblks[parent[k]].end_col)
+        p = int(parent[k])
+        row = symb.cblks[k].blocks[-1].first_row
+        cblks = copy.deepcopy(symb.cblks)
+        blocks = cblks[p].blocks
+        i = next(i for i, b in enumerate(blocks)
+                 if b.first_row <= row < b.end_row)
+        b = blocks[i]
+        blocks[i:i + 1] = [
+            SymbolicBlock(lo, hi - lo, b.facing)
+            for lo, hi in ((b.first_row, row), (row + 1, b.end_row))
+            if hi > lo]
+        with pytest.raises(AssertionError,
+                           match=f"outside the symbolic structure of "
+                                 f"column block {p}$"):
+            SymbolicFactor(symb.n, cblks)
+        SymbolicFactor(symb.n, copy.deepcopy(symb.cblks))
 
     def test_contributors_consistent_with_facing(self, symb):
         for cb in symb.cblks:
@@ -248,8 +287,8 @@ def reference_landing(symb, k, t):
 def assert_landing_matches_reference(symb):
     npairs = 0
     for k in range(symb.ncblk):
-        for t in symb.facing_ranges(k):
-            drow, pos = symb.landing_map(k, t)
+        for t, (first, end) in symb.facing_ranges(k).items():
+            drow, pos = symb.landing_map(k, t, first, end)
             ref_drow, ref_pos = reference_landing(symb, k, t)
             assert drow.tolist() == ref_drow, (k, t)
             assert pos.tolist() == ref_pos, (k, t)
@@ -272,7 +311,7 @@ def assert_update_entries_match_per_block_loop(symb):
                     for top in (offs[j], offs[j + 1])[:1 + lu]:
                         flops += gemm_flops(offs[-1] - top, nj, w)
                         landed += (offs[-1] - top) * nj
-                facing, below = symb.update_entries(k, t, lu)
+                facing, below = symb.update_entries(k, first, end, lu)
                 computed = facing + (1 + lu) * below
                 assert isinstance(computed, int)
                 assert (2.0 * w * computed, computed) == (flops, landed), \
@@ -375,18 +414,19 @@ class TestLandingMap:
             SymbolicBlock(9, 2, 2), SymbolicBlock(12, 3, 2)])
         rest = SymbolicColumnBlock(2, 6, 9, 2, [SymbolicBlock(6, 9, 2)])
         symb = SymbolicFactor(15, [src, tgt, rest])
-        drow, pos = symb.landing_map(0, 1)
+        drow, pos = symb.landing_map(0, 1, *symb.facing_ranges(0)[1])
         assert drow.tolist() == [1, 3]
         assert pos.tolist() == [2, 3, 4, 6, 7]
         assert assert_landing_matches_reference(symb) == 3
 
     def test_source_row_missing_from_the_target_raises(self):
+        # the target (the source's parent) lacks row 4: caught when the
+        # structure is built, before any visit
         src = SymbolicColumnBlock(0, 0, 1, 0, [
             SymbolicBlock(0, 1, 0), SymbolicBlock(1, 1, 1),
             SymbolicBlock(3, 2, 2)])
         tgt = SymbolicColumnBlock(1, 1, 1, 1, [
             SymbolicBlock(1, 1, 1), SymbolicBlock(3, 1, 2)])
         rest = SymbolicColumnBlock(2, 2, 3, 2, [SymbolicBlock(2, 3, 2)])
-        symb = SymbolicFactor(5, [src, tgt, rest])
         with pytest.raises(AssertionError, match="outside the symbolic"):
-            symb.landing_map(0, 1)
+            SymbolicFactor(5, [src, tgt, rest])
