@@ -1,4 +1,4 @@
-"""CI drill for the causal span profiler (``docs/observability.md``).
+"""CI drill for the span profiler (``docs/observability.md``).
 
 One program, three gates:
 
@@ -7,7 +7,8 @@ One program, three gates:
 2. **Bit identity** — the profiled float64 factors must hash
    sha256-identical to an unprofiled run.
 3. **Overhead** — profiling must not slow the factorization by more
-   than 5% (plus a small absolute epsilon for runner noise).
+   than 5% plus 0.02 s of absolute slack for runner noise (on
+   ``--grid 10`` that slack is most of the allowance).
 
 On success the traced run's span document is written out for the CI
 artifact.

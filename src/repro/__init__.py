@@ -20,7 +20,7 @@ Public API highlights:
   (``SolverConfig(telemetry=Telemetry())``): the run's timeline, beside
   the counts the per-run ``RunReport`` of :mod:`repro.analysis.report`
   reads from the run's own state.
-* :class:`~repro.runtime.spans.SpanProfiler` — opt-in causal span
+* :class:`~repro.runtime.spans.SpanProfiler` — opt-in span
   profiler (``SolverConfig(profiler=SpanProfiler())``): one trace tree
   per run, rolled up
   by :mod:`repro.analysis.profile` into the RunReport

@@ -10,7 +10,7 @@ not just their numbers — without any plotting dependency.
 Only the features those figures need are implemented: grouped bars,
 optional per-bar labels, linear/log y axes, legends, reference lines —
 plus :func:`gantt_chart`, which renders the kernel spans of a
-:class:`~repro.runtime.spans.SpanProfiler` document as per-thread lanes
+:class:`~repro.runtime.spans.SpanProfiler` document on one time lane
 (the runtime-observability view of ``docs/observability.md``).
 """
 
@@ -274,48 +274,44 @@ _GANTT_KIND_COLORS = {"factor": PALETTE[0], "update": PALETTE[1],
 def gantt_chart(path: Union[str, Path],
                 spans: Sequence[Mapping[str, Any]], title: str = "",
                 width: int = 1000, lane_height: int = 26) -> Path:
-    """Render the kernel spans of a span document as a per-thread Gantt
-    chart.
+    """Render the kernel spans of a span document as a Gantt chart.
 
     ``spans`` is a sequence of span dicts (``SpanProfiler.to_json()["spans"]``
-    or the same list read back from a file): one lane per thread, one
-    rectangle per ``factor`` / ``update`` / ``compress`` span, coloured
-    by name; every other span (phases, the enclosing
-    ``task``) is skipped.  Rectangles wide enough to be readable are
-    labelled with their column block id.
+    or the same list read back from a file): one lane — the one thread
+    that ran the tasks — and one rectangle per ``factor`` / ``update`` /
+    ``compress`` span, coloured by name; every other span (phases, the
+    enclosing ``task``) is skipped.  Rectangles wide enough to be
+    readable are labelled with their column block id.
     """
     # document order is start order, so a compress span lands on top of
     # the factor span it nests in
-    evs = [(int(s["thread"]), str(s["name"]), s["attrs"]["cblk"],
-            float(s["t0"]), float(s["t1"]))
+    evs = [(str(s["name"]), s["attrs"]["cblk"], float(s["t0"]),
+            float(s["t1"]))
            for s in spans if s["name"] in _GANTT_KIND_COLORS]
-    threads = sorted({thread for thread, *_ in evs})
     margin_l, margin_r, margin_t, margin_b = 70, 20, 50, 46
     plot_w = width - margin_l - margin_r
-    height = margin_t + margin_b + max(len(threads), 1) * lane_height
+    height = margin_t + margin_b + lane_height
     cv = _Canvas(width, height)
 
     t_lo = min((t0 for *_, t0, _ in evs), default=0.0)
-    t_hi = max((t1 for *_, _, t1 in evs), default=1.0)
+    t_hi = max((t1 for *_, t1 in evs), default=1.0)
     span = (t_hi - t_lo) or 1.0
 
     def xpix(t: float) -> float:
         return margin_l + plot_w * (t - t_lo) / span
 
-    lane_of = {tid: i for i, tid in enumerate(threads)}
-    for tid in threads:
-        y = margin_t + lane_of[tid] * lane_height
-        cv.text(margin_l - 8, y + lane_height * 0.65, f"thread {tid}",
-                size=11, anchor="end")
-        cv.line(margin_l, y, margin_l + plot_w, y, stroke="#eee", width=0.5)
-    cv.line(margin_l, margin_t + len(threads) * lane_height,
-            margin_l + plot_w, margin_t + len(threads) * lane_height)
+    y_axis = margin_t + lane_height
+    cv.text(margin_l - 8, margin_t + lane_height * 0.65, "tasks",
+            size=11, anchor="end")
+    cv.line(margin_l, margin_t, margin_l + plot_w, margin_t, stroke="#eee",
+            width=0.5)
+    cv.line(margin_l, y_axis, margin_l + plot_w, y_axis)
 
     kinds_seen = []
-    for thread, kind, cblk, t0, t1 in evs:
+    for kind, cblk, t0, t1 in evs:
         if kind not in kinds_seen:
             kinds_seen.append(kind)
-        y = margin_t + lane_of[thread] * lane_height + 3
+        y = margin_t + 3
         x0, x1 = xpix(t0), xpix(t1)
         w = max(x1 - x0, 0.6)
         cv.rect(x0, y, w, lane_height - 6, _GANTT_KIND_COLORS[kind],
@@ -329,9 +325,8 @@ def gantt_chart(path: Union[str, Path],
         x = xpix(t)
         if x > margin_l + plot_w + 1:
             continue
-        y = margin_t + len(threads) * lane_height
-        cv.line(x, y, x, y + 4)
-        cv.text(x, y + 16, f"{t:g}", size=10)
+        cv.line(x, y_axis, x, y_axis + 4)
+        cv.text(x, y_axis + 16, f"{t:g}", size=10)
     cv.text(margin_l + plot_w / 2, height - 6, "seconds", size=11)
     if title:
         cv.text(width / 2, 24, title, size=15)

@@ -5,14 +5,16 @@ Consumes the version-1 span documents written by
 
 * :func:`phase_rollup` — the per-phase / per-level time
   attribution folded into ``RunReport`` (the "profile" section);
-* :func:`task_summary` — per-thread busy time, utilisation, critical path
-  and parallelism of the fan-in tasks (the "Task trace" section; the same
-  span dicts feed :func:`repro.analysis.charts.gantt_chart`).
+* :func:`task_summary` — busy time and utilisation of the fan-in tasks
+  (the "Task trace" section; the same span dicts feed
+  :func:`repro.analysis.charts.gantt_chart`).
+
+Documents written before the profiler became single-threaded carry
+``thread`` / ``link`` keys on their spans; both are ignored.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 #: pipeline phases, in execution order (direct children of the root span)
@@ -43,7 +45,6 @@ def _spans_of(source: _SpanSource) -> List[Dict[str, Any]]:
     for raw in spans:
         s = dict(raw)
         s.setdefault("attrs", {})
-        s.setdefault("link", "child")
         out.append(s)
     return out
 
@@ -71,22 +72,23 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
     Returns a plain-JSON dict::
 
         {"total_time":  <root span duration>,
-         "meta":        {engine, threads, ...},
+         "meta":        {...},                           # profiler.meta
          "phases":      {name: {"time", "self_time", "count"}},
          "kernels":     {name: {"time", "count"}},
          "by_level":    {"<level>": {"time", "count"}}}   # task spans
 
     ``self_time`` is the phase's duration minus the time of its direct
-    children (a phase that only dispatches kernels has near-zero self
-    time).  ``by_level`` sums *task* spans — the per-cblk fan-in units —
-    keyed by their elimination-tree depth.
+    children — for ``factorize``, its ``assemble`` and every ``task`` —
+    so a phase that only dispatches kernels has near-zero self time.
+    ``by_level`` sums *task* spans — the per-cblk fan-in units — keyed by
+    their elimination-tree depth.
     """
     spans = _spans_of(source)
     by_id = {int(s["span_id"]): s for s in spans}
     child_time: Dict[int, float] = {}
     for s in spans:
         pid = s.get("parent_id")
-        if pid is not None and s.get("link", "child") == "child":
+        if pid is not None:
             child_time[int(pid)] = child_time.get(int(pid), 0.0) \
                 + _duration(s)
 
@@ -124,60 +126,22 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
 
 
 def task_summary(source: _SpanSource) -> Dict[str, Any]:
-    """Who ran which fan-in task when: the scheduling view of a span
-    document, as a plain-JSON dict::
-
-        {"n_tasks", "n_threads", "span",
-         "thread_busy": {"<thread>": s}, "utilization": {"<thread>": frac},
-         "mean_utilization", "critical_path", "parallelism"}
+    """How busy the fan-in tasks kept the one thread that ran them, as a
+    plain-JSON dict ``{"n_tasks", "span", "busy", "utilization"}``.
 
     ``span`` is the wall clock from the first task's start to the last
-    task's end and a thread's busy time the sum of its ``task`` spans
-    (updates, factorization and compression all run inside one).  The
-    critical path follows the elimination DAG as the spans recorded it:
-    ``cp[k] = max cp[c] over the sources c of k's update spans + duration
-    of task k`` — contributors precede their targets, so one ascending
-    pass suffices.  A run whose tasks all sit on one thread executed as a
-    single chain: its critical path is its busy time.
+    task's end, ``busy`` the sum of the ``task`` spans (updates,
+    factorization and compression all run inside one) and
+    ``utilization`` their ratio: what is left is the engine's own time
+    between tasks.
     """
-    spans = _spans_of(source)
-    busy: Dict[int, float] = {}
-    task_dur: Dict[int, float] = {}
-    sources: Dict[int, List[int]] = {}
-    t_lo, t_hi = math.inf, -math.inf
-    n_tasks = 0
-    for s in spans:
-        attrs = s["attrs"]
-        if s["name"] == "task":
-            dur = _duration(s)
-            thread = int(s.get("thread", 0))
-            busy[thread] = busy.get(thread, 0.0) + dur
-            k = int(attrs["cblk"])
-            task_dur[k] = task_dur.get(k, 0.0) + dur
-            t_lo, t_hi = min(t_lo, float(s["t0"])), max(t_hi, float(s["t1"]))
-            n_tasks += 1
-        elif s["name"] == "update":
-            sources.setdefault(int(attrs["target"]), []).append(
-                int(attrs["cblk"]))
-    total_busy = sum(busy.values())
-    if len(busy) <= 1:
-        critical = total_busy
-    else:
-        cp: Dict[int, float] = {}
-        for k in sorted(task_dur):
-            cp[k] = task_dur[k] + max(
-                (cp.get(c, 0.0) for c in sources.get(k, ())), default=0.0)
-        critical = max(cp.values(), default=0.0)
-    wall = (t_hi - t_lo) if n_tasks else 0.0
+    tasks = [s for s in _spans_of(source) if s["name"] == "task"]
+    busy = sum(_duration(s) for s in tasks)
+    wall = (max(float(s["t1"]) for s in tasks)
+            - min(float(s["t0"]) for s in tasks)) if tasks else 0.0
     return {
-        "n_tasks": n_tasks,
-        "n_threads": len(busy),
+        "n_tasks": len(tasks),
         "span": wall,
-        "thread_busy": {str(t): b for t, b in sorted(busy.items())},
-        "utilization": {str(t): (b / wall if wall > 0 else 0.0)
-                        for t, b in sorted(busy.items())},
-        "mean_utilization": (total_busy / (len(busy) * wall)
-                             if wall > 0 else 0.0),
-        "critical_path": critical,
-        "parallelism": (total_busy / critical) if critical > 0 else 0.0,
+        "busy": busy,
+        "utilization": busy / wall if wall > 0 else 0.0,
     }

@@ -507,14 +507,7 @@ def render_markdown(report: Dict[str, Any],
     if profile:
         lines.append("## Profile")
         lines.append("")
-        meta = profile.get("meta") or {}
-        engine = meta.get("engine")
-        total = profile.get("total_time")
-        head = f"Span total {_fmt(total)} s"
-        if engine:
-            head += (f" — engine `{engine}`, "
-                     f"{meta.get('threads', '?')} thread(s)")
-        lines.append(head + ".")
+        lines.append(f"Span total {_fmt(profile.get('total_time'))} s.")
         lines.append("")
         phases = profile.get("phases") or {}
         if phases:

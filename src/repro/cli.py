@@ -255,9 +255,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         workload = args.generate or args.matrix
         report = solver.run_report(workload=workload, backward_error=err)
         summ = report["profile"]["tasks"]
-        print(f"tasks: {summ['n_tasks']} on {summ['n_threads']} thread(s), "
-              f"critical path {summ['critical_path']:.3f}s, "
-              f"mean utilization {summ['mean_utilization']:.0%}")
+        print(f"tasks: {summ['n_tasks']}, busy {summ['busy']:.3f} s, "
+              f"utilization {summ['utilization']:.0%}")
         if args.gantt:
             from repro.analysis.charts import gantt_chart
 
@@ -516,7 +515,7 @@ def main(argv: Optional[list] = None) -> int:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--gantt", metavar="FILE",
                          help="with --report: also render a Gantt SVG "
-                              "of the kernel spans, one lane per thread")
+                              "of the kernel spans on one time lane")
     p_solve.add_argument("--report", metavar="FILE",
                          help="attach telemetry and the span profiler "
                               "and write a RunReport JSON artifact (render "

@@ -153,10 +153,11 @@ class SolverConfig:
         default=None, repr=False, compare=False)
     #: attach a :class:`~repro.runtime.spans.SpanProfiler`: the whole
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
-    #: trisolve → refinement) then records hierarchical, causally-linked
-    #: spans with phase/cblk/level attributes, rolled up per
-    #: phase and into a per-thread task summary and a Gantt chart
-    #: (:mod:`repro.analysis.profile`).  ``None`` (the
+    #: trisolve → refinement) then records one tree of nested spans with
+    #: phase/cblk/level attributes, rolled up per phase and into a task
+    #: summary (busy time, utilization) and a Gantt chart
+    #: (:mod:`repro.analysis.profile`).  The profiler, like the solver,
+    #: belongs to one thread.  ``None`` (the
     #: default) disables profiling at the cost of one ``is not None`` test
     #: per site.  Like ``telemetry``, excluded from equality/repr and
     #: serialized as null.

@@ -40,7 +40,6 @@ memory measurements are produced.
 
 from __future__ import annotations
 
-import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -167,9 +166,6 @@ class NumericFactor:
         self.pivot_swaps = 0
         self.pivots_2x2 = 0
         self.pivot_growth = 0.0
-        #: guards the counters every task accumulates into
-        #: (``nperturbed``, pivot stats)
-        self._counter_lock = threading.Lock()
         #: arithmetic dtype of the factorization (resolved by
         #: :func:`assemble` from the matrix and ``config.dtype``)
         self.dtype = np.dtype(np.float64)
@@ -185,9 +181,9 @@ class NumericFactor:
         #: run, so a finished factor holds only its factor
         self.entries: Optional[Tuple[np.ndarray, ...]] = None
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
-        #: from ``config.profiler`` so the engines and kernels pay a single
-        #: attribute load; the engine opens one causal span per task and
-        #: the kernels nest factor/compress/update children in it
+        #: from ``config.profiler`` so the engine and kernels pay a single
+        #: attribute load; the engine opens one ``task`` span per column
+        #: block and the kernels nest factor/compress/update children in it
         self.profiler: Optional["SpanProfiler"] = config.profiler
         #: optional :class:`~repro.runtime.faults.FaultInjector` — fired at
         #: the top of every factor/update task when set
@@ -277,36 +273,29 @@ class NumericFactor:
         return sum(nc.nbytes(self.sides) for nc in self.cblks)
 
     def add_perturbed(self, n: int) -> None:
-        """Accumulate perturbed-pivot counts from factor tasks.
-
-        Integer addition under ``_counter_lock``, so the result stays
-        independent of accumulation order."""
-        if n:
-            with self._counter_lock:
-                self.nperturbed += n
+        """Accumulate perturbed-pivot counts from factor tasks (the one
+        place ``nperturbed`` grows, whatever the pivoting)."""
+        self.nperturbed += n
 
     def note_accumulator_peak(self, nbytes: int) -> None:
         """Fold one task's extend-add accumulator high-water mark into
         ``stats.accumulator_peak_nbytes`` (a max, so independent of the
         order tasks report in)."""
-        if nbytes > self.stats.accumulator_peak_nbytes:
-            with self._counter_lock:
-                self.stats.accumulator_peak_nbytes = max(
-                    self.stats.accumulator_peak_nbytes, nbytes)
+        self.stats.accumulator_peak_nbytes = max(
+            self.stats.accumulator_peak_nbytes, nbytes)
 
     def add_pivot_stats(self, stats: Dict[str, Any]) -> None:
         """Accumulate per-block threshold-pivoting statistics.
 
         ``stats`` is the dict returned by the ``ldlt_pivot`` kernel
-        (swaps / n2x2 / perturbed / growth).  Sums and the growth max are
-        taken under ``_counter_lock`` — run-wide aggregates shared by
-        every task."""
-        with self._counter_lock:
-            self.pivot_swaps += int(stats.get("swaps", 0))
-            self.pivots_2x2 += int(stats.get("n2x2", 0))
-            self.nperturbed += int(stats.get("perturbed", 0))
-            self.pivot_growth = max(self.pivot_growth,
-                                    float(stats.get("growth", 0.0)))
+        (swaps / n2x2 / perturbed / growth): run-wide sums of swaps and
+        2×2 pivots and the growth max.  Its ``perturbed`` count reaches
+        ``nperturbed`` through :meth:`add_perturbed`, as every factotype's
+        does."""
+        self.pivot_swaps += int(stats.get("swaps", 0))
+        self.pivots_2x2 += int(stats.get("n2x2", 0))
+        self.pivot_growth = max(self.pivot_growth,
+                                float(stats.get("growth", 0.0)))
 
     # -- block mutation with memory accounting ----------------------------
     def set_block(self, nc: NumericColumnBlock, side: str, i: int,

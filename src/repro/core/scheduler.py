@@ -18,8 +18,9 @@ prefix plus the one column block in flight, and a failed attempt restarts
 from the empty column block.  Once every task has run, the engine
 releases the matrix entries the tasks scattered from.
 
-Span profiling (``fac.profiler``) and fault injection (``fac.faults``)
-plumb through the task.
+Span profiling (``fac.profiler``: one plain ``task`` span per column block
+under the ``factorize`` phase) and fault injection (``fac.faults``) plumb
+through the task.  One thread runs the whole loop.
 
   Deviation from the paper noted in DESIGN.md: PaStiX runs these tasks on
   a thread pool mapped by proportional subtree mapping.  A Python worker
@@ -39,7 +40,7 @@ from repro.core.factorization import (
     flush_accumulated,
 )
 from repro.runtime.recovery import NumericalBreakdown
-from repro.runtime.spans import task_span
+from repro.runtime.spans import span
 
 
 def run_sequential(fac: NumericFactor) -> None:
@@ -49,32 +50,25 @@ def run_sequential(fac: NumericFactor) -> None:
     A task only ever mutates its own column block — which is what makes
     local retries sound — and allocates it when it starts, so at any
     instant the working set holds the factored prefix plus a single column
-    block in flight.
+    block in flight.  Profiled, each task is a ``task`` span carrying its
+    column block and elimination-tree depth (``cblk``, ``level``).
     """
-    _begin_profile(fac)
-    for k in range(fac.symb.ncblk):
-        _run_task(fac, k)
+    prof = fac.profiler
+    if prof is None:
+        for k in range(fac.symb.ncblk):
+            _attempt_task(fac, k)
+    else:
+        from repro.analysis.metrics import cblk_levels
+
+        for k, level in enumerate(cblk_levels(fac)):
+            with span(prof, "task", cblk=k, level=level):
+                _attempt_task(fac, k)
     fac.entries = None
 
 
 # ----------------------------------------------------------------------
 # the task
 # ----------------------------------------------------------------------
-
-def _begin_profile(fac: NumericFactor) -> None:
-    """Arm the span profiler's task registry for one engine run.
-
-    Called while the ``factorize`` phase span is
-    current, so contributor-less tasks attach there; the per-cblk
-    elimination-tree depth feeds each task span's ``level`` attribute.
-    """
-    prof = fac.profiler
-    if prof is not None:
-        from repro.analysis.metrics import cblk_levels
-
-        prof.meta.update(engine="sequential", threads=1)
-        prof.begin_tasks(levels=cblk_levels(fac))
-
 
 def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     """One fan-in task: allocate and scatter ``k``, apply all contributors'
@@ -111,15 +105,6 @@ def _pull_and_factor(fac: NumericFactor, k: int) -> None:
     if acc:
         flush_accumulated(fac, k, acc)
     factor_column_block(fac, k)
-
-
-def _run_task(fac: NumericFactor, k: int) -> None:
-    """Execute the fan-in task for ``k`` under its causal span, whose
-    parent is the span of ``k``'s greatest contributor — a deterministic
-    causal edge (see
-    :meth:`~repro.runtime.spans.SpanProfiler.task_start`)."""
-    with task_span(fac.profiler, k, fac.symb.contributors(k)):
-        _attempt_task(fac, k)
 
 
 def _attempt_task(fac: NumericFactor, k: int) -> None:

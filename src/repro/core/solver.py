@@ -182,8 +182,7 @@ class Solver:
         self.analyze()
         self._run_config = cfg
         state = self._recovery
-        # engine facts live in profiler.meta — span attrs hold only
-        # config-derived facts
+        # span attrs hold only config-derived facts
         with span(cfg.profiler, "factorize", strategy=cfg.strategy):
             a_perm = permute_symmetric(self._a_sym, self.perm)
             t0 = time.perf_counter()

@@ -10,10 +10,15 @@ a factorization can be compared between the Dense, Just-In-Time and Minimal
 Memory strategies.
 
 Two further layers make the runtime *observable* and *testable* (see
-``docs/observability.md``): :mod:`repro.runtime.spans` records which thread
-ran which task when (per-thread utilization, critical path and the Gantt
-chart are derived from its span document), and :mod:`repro.runtime.faults` injects deterministic failures into the
-factorization drivers so scheduler error paths can be exercised.
+``docs/observability.md``): :mod:`repro.runtime.spans` records which
+task ran when (busy time, utilization and the Gantt chart are derived
+from its span document), and :mod:`repro.runtime.faults` injects
+deterministic failures into the factorization drivers so the engine's
+error paths can be exercised.
+
+Every runtime collaborator — ``Telemetry``, ``SpanProfiler``,
+``MemoryTracker``, ``FaultInjector``, ``RecoveryState`` — belongs to the
+one thread that runs its solver; none of them takes a lock.
 
 :mod:`repro.runtime.recovery` closes the loop: the faults the injector
 (or real arithmetic) produces are detected as structured

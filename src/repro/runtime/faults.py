@@ -25,8 +25,7 @@ Fault actions (applied in this order when several are registered):
 once and then heal — the deterministic model of a flaky worker, a cosmic
 ray, or a kernel hiccup.  They are what the recovery layer's retry paths
 are tested against: the first attempt dies, the retry finds the site
-healthy.  Spent-marking happens under the injector's lock, so a transient
-fault fires once even when a caller shares the injector across threads.
+healthy.  An injector belongs to the one thread that runs its solver.
 
 Every fault that fires is appended to :attr:`FaultInjector.fired` so tests
 can assert on what actually happened.
@@ -34,7 +33,6 @@ can assert on what actually happened.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -56,10 +54,6 @@ class FaultInjector:
     column block, at the JIT/minimal-memory compression points),
     ``trisolve`` (once per :func:`~repro.core.trisolve.solve_factored`
     call) and ``serialize`` (before every archive write).
-
-    Thread-safety: registration happens before the run; firing mutates
-    only :attr:`fired` and transient spent-flags (both lock-guarded) and
-    reads otherwise-immutable registries.
     """
 
     def __init__(self, seed: Optional[int] = 0) -> None:
@@ -67,7 +61,6 @@ class FaultInjector:
         #: faults fired so far: (site, cblk, target, action) tuples
         #: (siteless hooks — trisolve/serialize — use cblk = -1)
         self.fired: List[Tuple[str, int, Optional[int], str]] = []
-        self._lock = threading.Lock()
         self._factor: Dict[int, List[dict]] = {}
         self._update: Dict[Tuple[int, Optional[int]], List[dict]] = {}
         self._compress: Dict[int, List[dict]] = {}
@@ -137,20 +130,14 @@ class FaultInjector:
     # -- firing (called from the factorization drivers) ----------------
     def _mark(self, site: str, k: int, target: Optional[int],
               action: str) -> None:
-        with self._lock:
-            self.fired.append((site, k, target, action))
+        self.fired.append((site, k, target, action))
 
     def _take(self, fault: dict) -> bool:
         """Claim a fault for firing; ``False`` when a transient fault has
-        already fired (healed).  Spent-marking is atomic under the lock so
-        racing threads cannot both fire the same transient fault."""
-        if not fault.get("transient"):
-            return True
-        with self._lock:
-            if fault["spent"]:
-                return False
-            fault["spent"] = True
-            return True
+        already fired (healed)."""
+        live = not (fault["transient"] and fault["spent"])
+        fault["spent"] = fault["transient"]
+        return live
 
     def on_factor(self, fac: "NumericFactor", k: int) -> None:
         for fault in self._factor.get(k, ()):

@@ -19,7 +19,6 @@ paper performs ("memory used to store the final coefficients").
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -56,10 +55,6 @@ def nbytes_lowrank(m: int, n: int, rank: int, itemsize: int = FLOAT_NBYTES) -> i
 class MemoryTracker:
     """Tracks current and peak tracked bytes.
 
-    The lock keeps it consistent for callers that share it across threads;
-    the per-call cost is negligible compared to the BLAS work each call
-    accounts for.
-
     With a :class:`~repro.runtime.telemetry.Telemetry` bus attached, every
     *meaningful* new high-water mark (first peak, then growth beyond 1/64
     of the previous recorded peak) is published to the bounded
@@ -71,42 +66,30 @@ class MemoryTracker:
     def __init__(self, telemetry: Optional["Telemetry"] = None) -> None:
         self.current = 0
         self.peak = 0
-        self._lock = threading.Lock()
         self._telemetry = telemetry
         self._last_recorded = -1  # force a sample on the first peak
 
-    def _record_peak_locked(self) -> None:
-        """Publish a new high-water mark (caller holds the lock)."""
-        if self._telemetry is None:
-            return
-        if self.peak - self._last_recorded >= max(1, self.peak >> 6):
-            self._last_recorded = self.peak
-            self._telemetry.record_memory(self.current, self.peak)
-
     def alloc(self, nbytes: int) -> None:
-        with self._lock:
-            self.current += int(nbytes)
-            if self.current > self.peak:
-                self.peak = self.current
-                self._record_peak_locked()
+        self.resize(0, nbytes)
 
     def free(self, nbytes: int) -> None:
-        with self._lock:
-            self.current -= int(nbytes)
+        self.current -= int(nbytes)
 
     def resize(self, old_nbytes: int, new_nbytes: int) -> None:
         """Account for a block whose storage changed size (e.g. rank growth)."""
-        with self._lock:
-            self.current += int(new_nbytes) - int(old_nbytes)
-            if self.current > self.peak:
-                self.peak = self.current
-                self._record_peak_locked()
+        self.current += int(new_nbytes) - int(old_nbytes)
+        if self.current > self.peak:
+            self.peak = self.current
+            tele = self._telemetry
+            if tele is not None and \
+                    self.peak - self._last_recorded >= max(1, self.peak >> 6):
+                self._last_recorded = self.peak
+                tele.record_memory(self.current, self.peak)
 
     def reset(self) -> None:
-        with self._lock:
-            self.current = 0
-            self.peak = 0
-            self._last_recorded = -1
+        self.current = 0
+        self.peak = 0
+        self._last_recorded = -1
 
 
 def array_nbytes(a: "np.ndarray") -> int:

@@ -36,7 +36,6 @@ hot path with a single ``is not None`` test.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
@@ -162,13 +161,11 @@ class RecoveryState:
     armed on the factor as ``fac.recovery``.  Without one
     (``policy=None``) it heals nothing and records only the always-on
     verdicts — a compression kernel that failed and kept its block dense.
-    Thread-safe.
     """
 
     def __init__(self, policy: Optional[RecoveryPolicy] = None) -> None:
         self.policy = policy
         self.actions: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
 
     def record(self, action: str, site: str = "",
                cblk: Optional[int] = None, **detail: Any) -> None:
@@ -177,8 +174,7 @@ class RecoveryState:
         if cblk is not None:
             entry["cblk"] = int(cblk)
         entry.update(detail)
-        with self._lock:
-            self.actions.append(entry)
+        self.actions.append(entry)
 
     def counts(self) -> Dict[str, int]:
         """Action-name → occurrence count of everything recorded so far."""
@@ -187,8 +183,7 @@ class RecoveryState:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able digest (feeds ``Solver.last_recovery`` / RunReport)."""
-        with self._lock:
-            actions = list(self.actions)
+        actions = list(self.actions)
         counts: Dict[str, int] = {}
         for a in actions:
             name = str(a["action"])

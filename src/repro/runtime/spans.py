@@ -1,24 +1,22 @@
-"""Hierarchical causal span profiler (`SolverConfig(profiler=...)`) — the
-solver's one recorder of which thread ran what when.
+"""Hierarchical span profiler (`SolverConfig(profiler=...)`) — the
+solver's one recorder of what ran when.
 
 Design goals:
 
 * **One seam, near-zero cost when absent.**  Every profiled region is
-  ``with span(prof, name, ...) as late:`` (:func:`task_span` resolves a
-  causal parent first); with the
-  default ``SolverConfig.profiler=None`` that is one shared null context.
-  The telemetry-guard lint rule keeps ``.start(`` / ``.end(`` in here.
-* **Causal, not merely temporal.**  Spans carry trace-id / span-id /
-  parent-id.  Synchronous children (`link="child"`) nest through a
-  per-thread context stack; task hand-offs produce
-  `link="follows"` edges whose parent is the *dependency* that released
-  the task — the greatest contributor in the pull-mode fan-in order —
-  so the tree records the task DAG, not the order the engine happened
-  to run it in.
+  ``with span(prof, name, ...) as late:``; with the default
+  ``SolverConfig.profiler=None`` that is one shared null context.  The
+  telemetry-guard lint rule keeps ``.start(`` / ``.end(`` in here.
+* **One thread, one tree.**  A solver and the profiler attached to it
+  belong to the one thread that runs them.  Spans carry trace-id /
+  span-id / parent-id; a span's parent is the innermost span open when it
+  started (one context stack), so every span is contained in its parent.
+  The engine's fan-in tasks are plain ``task`` spans under the
+  ``factorize`` phase.
 * **Self-contained artifacts.**  `to_json()` round-trips through
   :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` rolls the
-  same document up per phase and into the per-thread task summary (busy
-  time, utilisation, critical path) behind the Gantt chart.
+  same document up per phase and into the task summary (busy time and
+  utilisation) behind the Gantt chart.
 
 Layering on the telemetry store: construct with
 ``SpanProfiler(telemetry=tele)`` and every *phase* span (direct child of
@@ -29,7 +27,6 @@ log, so ``tele.events()`` shows the phase boundaries.
 from __future__ import annotations
 
 import json
-import threading
 import time
 import uuid
 from contextlib import nullcontext
@@ -50,12 +47,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.telemetry import Telemetry
 
-#: synchronous child span, temporally contained in its parent
-LINK_CHILD = "child"
-#: causal hand-off edge: the child starts after the parent *started*
-#: (typically after it ended) — a scheduler task released by a dependency
-LINK_FOLLOWS = "follows"
-
 _EPS = 1e-9
 
 
@@ -66,10 +57,8 @@ class Span:
     name: str
     span_id: int
     parent_id: Optional[int]
-    thread: int
     t0: float
     t1: float = -1.0
-    link: str = LINK_CHILD
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -81,16 +70,14 @@ class Span:
             "name": self.name,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
-            "thread": self.thread,
             "t0": self.t0,
             "t1": self.t1,
-            "link": self.link,
             "attrs": dict(self.attrs),
         }
 
 
 class SpanProfiler:
-    """Thread-safe hierarchical span recorder with causal hand-offs.
+    """Hierarchical span recorder of one thread's solver run.
 
     A single implicit **root span** (``"run"``) is opened at construction
     and closed by :meth:`finish` (idempotent; `events()`/`to_json()` call
@@ -106,67 +93,31 @@ class SpanProfiler:
         self.meta: Dict[str, Any] = {}
         self._telemetry = telemetry
         self._origin = time.perf_counter()
-        self._lock = threading.Lock()
         self._spans: Dict[int, Span] = {}
         self._next_id = 1
-        self._tls = threading.local()
-        self._threads: Dict[int, int] = {}
-        # per-engine-run task registry: cblk -> span id, plus the phase
-        # span task spans attach to when they have no contributors
-        self._task_spans: Dict[int, int] = {}
-        self._task_root: Optional[int] = None
-        self._task_levels: Optional[List[int]] = None
-        self._root_id = self._new_span(self.ROOT_NAME, parent=None,
-                                       link=LINK_CHILD, attrs={})
-
-    # -- clocks and per-thread state -----------------------------------
+        #: ids of the open spans, innermost last
+        self._stack: List[int] = []
+        self._root_id = self._new_span(self.ROOT_NAME, None, {})
 
     def clock(self) -> float:
         """Seconds since this profiler's origin (perf_counter based)."""
         return time.perf_counter() - self._origin
 
-    def _thread_slot(self) -> int:
-        slot = getattr(self._tls, "slot", None)
-        if slot is None:
-            with self._lock:
-                slot = self._threads.setdefault(threading.get_ident(),
-                                                len(self._threads))
-            self._tls.slot = slot
-        return int(slot)
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
     # -- span lifecycle -------------------------------------------------
 
-    def _new_span(self, name: str, parent: Optional[int], link: str,
+    def _new_span(self, name: str, parent: Optional[int],
                   attrs: Dict[str, Any]) -> int:
-        t0 = self.clock()
-        thread = self._thread_slot()
-        with self._lock:
-            sid = self._next_id
-            self._next_id += 1
-            self._spans[sid] = Span(name, sid, parent, thread, t0,
-                                    link=link, attrs=attrs)
+        sid = self._next_id
+        self._next_id += 1
+        self._spans[sid] = Span(name, sid, parent, self.clock(), attrs=attrs)
         return sid
 
-    def start(self, name: str, parent: Optional[int] = None,
-              link: str = LINK_CHILD, **attrs: Any) -> int:
-        """Open a span and push it on this thread's context stack.
-
-        Without an explicit ``parent`` the span attaches to the thread's
-        current span, falling back to the root — that is the context-stack
-        propagation rule.  Pass ``parent`` (and ``link=LINK_FOLLOWS``) for
-        causal cross-thread edges.
-        """
-        stack = self._stack()
-        if parent is None:
-            parent = stack[-1] if stack else self._root_id
-        sid = self._new_span(name, parent, link, dict(attrs))
+    def start(self, name: str, **attrs: Any) -> int:
+        """Open a span under the innermost open one (the root when none
+        is) and push it on the context stack."""
+        stack = self._stack
+        sid = self._new_span(name, stack[-1] if stack else self._root_id,
+                             attrs)
         stack.append(sid)
         return sid
 
@@ -175,89 +126,38 @@ class SpanProfiler:
         if span_id is None:
             return
         t1 = self.clock()
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] == span_id:
             stack.pop()
         elif span_id in stack:  # pragma: no cover - defensive
             stack.remove(span_id)
-        with self._lock:
-            span = self._spans.get(span_id)
-            if span is None:  # pragma: no cover - defensive
-                return
-            span.t1 = t1
-            span.attrs.update(attrs)
-            # phase spans (children of the root) mirror into telemetry
-            payload = (dict(span.attrs) if span.parent_id == self._root_id
-                       else None)
-            name, dur = span.name, span.duration
+        span = self._spans.get(span_id)
+        if span is None:  # pragma: no cover - defensive
+            return
+        span.t1 = t1
+        span.attrs.update(attrs)
+        # phase spans (children of the root) mirror into telemetry
         tele = self._telemetry
-        if tele is not None and payload is not None:
-            tele.emit("span", name=name, duration_s=dur, **payload)
+        if tele is not None and span.parent_id == self._root_id:
+            tele.emit("span", name=span.name, duration_s=span.duration,
+                      **span.attrs)
 
-    def span(self, name: str, parent: Optional[int] = None,
-             link: str = LINK_CHILD, **attrs: Any
+    def span(self, name: str, **attrs: Any
              ) -> ContextManager[Dict[str, Any]]:
         """:func:`span` on this profiler."""
-        return span(self, name, parent, link, **attrs)
+        return span(self, name, **attrs)
 
     def current(self) -> Optional[int]:
-        """This thread's innermost open span id (``None`` outside any)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    # -- task hand-off support ------------------------------------
-
-    def begin_tasks(self, levels: Optional[Sequence[int]] = None) -> None:
-        """Arm a fresh task registry for one engine run.
-
-        Must be called from the thread holding the enclosing phase span
-        (the engine calls it before the first task): contributor-less
-        tasks attach to that span as plain children.  ``levels`` is the
-        per-cblk elimination-tree depth used for the ``level`` attribute.
-        """
-        current = self.current()
-        with self._lock:
-            self._task_spans = {}
-            self._task_root = current
-            self._task_levels = list(levels) if levels is not None else None
-
-    def task_start(self, cblk: int, contributors: Sequence[int]) -> int:
-        """Open the causal span for the fan-in task on ``cblk``.
-
-        The parent is the span of the **canonical releaser** — the
-        greatest contributor, i.e. the dependency whose updates are
-        pulled last in the ascending fan-in order — which makes the
-        recorded tree independent of the order the tasks ran in.  A task only runs once all its
-        contributors have, so that span is always registered; a task with
-        no registered contributor span attaches to the enclosing phase
-        span.
-        """
-        parent: Optional[int] = None
-        link = LINK_CHILD
-        with self._lock:
-            if contributors:
-                parent = self._task_spans.get(max(contributors))
-                link = LINK_FOLLOWS
-            if parent is None:
-                parent = self._task_root
-                link = LINK_CHILD
-            levels = self._task_levels
-        attrs: Dict[str, Any] = {"cblk": cblk}
-        if levels is not None and 0 <= cblk < len(levels):
-            attrs["level"] = levels[cblk]
-        sid = self.start("task", parent=parent, link=link, **attrs)
-        with self._lock:
-            self._task_spans[cblk] = sid
-        return sid
+        """The innermost open span id (``None`` outside any)."""
+        return self._stack[-1] if self._stack else None
 
     # -- export and inspection -----------------------------------------
 
     def finish(self) -> None:
         """Close the root span (idempotent); open spans keep ``t1 < 0``."""
-        with self._lock:
-            root = self._spans[self._root_id]
-            if root.t1 < 0.0:
-                root.t1 = self.clock()
+        root = self._spans[self._root_id]
+        if root.t1 < 0.0:
+            root.t1 = self.clock()
 
     @property
     def root_id(self) -> int:
@@ -266,8 +166,7 @@ class SpanProfiler:
     def events(self) -> List[Span]:
         """All spans, root first then sorted by ``(t0, span_id)``."""
         self.finish()
-        with self._lock:
-            spans = list(self._spans.values())
+        spans = list(self._spans.values())
         spans.sort(key=lambda s: (s.parent_id is not None, s.t0, s.span_id))
         return spans
 
@@ -277,9 +176,7 @@ class SpanProfiler:
         * exactly one root (``parent_id is None``);
         * no orphan parents — every ``parent_id`` names a recorded span;
         * every non-root span is closed, with ``t1 >= t0``;
-        * ``child``-linked spans are temporally contained in their
-          parent; ``follows``-linked spans start no earlier than their
-          parent started.
+        * every span is temporally contained in its parent.
         """
         spans = self.events()
         by_id = {s.span_id: s for s in spans}
@@ -305,10 +202,9 @@ class SpanProfiler:
                 problems.append(
                     f"span {s.span_id} ({s.name}) starts before its "
                     f"parent {parent.span_id} ({parent.name})")
-            if s.link == LINK_CHILD and parent.t1 >= 0.0 \
-                    and s.t1 > parent.t1 + _EPS:
+            if parent.t1 >= 0.0 and s.t1 > parent.t1 + _EPS:
                 problems.append(
-                    f"child span {s.span_id} ({s.name}) ends after its "
+                    f"span {s.span_id} ({s.name}) ends after its "
                     f"parent {parent.span_id} ({parent.name})")
         return problems
 
@@ -328,7 +224,10 @@ class SpanProfiler:
     @staticmethod
     def from_json(source: Union[str, Path, Mapping[str, Any]]
                   ) -> "SpanProfiler":
-        """Rebuild a profiler (spans + meta) from :meth:`to_json` output."""
+        """Rebuild a profiler (spans + meta) from :meth:`to_json` output.
+
+        The ``thread`` / ``link`` keys of documents written before the
+        profiler became single-threaded are ignored."""
         doc: Mapping[str, Any]
         if isinstance(source, (str, Path)):
             doc = json.loads(Path(source).read_text())
@@ -347,20 +246,17 @@ class SpanProfiler:
                 span_id=int(raw["span_id"]),
                 parent_id=(None if raw["parent_id"] is None
                            else int(raw["parent_id"])),
-                thread=int(raw["thread"]),
                 t0=float(raw["t0"]),
                 t1=float(raw["t1"]),
-                link=str(raw.get("link", LINK_CHILD)),
                 attrs=dict(raw.get("attrs", {})),
             )
             spans[span.span_id] = span
             if span.parent_id is None and root_id is None:
                 root_id = span.span_id
-        with prof._lock:
-            prof._spans = spans
-            prof._next_id = (max(spans) + 1) if spans else 1
-            if root_id is not None:
-                prof._root_id = root_id
+        prof._spans = spans
+        prof._next_id = (max(spans) + 1) if spans else 1
+        if root_id is not None:
+            prof._root_id = root_id
         return prof
 
 
@@ -393,35 +289,24 @@ class _OpenSpan:
 
 
 def span(prof: Optional[SpanProfiler], name: str,
-         parent: Optional[int] = None, link: str = LINK_CHILD,
          **attrs: Any) -> ContextManager[Dict[str, Any]]:
     """``with span(prof, name, **attrs) as late:`` — the one way a
-    profiled region opens (:meth:`SpanProfiler.start` has the parent
-    rule).  ``late[key] = value`` adds an attribute at close; set them
-    last, so a region that raises closes without them."""
+    profiled region opens, as a child of the innermost open span.
+    ``late[key] = value`` adds an attribute at close; set them last, so a
+    region that raises closes without them."""
     if prof is None:
         return _DISABLED
-    return _OpenSpan(prof, prof.start(name, parent, link, **attrs))
-
-
-def task_span(prof: Optional[SpanProfiler], cblk: int,
-              contributors: Sequence[int]) -> ContextManager[Dict[str, Any]]:
-    """:func:`span` of the fan-in task on ``cblk``
-    (:meth:`SpanProfiler.task_start` picks its parent)."""
-    if prof is None:
-        return _DISABLED
-    return _OpenSpan(prof, prof.task_start(cblk, contributors))
+    return _OpenSpan(prof, prof.start(name, **attrs))
 
 
 def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]
                    ) -> Any:
-    """Timestamp- and thread-independent shape of a span forest.
+    """Timestamp-independent shape of a span forest.
 
-    Each span maps to ``[name, link, sorted-attrs, sorted-children]``;
-    children are ordered by their serialized form, so two runs with the
-    same causal edges and attributes — no matter the interleaving —
-    canonicalize identically — the equality pinned span trees are
-    tested against.
+    Each span maps to ``[name, sorted-attrs, sorted-children]``; children
+    are ordered by their serialized form, so two runs with the same tree
+    and attributes canonicalize identically — the equality pinned span
+    trees are tested against.
     """
     norm: List[Dict[str, Any]] = []
     for s in spans:
@@ -437,8 +322,7 @@ def canonical_tree(spans: Sequence[Union[Span, Mapping[str, Any]]]
         kids = [render(c) for c in children.get(raw["span_id"], [])]
         kids.sort(key=lambda node: json.dumps(node, sort_keys=True))
         attrs = dict(raw.get("attrs", {}))
-        return [raw["name"], raw.get("link", LINK_CHILD),
-                sorted(attrs.items()), kids]
+        return [raw["name"], sorted(attrs.items()), kids]
 
     roots = [render(raw) for raw in children.get(None, [])]
     roots.sort(key=lambda node: json.dumps(node, sort_keys=True))

@@ -21,8 +21,8 @@ of those facts happened:
 Telemetry is *off by default* (``SolverConfig.telemetry is None``); every
 site that feeds it guards with a single ``is not None`` test, so a
 disabled run pays one attribute load per site and allocates nothing.
-All methods are thread-safe; snapshots and events are plain JSON-able
-dicts.
+A store belongs to the one thread that runs its solver; snapshots and
+events are plain JSON-able dicts.
 
 ========================  =============================================
 site                      series / event
@@ -40,7 +40,6 @@ threshold pivoting        one ``pivoting`` event per pivoted block
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List
@@ -68,38 +67,33 @@ class SeriesBuffer:
             raise ValueError("maxlen must be >= 8")
         self.name = name
         self.maxlen = maxlen
-        self._lock = threading.Lock()
         self._points: List[Dict[str, Any]] = []
         self._stride = 1
         self._seen = 0
 
     def append(self, t: float, **fields: Any) -> None:
-        with self._lock:
-            self._seen += 1
+        self._seen += 1
+        if (self._seen - 1) % self._stride:
+            return
+        if len(self._points) >= self.maxlen:
+            self._points = self._points[::2]
+            self._stride *= 2
             if (self._seen - 1) % self._stride:
                 return
-            if len(self._points) >= self.maxlen:
-                self._points = self._points[::2]
-                self._stride *= 2
-                if (self._seen - 1) % self._stride:
-                    return
-            point = {"t": float(t)}
-            point.update(fields)
-            self._points.append(point)
+        point = {"t": float(t)}
+        point.update(fields)
+        self._points.append(point)
 
     def points(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._points)
+        return list(self._points)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
+        return len(self._points)
 
     @property
     def seen(self) -> int:
         """How many points were offered (recorded + decimated away)."""
-        with self._lock:
-            return self._seen
+        return self._seen
 
 
 class Telemetry:
@@ -116,8 +110,6 @@ class Telemetry:
 
     def __init__(self) -> None:
         self._origin = time.perf_counter()
-        self._lock = threading.Lock()       # series creation
-        self._bus_lock = threading.Lock()   # event emission
         self._series: Dict[str, SeriesBuffer] = {}
         self._events: Deque[Dict[str, Any]] = deque(
             maxlen=EVENT_LOG_CAPACITY)
@@ -131,26 +123,20 @@ class Telemetry:
         """The named bounded series (created on first use)."""
         s = self._series.get(name)
         if s is None:
-            with self._lock:
-                s = self._series.get(name)
-                if s is None:
-                    s = SeriesBuffer(name, maxlen=maxlen)
-                    self._series[name] = s
+            s = self._series[name] = SeriesBuffer(name, maxlen=maxlen)
         return s
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Append one structured event to the event log."""
         event: Dict[str, Any] = {"kind": kind, "t": self.clock()}
         event.update(fields)
-        with self._bus_lock:
-            self.events_emitted += 1
-            self._events.append(event)
+        self.events_emitted += 1
+        self._events.append(event)
 
     def events(self) -> List[Dict[str, Any]]:
         """The last :data:`EVENT_LOG_CAPACITY` events, oldest first
         (``events_emitted`` counts every event, kept or not)."""
-        with self._bus_lock:
-            return list(self._events)
+        return list(self._events)
 
     def record_compress(self, m: int, n: int, rank: int,
                         kernel: str) -> None:
@@ -180,9 +166,7 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able snapshot: every series and the event count."""
-        with self._lock:
-            series = dict(self._series)
         return {
-            "series": {name: s.points() for name, s in series.items()},
+            "series": {name: s.points() for name, s in self._series.items()},
             "events_emitted": self.events_emitted,
         }

@@ -33,9 +33,9 @@ def closure_retests(fac):
     return task
 
 
-def guarded_profiler(cfg, k):
+def guarded_profiler(cfg):
     if cfg.profiler is not None:
-        cfg.profiler.begin_tasks(levels=[k])
+        cfg.profiler.finish()
 
 
 def profiler_ternary(fac):

@@ -143,9 +143,12 @@ class TestProfileCommands:
                    "--gantt", str(tmp_path / "gantt.svg")])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "tasks: " in out and "critical path" in out
+        assert "tasks: " in out and "utilization" in out
+        assert "critical path" not in out and "thread" not in out
         assert (tmp_path / "gantt.svg").read_text().startswith("<svg")
         profile = json.loads(run.read_text())["profile"]
         assert {"analyze", "factorize", "solve"} <= set(profile["phases"])
-        assert profile["meta"]["engine"] == "sequential"
+        assert profile["meta"] == {}
         assert profile["tasks"]["n_tasks"] > 0
+        assert set(profile["tasks"]) == {"n_tasks", "span", "busy",
+                                         "utilization"}

@@ -471,6 +471,22 @@ class TestPivotTelemetryAndReport:
         assert s.factor.pivot_growth >= 1.0
         assert max(e["growth"] for e in events) <= s.factor.pivot_growth
 
+    def test_each_fallback_perturbation_counts_once(self):
+        """``nperturbed`` counts every perturbation the pivoting kernel
+        made exactly once: the per-block ``pivoting`` events carry the
+        kernel's own count, and the factor's total is their sum."""
+        from repro.runtime.telemetry import Telemetry
+
+        tele = Telemetry()
+        s = Solver(saddle_point_kkt(6), SolverConfig(
+            factotype="ldlt", strategy="dense", pivoting="threshold",
+            pivot_fallback=True, telemetry=tele))
+        s.factorize()
+        made = sum(e["perturbations"] for e in tele.events()
+                   if e.get("kind") == "pivoting")
+        assert made == 1
+        assert s.factor.nperturbed == made
+
     def test_run_report_carries_pivot_stats(self, rng):
         from repro.analysis.report import render_markdown
         from repro.runtime.telemetry import Telemetry

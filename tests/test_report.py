@@ -406,7 +406,24 @@ class TestProfileSection:
         assert "## Profile" in md
         assert "| factorize |" in md
         assert "## Task trace" in md
-        assert "| critical_path |" in md
+        assert "| busy |" in md and "| utilization |" in md
+
+    def test_older_task_summary_keys_still_render(self):
+        """A report written while the task summary carried per-thread
+        fields and a critical path still renders its scalar rows."""
+        report = {"schema": REPORT_SCHEMA, "workload": "old",
+                  "profile": {"total_time": 1.0,
+                              "meta": {"engine": "sequential", "threads": 1},
+                              "phases": {}, "kernels": {}, "by_level": {},
+                              "tasks": {"n_tasks": 3, "n_threads": 1,
+                                        "span": 0.5, "critical_path": 0.4,
+                                        "parallelism": 1.0,
+                                        "mean_utilization": 0.8,
+                                        "thread_busy": {"0": 0.4}}}}
+        md = render_markdown(report)
+        for key in ("n_tasks", "n_threads", "critical_path", "parallelism",
+                    "mean_utilization"):
+            assert f"| {key} |" in md, key
 
     def test_committed_tier0_reports_diff(self, capsys):
         """`repro report --against` over the two committed tier-0

@@ -1,15 +1,14 @@
-"""Tests for the causal span profiler (repro.runtime.spans) and its
-analysis pipeline (repro.analysis.profile).
+"""Tests for the span profiler (repro.runtime.spans) and its analysis
+pipeline (repro.analysis.profile).
 
-The heart of the suite: a traced factorization records the task DAG as
-its causal span tree — the same tree, edge for edge and attribute for
-attribute (timestamps aside), on every run — and attaching the profiler
-must not change a single bit of the computed factors.
+The heart of the suite: a traced factorization records one tree of
+nested spans — the same tree, edge for edge and attribute for attribute
+(timestamps aside), on every run — and attaching the profiler must not
+change a single bit of the computed factors.
 """
 
 import hashlib
 import json
-import threading
 import time
 
 import numpy as np
@@ -17,12 +16,7 @@ import pytest
 
 from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
-from repro.runtime.spans import (
-    LINK_CHILD,
-    LINK_FOLLOWS,
-    SpanProfiler,
-    canonical_tree,
-)
+from repro.runtime.spans import SpanProfiler, canonical_tree
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
 
@@ -59,17 +53,6 @@ class TestProfilerUnit:
         spans = {s.name: s for s in prof.events()}
         assert spans["outer"].parent_id == prof.root_id
         assert spans["inner"].parent_id == outer
-        assert spans["inner"].link == LINK_CHILD
-
-    def test_explicit_parent_and_follows_link(self):
-        prof = SpanProfiler()
-        a = prof.start("a")
-        prof.end(a)
-        b = prof.start("b", parent=a, link=LINK_FOLLOWS)
-        prof.end(b)
-        spans = {s.name: s for s in prof.events()}
-        assert spans["b"].parent_id == a
-        assert spans["b"].link == LINK_FOLLOWS
 
     def test_end_none_is_noop(self):
         prof = SpanProfiler()
@@ -90,30 +73,6 @@ class TestProfilerUnit:
         prof.finish()
         assert prof.check_invariants() == []
 
-    def test_ids_are_unique_across_threads(self):
-        prof = SpanProfiler()
-        ids, errs = [], []
-        gate = threading.Barrier(4)
-
-        def worker():
-            try:
-                gate.wait()  # all four threads alive at once
-                for _ in range(50):
-                    sid = prof.start("w")
-                    ids.append(sid)
-                    prof.end(sid)
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errs.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errs
-        assert len(ids) == len(set(ids)) == 200
-        assert len({s.thread for s in prof.events() if s.name == "w"}) == 4
-
     def test_invariants_catch_unended_span(self):
         prof = SpanProfiler()
         prof.start("leak")
@@ -122,7 +81,7 @@ class TestProfilerUnit:
 
     def test_json_round_trip(self):
         prof = SpanProfiler()
-        prof.meta.update(engine="sequential", threads=1)
+        prof.meta.update(workload="lap")
         with prof.span("phase", n=5):
             with prof.span("kernel", cblk=0):
                 pass
@@ -130,7 +89,7 @@ class TestProfilerUnit:
         doc = prof.to_json()
         assert doc["version"] == 1
         clone = SpanProfiler.from_json(doc)
-        assert clone.meta["engine"] == "sequential"
+        assert clone.meta == {"workload": "lap"}
         assert canonical_tree(clone.events()) == canonical_tree(prof.events())
         assert clone.check_invariants() == []
 
@@ -145,24 +104,34 @@ class TestProfilerUnit:
         prof.to_json(path)
         assert json.loads(path.read_text())["version"] == 1
 
-    def test_task_start_parents_to_canonical_releaser(self):
-        prof = SpanProfiler()
-        phase = prof.start("factorize")
-        prof.begin_tasks(levels=[0, 1, 1])
-        t0 = prof.task_start(0, [])
-        prof.end(t0)
-        t2 = prof.task_start(2, [])
-        prof.end(t2)
-        # cblk 1 depends on 0 and 2: parent must be the span of max(0, 2)
-        t1 = prof.task_start(1, [0, 2])
-        prof.end(t1)
-        prof.end(phase)
-        spans = {s.span_id: s for s in prof.events()}
-        assert spans[t0].parent_id == phase
-        assert spans[t0].link == LINK_CHILD
-        assert spans[t1].parent_id == t2
-        assert spans[t1].link == LINK_FOLLOWS
-        assert spans[t1].attrs["level"] == 1
+    def test_older_document_with_thread_and_link_keys_loads(self):
+        """Span documents written while the profiler kept thread slots
+        and "follows" links are still version 1: both keys are ignored,
+        so the document loads and rolls up."""
+        doc = {"version": 1, "trace_id": "old",
+               "meta": {"engine": "sequential", "threads": 1},
+               "spans": [
+                   {"name": "run", "span_id": 1, "parent_id": None,
+                    "thread": 0, "t0": 0.0, "t1": 1.0, "link": "child",
+                    "attrs": {}},
+                   {"name": "factorize", "span_id": 2, "parent_id": 1,
+                    "thread": 0, "t0": 0.1, "t1": 0.9, "link": "child",
+                    "attrs": {}},
+                   {"name": "task", "span_id": 3, "parent_id": 2,
+                    "thread": 0, "t0": 0.2, "t1": 0.4, "link": "child",
+                    "attrs": {"cblk": 0, "level": 1}},
+                   {"name": "task", "span_id": 4, "parent_id": 3,
+                    "thread": 0, "t0": 0.5, "t1": 0.8, "link": "follows",
+                    "attrs": {"cblk": 1, "level": 0}}]}
+        prof = SpanProfiler.from_json(doc)
+        assert [s.name for s in prof.events()] == \
+            ["run", "factorize", "task", "task"]
+        assert "thread" not in prof.events()[1].to_dict()
+        roll = phase_rollup(doc)
+        assert roll["phases"]["factorize"]["time"] == pytest.approx(0.8)
+        assert roll["kernels"]["task"]["count"] == 2
+        assert set(roll["by_level"]) == {"0", "1"}
+        assert canonical_tree(doc["spans"]) == canonical_tree(prof.events())
 
     def test_phase_span_emits_telemetry_event(self):
         from repro.runtime.telemetry import Telemetry
@@ -182,7 +151,7 @@ class TestCanonicalTree:
         def build(order):
             prof = SpanProfiler()
             for name in order:
-                sid = prof.start(name, parent=prof.root_id, cblk=name)
+                sid = prof.start(name, cblk=name)
                 prof.end(sid)
             prof.finish()
             return canonical_tree(prof.events())
@@ -211,7 +180,7 @@ class TestEngineEquivalence:
         for _ in range(2):
             s, prof = profiled_solver(a, strategy=strategy)
             assert prof.check_invariants() == [], strategy
-            assert prof.meta == {"engine": "sequential", "threads": 1}
+            assert prof.meta == {}
             trees.append(canonical_tree(prof.events()))
             digests.append(factor_digest(s))
         assert trees[0] == trees[1]
@@ -267,6 +236,31 @@ class TestRollupAndExporters:
         assert roll["kernels"]["task"]["count"] > 0
         assert roll["kernels"]["factor"]["count"] > 0
         assert roll["by_level"], "task spans must carry level attributes"
+
+    def test_phase_self_time_excludes_every_direct_child(self, doc):
+        """A phase's self time is its time minus its direct children's —
+        and the factorize phase's direct children are its assemble and
+        every task, so its self time is what neither covers."""
+        spans = doc["spans"]
+        roll = phase_rollup(doc)
+
+        def dur(sp):
+            return sp["t1"] - sp["t0"]
+
+        kids = {}
+        for sp in spans:
+            kids.setdefault(sp["parent_id"], []).append(sp)
+        (root,) = kids[None]
+        for phase in kids[root["span_id"]]:
+            want = dur(phase) - sum(dur(c)
+                                    for c in kids.get(phase["span_id"], []))
+            assert roll["phases"][phase["name"]]["self_time"] == \
+                pytest.approx(max(want, 0.0), abs=1e-9), phase["name"]
+        (fact,) = [sp for sp in spans if sp["name"] == "factorize"]
+        covered = sum(dur(sp) for sp in spans
+                      if sp["name"] in ("assemble", "task"))
+        assert roll["phases"]["factorize"]["self_time"] == \
+            pytest.approx(dur(fact) - covered, abs=1e-9)
 
 
 class TestDisabledAndEnabledOverhead:

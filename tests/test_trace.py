@@ -1,8 +1,8 @@
 """Tests for the task view of a span profile (repro.analysis.profile).
 
-Who ran which fan-in task when is read off the span document: the
+Which fan-in task ran when is read off the span document: the
 invariants the engine's task and kernel spans must satisfy, the
-utilization/critical-path summary, and the Gantt renderer — from a live
+busy-time/utilization summary, and the Gantt renderer — from a live
 profiler and from its JSON round trip.
 """
 
@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.analysis.charts import gantt_chart
+from repro.analysis.metrics import cblk_levels
 from repro.analysis.profile import task_summary
 from repro.core.solver import Solver
 from repro.runtime.spans import SpanProfiler
@@ -35,12 +36,8 @@ def duration(sp):
 
 class TestTracerUnit:
     def test_empty_tracer_summaries(self):
-        summ = task_summary([])
-        assert summ["n_tasks"] == 0 and summ["n_threads"] == 0
-        assert summ["span"] == 0.0
-        assert summ["critical_path"] == 0.0
-        assert summ["mean_utilization"] == 0.0
-        assert summ["parallelism"] == 0.0
+        assert task_summary([]) == {"n_tasks": 0, "span": 0.0,
+                                    "busy": 0.0, "utilization": 0.0}
 
 
 class TestJsonRoundTrip:
@@ -60,7 +57,8 @@ class TestJsonRoundTrip:
         _, doc = traced_solver(laplacian_2d(6))
         assert doc["version"] == 1
         for sp in doc["spans"]:
-            assert {"name", "thread", "t0", "t1", "attrs"} <= set(sp)
+            assert set(sp) == {"name", "span_id", "parent_id", "t0", "t1",
+                               "attrs"}
         for sp in named(doc, "task") + named(doc, "factor"):
             assert "cblk" in sp["attrs"]
         for sp in named(doc, "update"):
@@ -76,22 +74,28 @@ class TestTraceInvariants:
         for name in ("task", "factor"):
             assert sorted(sp["attrs"]["cblk"]
                           for sp in named(doc, name)) == every_block
-        assert doc["meta"]["engine"] == "sequential"
+        assert doc["meta"] == {}
+
+    def test_tasks_are_children_of_factorize_with_cblk_and_level(self):
+        s, doc = traced_solver(laplacian_3d(6))
+        (fact,) = named(doc, "factorize")
+        levels = cblk_levels(s.factor)
+        for sp in named(doc, "task"):
+            assert sp["parent_id"] == fact["span_id"]
+            assert set(sp["attrs"]) == {"cblk", "level"}
+            assert sp["attrs"]["level"] == levels[sp["attrs"]["cblk"]]
 
     def test_begin_before_end_and_no_thread_overlap(self):
         _, doc = traced_solver(laplacian_3d(6))
         assert all(sp["t1"] >= sp["t0"] for sp in doc["spans"])
-        # tasks on one thread follow one another, and so do the kernel
-        # spans of one nesting depth (updates and factors inside tasks)
+        # tasks follow one another, and so do the kernel spans of one
+        # nesting depth (updates and factors inside tasks)
         for names in (("task",), ("update", "factor")):
-            by_thread = {}
-            for sp in doc["spans"]:
-                if sp["name"] in names:
-                    by_thread.setdefault(sp["thread"], []).append(sp)
-            for spans in by_thread.values():
-                spans.sort(key=lambda sp: sp["t0"])
-                for a, b in zip(spans, spans[1:]):
-                    assert b["t0"] >= a["t1"] - 1e-9
+            spans = sorted((sp for sp in doc["spans"] if sp["name"] in names),
+                           key=lambda sp: sp["t0"])
+            assert spans
+            for a, b in zip(spans, spans[1:]):
+                assert b["t0"] >= a["t1"] - 1e-9
 
     def test_pull_mode_updates_have_explicit_targets(self):
         s, doc = traced_solver(laplacian_3d(6))
@@ -106,19 +110,14 @@ class TestTraceInvariants:
 
 
 class TestSummaries:
-    def test_thread_counts_reproduced(self):
-        _, doc = traced_solver(laplacian_3d(6))
-        summ = task_summary(doc)
-        assert doc["meta"]["threads"] == 1
-        assert summ["n_threads"] == 1
-        assert set(summ["utilization"]) == set(summ["thread_busy"])
-        assert all(0.0 <= u <= 1.0 + 1e-9
-                   for u in summ["utilization"].values())
-
-    def test_sequential_critical_path_is_busy_time(self):
+    def test_busy_is_the_task_time(self):
         _, doc = traced_solver(laplacian_2d(7))
+        summ = task_summary(doc)
         busy = sum(duration(sp) for sp in named(doc, "task"))
-        assert task_summary(doc)["critical_path"] == pytest.approx(busy)
+        assert summ["n_tasks"] == len(named(doc, "task"))
+        assert summ["busy"] == pytest.approx(busy)
+        assert 0.0 < summ["utilization"] <= 1.0 + 1e-9
+        assert summ["utilization"] == pytest.approx(busy / summ["span"])
 
     def test_span_covers_events(self):
         _, doc = traced_solver(laplacian_3d(5))
@@ -131,12 +130,13 @@ class TestGantt:
     def test_renders_lanes_and_legend(self, tmp_path):
         _, doc = traced_solver(laplacian_3d(5))
         out = gantt_chart(tmp_path / "gantt.svg", doc["spans"],
-                          title="tasks")
+                          title="factorization")
         svg = out.read_text()
         assert svg.startswith("<svg")
         drawn = named(doc, "factor") + named(doc, "update")
-        for tid in sorted({sp["thread"] for sp in drawn}):
-            assert f"thread {tid}" in svg
+        # one lane, labelled once
+        assert svg.count(">tasks</text>") == 1
+        assert "thread" not in svg
         assert "factor" in svg and "update" in svg
         # one rect per kernel span (plus background + legend swatches)
         assert svg.count("<rect") >= len(drawn)

@@ -23,9 +23,9 @@ Recognised guard forms: ``if x is not None: ...``, the early exit
 (``... if x is None else x.m()``), ``while`` tests and ``assert``.
 Guards never cross a function boundary (a closure must re-test).
 
-The span protocol has one seam: a profiler ``.start(`` / ``.end(`` /
-``.task_start(`` call outside ``runtime/spans.py`` is a finding, guarded
-or not — profiled regions open through ``with spans.span(prof, ...)``.
+The span protocol has one seam: a profiler ``.start(`` / ``.end(`` call
+outside ``runtime/spans.py`` is a finding, guarded or not — profiled
+regions open through ``with spans.span(prof, ...)``.
 A profiler is ``X.profiler``, an alias of one, or a name ``prof`` /
 ``profiler``.
 """
@@ -43,7 +43,7 @@ from tools.solverlint.rules.common import dump_no_ctx
 _GUARDED_ATTRS = ("telemetry", "profiler")
 
 #: the span-protocol methods only ``runtime/spans.py`` may call
-_SPAN_PROTOCOL = ("start", "end", "task_start")
+_SPAN_PROTOCOL = ("start", "end")
 
 #: conventional names of a span-profiler parameter or local
 _PROFILER_NAMES = ("prof", "profiler")
