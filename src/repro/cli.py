@@ -22,11 +22,6 @@ Commands
     backward error and pivot statistics per scenario; ``--json`` writes
     the results, ``--baseline`` gates pass/fail flips against the
     committed ``SCENARIOS.json``.
-``lint``
-    Run the bundled solverlint static-analysis suite (solver-specific
-    invariants and contract rules) over
-    ``src/repro`` or explicit paths; ``--json`` for machine-readable
-    findings.  Requires a source checkout (``tools/solverlint``).
 
 Examples::
 
@@ -184,11 +179,10 @@ def _arm_chaos(solver: Solver, seed: int) -> "FaultInjector":
     from repro.runtime.faults import FaultInjector
 
     ncblk = solver.analyze().ncblk
-    rng = np.random.default_rng(seed)
     inj = FaultInjector(seed=seed)
-    inj.fail_factor(int(rng.integers(ncblk)), transient=True)
-    inj.nan_in_panel(int(rng.integers(ncblk)), transient=True)
-    inj.fail_compress(int(rng.integers(ncblk)), transient=True)
+    inj.fail_factor(inj.pick_block(ncblk), transient=True)
+    inj.nan_in_panel(inj.pick_block(ncblk), transient=True)
+    inj.fail_compress(inj.pick_block(ncblk), transient=True)
     return inj
 
 
@@ -471,36 +465,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Delegate to the bundled solverlint suite (``tools/solverlint``).
-
-    The linter lives outside the installable package — it analyzes the
-    source tree, so it only makes sense from a checkout.  Locate the repo
-    root relative to this file and fail with a clear message otherwise.
-    """
-    root = Path(__file__).resolve().parents[2]
-    if not (root / "tools" / "solverlint").is_dir():
-        raise SystemExit(
-            "repro lint needs a source checkout: tools/solverlint not "
-            f"found under {root}")
-    if str(root) not in sys.path:
-        sys.path.insert(0, str(root))
-    from tools.solverlint.cli import run
-
-    argv = list(args.paths) or [str(root / "src" / "repro")]
-    if args.json:
-        argv += ["--format", "json"]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.no_scope:
-        argv.append("--no-scope")
-    if args.suppressions:
-        argv += ["--suppressions", args.suppressions]
-    if args.check_suppressions:
-        argv += ["--check-suppressions", args.check_suppressions]
-    return run(argv)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -568,25 +532,6 @@ def main(argv: Optional[list] = None) -> int:
                            "pass/fail flips exit 1, backward-error "
                            "drift >10x warns")
     p_sc.set_defaults(func=cmd_scenarios)
-
-    p_lint = sub.add_parser("lint",
-                            help="run the solverlint static-analysis suite")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files/directories to lint "
-                             "(default: the src/repro tree)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON report")
-    p_lint.add_argument("--rules", default=None, metavar="R1,R2",
-                        help="comma-separated subset of rules to run")
-    p_lint.add_argument("--no-scope", action="store_true", dest="no_scope",
-                        help="ignore per-rule directory scoping")
-    p_lint.add_argument("--suppressions", metavar="FILE",
-                        help="write the suppression inventory report and "
-                             "exit")
-    p_lint.add_argument("--check-suppressions", metavar="FILE",
-                        dest="check_suppressions",
-                        help="enforce the suppression budget against FILE")
-    p_lint.set_defaults(func=cmd_lint)
 
     args = parser.parse_args(argv)
     return args.func(args)

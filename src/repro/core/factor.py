@@ -429,10 +429,10 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
     reconstructed: for an orthonormal ``u`` a block discarded
     ``‖B‖² − ‖v‖²``.  A column block that kept its panels stays wide.
 
-    When a fault injector arms the compression site (or a kernel genuinely
-    dies) and the recovery policy allows it, nothing is tried and the
-    panels are kept — the dense fallback, cheapest rung of the escalation
-    ladder."""
+    When a fault injector arms the compression site of an armed run
+    (``fac.recovery``), nothing is tried and the panels are kept — the
+    dense fallback, cheapest rung of the escalation ladder; a bare run
+    raises."""
     cfg = fac.config
     offs = nc.row_offsets
     panels = [lpanel] if upanel is None else [lpanel, upanel]
@@ -442,8 +442,7 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
             fac.faults.on_compress(fac, nc.sym.id)
         except Exception as exc:
             rec = fac.recovery
-            if (rec is None or rec.policy is None
-                    or not rec.policy.dense_fallback):
+            if rec is None:
                 raise
             rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
                        error=type(exc).__name__)

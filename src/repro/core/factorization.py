@@ -107,8 +107,6 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         rec = fac.recovery
         if rec is not None:
             if not block_all_finite(nc.diag):
-                rec.record("breakdown", site="factor", cblk=k,
-                           cause="nan-factor")
                 raise NumericalBreakdown(
                     "nan-factor", cblk=k, site="factor",
                     detail="diagonal factorization produced non-finite "
@@ -121,12 +119,10 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
             # resort and charging them would make that rung unreachable
             sanctioned = cfg.pivoting == "threshold" and cfg.pivot_fallback
             if budget is not None and not sanctioned and nperturbed > budget * w:
-                rec.record("breakdown", site="factor", cblk=k,
-                           cause="pivot-budget", nperturbed=nperturbed)
                 raise NumericalBreakdown(
                     "pivot-budget", cblk=k, site="factor",
                     detail=f"{nperturbed}/{w} pivots perturbed exceeds "
-                           f"budget {budget}")
+                           f"budget {budget}", nperturbed=nperturbed)
 
         # --- Just-In-Time compression point -------------------------------
         # the fully-updated panels are compressed before the solve
@@ -168,13 +164,10 @@ def _breakdown_check_input(fac: NumericFactor, k: int) -> None:
     matrix.  Only called when a recovery state is armed."""
     bad = _first_nonfinite(fac.cblks[k])
     if bad is not None:
-        rec = fac.recovery
-        if rec is not None:
-            rec.record("breakdown", site="factor", cblk=k,
-                       cause="nan-input", where=bad)
         raise NumericalBreakdown(
             "nan-input", cblk=k, site="factor",
-            detail=f"non-finite entries in {bad} before factorization")
+            detail=f"non-finite entries in {bad} before factorization",
+            where=bad)
 
 
 def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
@@ -197,12 +190,9 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
             nc.diag, cfg.pivot_u, cfg.pivot_growth_limit,
             cfg.pivot_fallback, cfg.pivot_threshold)
     except PivotError as exc:
-        rec = fac.recovery
-        if rec is not None:
-            rec.record("breakdown", site="factor", cblk=k,
-                       cause=exc.kind, column=exc.col)
         raise NumericalBreakdown(
-            exc.kind, cblk=k, site="factor", detail=str(exc)) from exc
+            exc.kind, cblk=k, site="factor", detail=str(exc),
+            column=exc.col) from exc
     nc.diag[...] = np.tril(packed)
     nc.pivperm = (None if np.array_equal(perm, np.arange(nc.width))
                   else perm)

@@ -35,9 +35,8 @@ class RefinementResult:
     schemes append to (``history[0]`` is the residual of the starting
     guess, ``history[i]`` the residual after iteration ``i``) — the series
     Figure 8 plots.  :attr:`residual_history` exposes it under its
-    telemetry name; :meth:`~repro.core.solver.Solver.refine` publishes it
-    on the telemetry bus (``refinement_residual`` series + one
-    ``refinement`` event) when a bus is attached.
+    report name: the RunReport's ``refinement`` section carries it and
+    ``render_figures`` draws it from there (no telemetry series).
 
     For a multi-RHS panel ``b`` of shape ``(n, k)``, ``x`` is the ``(n,
     k)`` solution panel, :attr:`col_history` carries the per-column

@@ -57,11 +57,16 @@ RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of
-#: the retired mid-factorization restart archives, and the seeded retry
+#: the retired mid-factorization restart archives, the seeded retry
 #: backoff and its seed, which only spaced the retired worker pool's
-#: competing retries.
+#: competing retries, and the ladder's shape knobs, now the constants of
+#: :mod:`repro.runtime.recovery` (no caller set them; an armed run always
+#: keeps a block dense on a compression fault).
 RETIRED_POLICY_FIELDS = ("checkpoint_every", "checkpoint_on_fault",
-                         "retry_backoff", "seed")
+                         "retry_backoff", "seed", "tau_shrink", "tau_floor",
+                         "strategy_downgrade", "dense_fallback",
+                         "pivot_relax", "pivot_u_floor", "refine_window",
+                         "refine_drop")
 
 
 def config_from_header(stored: Dict[str, Any]) -> SolverConfig:

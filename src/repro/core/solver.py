@@ -44,12 +44,8 @@ from repro.core.refinement import (
 from repro.core.scheduler import run_sequential
 from repro.core.trisolve import solve_factored
 from repro.lowrank.block import LowRankBlock
-from repro.runtime.recovery import (
-    RecoveryPolicy,
-    RecoveryState,
-    escalate_config,
-    find_breakdown,
-)
+from repro.runtime import recovery
+from repro.runtime.recovery import NumericalBreakdown, RecoveryState
 from repro.runtime.spans import span
 from repro.runtime.stats import FactorizationStats
 from repro.sparse.csc import CSCMatrix
@@ -104,6 +100,9 @@ class Solver:
         #: each :meth:`factorize`, recorded into by its solves, refinement
         #: and escalation rungs
         self._recovery = RecoveryState(self.config.recovery)
+        #: the current run's fault injector (a testing hook): armed on
+        #: every factor the run builds, escalation rungs included
+        self._faults: Optional["FaultInjector"] = None
         #: the config of the latest factorization attempt (an escalation
         #: rung's, once the ladder moved)
         self._run_config = self.config
@@ -150,12 +149,10 @@ class Solver:
         summary = state.summary()
         if state.policy is None and not summary["actions"]:
             return None
-        counts = summary["counts"]
         cfg = self._run_config
         return {"policy": (None if state.policy is None
                            else asdict(state.policy)),
-                "attempts": (1 + counts.get("refactorize", 0)
-                             + counts.get("refine_escalation", 0)),
+                "attempts": 1 + state.rungs,
                 "final_tolerance": cfg.tolerance,
                 "final_strategy": cfg.strategy,
                 **summary}
@@ -175,9 +172,7 @@ class Solver:
         return self.symbolic
 
     # -- step 3: numerical factorization ------------------------------------
-    def _factorize_once(self, cfg: SolverConfig,
-                        faults: Optional["FaultInjector"]
-                        ) -> FactorizationStats:
+    def _factorize_once(self, cfg: SolverConfig) -> FactorizationStats:
         """One assemble-and-factor attempt under ``cfg`` (one ladder rung)."""
         self.analyze()
         self._run_config = cfg
@@ -188,7 +183,7 @@ class Solver:
             t0 = time.perf_counter()
             with span(cfg.profiler, "assemble"):
                 fac = assemble(a_perm, self.symbolic, cfg, state)
-            fac.faults = faults
+            fac.faults = self._faults
             with _kernel_calls(fac, "factorize"):
                 run_sequential(fac)
             stats = fac.stats
@@ -223,35 +218,35 @@ class Solver:
 
         With ``config.recovery`` set, a structured
         :class:`~repro.runtime.recovery.NumericalBreakdown` triggers the
-        escalation ladder: the whole factorization is retried at a
-        tightened tolerance (then a later-compressing loop order, last
-        dense), at most
-        ``recovery.max_retries`` times; every action lands in
-        :attr:`last_recovery`.  A new factorization starts a new run record.
+        escalation ladder: the whole factorization is
+        retried at a tightened tolerance (then the next compress-later
+        strategy, last dense), at most ``recovery.max_retries`` rungs per
+        run; every action lands in :attr:`last_recovery`.  A new
+        factorization starts a new run record.
         """
-        policy = self.config.recovery
-        self._recovery = state = RecoveryState(policy)
-        if policy is None:
-            return self._factorize_once(self.config, faults)
-        cfg = self.config
-        rung = 0
+        self._recovery = RecoveryState(self.config.recovery)
+        self._faults = faults
+        if self.config.recovery is None:
+            return self._factorize_once(self.config)
+        return self._ladder(self.config)
+
+    def _ladder(self, cfg: SolverConfig) -> FactorizationStats:
+        """The one loop that walks the escalation ladder: factor under
+        ``cfg``; a :class:`~repro.runtime.recovery.NumericalBreakdown` is
+        recorded where it is caught, climbs a ``refactorize`` rung and
+        refactors — until a factor is built or no rung is left (the
+        breakdown is re-raised)."""
+        state = self._recovery
         while True:
             try:
-                return self._factorize_once(cfg, faults)
-            except Exception as exc:
-                breakdown = find_breakdown(exc)
-                nxt = (escalate_config(cfg, policy, cause=breakdown.cause)
-                       if breakdown is not None and rung < policy.max_retries
-                       else None)
+                return self._factorize_once(cfg)
+            except NumericalBreakdown as exc:
+                state.record("breakdown", site=exc.site, cblk=exc.cblk,
+                             cause=exc.cause, **exc.info)
+                nxt = state.climb(cfg, "refactorize", site="solver",
+                                  cblk=exc.cblk, cause=exc.cause)
                 if nxt is None:
                     raise
-                rung += 1
-                state.record("refactorize", site="solver",
-                             cause=breakdown.cause, cblk=breakdown.cblk,
-                             tolerance=nxt.tolerance, strategy=nxt.strategy,
-                             pivot_u=nxt.pivot_u,
-                             pivot_fallback=nxt.pivot_fallback,
-                             rung=rung)
                 cfg = nxt
 
     # -- step 4: solves -----------------------------------------------------
@@ -360,55 +355,35 @@ class Solver:
         otherwise (paper §4.4); ``"ir"`` selects plain iterative refinement.
 
         With ``config.recovery`` set, a run that stagnates (no
-        ``refine_drop``× residual reduction over ``refine_window``
-        iterations) or diverges triggers the escalation ladder: the matrix
-        is re-factored at a tightened tolerance (then a later-compressing
-        loop order, last dense) and refinement re-runs from the best
-        iterate, at most
-        ``recovery.max_retries`` times.
+        ``REFINE_DROP``× residual reduction over ``REFINE_WINDOW``
+        iterations, :mod:`repro.runtime.recovery`) or diverges climbs the
+        escalation ladder: the matrix is re-factored at
+        a tightened tolerance (then the next compress-later strategy, last
+        dense) and refinement re-runs from the best iterate, while the
+        run's ``recovery.max_retries`` rungs last.
         """
         if self.factor is None:
             self.factorize()
         if method is None:
             method = "cg" if self.config.is_symmetric_facto else "gmres"
         res = self._run_refinement(method, b, x0, tol, maxiter)
-        policy = self.config.recovery
-        if policy is not None and not res.converged:
-            res = self._refine_escalate(method, b, res, tol, maxiter,
-                                        policy)
-        return res
-
-    def _refine_escalate(self, method: str, b: np.ndarray,
-                         res: RefinementResult, tol: float, maxiter: int,
-                         policy: RecoveryPolicy) -> RefinementResult:
-        """Tighten the preconditioner until refinement stops stalling."""
-        stagnated, diverged = classify_history(
-            res.history, window=policy.refine_window,
-            drop=policy.refine_drop)
-        if not (stagnated or diverged):
-            return res
-        cfg = self._run_config
-        for _ in range(policy.max_retries):
-            nxt = escalate_config(cfg, policy)
-            if nxt is None:
-                break
-            self._recovery.record(
-                "refine_escalation", site="refinement",
-                cause="diverged" if diverged else "stagnated",
-                tolerance=nxt.tolerance, strategy=nxt.strategy,
-                backward_error=res.backward_error)
-            self._factorize_once(nxt, None)
-            cfg = nxt
-            # a diverged iterate is a poor starting guess: restart clean
-            x0 = None if diverged else res.x
-            res = self._run_refinement(method, b, x0, tol, maxiter)
-            if res.converged:
-                break
+        while not res.converged:
             stagnated, diverged = classify_history(
-                res.history, window=policy.refine_window,
-                drop=policy.refine_drop)
+                res.history, window=recovery.REFINE_WINDOW,
+                drop=recovery.REFINE_DROP)
             if not (stagnated or diverged):
                 break
+            nxt = self._recovery.climb(
+                self._run_config, "refine_escalation", site="refinement",
+                cause="diverged" if diverged else "stagnated",
+                backward_error=res.backward_error)
+            if nxt is None:
+                break
+            self._ladder(nxt)
+            # a diverged iterate is a poor starting guess: restart clean
+            res = self._run_refinement(method, b,
+                                       None if diverged else res.x,
+                                       tol, maxiter)
         return res
 
     # -- same-pattern refactorization ----------------------------------------

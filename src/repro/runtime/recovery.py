@@ -16,19 +16,21 @@ Three kinds of breakdown are detected when a
   (:class:`NumericalBreakdown` carries the column block id and cause);
 * **compression** — RRQR/SVD non-convergence or an injected compression
   fault: the verdict is *keep the block dense* (never propagate garbage);
-* **iterative** — refinement stagnation (no ``refine_drop``× residual
-  reduction over ``refine_window`` iterations) or divergence, classified
-  by :func:`repro.core.refinement.classify_history`.
+* **iterative** — refinement stagnation (no :data:`REFINE_DROP`× residual
+  reduction over :data:`REFINE_WINDOW` iterations) or divergence,
+  classified by :func:`repro.core.refinement.classify_history`.
 
 The escalation ladder (:func:`escalate_config`) retries the whole solve at
-a tightened tolerance (``τ × tau_shrink`` per rung, floored at
-``tau_floor``) and then moves to the next compress-later strategy of
+a tightened tolerance (``τ × TAU_SHRINK`` per rung, floored at
+:data:`TAU_FLOOR`) and then moves to the next compress-later strategy of
 :data:`repro.config.STRATEGY_DOWNGRADES` (minimal-memory → just-in-time →
-dense) — at most :attr:`RecoveryPolicy.max_retries` rungs, every action
-recorded once, in the run's :class:`RecoveryState`
-(``Solver.last_recovery``).  Transient task failures are retried locally
-from the matrix entries (:attr:`RecoveryPolicy.task_retries`) before
-anything escalates.
+dense).  One loop walks it (``Solver._ladder``), whatever triggered the
+rung — a breakdown or a stalled refinement — and every rung of a run
+counts against one :attr:`RecoveryPolicy.max_retries`.  A breakdown is
+recorded once, by the ladder that catches it; every action lands in the
+run's :class:`RecoveryState` (``Solver.last_recovery``).  Transient task
+failures are retried locally from the matrix entries
+(:attr:`RecoveryPolicy.task_retries`) before anything escalates.
 
 Everything is off by default: ``SolverConfig.recovery=None`` leaves every
 hot path with a single ``is not None`` test.
@@ -37,7 +39,7 @@ hot path with a single ``is not None`` test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.config import STRATEGY_DOWNGRADES, SolverConfig
 
@@ -46,7 +48,6 @@ __all__ = [
     "RecoveryPolicy",
     "RecoveryState",
     "escalate_config",
-    "find_breakdown",
 ]
 
 #: breakdown causes raised by the detection layer
@@ -56,7 +57,6 @@ BREAKDOWN_CAUSES = (
     "pivot-budget",     # static pivoting perturbed more pivots than allowed
     "pivot-failure",    # threshold pivoting found no admissible pivot
     "pivot-growth",     # threshold pivoting exceeded the growth limit
-    "compress-failure", # a compression kernel failed and fallback is off
 )
 
 #: the causes for which :func:`escalate_config` walks the pivoting rungs
@@ -64,19 +64,38 @@ BREAKDOWN_CAUSES = (
 #: τ-tightening / strategy-downgrade ladder
 PIVOT_CAUSES = ("pivot-failure", "pivot-growth")
 
+#: tolerance multiplier per escalation rung (τ → τ × TAU_SHRINK)
+TAU_SHRINK = 0.1
+#: stop tightening below this tolerance; downgrade the strategy instead
+TAU_FLOOR = 1e-14
+#: multiplier applied to ``pivot_u`` on each relax-threshold rung of the
+#: pivoting ladder (a smaller ``u`` accepts more pivots in place)
+PIVOT_RELAX = 0.25
+#: stop relaxing ``pivot_u`` below this floor; the next pivoting rung turns
+#: on the delayed-pivot perturbation fallback instead
+PIVOT_U_FLOOR = 1e-4
+#: refinement stagnates when the last ``REFINE_WINDOW`` iterations did not
+#: shrink the residual by ``REFINE_DROP``× (the "no 10× drop in k
+#: iterations" rule)
+REFINE_WINDOW = 4
+REFINE_DROP = 10.0
+
 
 class NumericalBreakdown(RuntimeError):
     """A detected numerical failure, raised at the point of breakdown.
 
     Unlike a propagated NaN (which silently poisons everything downstream),
     a breakdown is *structured*: it names the column block, the cause (one
-    of :data:`BREAKDOWN_CAUSES`) and the site, so the solver-level
-    escalation ladder can decide what to do — and a bug report says where
-    the factorization actually died.
+    of :data:`BREAKDOWN_CAUSES`), the site and the cause's own facts
+    (:attr:`info`: ``where`` for ``nan-input``, ``nperturbed`` for
+    ``pivot-budget``, ``column`` for the pivoting causes), so the
+    solver-level escalation ladder can record and climb it — and a bug
+    report says where the factorization actually died.
     """
 
     def __init__(self, cause: str, cblk: Optional[int] = None,
-                 site: str = "factor", detail: str = "") -> None:
+                 site: str = "factor", detail: str = "",
+                 **info: Any) -> None:
         msg = f"numerical breakdown [{cause}] at site {site!r}"
         if cblk is not None:
             msg += f", column block {cblk}"
@@ -87,6 +106,7 @@ class NumericalBreakdown(RuntimeError):
         self.cblk = cblk
         self.site = site
         self.detail = detail
+        self.info = info
 
 
 @dataclass(frozen=True)
@@ -95,21 +115,14 @@ class RecoveryPolicy:
 
     The defaults give a production-flavoured posture: sentinels on, dense
     fallback on compression failure, two local task retries, three
-    whole-solve escalation rungs, no pivot budget (perturbations are
-    counted but tolerated — set :attr:`pivot_budget` to enforce one).
+    escalation rungs per run, no pivot budget (perturbations are counted
+    but tolerated — set :attr:`pivot_budget` to enforce one).  The
+    ladder's shape is fixed by this module's constants.
     """
 
-    #: whole-solve escalation rungs (tightened τ / downgraded strategy)
+    #: escalation rungs per run (refactorizations on a breakdown and
+    #: refinement escalations together)
     max_retries: int = 3
-    #: tolerance multiplier per escalation rung (τ → τ × tau_shrink)
-    tau_shrink: float = 0.1
-    #: stop tightening below this tolerance; downgrade the strategy instead
-    tau_floor: float = 1e-14
-    #: after τ is exhausted, walk minimal-memory → just-in-time → dense
-    strategy_downgrade: bool = True
-    #: on compression-kernel failure, keep the block dense instead of
-    #: raising (per-block fallback — the cheapest rung of the ladder)
-    dense_fallback: bool = True
     #: local retries of a failed factorization task against its pre-task
     #: snapshot (transient faults); ``NumericalBreakdown`` never retries
     #: locally — deterministic causes go straight to the solver ladder
@@ -118,37 +131,14 @@ class RecoveryPolicy:
     #: (``nperturbed > pivot_budget * width`` raises a breakdown);
     #: ``None`` disables the budget
     pivot_budget: Optional[float] = None
-    #: multiplier applied to ``pivot_u`` on each relax-threshold rung of
-    #: the pivoting ladder (a smaller ``u`` accepts more pivots in place)
-    pivot_relax: float = 0.25
-    #: stop relaxing ``pivot_u`` below this floor; the next pivoting rung
-    #: turns on the delayed-pivot perturbation fallback instead
-    pivot_u_floor: float = 1e-4
-    #: refinement stagnates when the last ``refine_window`` iterations did
-    #: not shrink the residual by ``refine_drop``×  (the "no 10× drop in k
-    #: iterations" rule)
-    refine_window: int = 4
-    refine_drop: float = 10.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not (0.0 < self.tau_shrink < 1.0):
-            raise ValueError("tau_shrink must be in (0, 1)")
-        if self.tau_floor <= 0.0:
-            raise ValueError("tau_floor must be positive")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.pivot_budget is not None and self.pivot_budget < 0.0:
+        if self.pivot_budget is not None and not self.pivot_budget >= 0.0:
             raise ValueError("pivot_budget must be >= 0 (or None)")
-        if not (0.0 < self.pivot_relax < 1.0):
-            raise ValueError("pivot_relax must be in (0, 1)")
-        if self.pivot_u_floor <= 0.0:
-            raise ValueError("pivot_u_floor must be positive")
-        if self.refine_window < 1:
-            raise ValueError("refine_window must be >= 1")
-        if self.refine_drop <= 1.0:
-            raise ValueError("refine_drop must be > 1")
 
 
 class RecoveryState:
@@ -157,7 +147,8 @@ class RecoveryState:
     A :class:`~repro.core.solver.Solver` run (factorize, then its solves,
     then refinement and any escalation rungs) records into one state:
     :attr:`actions` is the one record of what was healed, read back by
-    ``Solver.last_recovery`` and the RunReport.  With a policy the state is
+    ``Solver.last_recovery`` and the RunReport, and :attr:`rungs` counts
+    the escalation rungs the run climbed.  With a policy the state is
     armed on the factor as ``fac.recovery``.  Without one
     (``policy=None``) it heals nothing and records only the always-on
     verdicts — a compression kernel that failed and kept its block dense.
@@ -166,6 +157,7 @@ class RecoveryState:
     def __init__(self, policy: Optional[RecoveryPolicy] = None) -> None:
         self.policy = policy
         self.actions: List[Dict[str, Any]] = []
+        self.rungs = 0
 
     def record(self, action: str, site: str = "",
                cblk: Optional[int] = None, **detail: Any) -> None:
@@ -175,6 +167,25 @@ class RecoveryState:
             entry["cblk"] = int(cblk)
         entry.update(detail)
         self.actions.append(entry)
+
+    def climb(self, config: SolverConfig, action: str, site: str,
+              cause: str, **detail: Any) -> Optional[SolverConfig]:
+        """Climb one rung of the escalation ladder above ``config``.
+
+        Returns the rung's config, recorded as ``action`` with its
+        ``cause``, ``detail`` and the rung's knobs, or ``None`` when the
+        ladder is exhausted or the run has spent its
+        ``policy.max_retries`` rungs — whatever triggered them."""
+        if self.policy is None or self.rungs >= self.policy.max_retries:
+            return None
+        nxt = escalate_config(config, cause)
+        if nxt is not None:
+            self.rungs += 1
+            self.record(action, site=site, cause=cause, **detail,
+                        tolerance=nxt.tolerance, strategy=nxt.strategy,
+                        pivot_u=nxt.pivot_u,
+                        pivot_fallback=nxt.pivot_fallback, rung=self.rungs)
+        return nxt
 
     def counts(self) -> Dict[str, int]:
         """Action-name → occurrence count of everything recorded so far."""
@@ -191,33 +202,27 @@ class RecoveryState:
         return {"actions": actions, "counts": counts}
 
 
-def escalate_config(config: SolverConfig, policy: RecoveryPolicy,
-                    cause: Optional[str] = None
+def escalate_config(config: SolverConfig, cause: Optional[str] = None
                     ) -> Optional[SolverConfig]:
     """The next rung of the escalation ladder, or ``None`` when exhausted.
 
-    A static-pivoting LDLᵗ run that blows its perturbation budget
-    (``cause == 'pivot-budget'``) escalates straight to threshold
-    pivoting, which interchanges instead of perturbing (LU and Cholesky
-    have no threshold pivoting, so their budget breakdowns take the
-    legacy ladder).  Pivoting
-    breakdowns (``cause`` in :data:`PIVOT_CAUSES` on a
-    threshold-pivoted config) walk the pivoting rungs first: relax the
-    threshold (``pivot_u × pivot_relax`` while the result stays at or
-    above ``pivot_u_floor`` — a smaller ``u`` accepts more pivots in
-    place, trading growth control for progress), then enable the
-    delayed-pivot perturbation fallback (``pivot_fallback=True``, the
-    dense-style last resort for the block).  Only once those are
-    exhausted does the legacy ladder below take over.
+    The rung depends only on ``config`` and ``cause``; how many rungs a
+    run may climb is :meth:`RecoveryState.climb`'s business.
 
-    The legacy ladder: tolerance tightening first (``τ × tau_shrink``
-    while the result stays at or above ``tau_floor``), then a downgrade
-    to the next compress-later strategy (:data:`STRATEGY_DOWNGRADES` —
-    denser intermediates, better stability): minimal-memory to
-    just-in-time, and just-in-time to ``dense``.  The ``dense``
-    strategy has no τ rungs left — its accuracy does not depend on τ —
-    but pivoting rungs still apply to it (a dense-strategy LDLᵀ can
-    still hit a pivot failure).
+    * A ``pivot-budget`` breakdown of a static-pivoting LDLᵗ run goes
+      straight to threshold pivoting, which interchanges instead of
+      perturbing (LU and Cholesky have none: they take the legacy rungs).
+    * A pivoting breakdown (:data:`PIVOT_CAUSES`) under threshold pivoting
+      relaxes the threshold (``pivot_u × PIVOT_RELAX`` while it stays at
+      or above :data:`PIVOT_U_FLOOR` — a smaller ``u`` accepts more pivots
+      in place), then turns on the delayed-pivot perturbation fallback
+      (``pivot_fallback=True``).
+    * Every other cause (another breakdown, a stalled refinement, none),
+      and a pivoting one past those rungs, takes the legacy ladder: τ ×
+      :data:`TAU_SHRINK` while it stays at or above :data:`TAU_FLOOR`,
+      then the next compress-later strategy (:data:`STRATEGY_DOWNGRADES`:
+      minimal-memory → just-in-time → dense).  ``dense`` has no legacy
+      rung — its accuracy does not depend on τ.
 
     Escalation reuses the cached symbolic analysis: neither the strategy,
     the tolerance, nor the pivoting knobs participate in
@@ -230,32 +235,14 @@ def escalate_config(config: SolverConfig, policy: RecoveryPolicy,
         # only charged for perturbed pivots, so the retry starts clean)
         return config.with_options(pivoting="threshold")
     if cause in PIVOT_CAUSES and config.pivoting == "threshold":
-        relaxed = config.pivot_u * policy.pivot_relax
-        if relaxed >= policy.pivot_u_floor:
+        relaxed = config.pivot_u * PIVOT_RELAX
+        if relaxed >= PIVOT_U_FLOOR:
             return config.with_options(pivot_u=relaxed)
         if not config.pivot_fallback:
             return config.with_options(pivot_fallback=True)
     if not config.is_blr:
         return None
-    new_tol = config.tolerance * policy.tau_shrink
-    if new_tol >= policy.tau_floor:
+    new_tol = config.tolerance * TAU_SHRINK
+    if new_tol >= TAU_FLOOR:
         return config.with_options(tolerance=new_tol)
-    if policy.strategy_downgrade:
-        return config.with_options(
-            strategy=STRATEGY_DOWNGRADES[config.strategy])
-    return None
-
-
-def find_breakdown(exc: BaseException) -> Optional[NumericalBreakdown]:
-    """The :class:`NumericalBreakdown` in ``exc``'s ``__cause__`` chain, if
-    any — a breakdown re-raised wrapped must still reach the solver-level
-    ladder.
-    """
-    seen: Set[int] = set()
-    e: Optional[BaseException] = exc
-    while e is not None and id(e) not in seen:
-        if isinstance(e, NumericalBreakdown):
-            return e
-        seen.add(id(e))
-        e = e.__cause__
-    return None
+    return config.with_options(strategy=STRATEGY_DOWNGRADES[config.strategy])

@@ -101,31 +101,6 @@ class TestAnalyzeCommand:
         assert "#" in out
 
 
-class TestLintCommand:
-    def test_src_tree_is_clean_by_default(self, capsys):
-        rc = main(["lint"])
-        assert rc == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_json_report(self, capsys):
-        import json
-        from pathlib import Path
-        target = (Path(__file__).resolve().parent.parent
-                  / "src" / "repro" / "config.py")
-        rc = main(["lint", "--json", str(target)])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["total"] == 0
-
-    def test_trigger_fixture_fails(self, capsys):
-        from pathlib import Path
-        trigger = (Path(__file__).resolve().parent
-                   / "lint_fixtures" / "dtype_trigger.py")
-        rc = main(["lint", "--no-scope", "--rules", "dtype-literal-promotion",
-                   str(trigger)])
-        assert rc == 1
-
-
 class TestProfileCommands:
     @pytest.mark.parametrize("flag", ["--trace", "--scheduler", "--profile"])
     def test_retired_flags_are_gone(self, flag, capsys):

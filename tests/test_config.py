@@ -102,22 +102,25 @@ class TestValidation:
             SolverConfig(**retired)
         assert len(dataclasses.fields(SolverConfig)) == 24
 
-    @pytest.mark.parametrize("retired", [dict(checkpoint_every=1),
-                                         dict(checkpoint_on_fault=False),
-                                         dict(retry_backoff=0.01),
-                                         dict(seed=9)],
-                             ids=lambda d: "-".join(map(str, *d.items())))
+    @pytest.mark.parametrize("retired", [
+        dict(checkpoint_every=1), dict(checkpoint_on_fault=False),
+        dict(retry_backoff=0.01), dict(seed=9), dict(tau_shrink=0.1),
+        dict(tau_floor=1e-14), dict(strategy_downgrade=True),
+        dict(dense_fallback=False), dict(pivot_relax=0.25),
+        dict(pivot_u_floor=1e-4), dict(refine_window=4),
+        dict(refine_drop=10.0)], ids=lambda d: "-".join(map(str, *d.items())))
     def test_retired_policy_knobs_are_gone(self, retired):
         """A factorization runs once, start to finish: no mid-run restart
-        archive to pace or to write on a fault, and no competing worker
-        for a retry to back off from."""
+        archive to pace or to write on a fault, no competing worker for a
+        retry to back off from, and the ladder's shape is fixed (module
+        constants of ``repro.runtime.recovery``)."""
         import dataclasses
 
         from repro.runtime.recovery import RecoveryPolicy
 
         with pytest.raises(TypeError, match="unexpected keyword"):
             RecoveryPolicy(**retired)
-        assert len(dataclasses.fields(RecoveryPolicy)) == 11
+        assert len(dataclasses.fields(RecoveryPolicy)) == 3
 
 
 class TestPresets:

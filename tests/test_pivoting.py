@@ -25,6 +25,8 @@ from repro.config import SolverConfig
 from repro.core.backend import KERNELS, PivotError
 from repro.core.solver import Solver
 from repro.runtime.recovery import (
+    PIVOT_RELAX,
+    PIVOT_U_FLOOR,
     NumericalBreakdown,
     RecoveryPolicy,
     escalate_config,
@@ -266,10 +268,9 @@ class TestPivotLadder:
     def test_escalate_relax_then_fallback(self):
         cfg = SolverConfig(factotype="ldlt", pivoting="threshold",
                            strategy="dense")
-        pol = RecoveryPolicy()
         seen = []
         while True:
-            nxt = escalate_config(cfg, pol, cause="pivot-failure")
+            nxt = escalate_config(cfg, cause="pivot-failure")
             if nxt is None or len(seen) > 10:
                 break
             seen.append((nxt.pivot_u, nxt.pivot_fallback))
@@ -283,7 +284,7 @@ class TestPivotLadder:
     def test_escalate_static_budget_to_threshold(self):
         cfg = SolverConfig(factotype="ldlt", pivoting="static",
                            strategy="dense")
-        nxt = escalate_config(cfg, RecoveryPolicy(), cause="pivot-budget")
+        nxt = escalate_config(cfg, cause="pivot-budget")
         assert nxt is not None and nxt.pivoting == "threshold"
 
     @pytest.mark.parametrize("strategy,rungs", [("dense", 0),
@@ -310,8 +311,7 @@ class TestPivotLadder:
     def test_non_pivot_cause_ignores_pivot_rungs(self):
         cfg = SolverConfig(factotype="ldlt", pivoting="threshold",
                            strategy="dense")
-        assert escalate_config(cfg, RecoveryPolicy(),
-                               cause="nan-factor") is None
+        assert escalate_config(cfg, cause="nan-factor") is None
 
     def test_ladder_walks_relax_then_fallback_end_to_end(self, rng):
         """The kkt zoo matrix defeats supernode-local pivoting outright;
@@ -362,10 +362,9 @@ class TestPivotLadder:
         assert s.factor.nperturbed > 0
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(pivot_relax=1.5)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(pivot_u_floor=0.0)
+        """The pivoting rungs' shape is fixed, not a policy knob."""
+        assert 0.0 < PIVOT_RELAX < 1.0
+        assert 0.0 < PIVOT_U_FLOOR < SolverConfig().pivot_u
 
 
 def _fake_ldlt_factor(diags, d21s, dtype=np.float64):

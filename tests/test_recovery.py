@@ -18,13 +18,12 @@ from repro.config import SolverConfig
 from repro.core.refinement import classify_history
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
+from repro.runtime import recovery
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.recovery import (
     NumericalBreakdown,
     RecoveryPolicy,
     RecoveryState,
-    escalate_config,
-    find_breakdown,
 )
 from repro.runtime.telemetry import Telemetry
 from repro.sparse.csc import CSCMatrix
@@ -74,19 +73,13 @@ def singular_identityish(n=12, zero_at=5):
 class TestPolicyAndState:
     def test_policy_defaults_validate(self):
         p = RecoveryPolicy()
-        assert p.max_retries == 3 and p.dense_fallback
+        assert (p.max_retries, p.task_retries, p.pivot_budget) == (3, 2, None)
 
     @pytest.mark.parametrize("bad", [
         dict(max_retries=-1),
-        dict(tau_shrink=0.0),
-        dict(tau_shrink=1.0),
-        dict(tau_floor=0.0),
         dict(task_retries=-1),
-        dict(pivot_relax=0.0),
         dict(pivot_budget=-0.1),
-        dict(refine_window=0),
-        dict(refine_drop=1.0),
-        dict(pivot_relax=1.0),
+        dict(pivot_budget=float("nan")),  # would disable the budget
     ])
     def test_policy_rejects_bad_knobs(self, bad):
         with pytest.raises(ValueError):
@@ -117,24 +110,6 @@ class TestBreakdownPlumbing:
         assert "nan-input" in str(exc) and "column block 7" in str(exc)
         assert (exc.cause, exc.cblk, exc.site) == ("nan-input", 7, "factor")
 
-    def test_find_breakdown_direct_and_chained(self):
-        bd = NumericalBreakdown("pivot-budget", cblk=2)
-        assert find_breakdown(bd) is bd
-        try:
-            try:
-                raise bd
-            except NumericalBreakdown as inner:
-                raise RuntimeError("wrapped") from inner
-        except RuntimeError as outer:
-            assert find_breakdown(outer) is bd
-        assert find_breakdown(ValueError("plain")) is None
-
-    def test_escalation_respects_downgrade_switch(self):
-        policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1.0,
-                                strategy_downgrade=False)
-        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8)
-        assert escalate_config(cfg, policy) is None
-
 
 class TestSentinels:
     def test_nan_input_breaks_down_structured(self):
@@ -152,6 +127,21 @@ class TestSentinels:
         assert ei.value.cause == "nan-input"
         assert ei.value.cblk == 0
         assert s.last_recovery["counts"]["breakdown"] == 1
+
+    def test_nan_in_panel_poisons_an_off_diagonal_block(self):
+        """A column block in blocks mode (one of its blocks compressed)
+        still has off-diagonal rows: the first off-diagonal block is
+        poisoned, not the diagonal block."""
+        s = Solver(laplacian_3d(8), tiny_blr_config(
+            strategy="minimal-memory", tolerance=1e-4,
+            recovery=RecoveryPolicy()))
+        inj = FaultInjector()
+        inj.nan_in_panel(24, transient=True)
+        s.factorize(faults=inj)
+        assert not s.factor.cblks[24].panel_mode
+        assert s.last_recovery["actions"][0] == {
+            "action": "breakdown", "site": "factor", "cblk": 24,
+            "cause": "nan-input", "where": "lblocks[0]"}
 
     def test_pivot_budget_breakdown(self):
         a = singular_identityish()
@@ -282,11 +272,10 @@ class TestEscalationEndToEnd:
         assert s.backward_error(s.solve(b), b) <= 1e-10  # fully dense now
 
     def test_compress_failure_without_fallback_raises(self):
+        """A bare run (no policy) has no dense fallback: the fault
+        surfaces."""
         a = laplacian_3d(6)
-        cfg = tiny_blr_config(
-            strategy="just-in-time", tolerance=1e-8,
-            recovery=RecoveryPolicy(dense_fallback=False, max_retries=0,
-                                    task_retries=0))
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8)
         s = Solver(a, cfg)
         s.analyze()
         inj = FaultInjector()
@@ -367,14 +356,19 @@ class TestRefinementEscalation:
         assert classify_history([1.0, 0.1, 0.01, 1e-3, 1e-4],
                                 window=4) == (False, False)
 
-    def test_stalled_refinement_triggers_refactorization(self):
+    @pytest.fixture
+    def strict_stall(self, monkeypatch):
+        """Demand a 50× drop every 2 iterations; shrink τ 1000× a rung."""
+        monkeypatch.setattr(recovery, "REFINE_WINDOW", 2)
+        monkeypatch.setattr(recovery, "REFINE_DROP", 50.0)
+        monkeypatch.setattr(recovery, "TAU_SHRINK", 1e-3)
+
+    def test_stalled_refinement_triggers_refactorization(self, strict_stall):
         a = laplacian_3d(6)
-        policy = RecoveryPolicy(refine_window=2, refine_drop=50.0,
-                                tau_shrink=1e-3, max_retries=3)
         # τ=0.9 plain iterative refinement contracts ~0.4x per iteration:
         # nowhere near the demanded 50x-per-2-iterations, so it stalls
         cfg = tiny_blr_config(strategy="just-in-time", tolerance=0.9,
-                              recovery=policy)
+                              recovery=RecoveryPolicy())
         s = Solver(a, cfg)
         s.factorize()
         b = np.ones(a.n)
@@ -383,14 +377,12 @@ class TestRefinementEscalation:
         assert s.last_recovery["counts"]["refine_escalation"] >= 1
         assert s.last_recovery["final_tolerance"] < 0.9
 
-    def test_escalation_keeps_the_factorize_actions(self):
+    def test_escalation_keeps_the_factorize_actions(self, strict_stall):
         """factorize, then refine with escalation rungs: one run, one
         record — the retry of the first factorization survives."""
         a = laplacian_3d(6)
-        policy = RecoveryPolicy(refine_window=2, refine_drop=50.0,
-                                tau_shrink=1e-3, max_retries=3)
         s = Solver(a, tiny_blr_config(strategy="just-in-time",
-                                      tolerance=0.9, recovery=policy))
+                                      tolerance=0.9, recovery=RecoveryPolicy()))
         s.analyze()
         inj = FaultInjector()
         inj.fail_factor(s.symbolic.ncblk // 2, transient=True)
@@ -402,6 +394,26 @@ class TestRefinementEscalation:
         assert rungs >= 1 and rec["counts"]["task_retry"] == 1
         assert rec["actions"][0]["action"] == "task_retry"
         assert rec["attempts"] == 1 + rungs
+
+    def test_breakdown_on_a_refine_rung_is_recorded_and_climbed(
+            self, strict_stall):
+        """The run's injector stays armed on refine rungs: a panel NaN on
+        the first one is recorded by the ladder and climbs a refactorize
+        rung, against the same budget."""
+        a = laplacian_3d(6)
+        s = Solver(a, tiny_blr_config(strategy="just-in-time",
+                                      tolerance=0.9, recovery=RecoveryPolicy()))
+        inj = FaultInjector()
+        s.factorize(faults=inj)
+        inj.nan_in_panel(0, transient=True)
+        assert s.refine(np.ones(a.n), tol=1e-12, maxiter=20,
+                        method="ir").converged
+        acts = s.last_recovery["actions"]
+        assert [(x["action"], x["cause"], x.get("rung")) for x in acts] == [
+            ("refine_escalation", "stagnated", 1),
+            ("breakdown", "nan-input", None), ("refactorize", "nan-input", 2)]
+        assert (acts[1]["cblk"], acts[1]["where"]) == (0, "lpanel")
+        assert s.last_recovery["final_tolerance"] == acts[2]["tolerance"]
 
     def test_refinement_marks_classification_without_policy(self):
         """The classification fields are filled even with recovery off."""
@@ -420,43 +432,49 @@ class TestChaosAcceptance:
     recovery-enabled solve completes with a τ-consistent backward error
     and nonzero recovery counters in the RunReport."""
 
-    def test_three_site_chaos_completes(self):
-        a = laplacian_3d(6)
-        tele = Telemetry()
-        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8,
-                              telemetry=tele,
-                              recovery=RecoveryPolicy())
-        s = Solver(a, cfg)
-        s.analyze()
-        ncblk = s.symbolic.ncblk
+    @staticmethod
+    def drill(cfg):
+        """The three-site drill on lap6: the solver and its injector."""
+        s = Solver(laplacian_3d(6), cfg)
+        ncblk = s.analyze().ncblk
         inj = FaultInjector(seed=42)
         inj.fail_factor(inj.pick_block(ncblk), transient=True)
         inj.nan_in_panel(inj.pick_block(ncblk), transient=True)
         inj.fail_compress(inj.pick_block(ncblk), transient=True)
         s.factorize(faults=inj)
+        return s, inj
 
+    def test_three_site_chaos_completes(self):
+        cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-8,
+                              telemetry=Telemetry(),
+                              recovery=RecoveryPolicy())
+        s, inj = self.drill(cfg)
         sites = {f[0] for f in inj.fired}
         assert sites == {"factor", "compress"}  # nan fires at site 'factor'
-        counts = s.last_recovery["counts"]
-        assert sum(counts.values()) >= 2
-        b = np.ones(a.n)
+        # one action per armed fault, in firing order, plus the rung the
+        # panel-NaN breakdown climbs
+        actions = [
+            {"action": "task_retry", "site": "scheduler", "cblk": 5,
+             "attempt": 1, "error": "FaultError"},
+            {"action": "dense_fallback", "site": "compress", "cblk": 42,
+             "error": "FaultError"},
+            {"action": "breakdown", "site": "factor", "cblk": 50,
+             "cause": "nan-input", "where": "lpanel"},
+            {"action": "refactorize", "site": "solver", "cblk": 50,
+             "cause": "nan-input", "tolerance": 1e-9,
+             "strategy": "just-in-time", "pivot_u": 0.1,
+             "pivot_fallback": False, "rung": 1}]
+        assert s.last_recovery["actions"] == actions
+        b = np.ones(s.n)
         err = s.backward_error(s.solve(b), b)
         assert err <= 1e-5  # τ-consistent (τ=1e-8 with BLR slack)
 
         report = s.run_report(workload="chaos", backward_error=err)
-        assert report["recovery"]["counts"] == counts
-        assert counts["task_retry"] >= 1 and counts["dense_fallback"] >= 1
+        assert report["recovery"]["counts"] == s.last_recovery["counts"]
         assert report["telemetry"]["events_emitted"] > 0
-
         # the record does not depend on telemetry being attached
-        bare = Solver(a, cfg.with_options(telemetry=None))
-        bare.analyze()
-        inj = FaultInjector(seed=42)
-        inj.fail_factor(inj.pick_block(ncblk), transient=True)
-        inj.nan_in_panel(inj.pick_block(ncblk), transient=True)
-        inj.fail_compress(inj.pick_block(ncblk), transient=True)
-        bare.factorize(faults=inj)
-        assert bare.last_recovery["counts"] == counts
+        bare, _ = self.drill(cfg.with_options(telemetry=None))
+        assert bare.last_recovery["actions"] == actions
 
 
 RECOVERY_LAYER_FILES = [

@@ -160,8 +160,11 @@ class TestArchivesOutliveConfigFields:
                    storage_dtype="float32", variant="ucf",
                    recompress_updates=False, left_looking=True,
                    watchdog_timeout=5.0, sanitize=True)
-    RETIRED_POLICY = dict(checkpoint_every=0, checkpoint_on_fault=True,
-                          retry_backoff=0.01, seed=9)
+    RETIRED_POLICY = dict(
+        checkpoint_every=0, checkpoint_on_fault=True, retry_backoff=0.01,
+        seed=9, tau_shrink=0.1, tau_floor=1e-14, strategy_downgrade=True,
+        dense_fallback=True, pivot_relax=0.25, pivot_u_floor=1e-4,
+        refine_window=4, refine_drop=10.0)
 
     def cfg(self):
         return tiny_blr_config(strategy="just-in-time", tolerance=1e-6)
@@ -221,8 +224,8 @@ class TestArchivesOutliveConfigFields:
     def test_factor_archive_with_retired_policy_fields_loads(self, tmp_path,
                                                               rng):
         """A stored recovery policy may carry the knobs of the retired
-        mid-factorization restart and retry backoff; they are dropped on
-        load."""
+        mid-factorization restart, retry backoff and ladder shape; they
+        are dropped on load."""
         assert set(self.RETIRED_POLICY) == set(RETIRED_POLICY_FIELDS)
         a = laplacian_3d(6)
         cfg = self.cfg().with_options(recovery=RecoveryPolicy())

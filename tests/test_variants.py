@@ -19,6 +19,7 @@ from repro.core.solver import Solver
 from repro.lowrank.rrqr import rrqr_compress
 from repro.lowrank.svd import svd_compress
 from repro.runtime.faults import FaultInjector
+from repro.runtime import recovery
 from repro.runtime.recovery import RecoveryPolicy, escalate_config
 from repro.sparse.generators import convection_diffusion_3d, laplacian_3d
 from tests.conftest import tiny_blr_config
@@ -279,28 +280,28 @@ class TestThresholdModes:
 
 class TestEscalation:
     @staticmethod
-    def walk(cfg, policy):
+    def walk(cfg):
         """Every rung below ``cfg`` as (tolerance, strategy)."""
         rungs = []
-        while (cfg := escalate_config(cfg, policy)) is not None:
+        while (cfg := escalate_config(cfg)) is not None:
             rungs.append((cfg.tolerance, cfg.strategy))
         return rungs
 
-    def test_one_ladder_from_the_resolved_order(self):
+    def test_one_ladder_from_the_resolved_order(self, monkeypatch):
         """A config tightens τ down to the floor first and then compresses
         later rung by rung, ending at dense."""
-        policy = RecoveryPolicy(tau_shrink=0.1, tau_floor=1e-10)
+        monkeypatch.setattr(recovery, "TAU_FLOOR", 1e-10)
         jit = [(pytest.approx(1e-9), "just-in-time"),
                (pytest.approx(1e-10), "just-in-time")]
         tail = [(pytest.approx(1e-10), "dense")]
         cfg = tiny_blr_config(tolerance=1e-8, strategy="just-in-time")
-        assert self.walk(cfg, policy) == jit + tail
+        assert self.walk(cfg) == jit + tail
         mm = [(pytest.approx(1e-9), "minimal-memory"),
               (pytest.approx(1e-10), "minimal-memory"),
               (pytest.approx(1e-10), "just-in-time")]
         cfg = tiny_blr_config(tolerance=1e-8, strategy="minimal-memory")
-        assert self.walk(cfg, policy) == mm + tail
-        assert self.walk(tiny_blr_config(strategy="dense"), policy) == []
+        assert self.walk(cfg) == mm + tail
+        assert self.walk(tiny_blr_config(strategy="dense")) == []
 
     def test_order_ladder_is_compress_later(self):
         """MM → JIT → dense: each step moves the compression point later
@@ -316,7 +317,7 @@ class TestEscalation:
 
     def test_tau_tightening_preserves_variant(self):
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-6)
-        rung = escalate_config(cfg, RecoveryPolicy())
+        rung = escalate_config(cfg)
         assert rung.strategy == "minimal-memory"
         assert rung.tolerance == pytest.approx(1e-7)
 
@@ -334,15 +335,16 @@ class TestEscalation:
         b = np.ones(a.n)
         assert s.backward_error(s.solve(b), b) <= 1e-6
 
-    def test_every_rung_is_logged_by_its_resolved_order(self):
+    def test_every_rung_is_logged_by_its_resolved_order(self, monkeypatch):
         """Every rung is logged by its strategy, the one name of a BLR
         run."""
         from repro.runtime.recovery import NumericalBreakdown
 
         # τ is already under the floor, so every rung is a strategy rung
-        policy = RecoveryPolicy(tau_floor=1.0, max_retries=4)
+        monkeypatch.setattr(recovery, "TAU_FLOOR", 1.0)
         s = Solver(laplacian_3d(5), tiny_blr_config(
-            strategy="minimal-memory", recovery=policy))
+            strategy="minimal-memory",
+            recovery=RecoveryPolicy(max_retries=4)))
         inj = FaultInjector()
         inj.nan_in_panel(0)  # persistent: no rung heals it
         with pytest.raises(NumericalBreakdown):
