@@ -1,16 +1,14 @@
-"""Span-profile analysis: the rollups a ``RunReport`` carries.
+"""Span-profile analysis: the rollup a ``RunReport`` carries.
 
 Consumes the version-1 span documents written by
-:meth:`repro.runtime.spans.SpanProfiler.to_json` and turns them into
+:meth:`repro.runtime.spans.SpanProfiler.to_json` and folds them, in
+:func:`phase_rollup`, into the per-phase / per-kernel / per-level time
+attribution of the ``RunReport``'s "profile" section.  The fan-in tasks
+are its ``kernels["task"]`` bucket; the same span dicts feed
+:func:`repro.analysis.charts.gantt_chart`.
 
-* :func:`phase_rollup` — the per-phase / per-level time
-  attribution folded into ``RunReport`` (the "profile" section);
-* :func:`task_summary` — busy time and utilisation of the fan-in tasks
-  (the "Task trace" section; the same span dicts feed
-  :func:`repro.analysis.charts.gantt_chart`).
-
-Documents written before the profiler became single-threaded carry
-``thread`` / ``link`` keys on their spans; both are ignored.
+Documents written by older profilers carry a ``meta`` key, and
+``thread`` / ``link`` keys on their spans; all three are ignored.
 """
 
 from __future__ import annotations
@@ -49,12 +47,6 @@ def _spans_of(source: _SpanSource) -> List[Dict[str, Any]]:
     return out
 
 
-def _meta_of(source: _SpanSource) -> Dict[str, Any]:
-    if isinstance(source, Mapping):
-        return dict(source.get("meta", {}))
-    return {}
-
-
 def _duration(s: Mapping[str, Any]) -> float:
     return max(float(s["t1"]) - float(s["t0"]), 0.0)
 
@@ -72,7 +64,6 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
     Returns a plain-JSON dict::
 
         {"total_time":  <root span duration>,
-         "meta":        {...},                           # profiler.meta
          "phases":      {name: {"time", "self_time", "count"}},
          "kernels":     {name: {"time", "count"}},
          "by_level":    {"<level>": {"time", "count"}}}   # task spans
@@ -80,6 +71,8 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
     ``self_time`` is the phase's duration minus the time of its direct
     children — for ``factorize``, its ``assemble`` and every ``task`` —
     so a phase that only dispatches kernels has near-zero self time.
+    ``kernels["task"]`` counts the fan-in tasks and sums their time (the
+    engine's time between tasks falls in ``factorize``'s self time).
     ``by_level`` sums *task* spans — the per-cblk fan-in units — keyed by
     their elimination-tree depth.
     """
@@ -118,30 +111,8 @@ def phase_rollup(source: _SpanSource) -> Dict[str, Any]:
                 _bucket(by_level, str(attrs["level"]), dur)
     return {
         "total_time": total,
-        "meta": _meta_of(source),
         "phases": phases,
         "kernels": kernels,
         "by_level": by_level,
     }
 
-
-def task_summary(source: _SpanSource) -> Dict[str, Any]:
-    """How busy the fan-in tasks kept the one thread that ran them, as a
-    plain-JSON dict ``{"n_tasks", "span", "busy", "utilization"}``.
-
-    ``span`` is the wall clock from the first task's start to the last
-    task's end, ``busy`` the sum of the ``task`` spans (updates,
-    factorization and compression all run inside one) and
-    ``utilization`` their ratio: what is left is the engine's own time
-    between tasks.
-    """
-    tasks = [s for s in _spans_of(source) if s["name"] == "task"]
-    busy = sum(_duration(s) for s in tasks)
-    wall = (max(float(s["t1"]) for s in tasks)
-            - min(float(s["t0"]) for s in tasks)) if tasks else 0.0
-    return {
-        "n_tasks": len(tasks),
-        "span": wall,
-        "busy": busy,
-        "utilization": busy / wall if wall > 0 else 0.0,
-    }

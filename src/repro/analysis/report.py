@@ -5,12 +5,13 @@ during a solve campaign: the configuration, the Table 2 kernel breakdown
 and backend kernel calls, the compression/rank dissection of §4.1, the
 per-iteration refinement residuals, the recovery actions, the telemetry
 timeline (memory high-water and rank-evolution series) and the
-span-profile rollup with its task summary.  Every count comes from the
-run's own state; telemetry adds only when things happened.  It is the
-single artifact the ``repro report`` CLI renders to markdown — alone, or
-against an older report (:func:`report_attribution`) — that the
-benchmarks attach to their history records, and that ``tools/benchdiff``
-compares across runs.
+span-profile rollup.  Every count comes from the run's own state, and
+the configuration is the one the factor was built with (an escalation
+rung's, once the recovery ladder moved); telemetry adds only when things
+happened.  It is the single artifact the ``repro report`` CLI renders to
+markdown — alone, or against an older report (:func:`report_attribution`)
+— that the benchmarks attach to their history records, and that
+``tools/benchdiff`` compares across runs.
 
 The document is plain JSON — no pickle, no custom types — so reports are
 diffable, archivable and safe to load from CI artifacts.
@@ -40,8 +41,8 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     ``backward_error`` lets the caller attach the residual of a solve it
     already performed.  The refinement and recovery sections come from
     ``solver.last_refinement`` / ``solver.last_recovery`` whether or not a
-    telemetry store was attached; the ``telemetry`` section (series and
-    event count) requires ``config.telemetry`` to have been set *before*
+    telemetry store was attached; the ``telemetry`` section (its series)
+    requires ``config.telemetry`` to have been set *before*
     ``factorize()``.
     """
     from dataclasses import asdict, replace
@@ -55,6 +56,7 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     if solver.factor is None:
         raise ValueError("build_run_report needs a factorized solver")
     fac = solver.factor
+    cfg = fac.config
     stats = fac.stats
 
     report: Dict[str, Any] = {
@@ -64,8 +66,7 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
         # the telemetry bus and span profiler are live runtime objects;
         # the report stores their *snapshots* below and the config
         # fields as null
-        "config": asdict(replace(solver.config, telemetry=None,
-                                 profiler=None)),
+        "config": asdict(replace(cfg, telemetry=None, profiler=None)),
         "timings": {
             "analyze_time": solver.analyze_time,
             "factor_time": stats.total_time,
@@ -78,7 +79,7 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
             for phase, calls in stats.backend_calls_by_phase.items()},
         "nperturbed": fac.nperturbed,
         "pivoting": {
-            "mode": solver.config.pivoting,
+            "mode": cfg.pivoting,
             "swaps": fac.pivot_swaps,
             "two_by_two": fac.pivots_2x2,
             "perturbations": fac.nperturbed,
@@ -106,7 +107,6 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
 
     # BLR variant of the factorization (strategy, threshold mode,
     # effective compression threshold)
-    cfg = solver.config
     report["variants"] = {
         "strategy": cfg.strategy,
         "threshold_mode": cfg.threshold_mode if cfg.is_blr else None,
@@ -126,11 +126,9 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     if prof is None:
         report["profile"] = None
     else:
-        from repro.analysis.profile import phase_rollup, task_summary
+        from repro.analysis.profile import phase_rollup
 
-        doc = prof.to_json()
-        report["profile"] = {**phase_rollup(doc),
-                             "tasks": task_summary(doc)}
+        report["profile"] = phase_rollup(prof.to_json())
     return report
 
 
@@ -365,8 +363,7 @@ def render_markdown(report: Dict[str, Any],
     lines.append("")
     lines.append(f"Strategy `{cfg.get('strategy')}` / kernel "
                  f"`{cfg.get('kernel')}`, τ = {_fmt(cfg.get('tolerance'))}, "
-                 f"factotype `{cfg.get('factotype')}`, "
-                 f"threads {cfg.get('threads')}.")
+                 f"factotype `{cfg.get('factotype')}`.")
     lines.append("")
 
     lines.append("## Problem and timings")
@@ -491,16 +488,12 @@ def render_markdown(report: Dict[str, Any],
                             [[k, v] for k, v in sorted(counts.items())])
         lines.append("")
 
-    tele = report.get("telemetry")
-    if tele:
+    series = (report.get("telemetry") or {}).get("series")
+    if series:
         lines.append("## Telemetry")
         lines.append("")
-        series = tele.get("series", {})
-        if series:
-            rows = [[name, len(pts)] for name, pts in sorted(series.items())]
-            lines += _table(["series", "points"], rows)
-            lines.append("")
-        lines.append(f"Events emitted: {tele.get('events_emitted', 0)}")
+        rows = [[name, len(pts)] for name, pts in sorted(series.items())]
+        lines += _table(["series", "points"], rows)
         lines.append("")
 
     profile = report.get("profile")
@@ -534,18 +527,6 @@ def render_markdown(report: Dict[str, Any],
                                          key=lambda kv: int(kv[0]))]
             lines += _table(["level", "task time (s)", "tasks"], rows)
             lines.append("")
-
-    # reports written before the span profile carried the task summary
-    # hold it (or null) under a top-level "trace" key
-    tasks = (profile or {}).get("tasks") or report.get("trace")
-    if tasks:
-        lines.append("## Task trace")
-        lines.append("")
-        lines += _table(
-            ["metric", "value"],
-            [[k, tasks[k]] for k in sorted(tasks)
-             if isinstance(tasks[k], (int, float, str, bool))])
-        lines.append("")
 
     if figures:
         lines.append("## Figures")

@@ -248,9 +248,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"profile invariant violation: {p}", file=sys.stderr)
         workload = args.generate or args.matrix
         report = solver.run_report(workload=workload, backward_error=err)
-        summ = report["profile"]["tasks"]
-        print(f"tasks: {summ['n_tasks']}, busy {summ['busy']:.3f} s, "
-              f"utilization {summ['utilization']:.0%}")
+        tasks = report["profile"]["kernels"]["task"]
+        print(f"tasks: {tasks['count']}, {tasks['time']:.3f} s")
         if args.gantt:
             from repro.analysis.charts import gantt_chart
 

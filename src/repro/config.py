@@ -108,9 +108,6 @@ class SolverConfig:
     #: swaps); smaller values pivot less.  0.1 is the sparse-solver
     #: folklore default (HSL MA57 lineage).
     pivot_u: float = 0.1
-    #: declare breakdown (cause ``pivot-growth``) when the factorization's
-    #: element growth factor exceeds this bound
-    pivot_growth_limit: float = 1e8
     #: delayed-pivot fallback: when no admissible pivot exists under
     #: ``pivot_u``, perturb the offending diagonal entry (static-pivoting
     #: style) instead of raising ``pivot-failure``.  Off by default; the
@@ -141,12 +138,11 @@ class SolverConfig:
 
     # --- observability -------------------------------------------------
     #: attach a :class:`~repro.runtime.telemetry.Telemetry` store: the
-    #: compression kernels, LR2LR recompression, memory tracker and
-    #: threshold pivoting then add time-stamped series points and
-    #: events to it — the run's timeline, beside the counts its own state
-    #: keeps — and ``Solver.run_report()`` carries its snapshot.  ``None``
-    #: (the default) disables it at the cost of one ``is not None`` test
-    #: per site.
+    #: compression kernels, LR2LR recompression and memory tracker then
+    #: add time-stamped series points to it — the run's timeline, beside
+    #: the counts its own state keeps — and ``Solver.run_report()``
+    #: carries its snapshot.  ``None`` (the default) disables it at the
+    #: cost of one ``is not None`` test per site.
     #: Excluded from equality/repr — it is a runtime channel, not a
     #: numerical tunable (serialized factor archives store it as null).
     telemetry: Optional["Telemetry"] = field(
@@ -154,9 +150,9 @@ class SolverConfig:
     #: attach a :class:`~repro.runtime.spans.SpanProfiler`: the whole
     #: pipeline (ordering → symbolic → assembly → per-cblk tasks →
     #: trisolve → refinement) then records one tree of nested spans with
-    #: phase/cblk/level attributes, rolled up per phase and into a task
-    #: summary (busy time, utilization) and a Gantt chart
-    #: (:mod:`repro.analysis.profile`).  The profiler, like the solver,
+    #: phase/cblk/level attributes, rolled up per phase, kernel and level
+    #: (:mod:`repro.analysis.profile`; the fan-in tasks are its ``task``
+    #: bucket) and drawn as a Gantt chart.  The profiler, like the solver,
     #: belongs to one thread.  ``None`` (the
     #: default) disables profiling at the cost of one ``is not None`` test
     #: per site.  Like ``telemetry``, excluded from equality/repr and
@@ -198,8 +194,6 @@ class SolverConfig:
                 f"pivoting must be one of {PIVOTINGS}, got {self.pivoting!r}")
         if not (0.0 < self.pivot_u <= 0.5):
             raise ValueError("pivot_u must be in (0, 0.5]")
-        if not (self.pivot_growth_limit > 1.0):
-            raise ValueError("pivot_growth_limit must be > 1")
         if not (self.pivot_threshold >= 0.0):
             raise ValueError("pivot_threshold must be >= 0")
         if self.recovery is not None:

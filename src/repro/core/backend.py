@@ -5,7 +5,7 @@ Every numeric hot path of the solver funnels through the one
 :func:`get_backend` and held by every factor as ``fac.backend``): the
 diagonal-block factorizations (``getrf`` / ``potrf`` / ``ldlt`` with static
 pivoting, ``ldlt_pivot`` with threshold pivoting), the BLAS-3 panel solves
-(``trsm``), the update products (``gemm`` / ``syrk``), and the
+(``trsm``), the update products (``gemm``), and the
 *column-stable* products the triangular solves apply to a stack of ``k``
 right-hand sides (:func:`trtrs_rows`, :func:`stable_gemv`,
 :func:`lr_gemv`).  Each kernel call ticks a per-op counter, and a
@@ -18,7 +18,7 @@ Two distinct numerical contracts coexist here, and the split is the whole
 design:
 
 * **Factorization kernels** (``gemm``/``trsm``/``getrf``/``potrf``/
-  ``ldlt``/``syrk``) wrap BLAS/LAPACK exactly the way the seed code did —
+  ``ldlt``) wrap BLAS/LAPACK exactly the way the seed code did —
   same call patterns, same transpose tricks — so a float64 factorization
   is *bit-identical* to the seed solver (the conformance suite pins
   sha256 digests on this).
@@ -514,11 +514,6 @@ class Kernels:
         rhs = b if trans_b == "N" else (b.T if trans_b == "T"
                                         else b.conj().T)
         return lhs @ rhs
-
-    def syrk(self, a: np.ndarray, herk: bool = False) -> np.ndarray:
-        """``a @ aᵗ``, or the Hermitian ``a @ aᴴ`` when ``herk=True``."""
-        self.tick("herk" if herk else "syrk")
-        return a @ (a.conj().T if herk else a.T)
 
     def trsm(self, a: np.ndarray, b: np.ndarray, *, side: str = "left",
              lower: bool = True, trans: str = "N",

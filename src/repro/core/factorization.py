@@ -187,8 +187,8 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
     be = fac.backend
     try:
         packed, perm, d21, pstats = be.ldlt_pivot(
-            nc.diag, cfg.pivot_u, cfg.pivot_growth_limit,
-            cfg.pivot_fallback, cfg.pivot_threshold)
+            nc.diag, cfg.pivot_u, fallback=cfg.pivot_fallback,
+            pivot_threshold=cfg.pivot_threshold)
     except PivotError as exc:
         raise NumericalBreakdown(
             exc.kind, cblk=k, site="factor", detail=str(exc),
@@ -198,15 +198,7 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
                   else perm)
     nc.pivd21 = d21 if int(pstats["n2x2"]) else None
     fac.add_pivot_stats(pstats)
-    swaps, n2x2 = int(pstats["swaps"]), int(pstats["n2x2"])
-    perturbed = int(pstats["perturbed"])
-    tele = cfg.telemetry
-    if tele is not None and (swaps or n2x2 or perturbed):
-        # one event per block that actually pivoted (the run-wide totals
-        # live on the factor: fac.pivot_swaps / pivots_2x2 / pivot_growth)
-        tele.emit("pivoting", cblk=k, swaps=swaps, two_by_two=n2x2,
-                  perturbations=perturbed, growth=float(pstats["growth"]))
-    return perturbed
+    return int(pstats["perturbed"])
 
 
 def apply_d(x: np.ndarray, d: np.ndarray, d21: Optional[np.ndarray],

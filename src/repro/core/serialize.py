@@ -50,10 +50,12 @@ FORMAT_VERSION = 1
 #: ``left_looking=True`` only when their storage was allocated — every
 #: column block now is, in its own task.  ``watchdog_timeout`` and
 #: ``sanitize`` only guarded the retired worker pool.
+#: ``pivot_growth_limit`` was never set by a caller or moved by the
+#: ladder: the pivoting kernel's own bound (``1e8``) is the one in force.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
                          "adaptive", "backend", "seed", "storage_dtype",
                          "variant", "recompress_updates", "left_looking",
-                         "watchdog_timeout", "sanitize")
+                         "watchdog_timeout", "sanitize", "pivot_growth_limit")
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of

@@ -103,9 +103,6 @@ class Solver:
         #: the current run's fault injector (a testing hook): armed on
         #: every factor the run builds, escalation rungs included
         self._faults: Optional["FaultInjector"] = None
-        #: the config of the latest factorization attempt (an escalation
-        #: rung's, once the ladder moved)
-        self._run_config = self.config
 
     def _take_values(self, a: CSCMatrix) -> None:
         """Adopt ``a`` as the system matrix.
@@ -144,17 +141,19 @@ class Solver:
         """JSON-able digest of the current run's recovery record (policy,
         attempts, final rung, actions + counts), or ``None`` when no
         recovery policy is armed and nothing was recorded (feeds
-        :meth:`run_report`)."""
+        :meth:`run_report`).  The final rung is the one whose factor the
+        solver holds (``None`` without a factor; ``actions`` lists every
+        rung tried)."""
         state = self._recovery
         summary = state.summary()
         if state.policy is None and not summary["actions"]:
             return None
-        cfg = self._run_config
+        cfg = None if self.factor is None else self.factor.config
         return {"policy": (None if state.policy is None
                            else asdict(state.policy)),
                 "attempts": 1 + state.rungs,
-                "final_tolerance": cfg.tolerance,
-                "final_strategy": cfg.strategy,
+                "final_tolerance": None if cfg is None else cfg.tolerance,
+                "final_strategy": None if cfg is None else cfg.strategy,
                 **summary}
 
     # -- step 1+2: analysis ------------------------------------------------
@@ -175,7 +174,6 @@ class Solver:
     def _factorize_once(self, cfg: SolverConfig) -> FactorizationStats:
         """One assemble-and-factor attempt under ``cfg`` (one ladder rung)."""
         self.analyze()
-        self._run_config = cfg
         state = self._recovery
         # span attrs hold only config-derived facts
         with span(cfg.profiler, "factorize", strategy=cfg.strategy):
@@ -374,7 +372,7 @@ class Solver:
             if not (stagnated or diverged):
                 break
             nxt = self._recovery.climb(
-                self._run_config, "refine_escalation", site="refinement",
+                self.factor.config, "refine_escalation", site="refinement",
                 cause="diverged" if diverged else "stagnated",
                 backward_error=res.backward_error)
             if nxt is None:
@@ -491,10 +489,8 @@ class Solver:
         compression/rank breakdown, refinement residual history, recovery
         actions, the telemetry timeline (memory high-water and
         rank-evolution series — when ``config.telemetry`` is attached)
-        and, with
-        ``config.profiler``, the span rollup and task summary.  Render
-        it with ``repro report`` or
-        :func:`repro.analysis.report.render_markdown`.
+        and, with ``config.profiler``, the span rollup.  Render it with
+        ``repro report`` or :func:`repro.analysis.report.render_markdown`.
         """
         from repro.analysis.report import build_run_report
 

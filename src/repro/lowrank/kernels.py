@@ -95,9 +95,8 @@ def compress_block(a: np.ndarray, tol: float, kernel: str,
                                   error=type(exc).__name__, m=m, n=n)
     if stats is not None:
         stats.add("compress", seconds=time.perf_counter() - t0, flops=fl)
-        if stats.telemetry is not None:
-            stats.telemetry.record_compress(
-                m, n, out.rank if out is not None else -1, kernel)
+        if stats.telemetry is not None and out is not None:
+            stats.telemetry.record_compress(m, n, out.rank)
     return out
 
 

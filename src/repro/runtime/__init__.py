@@ -9,12 +9,13 @@ to a :class:`~repro.runtime.memory.MemoryTracker` so the *peak* working set of
 a factorization can be compared between the Dense, Just-In-Time and Minimal
 Memory strategies.
 
-Two further layers make the runtime *observable* and *testable* (see
+Three further layers make the runtime *observable* and *testable* (see
 ``docs/observability.md``): :mod:`repro.runtime.spans` records which
-task ran when (busy time, utilization and the Gantt chart are derived
-from its span document), and :mod:`repro.runtime.faults` injects
-deterministic failures into the factorization drivers so the engine's
-error paths can be exercised.
+task ran when (the phase rollup and the Gantt chart are derived from its
+span document), :mod:`repro.runtime.telemetry` keeps the run's memory
+and rank time series on the same clock, and :mod:`repro.runtime.faults`
+injects deterministic failures into the factorization drivers so the
+engine's error paths can be exercised.
 
 Every runtime collaborator — ``Telemetry``, ``SpanProfiler``,
 ``MemoryTracker``, ``FaultInjector``, ``RecoveryState`` — belongs to the

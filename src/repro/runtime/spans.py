@@ -13,15 +13,14 @@ Design goals:
   started (one context stack), so every span is contained in its parent.
   The engine's fan-in tasks are plain ``task`` spans under the
   ``factorize`` phase.
-* **Self-contained artifacts.**  `to_json()` round-trips through
-  :meth:`SpanProfiler.from_json`; :mod:`repro.analysis.profile` rolls the
-  same document up per phase and into the task summary (busy time and
-  utilisation) behind the Gantt chart.
+* **Self-contained artifacts.**  `to_json()` writes a plain span
+  document; :mod:`repro.analysis.profile` rolls it up per phase, kernel
+  and level, and :func:`repro.analysis.charts.gantt_chart` draws its
+  task spans.
 
-Layering on the telemetry store: construct with
-``SpanProfiler(telemetry=tele)`` and every *phase* span (direct child of
-the root) is also emitted as a structured ``span`` event into its event
-log, so ``tele.events()`` shows the phase boundaries.
+Layering on the telemetry store: ``SpanProfiler(telemetry=tele)`` takes
+the store's clock origin, so the spans and the telemetry series of one
+run share one time axis.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ class Span:
     t1: float = -1.0
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return max(self.t1 - self.t0, 0.0)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -90,9 +85,8 @@ class SpanProfiler:
     def __init__(self, telemetry: Optional["Telemetry"] = None,
                  trace_id: Optional[str] = None) -> None:
         self.trace_id = trace_id if trace_id is not None else uuid.uuid4().hex
-        self.meta: Dict[str, Any] = {}
-        self._telemetry = telemetry
-        self._origin = time.perf_counter()
+        self._origin = (time.perf_counter() if telemetry is None
+                        else telemetry.origin)
         self._spans: Dict[int, Span] = {}
         self._next_id = 1
         #: ids of the open spans, innermost last
@@ -136,11 +130,6 @@ class SpanProfiler:
             return
         span.t1 = t1
         span.attrs.update(attrs)
-        # phase spans (children of the root) mirror into telemetry
-        tele = self._telemetry
-        if tele is not None and span.parent_id == self._root_id:
-            tele.emit("span", name=span.name, duration_s=span.duration,
-                      **span.attrs)
 
     def span(self, name: str, **attrs: Any
              ) -> ContextManager[Dict[str, Any]]:
@@ -210,54 +199,15 @@ class SpanProfiler:
 
     def to_json(self, path: Optional[Union[str, Path]] = None
                 ) -> Dict[str, Any]:
-        """Version-1 span document ``{version, trace_id, meta, spans}``."""
+        """Version-1 span document ``{version, trace_id, spans}``."""
         doc = {
             "version": 1,
             "trace_id": self.trace_id,
-            "meta": dict(self.meta),
             "spans": [s.to_dict() for s in self.events()],
         }
         if path is not None:
             Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
         return doc
-
-    @staticmethod
-    def from_json(source: Union[str, Path, Mapping[str, Any]]
-                  ) -> "SpanProfiler":
-        """Rebuild a profiler (spans + meta) from :meth:`to_json` output.
-
-        The ``thread`` / ``link`` keys of documents written before the
-        profiler became single-threaded are ignored."""
-        doc: Mapping[str, Any]
-        if isinstance(source, (str, Path)):
-            doc = json.loads(Path(source).read_text())
-        else:
-            doc = source
-        if doc.get("version") != 1:
-            raise ValueError(
-                f"unsupported span document version {doc.get('version')!r}")
-        prof = SpanProfiler(trace_id=str(doc.get("trace_id", "")))
-        prof.meta.update(doc.get("meta", {}))
-        spans: Dict[int, Span] = {}
-        root_id: Optional[int] = None
-        for raw in doc["spans"]:
-            span = Span(
-                name=str(raw["name"]),
-                span_id=int(raw["span_id"]),
-                parent_id=(None if raw["parent_id"] is None
-                           else int(raw["parent_id"])),
-                t0=float(raw["t0"]),
-                t1=float(raw["t1"]),
-                attrs=dict(raw.get("attrs", {})),
-            )
-            spans[span.span_id] = span
-            if span.parent_id is None and root_id is None:
-                root_id = span.span_id
-        prof._spans = spans
-        prof._next_id = (max(spans) + 1) if spans else 1
-        if root_id is not None:
-            prof._root_id = root_id
-        return prof
 
 
 class _Discard(Dict[str, Any]):

@@ -162,15 +162,14 @@ class FactorizationStats:
         return self.factor_nbytes / self.dense_factor_nbytes
 
     def summary(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for c in KERNEL_CATEGORIES:
-            out[f"time_{c}"] = self.kernels.time(c)
-            out[f"flops_{c}"] = self.kernels.flop(c)
-        out["total_time"] = self.total_time
-        out["solve_time"] = self.solve_time
-        out["factor_nbytes"] = float(self.factor_nbytes)
-        out["dense_factor_nbytes"] = float(self.dense_factor_nbytes)
-        out["peak_nbytes"] = float(self.peak_nbytes)
-        out["accumulator_peak_nbytes"] = float(self.accumulator_peak_nbytes)
-        out["memory_ratio"] = self.memory_ratio
-        return out
+        """Times and bytes of the run (the per-kernel rows live in
+        :meth:`KernelStats.as_dict`)."""
+        return {
+            "total_time": self.total_time,
+            "solve_time": self.solve_time,
+            "factor_nbytes": float(self.factor_nbytes),
+            "dense_factor_nbytes": float(self.dense_factor_nbytes),
+            "peak_nbytes": float(self.peak_nbytes),
+            "accumulator_peak_nbytes": float(self.accumulator_peak_nbytes),
+            "memory_ratio": self.memory_ratio,
+        }

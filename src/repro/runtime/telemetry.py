@@ -1,4 +1,4 @@
-"""Telemetry store: a clock, bounded time series and one bounded event log.
+"""Telemetry store: a clock and the bounded time series of one run.
 
 The paper's whole argument is quantitative — memory peaks (Figures 6/7),
 kernel-time breakdowns (Table 2), rank behaviour under LR2LR recompression
@@ -9,49 +9,39 @@ aggregates on the factor, residuals on ``RefinementResult`` and recovery
 actions in :class:`~repro.runtime.recovery.RecoveryState`; the
 ``RunReport`` (:mod:`repro.analysis.report`) reads them from there.  What
 only a store attached to the run can keep is the *timeline* — when each
-of those facts happened:
-
-* bounded **time series** (:meth:`Telemetry.series`): the rank-evolution
-  samples and the memory high-water timeline, drawn by
-  ``repro report --figures``;
-* one bounded **event log** — :meth:`Telemetry.emit` appends each
-  structured event to it, keeping the last :data:`EVENT_LOG_CAPACITY`
-  (:meth:`Telemetry.events`).
+of those facts happened — as bounded **time series**
+(:meth:`Telemetry.series`): the rank-evolution samples and the memory
+high-water timeline, drawn by ``repro report --figures``.  A
+``SpanProfiler(telemetry=tele)`` takes the store's clock origin, so the
+series points and the spans of a run share one time axis.
 
 Telemetry is *off by default* (``SolverConfig.telemetry is None``); every
 site that feeds it guards with a single ``is not None`` test, so a
 disabled run pays one attribute load per site and allocates nothing.
-A store belongs to the one thread that runs its solver; snapshots and
-events are plain JSON-able dicts.
+A store belongs to the one thread that runs its solver; its snapshot is
+a plain JSON-able dict.
 
 ========================  =============================================
-site                      series / event
+site                      series
 ========================  =============================================
 compression kernels       :meth:`Telemetry.record_compress` —
-                          ``rank_evolution`` + one ``compress`` event
+                          ``rank_evolution``
 MM extend-add (LR2LR)     :meth:`Telemetry.record_recompress` —
-                          ``rank_evolution`` + one ``recompress`` event
+                          ``rank_evolution``
 ``MemoryTracker``         :meth:`Telemetry.record_memory` —
                           ``memory_highwater``
-threshold pivoting        one ``pivoting`` event per pivoted block
-``SpanProfiler``          one ``span`` event per phase span
 ========================  =============================================
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List
+from typing import Any, Dict, List
 
 __all__ = [
     "SeriesBuffer",
     "Telemetry",
 ]
-
-#: how many of the most recent events :meth:`Telemetry.events` keeps
-EVENT_LOG_CAPACITY = 4096
-
 
 class SeriesBuffer:
     """Bounded series of time-stamped points with stride decimation.
@@ -97,27 +87,23 @@ class SeriesBuffer:
 
 
 class Telemetry:
-    """Clock + bounded series + bounded event log of one solver run.
+    """Clock + bounded series of one solver run.
 
     Attach it via ``SolverConfig(telemetry=...)``.
 
     >>> tele = Telemetry()
     >>> tele.series("rank_evolution").append(tele.clock(), rank=3)
-    >>> tele.emit("compress", rank=5)
-    >>> tele.snapshot()["events_emitted"]
+    >>> len(tele.snapshot()["series"]["rank_evolution"])
     1
     """
 
     def __init__(self) -> None:
-        self._origin = time.perf_counter()
+        self.origin = time.perf_counter()
         self._series: Dict[str, SeriesBuffer] = {}
-        self._events: Deque[Dict[str, Any]] = deque(
-            maxlen=EVENT_LOG_CAPACITY)
-        self.events_emitted: int = 0
 
     def clock(self) -> float:
-        """Seconds since this store was created (monotonic)."""
-        return time.perf_counter() - self._origin
+        """Seconds since :attr:`origin`, when this store was created."""
+        return time.perf_counter() - self.origin
 
     def series(self, name: str, maxlen: int = 4096) -> SeriesBuffer:
         """The named bounded series (created on first use)."""
@@ -126,28 +112,11 @@ class Telemetry:
             s = self._series[name] = SeriesBuffer(name, maxlen=maxlen)
         return s
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Append one structured event to the event log."""
-        event: Dict[str, Any] = {"kind": kind, "t": self.clock()}
-        event.update(fields)
-        self.events_emitted += 1
-        self._events.append(event)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """The last :data:`EVENT_LOG_CAPACITY` events, oldest first
-        (``events_emitted`` counts every event, kept or not)."""
-        return list(self._events)
-
-    def record_compress(self, m: int, n: int, rank: int,
-                        kernel: str) -> None:
-        """One compression attempt: ``rank < 0`` means 'stored dense'."""
-        ratio = (m + n) * rank / (m * n) if rank >= 0 and m and n else 1.0
-        if rank >= 0:
-            self.series("rank_evolution").append(
-                self.clock(), site="compress", m=m, n=n,
-                rank_before=-1, rank_after=rank)
-        self.emit("compress", m=m, n=n, rank=rank, kernel=kernel,
-                  ratio=ratio)
+    def record_compress(self, m: int, n: int, rank: int) -> None:
+        """One accepted compression of an ``m × n`` block to ``rank``."""
+        self.series("rank_evolution").append(
+            self.clock(), site="compress", m=m, n=n,
+            rank_before=-1, rank_after=rank)
 
     def record_recompress(self, m: int, n: int, rank_before: int,
                           rank_after: int) -> None:
@@ -156,8 +125,6 @@ class Telemetry:
         self.series("rank_evolution").append(
             self.clock(), site="recompress", m=m, n=n,
             rank_before=rank_before, rank_after=rank_after)
-        self.emit("recompress", m=m, n=n, rank_before=rank_before,
-                  rank_after=rank_after)
 
     def record_memory(self, current: int, peak: int) -> None:
         """A new tracked-memory high water mark."""
@@ -165,8 +132,6 @@ class Telemetry:
             self.clock(), current=int(current), peak=int(peak))
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-able snapshot: every series and the event count."""
-        return {
-            "series": {name: s.points() for name, s in self._series.items()},
-            "events_emitted": self.events_emitted,
-        }
+        """JSON-able snapshot: every series."""
+        return {"series": {name: s.points()
+                           for name, s in self._series.items()}}

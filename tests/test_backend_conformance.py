@@ -259,13 +259,6 @@ class TestKernelGoldens:
         np.testing.assert_allclose(be.gemm(a.conj().T, b, trans_a="C"),
                                    a @ b, rtol=rtol)
 
-    def test_syrk(self, be, dtype, rng):
-        a = _rand(rng, (6, 3), dtype)
-        rtol = RTOL[dtype]
-        np.testing.assert_allclose(be.syrk(a), a @ a.T, rtol=rtol)
-        np.testing.assert_allclose(be.syrk(a, herk=True), a @ a.conj().T,
-                                   rtol=rtol)
-
     @pytest.mark.parametrize("side", ("left", "right"))
     @pytest.mark.parametrize("lower", (True, False))
     @pytest.mark.parametrize("trans", ("N", "T", "C"))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.diagnostics import factor_inertia, factor_slogdet
 from repro.config import SolverConfig
-from repro.core.backend import KERNELS, PivotError
+from repro.core.backend import KERNELS, Kernels, PivotError
 from repro.core.solver import Solver
 from repro.runtime.recovery import (
     PIVOT_RELAX,
@@ -451,40 +451,45 @@ class TestSerializeWithPivoting:
         np.testing.assert_array_equal(s2.solve(b), x0)
 
 
-class TestPivotTelemetryAndReport:
-    def test_record_pivoting_counters(self, rng):
-        """The run-wide pivot counts live on the factor; telemetry keeps
-        one event per pivoted block, and those add up to them."""
-        from repro.runtime.telemetry import Telemetry
+@pytest.fixture
+def pivot_stats(monkeypatch):
+    """The ``stats`` dict of every ``Kernels.ldlt_pivot`` call."""
+    made, real = [], Kernels.ldlt_pivot
 
-        tele = Telemetry()
+    def spy(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        made.append(out[3])
+        return out
+
+    monkeypatch.setattr(Kernels, "ldlt_pivot", spy)
+    return made
+
+
+class TestPivotTelemetryAndReport:
+    def test_record_pivoting_counters(self, pivot_stats):
+        """The run-wide pivot counts on the factor are the sums of what
+        the pivoting kernel reported, block by block."""
         a = helmholtz_3d(9, wavenumber=3.0)
         s = Solver(a, SolverConfig(factotype="ldlt", strategy="dense",
-                                   pivoting="threshold", telemetry=tele))
+                                   pivoting="threshold"))
         s.factorize()
-        events = [e for e in tele.events()
-                  if e.get("kind") == "pivoting"]
-        assert events  # at least one pivoted supernode reported
-        assert sum(e["swaps"] for e in events) == s.factor.pivot_swaps
-        assert sum(e["two_by_two"] for e in events) == s.factor.pivots_2x2
+        assert len(pivot_stats) == len(s.factor.cblks)
+        assert any(st["swaps"] or st["n2x2"] for st in pivot_stats)
+        assert sum(st["swaps"] for st in pivot_stats) == s.factor.pivot_swaps
+        assert sum(st["n2x2"] for st in pivot_stats) == s.factor.pivots_2x2
         assert s.factor.pivot_growth >= 1.0
-        assert max(e["growth"] for e in events) <= s.factor.pivot_growth
+        assert max(st["growth"] for st in pivot_stats) == s.factor.pivot_growth
 
-    def test_each_fallback_perturbation_counts_once(self):
+    def test_each_fallback_perturbation_counts_once(self, pivot_stats):
         """``nperturbed`` counts every perturbation the pivoting kernel
-        made exactly once: the per-block ``pivoting`` events carry the
-        kernel's own count, and the factor's total is their sum."""
-        from repro.runtime.telemetry import Telemetry
-
-        tele = Telemetry()
+        made exactly once: the factor's total is the sum of the kernel's
+        own per-block counts."""
         s = Solver(saddle_point_kkt(6), SolverConfig(
             factotype="ldlt", strategy="dense", pivoting="threshold",
-            pivot_fallback=True, telemetry=tele))
+            pivot_fallback=True))
         s.factorize()
-        made = sum(e["perturbations"] for e in tele.events()
-                   if e.get("kind") == "pivoting")
-        assert made == 1
-        assert s.factor.nperturbed == made
+        assert sum(st["perturbed"] for st in pivot_stats) == 1
+        assert s.factor.nperturbed == 1
 
     def test_run_report_carries_pivot_stats(self, rng):
         from repro.analysis.report import render_markdown

@@ -415,6 +415,24 @@ class TestRefinementEscalation:
         assert (acts[1]["cblk"], acts[1]["where"]) == (0, "lpanel")
         assert s.last_recovery["final_tolerance"] == acts[2]["tolerance"]
 
+    def test_exhausted_ladder_names_the_factor_it_holds(self, strict_stall):
+        """A refine rung that cannot build a factor leaves the solver on
+        the one it had: the final rung reported is that factor's."""
+        from repro.runtime.recovery import NumericalBreakdown
+
+        a = laplacian_3d(6)
+        s = Solver(a, tiny_blr_config(
+            strategy="just-in-time", tolerance=0.9,
+            recovery=RecoveryPolicy(max_retries=1)))
+        inj = FaultInjector()
+        s.factorize(faults=inj)
+        inj.nan_in_panel(0)  # persistent: the rung breaks down
+        with pytest.raises(NumericalBreakdown, match="nan-input"):
+            s.refine(np.ones(a.n), tol=1e-12, maxiter=20, method="ir")
+        rec = s.last_recovery
+        assert rec["final_tolerance"] == s.factor.config.tolerance == 0.9
+        assert rec["final_strategy"] == s.factor.config.strategy
+
     def test_refinement_marks_classification_without_policy(self):
         """The classification fields are filled even with recovery off."""
         a = laplacian_3d(5)
@@ -471,7 +489,7 @@ class TestChaosAcceptance:
 
         report = s.run_report(workload="chaos", backward_error=err)
         assert report["recovery"]["counts"] == s.last_recovery["counts"]
-        assert report["telemetry"]["events_emitted"] > 0
+        assert report["telemetry"]["series"]["memory_highwater"]
         # the record does not depend on telemetry being attached
         bare, _ = self.drill(cfg.with_options(telemetry=None))
         assert bare.last_recovery["actions"] == actions

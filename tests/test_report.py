@@ -54,7 +54,7 @@ def _check_full_report(report: dict) -> None:
     calls = report["backend_kernel_calls"]
     assert calls["factorize"]["getrf"] > 0
     assert calls["solve"]["panel_trsm"] > 0
-    assert set(report["telemetry"]) == {"series", "events_emitted"}
+    assert set(report["telemetry"]) == {"series"}
     # memory high-water timeline
     mem = report["telemetry"]["series"]["memory_highwater"]
     assert len(mem) > 1
@@ -391,8 +391,7 @@ class TestProfileSection:
                 "refinement"} <= set(profile["phases"])
         assert profile["total_time"] > 0
         assert profile["kernels"]["task"]["count"] > 0
-        assert profile["tasks"]["n_tasks"] == \
-            profile["kernels"]["task"]["count"]
+        assert "tasks" not in profile and "meta" not in profile
         assert "trace" not in report
         json.dumps(report)
 
@@ -405,12 +404,14 @@ class TestProfileSection:
         md = render_markdown(report)
         assert "## Profile" in md
         assert "| factorize |" in md
-        assert "## Task trace" in md
-        assert "| busy |" in md and "| utilization |" in md
+        # the fan-in tasks are the rollup's task bucket
+        assert "| task |" in md
+        assert "## Task trace" not in md
 
     def test_older_task_summary_keys_still_render(self):
-        """A report written while the task summary carried per-thread
-        fields and a critical path still renders its scalar rows."""
+        """A report written while the profile carried ``meta`` and a task
+        summary (with per-thread fields and a critical path) still
+        renders; both are ignored."""
         report = {"schema": REPORT_SCHEMA, "workload": "old",
                   "profile": {"total_time": 1.0,
                               "meta": {"engine": "sequential", "threads": 1},
@@ -421,9 +422,8 @@ class TestProfileSection:
                                         "mean_utilization": 0.8,
                                         "thread_busy": {"0": 0.4}}}}
         md = render_markdown(report)
-        for key in ("n_tasks", "n_threads", "critical_path", "parallelism",
-                    "mean_utilization"):
-            assert f"| {key} |" in md, key
+        assert "## Profile" in md and "Span total 1 s." in md
+        assert "n_tasks" not in md and "Task trace" not in md
 
     def test_committed_tier0_reports_diff(self, capsys):
         """`repro report --against` over the two committed tier-0

@@ -159,7 +159,8 @@ class TestArchivesOutliveConfigFields:
                    scheduler="static", adaptive=None, backend=None, seed=0,
                    storage_dtype="float32", variant="ucf",
                    recompress_updates=False, left_looking=True,
-                   watchdog_timeout=5.0, sanitize=True)
+                   watchdog_timeout=5.0, sanitize=True,
+                   pivot_growth_limit=1e8)
     RETIRED_POLICY = dict(
         checkpoint_every=0, checkpoint_on_fault=True, retry_backoff=0.01,
         seed=9, tau_shrink=0.1, tau_floor=1e-14, strategy_downgrade=True,

@@ -81,21 +81,19 @@ class TestProfilerUnit:
 
     def test_json_round_trip(self):
         prof = SpanProfiler()
-        prof.meta.update(workload="lap")
         with prof.span("phase", n=5):
             with prof.span("kernel", cblk=0):
                 pass
         prof.finish()
-        doc = prof.to_json()
+        doc = json.loads(json.dumps(prof.to_json()))
+        assert set(doc) == {"version", "trace_id", "spans"}
         assert doc["version"] == 1
-        clone = SpanProfiler.from_json(doc)
-        assert clone.meta == {"workload": "lap"}
-        assert canonical_tree(clone.events()) == canonical_tree(prof.events())
-        assert clone.check_invariants() == []
+        assert canonical_tree(doc["spans"]) == canonical_tree(prof.events())
 
     def test_from_json_rejects_unknown_version(self):
+        """The documents' reader, ``phase_rollup``, checks the version."""
         with pytest.raises(ValueError, match="version"):
-            SpanProfiler.from_json({"version": 99, "spans": []})
+            phase_rollup({"version": 99, "spans": []})
 
     def test_to_json_writes_file(self, tmp_path):
         prof = SpanProfiler()
@@ -105,9 +103,9 @@ class TestProfilerUnit:
         assert json.loads(path.read_text())["version"] == 1
 
     def test_older_document_with_thread_and_link_keys_loads(self):
-        """Span documents written while the profiler kept thread slots
-        and "follows" links are still version 1: both keys are ignored,
-        so the document loads and rolls up."""
+        """Span documents written while the profiler kept ``meta``,
+        thread slots and "follows" links are still version 1: those keys
+        are ignored, so the document rolls up and canonicalizes."""
         doc = {"version": 1, "trace_id": "old",
                "meta": {"engine": "sequential", "threads": 1},
                "spans": [
@@ -123,27 +121,14 @@ class TestProfilerUnit:
                    {"name": "task", "span_id": 4, "parent_id": 3,
                     "thread": 0, "t0": 0.5, "t1": 0.8, "link": "follows",
                     "attrs": {"cblk": 1, "level": 0}}]}
-        prof = SpanProfiler.from_json(doc)
-        assert [s.name for s in prof.events()] == \
-            ["run", "factorize", "task", "task"]
-        assert "thread" not in prof.events()[1].to_dict()
         roll = phase_rollup(doc)
+        assert set(roll) == {"total_time", "phases", "kernels", "by_level"}
         assert roll["phases"]["factorize"]["time"] == pytest.approx(0.8)
         assert roll["kernels"]["task"]["count"] == 2
         assert set(roll["by_level"]) == {"0", "1"}
-        assert canonical_tree(doc["spans"]) == canonical_tree(prof.events())
-
-    def test_phase_span_emits_telemetry_event(self):
-        from repro.runtime.telemetry import Telemetry
-
-        tele = Telemetry()
-        prof = SpanProfiler(telemetry=tele)
-        with prof.span("factorize", strategy="just-in-time"):
-            with prof.span("factor", cblk=0):  # nested: no event
-                pass
-        names = [e["name"] for e in tele.events()
-                 if e["kind"] == "span"]
-        assert names == ["factorize"]
+        bare = [{k: v for k, v in sp.items() if k not in ("thread", "link")}
+                for sp in doc["spans"]]
+        assert canonical_tree(doc["spans"]) == canonical_tree(bare)
 
 
 class TestCanonicalTree:
@@ -180,7 +165,6 @@ class TestEngineEquivalence:
         for _ in range(2):
             s, prof = profiled_solver(a, strategy=strategy)
             assert prof.check_invariants() == [], strategy
-            assert prof.meta == {}
             trees.append(canonical_tree(prof.events()))
             digests.append(factor_digest(s))
         assert trees[0] == trees[1]

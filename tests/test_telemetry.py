@@ -1,8 +1,8 @@
 """Tests for the telemetry store (repro.runtime.telemetry).
 
-Covers the bounded event log, the bounded series decimation, the
-timeline a real (threaded) factorization leaves in the store while every
-count stays in the run's own state, and the two disabled-path
+Covers the bounded series decimation, the timeline a real factorization
+leaves in the store while every count stays in the run's own state, and
+the two disabled-path
 guarantees: zero telemetry calls and a bounded overhead when
 ``SolverConfig.telemetry`` is ``None``.
 """
@@ -13,26 +13,11 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.solver import Solver
+from repro.lowrank.block import LowRankBlock
+from repro.runtime.spans import SpanProfiler
 from repro.runtime.telemetry import SeriesBuffer, Telemetry
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
-
-
-# ----------------------------------------------------------------------
-# event log
-# ----------------------------------------------------------------------
-
-class TestEventLog:
-    def test_keeps_last_and_counts_every_event(self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.telemetry.EVENT_LOG_CAPACITY", 4)
-        tele = Telemetry()
-        for i in range(10):
-            tele.emit("tick", i=i)
-        events = tele.events()
-        assert [e["i"] for e in events] == [6, 7, 8, 9]
-        assert all(e["kind"] == "tick" and isinstance(e["t"], float)
-                   for e in events)
-        assert tele.events_emitted == 10
 
 
 # ----------------------------------------------------------------------
@@ -66,21 +51,28 @@ class TestSeriesBuffer:
 class TestSolverIntegration:
     def test_compression_metrics_recorded(self):
         tele = Telemetry()
+        time.sleep(0.2)  # a profiler made later still takes tele's clock
+        prof = SpanProfiler(telemetry=tele)
         s = Solver(laplacian_2d(24), tiny_blr_config(
-            strategy="just-in-time", telemetry=tele))
+            strategy="just-in-time", telemetry=tele, profiler=prof))
         s.factorize()
         snap = tele.snapshot()
-        assert set(snap) == {"series", "events_emitted"}
+        assert set(snap) == {"series"}
         assert s.stats.nblocks_compressed > 0
-        # one compress event per attempt: exactly the run's own tally
-        events = [e for e in tele.events() if e["kind"] == "compress"]
-        assert len(events) == s.stats.kernels.call_count("compress")
-        lowrank = [e for e in events if e["rank"] >= 0]
-        # stats counts L blocks only; LU compresses U panels too
-        assert len(lowrank) >= s.stats.nblocks_compressed
-        assert len(snap["series"]["rank_evolution"]) == len(lowrank)
+        # one point per accepted compression: JIT never recompresses, so
+        # that is every low-rank block of L and U in the factor
+        lowrank = sum(isinstance(blk, LowRankBlock)
+                      for nc in s.factor.cblks if nc.lblocks is not None
+                      for blk in (*nc.lblocks, *nc.ublocks))
+        points = snap["series"]["rank_evolution"]
+        assert len(points) == lowrank == 2 * s.stats.nblocks_compressed
+        assert all(p["site"] == "compress" and p["rank_after"] >= 0
+                   for p in points)
         mem = snap["series"]["memory_highwater"]
         assert mem and mem[-1]["peak"] <= s.stats.peak_nbytes
+        # one time axis: every high-water point lies inside factorize
+        (fact,) = [sp for sp in prof.events() if sp.name == "factorize"]
+        assert all(fact.t0 <= p["t"] <= fact.t1 for p in mem)
 
     def test_recompression_metrics_minimal_memory(self):
         tele = Telemetry()
@@ -88,7 +80,6 @@ class TestSolverIntegration:
             strategy="minimal-memory", telemetry=tele))
         s.factorize()
         snap = tele.snapshot()
-        assert any(e["kind"] == "recompress" for e in tele.events())
         sites = {p["site"] for p in snap["series"]["rank_evolution"]}
         assert "recompress" in sites
 
@@ -114,13 +105,13 @@ class TestSolverIntegration:
 class TestDisabledPath:
     def test_no_telemetry_calls_when_disabled(self, monkeypatch):
         """With telemetry=None (the default) not a single bus method may
-        run: every record helper, emit, and series append is patched to
+        run: every record helper and series append is patched to
         raise, and a full factorize+solve+refine must still pass.
         """
         def boom(*args, **kwargs):
             raise AssertionError("telemetry touched on the disabled path")
 
-        for name in ("emit", "record_compress", "record_recompress",
+        for name in ("record_compress", "record_recompress",
                      "record_memory", "series"):
             monkeypatch.setattr(Telemetry, name, boom)
         monkeypatch.setattr(SeriesBuffer, "append", boom)

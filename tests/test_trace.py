@@ -1,8 +1,8 @@
 """Tests for the task view of a span profile (repro.analysis.profile).
 
 Which fan-in task ran when is read off the span document: the
-invariants the engine's task and kernel spans must satisfy, the
-busy-time/utilization summary, and the Gantt renderer — from a live
+invariants the engine's task and kernel spans must satisfy, the task
+bucket of the phase rollup, and the Gantt renderer — from a live
 profiler and from its JSON round trip.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.charts import gantt_chart
 from repro.analysis.metrics import cblk_levels
-from repro.analysis.profile import task_summary
+from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
 from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_2d, laplacian_3d
@@ -36,8 +36,8 @@ def duration(sp):
 
 class TestTracerUnit:
     def test_empty_tracer_summaries(self):
-        assert task_summary([]) == {"n_tasks": 0, "span": 0.0,
-                                    "busy": 0.0, "utilization": 0.0}
+        assert phase_rollup([]) == {"total_time": 0, "phases": {},
+                                    "kernels": {}, "by_level": {}}
 
 
 class TestJsonRoundTrip:
@@ -45,16 +45,17 @@ class TestJsonRoundTrip:
         _, doc = traced_solver(laplacian_3d(5))
         path = tmp_path / "spans.json"
         path.write_text(json.dumps(doc))
-        assert task_summary(json.loads(path.read_text())) == \
-            task_summary(doc)
+        assert phase_rollup(json.loads(path.read_text())) == \
+            phase_rollup(doc)
 
     def test_from_json_accepts_dict(self):
         _, doc = traced_solver(laplacian_2d(6))
-        assert task_summary(doc) == task_summary(doc["spans"])
+        assert phase_rollup(doc) == phase_rollup(doc["spans"])
 
     def test_schema_fields(self):
-        """What the summary and the Gantt chart read off a span."""
+        """What the rollup and the Gantt chart read off a span."""
         _, doc = traced_solver(laplacian_2d(6))
+        assert set(doc) == {"version", "trace_id", "spans"}
         assert doc["version"] == 1
         for sp in doc["spans"]:
             assert set(sp) == {"name", "span_id", "parent_id", "t0", "t1",
@@ -74,7 +75,6 @@ class TestTraceInvariants:
         for name in ("task", "factor"):
             assert sorted(sp["attrs"]["cblk"]
                           for sp in named(doc, name)) == every_block
-        assert doc["meta"] == {}
 
     def test_tasks_are_children_of_factorize_with_cblk_and_level(self):
         s, doc = traced_solver(laplacian_3d(6))
@@ -111,19 +111,12 @@ class TestTraceInvariants:
 
 class TestSummaries:
     def test_busy_is_the_task_time(self):
+        """The tasks' busy time is the rollup's ``task`` bucket."""
         _, doc = traced_solver(laplacian_2d(7))
-        summ = task_summary(doc)
-        busy = sum(duration(sp) for sp in named(doc, "task"))
-        assert summ["n_tasks"] == len(named(doc, "task"))
-        assert summ["busy"] == pytest.approx(busy)
-        assert 0.0 < summ["utilization"] <= 1.0 + 1e-9
-        assert summ["utilization"] == pytest.approx(busy / summ["span"])
-
-    def test_span_covers_events(self):
-        _, doc = traced_solver(laplacian_3d(5))
-        tasks = named(doc, "task")
-        assert task_summary(doc)["span"] == pytest.approx(
-            max(sp["t1"] for sp in tasks) - min(sp["t0"] for sp in tasks))
+        tasks = phase_rollup(doc)["kernels"]["task"]
+        assert tasks["count"] == len(named(doc, "task"))
+        assert tasks["time"] == pytest.approx(
+            sum(duration(sp) for sp in named(doc, "task")))
 
 
 class TestGantt:
