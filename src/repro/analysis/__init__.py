@@ -1,9 +1,10 @@
-"""Analytic models and metrics for the evaluation.
+"""Analytic models, reports and charts for the evaluation.
 
 :mod:`repro.analysis.complexity` encodes the Θ-expressions of the paper's
 Table 1 so the complexity benchmark can compare measured flops against the
-model; :mod:`repro.analysis.metrics` provides the evaluation metrics
-(backward error, compression rates, rank histograms).
+model; :mod:`repro.analysis.report` builds the per-run ``RunReport``, whose
+compression and rank sections come from the factor's own count
+(:meth:`repro.core.factor.NumericFactor.census`).
 """
 
 from repro.analysis.complexity import (
@@ -12,13 +13,6 @@ from repro.analysis.complexity import (
     lr2lr_cost_rrqr,
     lr2lr_cost_svd,
     solver_flop_model,
-)
-from repro.analysis.metrics import (
-    backward_error,
-    cblk_levels,
-    compression_report,
-    rank_histogram,
-    rank_histogram_by_level,
 )
 from repro.analysis.charts import gantt_chart
 from repro.analysis.report import (
@@ -40,11 +34,6 @@ __all__ = [
     "lr2lr_cost_rrqr",
     "lr2lr_cost_svd",
     "solver_flop_model",
-    "backward_error",
-    "cblk_levels",
-    "compression_report",
-    "rank_histogram",
-    "rank_histogram_by_level",
     "structure_stats_table",
     "structure_to_ascii",
     "structure_to_svg",

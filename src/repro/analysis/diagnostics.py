@@ -16,13 +16,31 @@ Classic byproducts a direct solver exposes for free:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.factor import NumericFactor
+from repro.core.factor import NumericColumnBlock, NumericFactor
 from repro.core.trisolve import solve_factored
 from repro.sparse.csc import CSCMatrix
+
+
+def _ldlt_pivots(nc: NumericColumnBlock
+                 ) -> Tuple[np.ndarray, List[Tuple[float, float]]]:
+    """The D of a factored LDLᵗ column block, real (a Hermitian LDLᴴ
+    forces it): its 1×1 pivots, and one ``(det, trace)`` per 2×2 pivot
+    block (``nc.pivd21``)."""
+    d = np.diag(nc.diag)
+    if d.dtype.kind == "c":
+        d = d.real
+    if nc.pivd21 is None:
+        return d, []
+    idx = np.flatnonzero(nc.pivd21)
+    pair = np.zeros(d.size, dtype=bool)
+    pair[idx] = True
+    pair[idx + 1] = True
+    return d[~pair], [(float(d[j] * d[j + 1] - np.abs(nc.pivd21[j]) ** 2),
+                       float(d[j] + d[j + 1])) for j in idx]
 
 
 def factor_slogdet(fac: NumericFactor) -> Tuple[complex, float]:
@@ -43,18 +61,10 @@ def factor_slogdet(fac: NumericFactor) -> Tuple[complex, float]:
             # threshold-pivoted block: D is block diagonal, so the 2×2
             # pivots contribute their determinants, not their diagonal
             # entries (which individually can even be zero)
-            if d.dtype.kind == "c":
-                d = d.real  # Hermitian LDLᴴ: D is Hermitian, dets real
-            idx = np.flatnonzero(nc.pivd21)
-            pair = np.zeros(d.size, dtype=bool)
-            pair[idx] = True
-            pair[idx + 1] = True
-            singles = d[~pair]
+            singles, pairs = _ldlt_pivots(nc)
             sign *= float(np.prod(np.sign(singles)))
             logdet += float(np.sum(np.log(np.abs(singles))))
-            for j in idx:
-                det2 = float(d[j] * d[j + 1]
-                             - np.abs(nc.pivd21[j]) ** 2)
+            for det2, _ in pairs:
                 sign *= float(np.sign(det2))
                 logdet += float(np.log(np.abs(det2)))
         else:
@@ -93,35 +103,24 @@ def factor_inertia(fac: NumericFactor) -> Tuple[int, int, int]:
                          "factorization")
     neg = zero = pos = 0
     for nc in fac.cblks:
-        d = np.diag(nc.diag)
-        if d.dtype.kind == "c":
-            # Hermitian LDLᴴ forces D real; drop the zero imaginary part
-            d = d.real
-        if nc.pivd21 is not None:
-            idx = np.flatnonzero(nc.pivd21)
-            pair = np.zeros(d.size, dtype=bool)
-            pair[idx] = True
-            pair[idx + 1] = True
-            for j in idx:
-                det2 = float(d[j] * d[j + 1] - np.abs(nc.pivd21[j]) ** 2)
-                trace = float(d[j] + d[j + 1])
-                if det2 < 0:
-                    neg += 1
+        d, pairs = _ldlt_pivots(nc)
+        for det2, trace in pairs:
+            if det2 < 0:
+                neg += 1
+                pos += 1
+            elif det2 > 0:
+                if trace > 0:
+                    pos += 2
+                else:
+                    neg += 2
+            else:
+                zero += 1
+                if trace > 0:
                     pos += 1
-                elif det2 > 0:
-                    if trace > 0:
-                        pos += 2
-                    else:
-                        neg += 2
+                elif trace < 0:
+                    neg += 1
                 else:
                     zero += 1
-                    if trace > 0:
-                        pos += 1
-                    elif trace < 0:
-                        neg += 1
-                    else:
-                        zero += 1
-            d = d[~pair]
         neg += int(np.sum(d < 0))
         zero += int(np.sum(d == 0))
         pos += int(np.sum(d > 0))
@@ -140,8 +139,6 @@ def condest_1norm(a: CSCMatrix, fac: NumericFactor, perm: np.ndarray,
     the adjoint is applied by conjugating around it.
     """
     n = a.n
-    iperm = np.empty(n, dtype=np.int64)
-    iperm[perm] = np.arange(n)
 
     def solve(v: np.ndarray, trans: bool = False) -> np.ndarray:
         y = solve_factored(fac, v[perm], trans=trans)

@@ -47,12 +47,6 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
     """
     from dataclasses import asdict, replace
 
-    from repro.analysis.metrics import (
-        compression_report,
-        rank_histogram,
-        rank_histogram_by_level,
-    )
-
     if solver.factor is None:
         raise ValueError("build_run_report needs a factorized solver")
     fac = solver.factor
@@ -85,14 +79,11 @@ def build_run_report(solver: "Solver", workload: Optional[str] = None,
             "perturbations": fac.nperturbed,
             "growth": fac.pivot_growth,
         },
-        "compression": compression_report(fac),
-        "rank_histogram": {str(r): c
-                           for r, c in sorted(rank_histogram(fac).items())},
-        "rank_histogram_by_level": {
-            str(lvl): {str(r): c for r, c in sorted(per.items())}
-            for lvl, per in sorted(rank_histogram_by_level(fac).items())},
         "backward_error": backward_error,
     }
+    census = fac.census()
+    for key in ("compression", "rank_histogram", "rank_histogram_by_level"):
+        report[key] = census[key]
 
     res = solver.last_refinement
     report["refinement"] = None if res is None else {

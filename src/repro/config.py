@@ -92,9 +92,6 @@ class SolverConfig:
 
     # --- numerics ------------------------------------------------------
     factotype: str = "lu"
-    #: static-pivoting threshold: diagonal entries smaller than
-    #: ``pivot_threshold * max|diag|`` are perturbed (PaStiX-style)
-    pivot_threshold: float = 1e-14
     #: diagonal-block pivoting mode for ``factotype='ldlt'``:
     #: ``"static"`` (the paper's PaStiX behaviour — perturb tiny
     #: diagonals, never permute) or ``"threshold"`` (dynamic
@@ -194,8 +191,6 @@ class SolverConfig:
                 f"pivoting must be one of {PIVOTINGS}, got {self.pivoting!r}")
         if not (0.0 < self.pivot_u <= 0.5):
             raise ValueError("pivot_u must be in (0, 0.5]")
-        if not (self.pivot_threshold >= 0.0):
-            raise ValueError("pivot_threshold must be >= 0")
         if self.recovery is not None:
             from repro.runtime.recovery import RecoveryPolicy
 

@@ -34,10 +34,6 @@ def flop_scale(dtype: "np.dtype | str") -> float:
     return 4.0 if np.dtype(dtype).kind == "c" else 1.0
 
 
-def gemm_flops(m: int, n: int, k: int) -> float:
-    return 2.0 * m * n * k
-
-
 def getrf_flops(n: int) -> float:
     return (2.0 / 3.0) * n ** 3
 

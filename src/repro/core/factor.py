@@ -35,7 +35,10 @@ The diagonal block is always a separate dense ``(w, w)`` array (paper §2.2:
 
 Every allocation, free and resize is reported to a
 :class:`~repro.runtime.memory.MemoryTracker`, which is how the Figure 6/7
-memory measurements are produced.
+memory measurements are produced.  What is stored is counted here too:
+:meth:`NumericColumnBlock.stored` walks a column block's pieces whatever
+its mode, and :meth:`NumericFactor.census` counts the factor's bytes,
+blocks and ranks through it for the solver and the RunReport.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -119,6 +123,20 @@ class NumericColumnBlock:
             lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
             return self.upanel[lo:hi]
         return self.ublocks[i]
+
+    def stored(self) -> Iterator[Tuple[str, int, Block]]:
+        """Every stored off-diagonal piece as ``(side, i, block)``, L then
+        U: block ``i`` of a blocks-mode side, or ``(side, -1, panel)`` for
+        a kept panel, one dense array holding ``sym.noff`` blocks."""
+        if self.lpanel is not None:
+            yield "l", -1, self.lpanel
+            if self.upanel is not None:
+                yield "u", -1, self.upanel
+            return
+        for side, blocks in (("l", self.lblocks), ("u", self.ublocks)):
+            if blocks is not None:
+                for i, b in enumerate(blocks):
+                    yield side, i, b
 
     def nbytes(self, sides: int) -> int:
         """Current storage (diag + off-blocks of ``sides`` factor sides)."""
@@ -271,6 +289,64 @@ class NumericFactor:
     def factor_nbytes(self) -> int:
         """Current compressed storage of all blocks."""
         return sum(nc.nbytes(self.sides) for nc in self.cblks)
+
+    def census(self) -> Dict[str, Any]:
+        """Where the stored factor's bytes and ranks are, in one walk.
+
+        ``compression`` holds the block counts and byte totals per class,
+        the memory ratio against :meth:`dense_factor_nbytes` and the rank
+        statistics; ``rank_histogram`` is ``{rank: count}`` over the
+        low-rank blocks and ``rank_histogram_by_level`` the same per
+        elimination-tree depth (:meth:`SymbolicFactor.block_levels`, 0 at
+        the root) — the three RunReport sections, with string keys in
+        sorted order.  ``lowrank_blocks`` / ``dense_blocks`` count each
+        side's blocks (``{"l": n, "u": n}``); a kept panel counts as its
+        ``sym.noff`` dense blocks."""
+        levels = self.symb.block_levels()
+        lr_bytes = dense_bytes = diag_bytes = 0
+        n_lowrank = {"l": 0, "u": 0}
+        n_dense = {"l": 0, "u": 0}
+        by_level: Dict[int, Dict[int, int]] = {}
+        for k, nc in enumerate(self.cblks):
+            if nc.diag is not None:
+                diag_bytes += nc.diag.nbytes
+            for side, i, b in nc.stored():
+                if isinstance(b, LowRankBlock):
+                    lr_bytes += b.nbytes
+                    n_lowrank[side] += 1
+                    per = by_level.setdefault(levels[k], {})
+                    per[b.rank] = per.get(b.rank, 0) + 1
+                else:
+                    dense_bytes += b.nbytes
+                    n_dense[side] += nc.sym.noff if i < 0 else 1
+        hist: Dict[int, int] = {}
+        for per in by_level.values():
+            for r, c in per.items():
+                hist[r] = hist.get(r, 0) + c
+        n_lr = sum(hist.values())
+        total = lr_bytes + dense_bytes + diag_bytes
+        dense_total = self.dense_factor_nbytes()
+        return {
+            "compression": {
+                "n_lowrank_blocks": n_lr,
+                "n_dense_blocks": n_dense["l"] + n_dense["u"],
+                "lowrank_nbytes": lr_bytes,
+                "dense_nbytes": dense_bytes,
+                "diag_nbytes": diag_bytes,
+                "total_nbytes": total,
+                "dense_factor_nbytes": dense_total,
+                "memory_ratio": total / dense_total if dense_total else 1.0,
+                "mean_rank": (sum(r * c for r, c in hist.items()) / n_lr
+                              if n_lr else 0.0),
+                "max_rank": max(hist, default=0),
+            },
+            "rank_histogram": {str(r): hist[r] for r in sorted(hist)},
+            "rank_histogram_by_level": {
+                str(lvl): {str(r): c for r, c in sorted(per.items())}
+                for lvl, per in sorted(by_level.items())},
+            "lowrank_blocks": n_lowrank,
+            "dense_blocks": n_dense,
+        }
 
     def add_perturbed(self, n: int) -> None:
         """Accumulate perturbed-pivot counts from factor tasks (the one

@@ -82,11 +82,11 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         # --- step 1: diagonal block factorization -----------------------
         t0 = time.perf_counter()
         if cfg.factotype == "lu":
-            lu, nperturbed = be.getrf(nc.diag, cfg.pivot_threshold)
+            lu, nperturbed = be.getrf(nc.diag)
             nc.diag[...] = lu
             fl = getrf_flops(w)
         elif cfg.factotype == "cholesky":
-            l_mat, nperturbed = be.potrf(nc.diag, cfg.pivot_threshold)
+            l_mat, nperturbed = be.potrf(nc.diag)
             nc.diag[...] = 0.0
             nc.diag[np.tril_indices(w)] = l_mat[np.tril_indices(w)]
             fl = potrf_flops(w)
@@ -94,7 +94,7 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
             if cfg.pivoting == "threshold":
                 nperturbed = _ldlt_pivot_diag(fac, nc, k)
             else:
-                packed, nperturbed = be.ldlt(nc.diag, cfg.pivot_threshold)
+                packed, nperturbed = be.ldlt(nc.diag)
                 # unit-lower L below, D on diagonal
                 nc.diag[...] = np.tril(packed)
             fl = ldlt_flops(w)
@@ -140,21 +140,10 @@ def _first_nonfinite(nc: NumericColumnBlock) -> Optional[str]:
     """Name of the first storage piece of ``nc`` holding NaN/Inf, or None."""
     if not block_all_finite(nc.diag):
         return "diag"
-    if nc.panel_mode:
-        if not block_all_finite(nc.lpanel):
-            return "lpanel"
-        if nc.upanel is not None and not block_all_finite(nc.upanel):
-            return "upanel"
-        return None
-    for side, blocks in (("l", nc.lblocks), ("u", nc.ublocks)):
-        if blocks is None:
-            continue
-        for i, b in enumerate(blocks):
-            if isinstance(b, LowRankBlock):
-                if not (block_all_finite(b.u) and block_all_finite(b.v)):
-                    return f"{side}blocks[{i}]"
-            elif not block_all_finite(b):
-                return f"{side}blocks[{i}]"
+    for side, i, b in nc.stored():
+        parts = (b.u, b.v) if isinstance(b, LowRankBlock) else (b,)
+        if not all(map(block_all_finite, parts)):
+            return f"{side}panel" if i < 0 else f"{side}blocks[{i}]"
     return None
 
 
@@ -187,8 +176,7 @@ def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
     be = fac.backend
     try:
         packed, perm, d21, pstats = be.ldlt_pivot(
-            nc.diag, cfg.pivot_u, fallback=cfg.pivot_fallback,
-            pivot_threshold=cfg.pivot_threshold)
+            nc.diag, cfg.pivot_u, fallback=cfg.pivot_fallback)
     except PivotError as exc:
         raise NumericalBreakdown(
             exc.kind, cblk=k, site="factor", detail=str(exc),
@@ -400,10 +388,10 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     drow, pos = fac.symb.landing_map(k, t, first, end)
     base, dend = offs[first], offs[end]
     nf, nbelow = dend - base, len(pos)
-    # the rows this visit multiplies, in the compute dtype (a panel stored
-    # narrow by an older archive is promoted: exactly those rows)
-    l_rows = _as_dtype(nc.lpanel[base:], fac.dtype)
-    u_rows = _as_dtype(nc.upanel[base:], fac.dtype) if is_lu else None
+    # the rows this visit multiplies, in the compute dtype already: only
+    # block lists are ever narrowed, and a loaded factor is never updated
+    l_rows = nc.lpanel[base:]
+    u_rows = nc.upanel[base:] if is_lu else None
     facing = _update_operand(fac, nc, l_rows[:nf],
                              u_rows[:nf] if is_lu else None)
     # rows facing t go to its diagonal block, the rows below to its

@@ -58,9 +58,7 @@ def run_sequential(fac: NumericFactor) -> None:
         for k in range(fac.symb.ncblk):
             _attempt_task(fac, k)
     else:
-        from repro.analysis.metrics import cblk_levels
-
-        for k, level in enumerate(cblk_levels(fac)):
+        for k, level in enumerate(fac.symb.block_levels()):
             with span(prof, "task", cblk=k, level=level):
                 _attempt_task(fac, k)
     fac.entries = None

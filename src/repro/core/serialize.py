@@ -50,12 +50,14 @@ FORMAT_VERSION = 1
 #: ``left_looking=True`` only when their storage was allocated — every
 #: column block now is, in its own task.  ``watchdog_timeout`` and
 #: ``sanitize`` only guarded the retired worker pool.
-#: ``pivot_growth_limit`` was never set by a caller or moved by the
-#: ladder: the pivoting kernel's own bound (``1e8``) is the one in force.
+#: ``pivot_growth_limit`` and ``pivot_threshold`` were never set by a
+#: caller or moved by the ladder: the pivoting kernels' own bound
+#: (``1e8``) and static-pivot floor (``1e-14``) are the ones in force.
 RETIRED_CONFIG_FIELDS = ("accumulate_updates", "trace", "scheduler",
                          "adaptive", "backend", "seed", "storage_dtype",
                          "variant", "recompress_updates", "left_looking",
-                         "watchdog_timeout", "sanitize", "pivot_growth_limit")
+                         "watchdog_timeout", "sanitize", "pivot_growth_limit",
+                         "pivot_threshold")
 
 #: ``RecoveryPolicy`` fields that no longer exist but that a stored
 #: ``config.recovery`` may still carry: the cadence and on-fault switch of
@@ -147,32 +149,24 @@ def save_factor(fac: NumericFactor, perm: np.ndarray,
             arrays[f"pp{k}"] = nc.pivperm
         if nc.pivd21 is not None:
             arrays[f"pd{k}"] = nc.pivd21
-        for side in ("l", "u"):
-            if nc.panel_mode:
-                panel = nc.lpanel if side == "l" else nc.upanel
-                if panel is None:
-                    continue
-                arrays[f"{side}p{k}"] = panel
+        for side, i, b in nc.stored():
+            if i < 0:
+                arrays[f"{side}p{k}"] = b
                 kinds.append([k, side, -1, "panel"])
-                continue
-            blocks = nc.lblocks if side == "l" else nc.ublocks
-            if blocks is None:
-                continue
-            for i, b in enumerate(blocks):
-                if isinstance(b, LowRankBlock):
-                    arrays[f"{side}{k}_{i}u"] = b.u
-                    arrays[f"{side}{k}_{i}v"] = b.v
-                    kinds.append([k, side, i, "lr"])
-                else:
-                    arrays[f"{side}{k}_{i}d"] = b
-                    kinds.append([k, side, i, "dense"])
+            elif isinstance(b, LowRankBlock):
+                arrays[f"{side}{k}_{i}u"] = b.u
+                arrays[f"{side}{k}_{i}v"] = b.v
+                kinds.append([k, side, i, "lr"])
+            else:
+                arrays[f"{side}{k}_{i}d"] = b
+                kinds.append([k, side, i, "dense"])
     header = {
         "format_version": FORMAT_VERSION,
         "dtype": np.dtype(fac.dtype).name,
         "storage_dtype": (np.dtype(fac.storage_dtype).name
                           if fac.storage_dtype is not None else None),
-        # the telemetry store is a runtime object (locks, live metrics) —
-        # archives store it as null and a reloaded config starts detached
+        # the telemetry store and the profiler are runtime objects —
+        # archives store them as null and a reloaded config starts detached
         "config": asdict(replace(fac.config, telemetry=None,
                                  profiler=None)),
         "symbolic": _symbolic_to_json(fac.symb),

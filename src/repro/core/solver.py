@@ -43,7 +43,6 @@ from repro.core.refinement import (
 )
 from repro.core.scheduler import run_sequential
 from repro.core.trisolve import solve_factored
-from repro.lowrank.block import LowRankBlock
 from repro.runtime import recovery
 from repro.runtime.recovery import NumericalBreakdown, RecoveryState
 from repro.runtime.spans import span
@@ -186,21 +185,13 @@ class Solver:
                 run_sequential(fac)
             stats = fac.stats
             stats.total_time = time.perf_counter() - t0
-            stats.factor_nbytes = fac.factor_nbytes()
-            stats.dense_factor_nbytes = fac.dense_factor_nbytes()
+            census = fac.census()
+            stats.factor_nbytes = census["compression"]["total_nbytes"]
+            stats.dense_factor_nbytes = census["compression"][
+                "dense_factor_nbytes"]
             stats.peak_nbytes = fac.tracker.peak
-            ncomp = ndense = 0
-            for nc in fac.cblks:
-                if nc.lblocks is None:
-                    ndense += nc.sym.noff
-                    continue
-                for blk in nc.lblocks:
-                    if isinstance(blk, LowRankBlock):
-                        ncomp += 1
-                    else:
-                        ndense += 1
-            stats.nblocks_compressed = ncomp
-            stats.nblocks_dense = ndense
+            stats.nblocks_compressed = census["lowrank_blocks"]["l"]
+            stats.nblocks_dense = census["dense_blocks"]["l"]
             self.factor = fac
             return stats
 
@@ -220,10 +211,12 @@ class Solver:
         retried at a tightened tolerance (then the next compress-later
         strategy, last dense), at most ``recovery.max_retries`` rungs per
         run; every action lands in :attr:`last_recovery`.  A new
-        factorization starts a new run record.
+        factorization starts a new run record and drops the previous
+        factor first, so a failed one leaves none to solve with.
         """
         self._recovery = RecoveryState(self.config.recovery)
         self._faults = faults
+        self.factor = None
         if self.config.recovery is None:
             return self._factorize_once(self.config)
         return self._ladder(self.config)

@@ -20,7 +20,6 @@ from repro.lowrank.kernels import (
     lr_product,
     lr2ge_update,
     lr2lr_update,
-    block_to_dense,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "lr_product",
     "lr2ge_update",
     "lr2lr_update",
-    "block_to_dense",
 ]

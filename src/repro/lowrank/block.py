@@ -82,11 +82,6 @@ class LowRankBlock:
         mixed-precision storage is reported honestly)."""
         return self.u.nbytes + self.v.nbytes
 
-    @property
-    def dense_nbytes(self) -> int:
-        """Storage the block would need uncompressed."""
-        return self.m * self.n * self.dtype.itemsize
-
     def to_dense(self) -> np.ndarray:
         if self.rank == 0:
             return np.zeros((self.m, self.n), dtype=self.dtype)
@@ -108,15 +103,6 @@ class LowRankBlock:
             return np.zeros(shape, dtype=dt)
         return self.v.conj() @ (self.u.conj().T @ x)
 
-    def tmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``Â.T @ x`` (pure transpose, no conjugation — the product LU
-        transpose-solves need)."""
-        if self.rank == 0:
-            dt = np.result_type(self.dtype, np.asarray(x).dtype)
-            shape = (self.n,) if x.ndim == 1 else (self.n, x.shape[1])
-            return np.zeros(shape, dtype=dt)
-        return self.v @ (self.u.T @ x)
-
     def conj(self) -> "LowRankBlock":
         """Elementwise conjugate (a no-copy pass-through for real blocks)."""
         return LowRankBlock(self.u.conj(), self.v.conj())
@@ -130,10 +116,6 @@ class LowRankBlock:
 
     def copy(self) -> "LowRankBlock":
         return LowRankBlock(self.u.copy(), self.v.copy())
-
-    def is_profitable(self) -> bool:
-        """True when the compressed form is strictly smaller than dense."""
-        return self.nbytes < self.dense_nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LowRankBlock(m={self.m}, n={self.n}, rank={self.rank})"

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.backend import KERNELS
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.recompress import recompress_rrqr, recompress_svd, sqnorm
-from repro.lowrank.rrqr import qr_split, rrqr_compress, rrqr_flops
+from repro.lowrank.rrqr import rrqr_compress, rrqr_flops
 from repro.lowrank.svd import svd_compress, svd_flops
 from repro.runtime.stats import KernelStats
 
@@ -44,10 +44,6 @@ def rank_cap(m: int, n: int, rank_ratio: float) -> int:
     ratio_cap = int(rank_ratio * min(m, n))
     storage_cap = (m * n - 1) // (m + n) if (m + n) else 0
     return max(1, min(ratio_cap, storage_cap))
-
-
-def block_to_dense(b: Block) -> np.ndarray:
-    return b.to_dense() if isinstance(b, LowRankBlock) else b
 
 
 def block_nbytes(b: Block) -> int:
@@ -123,8 +119,6 @@ def lr_product(a: Block, b: Block, tol: float, kernel: str,
         t_hat = (svd_compress(t_mat, tol, norm_ref=norm_ref)
                  if kernel == "svd"
                  else rrqr_compress(t_mat, tol, norm_ref=norm_ref))
-        if t_hat is None:  # pragma: no cover - no cap given, cannot happen
-            t_hat = qr_split(t_mat)
         fl += (svd_flops(*t_mat.shape) if kernel == "svd"
                else rrqr_flops(t_mat.shape[0], t_mat.shape[1],
                                max(t_hat.rank, 1)))

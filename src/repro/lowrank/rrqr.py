@@ -237,15 +237,3 @@ def rrqr_compress(a: np.ndarray, tol: float,
     vt[:, res.jpvt] = res.r
     return LowRankBlock(res.q, vt.T.copy())
 
-
-def qr_split(a: np.ndarray) -> LowRankBlock:
-    """Exact (full-rank) ``u vᵗ`` split of ``a`` via unpivoted QR.
-
-    Used by the update kernels when a block is incompressible but the
-    low-rank *form* is still required (LUAR accumulators, lr2lr fallbacks):
-    ``u = Q`` orthonormal, ``v = Rᵗ``, ``a = u vᵗ`` exactly.  Lives here so
-    the decomposition stays on the sanctioned numeric surface instead of
-    scattering ``np.linalg.qr`` calls through the kernels.
-    """
-    q, r = np.linalg.qr(a)
-    return LowRankBlock(q, r.T.copy())

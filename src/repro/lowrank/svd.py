@@ -14,7 +14,7 @@ families comparable at equal τ.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,23 +85,3 @@ def svd_compress(a: np.ndarray, tol: float,
     return LowRankBlock(u[:, :rank].copy(),
                         (vt[:rank].T * sigma[:rank]).copy())
 
-
-def svd_compress_lr(u: np.ndarray, v: np.ndarray, tol: float
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-truncate an existing ``u vᵗ`` product via SVD.
-
-    Used by the SVD recompression path: QR-reduce the factors, SVD the small
-    core, truncate.  Returns new ``(u, v)`` with ``u`` orthonormal.
-    """
-    if u.shape[1] == 0:
-        return u, v
-    qu, ru = np.linalg.qr(u)
-    qv, rv = np.linalg.qr(v)
-    core = ru @ rv.T
-    uu, sigma, vvt = sla.svd(core, full_matrices=False)
-    rank = svd_truncate(sigma, tol)
-    if rank == 0:
-        m, n = u.shape[0], v.shape[0]
-        dt = np.result_type(u, v)
-        return np.zeros((m, 0), dtype=dt), np.zeros((n, 0), dtype=dt)
-    return qu @ uu[:, :rank], qv @ (vvt[:rank].T * sigma[:rank])

@@ -14,11 +14,7 @@ from repro.ordering.separator import find_vertex_separator
 from repro.ordering.nested_dissection import nested_dissection, NDResult, NDPartition
 from repro.ordering.amd import minimum_degree
 from repro.ordering.geometric import geometric_nested_dissection, grid_coords
-from repro.ordering.elimination_tree import (
-    elimination_tree,
-    postorder,
-    tree_depths,
-)
+from repro.ordering.elimination_tree import elimination_tree, postorder
 
 __all__ = [
     "Graph",
@@ -31,5 +27,4 @@ __all__ = [
     "grid_coords",
     "elimination_tree",
     "postorder",
-    "tree_depths",
 ]

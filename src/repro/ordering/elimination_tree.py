@@ -81,24 +81,6 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return order
 
 
-def tree_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node (roots have depth 0)."""
-    n = len(parent)
-    depth = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        # walk up collecting the path, then assign
-        path = []
-        u = v
-        while u != -1 and depth[u] < 0:
-            path.append(u)
-            u = int(parent[u])
-        base = 0 if u == -1 else int(depth[u]) + 1
-        for node in reversed(path):
-            depth[node] = base
-            base += 1
-    return depth
-
-
 def subtree_sizes(parent: np.ndarray) -> np.ndarray:
     """Number of nodes in the subtree rooted at each node (inclusive)."""
     n = len(parent)

@@ -33,7 +33,7 @@ from repro.runtime.recovery import (
     RecoveryState,
 )
 from repro.runtime.stats import KernelStats, FactorizationStats, KERNEL_CATEGORIES
-from repro.runtime.memory import MemoryTracker, nbytes_dense, nbytes_lowrank
+from repro.runtime.memory import MemoryTracker
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.telemetry import SeriesBuffer, Telemetry
 
@@ -42,8 +42,6 @@ __all__ = [
     "FactorizationStats",
     "KERNEL_CATEGORIES",
     "MemoryTracker",
-    "nbytes_dense",
-    "nbytes_lowrank",
     "FaultError",
     "FaultInjector",
     "NumericalBreakdown",

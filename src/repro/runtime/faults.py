@@ -53,11 +53,8 @@ def _poison(nc: "NumericColumnBlock") -> None:
     """NaN into the first entry of ``nc``'s first off-diagonal block — a
     dense block's or kept panel's ``[0, 0]``, a low-rank block's
     ``u[0, 0]`` — or of its diagonal block when it has none."""
-    if nc.lblocks:
-        blk = nc.lblocks[0]
-        piece = blk.u if isinstance(blk, LowRankBlock) else blk
-    else:
-        piece = nc.lpanel if nc.lpanel is not None else nc.diag
+    _, _, blk = next(nc.stored(), ("l", -1, nc.diag))
+    piece = blk.u if isinstance(blk, LowRankBlock) else blk
     (piece if piece.size else nc.diag)[0, 0] = np.nan
 
 

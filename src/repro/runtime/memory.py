@@ -26,32 +26,6 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.runtime.telemetry import Telemetry
 
-#: bytes per element of float64, the *default* arithmetic.  This is only a
-#: default: the solver is dtype-generic (float32/complex64/complex128 too),
-#: so accounting code must pass the actual ``np.dtype(...).itemsize`` (4 for
-#: float32, 8 for float64/complex64, 16 for complex128) instead of relying
-#: on this constant.
-FLOAT_NBYTES = 8
-
-
-def nbytes_dense(m: int, n: int, itemsize: int = FLOAT_NBYTES) -> int:
-    """Storage of an ``m x n`` dense block of elements of ``itemsize`` bytes.
-
-    ``itemsize`` defaults to float64 for backward compatibility; pass
-    ``np.dtype(dtype).itemsize`` for any other precision.
-    """
-    return int(m) * int(n) * int(itemsize)
-
-
-def nbytes_lowrank(m: int, n: int, rank: int, itemsize: int = FLOAT_NBYTES) -> int:
-    """Storage of a rank-``rank`` block: ``u`` is m-by-r, ``v`` is n-by-r.
-
-    ``itemsize`` defaults to float64; pass the actual element size for
-    other precisions (mixed-precision storage uses the narrower one).
-    """
-    return (int(m) + int(n)) * int(rank) * int(itemsize)
-
-
 class MemoryTracker:
     """Tracks current and peak tracked bytes.
 
@@ -85,11 +59,6 @@ class MemoryTracker:
                     self.peak - self._last_recorded >= max(1, self.peak >> 6):
                 self._last_recorded = self.peak
                 tele.record_memory(self.current, self.peak)
-
-    def reset(self) -> None:
-        self.current = 0
-        self.peak = 0
-        self._last_recorded = -1
 
 
 def array_nbytes(a: "np.ndarray") -> int:

@@ -123,7 +123,11 @@ class FactorizationStats:
         Wall-clock of the whole factorization (not the sum of categories,
         which leaves out the orchestration between kernels).
     nblocks_compressed / nblocks_dense:
-        How many off-diagonal blocks ended compressed vs dense.
+        How many off-diagonal block positions ended compressed vs dense,
+        counted on the L side (an LU factor stores a Uᵗ block at each
+        position too, compressed or not on its own): the ``"l"`` entries
+        of :meth:`~repro.core.factor.NumericFactor.census`'s
+        ``lowrank_blocks`` / ``dense_blocks``.
     backend_kernel_calls:
         Per-op kernel call counts (gemm/trsm/getrf/…, accumulated over
         factorization and solves) — the :mod:`repro.core.backend`

@@ -271,6 +271,17 @@ class SymbolicFactor:
                 parent[c.id] = c.blocks[1].facing
         return parent
 
+    def block_levels(self) -> List[int]:
+        """Depth of every column block in :meth:`block_etree` (roots at
+        level 0).  The tree is postordered (a parent follows its
+        children), so the depths resolve in one reverse sweep."""
+        parent = self.block_etree()
+        levels = [0] * self.ncblk
+        for k in range(self.ncblk - 1, -1, -1):
+            p = int(parent[k])
+            levels[k] = 0 if p < 0 else levels[p] + 1
+        return levels
+
     # -- statistics (Figure 1 / DESIGN experiment fig1) -----------------
     def nnz(self) -> int:
         """Dense nnz of the L structure (diagonal blocks counted in full)."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.kernels import block_to_dense, lr2lr_update_multi
+from repro.lowrank.kernels import lr2lr_update_multi
 from repro.lowrank.rrqr import rrqr_compress
 from repro.runtime.faults import FaultInjector
 from repro.runtime.recovery import RecoveryPolicy
@@ -129,7 +129,8 @@ class TestExtendAddProperty:
         scale = np.linalg.norm(ref)
         stacked = target.rank
         for piece, ro, co in pieces:
-            d = block_to_dense(piece)
+            d = (piece.to_dense() if isinstance(piece, LowRankBlock)
+                 else piece)
             ref[ro:ro + d.shape[0], co:co + d.shape[1]] -= d
             scale += np.linalg.norm(d)
             stacked += (piece.rank if isinstance(piece, LowRankBlock)

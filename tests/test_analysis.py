@@ -1,4 +1,5 @@
-"""Tests for the analysis package (complexity models + metrics)."""
+"""Tests for the complexity models and the evaluation metrics (backward
+error, and the factor's census of bytes and ranks)."""
 
 import pytest
 
@@ -10,11 +11,6 @@ from repro.analysis.complexity import (
     lr2lr_cost_svd,
     lr_product_cost,
     solver_flop_model,
-)
-from repro.analysis.metrics import (
-    backward_error,
-    compression_report,
-    rank_histogram,
 )
 from repro.core.solver import Solver
 from repro.sparse.generators import laplacian_3d
@@ -78,29 +74,46 @@ class TestMetrics:
         a = laplacian_3d(4)
         x = rng.standard_normal(a.n)
         b = a.matvec(x)
-        assert backward_error(a, x, b) <= 1e-14
+        assert Solver(a).backward_error(x, b) <= 1e-14
 
     def test_rank_histogram_nonempty(self, factored):
         _, s = factored
-        hist = rank_histogram(s.factor)
+        hist = s.factor.census()["rank_histogram"]
         assert sum(hist.values()) > 0
-        assert all(r >= 0 for r in hist)
+        assert all(int(r) >= 0 for r in hist)
 
     def test_compression_report_consistent(self, factored):
         _, s = factored
-        rep = compression_report(s.factor)
+        census = s.factor.census()
+        rep = census["compression"]
         assert rep["n_lowrank_blocks"] > 0
         assert rep["total_nbytes"] == (rep["lowrank_nbytes"]
                                        + rep["dense_nbytes"]
                                        + rep["diag_nbytes"])
         assert rep["total_nbytes"] == s.factor.factor_nbytes()
+        assert rep["total_nbytes"] == s.factor.tracker.current
+        assert rep["total_nbytes"] == s.stats.factor_nbytes
         assert 0 < rep["memory_ratio"] <= 1.0
         assert rep["max_rank"] >= rep["mean_rank"] >= 1
+        # per side: the L side is what FactorizationStats counts, and
+        # both sides together are the report's blocks
+        lr, dense = census["lowrank_blocks"], census["dense_blocks"]
+        assert lr["l"] == s.stats.nblocks_compressed > 0
+        assert dense["l"] == s.stats.nblocks_dense
+        assert lr["l"] + lr["u"] == rep["n_lowrank_blocks"]
+        assert dense["l"] + dense["u"] == rep["n_dense_blocks"]
+        noff = s.symbolic.total_off_blocks()
+        assert lr["l"] + dense["l"] == lr["u"] + dense["u"] == noff
 
     def test_report_on_dense_strategy(self):
         a = laplacian_3d(5)
         s = Solver(a, tiny_blr_config(strategy="dense"))
         s.factorize()
-        rep = compression_report(s.factor)
+        census = s.factor.census()
+        rep = census["compression"]
         assert rep["n_lowrank_blocks"] == 0
         assert rep["memory_ratio"] == pytest.approx(1.0)
+        assert census["rank_histogram"] == {}
+        assert census["rank_histogram_by_level"] == {}
+        noff = s.symbolic.total_off_blocks()
+        assert census["dense_blocks"] == {"l": noff, "u": noff}

@@ -67,9 +67,3 @@ class TestStorage:
     def test_nbytes(self):
         b = LowRankBlock(np.zeros((10, 3)), np.zeros((20, 3)))
         assert b.nbytes == (10 + 20) * 3 * 8
-        assert b.dense_nbytes == 10 * 20 * 8
-
-    def test_is_profitable(self):
-        assert LowRankBlock(np.zeros((10, 2)), np.zeros((10, 2))).is_profitable()
-        assert not LowRankBlock(np.zeros((10, 6)),
-                                np.zeros((10, 6))).is_profitable()

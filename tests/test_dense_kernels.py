@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.backend import KERNELS
 from repro.core.dense_kernels import (
-    gemm_flops,
     getrf_flops,
     potrf_flops,
     trsm_flops,
@@ -101,7 +100,6 @@ class TestRightSolves:
 
 class TestFlopModels:
     def test_values(self):
-        assert gemm_flops(2, 3, 4) == 48
         assert getrf_flops(6) == pytest.approx(144.0)
         assert potrf_flops(6) == pytest.approx(72.0)
         assert trsm_flops(4, 5) == 80

@@ -8,10 +8,11 @@ from repro.ordering.elimination_tree import (
     is_postordered,
     postorder,
     subtree_sizes,
-    tree_depths,
 )
+from repro.core.solver import Solver
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.generators import laplacian_2d, random_spd
+from repro.sparse.generators import laplacian_2d, laplacian_3d, random_spd
+from tests.conftest import tiny_blr_config
 
 
 def reference_etree(a):
@@ -89,8 +90,20 @@ class TestPostorder:
 
 class TestTreeMetrics:
     def test_depths(self):
-        parent = np.array([1, 2, -1, 2])
-        np.testing.assert_array_equal(tree_depths(parent), [2, 1, 0, 1])
+        """Column-block depths (``SymbolicFactor.block_levels``) against a
+        walk up the block elimination tree."""
+        for a in (laplacian_2d(9), laplacian_3d(5),
+                  random_spd(60, density=0.1, seed=3)):
+            symb = Solver(a, tiny_blr_config()).analyze()
+            parent = symb.block_etree()
+            want = []
+            for k in range(symb.ncblk):
+                depth, p = 0, int(parent[k])
+                while p >= 0:
+                    depth, p = depth + 1, int(parent[p])
+                want.append(depth)
+            assert symb.block_levels() == want
+            assert max(want) > 0
 
     def test_subtree_sizes(self):
         parent = np.array([2, 2, 4, 4, -1])

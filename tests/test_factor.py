@@ -248,3 +248,41 @@ class TestFinishedFactorHoldsOnlyItsFactor:
             seen.add(id(obj))
             assert not isinstance(obj, CSCMatrix)
             stack.extend(gc.get_referents(obj))
+
+
+class TestStoredPiecesAndCensus:
+    """``NumericColumnBlock.stored()`` is the one walk over a column
+    block's stored pieces, and ``NumericFactor.census()`` counts the
+    factor through it."""
+
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    def test_stored_yields_each_piece_once_l_then_u(self, factotype):
+        s = Solver(laplacian_3d(8), tiny_blr_config(
+            strategy="just-in-time", tolerance=1e-4, factotype=factotype))
+        s.factorize()
+        modes = set()
+        for nc in s.factor.cblks:
+            if nc.panel_mode:
+                want = [("l", -1, nc.lpanel)] + (
+                    [] if nc.upanel is None else [("u", -1, nc.upanel)])
+            else:
+                want = [("l", i, b) for i, b in enumerate(nc.lblocks)] + [
+                    ("u", i, b) for i, b in enumerate(nc.ublocks or ())]
+            got = list(nc.stored())
+            assert [p[:2] for p in got] == [p[:2] for p in want]
+            assert all(g[2] is w[2] for g, w in zip(got, want))
+            modes.add(nc.panel_mode)
+        assert modes == {True, False}
+
+    @pytest.mark.parametrize("strategy",
+                             ["dense", "just-in-time", "minimal-memory"])
+    def test_census_total_is_the_tracked_factor(self, strategy):
+        s = Solver(laplacian_3d(8),
+                   tiny_blr_config(strategy=strategy, tolerance=1e-4))
+        s.factorize()
+        fac = s.factor
+        comp = fac.census()["compression"]
+        assert comp["total_nbytes"] == fac.tracker.current
+        assert comp["total_nbytes"] == fac.factor_nbytes()
+        assert comp["dense_factor_nbytes"] == fac.dense_factor_nbytes()
+        assert (comp["n_lowrank_blocks"] > 0) == (strategy != "dense")

@@ -6,7 +6,6 @@ import pytest
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.kernels import (
     block_nbytes,
-    block_to_dense,
     compress_block,
     lr2ge_update,
     lr2lr_update,
@@ -169,12 +168,6 @@ class TestLr2Lr:
 
 
 class TestHelpers:
-    def test_block_to_dense(self, rng):
-        arr = rng.standard_normal((3, 3))
-        assert block_to_dense(arr) is arr
-        b = lr(rng, 4, 3, 2)
-        np.testing.assert_allclose(block_to_dense(b), b.to_dense())
-
     def test_block_nbytes(self, rng):
         arr = np.zeros((4, 5))
         assert block_nbytes(arr) == 4 * 5 * 8

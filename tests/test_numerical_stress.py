@@ -78,20 +78,6 @@ class TestExtremeScales:
 
 
 class TestPivotThreshold:
-    def test_larger_threshold_more_perturbations(self):
-        """Raising the static-pivot floor perturbs more pivots on a
-        near-singular system, and refinement absorbs the perturbation."""
-        d = laplacian_2d(5).to_dense()
-        d[7, 7] = 1e-13  # destroy one pivot
-        a = CSCMatrix.from_dense((d + d.T) / 2)
-        counts = {}
-        for thresh in (1e-14, 1e-6):
-            s = Solver(a, tiny_blr_config(strategy="dense",
-                                          pivot_threshold=thresh))
-            s.factorize()
-            counts[thresh] = s.factor.nperturbed
-        assert counts[1e-6] >= counts[1e-14]
-
     def test_factorization_never_produces_nan(self, rng):
         """Even on an exactly singular matrix, static pivoting keeps the
         factors finite (the solve is then a pseudo-answer refinement can
@@ -100,8 +86,7 @@ class TestPivotThreshold:
         d[:, 3] = d[:, 2]
         d[3, :] = d[2, :]  # duplicated row/col: singular
         a = CSCMatrix.from_dense((d + d.T) / 2)
-        s = Solver(a, tiny_blr_config(strategy="dense",
-                                      pivot_threshold=1e-10))
+        s = Solver(a, tiny_blr_config(strategy="dense"))
         s.factorize()
         for nc in s.factor.cblks:
             assert np.isfinite(nc.diag).all()

@@ -433,6 +433,30 @@ class TestRefinementEscalation:
         assert rec["final_tolerance"] == s.factor.config.tolerance == 0.9
         assert rec["final_strategy"] == s.factor.config.strategy
 
+    def test_failed_factorize_leaves_no_factor(self):
+        """A factorize() that breaks down drops the previous run's factor:
+        no rung is reported built, and the next solve factors anew
+        instead of answering from the old factor."""
+        a = laplacian_3d(5)
+        s = Solver(a, tiny_blr_config(
+            strategy="just-in-time", tolerance=1e-4,
+            recovery=RecoveryPolicy(max_retries=1)))
+        s.factorize()
+        first = s.factor
+        inj = FaultInjector()
+        inj.nan_in_panel(0)  # persistent: every rung breaks down
+        with pytest.raises(NumericalBreakdown, match="nan-input"):
+            s.factorize(faults=inj)
+        assert s.factor is None
+        rec = s.last_recovery
+        assert rec["counts"] == {"breakdown": 2, "refactorize": 1}
+        assert rec["final_tolerance"] is None
+        assert rec["final_strategy"] is None
+        b = np.ones(a.n)
+        x = s.solve(b)
+        assert s.factor is not None and s.factor is not first
+        assert s.backward_error(x, b) <= 1e-3
+
     def test_refinement_marks_classification_without_policy(self):
         """The classification fields are filled even with recovery off."""
         a = laplacian_3d(5)

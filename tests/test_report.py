@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import cblk_levels, rank_histogram_by_level
 from repro.analysis.report import (
     REPORT_SCHEMA,
     build_run_report,
@@ -26,6 +25,7 @@ from repro.analysis.report import (
 )
 from repro.cli import main
 from repro.core.solver import Solver
+from repro.lowrank.block import LowRankBlock
 from repro.runtime.telemetry import Telemetry
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
@@ -138,7 +138,7 @@ class TestRankHistogramByLevel:
     def test_levels_follow_block_etree(self):
         s = Solver(laplacian_3d(8), tiny_blr_config())
         s.factorize()
-        levels = cblk_levels(s.factor)
+        levels = s.symbolic.block_levels()
         parent = s.factor.symb.block_etree()
         assert len(levels) == s.symbolic.ncblk
         for k, p in enumerate(parent):
@@ -148,18 +148,24 @@ class TestRankHistogramByLevel:
                 assert levels[k] == levels[p] + 1
 
     def test_per_level_sums_match_global(self):
-        from repro.analysis.metrics import rank_histogram
-
         s = Solver(laplacian_2d(24), tiny_blr_config())
         s.factorize()
-        global_hist = rank_histogram(s.factor)
-        by_level = rank_histogram_by_level(s.factor)
+        census = s.factor.census()
+        global_hist = census["rank_histogram"]
+        by_level = census["rank_histogram_by_level"]
         assert sum(global_hist.values()) > 0  # compression happened
         merged = {}
         for per in by_level.values():
             for r, c in per.items():
                 merged[r] = merged.get(r, 0) + c
         assert merged == global_hist
+        # and both against the stored blocks themselves
+        ranks = {}
+        for nc in s.factor.cblks:
+            for _, _, b in nc.stored():
+                if isinstance(b, LowRankBlock):
+                    ranks[str(b.rank)] = ranks.get(str(b.rank), 0) + 1
+        assert ranks == global_hist
 
 
 class TestReportCLI:

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.runtime.memory import (
-    MemoryTracker,
-    array_nbytes,
-    nbytes_dense,
-    nbytes_lowrank,
-)
+from repro.lowrank.block import LowRankBlock
+from repro.lowrank.kernels import block_nbytes
+from repro.runtime.memory import MemoryTracker, array_nbytes
 from repro.runtime.stats import FactorizationStats, KernelStats, KERNEL_CATEGORIES
 
 
@@ -84,19 +81,16 @@ class TestMemoryTracker:
         assert mt.current == 10
         assert mt.peak == 300
 
-    def test_reset(self):
-        mt = MemoryTracker()
-        mt.alloc(5)
-        mt.reset()
-        assert mt.current == 0 and mt.peak == 0
-
 
 class TestByteHelpers:
     def test_nbytes_dense(self):
-        assert nbytes_dense(10, 20) == 1600
+        assert block_nbytes(np.zeros((10, 20))) == 1600
+        assert block_nbytes(np.zeros((10, 20), dtype=np.float32)) == 800
 
     def test_nbytes_lowrank(self):
-        assert nbytes_lowrank(10, 20, 3) == (10 + 20) * 3 * 8
+        blk = LowRankBlock(np.zeros((10, 3)), np.zeros((20, 3)))
+        assert block_nbytes(blk) == (10 + 20) * 3 * 8
+        assert block_nbytes(blk.astype(np.float32)) == (10 + 20) * 3 * 4
 
     def test_array_nbytes(self):
         assert array_nbytes(np.zeros((4, 4))) == 128

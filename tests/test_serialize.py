@@ -160,7 +160,7 @@ class TestArchivesOutliveConfigFields:
                    storage_dtype="float32", variant="ucf",
                    recompress_updates=False, left_looking=True,
                    watchdog_timeout=5.0, sanitize=True,
-                   pivot_growth_limit=1e8)
+                   pivot_growth_limit=1e8, pivot_threshold=1e-14)
     RETIRED_POLICY = dict(
         checkpoint_every=0, checkpoint_on_fault=True, retry_backoff=0.01,
         seed=9, tau_shrink=0.1, tau_floor=1e-14, strategy_downgrade=True,

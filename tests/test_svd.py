@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.lowrank.svd import svd_compress, svd_compress_lr, svd_truncate
+from repro.lowrank.recompress import recompress_svd
+from repro.lowrank.svd import svd_compress, svd_truncate
 from tests.conftest import random_lowrank
 
 
@@ -133,24 +134,30 @@ class TestCompression:
         assert r4 <= r8 <= r12
 
 
+def _retruncate(u0: np.ndarray, v0: np.ndarray, tol: float):
+    """``u0 v0ᵗ`` re-truncated by the SVD recompression (no contribution)."""
+    m, n = u0.shape[0], v0.shape[0]
+    return recompress_svd(u0, v0, np.zeros((m, 0)), np.zeros((n, 0)), tol)
+
+
 class TestRecompressLR:
     def test_retruncates_factored_form(self, rng):
         a = random_lowrank(rng, 25, 20, 15, decay=0.3)
         # a sloppy high-rank factorization of a
         u0 = np.hstack([a, np.zeros((25, 5))])
         v0 = np.vstack([np.eye(20), np.zeros((5, 20))]).T
-        u, v = svd_compress_lr(u0, v0, 1e-8)
-        err = np.linalg.norm(a - u @ v.T) / np.linalg.norm(a)
+        blk = _retruncate(u0, v0, 1e-8)
+        err = np.linalg.norm(a - blk.to_dense()) / np.linalg.norm(a)
         assert err <= 1e-8 * 1.1
-        assert u.shape[1] < 25
+        assert blk.rank < 25
 
     def test_rank_zero_input(self):
-        u, v = svd_compress_lr(np.zeros((4, 0)), np.zeros((3, 0)), 1e-8)
-        assert u.shape == (4, 0)
+        blk = _retruncate(np.zeros((4, 0)), np.zeros((3, 0)), 1e-8)
+        assert blk.u.shape == (4, 0)
+        assert blk.shape == (4, 3)
 
     def test_output_u_orthonormal(self, rng):
         a = random_lowrank(rng, 20, 18, 10, decay=0.4)
-        u0 = a.copy()
-        v0 = np.eye(18)
-        u, v = svd_compress_lr(u0, v0, 1e-8)
-        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        blk = _retruncate(a.copy(), np.eye(18), 1e-8)
+        np.testing.assert_allclose(blk.u.T @ blk.u, np.eye(blk.rank),
+                                   atol=1e-12)

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.analysis.charts import gantt_chart
-from repro.analysis.metrics import cblk_levels
 from repro.analysis.profile import phase_rollup
 from repro.core.solver import Solver
 from repro.runtime.spans import SpanProfiler
@@ -79,7 +78,7 @@ class TestTraceInvariants:
     def test_tasks_are_children_of_factorize_with_cblk_and_level(self):
         s, doc = traced_solver(laplacian_3d(6))
         (fact,) = named(doc, "factorize")
-        levels = cblk_levels(s.factor)
+        levels = s.symbolic.block_levels()
         for sp in named(doc, "task"):
             assert sp["parent_id"] == fact["span_id"]
             assert set(sp["attrs"]) == {"cblk", "level"}

@@ -437,13 +437,17 @@ def _telemetry_with_sinks():
       for name in ("run_threaded", "SchedulerError", "DeadlockError")],
     pytest.param(lambda: _import_from("repro.runtime", "sanitizer"),
                  ImportError, id="import-sanitizer"),
+    pytest.param(lambda: _import_from("repro.analysis", "metrics"),
+                 ImportError, id="import-repro.analysis.metrics"),
+    pytest.param(lambda: SolverConfig(pivot_threshold=1e-8), TypeError,
+                 id="pivot_threshold"),
 ])
 def test_retired_names_are_gone(probe, error):
     with pytest.raises(error) as exc:
         probe()
     if error is SystemExit:
         assert exc.value.code == 2
-    assert len(fields(SolverConfig)) == 23
+    assert len(fields(SolverConfig)) == 22
 
 
 # ----------------------------------------------------------------------
