@@ -279,12 +279,8 @@ class NumericFactor:
     # -- sizing ----------------------------------------------------------
     def dense_factor_nbytes(self) -> int:
         """Bytes the factors would occupy fully dense (Figure 6 baseline)."""
-        total = 0
-        for c in self.symb.cblks:
-            w = c.ncols
-            off = sum(b.nrows for b in c.off_blocks())
-            total += (w * w + self.sides * off * w) * self.dtype.itemsize
-        return total
+        return sum(nc.width * (nc.width + self.sides * nc.offrows)
+                   for nc in self.cblks) * self.dtype.itemsize
 
     def factor_nbytes(self) -> int:
         """Current compressed storage of all blocks."""

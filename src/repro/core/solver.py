@@ -466,9 +466,13 @@ class Solver:
                              maxiter=maxiter)
 
     def backward_error(self, x: np.ndarray, b: np.ndarray) -> float:
-        """``||A x - b||₂ / ||b||₂`` — the metric printed above every bar of
-        Figures 5 and 6.  Diagnostic cold path: two full-length vector
-        norms per call, outside the blocked kernel module."""
+        """The relative residual ``‖Ax − b‖₂ / ‖b‖₂`` — the paper's metric,
+        printed above every bar of Figures 5 and 6.  It depends on ``b``
+        (a smooth ``b`` reads larger than one exciting every mode alike);
+        the normwise backward error η∞ = ‖b − Ax‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞) is
+        what ``python -m tools.repin`` reports for each moved factor pin.
+        Diagnostic cold path: two full-length vector norms per call,
+        outside the blocked kernel module."""
         return float(np.linalg.norm(self.a.matvec(x) - b)
                      / np.linalg.norm(b))
 

@@ -68,20 +68,16 @@ def hermitian_congruence(base: CSCMatrix, seed: int = 2) -> CSCMatrix:
         np.concatenate([v[diag].astype(np.complex128), vu, np.conj(vu)]))
 
 
-@pytest.fixture
-def blr_config():
-    return tiny_blr_config
-
-
-def reference_lu_nopivot(a: np.ndarray):
-    """Dense LU without pivoting, used as ground truth in several tests."""
-    n = a.shape[0]
-    u = np.array(a, dtype=np.float64, copy=True)
-    l_mat = np.eye(n)
-    for k in range(n):
-        l_mat[k + 1:, k] = u[k + 1:, k] / u[k, k]
-        u[k + 1:, k:] -= np.outer(l_mat[k + 1:, k], u[k, k:])
-    return l_mat, np.triu(u)
+def ldlt_reconstruct(packed, perm, d21, hermitian):
+    """Rebuild P A Pᵀ from an LDLᵗ pivot kernel's packed output."""
+    n = packed.shape[0]
+    lmat = np.tril(packed, -1) + np.eye(n, dtype=packed.dtype)
+    d = np.diag(np.diag(packed)).astype(packed.dtype)
+    for j in np.flatnonzero(d21):
+        d[j + 1, j] = d21[j]
+        d[j, j + 1] = np.conj(d21[j]) if hermitian else d21[j]
+    lt = lmat.conj().T if hermitian else lmat.T
+    return lmat @ d @ lt
 
 
 def random_lowrank(rng, m: int, n: int, r: int, decay: float = 0.5) -> np.ndarray:

@@ -16,7 +16,7 @@ from repro.runtime.recovery import RecoveryPolicy
 from repro.runtime.spans import SpanProfiler
 from repro.sparse.generators import laplacian_3d
 from tests.conftest import assemble_filled, random_lowrank, tiny_blr_config
-from tests.test_recovery import factor_digest
+from tests.pins import factor_digest
 
 
 class TestMultiKernel:

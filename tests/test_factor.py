@@ -6,7 +6,7 @@ import pytest
 from repro.core.factor import assemble
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
-from repro.sparse.generators import laplacian_2d, laplacian_3d
+from repro.sparse.generators import laplacian_2d, laplacian_3d, zoo
 from repro.sparse.permute import permute_symmetric
 from repro.symbolic.factorization import SymbolicOptions, symbolic_factorization
 from tests.conftest import assemble_filled, tiny_blr_config
@@ -116,11 +116,8 @@ class TestMinimalMemoryAssembly:
                            for b in nc.lblocks + nc.ublocks)
             modes.add(nc.panel_mode)
         assert modes == {True, False}
-        # the run's peak, to the byte (a kept panel is charged what its
-        # per-block copies were).  223 200 B while every block was stored
-        # at float64: it fell once the column blocks whose recompressions
-        # discarded ≥ 100·u₃₂ of their norm came to be stored in float32
-        assert Solver(a, cfg).factorize().peak_nbytes == 217872
+        # the run's peak, to the byte, is pinned as the peak_bytes fact of
+        # factotype/lu/minimal-memory/float64 in tests/golden/pins.json
 
     def test_initial_compression_cheaper_than_dense(self):
         """MM assembly peak must not exceed the dense factor size."""
@@ -195,6 +192,20 @@ class TestBlockAccessors:
                         for c in symb.cblks for b in c.off_blocks())
         total_diag = sum(c.ncols ** 2 for c in symb.cblks)
         assert fac.dense_factor_nbytes() == (total_diag + 2 * total_off) * 8
+
+    @pytest.mark.parametrize("strategy", ["dense", "just-in-time",
+                                          "minimal-memory"])
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky", "ldlt"])
+    def test_dense_factor_nbytes_is_the_symbolic_sum(self, factotype,
+                                                     strategy):
+        """Read off the stored row counts, as a walk over every symbolic
+        block gives it (the zoo's stretched lap3d)."""
+        cfg = tiny_blr_config(strategy=strategy, factotype=factotype)
+        symb, ap = setup({c.name: c for c in zoo()}["stretched"].build(), cfg)
+        sides = 2 if factotype == "lu" else 1
+        want = sum(c.ncols * (c.ncols + sides * sum(
+            b.nrows for b in c.off_blocks())) for c in symb.cblks) * 8
+        assert assemble(ap, symb, cfg).dense_factor_nbytes() == want
 
 
 def _root(arr):

@@ -22,8 +22,13 @@ from repro.sparse.generators import (
     random_spd,
 )
 from repro.sparse.permute import permute_symmetric
-from tests.conftest import assemble_filled, tiny_blr_config
-from tests.test_recovery import factor_digest
+from tests import pins
+from tests.conftest import (
+    assemble_filled,
+    hermitian_congruence,
+    tiny_blr_config,
+)
+from tests.pins import factor_digest
 from tests.test_symbolic import find_blocks
 
 STRATEGIES = ["dense", "just-in-time", "minimal-memory"]
@@ -400,23 +405,6 @@ def update_flops(kernels):
     return flops
 
 
-def hermitian_lap3d(n=6, seed=2):
-    """``D A Dᴴ`` with a unitary diagonal ``D``: sparse, Hermitian positive
-    definite and genuinely complex."""
-    base = laplacian_3d(n)
-    d = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, base.n))
-    r = base.rowind
-    c = np.repeat(np.arange(base.n, dtype=np.int64), np.diff(base.colptr))
-    diag, up = r == c, r < c
-    vu = d[r[up]] * base.values[up] * np.conj(d[c[up]])
-    return CSCMatrix.from_coo(
-        base.n,
-        np.concatenate([r[diag], r[up], c[up]]),
-        np.concatenate([c[diag], c[up], r[up]]),
-        np.concatenate([base.values[diag].astype(np.complex128), vu,
-                        np.conj(vu)]))
-
-
 LANDING_CASES = {
     "lu": (lambda: convection_diffusion_3d(6), dict(factotype="lu")),
     "lu-float32": (lambda: laplacian_3d(6),
@@ -428,8 +416,9 @@ LANDING_CASES = {
     "cholesky": (lambda: laplacian_3d(6), dict(factotype="cholesky")),
     "ldlt-threshold": (lambda: helmholtz_3d(9, wavenumber=3.0),
                        dict(factotype="ldlt", pivoting="threshold")),
-    "cholesky-hermitian": (hermitian_lap3d, dict(factotype="cholesky")),
-    "ldlh-hermitian": (hermitian_lap3d,
+    "cholesky-hermitian": (lambda: hermitian_congruence(laplacian_3d(6)),
+                           dict(factotype="cholesky")),
+    "ldlh-hermitian": (lambda: hermitian_congruence(laplacian_3d(6)),
                        dict(factotype="ldlt", pivoting="threshold")),
 }
 
@@ -620,39 +609,11 @@ class TestEnginesLandIdentically:
 
 class TestChargesPinned:
     """Per-category calls and flops and the backend's op counts of one
-    factorization, pinned at the values recorded while every visit still
-    charged its own kernels: a fan-in task charging its panel-mode visits
-    in one sum must reproduce them exactly (``laplacian_3d(8)``,
-    tiny_blr_config, τ = 1e-4)."""
+    factorization (``charges/…`` in ``tests/golden/pins.json``), pinned at
+    the values recorded while every visit still charged its own kernels: a
+    fan-in task charging its panel-mode visits in one sum must reproduce
+    them exactly."""
 
-    #: strategy → ({category: (calls, flops)}, backend_kernel_calls)
-    PINNED = {
-        "dense": (
-            {"block_facto": (139, 25525.33333333332),
-             "dense_update": (552, 978662.0),
-             "panel_solve": (139, 224578.0)},
-            {"gemm": 966, "getrf": 139, "trsm": 276}),
-        "just-in-time": (
-            {"block_facto": (139, 25525.33333333332),
-             "compress": (120, 320656.0),
-             "dense_update": (646, 836896.0),
-             "lr_product": (110, 93422.0),
-             "panel_solve": (139, 214602.0)},
-            {"gemm": 1118, "getrf": 139, "trsm": 306}),
-        "minimal-memory": (
-            {"block_facto": (139, 25525.33333333332),
-             "compress": (212, 371968.0),
-             "dense_update": (870, 318982.0),
-             "lr_addition": (8, 13272.0),
-             "lr_product": (287, 623060.0),
-             "panel_solve": (139, 214602.0)},
-            {"gemm": 1231, "getrf": 139, "trsm": 364}),
-    }
-
-    @pytest.mark.parametrize("strategy", sorted(PINNED))
-    def test_calls_flops_and_backend_counts(self, strategy):
-        stats = Solver(laplacian_3d(8), tiny_blr_config(
-            strategy=strategy, tolerance=1e-4)).factorize()
-        k = stats.kernels
-        charged = {c: (k.call_count(c), k.flop(c)) for c in k.calls}
-        assert (charged, stats.backend_kernel_calls) == self.PINNED[strategy]
+    @pytest.mark.parametrize("key", pins.cases("charges"))
+    def test_calls_flops_and_backend_counts(self, key):
+        pins.check(key)

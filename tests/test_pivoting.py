@@ -32,24 +32,12 @@ from repro.runtime.recovery import (
     escalate_config,
 )
 from repro.sparse.generators import helmholtz_3d, saddle_point_kkt
-from tests.conftest import tiny_blr_config
+from tests.conftest import ldlt_reconstruct, tiny_blr_config
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20170529)
-
-
-def _reconstruct(packed, perm, d21, hermitian):
-    """Rebuild P A Pᵀ from the kernel's packed output."""
-    n = packed.shape[0]
-    lmat = np.tril(packed, -1) + np.eye(n, dtype=packed.dtype)
-    d = np.diag(np.diag(packed)).astype(packed.dtype)
-    for j in np.flatnonzero(d21):
-        d[j + 1, j] = d21[j]
-        d[j, j + 1] = np.conj(d21[j]) if hermitian else d21[j]
-    lt = lmat.conj().T if hermitian else lmat.T
-    return lmat @ d @ lt
 
 
 class TestPivotKernel:
@@ -74,7 +62,7 @@ class TestPivotKernel:
         a[4, 4] = 0.0
         packed, perm, d21, stats = be.ldlt_pivot(a)
         assert sorted(perm.tolist()) == list(range(8))
-        rec = _reconstruct(packed, perm, d21, hermitian=False)
+        rec = ldlt_reconstruct(packed, perm, d21, hermitian=False)
         ap = a[np.ix_(perm, perm)]
         np.testing.assert_allclose(rec, ap, atol=1e-12 * np.abs(a).max())
         assert stats["swaps"] + stats["n2x2"] > 0
@@ -85,7 +73,7 @@ class TestPivotKernel:
         packed, perm, d21, stats = be.ldlt_pivot(a)
         assert stats["n2x2"] == 1
         assert d21[0] != 0.0
-        rec = _reconstruct(packed, perm, d21, hermitian=False)
+        rec = ldlt_reconstruct(packed, perm, d21, hermitian=False)
         np.testing.assert_allclose(rec, a[np.ix_(perm, perm)], atol=1e-14)
 
     def test_hermitian_reconstruction(self, rng):
@@ -95,7 +83,7 @@ class TestPivotKernel:
         a = m + m.conj().T
         a[0, 0] = 0.0
         packed, perm, d21, stats = be.ldlt_pivot(a)
-        rec = _reconstruct(packed, perm, d21, hermitian=True)
+        rec = ldlt_reconstruct(packed, perm, d21, hermitian=True)
         np.testing.assert_allclose(rec, a[np.ix_(perm, perm)],
                                    atol=1e-12 * np.abs(a).max())
 
@@ -249,7 +237,7 @@ class TestBitIdentityWithPivotingOff:
         # SPD matrix: threshold pivoting accepts every pivot in place, so
         # the factors must be bitwise identical to the static kernel's
         from repro.sparse.generators import laplacian_3d
-        from tests.test_recovery import factor_digest
+        from tests.pins import factor_digest
 
         a = laplacian_3d(6)
         digests = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import hermitian_congruence, tiny_blr_config
-from tests.test_recovery import factor_digest
+from tests.pins import factor_digest
 
 from repro.config import SolverConfig
 from repro.core import factor as factor_module

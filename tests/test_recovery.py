@@ -8,7 +8,6 @@ test at the bottom, which the CI chaos job runs.
 """
 
 import ast
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 from repro.config import SolverConfig
 from repro.core.refinement import classify_history
 from repro.core.solver import Solver
-from repro.lowrank.block import LowRankBlock
 from repro.runtime import recovery
 from repro.runtime.faults import FaultError, FaultInjector
 from repro.runtime.recovery import (
@@ -29,32 +27,7 @@ from repro.runtime.telemetry import Telemetry
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
-
-
-def factor_digest(fac):
-    """sha256 over every numerical array of the factors (order-stable).
-
-    Archive bytes are not comparable (zip timestamps), so bit-identity
-    assertions hash the factor *contents*.
-    """
-    h = hashlib.sha256()
-
-    def eat(arr):
-        if arr is not None:
-            h.update(np.ascontiguousarray(arr).tobytes())
-
-    for nc in fac.cblks:
-        eat(nc.diag)
-        eat(nc.lpanel)
-        eat(nc.upanel)
-        for blocks in (nc.lblocks, nc.ublocks):
-            for b in blocks or ():
-                if isinstance(b, LowRankBlock):
-                    eat(b.u)
-                    eat(b.v)
-                else:
-                    eat(b)
-    return h.hexdigest()
+from tests.pins import factor_digest
 
 
 def singular_identityish(n=12, zero_at=5):

@@ -1,6 +1,5 @@
 """Tests for factorization save/load."""
 
-import hashlib
 import json
 import zipfile
 
@@ -21,7 +20,7 @@ from repro.sparse.generators import (
     laplacian_3d,
 )
 from tests.conftest import tiny_blr_config
-from tests.test_recovery import factor_digest
+from tests.pins import array_digest, factor_digest
 
 
 def edit_header(path, member, edit):
@@ -45,6 +44,16 @@ def roundtrip(a, cfg, tmp_path, rng):
     s2 = Solver.load_factor(a, path)
     x2 = s2.solve(b)
     return s, s2, x1, x2, path
+
+
+def assert_loads_as(s, path, rng):
+    """The archive at ``path`` loads as ``s``: its config, its factor bits
+    and its solves."""
+    s2 = Solver.load_factor(s.a, path)
+    assert s2.config == s.config
+    assert factor_digest(s2.factor) == factor_digest(s.factor)
+    b = rng.standard_normal(s.a.n)
+    assert np.array_equal(s2.solve(b), s.solve(b))
 
 
 class TestRoundtrip:
@@ -176,11 +185,7 @@ class TestArchivesOutliveConfigFields:
         s, _, x1, _, path = roundtrip(a, self.cfg(), tmp_path, rng)
         edit_header(path, "header.json",
                     lambda h: h["config"].update(self.RETIRED))
-        s2 = Solver.load_factor(a, path)
-        assert s2.config == s.config
-        assert factor_digest(s2.factor) == factor_digest(s.factor)
-        b = rng.standard_normal(a.n)
-        assert np.array_equal(s2.solve(b), s.solve(b))
+        assert_loads_as(s, path, rng)
 
     def test_threaded_archive_loads_sequential(self, tmp_path, rng):
         """An archive saved on the retired worker pool stored its thread
@@ -193,8 +198,7 @@ class TestArchivesOutliveConfigFields:
         s2 = Solver.load_factor(a, path)
         assert s2.config == s.config and s2.config.threads == 1
         b = rng.standard_normal(a.n)
-        assert (hashlib.sha256(s2.solve(b).tobytes()).hexdigest()
-                == hashlib.sha256(s.solve(b).tobytes()).hexdigest())
+        assert array_digest(s2.solve(b)) == array_digest(s.solve(b))
 
     def test_narrowed_archive_loads_and_solves(self, tmp_path, rng):
         """What ``storage_dtype="float32"`` wrote: every off-diagonal block
@@ -234,11 +238,7 @@ class TestArchivesOutliveConfigFields:
         edit_header(path, "header.json",
                     lambda h: h["config"]["recovery"].update(
                         self.RETIRED_POLICY))
-        s2 = Solver.load_factor(a, path)
-        assert s2.config == s.config
-        assert factor_digest(s2.factor) == factor_digest(s.factor)
-        b = rng.standard_normal(a.n)
-        assert np.array_equal(s2.solve(b), s.solve(b))
+        assert_loads_as(s, path, rng)
 
     #: what an archive stored while ``variant`` pinned a loop order, and
     #: the options it loads under: ``cuf`` names minimal-memory, every
@@ -265,11 +265,7 @@ class TestArchivesOutliveConfigFields:
                                 tmp_path, rng)
         edit_header(path, "header.json", lambda h: h["config"].update(
             {"variant": None, "recompress_updates": True, **stored}))
-        s2 = Solver.load_factor(a, path)
-        assert s2.config == s.config
-        assert factor_digest(s2.factor) == factor_digest(s.factor)
-        b = rng.standard_normal(a.n)
-        assert np.array_equal(s2.solve(b), s.solve(b))
+        assert_loads_as(s, path, rng)
 
     @pytest.mark.parametrize("backend", [None, "numpy"])
     def test_stored_backend_loads(self, tmp_path, rng, backend):

@@ -7,7 +7,6 @@ nested spans — the same tree, edge for edge and attribute for attribute
 change a single bit of the computed factors.
 """
 
-import hashlib
 import json
 import time
 
@@ -19,26 +18,14 @@ from repro.core.solver import Solver
 from repro.runtime.spans import SpanProfiler, canonical_tree
 from repro.sparse.generators import laplacian_2d, laplacian_3d
 from tests.conftest import tiny_blr_config
+from tests.pins import factor_digest
+
 
 def profiled_solver(a, **overrides):
     prof = SpanProfiler()
     s = Solver(a, tiny_blr_config(profiler=prof, **overrides))
     s.factorize()
     return s, prof
-
-
-def factor_digest(solver):
-    h = hashlib.sha256()
-    for nc in solver.factor.cblks:
-        h.update(np.ascontiguousarray(nc.diag).tobytes())
-        for i in range(len(nc.sym.off_blocks())):
-            blk = nc.lblock(i)
-            if hasattr(blk, "u"):
-                h.update(np.ascontiguousarray(blk.u).tobytes())
-                h.update(np.ascontiguousarray(blk.v).tobytes())
-            else:
-                h.update(np.ascontiguousarray(blk).tobytes())
-    return h.hexdigest()
 
 
 class TestProfilerUnit:
@@ -166,7 +153,7 @@ class TestEngineEquivalence:
             s, prof = profiled_solver(a, strategy=strategy)
             assert prof.check_invariants() == [], strategy
             trees.append(canonical_tree(prof.events()))
-            digests.append(factor_digest(s))
+            digests.append(factor_digest(s.factor))
         assert trees[0] == trees[1]
         assert digests[0] == digests[1]
 
@@ -175,7 +162,7 @@ class TestEngineEquivalence:
         plain = Solver(a, tiny_blr_config(strategy="just-in-time"))
         plain.factorize()
         profiled, prof = profiled_solver(a, strategy="just-in-time")
-        assert factor_digest(plain) == factor_digest(profiled)
+        assert factor_digest(plain.factor) == factor_digest(profiled.factor)
         assert prof.check_invariants() == []
 
     def test_full_pipeline_phases_recorded(self):

@@ -20,7 +20,7 @@ from repro.symbolic.structure import (
     SymbolicFactor,
 )
 
-from tests.test_structure_golden import MATRICES, SETTINGS
+from tests.pins import MATRICES, SETTINGS
 
 OPTS = SymbolicOptions(cmin=8, split_size=32, split_min=16,
                        compress_min_width=12, compress_min_height=4)
@@ -366,16 +366,20 @@ def source_target_structures(draw):
     return SymbolicFactor(n, [src, tgt, rest])
 
 
+def zoo_structure(case):
+    name, ordering, setting = case
+    a, coords = MATRICES[name]()
+    assume(ordering != "geometric" or coords is not None)
+    opts = SymbolicOptions(**{**SETTINGS[setting].__dict__,
+                              "ordering": ordering})
+    return symbolic_factorization(a, opts, coords=coords)[0]
+
+
 class TestLandingMap:
     @settings(max_examples=len(ZOO_CASES), deadline=None)
     @given(st.sampled_from(ZOO_CASES))
     def test_matches_find_blocks_over_the_zoo(self, case):
-        name, ordering, setting = case
-        a, coords = MATRICES[name]()
-        assume(ordering != "geometric" or coords is not None)
-        opts = SymbolicOptions(**{**SETTINGS[setting].__dict__,
-                                  "ordering": ordering})
-        symb, _ = symbolic_factorization(a, opts, coords=coords)
+        symb = zoo_structure(case)
         assert assert_landing_matches_reference(symb) > 0
 
     @settings(max_examples=300, deadline=None)
@@ -386,12 +390,7 @@ class TestLandingMap:
     @settings(max_examples=len(ZOO_CASES), deadline=None)
     @given(st.sampled_from(ZOO_CASES))
     def test_update_entries_match_per_block_loop_over_the_zoo(self, case):
-        name, ordering, setting = case
-        a, coords = MATRICES[name]()
-        assume(ordering != "geometric" or coords is not None)
-        opts = SymbolicOptions(**{**SETTINGS[setting].__dict__,
-                                  "ordering": ordering})
-        symb, _ = symbolic_factorization(a, opts, coords=coords)
+        symb = zoo_structure(case)
         assert assert_update_entries_match_per_block_loop(symb) > 0
 
     @settings(max_examples=100, deadline=None)

@@ -23,7 +23,7 @@ from repro.runtime import recovery
 from repro.runtime.recovery import RecoveryPolicy, escalate_config
 from repro.sparse.generators import convection_diffusion_3d, laplacian_3d
 from tests.conftest import tiny_blr_config
-from tests.test_recovery import factor_digest
+from tests.pins import factor_digest
 
 #: the two BLR strategies; the test ids are the literature's names for
 #: their loop orders (Compress-Update-Factor, Update-Compress-Factor)
