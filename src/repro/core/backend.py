@@ -18,10 +18,16 @@ Two distinct numerical contracts coexist here, and the split is the whole
 design:
 
 * **Factorization kernels** (``gemm``/``trsm``/``getrf``/``potrf``/
-  ``ldlt``) wrap BLAS/LAPACK exactly the way the seed code did —
-  same call patterns, same transpose tricks — so a float64 factorization
-  is *bit-identical* to the seed solver (the conformance suite pins
-  sha256 digests on this).
+  ``ldlt``) call BLAS/LAPACK with fixed call patterns and transpose
+  tricks, so a factorization repeats bit for bit
+  (``tests/golden/pins.json`` holds its sha256 digests).  ``trsm``
+  calls LAPACK ``?trtrs`` (:func:`trtrs_routine`, bound once per dtype
+  pair) and ``getrf`` calls ``?getrf`` (:func:`getrf_routine`, once per
+  dtype) on each 64-wide diagonal tile.  A ``?getrf`` tile is kept only
+  when it is the statically pivoted LU — ``info == 0``, no row
+  interchanged, every ``|U_kk|`` at or above the static-pivot floor — so
+  it differs from the scalar elimination :func:`_lu_nopivot` only by
+  rounding; any other block is that elimination's result, bit for bit.
 
 * **Solve products** (``trtrs_rows`` / ``stable_gemv`` / ``lr_gemv``) are
   **column-stable**: right-hand side ``j`` of the result depends only on
@@ -44,8 +50,9 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 
-__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend", "lr_gemv",
-           "stable_gemv", "trtrs_routine", "trtrs_rows"]
+__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend",
+           "getrf_routine", "lr_gemv", "stable_gemv", "trtrs_routine",
+           "trtrs_rows"]
 
 
 # ----------------------------------------------------------------------
@@ -110,40 +117,83 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
 # the diagonal-block factorizations (static pivoting)
 # ----------------------------------------------------------------------
 
-def _lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
-                ) -> Tuple[np.ndarray, int]:
-    """LU without row pivoting (static pivoting), LAPACK packed layout."""
+@functools.lru_cache(maxsize=None)
+def getrf_routine(dtype: np.dtype) -> Callable[..., Any]:
+    """LAPACK ``?getrf`` for blocks of this dtype, looked up once."""
+    return get_lapack_funcs(("getrf",), (np.empty(0, dtype=dtype),))[0]
+
+
+#: width of the diagonal tiles of the blocked LU (its BLAS-3 payoff)
+_LU_TILE = 64
+
+#: a tile kernel factors ``lu[k0:k1, k0:k1]`` in place against the static
+#: pivot floor and returns its perturbation count, or -1 to refuse the tile
+TileKernel = Callable[[np.ndarray, int, int, float], int]
+
+
+def _scalar_tile(lu: np.ndarray, k0: int, k1: int, floor: float) -> int:
+    """Static pivoting itself: eliminate the tile column by column,
+    raising every pivot below ``floor`` to it (keeping its sign, or a
+    complex pivot's phase)."""
+    nperturbed = 0
+    for k in range(k0, k1):
+        piv = lu[k, k]
+        if abs(piv) < floor:
+            if lu.dtype.kind == "c":
+                # keep the complex phase (floor for an exact zero)
+                piv = floor if piv == 0 else piv / abs(piv) * floor
+            else:
+                piv = floor if piv >= 0 else -floor
+            lu[k, k] = piv
+            nperturbed += 1
+        if k + 1 < k1:
+            lu[k + 1:k1, k] /= piv
+            lu[k + 1:k1, k + 1:k1] -= np.outer(lu[k + 1:k1, k],
+                                               lu[k, k + 1:k1])
+    return nperturbed
+
+
+def _lapack_tile(lu: np.ndarray, k0: int, k1: int, floor: float) -> int:
+    """The tile by LAPACK ``?getrf``, kept only when it *is* the statically
+    pivoted LU: ``info == 0``, no row interchanged and no ``|U_kk|`` under
+    ``floor``.  Otherwise -1 (also for a dtype LAPACK has no routine for),
+    and ``lu`` is left as it was."""
+    getrf = getrf_routine(lu.dtype)
+    if getrf.dtype != lu.dtype:
+        return -1
+    out, piv, info = getrf(lu[k0:k1, k0:k1])
+    if (info != 0 or piv.tolist() != list(range(k1 - k0))
+            or not np.abs(out.diagonal()).min() >= floor):
+        return -1
+    lu[k0:k1, k0:k1] = out
+    return 0
+
+
+def _lu_blocked(a: np.ndarray, pivot_threshold: float,
+                tile: TileKernel) -> Tuple[np.ndarray, int]:
+    """Right-looking LU without row pivoting of a copy of ``a``, LAPACK
+    packed layout: each ``_LU_TILE``-wide diagonal tile by ``tile`` against
+    the static-pivot floor ``pivot_threshold · max |a_kk|``, then the panel
+    solves and the trailing update.  Returns ``(lu, nperturbed)``, with
+    ``nperturbed == -1`` as soon as ``tile`` refuses a tile."""
     lu = np.array(a, copy=True)
     if lu.dtype.kind not in "fc":
         lu = lu.astype(np.float64)
     n = lu.shape[0]
     if lu.shape[1] != n:
         raise ValueError("diagonal block must be square")
-    max_diag = float(np.abs(np.diag(lu)).max())
+    max_diag = float(np.abs(lu.diagonal()).max())
     floor = pivot_threshold * (max_diag if max_diag > 0 else 1.0)
     nperturbed = 0
-    # blocked right-looking elimination; block size tuned for BLAS3 payoff
-    bs = 64
-    for k0 in range(0, n, bs):
-        k1 = min(k0 + bs, n)
-        # factor the diagonal sub-block with scalar loop + static pivoting
-        for k in range(k0, k1):
-            piv = lu[k, k]
-            if abs(piv) < floor:
-                if lu.dtype.kind == "c":
-                    # keep the complex phase (floor for an exact zero)
-                    piv = floor if piv == 0 else piv / abs(piv) * floor
-                else:
-                    piv = floor if piv >= 0 else -floor
-                lu[k, k] = piv
-                nperturbed += 1
-            if k + 1 < k1:
-                lu[k + 1:k1, k] /= piv
-                lu[k + 1:k1, k + 1:k1] -= np.outer(lu[k + 1:k1, k],
-                                                   lu[k, k + 1:k1])
+    for k0 in range(0, n, _LU_TILE):
+        k1 = min(k0 + _LU_TILE, n)
+        count = tile(lu, k0, k1, floor)
+        if count < 0:
+            return lu, -1
+        nperturbed += count
         if k1 < n:
             diag = lu[k0:k1, k0:k1]
-            # panel solves against the factored sub-block
+            # panel solves against the factored tile
             lu[k0:k1, k1:] = _solve_triangular(
                 diag, lu[k0:k1, k1:], lower=True, unit_diagonal=True)
             lu[k1:, k0:k1] = _solve_triangular(
@@ -151,6 +201,27 @@ def _lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
             # trailing update (the BLAS3 payload)
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return lu, nperturbed
+
+
+def _lu_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
+                ) -> Tuple[np.ndarray, int]:
+    """LU without row pivoting (static pivoting), LAPACK packed layout:
+    the scalar elimination that defines it, tile by tile."""
+    return _lu_blocked(a, pivot_threshold, _scalar_tile)
+
+
+def _lu_static(a: np.ndarray, pivot_threshold: float = 1e-14
+               ) -> Tuple[np.ndarray, int]:
+    """:func:`_lu_nopivot`, each diagonal tile by LAPACK ``?getrf`` when
+    that tile needs no interchange and no perturbation: the same
+    factorization up to rounding, with ``nperturbed == 0``.  Any other
+    block gets :func:`_lu_nopivot`'s result, bit for bit.
+
+    The tiles keep a wide block's bits independent of the BLAS thread
+    count: OpenBLAS factors a block of 10 000 entries or more on several
+    threads, which rounds differently from its serial ``getrf``."""
+    lu, nperturbed = _lu_blocked(a, pivot_threshold, _lapack_tile)
+    return (lu, 0) if nperturbed == 0 else _lu_nopivot(a, pivot_threshold)
 
 
 def _cholesky_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
@@ -543,9 +614,11 @@ class Kernels:
 
     def getrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:
-        """Statically-pivoted LU of a diagonal block; ``(lu, nperturbed)``."""
+        """Statically-pivoted LU of a diagonal block; ``(lu, nperturbed)``
+        (LAPACK ``?getrf`` per tile where it needs no interchange and no
+        perturbation, see :func:`_lu_static`)."""
         self.tick("getrf")
-        return _lu_nopivot(a, pivot_threshold)
+        return _lu_static(a, pivot_threshold)
 
     def potrf(self, a: np.ndarray, pivot_threshold: float = 1e-14
               ) -> Tuple[np.ndarray, int]:

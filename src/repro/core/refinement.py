@@ -233,9 +233,13 @@ def gmres(a: CSCMatrix, b: np.ndarray,
 
     Right preconditioning keeps the monitored residual equal to the true
     residual of ``A x = b``, so the recorded history is directly the
-    backward error of Figure 8.  Complex systems use the Hermitian inner
-    product in the Gram-Schmidt sweep and apply each Givens rotation's
-    adjoint (LAPACK ``zrotg`` convention: real cosines, conjugated sines).
+    backward error of Figure 8.  Each cycle keeps the ``z_j = M⁻¹ v_j``
+    its Arnoldi steps computed and updates ``x += Z y`` (flexible-GMRES
+    bookkeeping): ``precond`` runs once per iteration, and for a linear
+    ``precond`` the iterate is ``x + M⁻¹ (V y)`` up to rounding.  Complex
+    systems use the Hermitian inner product in the Gram-Schmidt sweep and
+    apply each Givens rotation's adjoint (LAPACK ``zrotg`` convention: real
+    cosines, conjugated sines).
 
     Panel right-hand sides run column by column (the Krylov space is
     per-column by nature) and merge into one panel result.
@@ -268,10 +272,12 @@ def gmres(a: CSCMatrix, b: np.ndarray,
         g = np.zeros(m + 1, dtype=dt)
         g[0] = beta
         v[0] = r / beta
+        # z_j = M⁻¹ v_j, kept for x += Z y: no solve of V y at the end
+        zs: List[np.ndarray] = []
         j_used = 0
         for j in range(m):
-            z = m_op(v[j])
-            w = a.matvec(z)
+            zs.append(m_op(v[j]))
+            w = a.matvec(zs[-1])
             # modified Gram-Schmidt (Hermitian inner product when complex)
             for i in range(j + 1):
                 # solverlint: ignore[python-hot-loop] -- MGS recurrence: each h[i,j] depends on the w updated by the previous i
@@ -327,8 +333,7 @@ def gmres(a: CSCMatrix, b: np.ndarray,
         # solve the small triangular system and update x
         if j_used:
             y = np.linalg.solve(h[:j_used, :j_used], g[:j_used])
-            z = m_op(v[:j_used].T @ y)
-            x = x + z
+            x = x + np.stack(zs, axis=1) @ y
         # replace the Arnoldi residual estimate with the true backward error
         res.history[-1] = _backward_error(a, x, b, norm_b)
         if beta / norm_b <= res.history[-1] * (1.0 + 1e-12):

@@ -10,18 +10,23 @@ Pivoting uses the classical partial-column-norm downdating with the LAPACK
 safeguard (recompute a column norm exactly when cancellation has destroyed
 the downdated estimate).
 
-The solver itself runs :func:`rrqr_lapack` (``dgeqp3`` then truncation):
-the compression of :func:`rrqr_compress` and the recompressions of
-:mod:`repro.lowrank.recompress` both call it.  The early-exit loop
+The solver itself runs :func:`rrqr_lapack` (LAPACK ``?geqp3``, truncation,
+then ``?orgqr`` / ``?ungqr`` for a kept block only): the compression of
+:func:`rrqr_compress`, the product cores of :func:`repro.lowrank.kernels.
+lr_product` and the recompressions of :mod:`repro.lowrank.recompress` all
+call it.  The early-exit loop
 :func:`rrqr` is kept for ``benchmarks/bench_table1_complexity.py``, which
 measures its Θ(m·n·r) work, and for its own tests.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import functools
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from repro.lowrank.block import LowRankBlock
 
@@ -177,10 +182,35 @@ def _form_q(vs: np.ndarray, taus: np.ndarray, m: int, rank: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=None)
+def qr_routines(dtype: np.dtype) -> Tuple[Callable[..., Any],
+                                         Callable[..., Any]]:
+    """LAPACK ``(?geqp3, ?orgqr)`` (``?ungqr`` for complex) for blocks of
+    this dtype — the routines ``scipy.linalg.qr`` looks up again on every
+    call."""
+    geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"),
+                                    (np.empty(0, dtype=dtype),))
+    return geqp3, orgqr
+
+
+@functools.lru_cache(maxsize=None)
+def _qr_lwork(dtype: np.dtype, m: int, n: int) -> Tuple[int, int]:
+    """Optimal workspace sizes of ``?geqp3`` on an ``m × n`` block and of
+    ``?orgqr`` forming its ``m × min(m, n)`` Q: the sizes
+    ``scipy.linalg.qr`` queries on every call.  The blocked routines round
+    by their workspace, so the same sizes give the same bits."""
+    geqp3, orgqr = qr_routines(dtype)
+    k = min(m, n)
+    work = geqp3(np.zeros((m, n), dtype=dtype, order="F"), lwork=-1)[-2]
+    qwork = orgqr(np.zeros((m, k), dtype=dtype, order="F"),
+                  np.zeros(k, dtype=dtype), lwork=-1)[-2]
+    return int(work[0].real), int(qwork[0].real)
+
+
 def rrqr_lapack(a: np.ndarray, tol: float,
                 max_rank: Optional[int] = None,
                 norm_ref: Optional[float] = None) -> RRQRResult:
-    """Truncated RRQR via LAPACK ``dgeqp3`` (scipy's pivoted QR).
+    """Truncated RRQR via LAPACK ``?geqp3``, then ``?orgqr`` / ``?ungqr``.
 
     LAPACK computes the *full* pivoted factorization — it cannot stop at the
     revealed rank like :func:`rrqr` — but it runs at C speed, which at
@@ -190,28 +220,47 @@ def rrqr_lapack(a: np.ndarray, tol: float,
     :func:`rrqr` to demonstrate the Θ(m·n·r) behaviour the paper relies
     on).  Truncation picks the smallest r with
     ``||R[r:, :]||_F <= tol ||a||_F``.
-    """
-    import scipy.linalg as sla
 
+    Both routines are bound once per dtype (:func:`qr_routines`) and their
+    workspace sizes cached per shape.  Q is formed only for a block that is
+    kept (rank within ``max_rank``), from all ``min(m, n)`` reflectors and
+    then sliced to the rank: ``q``, ``r`` and ``jpvt`` are
+    ``scipy.linalg.qr(a, mode="economic", pivoting=True)`` truncated, bit
+    for bit.  A LAPACK failure raises ``LinAlgError``, which the
+    compression keeps dense (``compress_failure``).
+    """
     m, n = a.shape
-    q, r, jpvt = sla.qr(a, mode="economic", pivoting=True,
-                        check_finite=False)
+    k = min(m, n)
+    if a.size == 0:
+        return RRQRResult(q=np.empty_like(a, shape=(m, 0)),
+                          r=np.empty_like(a, shape=(0, n)),
+                          jpvt=np.arange(n, dtype=np.int64), converged=True)
+    geqp3, orgqr = qr_routines(a.dtype)
+    lwork, qlwork = _qr_lwork(a.dtype, m, n)
+    qr, jpvt, tau, _, info = geqp3(a, lwork=lwork)
+    if info:
+        raise LinAlgError(f"geqp3 failed (info={info})")
+    r = np.triu(qr[:k])
     # Frobenius tail of discarding rows >= rank
     row_sq = np.einsum("ij,ij->i", r.conj(), r).real
     tail = np.sqrt(np.maximum(np.cumsum(row_sq[::-1])[::-1], 0.0))
-    norm_a = float(tail[0]) if tail.size else 0.0
+    norm_a = float(tail[0])
     scale = max(norm_a, norm_ref or 0.0)
     if scale == 0.0:
         rank = 0
     else:
         ok = np.flatnonzero(tail <= tol * scale)
-        rank = int(ok[0]) if ok.size else int(r.shape[0])
+        rank = int(ok[0]) if ok.size else k
+    jpvt = jpvt.astype(np.int64) - 1  # geqp3 numbers columns from 1
     if max_rank is not None and rank > max_rank:
-        return RRQRResult(q=q[:, :0], r=r[:0], jpvt=jpvt.astype(np.int64),
-                          converged=False)
+        return RRQRResult(q=np.empty((m, 0), dtype=qr.dtype), r=r[:0],
+                          jpvt=jpvt, converged=False)
+    q, _, info = orgqr(qr[:, :k], tau, lwork=qlwork, overwrite_a=True)
+    if info:
+        raise LinAlgError(f"orgqr failed (info={info})")
     return RRQRResult(q=np.ascontiguousarray(q[:, :rank]),
                       r=np.ascontiguousarray(r[:rank]),
-                      jpvt=jpvt.astype(np.int64), converged=True)
+                      jpvt=jpvt, converged=True)
 
 
 def rrqr_compress(a: np.ndarray, tol: float,

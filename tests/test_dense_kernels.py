@@ -4,6 +4,7 @@ their flop models."""
 import numpy as np
 import pytest
 
+from repro.core import backend
 from repro.core.backend import KERNELS
 from repro.core.dense_kernels import (
     getrf_flops,
@@ -43,6 +44,148 @@ class TestLuNoPivot:
         a0 = a.copy()
         KERNELS.getrf(a)
         np.testing.assert_array_equal(a, a0)
+
+
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+
+#: kind of diagonal block -> does LAPACK's partial pivoting interchange a
+#: row or meet a pivot under the static floor (so the loop must run)?
+KINDS = {
+    "dominant": False,      # diagonally dominant: no interchange
+    "interchange": True,    # |a10| > |a00| and every pivot large
+    "singular": True,       # exactly singular (LAPACK info > 0)
+    "subfloor": True,       # a pivot under the floor, no interchange
+}
+
+
+def _block(kind, dtype, n, rng):
+    a = rng.standard_normal((n, n))
+    if np.dtype(dtype).kind == "c":
+        a = a + 1j * rng.standard_normal((n, n))
+    a += 4 * n * np.eye(n)
+    if kind == "interchange":
+        a[0, 0], a[1, 0] = 0.5, 8 * n
+    elif kind == "singular":
+        a[:, 1] = 0.0
+    elif kind == "subfloor":
+        a[2, :] = a[:, 2] = 0.0
+        a[2, 2] = 1e-30  # under 1e-14 · max|a_kk|, nothing below it
+    return a.astype(dtype)
+
+
+def _scalar_calls(monkeypatch):
+    """Count the tiles the scalar loop (the fallback) factors."""
+    calls = []
+    real = backend._scalar_tile
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(backend, "_scalar_tile", spy)
+    return calls
+
+
+class TestGetrfFastPath:
+    """``Kernels.getrf`` takes LAPACK ``getrf`` per diagonal tile when that
+    tile is the statically pivoted LU, and the scalar loop otherwise."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_fallback_exactly_when_pivoting_is_needed(
+            self, rng, monkeypatch, dtype, kind, order):
+        n = 24
+        a = np.array(_block(kind, dtype, n, rng), order=order)
+        a0 = a.copy()
+        ref, ref_nperturbed = backend._lu_nopivot(a)
+        calls = _scalar_calls(monkeypatch)
+        lu, nperturbed = KERNELS.getrf(a)
+        np.testing.assert_array_equal(a, a0)  # the input is not modified
+        assert lu.dtype == ref.dtype
+        assert bool(calls) == KINDS[kind]
+        if calls:
+            np.testing.assert_array_equal(lu, ref)
+            assert nperturbed == ref_nperturbed
+            assert (nperturbed > 0) == (kind != "interchange")
+        else:
+            assert nperturbed == 0
+            l_mat = np.tril(lu, -1) + np.eye(n, dtype=lu.dtype)
+            eps = np.finfo(lu.dtype).eps
+            np.testing.assert_allclose(
+                l_mat @ np.triu(lu), a, rtol=0,
+                atol=8 * n * eps * np.abs(a).max())
+
+    @pytest.mark.parametrize("n", [64, 65, 130])
+    def test_every_tile_by_lapack_on_a_wide_block(self, rng, monkeypatch,
+                                                  n):
+        a = _block("dominant", np.float64, n, rng)
+        calls = _scalar_calls(monkeypatch)
+        lu, nperturbed = KERNELS.getrf(a)
+        assert not calls and nperturbed == 0
+        np.testing.assert_allclose(np.tril(lu, -1) @ np.triu(lu)
+                                   + np.triu(lu), a, rtol=0,
+                                   atol=1e-12 * n * np.abs(a).max())
+
+    def test_refused_late_tile_restarts_the_loop(self, rng, monkeypatch):
+        """A block whose second tile needs an interchange is the loop's
+        result bit for bit, although its first tile was LAPACK's."""
+        a = _block("dominant", np.float64, 100, rng)
+        a[70, 70] = 0.0  # Schur complement pivot ~0, larger entries below
+        ref = backend._lu_nopivot(a)
+        lapack, real = [], backend._lapack_tile
+
+        def lapack_spy(*args):
+            lapack.append(real(*args))
+            return lapack[-1]
+
+        monkeypatch.setattr(backend, "_lapack_tile", lapack_spy)
+        calls = _scalar_calls(monkeypatch)
+        lu, nperturbed = KERNELS.getrf(a)
+        assert lapack == [0, -1]  # first tile kept, second refused
+        assert calls[0] == (0, 64)  # the loop ran from the first tile
+        np.testing.assert_array_equal(lu, ref[0])
+        assert nperturbed == ref[1]
+
+    @pytest.mark.parametrize("where", [(0, 0), (5, 5), (23, 0), (0, 23)])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_nan_entry_propagates(self, rng, dtype, where):
+        a = _block("dominant", dtype, 24, rng)
+        a[where] = np.nan
+        a0 = a.copy()
+        with np.errstate(invalid="ignore"):
+            lu, _ = KERNELS.getrf(a)
+        np.testing.assert_array_equal(a, a0)
+        assert not np.isfinite(lu).all()
+
+    def test_nan_factor_sentinel_fires(self, monkeypatch):
+        """A NaN that reaches the diagonal factorization (the input
+        sentinel switched off) is caught by the post-factor sentinel."""
+        import repro.core.factorization as factorization
+        from repro import Solver
+        from repro.runtime.faults import FaultInjector
+        from repro.runtime.recovery import NumericalBreakdown, RecoveryPolicy
+        from repro.sparse.generators import laplacian_3d
+        from tests.conftest import tiny_blr_config
+
+        monkeypatch.setattr(factorization, "_breakdown_check_input",
+                            lambda fac, k: None)
+        s = Solver(laplacian_3d(5), tiny_blr_config(
+            strategy="dense", recovery=RecoveryPolicy(max_retries=0)))
+        root = len(s.analyze().cblks) - 1  # no off-diagonal block
+        inj = FaultInjector()
+        inj.nan_in_panel(root)  # poisons its diagonal block
+        with pytest.raises(NumericalBreakdown) as ei:
+            s.factorize(faults=inj)
+        assert (ei.value.cause, ei.value.cblk) == ("nan-factor", root)
+
+    def test_dtype_without_a_lapack_routine_takes_the_loop(self, rng,
+                                                            monkeypatch):
+        a = _block("dominant", np.float16, 6, rng)
+        calls = _scalar_calls(monkeypatch)
+        lu, _ = KERNELS.getrf(a)
+        assert calls and lu.dtype == np.float16
+        np.testing.assert_array_equal(lu, backend._lu_nopivot(a)[0])
 
 
 class TestCholeskyNoPivot:

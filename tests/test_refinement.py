@@ -15,7 +15,7 @@ from repro.sparse.generators import (
     laplacian_2d,
     laplacian_3d,
 )
-from tests.conftest import tiny_blr_config
+from tests.conftest import hermitian_congruence, tiny_blr_config
 
 
 def exact_precond(a):
@@ -68,6 +68,119 @@ class TestGmres:
         x0 = np.linalg.solve(a.to_dense(), b)
         res = gmres(a, b, x0=x0, tol=1e-10, maxiter=5)
         assert res.history[0] <= 1e-10
+
+
+def _approx_precond(a, seed=5, delta=0.005):
+    """``M⁻¹`` of a perturbed ``A`` (Hermitian perturbation when ``A`` is):
+    a linear preconditioner GMRES needs a handful of iterations with."""
+    dense = a.to_dense()
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(dense.shape)
+    if dense.dtype.kind == "c":
+        e = e + 1j * rng.standard_normal(dense.shape)
+        e = (e + e.conj().T) / 2
+    inv = np.linalg.inv(dense + delta * np.abs(dense).max() * e)
+    return lambda r: inv @ r
+
+
+def _counting(precond):
+    calls = []
+
+    def counted(r):
+        calls.append(np.shape(r))
+        return precond(r)
+
+    return counted, calls
+
+
+def _reference_gmres(a, b, precond, tol, maxiter, restart):
+    """Right-preconditioned restarted GMRES updating ``x += M⁻¹ (V y)``
+    (one preconditioner solve more per cycle), its least-squares problem
+    solved by ``lstsq``: ``(x, history, iterations, cycles)``."""
+    norm_b = np.linalg.norm(b)
+    x = np.zeros(a.n, dtype=np.result_type(a.values, b))
+    hist = [np.linalg.norm(b - a.matvec(x)) / norm_b]
+    total = cycles = 0
+    while total < maxiter and hist[-1] > tol:
+        r = b - a.matvec(x)
+        beta = np.linalg.norm(r)
+        m = min(restart, maxiter - total)
+        v = [r / beta]
+        h = np.zeros((m + 1, m), dtype=x.dtype)
+        for j in range(m):
+            w = a.matvec(precond(v[j]))
+            for i in range(j + 1):
+                h[i, j] = np.vdot(v[i], w)
+                w = w - h[i, j] * v[i]
+            h[j + 1, j] = np.linalg.norm(w)
+            v.append(w / h[j + 1, j])
+            e1 = np.zeros(j + 2, dtype=x.dtype)
+            e1[0] = beta
+            y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
+            total += 1
+            hist.append(np.linalg.norm(e1 - h[:j + 2, :j + 1] @ y) / norm_b)
+            if hist[-1] <= tol or total >= maxiter:
+                break
+        x = x + precond(np.array(v[:len(y)]).T @ y)
+        cycles += 1
+        hist[-1] = np.linalg.norm(b - a.matvec(x)) / norm_b
+        if beta / norm_b <= hist[-1] * (1.0 + 1e-12):
+            break
+    return x, hist, total, cycles
+
+
+GMRES_SYSTEMS = {
+    "real": lambda: convection_diffusion_3d(4, peclet=0.7),
+    "hermitian": lambda: hermitian_congruence(laplacian_2d(7)),
+}
+
+
+class TestGmresPreconditionerCount:
+    """GMRES keeps ``z_j = M⁻¹ v_j`` and updates ``x += Z y``: one
+    preconditioner solve per iteration, where ``x += M⁻¹ (V y)`` took one
+    more per restart cycle — and the same iterate up to rounding."""
+
+    @pytest.mark.parametrize("restart,maxiter,tol", [
+        (30, 20, 1e-10),   # one cycle, converges
+        (3, 20, 1e-10),    # several cycles
+        (1, 12, 1e-10),    # one Arnoldi step per cycle
+        (3, 5, 1e-30),     # maxiter reached in the middle of a cycle
+    ])
+    @pytest.mark.parametrize("system", sorted(GMRES_SYSTEMS))
+    def test_one_solve_per_iteration(self, rng, system, restart, maxiter,
+                                     tol):
+        a = GMRES_SYSTEMS[system]()
+        b = rng.standard_normal(a.n)
+        precond = _approx_precond(a)
+        counted, calls = _counting(precond)
+        res = gmres(a, b, precond=counted, tol=tol, maxiter=maxiter,
+                    restart=restart)
+        ref_counted, ref_calls = _counting(precond)
+        x_ref, hist_ref, iters_ref, cycles = _reference_gmres(
+            a, b, ref_counted, tol, maxiter, restart)
+        assert len(calls) == res.iterations == iters_ref
+        assert len(ref_calls) == iters_ref + cycles
+        assert cycles > (restart < iters_ref)
+        np.testing.assert_allclose(res.history, hist_ref, rtol=1e-6,
+                                   atol=1e-13)
+        np.testing.assert_allclose(res.x, x_ref, rtol=0,
+                                   atol=1e-10 * np.abs(x_ref).max())
+        if tol < 1e-20:  # cannot converge: stops at maxiter
+            assert res.iterations == maxiter and not res.converged
+
+    def test_panel_rhs_runs_each_column_once_per_iteration(self, rng):
+        a = GMRES_SYSTEMS["real"]()
+        b = rng.standard_normal((a.n, 3))
+        counted, calls = _counting(_approx_precond(a))
+        res = gmres(a, b, precond=counted, tol=1e-10, maxiter=20, restart=3)
+        singles = [gmres(a, np.ascontiguousarray(b[:, j]),
+                         precond=_approx_precond(a), tol=1e-10, maxiter=20,
+                         restart=3) for j in range(3)]
+        assert len(calls) == sum(s.iterations for s in singles)
+        assert all(shape == (a.n,) for shape in calls)
+        for j, single in enumerate(singles):
+            np.testing.assert_array_equal(res.x[:, j], single.x)
+            assert res.col_history[j] == single.history
 
 
 class TestConjugateGradient:

@@ -1,5 +1,7 @@
 """Tests for the RRQR compression kernel (both implementations)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,138 @@ class TestDtypePreservation:
         res = rrqr(a, 1e-10)
         assert res.q.dtype == np.float64
         assert res.r.dtype == np.float64
+
+
+def _scipy_rrqr(a, tol, max_rank=None, norm_ref=None):
+    """The reference: ``scipy.linalg.qr`` (economic, pivoted), truncated
+    as ``rrqr_lapack`` truncates."""
+    import scipy.linalg as sla
+
+    q, r, jpvt = sla.qr(a, mode="economic", pivoting=True,
+                        check_finite=False)
+    row_sq = np.einsum("ij,ij->i", r.conj(), r).real
+    tail = np.sqrt(np.maximum(np.cumsum(row_sq[::-1])[::-1], 0.0))
+    norm_a = float(tail[0]) if tail.size else 0.0
+    scale = max(norm_a, norm_ref or 0.0)
+    if scale == 0.0:
+        rank = 0
+    else:
+        ok = np.flatnonzero(tail <= tol * scale)
+        rank = int(ok[0]) if ok.size else int(r.shape[0])
+    if max_rank is not None and rank > max_rank:
+        return q[:, :0], r[:0], jpvt.astype(np.int64), False
+    return (np.ascontiguousarray(q[:, :rank]),
+            np.ascontiguousarray(r[:rank]), jpvt.astype(np.int64), True)
+
+
+def _shaped(kind, m, n, dtype, rng):
+    if kind == "zero":
+        a = np.zeros((m, n))
+    elif kind == "deficient":
+        a = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    else:
+        a = random_lowrank(rng, m, n, min(m, n), decay=0.6)
+    if np.dtype(dtype).kind == "c":
+        a = a + 1j * random_lowrank(rng, m, n, min(m, n), decay=0.6)
+    return a.astype(dtype)
+
+
+RRQR_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+SHAPES = {"tall": (40, 12), "wide": (12, 40), "square": (20, 20),
+          "row": (1, 9), "column": (9, 1)}
+
+
+class TestBoundRoutinesMatchScipy:
+    """``rrqr_lapack`` calls the bound ``?geqp3`` / ``?orgqr`` itself; its
+    ``q``, ``r``, ``jpvt`` and ``converged`` are scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["decaying", "deficient", "zero"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("dtype", RRQR_DTYPES,
+                             ids=lambda d: np.dtype(d).name)
+    def test_bit_identical(self, rng, dtype, shape, kind):
+        a = _shaped(kind, *SHAPES[shape], dtype, rng)
+        for order, tol, max_rank, norm_ref in itertools.product(
+                "CF", (1e-2, 1e-6), (None, 2), (None, 1e3)):
+            block = np.array(a, order=order)
+            want = _scipy_rrqr(block, tol, max_rank, norm_ref)
+            got = rrqr_lapack(block, tol, max_rank, norm_ref)
+            for w, g in zip(want[:3], got[:3]):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
+            assert got.converged == want[3]
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_block(self, shape):
+        a = np.zeros(shape)
+        want, got = _scipy_rrqr(a, 1e-8), rrqr_lapack(a, 1e-8)
+        for w, g in zip(want[:3], got[:3]):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+        assert got.converged
+
+    def test_rejected_call_never_forms_q(self, rng, monkeypatch):
+        import importlib
+
+        rrqr_mod = importlib.import_module("repro.lowrank.rrqr")
+        real = rrqr_mod.qr_routines
+        formed = []
+
+        def spying(dtype):
+            geqp3, orgqr = real(dtype)
+
+            def orgqr_spy(*args, **kwargs):
+                if kwargs.get("lwork") != -1:  # not a workspace query
+                    formed.append(args[0].shape)
+                return orgqr(*args, **kwargs)
+
+            return geqp3, orgqr_spy
+
+        monkeypatch.setattr(rrqr_mod, "qr_routines", spying)
+        rrqr_mod._qr_lwork.cache_clear()
+        a = rng.standard_normal((16, 16))
+        rejected = rrqr_mod.rrqr_lapack(a, 1e-14, max_rank=4)
+        assert not rejected.converged and rejected.q.shape == (16, 0)
+        assert formed == []
+        kept = rrqr_mod.rrqr_lapack(random_lowrank(rng, 16, 16, 3), 1e-8,
+                                    max_rank=4)
+        assert kept.converged and formed == [(16, 16)]
+        rrqr_mod._qr_lwork.cache_clear()
+
+    def test_lapack_failure_is_a_compress_failure(self, monkeypatch):
+        """A failing bound ``geqp3`` raises ``LinAlgError``: the block stays
+        dense and the run records a ``compress_failure`` with no policy."""
+        import importlib
+
+        from repro import Solver
+        from repro.sparse.generators import laplacian_3d
+        from tests.conftest import tiny_blr_config
+
+        rrqr_mod = importlib.import_module("repro.lowrank.rrqr")
+        real = rrqr_mod.qr_routines
+        calls = []
+
+        def failing_once(dtype):
+            geqp3, orgqr = real(dtype)
+
+            def geqp3_fails(a, lwork):
+                out = geqp3(a, lwork=lwork)
+                if lwork == -1:  # a workspace query
+                    return out
+                calls.append(a.shape)
+                return (*out[:-1], -1 if len(calls) == 1 else out[-1])
+
+            return geqp3_fails, orgqr
+
+        monkeypatch.setattr(rrqr_mod, "qr_routines", failing_once)
+        a = laplacian_3d(8)
+        s = Solver(a, tiny_blr_config(strategy="just-in-time",
+                                      tolerance=1e-4))
+        s.factorize()
+        rec = s.last_recovery
+        assert len(calls) > 1
+        assert rec["policy"] is None
+        assert rec["counts"] == {"compress_failure": 1}
+        assert rec["actions"][0]["site"] == "rrqr"
+        b = np.ones(a.n)
+        assert s.backward_error(s.solve(b), b) <= 1e-3
