@@ -44,15 +44,16 @@ See ``docs/performance.md`` for both contracts in full.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
-__all__ = ["KERNELS", "Kernels", "PivotError", "get_backend",
-           "getrf_routine", "lr_gemv", "stable_gemv", "trtrs_routine",
-           "trtrs_rows"]
+__all__ = ["KERNELS", "Kernels", "PivotError", "accumulate_product",
+           "gemm_routine", "get_backend", "getrf_routine", "ldlt_routine",
+           "lr_gemv", "stable_gemv", "trtrs_routine", "trtrs_rows"]
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +112,24 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, trans: str = "N",
     if info:
         raise _trtrs_failed(info)
     return x
+
+
+# ----------------------------------------------------------------------
+# a product accumulated in place on the BLAS routine, bound once per dtype
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def gemm_routine(dtype: np.dtype) -> Callable[..., Any]:
+    """BLAS ``?gemm`` for operands of this dtype, looked up once."""
+    return get_blas_funcs(("gemm",), (np.empty(0, dtype=dtype),))[0]
+
+
+def accumulate_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c += a · bᵗ`` in place: one ``?gemm`` with ``beta = 1``.  ``c`` is
+    Fortran-ordered in the routine's dtype; ``a`` and ``b`` are C-ordered
+    and read as the Fortran arrays ``aᵗ`` / ``bᵗ``, so nothing is copied."""
+    # positional: (alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
+    gemm_routine(c.dtype)(1.0, a.T, b.T, 1.0, c, 1, 0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +314,49 @@ def _ldlt_nopivot(a: np.ndarray, pivot_threshold: float = 1e-14
     return packed, nperturbed
 
 
+@functools.lru_cache(maxsize=None)
+def ldlt_routine(dtype: np.dtype) -> Callable[..., Any]:
+    """LAPACK ``?sytrf`` (real) or ``?hetrf`` (complex, factored as
+    Hermitian like :func:`_ldlt_nopivot`) for blocks of this dtype, looked
+    up once."""
+    name = "hetrf" if np.dtype(dtype).kind == "c" else "sytrf"
+    return get_lapack_funcs((name,), (np.empty(0, dtype=dtype),))[0]
+
+
+def _ldlt_lapack(a: np.ndarray, pivot_threshold: float
+                 ) -> Optional[np.ndarray]:
+    """The static LDLᵗ (LDLᴴ) of ``a`` by LAPACK ``?sytrf`` / ``?hetrf``
+    (lower), or ``None`` unless that *is* the statically pivoted one:
+    ``info == 0``, every pivot 1×1 with no interchange (``ipiv[k] ==
+    k + 1``) and every ``|D_kk|`` at or above :func:`_ldlt_nopivot`'s
+    floor (also ``None`` for a dtype LAPACK has no routine for).  It reads
+    the lower triangle only; the upper triangle of the result is
+    unspecified."""
+    n = a.shape[0]
+    ldlt = ldlt_routine(a.dtype)
+    if not n or a.shape[1] != n or ldlt.dtype != a.dtype:
+        return None
+    ldu, ipiv, info = ldlt(a, lower=1)
+    max_diag = float(np.abs(np.diag(a)).max())
+    floor = pivot_threshold * (max_diag if max_diag > 0 else 1.0)
+    if (info == 0 and ipiv.tolist() == list(range(1, n + 1))
+            and np.abs(ldu.diagonal()).min() >= floor):
+        return ldu
+    return None
+
+
+def _ldlt_static(a: np.ndarray, pivot_threshold: float = 1e-14
+                 ) -> Tuple[np.ndarray, int]:
+    """:func:`_ldlt_nopivot` by LAPACK where that is the same
+    factorization (:func:`_ldlt_lapack`) — up to rounding, with
+    ``nperturbed == 0``; any other block gets the loop's result and
+    ``nperturbed``, bit for bit."""
+    ldu = _ldlt_lapack(a, pivot_threshold)
+    if ldu is not None:
+        return ldu, 0
+    return _ldlt_nopivot(a, pivot_threshold)
+
+
 class PivotError(RuntimeError):
     """A pivoting diagonal-block kernel could not complete.
 
@@ -469,6 +531,12 @@ def _ldlt_pivot(a: np.ndarray, u: float = 0.1,
                     f"element growth {wmax / scale:.3e} exceeds the "
                     f"limit {growth_limit:.3e} after column {k}")
         k = knext
+    if swaps == n2x2 == perturbed == 0:
+        # no pivot taken: the static factorization (Kernels.ldlt), so a
+        # block that needs no pivoting factors alike under both
+        ldu = _ldlt_lapack(a, pivot_threshold)
+        if ldu is not None:
+            w = ldu
     stats: Dict[str, Any] = {
         "swaps": swaps, "n2x2": n2x2, "perturbed": perturbed,
         "growth": wmax / scale,
@@ -628,9 +696,11 @@ class Kernels:
 
     def ldlt(self, a: np.ndarray, pivot_threshold: float = 1e-14
              ) -> Tuple[np.ndarray, int]:
-        """Statically-pivoted LDLᵗ/LDLᴴ; ``(packed, nperturbed)``."""
+        """Statically-pivoted LDLᵗ/LDLᴴ; ``(packed, nperturbed)``
+        (LAPACK ``?sytrf`` / ``?hetrf`` where it needs no interchange, no
+        2×2 pivot and no perturbation, see :func:`_ldlt_static`)."""
         self.tick("ldlt")
-        return _ldlt_nopivot(a, pivot_threshold)
+        return _ldlt_static(a, pivot_threshold)
 
     def ldlt_pivot(self, a: np.ndarray, u: float = 0.1,
                    growth_limit: float = 1e8, fallback: bool = False,

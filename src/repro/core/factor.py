@@ -198,6 +198,10 @@ class NumericFactor:
         #: :func:`assemble`, released by the engine once every task has
         #: run, so a finished factor holds only its factor
         self.entries: Optional[Tuple[np.ndarray, ...]] = None
+        #: bytes of the contribution blocks the engine holds for the
+        #: bottom subtrees (:mod:`repro.core.scheduler`): transient update
+        #: buffers, counted with the extend-add accumulator, not tracked
+        self.held_nbytes = 0
         #: optional :class:`~repro.runtime.spans.SpanProfiler` — mirrored
         #: from ``config.profiler`` so the engine and kernels pay a single
         #: attribute load; the engine opens one ``task`` span per column
@@ -350,11 +354,12 @@ class NumericFactor:
         self.nperturbed += n
 
     def note_accumulator_peak(self, nbytes: int) -> None:
-        """Fold one task's extend-add accumulator high-water mark into
+        """Fold one task's extend-add accumulator high-water mark, plus the
+        contribution blocks the engine holds (:attr:`held_nbytes`), into
         ``stats.accumulator_peak_nbytes`` (a max, so independent of the
         order tasks report in)."""
         self.stats.accumulator_peak_nbytes = max(
-            self.stats.accumulator_peak_nbytes, nbytes)
+            self.stats.accumulator_peak_nbytes, nbytes + self.held_nbytes)
 
     def add_pivot_stats(self, stats: Dict[str, Any]) -> None:
         """Accumulate per-block threshold-pivoting statistics.

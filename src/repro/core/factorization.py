@@ -18,7 +18,13 @@ A column block stays in panel mode until a block in it actually compresses
 which lets step 2 run one TRSM per side and step 3 one batched GEMM per
 side for each target it faces (PaStiX's stacked-panel trick); only a
 column block that holds a low-rank block dispatches per block pair through
-:mod:`repro.lowrank.kernels`.
+:mod:`repro.lowrank.kernels`.  The column blocks of a bottom subtree (no
+low-rank candidate anywhere below them) pass their updates up as dense
+contribution blocks instead of visiting each target: one product per
+column block (:func:`accumulate_contribution`), one extend-add per child
+(:func:`extend_add`) and one landing per target outside
+(:func:`land_contribution`), through the same landing as a visit
+(:func:`_land_dense`).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.core.dense_kernels import (
     potrf_flops,
     trsm_flops,
 )
-from repro.core.backend import PivotError
+from repro.core.backend import PivotError, accumulate_product
 from repro.core.factor import (
     Block,
     NumericColumnBlock,
@@ -397,11 +403,10 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
     # rows facing t go to its diagonal block, the rows below to its
     # off-diagonal storage: through a slice where the landing is contiguous
     cols = _span(drow)
-    below = below_u = None
+    square = below = below_u = None
     if is_lu or end - first == 1:
         w = l_rows @ facing.T
-        _subtract_at(tnc.diag, cols, cols, w[:nf])
-        below = w[nf:]
+        square, below = w[:nf], w[nf:]
         gemms = 1
     else:
         for j in range(first, end):
@@ -416,27 +421,45 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
         below_u = u_rows[nf:] @ l_rows[:nf].T
         gemms += 1
     slabs = [("l", below), ("u", below_u)] if is_lu else [("l", below)]
-    if tnc.panel_mode and nbelow:
-        rows = _span(pos)
-        for side, slab in slabs:
-            _subtract_at(tnc.lpanel if side == "l" else tnc.upanel,
-                         rows, cols, slab)
-    elif nbelow:
-        # blocks-mode target: W cut once, at the target's block boundaries
-        toffs = tnc.row_offsets
-        cut = pos.searchsorted(toffs)
-        for i in np.flatnonzero(cut[1:] > cut[:-1]):
-            lo, hi = cut[i], cut[i + 1]
-            rows = _span(pos[lo:hi] - toffs[i])
-            for side, slab in slabs:
-                _subtract_at(_landing(fac, tnc, side, i, acc), rows, cols,
-                             slab[lo:hi])
+    _land_dense(fac, tnc, cols, pos, square, slabs, acc)
     # charged from the structure: every entry computed costs 2·width
     # flops, every entry landed one more
     landed, below_entries = fac.symb.update_entries(k, first, end, is_lu)
     computed = landed + fac.sides * below_entries
     return (2.0 * nc.width * computed * flop_scale(fac.dtype) + computed,
             gemms)
+
+
+def _land_dense(fac: NumericFactor, tnc: NumericColumnBlock,
+                cols: "slice | np.ndarray", pos: np.ndarray,
+                square: Optional[np.ndarray],
+                slabs: List[Tuple[str, np.ndarray]],
+                acc: UpdateAccumulator) -> None:
+    """Subtract one dense update from the target column block ``tnc``:
+    ``square`` from its diagonal block at rows and columns ``cols`` (none
+    when the caller landed it), and each ``(side, slab)`` below it from
+    that side's off-diagonal storage, at the frame positions ``pos`` and
+    the columns ``cols`` — into a kept panel through one slice or index
+    array, into a blocks-mode target cut once at its block boundaries
+    (a low-rank block gathers its part in ``acc``, :func:`_landing`)."""
+    if square is not None:
+        _subtract_at(tnc.diag, cols, cols, square)
+    if not len(pos):
+        return
+    if tnc.panel_mode:
+        rows = _span(pos)
+        for side, slab in slabs:
+            _subtract_at(tnc.lpanel if side == "l" else tnc.upanel,
+                         rows, cols, slab)
+        return
+    toffs = tnc.row_offsets
+    cut = pos.searchsorted(toffs)
+    for i in np.flatnonzero(cut[1:] > cut[:-1]):
+        lo, hi = cut[i], cut[i + 1]
+        rows = _span(pos[lo:hi] - toffs[i])
+        for side, slab in slabs:
+            _subtract_at(_landing(fac, tnc, side, i, acc), rows, cols,
+                         slab[lo:hi])
 
 
 def _span(idx: np.ndarray) -> "slice | np.ndarray":
@@ -448,13 +471,111 @@ def _span(idx: np.ndarray) -> "slice | np.ndarray":
     return idx
 
 
+def _block_index(rows: "slice | np.ndarray", cols: "slice | np.ndarray"
+                 ) -> Tuple["slice | np.ndarray", "slice | np.ndarray"]:
+    """The index of ``dst[rows × cols]`` for rows and columns each given as
+    a slice or an index array (of :func:`_span`)."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        return rows[:, None], cols
+    return rows, cols
+
+
 def _subtract_at(dst: np.ndarray, rows: "slice | np.ndarray",
                  cols: "slice | np.ndarray", w: np.ndarray) -> None:
-    """``dst[rows × cols] -= w`` for rows and columns each given as a slice
-    or an index array (of :func:`_span`)."""
-    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
-        rows = rows[:, None]
-    dst[rows, cols] -= w
+    """``dst[rows × cols] -= w`` (:func:`_block_index`)."""
+    dst[_block_index(rows, cols)] -= w
+
+
+# ----------------------------------------------------------------------
+# bottom subtrees: updates passed up as dense contribution blocks
+# ----------------------------------------------------------------------
+#
+# A column block of a bottom subtree (``SymbolicFactor.subtree_plan``) is
+# always in panel mode: none of its blocks is a low-rank candidate.  Its
+# contribution block (CB) is a Fortran-ordered square over its
+# off-diagonal rows that holds the sum of the updates its subtree aims at
+# those rows, still to be subtracted: entry ``(a, b)`` updates the matrix
+# entry at global rows ``(off_rows[a], off_rows[b])``.  An LU CB is the
+# whole square; a symmetric one is valid on its lower block triangle (and
+# so on the lower triangle of every diagonal block it lands in, the one
+# the diagonal kernels read).
+
+
+def accumulate_contribution(fac: NumericFactor, nc: NumericColumnBlock,
+                            cb: np.ndarray) -> Tuple[float, int]:
+    """Add the update of the factored column block ``nc`` to its
+    contribution block ``cb``: for LU, ``L·(Uᵗ)ᵗ`` over all its rows by one
+    ``?gemm`` with ``beta = 1`` (:func:`~repro.core.backend.
+    accumulate_product`); for a symmetric factorization the lower block
+    triangle, one product per off-diagonal block against
+    :func:`_update_operand`.  Returns ``(flops, gemms)``, the flops those
+    of the fan-in visits it replaces (the sum of
+    :meth:`SymbolicFactor.update_entries` over ``nc``'s targets)."""
+    offs = nc.row_offsets
+    nrows = nc.offrows
+    if nc.upanel is not None:
+        accumulate_product(cb, nc.lpanel, nc.upanel)
+        computed, gemms = nrows * nrows, 1
+    else:
+        op = _update_operand(fac, nc, nc.lpanel, None)
+        for j in range(nc.sym.noff):
+            lo, hi = offs[j], offs[j + 1]
+            cb[lo:, lo:hi] += nc.lpanel[lo:] @ op[lo:hi].T
+        computed = (nrows * nrows + int((np.diff(offs) ** 2).sum())) // 2
+        gemms = nc.sym.noff
+    return (2.0 * nc.width * computed * flop_scale(fac.dtype) + computed,
+            gemms)
+
+
+def extend_add(fac: NumericFactor, c: int, k: int, cb_c: np.ndarray,
+               cb_k: np.ndarray) -> None:
+    """Extend-add the contribution block ``cb_c`` of ``c`` into its parent
+    ``k`` inside a bottom subtree: the rows facing ``k`` land in its
+    diagonal block and its panels (:func:`_land_dense`), the rest adds
+    into ``k``'s own contribution block ``cb_k`` (their rows are rows of
+    ``k``: :meth:`SymbolicFactor.landing_map`).  ``cb_c`` is only read.
+    Fires the fault injector's update hook and records one ``"update"``
+    span, as a fan-in visit does."""
+    if fac.faults is not None:
+        fac.faults.on_update(fac, c, k)
+    with span(fac.profiler, "update", cblk=c, target=k, mode="cb"):
+        nf, pos = _land_contribution(fac, c, k, cb_c, {})
+        if len(pos):
+            rows = _span(pos)
+            cb_k[_block_index(rows, rows)] += cb_c[nf:, nf:]
+
+
+def land_contribution(fac: NumericFactor, r: int, t: int, cb: np.ndarray,
+                      acc: UpdateAccumulator) -> int:
+    """Land the part of subtree root ``r``'s held contribution block
+    ``cb`` that faces ``t``, a column block outside every bottom subtree.
+    ``t``'s targets consume it in ascending order, so ``cb`` starts at the
+    rows facing ``t``; returns how many there are, for the engine to cut
+    ``cb`` down to its trailing square once ``t``'s task has succeeded.
+    ``cb`` is only read.  Hooks and span as in :func:`extend_add`."""
+    if fac.faults is not None:
+        fac.faults.on_update(fac, r, t)
+    with span(fac.profiler, "update", cblk=r, target=t, mode="cb"):
+        return _land_contribution(fac, r, t, cb, acc)[0]
+
+
+def _land_contribution(fac: NumericFactor, c: int, t: int, cb: np.ndarray,
+                       acc: UpdateAccumulator) -> Tuple[int, np.ndarray]:
+    """Subtract the rows of ``cb`` (``c``'s contribution block, starting at
+    its blocks facing ``t``) that ``t``'s column block holds: the facing
+    square from its diagonal block, the rows below against the facing
+    columns from its L side and, for LU, their mirror from its Uᵗ side.
+    Returns the number of facing rows and the frame positions of the rows
+    below them in ``t``."""
+    first, end = fac.symb.facing_ranges(c)[t]
+    drow, pos = fac.symb.landing_map(c, t, first, end)
+    nf = len(drow)
+    slabs = [("l", cb[nf:, :nf])]
+    if fac.sides == 2:
+        slabs.append(("u", cb[:nf, nf:].T))
+    _land_dense(fac, fac.cblks[t], _span(drow), pos, cb[:nf, :nf], slabs,
+                acc)
+    return nf, pos
 
 
 def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,

@@ -113,12 +113,14 @@ class FactorizationStats:
         Peak tracked working set during factorization (Figure 7's "total
         consumption" series uses this plus structure overhead).
     accumulator_peak_nbytes:
-        Largest transient storage any one fan-in task held while gathering
-        the contributions to its low-rank blocks (the Minimal-Memory
-        extend-add) — *not* part of ``peak_nbytes``, which tracks factor
-        storage only.  The dense scratches never exceed the dense size of
-        the column block being assembled; the low-rank pieces held beside
-        them are as large as the contributions themselves.
+        Largest transient update storage held at once: the contribution
+        blocks the bottom subtrees pass up (:mod:`repro.core.scheduler`)
+        plus what one fan-in task gathers for its low-rank blocks (the
+        Minimal-Memory extend-add) — *not* part of ``peak_nbytes``, which
+        tracks factor storage only.  The dense scratches never exceed the
+        dense size of the column block being assembled; the low-rank
+        pieces held beside them are as large as the contributions
+        themselves.
     total_time:
         Wall-clock of the whole factorization (not the sum of categories,
         which leaves out the orchestration between kernels).

@@ -12,7 +12,7 @@ describes both L and (transposed) U storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,31 @@ class SymbolicColumnBlock:
         return self.total_rows() * self.ncols
 
 
+class SubtreePlan(NamedTuple):
+    """Where the engine passes updates up as contribution blocks.
+
+    A *bottom subtree* is a maximal subtree of the block elimination tree
+    in which no column block holds a low-rank candidate: nothing in it
+    can ever compress, so its column blocks stay dense panels.  Each of
+    its column blocks hands its updates to its parent as one dense
+    contribution block over its off-diagonal rows (multifrontal); every
+    other column block pulls its contributors' updates (fan-in).
+
+    * ``root[k]`` — the root of the bottom subtree holding ``k``, -1 when
+      ``k`` lies in none;
+    * ``children[k]`` — ``k``'s children inside its bottom subtree, whose
+      contribution blocks ``k`` extend-adds (empty outside one);
+    * ``pulls[t]`` — what the task of a column block ``t`` outside every
+      bottom subtree pulls, ascending: its fan-in contributors plus the
+      subtree roots whose contribution block faces it (the rows of any
+      subtree column block facing ``t`` are rows of its root).
+    """
+
+    root: np.ndarray
+    children: List[List[int]]
+    pulls: List[List[int]]
+
+
 class SymbolicFactor:
     """Complete symbolic block structure of L (and Uᵗ).
 
@@ -95,7 +120,9 @@ class SymbolicFactor:
       dependency set of the paper's right-looking algorithm);
     * ``facing_ranges(k)`` — ``facing cblk → (first, end)`` index range of
       ``k``'s off-diagonal blocks facing it (blocks are row-sorted, so
-      those facing one column block are contiguous).
+      those facing one column block are contiguous);
+    * ``subtree_plan()`` — the bottom subtrees that pass their updates up
+      as contribution blocks (:class:`SubtreePlan`).
     """
 
     def __init__(self, n: int, cblks: List[SymbolicColumnBlock]) -> None:
@@ -122,6 +149,7 @@ class SymbolicFactor:
             rows[starts[e - c.noff]:starts[e]] for c, e in zip(cblks, ends)]
         self._facing: Optional[Tuple[List[List[int]],
                                      List[Dict[int, Tuple[int, int]]]]] = None
+        self._subtrees: Optional[SubtreePlan] = None
         self._check_landings(first, first + np.diff(starts), np.array(
             [b.facing for b in off], dtype=np.int64), rows)
 
@@ -261,6 +289,40 @@ class SymbolicFactor:
                     contr[t].append(c.id)
             self._facing = (contr, facing)
         return self._facing
+
+    def subtree_plan(self) -> SubtreePlan:
+        """The bottom subtrees and every task's pull list, built once
+        (:class:`SubtreePlan`).  Read from the structure alone — which
+        blocks are low-rank candidates — so every strategy gets the same
+        subtrees."""
+        if self._subtrees is None:
+            parent = self.block_etree()
+            # a parent follows its children: one ascending sweep marks
+            # every column block whose subtree holds a candidate
+            holds = np.array([any(b.lr_candidate for b in c.off_blocks())
+                              for c in self.cblks], dtype=bool)
+            for k in range(self.ncblk):
+                if holds[k] and parent[k] >= 0:
+                    holds[parent[k]] = True
+            root = np.full(self.ncblk, -1, dtype=np.int64)
+            children: List[List[int]] = [[] for _ in self.cblks]
+            for k in range(self.ncblk - 1, -1, -1):
+                if holds[k]:
+                    continue
+                p = int(parent[k])
+                if p >= 0 and not holds[p]:
+                    root[k] = root[p]
+                    children[p].append(k)
+                else:
+                    root[k] = k
+            for c in children:
+                c.reverse()
+            inner = (root >= 0) & (root != np.arange(self.ncblk))
+            pulls = [[] if root[t] >= 0 else
+                     [c for c in self.contributors(t) if not inner[c]]
+                     for t in range(self.ncblk)]
+            self._subtrees = SubtreePlan(root, children, pulls)
+        return self._subtrees
 
     def block_etree(self) -> np.ndarray:
         """Parent of each column block: the facing column block of its first

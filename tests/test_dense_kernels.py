@@ -188,6 +188,130 @@ class TestGetrfFastPath:
         np.testing.assert_array_equal(lu, backend._lu_nopivot(a)[0])
 
 
+def _hermitian_block(kind, dtype, n, rng):
+    """A symmetric (Hermitian for complex) :func:`_block`: the same kinds,
+    mirrored from the lower triangle."""
+    a = _block(kind, dtype, n, rng)
+    low = np.tril(a, -1)
+    a = low + low.conj().T + np.diag(np.diag(a).real)
+    if kind == "interchange":
+        a[0, 1] = np.conj(a[1, 0])
+    elif kind == "singular":
+        a[1, :] = 0.0  # a zero row and column: D_11 is exactly zero
+    return a.astype(dtype)
+
+
+def _loop_calls(monkeypatch):
+    """Count the blocks the LDLᵗ loop (the fallback) factors."""
+    calls = []
+    real = backend._ldlt_nopivot
+
+    def spy(a, *args):
+        calls.append(a.shape)
+        return real(a, *args)
+
+    monkeypatch.setattr(backend, "_ldlt_nopivot", spy)
+    return calls
+
+
+#: digests of ``Kernels.ldlt`` on the LAPACK path, printed by a child
+#: interpreter for one BLAS thread count
+_LDLT_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.core.backend import KERNELS
+rng = np.random.default_rng(7)
+out = []
+for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+    for n in (8, 64, 100, 200):
+        a = rng.standard_normal((n, n))
+        if np.dtype(dtype).kind == "c":
+            a = a + 1j * rng.standard_normal((n, n))
+        a = (a + a.conj().T + 4 * n * np.eye(n)).astype(dtype)
+        packed, nperturbed = KERNELS.ldlt(a)
+        assert nperturbed == 0
+        out.append(hashlib.sha256(np.tril(packed).tobytes()).hexdigest())
+print(" ".join(out))
+"""
+
+
+class TestLdltFastPath:
+    """``Kernels.ldlt`` takes LAPACK ``?sytrf`` / ``?hetrf`` when that is
+    the statically pivoted LDLᵗ (LDLᴴ), and the loop otherwise."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_fallback_exactly_when_pivoting_is_needed(
+            self, rng, monkeypatch, dtype, kind, order):
+        n = 24
+        a = np.array(_hermitian_block(kind, dtype, n, rng), order=order)
+        a0 = a.copy()
+        ref, ref_nperturbed = backend._ldlt_nopivot(a)
+        calls = _loop_calls(monkeypatch)
+        packed, nperturbed = KERNELS.ldlt(a)
+        np.testing.assert_array_equal(a, a0)  # the input is not modified
+        assert packed.dtype == ref.dtype
+        assert bool(calls) == KINDS[kind]
+        if calls:
+            np.testing.assert_array_equal(packed, ref)
+            assert nperturbed == ref_nperturbed
+            assert (nperturbed > 0) == (kind != "interchange")
+        else:
+            assert nperturbed == 0
+            low = np.tril(packed, -1) + np.eye(n, dtype=packed.dtype)
+            d = np.diag(packed)
+            assert (d.imag == 0).all()
+            eps = np.finfo(packed.dtype).eps
+            np.testing.assert_allclose(
+                (low * d) @ low.conj().T, a, rtol=0,
+                atol=8 * n * eps * np.abs(a).max())
+            np.testing.assert_allclose(np.tril(packed), np.tril(ref),
+                                       rtol=0, atol=8 * n * eps)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_reads_the_lower_triangle_only(self, rng, dtype):
+        a = _hermitian_block("dominant", dtype, 40, rng)
+        junk = a.copy()
+        junk[np.triu_indices(40, 1)] = 1e3
+        want, _ = KERNELS.ldlt(a)
+        got, _ = KERNELS.ldlt(junk)
+        np.testing.assert_array_equal(np.tril(got), np.tril(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_nan_entry_propagates(self, rng, dtype):
+        a = _hermitian_block("dominant", dtype, 24, rng)
+        a[5, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            packed, _ = KERNELS.ldlt(a)
+        assert not np.isfinite(packed).all()
+
+    def test_dtype_without_a_lapack_routine_takes_the_loop(self, rng,
+                                                            monkeypatch):
+        a = _hermitian_block("dominant", np.float16, 6, rng)
+        calls = _loop_calls(monkeypatch)
+        packed, _ = KERNELS.ldlt(a)
+        assert calls and packed.dtype == np.float16
+        np.testing.assert_array_equal(packed, backend._ldlt_nopivot(a)[0])
+
+    def test_same_bits_on_one_to_four_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(backend.__file__).resolve().parents[2])
+        digests = set()
+        for threads in range(1, 5):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _LDLT_THREADS_SCRIPT], env=env,
+                capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+
 class TestCholeskyNoPivot:
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_reconstruction(self, rng, n):

@@ -100,12 +100,16 @@ class TestTraceInvariants:
         s, doc = traced_solver(laplacian_3d(6))
         updates = named(doc, "update")
         assert updates, "the engine must record update spans"
-        # one pulled update per (contributor, target) edge
-        edges = {(sp["attrs"]["cblk"], sp["attrs"]["target"])
-                 for sp in updates}
+        # one update per edge of the plan: a fan-in target pulls each
+        # contributor outside the bottom subtrees and each subtree root
+        # facing it, a subtree column block extend-adds each child
+        plan = s.symbolic.subtree_plan()
+        edges = [(sp["attrs"]["cblk"], sp["attrs"]["target"])
+                 for sp in updates]
         want = {(c, t) for t in range(s.symbolic.ncblk)
-                for c in s.symbolic.contributors(t)}
-        assert edges == want
+                for c in plan.pulls[t] + plan.children[t]}
+        assert len(edges) == len(set(edges))
+        assert set(edges) == want
 
 
 class TestSummaries:
