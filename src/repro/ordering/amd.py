@@ -38,16 +38,14 @@ def minimum_degree(g: Graph) -> np.ndarray:
     boundary: List[Set[int]] = [set() for _ in range(n)]
     eliminated = np.zeros(n, dtype=bool)
 
-    def degree(v: int) -> int:
-        reach = set(adj[v])
-        for e in elems[v]:
-            reach |= boundary[e]
-        reach.discard(v)
-        return len(reach)
+    def reach(v: int) -> Set[int]:
+        """The vertices adjacent to ``v`` directly or through an element."""
+        out = set(adj[v]).union(*(boundary[e] for e in elems[v]))
+        out.discard(v)
+        return out
 
     heap = [(len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
-    stamp = np.zeros(n, dtype=np.int64)  # lazy-deletion version counter
 
     perm = np.empty(n, dtype=np.int64)
     for k in range(n):
@@ -56,7 +54,7 @@ def minimum_degree(g: Graph) -> np.ndarray:
             d, v = heapq.heappop(heap)
             if eliminated[v]:
                 continue
-            cur = degree(v)
+            cur = len(reach(v))
             if cur > d:
                 heapq.heappush(heap, (cur, v))
                 continue
@@ -65,26 +63,19 @@ def minimum_degree(g: Graph) -> np.ndarray:
         eliminated[v] = True
 
         # reach set of v = its future element's boundary
-        reach = set(adj[v])
-        for e in elems[v]:
-            reach |= boundary[e]
-        reach.discard(v)
-        reach = {w for w in reach if not eliminated[w]}
-        boundary[v] = reach
-
+        boundary[v] = {w for w in reach(v) if not eliminated[w]}
         absorbed = set(elems[v])
-        for w in reach:
+        for w in boundary[v]:
             adj[w].discard(v)
             # absorb v's elements into the new element v
             elems[w] -= absorbed
             elems[w].add(v)
             # prune direct adjacency covered by the new element
-            adj[w] -= reach
-            heapq.heappush(heap, (degree(w), w))
+            adj[w] -= boundary[v]
+            heapq.heappush(heap, (len(reach(w)), w))
         # free absorbed element boundaries
         for e in absorbed:
             boundary[e] = set()
         adj[v] = set()
         elems[v] = set()
-        stamp[v] += 1
     return perm

@@ -94,19 +94,11 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
 
 def is_postordered(parent: np.ndarray) -> bool:
     """True iff every node's index exceeds all indices in its subtree."""
-    n = len(parent)
-    for v in range(n):
-        p = int(parent[v])
-        if p != -1 and p <= v:
-            return False
-    # parent > child is necessary; sufficiency needs contiguous subtrees
-    size = subtree_sizes(parent)
-    first = np.arange(n, dtype=np.int64)
-    for v in postorder(parent):
-        p = int(parent[v])
-        if p != -1:
-            first[p] = min(first[p], first[v])
-    for v in range(n):
-        if v - first[v] + 1 != size[v]:
-            return False
-    return True
+    parent = np.asarray(parent, dtype=np.int64)
+    child = np.flatnonzero(parent != -1)
+    if (parent[child] <= child).any():
+        return False
+    # parent > child is necessary; sufficiency needs contiguous subtrees:
+    # each the index range ending at its root, inside its parent's
+    first = np.arange(parent.size) - subtree_sizes(parent) + 1
+    return bool((first[child] >= first[parent[child]]).all())

@@ -7,23 +7,11 @@ symmetric nonzero pattern, self-loops (diagonal entries) are dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
-
-
-def side_by_side(regions: Sequence[np.ndarray],
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint vertex sets laid end to end: their vertices, the boundaries
-    ``ptr`` (region ``r`` is ``ptr[r]:ptr[r + 1]``) and every entry's
-    region."""
-    sizes = np.array([r.size for r in regions], dtype=np.int64)
-    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    verts = np.concatenate(regions) if regions else np.empty(0, np.int64)
-    return verts, ptr, np.arange(sizes.size).repeat(sizes)
+from repro.sparse.csc import CSCMatrix, ranges
 
 
 class Graph:
@@ -64,20 +52,13 @@ class Graph:
     def from_edges(cls, n: int,
                    edges: Iterable[Tuple[int, int]]) -> "Graph":
         """Build from an iterable of (u, v) pairs (each edge given once)."""
-        edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        u = np.concatenate([edges[:, 0], edges[:, 1]])
-        v = np.concatenate([edges[:, 1], edges[:, 0]])
-        keep = u != v
-        u, v = u[keep], v[keep]
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        if u.size:
-            dedup = np.ones(u.size, dtype=bool)
-            dedup[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-            u, v = u[dedup], v[dedup]
+        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        e = np.concatenate([e, e[:, ::-1]])
+        e = e[e[:, 0] != e[:, 1]]
+        # (u, v) keys in order, each edge once per direction
+        u, v = np.divmod(np.unique(e[:, 0] * n + e[:, 1]), max(n, 1))
         adjptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(adjptr, u + 1, 1)
-        np.cumsum(adjptr, out=adjptr)
+        np.cumsum(np.bincount(u, minlength=n), out=adjptr[1:])
         return cls(n, adjptr, v)
 
     # -- queries ----------------------------------------------------------
@@ -99,11 +80,7 @@ class Graph:
     def _gather(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenated adjacency lists of ``vertices``, and their lengths."""
         counts = self._degrees[vertices]
-        # output entry e of vertex v is adjind[adjptr[v] + e - first entry of v]
-        first = counts.cumsum() - counts
-        idx = (self.adjptr[vertices] - first).repeat(counts)
-        idx += np.arange(idx.size)
-        return self.adjind[idx], counts
+        return self.adjind[ranges(self.adjptr[vertices], counts)], counts
 
     def touches(self, vertices: np.ndarray, member: np.ndarray) -> np.ndarray:
         """For each of ``vertices``, whether it has a neighbour ``w`` with
@@ -123,41 +100,36 @@ class Graph:
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         nbrs, counts = self._gather(vertices)
-        owner = np.arange(vertices.size).repeat(counts)
-        local = np.full(self.n, -1, dtype=np.int64)
-        local[vertices] = np.arange(vertices.size)
-        nbrs = local[nbrs]
-        keep = nbrs >= 0
-        keep[keep] = region[nbrs[keep]] == region[owner[keep]]
-        adjptr = np.zeros(vertices.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[keep], minlength=vertices.size),
-                  out=adjptr[1:])
-        return Graph(vertices.size, adjptr, nbrs[keep])
+        label = np.full(self.n, -1, dtype=np.int64)
+        label[vertices] = region
+        keep = label[nbrs] == np.repeat(region, counts)
+        label[vertices] = np.arange(vertices.size)
+        # kept entries before each vertex's first one
+        adjptr = np.append(0, np.cumsum(keep))[np.append(0, np.cumsum(counts))]
+        return Graph(vertices.size, adjptr, label[nbrs[keep]])
 
-    def bfs(self, starts: np.ndarray, level: np.ndarray,
-            root: Optional[np.ndarray] = None) -> None:
+    def bfs(self, starts: np.ndarray, level: np.ndarray) -> None:
         """Breadth-first search from all of ``starts`` at once, one whole
         frontier per step, through the vertices whose ``level`` is still
-        ``-1``: writes their depth into ``level`` and, given ``root``, copies
-        the root entry of the vertex they were reached from.  Depths are
-        distances, so they do not depend on the order a frontier is visited
-        in; searches from starts in different components never meet."""
+        ``-1``: writes their depth into ``level``.  Depths are distances, so
+        they do not depend on the order a frontier is visited in; searches
+        from starts in different components never meet."""
         level[starts] = 0
         frontier, depth = starts, 0
+        ends, adjind, degrees = self.adjptr[1:], self.adjind, self._degrees
         while True:
-            nbrs, counts = self._gather(frontier)
-            new = level[nbrs] == -1
-            if not new.any():
+            counts = degrees[frontier]
+            at = (ends[frontier] - counts.cumsum()).repeat(counts)
+            at += np.arange(at.size)
+            nbrs = adjind[at]
+            nbrs = nbrs[level[nbrs] == -1]
+            if not nbrs.size:
                 return
-            nbrs = nbrs[new]
             # a vertex found from several frontier vertices is kept once:
             # by the last writer of its slot
             slot = np.arange(nbrs.size)
             level[nbrs] = slot
-            won = level[nbrs] == slot
-            if root is not None:
-                root[nbrs[won]] = root[frontier.repeat(counts)[new][won]]
-            frontier, depth = nbrs[won], depth + 1
+            frontier, depth = nbrs[level[nbrs] == slot], depth + 1
             level[frontier] = depth
 
     def forest(self, ptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,18 +140,24 @@ class Graph:
         smallest vertex of its component (its root) and the distance from
         it.  Each round searches once from every region's smallest vertex
         not reached yet — the root of its component, as earlier rounds took
-        whole components; a vertex with no neighbour is its own component.
+        whole components, and of all that search reaches; a vertex with no
+        neighbour is its own component.
         """
         level = np.where(self._degrees == 0, 0, -1)
         root = np.arange(self.n)
         region = np.arange(ptr.size - 1).repeat(np.diff(ptr))
+        start_of = np.empty(ptr.size - 1, dtype=np.int64)
         while True:
             open_ = np.flatnonzero(level < 0)
             if not open_.size:
                 return root, level
             first = np.ones(open_.size, dtype=bool)
             first[1:] = region[open_[1:]] != region[open_[:-1]]
-            self.bfs(open_[first], level, root)
+            starts = open_[first]
+            self.bfs(starts, level)
+            start_of[region[starts]] = starts
+            reached = open_[level[open_] >= 0]
+            root[reached] = start_of[region[reached]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, nedges={self.nedges})"

@@ -13,11 +13,12 @@ Scotch):
 3. minimalize the winner: a separator vertex with no neighbour in ``A`` is
    moved into ``B``.
 
-Every step runs for many regions at once (:func:`vertex_separators`, the
-splitter nested dissection calls once per dissection depth): the regions sit
-side by side in one :meth:`Graph.within` graph, each search is one
-multi-source BFS, and each per-region choice is a first-minimum or
-first-maximum taken with one stable sort.
+Every step runs for many regions at once (:func:`level_set_sides`, which
+nested dissection calls once per dissection depth on the subgraph its
+component search has built; :func:`vertex_separators` builds that subgraph
+itself): the regions sit side by side in one :meth:`Graph.within` graph,
+each search is one multi-source BFS, and each per-region choice is a
+first-minimum or first-maximum taken with one stable sort.
 
 This is a from-scratch replacement for Scotch's separator engine; on the
 mesh-like graphs of the paper's evaluation it produces separators within the
@@ -30,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ordering.graph import Graph, side_by_side
+from repro.ordering.graph import Graph
 
 SplitResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -58,23 +59,45 @@ def vertex_separators(g: Graph,
     todo = [i for i, r in enumerate(regions) if r.size > 1]
     if not todo:
         return out
-    verts, ptr, region = side_by_side([regions[i] for i in todo])
+    verts = np.concatenate([regions[i] for i in todo])
+    ptr = np.append(0, np.cumsum([regions[i].size for i in todo]))
+    region = np.arange(len(todo)).repeat(np.diff(ptr))
     h = g.within(verts, region)
-
-    level, ecc, connected = _pseudo_peripheral(h, ptr, region,
-                                               g.degrees()[verts])
-    best = _best_levels(level, ecc, region, np.diff(ptr))
-    side = _sides(h, level, best[region])
-
+    level = np.full(h.n, -1, dtype=np.int64)
+    h.bfs(ptr[:-1], level)
+    connected = np.minimum.reduceat(level, ptr[:-1]) >= 0
+    sel = np.flatnonzero(connected[region])
+    sizes = np.diff(ptr)[connected]
     # one stable sort lays out every region's A, B and separator in turn,
     # each in vertex order
-    order = np.lexsort((side, region))
-    bounds = np.bincount(3 * region + side, minlength=3 * len(todo))
-    pieces = np.split(verts[order], np.cumsum(bounds)[:-1])
-    for j, i in enumerate(todo):
-        if connected[j]:
-            out[i] = tuple(pieces[3 * j:3 * j + 3])
+    key = 3 * np.arange(sizes.size).repeat(sizes) + level_set_sides(
+        g, h, verts, sel, sizes, level[sel])
+    laid = verts[sel[np.argsort(key, kind="stable")]]
+    at = np.cumsum(np.append(0, np.bincount(key, minlength=3 * sizes.size)))
+    for i, (lo, a, b, hi) in zip(np.array(todo)[connected].tolist(),
+                                 zip(at[:-1:3], at[1::3], at[2::3], at[3::3])):
+        out[i] = (laid[lo:a], laid[a:b], laid[b:hi])
     return out
+
+
+def level_set_sides(g: Graph, h: Graph, verts: np.ndarray, sel: np.ndarray,
+                    sizes: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The level-set split of connected vertex sets of ``g``, each a
+    component of its subgraph ``h`` (local vertex ``i`` is ``verts[i]``):
+    the side of every entry of ``sel`` (0 = A, 1 = B, 2 = separator).
+
+    ``sel`` lists the sets' local vertices, set after set (``sizes``), each
+    ascending; ``level`` holds every entry's distance from the first vertex
+    of its set — the first search of :func:`_pseudo_peripheral`, which
+    nested dissection's component search has already run.
+    """
+    if not sizes.size:
+        return np.empty(0, dtype=np.int64)
+    region = np.arange(sizes.size).repeat(sizes)
+    level, ecc = _pseudo_peripheral(h, sel, region, level,
+                                    g.degrees()[verts[sel]])
+    return _sides(h, sel, level, _best_levels(level, ecc, region,
+                                              sizes)[region])
 
 
 def _first_per_region(entries: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -84,39 +107,34 @@ def _first_per_region(entries: np.ndarray, region: np.ndarray) -> np.ndarray:
     return entries[first]
 
 
-def _pseudo_peripheral(h: Graph, ptr: np.ndarray, region: np.ndarray,
-                       degrees: np.ndarray,
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """George–Liu pseudo-peripheral level structures of every region of
-    ``h``: BFS from the region's smallest vertex, then restart from the
-    minimum-``degrees`` vertex of the deepest level (ties: the smallest)
-    while the eccentricity grows, at most 10 times.
-
-    Returns the levels, the eccentricity of each region and whether the
-    region is connected; a region that is not gets level 0 throughout (no
-    level structure to cut) and takes no restarts.
+def _pseudo_peripheral(h: Graph, sel: np.ndarray, region: np.ndarray,
+                       level: np.ndarray, degrees: np.ndarray,
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """George–Liu pseudo-peripheral level structures of the connected sets
+    ``sel`` of ``h`` (:func:`level_set_sides`): from the search out of each
+    set's first vertex (``level``), restart from the minimum-``degrees``
+    vertex of the deepest level (ties: the smallest) while the eccentricity
+    grows, at most 10 times.  Returns the levels and the eccentricity of
+    each set.
     """
-    starts = ptr[:-1]
-    level = np.full(h.n, -1, dtype=np.int64)
-    h.bfs(starts, level)
-    connected = np.minimum.reduceat(level, starts) >= 0
-    level[~connected[region]] = 0
+    starts = np.flatnonzero(np.diff(region, prepend=-1))
     ecc = np.maximum.reduceat(level, starts)
-    growing = connected
+    growing = np.ones(ecc.size, dtype=bool)
     for _ in range(10):
         last = np.flatnonzero(growing[region] & (level == ecc[region]))
         if not last.size:
             break
-        # entries are in (region, vertex) order, and the sort is stable
+        # entries are in (set, vertex) order, and the sort is stable
         last = last[np.lexsort((degrees[last], region[last]))]
         new = np.full(h.n, -1, dtype=np.int64)
-        h.bfs(_first_per_region(last, region), new)
+        h.bfs(sel[_first_per_region(last, region)], new)
+        new = new[sel]
         new_ecc = np.maximum.reduceat(new, starts)
         growing = new_ecc > ecc
         moved = growing[region]
         level[moved] = new[moved]
         ecc[growing] = new_ecc[growing]
-    return level, ecc, connected
+    return level, ecc
 
 
 def _best_levels(level: np.ndarray, ecc: np.ndarray, region: np.ndarray,
@@ -153,9 +171,10 @@ def _best_levels(level: np.ndarray, ecc: np.ndarray, region: np.ndarray,
     return best
 
 
-def _sides(h: Graph, level: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Side of every vertex, cutting at level ``cut``: 0 = A, 1 = B,
-    2 = separator.
+def _sides(h: Graph, sel: np.ndarray, level: np.ndarray,
+           cut: np.ndarray) -> np.ndarray:
+    """Side of every entry of ``sel``, cutting at level ``cut``: 0 = A,
+    1 = B, 2 = separator.
 
     Of the cut level only the vertices adjacent to B stay in the separator,
     the others belong to A.  Minimalization is then one pass: every kept
@@ -163,14 +182,16 @@ def _sides(h: Graph, level: np.ndarray, cut: np.ndarray) -> np.ndarray:
     final, and a kept vertex without an A-neighbour moves to B whatever
     order the vertices are visited in.
     """
-    a_mask = level < cut
-    b_mask = level > cut
-    cand = np.flatnonzero(level == cut)
+    a_mask = np.zeros(h.n, dtype=bool)
+    b_mask = np.zeros(h.n, dtype=bool)
+    a_mask[sel] = level < cut
+    b_mask[sel] = level > cut
+    cand = sel[level == cut]
     keep = h.touches(cand, b_mask)
     a_mask[cand[~keep]] = True
     sep = cand[keep]
     b_mask[sep[~h.touches(sep, a_mask)]] = True
-    return np.where(a_mask, 0, np.where(b_mask, 1, 2))
+    return np.where(a_mask[sel], 0, np.where(b_mask[sel], 1, 2))
 
 
 def check_separator(g: Graph, part_a: np.ndarray, part_b: np.ndarray,

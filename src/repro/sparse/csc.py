@@ -29,6 +29,14 @@ def _values_dtype(values: "np.typing.ArrayLike") -> np.dtype:
     return dt if dt in SUPPORTED_DTYPES else np.dtype(np.float64)
 
 
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every ``(s, c)`` of the int64 arrays
+    ``starts``, ``counts``, laid end to end."""
+    out = (starts + counts - counts.cumsum()).repeat(counts)
+    out += np.arange(out.size)
+    return out
+
+
 class CSCMatrix:
     """Square sparse matrix in compressed-sparse-column form.
 

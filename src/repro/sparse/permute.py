@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
+from repro.sparse.csc import CSCMatrix, ranges
 
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
@@ -42,11 +42,17 @@ def permute_symmetric(a: CSCMatrix, perm: np.ndarray) -> CSCMatrix:
     if not is_permutation(perm, a.n):
         raise ValueError("perm is not a valid permutation")
     iperm = invert_permutation(perm)
-    cols = a.col_indices()
-    new_rows = iperm[a.rowind]
-    new_cols = iperm[cols]
-    return CSCMatrix.from_coo(a.n, new_rows, new_cols, a.values,
-                              sum_duplicates=False)
+    perm = np.asarray(perm, dtype=np.int64)
+    # column j is column perm[j] of ``a``, its rows renumbered and sorted
+    counts = np.diff(a.colptr)[perm]
+    colptr = np.zeros(a.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=colptr[1:])
+    src = ranges(a.colptr[perm], counts)
+    rows = iperm[a.rowind[src]]
+    # the keys ascend by column already: a stable sort only reorders rows
+    order = np.argsort(np.arange(a.n).repeat(counts) * a.n + rows,
+                       kind="stable")
+    return CSCMatrix(a.n, colptr, rows[order], a.values[src[order]])
 
 
 def permute_vector(x: np.ndarray, perm: np.ndarray) -> np.ndarray:

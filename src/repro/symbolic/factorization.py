@@ -12,18 +12,19 @@ factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import SolverConfig
 from repro.runtime.spans import SpanProfiler, span
-from repro.sparse.csc import CSCMatrix
+from repro.sparse.csc import CSCMatrix, ranges
 from repro.sparse.permute import permute_symmetric
 from repro.ordering.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.amd import minimum_degree
+from repro.ordering.geometric import geometric_nested_dissection
 from repro.ordering.reordering import reorder_supernodes, apply_reordering
 from repro.symbolic.structure import (
     SymbolicBlock,
@@ -54,16 +55,7 @@ class SymbolicOptions:
 
     @classmethod
     def from_config(cls, cfg: SolverConfig) -> "SymbolicOptions":
-        return cls(
-            ordering=cfg.ordering,
-            cmin=cfg.cmin,
-            frat=cfg.frat,
-            split_size=cfg.split_size,
-            split_min=cfg.split_min,
-            compress_min_width=cfg.compress_min_width,
-            compress_min_height=cfg.compress_min_height,
-            reorder_supernodes=cfg.reorder_supernodes,
-        )
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 def symbolic_factorization(a: CSCMatrix,
@@ -102,32 +94,22 @@ def _run_ordering(a: CSCMatrix, pattern: CSCMatrix,
                   ) -> Tuple[np.ndarray,
                              Optional[List[Tuple[int, int]]]]:
     """Step 1: global ordering + supernodal partition."""
-    if options.ordering == "nested-dissection":
-        g = Graph.from_matrix(pattern, symmetric=True)
-        nd = nested_dissection(g, cmin=options.cmin)
-        perm = nd.perm
-        intervals = [(p.start, p.size) for p in nd.partitions]
-    elif options.ordering == "geometric":
+    if options.ordering == "natural":
+        return np.arange(a.n, dtype=np.int64), None
+    g = Graph.from_matrix(pattern, symmetric=True)
+    if options.ordering == "amd":
+        return minimum_degree(g), None
+    if options.ordering == "geometric":
         if coords is None:
             raise ValueError(
                 "ordering='geometric' requires node coordinates "
                 "(pass coords= to the Solver or this function)")
-        from repro.ordering.geometric import geometric_nested_dissection
-
-        g = Graph.from_matrix(pattern, symmetric=True)
         nd = geometric_nested_dissection(g, coords, cmin=options.cmin)
-        perm = nd.perm
-        intervals = [(p.start, p.size) for p in nd.partitions]
-    elif options.ordering == "amd":
-        g = Graph.from_matrix(pattern, symmetric=True)
-        perm = minimum_degree(g)
-        intervals = None
-    elif options.ordering == "natural":
-        perm = np.arange(a.n, dtype=np.int64)
-        intervals = None
+    elif options.ordering == "nested-dissection":
+        nd = nested_dissection(g, cmin=options.cmin)
     else:  # pragma: no cover - guarded by SolverConfig validation
         raise ValueError(f"unknown ordering {options.ordering!r}")
-    return perm, intervals
+    return nd.perm, [(p.start, p.size) for p in nd.partitions]
 
 
 def _run_symbolic(a: CSCMatrix, pattern: CSCMatrix, perm: np.ndarray,
@@ -148,9 +130,7 @@ def _run_symbolic(a: CSCMatrix, pattern: CSCMatrix, perm: np.ndarray,
         if not np.array_equal(newpos, np.arange(a.n)):
             apply_reordering(snodes, newpos)
             # compose: vertex now at position newpos[g] was original perm[g]
-            new_perm = np.empty_like(perm)
-            new_perm[newpos] = perm
-            perm = new_perm
+            perm = perm[np.argsort(newpos)]
 
     # --- splitting into column blocks ------------------------------------
     tiles = split_supernodes(snodes, options.split_size, options.split_min)
@@ -170,8 +150,9 @@ def build_block_structure(n: int, snodes: List[Supernode],
     supernodal model); and the supernode's below-diagonal rows chopped into
     maximal contiguous runs, each split at facing column-block boundaries.
     """
-    tile_starts = np.array([t[0] for t in tiles], dtype=np.int64)
-    min_height = options.compress_min_height
+    tile_first, tile_cols, tile_snode = np.array(
+        tiles, dtype=np.int64).reshape(-1, 3).T
+    ntiles = tile_first.size
 
     # off-diagonal rows of every supernode at once: a block starts where a
     # supernode's rows start, where they skip an index, and where the
@@ -179,42 +160,38 @@ def build_block_structure(n: int, snodes: List[Supernode],
     sizes = np.array([s.rows.size for s in snodes], dtype=np.int64)
     rows = (np.concatenate([s.rows for s in snodes]) if snodes
             else np.empty(0, dtype=np.int64))
-    facing = np.searchsorted(tile_starts, rows, side="right") - 1
+    facing = np.searchsorted(tile_first, rows, side="right") - 1
     rows_start = np.cumsum(sizes) - sizes
     new_block = np.zeros(rows.size, dtype=bool)
     new_block[1:] = (np.diff(rows) != 1) | (np.diff(facing) != 0)
     new_block[rows_start[sizes > 0]] = True
     first = np.flatnonzero(new_block)
-    nrows = np.diff(np.append(first, rows.size))
-    # blocks of supernode si: block_bounds[si]:block_bounds[si + 1]
-    block_bounds = np.searchsorted(first, rows_start).tolist()
-    block_bounds.append(first.size)
-    off_blocks = list(zip(rows[first].tolist(), nrows.tolist(),
-                          facing[first].tolist()))
+    height = np.diff(np.append(first, rows.size))
+    # blocks of supernode si: off_start[si]:off_start[si] + noff[si]
+    off_start = np.searchsorted(first, rows_start)
+    noff = np.diff(np.append(off_start, first.size))[tile_snode]
 
-    # group tiles by supernode for intra-supernode blocks
-    tiles_of_snode: List[List[int]] = [[] for _ in snodes]
-    for ti, (_, _, si) in enumerate(tiles):
-        tiles_of_snode[si].append(ti)
+    # per tile: the diagonal block and one per later tile of its supernode
+    # (tiles of one supernode are consecutive), then the supernode's blocks
+    tile = np.arange(ntiles)
+    own = np.searchsorted(tile_snode, tile_snode, side="right") - tile
+    bptr = np.append(0, np.cumsum(own + noff))
+    first_row, nrows, face = np.empty((3, bptr[-1]), dtype=np.int64)
+    at = ranges(bptr[:-1], own)
+    face[at] = ranges(tile, own)
+    first_row[at], nrows[at] = tile_first[face[at]], tile_cols[face[at]]
+    at = ranges(bptr[:-1] + own, noff)
+    blk = ranges(off_start[tile_snode], noff)
+    first_row[at] = rows[first[blk]]
+    nrows[at] = height[blk]
+    face[at] = facing[first[blk]]
+    lr = ((tile_cols >= options.compress_min_width).repeat(np.diff(bptr))
+          & (nrows >= options.compress_min_height))
+    lr[bptr[:-1]] = False
 
-    cblks: List[SymbolicColumnBlock] = []
-    for ti, (fc, nc, si) in enumerate(tiles):
-        cb = SymbolicColumnBlock(id=ti, first_col=fc, ncols=nc, snode=si)
-        width_ok = nc >= options.compress_min_width
-        # diagonal block
-        cb.blocks.append(SymbolicBlock(fc, nc, facing=ti, lr_candidate=False))
-        # intra-supernode sub-diagonal blocks (dense diagonal treatment of
-        # the supernode => full blocks toward every later tile)
-        for tj in tiles_of_snode[si]:
-            if tj > ti:
-                fc2, nc2, _ = tiles[tj]
-                cb.blocks.append(SymbolicBlock(
-                    fc2, nc2, facing=tj,
-                    lr_candidate=width_ok and nc2 >= min_height))
-        cb.blocks.extend(
-            SymbolicBlock(row, height, facing=f,
-                          lr_candidate=width_ok and height >= min_height)
-            for row, height, f in
-            off_blocks[block_bounds[si]:block_bounds[si + 1]])
-        cblks.append(cb)
-    return SymbolicFactor(n, cblks)
+    blocks = list(map(SymbolicBlock, first_row.tolist(), nrows.tolist(),
+                      face.tolist(), lr.tolist()))
+    bounds = bptr.tolist()
+    return SymbolicFactor(n, [
+        SymbolicColumnBlock(ti, fc, nc, si, blocks[bounds[ti]:bounds[ti + 1]])
+        for ti, (fc, nc, si) in enumerate(tiles)])

@@ -12,9 +12,13 @@ describes both L and (transposed) U storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.sparse.csc import ranges
 
 
 @dataclass
@@ -38,6 +42,10 @@ class SymbolicBlock:
 
     def rows(self) -> np.ndarray:
         return np.arange(self.first_row, self.end_row, dtype=np.int64)
+
+
+#: the fields of a block, as :class:`SymbolicFactor` reads them all at once
+_FIELDS = attrgetter("first_row", "nrows", "facing", "lr_candidate")
 
 
 @dataclass
@@ -72,12 +80,9 @@ class SymbolicColumnBlock:
     def off_blocks(self) -> Sequence[SymbolicBlock]:
         return self.blocks[1:]
 
-    def total_rows(self) -> int:
-        return sum(b.nrows for b in self.blocks)
-
     def nnz(self) -> int:
         """Dense storage of this column block (one triangle's worth)."""
-        return self.total_rows() * self.ncols
+        return sum(b.nrows for b in self.blocks) * self.ncols
 
 
 class SubtreePlan(NamedTuple):
@@ -129,59 +134,79 @@ class SymbolicFactor:
         self.n = int(n)
         self.cblks = cblks
         self._col_starts = np.array([c.first_col for c in cblks], dtype=np.int64)
-        self._validate()
+        self._col_ends = self._col_starts + np.array(
+            [c.ncols for c in cblks], dtype=np.int64)
+        # every block's fields, column block after column block:
+        # ``_bptr[k]:_bptr[k + 1]`` are column block k's
+        self._bptr = np.append(0, np.cumsum([len(c.blocks) for c in cblks],
+                                            dtype=np.int64))
+        first, nrows, facing, lr = np.fromiter(
+            chain.from_iterable(map(_FIELDS, chain.from_iterable(
+                c.blocks for c in cblks))),
+            dtype=np.int64, count=4 * int(self._bptr[-1])).reshape(-1, 4).T
+        self._facing_of, self._lr = facing, lr.astype(bool)
+        self._validate(first, nrows)
         # per-cblk stacked off-diagonal frame (blocks in order, rows
         # stacked): ``row_offsets[k][i]`` is the frame position block i
         # starts at, ``off_rows[k]`` (a view of one global array) the global
         # row at every position; built here so that the engine only ever
         # reads them
-        off = [b for c in cblks for b in c.off_blocks()]
-        starts = np.zeros(len(off) + 1, dtype=np.int64)
-        np.cumsum([b.nrows for b in off], out=starts[1:])
-        first = np.array([b.first_row for b in off], dtype=np.int64)
-        rows = (np.repeat(first - starts[:-1], np.diff(starts))
-                + np.arange(starts[-1]))
-        ends = np.cumsum([c.noff for c in cblks])
+        noff = np.diff(self._bptr) - 1
+        off = ranges(self._bptr[:-1] + 1, noff)
+        first, nrows, facing = first[off], nrows[off], facing[off]
+        starts = np.append(0, np.cumsum(nrows))
+        rows = ranges(first, nrows)
+        begin = np.cumsum(noff) - noff
+        offsets = (starts[ranges(begin, noff + 1)]
+                   - starts[begin].repeat(noff + 1))
+        at = np.append(0, np.cumsum(noff + 1)).tolist()
         self.row_offsets: List[np.ndarray] = [
-            starts[e - c.noff:e + 1] - starts[e - c.noff]
-            for c, e in zip(cblks, ends)]
+            offsets[lo:hi] for lo, hi in zip(at, at[1:])]
+        at = starts[np.append(begin, off.size)]
         self.off_rows: List[np.ndarray] = [
-            rows[starts[e - c.noff]:starts[e]] for c, e in zip(cblks, ends)]
+            rows[lo:hi] for lo, hi in zip(at.tolist(), at[1:].tolist())]
         self._facing: Optional[Tuple[List[List[int]],
                                      List[Dict[int, Tuple[int, int]]]]] = None
         self._subtrees: Optional[SubtreePlan] = None
-        self._check_landings(first, first + np.diff(starts), np.array(
-            [b.facing for b in off], dtype=np.int64), rows)
+        self._check_landings(first, first + nrows, facing, rows,
+                             np.arange(self.ncblk).repeat(np.diff(at)))
 
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        pos = 0
-        for k, c in enumerate(self.cblks):
-            if c.id != k:
-                raise ValueError("column block ids must be 0..Ncblk-1 in order")
-            if c.first_col != pos:
-                raise ValueError("column blocks must tile the columns")
-            pos = c.end_col
-            if not c.blocks:
-                raise ValueError(f"column block {k} has no blocks")
-            d = c.blocks[0]
-            if d.first_row != c.first_col or d.nrows != c.ncols:
-                raise ValueError(f"column block {k} has a malformed diagonal block")
-            prev_end = d.end_row
-            for b in c.blocks[1:]:
-                if b.first_row < prev_end:
-                    raise ValueError(
-                        f"blocks of column block {k} overlap or are unsorted")
-                prev_end = b.end_row
-        if pos != self.n:
+    def _validate(self, first: np.ndarray, nrows: np.ndarray) -> None:
+        """Column blocks in order and tiling the columns, each with its
+        diagonal block first and its blocks (rows ``first`` / ``nrows``)
+        sorted apart: the first to break a rule is named, by its first."""
+        head, nblocks = self._bptr[:-1], np.diff(self._bptr)
+        # a block starting before the one above it in its column block ends
+        early = np.append(False, first[1:] < (first + nrows)[:-1])
+        early[head[nblocks > 0]] = False
+        early = np.append(0, np.cumsum(early))
+        diag = np.append(first, -1)[head], np.append(nrows, -1)[head]
+        rules = [
+            (np.array([c.id for c in self.cblks]) != np.arange(self.ncblk),
+             "column block ids must be 0..Ncblk-1 in order"),
+            (self._col_starts != np.append(0, self._col_ends[:-1]),
+             "column blocks must tile the columns"),
+            (nblocks == 0, "column block {} has no blocks"),
+            ((diag[0] != self._col_starts)
+             | (diag[1] != self._col_ends - self._col_starts),
+             "column block {} has a malformed diagonal block"),
+            (early[self._bptr[1:]] > early[head],
+             "blocks of column block {} overlap or are unsorted")]
+        bad = np.array([mask for mask, _ in rules]).reshape(len(rules), -1)
+        if bad.any():
+            k = int(bad.any(axis=0).argmax())
+            raise ValueError(rules[int(bad[:, k].argmax())][1].format(k))
+        if (self._col_ends[-1] if self.ncblk else 0) != self.n:
             raise ValueError("column blocks do not cover all columns")
 
     def _check_landings(self, first: np.ndarray, end: np.ndarray,
-                        facing: np.ndarray, rows: np.ndarray) -> None:
+                        facing: np.ndarray, rows: np.ndarray,
+                        owner: np.ndarray) -> None:
         """What every update visit relies on, checked once: the
         off-diagonal blocks (rows ``first:end``, column block after column
-        block; ``rows`` all their rows) land inside the column blocks they
-        face.
+        block; ``rows`` all their rows, ``owner`` the column block of each)
+        land inside the column blocks they face.
 
         * A block lies inside the column block it faces — else its landing
           in that diagonal block would wrap around (``ValueError``).
@@ -191,8 +216,7 @@ class SymbolicFactor:
           target it faces are then rows of that target, so
           :meth:`landing_map` is one slice and one search.
         """
-        col_ends = self._col_starts + np.array(
-            [c.ncols for c in self.cblks], dtype=np.int64)
+        col_ends = self._col_ends
         f = np.clip(facing, 0, self.ncblk - 1)
         inside = ((facing == f) & (first >= self._col_starts[f])
                   & (end <= col_ends[f]))
@@ -201,8 +225,6 @@ class SymbolicFactor:
             raise ValueError(
                 f"block at rows {first[i]}..{end[i]} lies outside column "
                 f"block {facing[i]}, which it faces")
-        owner = np.repeat(np.arange(self.ncblk, dtype=np.int64),
-                          [len(r) for r in self.off_rows])
         parent = self.block_etree()[owner]
         below = rows >= col_ends[parent]
         # (column block, row) keys ascend: rows ascend within a column block
@@ -280,12 +302,12 @@ class SymbolicFactor:
             contr: List[List[int]] = [[] for _ in self.cblks]
             facing: List[Dict[int, Tuple[int, int]]] = []
             for c in self.cblks:
-                ranges: Dict[int, Tuple[int, int]] = {}
+                spans: Dict[int, Tuple[int, int]] = {}
                 for j, b in enumerate(c.off_blocks()):
-                    first = ranges[b.facing][0] if b.facing in ranges else j
-                    ranges[b.facing] = (first, j + 1)
-                facing.append(ranges)
-                for t in ranges:
+                    first = spans[b.facing][0] if b.facing in spans else j
+                    spans[b.facing] = (first, j + 1)
+                facing.append(spans)
+                for t in spans:
                     contr[t].append(c.id)
             self._facing = (contr, facing)
         return self._facing
@@ -328,9 +350,8 @@ class SymbolicFactor:
         """Parent of each column block: the facing column block of its first
         off-diagonal block (-1 for roots) — the block elimination tree."""
         parent = np.full(self.ncblk, -1, dtype=np.int64)
-        for c in self.cblks:
-            if c.noff:
-                parent[c.id] = c.blocks[1].facing
+        has = np.diff(self._bptr) > 1
+        parent[has] = self._facing_of[self._bptr[:-1][has] + 1]
         return parent
 
     def block_levels(self) -> List[int]:
@@ -353,8 +374,7 @@ class SymbolicFactor:
         return sum(c.noff for c in self.cblks)
 
     def n_lr_candidates(self) -> int:
-        return sum(1 for c in self.cblks for b in c.off_blocks()
-                   if b.lr_candidate)
+        return int(self._lr.sum())
 
     def summary(self) -> dict:
         widths = [c.ncols for c in self.cblks]

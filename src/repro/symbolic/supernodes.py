@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
-from repro.ordering.elimination_tree import elimination_tree
 
 
 @dataclass
@@ -64,10 +63,15 @@ def supernode_row_sets(a: CSCMatrix,
     (``parent(s)`` owns the first row of ``rows(s)``).
     """
     n = a.n
-    snodes = [Supernode(fc, nc) for fc, nc in intervals]
-    _check_partition(n, snodes)
-    ends = np.array([s.end for s in snodes], dtype=np.int64)
-    owner = _owner_of_columns(snodes)
+    first, ncols = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
+    if (ncols <= 0).any() or (first != np.cumsum(ncols) - ncols).any():
+        raise ValueError("supernode intervals must tile [0, n) in order")
+    if ncols.sum() != n:
+        raise ValueError("supernode intervals must cover [0, n)")
+    snodes = [Supernode(fc, nc) for fc, nc in zip(first.tolist(),
+                                                  ncols.tolist())]
+    ends = first + ncols
+    owner = np.arange(len(snodes)).repeat(ncols)
 
     # initial structure from A: per supernode, the distinct rows at or
     # beyond its end among its columns' entries — one sorted pass over the
@@ -77,25 +81,23 @@ def supernode_row_sets(a: CSCMatrix,
     pairs = np.unique(sn[below] * n + a.rowind[below])
     bounds = np.searchsorted(pairs, np.arange(len(snodes) + 1) * n)
     rows = pairs % max(n, 1)
-    for i, s in enumerate(snodes):
-        s.rows = rows[bounds[i]:bounds[i + 1]]
+    # what each supernode's rows are the union of, filled as its children
+    # are eliminated
+    pieces = [[rows[lo:hi]] for lo, hi in zip(bounds[:-1].tolist(),
+                                             bounds[1:].tolist())]
 
     # eliminate in order, pushing each supernode's rows to its parent
-    for s in snodes:
+    for s, got in zip(snodes, pieces):
+        s.rows = got[0] if len(got) == 1 else _union(*got)
         if s.rows.size == 0:
             s.parent = -1
             continue
         s.parent = int(owner[s.rows[0]])
-        parent = snodes[s.parent]
         # rows beyond the parent's columns must appear in the parent too
-        parent.rows = _union(parent.rows, _beyond(s.rows, parent.end))
+        up = _beyond(s.rows, ends[s.parent])
+        if up.size:
+            pieces[s.parent].append(up)
     return snodes
-
-
-def _owner_of_columns(snodes: Sequence[Supernode]) -> np.ndarray:
-    """Index of the supernode owning each column."""
-    return np.repeat(np.arange(len(snodes)),
-                     np.array([s.ncols for s in snodes], dtype=np.int64))
 
 
 def _beyond(rows: np.ndarray, end: int) -> np.ndarray:
@@ -103,25 +105,13 @@ def _beyond(rows: np.ndarray, end: int) -> np.ndarray:
     return rows[rows.searchsorted(end):]
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two sorted duplicate-free index arrays."""
-    if not b.size:
-        return a
-    merged = np.concatenate((a, b))
+def _union(*sets: np.ndarray) -> np.ndarray:
+    """Union of sorted duplicate-free index arrays."""
+    merged = np.concatenate(sets)
     merged.sort()
     keep = np.ones(merged.size, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     return merged[keep]
-
-
-def _check_partition(n: int, snodes: Sequence[Supernode]) -> None:
-    pos = 0
-    for s in snodes:
-        if s.first_col != pos or s.ncols <= 0:
-            raise ValueError("supernode intervals must tile [0, n) in order")
-        pos = s.end
-    if pos != n:
-        raise ValueError("supernode intervals must cover [0, n)")
 
 
 def amalgamate(snodes: List[Supernode], frat: float = 0.08,
@@ -171,7 +161,8 @@ def amalgamate(snodes: List[Supernode], frat: float = 0.08,
                                        and w > max_width):
             continue
         before = s.nnz() + into.nnz()
-        merged_rows = _union(into.rows, _beyond(s.rows, into.end))
+        extra = _beyond(s.rows, into.end)
+        merged_rows = _union(into.rows, extra) if extra.size else into.rows
         if w * w + merged_rows.size * w - before > frat * before:
             continue
         # merge: parent absorbs child's columns (and its children)
@@ -195,7 +186,7 @@ def amalgamate(snodes: List[Supernode], frat: float = 0.08,
 
 def _reindex_parents(snodes: List[Supernode]) -> None:
     """Recompute parents from row sets after a structural change."""
-    owner = _owner_of_columns(snodes)
+    owner = np.arange(len(snodes)).repeat([s.ncols for s in snodes])
     for s in snodes:
         s.parent = int(owner[s.rows[0]]) if s.rows.size else -1
 
@@ -205,72 +196,44 @@ def split_supernodes(snodes: Sequence[Supernode], split_size: int,
     """Tile wide supernodes for parallelism and BLR clustering.
 
     Paper §4: "blocks that are larger than 256 are split in blocks of size
-    at least 128".  A supernode wider than ``split_size`` is cut into
-    ``ceil(width / split_size)`` balanced chunks; balance guarantees each
-    chunk is at least ``split_size / 2 >= split_min`` wide.
+    at least 128".  A supernode of width ``w`` is cut into
+    ``min(ceil(w / split_size), max(1, w // split_min))`` balanced chunks:
+    as few as keep every chunk at most ``split_size`` wide, unless that
+    would make one narrower than ``split_min`` (then fewer, wider ones).
 
     Returns ``(first_col, ncols, snode_index)`` triples in column order.
     """
     if split_min > split_size:
         raise ValueError("split_min must be <= split_size")
-    out: List[Tuple[int, int, int]] = []
-    for si, s in enumerate(snodes):
-        w = s.ncols
-        if w <= split_size:
-            out.append((s.first_col, w, si))
-            continue
-        nchunks = -(-w // split_size)  # ceil
-        base = w // nchunks
-        extra = w % nchunks
-        pos = s.first_col
-        for c in range(nchunks):
-            size = base + (1 if c < extra else 0)
-            out.append((pos, size, si))
-            pos += size
-    return out
+    w = np.array([s.ncols for s in snodes], dtype=np.int64)
+    lo = max(split_min, 1)  # below 1 it bounds nothing
+    nchunks = np.minimum(-(-w // split_size), np.maximum(1, w // lo))
+    snode = np.arange(w.size).repeat(nchunks)
+    # chunk c of a supernode: base width, one more for the first w % chunks
+    c = np.arange(snode.size) - (np.cumsum(nchunks) - nchunks)[snode]
+    ncols = (w // nchunks)[snode] + (c < (w % nchunks)[snode])
+    start = np.array([s.first_col for s in snodes], dtype=np.int64)
+    first = (np.cumsum(ncols) - ncols) + (start - (np.cumsum(w) - w))[snode]
+    return list(zip(first.tolist(), ncols.tolist(), snode.tolist()))
 
 
 def detect_fundamental_supernodes(a: CSCMatrix) -> List[Tuple[int, int]]:
     """Fundamental supernodes of an already-permuted matrix.
 
     Used for the ``amd`` / ``natural`` orderings where no ND partition
-    exists.  Computes the vertex elimination tree and the exact column
-    structures of L (up-looking, O(fill) — acceptable at the scales where
-    these orderings are selected), then groups consecutive columns ``j``,
-    ``j+1`` with ``parent(j) = j+1`` and ``|struct(j)| - 1 = |struct(j+1)|``.
+    exists.  :func:`supernode_row_sets` over one-column supernodes gives
+    the exact column structures of L and the elimination tree (O(fill) —
+    acceptable at the scales where these orderings are selected); columns
+    ``j``, ``j+1`` with ``parent(j) = j+1`` and ``|struct(j)| - 1 =
+    |struct(j+1)|`` are grouped.
 
     Returns ``(first_col, ncols)`` intervals tiling ``[0, n)``.
     """
-    n = a.n
-    parent = elimination_tree(a)
-    # up-looking symbolic: struct[j] = below-diagonal rows of L column j
-    struct: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    children: List[List[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        p = int(parent[j])
-        if p >= 0:
-            children[p].append(j)
-    for j in range(n):
-        rows, _ = a.column(j)
-        k = int(np.searchsorted(rows, j + 1))
-        pieces = [rows[k:]]
-        for c in children[j]:
-            sc = struct[c]
-            kk = int(np.searchsorted(sc, j + 1))
-            pieces.append(sc[kk:])
-        struct[j] = np.unique(np.concatenate(pieces)) if pieces else \
-            np.empty(0, dtype=np.int64)
-
-    counts = np.array([len(s) for s in struct], dtype=np.int64)
-    intervals: List[Tuple[int, int]] = []
-    start = 0
-    for j in range(1, n + 1):
-        extend = (
-            j < n
-            and parent[j - 1] == j
-            and counts[j - 1] - 1 == counts[j]
-        )
-        if not extend:
-            intervals.append((start, j - start))
-            start = j
-    return intervals
+    cols = supernode_row_sets(a, [(j, 1) for j in range(a.n)])
+    parent = np.array([c.parent for c in cols], dtype=np.int64)
+    count = np.array([c.rows.size for c in cols], dtype=np.int64)
+    start = np.ones(a.n, dtype=bool)
+    start[1:] = ((parent[:-1] != np.arange(1, a.n))
+                 | (count[:-1] - 1 != count[1:]))
+    first = np.flatnonzero(start)
+    return list(zip(first.tolist(), np.diff(np.append(first, a.n)).tolist()))

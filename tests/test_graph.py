@@ -67,9 +67,11 @@ def peripheral(g, verts, degrees=None):
     verts = np.asarray(verts, dtype=np.int64)
     degrees = g.degrees()[verts] if degrees is None else degrees
     region = np.zeros(verts.size, dtype=np.int64)
-    level, _, connected = _pseudo_peripheral(
-        g.within(verts, region), np.array([0, verts.size]), region, degrees)
-    assert connected.all()
+    h = g.within(verts, region)
+    first = levels(h, [0])
+    assert (first >= 0).all()
+    sel = np.arange(verts.size)
+    level, _ = _pseudo_peripheral(h, sel, region, first, degrees)
     return int(verts[level == 0][0]), level
 
 

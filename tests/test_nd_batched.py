@@ -17,7 +17,7 @@ from repro.ordering.geometric import geometric_nested_dissection
 from repro.ordering.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.separator import find_vertex_separator, vertex_separators
-from repro.sparse.generators import elasticity_3d, laplacian_2d
+from repro.sparse.generators import elasticity_3d, laplacian_2d, laplacian_3d
 from tests import nd_reference as ref
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -147,3 +147,27 @@ class TestBatchedSeparator:
         pa, pb, sep = find_vertex_separator(g, verts)
         np.testing.assert_array_equal(pa, verts)
         assert pb.size == 0 and sep.size == 0
+
+
+class TestOneSubgraphPerDepth:
+    def test_lap3d_builds_one_subgraph_per_depth(self, monkeypatch):
+        """A depth's component search and its separators share one
+        ``Graph.within`` subgraph; one more orders the parts."""
+        g = Graph.from_matrix(laplacian_3d(12))
+        want = nested_dissection(g)
+        sizes = []
+        within = Graph.within
+
+        def counted(self, vertices, region):
+            sizes.append(len(vertices))
+            return within(self, vertices, region)
+
+        monkeypatch.setattr(Graph, "within", counted)
+        got = nested_dissection(g)
+        assert_same(got, want)
+        depths = max(p.level for p in got.partitions if p.is_separator) + 1
+        assert len(sizes) == depths + 1
+        # every depth's regions lie inside the previous depth's; the last
+        # subgraph holds every vertex, part by part
+        assert sizes[0] == g.n and sizes[-1] == g.n
+        assert all(a > b for a, b in zip(sizes[:-2], sizes[1:-1]))

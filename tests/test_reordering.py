@@ -175,3 +175,17 @@ def test_matches_frozenset_tour(build, width_cap, monkeypatch):
     snodes = amalgamate(build_snodes(build(), cmin=6), frat=0.08)
     np.testing.assert_array_equal(reorder_supernodes(snodes),
                                   frozenset_reorder(snodes, width_cap))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: laplacian_3d(7), lambda: random_spd(90, density=0.05, seed=2)])
+@pytest.mark.parametrize("group_cap,batch", [(3, 1 << 21), (512, 1)])
+def test_group_cap_and_tour_batches(build, group_cap, batch, monkeypatch):
+    # group_cap=3 sends every supernode with more groups down the
+    # lexicographic path; batch=1 runs every greedy tour in a batch alone
+    monkeypatch.setattr(reordering, "TSP_GROUP_CAP", group_cap)
+    monkeypatch.setattr(reordering, "_TOUR_BATCH", batch)
+    snodes = amalgamate(build_snodes(build(), cmin=6), frat=0.08)
+    np.testing.assert_array_equal(
+        reorder_supernodes(snodes),
+        frozenset_reorder(snodes, reordering.TSP_WIDTH_CAP, group_cap))

@@ -162,6 +162,29 @@ class TestSplitting:
             pos += nc
         assert pos == 597
 
+    def test_chunks_keep_split_min(self):
+        # two chunks of 65 would be 33 + 32, under split_min = 40
+        assert split_supernodes([Supernode(0, 65)], split_size=64,
+                                split_min=40) == [(0, 65, 0)]
+        # 130 columns at 64 / 64: two chunks of 65, not 44 / 43 / 43
+        assert split_supernodes([Supernode(0, 130)], split_size=64,
+                                split_min=64) == [(0, 65, 0), (65, 65, 0)]
+
+    @pytest.mark.parametrize("split_size,split_min", [
+        (64, 32), (64, 40), (64, 64), (100, 7), (256, 128)])
+    def test_chunk_widths(self, split_size, split_min):
+        widths = list(range(1, 700, 7))
+        starts = np.cumsum([0] + widths[:-1]).tolist()
+        tiles = split_supernodes(
+            [Supernode(f, w) for f, w in zip(starts, widths)],
+            split_size=split_size, split_min=split_min)
+        for si, w in enumerate(widths):
+            sizes = [t[1] for t in tiles if t[2] == si]
+            assert sum(sizes) == w and max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= min(w, split_min)
+            want = min(-(-w // split_size), max(1, w // split_min))
+            assert len(sizes) == want
+
     def test_invalid_split_params(self):
         with pytest.raises(ValueError):
             split_supernodes([Supernode(0, 10)], split_size=16, split_min=32)

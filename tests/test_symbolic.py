@@ -155,6 +155,33 @@ class TestStructureValidation:
         with pytest.raises(ValueError, match="ids"):
             SymbolicFactor(2, [cb])
 
+    def test_rejects_a_column_block_without_blocks(self):
+        cb0 = SymbolicColumnBlock(0, 0, 2, 0, [self._diag(0, 2)])
+        cb1 = SymbolicColumnBlock(1, 2, 1, 1, [])
+        with pytest.raises(ValueError, match="column block 1 has no blocks"):
+            SymbolicFactor(3, [cb0, cb1])
+
+    def test_rejects_columns_left_uncovered(self):
+        cb = SymbolicColumnBlock(0, 0, 2, 0, [self._diag(0, 2)])
+        with pytest.raises(ValueError, match="do not cover all columns"):
+            SymbolicFactor(3, [cb])
+        with pytest.raises(ValueError, match="do not cover all columns"):
+            SymbolicFactor(1, [])
+
+    def test_reports_the_first_broken_column_block(self):
+        # column block 0 breaks the diagonal rule, 1 the no-blocks rule and
+        # the overlap rule: the first column block and its first rule win
+        cb0 = SymbolicColumnBlock(0, 0, 2, 0, [SymbolicBlock(1, 2, 0)])
+        cb1 = SymbolicColumnBlock(1, 2, 1, 1, [])
+        with pytest.raises(ValueError, match="column block 0 has a malformed"):
+            SymbolicFactor(3, [cb0, cb1])
+        cb0 = SymbolicColumnBlock(0, 0, 1, 0, [
+            SymbolicBlock(0, 1, 0), SymbolicBlock(1, 2, 1),
+            SymbolicBlock(2, 1, 1)])
+        with pytest.raises(ValueError,
+                           match="blocks of column block 0 overlap"):
+            SymbolicFactor(3, [cb0, SymbolicColumnBlock(5, 1, 2, 1, [])])
+
     def test_rejects_a_block_outside_the_column_block_it_faces(self):
         # rows 1..2 lie in column block 1, not in column block 2 (column
         # 3): its landing in 2's diagonal block would be row -2
