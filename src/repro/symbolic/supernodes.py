@@ -87,16 +87,15 @@ def supernode_row_sets(a: CSCMatrix,
                                              bounds[1:].tolist())]
 
     # eliminate in order, pushing each supernode's rows to its parent
+    ends = ends.tolist()
     for s, got in zip(snodes, pieces):
-        s.rows = got[0] if len(got) == 1 else _union(*got)
-        if s.rows.size == 0:
-            s.parent = -1
-            continue
-        s.parent = int(owner[s.rows[0]])
-        # rows beyond the parent's columns must appear in the parent too
-        up = _beyond(s.rows, ends[s.parent])
-        if up.size:
-            pieces[s.parent].append(up)
+        s.rows = r = got[0] if len(got) == 1 else _union(*got)
+        if r.size:
+            s.parent = p = int(owner[r[0]])
+            # rows beyond the parent's columns must appear in the parent too
+            up = r[r.searchsorted(ends[p]):]
+            if up.size:
+                pieces[p].append(up)
     return snodes
 
 
@@ -144,13 +143,14 @@ def amalgamate(snodes: List[Supernode], frat: float = 0.08,
     for i, p in enumerate(parent):
         if p >= 0:
             children[p].append(i)
-    # (sweep, index) of the pending tries, in the order the sweeps run them
-    todo = [(0, i) for i in range(len(snodes))]
-    queued = set(todo)
+    # (sweep, index) of the pending tries, in the order the sweeps run them;
+    # a try queued twice pops twice in a row
+    todo, last = [(0, i) for i in range(len(snodes))], None
     while todo:
         item = heapq.heappop(todo)
-        queued.discard(item)
-        sweep, i = item
+        if item == last:
+            continue
+        sweep, i = last = item
         s, p = snodes[i], parent[i]
         if not alive[i] or p < 0:
             continue
@@ -175,10 +175,7 @@ def amalgamate(snodes: List[Supernode], frat: float = 0.08,
         # the parent comes up later in this sweep, and so do its children
         # after i; those before i wait for the next sweep
         for c in children[p] + [p]:
-            item = (sweep if c > i else sweep + 1, c)
-            if item not in queued:
-                queued.add(item)
-                heapq.heappush(todo, item)
+            heapq.heappush(todo, (sweep if c > i else sweep + 1, c))
     kept = [s for i, s in enumerate(snodes) if alive[i]]
     _reindex_parents(kept)
     return kept
