@@ -31,7 +31,8 @@ TSP_WIDTH_CAP = 4096
 #: so do supernodes with more label groups than this
 TSP_GROUP_CAP = 512
 
-#: distance-matrix entries one batch of greedy tours may hold
+#: entries one batch of greedy tours may hold in its distance matrices
+#: and in its unpacked labels
 _TOUR_BATCH = 1 << 21
 
 
@@ -108,7 +109,8 @@ def reorder_supernodes(snodes: Sequence[Supernode]) -> np.ndarray:
     for cls in np.unique(size_class):
         batch = greedy[size_class == cls]
         width = int(ngroups[batch].max())
-        step = max(1, _TOUR_BATCH // width ** 2)
+        step = max(1, _TOUR_BATCH // width // max(width, 64 * int(
+            nwords[batch].max())))
         for part in (batch[i:i + step] for i in range(0, batch.size, step)):
             g = np.arange(width)
             real = g < ngroups[part][:, None]
