@@ -102,15 +102,24 @@ def array_digest(*arrays: Any) -> str:
 def factor_digest(fac: Any) -> str:
     """sha256 over every numerical array of the factors (order-stable).
 
+    Per column block: the diagonal block, then per stored side its
+    off-diagonal blocks in frame order, read through ``lblock(i)`` /
+    ``ublock(i)`` — a dense block's rows, a low-rank block's ``u`` then
+    ``v`` — so the digest does not depend on how the blocks are laid out.
     Archive bytes are not comparable (zip timestamps), so bit-identity
     assertions hash the factor *contents*.
     """
-    arrays = []
+    h = hashlib.sha256()
     for nc in fac.cblks:
-        arrays += [nc.diag, nc.lpanel, nc.upanel]
-        for b in (nc.lblocks or []) + (nc.ublocks or []):
-            arrays += [b.u, b.v] if isinstance(b, LowRankBlock) else [b]
-    return array_digest(*(a for a in arrays if a is not None))
+        if nc.diag is None:
+            continue
+        h.update(np.ascontiguousarray(nc.diag).tobytes())
+        for get in (nc.lblock, nc.ublock)[:fac.sides]:
+            for i in range(nc.sym.noff):
+                b = get(i)
+                for a in (b.u, b.v) if isinstance(b, LowRankBlock) else (b,):
+                    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def _json_digest(**doc: Any) -> str:
