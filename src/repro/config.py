@@ -174,6 +174,8 @@ class SolverConfig:
             raise ValueError("frat must be >= 0")
         if self.split_size < 1:
             raise ValueError("split_size must be >= 1")
+        if self.split_min < 1:
+            raise ValueError("split_min must be >= 1")
         if self.split_min > self.split_size:
             raise ValueError("split_min must be <= split_size")
         if self.threads != 1:

@@ -200,11 +200,12 @@ def split_supernodes(snodes: Sequence[Supernode], split_size: int,
 
     Returns ``(first_col, ncols, snode_index)`` triples in column order.
     """
+    if split_min < 1:
+        raise ValueError("split_min must be >= 1")
     if split_min > split_size:
         raise ValueError("split_min must be <= split_size")
     w = np.array([s.ncols for s in snodes], dtype=np.int64)
-    lo = max(split_min, 1)  # below 1 it bounds nothing
-    nchunks = np.minimum(-(-w // split_size), np.maximum(1, w // lo))
+    nchunks = np.minimum(-(-w // split_size), np.maximum(1, w // split_min))
     snode = np.arange(w.size).repeat(nchunks)
     # chunk c of a supernode: base width, one more for the first w % chunks
     c = np.arange(snode.size) - (np.cumsum(nchunks) - nchunks)[snode]

@@ -53,6 +53,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="split_min"):
             SolverConfig(split_min=300, split_size=256)
 
+    @pytest.mark.parametrize("min_", [0, -5])
+    def test_split_min_below_one_rejected(self, min_):
+        """A non-positive chunk floor bounds nothing: rejected like a
+        non-positive ``split_size``."""
+        with pytest.raises(ValueError, match="split_min must be >= 1"):
+            SolverConfig(split_min=min_)
+
     @pytest.mark.parametrize("size,min_", [(0, 0), (-4, -8)])
     def test_split_size_below_one_rejected(self, size, min_):
         """A non-positive tile width would divide by zero in analysis."""

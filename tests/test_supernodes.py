@@ -189,6 +189,12 @@ class TestSplitting:
         with pytest.raises(ValueError):
             split_supernodes([Supernode(0, 10)], split_size=16, split_min=32)
 
+    @pytest.mark.parametrize("split_min", [0, -5])
+    def test_split_min_below_one_rejected(self, split_min):
+        with pytest.raises(ValueError, match="split_min must be >= 1"):
+            split_supernodes([Supernode(0, 10)], split_size=16,
+                             split_min=split_min)
+
 
 class TestFundamentalSupernodes:
     def test_tridiagonal_is_one_chain_of_supernodes(self):
