@@ -81,7 +81,7 @@ MULTIRHS_K = 16
 def _narrowed(fac: Any) -> Optional[str]:
     """The narrow dtype some column block of ``fac`` is stored in, or
     ``None`` when every block kept the compute dtype."""
-    narrow = {b.dtype for nc in fac.cblks for b in nc.lblocks or ()}
+    narrow = {b.dtype for nc in fac.cblks for _, _, b in nc.stored()}
     narrow.discard(fac.dtype)
     return str(narrow.pop()) if narrow else None
 

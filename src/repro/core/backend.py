@@ -622,7 +622,7 @@ class Kernels:
     ``FactorizationStats.backend_kernel_calls``.  Callers that skip the
     wrapper charge theirs through :meth:`tick`: the triangular solves
     (``panel_trsm`` / ``panel_gemm`` / ``lr_apply``) and the fan-in task,
-    whose panel-mode visits multiply through ``@`` (``gemm``).
+    whose visits multiply their dense rows through ``@`` (``gemm``).
     """
 
     def __init__(self) -> None:

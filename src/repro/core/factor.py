@@ -1,23 +1,19 @@
 """Numerical block storage and assembly.
 
 A :class:`NumericFactor` owns one :class:`NumericColumnBlock` per symbolic
-column block.  Storage comes in two modes, mirroring how PaStiX lays factors
-out:
-
-* **panel mode** — the column block's off-diagonal part is one contiguous
-  dense array (``lpanel``, rows stacked in block order).  Used by the Dense
-  strategy throughout and by every column block of a BLR run in which
-  nothing compressed; contiguity is what lets the update loop issue one
-  BLAS3 GEMM per facing block instead of one per block pair, the panel
-  solve one TRSM per side and the triangular solves one product per sweep.
-* **blocks mode** — a list with one entry per off-diagonal block, each a
-  dense array or a :class:`~repro.lowrank.block.LowRankBlock`.  One rule, at
-  every compression site (:func:`compress_column_block`): **blocks mode =
-  holds at least one low-rank block**.  Minimal Memory still never charges
-  a dense panel it does not keep — a block is compressed from a transient
-  scratch and only what is stored is tracked — and a column block of its
-  whose candidates were all rejected keeps that scratch as its panels, at
-  the bytes its dense blocks would have cost.
+column block, all in one layout — PaStiX's stacked panel, with the blocks
+that compressed beside it.  Per side, ``lpanel`` / ``upanel`` is one
+C-ordered array with the rows of the dense off-diagonal blocks in frame
+order, which lets the update loop issue one BLAS3 GEMM per facing block
+instead of one per block pair, the panel solve one TRSM and the
+triangular solves one product per sweep; ``llowrank`` / ``ulowrank`` maps
+block index → :class:`~repro.lowrank.block.LowRankBlock` for the blocks
+that compressed, whose rows the panel skips.  In a Dense run, and in any
+column block where nothing compressed, the map is empty and the panel is
+the whole off-diagonal frame.  ``lblock(i)`` / ``ublock(i)`` read one
+block whatever it holds.  Minimal Memory never charges a dense panel it
+does not keep: a block is compressed from a transient scratch and only
+what is stored is tracked.
 
 Nothing is allocated before the factorization: :func:`assemble` only
 resolves dtypes and norms, and each column block is allocated and scattered
@@ -29,16 +25,17 @@ Dense, the compressed factor plus one dense column block for Just-In-Time,
 the compressed factor for Minimal Memory.
 
 The diagonal block is always a separate dense ``(w, w)`` array (paper §2.2:
-"all diagonal blocks are considered dense").  For LU, a second structure
-(``upanel`` / ``ublocks``) stores Uᵗ with the same shape as L — the paper's
-"PaStiX solver stores L, and Uᵗ if required".
+"all diagonal blocks are considered dense").  For LU, a second side
+(``upanel`` / ``ulowrank``) stores Uᵗ with the same block shapes as L — the
+paper's "PaStiX solver stores L, and Uᵗ if required"; each side compresses
+on its own, so the two panels may hold different rows.
 
 Every allocation, free and resize is reported to a
 :class:`~repro.runtime.memory.MemoryTracker`, which is how the Figure 6/7
 memory measurements are produced.  What is stored is counted here too:
-:meth:`NumericColumnBlock.stored` walks a column block's pieces whatever
-its mode, and :meth:`NumericFactor.census` counts the factor's bytes,
-blocks and ranks through it for the solver and the RunReport.
+:meth:`NumericColumnBlock.stored` walks a column block's pieces, and
+:meth:`NumericFactor.census` counts the factor's bytes, blocks and ranks
+through it for the solver and the RunReport.
 """
 
 from __future__ import annotations
@@ -75,19 +72,24 @@ Block = Union[np.ndarray, LowRankBlock]
 
 
 class NumericColumnBlock:
-    """Numerical storage of one column block."""
+    """Numerical storage of one column block: its diagonal block and, per
+    stored side, the panel of its dense off-diagonal rows beside the map
+    of its low-rank blocks."""
 
-    __slots__ = ("sym", "diag", "lpanel", "upanel", "lblocks", "ublocks",
-                 "row_offsets", "offrows", "factored", "pivperm", "pivd21")
+    __slots__ = ("sym", "diag", "lpanel", "upanel", "llowrank", "ulowrank",
+                 "loffsets", "uoffsets", "row_offsets", "offrows",
+                 "factored", "pivperm", "pivd21")
 
     def __init__(self, sym: SymbolicColumnBlock,
                  row_offsets: np.ndarray) -> None:
         self.sym = sym
         self.diag: Optional[np.ndarray] = None
+        #: per side, the dense rows and the low-rank blocks by index (the
+        #: U side's panel stays ``None`` for a symmetric factorization)
         self.lpanel: Optional[np.ndarray] = None
         self.upanel: Optional[np.ndarray] = None
-        self.lblocks: Optional[List[Block]] = None
-        self.ublocks: Optional[List[Block]] = None
+        self.llowrank: Dict[int, LowRankBlock] = {}
+        self.ulowrank: Dict[int, LowRankBlock] = {}
         #: within-block pivot permutation (threshold-pivoted ldlt only):
         #: row ``i`` of the factored diagonal block is row ``pivperm[i]``
         #: of the assembled one.  ``None`` = identity (static pivoting).
@@ -96,10 +98,12 @@ class NumericColumnBlock:
         #: 2×2 pivot starts at column ``j``, zero elsewhere.  ``None``
         #: when the block was factored with 1×1 pivots only.
         self.pivd21: Optional[np.ndarray] = None
-        #: where each off-diagonal block starts in the stacked panel frame
+        #: where each off-diagonal block starts in the stacked frame
         #: (``SymbolicFactor.row_offsets``, shared and read-only)
         self.row_offsets = row_offsets
         self.offrows = int(row_offsets[-1])
+        #: per side, where each block starts in the panel (set_side)
+        self.loffsets = self.uoffsets = row_offsets
         self.factored = False
 
     # ------------------------------------------------------------------
@@ -107,46 +111,76 @@ class NumericColumnBlock:
     def width(self) -> int:
         return self.sym.ncols
 
-    @property
-    def panel_mode(self) -> bool:
-        return self.lpanel is not None
+    def panel(self, side: str) -> Optional[np.ndarray]:
+        """The dense rows of side ``'l'`` / ``'u'``."""
+        return self.lpanel if side == "l" else self.upanel
+
+    def lowrank(self, side: str) -> Dict[int, LowRankBlock]:
+        """The low-rank blocks of side ``'l'`` / ``'u'``, by block index."""
+        return self.llowrank if side == "l" else self.ulowrank
+
+    def set_side(self, side: str, panel: Optional[np.ndarray],
+                 lowrank: Dict[int, LowRankBlock]) -> None:
+        """Store ``side``; ``lowrank`` in ascending index order."""
+        offsets = self.row_offsets
+        if lowrank:
+            sizes = np.diff(offsets)
+            sizes[list(lowrank)] = 0
+            offsets = np.concatenate(([0], np.cumsum(sizes)))
+        if side == "l":
+            self.lpanel, self.llowrank, self.loffsets = panel, lowrank, offsets
+        else:
+            self.upanel, self.ulowrank, self.uoffsets = panel, lowrank, offsets
+
+    def panel_offsets(self, side: str) -> np.ndarray:
+        """Where each off-diagonal block starts in the panel of ``side``
+        (a low-rank block has no rows there): :attr:`row_offsets` itself
+        when nothing on that side compressed."""
+        return self.loffsets if side == "l" else self.uoffsets
+
+    def panel_rows(self, side: str) -> "slice | np.ndarray":
+        """Which rows of the frame the panel of ``side`` holds: a boolean
+        mask, or all of them (a slice) when nothing there compressed."""
+        lowrank = self.lowrank(side)
+        if not lowrank:
+            return slice(None)
+        dense = np.ones(self.sym.noff, dtype=bool)
+        dense[list(lowrank)] = False
+        return np.repeat(dense, np.diff(self.row_offsets))
+
+    def block(self, side: str, i: int) -> Block:
+        """Off-diagonal block ``i`` of ``side``: its low-rank form, or a
+        view of its rows in the panel."""
+        if i in self.lowrank(side):
+            return self.lowrank(side)[i]
+        offs = self.panel_offsets(side)
+        return self.panel(side)[offs[i]:offs[i + 1]]
 
     def lblock(self, i: int) -> Block:
         """The i-th off-diagonal L block (0-based over off blocks)."""
-        if self.lpanel is not None:
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            return self.lpanel[lo:hi]
-        return self.lblocks[i]
+        return self.block("l", i)
 
     def ublock(self, i: int) -> Block:
-        if self.upanel is not None:
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            return self.upanel[lo:hi]
-        return self.ublocks[i]
+        """The i-th off-diagonal Uᵗ block (LU only)."""
+        return self.block("u", i)
 
     def stored(self) -> Iterator[Tuple[str, int, Block]]:
         """Every stored off-diagonal piece as ``(side, i, block)``, L then
-        U: block ``i`` of a blocks-mode side, or ``(side, -1, panel)`` for
-        a kept panel, one dense array holding ``sym.noff`` blocks."""
-        if self.lpanel is not None:
-            yield "l", -1, self.lpanel
-            if self.upanel is not None:
-                yield "u", -1, self.upanel
-            return
-        for side, blocks in (("l", self.lblocks), ("u", self.ublocks)):
-            if blocks is not None:
-                for i, b in enumerate(blocks):
+        U: a side's panel as ``i = -1``, then its low-rank blocks."""
+        for side in ("l", "u"):
+            if self.panel(side) is not None:
+                yield side, -1, self.panel(side)
+                for i, b in self.lowrank(side).items():
                     yield side, i, b
 
-    def nbytes(self, sides: int) -> int:
-        """Current storage (diag + off-blocks of ``sides`` factor sides)."""
+    def nbytes(self) -> int:
+        """Current storage: the diagonal block and every stored piece."""
         total = array_nbytes(self.diag) if self.diag is not None else 0
-        if self.lpanel is not None:
-            total += array_nbytes(self.lpanel) * sides
-        if self.lblocks is not None:
-            total += sum(block_nbytes(b) for b in self.lblocks)
-            if self.ublocks is not None:
-                total += sum(block_nbytes(b) for b in self.ublocks)
+        for panel, lowrank in ((self.lpanel, self.llowrank),
+                               (self.upanel, self.ulowrank)):
+            if panel is not None:
+                total += array_nbytes(panel) + sum(
+                    b.nbytes for b in lowrank.values())
         return total
 
 
@@ -275,8 +309,10 @@ class NumericFactor:
         before its task — where a failed attempt restarts from, since only
         task ``k`` ever mutates ``k``."""
         nc = self.cblks[k]
-        self.tracker.free(nc.nbytes(self.sides))
-        nc.diag = nc.lpanel = nc.upanel = nc.lblocks = nc.ublocks = None
+        self.tracker.free(nc.nbytes())
+        nc.diag = None
+        nc.set_side("l", None, {})
+        nc.set_side("u", None, {})
         nc.pivperm = nc.pivd21 = None
         nc.factored = False
 
@@ -288,7 +324,7 @@ class NumericFactor:
 
     def factor_nbytes(self) -> int:
         """Current compressed storage of all blocks."""
-        return sum(nc.nbytes(self.sides) for nc in self.cblks)
+        return sum(nc.nbytes() for nc in self.cblks)
 
     def census(self) -> Dict[str, Any]:
         """Where the stored factor's bytes and ranks are, in one walk.
@@ -300,8 +336,8 @@ class NumericFactor:
         elimination-tree depth (:meth:`SymbolicFactor.block_levels`, 0 at
         the root) — the three RunReport sections, with string keys in
         sorted order.  ``lowrank_blocks`` / ``dense_blocks`` count each
-        side's blocks (``{"l": n, "u": n}``); a kept panel counts as its
-        ``sym.noff`` dense blocks."""
+        side's blocks (``{"l": n, "u": n}``); a panel counts as the dense
+        blocks it stacks."""
         levels = self.symb.block_levels()
         lr_bytes = dense_bytes = diag_bytes = 0
         n_lowrank = {"l": 0, "u": 0}
@@ -318,7 +354,7 @@ class NumericFactor:
                     per[b.rank] = per.get(b.rank, 0) + 1
                 else:
                     dense_bytes += b.nbytes
-                    n_dense[side] += nc.sym.noff if i < 0 else 1
+                    n_dense[side] += nc.sym.noff - len(nc.lowrank(side))
         hist: Dict[int, int] = {}
         for per in by_level.values():
             for r, c in per.items():
@@ -377,11 +413,20 @@ class NumericFactor:
     # -- block mutation with memory accounting ----------------------------
     def set_block(self, nc: NumericColumnBlock, side: str, i: int,
                   new: Block) -> None:
-        """Replace off-block ``i`` on side ``'l'``/``'u'``, tracking bytes."""
-        blocks = nc.lblocks if side == "l" else nc.ublocks
-        old = blocks[i]
-        self.tracker.resize(block_nbytes(old), block_nbytes(new))
-        blocks[i] = new
+        """Replace the low-rank block ``i`` on side ``'l'``/``'u'``,
+        tracking bytes: by ``new`` in the map when it is low-rank, else by
+        its rows, inserted into the panel where the block starts."""
+        lowrank, panel = nc.lowrank(side), nc.panel(side)
+        if not isinstance(new, LowRankBlock):
+            new = new.astype(panel.dtype, copy=False)
+        self.tracker.resize(block_nbytes(lowrank[i]), block_nbytes(new))
+        if isinstance(new, LowRankBlock):
+            lowrank[i] = new
+            return
+        del lowrank[i]
+        at = nc.panel_offsets(side)[i]
+        nc.set_side(side, np.concatenate((panel[:at], new, panel[at:])),
+                    lowrank)
 
 
 def assemble(a_perm: CSCMatrix, symb: SymbolicFactor,
@@ -477,13 +522,14 @@ def narrow_if_discarded(fac: NumericFactor, nc: NumericColumnBlock,
     narrow = fac.storage_dtype
     if narrow is None or dropped2 <= 0:
         return
-    sides = [bl for bl in (nc.lblocks, nc.ublocks) if bl is not None]
-    norm2 = sum(sqnorm(b.v if isinstance(b, LowRankBlock) else b)
-                for blocks in sides for b in blocks)
+    sides = [side for side in ("l", "u") if nc.panel(side) is not None]
+    norm2 = sum(sqnorm(nc.panel(side))
+                + sum(sqnorm(b.v) for b in nc.lowrank(side).values())
+                for side in sides)
     if dropped2 >= (NARROW_BUDGET * np.finfo(narrow).eps / 2) ** 2 * norm2:
-        for blocks in sides:
-            blocks[:] = [b if b.dtype == narrow else b.astype(narrow)
-                         for b in blocks]
+        for side in sides:
+            nc.set_side(side, nc.panel(side).astype(narrow, copy=False), {
+                i: b.astype(narrow) for i, b in nc.lowrank(side).items()})
 
 
 def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
@@ -493,18 +539,18 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
     candidate of its dense ``lpanel`` / ``upanel``, store the outcome on
     ``nc`` and return the bytes it holds.
 
-    One rule at every site: **blocks mode = holds at least one low-rank
-    block**.  When a candidate is accepted the column block gets per-block
-    storage (the other blocks as dense arrays); when none is, the panels
-    themselves are kept, so a column block that stayed dense costs what it
-    costs in the dense solver — same bytes, same batched kernels.
+    Per side, the accepted blocks go to its low-rank map and the rows of
+    the others stay stacked in its panel; a side where nothing was
+    accepted keeps ``lpanel`` / ``upanel`` itself, so a column block that
+    stayed dense costs what it costs in the dense solver — same bytes,
+    same batched kernels.
 
     Precision follows the error already discarded: the blocks of a column
     block are stored in ``fac.storage_dtype`` when what its accepted
     compressions dropped is large enough to absorb the rounding
     (:func:`narrow_if_discarded`).  Read from the kernels' own output, never
     reconstructed: for an orthonormal ``u`` a block discarded
-    ``‖B‖² − ‖v‖²``.  A column block that kept its panels stays wide.
+    ``‖B‖² − ‖v‖²``.  A column block where nothing compressed stays wide.
 
     When a fault injector arms the compression site of an armed run
     (``fac.recovery``), nothing is tried and the panels are kept — the
@@ -512,7 +558,7 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
     raises."""
     cfg = fac.config
     offs = nc.row_offsets
-    panels = [lpanel] if upanel is None else [lpanel, upanel]
+    panels = {"l": lpanel} if upanel is None else {"l": lpanel, "u": upanel}
     compress_ok = True
     if fac.faults is not None:
         try:
@@ -524,31 +570,25 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
             rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
                        error=type(exc).__name__)
             compress_ok = False
-    accepted: Dict[Tuple[int, int], LowRankBlock] = {}
+    lowrank: Dict[str, Dict[int, LowRankBlock]] = {side: {}
+                                                   for side in panels}
+    dropped = 0.0
     for i, b in enumerate(nc.sym.off_blocks()):
         if not (b.lr_candidate and compress_ok):
             continue
         cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
-        for side, panel in enumerate(panels):
-            lr = compress_block(panel[offs[i]:offs[i + 1]], fac.comp_tol,
-                                cfg.kernel, max_rank=cap,
-                                stats=fac.stats.kernels,
+        for side, panel in panels.items():
+            block = panel[offs[i]:offs[i + 1]]
+            lr = compress_block(block, fac.comp_tol, cfg.kernel,
+                                max_rank=cap, stats=fac.stats.kernels,
                                 norm_ref=fac.comp_norm_ref)
             if lr is not None:
-                accepted[side, i] = lr
-    if accepted:
-        # per side, the list of its blocks once one compressed
-        blocks = [[accepted.get((side, i), np.ascontiguousarray(
-            panel[offs[i]:offs[i + 1]])) for i in range(nc.sym.noff)]
-            for side, panel in enumerate(panels)]
-        nc.lpanel = nc.upanel = None
-        nc.lblocks = blocks[0]
-        nc.ublocks = blocks[1] if upanel is not None else None
-        # what the accepted blocks discarded: ‖B‖² − ‖v‖² (orthonormal u)
-        narrow_if_discarded(fac, nc, sum(
-            sqnorm(panels[side][offs[i]:offs[i + 1]]) - sqnorm(lr.v)
-            for (side, i), lr in accepted.items()))
-    else:
-        nc.lpanel, nc.upanel = lpanel, upanel
-        nc.lblocks = nc.ublocks = None
-    return nc.nbytes(fac.sides) - array_nbytes(nc.diag)
+                lowrank[side][i] = lr
+                # what it discarded: ‖B‖² − ‖v‖² (orthonormal u)
+                dropped += sqnorm(block) - sqnorm(lr.v)
+    for side, panel in panels.items():
+        nc.set_side(side, panel, lowrank[side])
+        if lowrank[side]:
+            nc.set_side(side, panel[nc.panel_rows(side)], lowrank[side])
+    narrow_if_discarded(fac, nc, dropped)
+    return nc.nbytes() - array_nbytes(nc.diag)

@@ -13,17 +13,20 @@ Per column block ``k`` the elimination performs the paper's three steps:
    block; those aimed at a low-rank block are gathered over all
    contributors and recompressed once (:data:`UpdateAccumulator`).
 
-A column block stays in panel mode until a block in it actually compresses
-(*blocks mode = holds at least one low-rank block*, whatever the strategy),
-which lets step 2 run one TRSM per side and step 3 one batched GEMM per
-side for each target it faces (PaStiX's stacked-panel trick); only a
-column block that holds a low-rank block dispatches per block pair through
-:mod:`repro.lowrank.kernels`.  The column blocks of a bottom subtree (no
-low-rank candidate anywhere below them) pass their updates up as dense
-contribution blocks instead of visiting each target: one product per
-column block (:func:`accumulate_contribution`), one extend-add per child
-(:func:`extend_add`) and one landing per target outside
-(:func:`land_contribution`), through the same landing as a visit
+Every column block keeps its dense rows stacked in one panel per side,
+beside the map of its low-rank blocks (:mod:`repro.core.factor`): step 2
+is one TRSM per side for the panel and one per low-rank ``v``; step 3 one
+batched GEMM per side for the dense rows of each target a source faces
+(PaStiX's stacked-panel trick, :func:`_updates_from_panel`), while only
+the facing pairs that hold a low-rank block go pair by pair through
+:mod:`repro.lowrank.kernels` (:func:`_updates_from_lowrank`).  A target's
+dense rows are found in its panel by a per-block row shift; what faces
+its low-rank blocks gathers in the accumulator.  The column blocks of a
+bottom subtree (no low-rank candidate anywhere below them) pass their
+updates up as dense contribution blocks instead of visiting each target:
+one product per column block (:func:`accumulate_contribution`), one
+extend-add per child (:func:`extend_add`) and one landing per target
+outside (:func:`land_contribution`), through the same landing as a visit
 (:func:`_land_dense`).
 """
 
@@ -135,7 +138,10 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         # (Algorithm 2 lines 3-4); Minimal Memory compressed when the task
         # filled the column block (NumericFactor.fill_column_block).
         if cfg.compress_before_solve:
-            _compress_panels(fac, nc)
+            with span(fac.profiler, "compress", cblk=k, kernel=cfg.kernel):
+                fac.tracker.resize(
+                    array_nbytes(nc.lpanel) * fac.sides,
+                    compress_column_block(fac, nc, nc.lpanel, nc.upanel))
 
         # --- step 2: panel solves ----------------------------------------
         _panel_solve(fac, nc)
@@ -149,7 +155,7 @@ def _first_nonfinite(nc: NumericColumnBlock) -> Optional[str]:
     for side, i, b in nc.stored():
         parts = (b.u, b.v) if isinstance(b, LowRankBlock) else (b,)
         if not all(map(block_all_finite, parts)):
-            return f"{side}panel" if i < 0 else f"{side}blocks[{i}]"
+            return f"{side}panel" if i < 0 else f"{side}block({i})"
     return None
 
 
@@ -240,17 +246,6 @@ def apply_d(x: np.ndarray, d: np.ndarray, d21: Optional[np.ndarray],
     return out.T if cols else out
 
 
-def _compress_panels(fac: NumericFactor, nc: NumericColumnBlock) -> None:
-    """Compression point of fully-updated dense panels (Algorithm 2 lines
-    3-4).  The column block leaves panel mode only if a block is accepted
-    (:func:`~repro.core.factor.compress_column_block`)."""
-    with span(fac.profiler, "compress", cblk=nc.sym.id,
-              kernel=fac.config.kernel):
-        old_bytes = array_nbytes(nc.lpanel) * fac.sides
-        fac.tracker.resize(old_bytes, compress_column_block(
-            fac, nc, nc.lpanel, nc.upanel))
-
-
 #: factotype → per stored side ``(side, lower, trans, unit, pivoted)``:
 #: its off-diagonal blocks solve ``X op(T) = A`` against the ``lower`` (else
 #: upper) triangle ``T`` of the factored diagonal block, unit or not, then
@@ -269,7 +264,8 @@ _PANEL_SOLVES = {
 
 def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
     """Solve every off-diagonal block against the factored diagonal, as
-    :data:`_PANEL_SOLVES` says; a panel is one tall dense block.
+    :data:`_PANEL_SOLVES` says: per side one TRSM for the panel's dense
+    rows, and one per low-rank block.
 
     A low-rank block ``u vᵗ`` solves its ``v`` from the left with the
     flipped transpose (``u vᵗ op(T)⁻¹ = u (op(T)⁻ᵗ v)ᵗ``): ``N`` ↔ ``T``,
@@ -291,32 +287,27 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
             d = np.diag(nc.diag)
             if fac.hermitian:
                 d = d.real  # D is real for Hermitian LDLᴴ
-        panel = getattr(nc, side + "panel")
-        blocks = [panel] if panel is not None else getattr(nc, side + "blocks")
-        for i, blk in enumerate(blocks):
-            if isinstance(blk, LowRankBlock):
-                if blk.rank:
-                    v = blk.v if perm is None else blk.v[perm]
-                    v = be.trsm(nc.diag, v.conj() if adjoint else v,
-                                lower=lower, trans="T" if trans == "N" else "N",
-                                unit_diagonal=unit)
-                    if pivoted:
-                        v = apply_d(v, d, nc.pivd21, fac.hermitian,
-                                    inverse=True)
-                    blk.v[...] = v.conj() if adjoint else v
-                fl += trsm_flops(w, blk.rank)
-            elif blk.shape[0]:
-                x = be.trsm(nc.diag, blk if perm is None else blk[:, perm],
-                            side="right", lower=lower, trans=trans,
+        panel = nc.panel(side)
+        if panel.shape[0]:
+            x = be.trsm(nc.diag, panel if perm is None else panel[:, perm],
+                        side="right", lower=lower, trans=trans,
+                        unit_diagonal=unit)
+            if pivoted:
+                x = apply_d(x, d, nc.pivd21, fac.hermitian, inverse=True,
+                            cols=True)
+            panel[...] = x
+            fl += trsm_flops(w, panel.shape[0])
+        for blk in nc.lowrank(side).values():
+            if blk.rank:
+                v = blk.v if perm is None else blk.v[perm]
+                v = be.trsm(nc.diag, v.conj() if adjoint else v,
+                            lower=lower, trans="T" if trans == "N" else "N",
                             unit_diagonal=unit)
                 if pivoted:
-                    x = apply_d(x, d, nc.pivd21, fac.hermitian,
-                                inverse=True, cols=True)
-                if panel is not None:
-                    panel[...] = x
-                else:  # rebound, so no block keeps the dense panel alive
-                    blocks[i] = x.astype(blk.dtype, copy=False)
-                fl += trsm_flops(w, blk.shape[0])
+                    v = apply_d(v, d, nc.pivd21, fac.hermitian,
+                                inverse=True)
+                blk.v[...] = v.conj() if adjoint else v
+            fl += trsm_flops(w, blk.rank)
     stats.add("panel_solve", seconds=time.perf_counter() - t0,
               flops=fl * flop_scale(fac.dtype))
 
@@ -335,131 +326,142 @@ def _panel_solve(fac: NumericFactor, nc: NumericColumnBlock) -> None:
 UpdateAccumulator = Dict[Tuple[str, int], List[Tuple[Block, int, int]]]
 
 
-def apply_updates_from(fac: NumericFactor, k: int, target: int,
-                       acc: UpdateAccumulator) -> Optional[Tuple[float, int]]:
+def apply_updates_from(fac: NumericFactor, k: int, t: int,
+                       acc: UpdateAccumulator) -> Tuple[float, float, int]:
     """Apply the updates of source column block ``k`` aimed at column block
-    ``target``.  Contributions to dense storage land immediately; those
-    aimed at a low-rank block of ``target`` are gathered in ``acc`` (the
-    calling task's accumulator) for :func:`flush_accumulated`.
-
-    A panel-mode source returns its visit's ``(flops, gemms)`` for the
-    task to charge (:func:`_updates_from_panel`); a blocks-mode one
-    charges its kernels itself and returns ``None``.  Fault-injector
-    update hooks fire first, and one ``"update"`` span is recorded per call
-    when a profiler is armed — around the same visit body.
-    """
+    ``t``: those aimed at a low-rank block of ``t`` are gathered in ``acc``
+    (the calling task's accumulator) for :func:`flush_accumulated`, the
+    others land at once.  The dense rows go through
+    :func:`_updates_from_panel`, whose ``(seconds, flops, gemms)`` are
+    returned for the task to charge; the pairs that hold a low-rank block
+    through :func:`_updates_from_lowrank`, which charges its kernels.  The
+    fault injector's update hook fires first, and one ``"update"`` span
+    is recorded per call."""
     if fac.faults is not None:
-        fac.faults.on_update(fac, k, target)
+        fac.faults.on_update(fac, k, t)
     nc = fac.cblks[k]
-    if fac.profiler is None:
-        return _visit(fac, nc, target, acc)
-    with span(fac.profiler, "update", cblk=k, target=target,
-              mode="panel" if nc.panel_mode else "blocks"):
-        return _visit(fac, nc, target, acc)
+    with span(fac.profiler, "update", cblk=k, target=t, mode="visit"):
+        t0 = time.perf_counter()
+        first, end = fac.symb.facing_ranges(k)[t]
+        drow, pos = fac.symb.landing_map(k, t, first, end)
+        flops, gemms = _updates_from_panel(fac, nc, t, first, end, drow,
+                                           pos, acc)
+        seconds = time.perf_counter() - t0
+        if nc.llowrank or nc.ulowrank:
+            _updates_from_lowrank(fac, nc, t, first, end, drow, pos, acc)
+    return seconds, flops, gemms
 
 
-def _visit(fac: NumericFactor, nc: NumericColumnBlock, t: int,
-           acc: UpdateAccumulator) -> Optional[Tuple[float, int]]:
-    if nc.panel_mode:
-        return _updates_from_panel(fac, nc, t, acc)
-    _updates_from_blocks(fac, nc, t, acc)
-    return None
+def _dense_rows(fac: NumericFactor, nc: NumericColumnBlock, side: str,
+                first: int, end: int, drow: np.ndarray, pos: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, offs, drow, pos)`` of ``side`` for a visit through the
+    blocks ``first:end``: the panel from block ``first`` on (compute
+    dtype), where each facing block starts in it (``offs[-1]`` rows face
+    the target), and the landing map restricted to those rows."""
+    offs = nc.panel_offsets(side)
+    base = offs[first]
+    rows = _as_dtype(nc.panel(side)[base:], fac.dtype)
+    if nc.lowrank(side):  # skip the rows of the low-rank blocks
+        keep = nc.panel_rows(side)[nc.row_offsets[first]:]
+        drow, pos = drow[keep[:len(drow)]], pos[keep[len(drow):]]
+    return rows, offs[first:end + 1] - base, drow, pos
 
 
-def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock,
-                        t: int, acc: UpdateAccumulator) -> Tuple[float, int]:
-    """Batched dense update of ``t`` by a panel-mode source: one product
-    per side and one landing per destination for the whole visit.
-    Returns the visit's ``(flops, gemms)``, which the calling task charges
-    in one sum (``dense_update`` and the backend's ``gemm`` count).
+def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
+                        first: int, end: int, drow: np.ndarray,
+                        pos: np.ndarray, acc: UpdateAccumulator
+                        ) -> Tuple[float, int]:
+    """Batched dense update of ``t`` by the dense rows of a source, over
+    its blocks ``first:end`` facing ``t`` and their landing map ``(drow,
+    pos)``: one product per side and one landing per destination.
+    Returns ``(flops, gemms)`` for the calling task to charge: every entry
+    computed costs ``2·width`` flops to form and one to land.
 
-    With ``F`` the rows of the blocks facing ``t``, ``W = L[F ∪ below] ·
-    U[F]ᵗ`` holds the facing square (its lower block triangle is the L
-    side's, its strict upper one the Uᵗ side's transposed) on top of the L
-    rows below; ``W_u = U[below] · L[F]ᵗ`` is the Uᵗ side's.  Symmetric
-    factorizations keep the lower block triangle only — one product per
-    facing block for the square when several face ``t`` — so the flops are
-    those of the per-pair products either way
-    (:meth:`SymbolicFactor.update_entries`).
+    With ``F`` the dense rows of the blocks facing ``t``, ``W = L[F ∪
+    below] · U[F]ᵗ`` holds the facing square (its lower block triangle is
+    the L side's, its strict upper one the Uᵗ side's transposed) on top of
+    the L rows below; ``W_u = U[below] · L[F]ᵗ`` is the Uᵗ side's.
+    Symmetric factorizations keep the lower block triangle only — one
+    product per facing block for the square when several face ``t``.
 
     Hermitian factorizations (complex Cholesky/LDLᴴ) conjugate the
     transposed operand: the trailing update is ``A(i,j) -= L(i) L(j)ᴴ``
     (``.conj()`` is a no-copy pass-through for real panels).
     """
-    k = nc.sym.id
-    offs = nc.row_offsets
-    is_lu = nc.upanel is not None
-    first, end = fac.symb.facing_ranges(k)[t]
     tnc = fac.cblks[t]
-    drow, pos = fac.symb.landing_map(k, t, first, end)
-    base, dend = offs[first], offs[end]
-    nf, nbelow = dend - base, len(pos)
-    # the rows this visit multiplies, in the compute dtype already: only
-    # block lists are ever narrowed, and a loaded factor is never updated
-    l_rows = nc.lpanel[base:]
-    u_rows = nc.upanel[base:] if is_lu else None
-    facing = _update_operand(fac, nc, l_rows[:nf],
-                             u_rows[:nf] if is_lu else None)
-    # rows facing t go to its diagonal block, the rows below to its
-    # off-diagonal storage: through a slice where the landing is contiguous
-    cols = _span(drow)
-    square = below = below_u = None
-    if is_lu or end - first == 1:
-        w = l_rows @ facing.T
-        square, below = w[:nf], w[nf:]
-        gemms = 1
-    else:
-        for j in range(first, end):
-            lo, hi = offs[j] - base, offs[j + 1] - base
-            tnc.diag[drow[lo:], drow[lo]:drow[lo] + hi - lo] -= (
-                l_rows[lo:nf] @ facing[lo:hi].T)
-        gemms = end - first
-        if nbelow:
-            below = l_rows[nf:] @ facing.T
+    l_rows, loffs, ldrow, lpos = _dense_rows(fac, nc, "l", first, end, drow,
+                                             pos)
+    nf = loffs[-1]
+    square = below = None
+    slabs: List[Tuple[str, np.ndarray, "slice | np.ndarray", np.ndarray]] = []
+    computed = gemms = 0
+    lcols = ucols = _span(ldrow)
+    if fac.sides == 2:
+        u_rows, uoffs, udrow, upos = _dense_rows(fac, nc, "u", first, end,
+                                                 drow, pos)
+        ucols, unf = _span(udrow), uoffs[-1]
+        if unf and len(l_rows):
+            w = l_rows @ u_rows[:unf].T
+            square, below = w[:nf], w[nf:]
+            computed, gemms = w.size, 1
+        if len(upos) and nf:
+            below_u = u_rows[unf:] @ l_rows[:nf].T
+            slabs.append(("u", upos, lcols, below_u))
+            computed += below_u.size
             gemms += 1
-    if is_lu and nbelow:
-        below_u = u_rows[nf:] @ l_rows[:nf].T
-        gemms += 1
-    slabs = [("l", below), ("u", below_u)] if is_lu else [("l", below)]
-    _land_dense(fac, tnc, cols, pos, square, slabs, acc)
-    # charged from the structure: every entry computed costs 2·width
-    # flops, every entry landed one more
-    landed, below_entries = fac.symb.update_entries(k, first, end, is_lu)
-    computed = landed + fac.sides * below_entries
+    elif nf:
+        facing = _update_operand(fac, nc, l_rows[:nf], None)
+        if end - first == 1:
+            w = l_rows @ facing.T
+            square, below = w[:nf], w[nf:]
+            computed, gemms = w.size, 1
+        else:
+            for lo, hi in zip(loffs[:-1], loffs[1:]):
+                if hi > lo:
+                    part = l_rows[lo:nf] @ facing[lo:hi].T
+                    tnc.diag[ldrow[lo:], ldrow[lo]:ldrow[lo] + hi - lo] -= part
+                    computed += part.size
+                    gemms += 1
+            if len(lpos):
+                below = l_rows[nf:] @ facing.T
+                computed += below.size
+                gemms += 1
+    if below is not None:
+        slabs.insert(0, ("l", lpos, ucols, below))
+    _land_dense(fac, tnc, (lcols, ucols), square, slabs, acc)
     return (2.0 * nc.width * computed * flop_scale(fac.dtype) + computed,
             gemms)
 
 
 def _land_dense(fac: NumericFactor, tnc: NumericColumnBlock,
-                cols: "slice | np.ndarray", pos: np.ndarray,
+                at: Tuple["slice | np.ndarray", "slice | np.ndarray"],
                 square: Optional[np.ndarray],
-                slabs: List[Tuple[str, np.ndarray]],
+                slabs: List[Tuple[str, np.ndarray, "slice | np.ndarray",
+                                  np.ndarray]],
                 acc: UpdateAccumulator) -> None:
     """Subtract one dense update from the target column block ``tnc``:
-    ``square`` from its diagonal block at rows and columns ``cols`` (none
-    when the caller landed it), and each ``(side, slab)`` below it from
-    that side's off-diagonal storage, at the frame positions ``pos`` and
-    the columns ``cols`` — into a kept panel through one slice or index
-    array, into a blocks-mode target cut once at its block boundaries
-    (a low-rank block gathers its part in ``acc``, :func:`_landing`)."""
+    ``square`` from its diagonal block at the rows and columns ``at``
+    (none when the caller landed it), and each ``(side, pos, cols, slab)``
+    at the frame positions ``pos`` and the columns ``cols`` of that side:
+    in the panel, shifted past the rows of the low-rank blocks before
+    them, or in a low-rank block's scratch in ``acc`` (:func:`_scratch`)."""
     if square is not None:
-        _subtract_at(tnc.diag, cols, cols, square)
-    if not len(pos):
-        return
-    if tnc.panel_mode:
-        rows = _span(pos)
-        for side, slab in slabs:
-            _subtract_at(tnc.lpanel if side == "l" else tnc.upanel,
-                         rows, cols, slab)
-        return
-    toffs = tnc.row_offsets
-    cut = pos.searchsorted(toffs)
-    for i in np.flatnonzero(cut[1:] > cut[:-1]):
-        lo, hi = cut[i], cut[i + 1]
-        rows = _span(pos[lo:hi] - toffs[i])
-        for side, slab in slabs:
-            _subtract_at(_landing(fac, tnc, side, i, acc), rows, cols,
-                         slab[lo:hi])
+        _subtract_at(tnc.diag, at[0], at[1], square)
+    for side, pos, cols, slab in slabs:
+        if not len(pos):
+            continue
+        panel, lowrank = tnc.panel(side), tnc.lowrank(side)
+        if not lowrank:
+            _subtract_at(panel, _span(pos), cols, slab)
+            continue
+        offs, poffs = tnc.row_offsets, tnc.panel_offsets(side)
+        cut = pos.searchsorted(offs)
+        for i in np.flatnonzero(cut[1:] > cut[:-1]):
+            lo, hi = cut[i], cut[i + 1]
+            dst, shift = ((_scratch(fac, tnc, side, i, acc), offs[i])
+                          if i in lowrank else (panel, offs[i] - poffs[i]))
+            _subtract_at(dst, _span(pos[lo:hi] - shift), cols, slab[lo:hi])
 
 
 def _span(idx: np.ndarray) -> "slice | np.ndarray":
@@ -490,8 +492,8 @@ def _subtract_at(dst: np.ndarray, rows: "slice | np.ndarray",
 # bottom subtrees: updates passed up as dense contribution blocks
 # ----------------------------------------------------------------------
 #
-# A column block of a bottom subtree (``SymbolicFactor.subtree_plan``) is
-# always in panel mode: none of its blocks is a low-rank candidate.  Its
+# A column block of a bottom subtree (``SymbolicFactor.subtree_plan``)
+# never holds a low-rank block: none of its blocks is a candidate.  Its
 # contribution block (CB) is a Fortran-ordered square over its
 # off-diagonal rows that holds the sum of the updates its subtree aims at
 # those rows, still to be subtracted: entry ``(a, b)`` updates the matrix
@@ -509,8 +511,8 @@ def accumulate_contribution(fac: NumericFactor, nc: NumericColumnBlock,
     accumulate_product`); for a symmetric factorization the lower block
     triangle, one product per off-diagonal block against
     :func:`_update_operand`.  Returns ``(flops, gemms)``, the flops those
-    of the fan-in visits it replaces (the sum of
-    :meth:`SymbolicFactor.update_entries` over ``nc``'s targets)."""
+    of the fan-in visits it replaces: every entry of the square (its lower
+    block triangle when symmetric) costs ``2·width`` to form, one to land."""
     offs = nc.row_offsets
     nrows = nc.offrows
     if nc.upanel is not None:
@@ -570,56 +572,64 @@ def _land_contribution(fac: NumericFactor, c: int, t: int, cb: np.ndarray,
     first, end = fac.symb.facing_ranges(c)[t]
     drow, pos = fac.symb.landing_map(c, t, first, end)
     nf = len(drow)
-    slabs = [("l", cb[nf:, :nf])]
+    cols = _span(drow)
+    slabs = [("l", pos, cols, cb[nf:, :nf])]
     if fac.sides == 2:
-        slabs.append(("u", cb[:nf, nf:].T))
-    _land_dense(fac, fac.cblks[t], _span(drow), pos, cb[:nf, :nf], slabs,
-                acc)
+        slabs.append(("u", pos, cols, cb[:nf, nf:].T))
+    _land_dense(fac, fac.cblks[t], (cols, cols), cb[:nf, :nf], slabs, acc)
     return nf, pos
 
 
-def _updates_from_blocks(fac: NumericFactor, nc: NumericColumnBlock,
-                         t: int, acc: UpdateAccumulator) -> None:
-    """Per-pair updates through the low-rank kernels — the sources that
-    left panel mode because a block of theirs compressed.
+def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
+                          t: int, first: int, end: int, drow: np.ndarray,
+                          pos: np.ndarray, acc: UpdateAccumulator) -> None:
+    """The updates of ``t`` that :func:`_updates_from_panel` leaves out:
+    pair by pair through the low-rank kernels, for each facing pair
+    ``(i, j)`` (``i ≥ j``, plus the Uᵗ side's ``i > j``) whose operands
+    hold a low-rank block.
 
     Hermitian factorizations conjugate the transposed operand
     (``A(i,j) -= L(i) L(j)ᴴ``), as in the panel path.
     """
     cfg = fac.config
     stats = fac.stats.kernels
-    sym = nc.sym
-    is_lu = nc.ublocks is not None
-    first, end = fac.symb.facing_ranges(sym.id)[t]
-    tnc = fac.cblks[t]
+    noff = nc.sym.noff
+    is_lu = fac.sides == 2
     offs = nc.row_offsets
-    drow, pos = fac.symb.landing_map(sym.id, t, first, end)
     base, dend = offs[first], offs[end]
-    # the operands of this visit in the compute dtype, promoted once each
-    # (a product of two narrow operands would otherwise run narrow)
-    lsrc = [_as_dtype(b, fac.dtype) for b in nc.lblocks[first:]]
-    usrc = ([_as_dtype(b, fac.dtype) for b in nc.ublocks[first:]]
-            if is_lu else None)
+    coff0 = fac.cblks[t].sym.first_col
+    lr_l, lr_u = nc.llowrank, nc.ulowrank
+    lr_op = lr_u if is_lu else lr_l  # the blocks op(L(j)) reads
+
+    def operands(side: str) -> List[Block]:
+        # the blocks from ``first`` on in the compute dtype, promoted once
+        # each (a product of two narrow operands would otherwise run narrow)
+        panel = _as_dtype(nc.panel(side), fac.dtype)
+        offs, lowrank = nc.panel_offsets(side), nc.lowrank(side)
+        return [_as_dtype(lowrank[i], fac.dtype) if i in lowrank
+                else panel[offs[i]:offs[i + 1]] for i in range(first, noff)]
+
+    lsrc, usrc = operands("l"), (operands("u") if is_lu else None)
     for j in range(first, end):
-        coff = sym.blocks[1 + j].first_row - tnc.sym.first_col
+        coff = nc.sym.blocks[1 + j].first_row - coff0
         lb_j = lsrc[j - first]
         ub_j = _update_operand(fac, nc, lb_j,
                                usrc[j - first] if is_lu else None)
-        for i in range(j, sym.noff):
+        for i in range(j, noff):
+            l_pair = i in lr_l or j in lr_op
+            u_pair = is_lu and i > j and (i in lr_u or j in lr_l)
+            if not (l_pair or u_pair):
+                continue
             in_diag = i < end
             row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
-            contrib = lr_product(lsrc[i - first], ub_j,
-                                 fac.comp_tol, cfg.kernel, stats,
-                                 norm_ref=fac.comp_norm_ref)
-            if contrib is not None:
-                _land_block(fac, tnc, in_diag, row, coff, contrib, "l", acc)
-            if is_lu and i > j:
-                contrib_u = lr_product(usrc[i - first], lb_j,
-                                       fac.comp_tol, cfg.kernel,
-                                       stats, norm_ref=fac.comp_norm_ref)
-                if contrib_u is not None:
-                    _land_block(fac, tnc, in_diag, row, coff, contrib_u,
-                                "u", acc)
+            if l_pair:
+                _land_block(fac, t, in_diag, row, coff, lr_product(
+                    lsrc[i - first], ub_j, fac.comp_tol, cfg.kernel, stats,
+                    norm_ref=fac.comp_norm_ref), "l", acc)
+            if u_pair:
+                _land_block(fac, t, in_diag, row, coff, lr_product(
+                    usrc[i - first], lb_j, fac.comp_tol, cfg.kernel, stats,
+                    norm_ref=fac.comp_norm_ref), "u", acc)
 
 
 def flush_accumulated(fac: NumericFactor, k: int,
@@ -642,7 +652,7 @@ def flush_accumulated(fac: NumericFactor, k: int,
         if isinstance(scratch, np.ndarray):
             # gathered through lr2ge_update, it holds minus the sum
             np.negative(scratch, out=scratch)
-        tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
+        tgt = tnc.lowrank(side)[i]
         cap = rank_cap(tgt.m, tgt.n, cfg.rank_ratio)
         stored = tgt.dtype
         tgt = tgt.astype(fac.dtype)
@@ -664,20 +674,16 @@ def flush_accumulated(fac: NumericFactor, k: int,
     acc.clear()
     if dropped > 0:
         # precision follows the error discarded, as at a compression point
-        before = tnc.nbytes(fac.sides)
+        before = tnc.nbytes()
         narrow_if_discarded(fac, tnc, dropped)
-        fac.tracker.resize(before, tnc.nbytes(fac.sides))
+        fac.tracker.resize(before, tnc.nbytes())
 
 
-def _as_dtype(block: Optional[Block], dtype: np.dtype) -> Optional[Block]:
+def _as_dtype(block: Block, dtype: np.dtype) -> Block:
     """``block`` cast to ``dtype`` — itself when it already is.  Updates
     promote every narrow operand so: a product of *two* narrow operands
     would otherwise run in storage precision."""
-    if isinstance(block, LowRankBlock):
-        return block.astype(dtype)
-    if isinstance(block, np.ndarray) and block.dtype != dtype:
-        return block.astype(dtype)
-    return block
+    return block if block.dtype == dtype else block.astype(dtype)
 
 
 def _update_operand(fac: NumericFactor, nc: NumericColumnBlock,
@@ -706,72 +712,55 @@ def _update_operand(fac: NumericFactor, nc: NumericColumnBlock,
 # landing of one source block's contribution in the target column block
 # ----------------------------------------------------------------------
 
-def _transpose(contrib: Block) -> Block:
-    if isinstance(contrib, LowRankBlock):
-        return LowRankBlock(contrib.v, contrib.u)
-    return contrib.T
-
-
-def _land_block(fac: NumericFactor, tnc: NumericColumnBlock, in_diag: bool,
-                row: int, coff: int, contrib: Block, side: str,
+def _land_block(fac: NumericFactor, t: int, in_diag: bool, row: int,
+                coff: int, contrib: Optional[LowRankBlock], side: str,
                 acc: UpdateAccumulator) -> None:
-    """Subtract ``contrib`` — one source block's rows, one facing block's
-    columns — from column block ``tnc`` at local column ``coff`` and the
-    landing ``row`` of :meth:`SymbolicFactor.landing_map`: a local row of
-    the diagonal block when ``in_diag``, else a position in the stacked
-    off-diagonal frame.
-
-    ``side == 'l'`` updates the L storage, ``side == 'u'`` the Uᵗ storage
-    (transposed into the diagonal block's upper triangle when ``in_diag``).
-    Pieces aimed at a low-rank block are gathered in ``acc`` instead.  One
-    rule on every branch: a rank-0 low-rank contribution lands nothing,
-    gathers nothing and charges nothing.
+    """Subtract the low-rank ``contrib`` — one source block's rows, one
+    facing block's columns — from column block ``t`` at local column
+    ``coff`` and the landing ``row`` of :meth:`SymbolicFactor.landing_map`:
+    a local row of the diagonal block when ``in_diag``, else a position in
+    the stacked off-diagonal frame, cut at the target's blocks when it
+    holds a low-rank one (gathered in ``acc``).  ``side == 'u'`` updates
+    the Uᵗ storage (transposed into the diagonal block's upper triangle).
+    A product that vanished (``None``) or has rank 0 lands nothing.
     """
-    if isinstance(contrib, LowRankBlock) and contrib.rank == 0:
+    if contrib is None or contrib.rank == 0:
         return
     stats = fac.stats.kernels
+    tnc = fac.cblks[t]
     if in_diag:  # always dense
         if side == "l":
             lr2ge_update(tnc.diag, contrib, row, coff, stats)
         else:
-            lr2ge_update(tnc.diag, _transpose(contrib), coff, row, stats)
+            lr2ge_update(tnc.diag, LowRankBlock(contrib.v, contrib.u),
+                         coff, row, stats)
         return
-    if tnc.panel_mode:
-        lr2ge_update(tnc.lpanel if side == "l" else tnc.upanel, contrib,
-                     row, coff, stats)
+    panel, lowrank = tnc.panel(side), tnc.lowrank(side)
+    if not lowrank:
+        lr2ge_update(panel, contrib, row, coff, stats)
         return
-    # blocks-mode target: cut where the rows cross into the next block
-    offs = tnc.row_offsets
-    blocks = tnc.lblocks if side == "l" else tnc.ublocks
+    offs, poffs = tnc.row_offsets, tnc.panel_offsets(side)
     i = offs.searchsorted(row, side="right") - 1
-    stop = row + contrib.shape[0]
-    lo = row
+    lo, stop = row, row + contrib.m
     while lo < stop:
         hi = min(stop, offs[i + 1])
         piece = contrib
-        if hi - lo < stop - row:
-            piece = (LowRankBlock(contrib.u[lo - row:hi - row], contrib.v)
-                     if isinstance(contrib, LowRankBlock)
-                     else contrib[lo - row:hi - row])
-        if (isinstance(blocks[i], LowRankBlock)
-                and isinstance(piece, LowRankBlock)):
+        if hi - lo < contrib.m:
+            piece = LowRankBlock(contrib.u[lo - row:hi - row], contrib.v)
+        if i in lowrank:
             acc.setdefault((side, i), []).append((piece, lo - offs[i], coff))
         else:
-            lr2ge_update(_landing(fac, tnc, side, i, acc), piece,
-                         lo - offs[i], coff, stats)
+            lr2ge_update(panel, piece, lo - offs[i] + poffs[i], coff, stats)
         lo, i = hi, i + 1
 
 
-def _landing(fac: NumericFactor, tnc: NumericColumnBlock, side: str,
+def _scratch(fac: NumericFactor, tnc: NumericColumnBlock, side: str,
              i: int, acc: UpdateAccumulator) -> np.ndarray:
-    """Where dense entries aimed at block ``i`` of ``tnc``'s ``side``
-    land: the block itself when it is dense, else the scratch at the head
-    of its accumulator list, allocated on first use (it carries minus the
-    sum of what lands)."""
-    tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
-    if not isinstance(tgt, LowRankBlock):
-        return tgt
+    """Where dense entries aimed at the low-rank block ``i`` of ``tnc``'s
+    ``side`` land: the scratch at the head of its accumulator list,
+    allocated on first use (it carries minus the sum of what lands)."""
     pend = acc.setdefault((side, i), [])
     if not (pend and isinstance(pend[0][0], np.ndarray)):
-        pend.insert(0, (np.zeros(tgt.shape, dtype=fac.dtype), 0, 0))
+        pend.insert(0, (np.zeros(tnc.lowrank(side)[i].shape,
+                                 dtype=fac.dtype), 0, 0))
     return pend[0][0]

@@ -152,10 +152,10 @@ def _pull_and_factor(fac: NumericFactor, k: int, held: HeldBlocks) -> None:
     retry starts from a clean one.  On success every root block it landed
     from is cut down to the rows below ``k``.
 
-    The visits from panel-mode sources and the landings are charged here,
-    once per task: ``dense_update`` gets their summed seconds and flops,
-    with one call per visit or landing, and the backend their summed
-    ``gemm`` count."""
+    The visits' dense products and the landings are charged here, once
+    per task: ``dense_update`` gets their summed seconds and flops, with
+    one call per visit or landing, and the backend their summed ``gemm``
+    count (a visit's low-rank pairs charge their kernels themselves)."""
     fac.fill_column_block(k)
     acc: UpdateAccumulator = {}
     seconds = flops = 0.0
@@ -164,22 +164,20 @@ def _pull_and_factor(fac: NumericFactor, k: int, held: HeldBlocks) -> None:
     landed = []
     try:
         for c in plan.pulls[k]:
-            t0 = time.perf_counter()
             if plan.root[c] >= 0:
+                t0 = time.perf_counter()
                 landed.append((c, land_contribution(fac, c, k, held[c],
                                                     acc)))
-                charge = (0.0, 0)
-            else:
-                charge = apply_updates_from(fac, c, k, acc)
-            if charge is not None:
                 seconds += time.perf_counter() - t0
-                flops += charge[0]
-                gemms += charge[1]
-                visits += 1
+            else:
+                dt, fl, g = apply_updates_from(fac, c, k, acc)
+                seconds += dt
+                flops += fl
+                gemms += g
+            visits += 1
     finally:
-        # the panel-mode visits and the landings charged once per task, a
-        # failed attempt's included: the blocks-mode visits charged their
-        # kernels themselves
+        # the visits and the landings charged once per task, a failed
+        # attempt's included
         if visits:
             fac.stats.kernels.add("dense_update", seconds=seconds,
                                   flops=flops, calls=visits)

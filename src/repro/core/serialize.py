@@ -33,8 +33,11 @@ from repro.symbolic.structure import (
     SymbolicFactor,
 )
 
-#: format version written into every factor archive
-FORMAT_VERSION = 1
+#: format version written into every factor archive: 2 stores a side's
+#: dense rows as one panel beside its low-rank blocks; 1 stored a side
+#: holding a low-rank block block by block, and still loads
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 #: ``SolverConfig`` fields that no longer exist but that archives written
 #: while they did still carry.  ``adaptive`` was only ever non-null beside
@@ -153,13 +156,10 @@ def save_factor(fac: NumericFactor, perm: np.ndarray,
             if i < 0:
                 arrays[f"{side}p{k}"] = b
                 kinds.append([k, side, -1, "panel"])
-            elif isinstance(b, LowRankBlock):
+            else:
                 arrays[f"{side}{k}_{i}u"] = b.u
                 arrays[f"{side}{k}_{i}v"] = b.v
                 kinds.append([k, side, i, "lr"])
-            else:
-                arrays[f"{side}{k}_{i}d"] = b
-                kinds.append([k, side, i, "dense"])
     header = {
         "format_version": FORMAT_VERSION,
         "dtype": np.dtype(fac.dtype).name,
@@ -184,15 +184,16 @@ def save_factor(fac: NumericFactor, perm: np.ndarray,
 def load_factor(path: Union[str, Path]) -> tuple:
     """Load ``(NumericFactor, perm)`` saved by :func:`save_factor`.
 
-    Every column block comes back factored, in the storage mode and
-    dtypes it was saved in."""
+    Every column block comes back factored, in the layout and dtypes it
+    was saved in.  A version-1 archive's per-block sides (``"dense"``
+    kinds beside ``"lr"`` ones) are stacked into their panels."""
     path = Path(path)
     with zipfile.ZipFile(path) as zf:
         header = json.loads(zf.read("header.json"))
         with zf.open("arrays.npz") as fh:
             arrays = np.load(io.BytesIO(fh.read()))
             arrays = {k: arrays[k] for k in arrays.files}
-    if header.get("format_version") != FORMAT_VERSION:
+    if header.get("format_version") not in READABLE_VERSIONS:
         raise ValueError(
             f"unsupported factor archive version "
             f"{header.get('format_version')!r}")
@@ -206,32 +207,27 @@ def load_factor(path: Union[str, Path]) -> tuple:
     storage = header.get("storage_dtype")
     fac.storage_dtype = np.dtype(storage) if storage else None
 
-    panel_sides = {(k, side) for k, side, i, kind in header["kinds"]
-                   if kind == "panel"}
+    # (column block, side) → its pieces by block index, the panel at -1
+    pieces: Dict[Any, Dict[int, Any]] = {}
+    for k, side, i, kind in header["kinds"]:
+        pieces.setdefault((k, side), {})[i] = (
+            arrays[f"{side}p{k}"] if kind == "panel"
+            else LowRankBlock(arrays[f"{side}{k}_{i}u"],
+                              arrays[f"{side}{k}_{i}v"]) if kind == "lr"
+            else arrays[f"{side}{k}_{i}d"])
     for k, nc in enumerate(fac.cblks):
         nc.diag = arrays[f"d{k}"]
         nc.pivperm = arrays.get(f"pp{k}")
         nc.pivd21 = arrays.get(f"pd{k}")
-        nc.lpanel = nc.upanel = nc.lblocks = nc.ublocks = None
-        if (k, "l") in panel_sides:
-            nc.lpanel = arrays[f"lp{k}"]
-            if (k, "u") in panel_sides:
-                nc.upanel = arrays[f"up{k}"]
-        else:
-            nc.lblocks = [None] * nc.sym.noff
-            if not config.is_symmetric_facto:
-                nc.ublocks = [None] * nc.sym.noff
-        nc.factored = True
-    for k, side, i, kind in header["kinds"]:
-        if kind != "panel":
-            nc = fac.cblks[k]
-            (nc.lblocks if side == "l" else nc.ublocks)[i] = (
-                LowRankBlock(arrays[f"{side}{k}_{i}u"],
-                             arrays[f"{side}{k}_{i}v"])
-                if kind == "lr" else arrays[f"{side}{k}_{i}d"])
-    for k, nc in enumerate(fac.cblks):
-        for blocks in (nc.lblocks, nc.ublocks):
-            if blocks is not None and any(b is None for b in blocks):
+        for side in ("l", "u")[:fac.sides]:
+            got = sorted(pieces.get((k, side), {}).items())
+            lowrank = {i: b for i, b in got if isinstance(b, LowRankBlock)}
+            dense = [b for i, b in got if i not in lowrank]
+            panel = (dense[0] if len(dense) == 1 else np.concatenate(dense)
+                     if dense else np.zeros((0, nc.width), dtype=fac.dtype))
+            if len(panel) + sum(b.m for b in lowrank.values()) != nc.offrows:
                 raise ValueError(f"corrupt factor archive: missing blocks "
                                  f"in column block {k}")
+            nc.set_side(side, panel, lowrank)
+        nc.factored = True
     return fac, arrays["perm"]

@@ -1,9 +1,8 @@
 """Triangular solves on the block factorization (paper step 4).
 
-Works on the mixed dense/low-rank storage produced by any strategy.  A
-column block that is still one stacked panel (nothing in it compressed)
-applies as one product per sweep and side; in blocks mode low-rank blocks
-apply as ``u (vᵗ x)``.  The solve step is what the paper's Table 2 "Solve
+Works on the storage every strategy produces: per column block and side,
+the panel of its dense off-diagonal rows applies as one product per sweep,
+each low-rank block beside it as ``u (vᵗ x)``.  The solve step is what the paper's Table 2 "Solve
 time" row measures; as refinement's preconditioner it runs once more per
 iteration.
 
@@ -39,7 +38,6 @@ import numpy as np
 from repro.core.backend import lr_gemv, stable_gemv, trtrs_routine, trtrs_rows
 from repro.core.factor import NumericFactor
 from repro.core.factorization import apply_d
-from repro.lowrank.block import LowRankBlock
 from repro.runtime.spans import span
 
 
@@ -98,18 +96,13 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
     return x[0] if b.ndim == 1 else np.ascontiguousarray(x.T)
 
 
-def _apply(block: Any, xt: np.ndarray, trans: str) -> np.ndarray:
-    """``op(block)`` on the rows of ``xt``; low-rank as ``u (vᵗ x)``."""
-    if isinstance(block, LowRankBlock):
-        return lr_gemv(block.u, block.v, xt, trans)
-    return stable_gemv(block, xt, trans)
-
-
-def _charge(fac: NumericFactor, nlr: int, nblocks: int) -> None:
-    """Charge one sweep's calls in bulk: a diagonal solve per column block
-    (a skipped unit one included), a product per panel or block."""
+def _charge(fac: NumericFactor, side: str) -> None:
+    """Charge one sweep's calls in bulk: per column block a diagonal solve
+    (a skipped unit one included) and a panel product, and a product per
+    low-rank block of ``side``."""
+    nlr = sum(len(nc.lowrank(side)) for nc in fac.cblks)
     for op, n in (("panel_trsm", len(fac.cblks)),
-                  ("panel_gemm", nblocks - nlr), ("lr_apply", nlr)):
+                  ("panel_gemm", len(fac.cblks)), ("lr_apply", nlr)):
         fac.backend.tick(op, n)
 
 
@@ -117,15 +110,15 @@ def _forward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
              side: str, lower: bool, trans: str, unit: bool) -> None:
     """The forward block sweep, overwriting the ``(k, n)`` stack ``x``: per
     column block in order, the diagonal solve, then the blocks of ``side``
-    (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks) applied below — a
-    panel as one product scattered through the column block's row frame.
+    (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks) applied below —
+    the panel as one product scattered through its rows, then each
+    low-rank block.
 
     Threshold-pivoted supernodes store the within-block permutation P on
     ``nc.pivperm``: their global diagonal L block is ``Pᵀ L00``, so the
     diagonal step solves ``L00 z = P b`` — the local right-hand-side
     entries are permuted first.  LAPACK never reads a unit diagonal, so a
     width-1 unit step is skipped."""
-    nlr = nblocks = 0
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         cols = x[:, lo:hi]
@@ -135,18 +128,13 @@ def _forward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
             cols[...] = rhs
         elif hi - lo > 1 or not unit:
             trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
-        panel = getattr(nc, side + "panel")
-        if panel is not None:
-            rows = fac.symb.off_rows[nc.sym.id]
-            x[:, rows] = x.take(rows, axis=1) - stable_gemv(panel, cols)
-            nblocks += 1
-            continue
-        for b, block in zip(nc.sym.off_blocks(),
-                            getattr(nc, side + "blocks")):
-            x[:, b.first_row:b.end_row] -= _apply(block, cols, "N")
-            nlr += isinstance(block, LowRankBlock)
-            nblocks += 1
-    _charge(fac, nlr, nblocks)
+        rows = fac.symb.off_rows[nc.sym.id][nc.panel_rows(side)]
+        x[:, rows] = x.take(rows, axis=1) - stable_gemv(nc.panel(side), cols)
+        for i, block in nc.lowrank(side).items():
+            b = nc.sym.blocks[1 + i]
+            x[:, b.first_row:b.end_row] -= lr_gemv(block.u, block.v, cols,
+                                                   "N")
+    _charge(fac, side)
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
@@ -174,26 +162,19 @@ def _backward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
     permutation (``x[p] = w``)."""
     if trans == "C" and not fac.hermitian:
         apply_trans = trans = "T"
-    nlr = nblocks = 0
     for nc in reversed(fac.cblks):
         lo, hi = nc.sym.first_col, nc.sym.end_col
         cols = x[:, lo:hi]
-        panel = getattr(nc, side + "panel")
-        if panel is not None:
-            rows = fac.symb.off_rows[nc.sym.id]
-            cols -= stable_gemv(panel, x.take(rows, axis=1), apply_trans)
-            nblocks += 1
-        else:
-            for b, block in zip(nc.sym.off_blocks(),
-                                getattr(nc, side + "blocks")):
-                cols -= _apply(block, x[:, b.first_row:b.end_row],
-                               apply_trans)
-                nlr += isinstance(block, LowRankBlock)
-                nblocks += 1
+        rows = fac.symb.off_rows[nc.sym.id][nc.panel_rows(side)]
+        cols -= stable_gemv(nc.panel(side), x.take(rows, axis=1), apply_trans)
+        for i, block in nc.lowrank(side).items():
+            b = nc.sym.blocks[1 + i]
+            cols -= lr_gemv(block.u, block.v, x[:, b.first_row:b.end_row],
+                            apply_trans)
         if nc.pivperm is not None:
             sol = cols.copy()
             trtrs_rows(trtrs, nc.diag, sol, lower, trans, unit)
             cols[:, nc.pivperm] = sol
         elif hi - lo > 1 or not unit:
             trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
-    _charge(fac, nlr, nblocks)
+    _charge(fac, side)

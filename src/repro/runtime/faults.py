@@ -50,12 +50,11 @@ class FaultError(RuntimeError):
 
 
 def _poison(nc: "NumericColumnBlock") -> None:
-    """NaN into the first entry of ``nc``'s first off-diagonal block — a
-    dense block's or kept panel's ``[0, 0]``, a low-rank block's
-    ``u[0, 0]`` — or of its diagonal block when it has none."""
-    _, _, blk = next(nc.stored(), ("l", -1, nc.diag))
-    piece = blk.u if isinstance(blk, LowRankBlock) else blk
-    (piece if piece.size else nc.diag)[0, 0] = np.nan
+    """NaN into the first entry of ``nc``'s first off-diagonal L block — a
+    dense block's ``[0, 0]``, a low-rank block's ``u[0, 0]`` — or of its
+    diagonal block when it has none."""
+    blk = nc.lblock(0) if nc.sym.noff else nc.diag
+    (blk.u if isinstance(blk, LowRankBlock) else blk)[0, 0] = np.nan
 
 
 class FaultInjector:

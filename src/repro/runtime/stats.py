@@ -43,7 +43,7 @@ class KernelStats:
     A :class:`~repro.core.factor.NumericFactor` creates one instance that
     every task charges — the per-category tally Table 2 reports.  A caller
     that batches may charge many calls at once (``calls``): a fan-in task
-    charges its panel-mode visits so.
+    charges its visits' dense products so.
     """
 
     def __init__(self, telemetry: Optional["Telemetry"] = None,

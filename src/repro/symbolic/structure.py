@@ -119,8 +119,6 @@ class SymbolicFactor:
     * ``landing_map(k, t, first, end)`` — where the rows of source ``k``
       land in target ``t``, computed once per visited pair (the
       relative-index extend-add);
-    * ``update_entries(k, first, end, lu)`` — how many entries that visit
-      computes, the closed form its flops are charged from;
     * ``contributors(t)`` — column blocks with a block facing ``t`` (the
       dependency set of the paper's right-looking algorithm);
     * ``facing_ranges(k)`` — ``facing cblk → (first, end)`` index range of
@@ -259,32 +257,11 @@ class SymbolicFactor:
         in ``k``'s frame order, so the update of block pair ``(i, j)``
         lands at the entries of block ``i``'s rows.  Rows that are
         contiguous globally are contiguous in the frame: one source block
-        lands in one slice of a panel-mode target.
+        lands in one slice of a target's panel.
         """
         offs, rows = self.row_offsets[k], self.off_rows[k]
         return (rows[offs[first]:offs[end]] - self.cblks[t].first_col,
                 self.off_rows[t].searchsorted(rows[offs[end]:]))
-
-    def update_entries(self, k: int, first: int, end: int,
-                       lu: bool) -> Tuple[int, int]:
-        """Entries the dense update by source ``k`` through its blocks
-        ``first:end`` facing a target computes: ``(facing, below)``.
-
-        ``facing`` counts those in the target's diagonal block — the whole
-        square over the rows of ``k``'s blocks facing it for LU (the L
-        side's lower block triangle plus the Uᵗ side's strict upper one),
-        the lower block triangle alone for a symmetric factorization —
-        and ``below`` those under it, per side.  Each costs ``2·ncols(k)``
-        flops to form and one to land: exactly what the products and
-        subtracts of the block pairs ``(i, j)`` add up to.
-        """
-        offs = self.row_offsets[k]
-        nf = int(offs[end] - offs[first])
-        facing = nf * nf
-        if not lu and end - first > 1:
-            facing = (facing + int((np.diff(offs[first:end + 1]) ** 2).sum())
-                      ) // 2
-        return facing, nf * int(offs[-1] - offs[end])
 
     def contributors(self, t: int) -> List[int]:
         """Ids of column blocks with at least one block facing ``t``."""

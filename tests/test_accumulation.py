@@ -167,9 +167,8 @@ class TestSolverAccumulation:
         s = self.mm_solver()
         fac = assemble_filled(permute_symmetric(s._a_sym, s.perm),
                               s.symbolic, s.config)
-        compressed = sum(isinstance(b, LowRankBlock) for nc in fac.cblks
-                         for blocks in (nc.lblocks, nc.ublocks)
-                         for b in blocks or ())
+        compressed = sum(len(nc.llowrank) + len(nc.ulowrank)
+                         for nc in fac.cblks)
         stats = s.factorize()
         calls = stats.kernels.call_count("lr_addition")
         assert 0 < calls <= compressed
@@ -189,9 +188,7 @@ class TestSolverAccumulation:
         assert factor_digest(s.factor) == want
         # fail the task of a column block whose low-rank blocks have just
         # been flushed: the retry must refill and regather from scratch
-        k = max(nc.sym.id for nc in base.factor.cblks
-                if any(isinstance(b, LowRankBlock)
-                       for b in nc.lblocks or ()))
+        k = max(nc.sym.id for nc in base.factor.cblks if nc.llowrank)
         s = self.mm_solver(recovery=RecoveryPolicy())
         inj = FaultInjector()
         inj.fail_factor(k, transient=True)

@@ -64,7 +64,7 @@ class TestDenseAssembly:
         fac = assemble(ap, symb, cfg)
         assert fac.tracker.peak == 0
         assert all(nc.diag is None and nc.lpanel is None
-                   and nc.lblocks is None for nc in fac.cblks)
+                   and not nc.llowrank for nc in fac.cblks)
 
     def test_memory_tracker_counts_allocations(self):
         cfg = tiny_blr_config(strategy="dense")
@@ -92,30 +92,29 @@ class TestMinimalMemoryAssembly:
         a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
         fac = assemble_filled(ap, symb, cfg)
-        ncomp = sum(isinstance(b, LowRankBlock)
-                    for nc in fac.cblks for b in (nc.lblocks or []))
-        assert ncomp > 0
+        assert sum(len(nc.llowrank) for nc in fac.cblks) > 0
 
     def test_never_allocates_dense_panels(self):
         """What Minimal Memory promises at assembly: only what is stored is
-        charged (the dense scratch a block is compressed from never is), a
-        column block holding a low-rank block holds no panel, and one that
-        kept its panel — nothing in it compressed — holds nothing else."""
+        charged (the dense scratch a block is compressed from never is):
+        per side, a panel with the rows of the blocks that stayed dense and
+        nothing more, beside the blocks that compressed."""
         cfg = tiny_blr_config(strategy="minimal-memory", tolerance=1e-4)
         a = laplacian_3d(8)
         symb, ap = setup(a, cfg)
         fac = assemble_filled(ap, symb, cfg)
         assert fac.tracker.current == fac.factor_nbytes()
         assert fac.tracker.peak == fac.tracker.current
-        modes = set()
+        mixed = set()
         for nc in fac.cblks:
-            assert (nc.lpanel is None) != (nc.lblocks is None)
-            assert (nc.upanel is None) == (nc.lpanel is None)
-            if nc.lblocks is not None:
-                assert any(isinstance(b, LowRankBlock)
-                           for b in nc.lblocks + nc.ublocks)
-            modes.add(nc.panel_mode)
-        assert modes == {True, False}
+            for side in "lu":
+                panel, lowrank = nc.panel(side), nc.lowrank(side)
+                dense = [i for i in range(nc.sym.noff) if i not in lowrank]
+                assert panel.shape == (
+                    sum(nc.sym.blocks[1 + i].nrows for i in dense), nc.width)
+                assert panel.flags.c_contiguous
+            mixed.add(bool(nc.llowrank or nc.ulowrank))
+        assert mixed == {True, False}
         # the run's peak, to the byte, is pinned as the peak_bytes fact of
         # factotype/lu/minimal-memory/float64 in tests/golden/pins.json
 
@@ -134,13 +133,19 @@ class TestBlockAccessors:
         a = laplacian_3d(6)
         symb, ap = setup(a, cfg)
         fac = assemble_filled(ap, symb, cfg)
-        # blocks mode = the column block holds a low-rank block
-        nc = next(c for c in fac.cblks if c.lblocks)
+        nc = next(c for c in fac.cblks if c.llowrank)
+        i = min(nc.llowrank)
+        rows = len(nc.lpanel)
         old_total = fac.tracker.current
-        big = np.zeros((nc.sym.blocks[1].nrows, nc.width))
-        fac.set_block(nc, "l", 0, big)
-        assert fac.tracker.current != old_total or \
-            big.nbytes == old_total - (fac.tracker.current - big.nbytes)
+        old = nc.llowrank[i]
+        big = np.arange(old.m * nc.width, dtype=float).reshape(old.m, -1)
+        fac.set_block(nc, "l", i, big)
+        # a block falling back to dense joins the panel where it starts
+        assert i not in nc.llowrank and len(nc.lpanel) == rows + old.m
+        assert np.array_equal(nc.lblock(i), big)
+        assert fac.tracker.current == (old_total - old.nbytes
+                                       + big.size * nc.lpanel.itemsize)
+        assert fac.tracker.current == fac.factor_nbytes()
 
     def test_assemble_rejects_nonsymmetric_pattern(self):
         from repro.sparse.csc import CSCMatrix
@@ -228,14 +233,11 @@ class TestFinishedFactorHoldsOnlyItsFactor:
         fac = s.factor
         arrays = []
         for nc in fac.cblks:
-            arrays += [p for p in (nc.diag, nc.lpanel, nc.upanel)
-                       if p is not None]
-            for blocks in (nc.lblocks, nc.ublocks):
-                for b in blocks or ():
-                    arrays += ([b.u, b.v] if isinstance(b, LowRankBlock)
-                               else [b])
-        assert any(isinstance(b, LowRankBlock)
-                   for nc in fac.cblks for b in nc.lblocks or ())
+            arrays.append(nc.diag)
+            for _, _, b in nc.stored():
+                arrays += ([b.u, b.v] if isinstance(b, LowRankBlock)
+                           else [b])
+        assert any(nc.llowrank for nc in fac.cblks)
         roots = {id(r): r for r in map(_root, arrays)}
         assert sum(r.nbytes for r in roots.values()) == fac.factor_nbytes()
 
@@ -271,19 +273,18 @@ class TestStoredPiecesAndCensus:
         s = Solver(laplacian_3d(8), tiny_blr_config(
             strategy="just-in-time", tolerance=1e-4, factotype=factotype))
         s.factorize()
-        modes = set()
+        mixed = set()
         for nc in s.factor.cblks:
-            if nc.panel_mode:
-                want = [("l", -1, nc.lpanel)] + (
-                    [] if nc.upanel is None else [("u", -1, nc.upanel)])
-            else:
-                want = [("l", i, b) for i, b in enumerate(nc.lblocks)] + [
-                    ("u", i, b) for i, b in enumerate(nc.ublocks or ())]
+            want = []
+            for side in "lu"[:s.factor.sides]:
+                want.append((side, -1, nc.panel(side)))
+                want += [(side, i, nc.lowrank(side)[i])
+                         for i in sorted(nc.lowrank(side))]
             got = list(nc.stored())
             assert [p[:2] for p in got] == [p[:2] for p in want]
             assert all(g[2] is w[2] for g, w in zip(got, want))
-            modes.add(nc.panel_mode)
-        assert modes == {True, False}
+            mixed.add(bool(nc.llowrank))
+        assert mixed == {True, False}
 
     @pytest.mark.parametrize("strategy",
                              ["dense", "just-in-time", "minimal-memory"])

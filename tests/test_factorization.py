@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import factor as factor_module
 from repro.core import factorization as F
+from repro.core import scheduler as scheduler_module
 from repro.core.dense_kernels import flop_scale
-from repro.core.factor import compress_column_block
 from repro.core.scheduler import run_sequential
 from repro.core.solver import Solver
 from repro.lowrank.block import LowRankBlock
@@ -231,16 +230,18 @@ class TestMultipleRHS:
 # the engine ≡ the per-pair update loop it replaced
 # ----------------------------------------------------------------------
 #
-# The reference below is the update loop as it stood before the landing map
-# and before column blocks kept their panels: every column block leaves
-# panel mode at its compression point whether or not a block compressed
-# (``always_split``), a blocks-mode source multiplies pair by pair through
-# ``lr_product``, and every product lands by one ``_scatter`` call per
-# (source block, facing block, side) that locates the target blocks through
-# ``find_blocks``.  A Dense run makes the same products from the same
-# operands and must match bit for bit; a BLR run batches what the reference
-# multiplies pair by pair and must match to rounding, block for block, with
-# the same ranks.  Both must charge the same flops.
+# The reference below is the update loop as it stood before the landing
+# map, written against the block accessors alone (``lblock(i)`` /
+# ``ublock(i)``), so it does not depend on how a column block lays its
+# blocks out: per facing block and side, one product of the dense rows
+# below it, and ``lr_product`` for every pair that holds a low-rank block;
+# every product lands by one ``_scatter`` call per (source block, facing
+# block, side) that locates the target blocks through ``find_blocks``.  A
+# Dense run makes the same products from the same operands when every
+# visit has one facing block and must then match bit for bit; otherwise a
+# run batches what the reference multiplies per facing block and must
+# match to rounding, block for block, with the same ranks.  Both must
+# charge the same flops and call ``lr_product`` for the same pairs.
 
 def _slice_rows(contrib, lo, hi):
     if isinstance(contrib, LowRankBlock):
@@ -251,6 +252,8 @@ def _slice_rows(contrib, lo, hi):
 
 
 def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
+    if contrib is None:
+        return
     tnc = fac.cblks[t]
     tsym = tnc.sym
     stats = fac.stats.kernels
@@ -259,8 +262,11 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
         rloc = rlo - tsym.first_col
         if side == "l":
             lr2ge_update(tnc.diag, contrib, rloc, coff, stats)
+        elif isinstance(contrib, LowRankBlock):
+            lr2ge_update(tnc.diag, LowRankBlock(contrib.v, contrib.u), coff,
+                         rloc, stats)
         else:
-            lr2ge_update(tnc.diag, F._transpose(contrib), coff, rloc, stats)
+            lr2ge_update(tnc.diag, contrib.T, coff, rloc, stats)
         return
     for bidx, olo, ohi in find_blocks(fac.symb, t, rlo, rhi):
         assert bidx > 0
@@ -268,13 +274,8 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
         piece = _slice_rows(contrib, olo - rlo, ohi - rlo)
         block = tsym.blocks[bidx]
         row_off_in_block = olo - block.first_row
-        if tnc.panel_mode:
-            panel = tnc.lpanel if side == "l" else tnc.upanel
-            plo = tnc.row_offsets[i] + row_off_in_block
-            lr2ge_update(panel[plo:plo + ohi - olo], piece, 0, coff, stats)
-            continue
-        tgt = (tnc.lblocks if side == "l" else tnc.ublocks)[i]
-        if not isinstance(tgt, LowRankBlock):
+        tgt = tnc.block(side, i)
+        if not isinstance(tgt, LowRankBlock):  # a view of the panel
             lr2ge_update(tgt, piece, row_off_in_block, coff, stats)
         elif isinstance(piece, LowRankBlock):
             if piece.rank:
@@ -288,85 +289,57 @@ def _scatter(fac, t, rlo, rhi, clo, chi, contrib, side, acc):
             lr2ge_update(pend[0][0], piece, row_off_in_block, coff, stats)
 
 
-def reference_updates_from_panel(fac, nc, t, acc):
+def reference_visit(fac, k, t, acc):
+    """The per-pair update of ``t`` by ``k``: returns ``(seconds, flops,
+    gemms)`` of its dense products for the task to charge, as the
+    engine's visit (``apply_updates_from``) does."""
+    cfg = fac.config
+    nc = fac.cblks[k]
+    stats = fac.stats.kernels
     sym = nc.sym
-    offs = nc.row_offsets
-    is_lu = nc.upanel is not None
+    is_lu = fac.sides == 2
+    lb = [F._as_dtype(nc.lblock(i), fac.dtype) for i in range(sym.noff)]
+    ub = ([F._as_dtype(nc.ublock(i), fac.dtype) for i in range(sym.noff)]
+          if is_lu else None)
+
+    def lowrank(b):
+        return isinstance(b, LowRankBlock)
+
+    def dense_rows(blocks, start, op):
+        """One product of the dense blocks ``start:`` against ``op``, cut
+        back into blocks: ``{i: rows}``."""
+        dense = [i for i in range(start, sym.noff) if not lowrank(blocks[i])]
+        if not dense or lowrank(op):
+            return {}, 0.0
+        w = np.vstack([blocks[i] for i in dense]) @ op.T
+        cut = np.cumsum([0] + [blocks[i].shape[0] for i in dense])
+        return ({i: w[cut[n]:cut[n + 1]] for n, i in enumerate(dense)},
+                2.0 * w.shape[0] * op.shape[0] * nc.width)
+
     first, end = fac.symb.facing_ranges(sym.id)[t]
     flops, gemms = 0.0, 0
     for j in range(first, end):
         bj = sym.blocks[1 + j]
-        jlo, jhi = offs[j], offs[j + 1]
-        tail = slice(jlo, nc.offrows)
-        ub_j = F._update_operand(fac, nc, nc.lpanel[jlo:jhi],
-                                 nc.upanel[jlo:jhi] if is_lu else None)
-        w_l = nc.lpanel[tail] @ ub_j.T
-        fl = 2.0 * (nc.offrows - jlo) * bj.nrows * nc.width
-        gemms += 1
-        w_u = None
-        if is_lu:  # (i) > (j) only: the (j, j) product is the L side's
-            w_u = nc.upanel[jhi:] @ nc.lpanel[jlo:jhi].T
-            fl += 2.0 * (nc.offrows - jhi) * bj.nrows * nc.width
-            gemms += 1
-        flops += fl * flop_scale(fac.dtype)
+        ub_j = F._update_operand(fac, nc, lb[j], ub[j] if is_lu else None)
+        w_l, fl = dense_rows(lb, j, ub_j)
+        w_u, fl_u = dense_rows(ub, j + 1, lb[j]) if is_lu else ({}, 0.0)
+        flops += (fl + fl_u) * flop_scale(fac.dtype)
+        gemms += bool(w_l) + bool(w_u)
         for i in range(j, sym.noff):
             bi = sym.blocks[1 + i]
+            contrib = w_l[i] if i in w_l else lr_product(
+                lb[i], ub_j, fac.comp_tol, cfg.kernel, stats,
+                norm_ref=fac.comp_norm_ref)
             _scatter(fac, t, bi.first_row, bi.end_row, bj.first_row,
-                     bj.end_row, w_l[offs[i] - jlo:offs[i + 1] - jlo], "l",
-                     acc)
+                     bj.end_row, contrib, "l", acc)
             if is_lu and i > j:
+                contrib_u = w_u[i] if i in w_u else lr_product(
+                    ub[i], lb[j], fac.comp_tol, cfg.kernel, stats,
+                    norm_ref=fac.comp_norm_ref)
                 _scatter(fac, t, bi.first_row, bi.end_row, bj.first_row,
-                         bj.end_row, w_u[offs[i] - jhi:offs[i + 1] - jhi],
-                         "u", acc)
-    # the engine's contract: the products' flops and GEMM count, for the
-    # task to charge (the scatters charge their subtractions themselves)
-    return flops, gemms
-
-
-def reference_updates_from_blocks(fac, nc, t, acc):
-    cfg = fac.config
-    stats = fac.stats.kernels
-    sym = nc.sym
-    is_lu = nc.ublocks is not None
-    promote = fac.dtype if fac.storage_dtype is not None else None
-
-    def product(a, b):
-        if promote is not None:
-            a, b = F._as_dtype(a, promote), F._as_dtype(b, promote)
-        return lr_product(a, b, fac.comp_tol, cfg.kernel, stats,
-                          norm_ref=fac.comp_norm_ref)
-
-    first, end = fac.symb.facing_ranges(sym.id)[t]
-    for j in range(first, end):
-        bj = sym.blocks[1 + j]
-        ub_j = F._update_operand(fac, nc, nc.lblocks[j],
-                                 nc.ublocks[j] if is_lu else None)
-        for i in range(j, sym.noff):
-            bi = sym.blocks[1 + i]
-            contrib = product(nc.lblocks[i], ub_j)
-            if contrib is not None:
-                _scatter(fac, t, bi.first_row, bi.end_row,
-                         bj.first_row, bj.end_row, contrib, "l", acc)
-            if is_lu and i > j:
-                contrib_u = product(nc.ublocks[i], nc.lblocks[j])
-                if contrib_u is not None:
-                    _scatter(fac, t, bi.first_row, bi.end_row,
-                             bj.first_row, bj.end_row, contrib_u, "u", acc)
-
-
-def always_split(fac, nc, lpanel, upanel):
-    """The compression point under the rule this engine replaced: a column
-    block whose candidates were all rejected is cut into per-block arrays
-    all the same (what ``NumericFactor.convert_to_blocks`` did)."""
-    nbytes = compress_column_block(fac, nc, lpanel, upanel)
-    if nc.panel_mode:
-        offs = nc.row_offsets
-        nc.lblocks, nc.ublocks = (
-            None if p is None else [p[offs[i]:offs[i + 1]]
-                                    for i in range(nc.sym.noff)]
-            for p in (nc.lpanel, nc.upanel))
-        nc.lpanel = nc.upanel = None
-    return nbytes
+                         bj.end_row, contrib_u, "u", acc)
+    # the scatters charge their subtractions themselves
+    return 0.0, flops, gemms
 
 
 #: what "to rounding" means per compute dtype (tests/test_backend_conformance)
@@ -467,10 +440,8 @@ class TestBatchedLandingMatchesPerPairScatter:
         s.factorize()
         assert_fan_in_throughout(s.symbolic)
         with monkeypatch.context() as m:
-            m.setattr(F, "_updates_from_panel", reference_updates_from_panel)
-            m.setattr(F, "_updates_from_blocks", reference_updates_from_blocks)
-            m.setattr(F, "compress_column_block", always_split)
-            m.setattr(factor_module, "compress_column_block", always_split)
+            m.setattr(scheduler_module, "apply_updates_from",
+                      reference_visit)
             ref = Solver(a, tiny_blr_config(**cfg))
             ref.factorize()
         assert_same_factor(
@@ -485,6 +456,7 @@ class TestBatchedLandingMatchesPerPairScatter:
             # dense kernel, so the update charge legitimately differs
             del flops["update"], want["update"]
         assert flops == want
+        assert k.call_count("lr_product") == kr.call_count("lr_product")
         return s, ref
 
     @pytest.mark.parametrize("case", sorted(LANDING_CASES))
@@ -511,10 +483,7 @@ class TestBatchedLandingMatchesPerPairScatter:
             assert (k.call_count("dense_update")
                     < kr.call_count("dense_update"))
         else:
-            # only column blocks holding a low-rank block multiply pair by
-            # pair; the reference does so everywhere
-            assert any(nc.panel_mode for nc in s.factor.cblks)
-            assert k.call_count("lr_product") < kr.call_count("lr_product")
+            assert k.call_count("lr_product") > 0
 
     @pytest.mark.parametrize("cfg", [
         dict(factotype="lu"), dict(factotype="cholesky"),
@@ -548,16 +517,16 @@ class TestBatchedLandingMatchesPerPairScatter:
     @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
     @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
     def test_mixed_precision_storage(self, monkeypatch, strategy, factotype):
-        """The per-pair reference narrows the same column blocks: a kept
-        panel stays float64, a column block that compressed is stored in
-        one dtype, float32 for most at τ = 1e-2."""
+        """The per-pair reference narrows the same column blocks: a
+        column block where nothing compressed stays float64, one that
+        compressed is stored in one dtype, float32 for most at τ = 1e-2."""
         s, ref = self.both(monkeypatch, laplacian_3d(8), strategy=strategy,
                            factotype=factotype, tolerance=1e-2)
         assert s.factor.storage_dtype == np.float32
         kept = {nc.lpanel.dtype for nc in s.factor.cblks
-                if nc.panel_mode and nc.offrows}
+                if not nc.llowrank and nc.offrows}
         split = [{nc.lblock(i).dtype for i in range(nc.sym.noff)}
-                 for nc in s.factor.cblks if not nc.panel_mode]
+                 for nc in s.factor.cblks if nc.llowrank]
         assert kept == {np.dtype(np.float64)}
         assert all(len(dts) == 1 for dts in split)
         assert {np.dtype(np.float32)} in split
@@ -575,16 +544,59 @@ class TestBatchedLandingMatchesPerPairScatter:
 
     def test_kept_panels_and_split_column_blocks_face_each_other(
             self, monkeypatch):
-        """Minimal Memory fixes every storage mode at assembly: a column
-        block with an accepted block must update one that kept its panel,
-        and the other way round."""
+        """Minimal Memory compresses as each task fills its column block:
+        a column block holding a low-rank block must update one where
+        nothing compressed, and the other way round."""
         s, _ = self.both(monkeypatch, laplacian_3d(8),
                          strategy="minimal-memory", tolerance=1e-4,
                          factotype="lu")
         cblks, symb = s.factor.cblks, s.symbolic
-        pairs = {(cblks[k].panel_mode, cblks[t].panel_mode)
+        pairs = {(bool(cblks[k].llowrank), bool(cblks[t].llowrank))
                  for k in range(symb.ncblk) for t in symb.facing_ranges(k)}
         assert {(True, False), (False, True)} <= pairs
+
+
+def lowrank_pairs(fac):
+    """The facing pairs whose product holds a low-rank block, read from the
+    structure and from which blocks the factor holds low-rank: per visit of
+    a target through blocks ``first:end``, the L side's pairs ``(i, j)``,
+    ``i ≥ j``, with ``L(i)`` or ``op(L(j))`` low-rank, and for LU the Uᵗ
+    side's ``i > j`` with ``Uᵗ(i)`` or ``L(j)`` low-rank."""
+    symb, n = fac.symb, 0
+    for nc in fac.cblks:
+        lr_l = set(nc.llowrank)
+        lr_u = set(nc.ulowrank) if fac.sides == 2 else lr_l
+        for first, end in symb.facing_ranges(nc.sym.id).values():
+            for j in range(first, end):
+                for i in range(j, nc.sym.noff):
+                    n += i in lr_l or j in lr_u
+                    n += fac.sides == 2 and i > j and (i in lr_u or j in lr_l)
+    return n
+
+
+class TestOnlyLowRankPairsMultiplyPairByPair:
+    """A source's dense rows update through its panel, whatever it holds
+    beside it: ``lr_product`` runs once per facing pair that holds a
+    low-rank block and never for a dense × dense pair."""
+
+    @pytest.mark.parametrize("strategy", ["just-in-time", "minimal-memory"])
+    @pytest.mark.parametrize("factotype", ["lu", "cholesky"])
+    def test_lr_product_calls_are_the_lowrank_pairs(self, strategy,
+                                                    factotype):
+        s = Solver(laplacian_3d(8), tiny_blr_config(
+            strategy=strategy, factotype=factotype, tolerance=1e-4))
+        stats = s.factorize()
+        fac = s.factor
+        census = fac.census()
+        # lr_product charges nothing for a rank-0 operand: none is held
+        assert census["compression"]["n_lowrank_blocks"] > 0
+        assert "0" not in census["rank_histogram"]
+        assert census["lowrank_blocks"]["l"] == sum(
+            len(nc.llowrank) for nc in fac.cblks)
+        pairs = lowrank_pairs(fac)
+        assert 0 < pairs == stats.kernels.call_count("lr_product")
+        # and some source multiplies dense rows beside its low-rank blocks
+        assert any(nc.llowrank and len(nc.lpanel) for nc in fac.cblks)
 
 
 class TestEnginesLandIdentically:

@@ -168,8 +168,8 @@ class TestHermitianSymmetry:
         s = Solver(a, tiny_blr_config(strategy=strategy, factotype=factotype,
                                       tolerance=tau))
         s.factorize()
-        assert any(isinstance(b, LowRankBlock) and b.rank
-                   for nc in s.factor.cblks for b in nc.lblocks or ())
+        assert any(b.rank for nc in s.factor.cblks
+                   for b in nc.llowrank.values())
         b = _rhs(a, "complex128")
         x = s.solve(b)
         assert s.backward_error(x, b) <= 10 * tau
@@ -246,10 +246,8 @@ NARROW = {np.dtype(np.float64): np.dtype(np.float32),
 
 
 def _offdiag_dtypes(nc):
-    """The dtypes of one column block's stored off-diagonal blocks."""
-    if nc.panel_mode:
-        return {p.dtype for p in (nc.lpanel, nc.upanel) if p is not None}
-    return {b.dtype for b in nc.lblocks + (nc.ublocks or [])}
+    """The dtypes of one column block's stored off-diagonal pieces."""
+    return {b.dtype for _, _, b in nc.stored()}
 
 
 def _narrow_cblks(fac):
@@ -295,13 +293,12 @@ class DiscardedOracle:
         def spy_compress(fac, nc, lpanel, upanel):
             panels = [p.copy() for p in (lpanel, upanel) if p is not None]
             out = compress(fac, nc, lpanel, upanel)
-            if not nc.panel_mode:
+            if nc.llowrank or nc.ulowrank:
                 offs = nc.row_offsets
                 dropped = sum(
                     _sq(p[offs[i]:offs[i + 1]] - _dense(b, fac.dtype))
-                    for p, blocks in zip(panels, (nc.lblocks, nc.ublocks))
-                    for i, b in enumerate(blocks)
-                    if isinstance(b, LowRankBlock))
+                    for p, side in zip(panels, "lu")
+                    for i, b in nc.lowrank(side).items())
                 self.ratio[nc.sym.id] = dropped / max(
                     sum(map(_sq, panels)), np.finfo(float).tiny)
             return out
@@ -310,8 +307,7 @@ class DiscardedOracle:
             tnc = fac.cblks[k]
             exact = {}
             for (side, i), contribs in acc.items():
-                blocks = tnc.lblocks if side == "l" else tnc.ublocks
-                e = _dense(blocks[i], fac.dtype)
+                e = _dense(tnc.block(side, i), fac.dtype)
                 for piece, ro, co in contribs:
                     d = _dense(piece, fac.dtype)
                     # the dense scratch holds minus the sum of its pieces
@@ -320,11 +316,10 @@ class DiscardedOracle:
                 exact[side, i] = e
             flush(fac, k, acc)
             if exact:
-                sides = {"l": tnc.lblocks, "u": tnc.ublocks}
-                dropped = sum(_sq(e - _dense(sides[side][i], fac.dtype))
+                dropped = sum(_sq(e - _dense(tnc.block(side, i), fac.dtype))
                               for (side, i), e in exact.items())
                 total = sum(_sq(_dense(b, fac.dtype))
-                            for blocks in sides.values() for b in blocks or ())
+                            for _, _, b in tnc.stored())
                 self.flush[k] = dropped / total
 
         monkeypatch.setattr(factor_module, "compress_column_block",
@@ -393,7 +388,7 @@ class TestMixedPrecision:
             assert nc.diag.dtype == np.float64  # pivots stay full precision
             dts = _offdiag_dtypes(nc)
             assert len(dts) <= 1  # one dtype per column block
-            if nc.panel_mode:  # a kept panel discarded nothing
+            if not (nc.llowrank or nc.ulowrank):  # nothing discarded
                 assert nc.sym.id not in narrow
             elif nc.sym.id in narrow:
                 assert dts == {np.dtype(np.float32)}
@@ -407,7 +402,7 @@ class TestMixedPrecision:
         s = Solver(a, cfg)
         s.factorize()
         narrow = _narrow_cblks(s.factor)
-        assert narrow and any(not nc.panel_mode and nc.sym.id not in narrow
+        assert narrow and any(nc.llowrank and nc.sym.id not in narrow
                               for nc in s.factor.cblks)
         b = np.ones(a.n)
         x = s.solve(b)
@@ -444,8 +439,7 @@ class TestMixedPrecision:
                               pivoting="threshold", tolerance=1e-4)
         s = Solver(a, cfg)
         s.factorize()
-        assert any(isinstance(blk, LowRankBlock) for nc in s.factor.cblks
-                   for blk in nc.lblocks or ())
+        assert any(nc.llowrank for nc in s.factor.cblks)
         assert s.factor.pivot_swaps + s.factor.pivots_2x2 > 0
         assert not _narrow_cblks(s.factor)
         ref = _wide_reference(monkeypatch, a, cfg)

@@ -102,8 +102,8 @@ class TestSentinels:
         assert s.last_recovery["counts"]["breakdown"] == 1
 
     def test_nan_in_panel_poisons_an_off_diagonal_block(self):
-        """A column block in blocks mode (one of its blocks compressed)
-        still has off-diagonal rows: the first off-diagonal block is
+        """A column block whose candidates compressed as its task filled
+        it still has off-diagonal rows: the first off-diagonal block is
         poisoned, not the diagonal block."""
         s = Solver(laplacian_3d(8), tiny_blr_config(
             strategy="minimal-memory", tolerance=1e-4,
@@ -111,10 +111,10 @@ class TestSentinels:
         inj = FaultInjector()
         inj.nan_in_panel(24, transient=True)
         s.factorize(faults=inj)
-        assert not s.factor.cblks[24].panel_mode
+        assert s.factor.cblks[24].sym.blocks[1].lr_candidate
         assert s.last_recovery["actions"][0] == {
             "action": "breakdown", "site": "factor", "cblk": 24,
-            "cause": "nan-input", "where": "lblocks[0]"}
+            "cause": "nan-input", "where": "lpanel"}
 
     def test_pivot_budget_breakdown(self):
         a = singular_identityish()
@@ -176,15 +176,14 @@ class TestEscalationEndToEnd:
         assert factor_digest(s.factor) == factor_digest(baseline.factor)
 
     def test_kept_panels_and_split_column_blocks_round_trip(self):
-        """A JIT run holds both storage modes — most column blocks keep
-        their panel, the ones with a low-rank block are split.  A
-        snapshot/restore task retry at a split column block ends in the
-        clean run's factors."""
+        """In a JIT run most column blocks hold every row in their panel,
+        a few hold low-rank blocks beside it.  A snapshot/restore task
+        retry at one of those ends in the clean run's factors."""
         a = laplacian_3d(8)
         cfg = tiny_blr_config(strategy="just-in-time", tolerance=1e-4)
         clean = Solver(a, cfg)
         clean.factorize()
-        split = [nc.sym.id for nc in clean.factor.cblks if not nc.panel_mode]
+        split = [nc.sym.id for nc in clean.factor.cblks if nc.llowrank]
         assert 0 < len(split) < clean.symbolic.ncblk / 2
         s = Solver(a, cfg.with_options(recovery=RecoveryPolicy()))
         inj = FaultInjector()

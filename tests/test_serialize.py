@@ -1,5 +1,6 @@
 """Tests for factorization save/load."""
 
+import io
 import json
 import zipfile
 
@@ -92,6 +93,96 @@ class TestRoundtrip:
         b = rng.standard_normal(a.n)
         res = s2.refine(b, tol=1e-12, maxiter=20)
         assert res.backward_error <= 1e-10
+
+
+#: factors holding low-rank blocks beside non-empty panels
+LAYOUT_CASES = {
+    "jit-lu": dict(strategy="just-in-time", factotype="lu"),
+    "mm-ldlt": dict(strategy="minimal-memory", factotype="ldlt"),
+}
+
+
+def write_per_block_archive(s, path):
+    """What a version-1 archive held for ``s``'s factor: a side that holds
+    a low-rank block stored block by block (its dense blocks as
+    ``"dense"`` kinds), every other side as its panel."""
+    fac = s.factor
+    save_factor(fac, s.perm, path)
+    with zipfile.ZipFile(path) as zf:
+        header = json.loads(zf.read("header.json"))
+        with zf.open("arrays.npz") as fh:
+            arrays = dict(np.load(io.BytesIO(fh.read())))
+    kinds = []
+    for k, side, i, kind in header["kinds"]:
+        nc = fac.cblks[k]
+        if kind == "panel" and nc.lowrank(side):
+            del arrays[f"{side}p{k}"]
+            for j in range(nc.sym.noff):
+                if j not in nc.lowrank(side):
+                    arrays[f"{side}{k}_{j}d"] = nc.block(side, j)
+                    kinds.append([k, side, j, "dense"])
+        else:
+            kinds.append([k, side, i, kind])
+    header.update(format_version=1, kinds=kinds)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("header.json", json.dumps(header))
+        zf.writestr("arrays.npz", buf.getvalue())
+    return kinds
+
+
+class TestOneLayout:
+    """An archive stores per column block and side the panel of its dense
+    rows beside its low-rank blocks, and still reads the per-block sides
+    of a version-1 archive by stacking their dense blocks."""
+
+    def factored(self, case):
+        s = Solver(laplacian_3d(8), tiny_blr_config(tolerance=1e-4,
+                                                    **LAYOUT_CASES[case]))
+        s.factorize()
+        assert any(nc.llowrank and len(nc.lpanel) for nc in s.factor.cblks)
+        return s
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_round_trip_keeps_the_layout(self, case, tmp_path, rng):
+        s = self.factored(case)
+        path = s.save_factor(tmp_path / "f.rpz")
+        with zipfile.ZipFile(path) as zf:
+            header = json.loads(zf.read("header.json"))
+        assert {kind for *_, kind in header["kinds"]} == {"panel", "lr"}
+        fac, _ = load_factor(path)
+        for nc, mine in zip(fac.cblks, s.factor.cblks):
+            for side in "lu"[:fac.sides]:
+                assert list(nc.lowrank(side)) == list(mine.lowrank(side))
+                assert nc.panel(side).flags.c_contiguous
+        assert_loads_as(s, path, rng)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_per_block_archive_loads_into_panels(self, case, tmp_path, rng):
+        s = self.factored(case)
+        path = tmp_path / "v1.rpz"
+        kinds = write_per_block_archive(s, path)
+        assert "dense" in {kind for *_, kind in kinds}
+        fac, _ = load_factor(path)
+        for nc, mine in zip(fac.cblks, s.factor.cblks):
+            for side in "lu"[:fac.sides]:
+                assert np.array_equal(nc.panel(side), mine.panel(side))
+                assert sorted(nc.lowrank(side)) == sorted(mine.lowrank(side))
+        assert_loads_as(s, path, rng)
+
+    def test_missing_block_rejected(self, tmp_path):
+        s = self.factored("jit-lu")
+        path = tmp_path / "v1.rpz"
+        write_per_block_archive(s, path)
+
+        def drop_a_dense_block(header):
+            kinds = header["kinds"]
+            kinds.remove(next(kind for kind in kinds if kind[3] == "dense"))
+
+        edit_header(path, "header.json", drop_a_dense_block)
+        with pytest.raises(ValueError, match="missing blocks"):
+            load_factor(path)
 
 
 class TestArchiveProperties:
@@ -201,21 +292,18 @@ class TestArchivesOutliveConfigFields:
         assert array_digest(s2.solve(b)) == array_digest(s.solve(b))
 
     def test_narrowed_archive_loads_and_solves(self, tmp_path, rng):
-        """What ``storage_dtype="float32"`` wrote: every off-diagonal block
-        and kept panel in float32.  It loads in the dtypes it was saved in
+        """What ``storage_dtype="float32"`` wrote: every panel and
+        low-rank block in float32.  It loads in the dtypes it was saved in
         and solves bit-identically to the factor that was saved."""
         a = laplacian_3d(6)
         s = Solver(a, self.cfg())
         s.factorize()
         fac = s.factor
         for nc in fac.cblks:
-            if nc.panel_mode:
-                nc.lpanel = nc.lpanel.astype(np.float32)
-                if nc.upanel is not None:
-                    nc.upanel = nc.upanel.astype(np.float32)
-            else:
-                nc.lblocks = [blk.astype(np.float32) for blk in nc.lblocks]
-                nc.ublocks = [blk.astype(np.float32) for blk in nc.ublocks]
+            for side in "lu"[:fac.sides]:
+                nc.set_side(side, nc.panel(side).astype(np.float32), {
+                    i: blk.astype(np.float32)
+                    for i, blk in nc.lowrank(side).items()})
         path = s.save_factor(tmp_path / "narrowed.rpz")
         edit_header(path, "header.json",
                     lambda h: h["config"].update(storage_dtype="float32"))

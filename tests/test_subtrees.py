@@ -121,7 +121,7 @@ class TestContributionBlocksMatchFanIn:
 
     def test_roots_land_in_low_rank_targets(self, monkeypatch):
         """Under Minimal Memory a target compressed at fill: a root's CB
-        lands in its blocks-mode storage, its low-rank blocks through the
+        lands in its panels, its low-rank blocks through the
         accumulator."""
         a = laplacian_3d(8)
         s = factorize(monkeypatch, a, config(strategy="minimal-memory",
@@ -129,7 +129,7 @@ class TestContributionBlocksMatchFanIn:
         symb, plan = s.symbolic, s.symbolic.subtree_plan()
         targets = {t for r in np.flatnonzero(plan.root == np.arange(
             symb.ncblk)) for t in symb.facing_ranges(r)}
-        assert any(not s.factor.cblks[t].panel_mode for t in targets)
+        assert any(s.factor.cblks[t].llowrank for t in targets)
         ref = factorize(monkeypatch, a, config(strategy="minimal-memory",
                                                tolerance=1e-4), fan_in=True)
         assert_same_factor(s.factor, ref.factor, exact=False)

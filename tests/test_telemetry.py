@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.solver import Solver
-from repro.lowrank.block import LowRankBlock
 from repro.runtime.spans import SpanProfiler
 from repro.runtime.telemetry import SeriesBuffer, Telemetry
 from repro.sparse.generators import laplacian_2d, laplacian_3d
@@ -61,9 +60,8 @@ class TestSolverIntegration:
         assert s.stats.nblocks_compressed > 0
         # one point per accepted compression: JIT never recompresses, so
         # that is every low-rank block of L and U in the factor
-        lowrank = sum(isinstance(blk, LowRankBlock)
-                      for nc in s.factor.cblks if nc.lblocks is not None
-                      for blk in (*nc.lblocks, *nc.ublocks))
+        lowrank = sum(len(nc.llowrank) + len(nc.ulowrank)
+                      for nc in s.factor.cblks)
         points = snap["series"]["rank_evolution"]
         assert len(points) == lowrank == 2 * s.stats.nblocks_compressed
         assert all(p["site"] == "compress" and p["rank_after"] >= 0

@@ -139,7 +139,7 @@ class TestNothingCompressedIsTheDenseFactorization:
     def test_every_candidate_over_its_rank_cap(self, strategy, factotype):
         fac = self._factor(strategy=strategy, factotype=factotype)
         assert fac.stats.nblocks_compressed == 0
-        assert all(nc.panel_mode for nc in fac.cblks)
+        assert not any(nc.llowrank or nc.ulowrank for nc in fac.cblks)
         assert factor_digest(fac) == factor_digest(
             self._factor(strategy="dense", factotype=factotype))
 
@@ -147,7 +147,7 @@ class TestNothingCompressedIsTheDenseFactorization:
     @pytest.mark.parametrize("strategy", BLR_STRATEGIES)
     def test_every_compression_site_declines(self, strategy, factotype):
         """Every compression site failed into the recovery ladder's dense
-        fallback, which leaves the column block in panel mode — Minimal
+        fallback, which leaves the column block dense — Minimal
         Memory's too, which its task reaches as it fills the column
         block."""
 
@@ -168,7 +168,7 @@ class TestNothingCompressedIsTheDenseFactorization:
         as the panels."""
         none = dict(compress_min_width=10 ** 6, factotype=factotype)
         fac = self._factor(strategy="minimal-memory", **none)
-        assert all(nc.panel_mode for nc in fac.cblks)
+        assert not any(nc.llowrank or nc.ulowrank for nc in fac.cblks)
         assert factor_digest(fac) == factor_digest(
             self._factor(strategy="dense", **none))
 
