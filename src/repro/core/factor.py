@@ -167,10 +167,11 @@ class NumericColumnBlock:
     def stored(self) -> Iterator[Tuple[str, int, Block]]:
         """Every stored off-diagonal piece as ``(side, i, block)``, L then
         U: a side's panel as ``i = -1``, then its low-rank blocks."""
-        for side in ("l", "u"):
-            if self.panel(side) is not None:
-                yield side, -1, self.panel(side)
-                for i, b in self.lowrank(side).items():
+        for side, panel, lowrank in (("l", self.lpanel, self.llowrank),
+                                     ("u", self.upanel, self.ulowrank)):
+            if panel is not None:
+                yield side, -1, panel
+                for i, b in lowrank.items():
                     yield side, i, b
 
     def nbytes(self) -> int:
@@ -179,8 +180,9 @@ class NumericColumnBlock:
         for panel, lowrank in ((self.lpanel, self.llowrank),
                                (self.upanel, self.ulowrank)):
             if panel is not None:
-                total += array_nbytes(panel) + sum(
-                    b.nbytes for b in lowrank.values())
+                total += array_nbytes(panel)
+            if lowrank:
+                total += sum(b.nbytes for b in lowrank.values())
         return total
 
 
@@ -558,7 +560,8 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
     raises."""
     cfg = fac.config
     offs = nc.row_offsets
-    panels = {"l": lpanel} if upanel is None else {"l": lpanel, "u": upanel}
+    panels = (("l", lpanel),) if upanel is None else (("l", lpanel),
+                                                      ("u", upanel))
     compress_ok = True
     if fac.faults is not None:
         try:
@@ -570,14 +573,13 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
             rec.record("dense_fallback", site="compress", cblk=nc.sym.id,
                        error=type(exc).__name__)
             compress_ok = False
-    lowrank: Dict[str, Dict[int, LowRankBlock]] = {side: {}
-                                                   for side in panels}
+    lowrank: Dict[str, Dict[int, LowRankBlock]] = {"l": {}, "u": {}}
     dropped = 0.0
     for i, b in enumerate(nc.sym.off_blocks()):
         if not (b.lr_candidate and compress_ok):
             continue
         cap = rank_cap(b.nrows, nc.width, cfg.rank_ratio)
-        for side, panel in panels.items():
+        for side, panel in panels:
             block = panel[offs[i]:offs[i + 1]]
             lr = compress_block(block, fac.comp_tol, cfg.kernel,
                                 max_rank=cap, stats=fac.stats.kernels,
@@ -586,9 +588,10 @@ def compress_column_block(fac: NumericFactor, nc: NumericColumnBlock,
                 lowrank[side][i] = lr
                 # what it discarded: ‖B‖² − ‖v‖² (orthonormal u)
                 dropped += sqnorm(block) - sqnorm(lr.v)
-    for side, panel in panels.items():
+    for side, panel in panels:
         nc.set_side(side, panel, lowrank[side])
         if lowrank[side]:
             nc.set_side(side, panel[nc.panel_rows(side)], lowrank[side])
-    narrow_if_discarded(fac, nc, dropped)
+    if dropped:
+        narrow_if_discarded(fac, nc, dropped)
     return nc.nbytes() - array_nbytes(nc.diag)

@@ -362,7 +362,7 @@ def _dense_rows(fac: NumericFactor, nc: NumericColumnBlock, side: str,
     offs = nc.panel_offsets(side)
     base = offs[first]
     rows = _as_dtype(nc.panel(side)[base:], fac.dtype)
-    if nc.lowrank(side):  # skip the rows of the low-rank blocks
+    if offs is not nc.row_offsets:  # skip the rows of the low-rank blocks
         keep = nc.panel_rows(side)[nc.row_offsets[first]:]
         drow, pos = drow[keep[:len(drow)]], pos[keep[len(drow):]]
     return rows, offs[first:end + 1] - base, drow, pos
@@ -400,7 +400,8 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
     if fac.sides == 2:
         u_rows, uoffs, udrow, upos = _dense_rows(fac, nc, "u", first, end,
                                                  drow, pos)
-        ucols, unf = _span(udrow), uoffs[-1]
+        ucols = lcols if udrow is ldrow else _span(udrow)
+        unf = uoffs[-1]
         if unf and len(l_rows):
             w = l_rows @ u_rows[:unf].T
             square, below = w[:nf], w[nf:]
@@ -448,20 +449,29 @@ def _land_dense(fac: NumericFactor, tnc: NumericColumnBlock,
     them, or in a low-rank block's scratch in ``acc`` (:func:`_scratch`)."""
     if square is not None:
         _subtract_at(tnc.diag, at[0], at[1], square)
+    last = rows = None
     for side, pos, cols, slab in slabs:
         if not len(pos):
             continue
         panel, lowrank = tnc.panel(side), tnc.lowrank(side)
         if not lowrank:
-            _subtract_at(panel, _span(pos), cols, slab)
+            if pos is not last:  # the sides often share their rows
+                last, rows = pos, _span(pos)
+            _subtract_at(panel, rows, cols, slab)
             continue
         offs, poffs = tnc.row_offsets, tnc.panel_offsets(side)
         cut = pos.searchsorted(offs)
-        for i in np.flatnonzero(cut[1:] > cut[:-1]):
-            lo, hi = cut[i], cut[i + 1]
-            dst, shift = ((_scratch(fac, tnc, side, i, acc), offs[i])
-                          if i in lowrank else (panel, offs[i] - poffs[i]))
-            _subtract_at(dst, _span(pos[lo:hi] - shift), cols, slab[lo:hi])
+        start = 0  # the first block of a run of dense blocks
+        for i in (*lowrank, tnc.sym.noff):  # ascending
+            lo, hi = cut[start], cut[i]
+            if hi > lo:  # one shift for the whole run
+                _subtract_at(panel, _span(pos[lo:hi] - offs[start]
+                                          + poffs[start]), cols, slab[lo:hi])
+            if i in lowrank and cut[i + 1] > hi:
+                _subtract_at(_scratch(fac, tnc, side, i, acc),
+                             _span(pos[hi:cut[i + 1]] - offs[i]), cols,
+                             slab[hi:cut[i + 1]])
+            start = i + 1
 
 
 def _span(idx: np.ndarray) -> "slice | np.ndarray":

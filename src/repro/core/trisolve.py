@@ -96,11 +96,10 @@ def solve_factored(fac: NumericFactor, b: np.ndarray,
     return x[0] if b.ndim == 1 else np.ascontiguousarray(x.T)
 
 
-def _charge(fac: NumericFactor, side: str) -> None:
+def _charge(fac: NumericFactor, nlr: int) -> None:
     """Charge one sweep's calls in bulk: per column block a diagonal solve
-    (a skipped unit one included) and a panel product, and a product per
-    low-rank block of ``side``."""
-    nlr = sum(len(nc.lowrank(side)) for nc in fac.cblks)
+    (a skipped unit one included) and a panel product, and ``nlr`` products
+    of low-rank blocks."""
     for op, n in (("panel_trsm", len(fac.cblks)),
                   ("panel_gemm", len(fac.cblks)), ("lr_apply", nlr)):
         fac.backend.tick(op, n)
@@ -111,14 +110,16 @@ def _forward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
     """The forward block sweep, overwriting the ``(k, n)`` stack ``x``: per
     column block in order, the diagonal solve, then the blocks of ``side``
     (``"l"`` the L blocks, ``"u"`` the stored Uᵗ blocks) applied below —
-    the panel as one product scattered through its rows, then each
-    low-rank block.
+    each low-rank block, and the panel as one product scattered through
+    its rows.
 
     Threshold-pivoted supernodes store the within-block permutation P on
     ``nc.pivperm``: their global diagonal L block is ``Pᵀ L00``, so the
     diagonal step solves ``L00 z = P b`` — the local right-hand-side
     entries are permuted first.  LAPACK never reads a unit diagonal, so a
     width-1 unit step is skipped."""
+    panel, lowrank = side + "panel", side + "lowrank"
+    nlr = 0
     for nc in fac.cblks:
         lo, hi = nc.sym.first_col, nc.sym.end_col
         cols = x[:, lo:hi]
@@ -128,13 +129,17 @@ def _forward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
             cols[...] = rhs
         elif hi - lo > 1 or not unit:
             trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
-        rows = fac.symb.off_rows[nc.sym.id][nc.panel_rows(side)]
-        x[:, rows] = x.take(rows, axis=1) - stable_gemv(nc.panel(side), cols)
-        for i, block in nc.lowrank(side).items():
-            b = nc.sym.blocks[1 + i]
-            x[:, b.first_row:b.end_row] -= lr_gemv(block.u, block.v, cols,
-                                                   "N")
-    _charge(fac, side)
+        rows, blocks = fac.symb.off_rows[nc.sym.id], getattr(nc, lowrank)
+        if blocks:
+            rows = rows[nc.panel_rows(side)]
+            nlr += len(blocks)
+            for i, block in blocks.items():
+                b = nc.sym.blocks[1 + i]
+                x[:, b.first_row:b.end_row] -= lr_gemv(block.u, block.v,
+                                                       cols, "N")
+        x[:, rows] = x.take(rows, axis=1) - stable_gemv(getattr(nc, panel),
+                                                        cols)
+    _charge(fac, nlr)
 
 
 def _diag_scale_ldlt(fac: NumericFactor, x: np.ndarray) -> None:
@@ -162,12 +167,18 @@ def _backward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
     permutation (``x[p] = w``)."""
     if trans == "C" and not fac.hermitian:
         apply_trans = trans = "T"
+    panel, lowrank = side + "panel", side + "lowrank"
+    nlr = 0
     for nc in reversed(fac.cblks):
         lo, hi = nc.sym.first_col, nc.sym.end_col
         cols = x[:, lo:hi]
-        rows = fac.symb.off_rows[nc.sym.id][nc.panel_rows(side)]
-        cols -= stable_gemv(nc.panel(side), x.take(rows, axis=1), apply_trans)
-        for i, block in nc.lowrank(side).items():
+        rows, blocks = fac.symb.off_rows[nc.sym.id], getattr(nc, lowrank)
+        if blocks:
+            rows = rows[nc.panel_rows(side)]
+            nlr += len(blocks)
+        cols -= stable_gemv(getattr(nc, panel), x.take(rows, axis=1),
+                            apply_trans)
+        for i, block in blocks.items():
             b = nc.sym.blocks[1 + i]
             cols -= lr_gemv(block.u, block.v, x[:, b.first_row:b.end_row],
                             apply_trans)
@@ -177,4 +188,4 @@ def _backward(fac: NumericFactor, x: np.ndarray, trtrs: Callable[..., Any],
             cols[:, nc.pivperm] = sol
         elif hi - lo > 1 or not unit:
             trtrs_rows(trtrs, nc.diag, cols, lower, trans, unit)
-    _charge(fac, side)
+    _charge(fac, nlr)
