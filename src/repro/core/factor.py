@@ -1,19 +1,16 @@
 """Numerical block storage and assembly.
 
 A :class:`NumericFactor` owns one :class:`NumericColumnBlock` per symbolic
-column block, all in one layout — PaStiX's stacked panel, with the blocks
-that compressed beside it.  Per side, ``lpanel`` / ``upanel`` is one
-C-ordered array with the rows of the dense off-diagonal blocks in frame
-order, which lets the update loop issue one BLAS3 GEMM per facing block
-instead of one per block pair, the panel solve one TRSM and the
-triangular solves one product per sweep; ``llowrank`` / ``ulowrank`` maps
-block index → :class:`~repro.lowrank.block.LowRankBlock` for the blocks
-that compressed, whose rows the panel skips.  In a Dense run, and in any
-column block where nothing compressed, the map is empty and the panel is
-the whole off-diagonal frame.  ``lblock(i)`` / ``ublock(i)`` read one
-block whatever it holds.  Minimal Memory never charges a dense panel it
-does not keep: a block is compressed from a transient scratch and only
-what is stored is tracked.
+column block, all in one layout — PaStiX's stacked panel with the blocks
+that compressed beside it: per side, one C-ordered array of the dense
+off-diagonal blocks' rows in frame order (``lpanel`` / ``upanel``: one
+BLAS3 GEMM per facing block in the updates, one TRSM in the panel solve,
+one product per sweep in the solves) and a block index →
+:class:`~repro.lowrank.block.LowRankBlock` map (``llowrank`` /
+``ulowrank``), empty in a Dense run and wherever nothing compressed.
+``lblock(i)`` / ``ublock(i)`` read one block whatever it holds.  Minimal
+Memory never charges a dense panel it does not keep: a block is
+compressed from a transient scratch and only what is stored is tracked.
 
 Nothing is allocated before the factorization: :func:`assemble` only
 resolves dtypes and norms, and each column block is allocated and scattered
@@ -84,12 +81,14 @@ class NumericColumnBlock:
                  row_offsets: np.ndarray) -> None:
         self.sym = sym
         self.diag: Optional[np.ndarray] = None
-        #: per side, the dense rows and the low-rank blocks by index (the
-        #: U side's panel stays ``None`` for a symmetric factorization)
+        #: per side, the dense rows, the low-rank blocks by index and where
+        #: each block starts in the panel (:meth:`set_side`); the U side's
+        #: panel stays ``None`` for a symmetric factorization
         self.lpanel: Optional[np.ndarray] = None
         self.upanel: Optional[np.ndarray] = None
         self.llowrank: Dict[int, LowRankBlock] = {}
         self.ulowrank: Dict[int, LowRankBlock] = {}
+        self.loffsets = self.uoffsets = row_offsets
         #: within-block pivot permutation (threshold-pivoted ldlt only):
         #: row ``i`` of the factored diagonal block is row ``pivperm[i]``
         #: of the assembled one.  ``None`` = identity (static pivoting).
@@ -102,8 +101,6 @@ class NumericColumnBlock:
         #: (``SymbolicFactor.row_offsets``, shared and read-only)
         self.row_offsets = row_offsets
         self.offrows = int(row_offsets[-1])
-        #: per side, where each block starts in the panel (set_side)
-        self.loffsets = self.uoffsets = row_offsets
         self.factored = False
 
     # ------------------------------------------------------------------
@@ -111,12 +108,10 @@ class NumericColumnBlock:
     def width(self) -> int:
         return self.sym.ncols
 
-    def panel(self, side: str) -> Optional[np.ndarray]:
-        """The dense rows of side ``'l'`` / ``'u'``."""
+    def panel(self, side: str) -> Optional[np.ndarray]:  # 'l' / 'u'
         return self.lpanel if side == "l" else self.upanel
 
     def lowrank(self, side: str) -> Dict[int, LowRankBlock]:
-        """The low-rank blocks of side ``'l'`` / ``'u'``, by block index."""
         return self.llowrank if side == "l" else self.ulowrank
 
     def set_side(self, side: str, panel: Optional[np.ndarray],
@@ -141,12 +136,9 @@ class NumericColumnBlock:
     def panel_rows(self, side: str) -> "slice | np.ndarray":
         """Which rows of the frame the panel of ``side`` holds: a boolean
         mask, or all of them (a slice) when nothing there compressed."""
-        lowrank = self.lowrank(side)
-        if not lowrank:
-            return slice(None)
-        dense = np.ones(self.sym.noff, dtype=bool)
-        dense[list(lowrank)] = False
-        return np.repeat(dense, np.diff(self.row_offsets))
+        offs = self.panel_offsets(side)
+        return (slice(None) if offs is self.row_offsets else
+                np.repeat(np.diff(offs) > 0, np.diff(self.row_offsets)))
 
     def block(self, side: str, i: int) -> Block:
         """Off-diagonal block ``i`` of ``side``: its low-rank form, or a
@@ -156,12 +148,10 @@ class NumericColumnBlock:
         offs = self.panel_offsets(side)
         return self.panel(side)[offs[i]:offs[i + 1]]
 
-    def lblock(self, i: int) -> Block:
-        """The i-th off-diagonal L block (0-based over off blocks)."""
+    def lblock(self, i: int) -> Block:  # the i-th off-diagonal L block
         return self.block("l", i)
 
-    def ublock(self, i: int) -> Block:
-        """The i-th off-diagonal Uᵗ block (LU only)."""
+    def ublock(self, i: int) -> Block:  # the i-th Uᵗ block (LU only)
         return self.block("u", i)
 
     def stored(self) -> Iterator[Tuple[str, int, Block]]:

@@ -148,27 +148,22 @@ def factor_column_block(fac: NumericFactor, k: int) -> None:
         nc.factored = True
 
 
-def _first_nonfinite(nc: NumericColumnBlock) -> Optional[str]:
-    """Name of the first storage piece of ``nc`` holding NaN/Inf, or None."""
-    if not block_all_finite(nc.diag):
-        return "diag"
-    for side, i, b in nc.stored():
-        parts = (b.u, b.v) if isinstance(b, LowRankBlock) else (b,)
-        if not all(map(block_all_finite, parts)):
-            return f"{side}panel" if i < 0 else f"{side}block({i})"
-    return None
-
-
 def _breakdown_check_input(fac: NumericFactor, k: int) -> None:
-    """Pre-factor NaN/Inf sentinel: raise a structured breakdown instead of
-    letting a poisoned panel silently contaminate the whole trailing
+    """Pre-factor NaN/Inf sentinel: raise a structured breakdown, naming
+    the first storage piece of column block ``k`` that holds one, instead
+    of letting a poisoned panel silently contaminate the whole trailing
     matrix.  Only called when a recovery state is armed."""
-    bad = _first_nonfinite(fac.cblks[k])
-    if bad is not None:
-        raise NumericalBreakdown(
-            "nan-input", cblk=k, site="factor",
-            detail=f"non-finite entries in {bad} before factorization",
-            where=bad)
+    nc = fac.cblks[k]
+    pieces = [("diag", (nc.diag,))] + [
+        (f"{side}panel" if i < 0 else f"{side}block({i})",
+         (b.u, b.v) if isinstance(b, LowRankBlock) else (b,))
+        for side, i, b in nc.stored()]
+    for bad, parts in pieces:
+        if not all(map(block_all_finite, parts)):
+            raise NumericalBreakdown(
+                "nan-input", cblk=k, site="factor",
+                detail=f"non-finite entries in {bad} before factorization",
+                where=bad)
 
 
 def _ldlt_pivot_diag(fac: NumericFactor, nc: NumericColumnBlock,
@@ -328,15 +323,13 @@ UpdateAccumulator = Dict[Tuple[str, int], List[Tuple[Block, int, int]]]
 
 def apply_updates_from(fac: NumericFactor, k: int, t: int,
                        acc: UpdateAccumulator) -> Tuple[float, float, int]:
-    """Apply the updates of source column block ``k`` aimed at column block
-    ``t``: those aimed at a low-rank block of ``t`` are gathered in ``acc``
-    (the calling task's accumulator) for :func:`flush_accumulated`, the
-    others land at once.  The dense rows go through
-    :func:`_updates_from_panel`, whose ``(seconds, flops, gemms)`` are
-    returned for the task to charge; the pairs that hold a low-rank block
-    through :func:`_updates_from_lowrank`, which charges its kernels.  The
-    fault injector's update hook fires first, and one ``"update"`` span
-    is recorded per call."""
+    """Apply the updates of column block ``k`` aimed at column block ``t``
+    (those aimed at a low-rank block of ``t`` gather in the task's ``acc``
+    for :func:`flush_accumulated`): the dense rows through
+    :func:`_updates_from_panel`, whose ``(seconds, flops, gemms)`` the task
+    charges, the pairs holding a low-rank block through
+    :func:`_updates_from_lowrank`.  The fault injector's update hook fires
+    first; one ``"update"`` span is recorded per call."""
     if fac.faults is not None:
         fac.faults.on_update(fac, k, t)
     nc = fac.cblks[k]
@@ -355,10 +348,9 @@ def apply_updates_from(fac: NumericFactor, k: int, t: int,
 def _dense_rows(fac: NumericFactor, nc: NumericColumnBlock, side: str,
                 first: int, end: int, drow: np.ndarray, pos: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, offs, drow, pos)`` of ``side`` for a visit through the
-    blocks ``first:end``: the panel from block ``first`` on (compute
-    dtype), where each facing block starts in it (``offs[-1]`` rows face
-    the target), and the landing map restricted to those rows."""
+    """``(rows, offs, drow, pos)`` of ``side`` for a visit through blocks
+    ``first:end``: the panel from block ``first`` on (compute dtype), where
+    each facing block starts in it, the landing map of those rows."""
     offs = nc.panel_offsets(side)
     base = offs[first]
     rows = _as_dtype(nc.panel(side)[base:], fac.dtype)
@@ -400,8 +392,7 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
     if fac.sides == 2:
         u_rows, uoffs, udrow, upos = _dense_rows(fac, nc, "u", first, end,
                                                  drow, pos)
-        ucols = lcols if udrow is ldrow else _span(udrow)
-        unf = uoffs[-1]
+        ucols, unf = lcols if udrow is ldrow else _span(udrow), uoffs[-1]
         if unf and len(l_rows):
             w = l_rows @ u_rows[:unf].T
             square, below = w[:nf], w[nf:]
@@ -446,7 +437,7 @@ def _land_dense(fac: NumericFactor, tnc: NumericColumnBlock,
     (none when the caller landed it), and each ``(side, pos, cols, slab)``
     at the frame positions ``pos`` and the columns ``cols`` of that side:
     in the panel, shifted past the rows of the low-rank blocks before
-    them, or in a low-rank block's scratch in ``acc`` (:func:`_scratch`)."""
+    them, or in a low-rank block's scratch in ``acc``."""
     if square is not None:
         _subtract_at(tnc.diag, at[0], at[1], square)
     last = rows = None
@@ -468,9 +459,14 @@ def _land_dense(fac: NumericFactor, tnc: NumericColumnBlock,
                 _subtract_at(panel, _span(pos[lo:hi] - offs[start]
                                           + poffs[start]), cols, slab[lo:hi])
             if i in lowrank and cut[i + 1] > hi:
-                _subtract_at(_scratch(fac, tnc, side, i, acc),
-                             _span(pos[hi:cut[i + 1]] - offs[i]), cols,
-                             slab[hi:cut[i + 1]])
+                # the scratch at the head of the block's gather, allocated
+                # on first use: it carries minus the sum of what lands
+                pend = acc.setdefault((side, i), [])
+                if not (pend and isinstance(pend[0][0], np.ndarray)):
+                    pend.insert(0, (np.zeros(lowrank[i].shape,
+                                             dtype=fac.dtype), 0, 0))
+                _subtract_at(pend[0][0], _span(pos[hi:cut[i + 1]] - offs[i]),
+                             cols, slab[hi:cut[i + 1]])
             start = i + 1
 
 
@@ -601,8 +597,6 @@ def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
     Hermitian factorizations conjugate the transposed operand
     (``A(i,j) -= L(i) L(j)ᴴ``), as in the panel path.
     """
-    cfg = fac.config
-    stats = fac.stats.kernels
     noff = nc.sym.noff
     is_lu = fac.sides == 2
     offs = nc.row_offsets
@@ -610,16 +604,16 @@ def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
     coff0 = fac.cblks[t].sym.first_col
     lr_l, lr_u = nc.llowrank, nc.ulowrank
     lr_op = lr_u if is_lu else lr_l  # the blocks op(L(j)) reads
+    # the blocks from ``first`` on in the compute dtype, promoted once each
+    # (a product of two narrow operands would otherwise run narrow)
+    src = {side: [_as_dtype(nc.block(side, i), fac.dtype)
+                  for i in range(first, noff)] for side in "lu"[:fac.sides]}
+    lsrc, usrc = src["l"], src.get("u")
 
-    def operands(side: str) -> List[Block]:
-        # the blocks from ``first`` on in the compute dtype, promoted once
-        # each (a product of two narrow operands would otherwise run narrow)
-        panel = _as_dtype(nc.panel(side), fac.dtype)
-        offs, lowrank = nc.panel_offsets(side), nc.lowrank(side)
-        return [_as_dtype(lowrank[i], fac.dtype) if i in lowrank
-                else panel[offs[i]:offs[i + 1]] for i in range(first, noff)]
+    def product(a: Block, b: Block) -> Optional[Block]:
+        return lr_product(a, b, fac.comp_tol, fac.config.kernel,
+                          fac.stats.kernels, norm_ref=fac.comp_norm_ref)
 
-    lsrc, usrc = operands("l"), (operands("u") if is_lu else None)
     for j in range(first, end):
         coff = nc.sym.blocks[1 + j].first_row - coff0
         lb_j = lsrc[j - first]
@@ -633,13 +627,11 @@ def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
             in_diag = i < end
             row = drow[offs[i] - base] if in_diag else pos[offs[i] - dend]
             if l_pair:
-                _land_block(fac, t, in_diag, row, coff, lr_product(
-                    lsrc[i - first], ub_j, fac.comp_tol, cfg.kernel, stats,
-                    norm_ref=fac.comp_norm_ref), "l", acc)
+                _land_block(fac, t, in_diag, row, coff,
+                            product(lsrc[i - first], ub_j), "l", acc)
             if u_pair:
-                _land_block(fac, t, in_diag, row, coff, lr_product(
-                    usrc[i - first], lb_j, fac.comp_tol, cfg.kernel, stats,
-                    norm_ref=fac.comp_norm_ref), "u", acc)
+                _land_block(fac, t, in_diag, row, coff,
+                            product(usrc[i - first], lb_j), "u", acc)
 
 
 def flush_accumulated(fac: NumericFactor, k: int,
@@ -738,12 +730,10 @@ def _land_block(fac: NumericFactor, t: int, in_diag: bool, row: int,
         return
     stats = fac.stats.kernels
     tnc = fac.cblks[t]
-    if in_diag:  # always dense
-        if side == "l":
-            lr2ge_update(tnc.diag, contrib, row, coff, stats)
-        else:
-            lr2ge_update(tnc.diag, LowRankBlock(contrib.v, contrib.u),
-                         coff, row, stats)
+    if in_diag:  # always dense; the Uᵗ side lands transposed
+        if side == "u":
+            contrib, row, coff = LowRankBlock(contrib.v, contrib.u), coff, row
+        lr2ge_update(tnc.diag, contrib, row, coff, stats)
         return
     panel, lowrank = tnc.panel(side), tnc.lowrank(side)
     if not lowrank:
@@ -754,23 +744,10 @@ def _land_block(fac: NumericFactor, t: int, in_diag: bool, row: int,
     lo, stop = row, row + contrib.m
     while lo < stop:
         hi = min(stop, offs[i + 1])
-        piece = contrib
-        if hi - lo < contrib.m:
-            piece = LowRankBlock(contrib.u[lo - row:hi - row], contrib.v)
+        piece = (contrib if hi - lo == contrib.m else
+                 LowRankBlock(contrib.u[lo - row:hi - row], contrib.v))
         if i in lowrank:
             acc.setdefault((side, i), []).append((piece, lo - offs[i], coff))
         else:
             lr2ge_update(panel, piece, lo - offs[i] + poffs[i], coff, stats)
         lo, i = hi, i + 1
-
-
-def _scratch(fac: NumericFactor, tnc: NumericColumnBlock, side: str,
-             i: int, acc: UpdateAccumulator) -> np.ndarray:
-    """Where dense entries aimed at the low-rank block ``i`` of ``tnc``'s
-    ``side`` land: the scratch at the head of its accumulator list,
-    allocated on first use (it carries minus the sum of what lands)."""
-    pend = acc.setdefault((side, i), [])
-    if not (pend and isinstance(pend[0][0], np.ndarray)):
-        pend.insert(0, (np.zeros(tnc.lowrank(side)[i].shape,
-                                 dtype=fac.dtype), 0, 0))
-    return pend[0][0]

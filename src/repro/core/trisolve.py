@@ -2,9 +2,9 @@
 
 Works on the storage every strategy produces: per column block and side,
 the panel of its dense off-diagonal rows applies as one product per sweep,
-each low-rank block beside it as ``u (vᵗ x)``.  The solve step is what the paper's Table 2 "Solve
-time" row measures; as refinement's preconditioner it runs once more per
-iteration.
+each low-rank block beside it as ``u (vᵗ x)``.  The solve step is what
+the paper's Table 2 "Solve time" row measures; as refinement's
+preconditioner it runs once more per iteration.
 
 Conventions (matching :mod:`repro.core.factorization`):
 
