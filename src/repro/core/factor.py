@@ -74,21 +74,23 @@ class NumericColumnBlock:
     of its low-rank blocks."""
 
     __slots__ = ("sym", "diag", "lpanel", "upanel", "llowrank", "ulowrank",
-                 "loffsets", "uoffsets", "row_offsets", "offrows",
-                 "factored", "pivperm", "pivd21")
+                 "loffsets", "uoffsets", "lrows", "urows", "row_offsets",
+                 "offrows", "factored", "pivperm", "pivd21")
 
     def __init__(self, sym: SymbolicColumnBlock,
                  row_offsets: np.ndarray) -> None:
         self.sym = sym
         self.diag: Optional[np.ndarray] = None
-        #: per side, the dense rows, the low-rank blocks by index and where
-        #: each block starts in the panel (:meth:`set_side`); the U side's
-        #: panel stays ``None`` for a symmetric factorization
+        #: per side, the dense rows, the low-rank blocks by index, where each
+        #: block starts in the panel and which frame rows the panel holds
+        #: (:meth:`set_side`); the U side's panel stays ``None`` for a
+        #: symmetric factorization
         self.lpanel: Optional[np.ndarray] = None
         self.upanel: Optional[np.ndarray] = None
         self.llowrank: Dict[int, LowRankBlock] = {}
         self.ulowrank: Dict[int, LowRankBlock] = {}
         self.loffsets = self.uoffsets = row_offsets
+        self.lrows = self.urows = slice(None)
         #: within-block pivot permutation (threshold-pivoted ldlt only):
         #: row ``i`` of the factored diagonal block is row ``pivperm[i]``
         #: of the assembled one.  ``None`` = identity (static pivoting).
@@ -117,15 +119,15 @@ class NumericColumnBlock:
     def set_side(self, side: str, panel: Optional[np.ndarray],
                  lowrank: Dict[int, LowRankBlock]) -> None:
         """Store ``side``; ``lowrank`` in ascending index order."""
-        offsets = self.row_offsets
+        offsets, rows = self.row_offsets, slice(None)
         if lowrank:
-            sizes = np.diff(offsets)
-            sizes[list(lowrank)] = 0
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-        if side == "l":
-            self.lpanel, self.llowrank, self.loffsets = panel, lowrank, offsets
-        else:
-            self.upanel, self.ulowrank, self.uoffsets = panel, lowrank, offsets
+            dense = np.ones(len(offsets) - 1, dtype=bool)
+            dense[list(lowrank)] = False
+            rows = np.repeat(dense, np.diff(offsets))
+            offsets = np.concatenate(([0], np.cumsum(rows)))[offsets]
+        for name, value in (("panel", panel), ("lowrank", lowrank),
+                            ("offsets", offsets), ("rows", rows)):
+            setattr(self, side + name, value)
 
     def panel_offsets(self, side: str) -> np.ndarray:
         """Where each off-diagonal block starts in the panel of ``side``
@@ -136,9 +138,7 @@ class NumericColumnBlock:
     def panel_rows(self, side: str) -> "slice | np.ndarray":
         """Which rows of the frame the panel of ``side`` holds: a boolean
         mask, or all of them (a slice) when nothing there compressed."""
-        offs = self.panel_offsets(side)
-        return (slice(None) if offs is self.row_offsets else
-                np.repeat(np.diff(offs) > 0, np.diff(self.row_offsets)))
+        return self.lrows if side == "l" else self.urows
 
     def block(self, side: str, i: int) -> Block:
         """Off-diagonal block ``i`` of ``side``: its low-rank form, or a

@@ -639,8 +639,8 @@ class TestChargesPinned:
     """Per-category calls and flops and the backend's op counts of one
     factorization (``charges/…`` in ``tests/golden/pins.json``), pinned at
     the values recorded while every visit still charged its own kernels: a
-    fan-in task charging its panel-mode visits in one sum must reproduce
-    them exactly."""
+    fan-in task charging its visits' dense products in one sum must
+    reproduce them exactly."""
 
     @pytest.mark.parametrize("key", pins.cases("charges"))
     def test_calls_flops_and_backend_counts(self, key):

@@ -19,7 +19,7 @@ class TestKernelStats:
         assert ks.call_count("compress") == 2
 
     def test_batched_charge(self):
-        """A caller that batches (the fan-in task's panel-mode visits)
+        """A caller that batches (the fan-in task's visits)
         charges many calls at once."""
         ks = KernelStats()
         ks.add("x", seconds=0.5, flops=3.0, calls=3)
