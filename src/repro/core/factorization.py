@@ -337,36 +337,37 @@ def apply_updates_from(fac: NumericFactor, k: int, t: int,
         t0 = time.perf_counter()
         first, end = fac.symb.facing_ranges(k)[t]
         drow, pos = fac.symb.landing_map(k, t, first, end)
-        flops, gemms = _updates_from_panel(fac, nc, t, first, end, drow,
-                                           pos, acc)
+        dense = [_dense_rows(fac, nc, side, first, drow, pos)
+                 for side in "lu"[:fac.sides]]
+        flops, gemms = _updates_from_panel(fac, nc, t, end - first, dense, acc)
         seconds = time.perf_counter() - t0
         if nc.llowrank or nc.ulowrank:
-            _updates_from_lowrank(fac, nc, t, first, end, drow, pos, acc)
+            _updates_from_lowrank(fac, nc, t, first, end, drow, pos, dense,
+                                  acc)
     return seconds, flops, gemms
 
 
 def _dense_rows(fac: NumericFactor, nc: NumericColumnBlock, side: str,
-                first: int, end: int, drow: np.ndarray, pos: np.ndarray
+                first: int, drow: np.ndarray, pos: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, offs, drow, pos)`` of ``side`` for a visit through blocks
-    ``first:end``: the panel from block ``first`` on (compute dtype), where
-    each facing block starts in it, the landing map of those rows."""
+    """``(rows, offs, drow, pos)`` of ``side`` for a visit from block
+    ``first`` on: the panel from there (compute dtype), where each block
+    from ``first`` on starts in it, the landing map of those rows."""
     offs = nc.panel_offsets(side)
     base = offs[first]
     rows = _as_dtype(nc.panel(side)[base:], fac.dtype)
     if offs is not nc.row_offsets:  # skip the rows of the low-rank blocks
         keep = nc.panel_rows(side)[nc.row_offsets[first]:]
         drow, pos = drow[keep[:len(drow)]], pos[keep[len(drow):]]
-    return rows, offs[first:end + 1] - base, drow, pos
+    return rows, offs[first:] - base, drow, pos
 
 
 def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
-                        first: int, end: int, drow: np.ndarray,
-                        pos: np.ndarray, acc: UpdateAccumulator
-                        ) -> Tuple[float, int]:
-    """Batched dense update of ``t`` by the dense rows of a source, over
-    its blocks ``first:end`` facing ``t`` and their landing map ``(drow,
-    pos)``: one product per side and one landing per destination.
+                        nfacing: int, dense: List[Tuple[np.ndarray, ...]],
+                        acc: UpdateAccumulator) -> Tuple[float, int]:
+    """Batched dense update of ``t`` by the dense rows of a source, per
+    side as :func:`_dense_rows` gives them, whose first ``nfacing`` blocks
+    face ``t``: one product per side and one landing per destination.
     Returns ``(flops, gemms)`` for the calling task to charge: every entry
     computed costs ``2·width`` flops to form and one to land.
 
@@ -382,17 +383,15 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
     (``.conj()`` is a no-copy pass-through for real panels).
     """
     tnc = fac.cblks[t]
-    l_rows, loffs, ldrow, lpos = _dense_rows(fac, nc, "l", first, end, drow,
-                                             pos)
-    nf = loffs[-1]
+    l_rows, loffs, ldrow, lpos = dense[0]
+    nf = loffs[nfacing]
     square = below = None
     slabs: List[Tuple[str, np.ndarray, "slice | np.ndarray", np.ndarray]] = []
     computed = gemms = 0
     lcols = ucols = _span(ldrow)
     if fac.sides == 2:
-        u_rows, uoffs, udrow, upos = _dense_rows(fac, nc, "u", first, end,
-                                                 drow, pos)
-        ucols, unf = lcols if udrow is ldrow else _span(udrow), uoffs[-1]
+        u_rows, uoffs, udrow, upos = dense[1]
+        ucols, unf = lcols if udrow is ldrow else _span(udrow), uoffs[nfacing]
         if unf and len(l_rows):
             w = l_rows @ u_rows[:unf].T
             square, below = w[:nf], w[nf:]
@@ -404,12 +403,12 @@ def _updates_from_panel(fac: NumericFactor, nc: NumericColumnBlock, t: int,
             gemms += 1
     elif nf:
         facing = _update_operand(fac, nc, l_rows[:nf], None)
-        if end - first == 1:
+        if nfacing == 1:
             w = l_rows @ facing.T
             square, below = w[:nf], w[nf:]
             computed, gemms = w.size, 1
         else:
-            for lo, hi in zip(loffs[:-1], loffs[1:]):
+            for lo, hi in zip(loffs[:nfacing], loffs[1:nfacing + 1]):
                 if hi > lo:
                     part = l_rows[lo:nf] @ facing[lo:hi].T
                     tnc.diag[ldrow[lo:], ldrow[lo]:ldrow[lo] + hi - lo] -= part
@@ -588,7 +587,8 @@ def _land_contribution(fac: NumericFactor, c: int, t: int, cb: np.ndarray,
 
 def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
                           t: int, first: int, end: int, drow: np.ndarray,
-                          pos: np.ndarray, acc: UpdateAccumulator) -> None:
+                          pos: np.ndarray, dense: List[Tuple[np.ndarray, ...]],
+                          acc: UpdateAccumulator) -> None:
     """The updates of ``t`` that :func:`_updates_from_panel` leaves out:
     pair by pair through the low-rank kernels, for each facing pair
     ``(i, j)`` (``i ≥ j``, plus the Uᵗ side's ``i > j``) whose operands
@@ -604,11 +604,13 @@ def _updates_from_lowrank(fac: NumericFactor, nc: NumericColumnBlock,
     coff0 = fac.cblks[t].sym.first_col
     lr_l, lr_u = nc.llowrank, nc.ulowrank
     lr_op = lr_u if is_lu else lr_l  # the blocks op(L(j)) reads
-    # the blocks from ``first`` on in the compute dtype, promoted once each
-    # (a product of two narrow operands would otherwise run narrow)
-    src = {side: [_as_dtype(nc.block(side, i), fac.dtype)
-                  for i in range(first, noff)] for side in "lu"[:fac.sides]}
-    lsrc, usrc = src["l"], src.get("u")
+    # the blocks from ``first`` on in the compute dtype: a low-rank one
+    # promoted here, a dense one a slice of the visit's promoted rows
+    src = [[_as_dtype(lr[i], fac.dtype) if i in lr else
+            rows[roffs[i - first]:roffs[i + 1 - first]]
+            for i in range(first, noff)]
+           for lr, (rows, roffs, _, _) in zip((lr_l, lr_u), dense)]
+    lsrc, usrc = src[0], src[-1]  # usrc is read for LU only
 
     def product(a: Block, b: Block) -> Optional[Block]:
         return lr_product(a, b, fac.comp_tol, fac.config.kernel,
