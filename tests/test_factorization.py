@@ -637,10 +637,9 @@ class TestEnginesLandIdentically:
 
 class TestChargesPinned:
     """Per-category calls and flops and the backend's op counts of one
-    factorization (``charges/…`` in ``tests/golden/pins.json``), pinned at
-    the values recorded while every visit still charged its own kernels: a
-    fan-in task charging its visits' dense products in one sum must
-    reproduce them exactly."""
+    factorization (``charges/…`` in ``tests/golden/pins.json``), exactly:
+    a fan-in task charges its visits' dense products in one sum, and each
+    pair that holds a low-rank block charges its own kernels."""
 
     @pytest.mark.parametrize("key", pins.cases("charges"))
     def test_calls_flops_and_backend_counts(self, key):
